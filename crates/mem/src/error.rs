@@ -25,6 +25,8 @@ pub enum MemError {
     SameTier(FrameId, TierId),
     /// The tier id is out of range for this topology.
     NoSuchTier(TierId),
+    /// The virtual page lies at or past [`crate::VPageMap::MAX_VPAGES`].
+    VPageOutOfRange(VPage),
 }
 
 impl fmt::Display for MemError {
@@ -39,6 +41,7 @@ impl fmt::Display for MemError {
             MemError::FrameUnevictable(fr) => write!(f, "{fr} is unevictable"),
             MemError::SameTier(fr, t) => write!(f, "{fr} is already in {t}"),
             MemError::NoSuchTier(t) => write!(f, "topology has no {t}"),
+            MemError::VPageOutOfRange(v) => write!(f, "{v} is beyond the address space"),
         }
     }
 }
@@ -61,6 +64,7 @@ mod tests {
             MemError::FrameUnevictable(FrameId::new(1)),
             MemError::SameTier(FrameId::new(1), TierId::TOP),
             MemError::NoSuchTier(TierId::new(9)),
+            MemError::VPageOutOfRange(VPage::new(u64::MAX)),
         ];
         for e in cases {
             let msg = format!("{e}");

@@ -53,6 +53,7 @@ pub mod tier;
 pub mod time;
 pub mod topology;
 pub mod txn;
+pub mod vpage_map;
 pub mod watermark;
 
 pub use access::{Memory, SimpleMemory};
@@ -71,4 +72,5 @@ pub use tier::{Tier, TierKind};
 pub use time::{Nanos, VirtualClock};
 pub use topology::{NodeDesc, Topology, TopologyBuilder};
 pub use txn::{MigrationMode, MigrationTxn, ShadowPages};
+pub use vpage_map::VPageMap;
 pub use watermark::Watermarks;

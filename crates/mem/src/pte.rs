@@ -10,10 +10,16 @@
 //!   AutoNUMA, AutoTiering): a poisoned PTE makes the next access take a
 //!   software fault, which both costs time and reveals the access to the
 //!   tracker.
+//!
+//! Every access translates exactly once and every scan harvests through the
+//! same table, so a lookup has to cost an array index, not a tree walk:
+//! [`PageTable`] is the PTE instantiation of the radix-indexed
+//! [`VPageMap`].
 
+use crate::error::MemError;
 use crate::ids::{FrameId, VPage};
+use crate::vpage_map::VPageMap;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 
 /// One page-table entry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -40,39 +46,24 @@ impl PteEntry {
     }
 }
 
-/// The virtual-to-physical mapping for the simulated address space.
-///
-/// Keyed by `BTreeMap` so iteration is in virtual-address order — scan
-/// passes that walk the table see pages in the same order on every run.
-#[derive(Debug, Default, Clone)]
-pub struct PageTable {
-    entries: BTreeMap<VPage, PteEntry>,
-}
+/// The virtual-to-physical mapping for the simulated address space: a
+/// [`VPageMap`] of [`PteEntry`]s, so translation, reference-bit harvesting
+/// and the scan-side snapshots all index instead of searching.
+pub type PageTable = VPageMap<PteEntry>;
 
-impl PageTable {
-    /// An empty page table.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
+impl VPageMap<PteEntry> {
     /// Installs a mapping. Returns the previous entry if one existed.
-    pub fn map(&mut self, vpage: VPage, frame: FrameId) -> Option<PteEntry> {
-        self.entries.insert(vpage, PteEntry::new(frame))
+    ///
+    /// # Errors
+    ///
+    /// [`MemError::VPageOutOfRange`] at or past [`Self::MAX_VPAGES`].
+    pub fn map(&mut self, vpage: VPage, frame: FrameId) -> Result<Option<PteEntry>, MemError> {
+        self.insert(vpage, PteEntry::new(frame))
     }
 
     /// Removes a mapping, returning the old entry.
     pub fn unmap(&mut self, vpage: VPage) -> Option<PteEntry> {
-        self.entries.remove(&vpage)
-    }
-
-    /// Looks up an entry.
-    pub fn get(&self, vpage: VPage) -> Option<&PteEntry> {
-        self.entries.get(&vpage)
-    }
-
-    /// Looks up an entry mutably.
-    pub fn get_mut(&mut self, vpage: VPage) -> Option<&mut PteEntry> {
-        self.entries.get_mut(&vpage)
+        self.remove(vpage)
     }
 
     /// Points an existing mapping at a different frame (migration),
@@ -82,7 +73,7 @@ impl PageTable {
     ///
     /// Returns `false` if the page was not mapped.
     pub fn remap(&mut self, vpage: VPage, new_frame: FrameId) -> bool {
-        match self.entries.get_mut(&vpage) {
+        match self.get_mut(vpage) {
             Some(e) => {
                 e.frame = new_frame;
                 e.referenced = false;
@@ -96,25 +87,10 @@ impl PageTable {
     /// Test-and-clear of the reference bit, the `page_referenced()`
     /// harvesting primitive.
     pub fn harvest_referenced(&mut self, vpage: VPage) -> bool {
-        match self.entries.get_mut(&vpage) {
+        match self.get_mut(vpage) {
             Some(e) => std::mem::take(&mut e.referenced),
             None => false,
         }
-    }
-
-    /// Number of live mappings.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the table is empty.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Iterates over all mappings in virtual-address order.
-    pub fn iter(&self) -> impl Iterator<Item = (&VPage, &PteEntry)> {
-        self.entries.iter()
     }
 }
 
@@ -126,7 +102,7 @@ mod tests {
     fn map_unmap_roundtrip() {
         let mut pt = PageTable::new();
         assert!(pt.is_empty());
-        assert!(pt.map(VPage::new(1), FrameId::new(7)).is_none());
+        assert_eq!(pt.map(VPage::new(1), FrameId::new(7)), Ok(None));
         assert_eq!(pt.len(), 1);
         let e = pt.get(VPage::new(1)).unwrap();
         assert_eq!(e.frame, FrameId::new(7));
@@ -139,7 +115,7 @@ mod tests {
     #[test]
     fn harvest_is_test_and_clear() {
         let mut pt = PageTable::new();
-        pt.map(VPage::new(1), FrameId::new(0));
+        pt.map(VPage::new(1), FrameId::new(0)).unwrap();
         pt.get_mut(VPage::new(1)).unwrap().referenced = true;
         assert!(pt.harvest_referenced(VPage::new(1)));
         assert!(
@@ -155,7 +131,7 @@ mod tests {
     #[test]
     fn remap_clears_reference_and_poison_but_keeps_dirty() {
         let mut pt = PageTable::new();
-        pt.map(VPage::new(4), FrameId::new(1));
+        pt.map(VPage::new(4), FrameId::new(1)).unwrap();
         {
             let e = pt.get_mut(VPage::new(4)).unwrap();
             e.referenced = true;
@@ -174,8 +150,8 @@ mod tests {
     #[test]
     fn double_map_returns_previous() {
         let mut pt = PageTable::new();
-        pt.map(VPage::new(1), FrameId::new(1));
-        let prev = pt.map(VPage::new(1), FrameId::new(2)).unwrap();
+        pt.map(VPage::new(1), FrameId::new(1)).unwrap();
+        let prev = pt.map(VPage::new(1), FrameId::new(2)).unwrap().unwrap();
         assert_eq!(prev.frame, FrameId::new(1));
         assert_eq!(pt.get(VPage::new(1)).unwrap().frame, FrameId::new(2));
     }

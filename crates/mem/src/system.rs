@@ -107,6 +107,11 @@ pub struct MemorySystem {
     /// `MigrationMode::Sync`, which keeps every sync path bit-identical
     /// to an engine without the transactional layer.
     txns: Vec<MigrationTxn>,
+    /// Indexed by source frame: 1 + the position in `txns` of the frame's
+    /// open transaction, or 0. Every store asks, so membership must not
+    /// search; grown by `begin_migration` only, so `Sync` runs never
+    /// allocate it.
+    txn_slot: Vec<u32>,
     /// Retained lower-tier copies left behind by clean transactional
     /// promotions (Nomad-style non-exclusive placement).
     shadows: ShadowPages,
@@ -151,6 +156,7 @@ impl MemorySystem {
             recorder: Recorder::disabled(),
             fault: None,
             txns: Vec::new(),
+            txn_slot: Vec::new(),
             shadows: ShadowPages::new(),
         }
     }
@@ -215,6 +221,12 @@ impl MemorySystem {
     /// The cost ledger (drained by the simulation engine).
     pub fn ledger_mut(&mut self) -> &mut CostLedger {
         &mut self.ledger
+    }
+
+    /// Whether the ledger holds a charge or an event is queued — whether
+    /// the engine has anything to absorb. False after almost every access.
+    pub fn has_pending_effects(&self) -> bool {
+        self.ledger != CostLedger::default() || !self.events.is_empty()
     }
 
     /// Drains pending substrate events.
@@ -401,7 +413,8 @@ impl MemorySystem {
     ///
     /// # Errors
     ///
-    /// Returns [`MemError::AlreadyMapped`] or [`MemError::FrameNotAllocated`].
+    /// Returns [`MemError::AlreadyMapped`], [`MemError::FrameNotAllocated`],
+    /// or [`MemError::VPageOutOfRange`] for a page the table cannot hold.
     pub fn map(&mut self, vpage: VPage, frame: FrameId) -> Result<(), MemError> {
         if self.page_table.get(vpage).is_some() {
             return Err(MemError::AlreadyMapped(vpage));
@@ -409,7 +422,7 @@ impl MemorySystem {
         if self.frames[frame.index()].state() != FrameState::Allocated {
             return Err(MemError::FrameNotAllocated(frame));
         }
-        self.page_table.map(vpage, frame);
+        self.page_table.map(vpage, frame)?;
         self.frames[frame.index()].set_vpage(Some(vpage));
         Ok(())
     }
@@ -914,7 +927,7 @@ impl MemorySystem {
         if src_tier == dst_tier {
             return Err(MemError::SameTier(frame, dst_tier));
         }
-        if self.txns.iter().any(|t| t.frame == frame) {
+        if self.txn_pos(frame).is_some() {
             saturating_bump(&mut self.stats.migration_failures);
             self.recorder.emit(|| EventKind::MigrateFail {
                 frame: frame.index() as u64,
@@ -968,6 +981,10 @@ impl MemorySystem {
             dst_tier,
             doomed: false,
         });
+        if self.txn_slot.len() <= frame.index() {
+            self.txn_slot.resize(frame.index() + 1, 0);
+        }
+        self.txn_slot[frame.index()] = self.txns.len() as u32;
         saturating_bump(&mut self.stats.txn_begins);
         self.recorder.emit(|| EventKind::TxnBegin {
             frame: frame.index() as u64,
@@ -996,6 +1013,9 @@ impl MemorySystem {
         keep_shadows: bool,
     ) -> Vec<(FrameId, Result<FrameId, MemError>)> {
         let txns = std::mem::take(&mut self.txns);
+        for txn in &txns {
+            self.txn_slot[txn.frame.index()] = 0;
+        }
         let mut out = Vec::with_capacity(txns.len());
         let mut committed = 0u32;
         for txn in txns {
@@ -1147,17 +1167,27 @@ impl MemorySystem {
     /// Marks the in-flight transaction of `frame` (if any) as doomed: the
     /// background copy no longer matches the source.
     fn doom_txn_of(&mut self, frame: FrameId) {
-        if let Some(t) = self.txns.iter_mut().find(|t| t.frame == frame) {
+        if let Some(t) = self.txn_pos(frame).and_then(|pos| self.txns.get_mut(pos)) {
             t.doomed = true;
         }
+    }
+
+    /// Position in `txns` of the open transaction whose source is `frame`.
+    fn txn_pos(&self, frame: FrameId) -> Option<usize> {
+        (*self.txn_slot.get(frame.index())? as usize).checked_sub(1)
     }
 
     /// Aborts the in-flight transaction of `frame` (if any) immediately:
     /// releases the reserved destination frame and emits the abort. Used
     /// when the source stops being a live mapped page mid-window.
     fn abort_txn_of(&mut self, frame: FrameId, reason: &'static str) {
-        if let Some(pos) = self.txns.iter().position(|t| t.frame == frame) {
+        if let Some(pos) = self.txn_pos(frame) {
             let txn = self.txns.remove(pos);
+            self.txn_slot[frame.index()] = 0;
+            // Later transactions moved up one place; begin order is kept.
+            for later in self.txns.iter().skip(pos) {
+                self.txn_slot[later.frame.index()] -= 1;
+            }
             self.release_retained_frame(txn.dst_frame);
             saturating_bump(&mut self.stats.txn_aborts);
             self.recorder.emit(|| EventKind::TxnAbort {

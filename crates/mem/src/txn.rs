@@ -65,12 +65,20 @@ pub struct MigrationTxn {
 /// frame, or allocation pressure in its tier) or consumed by a zero-copy
 /// demotion ([`crate::MemorySystem::try_shadow_demote`]).
 ///
-/// Entries live in a `Vec` in insertion order: lookups are linear (the
-/// table is small and usually empty) and iteration order is deterministic,
-/// which the bit-identity differential tests rely on.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+/// Every store asks whether its frame is shadowed, and with most demotions
+/// served from shadows the table is neither small nor empty, so membership
+/// is a frame-indexed slot: `get`/`insert`/`remove` are O(1). The entries
+/// themselves stay in insertion order — the order `pop_oldest_in_tier` and
+/// `iter` promise and the bit-identity differential tests rely on — with a
+/// removed entry left as a hole until holes outnumber live entries.
+#[derive(Debug, Clone, Default)]
 pub struct ShadowPages {
-    entries: Vec<(FrameId, FrameId)>,
+    /// `(key, copy)` in insertion order; `None` is a removed entry.
+    entries: Vec<Option<(FrameId, FrameId)>>,
+    /// Indexed by key frame: 1 + the entry's position in `entries`, or 0.
+    /// Grown on insert only, so it costs nothing until shadows are in use.
+    slot: Vec<u32>,
+    live: usize,
 }
 
 impl ShadowPages {
@@ -81,34 +89,47 @@ impl ShadowPages {
 
     /// Number of live shadow entries.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.live
     }
 
     /// Whether the table is empty.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.live == 0
     }
 
     /// The retained copy frame for `key`, if one exists.
     pub fn get(&self, key: FrameId) -> Option<FrameId> {
-        self.entries
-            .iter()
-            .find(|(k, _)| *k == key)
-            .map(|(_, copy)| *copy)
+        let pos = (*self.slot.get(key.index())? as usize).checked_sub(1)?;
+        self.entries.get(pos)?.map(|(_, copy)| copy)
     }
 
     /// Inserts a shadow entry, replacing any previous entry for `key` and
     /// returning the displaced copy frame (which the caller must free).
     pub fn insert(&mut self, key: FrameId, copy: FrameId) -> Option<FrameId> {
         let old = self.remove(key);
-        self.entries.push((key, copy));
+        if self.slot.len() <= key.index() {
+            self.slot.resize(key.index() + 1, 0);
+        }
+        self.entries.push(Some((key, copy)));
+        self.slot[key.index()] = self.entries.len() as u32;
+        self.live += 1;
         old
     }
 
     /// Removes the entry for `key`, returning its copy frame.
     pub fn remove(&mut self, key: FrameId) -> Option<FrameId> {
-        let pos = self.entries.iter().position(|(k, _)| *k == key)?;
-        Some(self.entries.remove(pos).1)
+        let pos = (*self.slot.get(key.index())? as usize).checked_sub(1)?;
+        let (_, copy) = self.entries.get_mut(pos)?.take()?;
+        self.slot[key.index()] = 0;
+        self.live -= 1;
+        if self.entries.len() > 2 * self.live + 64 {
+            // Squeeze the holes out, keeping order, and re-point the slots.
+            self.entries.retain(Option::is_some);
+            for (pos, (key, _)) in self.entries.iter().flatten().enumerate() {
+                self.slot[key.index()] = pos as u32 + 1;
+            }
+        }
+        Some(copy)
     }
 
     /// Removes the *oldest* entry whose copy frame lies in `tier`,
@@ -120,16 +141,14 @@ impl ShadowPages {
         tier: TierId,
         tier_of: impl Fn(FrameId) -> TierId,
     ) -> Option<(FrameId, FrameId)> {
-        let pos = self
-            .entries
-            .iter()
-            .position(|(_, copy)| tier_of(*copy) == tier)?;
-        Some(self.entries.remove(pos))
+        let (key, copy) = self.iter().find(|(_, copy)| tier_of(*copy) == tier)?;
+        self.remove(key);
+        Some((key, copy))
     }
 
     /// Iterates `(key, copy)` pairs in insertion order.
     pub fn iter(&self) -> impl Iterator<Item = (FrameId, FrameId)> + '_ {
-        self.entries.iter().copied()
+        self.entries.iter().flatten().copied()
     }
 }
 

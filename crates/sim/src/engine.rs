@@ -9,7 +9,7 @@ use crate::obs::ObsState;
 use mc_fault::FaultInjector;
 use mc_mem::{
     AccessKind, MemorySystem, MigrationMode, Nanos, PageKind, TierId, TieringPolicy, VAddr, VPage,
-    VirtualClock, PAGE_SIZE,
+    VPageMap, VirtualClock, PAGE_SIZE,
 };
 use mc_policies::{
     Amp, AutoNuma, AutoTiering, AutoTieringConfig, AutoTieringMode, HybridTier, HybridTierConfig,
@@ -17,7 +17,12 @@ use mc_policies::{
 };
 use mc_workloads::Memory;
 use multi_clock::{MultiClock, MultiClockConfig};
-use std::collections::HashMap;
+
+#[cfg(test)]
+thread_local! {
+    /// Region lookups made on this thread (each test runs on its own).
+    static REGION_LOOKUPS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
 
 /// The system frontend: an OS tiering policy, or the Memory-mode cache.
 pub(crate) enum Frontend {
@@ -50,9 +55,9 @@ pub struct Simulation {
     components: Vec<Option<Box<dyn Component>>>,
     scheduler: Scheduler,
     next_free_page: u64,
-    /// Mapped regions: start page -> (pages, kind).
+    /// Mapped regions `(start page, pages, kind)`, ascending by start.
     regions: Vec<(u64, u64, PageKind)>,
-    data: HashMap<u64, Box<[u8; PAGE_SIZE]>>,
+    data: VPageMap<Box<[u8; PAGE_SIZE]>>,
     metrics: Metrics,
     obs: Option<ObsState>,
 }
@@ -197,7 +202,7 @@ impl Simulation {
             scheduler,
             next_free_page: 0,
             regions: Vec::new(),
-            data: HashMap::new(),
+            data: VPageMap::new(),
             metrics: Metrics::with_horizon(window, horizon),
             obs,
         }
@@ -339,15 +344,19 @@ impl Simulation {
         self.metrics.finish(self.clock.now());
     }
 
-    /// The kind of the region containing `vpage`.
-    fn region_kind(&self, vpage: VPage) -> PageKind {
+    /// The kind of the region containing `vpage` (`Anon` outside every
+    /// region). `mmap` appends regions in ascending start order, so the
+    /// last one starting at or before the page is the only candidate.
+    /// Needed by the fault path only — a hit never asks.
+    fn region_kind(regions: &[(u64, u64, PageKind)], vpage: VPage) -> PageKind {
+        #[cfg(test)]
+        REGION_LOOKUPS.with(|n| n.replace(n.get() + 1));
         let p = vpage.raw();
-        self.regions
-            .iter()
-            .rev()
-            .find(|(start, pages, _)| p >= *start && p < start + pages)
-            .map(|(_, _, k)| *k)
-            .unwrap_or(PageKind::Anon)
+        let after = regions.partition_point(|(start, ..)| *start <= p);
+        match after.checked_sub(1).and_then(|i| regions.get(i)) {
+            Some((start, pages, kind)) if p - start < *pages => *kind,
+            _ => PageKind::Anon,
+        }
     }
 
     /// Dispatches every due component wake-up, earliest `(time, id)`
@@ -381,45 +390,33 @@ impl Simulation {
         }
     }
 
-    /// Faults a page in (allocation with direct reclaim) and performs one
-    /// device access. The heart of the engine.
+    /// Performs one device access, faulting the page in first (allocation
+    /// with direct reclaim) if it is not mapped. The heart of the engine.
     fn access_page(&mut self, vpage: VPage, kind: AccessKind, bytes: usize) {
-        let region_kind = self.region_kind(vpage);
         self.mem.set_now(self.clock.now().as_nanos());
-        match &mut self.frontend {
+        // The tier served from and the device time: the first 64 bytes at
+        // access latency, the rest streamed from wherever the page now is.
+        let (tier, latency) = match &mut self.frontend {
             Frontend::MemoryMode(cache) => {
-                // Everything lives in PM; DRAM is a transparent cache.
-                let (lat, bg) = cache.access(vpage, kind, self.mem.latency());
-                self.clock.advance(lat);
-                self.metrics.costs_mut().access_time += lat;
+                // Everything lives in PM; DRAM is a transparent cache, so
+                // samples are attributed to the top tier it fronts.
+                let (mut lat, bg) = cache.access(vpage, kind, self.mem.latency());
                 self.metrics.costs_mut().background_time += bg;
-                let mut dev_latency = lat;
                 if bytes > 64 {
-                    // Stream the rest from wherever it now is (the cache).
-                    let extra = self.mem.latency().stream(TierId::TOP, kind, bytes - 64);
-                    self.clock.advance(extra);
-                    self.metrics.costs_mut().access_time += extra;
-                    dev_latency += extra;
+                    lat += self.mem.latency().stream(TierId::TOP, kind, bytes - 64);
                 }
-                if let Some(obs) = &mut self.obs {
-                    // The cache fronts the top tier; attribute samples there.
-                    obs.on_access(
-                        vpage,
-                        kind,
-                        bytes,
-                        TierId::TOP,
-                        dev_latency,
-                        self.clock.now(),
-                    );
-                }
-                self.metrics.on_access(vpage, self.clock.now());
+                (TierId::TOP, lat)
             }
             Frontend::Tiered {
                 policy,
                 oracle_visibility,
             } => {
-                // Fault path: allocate (with direct reclaim) and map.
-                if self.mem.translate(vpage).is_none() {
+                // One table lookup on a hit; `NotMapped` is the page fault:
+                // allocate (with direct reclaim), map, then access.
+                let out = if let Ok(out) = self.mem.access(vpage, kind) {
+                    out
+                } else {
+                    let region_kind = Self::region_kind(&self.regions, vpage);
                     self.mem.note_swap_in(vpage);
                     // Without an injector three reclaim rounds always free a
                     // frame or the machine is genuinely out of memory; with
@@ -450,39 +447,18 @@ impl Simulation {
                             }
                         }
                     };
-                    let Some(frame) = frame else {
-                        self.clock.advance(self.cfg.minor_fault);
-                        self.metrics.costs_mut().stall_time += self.cfg.minor_fault;
-                        absorb_substrate(
-                            &mut self.mem,
-                            &mut self.clock,
-                            &mut self.metrics,
-                            self.cfg.daemon_contention,
-                        );
-                        self.dispatch_due();
-                        return;
-                    };
-                    // lint: allow(panic) - frame was allocated above for a vpage lookup() reported unmapped
-                    self.mem.map(vpage, frame).expect("fresh page maps");
-                    policy.on_page_mapped(&mut self.mem, frame);
                     self.clock.advance(self.cfg.minor_fault);
                     self.metrics.costs_mut().stall_time += self.cfg.minor_fault;
+                    let Some(frame) = frame else {
+                        return self.settle();
+                    };
+                    // lint: allow(panic) - the page just faulted as unmapped and the frame is fresh; only an address past `VPageMap::MAX_VPAGES` (a wild pointer in the workload) fails
+                    self.mem.map(vpage, frame).expect("fresh page maps");
+                    policy.on_page_mapped(&mut self.mem, frame);
                     self.metrics.costs_mut().minor_faults += 1;
-                }
-                // lint: allow(panic) - the fault path above maps the page before falling through
-                let out = self.mem.access(vpage, kind).expect("page is mapped");
-                self.clock.advance(out.latency);
-                self.metrics.costs_mut().access_time += out.latency;
-                let mut dev_latency = out.latency;
-                if bytes > 64 {
-                    let extra = self
-                        .mem
-                        .latency()
-                        .stream_at(out.node, out.tier, kind, bytes - 64);
-                    self.clock.advance(extra);
-                    self.metrics.costs_mut().access_time += extra;
-                    dev_latency += extra;
-                }
+                    // lint: allow(panic) - mapped three statements up
+                    self.mem.access(vpage, kind).expect("page is mapped")
+                };
                 if out.hint_fault {
                     let hf = self.mem.latency().hint_fault;
                     self.clock.advance(hf);
@@ -493,12 +469,26 @@ impl Simulation {
                 if *oracle_visibility {
                     policy.on_supervised_access(&mut self.mem, out.frame, kind);
                 }
-                if let Some(obs) = &mut self.obs {
-                    obs.on_access(vpage, kind, bytes, out.tier, dev_latency, self.clock.now());
+                let mut lat = out.latency;
+                if bytes > 64 {
+                    let lm = self.mem.latency();
+                    lat += lm.stream_at(out.node, out.tier, kind, bytes - 64);
                 }
-                self.metrics.on_access(vpage, self.clock.now());
+                (out.tier, lat)
             }
+        };
+        self.clock.advance(latency);
+        self.metrics.costs_mut().access_time += latency;
+        if let Some(obs) = &mut self.obs {
+            obs.on_access(vpage, kind, bytes, tier, latency, self.clock.now());
         }
+        self.metrics.on_access(vpage, self.clock.now());
+        self.settle();
+    }
+
+    /// Absorbs what the substrate charged meanwhile and runs every
+    /// component whose wake-up the clock has now passed.
+    fn settle(&mut self) {
         absorb_substrate(
             &mut self.mem,
             &mut self.clock,
@@ -509,22 +499,22 @@ impl Simulation {
     }
 
     fn touch(&mut self, addr: VAddr, len: usize, kind: AccessKind) {
-        let len = len.max(1);
-        let mut page = addr.page();
-        let last = addr.add(len as u64 - 1).page();
-        let mut offset = addr.page_offset();
-        let mut remaining = len;
-        loop {
-            let in_page = (PAGE_SIZE - offset).min(remaining);
+        for (page, _, in_page) in page_chunks(addr, len.max(1)) {
             self.access_page(page, kind, in_page);
-            remaining -= in_page;
-            if page == last {
-                break;
-            }
-            page = page.next();
-            offset = 0;
         }
     }
+}
+
+/// Splits `len` bytes at `addr` at page boundaries: one `(page, offset in
+/// the page, bytes)` per page touched, in address order.
+fn page_chunks(addr: VAddr, len: usize) -> impl Iterator<Item = (VPage, usize, usize)> {
+    let mut done = 0;
+    std::iter::from_fn(move || {
+        let at = addr.add(done as u64);
+        let n = (PAGE_SIZE - at.page_offset()).min(len - done);
+        done += n;
+        (n > 0).then(|| (at.page(), at.page_offset(), n))
+    })
 }
 
 impl Memory for Simulation {
@@ -545,36 +535,30 @@ impl Memory for Simulation {
         self.touch(addr, len, AccessKind::Write);
     }
 
-    fn write_bytes(&mut self, addr: VAddr, data: &[u8]) {
+    fn write_bytes(&mut self, addr: VAddr, mut data: &[u8]) {
         self.touch(addr, data.len(), AccessKind::Write);
-        let mut off = 0usize;
-        while off < data.len() {
-            let a = addr.add(off as u64);
-            let page = a.page().raw();
-            let in_page = a.page_offset();
-            let n = (PAGE_SIZE - in_page).min(data.len() - off);
-            let slot = self
+        for (page, offset, n) in page_chunks(addr, data.len()) {
+            let (chunk, rest) = data.split_at(n);
+            // The touch above mapped `page`, so it is within the map's span.
+            if let Ok(slot) = self
                 .data
-                .entry(page)
-                .or_insert_with(|| Box::new([0u8; PAGE_SIZE]));
-            slot[in_page..in_page + n].copy_from_slice(&data[off..off + n]);
-            off += n;
+                .get_or_insert_with(page, || Box::new([0u8; PAGE_SIZE]))
+            {
+                slot[offset..offset + n].copy_from_slice(chunk);
+            }
+            data = rest;
         }
     }
 
-    fn read_bytes(&mut self, addr: VAddr, buf: &mut [u8]) {
+    fn read_bytes(&mut self, addr: VAddr, mut buf: &mut [u8]) {
         self.touch(addr, buf.len(), AccessKind::Read);
-        let mut off = 0usize;
-        while off < buf.len() {
-            let a = addr.add(off as u64);
-            let page = a.page().raw();
-            let in_page = a.page_offset();
-            let n = (PAGE_SIZE - in_page).min(buf.len() - off);
-            match self.data.get(&page) {
-                Some(slot) => buf[off..off + n].copy_from_slice(&slot[in_page..in_page + n]),
-                None => buf[off..off + n].fill(0),
+        for (page, offset, n) in page_chunks(addr, buf.len()) {
+            let (chunk, rest) = buf.split_at_mut(n);
+            match self.data.get(page) {
+                Some(slot) => chunk.copy_from_slice(&slot[offset..offset + n]),
+                None => chunk.fill(0),
             }
-            off += n;
+            buf = rest;
         }
     }
 
@@ -598,6 +582,10 @@ pub(crate) fn absorb_substrate(
     metrics: &mut Metrics,
     daemon_contention: f64,
 ) {
+    // Nearly every access leaves the substrate clean: nothing to absorb.
+    if !mem.has_pending_effects() {
+        return;
+    }
     let ledger = mem.ledger_mut().take();
     // Application stalls (TLB shootdowns, swap-ins) hit the app fully.
     clock.advance(ledger.app_stall);
@@ -645,6 +633,102 @@ mod tests {
         // Second access: no new fault.
         s.read(a, 8);
         assert_eq!(s.metrics().costs().minor_faults, 1);
+    }
+
+    /// The KV slab allocator maps thousands of small regions; the fault
+    /// path must find the right one by bisection, boundaries included.
+    #[test]
+    fn region_lookup_is_exact_across_a_thousand_mixed_regions() {
+        let mut s = sim(SystemKind::MultiClock);
+        let mut regions = Vec::new();
+        for i in 0..1_200u64 {
+            let pages = 1 + i % 5;
+            let kind = if i % 3 == 0 {
+                PageKind::File
+            } else {
+                PageKind::Anon
+            };
+            let base = s.mmap(pages as usize * PAGE_SIZE, kind);
+            regions.push((base.page().raw(), pages, kind));
+        }
+        assert_eq!(s.regions, regions);
+        let end = regions
+            .last()
+            .map(|(start, pages, _)| start + pages)
+            .unwrap();
+        // Every page of every region, against the obvious linear search.
+        for p in 0..end + 3 {
+            let expected = regions
+                .iter()
+                .find(|(start, pages, _)| (*start..start + pages).contains(&p))
+                .map_or(PageKind::Anon, |(.., kind)| *kind);
+            assert_eq!(
+                Simulation::region_kind(&s.regions, VPage::new(p)),
+                expected,
+                "page {p}"
+            );
+        }
+        // First touches allocate with the kind found: first page, last
+        // page, one past the end (the next region's first page, whose kind
+        // differs two times in three) and the unmapped gap past them all.
+        let mut touch = |p: u64| {
+            s.read(VPage::new(p).base_addr(), 8);
+            let frame = s.mem().translate(VPage::new(p)).unwrap();
+            s.mem().frame(frame).kind()
+        };
+        for (i, (start, pages, kind)) in regions.iter().enumerate().step_by(7) {
+            assert_eq!(touch(*start), *kind, "first page of region {i}");
+            assert_eq!(touch(start + pages - 1), *kind, "last page of region {i}");
+            if let Some((.., next)) = regions.get(i + 1) {
+                assert_eq!(touch(start + pages), *next, "one past region {i}");
+            }
+        }
+        assert_eq!(touch(end), PageKind::Anon, "one past the last region");
+        assert_eq!(
+            touch(end + 10_000),
+            PageKind::Anon,
+            "far outside every region"
+        );
+    }
+
+    /// A hit is one `MemorySystem::access` — by construction, `translate`
+    /// is gone from the access path — and asks nothing about regions.
+    #[test]
+    fn a_hit_looks_up_no_region() {
+        let lookups = || REGION_LOOKUPS.with(|n| n.get());
+        for system in [
+            SystemKind::MultiClock,
+            SystemKind::Static,
+            SystemKind::AtOpm,
+        ] {
+            let mut s = sim(system);
+            for _ in 0..50 {
+                s.mmap(PAGE_SIZE, PageKind::File);
+            }
+            let a = s.mmap(PAGE_SIZE * 8, PageKind::Anon);
+            let before = lookups();
+            for i in 0..8u64 {
+                s.write(a.add(i * PAGE_SIZE as u64), 8);
+            }
+            assert_eq!(lookups() - before, 8, "{system:?}: one lookup per fault");
+            assert_eq!(s.metrics().costs().minor_faults, 8);
+            for round in 0..100u64 {
+                s.read(a.add((round % 8) * PAGE_SIZE as u64), 64);
+                s.write(a.add((round % 8) * PAGE_SIZE as u64), 64);
+            }
+            assert_eq!(lookups() - before, 8, "{system:?}: hits look up nothing");
+            assert_eq!(s.metrics().costs().minor_faults, 8);
+            assert_eq!(s.mem().stats().reads + s.mem().stats().writes, 208);
+        }
+    }
+
+    /// An address past the page table's span is a wild pointer in the
+    /// workload: the engine stops rather than size a table from it.
+    #[test]
+    #[should_panic(expected = "fresh page maps")]
+    fn an_address_beyond_the_page_table_span_is_refused() {
+        let mut s = sim(SystemKind::Static);
+        s.read(VPage::new(mc_mem::PageTable::MAX_VPAGES).base_addr(), 8);
     }
 
     #[test]

@@ -132,6 +132,10 @@ impl Metrics {
     /// Records an application access; settles or marks pending
     /// promotions.
     pub fn on_access(&mut self, vpage: VPage, now: Nanos) {
+        // Promotions are rare next to accesses: usually nothing is pending.
+        if self.pending.is_empty() {
+            return;
+        }
         if let Some(p) = self.pending.get_mut(&vpage) {
             if now.saturating_sub(p.promoted_at) <= self.horizon {
                 p.reaccessed = true;

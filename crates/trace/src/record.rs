@@ -79,7 +79,7 @@ impl<M: Memory> Recorder<M> {
 
     /// Stops recording and returns the trace.
     pub fn finish(mut self) -> Trace {
-        self.trace.mapped_pages = self.mapped_pages;
+        self.trace.mapped_pages = self.trace.mapped_pages.max(self.mapped_pages);
         self.trace
     }
 

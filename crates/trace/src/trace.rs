@@ -20,8 +20,9 @@ pub struct TraceEvent {
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct Trace {
     events: Vec<TraceEvent>,
-    /// Total pages the traced address space had mapped (for replay
-    /// pre-sizing); zero if unknown.
+    /// Pages the traced address space spans (for replay pre-sizing): above
+    /// every event's page. [`Self::push`] keeps it so; [`Self::read_from`]
+    /// rejects a file where it is not.
     pub mapped_pages: u64,
 }
 
@@ -49,6 +50,7 @@ impl Trace {
             (1..=mc_mem::PAGE_SIZE as u16).contains(&ev.bytes),
             "bytes must be within a page"
         );
+        self.mapped_pages = self.mapped_pages.max(ev.vpage.raw().saturating_add(1));
         self.events.push(ev);
     }
 
@@ -107,6 +109,9 @@ impl Trace {
     /// # Errors
     ///
     /// Returns `InvalidData` for bad magic, corrupt fields or truncation.
+    /// Page numbers come from outside the program and later index dense
+    /// tables, so they are checked here: the header's `mapped_pages` must
+    /// fit the page table and every event's page must lie below it.
     pub fn read_from<R: Read>(r: &mut R) -> io::Result<Self> {
         let mut magic = [0u8; 8];
         r.read_exact(&mut magic)?;
@@ -119,10 +124,17 @@ impl Trace {
         let mut u64buf = [0u8; 8];
         r.read_exact(&mut u64buf)?;
         let mapped_pages = u64::from_le_bytes(u64buf);
+        if mapped_pages > mc_mem::PageTable::MAX_VPAGES {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                "corrupt trace header",
+            ));
+        }
         r.read_exact(&mut u64buf)?;
         let n = u64::from_le_bytes(u64buf) as usize;
         let mut trace = Trace {
-            events: Vec::with_capacity(n),
+            // `n` is unvalidated until the events have been read.
+            events: Vec::with_capacity(n.min(1 << 20)),
             mapped_pages,
         };
         let mut u16buf = [0u8; 2];
@@ -141,7 +153,11 @@ impl Trace {
             } else {
                 AccessKind::Read
             };
-            if at < prev || bytes == 0 || bytes as usize > mc_mem::PAGE_SIZE {
+            if at < prev
+                || bytes == 0
+                || bytes as usize > mc_mem::PAGE_SIZE
+                || vpage.raw() >= mapped_pages
+            {
                 return Err(io::Error::new(
                     io::ErrorKind::InvalidData,
                     "corrupt trace event",
@@ -213,6 +229,39 @@ mod tests {
         assert_eq!(buf.len(), 24 + 500 * 19);
         let back = Trace::read_from(&mut buf.as_slice()).unwrap();
         assert_eq!(back, t);
+    }
+
+    /// The file's page numbers end up indexing dense tables, so a page at
+    /// or past `mapped_pages` — or a `mapped_pages` no page table could
+    /// hold — is corruption, not a sizing hint.
+    #[test]
+    fn out_of_range_pages_rejected() {
+        let t: Trace = [ev(1, 3, false), ev(2, 9, true)].into_iter().collect();
+        assert_eq!(
+            t.mapped_pages, 10,
+            "push keeps mapped_pages above every page"
+        );
+        let mut buf = Vec::new();
+        t.write_to(&mut buf).unwrap();
+        assert_eq!(Trace::read_from(&mut buf.as_slice()).unwrap(), t);
+
+        // Header claims 9 pages; the second event touches page 9.
+        let mut short = buf.clone();
+        short[8..16].copy_from_slice(&9u64.to_le_bytes());
+        let err = Trace::read_from(&mut short.as_slice()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert_eq!(err.to_string(), "corrupt trace event");
+
+        // A wild page number in an event.
+        let mut wild = buf.clone();
+        wild[24 + 8..24 + 16].copy_from_slice(&u64::MAX.to_le_bytes());
+        assert!(Trace::read_from(&mut wild.as_slice()).is_err());
+
+        // A header no page table could hold.
+        let mut huge = buf;
+        huge[8..16].copy_from_slice(&(mc_mem::PageTable::MAX_VPAGES + 1).to_le_bytes());
+        let err = Trace::read_from(&mut huge.as_slice()).unwrap_err();
+        assert_eq!(err.to_string(), "corrupt trace header");
     }
 
     #[test]

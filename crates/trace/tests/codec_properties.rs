@@ -40,7 +40,8 @@ proptest! {
     #[test]
     fn codec_roundtrip_is_lossless(deltas in arb_event_deltas(), mapped in 0u64..1_000_000) {
         let mut t = build(&deltas);
-        t.mapped_pages = mapped;
+        // A readable file's `mapped_pages` covers every page in it.
+        t.mapped_pages = t.mapped_pages.max(mapped);
         let mut buf = Vec::new();
         t.write_to(&mut buf).unwrap();
         let back = Trace::read_from(&mut buf.as_slice()).unwrap();
