@@ -2,12 +2,11 @@
 //!
 //! Runs the same fixed YCSB-A working set on MULTI-CLOCK machines of
 //! growing total frame count and reports the daemon's per-tick wall
-//! cost at each size. The discrete-event engine plus region-granular
-//! scanning make that cost track the *populated extent*, not the
-//! machine: quadrupling the frame count must leave the per-tick cost
-//! roughly flat (the sublinearity verdict printed at the end), because
-//! only the machine *construction* is O(frames) — the per-tick path
-//! snapshots reference bits over populated region ranges only.
+//! cost at each size. That cost tracks the *lists*, not the machine:
+//! quadrupling the frame count must leave the per-tick cost roughly
+//! flat (the sublinearity verdict printed at the end), because only
+//! the machine *construction* is O(frames) — each tick walks at most
+//! `scan_batch` pages per list and touches no per-frame table.
 //!
 //! Usage:
 //!

@@ -142,3 +142,33 @@ fn missing_directory_and_empty_directory_fail_loudly() {
     );
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+/// The retired `scan_pages_per_sec.threads_{2,4,8}` suites are optional
+/// in both directions: a new artifact without them validates, and so do
+/// the committed BENCH_7–10 files that still carry them.
+#[test]
+fn retired_thread_suites_are_optional_in_new_and_committed_artifacts() {
+    let retired = |name: &str| {
+        ["threads_2", "threads_4", "threads_8"]
+            .iter()
+            .any(|t| name == format!("scan_pages_per_sec.{t}"))
+    };
+    let fresh = artifact(13, 100.0);
+    assert!(fresh.suites.iter().all(|s| !retired(&s.name)));
+    assert!(fresh
+        .suites
+        .iter()
+        .any(|s| s.name == "scan_pages_per_sec.threads_1"));
+    fresh.check().unwrap();
+
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    for pr in 7..=10 {
+        let text = std::fs::read_to_string(root.join(format!("BENCH_{pr}.json"))).unwrap();
+        let committed = BenchArtifact::from_json(&text).unwrap();
+        assert!(
+            committed.suites.iter().any(|s| retired(&s.name)),
+            "BENCH_{pr} predates the retirement"
+        );
+        committed.check().unwrap();
+    }
+}

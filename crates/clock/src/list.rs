@@ -11,7 +11,15 @@
 //! re-activation, `pop_front` to take the scan/eviction candidate.
 
 use mc_mem::FrameId;
+use std::collections::hash_map::DefaultHasher;
 use std::collections::{HashMap, VecDeque};
+use std::hash::BuildHasherDefault;
+
+/// Fixed-key hashing. The default `RandomState` draws fresh keys per
+/// process; list order never depends on them, but *when* the table
+/// resizes does (a removal leaves a tombstone or an empty slot depending
+/// on the hash), and with it the process's heap layout and peak RSS.
+type FixedState = BuildHasherDefault<DefaultHasher>;
 
 /// An ordered list of page frames.
 ///
@@ -22,7 +30,7 @@ use std::collections::{HashMap, VecDeque};
 #[derive(Debug, Default, Clone)]
 pub struct IndexedList {
     deque: VecDeque<(FrameId, u64)>,
-    live: HashMap<FrameId, u64>,
+    live: HashMap<FrameId, u64, FixedState>,
     next_gen: u64,
 }
 

@@ -44,14 +44,6 @@ pub struct MultiClockConfig {
     /// default) migrates page-at-a-time, bit-identical to the unbatched
     /// path; larger values amortize the per-call setup cost.
     pub migrate_batch_size: usize,
-    /// Worker threads for the scan phase. Each tick, the per-shard scan
-    /// jobs (every shard of every tier) are split into `scan_threads`
-    /// contiguous chunks and run on scoped OS threads — the paper's
-    /// concurrent per-node `kpromoted` daemons. Shard results are merged
-    /// in fixed shard order on the coordinating thread, so any value
-    /// produces output bit-identical to `1` (the sequential default); see
-    /// [`crate::executor`].
-    pub scan_threads: usize,
     /// How the promote path reacts to transient migration failures
     /// (destination full, page transiently locked). The default,
     /// [`RetryPolicy::immediate`], allows a single attempt — exactly the
@@ -78,70 +70,11 @@ pub struct MultiClockConfig {
     pub shadow_pages: bool,
     /// Optional host-time profiling hooks ([`mc_obs::perf`]). `None` (the
     /// default) makes every phase boundary a no-op; `Some` opens a
-    /// wall-clock span around each scan/merge/promote-drain/pressure/
+    /// wall-clock span around each scan/promote-drain/pressure/
     /// migrate-batch phase. Hooks only *observe* host time — no clock
     /// value flows back into the engine — so any setting produces results
     /// bit-identical to `None`.
     pub perf: Option<PerfHooks>,
-    /// HM-Keeper-style adaptive region profiling ([`crate::region`]).
-    /// Region boundaries only steer where the scanner samples reference
-    /// bits and how often it wakes — any knob values are bit-identical
-    /// to any others; see the module docs for the contract.
-    pub regions: RegionKnobs,
-}
-
-/// Knobs for the adaptive region map ([`crate::region::RegionMap`]).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct RegionKnobs {
-    /// Frames per granule — the minimum region size and split alignment.
-    /// `1` gives page-granular regions (the tick-equivalent extreme);
-    /// the default of 512 frames (2 MiB of 4 KiB pages) keeps the
-    /// per-granule arrays negligible even on terabyte topologies.
-    pub granule: usize,
-    /// Maximum region size in granules — the initial layout carves the
-    /// frame space into regions of this size, and merges never exceed
-    /// it. With the defaults (512 × 2048 = 1 Mi frames) a 1 TiB machine
-    /// starts at 256 regions.
-    pub max_granules: usize,
-    /// Window heat at which a region splits in half (per rebalance).
-    pub split_heat: u64,
-    /// Window heat below which two neighbours may merge.
-    pub merge_heat: u64,
-    /// §VII-style extension: let the scanner reschedule itself from
-    /// observed region churn (tracked-set mutations) in addition to
-    /// promotion/demotion activity. Off by default — the scan interval
-    /// then behaves exactly as before the region map existed.
-    pub churn_interval: bool,
-}
-
-impl Default for RegionKnobs {
-    fn default() -> Self {
-        RegionKnobs {
-            granule: 512,
-            max_granules: 2048,
-            split_heat: 1024,
-            merge_heat: 64,
-            churn_interval: false,
-        }
-    }
-}
-
-impl RegionKnobs {
-    /// Validates invariants; called by [`crate::region::RegionMap::new`]
-    /// (and transitively by [`MultiClockConfig::validate`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if any bound is nonsensical (zero granule or cap, merge
-    /// threshold at or above the split threshold).
-    pub fn validate(&self) {
-        assert!(self.granule > 0, "region granule must be positive");
-        assert!(self.max_granules > 0, "region size cap must be positive");
-        assert!(
-            self.merge_heat < self.split_heat,
-            "region merge threshold must sit below the split threshold"
-        );
-    }
 }
 
 impl Default for MultiClockConfig {
@@ -156,12 +89,10 @@ impl Default for MultiClockConfig {
             max_interval: Nanos::from_secs(60),
             scan_shards: 1,
             migrate_batch_size: 1,
-            scan_threads: 1,
             retry: RetryPolicy::immediate(),
             migration_mode: MigrationMode::Sync,
             shadow_pages: true,
             perf: None,
-            regions: RegionKnobs::default(),
         }
     }
 }
@@ -199,12 +130,10 @@ impl MultiClockConfig {
             self.migrate_batch_size > 0,
             "migrate batch size must be positive"
         );
-        assert!(self.scan_threads > 0, "scan threads must be positive");
         assert!(
             self.retry.is_valid(),
             "retry policy must allow at least one attempt with cap >= base"
         );
-        self.regions.validate();
     }
 }
 
@@ -244,23 +173,12 @@ mod tests {
         let c = MultiClockConfig::default();
         assert_eq!(c.scan_shards, 1);
         assert_eq!(c.migrate_batch_size, 1);
-        assert_eq!(c.scan_threads, 1, "sequential scan is the baseline");
         assert_eq!(
             c.migration_mode,
             MigrationMode::Sync,
             "synchronous migration is the baseline"
         );
         assert!(c.shadow_pages, "shadows are on once transactions are");
-    }
-
-    #[test]
-    #[should_panic(expected = "scan threads")]
-    fn zero_scan_threads_rejected() {
-        let c = MultiClockConfig {
-            scan_threads: 0,
-            ..Default::default()
-        };
-        c.validate();
     }
 
     #[test]

@@ -24,15 +24,21 @@ pub enum WhichList {
     Unevictable,
 }
 
-impl fmt::Display for WhichList {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
+impl WhichList {
+    /// The list's name as it appears in events and reports.
+    pub fn name(self) -> &'static str {
+        match self {
             WhichList::Inactive => "inactive",
             WhichList::Active => "active",
             WhichList::Promote => "promote",
             WhichList::Unevictable => "unevictable",
-        };
-        f.write_str(s)
+        }
+    }
+}
+
+impl fmt::Display for WhichList {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.name())
     }
 }
 
@@ -209,13 +215,6 @@ impl TierShards {
     /// Iterates the shards in order.
     pub fn shards(&self) -> impl Iterator<Item = &TierLists> {
         self.shards.iter()
-    }
-
-    /// Iterates the shards in order, mutably. The parallel scan executor
-    /// uses this to split a tier into disjoint per-shard `&mut` borrows,
-    /// one per scan job.
-    pub fn shards_mut(&mut self) -> impl Iterator<Item = &mut TierLists> {
-        self.shards.iter_mut()
     }
 
     /// Total tracked pages across all shards (including unevictable).

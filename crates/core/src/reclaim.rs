@@ -470,7 +470,6 @@ impl MultiClock {
                 Ok(()) => {
                     // fig4: 4 — eviction ends tracking like an unmap does.
                     self.states[frame.index()] = None;
-                    self.region_map.untrack(frame);
                     saturating_bump(&mut self.stats.evictions);
                     mem.recorder_mut().emit(|| EventKind::Fig4 {
                         edge: 4,

@@ -1,7 +1,7 @@
 //! The `kpromoted` daemon: periodic list scanning, reference-bit
 //! harvesting, and promote-list draining (paper §III-B, §IV).
 
-use crate::executor::{run_scan_jobs, ScanCtx, ScanJob};
+use crate::lists::WhichList;
 use crate::multi_clock::MultiClock;
 use crate::state::PageState;
 use mc_mem::{
@@ -12,14 +12,11 @@ use mc_obs::{saturating_add, saturating_bump, EventKind};
 impl MultiClock {
     /// One `kpromoted` wake-up:
     ///
-    /// 1. scan every list of every shard of every tier (up to
+    /// 1. scan every list of every shard of every tier in place (up to
     ///    `scan_batch` pages per list — each shard models an independent
-    ///    per-node daemon and gets its own full budget), harvesting PTE
-    ///    reference bits and applying the Fig. 4 transitions — this is how
-    ///    *unsupervised* (mmap) accesses are observed. The shard scans run
-    ///    on the [`crate::executor`] (up to `scan_threads` workers, the
-    ///    paper's concurrent per-node daemons) and their results are
-    ///    merged in shard order, bit-identical to a sequential walk;
+    ///    per-node daemon and gets its own full budget), test-and-clearing
+    ///    PTE reference bits and applying the Fig. 4 transitions on the
+    ///    spot — this is how *unsupervised* (mmap) accesses are observed;
     /// 2. promote **all** pages on lower tiers' promote lists ("once a
     ///    page is selected for promotion, the page gets promoted to the
     ///    DRAM in the same kpromoted run"), in `migrate_batch_size`
@@ -48,67 +45,38 @@ impl MultiClock {
         // spans only observe the host clock, never engine state.
         let perf = self.cfg.perf.clone();
 
-        // Scan phase: snapshot the reference bits over the region map's
-        // populated extents only (every tracked page lives inside one, so
-        // the sparse snapshot reads exactly what a full walk would — at a
-        // cost proportional to the working set, not the machine), run
-        // every shard's scan as an independent job (workers write nothing
-        // shared), then merge the per-shard outputs in (tier, shard)
-        // order — the exact sequential nested-loop order, so stats,
-        // events and state writes land identically regardless of
-        // `scan_threads`.
-        let referenced = mem.referenced_snapshot_ranges(&self.region_map.scan_ranges());
-        let record = mem.recorder().is_enabled();
-        let shard_outs = {
-            let MultiClock {
-                cfg, tiers, states, ..
-            } = &mut *self;
-            let ctx = ScanCtx {
-                cfg,
-                mem,
-                states,
-                referenced: &referenced,
-                record,
+        // Scan phase, in (tier, shard, kind, list) order. A frame's
+        // reference bit is consumed by the first list that visits it, so a
+        // page the inactive scan activates reads as unreferenced when the
+        // active scan reaches it in the same tick.
+        let mut scan_span = perf.as_ref().map(|p| p.span(mc_obs::Phase::Scan));
+        for t in 0..tier_count {
+            let tier = TierId::new(t as u8);
+            // Ageing of unreferenced promote pages (transition 11) only
+            // ever applies to the top tier: a lower tier's promote list is
+            // drained by the promotion phase of the same run that
+            // populated it (deferred retry candidates may sit across runs,
+            // but those are waiting out a backoff, not ageing). It runs
+            // before the other scans so pages entering the promote list
+            // during this very scan are not aged before the promote phase
+            // sees them.
+            let lists: &[WhichList] = if tier.is_top() {
+                &[WhichList::Promote, WhichList::Inactive, WhichList::Active]
+            } else {
+                &[WhichList::Inactive, WhichList::Active]
             };
-            let mut jobs = Vec::new();
-            for (t, shards) in tiers.iter_mut().enumerate() {
-                let tier = TierId::new(t as u8);
-                for lists in shards.shards_mut() {
-                    jobs.push(ScanJob { tier, lists });
+            for shard in 0..self.tiers[tier.index()].shard_count() {
+                for kind in PageKind::ALL {
+                    for which in lists {
+                        out.pages_scanned += self.scan_list(mem, tier, shard, kind, *which);
+                    }
                 }
-            }
-            run_scan_jobs(jobs, ctx, cfg.scan_threads)
-        };
-        let merge_span = perf.as_ref().map(|p| p.span(mc_obs::Phase::Merge));
-        for so in shard_outs {
-            out.pages_scanned += so.pages_scanned;
-            saturating_add(&mut self.stats.ladder_decays, so.ladder_decays);
-            saturating_add(&mut self.stats.promote_ages, so.promote_ages);
-            saturating_add(&mut self.stats.activations, so.activations);
-            saturating_add(&mut self.stats.promote_enqueues, so.promote_enqueues);
-            mem.recorder_mut().replay(so.events.into_events());
-            for (frame, st) in so.state_changes {
-                self.states[frame.index()] = Some(st);
-                if st != PageState::Promote {
-                    // Leaving the promote list ends the promotion episode
-                    // (invariant 6: retry state exists only for
-                    // Promote-state pages).
-                    self.retry_state[frame.index()] = None;
-                }
-                self.sync_flags(mem, frame, st);
-            }
-            // Deferred test-and-clear: consume the reference bits the scan
-            // observed, before the promote/pressure phases can look. The
-            // returned bool (was it set?) is deliberately dropped — the scan
-            // already recorded the observation; this call only clears.
-            // Each consumed bit also heats the frame's region: the
-            // unsupervised-access channel of the region profiler.
-            for frame in so.harvested {
-                let _ = mem.harvest_referenced(frame);
-                self.region_map.record_heat(frame, 1);
             }
         }
-        drop(merge_span);
+        if let Some(s) = scan_span.as_mut() {
+            s.add_items(out.pages_scanned);
+        }
+        drop(scan_span);
 
         // Drain promote lists bottom-up relative to their target: tier 1
         // promotes into tier 0 before tier 2 promotes into tier 1.
@@ -140,18 +108,7 @@ impl MultiClock {
         drop(pressure_span);
 
         saturating_add(&mut self.stats.pages_scanned, out.pages_scanned);
-        // Region adaptation: split the regions that ran hot this window,
-        // merge the ones that stayed cold, and (when the churn-interval
-        // extension is on) fold tracked-set churn into the reschedule
-        // signal so a map in flux keeps the scanner awake even when no
-        // page crossed a tier.
-        self.region_map.rebalance();
-        let churn = self.region_map.take_churn();
-        let mut activity = out.promoted + out.demoted;
-        if self.cfg.regions.churn_interval {
-            activity += churn;
-        }
-        self.adapt_interval(activity);
+        self.adapt_interval(out.promoted + out.demoted);
         // Mirror the substrate's transaction/shadow counters into the
         // policy's vmstat rows (absolute values; all zero in Sync mode).
         let ms = mem.stats();
@@ -168,6 +125,76 @@ impl MultiClock {
             demoted: out.demoted,
         });
         out
+    }
+
+    /// Scans up to `scan_batch` pages from the cold end of one list,
+    /// rotating each to the tail. A referenced page steps the ladder — or,
+    /// on a promote list, simply stays (transition 12); an unreferenced
+    /// page still in the list's referenced state decays one step. Returns
+    /// the pages examined.
+    fn scan_list(
+        &mut self,
+        mem: &mut MemorySystem,
+        tier: TierId,
+        shard: usize,
+        kind: PageKind,
+        which: WhichList,
+    ) -> u64 {
+        // CLOCK decay: the state a page not referenced since the last
+        // scan loses, where it lands, and the Fig. 4 edge — so only pages
+        // referenced in *several recent* scans ever reach the promote
+        // list, and unaccessed promote pages age back to active.
+        let (decays, lands, edge) = match which {
+            WhichList::Inactive => (PageState::InactiveRef, PageState::InactiveUnref, 1), // fig4: 1
+            WhichList::Active => (PageState::ActiveRef, PageState::ActiveUnref, 8),       // fig4: 8
+            WhichList::Promote => (PageState::Promote, PageState::ActiveUnref, 11), // fig4: 11
+            WhichList::Unevictable => return 0,
+        };
+        let budget = self.tiers[tier.index()]
+            .shard(shard)
+            .set(kind)
+            .list(which)
+            .len()
+            .min(self.cfg.scan_batch);
+        let mut scanned = 0u64;
+        for _ in 0..budget {
+            let list = self.tiers[tier.index()]
+                .shard_mut(shard)
+                .set_mut(kind)
+                .list_mut(which);
+            let Some(frame) = list.pop_front() else {
+                break;
+            };
+            scanned += 1;
+            // Rotate first so the ladder's list moves see a member page.
+            list.push_back(frame);
+            if mem.harvest_referenced(frame) {
+                if which != WhichList::Promote {
+                    let steps = self.access_steps(mem, frame);
+                    self.apply_access(mem, frame, steps);
+                }
+            } else if self.state_of(frame) == Some(decays) {
+                if which == WhichList::Promote {
+                    saturating_bump(&mut self.stats.promote_ages);
+                } else {
+                    saturating_bump(&mut self.stats.ladder_decays);
+                }
+                self.transition(mem, frame, lands);
+                mem.recorder_mut().emit(|| EventKind::Fig4 {
+                    edge,
+                    frame: frame.index() as u64,
+                    tier: tier.index() as u8,
+                });
+            }
+        }
+        if scanned > 0 {
+            mem.recorder_mut().emit(|| EventKind::ScanList {
+                tier: tier.index() as u8,
+                list: which.name(),
+                scanned: scanned as u32,
+            });
+        }
+        scanned
     }
 
     /// Migrates every page on `tier`'s promote lists (all shards) to the
@@ -556,11 +583,8 @@ impl MultiClock {
     /// the workload is stable (no promotions), snap back to the
     /// configured interval the moment tiering work reappears. The goal is
     /// to save scan CPU in steady phases without giving up reaction time.
-    /// The churn-interval extension reuses the same machinery with
-    /// region churn folded into `activity`, so a daemon whose tracked
-    /// set is in flux reschedules itself eagerly.
     fn adapt_interval(&mut self, activity: u64) {
-        if !self.cfg.adaptive_interval && !self.cfg.regions.churn_interval {
+        if !self.cfg.adaptive_interval {
             return;
         }
         if activity == 0 {
@@ -971,6 +995,192 @@ mod tests {
         let out = mc.tick(&mut mem, Nanos::from_secs(1));
         // Only the PM anon inactive list is populated: 16 pages scanned.
         assert_eq!(out.pages_scanned, 16);
+    }
+
+    /// The `fig4_transition` edges a tick's events recorded for `frame`.
+    fn fig4_edges_of(mem: &MemorySystem, frame: FrameId) -> Vec<u8> {
+        mem.recorder()
+            .events()
+            .filter_map(|e| match e.kind {
+                EventKind::Fig4 { edge, frame: f, .. } if f == frame.index() as u64 => Some(edge),
+                _ => None,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn page_activated_by_the_inactive_scan_reads_unreferenced_on_the_active_scan() {
+        let (mut mem, mut mc) = setup();
+        let f = map_in_tier(&mut mem, &mut mc, 1, TierId::new(1));
+        mc.on_supervised_access(&mut mem, f, AccessKind::Read);
+        assert_eq!(mc.state_of(f), Some(PageState::InactiveRef));
+        mem.access(VPage::new(1), AccessKind::Read).unwrap();
+        mem.recorder_mut().enable(64);
+        let out = mc.tick(&mut mem, Nanos::from_secs(1));
+        // Examined twice (inactive, then active), stepped once: the bit
+        // the inactive scan consumed is gone when the active scan looks.
+        assert_eq!(out.pages_scanned, 2);
+        assert_eq!(mc.state_of(f), Some(PageState::ActiveUnref));
+        assert_eq!(fig4_edges_of(&mem, f), vec![6]);
+        assert_eq!(mc.stats().activations, 1);
+        assert_eq!(mc.stats().ladder_decays, 0);
+    }
+
+    #[test]
+    fn top_tier_promote_page_stays_while_referenced_and_ages_when_not() {
+        let (mut mem, mut mc) = setup();
+        let hot = map_in_tier(&mut mem, &mut mc, 1, TierId::TOP);
+        let cold = map_in_tier(&mut mem, &mut mc, 2, TierId::TOP);
+        make_promotable(&mut mem, &mut mc, hot);
+        make_promotable(&mut mem, &mut mc, cold);
+        mem.access(VPage::new(1), AccessKind::Read).unwrap();
+        mem.recorder_mut().enable(64);
+        mc.tick(&mut mem, Nanos::from_secs(1));
+        assert_eq!(mc.state_of(hot), Some(PageState::Promote));
+        let top = mc.tier_lists(TierId::TOP);
+        assert!(top.on_list(PageKind::Anon, WhichList::Promote, hot));
+        assert_eq!(fig4_edges_of(&mem, hot), Vec::<u8>::new());
+        assert_eq!(mc.state_of(cold), Some(PageState::ActiveUnref));
+        assert!(top.on_list(PageKind::Anon, WhichList::Active, cold));
+        assert_eq!(fig4_edges_of(&mem, cold), vec![11]);
+        assert_eq!(mc.stats().promote_ages, 1);
+    }
+
+    #[test]
+    fn page_enqueued_on_the_top_tier_promote_list_is_not_aged_in_the_same_tick() {
+        let (mut mem, mut mc) = setup();
+        let f = map_in_tier(&mut mem, &mut mc, 1, TierId::TOP);
+        for _ in 0..3 {
+            mc.on_supervised_access(&mut mem, f, AccessKind::Read);
+        }
+        assert_eq!(mc.state_of(f), Some(PageState::ActiveRef));
+        mem.access(VPage::new(1), AccessKind::Read).unwrap();
+        mc.tick(&mut mem, Nanos::from_secs(1));
+        // The active scan enqueued it after the promote list was aged.
+        assert_eq!(mc.state_of(f), Some(PageState::Promote));
+        assert_eq!(mc.stats().promote_enqueues, 1);
+        assert_eq!(mc.stats().promote_ages, 0);
+        // Left unreferenced, it ages on the next run.
+        mc.tick(&mut mem, Nanos::from_secs(2));
+        assert_eq!(mc.state_of(f), Some(PageState::ActiveUnref));
+        assert_eq!(mc.stats().promote_ages, 1);
+    }
+
+    #[test]
+    fn scan_budget_examines_the_cold_end_and_keeps_rotation_order() {
+        let mem = MemorySystem::new(MemConfig::two_tier(64, 256));
+        let cfg = MultiClockConfig {
+            scan_batch: 2,
+            ..Default::default()
+        };
+        let mut mc = MultiClock::new(cfg, mem.topology());
+        let mut mem = mem;
+        let pm = TierId::new(1);
+        let p: Vec<FrameId> = (0..5)
+            .map(|v| map_in_tier(&mut mem, &mut mc, v, pm))
+            .collect();
+        for v in 0..5 {
+            mem.access(VPage::new(v), AccessKind::Read).unwrap();
+        }
+        let order = |mc: &MultiClock| -> Vec<FrameId> {
+            mc.tier_lists(pm).shard(0).anon.inactive.iter().collect()
+        };
+        let stepped = |mc: &MultiClock| -> Vec<bool> {
+            p.iter()
+                .map(|f| mc.state_of(*f) == Some(PageState::InactiveRef))
+                .collect()
+        };
+        let out = mc.tick(&mut mem, Nanos::from_secs(1));
+        assert_eq!(out.pages_scanned, 2);
+        assert_eq!(stepped(&mc), [true, true, false, false, false]);
+        assert_eq!(order(&mc), [p[2], p[3], p[4], p[0], p[1]]);
+        // The next run resumes where this one stopped; the unexamined
+        // pages keep their reference bits until their turn comes.
+        let out = mc.tick(&mut mem, Nanos::from_secs(2));
+        assert_eq!(out.pages_scanned, 2);
+        assert_eq!(stepped(&mc), [true, true, true, true, false]);
+        assert_eq!(order(&mc), [p[4], p[0], p[1], p[2], p[3]]);
+    }
+
+    #[test]
+    fn scan_events_come_out_in_tier_shard_kind_list_order() {
+        let mut mem = MemorySystem::new(MemConfig::dual_socket(32, 64));
+        let cfg = MultiClockConfig {
+            scan_shards: 2,
+            ..Default::default()
+        };
+        let mut mc = MultiClock::new(cfg, mem.topology());
+        // Referenced pages of both kinds on every list the scan visits,
+        // in states whose step stays inside the list (edges 2 and 7; a
+        // referenced promote page emits nothing), so each list's length
+        // at its turn is its length now.
+        let mut v = 0u64;
+        for tier in [TierId::TOP, TierId::new(1)] {
+            for kind in PageKind::ALL {
+                for i in 0..12 {
+                    let f = mem.alloc_page_in_tier(kind, tier).unwrap();
+                    mem.map(VPage::new(v), f).unwrap();
+                    mc.on_page_mapped(&mut mem, f);
+                    let climbs = if tier.is_top() { i % 3 * 2 } else { i % 2 * 2 };
+                    for _ in 0..climbs {
+                        mc.on_supervised_access(&mut mem, f, AccessKind::Read);
+                    }
+                    mem.access(VPage::new(v), AccessKind::Read).unwrap();
+                    v += 1;
+                }
+            }
+        }
+        // (tier, shard, kind, list) of every non-empty list, in scan order.
+        let mut expected = Vec::new();
+        for tier in [TierId::TOP, TierId::new(1)] {
+            let shards = mc.tier_lists(tier);
+            assert_eq!(shards.shard_count(), 4, "2 nodes x 2 shards");
+            for shard in 0..shards.shard_count() {
+                for kind in PageKind::ALL {
+                    let set = shards.shard(shard).set(kind);
+                    let promote = tier.is_top().then_some(("promote", set.promote.len()));
+                    let rest = [
+                        ("inactive", set.inactive.len()),
+                        ("active", set.active.len()),
+                    ];
+                    for (list, len) in promote.into_iter().chain(rest) {
+                        if len > 0 {
+                            expected.push((tier, shard, kind, list, len as u32));
+                        }
+                    }
+                }
+            }
+        }
+        assert!(expected.len() > 16, "most lists populated: {expected:?}");
+        mem.recorder_mut().enable(1024);
+        mc.tick(&mut mem, Nanos::from_secs(1));
+        // Each list's transitions precede its ScanList event.
+        let mut groups = expected.iter();
+        let mut current = groups.next();
+        for e in mem.recorder().events() {
+            match e.kind {
+                EventKind::Fig4 { edge, frame, tier } => {
+                    let Some((t, shard, kind, list, _)) = current else {
+                        break; // the promote drain's events follow the scan
+                    };
+                    let f = FrameId::new(frame as u32);
+                    assert_eq!((TierId::new(tier), mc.shard_of(f)), (*t, *shard));
+                    assert_eq!(mem.frame(f).kind(), *kind);
+                    assert_eq!(edge, if *list == "inactive" { 2 } else { 7 });
+                }
+                EventKind::ScanList {
+                    tier,
+                    list,
+                    scanned,
+                } => {
+                    let (t, _, _, l, len) = current.expect("more ScanList events than lists");
+                    assert_eq!((TierId::new(tier), list, scanned), (*t, *l, *len));
+                    current = groups.next();
+                }
+                _ => {}
+            }
+        }
+        assert!(current.is_none(), "every populated list reported its scan");
     }
 
     #[test]

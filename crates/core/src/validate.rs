@@ -23,20 +23,10 @@
 //!    are allocated but unmapped reservations, shadow copies exist only
 //!    for clean mapped pages with the retained frame one or more tiers
 //!    below, and stored retry bookkeeping never exceeds the
-//!    [`mc_fault::RetryPolicy`] budget;
-//! 9. the region map ([`crate::region`]) partitions the frame space
-//!    (sorted, gap-free, exact aggregates), mirrors the tracked set
-//!    (its tracked total equals the state table's), and every tracked
-//!    frame lies inside a populated region — the property that makes
-//!    the sparse reference snapshot lossless.
+//!    [`mc_fault::RetryPolicy`] budget.
 //!
-//! Validation runs only on the coordinating thread at quiescent points
-//! (tick end, post-promote) — never inside the parallel scan phase, where
-//! shard workers hold disjoint `&mut` list borrows and the state table is
-//! intentionally stale until the merge (see [`crate::executor`]).
-//! Invariant 6 is what makes the executor's deferred retry-clearing rule
-//! ("a merged non-`Promote` state write ends the episode") equivalent to
-//! the sequential in-place clearing.
+//! Validation runs at quiescent points (tick end, post-promote,
+//! post-reclaim), never while a step holds pages detached mid-migration.
 
 use crate::lists::WhichList;
 use crate::multi_clock::MultiClock;
@@ -66,7 +56,6 @@ impl MultiClock {
     pub fn check_invariants(&self, mem: &MemorySystem) -> Vec<InvariantViolation> {
         let mut violations = Vec::new();
         let mut seen: HashSet<u32> = HashSet::new();
-        let mut tracked_total = 0u64;
         let tier_count = mem.topology().tier_count();
 
         for t in 0..tier_count {
@@ -78,17 +67,6 @@ impl MultiClock {
 
         for raw in 0..mem.total_frames() as u32 {
             let frame = FrameId::new(raw);
-            if self.state_of(frame).is_some() {
-                tracked_total += 1;
-                // 9. every tracked frame lies inside a populated region,
-                //    so the sparse reference snapshot samples it.
-                if !self.region_map.covers_tracked(frame) {
-                    violations.push(InvariantViolation {
-                        frame,
-                        message: "tracked but outside every populated region".into(),
-                    });
-                }
-            }
             if self.state_of(frame).is_some()
                 && !seen.contains(&raw)
                 && !self.txn_pending.contains(&frame)
@@ -123,25 +101,6 @@ impl MultiClock {
                     });
                 }
             }
-        }
-        // 9 (continued). The region partition is structurally sound
-        //    (sorted, gap-free, aggregates exact) and its tracked total
-        //    mirrors the state table.
-        if let Err(message) = self.region_map.check() {
-            violations.push(InvariantViolation {
-                frame: FrameId::new(0),
-                message: format!("region map inconsistent: {message}"),
-            });
-        }
-        let region_tracked = self.region_map.stats().tracked;
-        if region_tracked != tracked_total {
-            violations.push(InvariantViolation {
-                frame: FrameId::new(0),
-                message: format!(
-                    "region map tracks {region_tracked} pages but the state \
-                     table tracks {tracked_total}"
-                ),
-            });
         }
         self.check_txn_bookkeeping(mem, &mut violations);
         violations

@@ -6,7 +6,7 @@
 //! (`crates/lint/tests/workspace_clean.rs`), so `cargo test -q` fails on
 //! any violation.
 //!
-//! The ten lint classes (see [`lints`]) plus the suppression audit:
+//! The nine lint classes (see [`lints`]) plus the suppression audit:
 //!
 //! 1. **state-machine** — every `match` over `PageState`/`WhichList` in
 //!    `crates/core` and `crates/clock` must be exhaustive with no wildcard
@@ -21,23 +21,17 @@
 //! 4. **panic** — no `unwrap`/`expect`/`panic!` in non-test library code of
 //!    `fault`/`mem`/`clock`/`core` outside the justified allowlist;
 //! 5. **docs** — every `pub` item in `mem`/`clock`/`core` is documented;
-//! 6. **parallel** — scan-phase isolation: `std::thread` in `crates/core`
-//!    only inside `executor.rs`, no shared-mutable primitives
-//!    (`Mutex`/`RwLock`/`Atomic*`/`RefCell`/`static mut`/`unsafe`) in the
-//!    policy crate, and a strictly read-only memory system inside the
-//!    executor — workers communicate only through the ordered
-//!    `ShardScanOut` merge;
-//! 7. **determinism** — no hash-order iteration or ambient entropy in
+//! 6. **determinism** — no hash-order iteration or ambient entropy in
 //!    engine-reachable library code (`mem`/`clock`/`core`/`sim`);
-//! 8. **wallclock** — host clocks (`Instant`/`SystemTime`) only inside
+//! 7. **wallclock** — host clocks (`Instant`/`SystemTime`) only inside
 //!    the sanctioned boundary: `mc_obs::perf` (the `PerfHooks` layer) and
 //!    the `crates/bench` harness; flagged in all other library code;
-//! 9. **panic-reach** — no panic source (including explicit indexing) in
+//! 8. **panic-reach** — no panic source (including explicit indexing) in
 //!    any function transitively reachable from the engine hot loop, walked
 //!    over the approximate call graph in [`callgraph`];
-//! 10. **result** — no `let _ =` / `.ok();` discard of a `Result` in
-//!     `mem`/`core`/`sim` library code;
-//! 11. **suppression** — `lint: allow(...)` markers and
+//! 9. **result** — no `let _ =` / `.ok();` discard of a `Result` in
+//!    `mem`/`core`/`sim` library code;
+//! 10. **suppression** — `lint: allow(...)` markers and
 //!     `panic_allowlist.txt` entries that no longer suppress anything are
 //!     themselves violations.
 //!
@@ -186,13 +180,12 @@ pub fn find_workspace_root(start: &Path) -> Option<PathBuf> {
 }
 
 /// Every pass name, in execution order, as accepted by `--only`/`--skip`.
-pub const PASS_NAMES: [&str; 11] = [
+pub const PASS_NAMES: [&str; 10] = [
     "state-machine",
     "layering",
     "boundary",
     "panic",
     "docs",
-    "parallel",
     "determinism",
     "wallclock",
     "panic-reach",
@@ -226,9 +219,6 @@ pub fn run_passes(ws: &Workspace, enabled: impl Fn(&str) -> bool) -> Vec<Diagnos
     }
     if enabled("docs") {
         diags.extend(lints::docs::check(ws));
-    }
-    if enabled("parallel") {
-        diags.extend(lints::parallel::check(ws));
     }
     if enabled("determinism") {
         diags.extend(lints::determinism::check_with(ws, &mut sup));

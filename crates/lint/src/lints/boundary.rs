@@ -2,8 +2,7 @@
 //!
 //! The CLOCK lists (`inactive`/`active`/`promote`) carry the Fig. 4
 //! invariants, so mutating them is the privilege of the core list machinery:
-//! `crates/core/src/{executor.rs, lists.rs, multi_clock.rs, reclaim.rs,
-//! scan.rs}` and the `crates/clock` primitives. Everything else (including the rest of
+//! `crates/core/src/{lists.rs, multi_clock.rs, reclaim.rs, scan.rs}` and the `crates/clock` primitives. Everything else (including the rest of
 //! `crates/core` — `validate.rs`, `stats.rs`, ...) may read but not write,
 //! and must go through the `MultiClock` API for changes.
 //!
@@ -25,8 +24,7 @@ use crate::{Diagnostic, Workspace};
 const LINT: &str = "boundary";
 
 /// Files allowed to mutate the core lists directly.
-const ALLOWED: [&str; 5] = [
-    "crates/core/src/executor.rs",
+const ALLOWED: [&str; 4] = [
     "crates/core/src/lists.rs",
     "crates/core/src/multi_clock.rs",
     "crates/core/src/reclaim.rs",
@@ -234,8 +232,8 @@ fn scan_list_fields(file: &SourceFile, own: &[&str], diags: &mut Vec<Diagnostic>
             lint: LINT,
             message: format!(
                 "{what} list field `{field}` outside the core list machinery; \
-                 go through the MultiClock API (allowed files: executor.rs, \
-                 lists.rs, multi_clock.rs, reclaim.rs, scan.rs, crates/clock)"
+                 go through the MultiClock API (allowed files: lists.rs, \
+                 multi_clock.rs, reclaim.rs, scan.rs, crates/clock)"
             ),
         });
     }

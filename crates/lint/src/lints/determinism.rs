@@ -1,4 +1,4 @@
-//! Lint 7: determinism in engine-reachable code.
+//! Lint 6: determinism in engine-reachable code.
 //!
 //! The house invariant — every configuration is bit-identical to the
 //! baseline engine — dies the moment engine code observes an

@@ -4,7 +4,7 @@
 //! unconditionally in the substrate crates. This pass extends the
 //! guarantee *transitively*: starting from the engine entry points — the
 //! [`Memory`] impl on `Simulation` (every workload access funnels through
-//! it), the scan executor (`run_scan_jobs` / `ShardScanner::run`) — it
+//! it), the daemon's run (`MultiClock::kpromoted_run`) — it
 //! walks the approximate call graph and flags panic sources in any
 //! reachable function, wherever it lives:
 //!
@@ -48,7 +48,7 @@ const LINT: &str = "panic-reach";
 /// and `HybridTier::tick` root the sketch-sampling policy: the sketch
 /// update sits on the access hot path and the tick is reached through
 /// `dyn TieringPolicy` dispatch.
-const ROOTS: [(&str, Option<&str>, &str); 17] = [
+const ROOTS: [(&str, Option<&str>, &str); 16] = [
     ("sim", Some("DaemonComponent"), "tick"),
     ("policies", Some("CmSketch"), "update"),
     ("policies", Some("HybridTier"), "tick"),
@@ -61,8 +61,7 @@ const ROOTS: [(&str, Option<&str>, &str); 17] = [
     ("sim", Some("Simulation"), "compute"),
     ("sim", Some("Simulation"), "record_op"),
     ("sim", Some("Simulation"), "finish"),
-    ("core", None, "run_scan_jobs"),
-    ("core", Some("ShardScanner"), "run"),
+    ("core", Some("MultiClock"), "kpromoted_run"),
     ("mem", Some("MemorySystem"), "begin_migration"),
     ("mem", Some("MemorySystem"), "resolve_migrations"),
     ("mem", Some("MemorySystem"), "try_shadow_demote"),

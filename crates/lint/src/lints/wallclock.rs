@@ -1,4 +1,4 @@
-//! Lint 8: the wall-clock boundary.
+//! Lint 7: the wall-clock boundary.
 //!
 //! Simulated time (`Nanos`) is the only clock engine code may observe —
 //! but the repo *does* measure its own host-time performance, through

@@ -54,11 +54,6 @@ fn substrate_public_api_is_documented() {
 }
 
 #[test]
-fn scan_parallelism_is_isolated_to_the_executor() {
-    assert_clean(lints::parallel::check(workspace()));
-}
-
-#[test]
 fn engine_code_iterates_deterministically() {
     assert_clean(lints::determinism::check(workspace()));
 }

@@ -46,7 +46,6 @@ pub mod latency;
 pub mod machine;
 pub mod policy;
 pub mod pte;
-pub mod snapshot;
 pub mod stats;
 pub mod system;
 pub mod tier;
@@ -65,7 +64,6 @@ pub use latency::{AccessKind, LatencyModel, LinkDesc, MigrationCost, TierLatency
 pub use machine::{MachineBuilder, MachineDesc, MachineNode};
 pub use policy::{NullPolicy, PolicyTraits, TickOutcome, TieringPolicy};
 pub use pte::{PageTable, PteEntry};
-pub use snapshot::{FrameRange, RefSnapshot};
 pub use stats::{CostLedger, MemEvent, MemStats};
 pub use system::{AccessOutcome, MemConfig, MemorySystem};
 pub use tier::{Tier, TierKind};

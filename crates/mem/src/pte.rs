@@ -47,8 +47,8 @@ impl PteEntry {
 }
 
 /// The virtual-to-physical mapping for the simulated address space: a
-/// [`VPageMap`] of [`PteEntry`]s, so translation, reference-bit harvesting
-/// and the scan-side snapshots all index instead of searching.
+/// [`VPageMap`] of [`PteEntry`]s, so translation and reference-bit
+/// harvesting index instead of searching.
 pub type PageTable = VPageMap<PteEntry>;
 
 impl VPageMap<PteEntry> {

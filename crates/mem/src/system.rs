@@ -8,7 +8,6 @@ use crate::ids::{FrameId, NodeId, TierId, VPage};
 use crate::latency::{AccessKind, LatencyModel};
 use crate::machine::MachineDesc;
 use crate::pte::PageTable;
-use crate::snapshot::{FrameRange, RefSnapshot};
 use crate::stats::{CostLedger, MemEvent, MemStats};
 use crate::time::Nanos;
 use crate::topology::Topology;
@@ -521,58 +520,6 @@ impl MemorySystem {
             Some(vpage) => self.page_table.harvest_referenced(vpage),
             None => false,
         }
-    }
-
-    /// A frame-indexed snapshot of every PTE reference bit, *without*
-    /// clearing any of them.
-    ///
-    /// The parallel scan path reads this immutable snapshot from its shard
-    /// workers (test-and-clear is deferred to the coordinator's merge, via
-    /// [`Self::harvest_referenced`]), so the observed bit values are
-    /// exactly what a sequential in-place harvest would have read:
-    /// reference bits are only ever *set* by workload accesses, never
-    /// during a scan. Unmapped frames report unreferenced.
-    ///
-    /// This walks **every** frame — O(total frames) per call. Policies
-    /// that know where their tracked pages live should use
-    /// [`Self::referenced_snapshot_ranges`] so snapshot cost scales
-    /// with the working set instead of the machine size.
-    pub fn referenced_snapshot(&self) -> RefSnapshot {
-        RefSnapshot::full(
-            self.frames
-                .iter()
-                .map(|fr| {
-                    fr.vpage()
-                        .and_then(|vp| self.page_table.get(vp))
-                        .is_some_and(|e| e.referenced)
-                })
-                .collect(),
-        )
-    }
-
-    /// A sparse reference-bit snapshot covering only the given frame
-    /// ranges (sorted, disjoint; the region map's populated regions).
-    /// Frames outside every range read as unreferenced — exact as long
-    /// as no tracked page lives outside the ranges, which the region
-    /// map guarantees and `RefSnapshot::get` asserts in debug builds.
-    pub fn referenced_snapshot_ranges(&self, ranges: &[FrameRange]) -> RefSnapshot {
-        let runs = ranges
-            .iter()
-            .map(|&range| {
-                let start = range.start as usize;
-                let end = (range.start + range.len).min(self.frames.len() as u64) as usize;
-                let bits = self.frames[start..end]
-                    .iter()
-                    .map(|fr| {
-                        fr.vpage()
-                            .and_then(|vp| self.page_table.get(vp))
-                            .is_some_and(|e| e.referenced)
-                    })
-                    .collect();
-                (FrameRange::new(range.start, (end - start) as u64), bits)
-            })
-            .collect();
-        RefSnapshot::from_runs(runs)
     }
 
     /// Poisons the PTE of a mapped page for hint-fault tracking. Returns

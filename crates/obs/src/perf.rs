@@ -22,7 +22,7 @@
 //! Hooks only *observe* host time; nothing read from the clock ever flows
 //! back into engine state. A hooks-on run is therefore bit-identical to a
 //! hooks-off run — `crates/sim/tests/perf_differential.rs` enforces this
-//! differentially, including under fault injection and parallel scanning.
+//! differentially, including under fault injection.
 //!
 //! # Data model
 //!
@@ -41,14 +41,15 @@ pub const BUCKETS: usize = 64;
 /// The instrumented engine phases, in pipeline order.
 ///
 /// One span per occurrence: a `Tick` wraps one policy tick (which may
-/// contain a scan), a `Scan` wraps one sharded scan fan-out, and so on.
+/// contain a scan), a `Scan` wraps one tick's scan of every list, and so on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Phase {
     /// One `policy.tick(...)` call from the simulation frontend.
     Tick,
-    /// One sharded scan fan-out (`run_scan_jobs`); items = pages scanned.
+    /// One tick's scan of every list of every shard; items = pages scanned.
     Scan,
-    /// Merging ordered `ShardScanOut`s back into the tier lists.
+    /// Opened by nothing any more (the scan is in place); kept because
+    /// committed artifacts and the repo benchmark name it.
     Merge,
     /// Draining promotion candidates upward; items = pages promoted.
     PromoteDrain,

@@ -125,17 +125,6 @@ impl Recorder {
         out
     }
 
-    /// Re-emits buffered event payloads (from a worker-local
-    /// [`EventBuffer`](crate::EventBuffer)) in order. Sequence numbers,
-    /// the current timestamp and Fig. 4 tallies are assigned here, at
-    /// replay time — so buffers merged in the sequential walk order yield
-    /// a trace byte-identical to direct emission.
-    pub fn replay<I: IntoIterator<Item = EventKind>>(&mut self, events: I) {
-        for kind in events {
-            self.emit(|| kind);
-        }
-    }
-
     /// Moves all state out of `other` into this recorder, leaving `other`
     /// disabled. Used when instrumented components are torn down and the
     /// caller wants the trace to survive.

@@ -91,11 +91,6 @@ pub struct EngineKnobs {
     /// Pages per batched promotion migration call handed to MULTI-CLOCK
     /// (`1` = historical page-at-a-time migration, bit-identical).
     pub migrate_batch_size: usize,
-    /// Worker threads for MULTI-CLOCK's scan phase. Purely a wall-clock
-    /// knob: any value `>= 1` produces bit-identical results (the
-    /// executor merges per-shard output in fixed shard order); other
-    /// systems ignore it.
-    pub threads: usize,
     /// How MULTI-CLOCK executes promotions: [`MigrationMode::Sync`]
     /// (default, bit-identical to the historical engine) or
     /// [`MigrationMode::Transactional`] (Nomad-style copy windows with
@@ -109,7 +104,6 @@ impl Default for EngineKnobs {
         EngineKnobs {
             scan_shards: 1,
             migrate_batch_size: 1,
-            threads: 1,
             migration_mode: MigrationMode::Sync,
         }
     }

@@ -82,7 +82,6 @@ impl Simulation {
                         retry: cfg.retry,
                         scan_shards: cfg.engine.scan_shards,
                         migrate_batch_size: cfg.engine.migrate_batch_size,
-                        scan_threads: cfg.engine.threads,
                         perf: cfg.instrument.perf.clone(),
                         migration_mode: if cfg.system == SystemKind::Nomad {
                             MigrationMode::Transactional

@@ -133,15 +133,6 @@ fn transactional_run_is_deterministic() {
 }
 
 #[test]
-fn transactional_run_is_thread_invariant() {
-    let mut one = transactional_cfg();
-    one.engine.threads = 1;
-    let mut two = transactional_cfg();
-    two.engine.threads = 2;
-    assert_eq!(run(one), run(two));
-}
-
-#[test]
 fn nomad_system_is_multiclock_in_transactional_mode() {
     let mut nomad = base_cfg();
     nomad.system = SystemKind::Nomad;

@@ -1,16 +1,15 @@
 //! Differential harness for the discrete-event scheduler refactor.
 //!
 //! The tick-equivalence contract (DESIGN.md §17): with every component
-//! registered at one shared period and region granularity pinned to a
-//! single page, the event-driven engine must be *bit-identical* to the
-//! PR 8 fixed-period engine — same virtual time, same `MemStats`, same
+//! registered at one shared period, the event-driven engine must be
+//! *bit-identical* to the PR 8 fixed-period engine — same virtual time,
+//! same `MemStats`, same
 //! per-tick CSV, same tracepoint JSONL, same final page placement, same
 //! cost ledger. The golden fingerprints below were captured by running
 //! this exact workload against the pre-refactor engine (commit
 //! `6c0390e`, the PR 8 head) via the `capture_golden` harness; the
 //! suite then holds the refactored engine to those constants, including
-//! under 20 % fault injection (the retry/backoff chaos path) and
-//! `threads = 4` (the parallel executor path).
+//! under 20 % fault injection (the retry/backoff chaos path).
 //!
 //! If a *deliberate* behavior change ever invalidates these constants,
 //! re-run `cargo test -p mc-sim --test scheduler_differential -- \
@@ -50,10 +49,10 @@ struct Golden {
 
 const PAGES: u64 = 192;
 
-/// The house differential workload (same shape as the batching and
-/// parallel differentials): first-touch fill spills into PM, a hot set
-/// deep in the PM tail is hammered every round, a stride keeps the
-/// lists churning, compute gaps let the daemon tick.
+/// The house differential workload (same shape as the batching
+/// differential): first-touch fill spills into PM, a hot set deep in
+/// the PM tail is hammered every round, a stride keeps the lists
+/// churning, compute gaps let the daemon tick.
 fn run(cfg: SimConfig) -> Golden {
     run_with(cfg, |_| {})
 }
@@ -120,12 +119,6 @@ fn chaos_cfg() -> SimConfig {
     cfg
 }
 
-fn threads_cfg() -> SimConfig {
-    let mut cfg = base_cfg();
-    cfg.engine.threads = 4;
-    cfg
-}
-
 /// Golden fingerprints captured at the PR 8 head (`6c0390e`) with the
 /// fixed-period `maybe_tick` engine, obs artifacts on, 4 scan shards.
 const BASE: Golden = Golden {
@@ -169,13 +162,6 @@ fn tick_equivalent_engine_matches_pr8_golden_under_fault_injection() {
         "injector must actually fire for this test to mean anything"
     );
     assert_eq!(g, CHAOS);
-}
-
-#[test]
-fn tick_equivalent_engine_matches_pr8_golden_at_four_threads() {
-    // The parallel executor is a performance knob, so threads=4 pins to
-    // the same fingerprint as the sequential run.
-    assert_eq!(run(threads_cfg()), BASE);
 }
 
 /// A read-only periodic component: counts its own ticks and checks its
@@ -306,11 +292,7 @@ fn dormant_components_hold_no_wakeups_until_rearmed() {
 #[test]
 #[ignore = "golden-capture harness; run manually at a known-good commit"]
 fn capture_golden() {
-    for (name, cfg) in [
-        ("BASE", base_cfg()),
-        ("CHAOS", chaos_cfg()),
-        ("THREADS4", threads_cfg()),
-    ] {
+    for (name, cfg) in [("BASE", base_cfg()), ("CHAOS", chaos_cfg())] {
         let g = run(cfg);
         println!("const {name}: Golden = Golden {{");
         println!("    now_ns: {},", g.now_ns);

@@ -114,8 +114,14 @@ impl Csr {
         // Drop self loops; symmetrise if requested.
         raw.retain(|(u, v)| u != v);
         if cfg.symmetric {
-            let rev: Vec<(u32, u32)> = raw.iter().map(|(u, v)| (*v, *u)).collect();
-            raw.extend(rev);
+            // Appended in place: a separate reversed list would be a third
+            // full-size buffer alive next to the old and the grown `raw`.
+            let forward = raw.len();
+            raw.reserve_exact(forward);
+            for i in 0..forward {
+                let (u, v) = raw[i];
+                raw.push((v, u));
+            }
         }
         // Sort and dedupe so neighbour lists are ordered (TC needs this).
         raw.sort_unstable();
@@ -131,6 +137,10 @@ impl Csr {
             offsets[i + 1] += offsets[i];
         }
         let edges_native: Vec<u32> = raw.iter().map(|(_, v)| *v).collect();
+        // The pair list is the builder's largest buffer and nothing below
+        // reads it: free it before the simulated-memory placement and the
+        // weights, so the host peak is `raw` + edges, not `raw` + all three.
+        drop(raw);
 
         // Simulated-memory placement: offsets, arena, edges, weights.
         // The arena is *written* (faulted) before the edge array so its
@@ -148,10 +158,7 @@ impl Csr {
         let edges = MemVec::from_vec(mem, PageKind::Anon, edges_native);
         let weights = if cfg.max_weight > 0 {
             let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0x5eed_ca11);
-            let w: Vec<u32> = raw
-                .iter()
-                .map(|_| rng.gen_range(1..=cfg.max_weight))
-                .collect();
+            let w: Vec<u32> = (0..m).map(|_| rng.gen_range(1..=cfg.max_weight)).collect();
             Some(MemVec::from_vec(mem, PageKind::Anon, w))
         } else {
             None
