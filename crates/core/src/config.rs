@@ -59,15 +59,11 @@ pub struct MultiClockConfig {
     /// the copy proceeds in the background, a dirty write during the
     /// copy window aborts the transaction into the retry/backoff path,
     /// and a clean copy commits with one cheap atomic remap at the next
-    /// tick.
+    /// tick, leaving its source frame behind as a non-exclusive *shadow
+    /// copy*: demoting a page that stayed clean upstairs is then a
+    /// zero-copy mapping flip back to it. Shadows are invalidated on the
+    /// first dirty write and released under allocation pressure.
     pub migration_mode: MigrationMode,
-    /// Whether committed transactional promotions retain their source
-    /// frame as a non-exclusive *shadow copy*, so demoting a page that
-    /// stayed clean upstairs is a zero-copy mapping flip back to the
-    /// retained frame. Only consulted in `Transactional` mode; shadows
-    /// are invalidated on the first dirty write and released under
-    /// allocation pressure.
-    pub shadow_pages: bool,
     /// Optional host-time profiling hooks ([`mc_obs::perf`]). `None` (the
     /// default) makes every phase boundary a no-op; `Some` opens a
     /// wall-clock span around each scan/promote-drain/pressure/
@@ -91,7 +87,6 @@ impl Default for MultiClockConfig {
             migrate_batch_size: 1,
             retry: RetryPolicy::immediate(),
             migration_mode: MigrationMode::Sync,
-            shadow_pages: true,
             perf: None,
         }
     }
@@ -178,7 +173,6 @@ mod tests {
             MigrationMode::Sync,
             "synchronous migration is the baseline"
         );
-        assert!(c.shadow_pages, "shadows are on once transactions are");
     }
 
     #[test]

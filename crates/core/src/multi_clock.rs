@@ -44,21 +44,17 @@ pub struct MultiClock {
     /// Pages detached from their list mid-step (drained promote
     /// candidates awaiting migration). Invariant validation is suspended
     /// while this is non-zero: tracked-but-listless is legal in flight.
+    /// The source of an open migration transaction is detached for longer
+    /// — tracked in `Promote` state but on **no** list across the tick
+    /// boundary, until the next run settles it — and is not counted here:
+    /// the substrate knows which frames those are
+    /// ([`MemorySystem::txn_open`]) and the invariant checker exempts them.
     pub(crate) in_flight: usize,
     /// Per-frame retry bookkeeping for the promote path: `Some` only
     /// while a Promote-state page has failed at least one migration
     /// attempt and is waiting (requeued at the promote-list tail) for its
     /// backoff to elapse.
     pub(crate) retry_state: Vec<Option<RetryState>>,
-    /// Source frames of open migration transactions
-    /// ([`mc_mem::MigrationMode::Transactional`] only). These pages stay
-    /// tracked in `Promote` state but sit on **no** list across the tick
-    /// boundary — the copy window spans the inter-tick application run —
-    /// and are settled (committed or aborted) at the start of the next
-    /// kpromoted run. Unlike `in_flight`, this detachment persists
-    /// across quiescent points, so the invariant checker exempts these
-    /// frames explicitly instead of being suspended.
-    pub(crate) txn_pending: Vec<FrameId>,
 }
 
 /// Retry bookkeeping for one page's current promotion episode.
@@ -110,7 +106,6 @@ impl MultiClock {
             pressure_guard: vec![false; topology.tier_count()],
             in_flight: 0,
             retry_state: vec![None; topology.total_pages()],
-            txn_pending: Vec::new(),
         }
     }
 
@@ -142,13 +137,6 @@ impl MultiClock {
         &self.tiers[tier.index()]
     }
 
-    /// Source frames of migration transactions opened last tick and not
-    /// yet settled (empty in `Sync` mode and at pre-tick quiescent
-    /// points of a fresh policy).
-    pub fn txn_pending(&self) -> &[FrameId] {
-        &self.txn_pending
-    }
-
     /// The shard (within its tier's [`TierShards`]) a frame belongs to.
     pub(crate) fn shard_of(&self, frame: FrameId) -> usize {
         self.shard_table[frame.index()] as usize
@@ -170,7 +158,7 @@ impl MultiClock {
         // corrupt the settle step. The lock lands after the transaction
         // resolves (commit retracks, abort requeues — either way the
         // page is listed again and a later mlock succeeds).
-        if self.txn_pending.contains(&frame) {
+        if mem.txn_open(frame) {
             return;
         }
         let tier = mem.frame(frame).tier();
@@ -236,9 +224,6 @@ impl MultiClock {
     /// transition (4).
     pub(crate) fn untrack(&mut self, mem: &mut MemorySystem, frame: FrameId) {
         self.retry_state[frame.index()] = None;
-        // Unmapping mid-copy-window: the substrate already aborted the
-        // transaction eagerly; drop our settle bookkeeping to match.
-        self.txn_pending.retain(|f| *f != frame);
         if self.states[frame.index()].take().is_some() {
             let tier = mem.frame(frame).tier();
             // fig4: 4 — tracking ends; the page leaves every list.
@@ -258,15 +243,15 @@ impl MultiClock {
         }
     }
 
-    /// Applies `steps` observed accesses to a page: the ladder of Fig. 4
+    /// Applies one observed access to a page: the ladder of Fig. 4
     /// transitions (2), (6), (7)/(8), (10), (12), moving the page between
     /// lists as its state changes.
     ///
     /// A page that is not on any list (mid-scan, already popped) is simply
     /// pushed into the list its new state demands; callers that pop must
     /// re-insert the page first if they want rotation semantics.
-    pub(crate) fn apply_access(&mut self, mem: &mut MemorySystem, frame: FrameId, steps: u32) {
-        let Some(mut st) = self.states[frame.index()] else {
+    pub(crate) fn apply_access(&mut self, mem: &mut MemorySystem, frame: FrameId) {
+        let Some(st) = self.states[frame.index()] else {
             return;
         };
         if st == PageState::Unevictable {
@@ -274,49 +259,35 @@ impl MultiClock {
         }
         let tier = mem.frame(frame).tier();
         let kind = mem.frame(frame).kind();
-        // fig4: 2, 6, 7, 10, 12 — each observed access climbs one edge.
-        for _ in 0..steps {
-            let new = st.on_access();
-            let edge = Self::access_edge(st);
-            if new == st {
-                // The only self-edge of the ladder is (12): an observation
-                // absorbed by the promote list. Record it — it is the
-                // signal that a candidate stayed hot while queued.
-                if st == PageState::Promote {
-                    mem.recorder_mut().emit(|| EventKind::Fig4 {
-                        edge,
-                        frame: frame.index() as u64,
-                        tier: tier.index() as u8,
-                    });
-                }
-                break;
+        // fig4: 2, 6, 7, 10, 12 — an observed access climbs one edge.
+        let new = st.on_access();
+        if new.list() != st.list() {
+            let set = self.shard_lists_mut(tier, frame).set_mut(kind);
+            set.list_mut(st.list()).remove(frame);
+            set.list_mut(new.list()).push_back(frame);
+            match new {
+                PageState::ActiveUnref => saturating_bump(&mut self.stats.activations), // fig4: 6
+                PageState::Promote => saturating_bump(&mut self.stats.promote_enqueues), // fig4: 10
+                // Accesses never move a page into the remaining
+                // states across a list boundary: (2) and (12) stay
+                // inside their list and ActiveRef is reached only by
+                // the list-internal edge (7).
+                PageState::InactiveUnref
+                | PageState::InactiveRef
+                | PageState::ActiveRef
+                | PageState::Unevictable => {}
             }
-            if new.list() != st.list() {
-                let set = self.shard_lists_mut(tier, frame).set_mut(kind);
-                set.list_mut(st.list()).remove(frame);
-                set.list_mut(new.list()).push_back(frame);
-                match new {
-                    PageState::ActiveUnref => saturating_bump(&mut self.stats.activations), // fig4: 6
-                    PageState::Promote => saturating_bump(&mut self.stats.promote_enqueues), // fig4: 10
-                    // Accesses never move a page into the remaining
-                    // states across a list boundary: (2) and (12) stay
-                    // inside their list and ActiveRef is reached only by
-                    // the list-internal edge (7).
-                    PageState::InactiveUnref
-                    | PageState::InactiveRef
-                    | PageState::ActiveRef
-                    | PageState::Unevictable => {}
-                }
-            }
-            mem.recorder_mut().emit(|| EventKind::Fig4 {
-                edge,
-                frame: frame.index() as u64,
-                tier: tier.index() as u8,
-            });
-            st = new;
         }
-        self.states[frame.index()] = Some(st);
-        self.sync_flags(mem, frame, st);
+        // The only self-edge of the ladder is (12), an observation absorbed
+        // by the promote list; it is recorded like any other — it is the
+        // signal that a candidate stayed hot while queued.
+        mem.recorder_mut().emit(|| EventKind::Fig4 {
+            edge: Self::access_edge(st),
+            frame: frame.index() as u64,
+            tier: tier.index() as u8,
+        });
+        self.states[frame.index()] = Some(new);
+        self.sync_flags(mem, frame, new);
     }
 
     /// The Fig. 4 edge an observed access fires from each ladder state
@@ -331,14 +302,6 @@ impl MultiClock {
             PageState::Promote => 12,
             PageState::Unevictable => 0,
         }
-    }
-
-    /// How many ladder steps one observed access of this frame is worth.
-    /// Always one: the §VII write-weight extension influences *placement
-    /// priority* (see the promote phase), not the frequency bar — raising
-    /// climb speed for dirty pages would just relax selectivity.
-    pub(crate) fn access_steps(&self, _mem: &MemorySystem, _frame: FrameId) -> u32 {
-        1
     }
 
     /// Moves a tracked page out of its current list and into the list a
@@ -375,14 +338,18 @@ impl MultiClock {
         new_frame: FrameId,
         landing_state: PageState,
     ) {
-        self.states[old_frame.index()] = None;
-        self.retry_state[old_frame.index()] = None;
-        self.retry_state[new_frame.index()] = None;
-        // The old frame is already detached by the caller; defensively
-        // remove in case it was not.
-        for t in &mut self.tiers {
-            t.remove(old_frame);
+        // A sync batch vacates all its frames before the first is booked
+        // here, and room-making nested in between may already have landed
+        // a demoted page on `old_frame`: that page's tracking must survive.
+        if mem.frame(old_frame).vpage().is_none() {
+            debug_assert!(
+                !self.tiers.iter().any(|t| t.contains(old_frame)),
+                "{old_frame} migrated while still on a list"
+            );
+            self.states[old_frame.index()] = None;
+            self.retry_state[old_frame.index()] = None;
         }
+        self.retry_state[new_frame.index()] = None;
         let tier = mem.frame(new_frame).tier();
         let kind = mem.frame(new_frame).kind();
         self.shard_lists_mut(tier, new_frame)
@@ -423,7 +390,7 @@ impl TieringPolicy for MultiClock {
     fn on_supervised_access(&mut self, mem: &mut MemorySystem, frame: FrameId, _kind: AccessKind) {
         // mark_page_accessed(): supervised accesses step the ladder
         // immediately, before the data access is even served (§III-A.1).
-        self.apply_access(mem, frame, 1);
+        self.apply_access(mem, frame);
     }
 
     fn tick(&mut self, mem: &mut MemorySystem, now: Nanos) -> TickOutcome {

@@ -13,7 +13,7 @@
 use crate::multi_clock::MultiClock;
 use crate::state::PageState;
 use mc_clock::balance::inactive_is_low;
-use mc_mem::{FrameId, MemError, MemorySystem, MigrationMode, PageKind, TickOutcome, TierId};
+use mc_mem::{FrameId, MemError, MemorySystem, PageKind, TickOutcome, TierId};
 use mc_obs::{saturating_bump, EventKind};
 
 /// What one inactive-list shrink step achieved.
@@ -286,8 +286,7 @@ impl MultiClock {
             .active
             .push_back(frame);
         if mem.harvest_referenced(frame) {
-            let steps = self.access_steps(mem, frame);
-            self.apply_access(mem, frame, steps);
+            self.apply_access(mem, frame);
         } else if self.state_of(frame) == Some(PageState::ActiveRef) {
             // The software referenced state (set by a scan that already
             // consumed the PTE bit) protects the page from gentle
@@ -344,8 +343,7 @@ impl MultiClock {
                 .set_mut(kind)
                 .inactive
                 .push_back(frame);
-            let steps = self.access_steps(mem, frame);
-            self.apply_access(mem, frame, steps);
+            self.apply_access(mem, frame);
             return ShrinkResult::Rotated;
         }
         if self.state_of(frame) == Some(PageState::InactiveRef) {
@@ -381,8 +379,9 @@ impl MultiClock {
         self.demote_or_evict(mem, frame, tier, kind)
     }
 
-    /// Migrates a cold page down one tier, or evicts it from the lowest
-    /// tier. The page is currently detached from all lists.
+    /// Migrates a cold page down one tier (a zero-copy flip when the
+    /// substrate still holds the page's clean shadow there), or evicts it
+    /// from the lowest tier. The page is currently detached from all lists.
     fn demote_or_evict(
         &mut self,
         mem: &mut MemorySystem,
@@ -390,103 +389,51 @@ impl MultiClock {
         tier: TierId,
         kind: PageKind,
     ) -> ShrinkResult {
-        let tier_count = self.tiers.len();
-        match tier.lower(tier_count) {
-            Some(lower) => {
-                // Transactional mode keeps a shadow copy of cleanly
-                // promoted pages downstairs; if this page's shadow is
-                // still valid the demotion is a zero-copy mapping flip.
-                if self.cfg.migration_mode == MigrationMode::Transactional {
-                    if let Some(copy) = mem.try_shadow_demote(frame, lower) {
-                        // fig4: 3 — same landing as a copied demotion.
-                        self.retrack_after_migration(mem, frame, copy, PageState::InactiveUnref);
-                        saturating_bump(&mut self.stats.demotions);
-                        mem.recorder_mut().emit(|| EventKind::Fig4 {
-                            edge: 3,
-                            frame: copy.index() as u64,
-                            tier: lower.index() as u8,
-                        });
-                        return ShrinkResult::Demoted;
-                    }
-                }
-                match mem.migrate(frame, lower) {
-                    Ok(new_frame) => {
-                        // fig4: 3 — demotion lands cold on the lower tier.
-                        self.retrack_after_migration(
-                            mem,
-                            frame,
-                            new_frame,
-                            PageState::InactiveUnref,
-                        );
-                        saturating_bump(&mut self.stats.demotions);
-                        mem.recorder_mut().emit(|| EventKind::Fig4 {
-                            edge: 3,
-                            frame: new_frame.index() as u64,
-                            tier: lower.index() as u8,
-                        });
-                        ShrinkResult::Demoted
-                    }
-                    Err(MemError::TierFull(_)) => {
-                        // The lower tier is full too: reclaim it (which on
-                        // the lowest tier evicts to storage), then retry.
-                        if !self.pressure_guard[lower.index()] {
-                            self.run_pressure(mem, lower, true);
-                        }
-                        match mem.migrate(frame, lower) {
-                            Ok(new_frame) => {
-                                self.retrack_after_migration(
-                                    mem,
-                                    frame,
-                                    new_frame,
-                                    PageState::InactiveUnref,
-                                );
-                                saturating_bump(&mut self.stats.demotions);
-                                mem.recorder_mut().emit(|| EventKind::Fig4 {
-                                    edge: 3,
-                                    frame: new_frame.index() as u64,
-                                    tier: lower.index() as u8,
-                                });
-                                ShrinkResult::Demoted
-                            }
-                            Err(_) => {
-                                self.shard_lists_mut(tier, frame)
-                                    .set_mut(kind)
-                                    .inactive
-                                    .push_back(frame);
-                                ShrinkResult::Rotated
-                            }
-                        }
-                    }
-                    Err(_) => {
-                        self.shard_lists_mut(tier, frame)
-                            .set_mut(kind)
-                            .inactive
-                            .push_back(frame);
-                        ShrinkResult::Rotated
-                    }
-                }
+        let Some(lower) = tier.lower(self.tiers.len()) else {
+            if mem.evict(frame).is_ok() {
+                // fig4: 4 — eviction ends tracking like an unmap does.
+                self.states[frame.index()] = None;
+                saturating_bump(&mut self.stats.evictions);
+                mem.recorder_mut().emit(|| EventKind::Fig4 {
+                    edge: 4,
+                    frame: frame.index() as u64,
+                    tier: tier.index() as u8,
+                });
+                return ShrinkResult::Evicted;
             }
-            None => match mem.evict(frame) {
-                Ok(()) => {
-                    // fig4: 4 — eviction ends tracking like an unmap does.
-                    self.states[frame.index()] = None;
-                    saturating_bump(&mut self.stats.evictions);
-                    mem.recorder_mut().emit(|| EventKind::Fig4 {
-                        edge: 4,
-                        frame: frame.index() as u64,
-                        tier: tier.index() as u8,
-                    });
-                    ShrinkResult::Evicted
-                }
-                Err(_) => {
-                    self.shard_lists_mut(tier, frame)
-                        .set_mut(kind)
-                        .inactive
-                        .push_back(frame);
-                    ShrinkResult::Rotated
-                }
-            },
+            return self.rotate_unmoved(tier, kind, frame);
+        };
+        let mut moved = mem.migrate(frame, lower);
+        if matches!(moved, Err(MemError::TierFull(_))) {
+            // The lower tier is full too: reclaim it (which on the lowest
+            // tier evicts to storage), then retry.
+            if !self.pressure_guard[lower.index()] {
+                self.run_pressure(mem, lower, true);
+            }
+            moved = mem.migrate(frame, lower);
         }
+        let Ok(new_frame) = moved else {
+            return self.rotate_unmoved(tier, kind, frame);
+        };
+        // fig4: 3 — demotion lands cold on the lower tier.
+        self.retrack_after_migration(mem, frame, new_frame, PageState::InactiveUnref);
+        saturating_bump(&mut self.stats.demotions);
+        mem.recorder_mut().emit(|| EventKind::Fig4 {
+            edge: 3,
+            frame: new_frame.index() as u64,
+            tier: lower.index() as u8,
+        });
+        ShrinkResult::Demoted
+    }
+
+    /// Puts a page that could be neither demoted nor evicted back at the
+    /// tail of the inactive list it was popped from.
+    fn rotate_unmoved(&mut self, tier: TierId, kind: PageKind, frame: FrameId) -> ShrinkResult {
+        self.shard_lists_mut(tier, frame)
+            .set_mut(kind)
+            .inactive
+            .push_back(frame);
+        ShrinkResult::Rotated
     }
 }
 

@@ -5,7 +5,7 @@ use crate::lists::WhichList;
 use crate::multi_clock::MultiClock;
 use crate::state::PageState;
 use mc_mem::{
-    FrameId, MemError, MemorySystem, MigrationMode, Nanos, PageKind, TickOutcome, TierId,
+    FrameId, MemError, MemorySystem, MigrationMode, Nanos, PageKind, PageMove, TickOutcome, TierId,
 };
 use mc_obs::{saturating_add, saturating_bump, EventKind};
 
@@ -31,15 +31,12 @@ impl MultiClock {
         let mut out = TickOutcome::default();
         let tier_count = self.tiers.len();
 
-        // Transactional mode: settle last tick's migration transactions
-        // before anything else looks at the lists. The copy window
-        // spanned the inter-tick application run; by now every copy has
-        // either stayed clean (commit: atomic remap) or been dirtied
-        // (abort: back into the retry/backoff path). A no-op in Sync
-        // mode, where no transaction is ever opened.
-        if self.cfg.migration_mode == MigrationMode::Transactional {
-            out.promoted += self.settle_txns(mem);
-        }
+        // Settle last tick's migration transactions before anything else
+        // looks at the lists. The copy window spanned the inter-tick
+        // application run; by now every copy has either stayed clean
+        // (commit: atomic remap) or been dirtied (abort: back into the
+        // retry/backoff path). Sync mode never opens one.
+        out.promoted += self.settle_txns(mem);
         // Host-time phase spans (no-ops when hooks are off). Cloning the
         // handle up front keeps the later `&mut self` phases borrowable;
         // spans only observe the host clock, never engine state.
@@ -170,8 +167,7 @@ impl MultiClock {
             list.push_back(frame);
             if mem.harvest_referenced(frame) {
                 if which != WhichList::Promote {
-                    let steps = self.access_steps(mem, frame);
-                    self.apply_access(mem, frame, steps);
+                    self.apply_access(mem, frame);
                 }
             } else if self.state_of(frame) == Some(decays) {
                 if which == WhichList::Promote {
@@ -211,14 +207,17 @@ impl MultiClock {
             return 0;
         };
         let mut promoted = 0;
-        let mut tried_reclaim = false;
-        // Room for the whole candidate set is requested at once (gentle
-        // reclaim only ever demotes scan-certified-cold pages, so asking
-        // for more than exists is safe).
-        let demand: usize = PageKind::ALL
-            .iter()
-            .map(|k| self.tiers[tier.index()].list_len(*k, crate::lists::WhichList::Promote))
-            .sum();
+        // The free pages to ask of the upper tier the one time this run
+        // makes room there (`None` once spent). Room for the whole
+        // candidate set is requested at once: gentle reclaim only ever
+        // demotes scan-certified-cold pages, so asking for more than
+        // exists is safe.
+        let mut room: Option<usize> = Some(
+            PageKind::ALL
+                .iter()
+                .map(|k| self.tiers[tier.index()].list_len(*k, WhichList::Promote))
+                .sum(),
+        );
         let batch = self.cfg.migrate_batch_size;
         for shard in 0..self.tiers[tier.index()].shard_count() {
             for kind in PageKind::ALL {
@@ -275,26 +274,10 @@ impl MultiClock {
                     // Promote. Batch it up; a full batch flushes at once.
                     pending.push(frame);
                     if pending.len() >= batch {
-                        promoted += self.promote_flush(
-                            mem,
-                            &mut pending,
-                            tier,
-                            upper,
-                            kind,
-                            &mut tried_reclaim,
-                            demand,
-                        );
+                        promoted += self.promote_flush(mem, &mut pending, upper, &mut room);
                     }
                 }
-                promoted += self.promote_flush(
-                    mem,
-                    &mut pending,
-                    tier,
-                    upper,
-                    kind,
-                    &mut tried_reclaim,
-                    demand,
-                );
+                promoted += self.promote_flush(mem, &mut pending, upper, &mut room);
             }
         }
         self.debug_validate(mem);
@@ -308,217 +291,126 @@ impl MultiClock {
     /// synchronous attempt had failed with the same error. Returns the
     /// number of pages promoted.
     pub(crate) fn settle_txns(&mut self, mem: &mut MemorySystem) -> u64 {
-        if self.txn_pending.is_empty() {
+        if mem.migration_txns().is_empty() {
             return 0;
         }
-        let keep_shadows = self.cfg.shadow_pages;
-        let results = mem.resolve_migrations(keep_shadows);
-        // Every pending frame is tracked but listless until its result
+        let results = mem.resolve_migrations();
+        // A resolved source is tracked but listless until its result
         // re-lists it below; suspend invariant validation meanwhile.
         self.in_flight += results.len();
         let mut promoted = 0;
         for (frame, result) in results {
-            self.txn_pending.retain(|f| *f != frame);
             match result {
                 Ok(new_frame) => {
-                    // fig4: 13 — the commit lands active-referenced
-                    // upstairs, same as a synchronous promotion.
-                    let upper = mem.frame(new_frame).tier();
-                    self.retrack_after_migration(mem, frame, new_frame, PageState::ActiveRef);
-                    saturating_bump(&mut self.stats.promotions);
+                    self.land_promotion(mem, frame, new_frame);
                     promoted += 1;
-                    mem.recorder_mut().emit(|| EventKind::Fig4 {
-                        edge: 13,
-                        frame: new_frame.index() as u64,
-                        tier: upper.index() as u8,
-                    });
                 }
                 // A dirty-write abort surfaces as FrameLocked (the page
-                // was "busy" during the window); a commit-time injected
-                // fault surfaces as TierFull/FrameLocked. Both are
-                // transient — same retry budget as the sync path.
-                Err(MemError::TierFull(_) | MemError::FrameLocked(_)) => {
-                    let tier = mem.frame(frame).tier();
-                    let kind = mem.frame(frame).kind();
-                    self.promote_retry_or_fallback(mem, frame, tier, kind);
-                }
-                Err(_) => {
-                    let tier = mem.frame(frame).tier();
-                    let kind = mem.frame(frame).kind();
-                    self.promote_fallback(mem, frame, tier, kind);
-                }
+                // was "busy" during the window), a commit-time injected
+                // fault as TierFull/FrameLocked.
+                Err(e) => self.promote_failed(mem, frame, &e),
             }
             self.in_flight -= 1;
         }
-        debug_assert!(
-            self.txn_pending.is_empty(),
-            "every opened transaction must settle (eager substrate aborts \
-             purge txn_pending via untrack)"
-        );
         self.debug_validate(mem);
         promoted
     }
 
-    /// Flushes one batch of promote candidates through
-    /// [`MemorySystem::migrate_batch`] and settles every page: successes
-    /// are retracked upstairs (transition 13), transient failures requeue
-    /// or fall back via the retry policy, permanent failures fall back to
-    /// the active list. Returns the number promoted.
-    ///
-    /// In [`MigrationMode::Transactional`] this instead *opens* one
-    /// transaction per candidate — no copy stall, no remap yet — and the
-    /// batch settles at the start of the next run.
-    #[allow(clippy::too_many_arguments)]
+    /// Hands one batch of promote candidates to
+    /// [`MemorySystem::migrate_pages`] in the configured mode and books
+    /// every page: one that landed is retracked upstairs (transition 13),
+    /// one whose copy window opened stays off-list at its source until
+    /// the next run settles it, and a failure requeues or falls back.
+    /// Returns the number promoted now.
     fn promote_flush(
         &mut self,
         mem: &mut MemorySystem,
         pending: &mut Vec<FrameId>,
-        tier: TierId,
         upper: TierId,
-        kind: PageKind,
-        tried_reclaim: &mut bool,
-        demand: usize,
+        room: &mut Option<usize>,
     ) -> u64 {
         if pending.is_empty() {
             return 0;
         }
-        if self.cfg.migration_mode == MigrationMode::Transactional {
-            return self.promote_flush_txn(mem, pending, tier, upper, kind, tried_reclaim, demand);
-        }
+        let mode = self.cfg.migration_mode;
+        // A sync batch is one amortized call. A copy window has nothing to
+        // amortize, and opening them page by page lets the room made for
+        // one page serve the next.
+        let per_call = match mode {
+            MigrationMode::Sync => pending.len(),
+            MigrationMode::Transactional => 1,
+        };
         let mut promoted = 0;
-        // Span over the batched migration call itself (items = batch
-        // length); the per-page settle loop below is accounted to the
-        // surrounding promote-drain span.
-        let mut batch_span = self
-            .cfg
-            .perf
-            .as_ref()
-            .map(|p| p.span(mc_obs::Phase::MigrateBatch));
-        if let Some(s) = batch_span.as_mut() {
-            s.add_items(pending.len() as u64);
-        }
-        let results = mem.migrate_batch(pending, upper);
-        drop(batch_span);
-        for (frame, result) in pending.drain(..).zip(results) {
-            match result {
-                Ok(new_frame) => {
-                    // fig4: 13 — promotion lands active-referenced.
-                    self.retrack_after_migration(mem, frame, new_frame, PageState::ActiveRef);
-                    saturating_bump(&mut self.stats.promotions);
-                    promoted += 1;
-                    mem.recorder_mut().emit(|| EventKind::Fig4 {
-                        edge: 13,
-                        frame: new_frame.index() as u64,
-                        tier: upper.index() as u8,
-                    });
-                }
-                Err(MemError::TierFull(_)) => {
-                    // "If the higher-performing tier is also under
-                    // memory pressure, promotions from the lower tier
-                    // result in immediate page demotions from the
-                    // higher tier." Room-making is *gentle* (only
-                    // truly cold pages move down) and attempted once
-                    // per run; when the upper tier is all-hot the
-                    // remaining candidates fall back to the active
-                    // list instead of displacing hot pages.
-                    if !*tried_reclaim && !self.pressure_guard[upper.index()] {
-                        *tried_reclaim = true;
-                        self.run_pressure_toward(mem, upper, false, Some(demand));
-                    }
-                    match mem.migrate(frame, upper) {
-                        Ok(new_frame) => {
-                            self.retrack_after_migration(
-                                mem,
-                                frame,
-                                new_frame,
-                                PageState::ActiveRef,
-                            );
-                            saturating_bump(&mut self.stats.promotions);
-                            promoted += 1;
-                            mem.recorder_mut().emit(|| EventKind::Fig4 {
-                                edge: 13,
-                                frame: new_frame.index() as u64,
-                                tier: upper.index() as u8,
-                            });
-                        }
-                        // Still-full destination and transient locks
-                        // are retryable; anything else is permanent.
-                        Err(MemError::TierFull(_) | MemError::FrameLocked(_)) => {
-                            self.promote_retry_or_fallback(mem, frame, tier, kind);
-                        }
-                        Err(_) => self.promote_fallback(mem, frame, tier, kind),
-                    }
-                }
-                // A locked page may come unlocked (the kernel's
-                // `-EAGAIN`): retryable within the episode's budget.
-                Err(MemError::FrameLocked(_)) => {
-                    self.promote_retry_or_fallback(mem, frame, tier, kind);
-                }
-                Err(_) => self.promote_fallback(mem, frame, tier, kind),
+        for pages in pending.chunks(per_call) {
+            // Span over the migration call itself (items = pages handed
+            // over); the per-page booking below is accounted to the
+            // surrounding promote-drain span.
+            let mut batch_span = self
+                .cfg
+                .perf
+                .as_ref()
+                .map(|p| p.span(mc_obs::Phase::MigrateBatch));
+            if let Some(s) = batch_span.as_mut() {
+                s.add_items(pages.len() as u64);
             }
-            self.in_flight -= 1;
+            let results = mem.migrate_pages(pages, upper, mode);
+            drop(batch_span);
+            for (&frame, mut result) in pages.iter().zip(results) {
+                if matches!(result, Err(MemError::TierFull(_))) {
+                    // "If the higher-performing tier is also under memory
+                    // pressure, promotions from the lower tier result in
+                    // immediate page demotions from the higher tier."
+                    // Room-making is *gentle* (only truly cold pages move
+                    // down) and attempted once per run; when the upper
+                    // tier is all-hot the remaining candidates fall back
+                    // to the active list instead of displacing hot pages.
+                    if !self.pressure_guard[upper.index()] {
+                        if let Some(demand) = room.take() {
+                            self.run_pressure_toward(mem, upper, false, Some(demand));
+                        }
+                    }
+                    let again = mem.migrate_pages(&[frame], upper, mode).pop();
+                    result = again.unwrap_or(result);
+                }
+                match result {
+                    Ok(PageMove::Landed(new_frame)) => {
+                        self.land_promotion(mem, frame, new_frame);
+                        promoted += 1;
+                    }
+                    Ok(PageMove::Opened) => {}
+                    Err(e) => self.promote_failed(mem, frame, &e),
+                }
+                self.in_flight -= 1;
+            }
         }
+        pending.clear();
         promoted
     }
 
-    /// The transactional drain: opens a Nomad-style transaction per
-    /// candidate instead of copying synchronously. Reservation failures
-    /// (the destination is full) get the same one-round gentle reclaim
-    /// and single retry the sync path uses; pages whose transaction
-    /// opens move to `txn_pending` and stay mapped at the source — the
-    /// application keeps running against the source frame for the whole
-    /// copy window. Returns 0: promotions are counted at commit time.
-    #[allow(clippy::too_many_arguments)]
-    fn promote_flush_txn(
-        &mut self,
-        mem: &mut MemorySystem,
-        pending: &mut Vec<FrameId>,
-        tier: TierId,
-        upper: TierId,
-        kind: PageKind,
-        tried_reclaim: &mut bool,
-        demand: usize,
-    ) -> u64 {
-        for frame in pending.drain(..) {
-            match mem.begin_migration(frame, upper) {
-                Ok(()) => self.txn_pending.push(frame),
-                Err(MemError::TierFull(_)) => {
-                    // Same room-making as the sync path: one gentle
-                    // reclaim round upstairs, then a single retry.
-                    if !*tried_reclaim && !self.pressure_guard[upper.index()] {
-                        *tried_reclaim = true;
-                        self.run_pressure_toward(mem, upper, false, Some(demand));
-                    }
-                    match mem.begin_migration(frame, upper) {
-                        Ok(()) => self.txn_pending.push(frame),
-                        Err(MemError::TierFull(_) | MemError::FrameLocked(_)) => {
-                            self.promote_retry_or_fallback(mem, frame, tier, kind);
-                        }
-                        Err(_) => self.promote_fallback(mem, frame, tier, kind),
-                    }
-                }
-                Err(MemError::FrameLocked(_)) => {
-                    self.promote_retry_or_fallback(mem, frame, tier, kind);
-                }
-                Err(_) => self.promote_fallback(mem, frame, tier, kind),
-            }
-            self.in_flight -= 1;
-        }
-        0
+    /// fig4: 13 — a promotion lands active-referenced on the upper tier,
+    /// whether a synchronous copy or a transaction's commit put it there.
+    fn land_promotion(&mut self, mem: &mut MemorySystem, frame: FrameId, new_frame: FrameId) {
+        self.retrack_after_migration(mem, frame, new_frame, PageState::ActiveRef);
+        saturating_bump(&mut self.stats.promotions);
+        let upper = mem.frame(new_frame).tier();
+        mem.recorder_mut().emit(|| EventKind::Fig4 {
+            edge: 13,
+            frame: new_frame.index() as u64,
+            tier: upper.index() as u8,
+        });
     }
 
-    /// Books a failed-but-retryable migration attempt: while the episode's
+    /// Books a promotion attempt that failed for good this run. A full
+    /// destination and a locked page (the kernel's `-EAGAIN`; also how a
+    /// dirtied copy window surfaces) are transient: while the episode's
     /// retry budget lasts, the page is requeued at the promote-list tail
-    /// with an exponentially backed-off eligibility tick; once the budget
-    /// is exhausted the daemon gives up and degrades to the active-list
-    /// fallback. Either way the page is never dropped.
-    fn promote_retry_or_fallback(
-        &mut self,
-        mem: &mut MemorySystem,
-        frame: mc_mem::FrameId,
-        tier: TierId,
-        kind: PageKind,
-    ) {
+    /// with an exponentially backed-off eligibility tick. Anything else,
+    /// or an exhausted budget, degrades to the active-list fallback.
+    /// Either way the page is never dropped.
+    fn promote_failed(&mut self, mem: &mut MemorySystem, frame: FrameId, err: &MemError) {
+        if !matches!(err, MemError::TierFull(_) | MemError::FrameLocked(_)) {
+            return self.promote_fallback(mem, frame);
+        }
         let attempts = self.retry_state[frame.index()]
             .map_or(0, |r| r.attempts)
             .saturating_add(1);
@@ -529,8 +421,7 @@ impl MultiClock {
                 frame: frame.index() as u64,
                 attempts,
             });
-            self.promote_fallback(mem, frame, tier, kind);
-            return;
+            return self.promote_fallback(mem, frame);
         }
         let eligible_tick = self
             .stats
@@ -543,6 +434,7 @@ impl MultiClock {
         saturating_bump(&mut self.stats.promote_retries);
         // Tail requeue: fresh candidates drain first, and the page keeps
         // its Promote state (the episode is paused, not abandoned).
+        let (tier, kind) = (mem.frame(frame).tier(), mem.frame(frame).kind());
         self.shard_lists_mut(tier, frame)
             .set_mut(kind)
             .promote
@@ -556,13 +448,8 @@ impl MultiClock {
 
     /// The failed-promotion fallback: the page moves to its tier's active
     /// list.
-    fn promote_fallback(
-        &mut self,
-        mem: &mut MemorySystem,
-        frame: mc_mem::FrameId,
-        tier: TierId,
-        kind: PageKind,
-    ) {
+    fn promote_fallback(&mut self, mem: &mut MemorySystem, frame: FrameId) {
+        let (tier, kind) = (mem.frame(frame).tier(), mem.frame(frame).kind());
         self.retry_state[frame.index()] = None;
         saturating_bump(&mut self.stats.promote_fallbacks);
         // fig4: 11 — no room upstairs; rejoin active as referenced.
@@ -871,14 +758,14 @@ mod tests {
         // mapped (and served) at the source for the whole window.
         let out = mc.tick(&mut mem, Nanos::from_secs(1));
         assert_eq!(out.promoted, 0);
-        assert_eq!(mc.txn_pending(), &[f]);
+        assert!(mem.txn_open(f));
         assert_eq!(mem.translate(VPage::new(1)), Some(f), "still at source");
         assert_eq!(mc.stats().txn_begins, 1);
         mc.assert_invariants(&mem);
         // Tick 2 settles: the copy stayed clean, so it commits.
         let out = mc.tick(&mut mem, Nanos::from_secs(2));
         assert_eq!(out.promoted, 1);
-        assert!(mc.txn_pending().is_empty());
+        assert!(mem.migration_txns().is_empty());
         let nf = mem.translate(VPage::new(1)).unwrap();
         assert_eq!(mem.frame(nf).tier(), TierId::TOP);
         // The commit landed ActiveRef at the start of the tick; the same
@@ -898,7 +785,7 @@ mod tests {
         let f = map_in_tier(&mut mem, &mut mc, 1, pm);
         make_promotable(&mut mem, &mut mc, f);
         mc.tick(&mut mem, Nanos::from_secs(1));
-        assert_eq!(mc.txn_pending(), &[f]);
+        assert!(mem.txn_open(f));
         // A store hits the source mid-window: the copy is stale.
         mem.access(VPage::new(1), AccessKind::Write).unwrap();
         let out = mc.tick(&mut mem, Nanos::from_secs(2));
@@ -958,25 +845,74 @@ mod tests {
         mc.assert_invariants(&mem);
     }
 
+    /// A sync batch vacates the source frames of all the pages it moves
+    /// before the first of them is booked. When an earlier page of the
+    /// batch found the upper tier full, the room made for it demotes a
+    /// cold page onto one of those vacated frames, and booking the later
+    /// page must not take that frame's new tenant off the lists.
     #[test]
-    fn shadow_retention_can_be_disabled() {
+    fn room_made_mid_batch_may_reuse_a_frame_the_batch_vacated() {
+        use mc_fault::{FaultInjector, FaultPlan};
+        let plan = FaultPlan {
+            alloc_fail_rate: 0.1,
+            ..FaultPlan::default()
+        };
+        // The first allocation draw fails — the batch's first page — and
+        // the rest of the run's draws pass.
+        let seed = (0..u64::MAX)
+            .find(|&s| {
+                let mut inj = FaultInjector::new(plan.clone(), s);
+                inj.on_alloc(0).is_some() && (0..64).all(|_| inj.on_alloc(0).is_none())
+            })
+            .unwrap();
         let mem = MemorySystem::new(MemConfig::two_tier(64, 256));
+        // One batch of more candidates than DRAM's reserve, so the room
+        // asked for them is not there yet; DRAM otherwise full of cold
+        // pages, with one slot short of what the candidates need.
+        let n = mem.node_watermarks(mc_mem::NodeId::new(0)).min as u64 + 2;
         let cfg = MultiClockConfig {
-            migration_mode: MigrationMode::Transactional,
-            shadow_pages: false,
+            migrate_batch_size: n as usize,
             ..Default::default()
         };
         let mut mc = MultiClock::new(cfg, mem.topology());
         let mut mem = mem;
         let pm = TierId::new(1);
-        let f = map_in_tier(&mut mem, &mut mc, 1, pm);
-        let pm_free = mem.tier_free(pm);
-        make_promotable(&mut mem, &mut mc, f);
-        mc.tick(&mut mem, Nanos::from_secs(1));
-        mc.tick(&mut mem, Nanos::from_secs(2));
-        assert_eq!(mc.stats().txn_commits, 1);
-        assert!(mem.shadow_pages().is_empty());
-        assert_eq!(mem.tier_free(pm), pm_free + 1, "source freed at commit");
+        let hot: Vec<FrameId> = (0..n)
+            .map(|v| map_in_tier(&mut mem, &mut mc, v, pm))
+            .collect();
+        let mut cold = Vec::new();
+        while let Ok(f) = mem.alloc_page_in_tier(PageKind::Anon, TierId::TOP) {
+            let v = 100 + cold.len() as u64;
+            mem.map(VPage::new(v), f).unwrap();
+            mc.on_page_mapped(&mut mem, f);
+            cold.push(v);
+        }
+        for v in cold.drain(..n as usize - 1) {
+            let f = mem.unmap(VPage::new(v)).unwrap();
+            mc.on_page_unmapped(&mut mem, f);
+            mem.free_page(f).unwrap();
+        }
+        for f in &hot {
+            make_promotable(&mut mem, &mut mc, *f);
+        }
+        mem.set_fault_injector(FaultInjector::new(plan, seed));
+        let out = mc.promote_all(&mut mem, pm);
+        assert_eq!(out, n, "the failed page lands on its second attempt");
+        let demoted: Vec<FrameId> = cold
+            .iter()
+            .map(|v| mem.translate(VPage::new(*v)).unwrap())
+            .filter(|f| mem.frame(*f).tier() == pm)
+            .collect();
+        assert!(
+            demoted.iter().any(|f| hot.contains(f)),
+            "room-making reused a vacated frame: {demoted:?} vs {hot:?}"
+        );
+        for f in demoted {
+            assert_eq!(mc.state_of(f), Some(PageState::InactiveUnref));
+            assert!(mc
+                .tier_lists(pm)
+                .on_list(PageKind::Anon, WhichList::Inactive, f));
+        }
         mc.assert_invariants(&mem);
     }
 

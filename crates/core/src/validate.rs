@@ -17,8 +17,8 @@
 //!    frame→shard assignment (sharded scanning never strands a page on a
 //!    foreign shard);
 //! 8. transactional-migration bookkeeping is sound: a frame is the
-//!    source of **at most one** open transaction, every pending source
-//!    is tracked in `Promote` state (listless by design — the copy
+//!    source of **at most one** open transaction, every such source
+//!    is tracked in `Promote` state and on no list (by design — the copy
 //!    window spans the tick boundary), transaction destination frames
 //!    are allocated but unmapped reservations, shadow copies exist only
 //!    for clean mapped pages with the retained frame one or more tiers
@@ -67,10 +67,7 @@ impl MultiClock {
 
         for raw in 0..mem.total_frames() as u32 {
             let frame = FrameId::new(raw);
-            if self.state_of(frame).is_some()
-                && !seen.contains(&raw)
-                && !self.txn_pending.contains(&frame)
-            {
+            if self.state_of(frame).is_some() && !seen.contains(&raw) && !mem.txn_open(frame) {
                 violations.push(InvariantViolation {
                     frame,
                     message: "tracked but on no list".into(),
@@ -102,40 +99,37 @@ impl MultiClock {
                 }
             }
         }
-        self.check_txn_bookkeeping(mem, &mut violations);
+        self.check_txn_bookkeeping(mem, &seen, &mut violations);
         violations
     }
 
-    /// Invariant 8: cross-checks the policy's pending-transaction list
-    /// against the substrate's open transactions and shadow table.
-    fn check_txn_bookkeeping(&self, mem: &MemorySystem, violations: &mut Vec<InvariantViolation>) {
-        let mut pending_seen: HashSet<u32> = HashSet::new();
-        for frame in &self.txn_pending {
-            if !pending_seen.insert(frame.raw()) {
-                violations.push(InvariantViolation {
-                    frame: *frame,
-                    message: "appears twice in the pending-transaction list".into(),
-                });
-            }
-            if self.state_of(*frame) != Some(PageState::Promote) {
-                violations.push(InvariantViolation {
-                    frame: *frame,
-                    message: "pending transaction source is not in Promote state".into(),
-                });
-            }
-            if !mem.migration_txns().iter().any(|t| t.frame == *frame) {
-                violations.push(InvariantViolation {
-                    frame: *frame,
-                    message: "pending in the policy but the substrate has no transaction".into(),
-                });
-            }
-        }
+    /// Invariant 8: checks the substrate's open transactions and shadow
+    /// table, and the tracking state of every transaction's source
+    /// (`listed` holds the frames found on some list).
+    fn check_txn_bookkeeping(
+        &self,
+        mem: &MemorySystem,
+        listed: &HashSet<u32>,
+        violations: &mut Vec<InvariantViolation>,
+    ) {
         let mut src_seen: HashSet<u32> = HashSet::new();
         for txn in mem.migration_txns() {
             if !src_seen.insert(txn.frame.raw()) {
                 violations.push(InvariantViolation {
                     frame: txn.frame,
                     message: "frame is the source of more than one open transaction".into(),
+                });
+            }
+            if self.state_of(txn.frame) != Some(PageState::Promote) {
+                violations.push(InvariantViolation {
+                    frame: txn.frame,
+                    message: "open transaction source is not in Promote state".into(),
+                });
+            }
+            if listed.contains(&txn.frame.raw()) {
+                violations.push(InvariantViolation {
+                    frame: txn.frame,
+                    message: "open transaction source is on a list".into(),
                 });
             }
             let dst = mem.frame(txn.dst_frame);

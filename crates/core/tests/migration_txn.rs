@@ -1,6 +1,6 @@
 //! Property tests for transactional migration (the Nomad-style path):
-//! random access traces crossed with random abort rates and the shadow
-//! knob must never lose a page, double-map a frame, leak a transaction,
+//! random access traces crossed with random abort rates must never lose
+//! a page, double-map a frame, leak a transaction,
 //! retain a shadow for a dirty page, or exceed the retry budget.
 //!
 //! The structural side (shadow entries only for clean mapped pages, dst
@@ -88,12 +88,7 @@ fn assert_shadows_clean(mem: &MemorySystem) {
     }
 }
 
-fn run_trace(
-    ops: Vec<Op>,
-    shadow_pages: bool,
-    fault_plan: Option<(FaultPlan, u64)>,
-    retry: RetryPolicy,
-) {
+fn run_trace(ops: Vec<Op>, fault_plan: Option<(FaultPlan, u64)>, retry: RetryPolicy) {
     let mut mem = MemorySystem::new(MemConfig::two_tier(24, 48));
     if let Some((plan, seed)) = fault_plan {
         mem.set_fault_injector(FaultInjector::new(plan, seed));
@@ -101,7 +96,6 @@ fn run_trace(
     let cfg = MultiClockConfig {
         retry,
         migration_mode: MigrationMode::Transactional,
-        shadow_pages,
         ..Default::default()
     };
     let mut mc = MultiClock::new(cfg, mem.topology());
@@ -188,10 +182,9 @@ proptest! {
     /// writes during a copy window.
     #[test]
     fn clean_traces_conserve_pages_and_txns(
-        shadow in any::<bool>(),
         ops in prop::collection::vec(op(), 1..140),
     ) {
-        run_trace(ops, shadow, None, RetryPolicy::backoff());
+        run_trace(ops, None, RetryPolicy::backoff());
     }
 
     /// Random abort rates: injected failures land at `resolve` time —
@@ -200,7 +193,6 @@ proptest! {
     #[test]
     fn injected_aborts_conserve_pages_and_txns(
         seed in any::<u64>(),
-        shadow in any::<bool>(),
         migrate_rate in 0.0f64..0.6,
         lock_rate in 0.0f64..0.4,
         ops in prop::collection::vec(op(), 1..140),
@@ -212,7 +204,7 @@ proptest! {
             offline: Vec::new(),
             stalls: Vec::new(),
         };
-        run_trace(ops, shadow, Some((plan, seed)), RetryPolicy::backoff());
+        run_trace(ops, Some((plan, seed)), RetryPolicy::backoff());
     }
 
     /// A single-attempt retry policy must give up cleanly (fallback to
@@ -221,7 +213,6 @@ proptest! {
     #[test]
     fn immediate_retry_policy_bounds_attempts(
         seed in any::<u64>(),
-        shadow in any::<bool>(),
         ops in prop::collection::vec(op(), 1..100),
     ) {
         let plan = FaultPlan {
@@ -231,6 +222,6 @@ proptest! {
             offline: Vec::new(),
             stalls: Vec::new(),
         };
-        run_trace(ops, shadow, Some((plan, seed)), RetryPolicy::immediate());
+        run_trace(ops, Some((plan, seed)), RetryPolicy::immediate());
     }
 }

@@ -14,9 +14,9 @@
 //! The same machinery guards the migration-transaction tables
 //! (`MemorySystem.txns` / `.shadows`): a transaction may only mutate the
 //! memory system inside the commit boundary — `crates/mem/src/system.rs`
-//! (begin/resolve/abort/shadow paths) and `crates/mem/src/txn.rs` (the
-//! table types themselves). Everything else reads via `migration_txns()`
-//! and `shadow_pages()`.
+//! (the `migrate_pages`/`resolve_migrations`/`migrate` paths and the eager
+//! aborts) and `crates/mem/src/txn.rs` (the table types themselves).
+//! Everything else reads via `migration_txns()` and `shadow_pages()`.
 
 use crate::source::{is_ident_byte, SourceFile};
 use crate::{Diagnostic, Workspace};
@@ -36,7 +36,8 @@ const FIELDS: [&str; 3] = ["inactive", "active", "promote"];
 
 /// Files allowed to mutate the migration-transaction tables (the commit
 /// boundary: every `txns`/`shadows` write goes through `MemorySystem`'s
-/// begin/resolve/abort/shadow methods or the table types themselves).
+/// `migrate_pages`/`resolve_migrations`/`migrate` or the table types
+/// themselves).
 const TXN_ALLOWED: [&str; 2] = ["crates/mem/src/system.rs", "crates/mem/src/txn.rs"];
 
 /// The guarded transaction-table field names.
@@ -249,7 +250,7 @@ fn scan_txn_fields(file: &SourceFile, own: &[&str], diags: &mut Vec<Diagnostic>)
                 "{what} migration-transaction table `{field}` outside the commit \
                  boundary; only crates/mem/src/system.rs and crates/mem/src/txn.rs \
                  may mutate `MemorySystem` transaction state — go through \
-                 begin_migration/resolve_migrations/try_shadow_demote"
+                 migrate_pages/resolve_migrations/migrate"
             ),
         });
     }

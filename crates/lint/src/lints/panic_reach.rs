@@ -38,17 +38,19 @@ use std::collections::BTreeSet;
 const LINT: &str = "panic-reach";
 
 /// Engine entry points: `(crate dir, impl type, method name)`. The three
-/// `MemorySystem` migration-transaction entries root the commit/abort
-/// paths: `resolve_migrations` runs at the start of every transactional
-/// tick and must never panic mid-settle (a half-settled batch would leak
-/// reservations), and the begin/shadow entries open and flip mappings.
+/// `MemorySystem` migration entries root the commit/abort paths:
+/// `resolve_migrations` runs at the start of every transactional tick and
+/// must never panic mid-settle (a half-settled batch would leak
+/// reservations), `migrate_pages` opens copy windows and `migrate` flips
+/// mappings onto shadow copies. A root that names no function is silently
+/// worth nothing, so `workspace_clean.rs` checks every one resolves.
 /// `DaemonComponent::tick` is rooted explicitly because the engine
 /// reaches it through `dyn Component` dispatch, which the static call
 /// graph cannot trace from the access-path roots. `CmSketch::update`
 /// and `HybridTier::tick` root the sketch-sampling policy: the sketch
 /// update sits on the access hot path and the tick is reached through
 /// `dyn TieringPolicy` dispatch.
-const ROOTS: [(&str, Option<&str>, &str); 16] = [
+pub const ROOTS: [(&str, Option<&str>, &str); 16] = [
     ("sim", Some("DaemonComponent"), "tick"),
     ("policies", Some("CmSketch"), "update"),
     ("policies", Some("HybridTier"), "tick"),
@@ -62,9 +64,9 @@ const ROOTS: [(&str, Option<&str>, &str); 16] = [
     ("sim", Some("Simulation"), "record_op"),
     ("sim", Some("Simulation"), "finish"),
     ("core", Some("MultiClock"), "kpromoted_run"),
-    ("mem", Some("MemorySystem"), "begin_migration"),
+    ("mem", Some("MemorySystem"), "migrate_pages"),
     ("mem", Some("MemorySystem"), "resolve_migrations"),
-    ("mem", Some("MemorySystem"), "try_shadow_demote"),
+    ("mem", Some("MemorySystem"), "migrate"),
 ];
 
 /// Runs the panic-reachability lint standalone (used by tests).

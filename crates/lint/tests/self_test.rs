@@ -178,7 +178,7 @@ fn boundary_flags_mut_accessors_and_assignment() {
 fn boundary_flags_txn_table_mutation_outside_the_commit_boundary() {
     // A "transaction" that reaches into `MemorySystem` and mutates the
     // txn/shadow tables directly, bypassing the commit boundary
-    // (begin_migration/resolve_migrations/try_shadow_demote).
+    // (migrate_pages/resolve_migrations/migrate).
     let ws = ws_with(&[(
         "crates/core/src/rogue_txn.rs",
         "fn commit_early(mem: &mut MemorySystem, txn: MigrationTxn) {\n    mem.txns.push(txn);\n    mem.shadows.remove(txn.frame);\n}\n",

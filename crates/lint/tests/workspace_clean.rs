@@ -68,6 +68,19 @@ fn engine_hot_loop_is_transitively_panic_free_or_justified() {
     assert_clean(lints::panic_reach::check(workspace()));
 }
 
+/// `panic_reach` drops a root that matches no function without a word, so
+/// renaming an entry point would quietly un-root everything behind it.
+#[test]
+fn every_panic_reach_root_names_a_function() {
+    let idx = mc_lint::index::ItemIndex::build(workspace());
+    for (dir, ty, name) in lints::panic_reach::ROOTS {
+        assert!(
+            !mc_lint::callgraph::find_fns(&idx, ty, name, dir).is_empty(),
+            "root {ty:?}::{name} matches no function in crates/{dir}"
+        );
+    }
+}
+
 #[test]
 fn library_code_does_not_discard_results() {
     assert_clean(lints::results::check(workspace()));

@@ -69,6 +69,6 @@ pub use system::{AccessOutcome, MemConfig, MemorySystem};
 pub use tier::{Tier, TierKind};
 pub use time::{Nanos, VirtualClock};
 pub use topology::{NodeDesc, Topology, TopologyBuilder};
-pub use txn::{MigrationMode, MigrationTxn, ShadowPages};
+pub use txn::{MigrationMode, MigrationTxn, PageMove, ShadowPages};
 pub use vpage_map::VPageMap;
 pub use watermark::Watermarks;

@@ -11,7 +11,7 @@ use crate::pte::PageTable;
 use crate::stats::{CostLedger, MemEvent, MemStats};
 use crate::time::Nanos;
 use crate::topology::Topology;
-use crate::txn::{MigrationTxn, ShadowPages};
+use crate::txn::{MigrationMode, MigrationTxn, PageMove, ShadowPages};
 use crate::watermark::Watermarks;
 use mc_fault::{FaultInjector, InjectedFault};
 use mc_obs::{saturating_bump, EventKind, Recorder};
@@ -108,7 +108,7 @@ pub struct MemorySystem {
     txns: Vec<MigrationTxn>,
     /// Indexed by source frame: 1 + the position in `txns` of the frame's
     /// open transaction, or 0. Every store asks, so membership must not
-    /// search; grown by `begin_migration` only, so `Sync` runs never
+    /// search; grown when a transaction opens, so `Sync` runs never
     /// allocate it.
     txn_slot: Vec<u32>,
     /// Retained lower-tier copies left behind by clean transactional
@@ -534,9 +534,16 @@ impl MemorySystem {
         }
     }
 
-    /// Migrates a page to another tier: allocates a destination frame,
-    /// charges copy costs to the ledger, remaps the virtual page, frees the
-    /// source frame, and emits a [`MemEvent::Migrated`].
+    /// Migrates one page to another tier synchronously: allocates a
+    /// destination frame, charges the copy to the ledger (application stall
+    /// and background), remaps the virtual page, frees the source frame, and
+    /// emits a [`MemEvent::Migrated`]. The one-page form of
+    /// [`Self::migrate_pages`] in [`MigrationMode::Sync`].
+    ///
+    /// When `dst_tier` holds a retained shadow copy of the page and the page
+    /// is still clean and mapped, the move is a zero-copy mapping flip onto
+    /// that frame instead: one [`LatencyModel::txn_remap`] stall, no copy,
+    /// no allocation and no fault-injector draw.
     ///
     /// Page flags travel with the page; the PTE reference bit is cleared by
     /// the remap (a fresh PTE has not been accessed).
@@ -550,73 +557,106 @@ impl MemorySystem {
     /// * [`MemError::TierFull`] — no destination frame available; callers
     ///   react by demoting from the destination first.
     pub fn migrate(&mut self, frame: FrameId, dst_tier: TierId) -> Result<FrameId, MemError> {
-        self.migrate_page_inner(frame, dst_tier, false)
-            .map(|(f, _)| f)
-            .map_err(|(e, _)| e)
+        let src_tier = self.check_movable(frame, dst_tier, MigrationMode::Sync)?;
+        if let Some(copy) = self.clean_shadow_in(frame, dst_tier) {
+            self.shadows.remove(frame);
+            self.land(frame, copy, src_tier, dst_tier, false);
+            saturating_bump(&mut self.stats.shadow_hits);
+            self.recorder.emit(|| EventKind::ShadowDemote {
+                frame: frame.index() as u64,
+                new_frame: copy.index() as u64,
+            });
+            self.ledger.charge_app_stall(self.latency.txn_remap);
+            return Ok(copy);
+        }
+        let new_frame = self
+            .reserve(frame, src_tier, dst_tier, MigrationMode::Sync)
+            .map_err(|(e, _)| e)?;
+        let cost = self.latency.migration(src_tier, dst_tier);
+        self.ledger.charge_app_stall(cost.app_stall);
+        self.ledger.charge_background(cost.background);
+        let vpage = self.land(frame, new_frame, src_tier, dst_tier, false);
+        self.recorder.emit(|| EventKind::Migrate {
+            vpage: vpage.map(VPage::raw),
+            src: src_tier.index() as u8,
+            dst: dst_tier.index() as u8,
+        });
+        Ok(new_frame)
     }
 
-    /// Migrates a batch of pages to `dst_tier` in one amortized call,
-    /// mirroring a batched `migrate_pages()` syscall (Nomad-style).
+    /// Moves `frames` towards `dst_tier` — the substrate's `migrate_pages()`
+    /// — and returns one result per input page, in order. Every page is
+    /// validated on its own: a locked, unevictable, unallocated or
+    /// same-tier page, or a destination with no room, fails *only that
+    /// page*.
     ///
-    /// Cost model: the per-invocation setup ([`LatencyModel`]'s
-    /// `migration_fixed` kernel overhead and `migration_app_stall`) is
-    /// charged **once** for the whole batch, while the page-copy cost stays
-    /// per successfully moved page — see [`LatencyModel::migration_batch`].
-    /// A batch with zero successes charges nothing.
+    /// [`MigrationMode::Sync`] copies and remaps now ([`PageMove::Landed`]).
+    /// One page is exactly [`Self::migrate`], events and costs included.
+    /// More than one page is a batch: the per-call setup
+    /// (`migration_fixed` and `migration_app_stall`) is charged **once**
+    /// if anything moved and the copy per moved page (see
+    /// [`LatencyModel::migration_batch`]), one [`EventKind::MigrateBatch`]
+    /// replaces the per-page `migrate` events, and an **injected** fault
+    /// aborts the rest of the batch: the faulted page fails with the
+    /// injected error and every later page with [`MemError::TierFull`]
+    /// (reason `"batch-aborted"`), which is transient — callers feed those
+    /// pages into their retry path.
     ///
-    /// Each page is validated individually: a locked, unevictable,
-    /// unallocated or same-tier page (or an organic allocation failure in
-    /// the destination) fails *only that page* and the batch continues. An
-    /// **injected** migration fault aborts the transaction Nomad-style: the
-    /// faulted page fails with the injected error and every remaining page
-    /// fails with [`MemError::TierFull`] (reason `"batch-aborted"`), which
-    /// is transient — callers feed those pages into their retry path.
-    ///
-    /// Observability: one [`EventKind::MigrateBatch`] event summarises the
-    /// batch (per-page `migrate` events are only emitted by the single-page
-    /// path); failures still emit per-page `migrate_fail` events. A
-    /// single-element batch is exactly equivalent to [`Self::migrate`],
-    /// events and costs included.
-    ///
-    /// Returns one `Result` per input page, in order.
-    pub fn migrate_batch(
+    /// [`MigrationMode::Transactional`] opens one transaction per page
+    /// ([`PageMove::Opened`]): the destination frame is reserved, the copy
+    /// is charged as pure background work (the page stays mapped, so the
+    /// application is never stalled), and the transaction resolves — commit
+    /// or abort — at the next [`Self::resolve_migrations`]. A write to the
+    /// page before then dooms it. Each page is its own transaction, so an
+    /// injected fault fails that page alone, and a page that already has an
+    /// open transaction fails with [`MemError::FrameLocked`] (reason
+    /// `"txn-pending"`).
+    pub fn migrate_pages(
         &mut self,
         frames: &[FrameId],
         dst_tier: TierId,
-    ) -> Vec<Result<FrameId, MemError>> {
-        if frames.len() <= 1 {
-            // Bit-identical to the unbatched path: same costs, same events.
-            return frames.iter().map(|&f| self.migrate(f, dst_tier)).collect();
+        mode: MigrationMode,
+    ) -> Vec<Result<PageMove, MemError>> {
+        if mode == MigrationMode::Transactional {
+            return frames
+                .iter()
+                .map(|&f| self.open_txn(f, dst_tier).map(|()| PageMove::Opened))
+                .collect();
         }
-        let batch_src = self
-            .frames
-            // lint: allow(indexing) - `frames.len() <= 1` returned early above
-            .get(frames[0].index())
-            .map_or(dst_tier, Frame::tier);
+        let [first, _, ..] = frames else {
+            return frames
+                .iter()
+                .map(|&f| self.migrate(f, dst_tier).map(PageMove::Landed))
+                .collect();
+        };
+        let batch_src = self.frames.get(first.index()).map_or(dst_tier, Frame::tier);
         let mut results = Vec::with_capacity(frames.len());
         let mut copy_total = Nanos::ZERO;
         let mut migrated: u32 = 0;
         let mut aborted = false;
         for &frame in frames {
             if aborted {
-                saturating_bump(&mut self.stats.migration_failures);
                 let src = self.frames[frame.index()].tier();
-                self.recorder.emit(|| EventKind::MigrateFail {
-                    frame: frame.index() as u64,
-                    src: src.index() as u8,
-                    reason: "batch-aborted",
-                });
+                self.migrate_fail(frame, src, "batch-aborted");
                 results.push(Err(MemError::TierFull(dst_tier)));
                 continue;
             }
-            match self.migrate_page_inner(frame, dst_tier, true) {
-                Ok((new_frame, copy)) => {
-                    copy_total += copy;
+            let reserved = match self.check_movable(frame, dst_tier, mode) {
+                Ok(src) => self
+                    .reserve(frame, src, dst_tier, mode)
+                    .map(|new| (src, new)),
+                Err(e) => Err((e, false)),
+            };
+            match reserved {
+                Ok((src_tier, new_frame)) => {
+                    let cost = self.latency.migration(src_tier, dst_tier);
+                    copy_total += cost.background.saturating_sub(self.latency.migration_fixed);
+                    self.land(frame, new_frame, src_tier, dst_tier, false);
                     migrated += 1;
-                    results.push(Ok(new_frame));
+                    results.push(Ok(PageMove::Landed(new_frame)));
                 }
-                Err((e, abort)) => {
-                    aborted = abort;
+                Err((e, injected)) => {
+                    aborted = injected;
                     results.push(Err(e));
                 }
             }
@@ -636,107 +676,113 @@ impl MemorySystem {
         results
     }
 
-    /// Shared migration body. `batched` suppresses the per-page cost charge
-    /// and per-page success tracepoint (the batch caller charges one
-    /// amortized cost and emits one summary event instead). Returns the new
-    /// frame plus the pure copy cost of this page; the error side carries
-    /// an abort flag that is `true` only for injected faults (which abort
-    /// the rest of a batch).
-    fn migrate_page_inner(
+    /// The validation every migration path starts with; returns the source
+    /// tier. Only a transactional begin refuses a page whose copy window is
+    /// already open — a synchronous move supersedes the window instead.
+    fn check_movable(
         &mut self,
         frame: FrameId,
         dst_tier: TierId,
-        batched: bool,
-    ) -> Result<(FrameId, Nanos), (MemError, bool)> {
+        mode: MigrationMode,
+    ) -> Result<TierId, MemError> {
         let src = &self.frames[frame.index()];
         if src.state() != FrameState::Allocated {
-            return Err((MemError::FrameNotAllocated(frame), false));
+            return Err(MemError::FrameNotAllocated(frame));
         }
-        let src_tier = src.tier();
-        if src.flags().contains(PageFlags::LOCKED) {
-            saturating_bump(&mut self.stats.migration_failures);
-            self.recorder.emit(|| EventKind::MigrateFail {
-                frame: frame.index() as u64,
-                src: src_tier.index() as u8,
-                reason: "locked",
-            });
-            return Err((MemError::FrameLocked(frame), false));
+        let (src_tier, flags) = (src.tier(), src.flags());
+        if flags.contains(PageFlags::LOCKED) {
+            self.migrate_fail(frame, src_tier, "locked");
+            return Err(MemError::FrameLocked(frame));
         }
-        let src = &self.frames[frame.index()];
-        if src.flags().contains(PageFlags::UNEVICTABLE) {
-            saturating_bump(&mut self.stats.migration_failures);
-            self.recorder.emit(|| EventKind::MigrateFail {
-                frame: frame.index() as u64,
-                src: src_tier.index() as u8,
-                reason: "unevictable",
-            });
-            return Err((MemError::FrameUnevictable(frame), false));
+        if flags.contains(PageFlags::UNEVICTABLE) {
+            self.migrate_fail(frame, src_tier, "unevictable");
+            return Err(MemError::FrameUnevictable(frame));
         }
         if src_tier == dst_tier {
-            return Err((MemError::SameTier(frame, dst_tier), false));
+            return Err(MemError::SameTier(frame, dst_tier));
         }
-        if let Some(fault) = self.fault.as_mut() {
-            if let Some(injected) = fault.on_migrate(dst_tier.index() as u8) {
-                saturating_bump(&mut self.stats.migration_failures);
-                saturating_bump(&mut self.stats.injected_faults);
-                self.recorder.emit(|| EventKind::MigrateFail {
-                    frame: frame.index() as u64,
-                    src: src_tier.index() as u8,
-                    reason: injected.reason(),
-                });
-                let e = match injected {
-                    InjectedFault::FrameLocked => MemError::FrameLocked(frame),
-                    InjectedFault::TierFull | InjectedFault::TierOffline => {
-                        MemError::TierFull(dst_tier)
-                    }
-                };
-                return Err((e, true));
-            }
+        if mode == MigrationMode::Transactional && self.txn_open(frame) {
+            self.migrate_fail(frame, src_tier, "txn-pending");
+            return Err(MemError::FrameLocked(frame));
         }
-        let kind = src.kind();
-        let flags = src.flags();
-        let vpage = src.vpage();
+        Ok(src_tier)
+    }
 
-        let new_frame = match self.alloc_page_in_tier(kind, dst_tier) {
-            Ok(f) => f,
-            Err(e) => {
-                saturating_bump(&mut self.stats.migration_failures);
-                self.recorder.emit(|| EventKind::MigrateFail {
-                    frame: frame.index() as u64,
-                    src: src_tier.index() as u8,
-                    reason: "tier-full",
-                });
-                return Err((e, false));
-            }
-        };
-
-        // Copy costs. The batch path charges one amortized setup for the
-        // whole batch, so only the pure copy portion is reported upward.
-        let cost = self.latency.migration(src_tier, dst_tier);
-        let copy = cost.background.saturating_sub(self.latency.migration_fixed);
-        if !batched {
-            self.ledger.charge_app_stall(cost.app_stall);
-            self.ledger.charge_background(cost.background);
+    /// Reserves the destination frame of a validated page: one
+    /// fault-injector draw, then the allocation. The error side says
+    /// whether the failure was injected (which aborts the rest of a sync
+    /// batch). A transactional begin drops the page's shadow here — the
+    /// page is about to move again, so the copy is stale however the
+    /// transaction ends — while a synchronous move keeps it until the page
+    /// lands.
+    fn reserve(
+        &mut self,
+        frame: FrameId,
+        src_tier: TierId,
+        dst_tier: TierId,
+        mode: MigrationMode,
+    ) -> Result<FrameId, (MemError, bool)> {
+        let injected = self
+            .fault
+            .as_mut()
+            .and_then(|f| f.on_migrate(dst_tier.index() as u8));
+        if let Some(injected) = injected {
+            saturating_bump(&mut self.stats.injected_faults);
+            self.migrate_fail(frame, src_tier, injected.reason());
+            return Err((injected_error(injected, frame, dst_tier), true));
         }
+        if mode == MigrationMode::Transactional {
+            self.invalidate_shadow_of(frame);
+        }
+        let kind = self.frames[frame.index()].kind();
+        self.alloc_page_in_tier(kind, dst_tier).map_err(|e| {
+            self.migrate_fail(frame, src_tier, "tier-full");
+            (e, false)
+        })
+    }
 
-        // A synchronous move supersedes any in-flight copy of this frame
-        // and stales any shadow keyed by it.
+    /// Lands a page on `new_frame`, an allocated and unmapped frame of
+    /// `dst_tier`: flags and the mapping move over, the move is counted and
+    /// a [`MemEvent::Migrated`] queued. Any open copy window of the old
+    /// frame is superseded and any shadow keyed by it is stale. The source
+    /// frame is freed — or, with `retain_source`, kept as the page's
+    /// shadow copy. Returns the virtual page that moved.
+    fn land(
+        &mut self,
+        frame: FrameId,
+        new_frame: FrameId,
+        src_tier: TierId,
+        dst_tier: TierId,
+        retain_source: bool,
+    ) -> Option<VPage> {
         self.abort_txn_of(frame, "unmapped");
         self.invalidate_shadow_of(frame);
-
-        // Move metadata and mapping.
+        let flags = self.frames[frame.index()].flags();
+        let vpage = self.frames[frame.index()].vpage();
         *self.frames[new_frame.index()].flags_mut() = flags;
         if let Some(v) = vpage {
             self.page_table.remap(v, new_frame);
             self.frames[new_frame.index()].set_vpage(Some(v));
             self.frames[frame.index()].set_vpage(None);
         }
-        // Free the source frame (bypass free_page's unmap: already moved).
-        let src_node = self.frames[frame.index()].node();
-        self.frames[frame.index()].mark_free();
-        self.nodes[src_node.index()].free.push(frame);
-        saturating_bump(&mut self.stats.frees);
-
+        if retain_source {
+            // Non-exclusive placement: the copy window closed clean (a
+            // dirty write would have doomed the txn), so the source is
+            // byte-identical to the moved page whatever its historical
+            // dirty bit says — it becomes the page's backing copy, and the
+            // new frame starts clean *relative to it*. The next write
+            // re-dirties the page and invalidates the shadow.
+            self.frames[new_frame.index()]
+                .flags_mut()
+                .remove(PageFlags::DIRTY);
+            *self.frames[frame.index()].flags_mut() = PageFlags::EMPTY;
+            if let Some(old) = self.shadows.insert(new_frame, frame) {
+                self.release_retained_frame(old);
+                saturating_bump(&mut self.stats.shadow_invalidations);
+            }
+        } else {
+            self.release_retained_frame(frame);
+        }
         if dst_tier < src_tier {
             saturating_bump(&mut self.stats.promotions);
         } else {
@@ -749,14 +795,17 @@ impl MemorySystem {
             src: src_tier,
             dst: dst_tier,
         });
-        if !batched {
-            self.recorder.emit(|| EventKind::Migrate {
-                vpage: vpage.map(VPage::raw),
-                src: src_tier.index() as u8,
-                dst: dst_tier.index() as u8,
-            });
-        }
-        Ok((new_frame, copy))
+        vpage
+    }
+
+    /// Books one failed migration attempt.
+    fn migrate_fail(&mut self, frame: FrameId, src_tier: TierId, reason: &'static str) {
+        saturating_bump(&mut self.stats.migration_failures);
+        self.recorder.emit(|| EventKind::MigrateFail {
+            frame: frame.index() as u64,
+            src: src_tier.index() as u8,
+            reason,
+        });
     }
 
     /// Evicts a page from the lowest tier to backing storage: unmaps it,
@@ -830,93 +879,18 @@ impl MemorySystem {
         &self.shadows
     }
 
-    /// Opens a transactional migration of `frame` towards `dst_tier`: the
-    /// destination frame is reserved, the page copy is charged as pure
-    /// background work (the page stays mapped, so the application is never
-    /// stalled), and the transaction resolves — commit or abort — at the
-    /// next [`Self::resolve_migrations`] call. A write to the page before
-    /// then dooms the transaction (the copy is stale).
-    ///
-    /// Unlike [`Self::migrate_batch`], each page is its own transaction:
-    /// an injected fault and an organic failure are treated uniformly
-    /// (that page's transaction fails, nothing else is aborted), which is
-    /// what the sync batch path cannot offer.
-    ///
-    /// # Errors
-    ///
-    /// The same preconditions as [`Self::migrate`], plus
-    /// [`MemError::FrameLocked`] when the frame already has an in-flight
-    /// transaction (reason `"txn-pending"`).
-    pub fn begin_migration(&mut self, frame: FrameId, dst_tier: TierId) -> Result<(), MemError> {
-        let src = &self.frames[frame.index()];
-        if src.state() != FrameState::Allocated {
-            return Err(MemError::FrameNotAllocated(frame));
-        }
-        let src_tier = src.tier();
-        if src.flags().contains(PageFlags::LOCKED) {
-            saturating_bump(&mut self.stats.migration_failures);
-            self.recorder.emit(|| EventKind::MigrateFail {
-                frame: frame.index() as u64,
-                src: src_tier.index() as u8,
-                reason: "locked",
-            });
-            return Err(MemError::FrameLocked(frame));
-        }
-        if src.flags().contains(PageFlags::UNEVICTABLE) {
-            saturating_bump(&mut self.stats.migration_failures);
-            self.recorder.emit(|| EventKind::MigrateFail {
-                frame: frame.index() as u64,
-                src: src_tier.index() as u8,
-                reason: "unevictable",
-            });
-            return Err(MemError::FrameUnevictable(frame));
-        }
-        if src_tier == dst_tier {
-            return Err(MemError::SameTier(frame, dst_tier));
-        }
-        if self.txn_pos(frame).is_some() {
-            saturating_bump(&mut self.stats.migration_failures);
-            self.recorder.emit(|| EventKind::MigrateFail {
-                frame: frame.index() as u64,
-                src: src_tier.index() as u8,
-                reason: "txn-pending",
-            });
-            return Err(MemError::FrameLocked(frame));
-        }
-        if let Some(fault) = self.fault.as_mut() {
-            if let Some(injected) = fault.on_migrate(dst_tier.index() as u8) {
-                saturating_bump(&mut self.stats.migration_failures);
-                saturating_bump(&mut self.stats.injected_faults);
-                self.recorder.emit(|| EventKind::MigrateFail {
-                    frame: frame.index() as u64,
-                    src: src_tier.index() as u8,
-                    reason: injected.reason(),
-                });
-                let e = match injected {
-                    InjectedFault::FrameLocked => MemError::FrameLocked(frame),
-                    InjectedFault::TierFull | InjectedFault::TierOffline => {
-                        MemError::TierFull(dst_tier)
-                    }
-                };
-                return Err(e);
-            }
-        }
-        // The page is about to move again, so a shadow keyed by this frame
-        // is stale no matter how the transaction ends.
-        self.invalidate_shadow_of(frame);
-        let kind = self.frames[frame.index()].kind();
-        let dst_frame = match self.alloc_page_in_tier(kind, dst_tier) {
-            Ok(f) => f,
-            Err(e) => {
-                saturating_bump(&mut self.stats.migration_failures);
-                self.recorder.emit(|| EventKind::MigrateFail {
-                    frame: frame.index() as u64,
-                    src: src_tier.index() as u8,
-                    reason: "tier-full",
-                });
-                return Err(e);
-            }
-        };
+    /// Whether `frame` is the source of an open migration transaction.
+    pub fn txn_open(&self, frame: FrameId) -> bool {
+        self.txn_pos(frame).is_some()
+    }
+
+    /// Opens the copy window of one page (see [`Self::migrate_pages`]).
+    fn open_txn(&mut self, frame: FrameId, dst_tier: TierId) -> Result<(), MemError> {
+        let mode = MigrationMode::Transactional;
+        let src_tier = self.check_movable(frame, dst_tier, mode)?;
+        let dst_frame = self
+            .reserve(frame, src_tier, dst_tier, mode)
+            .map_err(|(e, _)| e)?;
         // The copy streams in the background while the application keeps
         // accessing the source: no app stall at begin time. The cheap
         // atomic remap is charged at commit.
@@ -943,138 +917,71 @@ impl MemorySystem {
 
     /// Resolves every in-flight transaction, in begin order: doomed ones
     /// (written during the copy window) abort with a retryable error,
-    /// commit-time injected faults abort with the injected error, and the
-    /// rest commit via an atomic remap. With `keep_shadows`, a committed
-    /// *promotion* leaves its source frame behind as a shadow copy for a
-    /// later zero-copy demotion — the window closed clean, so the copy is
-    /// current and the promoted page's dirty bit resets against it.
-    /// Otherwise (and for demotions) the source frame is freed.
+    /// commit-time injected faults abort with the injected error — that
+    /// transaction only — and the rest commit via an atomic remap. A
+    /// committed *promotion* leaves its source frame behind as a shadow
+    /// copy for a later zero-copy demotion (see [`Self::migrate`]); a
+    /// committed demotion frees it.
     ///
     /// One [`LatencyModel::txn_remap`] app stall is charged if at least
     /// one transaction committed (the remaps batch into one shootdown).
     ///
     /// Returns `(source_frame, result)` per transaction, in begin order;
     /// the `Ok` value is the frame the page now occupies.
-    pub fn resolve_migrations(
-        &mut self,
-        keep_shadows: bool,
-    ) -> Vec<(FrameId, Result<FrameId, MemError>)> {
+    pub fn resolve_migrations(&mut self) -> Vec<(FrameId, Result<FrameId, MemError>)> {
         let txns = std::mem::take(&mut self.txns);
         for txn in &txns {
             self.txn_slot[txn.frame.index()] = 0;
         }
         let mut out = Vec::with_capacity(txns.len());
-        let mut committed = 0u32;
+        let mut committed = false;
         for txn in txns {
-            if txn.doomed {
-                self.release_retained_frame(txn.dst_frame);
-                saturating_bump(&mut self.stats.txn_aborts);
-                saturating_bump(&mut self.stats.migration_failures);
-                self.recorder.emit(|| EventKind::TxnAbort {
-                    frame: txn.frame.index() as u64,
-                    reason: "dirty-write",
-                });
-                out.push((txn.frame, Err(MemError::FrameLocked(txn.frame))));
-                continue;
-            }
             // The copy window is where real migrations fail: injected
-            // faults fire at resolve time too, aborting only this txn.
-            let injected = self
-                .fault
-                .as_mut()
-                .and_then(|f| f.on_migrate(txn.dst_tier.index() as u8));
-            if let Some(injected) = injected {
-                self.release_retained_frame(txn.dst_frame);
-                saturating_bump(&mut self.stats.txn_aborts);
+            // faults fire at resolve time too.
+            let failure = if txn.doomed {
+                Some(("dirty-write", MemError::FrameLocked(txn.frame)))
+            } else {
+                let injected = self
+                    .fault
+                    .as_mut()
+                    .and_then(|f| f.on_migrate(txn.dst_tier.index() as u8));
+                injected.map(|i| {
+                    saturating_bump(&mut self.stats.injected_faults);
+                    (i.reason(), injected_error(i, txn.frame, txn.dst_tier))
+                })
+            };
+            if let Some((reason, e)) = failure {
+                self.drop_txn(&txn, reason);
                 saturating_bump(&mut self.stats.migration_failures);
-                saturating_bump(&mut self.stats.injected_faults);
-                self.recorder.emit(|| EventKind::TxnAbort {
-                    frame: txn.frame.index() as u64,
-                    reason: injected.reason(),
-                });
-                let e = match injected {
-                    InjectedFault::FrameLocked => MemError::FrameLocked(txn.frame),
-                    InjectedFault::TierFull | InjectedFault::TierOffline => {
-                        MemError::TierFull(txn.dst_tier)
-                    }
-                };
                 out.push((txn.frame, Err(e)));
                 continue;
             }
             // Commit: atomic remap. Eager aborts on unmap/free/evict
             // guarantee the source is still a live mapped frame here.
             let src_tier = self.frames[txn.frame.index()].tier();
-            let flags = self.frames[txn.frame.index()].flags();
-            let vpage = self.frames[txn.frame.index()].vpage();
-            *self.frames[txn.dst_frame.index()].flags_mut() = flags;
-            if let Some(v) = vpage {
-                self.page_table.remap(v, txn.dst_frame);
-                self.frames[txn.dst_frame.index()].set_vpage(Some(v));
-                self.frames[txn.frame.index()].set_vpage(None);
-            }
             let promotion = txn.dst_tier < src_tier;
-            if promotion && keep_shadows {
-                // Non-exclusive placement: the copy window closed clean
-                // (a dirty write would have doomed the txn), so the
-                // lower-tier source is byte-identical to the promoted
-                // page whatever its historical dirty bit says — it
-                // becomes the page's backing copy, and the promoted
-                // frame starts clean *relative to it*. The next write
-                // re-dirties the page and invalidates the shadow.
-                self.frames[txn.dst_frame.index()]
-                    .flags_mut()
-                    .remove(PageFlags::DIRTY);
-                *self.frames[txn.frame.index()].flags_mut() = PageFlags::EMPTY;
-                if let Some(old) = self.shadows.insert(txn.dst_frame, txn.frame) {
-                    self.release_retained_frame(old);
-                    saturating_bump(&mut self.stats.shadow_invalidations);
-                }
-            } else {
-                self.release_retained_frame(txn.frame);
-            }
-            if promotion {
-                saturating_bump(&mut self.stats.promotions);
-            } else {
-                saturating_bump(&mut self.stats.demotions);
-            }
-            self.events.push(MemEvent::Migrated {
-                new_frame: txn.dst_frame,
-                old_frame: txn.frame,
-                vpage,
-                src: src_tier,
-                dst: txn.dst_tier,
-            });
+            self.land(txn.frame, txn.dst_frame, src_tier, txn.dst_tier, promotion);
             saturating_bump(&mut self.stats.txn_commits);
             self.recorder.emit(|| EventKind::TxnCommit {
                 frame: txn.frame.index() as u64,
                 new_frame: txn.dst_frame.index() as u64,
             });
-            committed += 1;
+            committed = true;
             out.push((txn.frame, Ok(txn.dst_frame)));
         }
-        if committed > 0 {
+        if committed {
             self.ledger.charge_app_stall(self.latency.txn_remap);
         }
         out
     }
 
-    /// Attempts a zero-copy demotion of `frame` into `dst_tier` by
-    /// flipping its mapping to a retained shadow copy. Succeeds only when
-    /// a shadow exists in exactly that tier and the page is still clean
-    /// and movable; costs one [`LatencyModel::txn_remap`] app stall and no
-    /// copy at all. Returns the frame the page now occupies.
-    pub fn try_shadow_demote(&mut self, frame: FrameId, dst_tier: TierId) -> Option<FrameId> {
+    /// The retained copy a zero-copy move of `frame` into `dst_tier` can
+    /// flip to: a shadow in exactly that tier, of a page that is mapped
+    /// and still clean.
+    fn clean_shadow_in(&mut self, frame: FrameId, dst_tier: TierId) -> Option<FrameId> {
         let copy = self.shadows.get(frame)?;
-        if self.frames[copy.index()].tier() != dst_tier {
-            return None;
-        }
         let f = &self.frames[frame.index()];
-        if f.state() != FrameState::Allocated || f.vpage().is_none() {
-            return None;
-        }
-        if f.flags()
-            .intersects(PageFlags::LOCKED | PageFlags::UNEVICTABLE)
-        {
+        if self.frames[copy.index()].tier() != dst_tier || f.vpage().is_none() {
             return None;
         }
         if f.flags().contains(PageFlags::DIRTY) {
@@ -1083,31 +990,6 @@ impl MemorySystem {
             self.invalidate_shadow_of(frame);
             return None;
         }
-        let src_tier = f.tier();
-        let flags = f.flags();
-        let vpage = f.vpage();
-        self.shadows.remove(frame);
-        *self.frames[copy.index()].flags_mut() = flags;
-        if let Some(v) = vpage {
-            self.page_table.remap(v, copy);
-            self.frames[copy.index()].set_vpage(Some(v));
-            self.frames[frame.index()].set_vpage(None);
-        }
-        self.release_retained_frame(frame);
-        saturating_bump(&mut self.stats.demotions);
-        saturating_bump(&mut self.stats.shadow_hits);
-        self.events.push(MemEvent::Migrated {
-            new_frame: copy,
-            old_frame: frame,
-            vpage,
-            src: src_tier,
-            dst: dst_tier,
-        });
-        self.recorder.emit(|| EventKind::ShadowDemote {
-            frame: frame.index() as u64,
-            new_frame: copy.index() as u64,
-        });
-        self.ledger.charge_app_stall(self.latency.txn_remap);
         Some(copy)
     }
 
@@ -1124,9 +1006,8 @@ impl MemorySystem {
         (*self.txn_slot.get(frame.index())? as usize).checked_sub(1)
     }
 
-    /// Aborts the in-flight transaction of `frame` (if any) immediately:
-    /// releases the reserved destination frame and emits the abort. Used
-    /// when the source stops being a live mapped page mid-window.
+    /// Aborts the in-flight transaction of `frame` (if any) immediately.
+    /// Used when the source stops being a live mapped page mid-window.
     fn abort_txn_of(&mut self, frame: FrameId, reason: &'static str) {
         if let Some(pos) = self.txn_pos(frame) {
             let txn = self.txns.remove(pos);
@@ -1135,13 +1016,19 @@ impl MemorySystem {
             for later in self.txns.iter().skip(pos) {
                 self.txn_slot[later.frame.index()] -= 1;
             }
-            self.release_retained_frame(txn.dst_frame);
-            saturating_bump(&mut self.stats.txn_aborts);
-            self.recorder.emit(|| EventKind::TxnAbort {
-                frame: txn.frame.index() as u64,
-                reason,
-            });
+            self.drop_txn(&txn, reason);
         }
+    }
+
+    /// Books the abort of a transaction already out of the table: its
+    /// reserved destination frame goes back to the free list.
+    fn drop_txn(&mut self, txn: &MigrationTxn, reason: &'static str) {
+        self.release_retained_frame(txn.dst_frame);
+        saturating_bump(&mut self.stats.txn_aborts);
+        self.recorder.emit(|| EventKind::TxnAbort {
+            frame: txn.frame.index() as u64,
+            reason,
+        });
     }
 
     /// Drops the shadow entry keyed by `frame` (if any) and frees the
@@ -1178,12 +1065,31 @@ impl MemorySystem {
     }
 }
 
+/// The error an injected migration fault surfaces as.
+fn injected_error(injected: InjectedFault, frame: FrameId, dst_tier: TierId) -> MemError {
+    match injected {
+        InjectedFault::FrameLocked => MemError::FrameLocked(frame),
+        InjectedFault::TierFull | InjectedFault::TierOffline => MemError::TierFull(dst_tier),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn small() -> MemorySystem {
         MemorySystem::new(MemConfig::two_tier(64, 256))
+    }
+
+    /// Opens the copy window of one page.
+    fn begin_migration(
+        mem: &mut MemorySystem,
+        frame: FrameId,
+        dst: TierId,
+    ) -> Result<(), MemError> {
+        mem.migrate_pages(&[frame], dst, MigrationMode::Transactional)
+            .remove(0)
+            .map(|m| assert_eq!(m, PageMove::Opened))
     }
 
     #[test]
@@ -1362,11 +1268,13 @@ mod tests {
             .collect();
         mem.ledger_mut().take();
         mem.recorder_mut().enable(256);
-        let results = mem.migrate_batch(&frames, TierId::TOP);
+        let results = mem.migrate_pages(&frames, TierId::TOP, MigrationMode::Sync);
         assert!(results.iter().all(Result::is_ok));
         assert_eq!(mem.stats().promotions, 8);
         for (i, r) in results.iter().enumerate() {
-            let nf = *r.as_ref().unwrap();
+            let Ok(PageMove::Landed(nf)) = *r else {
+                panic!("page {i} did not land: {r:?}");
+            };
             assert_eq!(mem.frame(nf).tier(), TierId::TOP);
             assert_eq!(mem.translate(VPage::new(i as u64)), Some(nf));
         }
@@ -1412,7 +1320,9 @@ mod tests {
             mem.map(VPage::new(3), f).unwrap();
             mem.ledger_mut().take();
             if batched {
-                mem.migrate_batch(&[f], TierId::TOP)[0].as_ref().unwrap();
+                mem.migrate_pages(&[f], TierId::TOP, MigrationMode::Sync)[0]
+                    .as_ref()
+                    .unwrap();
             } else {
                 mem.migrate(f, TierId::TOP).unwrap();
             }
@@ -1430,7 +1340,7 @@ mod tests {
         let locked = mem.alloc_page_in_tier(PageKind::Anon, pm).unwrap();
         let b = mem.alloc_page_in_tier(PageKind::Anon, pm).unwrap();
         mem.frame_flags_mut(locked).insert(PageFlags::LOCKED);
-        let results = mem.migrate_batch(&[a, locked, b], TierId::TOP);
+        let results = mem.migrate_pages(&[a, locked, b], TierId::TOP, MigrationMode::Sync);
         assert!(results[0].is_ok());
         assert_eq!(results[1], Err(MemError::FrameLocked(locked)));
         assert!(
@@ -1468,7 +1378,7 @@ mod tests {
             .collect();
         mem.ledger_mut().take();
         mem.set_fault_injector(FaultInjector::new(plan, seed));
-        let results = mem.migrate_batch(&frames, TierId::TOP);
+        let results = mem.migrate_pages(&frames, TierId::TOP, MigrationMode::Sync);
         assert!(results[0].is_ok(), "page before the fault migrated");
         assert!(results[1].is_err(), "faulted page failed");
         // Remaining pages fail with a transient error that flows into the
@@ -1491,14 +1401,16 @@ mod tests {
     #[test]
     fn empty_or_failed_batch_charges_nothing() {
         let mut mem = small();
-        assert!(mem.migrate_batch(&[], TierId::TOP).is_empty());
+        assert!(mem
+            .migrate_pages(&[], TierId::TOP, MigrationMode::Sync)
+            .is_empty());
         let pm = TierId::new(1);
         let a = mem.alloc_page_in_tier(PageKind::Anon, pm).unwrap();
         let b = mem.alloc_page_in_tier(PageKind::Anon, pm).unwrap();
         mem.frame_flags_mut(a).insert(PageFlags::LOCKED);
         mem.frame_flags_mut(b).insert(PageFlags::UNEVICTABLE);
         mem.ledger_mut().take();
-        let results = mem.migrate_batch(&[a, b], TierId::TOP);
+        let results = mem.migrate_pages(&[a, b], TierId::TOP, MigrationMode::Sync);
         assert!(results.iter().all(Result::is_err));
         let l = mem.ledger_mut().take();
         assert_eq!(l.app_stall, Nanos::ZERO);
@@ -1687,7 +1599,7 @@ mod tests {
             .alloc_page_in_tier(PageKind::Anon, TierId::new(1))
             .unwrap();
         mem.map(VPage::new(vp), f).unwrap();
-        mem.begin_migration(f, TierId::TOP).unwrap();
+        begin_migration(mem, f, TierId::TOP).unwrap();
         f
     }
 
@@ -1708,7 +1620,7 @@ mod tests {
         );
         // Reads during the window do not doom the txn.
         mem.access(VPage::new(1), AccessKind::Read).unwrap();
-        let resolved = mem.resolve_migrations(true);
+        let resolved = mem.resolve_migrations();
         assert_eq!(resolved.len(), 1);
         let (src, result) = (resolved[0].0, resolved[0].1.clone());
         assert_eq!(src, f);
@@ -1737,7 +1649,7 @@ mod tests {
         let top_free = mem.tier_free(TierId::TOP);
         mem.access(VPage::new(2), AccessKind::Write).unwrap();
         assert!(mem.migration_txns()[0].doomed);
-        let resolved = mem.resolve_migrations(true);
+        let resolved = mem.resolve_migrations();
         assert_eq!(resolved[0], (f, Err(MemError::FrameLocked(f))));
         // The page stayed put, still mapped; the reserved frame came back.
         assert_eq!(mem.translate(VPage::new(2)), Some(f));
@@ -1750,23 +1662,13 @@ mod tests {
     }
 
     #[test]
-    fn resolve_without_shadows_frees_the_source() {
-        let mut mem = small();
-        let f = begin_promotion(&mut mem, 3);
-        let resolved = mem.resolve_migrations(false);
-        assert!(resolved[0].1.is_ok());
-        assert_eq!(mem.frame(f).state(), FrameState::Free);
-        assert!(mem.shadow_pages().is_empty());
-    }
-
-    #[test]
     fn shadow_demote_is_a_zero_copy_mapping_flip() {
         let mut mem = small();
         let f = begin_promotion(&mut mem, 4);
-        let nf = mem.resolve_migrations(true)[0].1.clone().unwrap();
+        let nf = mem.resolve_migrations()[0].1.clone().unwrap();
         mem.ledger_mut().take();
         mem.drain_events();
-        let back = mem.try_shadow_demote(nf, TierId::new(1)).unwrap();
+        let back = mem.migrate(nf, TierId::new(1)).unwrap();
         assert_eq!(back, f, "the flip reuses the retained source frame");
         assert_eq!(mem.translate(VPage::new(4)), Some(f));
         assert_eq!(mem.frame(nf).state(), FrameState::Free);
@@ -1784,13 +1686,17 @@ mod tests {
     fn first_dirty_write_invalidates_the_shadow() {
         let mut mem = small();
         begin_promotion(&mut mem, 5);
-        let nf = mem.resolve_migrations(true)[0].1.clone().unwrap();
+        let nf = mem.resolve_migrations()[0].1.clone().unwrap();
         let pm_free = mem.tier_free(TierId::new(1));
         mem.access(VPage::new(5), AccessKind::Write).unwrap();
         assert!(mem.shadow_pages().is_empty());
         assert_eq!(mem.stats().shadow_invalidations, 1);
         assert_eq!(mem.tier_free(TierId::new(1)), pm_free + 1);
-        assert_eq!(mem.try_shadow_demote(nf, TierId::new(1)), None);
+        // The demotion now pays for a real copy.
+        mem.ledger_mut().take();
+        mem.migrate(nf, TierId::new(1)).unwrap();
+        assert_eq!(mem.stats().shadow_hits, 0);
+        assert!(mem.ledger_mut().take().background > Nanos::ZERO);
     }
 
     #[test]
@@ -1798,7 +1704,7 @@ mod tests {
         let mut mem = small();
         let f = begin_promotion(&mut mem, 6);
         assert_eq!(
-            mem.begin_migration(f, TierId::TOP),
+            begin_migration(&mut mem, f, TierId::TOP),
             Err(MemError::FrameLocked(f))
         );
         assert_eq!(mem.migration_txns().len(), 1, "still exactly one txn");
@@ -1814,7 +1720,7 @@ mod tests {
         assert!(mem.migration_txns().is_empty());
         assert_eq!(mem.stats().txn_aborts, 1);
         assert_eq!(mem.tier_free(TierId::TOP), top_free + 1);
-        assert!(mem.resolve_migrations(true).is_empty());
+        assert!(mem.resolve_migrations().is_empty());
         mem.free_page(f).unwrap();
     }
 
@@ -1824,7 +1730,7 @@ mod tests {
         let pm = TierId::new(1);
         // One clean promotion retains a PM shadow frame.
         begin_promotion(&mut mem, 8);
-        mem.resolve_migrations(true)[0].1.clone().unwrap();
+        mem.resolve_migrations()[0].1.clone().unwrap();
         assert_eq!(mem.shadow_pages().len(), 1);
         // Fill PM: the shadow frame must be surrendered before the tier
         // reports full, so shadows never cost real capacity.
@@ -1839,7 +1745,7 @@ mod tests {
     }
 
     /// The PR 4 batch-abort asymmetry does not exist transactionally: in
-    /// `migrate_batch` an injected fault aborts the whole remainder while
+    /// a sync batch an injected fault aborts the whole remainder while
     /// an organic failure fails only its page; with per-page transactions
     /// both kinds of failure are scoped to exactly one page.
     #[test]
@@ -1866,7 +1772,7 @@ mod tests {
         // Install the injector after the begins so every draw happens at
         // resolve time, inside the copy window.
         mem.set_fault_injector(FaultInjector::new(plan, seed));
-        let resolved = mem.resolve_migrations(true);
+        let resolved = mem.resolve_migrations();
         assert!(resolved[0].1.is_ok());
         assert_eq!(resolved[1].1, Err(MemError::TierFull(TierId::TOP)));
         assert!(

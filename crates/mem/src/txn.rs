@@ -1,20 +1,21 @@
 //! Transactional (Nomad-style) migration state: in-flight migration
 //! transactions and the shadow-page table.
 //!
-//! Synchronous migration ([`crate::MemorySystem::migrate`]) stalls the
-//! application for the whole unmap–copy–remap sequence. Nomad (arXiv
-//! 2401.13154) instead copies the page *while the application keeps
-//! accessing the source*, then atomically remaps once the copy window
-//! closes — aborting and retrying if a write dirtied the page mid-copy.
-//! Its second idea is *non-exclusive* placement: after a clean promotion
-//! the lower-tier source frame still holds a byte-identical copy, so
-//! demoting that page later is a zero-copy mapping flip instead of a full
-//! page copy.
+//! Synchronous migration stalls the application for the whole
+//! unmap–copy–remap sequence. Nomad (arXiv 2401.13154) instead copies the
+//! page *while the application keeps accessing the source*, then atomically
+//! remaps once the copy window closes — aborting and retrying if a write
+//! dirtied the page mid-copy. Its second idea is *non-exclusive* placement:
+//! after a clean promotion the lower-tier source frame still holds a
+//! byte-identical copy, so demoting that page later is a zero-copy mapping
+//! flip instead of a full page copy.
 //!
-//! This module holds the bookkeeping types; the lifecycle itself
-//! (`begin_migration` → `resolve_migrations` / `try_shadow_demote`) lives
-//! on [`crate::MemorySystem`] so every mutation of frames and the page
-//! table stays inside the substrate's commit boundary.
+//! This module holds the bookkeeping types. The lifecycle lives on
+//! [`crate::MemorySystem`], so every mutation of frames and the page table
+//! stays inside the substrate's commit boundary: `migrate_pages` in
+//! [`MigrationMode::Transactional`] opens the copy windows,
+//! `resolve_migrations` commits or aborts them, and `migrate` takes the
+//! flip whenever a clean shadow sits in its destination tier.
 
 use crate::ids::{FrameId, TierId};
 use serde::{Deserialize, Serialize};
@@ -35,9 +36,19 @@ pub enum MigrationMode {
     Transactional,
 }
 
+/// What [`crate::MemorySystem::migrate_pages`] did with one page.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PageMove {
+    /// The page moved: it now occupies this frame of the destination tier.
+    Landed(FrameId),
+    /// A copy window opened; the page stays mapped at its source until
+    /// [`crate::MemorySystem::resolve_migrations`] commits or aborts it.
+    Opened,
+}
+
 /// One in-flight migration transaction: the copy of `frame` towards
-/// `dst_frame` started when [`crate::MemorySystem::begin_migration`] ran
-/// and resolves (commit or abort) at the next
+/// `dst_frame` started when [`crate::MemorySystem::migrate_pages`] opened
+/// it and resolves (commit or abort) at the next
 /// [`crate::MemorySystem::resolve_migrations`] call.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MigrationTxn {
@@ -63,7 +74,7 @@ pub struct MigrationTxn {
 /// allocated but unmapped and untracked; it is reclaimed when the shadow
 /// is invalidated (first dirty write, any migration/eviction of the key
 /// frame, or allocation pressure in its tier) or consumed by a zero-copy
-/// demotion ([`crate::MemorySystem::try_shadow_demote`]).
+/// demotion ([`crate::MemorySystem::migrate`]).
 ///
 /// Every store asks whether its frame is shadowed, and with most demotions
 /// served from shadows the table is neither small nor empty, so membership

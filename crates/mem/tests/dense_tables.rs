@@ -7,8 +7,8 @@
 //! answers, orders included.
 
 use mc_mem::{
-    AccessKind, FrameId, MemConfig, MemError, MemorySystem, PageKind, PageTable, PteEntry,
-    ShadowPages, TierId, VPage,
+    AccessKind, FrameId, MemConfig, MemError, MemorySystem, MigrationMode, PageKind, PageMove,
+    PageTable, PteEntry, ShadowPages, TierId, VPage,
 };
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -138,7 +138,7 @@ proptest! {
     /// by copy (`free_page` of the retained frame).
     #[test]
     fn txn_and_shadow_membership_matches_linear_model(
-        ops in prop::collection::vec((0u8..8, 0u64..24, any::<bool>()), 1..300),
+        ops in prop::collection::vec((0u8..8, 0u64..24), 1..300),
     ) {
         const PAGES: u64 = 24;
         let lower = TierId::new(1);
@@ -151,14 +151,16 @@ proptest! {
         // order, shadows `(live frame, copy)` in insertion order.
         let mut txns: Vec<(FrameId, bool)> = Vec::new();
         let mut shadows: Vec<(FrameId, FrameId)> = Vec::new();
-        for (op, page, flag) in ops {
+        for (op, page) in ops {
             let v = VPage::new(page);
             let frame = mem.translate(v).unwrap();
             match op {
                 0 | 1 => {
                     let dst = if mem.frame(frame).tier() == lower { TierId::TOP } else { lower };
                     let before = mem.stats().migration_failures;
-                    let res = mem.begin_migration(frame, dst);
+                    let res = mem
+                        .migrate_pages(&[frame], dst, MigrationMode::Transactional)
+                        .remove(0);
                     if txns.iter().any(|(f, _)| *f == frame) {
                         prop_assert_eq!(res, Err(MemError::FrameLocked(frame)));
                         prop_assert_eq!(mem.stats().migration_failures, before + 1);
@@ -167,6 +169,7 @@ proptest! {
                         // if the destination then turns out to be full.
                         shadows.retain(|(k, _)| *k != frame);
                         if res.is_ok() {
+                            prop_assert_eq!(res, Ok(PageMove::Opened));
                             txns.push((frame, false));
                         }
                     }
@@ -193,7 +196,7 @@ proptest! {
                 5 => {
                     let dsts: Vec<FrameId> =
                         mem.migration_txns().iter().map(|t| t.dst_frame).collect();
-                    let resolved = mem.resolve_migrations(flag);
+                    let resolved = mem.resolve_migrations();
                     prop_assert_eq!(resolved.len(), txns.len());
                     for (((src, res), (frame, doomed)), dst) in
                         resolved.into_iter().zip(txns.drain(..)).zip(dsts)
@@ -203,7 +206,7 @@ proptest! {
                             prop_assert_eq!(res, Err(MemError::FrameLocked(frame)));
                         } else {
                             prop_assert_eq!(res, Ok(dst));
-                            if flag && mem.frame(dst).tier() == TierId::TOP {
+                            if mem.frame(dst).tier() == TierId::TOP {
                                 shadows.retain(|(k, _)| *k != dst);
                                 shadows.push((dst, frame));
                             }
@@ -211,9 +214,22 @@ proptest! {
                     }
                 }
                 6 => {
+                    // A shadowed page demotes by flipping to its copy; any
+                    // other upper-tier page is copied down, which supersedes
+                    // its open transaction.
                     let expected = shadows.iter().position(|(k, _)| *k == frame);
                     let copy = expected.map(|p| shadows.remove(p).1);
-                    prop_assert_eq!(mem.try_shadow_demote(frame, lower), copy);
+                    let hits = mem.stats().shadow_hits;
+                    let res = mem.migrate(frame, lower);
+                    if let Some(copy) = copy {
+                        prop_assert_eq!(res, Ok(copy));
+                    } else if mem.frame(frame).tier() == lower {
+                        prop_assert_eq!(res, Err(MemError::SameTier(frame, lower)));
+                    } else {
+                        prop_assert!(res.is_ok());
+                        txns.retain(|(f, _)| *f != frame);
+                    }
+                    prop_assert_eq!(mem.stats().shadow_hits - hits, u64::from(copy.is_some()));
                 }
                 _ => {
                     // Dispose of a retained copy from under its entry.

@@ -55,7 +55,8 @@ pub enum Phase {
     PromoteDrain,
     /// Relieving top-tier pressure by demotion; items = pages demoted.
     Pressure,
-    /// One `migrate_batch` call; items = batch length.
+    /// One `migrate_pages` call of the promote flush, in either migration
+    /// mode; items = pages handed over.
     MigrateBatch,
 }
 

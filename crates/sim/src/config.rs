@@ -15,7 +15,7 @@ pub enum SystemKind {
     /// MULTI-CLOCK selection over Nomad-style transactional migration
     /// (shadow copies on): the async-migration baseline. Forces
     /// [`MigrationMode::Transactional`] regardless of
-    /// [`SimConfig::migration_mode`].
+    /// [`EngineKnobs::migration_mode`].
     Nomad,
     /// Nimble's page selection (recency only).
     Nimble,
@@ -78,10 +78,15 @@ impl SystemKind {
     }
 }
 
-/// Engine-mechanics knobs: how the daemon's work is organised and
-/// executed. None of these change *what* the simulation computes — every
-/// combination is bit-identical on results (the differential tests under
-/// `crates/sim/tests/` enforce it) — only how the work is sliced.
+/// Engine-mechanics knobs: how MULTI-CLOCK's daemon organises its scan
+/// and moves pages. The defaults (one shard, one page per call, `Sync`)
+/// are bit-identical to the historical engine. Each knob changes
+/// simulated results: every shard scans with its own full budget, a sync
+/// batch pays one setup and aborts as a whole on an injected fault, and
+/// `Transactional` moves the copy off the application's critical path
+/// and keeps shadow copies (DESIGN.md §12, §16). Every combination is
+/// deterministic and pinned by the differential tests under
+/// `crates/sim/tests/`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EngineKnobs {
     /// MULTI-CLOCK scanner shards per NUMA node (per-node `kpromoted`
@@ -167,8 +172,7 @@ pub struct SimConfig {
     /// Promotion retry/backoff policy handed to MULTI-CLOCK (other
     /// systems keep their original single-attempt behaviour).
     pub retry: RetryPolicy,
-    /// Engine-mechanics knobs (sharding, batching, threading, migration
-    /// mode) — result-neutral by contract.
+    /// Engine-mechanics knobs (sharding, batching, migration mode).
     pub engine: EngineKnobs,
     /// Instrumentation knobs (observability, fault injection, host-time
     /// profiling).

@@ -11,11 +11,17 @@
 //! suite then holds the refactored engine to those constants, including
 //! under 20 % fault injection (the retry/backoff chaos path).
 //!
+//! Four more constants pin the migration paths that workload does not
+//! take by default — transactional promotion and eight-page sync batches,
+//! each plain and under the same fault injection — captured the same way
+//! at the PR 13 head (`30c1061`), before the substrate's five migration
+//! entry points became `migrate_pages`.
+//!
 //! If a *deliberate* behavior change ever invalidates these constants,
 //! re-run `cargo test -p mc-sim --test scheduler_differential -- \
 //! --ignored --nocapture` at the last-good commit and re-pin.
 
-use mc_mem::{Memory, Nanos, PageKind, PAGE_SIZE};
+use mc_mem::{Memory, MigrationMode, Nanos, PageKind, PAGE_SIZE};
 use mc_sim::{Component, EngineCtx, FaultConfig, RetryPolicy, SimConfig, Simulation, SystemKind};
 use std::cell::Cell;
 use std::rc::Rc;
@@ -112,11 +118,35 @@ fn base_cfg() -> SimConfig {
     cfg
 }
 
-fn chaos_cfg() -> SimConfig {
-    let mut cfg = base_cfg();
+/// 20 % deterministic fault injection with exponential-backoff retry.
+fn chaos(mut cfg: SimConfig) -> SimConfig {
     cfg.instrument.fault = FaultConfig::rate(7, 0.2);
     cfg.retry = RetryPolicy::backoff();
     cfg
+}
+
+fn txn_cfg() -> SimConfig {
+    let mut cfg = base_cfg();
+    cfg.engine.migration_mode = MigrationMode::Transactional;
+    cfg
+}
+
+fn batch8_cfg() -> SimConfig {
+    let mut cfg = base_cfg();
+    cfg.engine.migrate_batch_size = 8;
+    cfg
+}
+
+/// Every pinned configuration, by the name of its constant.
+fn pinned() -> [(&'static str, SimConfig, Golden); 6] {
+    [
+        ("BASE", base_cfg(), BASE),
+        ("CHAOS", chaos(base_cfg()), CHAOS),
+        ("TXN", txn_cfg(), TXN),
+        ("TXN_CHAOS", chaos(txn_cfg()), TXN_CHAOS),
+        ("BATCH8", batch8_cfg(), BATCH8),
+        ("BATCH8_CHAOS", chaos(batch8_cfg()), BATCH8_CHAOS),
+    ]
 }
 
 /// Golden fingerprints captured at the PR 8 head (`6c0390e`) with the
@@ -149,6 +179,62 @@ const CHAOS: Golden = Golden {
     costs_hash: 0xb413a664942debeb,
 };
 
+/// Transactional promotion (PR 13 head, `30c1061`).
+const TXN: Golden = Golden {
+    now_ns: 10000853292,
+    stats_hash: 0xa777c0bc8c92c6a9,
+    ticks_csv_hash: 0x6cefea38a23dc8ca,
+    ticks_csv_len: 1369,
+    events_jsonl_hash: 0x1504d95384c9d377,
+    events_jsonl_len: 131528,
+    placement_hash: 0xc6c52d7c949c5c71,
+    promotions: 8,
+    demotions: 12,
+    costs_hash: 0x37dd092fa122a9d0,
+};
+
+/// Transactional promotion under the chaos injector (`30c1061`).
+const TXN_CHAOS: Golden = Golden {
+    now_ns: 10000966445,
+    stats_hash: 0xc693e2b22a380efc,
+    ticks_csv_hash: 0x2888e84910f2bfaa,
+    ticks_csv_len: 1401,
+    events_jsonl_hash: 0x4d5cad70d14ae199,
+    events_jsonl_len: 159001,
+    placement_hash: 0x9e6dd04424ee468d,
+    promotions: 8,
+    demotions: 77,
+    costs_hash: 0x23f640afd7ecf11a,
+};
+
+/// Eight-page sync batches (`30c1061`).
+const BATCH8: Golden = Golden {
+    now_ns: 10000790632,
+    stats_hash: 0xba491d237158830d,
+    ticks_csv_hash: 0x208ec5b414964a52,
+    ticks_csv_len: 1372,
+    events_jsonl_hash: 0xcd3e354560284760,
+    events_jsonl_len: 129481,
+    placement_hash: 0x1f8b5c5bcc0ff3e0,
+    promotions: 8,
+    demotions: 12,
+    costs_hash: 0xcb3e004aa9600238,
+};
+
+/// Eight-page sync batches under the chaos injector (`30c1061`).
+const BATCH8_CHAOS: Golden = Golden {
+    now_ns: 10000884629,
+    stats_hash: 0xe1f6a09f5a7842e8,
+    ticks_csv_hash: 0x2ed06efadf819165,
+    ticks_csv_len: 1404,
+    events_jsonl_hash: 0xb947c8d06db8dd6a,
+    events_jsonl_len: 156107,
+    placement_hash: 0x6d6889de030551bb,
+    promotions: 8,
+    demotions: 77,
+    costs_hash: 0xf2116c8ad302a894,
+};
+
 #[test]
 fn tick_equivalent_engine_matches_pr8_golden() {
     assert_eq!(run(base_cfg()), BASE);
@@ -156,12 +242,19 @@ fn tick_equivalent_engine_matches_pr8_golden() {
 
 #[test]
 fn tick_equivalent_engine_matches_pr8_golden_under_fault_injection() {
-    let g = run(chaos_cfg());
+    let g = run(chaos(base_cfg()));
     assert!(
         g.demotions > BASE.demotions,
         "injector must actually fire for this test to mean anything"
     );
     assert_eq!(g, CHAOS);
+}
+
+#[test]
+fn every_migration_mode_and_batch_matches_its_golden() {
+    for (name, cfg, golden) in pinned() {
+        assert_eq!(run(cfg), golden, "{name}");
+    }
 }
 
 /// A read-only periodic component: counts its own ticks and checks its
@@ -292,7 +385,7 @@ fn dormant_components_hold_no_wakeups_until_rearmed() {
 #[test]
 #[ignore = "golden-capture harness; run manually at a known-good commit"]
 fn capture_golden() {
-    for (name, cfg) in [("BASE", base_cfg()), ("CHAOS", chaos_cfg())] {
+    for (name, cfg, _) in pinned() {
         let g = run(cfg);
         println!("const {name}: Golden = Golden {{");
         println!("    now_ns: {},", g.now_ns);
