@@ -4,8 +4,10 @@
 //! extends is built on per-node LRU lists scanned CLOCK-style. This crate
 //! provides the list infrastructure:
 //!
-//! * [`IndexedList`] — an ordered list of frames with O(1) membership test
-//!   and (amortised) O(1) removal from the middle, the building block for
+//! * [`IndexedList`] — an ordered list of frames threaded through a
+//!   frame-indexed table of `prev`/`next` links, the way the kernel threads
+//!   `struct page` onto a `list_head`: membership, push, pop and removal
+//!   from the middle are a few array stores each. The building block for
 //!   inactive/active/promote lists;
 //! * [`balance`] — the active:inactive balancing rule the paper inherits
 //!   from PFRA (`sqrt(10 * n) : 1` with `n` the tier size in GB);

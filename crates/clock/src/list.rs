@@ -1,25 +1,48 @@
-//! An ordered page list with O(1) membership and amortised O(1) middle
-//! removal.
+//! An ordered page list with O(1) membership, insertion and unlinking
+//! anywhere, and no hashing or allocation per operation.
 //!
-//! The kernel threads pages onto `list_head`s embedded in `struct page`,
-//! giving O(1) unlink. We get the same complexity with a generation-tagged
-//! deque: removed entries become tombstones that are skipped and compacted
-//! lazily, and a hash map holds the live generation per frame.
+//! The kernel threads pages onto `list_head`s embedded in `struct page`:
+//! the page *is* its list node, so unlinking is two pointer stores and
+//! `kpromoted` rotates a list at a few stores per page. Frames here are
+//! dense small integers, so the same structure is a table of `prev`/`next`
+//! frame numbers indexed by [`FrameId::index`]. Each list owns one table,
+//! grown on demand to the highest frame ever pushed (8 bytes per frame
+//! below that mark, member or not); a reserved `next` value marks "not on
+//! this list", so the membership test is one load.
 //!
 //! Convention: the **front is the oldest** (coldest, next reclaim
 //! candidate) and the **back is the newest** — `push_back` on insertion or
 //! re-activation, `pop_front` to take the scan/eviction candidate.
 
 use mc_mem::FrameId;
-use std::collections::hash_map::DefaultHasher;
-use std::collections::{HashMap, VecDeque};
-use std::hash::BuildHasherDefault;
+use std::iter::{from_fn, successors};
 
-/// Fixed-key hashing. The default `RandomState` draws fresh keys per
-/// process; list order never depends on them, but *when* the table
-/// resizes does (a removal leaves a tombstone or an empty slot depending
-/// on the hash), and with it the process's heap layout and peak RSS.
-type FixedState = BuildHasherDefault<DefaultHasher>;
+/// `next` of a frame that is not on the list.
+const ABSENT: u32 = u32::MAX;
+/// "No neighbour on this side"; as an address, the list's own `ends`.
+const END: u32 = u32::MAX - 1;
+
+/// A node's neighbours, as raw frame numbers or [`END`].
+#[derive(Debug, Clone, Copy)]
+struct Link {
+    prev: u32,
+    next: u32,
+}
+
+/// A node with no neighbours: the anchor of an empty list.
+impl Default for Link {
+    fn default() -> Self {
+        Link {
+            prev: END,
+            next: END,
+        }
+    }
+}
+
+/// The frame a link value names, if it names one.
+fn neighbour(raw: u32) -> Option<FrameId> {
+    (raw != END).then(|| FrameId::new(raw))
+}
 
 /// An ordered list of page frames.
 ///
@@ -29,9 +52,11 @@ type FixedState = BuildHasherDefault<DefaultHasher>;
 /// policy bugs.
 #[derive(Debug, Default, Clone)]
 pub struct IndexedList {
-    deque: VecDeque<(FrameId, u64)>,
-    live: HashMap<FrameId, u64, FixedState>,
-    next_gen: u64,
+    /// Per-frame links, indexed by [`FrameId::index`].
+    links: Vec<Link>,
+    /// The anchor node: `next` is the front, `prev` is the back.
+    ends: Link,
+    len: usize,
 }
 
 impl IndexedList {
@@ -42,17 +67,17 @@ impl IndexedList {
 
     /// Number of live members.
     pub fn len(&self) -> usize {
-        self.live.len()
+        self.len
     }
 
     /// Whether the list has no live members.
     pub fn is_empty(&self) -> bool {
-        self.live.is_empty()
+        self.len == 0
     }
 
     /// Whether a frame is on this list.
     pub fn contains(&self, frame: FrameId) -> bool {
-        self.live.contains_key(&frame)
+        matches!(self.links.get(frame.index()), Some(l) if l.next != ABSENT)
     }
 
     /// Appends a frame at the back (newest position).
@@ -61,15 +86,7 @@ impl IndexedList {
     ///
     /// Panics if the frame is already a member.
     pub fn push_back(&mut self, frame: FrameId) {
-        assert!(
-            !self.contains(frame),
-            "{frame} is already on this list (a page lives on exactly one list)"
-        );
-        let gen = self.next_gen;
-        self.next_gen += 1;
-        self.live.insert(frame, gen);
-        self.deque.push_back((frame, gen));
-        self.maybe_compact();
+        self.insert(frame, self.ends.prev, END);
     }
 
     /// Inserts a frame at the front (oldest position). Used when a page
@@ -79,100 +96,119 @@ impl IndexedList {
     ///
     /// Panics if the frame is already a member.
     pub fn push_front(&mut self, frame: FrameId) {
-        assert!(
-            !self.contains(frame),
-            "{frame} is already on this list (a page lives on exactly one list)"
-        );
-        let gen = self.next_gen;
-        self.next_gen += 1;
-        self.live.insert(frame, gen);
-        self.deque.push_front((frame, gen));
-        self.maybe_compact();
+        self.insert(frame, END, self.ends.next);
     }
 
     /// Removes a frame from anywhere in the list. Returns whether it was a
     /// member.
     pub fn remove(&mut self, frame: FrameId) -> bool {
-        self.live.remove(&frame).is_some()
+        if !self.contains(frame) {
+            return false;
+        }
+        let Link { prev, next } = self.links[frame.index()];
+        self.links[frame.index()].next = ABSENT;
+        self.node(prev).next = next;
+        self.node(next).prev = prev;
+        self.len -= 1;
+        true
     }
 
     /// Removes and returns the oldest member.
     pub fn pop_front(&mut self) -> Option<FrameId> {
-        while let Some((frame, gen)) = self.deque.pop_front() {
-            if self.live.get(&frame) == Some(&gen) {
-                self.live.remove(&frame);
-                return Some(frame);
-            }
-        }
-        None
+        let frame = self.front()?;
+        self.remove(frame).then_some(frame)
     }
 
     /// Removes and returns the newest member.
     pub fn pop_back(&mut self) -> Option<FrameId> {
-        while let Some((frame, gen)) = self.deque.pop_back() {
-            if self.live.get(&frame) == Some(&gen) {
-                self.live.remove(&frame);
-                return Some(frame);
-            }
-        }
-        None
+        let frame = self.back()?;
+        self.remove(frame).then_some(frame)
     }
 
     /// Peeks at the oldest member without removing it.
     pub fn front(&self) -> Option<FrameId> {
-        self.iter().next()
+        neighbour(self.ends.next)
     }
 
     /// Peeks at the newest member without removing it.
     pub fn back(&self) -> Option<FrameId> {
-        self.deque
-            .iter()
-            .rev()
-            .find(|(f, g)| self.live.get(f) == Some(g))
-            .map(|(f, _)| *f)
+        neighbour(self.ends.prev)
     }
 
     /// Moves an existing member to the back (newest position); the CLOCK
     /// "second chance" rotation. Returns whether the frame was a member.
     pub fn move_to_back(&mut self, frame: FrameId) -> bool {
-        if self.remove(frame) {
+        let member = self.remove(frame);
+        if member {
             self.push_back(frame);
-            true
-        } else {
-            false
         }
+        member
     }
 
     /// Iterates over live members from oldest to newest.
     pub fn iter(&self) -> impl Iterator<Item = FrameId> + '_ {
-        self.deque
-            .iter()
-            .filter(move |(f, g)| self.live.get(f) == Some(g))
-            .map(|(f, _)| *f)
+        successors(self.front(), |f| neighbour(self.links[f.index()].next))
     }
 
     /// Removes every member and returns them oldest-first.
     pub fn drain(&mut self) -> Vec<FrameId> {
-        let out: Vec<FrameId> = self.iter().collect();
-        self.deque.clear();
-        self.live.clear();
-        out
+        from_fn(|| self.pop_front()).collect()
     }
 
-    fn maybe_compact(&mut self) {
-        if self.deque.len() > 2 * self.live.len() + 32 {
-            let live = &self.live;
-            self.deque.retain(|(f, g)| live.get(f) == Some(g));
+    /// Links `frame` in between `prev` and `next` (members or [`END`]),
+    /// growing the table to reach its slot.
+    fn insert(&mut self, frame: FrameId, prev: u32, next: u32) {
+        assert!(
+            frame.raw() < END,
+            "{frame} collides with the list's reserved link values"
+        );
+        assert!(
+            !self.contains(frame),
+            "{frame} is already on this list (a page lives on exactly one list)"
+        );
+        if frame.index() >= self.links.len() {
+            // Only `next` of a vacant slot is ever read.
+            let vacant = Link { prev, next: ABSENT };
+            self.links.resize(frame.index() + 1, vacant);
         }
+        self.links[frame.index()] = Link { prev, next };
+        self.node(prev).next = frame.raw();
+        self.node(next).prev = frame.raw();
+        self.len += 1;
+    }
+
+    /// The node a link value addresses: a member's slot, or `ends`.
+    fn node(&mut self, raw: u32) -> &mut Link {
+        match raw {
+            END => &mut self.ends,
+            // lint: allow(indexing) - any other link value names a member, and members have slots
+            member => &mut self.links[member as usize],
+        }
+    }
+
+    /// Asserts the links form one chain: the forward walk visits `len`
+    /// members, every `prev` mirrors it back to the front, and no other
+    /// slot is marked as a member.
+    #[cfg(any(test, debug_assertions))]
+    #[doc(hidden)]
+    pub fn check_links(&self) {
+        let (mut walked, mut last) = (0, END);
+        for frame in self.iter().take(self.len + 1) {
+            let prev = self.links[frame.index()].prev;
+            assert_eq!(prev, last, "{frame}: prev does not mirror the walk");
+            (walked, last) = (walked + 1, frame.raw());
+        }
+        assert_eq!(walked, self.len, "forward walk disagrees with len");
+        assert_eq!(self.ends.prev, last, "back is not where the walk ended");
+        let marked = self.links.iter().filter(|l| l.next != ABSENT).count();
+        assert_eq!(marked, self.len, "a frame off the chain is marked a member");
     }
 }
 
 impl FromIterator<FrameId> for IndexedList {
     fn from_iter<T: IntoIterator<Item = FrameId>>(iter: T) -> Self {
         let mut l = IndexedList::new();
-        for f in iter {
-            l.push_back(f);
-        }
+        l.extend(iter);
         l
     }
 }
@@ -224,6 +260,7 @@ mod tests {
         assert!(!l.contains(f(2)));
         assert_eq!(l.len(), 2);
         assert_eq!(l.iter().collect::<Vec<_>>(), vec![f(1), f(3)]);
+        l.check_links();
     }
 
     #[test]
@@ -233,6 +270,7 @@ mod tests {
         l.push_back(f(1));
         assert_eq!(l.iter().collect::<Vec<_>>(), vec![f(2), f(3), f(1)]);
         assert_eq!(l.pop_front(), Some(f(2)));
+        l.check_links();
     }
 
     #[test]
@@ -242,6 +280,7 @@ mod tests {
         assert_eq!(l.front(), Some(f(2)));
         assert_eq!(l.back(), Some(f(1)));
         assert!(!l.move_to_back(f(99)));
+        l.check_links();
     }
 
     #[test]
@@ -257,6 +296,7 @@ mod tests {
         let mut l: IndexedList = [f(1), f(2), f(3)].into_iter().collect();
         assert_eq!(l.pop_back(), Some(f(3)));
         assert_eq!(l.pop_back(), Some(f(2)));
+        l.check_links();
     }
 
     #[test]
@@ -269,21 +309,62 @@ mod tests {
     }
 
     #[test]
-    fn compaction_bounds_internal_storage() {
-        let mut l = IndexedList::new();
-        for i in 0..10_000u32 {
-            l.push_back(f(i));
-            if i >= 4 {
-                l.remove(f(i - 4));
+    fn storage_is_bounded_by_the_highest_frame_not_by_operation_count() {
+        const FRAMES: u32 = 1_000;
+        let mut l: IndexedList = (0..FRAMES).map(f).collect();
+        for op in 0..1_000_000u32 {
+            let frame = f(op.wrapping_mul(2_654_435_761) % FRAMES);
+            match op % 3 {
+                0 => {
+                    let oldest = l.pop_front().unwrap();
+                    l.push_back(oldest);
+                }
+                1 => assert!(l.move_to_back(frame)),
+                _ => {
+                    assert!(l.remove(frame));
+                    l.push_front(frame);
+                }
             }
         }
-        assert_eq!(l.len(), 4);
-        assert!(
-            l.deque.len() <= 2 * l.len() + 33,
-            "tombstones must be compacted, deque={} live={}",
-            l.deque.len(),
-            l.len()
-        );
+        assert_eq!(l.len(), FRAMES as usize);
+        assert_eq!(l.links.len(), FRAMES as usize, "one slot per frame index");
+        l.check_links();
+    }
+
+    #[test]
+    fn table_grows_on_demand_to_the_highest_frame_pushed() {
+        let mut l = IndexedList::new();
+        l.push_back(f(7));
+        assert_eq!(l.links.len(), 8);
+        l.push_front(f(60_000));
+        l.push_back(f(3));
+        assert_eq!(l.links.len(), 60_001);
+        assert!(!l.contains(f(60_001)) && !l.remove(f(u32::MAX)));
+        assert_eq!(l.iter().collect::<Vec<_>>(), vec![f(60_000), f(7), f(3)]);
+        l.check_links();
+        assert_eq!(l.drain().len(), 3);
+        assert_eq!(l.links.len(), 60_001, "draining keeps the table");
+        l.check_links();
+    }
+
+    #[test]
+    #[should_panic(expected = "reserved link values")]
+    fn pushing_a_reserved_frame_number_panics() {
+        IndexedList::new().push_back(f(u32::MAX - 1));
+    }
+
+    #[test]
+    #[should_panic(expected = "reserved link values")]
+    fn pushing_the_not_a_member_mark_to_the_front_panics() {
+        IndexedList::new().push_front(f(u32::MAX));
+    }
+
+    #[test]
+    #[should_panic(expected = "marked a member")]
+    fn check_links_catches_a_frame_left_marked_off_the_chain() {
+        let mut l: IndexedList = [f(1), f(2), f(3)].into_iter().collect();
+        l.links[0].next = END;
+        l.check_links();
     }
 
     #[test]
@@ -298,6 +379,7 @@ mod tests {
                     assert!(l.remove(f(round * 50 + i)));
                 }
             }
+            l.check_links();
         }
         assert_eq!(l.len(), 100 * 25);
         let seen: Vec<_> = l.iter().collect();

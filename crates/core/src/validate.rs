@@ -25,6 +25,9 @@
 //!    below, and stored retry bookkeeping never exceeds the
 //!    [`mc_fault::RetryPolicy`] budget.
 //!
+//! Debug builds first assert each list's own link consistency
+//! (`IndexedList::check_links`).
+//!
 //! Validation runs at quiescent points (tick end, post-promote,
 //! post-reclaim), never while a step holds pages detached mid-migration.
 
@@ -183,6 +186,10 @@ impl MultiClock {
                     (WhichList::Active, &set.active),
                     (WhichList::Promote, &set.promote),
                 ] {
+                    // Asserted, not reported: on a broken chain the walk
+                    // below would be meaningless or endless.
+                    #[cfg(debug_assertions)]
+                    list.check_links();
                     for frame in list.iter() {
                         if !seen.insert(frame.raw()) {
                             violations.push(InvariantViolation {
@@ -245,6 +252,8 @@ impl MultiClock {
                     }
                 }
             }
+            #[cfg(debug_assertions)]
+            lists.unevictable.check_links();
             for frame in lists.unevictable.iter() {
                 if !seen.insert(frame.raw()) {
                     violations.push(InvariantViolation {

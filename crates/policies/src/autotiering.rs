@@ -327,7 +327,7 @@ impl TieringPolicy for AutoTiering {
         // tracked page, then poison the next sample of PTEs.
         let mask = ((1u16 << self.cfg.history_bits) - 1) as u8;
         for ring in &self.rings {
-            for frame in ring.iter().collect::<Vec<_>>() {
+            for frame in ring.iter() {
                 let h = &mut self.history[frame.index()];
                 *h = ((*h << 1) | u8::from(self.faulted[frame.index()])) & mask;
                 self.faulted[frame.index()] = false;

@@ -23,25 +23,55 @@ enum ListOp {
     PopFront,
     PopBack,
     MoveToBack(u32),
+    Drain,
+}
+
+/// Frame numbers from a sparse range, so the list's frame-indexed table
+/// grows on demand and is exercised at high indices.
+fn list_frame() -> impl Strategy<Value = u32> {
+    prop_oneof![0u32..64, 60_000u32..60_064]
 }
 
 fn list_op() -> impl Strategy<Value = ListOp> {
     prop_oneof![
-        (0u32..64).prop_map(ListOp::PushBack),
-        (0u32..64).prop_map(ListOp::PushFront),
-        (0u32..64).prop_map(ListOp::Remove),
+        list_frame().prop_map(ListOp::PushBack),
+        list_frame().prop_map(ListOp::PushFront),
+        list_frame().prop_map(ListOp::Remove),
         Just(ListOp::PopFront),
         Just(ListOp::PopBack),
-        (0u32..64).prop_map(ListOp::MoveToBack),
+        list_frame().prop_map(ListOp::MoveToBack),
+        Just(ListOp::Drain),
     ]
+}
+
+fn assert_list_matches(sys: &IndexedList, model: &VecDeque<u32>) {
+    #[cfg(debug_assertions)]
+    sys.check_links();
+    assert_eq!(sys.len(), model.len());
+    assert_eq!(sys.is_empty(), model.is_empty());
+    assert_eq!(sys.front(), model.front().copied().map(FrameId::new));
+    assert_eq!(sys.back(), model.back().copied().map(FrameId::new));
+    let seen: Vec<u32> = sys.iter().map(|f| f.raw()).collect();
+    let want: Vec<u32> = model.iter().copied().collect();
+    assert_eq!(seen, want);
+    for x in (0..64).chain(60_000..60_064) {
+        assert_eq!(sys.contains(FrameId::new(x)), model.contains(&x));
+    }
 }
 
 proptest! {
     #[test]
-    fn indexed_list_matches_reference_model(ops in prop::collection::vec(list_op(), 1..200)) {
+    fn indexed_list_matches_reference_model(
+        ops in prop::collection::vec(list_op(), 1..200),
+        fork_at in 0usize..200,
+    ) {
         let mut sys = IndexedList::new();
         let mut model: VecDeque<u32> = VecDeque::new();
-        for op in ops {
+        let mut fork = None;
+        for (step, op) in ops.into_iter().enumerate() {
+            if step == fork_at {
+                fork = Some((sys.clone(), model.clone()));
+            }
             match op {
                 ListOp::PushBack(x) => {
                     if !model.contains(&x) {
@@ -78,11 +108,20 @@ proptest! {
                         model.push_back(x);
                     }
                 }
+                ListOp::Drain => {
+                    let want: Vec<FrameId> = model.drain(..).map(FrameId::new).collect();
+                    prop_assert_eq!(sys.drain(), want);
+                }
             }
-            prop_assert_eq!(sys.len(), model.len());
-            let seen: Vec<u32> = sys.iter().map(|f| f.raw()).collect();
-            let want: Vec<u32> = model.iter().copied().collect();
-            prop_assert_eq!(seen, want);
+            assert_list_matches(&sys, &model);
+        }
+        // A clone taken mid-sequence is independent in both directions:
+        // the later operations did not reach it, and emptying it does not
+        // reach the original.
+        if let Some((mut forked, forked_model)) = fork {
+            assert_list_matches(&forked, &forked_model);
+            forked.drain();
+            assert_list_matches(&sys, &model);
         }
     }
 
