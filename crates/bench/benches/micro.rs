@@ -4,7 +4,7 @@
 //! for the CLOCK-based machinery (§V-F).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use mc_clock::{ClockCache, IndexedList};
+use mc_clock::IndexedList;
 use mc_mem::{AccessKind, FrameId, MemConfig, MemorySystem, Nanos, PageKind, TieringPolicy, VPage};
 use mc_workloads::dist::{ScrambledZipfian, Zipfian};
 use mc_workloads::kv::KvStore;
@@ -34,17 +34,6 @@ fn bench_indexed_list(c: &mut Criterion) {
                 let f = l.pop_front().unwrap();
                 l.push_back(f);
             }
-        })
-    });
-}
-
-fn bench_clock_cache(c: &mut Criterion) {
-    c.bench_function("clock_cache_touch", |b| {
-        let mut cache = ClockCache::new(512);
-        let mut i = 0u32;
-        b.iter(|| {
-            i = (i + 1) % 2048;
-            black_box(cache.touch(FrameId::new(i)))
         })
     });
 }
@@ -110,7 +99,6 @@ fn bench_kv(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_indexed_list,
-    bench_clock_cache,
     bench_multi_clock_tick,
     bench_harvest,
     bench_distributions,

@@ -1,9 +1,7 @@
-//! Shared plumbing for the figure binaries: scale selection from the
-//! command line and common printing, plus the performance-artifact
-//! machinery behind `mc-perf`/`mc-perf-report` ([`artifact`], [`perf`]).
-
-pub mod artifact;
-pub mod perf;
+//! Shared plumbing for the figure binaries: argument parsing (scale,
+//! machine, system, workload), the [`SweepRunner`] and common printing.
+//! Host-time measurement lives in the repo benchmark (`benchmark/`), not
+//! here.
 
 use mc_sim::experiments::{MachinePreset, Scale};
 use mc_sim::SystemKind;

@@ -11,18 +11,13 @@
 //!   inactive/active/promote lists;
 //! * [`balance`] — the active:inactive balancing rule the paper inherits
 //!   from PFRA (`sqrt(10 * n) : 1` with `n` the tier size in GB);
-//! * [`ClockCache`] — a textbook CLOCK (second-chance) replacement
-//!   implementation, used by the ablation baselines and as a cross-check
-//!   in tests;
 //! * [`LruOrder`] — a strict LRU recency tracker used by the oracle
 //!   baseline policies.
 
 pub mod balance;
-pub mod clock_algo;
 pub mod list;
 pub mod lru;
 
 pub use balance::inactive_ratio;
-pub use clock_algo::ClockCache;
 pub use list::IndexedList;
 pub use lru::LruOrder;

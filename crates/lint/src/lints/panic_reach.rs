@@ -44,14 +44,10 @@ const LINT: &str = "panic-reach";
 /// reservations), `migrate_pages` opens copy windows and `migrate` flips
 /// mappings onto shadow copies. A root that names no function is silently
 /// worth nothing, so `workspace_clean.rs` checks every one resolves.
-/// `DaemonComponent::tick` is rooted explicitly because the engine
-/// reaches it through `dyn Component` dispatch, which the static call
-/// graph cannot trace from the access-path roots. `CmSketch::update`
-/// and `HybridTier::tick` root the sketch-sampling policy: the sketch
-/// update sits on the access hot path and the tick is reached through
-/// `dyn TieringPolicy` dispatch.
-pub const ROOTS: [(&str, Option<&str>, &str); 16] = [
-    ("sim", Some("DaemonComponent"), "tick"),
+/// `CmSketch::update` and `HybridTier::tick` root the sketch-sampling
+/// policy: the sketch update sits on the access hot path and the tick is
+/// reached through `dyn TieringPolicy` dispatch.
+pub const ROOTS: [(&str, Option<&str>, &str); 15] = [
     ("policies", Some("CmSketch"), "update"),
     ("policies", Some("HybridTier"), "tick"),
     ("sim", Some("Simulation"), "mmap"),

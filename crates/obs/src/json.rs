@@ -4,8 +4,7 @@
 //! serialisation in this workspace is hand-written. Trace events and the
 //! report binary only need flat objects — string, number, null and flat
 //! numeric-array values, no nesting — which keeps both directions small
-//! and auditable. (The arrays exist for the BENCH_*.json artifacts, which
-//! store per-repetition samples alongside their median/MAD.)
+//! and auditable.
 
 /// Escapes a string for embedding inside a JSON string literal.
 pub fn escape(s: &str) -> String {
@@ -185,16 +184,6 @@ pub fn get_num(obj: &[(String, Value)], key: &str) -> Option<f64> {
         .find(|(k, _)| k == key)
         .and_then(|(_, v)| match v {
             Value::Num(n) => Some(*n),
-            _ => None,
-        })
-}
-
-/// Looks up a numeric-array value by key in a parsed object.
-pub fn get_arr<'a>(obj: &'a [(String, Value)], key: &str) -> Option<&'a [f64]> {
-    obj.iter()
-        .find(|(k, _)| k == key)
-        .and_then(|(_, v)| match v {
-            Value::Arr(xs) => Some(xs.as_slice()),
             _ => None,
         })
 }
@@ -424,9 +413,8 @@ mod tests {
         let text = w.finish();
         assert_eq!(text, r#"{"reps":[1.5,2,3.25],"empty":[]}"#);
         let obj = parse_flat_object(&text).unwrap();
-        assert_eq!(get_arr(&obj, "reps"), Some(&[1.5, 2.0, 3.25][..]));
-        assert_eq!(get_arr(&obj, "empty"), Some(&[][..]));
-        assert_eq!(get_arr(&obj, "missing"), None);
+        assert_eq!(obj[0].1, Value::Arr(vec![1.5, 2.0, 3.25]));
+        assert_eq!(obj[1].1, Value::Arr(vec![]));
     }
 
     #[test]

@@ -15,8 +15,8 @@
 //!   JSONL exporter, the `mc-obs-report` binary and round-trip tests.
 //! * [`perf`] — host-time phase profiling ([`PerfHooks`] /
 //!   [`PhaseProfiler`]): the one sanctioned wall-clock boundary, used by
-//!   `mc-perf` to measure engine throughput without perturbing the
-//!   deterministic simulated-time engine.
+//!   the repo benchmark (`benchmark/`) to time the daemon's phases
+//!   without perturbing the deterministic simulated-time engine.
 //!
 //! # Layering
 //!

@@ -61,8 +61,8 @@ pub enum Phase {
 }
 
 impl Phase {
-    /// Every phase, in pipeline order (stable across releases: the BENCH
-    /// schema and reports key off these names).
+    /// Every phase, in pipeline order (stable across releases: the repo
+    /// benchmark's metrics and reports key off these names).
     pub const ALL: [Phase; 6] = [
         Phase::Tick,
         Phase::Scan,

@@ -1,8 +1,7 @@
 //! The simulation engine: implements [`Memory`] over the tiering
-//! substrate, interleaving application accesses with scheduled component
-//! work ([`crate::component`]) in virtual time.
+//! substrate, interleaving application accesses with the tiering daemon's
+//! periodic tick (the paper's one `kpromoted` thread) in virtual time.
 
-use crate::component::{Component, ComponentId, DaemonComponent, EngineCtx, Scheduler};
 use crate::config::{SimConfig, SystemKind};
 use crate::metrics::Metrics;
 use crate::obs::ObsState;
@@ -25,7 +24,7 @@ thread_local! {
 }
 
 /// The system frontend: an OS tiering policy, or the Memory-mode cache.
-pub(crate) enum Frontend {
+enum Frontend {
     Tiered {
         policy: Box<dyn TieringPolicy>,
         oracle_visibility: bool,
@@ -50,10 +49,9 @@ pub struct Simulation {
     mem: MemorySystem,
     frontend: Frontend,
     clock: VirtualClock,
-    /// Registered components; a slot is `None` only while its component
-    /// is mid-tick (taken out to split the borrow).
-    components: Vec<Option<Box<dyn Component>>>,
-    scheduler: Scheduler,
+    /// When the tiering daemon next wakes; `None` for Memory-mode and for
+    /// policies that never tick.
+    next_tick: Option<Nanos>,
     next_free_page: u64,
     /// Mapped regions `(start page, pages, kind)`, ascending by start.
     regions: Vec<(u64, u64, PageKind)>,
@@ -167,18 +165,10 @@ impl Simulation {
                 Frontend::MemoryMode(MemoryModeCache::new(dram_pages))
             }
         };
-        // The tiering daemon is always component 0 (when the frontend
-        // ticks at all), so a single-component schedule dispatches
-        // exactly like the historical fixed-period loop.
-        let mut components: Vec<Option<Box<dyn Component>>> = Vec::new();
-        let mut scheduler = Scheduler::default();
-        if let Frontend::Tiered { policy, .. } = &frontend {
-            if let Some(first) = policy.tick_interval() {
-                let id = ComponentId::new(components.len());
-                components.push(Some(Box::new(DaemonComponent)));
-                scheduler.schedule(first, id);
-            }
-        }
+        let next_tick = match &frontend {
+            Frontend::Tiered { policy, .. } => policy.tick_interval(),
+            Frontend::MemoryMode(_) => None,
+        };
         let obs = cfg
             .instrument
             .obs
@@ -197,50 +187,13 @@ impl Simulation {
             mem,
             frontend,
             clock: VirtualClock::new(),
-            components,
-            scheduler,
+            next_tick,
             next_free_page: 0,
             regions: Vec::new(),
             data: VPageMap::new(),
             metrics: Metrics::with_horizon(window, horizon),
             obs,
         }
-    }
-
-    /// Registers `component` with its first wake-up at `first_wake` and
-    /// returns its id. [`Component`] is the engine's one scheduling
-    /// surface: the component runs whenever virtual time crosses the
-    /// wake-up it last asked for, in `(wake_time, registration order)`
-    /// order relative to other components. A `first_wake` at or before
-    /// the current instant fires on the next access or compute step.
-    pub fn add_component(
-        &mut self,
-        component: Box<dyn Component>,
-        first_wake: Nanos,
-    ) -> ComponentId {
-        let id = ComponentId::new(self.components.len());
-        self.components.push(Some(component));
-        self.scheduler.schedule(first_wake, id);
-        id
-    }
-
-    /// Re-arms a dormant component (one whose `tick` returned `None`) to
-    /// wake at `at`. Waking a component that already has a pending
-    /// wake-up enqueues a second, earlier or later tick — callers re-arm
-    /// only components they know to be dormant.
-    pub fn wake_component(&mut self, id: ComponentId, at: Nanos) {
-        self.scheduler.schedule(at, id);
-    }
-
-    /// Number of pending component wake-ups (dormant components have
-    /// none — idle work costs the engine nothing).
-    pub fn pending_wakeups(&self) -> usize {
-        self.scheduler.pending()
-    }
-
-    /// The earliest pending component wake-up, if any.
-    pub fn next_wake(&self) -> Option<Nanos> {
-        self.scheduler.next_wake()
     }
 
     /// The configuration.
@@ -358,35 +311,53 @@ impl Simulation {
         }
     }
 
-    /// Dispatches every due component wake-up, earliest `(time, id)`
-    /// first. Component ticks can advance the clock (absorbed substrate
-    /// costs), so the due check re-reads it each iteration — a tick that
-    /// pushes time past another component's wake-up dispatches that
-    /// component in the same drain.
-    fn dispatch_due(&mut self) {
-        while let Some((due, id)) = self.scheduler.next_due(self.clock.now()) {
-            let Some(mut component) = self.components[id.index()].take() else {
-                continue;
-            };
-            let next = {
-                let mut ctx = EngineCtx {
-                    cfg: &self.cfg,
-                    mem: &mut self.mem,
-                    clock: &mut self.clock,
-                    metrics: &mut self.metrics,
-                    obs: &mut self.obs,
-                    frontend: &mut self.frontend,
-                };
-                component.tick(due, &mut ctx)
-            };
-            self.components[id.index()] = Some(component);
-            if let Some(next) = next {
-                // A wake-up at or before `due` would spin this drain
-                // forever; clamp to the next representable instant.
-                self.scheduler
-                    .schedule(next.max(due + Nanos::from_nanos(1)), id);
-            }
+    /// Runs every daemon tick the clock has passed, each at its own due
+    /// instant. A tick can advance the clock (absorbed substrate costs),
+    /// so the due check re-reads it each round.
+    fn run_due_ticks(&mut self) {
+        while let Some(due) = self.next_tick.filter(|&due| due <= self.clock.now()) {
+            self.next_tick = self.tick_at(due);
         }
+    }
+
+    /// One tick of the tiering daemon at `due`, with scan-CPU charging,
+    /// substrate absorption and the obs snapshot. Returns the next
+    /// wake-up. Kept out of line: the access path only pays the due check.
+    #[inline(never)]
+    fn tick_at(&mut self, due: Nanos) -> Option<Nanos> {
+        let Frontend::Tiered { policy, .. } = &mut self.frontend else {
+            return None;
+        };
+        self.mem.set_now(due.as_nanos());
+        // Host-time span around the whole daemon tick. The guard only
+        // observes the monotonic clock; nothing it reads flows back
+        // into engine state, so hooks-on stays bit-identical.
+        let mut span = self.cfg.perf().map(|p| p.span(mc_obs::Phase::Tick));
+        let out = policy.tick(&mut self.mem, due);
+        if let Some(s) = span.as_mut() {
+            s.add_items(1);
+        }
+        drop(span);
+        // Scan CPU cost.
+        let scan_cost =
+            Nanos::from_nanos(out.pages_scanned * self.mem.latency().scan_per_page.as_nanos());
+        self.mem.ledger_mut().charge_daemon(scan_cost);
+        absorb_substrate(
+            &mut self.mem,
+            &mut self.clock,
+            &mut self.metrics,
+            self.cfg.daemon_contention,
+        );
+        self.metrics.settle(self.clock.now());
+        if let Some(obs) = self.obs.as_mut() {
+            let counters = policy.counters();
+            obs.snapshot(due, self.mem.stats(), &counters);
+        }
+        // The policy may have adapted its interval during the tick. A
+        // wake-up at or before `due` would spin the catch-up loop forever;
+        // clamp to the next representable instant.
+        let interval = policy.tick_interval().unwrap_or(self.cfg.scan_interval);
+        Some(due + interval.max(Nanos::from_nanos(1)))
     }
 
     /// Performs one device access, faulting the page in first (allocation
@@ -486,7 +457,7 @@ impl Simulation {
     }
 
     /// Absorbs what the substrate charged meanwhile and runs every
-    /// component whose wake-up the clock has now passed.
+    /// daemon tick the clock has now passed.
     fn settle(&mut self) {
         absorb_substrate(
             &mut self.mem,
@@ -494,7 +465,7 @@ impl Simulation {
             &mut self.metrics,
             self.cfg.daemon_contention,
         );
-        self.dispatch_due();
+        self.run_due_ticks();
     }
 
     fn touch(&mut self, addr: VAddr, len: usize, kind: AccessKind) {
@@ -567,15 +538,14 @@ impl Memory for Simulation {
 
     fn compute(&mut self, t: Nanos) {
         self.clock.advance(t);
-        self.dispatch_due();
+        self.run_due_ticks();
     }
 }
 
 /// Absorbs substrate side effects: the cost ledger into the clock and
 /// cost breakdown, migration events into the windowed metrics. Shared by
-/// the access path and component ticks
-/// ([`EngineCtx::absorb_and_settle`]).
-pub(crate) fn absorb_substrate(
+/// the access path and the daemon tick.
+fn absorb_substrate(
     mem: &mut MemorySystem,
     clock: &mut VirtualClock,
     metrics: &mut Metrics,
@@ -757,24 +727,36 @@ mod tests {
         assert!(pm_cost > dram_cost, "pm={pm_cost} dram={dram_cost}");
     }
 
+    /// Catch-up ticks run at their own due instants, not at `now`.
     #[test]
     fn ticks_fire_on_schedule() {
-        let mut s = sim(SystemKind::MultiClock);
+        let mut cfg = SimConfig::new(SystemKind::MultiClock, 256, 2048);
+        cfg.scan_interval = Nanos::from_secs(1);
+        cfg.instrument.obs = crate::ObsConfig::on();
+        let mut s = Simulation::new(cfg);
         let a = s.mmap(PAGE_SIZE, PageKind::Anon);
         s.read(a, 8);
-        // 2.5 virtual seconds of compute: two ticks should have fired.
+        // One 2.5 s step crosses two wake-ups.
         s.compute(Nanos::from_millis(2_500));
-        // The scan daemon has examined the one mapped page repeatedly.
+        assert_eq!(s.counter("mc_ticks"), 2);
+        let series = s.obs().unwrap().series();
+        assert_eq!(series.timestamps(), [1_000_000_000, 2_000_000_000]);
+        assert_eq!(s.next_tick, Some(Nanos::from_secs(3)));
+        // The scan daemon has examined the one mapped page.
         assert!(s.metrics().costs().daemon_time > Nanos::ZERO);
     }
 
     #[test]
     fn static_system_never_ticks() {
-        let mut s = sim(SystemKind::Static);
-        let a = s.mmap(PAGE_SIZE, PageKind::Anon);
-        s.read(a, 8);
-        s.compute(Nanos::from_secs(10));
-        assert_eq!(s.metrics().costs().daemon_time, Nanos::ZERO);
+        for system in [SystemKind::Static, SystemKind::MemoryMode] {
+            let mut s = sim(system);
+            assert_eq!(s.next_tick, None, "{system:?}");
+            let a = s.mmap(PAGE_SIZE, PageKind::Anon);
+            s.read(a, 8);
+            s.compute(Nanos::from_secs(10));
+            assert_eq!(s.next_tick, None, "{system:?}");
+            assert_eq!(s.metrics().costs().daemon_time, Nanos::ZERO);
+        }
     }
 
     #[test]

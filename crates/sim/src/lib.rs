@@ -12,12 +12,10 @@
 //! * daemon work (scans) is charged at a configurable contention factor —
 //!   the daemon runs on its own core, but migrations' unmap/TLB costs and
 //!   hint faults stall the application in full;
-//! * daemon work is discrete-event scheduled: [`Component`]s register
-//!   wake-ups on a priority queue, and whenever virtual time crosses the
-//!   earliest one the engine dispatches that component ([`component`]).
-//!   The tiering daemon is itself a component; others (per-node daemons,
-//!   perf snapshotters) can run at heterogeneous intervals, and an idle
-//!   component costs nothing.
+//! * the tiering daemon is the paper's one `kpromoted` thread: the engine
+//!   keeps its next wake-up, and whenever virtual time crosses it the
+//!   policy ticks at that instant and re-arms one (possibly adapted)
+//!   interval later. Memory-mode and policies that never tick arm nothing.
 //!
 //! [`experiments`] contains the canned experiment drivers the `mc-bench`
 //! figure binaries and the integration tests share.
@@ -33,7 +31,6 @@
 //! assert!(sim.now().as_nanos() > 0);
 //! ```
 
-pub mod component;
 pub mod config;
 pub mod engine;
 pub mod experiments;
@@ -42,7 +39,6 @@ pub mod metrics;
 pub mod obs;
 pub mod report;
 
-pub use component::{Component, ComponentId, EngineCtx};
 pub use config::{EngineKnobs, InstrumentKnobs, SimConfig, SystemKind};
 pub use engine::Simulation;
 pub use experiments::{Experiment, RunOutcome, Scale};

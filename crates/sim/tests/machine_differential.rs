@@ -12,11 +12,15 @@
 //! Also pins the HybridTier determinism contract on a CXL machine:
 //! enabling observability never changes virtual-time results, and the
 //! same seed reproduces the same run bit-for-bit.
+//!
+//! And two tracking-cost claims, as noise-free work counts: HybridTier's
+//! sampled sketch reads fewer pages than MULTI-CLOCK's full scan, and the
+//! scan is sized by the lists, not by the machine.
 
 use mc_mem::{LatencyModel, MemConfig, Nanos, PageKind, TierKind, TopologyBuilder, PAGE_SIZE};
 use mc_sim::experiments::{Experiment, MachinePreset, Scale};
 use mc_sim::{SimConfig, Simulation, SystemKind};
-use mc_workloads::ycsb::YcsbWorkload;
+use mc_workloads::ycsb::{YcsbClient, YcsbConfig, YcsbWorkload};
 use mc_workloads::Memory;
 
 /// Fingerprint of everything a run can observably produce.
@@ -183,4 +187,80 @@ fn hybridtier_runs_are_reproducible() {
         cfg
     };
     assert_eq!(run(cfg()), run(cfg()));
+}
+
+/// YCSB-A on `Scale::tiny()`'s working set (400 ms warm-up + 400 ms
+/// measured) over `machine` with the given frame counts; the finished
+/// simulation, for its policy counters.
+fn ycsb_a(
+    system: SystemKind,
+    machine: MachinePreset,
+    dram_pages: usize,
+    pm_pages: usize,
+) -> Simulation {
+    let scale = Scale::tiny();
+    let mut cfg = SimConfig::new(system, dram_pages, pm_pages);
+    cfg.mem = machine.mem_config(dram_pages, pm_pages);
+    cfg.scan_interval = scale.scan_interval();
+    cfg.scan_batch = scale.scan_batch;
+    cfg.window = scale.window();
+    let mut sim = Simulation::new(cfg);
+    let mut client = YcsbClient::load(
+        YcsbConfig {
+            records: scale.records,
+            value_size: scale.value_size,
+            op_compute: scale.op_compute,
+            insert_scale: scale.insert_scale,
+            seed: scale.seed,
+        },
+        &mut sim,
+    );
+    let end = sim.now() + Nanos::from_millis(800);
+    while sim.now() < end {
+        client.run_op(YcsbWorkload::A, &mut sim);
+    }
+    sim.finish();
+    sim
+}
+
+/// HybridTier's claim (arXiv 2312.04789): sampling a bounded batch per
+/// tier into the sketch tracks at a fraction of what the full
+/// reference-bit scan reads, on the same machine and workload.
+#[test]
+fn hybridtier_samples_fewer_pages_than_multi_clock_scans() {
+    let scale = Scale::tiny();
+    let run = |system| {
+        ycsb_a(
+            system,
+            MachinePreset::DramCxlPm,
+            scale.dram_pages,
+            scale.pm_pages,
+        )
+    };
+    let sampled = run(SystemKind::HybridTier).counter("ht_samples");
+    let scanned = run(SystemKind::MultiClock).counter("mc_pages_scanned");
+    assert!(sampled > 0 && scanned > 0, "both trackers must have run");
+    assert!(
+        sampled < scanned,
+        "sketch sampling read {sampled} pages, the full scan {scanned}"
+    );
+}
+
+/// The scan is sized by the lists, not the machine: the same working set
+/// on 16x the frames takes the same ticks and scans the same pages (up
+/// to where first-touch placement lands them).
+#[test]
+fn scan_work_follows_the_working_set_not_the_frame_count() {
+    let run = |pm_pages| ycsb_a(SystemKind::MultiClock, MachinePreset::DramPm, 512, pm_pages);
+    let (small, large) = (run((1 << 14) - 512), run((1 << 18) - 512));
+    assert_eq!(small.counter("mc_ticks"), large.counter("mc_ticks"));
+    let (a, b) = (
+        small.counter("mc_pages_scanned"),
+        large.counter("mc_pages_scanned"),
+    );
+    assert!(a > 0 && b > 0);
+    assert!(
+        a.abs_diff(b) * 20 <= a.max(b),
+        "pages scanned differ by more than 5 %: {a} vs {b}"
+    );
 }
