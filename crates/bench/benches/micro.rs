@@ -5,7 +5,9 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use mc_clock::IndexedList;
-use mc_mem::{AccessKind, FrameId, MemConfig, MemorySystem, Nanos, PageKind, TieringPolicy, VPage};
+use mc_mem::{
+    AccessKind, FrameId, MachineDesc, MemorySystem, Nanos, PageKind, TieringPolicy, VPage,
+};
 use mc_workloads::dist::{ScrambledZipfian, Zipfian};
 use mc_workloads::kv::KvStore;
 use mc_workloads::SimpleMemory;
@@ -42,7 +44,7 @@ fn bench_multi_clock_tick(c: &mut Criterion) {
     // A full kpromoted scan over a populated PM tier: the per-tick CPU
     // cost the paper keeps low by bounding the scan batch.
     c.bench_function("multi_clock_tick_8k_pages", |b| {
-        let mut mem = MemorySystem::new(MemConfig::two_tier(1024, 8192));
+        let mut mem = MemorySystem::new(MachineDesc::dram_pm(1024, 8192));
         let mut mc = MultiClock::new(MultiClockConfig::default(), mem.topology());
         let mut v = 0u64;
         while let Ok(f) = mem.alloc_page(PageKind::Anon) {
@@ -60,7 +62,7 @@ fn bench_multi_clock_tick(c: &mut Criterion) {
 
 fn bench_harvest(c: &mut Criterion) {
     c.bench_function("reference_bit_harvest", |b| {
-        let mut mem = MemorySystem::new(MemConfig::two_tier(1024, 1024));
+        let mut mem = MemorySystem::new(MachineDesc::dram_pm(1024, 1024));
         let f = mem.alloc_page(PageKind::Anon).unwrap();
         mem.map(VPage::new(0), f).unwrap();
         b.iter(|| {

@@ -10,11 +10,27 @@
 //! Run with `cargo run -p mc-bench --release --bin ablation`.
 
 use mc_bench::{banner, scale_from_args};
+use mc_mem::{MachineBuilder, MachineDesc, TierKind, TierLatency};
 use mc_sim::experiments::{Experiment, Scale};
 use mc_sim::report::format_table;
 use mc_sim::{SimConfig, Simulation, SystemKind};
 use mc_workloads::ycsb::{YcsbClient, YcsbConfig, YcsbWorkload};
 use mc_workloads::Memory;
+
+/// DRAM + a write-hostile PM device (QLC-class): stores are 8x slower than
+/// the default Optane model and write bandwidth halves.
+fn slow_write_pm(dram_pages: usize, pm_pages: usize) -> MachineDesc {
+    let optane = TierLatency::optane_pm();
+    MachineBuilder::new()
+        .node(TierKind::Dram, dram_pages)
+        .node(TierKind::Pm, pm_pages)
+        .device(TierLatency {
+            write_ns: optane.write_ns * 8,
+            write_bw_gbps: optane.write_bw_gbps / 2.0,
+            ..optane
+        })
+        .build()
+}
 
 /// Runs MULTI-CLOCK with explicit engine knobs (write weight / adaptive),
 /// optionally against a PM device with much slower writes (the §VII
@@ -34,11 +50,7 @@ fn run_mc_variant(
     cfg.scan_interval = scale.scan_interval();
     cfg.scan_batch = scale.scan_batch;
     if slow_pm_writes {
-        // A write-hostile PM device (QLC-class): stores are 8x slower
-        // than the default Optane model and write bandwidth halves.
-        let pm = &mut cfg.mem.latency.tiers[1];
-        pm.write_ns *= 8;
-        pm.write_bw_gbps /= 2.0;
+        cfg.mem = slow_write_pm(scale.dram_pages, scale.pm_pages);
     }
     let mut sim = Simulation::new(cfg);
     let mut client = YcsbClient::load(
@@ -79,9 +91,7 @@ fn run_split_micro(scale: &Scale, write_weight: f64, slow_pm_writes: bool) -> f6
     cfg.scan_interval = scale.scan_interval();
     cfg.scan_batch = scale.scan_batch;
     if slow_pm_writes {
-        let pm = &mut cfg.mem.latency.tiers[1];
-        pm.write_ns *= 8;
-        pm.write_bw_gbps /= 2.0;
+        cfg.mem = slow_write_pm(dram, 4096);
     }
     let mut sim = Simulation::new(cfg);
     // Two hot sets, each as large as usable DRAM: they cannot both fit.

@@ -60,7 +60,7 @@ fn main() {
             })
         })
         .unwrap_or(SystemKind::MultiClock);
-    let machine = machine_from_args();
+    let (machine_name, machine) = machine_from_args();
     let rates: Vec<f64> = match arg_value(&args, "--fault-rate") {
         Some(r) => vec![r.parse().expect("--fault-rate takes a probability")],
         None => vec![0.0, 0.05, 0.1, 0.2, 0.4],
@@ -72,7 +72,7 @@ fn main() {
         &scale,
     );
     println!(
-        "system {}; machine preset {machine}; fault seed {seed}; retry policy: bounded exponential backoff",
+        "system {}; machine preset {machine_name}; fault seed {seed}; retry policy: bounded exponential backoff",
         system.label()
     );
 

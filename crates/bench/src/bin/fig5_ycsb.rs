@@ -46,7 +46,7 @@ fn arg_value(args: &[String], flag: &str) -> Option<String> {
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let scale = scale_from_args();
-    let machine = machine_from_args();
+    let (machine_name, machine) = machine_from_args();
     let policy = arg_value(&args, "--policy").map(|s| {
         parse_system(&s).unwrap_or_else(|| {
             // lint: allow(panic) - CLI argument validation in a binary
@@ -68,7 +68,7 @@ fn main() {
         "YCSB throughput normalised to static tiering (higher is better)",
         &scale,
     );
-    println!("machine preset: {machine}");
+    println!("machine preset: {machine_name}");
     let workloads = YcsbWorkload::prescribed_order();
     let all = SweepRunner::new(threads_from_args()).run(workloads.to_vec(), |w| {
         eprintln!("running workload {w} ...");

@@ -21,13 +21,13 @@ use mc_workloads::graph::Kernel;
 
 fn main() {
     let scale = scale_from_args();
-    let machine = machine_from_args();
+    let (machine_name, machine) = machine_from_args();
     banner(
         "Figure 6",
         "GAPBS execution time normalised to static tiering (lower is better)",
         &scale,
     );
-    println!("machine preset: {machine}");
+    println!("machine preset: {machine_name}");
     let all = SweepRunner::new(threads_from_args()).run(Kernel::ALL.to_vec(), |k| {
         eprintln!("running kernel {} ...", k.label());
         gapbs_comparison(k, &scale, machine)

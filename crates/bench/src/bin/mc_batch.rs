@@ -1,31 +1,31 @@
-//! `mc-batch` — batched-migration and scan-sharding sweep.
+//! `mc-batch` — batched-migration sweep.
 //!
-//! Runs YCSB-A on MULTI-CLOCK over a grid of promotion-migration batch
-//! sizes × scanner shard counts and reports throughput and the share of
-//! accounted time spent on tiering overhead (stalls + daemon CPU +
-//! background copies). Batching amortizes the per-migration-call setup
-//! cost (one TLB shootdown window per batch instead of per page, as in
-//! Nomad's transactional `migrate_pages`), so the overhead share should
-//! fall — or at worst stay flat — as the batch grows.
+//! Runs YCSB-A on MULTI-CLOCK over a range of promotion-migration batch
+//! sizes and reports throughput and the share of accounted time spent on
+//! tiering overhead (stalls + daemon CPU + background copies). Batching
+//! amortizes the per-migration-call setup cost (one TLB shootdown window
+//! per batch instead of per page, as in Nomad's transactional
+//! `migrate_pages`), so the overhead share should fall — or at worst stay
+//! flat — as the batch grows.
 //!
 //! Usage:
 //!
 //! ```text
 //! cargo run -p mc-bench --release --bin mc-batch          # default sweep
 //! mc-batch --tiny --obs /tmp/mc-batch    # obs artifacts per config
-//! mc-batch --batches 1,8 --shards 1,2    # custom grid
+//! mc-batch --batches 1,8                # custom sweep
 //! ```
 //!
 //! `--obs DIR` writes `events.jsonl`, `ticks.csv` and `report.txt` under
-//! `DIR/batch-<b>-shards-<s>/`, the layout `mc-obs-report` consumes.
+//! `DIR/batch-<b>/`, the layout `mc-obs-report` consumes.
 //!
-//! `--threads N` fans the grid's independent runs across N workers via
+//! `--threads N` fans the sweep's independent runs across N workers via
 //! [`mc_bench::SweepRunner`]. With N > 1 the sweep is first run
 //! sequentially, then in parallel, and the wall-clock speedup is
 //! reported — the results themselves are identical either way.
 //!
-//! `--json PATH` persists the sweep to a flat JSON artifact: the grid
-//! axes, per-config throughput/promotions/overhead-share, and (with
+//! `--json PATH` persists the sweep to a flat JSON artifact: the batch
+//! axis, per-config throughput/promotions/overhead-share, and (with
 //! `--threads N > 1`) the measured sequential/parallel wall times and
 //! speedup that were previously print-only. With `--obs DIR` and no
 //! explicit `--json`, the artifact lands at `DIR/sweep.json`.
@@ -59,21 +59,18 @@ fn parse_list(s: &str, flag: &str) -> Vec<usize> {
         .collect()
 }
 
-/// Runs the full grid (in input order) through a [`SweepRunner`].
-fn run_grid(
-    grid: &[(usize, usize)],
+/// Runs the sweep (in input order) through a [`SweepRunner`].
+fn run_sweep(
+    batches: &[usize],
     scale: &mc_sim::experiments::Scale,
     obs_root: Option<&std::path::Path>,
     runner: SweepRunner,
 ) -> Vec<RunOutcome> {
-    runner.run(grid.to_vec(), |(batch, shards)| {
-        eprintln!("running batch {batch} x shards {shards} ...");
-        let mut exp = Experiment::ycsb(YcsbWorkload::A)
-            .scale(scale)
-            .shards(shards)
-            .batch(batch);
+    runner.run(batches.to_vec(), |batch| {
+        eprintln!("running batch {batch} ...");
+        let mut exp = Experiment::ycsb(YcsbWorkload::A).scale(scale).batch(batch);
         if let Some(root) = obs_root {
-            exp = exp.obs(root.join(format!("batch-{batch}-shards-{shards}")));
+            exp = exp.obs(root.join(format!("batch-{batch}")));
         }
         exp.run().expect("obs artifacts written")
     })
@@ -92,15 +89,9 @@ impl SweepTiming {
     }
 }
 
-/// Serialises the sweep — axes, per-config outcomes and (when measured)
+/// Serialises the sweep — axis, per-config outcomes and (when measured)
 /// the parallel speedup — as one flat JSON object.
-fn sweep_json(
-    grid: &[(usize, usize)],
-    outcomes: &[RunOutcome],
-    batches: &[usize],
-    shard_counts: &[usize],
-    timing: Option<&SweepTiming>,
-) -> String {
+fn sweep_json(batches: &[usize], outcomes: &[RunOutcome], timing: Option<&SweepTiming>) -> String {
     let mut w = mc_obs::json::ObjectWriter::new();
     w.str_field("bench", "mc-batch");
     w.str_field("workload", "ycsb_a");
@@ -108,12 +99,8 @@ fn sweep_json(
         "batches",
         &batches.iter().map(|&b| b as f64).collect::<Vec<_>>(),
     );
-    w.num_arr_field(
-        "shards",
-        &shard_counts.iter().map(|&s| s as f64).collect::<Vec<_>>(),
-    );
-    for ((batch, shards), o) in grid.iter().zip(outcomes) {
-        let key = format!("run.batch_{batch}.shards_{shards}");
+    for (batch, o) in batches.iter().zip(outcomes) {
+        let key = format!("run.batch_{batch}");
         w.float_field(&format!("{key}.ops_per_sec"), o.ops_per_sec);
         w.num_field(&format!("{key}.promotions"), o.promotions);
         w.float_field(&format!("{key}.overhead_share"), o.overhead_share());
@@ -142,22 +129,12 @@ fn main() {
     let batches: Vec<usize> = arg_value(&args, "--batches")
         .map(|s| parse_list(&s, "--batches"))
         .unwrap_or_else(|| vec![1, 2, 4, 8, 16]);
-    let shard_counts: Vec<usize> = arg_value(&args, "--shards")
-        .map(|s| parse_list(&s, "--shards"))
-        .unwrap_or_else(|| vec![1, 2]);
 
     banner(
         "Batch sweep",
-        "YCSB-A migration batch size x scanner shards (MULTI-CLOCK)",
+        "YCSB-A migration batch size (MULTI-CLOCK)",
         &scale,
     );
-
-    // Grid in fixed order: shards outer, batch inner (the monotonicity
-    // check below walks batches within one shard count).
-    let grid: Vec<(usize, usize)> = shard_counts
-        .iter()
-        .flat_map(|&s| batches.iter().map(move |&b| (b, s)))
-        .collect();
 
     // With --threads N > 1, time the sequential sweep first, then the
     // parallel one, and report the wall-clock speedup. Each run is
@@ -167,14 +144,14 @@ fn main() {
     // sequential pass's files with the same contents, keeping the two
     // timed passes doing exactly the same work.
     let (outcomes, timing) = if threads > 1 {
-        eprintln!("timing sequential sweep ({} runs) ...", grid.len());
+        eprintln!("timing sequential sweep ({} runs) ...", batches.len());
         let t0 = std::time::Instant::now();
-        let _ = run_grid(&grid, &scale, obs_root.as_deref(), SweepRunner::new(1));
+        let _ = run_sweep(&batches, &scale, obs_root.as_deref(), SweepRunner::new(1));
         let sequential = t0.elapsed();
         eprintln!("timing parallel sweep ({threads} threads) ...");
         let t1 = std::time::Instant::now();
-        let outcomes = run_grid(
-            &grid,
+        let outcomes = run_sweep(
+            &batches,
             &scale,
             obs_root.as_deref(),
             SweepRunner::new(threads),
@@ -196,47 +173,38 @@ fn main() {
         );
         (outcomes, Some(timing))
     } else {
-        let outcomes = run_grid(&grid, &scale, obs_root.as_deref(), SweepRunner::new(1));
+        let outcomes = run_sweep(&batches, &scale, obs_root.as_deref(), SweepRunner::new(1));
         (outcomes, None)
     };
 
     let mut rows = Vec::new();
-    for (chunk, &shards) in grid.chunks(batches.len()).zip(&shard_counts) {
-        let mut prev_share: Option<f64> = None;
-        let mut monotone = true;
-        let offset = rows.len();
-        for ((batch, _), o) in chunk.iter().zip(&outcomes[offset..]) {
-            let share = o.overhead_share();
-            // Allow sub-percent jitter: amortization must not be *worse*.
-            if let Some(prev) = prev_share {
-                if share > prev + 0.01 {
-                    monotone = false;
-                }
-            }
-            prev_share = Some(share);
-            rows.push(vec![
-                format!("{batch}"),
-                format!("{shards}"),
-                format!("{:.0}", o.ops_per_sec),
-                format!("{}", o.promotions),
-                format!("{:.2}%", share * 100.0),
-            ]);
+    let mut prev_share: Option<f64> = None;
+    let mut monotone = true;
+    for (batch, o) in batches.iter().zip(&outcomes) {
+        let share = o.overhead_share();
+        // Allow sub-percent jitter: amortization must not be *worse*.
+        if prev_share.is_some_and(|prev| share > prev + 0.01) {
+            monotone = false;
         }
-        println!(
-            "shards {shards}: overhead share {} as batch size grows",
-            if monotone {
-                "decreases monotonically (or stays flat)"
-            } else {
-                "is NOT monotone - investigate"
-            }
-        );
+        prev_share = Some(share);
+        rows.push(vec![
+            format!("{batch}"),
+            format!("{:.0}", o.ops_per_sec),
+            format!("{}", o.promotions),
+            format!("{:.2}%", share * 100.0),
+        ]);
     }
     println!(
+        "overhead share {} as batch size grows",
+        if monotone {
+            "decreases monotonically (or stays flat)"
+        } else {
+            "is NOT monotone - investigate"
+        }
+    );
+    println!(
         "{}",
-        format_table(
-            &["batch", "shards", "ops/s", "promotions", "overhead share",],
-            &rows
-        )
+        format_table(&["batch", "ops/s", "promotions", "overhead share"], &rows)
     );
     if let Some(root) = &obs_root {
         println!(
@@ -248,7 +216,7 @@ fn main() {
         if let Some(parent) = path.parent() {
             std::fs::create_dir_all(parent).expect("create sweep artifact directory");
         }
-        let text = sweep_json(&grid, &outcomes, &batches, &shard_counts, timing.as_ref());
+        let text = sweep_json(&batches, &outcomes, timing.as_ref());
         std::fs::write(path, text + "\n").expect("write sweep artifact");
         println!("sweep artifact: {}", path.display());
     }

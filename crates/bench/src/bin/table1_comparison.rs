@@ -3,13 +3,13 @@
 //!
 //! Regenerate with `cargo run -p mc-bench --bin table1_comparison`.
 
-use mc_mem::{MemConfig, MemorySystem, TieringPolicy};
+use mc_mem::{MachineDesc, MemorySystem, TieringPolicy};
 use mc_policies::{Amp, AutoNuma, AutoTiering, Nimble, OracleKind, OraclePolicy, StaticTiering};
 use mc_sim::report::format_table;
 use multi_clock::MultiClock;
 
 fn main() {
-    let mem = MemorySystem::new(MemConfig::two_tier(64, 256));
+    let mem = MemorySystem::new(MachineDesc::dram_pm(64, 256));
     let topo = mem.topology();
     let policies: Vec<Box<dyn TieringPolicy>> = vec![
         Box::new(StaticTiering::new(topo)),

@@ -3,7 +3,8 @@
 //! Host-time measurement lives in the repo benchmark (`benchmark/`), not
 //! here.
 
-use mc_sim::experiments::{MachinePreset, Scale};
+use mc_mem::MachineDesc;
+use mc_sim::experiments::Scale;
 use mc_sim::SystemKind;
 use mc_workloads::graph::Kernel;
 use mc_workloads::ycsb::YcsbWorkload;
@@ -27,19 +28,38 @@ pub fn parse_system(s: &str) -> Option<SystemKind> {
     })
 }
 
-/// Parses a machine-preset name as accepted by the `--machine` flag
-/// (`dram-pm`, `dram-cxl-pm`, `cxl-multihead`).
-pub fn parse_machine(s: &str) -> Option<MachinePreset> {
-    MachinePreset::from_name(&s.to_ascii_lowercase())
+/// The `--machine` names and the shape each selects, default first. A
+/// shape is not a size: it arranges the scale's `(dram_pages, pm_pages)`
+/// budget into a [`MachineDesc`] (what `Experiment::machine` takes), so
+/// the same `Scale` drives every machine.
+const MACHINES: [(&str, fn(usize, usize) -> MachineDesc); 3] = [
+    // Classic two-tier local DRAM + PM.
+    ("dram-pm", MachineDesc::dram_pm),
+    // A CXL expander sized like the DRAM tier adds a capacity tier between
+    // local DRAM and PM (~210 ns effective read over an asymmetric link).
+    ("dram-cxl-pm", |dram, pm| {
+        MachineDesc::dram_cxl_pm(dram, dram, pm)
+    }),
+    // Two sockets with half the DRAM budget each share one two-headed CXL
+    // device, backed by PM — the HybridTier evaluation's machine.
+    ("cxl-multihead", |dram, pm| {
+        MachineDesc::cxl_multihead((dram / 2).max(1), dram, pm)
+    }),
+];
+
+/// Looks a `--machine` name up in [`MACHINES`], case-insensitively.
+fn parse_machine(s: &str) -> Option<(&'static str, fn(usize, usize) -> MachineDesc)> {
+    let name = s.to_ascii_lowercase();
+    MACHINES.into_iter().find(|(n, _)| *n == name)
 }
 
-/// Picks the machine preset from argv (`--machine NAME`); defaults to
-/// the classic two-tier [`MachinePreset::DramPm`].
+/// Picks the machine from argv (`--machine NAME`) as `(name, shape)`;
+/// defaults to the classic two-tier `dram-pm`.
 ///
 /// # Panics
 ///
 /// Exits with a diagnostic when the name is unknown (CLI validation).
-pub fn machine_from_args() -> MachinePreset {
+pub fn machine_from_args() -> (&'static str, fn(usize, usize) -> MachineDesc) {
     let args: Vec<String> = std::env::args().collect();
     args.iter()
         .position(|a| a == "--machine")
@@ -47,11 +67,12 @@ pub fn machine_from_args() -> MachinePreset {
             args.get(i + 1)
                 .and_then(|v| parse_machine(v))
                 .unwrap_or_else(|| {
+                    let names = MACHINES.map(|(n, _)| n).join(", ");
                     // lint: allow(panic) - CLI argument validation in dev tooling
-                    panic!("--machine requires one of: dram-pm, dram-cxl-pm, cxl-multihead")
+                    panic!("--machine requires one of: {names}")
                 })
         })
-        .unwrap_or(MachinePreset::DramPm)
+        .unwrap_or(MACHINES[0])
 }
 
 /// Parses a YCSB workload letter.
@@ -214,19 +235,28 @@ mod tests {
 
     #[test]
     fn machine_names_parse() {
-        assert_eq!(parse_machine("dram-pm"), Some(MachinePreset::DramPm));
-        assert_eq!(parse_machine("DRAM-CXL-PM"), Some(MachinePreset::DramCxlPm));
+        let built = |name: &str| parse_machine(name).map(|(n, shape)| (n, shape(64, 256)));
         assert_eq!(
-            parse_machine("cxl-multihead"),
-            Some(MachinePreset::CxlMultihead)
+            built("dram-pm"),
+            Some(("dram-pm", MachineDesc::dram_pm(64, 256)))
         );
-        assert_eq!(parse_machine("numa"), None);
+        assert_eq!(
+            built("DRAM-CXL-PM"),
+            Some(("dram-cxl-pm", MachineDesc::dram_cxl_pm(64, 64, 256)))
+        );
+        assert_eq!(
+            built("cxl-multihead"),
+            Some(("cxl-multihead", MachineDesc::cxl_multihead(32, 64, 256)))
+        );
+        assert_eq!(built("numa"), None);
     }
 
     #[test]
     fn default_machine_is_dram_pm() {
         // No --machine in the test harness argv.
-        assert_eq!(machine_from_args(), MachinePreset::DramPm);
+        let (name, shape) = machine_from_args();
+        assert_eq!(name, "dram-pm");
+        assert_eq!(shape(64, 256), MachineDesc::dram_pm(64, 256));
     }
 
     #[test]

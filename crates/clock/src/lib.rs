@@ -10,14 +10,10 @@
 //!   from the middle are a few array stores each. The building block for
 //!   inactive/active/promote lists;
 //! * [`balance`] — the active:inactive balancing rule the paper inherits
-//!   from PFRA (`sqrt(10 * n) : 1` with `n` the tier size in GB);
-//! * [`LruOrder`] — a strict LRU recency tracker used by the oracle
-//!   baseline policies.
+//!   from PFRA (`sqrt(10 * n) : 1` with `n` the tier size in GB).
 
 pub mod balance;
 pub mod list;
-pub mod lru;
 
 pub use balance::inactive_ratio;
 pub use list::IndexedList;
-pub use lru::LruOrder;

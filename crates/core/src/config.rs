@@ -32,13 +32,6 @@ pub struct MultiClockConfig {
     pub min_interval: Nanos,
     /// Upper bound for the adaptive interval.
     pub max_interval: Nanos,
-    /// Scanner shards per NUMA node (HM-Keeper-style scan sharding). Each
-    /// tier's lists are split into `nodes_in_tier × scan_shards`
-    /// independent shards, each scanned with its own full budget every
-    /// tick — modelling one `kpromoted` daemon per node as in the paper.
-    /// `1` (the default) reproduces the original single-scanner layout
-    /// bit-for-bit on single-node tiers.
-    pub scan_shards: usize,
     /// Maximum pages handed to one batched migration call when draining a
     /// promote list (Nomad-style `migrate_pages` batching). `1` (the
     /// default) migrates page-at-a-time, bit-identical to the unbatched
@@ -83,7 +76,6 @@ impl Default for MultiClockConfig {
             adaptive_interval: false,
             min_interval: Nanos::from_millis(100),
             max_interval: Nanos::from_secs(60),
-            scan_shards: 1,
             migrate_batch_size: 1,
             retry: RetryPolicy::immediate(),
             migration_mode: MigrationMode::Sync,
@@ -93,15 +85,6 @@ impl Default for MultiClockConfig {
 }
 
 impl MultiClockConfig {
-    /// The paper's defaults with a different scan interval (the Fig. 10
-    /// sensitivity sweep).
-    pub fn with_interval(interval: Nanos) -> Self {
-        MultiClockConfig {
-            scan_interval: interval,
-            ..Self::default()
-        }
-    }
-
     /// Validates invariants; called by [`crate::MultiClock::new`].
     ///
     /// # Panics
@@ -120,7 +103,6 @@ impl MultiClockConfig {
             self.min_interval <= self.max_interval,
             "adaptive interval bounds inverted"
         );
-        assert!(self.scan_shards > 0, "scan shards must be positive");
         assert!(
             self.migrate_batch_size > 0,
             "migrate batch size must be positive"
@@ -147,13 +129,6 @@ mod tests {
     }
 
     #[test]
-    fn with_interval_overrides_only_interval() {
-        let c = MultiClockConfig::with_interval(Nanos::from_millis(250));
-        assert_eq!(c.scan_interval, Nanos::from_millis(250));
-        assert_eq!(c.scan_batch, MultiClockConfig::default().scan_batch);
-    }
-
-    #[test]
     #[should_panic(expected = "scan batch")]
     fn zero_batch_rejected() {
         let c = MultiClockConfig {
@@ -166,23 +141,12 @@ mod tests {
     #[test]
     fn defaults_are_unsharded_and_unbatched() {
         let c = MultiClockConfig::default();
-        assert_eq!(c.scan_shards, 1);
         assert_eq!(c.migrate_batch_size, 1);
         assert_eq!(
             c.migration_mode,
             MigrationMode::Sync,
             "synchronous migration is the baseline"
         );
-    }
-
-    #[test]
-    #[should_panic(expected = "scan shards")]
-    fn zero_shards_rejected() {
-        let c = MultiClockConfig {
-            scan_shards: 0,
-            ..Default::default()
-        };
-        c.validate();
     }
 
     #[test]

@@ -11,7 +11,8 @@
 //!   referenced* moves to the promote list (`PagePromote` flag) — i.e. a
 //!   page becomes a promotion candidate only after being seen referenced
 //!   repeatedly in recent scans;
-//! * a per-node daemon, **`kpromoted`**, wakes periodically (1 s default),
+//! * a per-node daemon, **`kpromoted`** (here: one list shard per NUMA
+//!   node of the topology), wakes periodically (1 s default),
 //!   harvests PTE reference bits, performs the list transitions of the
 //!   paper's Fig. 4 state machine, and migrates every page on a lower
 //!   tier's promote list up to DRAM;
@@ -24,11 +25,11 @@
 //! against a [`mc_mem::MemorySystem`]:
 //!
 //! ```
-//! use mc_mem::{MemConfig, MemorySystem, PageKind, TieringPolicy, VPage, AccessKind, Nanos};
+//! use mc_mem::{MachineDesc, MemorySystem, PageKind, TieringPolicy, VPage, AccessKind, Nanos};
 //! use multi_clock::{MultiClock, MultiClockConfig};
 //!
 //! # fn main() -> Result<(), mc_mem::MemError> {
-//! let mut mem = MemorySystem::new(MemConfig::two_tier(128, 512));
+//! let mut mem = MemorySystem::new(MachineDesc::dram_pm(128, 512));
 //! let mut mc = MultiClock::new(MultiClockConfig::default(), mem.topology());
 //!
 //! // Fault in a page and let the policy track it.

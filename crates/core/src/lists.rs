@@ -166,15 +166,14 @@ impl TierLists {
     }
 }
 
-/// A tier's lists, split into independent per-node shards.
+/// A tier's lists, split into one independent shard per NUMA node.
 ///
 /// The paper runs `kpromoted` as a *per-node* daemon; HM-Keeper makes the
 /// same point for scan scalability. Each shard owns a full [`TierLists`]
 /// (anon/file × inactive/active/promote + unevictable) and is scanned
-/// independently each tick. Frames are assigned to shards statically by
-/// the policy (node-of-frame × configured shards-per-node), so a frame
-/// lives on exactly one shard for as long as it stays in the tier. With
-/// one shard this degenerates to exactly the unsharded structure.
+/// independently each tick. A frame belongs to the shard of its node, so
+/// it lives on exactly one shard for as long as it stays in the tier. On
+/// a single-node tier this is exactly the unsharded structure.
 #[derive(Debug, Clone)]
 pub struct TierShards {
     shards: Vec<TierLists>,
@@ -196,8 +195,8 @@ impl TierShards {
     /// The lists of one shard.
     ///
     /// # Panics
-    /// If `i >= shard_count()` — shard indices come from `shard_of`, which
-    /// always reduces modulo the shard count.
+    /// If `i >= shard_count()` — shard indices come from `shard_of`, the
+    /// frame's node ordinal within the tier.
     pub fn shard(&self, i: usize) -> &TierLists {
         // lint: allow(indexing) - caller contract documented above
         &self.shards[i]

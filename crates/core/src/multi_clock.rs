@@ -21,9 +21,8 @@ use mc_obs::{saturating_bump, EventKind};
 /// immediately (`mark_page_accessed()`), unsupervised accesses are
 /// observed via harvested PTE reference bits during `kpromoted` scans, and
 /// the promote lists of lower tiers are drained upwards — in batches —
-/// every tick. Each frame is statically assigned to one shard of its tier
-/// (by NUMA node, split further by `scan_shards`), mirroring the paper's
-/// one-`kpromoted`-per-node design.
+/// every tick. Each frame is statically assigned to the shard of its NUMA
+/// node, mirroring the paper's one-`kpromoted`-per-node design.
 #[derive(Debug)]
 pub struct MultiClock {
     pub(crate) cfg: MultiClockConfig,
@@ -76,24 +75,18 @@ impl MultiClock {
     pub fn new(cfg: MultiClockConfig, topology: &Topology) -> Self {
         cfg.validate();
         let current_interval = cfg.scan_interval;
-        // One shard group per NUMA node (the paper's per-node kpromoted),
-        // each node split further into `scan_shards` stripes. Frames are
-        // striped across a node's shards by frame number, so the table is
-        // static and a lookup is one index.
-        let spn = cfg.scan_shards;
+        // One shard per NUMA node (the paper's per-node kpromoted): a
+        // frame's shard is its node's ordinal within the tier, so the
+        // table is static and a lookup is one index.
         let mut shard_table = vec![0u16; topology.total_pages()];
         let mut tiers = Vec::with_capacity(topology.tier_count());
-        for t in 0..topology.tier_count() {
-            let tier = TierId::new(t as u8);
-            let mut node_ord = 0usize;
-            for node in topology.nodes().iter().filter(|n| n.tier() == tier) {
-                let base = node.first_frame().index();
-                for f in node.frames() {
-                    shard_table[f.index()] = (node_ord * spn + (f.index() - base) % spn) as u16;
+        for tier in topology.tiers() {
+            for (node_ord, &node) in tier.nodes().iter().enumerate() {
+                for f in topology.node(node).frames() {
+                    shard_table[f.index()] = node_ord as u16;
                 }
-                node_ord += 1;
             }
-            tiers.push(TierShards::new(node_ord.max(1) * spn));
+            tiers.push(TierShards::new(tier.nodes().len()));
         }
         MultiClock {
             cfg,
@@ -433,10 +426,10 @@ impl TieringPolicy for MultiClock {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mc_mem::{MemConfig, PageKind, VPage};
+    use mc_mem::{MachineDesc, PageKind, VPage};
 
     fn setup() -> (MemorySystem, MultiClock) {
-        let mem = MemorySystem::new(MemConfig::two_tier(64, 256));
+        let mem = MemorySystem::new(MachineDesc::dram_pm(64, 256));
         let mc = MultiClock::new(MultiClockConfig::default(), mem.topology());
         (mem, mc)
     }
@@ -519,7 +512,7 @@ mod tests {
 
     #[test]
     fn write_weight_never_changes_climb_speed() {
-        let mem = MemorySystem::new(MemConfig::two_tier(64, 256));
+        let mem = MemorySystem::new(MachineDesc::dram_pm(64, 256));
         let cfg = MultiClockConfig {
             write_weight: 3.0,
             ..Default::default()

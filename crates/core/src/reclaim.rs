@@ -441,7 +441,7 @@ impl MultiClock {
 mod tests {
     use super::*;
     use crate::config::MultiClockConfig;
-    use mc_mem::{AccessKind, MemConfig, Nanos, TieringPolicy, VPage};
+    use mc_mem::{AccessKind, MachineDesc, Nanos, TieringPolicy, VPage};
 
     fn fill_dram(mem: &mut MemorySystem, mc: &mut MultiClock, start_v: u64) -> Vec<(u64, FrameId)> {
         let mut mapped = Vec::new();
@@ -457,7 +457,7 @@ mod tests {
 
     #[test]
     fn pressure_demotes_cold_pages_to_pm() {
-        let mut mem = MemorySystem::new(MemConfig::two_tier(64, 256));
+        let mut mem = MemorySystem::new(MachineDesc::dram_pm(64, 256));
         let mut mc = MultiClock::new(MultiClockConfig::default(), mem.topology());
         let pages = fill_dram(&mut mem, &mut mc, 0);
         assert!(mem.tier_under_pressure(TierId::TOP));
@@ -481,7 +481,7 @@ mod tests {
 
     #[test]
     fn referenced_pages_survive_pressure_longer_than_cold_ones() {
-        let mut mem = MemorySystem::new(MemConfig::two_tier(64, 256));
+        let mut mem = MemorySystem::new(MachineDesc::dram_pm(64, 256));
         let mut mc = MultiClock::new(MultiClockConfig::default(), mem.topology());
         let pages = fill_dram(&mut mem, &mut mc, 0);
         // Touch the second half of the pages (sets PTE reference bits).
@@ -508,7 +508,7 @@ mod tests {
     #[test]
     fn lowest_tier_pressure_evicts_to_storage() {
         // Tiny machine: fill both tiers, then demand reclaim on PM.
-        let mut mem = MemorySystem::new(MemConfig::two_tier(16, 32));
+        let mut mem = MemorySystem::new(MachineDesc::dram_pm(16, 32));
         let mut mc = MultiClock::new(MultiClockConfig::default(), mem.topology());
         let mut v = 0u64;
         while let Ok(f) = mem.alloc_page(PageKind::Anon) {
@@ -528,7 +528,7 @@ mod tests {
     fn demotion_cascade_dram_to_pm_to_storage() {
         // Both tiers full: DRAM pressure demotes into PM, which must first
         // evict its own cold pages.
-        let mut mem = MemorySystem::new(MemConfig::two_tier(16, 32));
+        let mut mem = MemorySystem::new(MachineDesc::dram_pm(16, 32));
         let mut mc = MultiClock::new(MultiClockConfig::default(), mem.topology());
         let mut v = 0u64;
         while let Ok(f) = mem.alloc_page(PageKind::Anon) {
@@ -544,7 +544,7 @@ mod tests {
 
     #[test]
     fn unevictable_pages_are_never_demoted() {
-        let mut mem = MemorySystem::new(MemConfig::two_tier(64, 256));
+        let mut mem = MemorySystem::new(MachineDesc::dram_pm(64, 256));
         let mut mc = MultiClock::new(MultiClockConfig::default(), mem.topology());
         let pages = fill_dram(&mut mem, &mut mc, 0);
         // Pin the first five pages.
@@ -566,7 +566,7 @@ mod tests {
     #[test]
     fn pressure_is_reentrancy_safe_and_terminates() {
         // A pathological machine where everything is tiny.
-        let mut mem = MemorySystem::new(MemConfig::two_tier(8, 8));
+        let mut mem = MemorySystem::new(MachineDesc::dram_pm(8, 8));
         let mut mc = MultiClock::new(MultiClockConfig::default(), mem.topology());
         let mut v = 0u64;
         while let Ok(f) = mem.alloc_page(PageKind::Anon) {
@@ -583,7 +583,7 @@ mod tests {
 
     #[test]
     fn active_inactive_ratio_is_restored_under_pressure() {
-        let mut mem = MemorySystem::new(MemConfig::two_tier(64, 256));
+        let mut mem = MemorySystem::new(MachineDesc::dram_pm(64, 256));
         let mut mc = MultiClock::new(MultiClockConfig::default(), mem.topology());
         let pages = fill_dram(&mut mem, &mut mc, 0);
         // Make everything active (two supervised accesses each).
@@ -611,7 +611,7 @@ mod tests {
 
     #[test]
     fn three_tier_demotion_goes_one_tier_down() {
-        let mut mem = MemorySystem::new(MemConfig::three_tier(16, 64, 256));
+        let mut mem = MemorySystem::new(MachineDesc::three_tier(16, 64, 256));
         let mut mc = MultiClock::new(MultiClockConfig::default(), mem.topology());
         // Fill HBM.
         let mut v = 0u64;

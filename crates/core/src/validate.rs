@@ -326,18 +326,18 @@ impl MultiClock {
 mod tests {
     use super::*;
     use crate::config::MultiClockConfig;
-    use mc_mem::{AccessKind, MemConfig, Nanos, TieringPolicy, VPage};
+    use mc_mem::{AccessKind, MachineDesc, Nanos, TieringPolicy, VPage};
 
     #[test]
     fn fresh_policy_is_consistent() {
-        let mem = MemorySystem::new(MemConfig::two_tier(32, 64));
+        let mem = MemorySystem::new(MachineDesc::dram_pm(32, 64));
         let mc = MultiClock::new(MultiClockConfig::default(), mem.topology());
         assert!(mc.check_invariants(&mem).is_empty());
     }
 
     #[test]
     fn consistent_after_activity() {
-        let mut mem = MemorySystem::new(MemConfig::two_tier(32, 128));
+        let mut mem = MemorySystem::new(MachineDesc::dram_pm(32, 128));
         let mut mc = MultiClock::new(MultiClockConfig::default(), mem.topology());
         let mut v = 0u64;
         while let Ok(f) = mem.alloc_page(mc_mem::PageKind::Anon) {
@@ -356,7 +356,7 @@ mod tests {
 
     #[test]
     fn violation_is_detected() {
-        let mut mem = MemorySystem::new(MemConfig::two_tier(32, 64));
+        let mut mem = MemorySystem::new(MachineDesc::dram_pm(32, 64));
         let mut mc = MultiClock::new(MultiClockConfig::default(), mem.topology());
         let f = mem.alloc_page(mc_mem::PageKind::Anon).unwrap();
         mem.map(VPage::new(1), f).unwrap();

@@ -6,7 +6,7 @@
 
 use mc_fault::{FaultInjector, FaultPlan, OfflineWindow, RetryPolicy};
 use mc_mem::{
-    AccessKind, FrameId, MemConfig, MemorySystem, MigrationMode, Nanos, PageKind, TierId,
+    AccessKind, FrameId, MachineDesc, MemorySystem, MigrationMode, Nanos, PageKind, TierId,
     TieringPolicy, VPage,
 };
 use multi_clock::{MultiClock, MultiClockConfig};
@@ -81,7 +81,7 @@ fn assert_conserved(mem: &MemorySystem, live: &[VPage]) {
 /// opened), so the abort -> retry -> give-up ladder is exercised under
 /// exactly the fault plans the synchronous path faces.
 fn run_chaos(seed: u64, fault_plan: FaultPlan, ops: Vec<Op>, mode: MigrationMode) {
-    let mut mem = MemorySystem::new(MemConfig::two_tier(24, 48));
+    let mut mem = MemorySystem::new(MachineDesc::dram_pm(24, 48));
     mem.set_fault_injector(FaultInjector::new(fault_plan, seed));
     let cfg = MultiClockConfig {
         retry: RetryPolicy::backoff(),

@@ -12,7 +12,7 @@
 
 use mc_fault::{FaultInjector, FaultPlan, RetryPolicy};
 use mc_mem::{
-    AccessKind, FrameId, MemConfig, MemorySystem, MigrationMode, Nanos, PageFlags, PageKind,
+    AccessKind, FrameId, MachineDesc, MemorySystem, MigrationMode, Nanos, PageFlags, PageKind,
     TierId, TieringPolicy, VPage,
 };
 use multi_clock::{MultiClock, MultiClockConfig};
@@ -89,7 +89,7 @@ fn assert_shadows_clean(mem: &MemorySystem) {
 }
 
 fn run_trace(ops: Vec<Op>, fault_plan: Option<(FaultPlan, u64)>, retry: RetryPolicy) {
-    let mut mem = MemorySystem::new(MemConfig::two_tier(24, 48));
+    let mut mem = MemorySystem::new(MachineDesc::dram_pm(24, 48));
     if let Some((plan, seed)) = fault_plan {
         mem.set_fault_injector(FaultInjector::new(plan, seed));
     }

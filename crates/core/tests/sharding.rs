@@ -1,13 +1,13 @@
 //! Property tests for the per-node scanner shards: across random traces
-//! on a dual-socket machine (two DRAM nodes + two PM nodes) and every
-//! shards-per-node setting, a tracked page must always sit on *exactly
-//! one* shard — never lost off every list, never double-listed across
-//! shards — and the full invariant suite (including the per-shard
-//! assignment invariant) must hold after every step. Batched promotion
-//! is crossed in so mid-drain requeues are exercised too.
+//! on a dual-socket machine (two DRAM nodes + two PM nodes, so two shards
+//! per tier), a tracked page must always sit on *exactly one* shard —
+//! never lost off every list, never double-listed across shards — and the
+//! full invariant suite (including the per-shard assignment invariant)
+//! must hold after every step. Batched promotion is crossed in so
+//! mid-drain requeues are exercised too.
 
 use mc_mem::{
-    AccessKind, FrameId, MemConfig, MemorySystem, Nanos, PageKind, TierId, TieringPolicy, VPage,
+    AccessKind, FrameId, MachineDesc, MemorySystem, Nanos, PageKind, TierId, TieringPolicy, VPage,
 };
 use multi_clock::{MultiClock, MultiClockConfig};
 use proptest::prelude::*;
@@ -54,13 +54,11 @@ proptest! {
 
     #[test]
     fn sharded_scanner_never_loses_or_double_lists_a_page(
-        scan_shards in 1usize..=3,
         migrate_batch_size in 1usize..=4,
         ops in prop::collection::vec(op(), 1..120),
     ) {
-        let mut mem = MemorySystem::new(MemConfig::dual_socket(12, 24));
+        let mut mem = MemorySystem::new(MachineDesc::dual_socket(12, 24));
         let cfg = MultiClockConfig {
-            scan_shards,
             migrate_batch_size,
             ..Default::default()
         };
@@ -123,9 +121,8 @@ proptest! {
             let violations = mc.check_invariants(&mem);
             prop_assert!(
                 violations.is_empty(),
-                "invariants broken after {:?} (shards={}, batch={}): {:?}",
+                "invariants broken after {:?} (batch={}): {:?}",
                 op,
-                scan_shards,
                 migrate_batch_size,
                 violations
             );
@@ -150,21 +147,19 @@ proptest! {
 
 #[test]
 fn one_shard_per_node_matches_node_count() {
-    // dual_socket: one DRAM tier with two nodes, one PM tier with two
-    // nodes — at 1 shard per node each tier carries two shards; at 3 per
-    // node, six.
-    let mem = MemorySystem::new(MemConfig::dual_socket(12, 24));
-    for (spn, want) in [(1usize, 2usize), (3, 6)] {
-        let cfg = MultiClockConfig {
-            scan_shards: spn,
-            ..Default::default()
-        };
-        let mc = MultiClock::new(cfg, mem.topology());
+    // dual_socket: a DRAM tier and a PM tier of two nodes each, so two
+    // shards per tier; dram_pm: one node per tier, one shard.
+    for (machine, want) in [
+        (MachineDesc::dual_socket(12, 24), 2usize),
+        (MachineDesc::dram_pm(24, 48), 1),
+    ] {
+        let mem = MemorySystem::new(machine);
+        let mc = MultiClock::new(MultiClockConfig::default(), mem.topology());
         for t in 0..mem.topology().tier_count() {
             assert_eq!(
                 mc.tier_lists(TierId::new(t as u8)).shard_count(),
                 want,
-                "tier {t} at {spn} shards/node"
+                "tier {t}"
             );
         }
     }

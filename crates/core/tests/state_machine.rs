@@ -9,13 +9,13 @@
 
 use mc_lint::fig4::{by_id, TRANSITIONS};
 use mc_mem::{
-    AccessKind, MemConfig, MemorySystem, Nanos, PageFlags, PageKind, TierId, TieringPolicy, VPage,
+    AccessKind, MachineDesc, MemorySystem, Nanos, PageFlags, PageKind, TierId, TieringPolicy, VPage,
 };
 use multi_clock::{MultiClock, MultiClockConfig, PageState, WhichList};
 use proptest::prelude::*;
 
 fn setup() -> (MemorySystem, MultiClock) {
-    let mem = MemorySystem::new(MemConfig::two_tier(64, 256));
+    let mem = MemorySystem::new(MachineDesc::dram_pm(64, 256));
     let mc = MultiClock::new(MultiClockConfig::default(), mem.topology());
     (mem, mc)
 }
@@ -308,7 +308,7 @@ proptest! {
     #[test]
     fn invariants_hold_after_every_step(ops in prop::collection::vec(op(), 1..120)) {
         // Small enough that pressure, demotion and promotion all trigger.
-        let mut mem = MemorySystem::new(MemConfig::two_tier(24, 48));
+        let mut mem = MemorySystem::new(MachineDesc::dram_pm(24, 48));
         let mut mc = MultiClock::new(MultiClockConfig::default(), mem.topology());
         let mut live: Vec<VPage> = Vec::new();
         let mut next_vp = 0u64;

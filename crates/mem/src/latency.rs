@@ -189,17 +189,16 @@ impl MigrationCost {
 /// The full machine cost model.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct LatencyModel {
-    /// Device timing per tier, indexed by [`TierId`]. For machines built
-    /// from a [`crate::MachineDesc`], each entry is the *effective* timing
-    /// (device composed with link) of the tier's first node; stream and
-    /// migration costs are charged at tier granularity from this table.
+    /// Device timing per tier, indexed by [`TierId`]: the *effective*
+    /// timing (device composed with link) of the tier's first node; stream
+    /// and migration costs are charged at tier granularity from this table.
     pub tiers: Vec<TierLatency>,
     /// Effective per-node timing, indexed by [`NodeId`]. Empty on machines
     /// where every node is directly attached with a single head — then the
     /// per-tier table is exact and [`LatencyModel::access_at`] falls back
-    /// to it, keeping legacy two-tier machines on the identical code path.
-    /// Populated only when some node sits behind a non-direct link or has
-    /// multiple heads, so per-node asymmetric link costs can be charged.
+    /// to it. Populated only when some node sits behind a non-direct link
+    /// or has multiple heads, so per-node asymmetric link costs can be
+    /// charged.
     pub node_access: Vec<TierLatency>,
     /// Fixed kernel overhead per migrated page (locking, rmap walk,
     /// allocation) added to the copy time. ~2.5 µs per 4 KiB page is in line
@@ -226,29 +225,18 @@ pub struct LatencyModel {
 }
 
 impl LatencyModel {
-    /// The default two-tier DRAM + Optane model used by all experiments.
-    pub fn dram_pm() -> Self {
+    /// The given device tables with the software costs every experiment
+    /// uses — their one home. Called by [`crate::MachineDesc::latency`].
+    pub(crate) fn new(tiers: Vec<TierLatency>, node_access: Vec<TierLatency>) -> Self {
         LatencyModel {
-            tiers: vec![TierLatency::dram(), TierLatency::optane_pm()],
-            node_access: Vec::new(),
+            tiers,
+            node_access,
             migration_fixed: Nanos::from_nanos(2_500),
             migration_app_stall: Nanos::from_nanos(1_500),
             hint_fault: Nanos::from_nanos(1_500),
             scan_per_page: Nanos::from_nanos(60),
             swap_page: Nanos::from_micros(10),
             txn_remap: Nanos::from_nanos(300),
-        }
-    }
-
-    /// A three-tier model (e.g. HBM + DRAM + PM) used by the N-tier tests.
-    pub fn three_tier() -> Self {
-        LatencyModel {
-            tiers: vec![
-                TierLatency::hbm(),
-                TierLatency::dram(),
-                TierLatency::optane_pm(),
-            ],
-            ..Self::dram_pm()
         }
     }
 
@@ -338,19 +326,19 @@ impl LatencyModel {
     }
 }
 
-impl Default for LatencyModel {
-    fn default() -> Self {
-        Self::dram_pm()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::machine::MachineDesc;
+
+    /// The paper's DRAM + Optane machine, as every experiment derives it.
+    fn dram_pm() -> LatencyModel {
+        MachineDesc::dram_pm(1, 1).latency()
+    }
 
     #[test]
     fn pm_reads_are_several_times_dram() {
-        let m = LatencyModel::dram_pm();
+        let m = dram_pm();
         let dram = m.access(TierId::TOP, AccessKind::Read).as_nanos();
         let pm = m.access(TierId::new(1), AccessKind::Read).as_nanos();
         assert!(
@@ -371,7 +359,7 @@ mod tests {
     fn demotion_costs_more_than_promotion_copy() {
         // Copy into PM is limited by PM's low write bandwidth, so demotion's
         // background cost exceeds promotion's.
-        let m = LatencyModel::dram_pm();
+        let m = dram_pm();
         let promo = m.migration(TierId::new(1), TierId::TOP);
         let demo = m.migration(TierId::TOP, TierId::new(1));
         assert!(demo.background > promo.background);
@@ -380,14 +368,14 @@ mod tests {
 
     #[test]
     fn migration_cost_total_sums_parts() {
-        let m = LatencyModel::dram_pm();
+        let m = dram_pm();
         let c = m.migration(TierId::TOP, TierId::new(1));
         assert_eq!(c.total(), c.app_stall + c.background);
     }
 
     #[test]
     fn batch_of_one_equals_single_migration() {
-        let m = LatencyModel::dram_pm();
+        let m = dram_pm();
         let src = TierId::new(1);
         assert_eq!(
             m.migration_batch(src, TierId::TOP, 1),
@@ -399,7 +387,7 @@ mod tests {
     fn batch_amortizes_setup_cost() {
         // N pages in one batch must cost strictly less than N single
         // migrations: the fixed overhead and the app stall are paid once.
-        let m = LatencyModel::dram_pm();
+        let m = dram_pm();
         let src = TierId::new(1);
         let n = 8u64;
         let batch = m.migration_batch(src, TierId::TOP, n as usize);
@@ -413,7 +401,7 @@ mod tests {
 
     #[test]
     fn stream_scales_with_bytes() {
-        let m = LatencyModel::dram_pm();
+        let m = dram_pm();
         let one = m.stream(TierId::TOP, AccessKind::Read, 4096);
         let two = m.stream(TierId::TOP, AccessKind::Read, 8192);
         assert!(two.as_nanos() >= 2 * one.as_nanos() - 2);
@@ -421,7 +409,7 @@ mod tests {
 
     #[test]
     fn three_tier_model_is_ordered_fastest_first() {
-        let m = LatencyModel::three_tier();
+        let m = MachineDesc::three_tier(1, 1, 1).latency();
         assert_eq!(m.tier_count(), 3);
         let r: Vec<u64> = (0..3)
             .map(|i| m.access(TierId::new(i), AccessKind::Read).as_nanos())
@@ -434,7 +422,7 @@ mod tests {
         // The transactional path's commit cost must undercut the sync
         // path's per-batch stall by a wide margin, or the Nomad mode has
         // no stall win to measure.
-        let m = LatencyModel::dram_pm();
+        let m = dram_pm();
         assert!(m.txn_remap.as_nanos() * 4 <= m.migration_app_stall.as_nanos());
         assert!(m.txn_remap.as_nanos() > 0);
     }
@@ -478,7 +466,7 @@ mod tests {
 
     #[test]
     fn access_at_falls_back_to_tier_when_no_node_entries() {
-        let m = LatencyModel::dram_pm();
+        let m = dram_pm();
         assert!(m.node_access.is_empty());
         assert_eq!(
             m.access_at(NodeId::new(0), TierId::TOP, AccessKind::Read),
@@ -492,7 +480,7 @@ mod tests {
 
     #[test]
     fn access_at_charges_node_entry_when_present() {
-        let mut m = LatencyModel::dram_pm();
+        let mut m = dram_pm();
         m.node_access = vec![
             TierLatency::dram(),
             LinkDesc::cxl().effective(TierLatency::cxl_dram(), 1),
@@ -511,7 +499,7 @@ mod tests {
     fn hint_fault_dwarfs_device_access() {
         // The premise behind the paper's AutoTiering comparison: a software
         // fault costs an order of magnitude more than even a PM read.
-        let m = LatencyModel::dram_pm();
+        let m = dram_pm();
         assert!(
             m.hint_fault.as_nanos() > 4 * m.access(TierId::new(1), AccessKind::Read).as_nanos()
         );

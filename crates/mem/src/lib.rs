@@ -6,7 +6,9 @@
 //! * physical memory organised into **frames** grouped into **NUMA nodes**,
 //!   with every node belonging to a **tier** (DRAM or persistent memory),
 //!   mirroring Linux's `pglist_data` plus the paper's PM-node tagging of the
-//!   DAX-KMEM hot-plug path;
+//!   DAX-KMEM hot-plug path — all of it derived from one value, the
+//!   [`MachineDesc`], which is the only thing a [`MemorySystem`] is built
+//!   from;
 //! * **watermarks** (`min`/`low`/`high`) per node computed with the same
 //!   square-root rule Linux uses, which drive reclaim/demotion pressure;
 //! * a **soft page table** mapping virtual pages to frames and carrying the
@@ -16,7 +18,7 @@
 //! * a **migration engine** equivalent to `migrate_pages()`: allocate on the
 //!   destination tier, account the copy, remap, free the source frame;
 //! * a parameterised **latency model** for DRAM/PM access, migration and
-//!   software page faults;
+//!   software page faults, derived from the same description;
 //! * the [`policy::TieringPolicy`] trait — the substrate-facing interface
 //!   every tiering policy (MULTI-CLOCK and all baselines) implements.
 //!
@@ -24,10 +26,10 @@
 //! time is the [`time::Nanos`] counter owned by the simulation engine.
 //!
 //! ```
-//! use mc_mem::{MemorySystem, MemConfig, PageKind, AccessKind};
+//! use mc_mem::{MemorySystem, MachineDesc, PageKind, AccessKind};
 //!
 //! # fn main() -> Result<(), mc_mem::MemError> {
-//! let mut mem = MemorySystem::new(MemConfig::two_tier(256, 1024));
+//! let mut mem = MemorySystem::new(MachineDesc::dram_pm(256, 1024));
 //! let frame = mem.alloc_page(PageKind::Anon)?;
 //! let vpage = mc_mem::VPage::new(42);
 //! mem.map(vpage, frame)?;
@@ -65,10 +67,10 @@ pub use machine::{MachineBuilder, MachineDesc, MachineNode};
 pub use policy::{NullPolicy, PolicyTraits, TickOutcome, TieringPolicy};
 pub use pte::{PageTable, PteEntry};
 pub use stats::{CostLedger, MemEvent, MemStats};
-pub use system::{AccessOutcome, MemConfig, MemorySystem};
+pub use system::{AccessOutcome, MemorySystem};
 pub use tier::{Tier, TierKind};
 pub use time::{Nanos, VirtualClock};
-pub use topology::{NodeDesc, Topology, TopologyBuilder};
+pub use topology::{NodeDesc, Topology};
 pub use txn::{MigrationMode, MigrationTxn, PageMove, ShadowPages};
 pub use vpage_map::VPageMap;
 pub use watermark::Watermarks;

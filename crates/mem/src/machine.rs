@@ -1,11 +1,10 @@
-//! Unified machine description: the one way to build a machine.
+//! Machine description: the one way to build a machine.
 //!
-//! Historically a machine was assembled from two disconnected halves — a
-//! [`TopologyBuilder`] for the node/tier layout and a hand-matched
-//! [`LatencyModel`] for timing — and callers had to keep them consistent.
-//! [`MachineDesc`] replaces that split: each node carries its memory kind,
-//! page count, device timing, link descriptor, and head count, and both the
-//! [`Topology`] and the [`LatencyModel`] are derived from the same list.
+//! Each node of a [`MachineDesc`] carries its memory kind, page count,
+//! device timing, link descriptor and head count; the [`Topology`] and the
+//! [`LatencyModel`] are both derived from that one list, so a layout can
+//! never be paired with a cost table that describes a different machine.
+//! [`crate::MemorySystem::new`] takes nothing else.
 //!
 //! ```
 //! use mc_mem::{MachineBuilder, TierKind};
@@ -18,15 +17,13 @@
 //! assert_eq!(machine.topology().tier_count(), 3);
 //! ```
 //!
-//! Legacy two-tier machines derive a [`LatencyModel`] with an empty
-//! `node_access` table, so the access cost path is bit-identical to the
-//! pre-`MachineDesc` engine (pinned by the `machine_differential` test in
-//! mc-sim).
+//! Machines of direct-attached single-head nodes derive a
+//! [`LatencyModel`] with an empty `node_access` table and are charged at
+//! tier granularity; only a link or a multi-headed device populates it.
 
 use crate::latency::{LatencyModel, LinkDesc, TierLatency};
-use crate::system::MemConfig;
 use crate::tier::TierKind;
-use crate::topology::{Topology, TopologyBuilder};
+use crate::topology::Topology;
 use serde::{Deserialize, Serialize};
 
 /// One memory node in a machine description: layout plus timing.
@@ -134,21 +131,18 @@ impl MachineDesc {
 
     /// Derives the node/tier layout.
     pub fn topology(&self) -> Topology {
-        let mut b = TopologyBuilder::new();
-        for n in &self.nodes {
-            b = b.node(n.kind, n.pages);
-        }
-        b.build()
+        let specs: Vec<(TierKind, usize)> = self.nodes.iter().map(|n| (n.kind, n.pages)).collect();
+        Topology::derive(&specs)
     }
 
     /// Derives the cost model.
     ///
     /// The per-tier table holds the effective timing of each tier's first
-    /// node (in node order); software costs come from the house defaults.
-    /// The per-node table is populated only when some node sits behind a
-    /// non-direct link or has multiple heads — machines of direct-attached
-    /// single-head nodes keep `node_access` empty and take the identical
-    /// legacy per-tier cost path.
+    /// node (in node order); software costs are the house defaults, which
+    /// live in `LatencyModel::new`. The per-node table is populated only
+    /// when some node sits behind a non-direct link or has multiple heads
+    /// — machines of direct-attached single-head nodes keep `node_access`
+    /// empty and are charged from the per-tier table alone.
     pub fn latency(&self) -> LatencyModel {
         let topo = self.topology();
         let tiers: Vec<TierLatency> = topo
@@ -167,19 +161,7 @@ impl MachineDesc {
         } else {
             Vec::new()
         };
-        LatencyModel {
-            tiers,
-            node_access,
-            ..LatencyModel::dram_pm()
-        }
-    }
-
-    /// Derives a full [`MemConfig`] (topology + cost model).
-    pub fn mem_config(&self) -> MemConfig {
-        MemConfig {
-            topology: self.topology(),
-            latency: self.latency(),
-        }
+        LatencyModel::new(tiers, node_access)
     }
 }
 
@@ -243,13 +225,29 @@ impl MachineBuilder {
         self
     }
 
-    /// Finalises the description.
+    /// Finalises the description. The one place a machine is validated:
+    /// everything derived from it narrows node ids to `u8` and frame
+    /// numbers to `u32`, and `mc_clock::IndexedList` reserves the top two
+    /// `u32` values as sentinels.
     ///
     /// # Panics
     ///
-    /// Panics if no node was added.
+    /// Panics if no node was added, if there are more than 256 nodes, or
+    /// if the page total reaches `u32::MAX - 1`.
     pub fn build(self) -> MachineDesc {
         assert!(!self.nodes.is_empty(), "machine needs at least one node");
+        assert!(
+            self.nodes.len() <= 256,
+            "machine has at most 256 nodes (node ids are u8)"
+        );
+        let total = self
+            .nodes
+            .iter()
+            .try_fold(0usize, |sum, n| sum.checked_add(n.pages));
+        assert!(
+            total.is_some_and(|t| t < (u32::MAX - 1) as usize),
+            "machine needs fewer than u32::MAX - 1 pages (frame numbers are u32)"
+        );
         MachineDesc { nodes: self.nodes }
     }
 }
@@ -260,24 +258,42 @@ mod tests {
     use crate::ids::{NodeId, TierId};
     use crate::latency::AccessKind;
 
+    /// `(read_ns, write_ns, read_bw, write_bw)` of every per-tier entry.
+    fn tier_table(lat: &LatencyModel) -> Vec<(u64, u64, f64, f64)> {
+        lat.tiers
+            .iter()
+            .map(|t| (t.read_ns, t.write_ns, t.read_bw_gbps, t.write_bw_gbps))
+            .collect()
+    }
+
+    const HBM: (u64, u64, f64, f64) = (60, 70, 100.0, 80.0);
+    const DRAM: (u64, u64, f64, f64) = (80, 90, 30.0, 25.0);
+    const PM: (u64, u64, f64, f64) = (300, 125, 6.0, 2.0);
+
     #[test]
     fn dram_pm_preset_matches_legacy_model_exactly() {
-        // The bit-identity contract: the preset derives the very same
-        // topology and cost model the pre-MachineDesc constructors built.
+        // The numbers every two-tier result in the repo was produced with.
         let m = MachineDesc::dram_pm(1024, 4096);
-        let legacy_topo = TopologyBuilder::new()
-            .node(TierKind::Dram, 1024)
-            .node(TierKind::Pm, 4096)
-            .build();
-        assert_eq!(m.topology(), legacy_topo);
-        assert_eq!(m.latency(), LatencyModel::dram_pm());
-        assert!(m.latency().node_access.is_empty());
+        let topo = m.topology();
+        assert_eq!(topo.tier_count(), 2);
+        assert_eq!(topo.total_pages(), 5120);
+        assert_eq!(topo.node(NodeId::new(1)).first_frame().raw(), 1024);
+        let lat = m.latency();
+        assert_eq!(tier_table(&lat), [DRAM, PM]);
+        assert!(lat.node_access.is_empty());
+        assert_eq!(lat.migration_fixed.as_nanos(), 2_500);
+        assert_eq!(lat.migration_app_stall.as_nanos(), 1_500);
+        assert_eq!(lat.hint_fault.as_nanos(), 1_500);
+        assert_eq!(lat.scan_per_page.as_nanos(), 60);
+        assert_eq!(lat.swap_page.as_nanos(), 10_000);
+        assert_eq!(lat.txn_remap.as_nanos(), 300);
     }
 
     #[test]
     fn three_tier_preset_matches_legacy_model_exactly() {
-        let m = MachineDesc::three_tier(64, 256, 1024);
-        assert_eq!(m.latency(), LatencyModel::three_tier());
+        let lat = MachineDesc::three_tier(64, 256, 1024).latency();
+        assert_eq!(tier_table(&lat), [HBM, DRAM, PM]);
+        assert!(lat.node_access.is_empty());
     }
 
     #[test]
@@ -285,7 +301,7 @@ mod tests {
         let m = MachineDesc::dual_socket(512, 2048);
         assert_eq!(m.topology().tier_count(), 2);
         assert!(m.latency().node_access.is_empty());
-        assert_eq!(m.latency(), LatencyModel::dram_pm());
+        assert_eq!(m.latency(), MachineDesc::dram_pm(1, 1).latency());
     }
 
     #[test]
@@ -348,10 +364,17 @@ mod tests {
     }
 
     #[test]
-    fn mem_config_derives_both_halves() {
-        let cfg = MachineDesc::dram_pm(128, 512).mem_config();
-        assert_eq!(cfg.topology.total_pages(), 640);
-        assert_eq!(cfg.latency.tier_count(), 2);
+    #[should_panic(expected = "at most 256 nodes")]
+    fn more_nodes_than_node_ids_rejected() {
+        let b = (0..257).fold(MachineBuilder::new(), |b, _| b.node(TierKind::Dram, 1));
+        let _ = b.build();
+    }
+
+    #[test]
+    #[should_panic(expected = "fewer than u32::MAX - 1 pages")]
+    fn more_pages_than_frame_ids_rejected() {
+        let half = (u32::MAX / 2) as usize;
+        let _ = MachineDesc::dram_pm(half, half);
     }
 
     #[test]

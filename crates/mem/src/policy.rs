@@ -161,11 +161,11 @@ impl TieringPolicy for NullPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::system::MemConfig;
+    use crate::machine::MachineDesc;
 
     #[test]
     fn null_policy_is_inert() {
-        let mut mem = MemorySystem::new(MemConfig::two_tier(16, 64));
+        let mut mem = MemorySystem::new(MachineDesc::dram_pm(16, 64));
         let mut p = NullPolicy;
         assert_eq!(p.name(), "null");
         assert_eq!(p.tick_interval(), None);

@@ -1,8 +1,6 @@
 //! Counters, cost accounting and event reporting.
 
 use crate::ids::{FrameId, TierId, VPage};
-#[cfg(test)]
-use crate::tier::TierKind;
 use crate::time::Nanos;
 use crate::topology::Topology;
 use serde::{Deserialize, Serialize};
@@ -187,15 +185,11 @@ impl MemEvent {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::topology::TopologyBuilder;
+    use crate::machine::MachineDesc;
 
     #[test]
     fn fast_tier_share_counts_all_fast_tiers() {
-        let topo = TopologyBuilder::new()
-            .node(TierKind::Hbm, 8)
-            .node(TierKind::Dram, 8)
-            .node(TierKind::Pm, 8)
-            .build();
+        let topo = MachineDesc::three_tier(8, 8, 8).topology();
         let mut s = MemStats::default();
         assert_eq!(s.fast_tier_share(&topo), None);
         assert_eq!(s.tier0_share(), None);
@@ -211,11 +205,7 @@ mod tests {
         // A page served from a CXL expander paid a link round-trip; it must
         // not count as "served from fast memory". The old non-Pm filter
         // would report 0.70 here.
-        let topo = TopologyBuilder::new()
-            .node(TierKind::Dram, 8)
-            .node(TierKind::Cxl, 8)
-            .node(TierKind::Pm, 8)
-            .build();
+        let topo = MachineDesc::dram_cxl_pm(8, 8, 8).topology();
         let mut s = MemStats::default();
         s.tier_accesses = vec![50, 20, 30];
         assert!((s.fast_tier_share(&topo).unwrap() - 0.50).abs() < 1e-9);

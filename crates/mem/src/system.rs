@@ -1,5 +1,6 @@
 //! The memory system: frames, nodes, tiers, mapping, allocation and
-//! migration — the substrate every tiering policy operates on.
+//! migration — the substrate every tiering policy operates on, built
+//! from one [`MachineDesc`] and nothing else.
 
 use crate::error::MemError;
 use crate::flags::PageFlags;
@@ -16,45 +17,6 @@ use crate::watermark::Watermarks;
 use mc_fault::{FaultInjector, InjectedFault};
 use mc_obs::{saturating_bump, EventKind, Recorder};
 use std::collections::HashSet;
-
-/// Configuration for a [`MemorySystem`].
-#[derive(Debug, Clone)]
-pub struct MemConfig {
-    /// The machine layout.
-    pub topology: Topology,
-    /// The cost model.
-    pub latency: LatencyModel,
-}
-
-impl MemConfig {
-    /// A single-socket, two-tier machine: one DRAM node and one PM node.
-    /// Thin wrapper over the [`MachineDesc::dram_pm`] preset.
-    ///
-    /// This is the configuration most experiments use, scaled down from the
-    /// paper's 192 GB + 512 GB testbed to keep simulations fast; all ratios
-    /// (footprint vs DRAM size) are preserved by the experiment configs.
-    pub fn two_tier(dram_pages: usize, pm_pages: usize) -> Self {
-        MachineDesc::dram_pm(dram_pages, pm_pages).mem_config()
-    }
-
-    /// A dual-socket machine: two DRAM nodes and two PM nodes, mirroring
-    /// the paper's testbed shape. Wrapper over [`MachineDesc::dual_socket`].
-    pub fn dual_socket(dram_pages_per_node: usize, pm_pages_per_node: usize) -> Self {
-        MachineDesc::dual_socket(dram_pages_per_node, pm_pages_per_node).mem_config()
-    }
-
-    /// A three-tier machine for the N-tier extension tests. Wrapper over
-    /// [`MachineDesc::three_tier`].
-    pub fn three_tier(hbm_pages: usize, dram_pages: usize, pm_pages: usize) -> Self {
-        MachineDesc::three_tier(hbm_pages, dram_pages, pm_pages).mem_config()
-    }
-
-    /// A realistic CXL expansion machine: DRAM + CXL-attached DRAM + PM.
-    /// Wrapper over [`MachineDesc::dram_cxl_pm`].
-    pub fn dram_cxl_pm(dram_pages: usize, cxl_pages: usize, pm_pages: usize) -> Self {
-        MachineDesc::dram_cxl_pm(dram_pages, cxl_pages, pm_pages).mem_config()
-    }
-}
 
 /// Runtime state of one NUMA node.
 #[derive(Debug, Clone)]
@@ -117,19 +79,13 @@ pub struct MemorySystem {
 }
 
 impl MemorySystem {
-    /// Builds a memory system from a configuration.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the latency model describes fewer tiers than the topology.
-    pub fn new(cfg: MemConfig) -> Self {
-        assert!(
-            cfg.latency.tier_count() >= cfg.topology.tier_count(),
-            "latency model must cover every tier"
-        );
-        let mut frames = Vec::with_capacity(cfg.topology.total_pages());
-        let mut nodes = Vec::with_capacity(cfg.topology.nodes().len());
-        for node in cfg.topology.nodes() {
+    /// Builds the memory system of `machine`: layout and cost model are
+    /// both derived from the one description, so they cannot disagree.
+    pub fn new(machine: MachineDesc) -> Self {
+        let topology = machine.topology();
+        let mut frames = Vec::with_capacity(topology.total_pages());
+        let mut nodes = Vec::with_capacity(topology.nodes().len());
+        for node in topology.nodes() {
             let mut free = Vec::with_capacity(node.pages());
             for f in node.frames() {
                 frames.push(Frame::free(node.id(), node.tier()));
@@ -143,8 +99,8 @@ impl MemorySystem {
             });
         }
         MemorySystem {
-            topology: cfg.topology,
-            latency: cfg.latency,
+            topology,
+            latency: machine.latency(),
             frames,
             nodes,
             page_table: PageTable::new(),
@@ -1078,7 +1034,7 @@ mod tests {
     use super::*;
 
     fn small() -> MemorySystem {
-        MemorySystem::new(MemConfig::two_tier(64, 256))
+        MemorySystem::new(MachineDesc::dram_pm(64, 256))
     }
 
     /// Opens the copy window of one page.
@@ -1118,7 +1074,7 @@ mod tests {
 
     #[test]
     fn allocation_respects_min_watermark() {
-        let mut mem = MemorySystem::new(MemConfig::two_tier(64, 64));
+        let mut mem = MemorySystem::new(MachineDesc::dram_pm(64, 64));
         let mut allocated = 0;
         while mem.alloc_page(PageKind::Anon).is_ok() {
             allocated += 1;
@@ -1462,7 +1418,7 @@ mod tests {
 
     #[test]
     fn pressure_detection() {
-        let mut mem = MemorySystem::new(MemConfig::two_tier(64, 256));
+        let mut mem = MemorySystem::new(MachineDesc::dram_pm(64, 256));
         assert!(!mem.tier_under_pressure(TierId::TOP));
         let wm = mem.node_watermarks(NodeId::new(0));
         // Allocate DRAM down to just below the low watermark.
@@ -1475,7 +1431,7 @@ mod tests {
 
     #[test]
     fn dual_socket_allocation_balances_nodes() {
-        let mut mem = MemorySystem::new(MemConfig::dual_socket(32, 128));
+        let mut mem = MemorySystem::new(MachineDesc::dual_socket(32, 128));
         // Allocations alternate to the node with most free pages.
         let a = mem.alloc_page(PageKind::Anon).unwrap();
         let b = mem.alloc_page(PageKind::Anon).unwrap();
@@ -1726,7 +1682,7 @@ mod tests {
 
     #[test]
     fn alloc_pressure_releases_shadow_capacity() {
-        let mut mem = MemorySystem::new(MemConfig::two_tier(64, 64));
+        let mut mem = MemorySystem::new(MachineDesc::dram_pm(64, 64));
         let pm = TierId::new(1);
         // One clean promotion retains a PM shadow frame.
         begin_promotion(&mut mem, 8);

@@ -1,13 +1,15 @@
-//! Machine topology: NUMA nodes grouped into tiers.
+//! Machine topology: NUMA nodes grouped into tiers. A derived type —
+//! the only way to get one is [`crate::MachineDesc::topology`].
 //!
 //! ```
-//! use mc_mem::{TopologyBuilder, TierKind, TierId};
+//! use mc_mem::{MachineBuilder, TierKind, TierId};
 //!
-//! let topo = TopologyBuilder::new()
+//! let topo = MachineBuilder::new()
 //!     .node(TierKind::Dram, 1024)
 //!     .node(TierKind::Dram, 1024)
 //!     .node(TierKind::Pm, 8192)
-//!     .build();
+//!     .build()
+//!     .topology();
 //! assert_eq!(topo.tier_count(), 2);
 //! assert_eq!(topo.tier(TierId::TOP).pages(), 2048);
 //! ```
@@ -68,7 +70,7 @@ impl NodeDesc {
     }
 }
 
-/// A complete machine description: nodes, tiers, frame numbering.
+/// The machine's layout: nodes, tiers, frame numbering.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Topology {
     nodes: Vec<NodeDesc>,
@@ -114,45 +116,22 @@ impl Topology {
     pub fn total_pages(&self) -> usize {
         self.total_pages
     }
-}
 
-/// Builder for [`Topology`].
-#[derive(Debug, Default, Clone)]
-pub struct TopologyBuilder {
-    nodes: Vec<(TierKind, usize)>,
-}
+    /// Derives the layout from `(kind, pages)` per node, in node order:
+    /// tiers are the distinct memory kinds present, fastest first; frames
+    /// are numbered densely in node order. [`crate::MachineBuilder::build`]
+    /// has already bounded the node count and the page total, so the
+    /// narrowing casts below cannot wrap.
+    pub(crate) fn derive(specs: &[(TierKind, usize)]) -> Topology {
+        let total_pages: usize = specs.iter().map(|(_, p)| p).sum();
 
-impl TopologyBuilder {
-    /// An empty builder.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds a NUMA node of the given memory kind and page count.
-    pub fn node(mut self, kind: TierKind, pages: usize) -> Self {
-        assert!(pages > 0, "a node must have at least one page");
-        self.nodes.push((kind, pages));
-        self
-    }
-
-    /// Finalises the topology: tiers are derived from the distinct memory
-    /// kinds present, ordered fastest first; frames are numbered densely in
-    /// node order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no node was added.
-    pub fn build(self) -> Topology {
-        assert!(!self.nodes.is_empty(), "topology needs at least one node");
-        let total_pages: usize = self.nodes.iter().map(|(_, p)| p).sum();
-
-        let mut kinds: Vec<TierKind> = self.nodes.iter().map(|(k, _)| *k).collect();
+        let mut kinds: Vec<TierKind> = specs.iter().map(|(k, _)| *k).collect();
         kinds.sort();
         kinds.dedup();
 
-        let mut nodes = Vec::with_capacity(self.nodes.len());
+        let mut nodes = Vec::with_capacity(specs.len());
         let mut next_frame = 0u32;
-        for (i, (kind, pages)) in self.nodes.iter().enumerate() {
+        for (i, (kind, pages)) in specs.iter().enumerate() {
             // lint: allow(panic) - kinds was deduped from these same nodes just above
             let tier_idx = kinds.iter().position(|k| k == kind).expect("kind present");
             nodes.push(NodeDesc {
@@ -195,16 +174,18 @@ impl TopologyBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::machine::MachineBuilder;
 
     #[test]
     fn two_socket_dram_pm_machine() {
         // The paper's testbed shape: two sockets, each with DRAM and PM.
-        let topo = TopologyBuilder::new()
+        let topo = MachineBuilder::new()
             .node(TierKind::Dram, 1000)
             .node(TierKind::Dram, 1000)
             .node(TierKind::Pm, 4000)
             .node(TierKind::Pm, 4000)
-            .build();
+            .build()
+            .topology();
         assert_eq!(topo.tier_count(), 2);
         assert_eq!(topo.tier(TierId::TOP).kind(), TierKind::Dram);
         assert_eq!(topo.tier(TierId::TOP).pages(), 2000);
@@ -215,10 +196,11 @@ mod tests {
 
     #[test]
     fn frame_ranges_are_dense_and_disjoint() {
-        let topo = TopologyBuilder::new()
+        let topo = MachineBuilder::new()
             .node(TierKind::Dram, 10)
             .node(TierKind::Pm, 20)
-            .build();
+            .build()
+            .topology();
         let n0: Vec<_> = topo.node(NodeId::new(0)).frames().collect();
         let n1: Vec<_> = topo.node(NodeId::new(1)).frames().collect();
         assert_eq!(n0.len(), 10);
@@ -230,10 +212,11 @@ mod tests {
 
     #[test]
     fn tiers_sorted_fastest_first_regardless_of_insert_order() {
-        let topo = TopologyBuilder::new()
+        let topo = MachineBuilder::new()
             .node(TierKind::Pm, 100)
             .node(TierKind::Dram, 50)
-            .build();
+            .build()
+            .topology();
         assert_eq!(topo.tier(TierId::TOP).kind(), TierKind::Dram);
         assert_eq!(topo.tier(TierId::new(1)).kind(), TierKind::Pm);
         // The PM node keeps its id but belongs to tier 1.
@@ -242,11 +225,12 @@ mod tests {
 
     #[test]
     fn three_tier_machine() {
-        let topo = TopologyBuilder::new()
+        let topo = MachineBuilder::new()
             .node(TierKind::Hbm, 64)
             .node(TierKind::Dram, 256)
             .node(TierKind::Pm, 1024)
-            .build();
+            .build()
+            .topology();
         assert_eq!(topo.tier_count(), 3);
         assert_eq!(topo.tier(TierId::new(0)).kind(), TierKind::Hbm);
         assert_eq!(topo.tier(TierId::new(2)).kind(), TierKind::Pm);
@@ -255,12 +239,12 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one node")]
     fn empty_topology_rejected() {
-        let _ = TopologyBuilder::new().build();
+        let _ = MachineBuilder::new().build();
     }
 
     #[test]
     #[should_panic(expected = "at least one page")]
     fn zero_page_node_rejected() {
-        let _ = TopologyBuilder::new().node(TierKind::Dram, 0);
+        let _ = MachineBuilder::new().node(TierKind::Dram, 0);
     }
 }

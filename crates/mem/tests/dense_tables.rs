@@ -7,7 +7,7 @@
 //! answers, orders included.
 
 use mc_mem::{
-    AccessKind, FrameId, MemConfig, MemError, MemorySystem, MigrationMode, PageKind, PageMove,
+    AccessKind, FrameId, MachineDesc, MemError, MemorySystem, MigrationMode, PageKind, PageMove,
     PageTable, PteEntry, ShadowPages, TierId, VPage,
 };
 use proptest::prelude::*;
@@ -142,7 +142,7 @@ proptest! {
     ) {
         const PAGES: u64 = 24;
         let lower = TierId::new(1);
-        let mut mem = MemorySystem::new(MemConfig::two_tier(40, 128));
+        let mut mem = MemorySystem::new(MachineDesc::dram_pm(40, 128));
         for p in 0..PAGES {
             let f = mem.alloc_page_in_tier(PageKind::Anon, lower).unwrap();
             mem.map(VPage::new(p), f).unwrap();
@@ -258,7 +258,7 @@ proptest! {
 /// the address; past the span it costs nothing and fails.
 #[test]
 fn sparse_and_out_of_span_mappings_stay_bounded() {
-    let mut mem = MemorySystem::new(MemConfig::two_tier(8, 32));
+    let mut mem = MemorySystem::new(MachineDesc::dram_pm(8, 32));
     let f = mem.alloc_page(PageKind::Anon).unwrap();
     let edge = VPage::new(PageTable::MAX_VPAGES);
     assert_eq!(mem.map(edge, f), Err(MemError::VPageOutOfRange(edge)));

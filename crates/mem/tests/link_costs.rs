@@ -40,7 +40,7 @@ proptest! {
             .expect("the multihead preset has an asymmetric CXL link");
         prop_assert_ne!(cxl_node.read_ns, cxl_node.write_ns);
 
-        let mut mem = MemorySystem::new(desc.mem_config());
+        let mut mem = MemorySystem::new(desc);
         // Fill until the allocator refuses (watermarks keep headroom),
         // so pages land on every node well past the DRAM sockets.
         let mut pages = 0u64;
@@ -87,7 +87,7 @@ proptest! {
     ) {
         let desc = MachineDesc::cxl_multihead(dram_per_socket, cxl_pages, pm_pages);
         let expected = expected_timings(&desc);
-        let mut mem = MemorySystem::new(desc.mem_config());
+        let mut mem = MemorySystem::new(desc);
         let mut pages = 0u64;
         while let Ok(f) = mem.alloc_page(PageKind::Anon) {
             mem.map(VPage::new(pages), f).expect("fresh vpage");

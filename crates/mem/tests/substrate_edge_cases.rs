@@ -1,11 +1,11 @@
 //! Edge-case tests for the memory substrate beyond the per-module units.
 
 use mc_mem::{
-    AccessKind, MemConfig, MemError, MemorySystem, NodeId, PageFlags, PageKind, TierId, VPage,
+    AccessKind, MachineDesc, MemError, MemorySystem, NodeId, PageFlags, PageKind, TierId, VPage,
 };
 
 fn small() -> MemorySystem {
-    MemorySystem::new(MemConfig::two_tier(32, 128))
+    MemorySystem::new(MachineDesc::dram_pm(32, 128))
 }
 
 #[test]
@@ -136,7 +136,7 @@ fn locked_page_survives_both_migration_and_eviction() {
 
 #[test]
 fn dual_socket_tier_free_spans_nodes() {
-    let mut mem = MemorySystem::new(MemConfig::dual_socket(16, 64));
+    let mut mem = MemorySystem::new(MachineDesc::dual_socket(16, 64));
     assert_eq!(mem.tier_free(TierId::TOP), 32);
     assert_eq!(mem.tier_free(TierId::new(1)), 128);
     // Drain one DRAM node fully: allocations keep succeeding from the
@@ -152,7 +152,7 @@ fn dual_socket_tier_free_spans_nodes() {
 
 #[test]
 fn three_tier_alloc_order_is_fastest_first() {
-    let mut mem = MemorySystem::new(MemConfig::three_tier(8, 16, 64));
+    let mut mem = MemorySystem::new(MachineDesc::three_tier(8, 16, 64));
     let f = mem.alloc_page(PageKind::Anon).unwrap();
     assert_eq!(
         mem.topology().tier(mem.frame(f).tier()).kind(),

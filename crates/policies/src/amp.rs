@@ -288,10 +288,10 @@ impl TieringPolicy for Amp {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mc_mem::{MemConfig, PageKind, VPage};
+    use mc_mem::{MachineDesc, PageKind, VPage};
 
     fn setup() -> (MemorySystem, Amp) {
-        let mem = MemorySystem::new(MemConfig::two_tier(32, 128));
+        let mem = MemorySystem::new(MachineDesc::dram_pm(32, 128));
         let amp = Amp::with_defaults(mem.topology());
         (mem, amp)
     }

@@ -208,10 +208,10 @@ impl TieringPolicy for AutoNuma {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mc_mem::{MemConfig, VPage};
+    use mc_mem::{MachineDesc, VPage};
 
     fn setup() -> (MemorySystem, AutoNuma) {
-        let mem = MemorySystem::new(MemConfig::two_tier(32, 128));
+        let mem = MemorySystem::new(MachineDesc::dram_pm(32, 128));
         let an = AutoNuma::with_defaults(mem.topology());
         (mem, an)
     }

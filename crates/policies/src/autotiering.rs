@@ -432,7 +432,7 @@ impl TieringPolicy for AutoTiering {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mc_mem::{MemConfig, PageKind, VPage};
+    use mc_mem::{MachineDesc, PageKind, VPage};
 
     fn map_in_tier(mem: &mut MemorySystem, at: &mut AutoTiering, v: u64, tier: TierId) -> FrameId {
         let f = mem.alloc_page_in_tier(PageKind::Anon, tier).unwrap();
@@ -443,7 +443,7 @@ mod tests {
 
     #[test]
     fn tick_poisons_ptes() {
-        let mut mem = MemorySystem::new(MemConfig::two_tier(64, 256));
+        let mut mem = MemorySystem::new(MachineDesc::dram_pm(64, 256));
         let mut at = AutoTiering::cpm(mem.topology());
         for v in 0..20u64 {
             map_in_tier(&mut mem, &mut at, v, TierId::new(1));
@@ -458,7 +458,7 @@ mod tests {
 
     #[test]
     fn hint_fault_promotes_pm_page() {
-        let mut mem = MemorySystem::new(MemConfig::two_tier(64, 256));
+        let mut mem = MemorySystem::new(MachineDesc::dram_pm(64, 256));
         let mut at = AutoTiering::cpm(mem.topology());
         let f = map_in_tier(&mut mem, &mut at, 1, TierId::new(1));
         at.tick(&mut mem, Nanos::from_secs(1));
@@ -472,7 +472,7 @@ mod tests {
 
     #[test]
     fn cpm_exchanges_when_dram_full() {
-        let mut mem = MemorySystem::new(MemConfig::two_tier(16, 64));
+        let mut mem = MemorySystem::new(MachineDesc::dram_pm(16, 64));
         let mut at = AutoTiering::cpm(mem.topology());
         let mut v = 0u64;
         while let Ok(f) = mem.alloc_page_in_tier(PageKind::Anon, TierId::TOP) {
@@ -489,7 +489,7 @@ mod tests {
 
     #[test]
     fn opm_defers_promotion_until_headroom_exists() {
-        let mut mem = MemorySystem::new(MemConfig::two_tier(128, 512));
+        let mut mem = MemorySystem::new(MachineDesc::dram_pm(128, 512));
         let mut at = AutoTiering::opm(mem.topology());
         let mut v = 0u64;
         while let Ok(f) = mem.alloc_page_in_tier(PageKind::Anon, TierId::TOP) {
@@ -515,7 +515,7 @@ mod tests {
 
     #[test]
     fn history_folds_faults_and_shifts() {
-        let mut mem = MemorySystem::new(MemConfig::two_tier(64, 256));
+        let mut mem = MemorySystem::new(MachineDesc::dram_pm(64, 256));
         let mut at = AutoTiering::opm(mem.topology());
         let f = map_in_tier(&mut mem, &mut at, 1, TierId::TOP);
         at.on_hint_fault(&mut mem, f, AccessKind::Read);
@@ -528,7 +528,7 @@ mod tests {
 
     #[test]
     fn opm_protects_pages_with_history_from_background_demotion() {
-        let mut mem = MemorySystem::new(MemConfig::two_tier(16, 64));
+        let mut mem = MemorySystem::new(MachineDesc::dram_pm(16, 64));
         let mut at = AutoTiering::opm(mem.topology());
         let mut frames = Vec::new();
         let mut v = 0u64;
@@ -555,7 +555,7 @@ mod tests {
 
     #[test]
     fn pressure_reclaims_lowest_tier_by_eviction() {
-        let mut mem = MemorySystem::new(MemConfig::two_tier(16, 32));
+        let mut mem = MemorySystem::new(MachineDesc::dram_pm(16, 32));
         let mut at = AutoTiering::cpm(mem.topology());
         let mut v = 0u64;
         while let Ok(f) = mem.alloc_page(PageKind::Anon) {
@@ -570,7 +570,7 @@ mod tests {
 
     #[test]
     fn traits_differ_by_mode_name_only() {
-        let mem = MemorySystem::new(MemConfig::two_tier(16, 64));
+        let mem = MemorySystem::new(MachineDesc::dram_pm(16, 64));
         let cpm = AutoTiering::cpm(mem.topology());
         let opm = AutoTiering::opm(mem.topology());
         assert_eq!(cpm.traits().page_access_tracking, "Software Page Fault");

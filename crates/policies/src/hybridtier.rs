@@ -107,17 +107,6 @@ impl HybridTier {
         Self::new(HybridTierConfig::default(), topology)
     }
 
-    /// With a different daemon interval (Fig. 10 sweep).
-    pub fn with_interval(topology: &Topology, interval: Nanos) -> Self {
-        Self::new(
-            HybridTierConfig {
-                sample_interval: interval,
-                ..Default::default()
-            },
-            topology,
-        )
-    }
-
     /// Total pages promoted.
     pub fn promotions(&self) -> u64 {
         self.promotions
@@ -416,10 +405,10 @@ impl TieringPolicy for HybridTier {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mc_mem::{MemConfig, PageKind};
+    use mc_mem::{MachineDesc, PageKind};
 
     fn setup() -> (MemorySystem, HybridTier) {
-        let mem = MemorySystem::new(MemConfig::two_tier(64, 256));
+        let mem = MemorySystem::new(MachineDesc::dram_pm(64, 256));
         let h = HybridTier::with_defaults(mem.topology());
         (mem, h)
     }
@@ -486,7 +475,7 @@ mod tests {
 
     #[test]
     fn sampling_cost_is_bounded_by_batch() {
-        let mut mem = MemorySystem::new(MemConfig::two_tier(512, 4096));
+        let mut mem = MemorySystem::new(MachineDesc::dram_pm(512, 4096));
         let mut h = HybridTier::new(
             HybridTierConfig {
                 sample_batch: 64,
@@ -509,7 +498,7 @@ mod tests {
 
     #[test]
     fn pressure_demotes_cold_before_hot() {
-        let mut mem = MemorySystem::new(MemConfig::two_tier(16, 64));
+        let mut mem = MemorySystem::new(MachineDesc::dram_pm(16, 64));
         let mut h = HybridTier::with_defaults(mem.topology());
         let mut v = 0u64;
         while let Ok(f) = mem.alloc_page_in_tier(PageKind::Anon, TierId::TOP) {
@@ -531,7 +520,7 @@ mod tests {
 
     #[test]
     fn runs_on_three_tier_cxl_machine() {
-        let mut mem = MemorySystem::new(MemConfig::dram_cxl_pm(32, 64, 256));
+        let mut mem = MemorySystem::new(MachineDesc::dram_cxl_pm(32, 64, 256));
         let mut h = HybridTier::with_defaults(mem.topology());
         let bottom = TierId::new(2);
         map_in_tier(&mut mem, &mut h, 1, bottom);
@@ -547,7 +536,7 @@ mod tests {
     #[test]
     fn same_seed_same_behaviour() {
         let run = || {
-            let mut mem = MemorySystem::new(MemConfig::two_tier(64, 256));
+            let mut mem = MemorySystem::new(MachineDesc::dram_pm(64, 256));
             let mut h = HybridTier::with_defaults(mem.topology());
             for v in 0..100u64 {
                 map_in_tier(&mut mem, &mut h, v, TierId::new(1));

@@ -127,7 +127,7 @@ mod tests {
     use super::*;
 
     fn model() -> LatencyModel {
-        LatencyModel::dram_pm()
+        mc_mem::MachineDesc::dram_pm(1, 1).latency()
     }
 
     #[test]

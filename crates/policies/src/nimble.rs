@@ -85,17 +85,6 @@ impl Nimble {
         Self::new(NimbleConfig::default(), topology)
     }
 
-    /// With a different scan interval (Fig. 10 sweep).
-    pub fn with_interval(topology: &Topology, interval: Nanos) -> Self {
-        Self::new(
-            NimbleConfig {
-                scan_interval: interval,
-                ..Default::default()
-            },
-            topology,
-        )
-    }
-
     /// Total pages promoted.
     pub fn promotions(&self) -> u64 {
         self.promotions
@@ -391,10 +380,10 @@ impl TieringPolicy for Nimble {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mc_mem::{MemConfig, PageKind, VPage};
+    use mc_mem::{MachineDesc, PageKind, VPage};
 
     fn setup() -> (MemorySystem, Nimble) {
-        let mem = MemorySystem::new(MemConfig::two_tier(64, 256));
+        let mem = MemorySystem::new(MachineDesc::dram_pm(64, 256));
         let n = Nimble::with_defaults(mem.topology());
         (mem, n)
     }
@@ -427,7 +416,7 @@ mod tests {
     #[test]
     fn promotes_more_pages_than_multi_clock_on_same_workload() {
         // Fig. 8's shape: identical access pattern, Nimble promotes more.
-        let mk_mem = || MemorySystem::new(MemConfig::two_tier(512, 1024));
+        let mk_mem = || MemorySystem::new(MachineDesc::dram_pm(512, 1024));
         let pm = TierId::new(1);
 
         // Pages accessed exactly twice, one interval apart: Nimble
@@ -458,7 +447,7 @@ mod tests {
 
     #[test]
     fn exchange_demotes_cold_dram_page_when_full() {
-        let mut mem = MemorySystem::new(MemConfig::two_tier(32, 128));
+        let mut mem = MemorySystem::new(MachineDesc::dram_pm(32, 128));
         let mut n = Nimble::with_defaults(mem.topology());
         // Fill DRAM with cold pages.
         let mut v = 0u64;
@@ -494,7 +483,7 @@ mod tests {
 
     #[test]
     fn pressure_demotes_then_evicts() {
-        let mut mem = MemorySystem::new(MemConfig::two_tier(16, 32));
+        let mut mem = MemorySystem::new(MachineDesc::dram_pm(16, 32));
         let mut n = Nimble::with_defaults(mem.topology());
         let mut v = 0u64;
         while let Ok(f) = mem.alloc_page(PageKind::Anon) {

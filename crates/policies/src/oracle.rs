@@ -8,15 +8,14 @@
 //! engine's oracle-visibility mode (every access is delivered through
 //! [`mc_mem::TieringPolicy::on_supervised_access`]).
 //!
-//! Recency stamps live in a single global [`LruOrder`] so they stay
+//! Recency stamps come from a single global counter so they stay
 //! comparable across tiers and across migrations.
 
-use mc_clock::LruOrder;
 use mc_mem::{
     AccessKind, FrameId, MemError, MemorySystem, Nanos, PolicyTraits, TickOutcome, TierId,
     TieringPolicy, Topology,
 };
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 /// Which oracle to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -42,8 +41,11 @@ impl OracleKind {
 #[derive(Debug)]
 pub struct OraclePolicy {
     kind: OracleKind,
-    /// Global recency order over every tracked frame.
-    recency: LruOrder,
+    /// Last-use stamp of every tracked frame (higher = more recent), kept
+    /// in frame order so iteration is deterministic.
+    stamps: BTreeMap<FrameId, u64>,
+    /// The stamp handed out last.
+    last_stamp: u64,
     /// Per-frame access counts (LFU), halved every tick.
     counts: HashMap<FrameId, u64>,
     /// Pages to promote per tick.
@@ -57,7 +59,8 @@ impl OraclePolicy {
     pub fn new(kind: OracleKind, _topology: &Topology) -> Self {
         OraclePolicy {
             kind,
-            recency: LruOrder::new(),
+            stamps: BTreeMap::new(),
+            last_stamp: 0,
             counts: HashMap::new(),
             batch: 1024,
             interval: Nanos::from_secs(1),
@@ -75,10 +78,16 @@ impl OraclePolicy {
         self.promotions
     }
 
+    /// Records a use of `frame`: most recent from now on.
+    fn touch(&mut self, frame: FrameId) {
+        self.last_stamp += 1;
+        self.stamps.insert(frame, self.last_stamp);
+    }
+
     /// The score of a frame under this oracle (higher = hotter).
     fn score(&self, frame: FrameId) -> u64 {
         match self.kind {
-            OracleKind::Lru => self.recency.stamp_of(frame).unwrap_or(0),
+            OracleKind::Lru => self.stamps.get(&frame).copied().unwrap_or(0),
             OracleKind::Lfu => self.counts.get(&frame).copied().unwrap_or(0),
         }
     }
@@ -86,9 +95,9 @@ impl OraclePolicy {
     /// All tracked frames of one tier, hottest first.
     fn by_heat(&self, mem: &MemorySystem, tier: TierId) -> Vec<FrameId> {
         let mut v: Vec<(u64, FrameId)> = self
-            .recency
-            .hottest_n(usize::MAX)
-            .into_iter()
+            .stamps
+            .keys()
+            .copied()
             .filter(|f| mem.frame(*f).tier() == tier)
             .map(|f| (self.score(f), f))
             .collect();
@@ -96,11 +105,11 @@ impl OraclePolicy {
         v.into_iter().map(|(_, f)| f).collect()
     }
 
-    /// Carries recency/count metadata across a migration.
+    /// Carries recency/count metadata across a migration: a migrated page
+    /// is exactly as recent as it was, not freshly used.
     fn transfer(&mut self, old: FrameId, new: FrameId) {
-        let stamp = self.recency.stamp_of(old).unwrap_or(0);
-        self.recency.remove(old);
-        self.recency.insert_with_stamp(new, stamp);
+        let stamp = self.stamps.remove(&old).unwrap_or(0);
+        self.stamps.insert(new, stamp);
         if let Some(c) = self.counts.remove(&old) {
             self.counts.insert(new, c);
         }
@@ -157,17 +166,17 @@ impl TieringPolicy for OraclePolicy {
     }
 
     fn on_page_mapped(&mut self, _mem: &mut MemorySystem, frame: FrameId) {
-        self.recency.touch(frame);
+        self.touch(frame);
         self.counts.insert(frame, 0);
     }
 
     fn on_page_unmapped(&mut self, _mem: &mut MemorySystem, frame: FrameId) {
-        self.recency.remove(frame);
+        self.stamps.remove(&frame);
         self.counts.remove(&frame);
     }
 
     fn on_supervised_access(&mut self, _mem: &mut MemorySystem, frame: FrameId, _kind: AccessKind) {
-        self.recency.touch(frame);
+        self.touch(frame);
         *self.counts.entry(frame).or_insert(0) += 1;
     }
 
@@ -248,7 +257,7 @@ impl TieringPolicy for OraclePolicy {
             let victim = self.by_heat(mem, tier).pop();
             let Some(victim) = victim else { break };
             if mem.evict(victim).is_ok() {
-                self.recency.remove(victim);
+                self.stamps.remove(&victim);
                 self.counts.remove(&victim);
             } else {
                 break;
@@ -265,7 +274,7 @@ impl TieringPolicy for OraclePolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mc_mem::{MemConfig, PageKind, VPage};
+    use mc_mem::{MachineDesc, PageKind, VPage};
 
     fn map_in_tier(mem: &mut MemorySystem, p: &mut OraclePolicy, v: u64, tier: TierId) -> FrameId {
         let f = mem.alloc_page_in_tier(PageKind::Anon, tier).unwrap();
@@ -276,7 +285,7 @@ mod tests {
 
     #[test]
     fn lru_oracle_promotes_recent_pages() {
-        let mut mem = MemorySystem::new(MemConfig::two_tier(64, 256));
+        let mut mem = MemorySystem::new(MachineDesc::dram_pm(64, 256));
         let mut p = OraclePolicy::new(OracleKind::Lru, mem.topology());
         let f = map_in_tier(&mut mem, &mut p, 1, TierId::new(1));
         p.on_supervised_access(&mut mem, f, AccessKind::Read);
@@ -293,7 +302,7 @@ mod tests {
         // Fill DRAM with pages touched *after* the PM page: the PM page is
         // colder than everything upstairs, so the oracle must refuse the
         // exchange.
-        let mut mem = MemorySystem::new(MemConfig::two_tier(16, 64));
+        let mut mem = MemorySystem::new(MachineDesc::dram_pm(16, 64));
         let mut p = OraclePolicy::new(OracleKind::Lru, mem.topology());
         let cold_pm = map_in_tier(&mut mem, &mut p, 999, TierId::new(1));
         let mut v = 0u64;
@@ -310,7 +319,7 @@ mod tests {
 
     #[test]
     fn hot_pm_page_displaces_cold_dram_page() {
-        let mut mem = MemorySystem::new(MemConfig::two_tier(16, 64));
+        let mut mem = MemorySystem::new(MachineDesc::dram_pm(16, 64));
         let mut p = OraclePolicy::new(OracleKind::Lru, mem.topology());
         let mut v = 0u64;
         while let Ok(f) = mem.alloc_page_in_tier(PageKind::Anon, TierId::TOP) {
@@ -330,7 +339,7 @@ mod tests {
     fn recency_survives_migration() {
         // The fix for the cross-tier stamp bug: a page's heat must be
         // comparable before and after it moves.
-        let mut mem = MemorySystem::new(MemConfig::two_tier(64, 256));
+        let mut mem = MemorySystem::new(MachineDesc::dram_pm(64, 256));
         let mut p = OraclePolicy::new(OracleKind::Lru, mem.topology());
         let a = map_in_tier(&mut mem, &mut p, 1, TierId::new(1));
         let b = map_in_tier(&mut mem, &mut p, 2, TierId::new(1));
@@ -345,7 +354,7 @@ mod tests {
 
     #[test]
     fn lfu_oracle_prefers_frequent_pages_under_contention() {
-        let mut mem = MemorySystem::new(MemConfig::two_tier(64, 256));
+        let mut mem = MemorySystem::new(MachineDesc::dram_pm(64, 256));
         let mut p = OraclePolicy::new(OracleKind::Lfu, mem.topology());
         p.batch = 1;
         let frequent = map_in_tier(&mut mem, &mut p, 1, TierId::new(1));
@@ -365,7 +374,7 @@ mod tests {
 
     #[test]
     fn untouched_pages_are_not_promoted_by_lfu() {
-        let mut mem = MemorySystem::new(MemConfig::two_tier(64, 256));
+        let mut mem = MemorySystem::new(MachineDesc::dram_pm(64, 256));
         let mut p = OraclePolicy::new(OracleKind::Lfu, mem.topology());
         let f = map_in_tier(&mut mem, &mut p, 1, TierId::new(1));
         let out = p.tick(&mut mem, Nanos::from_secs(1));
@@ -378,7 +387,7 @@ mod tests {
 
     #[test]
     fn pressure_demotes_coldest_first() {
-        let mut mem = MemorySystem::new(MemConfig::two_tier(32, 128));
+        let mut mem = MemorySystem::new(MachineDesc::dram_pm(32, 128));
         let mut p = OraclePolicy::new(OracleKind::Lru, mem.topology());
         let mut frames = Vec::new();
         let mut v = 0u64;

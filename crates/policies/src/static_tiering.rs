@@ -117,11 +117,11 @@ impl TieringPolicy for StaticTiering {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mc_mem::{MemConfig, PageKind, VPage};
+    use mc_mem::{MachineDesc, PageKind, VPage};
 
     #[test]
     fn never_migrates() {
-        let mut mem = MemorySystem::new(MemConfig::two_tier(16, 64));
+        let mut mem = MemorySystem::new(MachineDesc::dram_pm(16, 64));
         let mut p = StaticTiering::new(mem.topology());
         let mut v = 0u64;
         let mut frames = Vec::new();
@@ -148,7 +148,7 @@ mod tests {
 
     #[test]
     fn pressure_evicts_within_tier() {
-        let mut mem = MemorySystem::new(MemConfig::two_tier(16, 64));
+        let mut mem = MemorySystem::new(MachineDesc::dram_pm(16, 64));
         let mut p = StaticTiering::new(mem.topology());
         let mut v = 0u64;
         while let Ok(f) = mem.alloc_page_in_tier(PageKind::Anon, TierId::TOP) {
@@ -165,7 +165,7 @@ mod tests {
 
     #[test]
     fn second_chance_prefers_unreferenced_victims() {
-        let mut mem = MemorySystem::new(MemConfig::two_tier(16, 64));
+        let mut mem = MemorySystem::new(MachineDesc::dram_pm(16, 64));
         let mut p = StaticTiering::new(mem.topology());
         let mut pages = Vec::new();
         let mut v = 0u64;
@@ -194,7 +194,7 @@ mod tests {
 
     #[test]
     fn traits_match_table_one() {
-        let mem = MemorySystem::new(MemConfig::two_tier(16, 64));
+        let mem = MemorySystem::new(MachineDesc::dram_pm(16, 64));
         let p = StaticTiering::new(mem.topology());
         let t = p.traits();
         assert_eq!(t.name, "Static-Tiering");

@@ -1,7 +1,7 @@
 //! Simulation configuration and the system-under-test selector.
 
 use mc_fault::{FaultConfig, RetryPolicy};
-use mc_mem::{MemConfig, MigrationMode, Nanos};
+use mc_mem::{MachineDesc, MigrationMode, Nanos};
 use mc_obs::{ObsConfig, PerfHooks};
 
 /// Which memory system to simulate — the paper's comparison set plus the
@@ -78,21 +78,17 @@ impl SystemKind {
     }
 }
 
-/// Engine-mechanics knobs: how MULTI-CLOCK's daemon organises its scan
-/// and moves pages. The defaults (one shard, one page per call, `Sync`)
-/// are bit-identical to the historical engine. Each knob changes
-/// simulated results: every shard scans with its own full budget, a sync
-/// batch pays one setup and aborts as a whole on an injected fault, and
+/// Engine-mechanics knobs: how MULTI-CLOCK's daemon moves pages. The
+/// defaults (one page per call, `Sync`) are bit-identical to the
+/// historical engine. Each knob changes simulated results: a sync batch
+/// pays one setup and aborts as a whole on an injected fault, and
 /// `Transactional` moves the copy off the application's critical path
 /// and keeps shadow copies (DESIGN.md §12, §16). Every combination is
 /// deterministic and pinned by the differential tests under
-/// `crates/sim/tests/`.
+/// `crates/sim/tests/`. The scan layout is not a knob: one list shard per
+/// NUMA node, derived from [`SimConfig::mem`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct EngineKnobs {
-    /// MULTI-CLOCK scanner shards per NUMA node (per-node `kpromoted`
-    /// sharding). `1` reproduces the single-scanner layout bit-for-bit
-    /// on single-node tiers; other systems ignore the knob.
-    pub scan_shards: usize,
     /// Pages per batched promotion migration call handed to MULTI-CLOCK
     /// (`1` = historical page-at-a-time migration, bit-identical).
     pub migrate_batch_size: usize,
@@ -107,7 +103,6 @@ pub struct EngineKnobs {
 impl Default for EngineKnobs {
     fn default() -> Self {
         EngineKnobs {
-            scan_shards: 1,
             migrate_batch_size: 1,
             migration_mode: MigrationMode::Sync,
         }
@@ -147,8 +142,8 @@ impl Default for InstrumentKnobs {
 /// Full simulation configuration.
 #[derive(Debug, Clone)]
 pub struct SimConfig {
-    /// Machine layout and cost model.
-    pub mem: MemConfig,
+    /// The machine: layout and cost model are both derived from it.
+    pub mem: MachineDesc,
     /// System under test.
     pub system: SystemKind,
     /// Scan/daemon interval for the policy (the Fig. 10 knob).
@@ -172,7 +167,7 @@ pub struct SimConfig {
     /// Promotion retry/backoff policy handed to MULTI-CLOCK (other
     /// systems keep their original single-attempt behaviour).
     pub retry: RetryPolicy,
-    /// Engine-mechanics knobs (sharding, batching, migration mode).
+    /// Engine-mechanics knobs (batching, migration mode).
     pub engine: EngineKnobs,
     /// Instrumentation knobs (observability, fault injection, host-time
     /// profiling).
@@ -183,7 +178,7 @@ impl SimConfig {
     /// A two-tier configuration with default knobs.
     pub fn new(system: SystemKind, dram_pages: usize, pm_pages: usize) -> Self {
         SimConfig {
-            mem: MemConfig::two_tier(dram_pages, pm_pages),
+            mem: MachineDesc::dram_pm(dram_pages, pm_pages),
             system,
             scan_interval: Nanos::from_secs(1),
             scan_batch: 1024,
@@ -202,31 +197,6 @@ impl SimConfig {
     pub fn perf(&self) -> Option<&PerfHooks> {
         self.instrument.perf.as_ref()
     }
-
-    /// A three-tier (HBM + DRAM + PM) configuration for the N-tier
-    /// extension experiments.
-    pub fn three_tier(system: SystemKind, hbm: usize, dram: usize, pm: usize) -> Self {
-        SimConfig {
-            mem: MemConfig::three_tier(hbm, dram, pm),
-            ..Self::new(system, 1, 1)
-        }
-    }
-
-    /// Same machine, different system (for comparison sweeps).
-    pub fn with_system(&self, system: SystemKind) -> Self {
-        SimConfig {
-            system,
-            ..self.clone()
-        }
-    }
-
-    /// Same machine/system, different scan interval (Fig. 10).
-    pub fn with_interval(&self, interval: Nanos) -> Self {
-        SimConfig {
-            scan_interval: interval,
-            ..self.clone()
-        }
-    }
 }
 
 #[cfg(test)]
@@ -235,8 +205,9 @@ mod tests {
 
     #[test]
     fn three_tier_config_builds() {
-        let c = SimConfig::three_tier(SystemKind::MultiClock, 16, 64, 256);
-        assert_eq!(c.mem.topology.tier_count(), 3);
+        let mut c = SimConfig::new(SystemKind::MultiClock, 1, 1);
+        c.mem = MachineDesc::three_tier(16, 64, 256);
+        assert_eq!(c.mem.topology().tier_count(), 3);
         assert_eq!(c.system, SystemKind::MultiClock);
     }
 
@@ -275,16 +246,5 @@ mod tests {
     fn oracle_visibility_flag() {
         assert!(SystemKind::OracleLru.needs_oracle_visibility());
         assert!(!SystemKind::MultiClock.needs_oracle_visibility());
-    }
-
-    #[test]
-    fn with_helpers_change_one_field() {
-        let base = SimConfig::new(SystemKind::Static, 64, 256);
-        let mc = base.with_system(SystemKind::MultiClock);
-        assert_eq!(mc.system, SystemKind::MultiClock);
-        assert_eq!(mc.scan_interval, base.scan_interval);
-        let fast = base.with_interval(Nanos::from_millis(100));
-        assert_eq!(fast.scan_interval, Nanos::from_millis(100));
-        assert_eq!(fast.system, SystemKind::Static);
     }
 }

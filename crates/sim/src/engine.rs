@@ -78,7 +78,6 @@ impl Simulation {
                         write_weight: cfg.write_weight,
                         adaptive_interval: cfg.adaptive_interval,
                         retry: cfg.retry,
-                        scan_shards: cfg.engine.scan_shards,
                         migrate_batch_size: cfg.engine.migrate_batch_size,
                         perf: cfg.instrument.perf.clone(),
                         migration_mode: if cfg.system == SystemKind::Nomad {
@@ -173,7 +172,7 @@ impl Simulation {
             .instrument
             .obs
             .enabled
-            .then(|| ObsState::new(cfg.instrument.obs, cfg.mem.topology.tier_count()));
+            .then(|| ObsState::new(cfg.instrument.obs, mem.topology().tier_count()));
         if cfg.instrument.obs.enabled {
             mem.recorder_mut().enable(cfg.instrument.obs.ring_capacity);
         }

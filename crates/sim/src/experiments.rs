@@ -6,12 +6,14 @@
 //! ratios that drive the results: the workload footprint exceeds the DRAM
 //! tier by a similar factor, the scan batch covers a comparable share of
 //! memory per wake-up, and the DRAM:PM latency gap is the measured one.
+//! A [`Scale`] is a page budget, not a machine: [`Experiment::machine`]
+//! takes the *shape* that arranges it into a [`MachineDesc`].
 
 use crate::config::{SimConfig, SystemKind};
 use crate::engine::Simulation;
 use crate::latency_hist::LatencyHistogram;
 use crate::metrics::WindowStats;
-use mc_mem::{MachineDesc, MemConfig, MigrationMode, Nanos};
+use mc_mem::{MachineDesc, MigrationMode, Nanos};
 use mc_workloads::graph::{bc, bfs, cc, pagerank, sssp, tc, Csr, GraphConfig, Kernel};
 use mc_workloads::ycsb::{YcsbClient, YcsbConfig, YcsbWorkload};
 use mc_workloads::Memory;
@@ -179,79 +181,6 @@ impl Scale {
     }
 }
 
-/// The machine an [`Experiment`] runs on, as a named preset over
-/// [`mc_mem::MachineDesc`].
-///
-/// Presets are *shapes*, not sizes: each takes the experiment scale's
-/// `(dram_pages, pm_pages)` budget and arranges it into a topology, so
-/// the same `Scale` drives every machine. The bench binaries expose the
-/// presets under their kebab-case names via `--machine`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum MachinePreset {
-    /// Classic two-tier local DRAM + PM — the default, and bit-identical
-    /// by contract to the historical `MemConfig::two_tier` machine
-    /// (`crates/sim/tests/machine_differential.rs` enforces it).
-    DramPm,
-    /// Three-tier DRAM + CXL-attached DRAM + PM: the CXL expander adds a
-    /// capacity tier between local DRAM and PM, sized like the DRAM tier,
-    /// reached over an asymmetric link (~210 ns effective read).
-    DramCxlPm,
-    /// Dual-socket DRAM (half the budget per socket) sharing one
-    /// two-headed CXL device, backed by PM — the multi-headed-device
-    /// machine from the HybridTier evaluation.
-    CxlMultihead,
-}
-
-impl MachinePreset {
-    /// All presets, in `--machine` listing order.
-    pub const ALL: [MachinePreset; 3] = [
-        MachinePreset::DramPm,
-        MachinePreset::DramCxlPm,
-        MachinePreset::CxlMultihead,
-    ];
-
-    /// The kebab-case name the bench binaries accept.
-    pub fn name(self) -> &'static str {
-        match self {
-            MachinePreset::DramPm => "dram-pm",
-            MachinePreset::DramCxlPm => "dram-cxl-pm",
-            MachinePreset::CxlMultihead => "cxl-multihead",
-        }
-    }
-
-    /// Parses a kebab-case preset name (`dram-pm`, `dram-cxl-pm`,
-    /// `cxl-multihead`).
-    pub fn from_name(name: &str) -> Option<Self> {
-        MachinePreset::ALL.into_iter().find(|m| m.name() == name)
-    }
-
-    /// Builds the machine from the scale's page budget.
-    pub fn mem_config(self, dram_pages: usize, pm_pages: usize) -> MemConfig {
-        match self {
-            MachinePreset::DramPm => MemConfig::two_tier(dram_pages, pm_pages),
-            MachinePreset::DramCxlPm => MemConfig::dram_cxl_pm(dram_pages, dram_pages, pm_pages),
-            MachinePreset::CxlMultihead => {
-                let per_socket = (dram_pages / 2).max(1);
-                MachineDesc::cxl_multihead(per_socket, dram_pages, pm_pages).mem_config()
-            }
-        }
-    }
-}
-
-impl std::fmt::Display for MachinePreset {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-fn base_config(system: SystemKind, scale: &Scale, interval: Nanos) -> SimConfig {
-    let mut cfg = SimConfig::new(system, scale.dram_pages, scale.pm_pages);
-    cfg.scan_interval = interval;
-    cfg.scan_batch = scale.scan_batch;
-    cfg.window = scale.window();
-    cfg
-}
-
 /// Everything one experiment run produced: the classic figure metrics
 /// (formerly `RunSummary`), the fault layer's accounting (all zero
 /// without an injector) and the cost breakdown. One flat type for every
@@ -347,12 +276,11 @@ pub struct Experiment {
     workload: Workload,
     system: SystemKind,
     scale: Scale,
-    machine: MachinePreset,
+    machine: fn(usize, usize) -> MachineDesc,
     interval: Option<Nanos>,
     obs_dir: Option<std::path::PathBuf>,
     fault: mc_fault::FaultConfig,
     retry: mc_fault::RetryPolicy,
-    scan_shards: usize,
     migrate_batch_size: usize,
     perf: Option<mc_obs::PerfHooks>,
     migration_mode: MigrationMode,
@@ -364,12 +292,11 @@ impl Experiment {
             workload,
             system: SystemKind::MultiClock,
             scale: Scale::quick(),
-            machine: MachinePreset::DramPm,
+            machine: MachineDesc::dram_pm,
             interval: None,
             obs_dir: None,
             fault: mc_fault::FaultConfig::none(),
             retry: mc_fault::RetryPolicy::immediate(),
-            scan_shards: 1,
             migrate_batch_size: 1,
             perf: None,
             migration_mode: MigrationMode::Sync,
@@ -404,11 +331,12 @@ impl Experiment {
         self
     }
 
-    /// Selects the machine preset (default [`MachinePreset::DramPm`],
-    /// which is bit-identical to the historical two-tier machine — the
-    /// default is result-neutral by contract).
-    pub fn machine(mut self, machine: MachinePreset) -> Self {
-        self.machine = machine;
+    /// Selects the machine *shape*: a function arranging the scale's
+    /// `(dram_pages, pm_pages)` budget into a [`MachineDesc`], so the same
+    /// [`Scale`] drives every machine. Default [`MachineDesc::dram_pm`];
+    /// the bench binaries' `--machine` names map to shapes in `mc_bench`.
+    pub fn machine(mut self, shape: fn(usize, usize) -> MachineDesc) -> Self {
+        self.machine = shape;
         self
     }
 
@@ -430,12 +358,6 @@ impl Experiment {
     pub fn fault(mut self, fault: mc_fault::FaultConfig, retry: mc_fault::RetryPolicy) -> Self {
         self.fault = fault;
         self.retry = retry;
-        self
-    }
-
-    /// Sets MULTI-CLOCK's scanner shards per NUMA node.
-    pub fn shards(mut self, scan_shards: usize) -> Self {
-        self.scan_shards = scan_shards;
         self
     }
 
@@ -474,29 +396,23 @@ impl Experiment {
     /// without [`Self::obs`] never fail.
     pub fn run(self) -> std::io::Result<RunOutcome> {
         let interval = self.interval.unwrap_or_else(|| self.scale.scan_interval());
-        let mut cfg = match self.workload {
-            Workload::Ycsb(_) => {
-                let mut cfg = base_config(self.system, &self.scale, interval);
-                cfg.mem = self
-                    .machine
-                    .mem_config(self.scale.dram_pages, self.scale.pm_pages);
-                cfg
-            }
-            Workload::Gapbs(_) => {
-                let (dram, pm) = self.scale.graph_machine();
-                let mut cfg = SimConfig::new(self.system, dram, pm);
-                cfg.mem = self.machine.mem_config(dram, pm);
-                cfg.scan_interval = Nanos::from_nanos(
+        // The workloads differ in page budget and interval only.
+        let ((dram, pm), interval) = match self.workload {
+            Workload::Ycsb(_) => ((self.scale.dram_pages, self.scale.pm_pages), interval),
+            Workload::Gapbs(_) => (
+                self.scale.graph_machine(),
+                Nanos::from_nanos(
                     (interval.as_nanos() as f64 * self.scale.graph_interval_factor) as u64,
-                );
-                cfg.scan_batch = self.scale.scan_batch;
-                cfg.window = self.scale.window();
-                cfg
-            }
+                ),
+            ),
         };
+        let mut cfg = SimConfig::new(self.system, dram, pm);
+        cfg.mem = (self.machine)(dram, pm);
+        cfg.scan_interval = interval;
+        cfg.scan_batch = self.scale.scan_batch;
+        cfg.window = self.scale.window();
         cfg.instrument.fault = self.fault;
         cfg.retry = self.retry;
-        cfg.engine.scan_shards = self.scan_shards;
         cfg.engine.migrate_batch_size = self.migrate_batch_size;
         cfg.instrument.perf = self.perf.clone();
         cfg.engine.migration_mode = self.migration_mode;
@@ -652,11 +568,11 @@ fn summarize(
 }
 
 /// Runs the Fig. 5 comparison (the tiered-system set) for one YCSB
-/// workload on the given machine preset.
+/// workload on the given machine shape (see [`Experiment::machine`]).
 pub fn ycsb_comparison(
     workload: YcsbWorkload,
     scale: &Scale,
-    machine: MachinePreset,
+    machine: fn(usize, usize) -> MachineDesc,
 ) -> Vec<RunOutcome> {
     SystemKind::TIERED_COMPARISON
         .iter()
@@ -672,8 +588,12 @@ pub fn ycsb_comparison(
 }
 
 /// Runs the Fig. 6 comparison for one GAPBS kernel on the given machine
-/// preset.
-pub fn gapbs_comparison(kernel: Kernel, scale: &Scale, machine: MachinePreset) -> Vec<RunOutcome> {
+/// shape.
+pub fn gapbs_comparison(
+    kernel: Kernel,
+    scale: &Scale,
+    machine: fn(usize, usize) -> MachineDesc,
+) -> Vec<RunOutcome> {
     SystemKind::TIERED_COMPARISON
         .iter()
         .map(|s| {
@@ -740,9 +660,10 @@ mod tests {
         let mut scale = Scale::tiny();
         scale.warmup = Nanos::from_millis(400);
         scale.measure = Nanos::from_millis(400);
+        // Two sockets: two list shards per tier, derived from the machine.
         let o = Experiment::ycsb(YcsbWorkload::A)
             .scale(&scale)
-            .shards(2)
+            .machine(|dram, pm| MachineDesc::dual_socket(dram / 2, pm / 2))
             .batch(8)
             .run()
             .unwrap();
@@ -773,15 +694,6 @@ mod tests {
     }
 
     #[test]
-    fn machine_preset_names_round_trip() {
-        for m in MachinePreset::ALL {
-            assert_eq!(MachinePreset::from_name(m.name()), Some(m));
-            assert_eq!(format!("{m}"), m.name());
-        }
-        assert_eq!(MachinePreset::from_name("optane-only"), None);
-    }
-
-    #[test]
     fn explicit_default_machine_is_result_neutral() {
         let mut scale = Scale::tiny();
         scale.warmup = Nanos::from_millis(400);
@@ -792,7 +704,7 @@ mod tests {
             .unwrap();
         let explicit = Experiment::ycsb(YcsbWorkload::B)
             .scale(&scale)
-            .machine(MachinePreset::DramPm)
+            .machine(MachineDesc::dram_pm)
             .run()
             .unwrap();
         assert_eq!(implicit.ops_per_sec, explicit.ops_per_sec);
@@ -805,14 +717,18 @@ mod tests {
         let mut scale = Scale::tiny();
         scale.warmup = Nanos::from_millis(400);
         scale.measure = Nanos::from_millis(400);
-        for machine in [MachinePreset::DramCxlPm, MachinePreset::CxlMultihead] {
+        let shapes: [fn(usize, usize) -> MachineDesc; 2] = [
+            |dram, pm| MachineDesc::dram_cxl_pm(dram, dram, pm),
+            |dram, pm| MachineDesc::cxl_multihead(dram / 2, dram, pm),
+        ];
+        for (i, shape) in shapes.into_iter().enumerate() {
             let o = Experiment::ycsb(YcsbWorkload::A)
                 .system(SystemKind::HybridTier)
                 .scale(&scale)
-                .machine(machine)
+                .machine(shape)
                 .run()
                 .unwrap();
-            assert!(o.ops_per_sec > 0.0, "machine={machine}");
+            assert!(o.ops_per_sec > 0.0, "shape {i}");
             let share = o.top_tier_share.unwrap_or(0.0);
             assert!((0.0..=1.0).contains(&share), "share={share}");
         }

@@ -1,18 +1,18 @@
-//! Differential harness for batched migration and scanner sharding.
+//! Differential harness for batched migration.
 //!
-//! The headline guarantee of PR 4: `migrate_batch_size = 1` with
-//! `scan_shards = 1` is *bit-identical* to the historical
-//! page-at-a-time, single-scanner behaviour — same virtual time, same
-//! `MemStats`, same per-tick CSV, same tracepoint JSONL, same final
-//! page placement. Batch 1 flushes each promoted frame immediately and
-//! `migrate_batch` on a single frame delegates to `migrate`, so the
-//! exact event/cost sequence is reproduced; shard 1 collapses the shard
-//! loops to the single historical list walk.
+//! The headline guarantee of PR 4: `migrate_batch_size = 1` is
+//! *bit-identical* to the historical page-at-a-time behaviour — same
+//! virtual time, same `MemStats`, same per-tick CSV, same tracepoint
+//! JSONL, same final page placement. Batch 1 flushes each promoted frame
+//! immediately, so the exact event/cost sequence is reproduced; on the
+//! default machine each tier is one node, hence one list shard and the
+//! single historical list walk.
 //!
-//! The second half checks the batched/sharded side: larger batches are
+//! The second half checks the batched side, on a two-socket machine so
+//! every tier's lists are split into two shards: larger batches are
 //! deterministic, lose no page, still promote, and shave overhead.
 
-use mc_mem::{Nanos, PageKind, PAGE_SIZE};
+use mc_mem::{MachineDesc, Nanos, PageKind, PAGE_SIZE};
 use mc_sim::{SimConfig, Simulation, SystemKind};
 use mc_workloads::Memory;
 
@@ -84,38 +84,38 @@ fn base_cfg() -> SimConfig {
     cfg
 }
 
+/// The same 64 + 512 pages as two sockets (two list shards per tier),
+/// promoting `batch` pages per migration call.
+fn sharded_cfg(batch: usize) -> SimConfig {
+    let mut cfg = base_cfg();
+    cfg.mem = MachineDesc::dual_socket(32, 256);
+    cfg.engine.migrate_batch_size = batch;
+    cfg
+}
+
 #[test]
 fn batch_one_shard_one_is_bit_identical_to_default() {
-    // The defaults *are* batch 1 / shard 1; setting them explicitly must
-    // change nothing at all, down to the tracepoint stream.
+    // The default *is* batch 1 (on a one-shard-per-tier machine); setting
+    // it explicitly must change nothing at all, down to the tracepoint
+    // stream.
     let implicit = run(base_cfg());
     let mut cfg = base_cfg();
     cfg.engine.migrate_batch_size = 1;
-    cfg.engine.scan_shards = 1;
     let explicit = run(cfg);
     assert_eq!(implicit, explicit);
 }
 
 #[test]
 fn batched_sharded_run_is_deterministic() {
-    let mk = || {
-        let mut cfg = base_cfg();
-        cfg.engine.migrate_batch_size = 4;
-        cfg.engine.scan_shards = 2;
-        cfg
-    };
-    let a = run(mk());
-    let b = run(mk());
+    let a = run(sharded_cfg(4));
+    let b = run(sharded_cfg(4));
     assert_eq!(a, b);
     assert!(a.promotions > 0, "sharded scanner still promotes");
 }
 
 #[test]
 fn batched_run_conserves_pages() {
-    let mut cfg = base_cfg();
-    cfg.engine.migrate_batch_size = 8;
-    cfg.engine.scan_shards = 2;
-    let fp = run(cfg);
+    let fp = run(sharded_cfg(8));
     // Every page the workload touched is still mapped somewhere.
     for (p, slot) in fp.placement.iter().enumerate() {
         assert!(slot.is_some(), "page {p} was lost under batching");

@@ -1,24 +1,20 @@
-//! Differential harness for the `MachineDesc` redesign.
+//! Differential harness over machine shapes.
 //!
-//! The headline guarantee of the machine-description layer: the
-//! `dram-pm` preset is *bit-identical* to the pre-redesign engine that
-//! built its machine from a raw `TopologyBuilder` plus
-//! `LatencyModel::dram_pm()`. Same virtual time, same `MemStats`, same
-//! per-tick CSV, same tracepoint JSONL, same final page placement —
-//! because a machine whose nodes all sit on direct links leaves the
-//! per-node latency table empty and the cost model falls through to the
-//! historical per-tier path.
-//!
-//! Also pins the HybridTier determinism contract on a CXL machine:
-//! enabling observability never changes virtual-time results, and the
-//! same seed reproduces the same run bit-for-bit.
+//! `MachineDesc` is the only way to build a machine, so there is no second
+//! construction to compare the `dram-pm` shape against any more; its
+//! numbers are pinned literally in `mc_mem::machine`'s unit tests and its
+//! behaviour by the goldens in `scheduler_differential.rs`. What stays
+//! here: an explicit default shape is result-neutral, and the HybridTier
+//! determinism contract on a CXL machine — enabling observability never
+//! changes virtual-time results, and the same seed reproduces the same
+//! run bit-for-bit.
 //!
 //! And two tracking-cost claims, as noise-free work counts: HybridTier's
 //! sampled sketch reads fewer pages than MULTI-CLOCK's full scan, and the
 //! scan is sized by the lists, not by the machine.
 
-use mc_mem::{LatencyModel, MemConfig, Nanos, PageKind, TierKind, TopologyBuilder, PAGE_SIZE};
-use mc_sim::experiments::{Experiment, MachinePreset, Scale};
+use mc_mem::{MachineDesc, Nanos, PageKind, PAGE_SIZE};
+use mc_sim::experiments::{Experiment, Scale};
 use mc_sim::{SimConfig, Simulation, SystemKind};
 use mc_workloads::ycsb::{YcsbClient, YcsbConfig, YcsbWorkload};
 use mc_workloads::Memory;
@@ -83,43 +79,6 @@ fn run(cfg: SimConfig) -> Fingerprint {
     }
 }
 
-/// The machine exactly as the pre-redesign `MemConfig::two_tier` built
-/// it: a raw topology plus the per-tier latency table, no machine layer.
-fn legacy_dram_pm(dram_pages: usize, pm_pages: usize) -> MemConfig {
-    MemConfig {
-        topology: TopologyBuilder::new()
-            .node(TierKind::Dram, dram_pages)
-            .node(TierKind::Pm, pm_pages)
-            .build(),
-        latency: LatencyModel::dram_pm(),
-    }
-}
-
-#[test]
-fn dram_pm_preset_is_bit_identical_to_legacy_construction() {
-    for system in [
-        SystemKind::MultiClock,
-        SystemKind::Nomad,
-        SystemKind::Static,
-    ] {
-        let mut preset = SimConfig::new(system, 64, 512);
-        preset.instrument.obs = mc_sim::ObsConfig::on();
-        let mut legacy = preset.clone();
-        legacy.mem = legacy_dram_pm(64, 512);
-
-        let a = run(preset);
-        let b = run(legacy);
-        if system == SystemKind::MultiClock {
-            assert!(a.promotions > 0, "workload must exercise the scanner");
-            assert!(
-                !a.events_jsonl.is_empty(),
-                "obs must be on so the event stream is part of the fingerprint"
-            );
-        }
-        assert_eq!(a, b, "system={system:?}");
-    }
-}
-
 #[test]
 fn experiment_default_machine_matches_legacy_outcome() {
     let mut scale = Scale::tiny();
@@ -127,22 +86,17 @@ fn experiment_default_machine_matches_legacy_outcome() {
     scale.measure = Nanos::from_millis(400);
     let outcome = Experiment::ycsb(YcsbWorkload::A)
         .scale(&scale)
-        .machine(MachinePreset::DramPm)
+        .machine(MachineDesc::dram_pm)
         .run()
         .expect("no obs artifacts requested");
-    // The preset's machine is value-equal to the legacy construction, so
-    // the engine sees indistinguishable inputs.
-    let preset_mem = MachinePreset::DramPm.mem_config(scale.dram_pages, scale.pm_pages);
-    let legacy_mem = legacy_dram_pm(scale.dram_pages, scale.pm_pages);
-    assert_eq!(preset_mem.latency, legacy_mem.latency);
-    assert_eq!(
-        preset_mem.topology.tier_count(),
-        legacy_mem.topology.tier_count()
-    );
-    assert_eq!(
-        preset_mem.topology.total_pages(),
-        legacy_mem.topology.total_pages()
-    );
+    // The explicit shape is the default one: same machine, same run.
+    let default = Experiment::ycsb(YcsbWorkload::A)
+        .scale(&scale)
+        .run()
+        .expect("no obs artifacts requested");
+    assert_eq!(outcome.promotions, default.promotions);
+    assert_eq!(outcome.demotions, default.demotions);
+    assert_eq!(outcome.costs, default.costs);
     assert!(outcome.promotions > 0, "YCSB-A must promote");
 }
 
@@ -153,7 +107,7 @@ fn experiment_default_machine_matches_legacy_outcome() {
 fn hybridtier_obs_run_is_bit_identical_on_cxl_machine() {
     let cxl_cfg = |obs: bool| {
         let mut cfg = SimConfig::new(SystemKind::HybridTier, 1, 1);
-        cfg.mem = MemConfig::dram_cxl_pm(48, 64, 512);
+        cfg.mem = MachineDesc::dram_cxl_pm(48, 64, 512);
         if obs {
             cfg.instrument.obs = mc_sim::ObsConfig::on();
         }
@@ -182,7 +136,7 @@ fn hybridtier_obs_run_is_bit_identical_on_cxl_machine() {
 fn hybridtier_runs_are_reproducible() {
     let cfg = || {
         let mut cfg = SimConfig::new(SystemKind::HybridTier, 1, 1);
-        cfg.mem = MemConfig::dram_cxl_pm(48, 64, 512);
+        cfg.mem = MachineDesc::dram_cxl_pm(48, 64, 512);
         cfg.instrument.obs = mc_sim::ObsConfig::on();
         cfg
     };
@@ -190,17 +144,12 @@ fn hybridtier_runs_are_reproducible() {
 }
 
 /// YCSB-A on `Scale::tiny()`'s working set (400 ms warm-up + 400 ms
-/// measured) over `machine` with the given frame counts; the finished
-/// simulation, for its policy counters.
-fn ycsb_a(
-    system: SystemKind,
-    machine: MachinePreset,
-    dram_pages: usize,
-    pm_pages: usize,
-) -> Simulation {
+/// measured) on `machine`; the finished simulation, for its policy
+/// counters.
+fn ycsb_a(system: SystemKind, machine: MachineDesc) -> Simulation {
     let scale = Scale::tiny();
-    let mut cfg = SimConfig::new(system, dram_pages, pm_pages);
-    cfg.mem = machine.mem_config(dram_pages, pm_pages);
+    let mut cfg = SimConfig::new(system, 1, 1);
+    cfg.mem = machine;
     cfg.scan_interval = scale.scan_interval();
     cfg.scan_batch = scale.scan_batch;
     cfg.window = scale.window();
@@ -229,14 +178,8 @@ fn ycsb_a(
 #[test]
 fn hybridtier_samples_fewer_pages_than_multi_clock_scans() {
     let scale = Scale::tiny();
-    let run = |system| {
-        ycsb_a(
-            system,
-            MachinePreset::DramCxlPm,
-            scale.dram_pages,
-            scale.pm_pages,
-        )
-    };
+    let (dram, pm) = (scale.dram_pages, scale.pm_pages);
+    let run = |system| ycsb_a(system, MachineDesc::dram_cxl_pm(dram, dram, pm));
     let sampled = run(SystemKind::HybridTier).counter("ht_samples");
     let scanned = run(SystemKind::MultiClock).counter("mc_pages_scanned");
     assert!(sampled > 0 && scanned > 0, "both trackers must have run");
@@ -251,7 +194,7 @@ fn hybridtier_samples_fewer_pages_than_multi_clock_scans() {
 /// to where first-touch placement lands them).
 #[test]
 fn scan_work_follows_the_working_set_not_the_frame_count() {
-    let run = |pm_pages| ycsb_a(SystemKind::MultiClock, MachinePreset::DramPm, 512, pm_pages);
+    let run = |pm_pages| ycsb_a(SystemKind::MultiClock, MachineDesc::dram_pm(512, pm_pages));
     let (small, large) = (run((1 << 14) - 512), run((1 << 18) - 512));
     assert_eq!(small.counter("mc_ticks"), large.counter("mc_ticks"));
     let (a, b) = (

@@ -79,7 +79,6 @@ fn run(cfg: SimConfig) -> Fingerprint {
 fn base_cfg() -> SimConfig {
     let mut cfg = SimConfig::new(SystemKind::MultiClock, 64, 512);
     cfg.instrument.obs = mc_sim::ObsConfig::on();
-    cfg.engine.scan_shards = 4;
     cfg
 }
 
@@ -151,14 +150,12 @@ fn experiment_perf_knob_is_bit_identical_on_ycsb() {
     scale.measure = Nanos::from_millis(400);
     let plain = Experiment::ycsb(YcsbWorkload::A)
         .scale(&scale)
-        .shards(4)
         .batch(8)
         .run()
         .expect("no obs artifacts requested");
     let hooks = PerfHooks::new();
     let hooked = Experiment::ycsb(YcsbWorkload::A)
         .scale(&scale)
-        .shards(4)
         .batch(8)
         .perf(hooks.clone())
         .run()

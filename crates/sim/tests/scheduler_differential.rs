@@ -2,25 +2,28 @@
 //!
 //! The tick-equivalence contract (DESIGN.md §17): however the engine
 //! decides when the tiering daemon runs, a run must stay *bit-identical*
-//! to the PR 8 fixed-period engine — same virtual time, same `MemStats`,
-//! same per-tick CSV, same tracepoint JSONL, same final page placement,
-//! same cost ledger. The first two constants below were captured by
-//! running this exact workload against that engine (commit `6c0390e`, the
-//! PR 8 head) via the `capture_golden` harness, plain and under 20 %
-//! fault injection (the retry/backoff chaos path); every engine since is
-//! held to them.
+//! to the engine that produced these constants — same virtual time, same
+//! `MemStats`, same per-tick CSV, same tracepoint JSONL, same final page
+//! placement, same cost ledger.
 //!
-//! Four more constants pin the migration paths that workload does not
-//! take by default — transactional promotion and eight-page sync batches,
-//! each plain and under the same fault injection — captured the same way
-//! at the PR 13 head (`30c1061`), before the substrate's five migration
-//! entry points became `migrate_pages`.
+//! All eight constants were captured at the PR 18 head (`fce0550`), the
+//! last commit that had the scan-shards-per-node knob, by setting it to 1
+//! in `base_cfg()` there and running `cargo test -p mc-sim --test
+//! scheduler_differential -- --ignored --nocapture`. The six they replace
+//! (PR 8 head `6c0390e` for `BASE` / `CHAOS`, PR 13 head `30c1061` for the
+//! rest) ran the same workload with four shards per node and passed at
+//! `fce0550` too, so the chain back to the PR 8 fixed-period engine is
+//! unbroken; they could not outlive the knob. Six pin the default machine
+//! (one node, hence one list shard, per tier): the base run, transactional
+//! promotion and eight-page sync batches, each plain and under 20 % fault
+//! injection (the retry/backoff chaos path). `BASE_DUAL` / `CHAOS_DUAL`
+//! pin the same 64 + 512 pages as `MachineDesc::dual_socket(32, 256)`, two
+//! nodes and so two shards per tier — the one-shard-per-node path.
 //!
 //! If a *deliberate* behavior change ever invalidates these constants,
-//! re-run `cargo test -p mc-sim --test scheduler_differential -- \
-//! --ignored --nocapture` at the last-good commit and re-pin.
+//! re-run the command above at the last-good commit and re-pin.
 
-use mc_mem::{Memory, MigrationMode, Nanos, PageKind, PAGE_SIZE};
+use mc_mem::{MachineDesc, Memory, MigrationMode, Nanos, PageKind, PAGE_SIZE};
 use mc_sim::{FaultConfig, RetryPolicy, SimConfig, Simulation, SystemKind};
 
 /// 64-bit FNV-1a: a stable, dependency-free digest for pinning large
@@ -104,7 +107,6 @@ fn run(cfg: SimConfig) -> Golden {
 fn base_cfg() -> SimConfig {
     let mut cfg = SimConfig::new(SystemKind::MultiClock, 64, 512);
     cfg.instrument.obs = mc_sim::ObsConfig::on();
-    cfg.engine.scan_shards = 4;
     cfg
 }
 
@@ -127,8 +129,15 @@ fn batch8_cfg() -> SimConfig {
     cfg
 }
 
+/// Two sockets: two nodes, and so two list shards, per tier.
+fn dual_cfg() -> SimConfig {
+    let mut cfg = base_cfg();
+    cfg.mem = MachineDesc::dual_socket(32, 256);
+    cfg
+}
+
 /// Every pinned configuration, by the name of its constant.
-fn pinned() -> [(&'static str, SimConfig, Golden); 6] {
+fn pinned() -> [(&'static str, SimConfig, Golden); 8] {
     [
         ("BASE", base_cfg(), BASE),
         ("CHAOS", chaos(base_cfg()), CHAOS),
@@ -136,93 +145,122 @@ fn pinned() -> [(&'static str, SimConfig, Golden); 6] {
         ("TXN_CHAOS", chaos(txn_cfg()), TXN_CHAOS),
         ("BATCH8", batch8_cfg(), BATCH8),
         ("BATCH8_CHAOS", chaos(batch8_cfg()), BATCH8_CHAOS),
+        ("BASE_DUAL", dual_cfg(), BASE_DUAL),
+        ("CHAOS_DUAL", chaos(dual_cfg()), CHAOS_DUAL),
     ]
 }
 
-/// Golden fingerprints captured at the PR 8 head (`6c0390e`) with the
-/// fixed-period `maybe_tick` engine, obs artifacts on, 4 scan shards.
+/// The base run: obs artifacts on, default machine.
 const BASE: Golden = Golden {
-    now_ns: 10000793632,
-    stats_hash: 0xba491d237158830d,
-    ticks_csv_hash: 0x208ec5b414964a52,
-    ticks_csv_len: 1372,
-    events_jsonl_hash: 0xf8a930886b3cf2b2,
-    events_jsonl_len: 129563,
-    placement_hash: 0x1f8b5c5bcc0ff3e0,
+    now_ns: 10000793718,
+    stats_hash: 0xf91e420ed496e3d3,
+    ticks_csv_hash: 0x24cb10b1240459ac,
+    ticks_csv_len: 1371,
+    events_jsonl_hash: 0xa77521510dd101ad,
+    events_jsonl_len: 120537,
+    placement_hash: 0x8d98ee3e75062f5d,
     promotions: 8,
     demotions: 12,
-    costs_hash: 0x32858a986086df3f,
+    costs_hash: 0x3787f0366db46379,
 };
 
 /// Same workload under 20 % deterministic fault injection with
 /// exponential-backoff retry (the chaos/retry-state path).
 const CHAOS: Golden = Golden {
-    now_ns: 10000889129,
-    stats_hash: 0xe1f6a09f5a7842e8,
-    ticks_csv_hash: 0x2ed06efadf819165,
-    ticks_csv_len: 1404,
-    events_jsonl_hash: 0x33ca3fc08cb5837a,
-    events_jsonl_len: 156298,
-    placement_hash: 0x6d6889de030551bb,
-    promotions: 8,
-    demotions: 77,
-    costs_hash: 0xb413a664942debeb,
+    now_ns: 10000730121,
+    stats_hash: 0x453a2f69f6dc7f45,
+    ticks_csv_hash: 0x8bceeba883acbc8d,
+    ticks_csv_len: 1397,
+    events_jsonl_hash: 0xe544ae145910d865,
+    events_jsonl_len: 145622,
+    placement_hash: 0x7546c0e5be007899,
+    promotions: 4,
+    demotions: 74,
+    costs_hash: 0x0fe329f8eab33035,
 };
 
-/// Transactional promotion (PR 13 head, `30c1061`).
+/// Transactional promotion.
 const TXN: Golden = Golden {
-    now_ns: 10000853292,
-    stats_hash: 0xa777c0bc8c92c6a9,
-    ticks_csv_hash: 0x6cefea38a23dc8ca,
-    ticks_csv_len: 1369,
-    events_jsonl_hash: 0x1504d95384c9d377,
-    events_jsonl_len: 131528,
-    placement_hash: 0xc6c52d7c949c5c71,
+    now_ns: 10000853378,
+    stats_hash: 0x64ff28d55178ede0,
+    ticks_csv_hash: 0x8e9d60627a6bafe9,
+    ticks_csv_len: 1368,
+    events_jsonl_hash: 0xf9df940625b595ba,
+    events_jsonl_len: 122490,
+    placement_hash: 0xa5013e768b697b6f,
     promotions: 8,
     demotions: 12,
-    costs_hash: 0x37dd092fa122a9d0,
+    costs_hash: 0x397fed393ec36bf4,
 };
 
-/// Transactional promotion under the chaos injector (`30c1061`).
+/// Transactional promotion under the chaos injector.
 const TXN_CHAOS: Golden = Golden {
-    now_ns: 10000966445,
-    stats_hash: 0xc693e2b22a380efc,
-    ticks_csv_hash: 0x2888e84910f2bfaa,
+    now_ns: 10000804235,
+    stats_hash: 0x45512bbc0a848436,
+    ticks_csv_hash: 0x972916ead238f280,
     ticks_csv_len: 1401,
-    events_jsonl_hash: 0x4d5cad70d14ae199,
-    events_jsonl_len: 159001,
-    placement_hash: 0x9e6dd04424ee468d,
-    promotions: 8,
-    demotions: 77,
-    costs_hash: 0x23f640afd7ecf11a,
+    events_jsonl_hash: 0x29b866eb2336fe15,
+    events_jsonl_len: 147456,
+    placement_hash: 0x733424c7384d7edb,
+    promotions: 4,
+    demotions: 74,
+    costs_hash: 0xe263e84c6c5d1c0b,
 };
 
-/// Eight-page sync batches (`30c1061`).
+/// Eight-page sync batches.
 const BATCH8: Golden = Golden {
-    now_ns: 10000790632,
-    stats_hash: 0xba491d237158830d,
-    ticks_csv_hash: 0x208ec5b414964a52,
-    ticks_csv_len: 1372,
-    events_jsonl_hash: 0xcd3e354560284760,
-    events_jsonl_len: 129481,
-    placement_hash: 0x1f8b5c5bcc0ff3e0,
+    now_ns: 10000787718,
+    stats_hash: 0x9874a137aed94002,
+    ticks_csv_hash: 0xf46888080f7d0f1d,
+    ticks_csv_len: 1371,
+    events_jsonl_hash: 0x84c246cbebb24404,
+    events_jsonl_len: 120347,
+    placement_hash: 0x8d98ee3e75062f5d,
     promotions: 8,
     demotions: 12,
-    costs_hash: 0xcb3e004aa9600238,
+    costs_hash: 0x05fdbd6c9086e9e6,
 };
 
-/// Eight-page sync batches under the chaos injector (`30c1061`).
+/// Eight-page sync batches under the chaos injector.
 const BATCH8_CHAOS: Golden = Golden {
-    now_ns: 10000884629,
-    stats_hash: 0xe1f6a09f5a7842e8,
-    ticks_csv_hash: 0x2ed06efadf819165,
-    ticks_csv_len: 1404,
-    events_jsonl_hash: 0xb947c8d06db8dd6a,
-    events_jsonl_len: 156107,
-    placement_hash: 0x6d6889de030551bb,
+    now_ns: 10000725621,
+    stats_hash: 0x453a2f69f6dc7f45,
+    ticks_csv_hash: 0x8bceeba883acbc8d,
+    ticks_csv_len: 1397,
+    events_jsonl_hash: 0xe8a43788ba3c6010,
+    events_jsonl_len: 145414,
+    placement_hash: 0x7546c0e5be007899,
+    promotions: 4,
+    demotions: 74,
+    costs_hash: 0x5709bce78a5fab7d,
+};
+
+/// The base run on the dual-socket machine.
+const BASE_DUAL: Golden = Golden {
+    now_ns: 10000822630,
+    stats_hash: 0x9d271da452a0ef96,
+    ticks_csv_hash: 0xf5e499d45af81cfd,
+    ticks_csv_len: 1379,
+    events_jsonl_hash: 0x1f5a9cbaed325cc9,
+    events_jsonl_len: 126145,
+    placement_hash: 0x8c4dbdf2d29a3916,
     promotions: 8,
-    demotions: 77,
-    costs_hash: 0xf2116c8ad302a894,
+    demotions: 32,
+    costs_hash: 0x3a07c4b89e1f09f4,
+};
+
+/// The dual-socket machine under the chaos injector.
+const CHAOS_DUAL: Golden = Golden {
+    now_ns: 10000963230,
+    stats_hash: 0x948f1bbf87a470d6,
+    ticks_csv_hash: 0x4225719efc631472,
+    ticks_csv_len: 1431,
+    events_jsonl_hash: 0xc10632d1cea4e272,
+    events_jsonl_len: 166966,
+    placement_hash: 0xd42a646bde29f8e2,
+    promotions: 8,
+    demotions: 123,
+    costs_hash: 0x0f15e759500351cb,
 };
 
 #[test]
@@ -243,6 +281,7 @@ fn tick_equivalent_engine_matches_pr8_golden_under_fault_injection() {
 #[test]
 fn every_migration_mode_and_batch_matches_its_golden() {
     for (name, cfg, golden) in pinned() {
+        assert!(golden.promotions > 0, "{name} must exercise promotion");
         assert_eq!(run(cfg), golden, "{name}");
     }
 }

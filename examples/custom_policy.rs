@@ -12,7 +12,7 @@
 
 use mc_clock::IndexedList;
 use mc_mem::{
-    AccessKind, FrameId, MemConfig, MemorySystem, Nanos, PageKind, PolicyTraits, TickOutcome,
+    AccessKind, FrameId, MachineDesc, MemorySystem, Nanos, PageKind, PolicyTraits, TickOutcome,
     TierId, TieringPolicy, Topology, VPage,
 };
 use multi_clock::{MultiClock, MultiClockConfig};
@@ -150,7 +150,7 @@ fn drive(policy: &mut dyn TieringPolicy, mem: &mut MemorySystem) -> (u64, u64) {
 
 fn main() {
     let run = |name: &str, make: &dyn Fn(&Topology) -> Box<dyn TieringPolicy>| {
-        let mut mem = MemorySystem::new(MemConfig::two_tier(256, 2048));
+        let mut mem = MemorySystem::new(MachineDesc::dram_pm(256, 2048));
         let mut policy = make(mem.topology());
         let (resident, migrations) = drive(policy.as_mut(), &mut mem);
         println!("{name:<12} hot pages in DRAM: {resident:>2}/64   total migrations: {migrations}");

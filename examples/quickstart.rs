@@ -16,7 +16,9 @@
 //! cargo run --release -p mc-obs --bin mc-obs-report -- /tmp/mc-obs
 //! ```
 
-use mc_mem::{AccessKind, MemConfig, MemorySystem, Nanos, PageKind, TierId, TieringPolicy, VPage};
+use mc_mem::{
+    AccessKind, MachineDesc, MemorySystem, Nanos, PageKind, TierId, TieringPolicy, VPage,
+};
 use mc_sim::{ObsConfig, SimConfig, Simulation, SystemKind};
 use mc_workloads::Memory;
 use multi_clock::{MultiClock, MultiClockConfig};
@@ -77,7 +79,7 @@ fn main() -> Result<(), mc_mem::MemError> {
         return Ok(());
     }
     // A small machine: 256 pages of DRAM, 2048 pages of PM.
-    let mut mem = MemorySystem::new(MemConfig::two_tier(256, 2048));
+    let mut mem = MemorySystem::new(MachineDesc::dram_pm(256, 2048));
     let mut mc = MultiClock::new(MultiClockConfig::default(), mem.topology());
 
     println!("machine: {} tiers", mem.topology().tier_count());

@@ -1,8 +1,8 @@
 //! Property-based invariant tests (proptest) across the stack.
 
-use mc_clock::{balance, IndexedList, LruOrder};
+use mc_clock::{balance, IndexedList};
 use mc_mem::{
-    AccessKind, FrameId, MemConfig, MemorySystem, Nanos, PageKind, TierId, TieringPolicy, VPage,
+    AccessKind, FrameId, MachineDesc, MemorySystem, Nanos, PageKind, TierId, TieringPolicy, VPage,
 };
 use mc_workloads::dist::{Latest, ScrambledZipfian, Zipfian};
 use multi_clock::{MultiClock, MultiClockConfig};
@@ -126,24 +126,6 @@ proptest! {
     }
 
     #[test]
-    fn lru_order_coldest_is_minimal_stamp(touches in prop::collection::vec(0u32..32, 1..200)) {
-        let mut lru = LruOrder::new();
-        for t in &touches {
-            lru.touch(FrameId::new(*t));
-        }
-        let coldest = lru.coldest().expect("nonempty");
-        let cs = lru.stamp_of(coldest).unwrap();
-        for f in lru.hottest_n(usize::MAX) {
-            prop_assert!(lru.stamp_of(f).unwrap() >= cs);
-        }
-        // coldest_n is sorted ascending by stamp.
-        let order = lru.coldest_n(usize::MAX);
-        for w in order.windows(2) {
-            prop_assert!(lru.stamp_of(w[0]).unwrap() <= lru.stamp_of(w[1]).unwrap());
-        }
-    }
-
-    #[test]
     fn inactive_ratio_is_monotone_in_tier_size(a in 1usize..1_000_000, b in 1usize..1_000_000) {
         let (lo, hi) = (a.min(b), a.max(b));
         prop_assert!(balance::inactive_ratio(lo) <= balance::inactive_ratio(hi));
@@ -239,7 +221,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
     #[test]
     fn multi_clock_invariants_hold_under_random_ops(ops in prop::collection::vec(drive_op(), 1..120)) {
-        let mut mem = MemorySystem::new(MemConfig::two_tier(64, 256));
+        let mut mem = MemorySystem::new(MachineDesc::dram_pm(64, 256));
         let mut mc = MultiClock::new(MultiClockConfig::default(), mem.topology());
         let mut now = Nanos::ZERO;
         for op in ops {
@@ -301,7 +283,7 @@ proptest! {
     /// free counts match watermark arithmetic.
     #[test]
     fn memory_accounting_balances(ops in prop::collection::vec((0u16..400, any::<bool>()), 1..200)) {
-        let mut mem = MemorySystem::new(MemConfig::two_tier(64, 256));
+        let mut mem = MemorySystem::new(MachineDesc::dram_pm(64, 256));
         for (v, write) in ops {
             let vp = VPage::new(v as u64);
             if mem.translate(vp).is_none() {

@@ -1,13 +1,14 @@
 //! Integration tests for the DESIGN.md extensions: N-tier generalisation
 //! and file-backed page handling end to end.
 
-use mc_mem::{Nanos, PageKind, TierId, PAGE_SIZE};
+use mc_mem::{MachineDesc, Nanos, PageKind, TierId, PAGE_SIZE};
 use mc_sim::{SimConfig, Simulation, SystemKind};
 use mc_workloads::Memory;
 
 #[test]
 fn three_tier_machine_promotes_hot_pages_toward_hbm() {
-    let mut cfg = SimConfig::three_tier(SystemKind::MultiClock, 32, 128, 1024);
+    let mut cfg = SimConfig::new(SystemKind::MultiClock, 1, 1);
+    cfg.mem = MachineDesc::three_tier(32, 128, 1024);
     cfg.scan_interval = Nanos::from_millis(5);
     cfg.scan_batch = 4096;
     let mut sim = Simulation::new(cfg);
@@ -43,7 +44,8 @@ fn three_tier_machine_promotes_hot_pages_toward_hbm() {
 
 #[test]
 fn three_tier_demotion_cascades_downwards() {
-    let mut cfg = SimConfig::three_tier(SystemKind::MultiClock, 32, 64, 512);
+    let mut cfg = SimConfig::new(SystemKind::MultiClock, 1, 1);
+    cfg.mem = MachineDesc::three_tier(32, 64, 512);
     cfg.scan_interval = Nanos::from_millis(5);
     let mut sim = Simulation::new(cfg);
     // Allocate more than HBM+DRAM can hold: the engine's fault path and

@@ -1,7 +1,7 @@
 //! Cross-crate tests: dual-socket NUMA topologies (the paper's testbed
 //! shape) and the trace pipeline against the tiering engine.
 
-use mc_mem::{MemConfig, Nanos, PageKind, TierId, PAGE_SIZE};
+use mc_mem::{MachineDesc, Nanos, PageKind, TierId, PAGE_SIZE};
 use mc_sim::{SimConfig, Simulation, SystemKind};
 use mc_trace::{replay, Heatmap, Recorder, Trace};
 use mc_workloads::ycsb::{YcsbClient, YcsbConfig, YcsbWorkload};
@@ -9,7 +9,7 @@ use mc_workloads::{Memory, SimpleMemory};
 
 fn dual_socket_cfg(system: SystemKind) -> SimConfig {
     let mut cfg = SimConfig::new(system, 1, 1);
-    cfg.mem = MemConfig::dual_socket(256, 2048);
+    cfg.mem = MachineDesc::dual_socket(256, 2048);
     cfg.scan_interval = Nanos::from_millis(5);
     cfg.scan_batch = 4096;
     cfg
