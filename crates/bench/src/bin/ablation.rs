@@ -142,7 +142,7 @@ fn main() {
                 .system(s)
                 .scale(&scale)
                 .run()
-                .expect("no obs artifacts requested")
+                .expect("the scale's footprint fits its machine")
         };
         let base = run(SystemKind::Static).ops_per_sec;
         let rows: Vec<Vec<String>> = systems

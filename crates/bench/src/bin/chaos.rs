@@ -37,10 +37,8 @@ fn arg_value(args: &[String], flag: &str) -> Option<String> {
     args.iter()
         .position(|a| a == flag)
         .map(|i| {
-            args.get(i + 1).unwrap_or_else(|| {
-                // lint: allow(panic) - CLI argument validation in a binary
-                panic!("{flag} requires a value")
-            })
+            args.get(i + 1)
+                .unwrap_or_else(|| panic!("{flag} requires a value"))
         })
         .cloned()
 }
@@ -53,12 +51,7 @@ fn main() {
         .unwrap_or(42);
     let obs_root = arg_value(&args, "--obs").map(std::path::PathBuf::from);
     let system = arg_value(&args, "--system")
-        .map(|s| {
-            parse_system(&s).unwrap_or_else(|| {
-                // lint: allow(panic) - CLI argument validation in a binary
-                panic!("--system {s}: unknown system name")
-            })
-        })
+        .map(|s| parse_system(&s).unwrap_or_else(|| panic!("--system {s}: unknown system name")))
         .unwrap_or(SystemKind::MultiClock);
     let (machine_name, machine) = machine_from_args();
     let rates: Vec<f64> = match arg_value(&args, "--fault-rate") {
@@ -82,7 +75,7 @@ fn main() {
         .scale(&scale)
         .machine(machine)
         .run()
-        .expect("no obs artifacts requested");
+        .expect("the scale's footprint fits its machine");
     let base_ops = base.ops_per_sec;
 
     let outcomes = SweepRunner::new(threads_from_args()).run(rates.clone(), |rate| {
@@ -107,6 +100,7 @@ fn main() {
             migration_failures,
             promote_retries,
             promote_gave_ups,
+            dropped_accesses,
             ..
         } = outcome;
         rows.push(vec![
@@ -117,6 +111,7 @@ fn main() {
             format!("{migration_failures}"),
             format!("{promote_retries}"),
             format!("{promote_gave_ups}"),
+            format!("{dropped_accesses}"),
         ]);
     }
     println!(
@@ -130,6 +125,7 @@ fn main() {
                 "migr. failures",
                 "retries",
                 "gave up",
+                "dropped acc.",
             ],
             &rows
         )

@@ -71,7 +71,7 @@ fn main() {
                         .scale(&scale)
                         .interval(interval)
                         .run()
-                        .expect("no obs artifacts requested");
+                        .expect("the scale's footprint fits its machine");
                     vec![
                         s.label().to_string(),
                         format!("{:.2}ms", r.trial_time.as_nanos() as f64 / 1e6),
@@ -100,7 +100,7 @@ fn main() {
                         .scale(&scale)
                         .interval(interval)
                         .run()
-                        .expect("no obs artifacts requested");
+                        .expect("the scale's footprint fits its machine");
                     vec![
                         s.label().to_string(),
                         format!("{:.0}", r.ops_per_sec),

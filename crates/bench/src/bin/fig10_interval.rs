@@ -37,7 +37,7 @@ fn main() {
             .scale(&scale)
             .interval(iv)
             .run()
-            .expect("no obs artifacts requested")
+            .expect("the scale's footprint fits its machine")
     };
     eprintln!("running static baseline ...");
     let base = run(SystemKind::Static, scale.scan_interval()).ops_per_sec;

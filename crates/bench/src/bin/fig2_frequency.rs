@@ -14,7 +14,10 @@ use mc_sim::report::format_table;
 use mc_workloads::motivation::MotivationWorkload;
 use mc_workloads::SimpleMemory;
 
-#[allow(clippy::needless_range_loop)] // windowed matrix sweeps index two axes
+#[expect(
+    clippy::needless_range_loop,
+    reason = "windowed matrix sweeps index two axes"
+)]
 fn main() {
     let scale = scale_from_args();
     banner(

@@ -25,7 +25,7 @@ use mc_bench::{
     banner, machine_from_args, parse_system, scale_from_args, threads_from_args, SweepRunner,
 };
 use mc_sim::experiments::{ycsb_comparison, Experiment};
-use mc_sim::report::{format_table, normalize_throughput};
+use mc_sim::report::{format_table, normalize_to_static};
 use mc_sim::SystemKind;
 use mc_workloads::ycsb::YcsbWorkload;
 
@@ -35,10 +35,8 @@ fn arg_value(args: &[String], flag: &str) -> Option<String> {
     args.iter()
         .position(|a| a == flag)
         .map(|i| {
-            args.get(i + 1).unwrap_or_else(|| {
-                // lint: allow(panic) - CLI argument validation in a binary
-                panic!("{flag} requires a value")
-            })
+            args.get(i + 1)
+                .unwrap_or_else(|| panic!("{flag} requires a value"))
         })
         .cloned()
 }
@@ -47,12 +45,8 @@ fn main() {
     let args: Vec<String> = std::env::args().collect();
     let scale = scale_from_args();
     let (machine_name, machine) = machine_from_args();
-    let policy = arg_value(&args, "--policy").map(|s| {
-        parse_system(&s).unwrap_or_else(|| {
-            // lint: allow(panic) - CLI argument validation in a binary
-            panic!("--policy {s}: unknown system name")
-        })
-    });
+    let policy = arg_value(&args, "--policy")
+        .map(|s| parse_system(&s).unwrap_or_else(|| panic!("--policy {s}: unknown system name")));
     let obs_root = arg_value(&args, "--obs").map(std::path::PathBuf::from);
     assert!(
         obs_root.is_none() || policy.is_some(),
@@ -73,7 +67,9 @@ fn main() {
     let all = SweepRunner::new(threads_from_args()).run(workloads.to_vec(), |w| {
         eprintln!("running workload {w} ...");
         match policy {
-            None => ycsb_comparison(w, &scale, machine),
+            None => {
+                ycsb_comparison(w, &scale, machine).expect("the scale's footprint fits its machine")
+            }
             Some(p) => systems
                 .iter()
                 .map(|s| {
@@ -92,7 +88,8 @@ fn main() {
     let mut rows = Vec::new();
     let mut raw_rows = Vec::new();
     for (w, results) in workloads.iter().zip(all) {
-        let norm = normalize_throughput(&results);
+        let norm = normalize_to_static(&results, |r| r.ops_per_sec)
+            .expect("`systems` leads with a static run");
         rows.push({
             let mut r = vec![w.to_string()];
             r.extend(norm.iter().map(|(_, v)| format!("{v:.2}")));

@@ -15,7 +15,7 @@
 
 use mc_bench::{banner, machine_from_args, scale_from_args, threads_from_args, SweepRunner};
 use mc_sim::experiments::gapbs_comparison;
-use mc_sim::report::{format_table, normalize_time};
+use mc_sim::report::{format_table, normalize_to_static};
 use mc_sim::SystemKind;
 use mc_workloads::graph::Kernel;
 
@@ -30,12 +30,13 @@ fn main() {
     println!("machine preset: {machine_name}");
     let all = SweepRunner::new(threads_from_args()).run(Kernel::ALL.to_vec(), |k| {
         eprintln!("running kernel {} ...", k.label());
-        gapbs_comparison(k, &scale, machine)
+        gapbs_comparison(k, &scale, machine).expect("the scale's footprint fits its machine")
     });
     let mut rows = Vec::new();
     let mut raw_rows = Vec::new();
     for (k, results) in Kernel::ALL.iter().zip(all) {
-        let norm = normalize_time(&results);
+        let norm = normalize_to_static(&results, |r| r.trial_time.as_nanos() as f64)
+            .expect("the comparison set leads with a static run");
         rows.push({
             let mut r = vec![k.label().to_string()];
             r.extend(norm.iter().map(|(_, v)| format!("{v:.2}")));

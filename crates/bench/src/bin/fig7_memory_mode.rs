@@ -9,7 +9,7 @@
 
 use mc_bench::{banner, scale_from_args};
 use mc_sim::experiments::Experiment;
-use mc_sim::report::{format_table, normalize_throughput, normalize_time};
+use mc_sim::report::{format_table, normalize_to_static};
 use mc_sim::SystemKind;
 use mc_workloads::graph::Kernel;
 use mc_workloads::ycsb::YcsbWorkload;
@@ -39,10 +39,11 @@ fn main() {
                     .system(*s)
                     .scale(&scale)
                     .run()
-                    .expect("no obs artifacts requested")
+                    .expect("the scale's footprint fits its machine")
             })
             .collect();
-        let norm = normalize_throughput(&results);
+        let norm = normalize_to_static(&results, |r| r.ops_per_sec)
+            .expect("`systems` leads with a static run");
         let mut r = vec![w.to_string()];
         r.extend(norm.iter().map(|(_, v)| format!("{v:.2}")));
         rows.push(r);
@@ -59,10 +60,11 @@ fn main() {
                 .system(*s)
                 .scale(&scale)
                 .run()
-                .expect("no obs artifacts requested")
+                .expect("the scale's footprint fits its machine")
         })
         .collect();
-    let norm = normalize_time(&results);
+    let norm = normalize_to_static(&results, |r| r.trial_time.as_nanos() as f64)
+        .expect("`systems` leads with a static run");
     let row = {
         let mut r = vec!["PR".to_string()];
         r.extend(norm.iter().map(|(_, v)| format!("{v:.2}")));

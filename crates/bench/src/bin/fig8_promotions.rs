@@ -41,7 +41,7 @@ fn main() {
         .system(SystemKind::Nimble)
         .scale(&scale)
         .run()
-        .expect("no obs artifacts requested");
+        .expect("the scale's footprint fits its machine");
     let windows = mc.windows.len().max(nim.windows.len());
     let mut rows = Vec::new();
     for wi in 0..windows {

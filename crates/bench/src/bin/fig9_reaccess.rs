@@ -25,7 +25,7 @@ fn main() {
             .system(system)
             .scale(&scale)
             .run()
-            .expect("no obs artifacts requested")
+            .expect("the scale's footprint fits its machine")
     };
     let mc = run(SystemKind::MultiClock);
     let nim = run(SystemKind::Nimble);

@@ -41,10 +41,8 @@ fn arg_value(args: &[String], flag: &str) -> Option<String> {
     args.iter()
         .position(|a| a == flag)
         .map(|i| {
-            args.get(i + 1).unwrap_or_else(|| {
-                // lint: allow(panic) - CLI argument validation in a binary
-                panic!("{flag} requires a value")
-            })
+            args.get(i + 1)
+                .unwrap_or_else(|| panic!("{flag} requires a value"))
         })
         .cloned()
 }
@@ -118,6 +116,10 @@ fn sweep_json(batches: &[usize], outcomes: &[RunOutcome], timing: Option<&SweepT
     w.finish()
 }
 
+#[expect(
+    clippy::disallowed_types,
+    reason = "harness binary: times the sequential and the parallel sweep with the host clock"
+)]
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let scale = scale_from_args();

@@ -46,6 +46,16 @@ fn run(system: SystemKind, total_pages: usize, footprint: usize, seed: u64) -> (
         let p = zipf.next(&mut rng);
         sim.read(region.add(p * PAGE_SIZE as u64), 64);
     }
+    // Eviction to storage is what keeps an overcommitted run alive; a
+    // policy that cannot free a frame ends it with a typed error.
+    if let Some(e) = sim.error() {
+        eprintln!(
+            "overcommit: {} with a {footprint}-page footprint: {e} ({} accesses dropped)",
+            system.label(),
+            sim.dropped_accesses()
+        );
+        std::process::exit(1);
+    }
     let secs = (sim.now() - t0).as_secs_f64();
     (
         ops as f64 / secs,

@@ -28,11 +28,14 @@ pub fn parse_system(s: &str) -> Option<SystemKind> {
     })
 }
 
+/// A `--machine` name and the shape it selects.
+type NamedShape = (&'static str, fn(usize, usize) -> MachineDesc);
+
 /// The `--machine` names and the shape each selects, default first. A
 /// shape is not a size: it arranges the scale's `(dram_pages, pm_pages)`
 /// budget into a [`MachineDesc`] (what `Experiment::machine` takes), so
 /// the same `Scale` drives every machine.
-const MACHINES: [(&str, fn(usize, usize) -> MachineDesc); 3] = [
+const MACHINES: [NamedShape; 3] = [
     // Classic two-tier local DRAM + PM.
     ("dram-pm", MachineDesc::dram_pm),
     // A CXL expander sized like the DRAM tier adds a capacity tier between
@@ -48,7 +51,7 @@ const MACHINES: [(&str, fn(usize, usize) -> MachineDesc); 3] = [
 ];
 
 /// Looks a `--machine` name up in [`MACHINES`], case-insensitively.
-fn parse_machine(s: &str) -> Option<(&'static str, fn(usize, usize) -> MachineDesc)> {
+fn parse_machine(s: &str) -> Option<NamedShape> {
     let name = s.to_ascii_lowercase();
     MACHINES.into_iter().find(|(n, _)| *n == name)
 }
@@ -68,7 +71,6 @@ pub fn machine_from_args() -> (&'static str, fn(usize, usize) -> MachineDesc) {
                 .and_then(|v| parse_machine(v))
                 .unwrap_or_else(|| {
                     let names = MACHINES.map(|(n, _)| n).join(", ");
-                    // lint: allow(panic) - CLI argument validation in dev tooling
                     panic!("--machine requires one of: {names}")
                 })
         })
@@ -175,10 +177,7 @@ pub fn threads_from_args() -> usize {
             args.get(i + 1)
                 .and_then(|v| v.parse::<usize>().ok())
                 .filter(|&n| n > 0)
-                .unwrap_or_else(|| {
-                    // lint: allow(panic) - CLI argument validation in dev tooling
-                    panic!("--threads requires a positive integer")
-                })
+                .unwrap_or_else(|| panic!("--threads requires a positive integer"))
         })
         .unwrap_or(1)
 }

@@ -12,6 +12,19 @@
 //! * [`balance`] — the active:inactive balancing rule the paper inherits
 //!   from PFRA (`sqrt(10 * n) : 1` with `n` the tier size in GB).
 
+// Engine-reachable code: failure is a value, iteration order is fixed (DESIGN.md §9).
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::unimplemented,
+    clippy::todo,
+    clippy::iter_over_hash_type,
+    clippy::let_underscore_must_use,
+    clippy::unused_result_ok
+)]
+
 pub mod balance;
 pub mod list;
 

@@ -181,7 +181,7 @@ impl IndexedList {
     fn node(&mut self, raw: u32) -> &mut Link {
         match raw {
             END => &mut self.ends,
-            // lint: allow(indexing) - any other link value names a member, and members have slots
+            // Indexing: any other link value names a member, and members have slots.
             member => &mut self.links[member as usize],
         }
     }

@@ -65,12 +65,15 @@ impl ListSet {
     ///
     /// Panics for [`WhichList::Unevictable`], which lives on the tier, not
     /// the per-kind set.
+    #[expect(
+        clippy::panic,
+        reason = "documented \"# Panics\" contract; Unevictable is per tier"
+    )]
     pub fn list(&self, which: WhichList) -> &IndexedList {
         match which {
             WhichList::Inactive => &self.inactive,
             WhichList::Active => &self.active,
             WhichList::Promote => &self.promote,
-            // lint: allow(panic) - documented "# Panics" contract; Unevictable is per tier
             WhichList::Unevictable => panic!("unevictable list is per tier, not per kind"),
         }
     }
@@ -80,12 +83,15 @@ impl ListSet {
     /// # Panics
     ///
     /// Panics for [`WhichList::Unevictable`].
+    #[expect(
+        clippy::panic,
+        reason = "documented \"# Panics\" contract; Unevictable is per tier"
+    )]
     pub fn list_mut(&mut self, which: WhichList) -> &mut IndexedList {
         match which {
             WhichList::Inactive => &mut self.inactive,
             WhichList::Active => &mut self.active,
             WhichList::Promote => &mut self.promote,
-            // lint: allow(panic) - documented "# Panics" contract; Unevictable is per tier
             WhichList::Unevictable => panic!("unevictable list is per tier, not per kind"),
         }
     }
@@ -198,7 +204,7 @@ impl TierShards {
     /// If `i >= shard_count()` — shard indices come from `shard_of`, the
     /// frame's node ordinal within the tier.
     pub fn shard(&self, i: usize) -> &TierLists {
-        // lint: allow(indexing) - caller contract documented above
+        // Indexing: caller contract documented above.
         &self.shards[i]
     }
 
@@ -207,7 +213,7 @@ impl TierShards {
     /// # Panics
     /// If `i >= shard_count()`, as for [`Self::shard`].
     pub fn shard_mut(&mut self, i: usize) -> &mut TierLists {
-        // lint: allow(indexing) - caller contract documented above
+        // Indexing: caller contract documented above.
         &mut self.shards[i]
     }
 

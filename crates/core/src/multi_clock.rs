@@ -421,6 +421,11 @@ impl TieringPolicy for MultiClock {
             ("mc_shadow_invalidations", self.stats.shadow_invalidations),
         ]
     }
+
+    fn invariant_violations(&self, mem: &MemorySystem) -> Vec<String> {
+        let violations = self.check_invariants(mem);
+        violations.iter().map(ToString::to_string).collect()
+    }
 }
 
 #[cfg(test)]

@@ -19,6 +19,19 @@
 //! zero-rate injector draws no randomness, so the zero-fault configuration
 //! is byte-identical to an engine without the fault layer.
 
+// Engine-reachable code: failure is a value, iteration order is fixed (DESIGN.md §9).
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::unimplemented,
+    clippy::todo,
+    clippy::iter_over_hash_type,
+    clippy::let_underscore_must_use,
+    clippy::unused_result_ok
+)]
+
 mod injector;
 mod plan;
 mod retry;

@@ -124,7 +124,7 @@ mod tests {
             backoff_base_ticks: u64::MAX / 2,
             backoff_cap_ticks: u64::MAX,
         };
-        assert_eq!(p.backoff_ticks(200), u64::MAX.min(p.backoff_cap_ticks));
+        assert_eq!(p.backoff_ticks(200), p.backoff_cap_ticks);
     }
 
     #[test]

@@ -1,12 +1,12 @@
 //! # mc-lint — repo-specific static analysis for the MULTI-CLOCK workspace
 //!
-//! A dependency-free (std-only) source analyzer that enforces the
-//! structural rules the reproduction's correctness argument leans on.
-//! It runs both as a binary (`cargo run -p mc-lint`) and as `#[test]`s
+//! A dependency-free (std-only) source analyzer for the three structural
+//! rules no stock tool can state. It runs both as a binary
+//! (`cargo run -p mc-lint`) and as `#[test]`s
 //! (`crates/lint/tests/workspace_clean.rs`), so `cargo test -q` fails on
 //! any violation.
 //!
-//! The nine lint classes (see [`lints`]) plus the suppression audit:
+//! The three lint classes (see [`lints`]):
 //!
 //! 1. **state-machine** — every `match` over `PageState`/`WhichList` in
 //!    `crates/core` and `crates/clock` must be exhaustive with no wildcard
@@ -17,37 +17,23 @@
 //!    `mem ← clock ← core ← {policies, trace} ← {workloads} ← sim ← bench`
 //!    is enforced over both `Cargo.toml` dependencies and `use` paths;
 //! 3. **boundary** — the `inactive`/`active`/`promote` lists may only be
-//!    mutated by the core list machinery and `crates/clock`;
-//! 4. **panic** — no `unwrap`/`expect`/`panic!` in non-test library code of
-//!    `fault`/`mem`/`clock`/`core` outside the justified allowlist;
-//! 5. **docs** — every `pub` item in `mem`/`clock`/`core` is documented;
-//! 6. **determinism** — no hash-order iteration or ambient entropy in
-//!    engine-reachable library code (`mem`/`clock`/`core`/`sim`);
-//! 7. **wallclock** — host clocks (`Instant`/`SystemTime`) only inside
-//!    the sanctioned boundary: `mc_obs::perf` (the `PerfHooks` layer) and
-//!    the `crates/bench` harness; flagged in all other library code;
-//! 8. **panic-reach** — no panic source (including explicit indexing) in
-//!    any function transitively reachable from the engine hot loop, walked
-//!    over the approximate call graph in [`callgraph`];
-//! 9. **result** — no `let _ =` / `.ok();` discard of a `Result` in
-//!    `mem`/`core`/`sim` library code;
-//! 10. **suppression** — `lint: allow(...)` markers and
-//!     `panic_allowlist.txt` entries that no longer suppress anything are
-//!     themselves violations.
+//!    mutated by the core list machinery and `crates/clock`.
 //!
-//! Analysis is lexical (comment/string-blanked text, brace matching) with
-//! a lightweight semantic layer on top (the [`index`] item indexer and the
-//! [`callgraph`] reachability walk), not a full parse: precise enough for
-//! this codebase's rustfmt-formatted style, and honest about it — each
-//! check is written so that a miss is a false negative, not a false
-//! positive.
+//! Everything else the workspace forbids — panics, hash-order iteration,
+//! host clocks and discarded `Result`s in engine code, undocumented `pub`
+//! items — is a rustc or clippy lint, type-aware and exact: see the
+//! `[workspace.lints]` table, `clippy.toml`, the `#![deny(clippy::…)]`
+//! line in each engine crate's `lib.rs`, and DESIGN.md §9 for who
+//! enforces what.
+//!
+//! Analysis is lexical (comment/string-blanked text, brace matching), not
+//! a full parse: precise enough for this codebase's rustfmt-formatted
+//! style, and honest about it — each check is written so that a miss is a
+//! false negative, not a false positive.
 
-pub mod callgraph;
 pub mod fig4;
-pub mod index;
 pub mod lints;
 pub mod source;
-pub mod suppress;
 
 use source::SourceFile;
 use std::fmt;
@@ -77,7 +63,7 @@ impl fmt::Display for Diagnostic {
 }
 
 /// The loaded workspace: every source file plus the non-Rust inputs the
-/// lints cross-check (manifests, DESIGN.md, the panic allowlist).
+/// lints cross-check (manifests, DESIGN.md).
 #[derive(Debug, Default)]
 pub struct Workspace {
     /// All workspace `.rs` files (vendored stubs and build output excluded).
@@ -86,8 +72,6 @@ pub struct Workspace {
     pub manifests: Vec<(String, String)>,
     /// Contents of `DESIGN.md`, if present.
     pub design_md: Option<String>,
-    /// Contents of `crates/lint/panic_allowlist.txt`, if present.
-    pub panic_allowlist: Option<String>,
 }
 
 impl Workspace {
@@ -125,8 +109,6 @@ impl Workspace {
             }
         }
         ws.design_md = std::fs::read_to_string(root.join("DESIGN.md")).ok();
-        ws.panic_allowlist =
-            std::fs::read_to_string(root.join("crates/lint/panic_allowlist.txt")).ok();
         Ok(ws)
     }
 
@@ -152,7 +134,7 @@ fn collect_rs(root: &Path, dir: &Path, out: &mut Vec<String>) -> std::io::Result
         } else if name.ends_with(".rs") {
             let rel = path
                 .strip_prefix(root)
-                .expect("walked paths stay under root") // lint: allow(panic) - walk starts at root, prefix always present
+                .unwrap_or(&path)
                 .components()
                 .map(|c| c.as_os_str().to_string_lossy())
                 .collect::<Vec<_>>()
@@ -180,30 +162,10 @@ pub fn find_workspace_root(start: &Path) -> Option<PathBuf> {
 }
 
 /// Every pass name, in execution order, as accepted by `--only`/`--skip`.
-pub const PASS_NAMES: [&str; 10] = [
-    "state-machine",
-    "layering",
-    "boundary",
-    "panic",
-    "docs",
-    "determinism",
-    "wallclock",
-    "panic-reach",
-    "result",
-    "suppression",
-];
+pub const PASS_NAMES: [&str; 3] = ["state-machine", "layering", "boundary"];
 
-/// Runs every lint class over the workspace, in a stable order.
-pub fn run_all(ws: &Workspace) -> Vec<Diagnostic> {
-    run_passes(ws, |_| true)
-}
-
-/// Runs the passes selected by `enabled`, sharing one item index and one
-/// suppression registry across them. The suppression audit judges only the
-/// marker classes whose consuming passes actually ran.
+/// Runs the passes selected by `enabled`, in a stable order.
 pub fn run_passes(ws: &Workspace, enabled: impl Fn(&str) -> bool) -> Vec<Diagnostic> {
-    let idx = index::ItemIndex::build(ws);
-    let mut sup = suppress::Suppressions::collect(ws);
     let mut diags = Vec::new();
     if enabled("state-machine") {
         diags.extend(lints::state_machine::check(ws));
@@ -213,27 +175,6 @@ pub fn run_passes(ws: &Workspace, enabled: impl Fn(&str) -> bool) -> Vec<Diagnos
     }
     if enabled("boundary") {
         diags.extend(lints::boundary::check(ws));
-    }
-    if enabled("panic") {
-        diags.extend(lints::panics::check_with(ws, &mut sup));
-    }
-    if enabled("docs") {
-        diags.extend(lints::docs::check(ws));
-    }
-    if enabled("determinism") {
-        diags.extend(lints::determinism::check_with(ws, &mut sup));
-    }
-    if enabled("wallclock") {
-        diags.extend(lints::wallclock::check_with(ws, &mut sup));
-    }
-    if enabled("panic-reach") {
-        diags.extend(lints::panic_reach::check_with(ws, &idx, &mut sup));
-    }
-    if enabled("result") {
-        diags.extend(lints::results::check_with(ws, &idx, &mut sup));
-    }
-    if enabled("suppression") {
-        diags.extend(suppress::audit(ws, &sup));
     }
     diags.sort_by(|a, b| (&a.file, a.line, a.lint).cmp(&(&b.file, b.line, b.lint)));
     diags
@@ -285,7 +226,7 @@ mod tests {
         let diags = [Diagnostic {
             file: "crates/mem/src/a.rs".into(),
             line: 7,
-            lint: "panic-reach",
+            lint: "boundary",
             message: "a \"quoted\" path\\with\nnewline".into(),
         }];
         let json = to_json(&diags);

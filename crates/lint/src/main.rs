@@ -8,8 +8,7 @@
 //!
 //! `--only` and `--skip` filter by pass name (see [`mc_lint::PASS_NAMES`]);
 //! `--format json` emits a machine-readable report (CI uploads it as an
-//! artifact). Filters affect the suppression audit: it only judges marker
-//! classes whose consuming passes ran.
+//! artifact).
 
 use std::path::Path;
 use std::process::ExitCode;

@@ -5,8 +5,7 @@
 //! are replaced byte-for-byte with spaces (newlines preserved) so that
 //! pattern scans never fire inside a comment or a string, while byte offsets
 //! and line numbers stay identical to the original text. The original text
-//! stays available for reading marker comments (`// fig4: N`,
-//! `// lint: allow(panic)`).
+//! stays available for reading marker comments (`// fig4: N`).
 
 /// One parsed workspace source file.
 #[derive(Debug, Clone)]
@@ -50,16 +49,6 @@ impl SourceFile {
     /// 1-based line number containing byte offset `off`.
     pub fn line_of(&self, off: usize) -> usize {
         self.line_starts.partition_point(|&s| s <= off)
-    }
-
-    /// The raw text of 1-based line `line`, without its newline.
-    pub fn raw_line(&self, line: usize) -> &str {
-        let start = self.line_starts[line - 1];
-        let end = self
-            .line_starts
-            .get(line)
-            .map_or(self.raw.len(), |&e| e.saturating_sub(1));
-        self.raw[start..end].trim_end_matches('\r')
     }
 
     /// Whether byte offset `off` falls inside `#[cfg(test)]` code.
@@ -532,6 +521,5 @@ mod tests {
         assert_eq!(f.line_of(0), 1);
         assert_eq!(f.line_of(2), 2);
         assert_eq!(f.line_of(5), 3);
-        assert_eq!(f.raw_line(2), "bb");
     }
 }

@@ -191,37 +191,34 @@ impl MachineBuilder {
         self
     }
 
+    /// The node the next modifier applies to.
+    #[expect(
+        clippy::panic,
+        reason = "builder misuse (a modifier before any node()) is a programming error, not a runtime state"
+    )]
+    fn last_node(&mut self, modifier: &str) -> &mut MachineNode {
+        match self.nodes.last_mut() {
+            Some(node) => node,
+            None => panic!("{modifier}() requires a preceding node()"),
+        }
+    }
+
     /// Overrides the device timing of the last added node.
     pub fn device(mut self, device: TierLatency) -> Self {
-        if let Some(n) = self.nodes.last_mut() {
-            n.device = device;
-        } else {
-            // lint: allow(panic) - builder misuse (device() before any node()) is a programming error, not a runtime state
-            panic!("device() requires a preceding node()");
-        }
+        self.last_node("device").device = device;
         self
     }
 
     /// Overrides the link of the last added node.
     pub fn link(mut self, link: LinkDesc) -> Self {
-        if let Some(n) = self.nodes.last_mut() {
-            n.link = link;
-        } else {
-            // lint: allow(panic) - builder misuse (link() before any node()) is a programming error, not a runtime state
-            panic!("link() requires a preceding node()");
-        }
+        self.last_node("link").link = link;
         self
     }
 
     /// Sets the head count of the last added node.
     pub fn heads(mut self, heads: u8) -> Self {
         assert!(heads >= 1, "a node needs at least one head");
-        if let Some(n) = self.nodes.last_mut() {
-            n.heads = heads;
-        } else {
-            // lint: allow(panic) - builder misuse (heads() before any node()) is a programming error, not a runtime state
-            panic!("heads() requires a preceding node()");
-        }
+        self.last_node("heads").heads = heads;
         self
     }
 

@@ -110,6 +110,15 @@ pub trait TieringPolicy {
     fn counters(&self) -> Vec<(&'static str, u64)> {
         Vec::new()
     }
+
+    /// Every structural invariant of the policy's own bookkeeping that
+    /// does not hold against `mem` right now, as messages; empty means
+    /// consistent. A test and debugging aid the engine never calls.
+    /// Default: nothing to check.
+    fn invariant_violations(&self, mem: &MemorySystem) -> Vec<String> {
+        let _ = mem;
+        Vec::new()
+    }
 }
 
 /// A policy that does nothing — static tiering in its purest form, and a

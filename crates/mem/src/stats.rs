@@ -206,8 +206,10 @@ mod tests {
         // not count as "served from fast memory". The old non-Pm filter
         // would report 0.70 here.
         let topo = MachineDesc::dram_cxl_pm(8, 8, 8).topology();
-        let mut s = MemStats::default();
-        s.tier_accesses = vec![50, 20, 30];
+        let s = MemStats {
+            tier_accesses: vec![50, 20, 30],
+            ..MemStats::default()
+        };
         assert!((s.fast_tier_share(&topo).unwrap() - 0.50).abs() < 1e-9);
     }
 

@@ -132,7 +132,10 @@ impl Topology {
         let mut nodes = Vec::with_capacity(specs.len());
         let mut next_frame = 0u32;
         for (i, (kind, pages)) in specs.iter().enumerate() {
-            // lint: allow(panic) - kinds was deduped from these same nodes just above
+            #[expect(
+                clippy::expect_used,
+                reason = "kinds was deduped from these same nodes just above"
+            )]
             let tier_idx = kinds.iter().position(|k| k == kind).expect("kind present");
             nodes.push(NodeDesc {
                 id: NodeId::new(i as u8),

@@ -25,6 +25,19 @@
 //! therefore raw integers (frame indices, tier ids, Fig. 4 edge numbers),
 //! not typed ids from higher crates.
 
+// Engine-reachable code: failure is a value, iteration order is fixed (DESIGN.md §9).
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::unimplemented,
+    clippy::todo,
+    clippy::iter_over_hash_type,
+    clippy::let_underscore_must_use,
+    clippy::unused_result_ok
+)]
+
 pub mod config;
 pub mod counter;
 pub mod event;

@@ -31,6 +31,11 @@
 //! derives approximate p50/p95/p99 (geometric bucket midpoints) plus
 //! exact count/total/items tallies and derived throughputs.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "the one sanctioned host-clock boundary: spans only observe the monotonic clock, nothing read here flows back into engine state"
+)]
+
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 

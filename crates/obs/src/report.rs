@@ -51,9 +51,9 @@ impl ReportBuilder {
         }
         let mut render = |cells: &[String]| {
             let mut line = String::from("  ");
-            for i in 0..cols {
+            for (i, width) in widths.iter().enumerate() {
                 let cell = cells.get(i).map(String::as_str).unwrap_or("");
-                line.push_str(&format!("{cell:<width$}", width = widths[i]));
+                line.push_str(&format!("{cell:<width$}"));
                 if i + 1 < cols {
                     line.push_str("  ");
                 }

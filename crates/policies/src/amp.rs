@@ -153,7 +153,7 @@ impl TieringPolicy for Amp {
             let Some(upper) = tier.upper() else {
                 continue; // t >= 1: never the top tier
             };
-            // lint: allow(indexing) - t ranges over 1..rings.len()
+            // Indexing: t ranges over 1..rings.len().
             let mut scored: Vec<(u32, FrameId)> = self.rings[t]
                 .iter()
                 .collect::<Vec<_>>()
@@ -198,7 +198,8 @@ impl TieringPolicy for Amp {
                                 self.rings[upper.index()].remove(victim);
                                 self.rings[tier.index()].push_back(nv);
                                 self.transfer(victim, nv);
-                                // lint: allow(result) - a failed back-promotion leaves a one-sided exchange; the value is consumed via `exchanged`
+                                // A failed back-promotion leaves a one-sided exchange; the
+                                // value is consumed via `exchanged`.
                                 exchanged = mem.migrate(frame, upper).ok();
                             }
                             break;

@@ -303,7 +303,7 @@ impl TieringPolicy for HybridTier {
 
     fn tick(&mut self, mem: &mut MemorySystem, now: Nanos) -> TickOutcome {
         self.ticks += 1;
-        if self.cfg.age_ticks > 0 && self.ticks % self.cfg.age_ticks == 0 {
+        if self.cfg.age_ticks > 0 && self.ticks.is_multiple_of(self.cfg.age_ticks) {
             self.sketch.halve();
         }
         let mut out = TickOutcome::default();
@@ -483,10 +483,8 @@ mod tests {
             },
             mem.topology(),
         );
-        let mut v = 0u64;
-        for _ in 0..2000 {
+        for v in 0..2000u64 {
             map_in_tier(&mut mem, &mut h, v, TierId::new(1));
-            v += 1;
         }
         let out = h.tick(&mut mem, Nanos::from_secs(1));
         assert!(

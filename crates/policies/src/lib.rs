@@ -29,6 +29,19 @@
 //!   full PTE scans, plus direct data placement of known-hot pages at
 //!   allocation time. The CXL-era comparison point.
 
+// Engine-reachable code: failure is a value, iteration order is fixed (DESIGN.md §9).
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::unimplemented,
+    clippy::todo,
+    clippy::iter_over_hash_type,
+    clippy::let_underscore_must_use,
+    clippy::unused_result_ok
+)]
+
 pub mod amp;
 pub mod autonuma;
 pub mod autotiering;

@@ -95,7 +95,7 @@ impl MemoryModeCache {
         let dram = TierId::TOP;
         let pm = TierId::new((latency.tier_count() - 1) as u8);
         let slot_idx = (vpage.raw() as usize) % self.slots.len();
-        // lint: allow(indexing) - slot_idx is reduced modulo slots.len()
+        // Indexing: slot_idx is reduced modulo slots.len().
         let slot = &mut self.slots[slot_idx];
         if slot.tag == Some(vpage) {
             self.stats.hits += 1;

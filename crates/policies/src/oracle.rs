@@ -229,7 +229,10 @@ impl TieringPolicy for OraclePolicy {
         }
         // LFU decay.
         if self.kind == OracleKind::Lfu {
-            // lint: allow(determinism) - halving every counter commutes; iteration order cannot change the result
+            #[expect(
+                clippy::iter_over_hash_type,
+                reason = "halving every counter commutes; iteration order cannot change the result"
+            )]
             for c in self.counts.values_mut() {
                 *c /= 2;
             }

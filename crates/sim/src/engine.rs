@@ -3,12 +3,13 @@
 //! periodic tick (the paper's one `kpromoted` thread) in virtual time.
 
 use crate::config::{SimConfig, SystemKind};
+use crate::error::RunError;
 use crate::metrics::Metrics;
 use crate::obs::ObsState;
 use mc_fault::FaultInjector;
 use mc_mem::{
-    AccessKind, MemorySystem, MigrationMode, Nanos, PageKind, TierId, TieringPolicy, VAddr, VPage,
-    VPageMap, VirtualClock, PAGE_SIZE,
+    AccessKind, MemorySystem, MigrationMode, Nanos, PageKind, PageTable, TierId, TieringPolicy,
+    VAddr, VPage, VPageMap, VirtualClock, PAGE_SIZE,
 };
 use mc_policies::{
     Amp, AutoNuma, AutoTiering, AutoTieringConfig, AutoTieringMode, HybridTier, HybridTierConfig,
@@ -58,6 +59,10 @@ pub struct Simulation {
     data: VPageMap<Box<[u8; PAGE_SIZE]>>,
     metrics: Metrics,
     obs: Option<ObsState>,
+    /// The first error of the run; once set, every later fault is skipped.
+    error: Option<RunError>,
+    /// Accesses skipped because their fault could not be served.
+    dropped: u64,
 }
 
 impl Simulation {
@@ -192,6 +197,8 @@ impl Simulation {
             data: VPageMap::new(),
             metrics: Metrics::with_horizon(window, horizon),
             obs,
+            error: None,
+            dropped: 0,
         }
     }
 
@@ -208,6 +215,28 @@ impl Simulation {
     /// The metrics collected so far.
     pub fn metrics(&self) -> &Metrics {
         &self.metrics
+    }
+
+    /// The first error the run hit (out of memory, a wild address), if
+    /// any. The [`Memory`] interface is infallible, so the error is
+    /// latched here: the access that raised it and every later access
+    /// that faults are skipped and counted in [`Self::dropped_accesses`].
+    pub fn error(&self) -> Option<&RunError> {
+        self.error.as_ref()
+    }
+
+    /// Moves the latched error out (the step from a finished simulation
+    /// to a `Result`).
+    pub(crate) fn take_error(&mut self) -> Option<RunError> {
+        self.error.take()
+    }
+
+    /// Page accesses issued by the workload that were never served: the
+    /// ones behind [`Self::error`], and under fault injection the faults
+    /// whose allocation retry budget ran out (a degrade, not an error).
+    /// Accesses issued = `reads + writes` of the substrate + this.
+    pub fn dropped_accesses(&self) -> u64 {
+        self.dropped
     }
 
     /// Observability state (per-tick series, latency histograms, access
@@ -262,6 +291,17 @@ impl Simulation {
     pub fn counters(&self) -> Vec<(&'static str, u64)> {
         match &self.frontend {
             Frontend::Tiered { policy, .. } => policy.counters(),
+            Frontend::MemoryMode(_) => Vec::new(),
+        }
+    }
+
+    /// What the frontend policy finds wrong with its own bookkeeping
+    /// (MULTI-CLOCK: every mapped page on exactly one list of its tier,
+    /// and the rest of `multi_clock::validate`); empty means consistent.
+    /// Valid between accesses, which is the only time a caller holds it.
+    pub fn invariant_violations(&self) -> Vec<String> {
+        match &self.frontend {
+            Frontend::Tiered { policy, .. } => policy.invariant_violations(&self.mem),
             Frontend::MemoryMode(_) => Vec::new(),
         }
     }
@@ -385,6 +425,15 @@ impl Simulation {
                 let out = if let Ok(out) = self.mem.access(vpage, kind) {
                     out
                 } else {
+                    if self.error.is_some() {
+                        return self.skip_access(None);
+                    }
+                    let at = self.clock.now();
+                    // A wild pointer in the workload: refused before any
+                    // frame is taken for a page that cannot be mapped.
+                    if vpage.raw() >= PageTable::MAX_VPAGES {
+                        return self.skip_access(Some(RunError::AddressOutOfRange { at, vpage }));
+                    }
                     let region_kind = Self::region_kind(&self.regions, vpage);
                     self.mem.note_swap_in(vpage);
                     // Without an injector three reclaim rounds always free a
@@ -392,7 +441,7 @@ impl Simulation {
                     // one, each attempt can fail by injected chance, so give
                     // chaos runs a far larger budget and degrade gracefully
                     // (skip the access, like a fault the kernel retries
-                    // later) rather than aborting the run.
+                    // later) rather than failing the run.
                     let injected = self.mem.fault_injector().is_some();
                     let budget = if injected { 64 } else { 3 };
                     let mut attempts = 0;
@@ -402,7 +451,6 @@ impl Simulation {
                             Err(_) => {
                                 attempts += 1;
                                 if attempts > budget {
-                                    assert!(injected, "simulated OOM: every tier exhausted");
                                     break None;
                                 }
                                 let tiers = self.mem.topology().tier_count();
@@ -419,14 +467,22 @@ impl Simulation {
                     self.clock.advance(self.cfg.minor_fault);
                     self.metrics.costs_mut().stall_time += self.cfg.minor_fault;
                     let Some(frame) = frame else {
-                        return self.settle();
+                        let oom = (!injected).then_some(RunError::OutOfMemory { at, vpage });
+                        return self.skip_access(oom);
                     };
-                    // lint: allow(panic) - the page just faulted as unmapped and the frame is fresh; only an address past `VPageMap::MAX_VPAGES` (a wild pointer in the workload) fails
-                    self.mem.map(vpage, frame).expect("fresh page maps");
-                    policy.on_page_mapped(&mut self.mem, frame);
+                    let faulted_in = self.mem.map(vpage, frame).and_then(|()| {
+                        policy.on_page_mapped(&mut self.mem, frame);
+                        self.mem.access(vpage, kind)
+                    });
+                    // The page faulted as unmapped, lies inside the span
+                    // and the frame is fresh, which rules out every error
+                    // `map` and `access` document; the span is the one a
+                    // workload address could ever produce.
+                    let Ok(out) = faulted_in else {
+                        return self.skip_access(Some(RunError::AddressOutOfRange { at, vpage }));
+                    };
                     self.metrics.costs_mut().minor_faults += 1;
-                    // lint: allow(panic) - mapped three statements up
-                    self.mem.access(vpage, kind).expect("page is mapped")
+                    out
                 };
                 if out.hint_fault {
                     let hf = self.mem.latency().hint_fault;
@@ -452,6 +508,18 @@ impl Simulation {
             obs.on_access(vpage, kind, bytes, tier, latency, self.clock.now());
         }
         self.metrics.on_access(vpage, self.clock.now());
+        self.settle();
+    }
+
+    /// Leaves the access in flight unserved: counts it, latches `error`
+    /// unless an earlier one is held, and settles what the fault charged.
+    /// Out of line, like the rest of the give-up path: a hit pays nothing.
+    #[inline(never)]
+    fn skip_access(&mut self, error: Option<RunError>) {
+        self.dropped += 1;
+        if self.error.is_none() {
+            self.error = error;
+        }
         self.settle();
     }
 
@@ -690,13 +758,89 @@ mod tests {
         }
     }
 
+    /// Frames allocated and not freed again, against pages mapped: a
+    /// refused fault must not keep the frame it never mapped.
+    fn leaked_frames(s: &Simulation) -> u64 {
+        let st = s.mem().stats();
+        let mapped = (0..64).filter(|p| s.mem().translate(VPage::new(*p)).is_some());
+        st.allocs - st.frees - mapped.count() as u64
+    }
+
     /// An address past the page table's span is a wild pointer in the
-    /// workload: the engine stops rather than size a table from it.
+    /// workload: refused with a typed error before any frame is taken,
+    /// and the pages already mapped keep working.
     #[test]
-    #[should_panic(expected = "fresh page maps")]
     fn an_address_beyond_the_page_table_span_is_refused() {
         let mut s = sim(SystemKind::Static);
-        s.read(VPage::new(mc_mem::PageTable::MAX_VPAGES).base_addr(), 8);
+        let a = s.mmap(PAGE_SIZE, PageKind::Anon);
+        s.read(a, 8);
+        let wild = VPage::new(PageTable::MAX_VPAGES);
+        let before = s.now();
+        s.read(wild.base_addr(), 8);
+        assert!(matches!(
+            s.error(),
+            Some(RunError::AddressOutOfRange { vpage, at }) if *vpage == wild && *at == before
+        ));
+        assert_eq!(s.now(), before, "a refused access costs no virtual time");
+        assert_eq!((s.mem().stats().allocs, leaked_frames(&s)), (1, 0));
+        assert_eq!(s.dropped_accesses(), 1);
+        // A later hit on a mapped page is served as before.
+        s.read(a, 8);
+        assert!(s.now() > before);
+        assert_eq!(s.mem().stats().reads, 2);
+        assert_eq!(s.dropped_accesses(), 1);
+        let err = crate::experiments::summarize(&mut s, 0.0, Nanos::ZERO).unwrap_err();
+        assert!(matches!(err, RunError::AddressOutOfRange { vpage, .. } if vpage == wild));
+    }
+
+    /// Under a policy whose `on_pressure` frees nothing, touching more
+    /// pages than the machine has frames is a genuine OOM: a value, the
+    /// first one wins, and faults after it cost nothing.
+    #[test]
+    fn exhausting_every_tier_latches_out_of_memory() {
+        let mut s = Simulation::new(SimConfig::new(SystemKind::Static, 2, 2));
+        s.frontend = Frontend::Tiered {
+            policy: Box::new(mc_mem::NullPolicy),
+            oracle_visibility: false,
+        };
+        let a = s.mmap(PAGE_SIZE * 8, PageKind::Anon);
+        let page = |i: u64| a.add(i * PAGE_SIZE as u64);
+        // Each two-page node keeps one page under its `min` watermark,
+        // so the machine holds two pages and the third fault finds none.
+        s.write(page(0), 8);
+        s.write(page(1), 8);
+        assert!(s.error().is_none());
+        assert_eq!(s.metrics().costs().minor_faults, 2);
+        let before = s.now();
+        s.read(page(2), 8);
+        assert!(matches!(
+            s.error(),
+            Some(RunError::OutOfMemory { vpage, at }) if vpage.raw() == 2 && *at == before
+        ));
+        assert_eq!(
+            s.now(),
+            before + s.config().minor_fault,
+            "the failed fault is charged, the access is not"
+        );
+        // The first error wins over a later one, and a fault after the
+        // latch returns at once.
+        let latched = s.now();
+        s.read(VPage::new(PageTable::MAX_VPAGES).base_addr(), 8);
+        s.read(page(3), 8);
+        assert!(matches!(s.error(), Some(RunError::OutOfMemory { vpage, .. }) if vpage.raw() == 2));
+        assert_eq!(s.now(), latched);
+        assert_eq!(s.dropped_accesses(), 3);
+        assert_eq!(s.metrics().costs().minor_faults, 2);
+        assert_eq!(leaked_frames(&s), 0);
+        // Mapped pages still hit.
+        s.read(page(0), 8);
+        assert!(s.now() > latched);
+        let st = s.mem().stats();
+        assert_eq!(st.reads + st.writes + s.dropped_accesses(), 6, "issued");
+        let err = crate::experiments::summarize(&mut s, 0.0, Nanos::ZERO).unwrap_err();
+        assert!(
+            matches!(err, RunError::OutOfMemory { vpage, at } if vpage.raw() == 2 && at == before)
+        );
     }
 
     #[test]

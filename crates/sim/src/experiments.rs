@@ -11,6 +11,7 @@
 
 use crate::config::{SimConfig, SystemKind};
 use crate::engine::Simulation;
+use crate::error::RunError;
 use crate::latency_hist::LatencyHistogram;
 use crate::metrics::WindowStats;
 use mc_mem::{MachineDesc, MigrationMode, Nanos};
@@ -226,6 +227,10 @@ pub struct RunOutcome {
     /// Demotions served by a retained shadow copy — a zero-copy mapping
     /// flip instead of a full page copy (transactional mode only).
     pub shadow_hits: u64,
+    /// Page accesses skipped because an injected allocation fault
+    /// outlasted the retry budget (zero without an injector: there the
+    /// first such access fails the run instead).
+    pub dropped_accesses: u64,
     /// Where time went (access/stall/daemon/background split).
     pub costs: crate::metrics::CostBreakdown,
 }
@@ -392,9 +397,10 @@ impl Experiment {
     ///
     /// # Errors
     ///
-    /// Propagates filesystem errors from writing the obs artifacts; runs
-    /// without [`Self::obs`] never fail.
-    pub fn run(self) -> std::io::Result<RunOutcome> {
+    /// The first [`RunError`] the simulation latched — the workload ran
+    /// the machine out of memory or touched an address past the page
+    /// table — or the filesystem error from writing the obs artifacts.
+    pub fn run(self) -> Result<RunOutcome, RunError> {
         let interval = self.interval.unwrap_or_else(|| self.scale.scan_interval());
         // The workloads differ in page budget and interval only.
         let ((dram, pm), interval) = match self.workload {
@@ -426,14 +432,17 @@ impl Experiment {
         if let Some(dir) = &self.obs_dir {
             sim.write_obs(dir)?;
         }
-        Ok(outcome)
+        outcome
     }
 }
 
 /// The YCSB driver proper; returns the finished simulation so observed
 /// runs can export artifacts from it.
-fn run_ycsb_cfg(cfg: SimConfig, workload: YcsbWorkload, scale: &Scale) -> (RunOutcome, Simulation) {
-    let system = cfg.system;
+fn run_ycsb_cfg(
+    cfg: SimConfig,
+    workload: YcsbWorkload,
+    scale: &Scale,
+) -> (Result<RunOutcome, RunError>, Simulation) {
     let mut sim = Simulation::new(cfg);
     let mut client = YcsbClient::load(
         YcsbConfig {
@@ -464,21 +473,22 @@ fn run_ycsb_cfg(cfg: SimConfig, workload: YcsbWorkload, scale: &Scale) -> (RunOu
     }
     let elapsed = sim.now() - t0;
     sim.finish();
-    let mut outcome = summarize(
-        system,
-        &sim,
-        ops as f64 / elapsed.as_secs_f64(),
-        Nanos::ZERO,
-    );
-    outcome.p50 = hist.percentile(50.0);
-    outcome.p99 = hist.percentile(99.0);
+    let outcome =
+        summarize(&mut sim, ops as f64 / elapsed.as_secs_f64(), Nanos::ZERO).map(|o| RunOutcome {
+            p50: hist.percentile(50.0),
+            p99: hist.percentile(99.0),
+            ..o
+        });
     (outcome, sim)
 }
 
 /// The GAPBS driver proper; returns the finished simulation so observed
 /// runs can export artifacts from it.
-fn run_gapbs_cfg(cfg: SimConfig, kernel: Kernel, scale: &Scale) -> (RunOutcome, Simulation) {
-    let system = cfg.system;
+fn run_gapbs_cfg(
+    cfg: SimConfig,
+    kernel: Kernel,
+    scale: &Scale,
+) -> (Result<RunOutcome, RunError>, Simulation) {
     let mut sim = Simulation::new(cfg);
     let gcfg = GraphConfig {
         scale: scale.graph_scale,
@@ -530,19 +540,23 @@ fn run_gapbs_cfg(cfg: SimConfig, kernel: Kernel, scale: &Scale) -> (RunOutcome, 
     let elapsed = sim.now() - t0;
     sim.finish();
     let per_trial = Nanos::from_nanos(elapsed.as_nanos() / scale.trials as u64);
-    let outcome = summarize(system, &sim, 0.0, per_trial);
+    let outcome = summarize(&mut sim, 0.0, per_trial);
     (outcome, sim)
 }
 
-fn summarize(
-    system: SystemKind,
-    sim: &Simulation,
+/// A finished simulation as the run's result: the error it latched, or
+/// its figure metrics.
+pub(crate) fn summarize(
+    sim: &mut Simulation,
     ops_per_sec: f64,
     trial_time: Nanos,
-) -> RunOutcome {
+) -> Result<RunOutcome, RunError> {
+    if let Some(e) = sim.take_error() {
+        return Err(e);
+    }
     let m = sim.metrics();
-    RunOutcome {
-        system,
+    Ok(RunOutcome {
+        system: sim.config().system,
         ops_per_sec,
         trial_time,
         promotions: m.total_promotions(),
@@ -563,8 +577,20 @@ fn summarize(
         txn_commits: sim.mem().stats().txn_commits,
         txn_aborts: sim.mem().stats().txn_aborts,
         shadow_hits: sim.mem().stats().shadow_hits,
+        dropped_accesses: sim.dropped_accesses(),
         costs: m.costs(),
-    }
+    })
+}
+
+/// One experiment per system of the tiered comparison set, in its order;
+/// the first run that fails ends the comparison.
+fn comparison(
+    experiment: impl Fn() -> Experiment,
+    scale: &Scale,
+    machine: fn(usize, usize) -> MachineDesc,
+) -> Result<Vec<RunOutcome>, RunError> {
+    let run = |s: &SystemKind| experiment().system(*s).scale(scale).machine(machine).run();
+    SystemKind::TIERED_COMPARISON.iter().map(run).collect()
 }
 
 /// Runs the Fig. 5 comparison (the tiered-system set) for one YCSB
@@ -573,18 +599,8 @@ pub fn ycsb_comparison(
     workload: YcsbWorkload,
     scale: &Scale,
     machine: fn(usize, usize) -> MachineDesc,
-) -> Vec<RunOutcome> {
-    SystemKind::TIERED_COMPARISON
-        .iter()
-        .map(|s| {
-            Experiment::ycsb(workload)
-                .system(*s)
-                .scale(scale)
-                .machine(machine)
-                .run()
-                .expect("no obs artifacts requested, so no I/O can fail")
-        })
-        .collect()
+) -> Result<Vec<RunOutcome>, RunError> {
+    comparison(|| Experiment::ycsb(workload), scale, machine)
 }
 
 /// Runs the Fig. 6 comparison for one GAPBS kernel on the given machine
@@ -593,18 +609,8 @@ pub fn gapbs_comparison(
     kernel: Kernel,
     scale: &Scale,
     machine: fn(usize, usize) -> MachineDesc,
-) -> Vec<RunOutcome> {
-    SystemKind::TIERED_COMPARISON
-        .iter()
-        .map(|s| {
-            Experiment::gapbs(kernel)
-                .system(*s)
-                .scale(scale)
-                .machine(machine)
-                .run()
-                .expect("no obs artifacts requested, so no I/O can fail")
-        })
-        .collect()
+) -> Result<Vec<RunOutcome>, RunError> {
+    comparison(|| Experiment::gapbs(kernel), scale, machine)
 }
 
 #[cfg(test)]
@@ -625,6 +631,38 @@ mod tests {
         assert_eq!(o.promotions, 0, "static never promotes");
         assert_eq!(o.injected_faults, 0, "no injector installed");
         assert!(o.costs.access_time > Nanos::ZERO);
+    }
+
+    /// No system runs the tiny machine out of memory or off the page
+    /// table: the typed failure path stays unused on every frontend.
+    #[test]
+    fn every_system_completes_at_tiny_scale() {
+        let mut scale = Scale::tiny();
+        scale.warmup = Nanos::from_millis(200);
+        scale.measure = Nanos::from_millis(200);
+        for system in [
+            SystemKind::Static,
+            SystemKind::MultiClock,
+            SystemKind::Nomad,
+            SystemKind::Nimble,
+            SystemKind::HybridTier,
+            SystemKind::AtCpm,
+            SystemKind::AtOpm,
+            SystemKind::AutoNuma,
+            SystemKind::Amp,
+            SystemKind::MemoryMode,
+            SystemKind::OracleLru,
+            SystemKind::OracleLfu,
+        ] {
+            let o = Experiment::ycsb(YcsbWorkload::A)
+                .system(system)
+                .scale(&scale)
+                .run();
+            match o {
+                Ok(o) => assert_eq!(o.dropped_accesses, 0, "{system:?}"),
+                Err(e) => panic!("{system:?}: {e}"),
+            }
+        }
     }
 
     #[test]

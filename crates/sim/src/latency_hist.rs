@@ -60,7 +60,7 @@ impl LatencyHistogram {
     /// Records one sample.
     pub fn record(&mut self, v: Nanos) {
         let ns = v.as_nanos();
-        // lint: allow(indexing) - bucket_of clamps to POW * SUB - 1
+        // Indexing: bucket_of clamps to POW * SUB - 1.
         self.buckets[Self::bucket_of(ns)] += 1;
         self.count += 1;
         self.sum += ns;

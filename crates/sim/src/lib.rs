@@ -31,8 +31,22 @@
 //! assert!(sim.now().as_nanos() > 0);
 //! ```
 
+// Engine-reachable code: failure is a value, iteration order is fixed (DESIGN.md §9).
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::unimplemented,
+    clippy::todo,
+    clippy::iter_over_hash_type,
+    clippy::let_underscore_must_use,
+    clippy::unused_result_ok
+)]
+
 pub mod config;
 pub mod engine;
+pub mod error;
 pub mod experiments;
 pub mod latency_hist;
 pub mod metrics;
@@ -41,6 +55,7 @@ pub mod report;
 
 pub use config::{EngineKnobs, InstrumentKnobs, SimConfig, SystemKind};
 pub use engine::Simulation;
+pub use error::RunError;
 pub use experiments::{Experiment, RunOutcome, Scale};
 pub use latency_hist::LatencyHistogram;
 pub use mc_fault::{FaultConfig, FaultPlan, RetryPolicy};

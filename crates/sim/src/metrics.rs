@@ -105,7 +105,7 @@ impl Metrics {
         if idx >= self.windows.len() {
             self.windows.resize(idx + 1, WindowStats::default());
         }
-        // lint: allow(indexing) - the resize above guarantees idx < len
+        // Indexing: the resize above guarantees idx < len.
         &mut self.windows[idx]
     }
 

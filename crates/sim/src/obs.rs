@@ -140,40 +140,37 @@ impl ObsState {
 
         r.section("Run");
         r.kv("system", cfg.system.label());
-        r.kv("tiers", &mem.topology().tier_count().to_string());
-        r.kv(
-            "scan_interval_ns",
-            &cfg.scan_interval.as_nanos().to_string(),
-        );
-        r.kv("virtual_time_ns", &now.as_nanos().to_string());
+        r.kv("tiers", mem.topology().tier_count().to_string());
+        r.kv("scan_interval_ns", cfg.scan_interval.as_nanos().to_string());
+        r.kv("virtual_time_ns", now.as_nanos().to_string());
 
         let c = metrics.costs();
         r.section("Cost breakdown");
-        r.kv("access_time_ns", &c.access_time.as_nanos().to_string());
-        r.kv("stall_time_ns", &c.stall_time.as_nanos().to_string());
-        r.kv("daemon_time_ns", &c.daemon_time.as_nanos().to_string());
+        r.kv("access_time_ns", c.access_time.as_nanos().to_string());
+        r.kv("stall_time_ns", c.stall_time.as_nanos().to_string());
+        r.kv("daemon_time_ns", c.daemon_time.as_nanos().to_string());
         r.kv(
             "background_time_ns",
-            &c.background_time.as_nanos().to_string(),
+            c.background_time.as_nanos().to_string(),
         );
-        r.kv("hint_faults", &c.hint_faults.to_string());
-        r.kv("minor_faults", &c.minor_faults.to_string());
+        r.kv("hint_faults", c.hint_faults.to_string());
+        r.kv("minor_faults", c.minor_faults.to_string());
 
         r.section("Migration");
         let secs = (now.as_nanos() as f64 / 1e9).max(f64::MIN_POSITIVE);
-        r.kv("promotions", &metrics.total_promotions().to_string());
-        r.kv("demotions", &metrics.total_demotions().to_string());
+        r.kv("promotions", metrics.total_promotions().to_string());
+        r.kv("demotions", metrics.total_demotions().to_string());
         r.kv(
             "promotions_per_sec",
-            &format!("{:.3}", metrics.total_promotions() as f64 / secs),
+            format!("{:.3}", metrics.total_promotions() as f64 / secs),
         );
         r.kv(
             "demotions_per_sec",
-            &format!("{:.3}", metrics.total_demotions() as f64 / secs),
+            format!("{:.3}", metrics.total_demotions() as f64 / secs),
         );
         r.kv(
             "reaccess_pct_overall",
-            &metrics
+            metrics
                 .overall_reaccess_pct()
                 .map_or("n/a".to_string(), |p| format!("{p:.1}")),
         );
@@ -226,10 +223,10 @@ impl ObsState {
         r.table(&["edge", "events"], &rows);
 
         r.section("Events");
-        r.kv("emitted", &mem.recorder().total().to_string());
-        r.kv("retained", &mem.recorder().events().count().to_string());
-        r.kv("overwritten", &mem.recorder().dropped().to_string());
-        r.kv("ticks_sampled", &self.series.len().to_string());
+        r.kv("emitted", mem.recorder().total().to_string());
+        r.kv("retained", mem.recorder().events().count().to_string());
+        r.kv("overwritten", mem.recorder().dropped().to_string());
+        r.kv("ticks_sampled", self.series.len().to_string());
 
         if !self.trace.is_empty() {
             r.section("Hottest pages");
@@ -241,7 +238,7 @@ impl ObsState {
                 .collect();
             r.table(&["vpage", "accesses"], &rows);
             if self.trace_dropped > 0 {
-                r.kv("untraced_accesses", &self.trace_dropped.to_string());
+                r.kv("untraced_accesses", self.trace_dropped.to_string());
             }
         }
 

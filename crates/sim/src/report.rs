@@ -3,47 +3,27 @@
 //! data series, like the paper's plots).
 
 use crate::experiments::RunOutcome;
-use mc_mem::Nanos;
 
-/// Normalises YCSB throughputs to the static-tiering run in the set
-/// (Fig. 5's Y axis). Returns `(label, normalized_throughput)` rows.
-///
-/// # Panics
-///
-/// Panics if the set contains no static run or throughput is zero.
-pub fn normalize_throughput(rows: &[RunOutcome]) -> Vec<(&'static str, f64)> {
+/// Normalises one figure metric to the static-tiering run in the set:
+/// `|r| r.ops_per_sec` for Fig. 5's Y axis (higher is better),
+/// `|r| r.trial_time.as_nanos() as f64` for Fig. 6's (lower is better).
+/// Returns `(label, normalized value)` rows, or `None` when the set has
+/// no static run or its value is not positive — there is no baseline to
+/// divide by.
+pub fn normalize_to_static(
+    rows: &[RunOutcome],
+    metric: impl Fn(&RunOutcome) -> f64,
+) -> Option<Vec<(&'static str, f64)>> {
     let base = rows
         .iter()
         .find(|r| r.system == crate::SystemKind::Static)
-        .expect("comparison sets include static tiering")
-        .ops_per_sec;
-    assert!(base > 0.0, "static throughput must be positive");
-    rows.iter()
-        .map(|r| (r.system.label(), r.ops_per_sec / base))
-        .collect()
-}
-
-/// Normalises GAPBS execution times to static tiering (Fig. 6's Y axis —
-/// lower is better).
-///
-/// # Panics
-///
-/// Panics if the set contains no static run or its time is zero.
-pub fn normalize_time(rows: &[RunOutcome]) -> Vec<(&'static str, f64)> {
-    let base = rows
-        .iter()
-        .find(|r| r.system == crate::SystemKind::Static)
-        .expect("comparison sets include static tiering")
-        .trial_time;
-    assert!(base > Nanos::ZERO, "static trial time must be positive");
-    rows.iter()
-        .map(|r| {
-            (
-                r.system.label(),
-                r.trial_time.as_nanos() as f64 / base.as_nanos() as f64,
-            )
-        })
-        .collect()
+        .map(&metric)
+        .filter(|base| *base > 0.0)?;
+    Some(
+        rows.iter()
+            .map(|r| (r.system.label(), metric(r) / base))
+            .collect(),
+    )
 }
 
 /// Formats a simple aligned table: a header row and data rows.
@@ -108,6 +88,7 @@ pub fn format_heatmap(matrix: &[Vec<u32>]) -> String {
 mod tests {
     use super::*;
     use crate::SystemKind;
+    use mc_mem::Nanos;
 
     fn row(system: SystemKind, tput: f64, time_ms: u64) -> RunOutcome {
         RunOutcome {
@@ -129,6 +110,7 @@ mod tests {
             txn_commits: 0,
             txn_aborts: 0,
             shadow_hits: 0,
+            dropped_accesses: 0,
             costs: crate::metrics::CostBreakdown::default(),
         }
     }
@@ -139,7 +121,7 @@ mod tests {
             row(SystemKind::Static, 100.0, 0),
             row(SystemKind::MultiClock, 220.0, 0),
         ];
-        let n = normalize_throughput(&rows);
+        let n = normalize_to_static(&rows, |r| r.ops_per_sec).unwrap();
         assert_eq!(n[0], ("Static", 1.0));
         assert_eq!(n[1].0, "MULTI-CLOCK");
         assert!((n[1].1 - 2.2).abs() < 1e-9);
@@ -151,7 +133,7 @@ mod tests {
             row(SystemKind::Static, 0.0, 100),
             row(SystemKind::MultiClock, 0.0, 60),
         ];
-        let n = normalize_time(&rows);
+        let n = normalize_to_static(&rows, |r| r.trial_time.as_nanos() as f64).unwrap();
         assert!((n[1].1 - 0.6).abs() < 1e-9, "lower is better");
     }
 
@@ -180,10 +162,11 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "static")]
     fn normalisation_requires_static_baseline() {
         let rows = vec![row(SystemKind::MultiClock, 10.0, 0)];
-        // Discarded on purpose: the call must panic before returning.
-        let _ = normalize_throughput(&rows);
+        assert_eq!(normalize_to_static(&rows, |r| r.ops_per_sec), None);
+        // A static run that measured nothing is no baseline either.
+        let rows = vec![row(SystemKind::Static, 0.0, 0)];
+        assert_eq!(normalize_to_static(&rows, |r| r.ops_per_sec), None);
     }
 }

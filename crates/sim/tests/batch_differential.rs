@@ -38,7 +38,7 @@ const PAGES: u64 = 192;
 /// daemon ticks.
 fn run(cfg: SimConfig) -> Fingerprint {
     let mut s = Simulation::new(cfg);
-    let a = s.mmap(PAGE_SIZE as usize * PAGES as usize, PageKind::Anon);
+    let a = s.mmap(PAGE_SIZE * PAGES as usize, PageKind::Anon);
     for p in 0..PAGES {
         s.write(a.add(p * PAGE_SIZE as u64), 64);
     }

@@ -33,7 +33,7 @@ const PAGES: u64 = 192;
 /// force promotion/demotion/reclaim traffic.
 fn run(cfg: SimConfig) -> Fingerprint {
     let mut s = Simulation::new(cfg);
-    let a = s.mmap(PAGE_SIZE as usize * PAGES as usize, PageKind::Anon);
+    let a = s.mmap(PAGE_SIZE * PAGES as usize, PageKind::Anon);
     for round in 0..400u64 {
         let page = (round * 7) % PAGES;
         let addr = a.add(page * PAGE_SIZE as u64);
@@ -172,4 +172,55 @@ fn offline_window_pushes_allocations_down_tier() {
         TierId::TOP,
         "first touch under an offline top tier must spill downward"
     );
+}
+
+/// With every tier offline no retry budget can help: the faults that
+/// arrive inside the window are given up on. That stays a degrade, not an
+/// error — but it is counted, so issued = served + dropped holds exactly.
+#[test]
+fn chaos_give_ups_are_counted_not_silently_dropped() {
+    let mut cfg = base_cfg();
+    cfg.instrument.fault = FaultConfig::rate(42, 0.2);
+    cfg.retry = RetryPolicy::backoff();
+    for tier in 0..2 {
+        cfg.instrument
+            .fault
+            .plan
+            .offline
+            .push(mc_fault::OfflineWindow {
+                tier,
+                from_ns: Nanos::from_secs(2).as_nanos(),
+                until_ns: Nanos::from_secs(4).as_nanos(),
+            });
+    }
+    let mut s = Simulation::new(cfg);
+    let a = s.mmap(PAGE_SIZE * PAGES as usize, PageKind::Anon);
+    let mut issued = 0u64;
+    // One first touch per 25 ms: pages 80..160 fault inside the window.
+    for page in 0..PAGES {
+        s.write(a.add(page * PAGE_SIZE as u64), 64);
+        s.read(a.add((page % 8) * PAGE_SIZE as u64), 64);
+        issued += 2;
+        s.compute(Nanos::from_millis(25));
+    }
+    let st = s.mem().stats();
+    assert!(s.error().is_none(), "a chaos give-up is not a run error");
+    assert!(
+        (70..=80).contains(&s.dropped_accesses()),
+        "the window's first touches are dropped: {}",
+        s.dropped_accesses()
+    );
+    assert_eq!(issued, st.reads + st.writes + s.dropped_accesses());
+    // The dropped pages were never mapped; a touch after the window
+    // faults them in as usual.
+    let lost = a.add(100 * PAGE_SIZE as u64);
+    assert!(s.mem().translate(lost.page()).is_none());
+    let served = st.reads + st.writes;
+    while s.mem().translate(lost.page()).is_none() {
+        s.read(lost, 64);
+        issued += 1;
+    }
+    let st = s.mem().stats();
+    assert!(st.reads + st.writes > served);
+    assert_eq!(issued, st.reads + st.writes + s.dropped_accesses());
 }

@@ -40,7 +40,7 @@ const PAGES: u64 = 192;
 /// keeps the lists churning, compute gaps let the daemon tick.
 fn run(cfg: SimConfig) -> Fingerprint {
     let mut s = Simulation::new(cfg);
-    let a = s.mmap(PAGE_SIZE as usize * PAGES as usize, PageKind::Anon);
+    let a = s.mmap(PAGE_SIZE * PAGES as usize, PageKind::Anon);
     for p in 0..PAGES {
         s.write(a.add(p * PAGE_SIZE as u64), 64);
     }
@@ -88,12 +88,12 @@ fn experiment_default_machine_matches_legacy_outcome() {
         .scale(&scale)
         .machine(MachineDesc::dram_pm)
         .run()
-        .expect("no obs artifacts requested");
+        .expect("the scale's footprint fits its machine");
     // The explicit shape is the default one: same machine, same run.
     let default = Experiment::ycsb(YcsbWorkload::A)
         .scale(&scale)
         .run()
-        .expect("no obs artifacts requested");
+        .expect("the scale's footprint fits its machine");
     assert_eq!(outcome.promotions, default.promotions);
     assert_eq!(outcome.demotions, default.demotions);
     assert_eq!(outcome.costs, default.costs);

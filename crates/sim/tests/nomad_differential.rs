@@ -41,7 +41,7 @@ const PAGES: u64 = 192;
 /// dirtied and abort organically.
 fn run(cfg: SimConfig) -> Fingerprint {
     let mut s = Simulation::new(cfg);
-    let a = s.mmap(PAGE_SIZE as usize * PAGES as usize, PageKind::Anon);
+    let a = s.mmap(PAGE_SIZE * PAGES as usize, PageKind::Anon);
     for round in 0..400u64 {
         let page = (round * 7) % PAGES;
         let addr = a.add(page * PAGE_SIZE as u64);

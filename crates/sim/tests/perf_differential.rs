@@ -37,7 +37,7 @@ const PAGES: u64 = 192;
 /// churning, compute gaps let the daemon tick.
 fn run(cfg: SimConfig) -> Fingerprint {
     let mut s = Simulation::new(cfg);
-    let a = s.mmap(PAGE_SIZE as usize * PAGES as usize, PageKind::Anon);
+    let a = s.mmap(PAGE_SIZE * PAGES as usize, PageKind::Anon);
     for p in 0..PAGES {
         s.write(a.add(p * PAGE_SIZE as u64), 64);
     }
@@ -152,14 +152,14 @@ fn experiment_perf_knob_is_bit_identical_on_ycsb() {
         .scale(&scale)
         .batch(8)
         .run()
-        .expect("no obs artifacts requested");
+        .expect("the scale's footprint fits its machine");
     let hooks = PerfHooks::new();
     let hooked = Experiment::ycsb(YcsbWorkload::A)
         .scale(&scale)
         .batch(8)
         .perf(hooks.clone())
         .run()
-        .expect("no obs artifacts requested");
+        .expect("the scale's footprint fits its machine");
     assert!(plain.promotions > 0, "YCSB-A must promote");
     assert_eq!(plain.ops_per_sec, hooked.ops_per_sec);
     assert_eq!(plain.promotions, hooked.promotions);

@@ -99,7 +99,10 @@ mod tests {
     }
 
     #[test]
-    #[allow(clippy::needless_range_loop)] // parallel-matrix indexing reads clearer
+    #[expect(
+        clippy::needless_range_loop,
+        reason = "parallel-matrix indexing reads clearer"
+    )]
     fn matches_native_union_find_on_random_graph() {
         let mut mem = SimpleMemory::new();
         let raw = uniform_edges(8, 1, 9);

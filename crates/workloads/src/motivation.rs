@@ -276,7 +276,10 @@ mod tests {
     }
 
     #[test]
-    #[allow(clippy::needless_range_loop)] // parallel-matrix indexing reads clearer
+    #[expect(
+        clippy::needless_range_loop,
+        reason = "parallel-matrix indexing reads clearer"
+    )]
     fn hot_pages_are_hot_every_slice() {
         let mut mem = SimpleMemory::new();
         let mut w = MotivationWorkload::rubis(50, 1);
@@ -290,7 +293,10 @@ mod tests {
     }
 
     #[test]
-    #[allow(clippy::needless_range_loop)] // parallel-matrix indexing reads clearer
+    #[expect(
+        clippy::needless_range_loop,
+        reason = "parallel-matrix indexing reads clearer"
+    )]
     fn bimodal_pages_alternate() {
         let mut mem = SimpleMemory::new();
         let mut w = MotivationWorkload::xalan(50, 2);
@@ -307,7 +313,10 @@ mod tests {
     }
 
     #[test]
-    #[allow(clippy::needless_range_loop)] // parallel-matrix indexing reads clearer
+    #[expect(
+        clippy::needless_range_loop,
+        reason = "parallel-matrix indexing reads clearer"
+    )]
     fn cold_pages_access_rarely() {
         let mut mem = SimpleMemory::new();
         let mut w = MotivationWorkload::rubis(100, 3);

@@ -175,7 +175,10 @@ fn motivation_workloads_have_all_three_populations() {
 }
 
 #[test]
-#[allow(clippy::needless_range_loop)] // parallel-matrix indexing reads clearer
+#[expect(
+    clippy::needless_range_loop,
+    reason = "parallel-matrix indexing reads clearer"
+)]
 fn observation_window_frequency_predicts_future_accesses() {
     // Fig. 2's claim, asserted quantitatively on the generator.
     let mut mem = SimpleMemory::new();

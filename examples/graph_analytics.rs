@@ -42,11 +42,11 @@ fn main() {
             .system(SystemKind::Static)
             .scale(&scale)
             .run()
-            .expect("no obs artifacts requested");
+            .expect("the scale's footprint fits its machine");
         let mc = Experiment::gapbs(kernel)
             .scale(&scale)
             .run()
-            .expect("no obs artifacts requested");
+            .expect("the scale's footprint fits its machine");
         println!(
             "{:<4} static {:>8.2} ms/trial | MULTI-CLOCK {:>8.2} ms/trial ({:.2}x, {} promotions)",
             kernel.label(),

@@ -16,7 +16,7 @@ fn main() {
         .system(SystemKind::Static)
         .scale(&scale)
         .run()
-        .expect("no obs artifacts requested")
+        .expect("the scale's footprint fits its machine")
         .ops_per_sec;
     println!("YCSB-A, MULTI-CLOCK, throughput normalised to static tiering:\n");
     println!(
@@ -35,7 +35,7 @@ fn main() {
             .scale(&scale)
             .interval(scale.paper_interval(factor))
             .run()
-            .expect("no obs artifacts requested");
+            .expect("the scale's footprint fits its machine");
         println!(
             "{:<22} {:>10.2} {:>12}",
             label,

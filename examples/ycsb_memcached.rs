@@ -31,7 +31,7 @@ fn main() {
             .system(system)
             .scale(&scale)
             .run()
-            .expect("no obs artifacts requested");
+            .expect("the scale's footprint fits its machine");
         let norm = match base {
             None => {
                 base = Some(r.ops_per_sec);

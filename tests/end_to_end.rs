@@ -17,7 +17,7 @@ fn run_ycsb(system: SystemKind, workload: YcsbWorkload, s: &Scale, interval: Nan
         .scale(s)
         .interval(interval)
         .run()
-        .expect("no obs artifacts requested")
+        .expect("the scale's footprint fits its machine")
 }
 
 fn run_gapbs(system: SystemKind, kernel: Kernel, s: &Scale, interval: Nanos) -> RunOutcome {
@@ -26,7 +26,7 @@ fn run_gapbs(system: SystemKind, kernel: Kernel, s: &Scale, interval: Nanos) -> 
         .scale(s)
         .interval(interval)
         .run()
-        .expect("no obs artifacts requested")
+        .expect("the scale's footprint fits its machine")
 }
 
 #[test]
