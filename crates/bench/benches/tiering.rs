@@ -1,8 +1,8 @@
 //! End-to-end tiering benchmarks at tiny scale: small criterion-tracked
 //! versions of the Fig. 5/6 comparisons, so `cargo bench` exercises the
 //! full simulation path and regressions in the policies show up as timing
-//! and throughput changes. The full-size figures are regenerated by the
-//! `fig*` binaries (see DESIGN.md's experiment index).
+//! and throughput changes. The full-size figures are sections of the
+//! `repro` binary (see DESIGN.md's experiment index).
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use mc_mem::Nanos;

@@ -1,6 +1,6 @@
 //! `mc-chaos` — fault-injection robustness sweep.
 //!
-//! Runs YCSB-A on MULTI-CLOCK (or any system named with `--system`,
+//! Runs YCSB-A on MULTI-CLOCK (or the one system named with `--systems`,
 //! notably `nomad` — MULTI-CLOCK under transactional migration, where
 //! injected faults land inside copy windows and abort transactions)
 //! under increasing injected fault rates (migrations and allocations
@@ -16,53 +16,42 @@
 //! mc-chaos --fault-rate 0.1            # single rate instead of the sweep
 //! mc-chaos --seed 7 --obs /tmp/chaos   # export obs artifacts per rate
 //! mc-chaos --threads 4                 # fan the rate sweep across workers
-//! mc-chaos --system nomad              # sweep the transactional baseline
+//! mc-chaos --systems nomad             # sweep the transactional baseline
 //! mc-chaos --machine dram-cxl-pm       # sweep on the three-tier CXL machine
 //! ```
 //!
 //! `--obs DIR` writes `events.jsonl`, `ticks.csv` and `report.txt` under
 //! `DIR/rate-<rate>/`, the layout `mc-obs-report` consumes.
 
-use mc_bench::{
-    banner, machine_from_args, parse_system, scale_from_args, threads_from_args, SweepRunner,
-};
+use mc_bench::report::markdown_table;
+use mc_bench::{banner, Args, SweepRunner};
 use mc_sim::experiments::{Experiment, RunOutcome};
-use mc_sim::report::format_table;
 use mc_sim::{FaultConfig, RetryPolicy, SystemKind};
 use mc_workloads::ycsb::YcsbWorkload;
 
-/// Parses `--flag value` style arguments (panics on malformed input — this
-/// is a dev tool, loud failure beats silent defaults).
-fn arg_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .map(|i| {
-            args.get(i + 1)
-                .unwrap_or_else(|| panic!("{flag} requires a value"))
-        })
-        .cloned()
-}
+const FLAGS: &str = "--tiny --quick --full --threads --machine --systems --obs --fault-rate --seed";
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let scale = scale_from_args();
-    let seed: u64 = arg_value(&args, "--seed")
-        .map(|s| s.parse().expect("--seed takes an integer"))
-        .unwrap_or(42);
-    let obs_root = arg_value(&args, "--obs").map(std::path::PathBuf::from);
-    let system = arg_value(&args, "--system")
-        .map(|s| parse_system(&s).unwrap_or_else(|| panic!("--system {s}: unknown system name")))
-        .unwrap_or(SystemKind::MultiClock);
-    let (machine_name, machine) = machine_from_args();
-    let rates: Vec<f64> = match arg_value(&args, "--fault-rate") {
-        Some(r) => vec![r.parse().expect("--fault-rate takes a probability")],
+    let args = Args::from_env(FLAGS);
+    let (scale, seed, obs_root) = (&args.scale, args.seed, &args.obs);
+    let system = match args.systems.as_deref() {
+        None => SystemKind::MultiClock,
+        Some([one]) => *one,
+        Some(_) => {
+            eprintln!("chaos: --systems takes exactly one system here");
+            std::process::exit(2)
+        }
+    };
+    let (machine_name, machine) = args.machine;
+    let rates: Vec<f64> = match args.fault_rate {
+        Some(r) => vec![r],
         None => vec![0.0, 0.05, 0.1, 0.2, 0.4],
     };
 
     banner(
         "Chaos",
         "YCSB-A throughput under injected migration/allocation faults",
-        &scale,
+        scale,
     );
     println!(
         "system {}; machine preset {machine_name}; fault seed {seed}; retry policy: bounded exponential backoff",
@@ -72,18 +61,18 @@ fn main() {
     eprintln!("running fault-free baseline ...");
     let base = Experiment::ycsb(YcsbWorkload::A)
         .system(system)
-        .scale(&scale)
+        .scale(scale)
         .machine(machine)
         .run()
         .expect("the scale's footprint fits its machine");
     let base_ops = base.ops_per_sec;
 
-    let outcomes = SweepRunner::new(threads_from_args()).run(rates.clone(), |rate| {
+    let outcomes = SweepRunner::new(args.threads).run(rates.clone(), |rate| {
         eprintln!("running fault rate {rate} ...");
         let obs_dir = obs_root.as_ref().map(|d| d.join(format!("rate-{rate}")));
         let mut exp = Experiment::ycsb(YcsbWorkload::A)
             .system(system)
-            .scale(&scale)
+            .scale(scale)
             .machine(machine)
             .fault(FaultConfig::rate(seed, rate), RetryPolicy::backoff());
         if let Some(dir) = &obs_dir {
@@ -116,7 +105,7 @@ fn main() {
     }
     println!(
         "{}",
-        format_table(
+        markdown_table(
             &[
                 "fault rate",
                 "throughput (norm.)",
@@ -134,7 +123,7 @@ fn main() {
         "baseline: {base_ops:.0} ops/s, {} promotions at rate 0 (uninjected engine)",
         base.promotions
     );
-    if let Some(root) = &obs_root {
+    if let Some(root) = obs_root {
         println!("obs artifacts under {} (one dir per rate)", root.display());
     }
 }

@@ -30,32 +30,12 @@
 //! speedup that were previously print-only. With `--obs DIR` and no
 //! explicit `--json`, the artifact lands at `DIR/sweep.json`.
 
-use mc_bench::{banner, scale_from_args, threads_from_args, SweepRunner};
+use mc_bench::report::markdown_table;
+use mc_bench::{banner, Args, SweepRunner};
 use mc_sim::experiments::{Experiment, RunOutcome};
-use mc_sim::report::format_table;
 use mc_workloads::ycsb::YcsbWorkload;
 
-/// Parses `--flag value` style arguments (panics on malformed input — this
-/// is a dev tool, loud failure beats silent defaults).
-fn arg_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .map(|i| {
-            args.get(i + 1)
-                .unwrap_or_else(|| panic!("{flag} requires a value"))
-        })
-        .cloned()
-}
-
-fn parse_list(s: &str, flag: &str) -> Vec<usize> {
-    s.split(',')
-        .map(|v| {
-            v.trim()
-                .parse()
-                .unwrap_or_else(|_| panic!("{flag} takes a comma-separated list of integers"))
-        })
-        .collect()
-}
+const FLAGS: &str = "--tiny --quick --full --threads --obs --batches --json";
 
 /// Runs the sweep (in input order) through a [`SweepRunner`].
 fn run_sweep(
@@ -121,16 +101,16 @@ fn sweep_json(batches: &[usize], outcomes: &[RunOutcome], timing: Option<&SweepT
     reason = "harness binary: times the sequential and the parallel sweep with the host clock"
 )]
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let scale = scale_from_args();
-    let threads = threads_from_args();
-    let obs_root = arg_value(&args, "--obs").map(std::path::PathBuf::from);
-    let json_path = arg_value(&args, "--json")
-        .map(std::path::PathBuf::from)
+    let args = Args::from_env(FLAGS);
+    let (scale, threads, obs_root) = (args.scale, args.threads, args.obs);
+    let json_path = args
+        .json
         .or_else(|| obs_root.as_ref().map(|root| root.join("sweep.json")));
-    let batches: Vec<usize> = arg_value(&args, "--batches")
-        .map(|s| parse_list(&s, "--batches"))
-        .unwrap_or_else(|| vec![1, 2, 4, 8, 16]);
+    let batches = if args.batches.is_empty() {
+        vec![1, 2, 4, 8, 16]
+    } else {
+        args.batches
+    };
 
     banner(
         "Batch sweep",
@@ -206,7 +186,7 @@ fn main() {
     );
     println!(
         "{}",
-        format_table(&["batch", "ops/s", "promotions", "overhead share"], &rows)
+        markdown_table(&["batch", "ops/s", "promotions", "overhead share"], &rows)
     );
     if let Some(root) = &obs_root {
         println!(

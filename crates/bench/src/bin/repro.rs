@@ -1,0 +1,32 @@
+//! `repro` — regenerates EXPERIMENTS.md on stdout and gates its claims.
+//!
+//! ```text
+//! cargo run --release -p mc-bench --bin repro > EXPERIMENTS.md
+//! repro --only fig5,fig10 --threads 2     # some sections (not gated)
+//! repro --tiny --only fig5 --systems nomad --obs /tmp/mc-nomad
+//! ```
+//!
+//! Each distinct experiment runs once per invocation whatever sections ask
+//! for it, fanned over `--threads` workers; the bytes on stdout do not
+//! depend on the thread count. On the unfiltered `--quick` run the exit
+//! code is non-zero when a claim's outcome differs from its pinned
+//! expectation. `--obs DIR` needs one section and one named system and
+//! writes that system's artifacts to `DIR/<row>/`.
+
+use mc_bench::{repro, Args};
+
+const FLAGS: &str = "--tiny --quick --full --threads --machine --systems --obs --only";
+
+fn main() {
+    let args = Args::from_env(FLAGS);
+    let lab = repro::generate(&args).unwrap_or_else(|msg| {
+        eprintln!("repro: {msg}");
+        std::process::exit(2)
+    });
+    print!("{}", lab.out);
+    eprintln!("repro: {} experiments executed", lab.executed);
+    if let Err(msg) = lab.verdict() {
+        eprintln!("repro: {msg}");
+        std::process::exit(1);
+    }
+}

@@ -1,16 +1,20 @@
-//! Shared plumbing for the figure binaries: argument parsing (scale,
-//! machine, system, workload), the [`SweepRunner`] and common printing.
-//! Host-time measurement lives in the repo benchmark (`benchmark/`), not
-//! here.
+//! The benchmark harness behind `repro`, `chaos` and `mc-batch`: the one
+//! command-line parser ([`Args`]), the [`SweepRunner`], the Markdown
+//! [`report`] helpers and the [`repro`] document generator with its
+//! [`sections`]. Host-time measurement lives in the repo benchmark
+//! (`benchmark/`), not here.
+
+pub mod report;
+pub mod repro;
+mod sections;
 
 use mc_mem::MachineDesc;
 use mc_sim::experiments::Scale;
 use mc_sim::SystemKind;
-use mc_workloads::graph::Kernel;
-use mc_workloads::ycsb::YcsbWorkload;
+use std::path::PathBuf;
 
-/// Parses a system name as accepted by the `compare` binary.
-pub fn parse_system(s: &str) -> Option<SystemKind> {
+/// Parses a system name (`--systems`), case-insensitively, with aliases.
+fn parse_system(s: &str) -> Option<SystemKind> {
     Some(match s.to_ascii_lowercase().as_str() {
         "static" => SystemKind::Static,
         "multi-clock" | "multiclock" | "mc" => SystemKind::MultiClock,
@@ -56,51 +60,116 @@ fn parse_machine(s: &str) -> Option<NamedShape> {
     MACHINES.into_iter().find(|(n, _)| *n == name)
 }
 
-/// Picks the machine from argv (`--machine NAME`) as `(name, shape)`;
-/// defaults to the classic two-tier `dram-pm`.
-///
-/// # Panics
-///
-/// Exits with a diagnostic when the name is unknown (CLI validation).
-pub fn machine_from_args() -> (&'static str, fn(usize, usize) -> MachineDesc) {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == "--machine")
-        .map(|i| {
-            args.get(i + 1)
-                .and_then(|v| parse_machine(v))
-                .unwrap_or_else(|| {
-                    let names = MACHINES.map(|(n, _)| n).join(", ");
-                    panic!("--machine requires one of: {names}")
-                })
+/// A parsed command line. Every flag of every bench binary is a field
+/// here; a binary names the subset it accepts and [`Args::parse`] rejects
+/// the rest, so a misspelt or inapplicable flag is an error, not a no-op.
+#[derive(Debug, Clone)]
+pub struct Args {
+    /// `--tiny` / `--quick` (the default) / `--full`: the scale's name...
+    pub scale_name: &'static str,
+    /// ...and the scale itself.
+    pub scale: Scale,
+    /// `--threads N`: [`SweepRunner`] workers (default 1, sequential).
+    pub threads: usize,
+    /// `--machine NAME`: the machine shape (default `dram-pm`).
+    pub machine: NamedShape,
+    /// `--systems LIST`: restrict a comparison to static plus these.
+    pub systems: Option<Vec<SystemKind>>,
+    /// `--obs DIR`: export obs artifacts under `DIR/<row>/`.
+    pub obs: Option<PathBuf>,
+    /// `--only SECTION[,…]` (`repro`): the sections to generate.
+    pub only: Vec<String>,
+    /// `--fault-rate P` (`chaos`): one rate instead of the sweep.
+    pub fault_rate: Option<f64>,
+    /// `--seed N` (`chaos`): the fault injector's seed (default 42).
+    pub seed: u64,
+    /// `--batches LIST` (`mc-batch`): the batch sizes to sweep.
+    pub batches: Vec<usize>,
+    /// `--json PATH` (`mc-batch`): where the sweep artifact goes.
+    pub json: Option<PathBuf>,
+}
+
+impl Args {
+    /// Parses `argv` (without the program name), accepting only the flags
+    /// in the space-separated `accepted`.
+    ///
+    /// # Errors
+    ///
+    /// A one-line diagnostic for an unknown flag, a missing value or a
+    /// value that does not parse.
+    pub fn parse(argv: &[String], accepted: &str) -> Result<Args, String> {
+        fn num<T: std::str::FromStr>(flag: &str, v: &str) -> Result<T, String> {
+            v.trim()
+                .parse()
+                .map_err(|_| format!("{flag}: `{v}` is not a valid number"))
+        }
+        let mut a = Args {
+            scale_name: "quick",
+            scale: Scale::quick(),
+            threads: 1,
+            machine: MACHINES[0],
+            systems: None,
+            obs: None,
+            only: Vec::new(),
+            fault_rate: None,
+            seed: 42,
+            batches: Vec::new(),
+            json: None,
+        };
+        let mut it = argv.iter();
+        while let Some(flag) = it.next() {
+            let flag = flag.as_str();
+            if !accepted.split(' ').any(|a| a == flag) {
+                return Err(format!("unknown flag `{flag}`"));
+            }
+            let mut value = || it.next().ok_or(format!("{flag} requires a value"));
+            match flag {
+                "--tiny" => (a.scale_name, a.scale) = ("tiny", Scale::tiny()),
+                "--quick" => (a.scale_name, a.scale) = ("quick", Scale::quick()),
+                "--full" => (a.scale_name, a.scale) = ("full", Scale::full()),
+                "--threads" => {
+                    a.threads = num(flag, value()?)?;
+                    if a.threads == 0 {
+                        return Err("--threads requires a positive integer".into());
+                    }
+                }
+                "--machine" => {
+                    a.machine = parse_machine(value()?).ok_or_else(|| {
+                        let names = MACHINES.map(|(n, _)| n).join(", ");
+                        format!("--machine requires one of: {names}")
+                    })?
+                }
+                "--systems" => {
+                    let names = value()?.split(',');
+                    let parsed = names.map(|s| {
+                        parse_system(s.trim()).ok_or(format!("--systems: unknown system `{s}`"))
+                    });
+                    a.systems = Some(parsed.collect::<Result<_, _>>()?);
+                }
+                "--obs" => a.obs = Some(value()?.into()),
+                "--only" => a.only = value()?.split(',').map(|s| s.trim().into()).collect(),
+                "--fault-rate" => a.fault_rate = Some(num(flag, value()?)?),
+                "--seed" => a.seed = num(flag, value()?)?,
+                "--batches" => {
+                    let sizes = value()?.split(',').map(|v| num(flag, v));
+                    a.batches = sizes.collect::<Result<_, _>>()?;
+                }
+                "--json" => a.json = Some(value()?.into()),
+                _ => return Err(format!("`{flag}` is accepted but not parsed (a bug)")),
+            }
+        }
+        Ok(a)
+    }
+
+    /// [`Args::parse`] over the process's argv; on a rejected command line
+    /// prints the diagnostic and a usage line and exits with code 2.
+    pub fn from_env(accepted: &str) -> Args {
+        let argv: Vec<String> = std::env::args().collect();
+        Args::parse(&argv[1..], accepted).unwrap_or_else(|msg| {
+            eprintln!("{}: {msg}\nusage: {0} [{accepted}]", argv[0]);
+            std::process::exit(2)
         })
-        .unwrap_or(MACHINES[0])
-}
-
-/// Parses a YCSB workload letter.
-pub fn parse_workload(s: &str) -> Option<YcsbWorkload> {
-    Some(match s.to_ascii_uppercase().as_str() {
-        "A" => YcsbWorkload::A,
-        "B" => YcsbWorkload::B,
-        "C" => YcsbWorkload::C,
-        "D" => YcsbWorkload::D,
-        "F" => YcsbWorkload::F,
-        "W" => YcsbWorkload::W,
-        _ => return None,
-    })
-}
-
-/// Parses a GAPBS kernel name.
-pub fn parse_kernel(s: &str) -> Option<Kernel> {
-    Some(match s.to_ascii_lowercase().as_str() {
-        "bfs" => Kernel::Bfs,
-        "sssp" => Kernel::Sssp,
-        "pr" | "pagerank" => Kernel::Pr,
-        "cc" => Kernel::Cc,
-        "bc" => Kernel::Bc,
-        "tc" => Kernel::Tc,
-        _ => return None,
-    })
+    }
 }
 
 /// Fans independent jobs (whole [`mc_sim::Experiment`] runs, typically)
@@ -122,11 +191,6 @@ impl SweepRunner {
         SweepRunner {
             threads: threads.max(1),
         }
-    }
-
-    /// The configured worker count.
-    pub fn threads(&self) -> usize {
-        self.threads
     }
 
     /// Runs `f` over every job, `threads` at a time, and returns the
@@ -166,35 +230,6 @@ impl SweepRunner {
     }
 }
 
-/// Parses `--threads N` from argv: the sweep-level worker count for the
-/// binaries that fan independent runs through a [`SweepRunner`].
-/// Defaults to 1 (fully sequential).
-pub fn threads_from_args() -> usize {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == "--threads")
-        .map(|i| {
-            args.get(i + 1)
-                .and_then(|v| v.parse::<usize>().ok())
-                .filter(|&n| n > 0)
-                .unwrap_or_else(|| panic!("--threads requires a positive integer"))
-        })
-        .unwrap_or(1)
-}
-
-/// Picks the experiment scale from argv: `--tiny`, `--quick` (default) or
-/// `--full`.
-pub fn scale_from_args() -> Scale {
-    let args: Vec<String> = std::env::args().collect();
-    if args.iter().any(|a| a == "--full") {
-        Scale::full()
-    } else if args.iter().any(|a| a == "--tiny") {
-        Scale::tiny()
-    } else {
-        Scale::quick()
-    }
-}
-
 /// Prints the standard experiment banner.
 pub fn banner(figure: &str, description: &str, scale: &Scale) {
     println!("==============================================================");
@@ -214,11 +249,38 @@ pub fn banner(figure: &str, description: &str, scale: &Scale) {
 mod tests {
     use super::*;
 
+    fn parse(argv: &[&str], accepted: &str) -> Result<Args, String> {
+        let argv: Vec<String> = argv.iter().map(|s| s.to_string()).collect();
+        Args::parse(&argv, accepted)
+    }
+
     #[test]
     fn default_scale_is_quick() {
-        // No --tiny/--full in the test harness argv.
-        let s = scale_from_args();
-        assert_eq!(s.dram_pages, Scale::quick().dram_pages);
+        let a = parse(&[], "").unwrap();
+        assert_eq!(a.scale_name, "quick");
+        assert_eq!(a.scale.dram_pages, Scale::quick().dram_pages);
+        let a = parse(&["--tiny"], "--tiny").unwrap();
+        assert_eq!(a.scale.dram_pages, Scale::tiny().dram_pages);
+    }
+
+    #[test]
+    fn unknown_flags_and_missing_values_are_rejected() {
+        let known = "--systems --threads --tiny";
+        let err = parse(&["--polcy", "nomad"], known).unwrap_err();
+        assert!(err.contains("unknown flag `--polcy`"), "{err}");
+        // A real flag this binary does not take is just as unknown.
+        assert!(parse(&["--machine", "dram-pm"], known).is_err());
+        let err = parse(&["--tiny", "--threads"], known).unwrap_err();
+        assert!(err.contains("--threads requires a value"), "{err}");
+        assert!(parse(&["--threads", "0"], known).is_err());
+        assert!(parse(&["--threads", "two"], known).is_err());
+        assert!(parse(&["--systems", "nomad,bogus"], known).is_err());
+        let a = parse(&["--systems", "nomad, ht", "--threads", "3"], known).unwrap();
+        assert_eq!(
+            a.systems,
+            Some(vec![SystemKind::Nomad, SystemKind::HybridTier])
+        );
+        assert_eq!(a.threads, 3);
     }
 
     #[test]
@@ -252,31 +314,16 @@ mod tests {
 
     #[test]
     fn default_machine_is_dram_pm() {
-        // No --machine in the test harness argv.
-        let (name, shape) = machine_from_args();
+        let (name, shape) = parse(&[], "").unwrap().machine;
         assert_eq!(name, "dram-pm");
         assert_eq!(shape(64, 256), MachineDesc::dram_pm(64, 256));
+        assert!(parse(&["--machine", "numa"], "--machine").is_err());
     }
 
     #[test]
     fn hybridtier_system_parses() {
         assert_eq!(parse_system("hybridtier"), Some(SystemKind::HybridTier));
         assert_eq!(parse_system("ht"), Some(SystemKind::HybridTier));
-    }
-
-    #[test]
-    fn workload_letters_parse_case_insensitively() {
-        assert_eq!(parse_workload("a"), Some(YcsbWorkload::A));
-        assert_eq!(parse_workload("D"), Some(YcsbWorkload::D));
-        assert_eq!(parse_workload("E"), None, "E is non-operational");
-        assert_eq!(parse_workload("x"), None);
-    }
-
-    #[test]
-    fn kernel_names_parse() {
-        assert_eq!(parse_kernel("SSSP"), Some(Kernel::Sssp));
-        assert_eq!(parse_kernel("pagerank"), Some(Kernel::Pr));
-        assert_eq!(parse_kernel("nope"), None);
     }
 
     #[test]
@@ -292,7 +339,7 @@ mod tests {
     #[test]
     fn sweep_runner_clamps_zero_threads() {
         let r = SweepRunner::new(0);
-        assert_eq!(r.threads(), 1);
+        assert_eq!(r.threads, 1);
         assert_eq!(r.run(vec![1, 2, 3], |j| j + 1), vec![2, 3, 4]);
     }
 }

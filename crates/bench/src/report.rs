@@ -1,8 +1,9 @@
-//! Report formatting for the figure binaries: normalisation against
-//! static tiering and aligned-text tables (the figures are emitted as
-//! data series, like the paper's plots).
+//! What a generated section is made of: Markdown tables, the Fig. 1 heat
+//! map, normalisation against static tiering, and the named [`Claim`]s
+//! that pin the paper's evaluation shape.
 
-use crate::experiments::RunOutcome;
+use mc_sim::experiments::RunOutcome;
+use mc_sim::SystemKind;
 
 /// Normalises one figure metric to the static-tiering run in the set:
 /// `|r| r.ops_per_sec` for Fig. 5's Y axis (higher is better),
@@ -10,13 +11,13 @@ use crate::experiments::RunOutcome;
 /// Returns `(label, normalized value)` rows, or `None` when the set has
 /// no static run or its value is not positive — there is no baseline to
 /// divide by.
-pub fn normalize_to_static(
+pub(crate) fn normalize_to_static(
     rows: &[RunOutcome],
     metric: impl Fn(&RunOutcome) -> f64,
 ) -> Option<Vec<(&'static str, f64)>> {
     let base = rows
         .iter()
-        .find(|r| r.system == crate::SystemKind::Static)
+        .find(|r| r.system == SystemKind::Static)
         .map(&metric)
         .filter(|base| *base > 0.0)?;
     Some(
@@ -26,49 +27,42 @@ pub fn normalize_to_static(
     )
 }
 
-/// Formats a simple aligned table: a header row and data rows.
-pub fn format_table(headers: &[&str], rows: &[Vec<String>]) -> String {
-    let cols = headers.len();
-    let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
+/// Formats a Markdown table with padded columns: header, rule, data rows.
+///
+/// # Panics
+///
+/// When a row's width differs from the header's (a bug in the caller).
+pub fn markdown_table<H: AsRef<str>>(headers: &[H], rows: &[Vec<String>]) -> String {
+    let mut widths: Vec<usize> = headers
+        .iter()
+        .map(|h| h.as_ref().chars().count().max(3))
+        .collect();
     for row in rows {
-        assert_eq!(row.len(), cols, "row width mismatch");
-        for (i, cell) in row.iter().enumerate() {
-            widths[i] = widths[i].max(cell.len());
+        assert_eq!(row.len(), widths.len(), "row width mismatch");
+        for (w, cell) in widths.iter_mut().zip(row) {
+            *w = (*w).max(cell.chars().count());
         }
     }
-    let mut out = String::new();
-    let fmt_row = |cells: Vec<&str>, widths: &[usize]| -> String {
-        let mut line = String::new();
-        for (i, c) in cells.iter().enumerate() {
-            line.push_str(&format!("{:<w$}  ", c, w = widths[i]));
-        }
-        line.trim_end().to_string()
+    let line = |cells: Vec<&str>| {
+        let padded = cells.iter().zip(&widths).map(|(c, w)| format!("{c:<w$}"));
+        format!("| {} |\n", padded.collect::<Vec<_>>().join(" | "))
     };
-    out.push_str(&fmt_row(headers.to_vec(), &widths));
-    out.push('\n');
-    out.push_str(&"-".repeat(widths.iter().sum::<usize>() + 2 * (cols - 1)));
-    out.push('\n');
+    let rule: Vec<String> = widths.iter().map(|w| "-".repeat(*w)).collect();
+    let mut out = line(headers.iter().map(AsRef::as_ref).collect());
+    out.push_str(&line(rule.iter().map(String::as_str).collect()));
     for row in rows {
-        out.push_str(&fmt_row(row.iter().map(|s| s.as_str()).collect(), &widths));
-        out.push('\n');
+        out.push_str(&line(row.iter().map(String::as_str).collect()));
     }
     out
 }
 
 /// Renders a heat-map matrix (Fig. 1) as a text grid with intensity
-/// characters, plus the raw CSV-ish numbers.
-pub fn format_heatmap(matrix: &[Vec<u32>]) -> String {
+/// characters: one text row per page, one column per time slice.
+pub(crate) fn format_heatmap(matrix: &[Vec<u32>]) -> String {
     let ramp = [' ', '.', ':', '+', '*', '#', '@'];
-    let max = matrix
-        .iter()
-        .flat_map(|r| r.iter())
-        .copied()
-        .max()
-        .unwrap_or(0)
-        .max(1);
+    let max = matrix.iter().flatten().copied().max().unwrap_or(0).max(1);
     let pages = matrix.first().map_or(0, |r| r.len());
     let mut out = String::new();
-    // One text row per page (Y axis), one column per time slice (X axis).
     for p in (0..pages).rev() {
         out.push_str(&format!("page {p:>3} |"));
         for slice in matrix {
@@ -84,10 +78,57 @@ pub fn format_heatmap(matrix: &[Vec<u32>]) -> String {
     out
 }
 
+/// What the source pins about a claim at the `--quick` scale.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Expectation {
+    /// The reproduction shows what the paper states.
+    Holds,
+    /// It does not, for the stated reason.
+    Deviates(&'static str),
+}
+
+/// One statement of the paper's evaluation, checked against this run.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Claim {
+    /// `section.name`, unique across the document.
+    pub id: String,
+    /// What the paper (or, for the extensions, the design) states.
+    pub statement: &'static str,
+    /// By how much the statement holds, in the unit the statement names
+    /// (negative: by how much it fails).
+    pub margin: f64,
+    /// What the source pins for the `--quick` scale.
+    pub expectation: Expectation,
+}
+
+impl Claim {
+    /// Whether the measured outcome contradicts the pinned expectation —
+    /// in either direction: a `Deviates` that starts holding must be
+    /// re-pinned too.
+    pub(crate) fn contradicts(&self) -> bool {
+        (self.margin >= 0.0) != (self.expectation == Expectation::Holds)
+    }
+
+    /// The claim as a row of the claims table.
+    pub(crate) fn row(&self) -> Vec<String> {
+        let verb = if self.margin >= 0.0 { "holds" } else { "fails" };
+        let outcome = format!("{verb} ({:+.2})", self.margin);
+        let pinned = match self.expectation {
+            Expectation::Holds => "holds".to_string(),
+            Expectation::Deviates(why) => format!("deviates: {why}"),
+        };
+        vec![
+            format!("`{}`", self.id),
+            self.statement.to_string(),
+            outcome,
+            pinned,
+        ]
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::SystemKind;
     use mc_mem::Nanos;
 
     fn row(system: SystemKind, tput: f64, time_ms: u64) -> RunOutcome {
@@ -111,7 +152,7 @@ mod tests {
             txn_aborts: 0,
             shadow_hits: 0,
             dropped_accesses: 0,
-            costs: crate::metrics::CostBreakdown::default(),
+            costs: mc_sim::CostBreakdown::default(),
         }
     }
 
@@ -139,7 +180,7 @@ mod tests {
 
     #[test]
     fn table_formatting_aligns() {
-        let t = format_table(
+        let t = markdown_table(
             &["name", "value"],
             &[
                 vec!["a".into(), "1".into()],
@@ -148,8 +189,9 @@ mod tests {
         );
         let lines: Vec<&str> = t.lines().collect();
         assert_eq!(lines.len(), 4);
-        assert!(lines[0].starts_with("name"));
-        assert!(lines[3].starts_with("long-name"));
+        assert_eq!(lines[0], "| name      | value |");
+        assert_eq!(lines[1], "| --------- | ----- |");
+        assert_eq!(lines[3], "| long-name | 22    |");
     }
 
     #[test]

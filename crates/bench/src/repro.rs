@@ -1,0 +1,334 @@
+//! The `repro` document generator: every section draws its experiment
+//! runs from one memo ([`Lab::runs`]), writes Markdown and registers
+//! [`Claim`]s; [`generate`] assembles EXPERIMENTS.md and [`Lab::verdict`]
+//! is the claim gate.
+
+use crate::report::{markdown_table, Claim, Expectation};
+use crate::{Args, SweepRunner};
+use mc_sim::experiments::{Experiment, RunOutcome, Scale};
+use mc_sim::SystemKind;
+use mc_workloads::graph::Kernel;
+use mc_workloads::ycsb::YcsbWorkload;
+use std::collections::BTreeMap;
+
+/// What a memoised run drives.
+#[derive(Debug, Clone, Copy)]
+enum Workload {
+    Ycsb(YcsbWorkload),
+    Gapbs(Kernel),
+}
+
+/// One experiment a section asks for; two requests that resolve to the
+/// same configuration share one execution.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Run {
+    workload: Workload,
+    system: SystemKind,
+    /// Footprint sized at 4x DRAM ([`Scale::memory_mode`]).
+    four_x: bool,
+    /// The scan interval in paper seconds (default 1).
+    paper_secs: f64,
+}
+
+impl Run {
+    /// `workload` on `system` at the scale's default scan interval.
+    pub(crate) fn ycsb(workload: YcsbWorkload, system: SystemKind) -> Run {
+        Run {
+            workload: Workload::Ycsb(workload),
+            system,
+            four_x: false,
+            paper_secs: 1.0,
+        }
+    }
+
+    /// The same run with the footprint sized at 4x DRAM (Fig. 7).
+    pub(crate) fn four_x(mut self) -> Run {
+        self.four_x = true;
+        self
+    }
+
+    /// The same run scanning every `paper_secs` paper seconds (Fig. 10).
+    pub(crate) fn every(mut self, paper_secs: f64) -> Run {
+        self.paper_secs = paper_secs;
+        self
+    }
+
+    /// The GAPBS `kernel` on `system`.
+    pub(crate) fn gapbs(kernel: Kernel, system: SystemKind) -> Run {
+        Run {
+            workload: Workload::Gapbs(kernel),
+            ..Run::ycsb(YcsbWorkload::A, system)
+        }
+    }
+
+    /// The run's row in a table and its `--obs` sub-directory: the
+    /// workload, plus whatever departs from the default setup.
+    fn row(&self, scale: &Scale) -> String {
+        let mut row = match self.workload {
+            Workload::Ycsb(w) => w.to_string(),
+            Workload::Gapbs(k) => k.label().to_string(),
+        };
+        if self.four_x {
+            row.push_str("-4x");
+        }
+        if self.paper_secs != 1.0 {
+            row.push_str(&format!("-{}", scale.paper_interval(self.paper_secs)));
+        }
+        row
+    }
+
+    fn experiment(&self, scale: &Scale) -> Experiment {
+        let scale = if self.four_x {
+            scale.memory_mode()
+        } else {
+            scale.clone()
+        };
+        let e = match self.workload {
+            Workload::Ycsb(w) => Experiment::ycsb(w),
+            Workload::Gapbs(k) => Experiment::gapbs(k),
+        };
+        e.system(self.system)
+            .interval(scale.paper_interval(self.paper_secs))
+            .scale(&scale)
+    }
+}
+
+/// One invocation: the memo of finished runs, the document written so far
+/// and the claims registered so far.
+#[derive(Debug)]
+pub struct Lab<'a> {
+    /// The command line (scale, machine, filters).
+    pub args: &'a Args,
+    memo: BTreeMap<String, RunOutcome>,
+    /// The id of the section being built.
+    section: &'static str,
+    /// How many experiments actually executed (memo misses).
+    pub executed: usize,
+    /// The Markdown written so far.
+    pub out: String,
+    /// The claims registered so far.
+    pub claims: Vec<Claim>,
+    /// Whether this is the unfiltered run at the pinned `--quick` scale,
+    /// the only one whose claims are gated.
+    pub gated: bool,
+}
+
+impl<'a> Lab<'a> {
+    /// An empty lab for one invocation.
+    fn new(args: &'a Args) -> Self {
+        Lab {
+            args,
+            memo: BTreeMap::new(),
+            section: "",
+            executed: 0,
+            out: String::new(),
+            claims: Vec::new(),
+            gated: args.scale_name == "quick"
+                && args.machine.0 == "dram-pm"
+                && args.only.is_empty()
+                && args.systems.is_none(),
+        }
+    }
+
+    /// `default`, or under `--systems` static plus the named systems.
+    pub(crate) fn systems(&self, default: &[SystemKind]) -> Vec<SystemKind> {
+        let Some(named) = &self.args.systems else {
+            return default.to_vec();
+        };
+        let named = named.iter().filter(|s| **s != SystemKind::Static);
+        std::iter::once(SystemKind::Static)
+            .chain(named.copied())
+            .collect()
+    }
+
+    /// Fans `jobs` across the `--threads` pool, results in input order.
+    pub(crate) fn sweep<T: Send, R: Send>(
+        &self,
+        jobs: Vec<T>,
+        f: impl Fn(T) -> R + Sync,
+    ) -> Vec<R> {
+        SweepRunner::new(self.args.threads).run(jobs, f)
+    }
+
+    /// The outcomes of `runs`, in order, executing only those no earlier
+    /// request has run. Under `--obs DIR` the named system's runs export
+    /// their artifacts to `DIR/<row>/`.
+    ///
+    /// # Errors
+    ///
+    /// The first run that fails (out of memory, unwritable obs directory).
+    pub(crate) fn runs(&mut self, runs: &[Run]) -> Result<Vec<RunOutcome>, String> {
+        let scale = &self.args.scale;
+        let key = |r: &Run| format!("{} · {}", r.row(scale), r.system.label());
+        let mut missing: Vec<(String, Experiment)> = Vec::new();
+        for r in runs {
+            let k = key(r);
+            if self.memo.contains_key(&k) || missing.iter().any(|(m, _)| *m == k) {
+                continue;
+            }
+            let mut e = r.experiment(scale).machine(self.args.machine.1);
+            if let (Some(dir), Some([named])) = (&self.args.obs, self.args.systems.as_deref()) {
+                if r.system == *named {
+                    e = e.obs(dir.join(r.row(scale)));
+                }
+            }
+            missing.push((k, e));
+        }
+        self.executed += missing.len();
+        for (outcome, k) in self.sweep(missing, |(k, e)| (e.run(), k)) {
+            let outcome = outcome.map_err(|e| format!("{k}: {e}"))?;
+            self.memo.insert(k, outcome);
+        }
+        Ok(runs.iter().map(|r| self.memo[&key(r)].clone()).collect())
+    }
+
+    /// Appends a paragraph (or any Markdown block) to the document.
+    pub(crate) fn text(&mut self, block: &str) {
+        self.out.push_str(block.trim());
+        self.out.push_str("\n\n");
+    }
+
+    /// Appends a table to the document.
+    pub(crate) fn table<H: AsRef<str>>(&mut self, headers: &[H], rows: &[Vec<String>]) {
+        self.out.push_str(&markdown_table(headers, rows));
+        self.out.push('\n');
+    }
+
+    /// Whether `--systems` removed the systems the claims compare; a
+    /// section then stops before its claims.
+    pub(crate) fn filtered(&self) -> bool {
+        self.args.systems.is_some()
+    }
+
+    /// Registers the current section's claim `name`: `statement` holds by
+    /// `margin`.
+    pub(crate) fn claim(
+        &mut self,
+        name: &str,
+        statement: &'static str,
+        expectation: Expectation,
+        margin: f64,
+    ) {
+        self.claims.push(Claim {
+            id: format!("{}.{name}", self.section),
+            statement,
+            margin,
+            expectation,
+        });
+    }
+
+    /// The claim gate.
+    ///
+    /// # Errors
+    ///
+    /// On a gated run, the ids of the claims whose outcome contradicts
+    /// their pinned expectation.
+    pub fn verdict(&self) -> Result<(), String> {
+        let bad = self.claims.iter().filter(|c| self.gated && c.contradicts());
+        let bad: Vec<&str> = bad.map(|c| c.id.as_str()).collect();
+        if bad.is_empty() {
+            return Ok(());
+        }
+        Err(format!(
+            "claims contradict their pinned expectation (fix the regression, or re-pin in \
+             crates/bench/src/sections.rs): {}",
+            bad.join(", ")
+        ))
+    }
+}
+
+/// 64-bit FNV-1a.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(*b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Generates the document `args` describes: [`Lab::out`] is
+/// EXPERIMENTS.md, byte for byte.
+///
+/// # Errors
+///
+/// A diagnostic for an unknown `--only` section, an `--obs` without
+/// exactly one section and one named system, or a failed run.
+pub fn generate(args: &Args) -> Result<Lab<'_>, String> {
+    let sections = crate::sections::SECTIONS;
+    let known = |o: &String| sections.iter().any(|s| s.0 == o);
+    if let Some(bad) = args.only.iter().find(|o| !known(o)) {
+        let ids: Vec<&str> = sections.iter().map(|s| s.0).collect();
+        return Err(format!(
+            "--only: no section `{bad}`; there are {}",
+            ids.join(", ")
+        ));
+    }
+    let one_system = matches!(args.systems.as_deref(), Some([_]));
+    if args.obs.is_some() && !(args.only.len() == 1 && one_system) {
+        return Err("--obs requires --only with one section and --systems with one system".into());
+    }
+    let s = &args.scale;
+    let mut lab = Lab::new(args);
+    lab.text(&format!(
+        "# EXPERIMENTS — paper vs. measured\n\n\
+         <!-- Generated by `cargo run --release -p mc-bench --bin repro`; do not edit. -->\n\n\
+         Every table and figure of the paper's evaluation at the `--{}` scale on the `{}` \
+         machine: DRAM {} + PM {} pages; YCSB {} × {} B records; GAPBS R-MAT scale {}, degree \
+         {}, DRAM {} pages; one \"paper second\" = {} simulated (DESIGN.md §7); seed {}. \
+         `--only <id>` regenerates a section by the id in its heading.\n\n\
+         The substrate is a calibrated simulator, not the authors' Optane testbed: absolute \
+         numbers are not comparable, what is reproduced is the *shape* — who wins, roughly by \
+         what factor, where crossovers fall. Each shape statement is a named **claim** in the \
+         table near the end: its margin is measured by this run, its expectation is pinned in \
+         `crates/bench/src/sections.rs`, and at `--quick` `repro` exits non-zero when the two \
+         disagree in either direction. Prose quotes the paper's numbers only; every measured \
+         number is generated.",
+        args.scale_name,
+        args.machine.0,
+        s.dram_pages,
+        s.pm_pages,
+        s.records,
+        s.value_size,
+        s.graph_scale,
+        s.graph_degree,
+        s.graph_dram_pages,
+        s.interval_unit,
+        s.seed,
+    ));
+    for (id, title, build) in sections {
+        if args.only.is_empty() || args.only.iter().any(|o| o == id) {
+            eprintln!("repro: section {id} ...");
+            lab.section = id;
+            lab.text(&format!("## {title} [{id}]"));
+            build(&mut lab).map_err(|e| format!("section {id}: {e}"))?;
+        }
+    }
+    let gate = if lab.gated {
+        "This run is gated: `repro` fails if an outcome differs from its pin."
+    } else {
+        "This run is filtered or not at `--quick`: claims are shown, not gated."
+    };
+    let rows: Vec<Vec<String>> = lab.claims.iter().map(Claim::row).collect();
+    if !rows.is_empty() {
+        lab.text(&format!(
+            "## Claims\n\nMC is MULTI-CLOCK; a margin is in the unit its statement names. {gate}"
+        ));
+        lab.table(
+            &["claim", "statement", "measured", "pinned at `--quick`"],
+            &rows,
+        );
+    }
+    lab.text(
+        "## Appendix — run fingerprints\n\nOne row per distinct memoised experiment: the \
+         64-bit FNV-1a of its whole `RunOutcome` (counts, windows, costs, percentiles), so a \
+         change that moves any simulated result moves this file even where no table cell does.",
+    );
+    let print = |o: &RunOutcome| format!("`{:016x}`", fnv1a(format!("{o:?}").as_bytes()));
+    let rows: Vec<Vec<String>> = lab
+        .memo
+        .iter()
+        .map(|(k, o)| vec![k.clone(), print(o)])
+        .collect();
+    lab.table(&["run", "fingerprint"], &rows);
+    lab.out.truncate(lab.out.trim_end().len());
+    lab.out.push('\n');
+    Ok(lab)
+}

@@ -1,0 +1,824 @@
+//! The sections of EXPERIMENTS.md, one function each: the paper's
+//! statement as prose, tables generated from this run, and the claims
+//! with their expectation pinned at the `--quick` scale. In claim
+//! statements "MC" is MULTI-CLOCK; a margin is by how much the statement
+//! holds (negative: fails).
+
+use crate::report::Expectation::{Deviates, Holds};
+use crate::report::{format_heatmap, normalize_to_static};
+use crate::repro::{Lab, Run};
+use mc_mem::{MachineBuilder, MachineDesc, Nanos, PageKind, TierKind, TierLatency, PAGE_SIZE};
+use mc_sim::experiments::{RunOutcome, Scale};
+use mc_sim::{SimConfig, Simulation, SystemKind as S};
+use mc_workloads::dist::{ScrambledZipfian, Uniform};
+use mc_workloads::graph::Kernel;
+use mc_workloads::kv::KvStore;
+use mc_workloads::motivation::MotivationWorkload;
+use mc_workloads::ycsb::{YcsbClient, YcsbConfig, YcsbWorkload as W};
+use mc_workloads::{Memory, SimpleMemory};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+
+type Build = fn(&mut Lab) -> Result<(), String>;
+
+/// `(id, title, builder)` of every section, in document order.
+pub(crate) const SECTIONS: [(&str, &str, Build); 12] = [
+    ("fig1", "Figure 1 — page-access heat maps", fig1),
+    ("fig2", "Figure 2 — next-window access frequency", fig2),
+    ("table1", "Tables I and II — techniques, size", table1),
+    ("fig5", "Figure 5 — YCSB throughput, §V-F overhead", fig5),
+    ("fig6", "Figure 6 — GAPBS execution time", fig6),
+    ("fig7", "Figure 7 — Memory-mode (footprint = 4x DRAM)", fig7),
+    ("fig8", "Figure 8 — pages promoted per 20 s window", fig8),
+    ("fig9", "Figure 9 — re-access % of promoted pages", fig9),
+    ("fig10", "Figure 10 — scan-interval sensitivity", fig10),
+    ("ablation", "Ablation — oracles, §VII extensions", ablation),
+    ("colocation", "Extension — co-location", colocation),
+    ("overcommit", "Extension — overcommit", overcommit),
+];
+
+const ST: S = S::Static;
+const MC: S = S::MultiClock;
+const NIM: S = S::Nimble;
+const CPM: S = S::AtCpm;
+const OPM: S = S::AtOpm;
+const MM: S = S::MemoryMode;
+
+fn min(values: impl IntoIterator<Item = f64>) -> f64 {
+    values.into_iter().fold(f64::INFINITY, f64::min)
+}
+
+fn max(values: impl IntoIterator<Item = f64>) -> f64 {
+    values.into_iter().fold(f64::NEG_INFINITY, f64::max)
+}
+
+fn f2(v: f64) -> String {
+    format!("{v:.2}")
+}
+
+/// A table row: its label, then its cells.
+fn row(label: impl ToString, cells: impl IntoIterator<Item = String>) -> Vec<String> {
+    std::iter::once(label.to_string()).chain(cells).collect()
+}
+
+fn pct(v: Option<f64>) -> String {
+    v.map_or("-".into(), |v| format!("{v:.1}%"))
+}
+
+fn ops(o: &RunOutcome) -> f64 {
+    o.ops_per_sec
+}
+
+fn time(o: &RunOutcome) -> f64 {
+    o.trial_time.as_nanos() as f64
+}
+
+/// One metric over rows × systems, normalised to each row's static run.
+struct Grid {
+    labels: Vec<String>,
+    systems: Vec<S>,
+    norm: Vec<Vec<f64>>,
+    raw: Vec<Vec<RunOutcome>>,
+}
+
+impl Grid {
+    fn run(
+        lab: &mut Lab,
+        labels: Vec<String>,
+        systems: &[S],
+        run: impl Fn(usize, S) -> Run,
+        metric: fn(&RunOutcome) -> f64,
+    ) -> Result<Grid, String> {
+        let cells = (0..labels.len()).flat_map(|i| systems.iter().map(move |s| (i, *s)));
+        let runs: Vec<Run> = cells.map(|(i, s)| run(i, s)).collect();
+        let outcomes = lab.runs(&runs)?;
+        let raw: Vec<Vec<RunOutcome>> = outcomes.chunks(systems.len()).map(Vec::from).collect();
+        let norm = raw.iter().map(|row| {
+            let n = normalize_to_static(row, metric).expect("every comparison leads with static");
+            n.into_iter().map(|(_, v)| v).collect()
+        });
+        Ok(Grid {
+            norm: norm.collect(),
+            labels,
+            systems: systems.to_vec(),
+            raw,
+        })
+    }
+
+    /// Writes the grid as a table of `cell(normalised, outcome)`.
+    fn table(&self, lab: &mut Lab, corner: &str, cell: impl Fn(f64, &RunOutcome) -> String) {
+        let mut headers = vec![corner];
+        headers.extend(self.systems.iter().map(|s| s.label()));
+        let cells = |i: usize| self.norm[i].iter().zip(&self.raw[i]);
+        let line = |i: usize| row(&self.labels[i], cells(i).map(|(n, o)| cell(*n, o)));
+        let rows: Vec<Vec<String>> = (0..self.labels.len()).map(line).collect();
+        lab.table(&headers, &rows);
+    }
+
+    /// A system's normalised column (claims only: the cast is unfiltered).
+    fn col(&self, s: S) -> Vec<f64> {
+        let j = self.systems.iter().position(|x| *x == s);
+        let j = j.expect("claims run on the unfiltered cast");
+        self.norm.iter().map(|row| row[j]).collect()
+    }
+
+    /// The least amount, over all rows, by which `a` exceeds `b`.
+    fn lead(&self, a: S, b: S) -> f64 {
+        min(self.col(a).iter().zip(self.col(b)).map(|(a, b)| a - b))
+    }
+}
+
+const PAGES: usize = 50;
+
+fn fig1(lab: &mut Lab) -> Result<(), String> {
+    lab.text(
+        "Paper: 50 sampled pages × time for RUBiS, SPECpower, xalan and lusearch show three \
+         populations — always hot, bimodal (\"tier-friendly\") and cold. The original traces \
+         are unavailable, so the generators are parameterised with these classes; the figure \
+         validates the generators the other experiments reuse.",
+    );
+    const SLICES: usize = 60;
+    let mut rows = Vec::new();
+    let mut fewest = PAGES;
+    for mut w in MotivationWorkload::all_paper_workloads(PAGES, lab.args.scale.seed) {
+        let matrix = w.heatmap(&mut SimpleMemory::new(), SLICES);
+        let map = format_heatmap(&matrix);
+        lab.text(&format!("{}:\n\n```text\n{map}```", w.name()));
+        let total = |p: usize| matrix.iter().map(|r| r[p] as usize).sum::<usize>();
+        let hot = (0..PAGES).filter(|p| total(*p) > SLICES * 10).count();
+        let cold = (0..PAGES).filter(|p| total(*p) <= SLICES / 4).count();
+        let classes = [hot, PAGES - hot - cold, cold];
+        fewest = fewest.min(classes.into_iter().min().unwrap_or(0));
+        let cells = classes.map(|c| c.to_string());
+        rows.push(row(w.name(), cells));
+    }
+    lab.table(&["workload", "DRAM-friendly", "bimodal", "cold"], &rows);
+    let stmt = "every workload has pages of all three classes (margin: smallest class − 1)";
+    lab.claim("three_populations", stmt, Holds, fewest as f64 - 1.0);
+    Ok(())
+}
+
+fn fig2(lab: &mut Lab) -> Result<(), String> {
+    lab.text(
+        "Paper: \"pages that were accessed multiple times in the observation windows are \
+         accessed with a much higher frequency on average in the performance windows compared \
+         to the pages that were accessed only once\" — the premise of the promote list. Mean \
+         accesses in the following window, by accesses in the observation window:",
+    );
+    const SLICES: usize = 64;
+    const WINDOW: usize = 4; // slices per (observation | performance) window
+    let mean = |v: &[f64]| v.iter().sum::<f64>() / v.len().max(1) as f64;
+    let mut rows = Vec::new();
+    let mut ratios = Vec::new();
+    for mut w in MotivationWorkload::all_paper_workloads(PAGES, lab.args.scale.seed) {
+        let matrix = w.heatmap(&mut SimpleMemory::new(), SLICES);
+        let (mut once, mut multi) = (Vec::new(), Vec::new());
+        for start in (0..=SLICES - 2 * WINDOW).step_by(2 * WINDOW) {
+            for p in 0..PAGES {
+                let sum = |from: usize| matrix[from..from + WINDOW].iter().map(|r| r[p]).sum();
+                let (seen, next): (u32, u32) = (sum(start), sum(start + WINDOW));
+                match seen {
+                    0 => {}
+                    1 => once.push(next as f64),
+                    _ => multi.push(next as f64),
+                }
+            }
+        }
+        let ratio = mean(&multi) / mean(&once);
+        ratios.push(ratio);
+        let cells = [f2(mean(&once)), f2(mean(&multi)), format!("{ratio:.1}x")];
+        rows.push(row(w.name(), cells));
+    }
+    lab.table(&["workload", "accessed once", "repeatedly", "ratio"], &rows);
+    let stmt = "multi-accessed pages get at least 2x the next-window accesses, every workload";
+    lab.claim("multi_accessed_stay_hot", stmt, Holds, min(ratios) - 2.0);
+    Ok(())
+}
+
+fn table1(lab: &mut Lab) -> Result<(), String> {
+    use mc_mem::TieringPolicy;
+    use mc_policies::{
+        Amp, AutoNuma, AutoTiering, Nimble, OracleKind, OraclePolicy, StaticTiering,
+    };
+    let mem = mc_mem::MemorySystem::new(MachineDesc::dram_pm(64, 256));
+    let topo = mem.topology();
+    let policies = [
+        StaticTiering::new(topo).traits(),
+        Nimble::with_defaults(topo).traits(),
+        AutoNuma::with_defaults(topo).traits(),
+        Amp::with_defaults(topo).traits(),
+        AutoTiering::cpm(topo).traits(),
+        AutoTiering::opm(topo).traits(),
+        multi_clock::MultiClock::new(Default::default(), topo).traits(),
+        OraclePolicy::new(OracleKind::Lru, topo).traits(),
+        OraclePolicy::new(OracleKind::Lfu, topo).traits(),
+    ];
+    let yes_no = |b: bool| if b { "Yes" } else { "No" };
+    let row = |t: &mc_mem::PolicyTraits| {
+        let selection = [t.selection_promotion, t.selection_demotion];
+        let overhead = [yes_no(t.numa_aware), yes_no(t.space_overhead)];
+        let rest = [t.generality, t.key_insight];
+        let tracking = [t.name, t.page_access_tracking];
+        let cells = [&tracking[..], &selection, &overhead, &rest].concat();
+        cells.into_iter().map(String::from).collect()
+    };
+    let rows: Vec<Vec<String>> = policies.iter().map(row).collect();
+    lab.text("Table I, from each policy's self-reported `PolicyTraits`:");
+    let selection = ["Selection (Promotion)", "Selection (Demotion)"];
+    let rest = ["NUMA Aware", "Space Overhead", "Generality", "Key Insight"];
+    let headers = [&["Tiering", "Page Access Tracking"], &selection[..], &rest];
+    lab.table(&headers.concat(), &rows);
+    lab.text(
+        "AMP and the oracles run in simulation only — full-memory profiling is undeployable at \
+         kernel scale, the paper's §II-D argument. Thermostat is not implemented: closed \
+         source, as in the paper.\n\n\
+         Table II (the paper's patch: 673 new + 30 modified kernel lines in 16 files) has no \
+         fixed analogue: this repository's size changes with every commit, so it cannot sit in \
+         a diffed file. `cargo run -p mc-lint -- --count` prints source lines, non-test lines \
+         and `pub` items per crate; the patch's logic lives in `crates/core` over `crates/mem`.",
+    );
+    Ok(())
+}
+
+/// `part` as a percentage of the run's accounted time.
+fn share(o: &RunOutcome, part: Nanos) -> f64 {
+    let c = &o.costs;
+    let total = c.access_time + c.stall_time + c.daemon_time + c.background_time;
+    100.0 * part.as_nanos() as f64 / total.as_nanos().max(1) as f64
+}
+
+fn fig5(lab: &mut Lab) -> Result<(), String> {
+    let systems = lab.systems(&S::TIERED_COMPARISON);
+    let ws = W::prescribed_order();
+    let labels = ws.iter().map(W::to_string).collect();
+    let g = Grid::run(lab, labels, &systems, |i, s| Run::ycsb(ws[i], s), ops)?;
+    lab.text(
+        "Paper: MULTI-CLOCK beats static by 20–132 % (most on D), Nimble by 9–36 %, AT-CPM by \
+         260–677 % and AT-OPM by 10–352 %. Magnitudes here are compressed: the simulated \
+         operation includes fixed CPU work and the scaled keyspace has a warmer zipfian tail \
+         than 100 M+ real records (DESIGN.md §7). Nomad (MULTI-CLOCK's selection over \
+         transactional migration, arXiv 2401.13154) and HybridTier (arXiv 2312.04789) are not \
+         in the paper. \"Most on D\" is a `--quick` result: at `--tiny` F overtakes D.\n\n\
+         Throughput normalised to static (higher is better):",
+    );
+    g.table(lab, "workload", |n, _| f2(n));
+    lab.text("Raw throughput (operations per virtual second):");
+    g.table(lab, "workload", |_, o| format!("{:.0}", o.ops_per_sec));
+    lab.text(
+        "YCSB-A in detail: per-operation latency, placement, and §V-F's overhead as each \
+         run's `CostBreakdown` in shares of its accounted time (the rest is device access). \
+         Paper: MULTI-CLOCK's tracking and migration overhead is negligible, while \
+         AutoTiering's hint faults put its profiling on the application's fault path. The \
+         median drops where the hot set is served from DRAM; the 99th percentile is the \
+         coldest accesses and stays PM-bound.",
+    );
+    let a = &g.raw[0];
+    let ns = |v: Option<Nanos>| v.map_or("-".into(), |v| v.to_string());
+    let detail = |o: &RunOutcome| {
+        let c = &o.costs;
+        let dram = pct(o.top_tier_share.map(|p| 100.0 * p));
+        let costs = [c.stall_time, c.daemon_time, c.background_time];
+        let costs = costs.map(|p| pct(Some(share(o, p))));
+        let counts = [o.promotions, c.hint_faults].map(|n| n.to_string());
+        let cells = [o.system.label().into(), ns(o.p50), ns(o.p99), dram];
+        cells.into_iter().chain(costs).chain(counts).collect()
+    };
+    let rows: Vec<Vec<String>> = a.iter().map(detail).collect();
+    let latency = ["system", "p50", "p99", "DRAM share"];
+    let costs = ["app stalls", "daemon CPU", "background copies"];
+    let headers = [&latency[..], &costs, &["promotions", "hint faults"]];
+    lab.table(&headers.concat(), &rows);
+
+    if lab.filtered() {
+        return Ok(());
+    }
+    let of = |s: S| a.iter().find(|o| o.system == s).expect("unfiltered cast");
+    let p50 = |s: S| of(s).p50.map_or(0.0, |v| v.as_nanos() as f64);
+    let stall = |s: S| share(of(s), of(s).costs.stall_time);
+    let (mc, nomad) = (g.col(MC), g.col(S::Nomad));
+    let stmt = "MC beats static on every workload";
+    lab.claim("mc_beats_static", stmt, Holds, g.lead(MC, ST));
+    let stmt = "MC's gain over static is inside the paper's 20–132 % on every workload";
+    let why = "compressed magnitudes: fixed per-op CPU work, warm zipfian tail (DESIGN.md §7)";
+    let margin = min(mc.iter().map(|v| (v - 1.20).min(2.32 - v)));
+    lab.claim("mc_gain_in_paper_band", stmt, Deviates(why), margin);
+    let stmt = "MC ≥ every system the paper compares (static, Nimble, AT-CPM, AT-OPM), all six";
+    let margin = min([ST, NIM, CPM, OPM].map(|s| g.lead(MC, s)));
+    lab.claim("mc_highest_of_paper_systems", stmt, Holds, margin);
+    let stmt = "transactional migration (arXiv 2401.13154) beats sync MC on read-only C and \
+                read-latest D, and loses where stores abort copy windows: A, B, F, W";
+    let by = |w: usize| nomad[w] - mc[w];
+    let margin = min([by(2), by(5), -by(0), -by(1), -by(3), -by(4)]);
+    lab.claim("nomad_wins_reads_loses_stores", stmt, Holds, margin);
+    let stmt = "MC's largest gain over static is on D";
+    lab.claim("max_gain_on_d", stmt, Holds, mc[5] - max(mc[..5].to_vec()));
+    let stmt = "AT-CPM stays below 0.6x static on every workload";
+    let margin = 0.6 - max(g.col(CPM));
+    lab.claim("at_cpm_far_below_static", stmt, Holds, margin);
+    let stmt = "AT-OPM sits between AT-CPM and Nimble on every workload";
+    let margin = g.lead(OPM, CPM).min(g.lead(NIM, OPM));
+    lab.claim("at_opm_between_cpm_and_nimble", stmt, Holds, margin);
+    let stmt = "MC cuts YCSB-A's median latency below static's (margin: fraction cut)";
+    let margin = 1.0 - p50(MC) / p50(ST);
+    lab.claim("mc_cuts_median_latency", stmt, Holds, margin);
+    let stmt = "on YCSB-A MC's app stalls are under 1 % of accounted time (margin: points)";
+    let why = "every promotion stalls the app for an unmap and a TLB shootdown, several \
+               percent at this promotion rate; the hand-written \"<1 %\" was never measured";
+    lab.claim("mc_stalls_under_1pct", stmt, Deviates(why), 1.0 - stall(MC));
+    let stmt = "on YCSB-A app stalls are over half of AT-CPM's and AT-OPM's accounted time \
+                and under a tenth of MC's (margin: points)";
+    let margin = min([stall(CPM) - 50.0, stall(OPM) - 50.0, 10.0 - stall(MC)]);
+    lab.claim("stalls_are_autotierings_cost", stmt, Holds, margin);
+    Ok(())
+}
+
+fn fig6(lab: &mut Lab) -> Result<(), String> {
+    let systems = lab.systems(&S::TIERED_COMPARISON);
+    let labels = Kernel::ALL.iter().map(|k| k.label().to_string()).collect();
+    let run = |i: usize, s| Run::gapbs(Kernel::ALL[i], s);
+    let g = Grid::run(lab, labels, &systems, run, time)?;
+    lab.text(
+        "Paper: every system is \"close to static tiering for most of the GAPBS workloads\" — \
+         graph codes allocate their hottest data first, so static placement is already good. \
+         MULTI-CLOCK beats static by 4–68 % (most on SSSP) and Nimble by 1–16 %; AT-OPM loses \
+         to MULTI-CLOCK by 4–62 %. A simulated trial spans tens of scan intervals, not \
+         hundreds, so steady-state benefit is averaged with convergence and SSSP's gain is \
+         far below the paper's.\n\nExecution time normalised to static (lower is better):",
+    );
+    g.table(lab, "kernel", |n, _| f2(n));
+    lab.text("Raw time per trial:");
+    g.table(lab, "kernel", |_, o| format!("{:.1}ms", time(o) / 1e6));
+    if lab.filtered() {
+        return Ok(());
+    }
+    let mc = g.col(MC);
+    let sssp = |s: S| g.col(s)[1];
+    let stmt = "MC is faster than static on every kernel";
+    lab.claim("mc_beats_static", stmt, Holds, g.lead(ST, MC));
+    let stmt = "MC is within 10 % of static on at least 4 of 6 kernels (margin: kernels)";
+    let margin = mc.iter().filter(|v| (**v - 1.0).abs() <= 0.10).count() as f64 - 4.0;
+    lab.claim("close_to_static", stmt, Holds, margin);
+    let stmt = "MC's largest gain over static is on SSSP";
+    let why = "TC gains more: its adjacency re-reads speed every dynamic system up alike";
+    let margin = min([0, 2, 3, 4, 5].map(|k| mc[k])) - sssp(MC);
+    lab.claim("most_on_sssp", stmt, Deviates(why), margin);
+    let stmt = "on SSSP MC wins while recency-only Nimble and fault-based AT lose to static";
+    let margin = min([NIM, CPM, OPM].map(|s| sssp(s) - 1.0)).min(1.0 - sssp(MC));
+    lab.claim("sssp_separates_the_systems", stmt, Holds, margin);
+    let stmt = "MC is at least as fast as Nimble on every kernel";
+    let why = "Nimble edges ahead on BFS and CC: over tens of scans recency converges as fast";
+    lab.claim("mc_beats_nimble", stmt, Deviates(why), g.lead(NIM, MC));
+    let stmt = "MC is faster than AT-OPM on every kernel";
+    lab.claim("mc_beats_at_opm", stmt, Holds, g.lead(OPM, MC));
+    Ok(())
+}
+
+fn fig7(lab: &mut Lab) -> Result<(), String> {
+    let systems = lab.systems(&[ST, MC, MM]);
+    let ws = W::prescribed_order();
+    let labels = ws.iter().map(W::to_string).collect();
+    let run = |i: usize, s| Run::ycsb(ws[i], s).four_x();
+    let y = Grid::run(lab, labels, &systems, run, ops)?;
+    lab.text(
+        "Paper (\"we set the workload size to be 4x of the available DRAM capacity\"): on YCSB \
+         MULTI-CLOCK is within −2 %…+9 % of Memory-mode; on PageRank it beats Memory-mode by \
+         about 21 %.\n\n(a) YCSB throughput normalised to static (higher is better):",
+    );
+    y.table(lab, "workload", |n, _| f2(n));
+    let run = |_, s| Run::gapbs(Kernel::Pr, s).four_x();
+    let pr = Grid::run(lab, vec!["PR".into()], &systems, run, time)?;
+    lab.text("(b) PageRank execution time normalised to static (lower is better):");
+    pr.table(lab, "kernel", |n, _| f2(n));
+    if lab.filtered() {
+        return Ok(());
+    }
+    let pairs = y.col(MC).into_iter().zip(y.col(MM));
+    let rel: Vec<f64> = pairs.map(|(mc, mm)| mc / mm - 1.0).collect();
+    let stmt = "MC is within −2 %…+9 % of Memory-mode on every YCSB workload";
+    let why = "Memory-mode leads further on store-heavy F and W: a direct-mapped cache absorbs \
+               stores at once, MC must first observe them for an interval";
+    let margin = min(rel.iter().map(|r| (r + 0.02).min(0.09 - r)));
+    lab.claim("ycsb_within_paper_band", stmt, Deviates(why), margin);
+    let stmt = "MC is within 15 % of Memory-mode on every YCSB workload";
+    let margin = 0.15 - max(rel.iter().map(|r| r.abs()));
+    lab.claim("ycsb_competitive", stmt, Holds, margin);
+    let stmt = "MC is faster than Memory-mode on PageRank";
+    lab.claim("pr_mc_ahead", stmt, Holds, pr.lead(MM, MC));
+    let stmt = "MC leads Memory-mode on PageRank by ≥ 0.10 of static's time (paper: ~21 %)";
+    let why = "a trial spans few scan intervals; both stay within a few percent of static";
+    let margin = pr.lead(MM, MC) - 0.10;
+    lab.claim("pr_gap_like_paper", stmt, Deviates(why), margin);
+    Ok(())
+}
+
+/// The Fig. 8/9 pair — YCSB-A under MULTI-CLOCK and Nimble — as one row
+/// per metrics window plus a summary row.
+fn promotion_windows(
+    lab: &mut Lab,
+    unit: &str,
+    cell: impl Fn(&mc_sim::WindowStats) -> String,
+    summary: impl Fn(&RunOutcome) -> String,
+) -> Result<Vec<RunOutcome>, String> {
+    let systems = lab.systems(&[MC, NIM]);
+    let runs: Vec<Run> = systems.iter().map(|s| Run::ycsb(W::A, *s)).collect();
+    let runs = lab.runs(&runs)?;
+    let headers = systems.iter().map(|s| format!("{} {unit}", s.label()));
+    let headers = row("window", headers);
+    let windows = runs.iter().map(|r| r.windows.len()).max().unwrap_or(0);
+    let window = |r: &RunOutcome, wi: usize| r.windows.get(wi).map_or("-".into(), &cell);
+    let line = |wi: usize| row(wi, runs.iter().map(|r| window(r, wi)));
+    let mut rows: Vec<Vec<String>> = (0..windows).map(line).collect();
+    rows.push(row("whole run", runs.iter().map(summary)));
+    lab.table(&headers, &rows);
+    Ok(runs)
+}
+
+fn fig8(lab: &mut Lab) -> Result<(), String> {
+    lab.text(
+        "Paper: on YCSB-A Nimble promotes more pages than MULTI-CLOCK in every window — it \
+         selects on a single recency observation. The last window is partial.",
+    );
+    let promoted = |w: &mc_sim::WindowStats| w.promotions.to_string();
+    let runs = promotion_windows(lab, "promotions", promoted, |r| r.promotions.to_string())?;
+    if lab.filtered() {
+        return Ok(());
+    }
+    let more = |nim: u64, mc: u64| nim as f64 - mc as f64;
+    let stmt = "Nimble promotes more pages than MC over the run (margin: pages)";
+    let margin = more(runs[1].promotions, runs[0].promotions);
+    lab.claim("nimble_more_in_total", stmt, Holds, margin);
+    let stmt = "Nimble promotes more pages than MC in every full window (margin: pages)";
+    let why = "MC's series oscillates as the hot set drifts and crosses Nimble's declining one";
+    let (mc, nim) = (&runs[0].windows, &runs[1].windows);
+    let full = mc.len().min(nim.len()).saturating_sub(1);
+    let margin = min((0..full).map(|i| more(nim[i].promotions, mc[i].promotions)));
+    lab.claim("nimble_more_every_window", stmt, Deviates(why), margin);
+    Ok(())
+}
+
+fn fig9(lab: &mut Lab) -> Result<(), String> {
+    lab.text(
+        "Paper: on YCSB-A MULTI-CLOCK's promoted pages are re-accessed about 15 percentage \
+         points more often than Nimble's — with Fig. 8 the key observation: Nimble promotes \
+         more pages, a smaller share of which earn their migration. Re-access is judged \
+         within one scan interval of the promotion.",
+    );
+    let reaccess = |w: &mc_sim::WindowStats| pct(w.reaccess_pct());
+    let runs = promotion_windows(lab, "re-access %", reaccess, |r| pct(r.reaccess_pct))?;
+    if lab.filtered() {
+        return Ok(());
+    }
+    let gap = runs[0].reaccess_pct.unwrap_or(0.0) - runs[1].reaccess_pct.unwrap_or(0.0);
+    let stmt = "MC's overall re-access % exceeds Nimble's (margin: points)";
+    lab.claim("mc_reaccess_higher", stmt, Holds, gap);
+    let stmt = "the re-access gap is at least 10 points (paper: ~15)";
+    let why = "time compression: on the scaled keyspace most pages are re-referenced within \
+               an interval whoever picked them";
+    lab.claim("gap_near_15_points", stmt, Deviates(why), gap - 10.0);
+    Ok(())
+}
+
+fn fig10(lab: &mut Lab) -> Result<(), String> {
+    let systems = lab.systems(&[ST, MC, NIM]);
+    let sweep = [0.1, 0.25, 0.5, 1.0, 5.0, 60.0];
+    let labels = ["100ms", "250ms", "500ms", "1s", "5s", "60s"].map(String::from);
+    // Static never scans: its one default-interval run is every row's baseline.
+    let run = |i: usize, s| match s {
+        ST => Run::ycsb(W::A, ST),
+        _ => Run::ycsb(W::A, s).every(sweep[i]),
+    };
+    let g = Grid::run(lab, labels.to_vec(), &systems, run, ops)?;
+    lab.text(
+        "Paper: MULTI-CLOCK is above Nimble at every interval from 100 ms to 60 s, 1 s is the \
+         sweet spot, and beyond 5 s the curves flatten (reaction lag). Intervals are in paper \
+         time (DESIGN.md §7). YCSB-A throughput normalised to static:",
+    );
+    g.table(lab, "interval", |n, _| f2(n));
+    if lab.filtered() {
+        return Ok(());
+    }
+    let (mc, nim) = (g.col(MC), g.col(NIM));
+    let stmt = "MC's throughput exceeds Nimble's at every interval";
+    let why = "60 s: both within 0.01 of static; reaction lag dominates";
+    let id = "mc_above_nimble_every_interval";
+    lab.claim(id, stmt, Deviates(why), g.lead(MC, NIM));
+    let margin = mc[3] - max([0, 1, 2, 4, 5].map(|i| mc[i]));
+    lab.claim("peak_at_1s", "MC's best interval is 1 s", Holds, margin);
+    let stmt = "at 5 s and 60 s both systems are within 0.05 of static";
+    let tail = [mc[4], mc[5], nim[4], nim[5]];
+    let margin = 0.05 - max(tail.map(|v| (v - 1.0).abs()));
+    lab.claim("flat_beyond_5s", stmt, Holds, margin);
+    Ok(())
+}
+
+/// DRAM + a write-hostile PM device (QLC-class): stores are 8x slower than
+/// the default Optane model and write bandwidth halves.
+fn slow_write_pm(dram_pages: usize, pm_pages: usize) -> MachineDesc {
+    let optane = TierLatency::optane_pm();
+    MachineBuilder::new()
+        .node(TierKind::Dram, dram_pages)
+        .node(TierKind::Pm, pm_pages)
+        .device(TierLatency {
+            write_ns: optane.write_ns * 8,
+            write_bw_gbps: optane.write_bw_gbps / 2.0,
+            ..optane
+        })
+        .build()
+}
+
+/// YCSB-A throughput of MULTI-CLOCK with the §VII knobs set by hand.
+fn run_mc_variant(scale: &Scale, write_weight: f64, adaptive: bool, slow_pm_writes: bool) -> f64 {
+    let mut cfg = SimConfig::new(MC, scale.dram_pages, scale.pm_pages);
+    cfg.write_weight = write_weight;
+    cfg.adaptive_interval = adaptive;
+    cfg.scan_interval = scale.scan_interval();
+    cfg.scan_batch = scale.scan_batch;
+    if slow_pm_writes {
+        cfg.mem = slow_write_pm(scale.dram_pages, scale.pm_pages);
+    }
+    let mut sim = Simulation::new(cfg);
+    let ycsb = YcsbConfig {
+        records: scale.records,
+        value_size: scale.value_size,
+        seed: scale.seed,
+        ..Default::default()
+    };
+    let mut client = YcsbClient::load(ycsb, &mut sim);
+    let warm_end = sim.now() + scale.warmup;
+    while sim.now() < warm_end {
+        client.run_op(W::A, &mut sim);
+    }
+    let t0 = sim.now();
+    let mut ops = 0u64;
+    while sim.now() < t0 + scale.measure {
+        client.run_op(W::A, &mut sim);
+        ops += 1;
+    }
+    ops as f64 / (sim.now() - t0).as_secs_f64()
+}
+
+/// A read/write-split microbenchmark: one page set is read-hot, a
+/// disjoint set is write-hot, and DRAM fits only one of them — the
+/// configuration where §VII's dirtiness weighting has something to
+/// decide. Returns throughput.
+fn run_split_micro(scale: &Scale, write_weight: f64, slow_pm_writes: bool) -> f64 {
+    let dram = 256usize;
+    let mut cfg = SimConfig::new(MC, dram, 4096);
+    cfg.write_weight = write_weight;
+    cfg.scan_interval = scale.scan_interval();
+    cfg.scan_batch = scale.scan_batch;
+    if slow_pm_writes {
+        cfg.mem = slow_write_pm(dram, 4096);
+    }
+    let mut sim = Simulation::new(cfg);
+    // Two hot sets, each as large as usable DRAM: they cannot both fit.
+    let set_pages = 220u64;
+    let filler = sim.mmap(PAGE_SIZE * dram, PageKind::Anon); // consumes DRAM
+    for i in 0..dram as u64 {
+        sim.read(filler.add(i * PAGE_SIZE as u64), 8);
+    }
+    let read_hot = sim.mmap(PAGE_SIZE * set_pages as usize, PageKind::Anon);
+    let write_hot = sim.mmap(PAGE_SIZE * set_pages as usize, PageKind::Anon);
+    let mut rng = StdRng::seed_from_u64(scale.seed);
+    let mut run_ops = |sim: &mut Simulation, n: u64| {
+        for _ in 0..n {
+            let p = rng.gen_range(0..set_pages);
+            sim.read(read_hot.add(p * PAGE_SIZE as u64), 64);
+            let q = rng.gen_range(0..set_pages);
+            sim.write(write_hot.add(q * PAGE_SIZE as u64), 256);
+        }
+    };
+    run_ops(&mut sim, 300_000); // warm up
+    let t0 = sim.now();
+    run_ops(&mut sim, 300_000);
+    300_000.0 / (sim.now() - t0).as_secs_f64()
+}
+
+fn ablation(lab: &mut Lab) -> Result<(), String> {
+    let cast = [ST, MC, S::AutoNuma, S::Amp, S::OracleLru, S::OracleLfu];
+    let systems = lab.systems(&cast);
+    let ws = [W::A, W::C];
+    let labels = ws.iter().map(W::to_string).collect();
+    let g = Grid::run(lab, labels, &systems, |i, s| Run::ycsb(ws[i], s), ops)?;
+    lab.text(
+        "Beyond the paper's figures. **Selection quality**: the oracles see every access \
+         (strict LRU, LFU) and bound what selection alone can buy; AutoNUMA-Tiering and AMP \
+         are the related-work systems the paper declined to port (§II-D: hint-fault cost, \
+         full-memory profiling \"impractical in the kernel\"). YCSB throughput normalised to \
+         static, then promotions, then re-access % of promoted pages:",
+    );
+    g.table(lab, "workload", |n, _| f2(n));
+    g.table(lab, "workload", |_, o| o.promotions.to_string());
+    g.table(lab, "workload", |_, o| pct(o.reaccess_pct));
+    lab.text(
+        "**§VII extensions.** Paper: weighting dirty pages \"becomes particularly relevant when \
+         the underlying memory hardware exhibits non-uniform latency\". A read/write-split \
+         microbenchmark (one read-hot and one disjoint write-hot page set, DRAM fits only one) \
+         gives the weighting something to decide; on YCSB-A read-hot and write-hot keys \
+         coincide. Throughput relative to unweighted, fixed-interval MULTI-CLOCK on the same \
+         device — the default Optane model, or a write-hostile PM with 8x store latency:",
+    );
+    let scale = lab.args.scale.clone();
+    // (write weight, adaptive interval) per row; the first is the baseline.
+    let variants = [(1.0, false), (2.0, false), (3.0, false), (1.0, true)];
+    let on = |slow: bool| variants.map(|(ww, ad)| (ww, ad, slow));
+    let jobs = [on(false), on(true)].concat();
+    let ycsb = lab.sweep(jobs, |(ww, ad, slow)| run_mc_variant(&scale, ww, ad, slow));
+    let jobs = [(1.0, false), (2.0, false), (1.0, true), (2.0, true)].to_vec();
+    let micro = lab.sweep(jobs, |(ww, slow)| run_split_micro(&scale, ww, slow));
+    let f3 = |v: f64| format!("{v:.3}");
+    let split = [micro[1] / micro[0], micro[3] / micro[2]];
+    let mut rows = vec![("split micro, write-weight 2.0", split)];
+    let names = ["write-weight 2.0", "write-weight 3.0", "adaptive interval"];
+    for (v, name) in names.into_iter().enumerate() {
+        rows.push((name, [ycsb[v + 1] / ycsb[0], ycsb[v + 5] / ycsb[4]]));
+    }
+    let row = |(name, [optane, hostile]): &(&str, [f64; 2])| {
+        vec![name.to_string(), f3(*optane), f3(*hostile)]
+    };
+    let rows: Vec<Vec<String>> = rows.iter().map(row).collect();
+    lab.table(&["variant", "default Optane", "write-hostile PM"], &rows);
+
+    if lab.filtered() {
+        return Ok(());
+    }
+    let a = |s: S| g.col(s)[0];
+    let stmt = "the frequency oracle beats the recency oracle on A and C (the RQ1 premise)";
+    let (lru, lfu) = (S::OracleLru, S::OracleLfu);
+    lab.claim("lfu_beats_lru", stmt, Holds, g.lead(lfu, lru));
+    let stmt = "MC captures at least half of Oracle-LFU's gain over static on A";
+    let margin = (a(MC) - 1.0) / (a(lfu) - 1.0) - 0.5;
+    lab.claim("mc_captures_half_of_lfu", stmt, Holds, margin);
+    let stmt = "on A AMP is within 0.05 of MC but migrates more pages";
+    let promotions = |i: usize| g.raw[0][i].promotions as f64;
+    let more = promotions(3) / promotions(1) - 1.0;
+    let margin = more.min(0.05 - (a(S::Amp) - a(MC)).abs());
+    lab.claim("amp_matches_mc_with_more_migrations", stmt, Holds, margin);
+    let stmt = "AutoNUMA-Tiering loses to static on A and C";
+    let margin = g.lead(ST, S::AutoNuma);
+    lab.claim("autonuma_below_static", stmt, Holds, margin);
+    let stmt = "on YCSB-A the write weights and the adaptive interval move throughput by < 0.01";
+    let margin = 0.01 - max((1..8).map(|i| (ycsb[i] / ycsb[i / 4 * 4] - 1.0).abs()));
+    lab.claim("extensions_neutral_on_ycsb", stmt, Holds, margin);
+    let stmt = "on the split micro write-weight 2.0 pays on write-hostile PM, more than on Optane";
+    let margin = (split[1] - 1.0).min(split[1] - split[0]);
+    lab.claim("write_weight_needs_asymmetric_device", stmt, Holds, margin);
+    Ok(())
+}
+
+/// `[hot tenant ops/s, cold tenant ops/s, promotions]` of the co-located pair.
+fn run_colocation(system: S, scale: &Scale) -> [f64; 3] {
+    let mut cfg = SimConfig::new(system, scale.dram_pages, scale.pm_pages);
+    cfg.scan_interval = scale.scan_interval();
+    cfg.scan_batch = scale.scan_batch;
+    cfg.window = scale.window();
+    let mut sim = Simulation::new(cfg);
+    // The lukewarm tenant loads FIRST and wins the DRAM race.
+    let mut cold_store = KvStore::new(&mut sim, scale.records);
+    let value = vec![7u8; scale.value_size];
+    let cold_keys = scale.records as u64 / 2;
+    for k in 0..cold_keys {
+        cold_store.set(&mut sim, k, &value);
+    }
+    let cold_dist = Uniform::new(cold_keys);
+    let mut cold_rng = StdRng::seed_from_u64(scale.seed ^ 0xc01d);
+    // The hot zipfian tenant loads second: its records land in PM.
+    let ycsb = YcsbConfig {
+        records: scale.records / 2,
+        value_size: scale.value_size,
+        op_compute: scale.op_compute,
+        insert_scale: scale.insert_scale,
+        seed: scale.seed,
+    };
+    let mut hot = YcsbClient::load(ycsb, &mut sim);
+    // Interleave: 4 hot ops per 1 cold op (the hot tenant dominates).
+    let mut phase = |sim: &mut Simulation, until: Nanos, count: bool| -> (u64, u64) {
+        let (mut hot_ops, mut cold_ops) = (0u64, 0u64);
+        while sim.now() < until {
+            for _ in 0..4 {
+                hot.run_op(W::A, sim);
+                hot_ops += 1;
+            }
+            cold_store.get(sim, cold_dist.next(&mut cold_rng));
+            cold_ops += 1;
+            if count {
+                sim.record_op();
+            }
+        }
+        (hot_ops, cold_ops)
+    };
+    let warm_end = sim.now() + scale.warmup;
+    phase(&mut sim, warm_end, false);
+    let t0 = sim.now();
+    let (hot_ops, cold_ops) = phase(&mut sim, t0 + scale.measure, true);
+    let secs = (sim.now() - t0).as_secs_f64();
+    sim.finish();
+    let promotions = sim.metrics().total_promotions() as f64;
+    [hot_ops as f64 / secs, cold_ops as f64 / secs, promotions]
+}
+
+fn colocation(lab: &mut Lab) -> Result<(), String> {
+    lab.text(
+        "Paper §II: with static tiering, \"when an application wins the race to allocate \
+         memory from a higher tier, and such space is exhausted, future allocations will be \
+         downgraded … regardless of how the importance of the contained data changes over \
+         time\". Two tenants share the machine: a lukewarm uniform-access tenant loads first \
+         and wins the DRAM race, a hot zipfian YCSB-A tenant arrives second. Dynamic tiering \
+         must take DRAM back for the tenant that needs it.",
+    );
+    let systems = lab.systems(&[ST, MC, NIM]);
+    let scale = lab.args.scale.clone();
+    let out = lab.sweep(systems.clone(), |s| run_colocation(s, &scale));
+    let line = |(s, [hot, cold, promotions]): (&S, &[f64; 3])| {
+        let counts = [hot, cold, promotions].map(|v| format!("{v:.0}"));
+        row(s.label(), [f2(hot / out[0][0])].into_iter().chain(counts))
+    };
+    let rows: Vec<Vec<String>> = systems.iter().zip(&out).map(line).collect();
+    let tenants = ["hot vs static", "hot ops/s", "lukewarm ops/s"];
+    let headers = [&["system"], &tenants[..], &["promotions"]];
+    lab.table(&headers.concat(), &rows);
+    if lab.filtered() {
+        return Ok(());
+    }
+    let stmt = "MC speeds the hot tenant up over static, and by more than Nimble does";
+    let margin = (out[1][0] / out[0][0] - 1.0).min((out[1][0] - out[2][0]) / out[0][0]);
+    lab.claim("hot_tenant_gains", stmt, Holds, margin);
+    let stmt = "under MC the lukewarm tenant is not slowed down (its hot pages get promoted too)";
+    let margin = out[1][1] / out[0][1] - 1.0;
+    lab.claim("cold_tenant_not_hurt", stmt, Holds, margin);
+    Ok(())
+}
+
+/// `[ops/s, evictions, swap-ins]`, or why the run died.
+type Overcommit = Result<[f64; 3], String>;
+
+/// A zipfian read stream over `footprint` pages on a machine of `total`.
+fn run_overcommit(system: S, total: usize, footprint: usize, seed: u64) -> Overcommit {
+    let dram = total / 5;
+    let mut cfg = SimConfig::new(system, dram, total - dram);
+    cfg.scan_interval = Nanos::from_millis(5);
+    cfg.scan_batch = 4096;
+    let mut sim = Simulation::new(cfg);
+    let region = sim.mmap(PAGE_SIZE * footprint, PageKind::Anon);
+    let zipf = ScrambledZipfian::new(footprint as u64);
+    let mut rng = StdRng::seed_from_u64(seed);
+    // Fault every page in address order first — like an application that
+    // initialises its heap before serving. First-touch order is then
+    // unrelated to hotness (the scrambled zipfian spreads hot pages
+    // uniformly), and overcommitted footprints actually overcommit.
+    for p in 0..footprint as u64 {
+        sim.write(region.add(p * PAGE_SIZE as u64), 64);
+    }
+    // Warm up the policy, then measure a fixed op count.
+    for _ in 0..footprint * 2 {
+        sim.read(region.add(zipf.next(&mut rng) * PAGE_SIZE as u64), 64);
+    }
+    let ops = 400_000u64;
+    let t0 = sim.now();
+    for _ in 0..ops {
+        sim.read(region.add(zipf.next(&mut rng) * PAGE_SIZE as u64), 64);
+    }
+    // Eviction to storage is what keeps an overcommitted run alive; a
+    // policy that cannot free a frame ends it with a typed error.
+    if let Some(e) = sim.error() {
+        return Err(format!("{} over {footprint} pages: {e}", system.label()));
+    }
+    let tput = ops as f64 / (sim.now() - t0).as_secs_f64();
+    let stats = sim.mem().stats();
+    Ok([tput, stats.evictions as f64, stats.swap_ins as f64])
+}
+
+fn overcommit(lab: &mut Lab) -> Result<(), String> {
+    lab.text(
+        "Paper §III-C: demotion is a cascade — DRAM demotes to PM, PM writes back to storage \
+         \"before triggering the out-of-memory (OOM) killer as the last option\". The \
+         footprint is swept past DRAM + PM so the lowest tier must evict; the cascade, driven \
+         by recency and frequency, is pitted against static tiering's placement-blind \
+         evict-in-place. The last two columns are evictions / swap-ins.",
+    );
+    let ratios = [0.8, 1.0, 1.2, 1.5];
+    let scale = &lab.args.scale;
+    let (total, seed) = (scale.dram_pages + scale.pm_pages, scale.seed);
+    let footprint = |ratio: f64| (total as f64 * ratio) as usize;
+    let jobs = ratios
+        .iter()
+        .flat_map(|r| [ST, MC].map(|s| (s, footprint(*r))));
+    let run = |(s, pages)| run_overcommit(s, total, pages, seed);
+    let out = lab.sweep(jobs.collect(), run).into_iter();
+    let out = out.collect::<Result<Vec<_>, String>>()?;
+    let norm: Vec<f64> = out.chunks(2).map(|pair| pair[1][0] / pair[0][0]).collect();
+    let churn = |[_, evictions, swap_ins]: [f64; 3]| format!("{evictions:.0}/{swap_ins:.0}");
+    let row = |i: usize| {
+        let ratio = format!("{:.1}x", ratios[i]);
+        vec![ratio, f2(norm[i]), churn(out[2 * i]), churn(out[2 * i + 1])]
+    };
+    let rows: Vec<Vec<String>> = (0..ratios.len()).map(row).collect();
+    let headers = ["footprint / total memory", "MULTI-CLOCK tput vs static"];
+    lab.table(&[&headers[..], &["static", "MULTI-CLOCK"]].concat(), &rows);
+    let stmt = "at 0.8x neither system evicts (margin: −evictions)";
+    let margin = 0.0 - out[0][1] - out[1][1];
+    lab.claim("no_evictions_when_it_fits", stmt, Holds, margin);
+    let stmt = "MC stays ahead of static at every footprint, through eviction pressure";
+    lab.claim("mc_advantage_persists", stmt, Holds, min(norm) - 1.0);
+    Ok(())
+}

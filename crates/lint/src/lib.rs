@@ -180,6 +180,37 @@ pub fn run_passes(ws: &Workspace, enabled: impl Fn(&str) -> bool) -> Vec<Diagnos
     diags
 }
 
+/// Sizes `crates/<name>/src` per crate, in name order, as `[source lines
+/// (what `wc -l` prints), lines outside `#[cfg(test)]` items — wherever in
+/// the file those sit, so a test-gated item near the top hides nothing
+/// below it — and `pub` items outside test code (not fields, not
+/// `pub(crate)`)]`.
+pub fn count(ws: &Workspace) -> Vec<(String, [usize; 3])> {
+    const ITEMS: [&str; 10] = [
+        "fn", "struct", "enum", "trait", "const", "static", "type", "mod", "use", "unsafe",
+    ];
+    let mut sizes = std::collections::BTreeMap::<String, [usize; 3]>::new();
+    for file in ws.files_under("crates/") {
+        let mut parts = file.rel.split('/');
+        let (Some(name), Some("src")) = (parts.nth(1), parts.next()) else {
+            continue;
+        };
+        let [lines, non_test, pub_items] = sizes.entry(name.to_string()).or_default();
+        let mut offset = 0;
+        for line in file.blanked.split_inclusive('\n') {
+            *lines += 1;
+            if !file.in_test(offset) {
+                *non_test += 1;
+                let item = line.trim_start().strip_prefix("pub ");
+                let keyword = item.and_then(|rest| rest.split_whitespace().next());
+                *pub_items += usize::from(keyword.is_some_and(|k| ITEMS.contains(&k)));
+            }
+            offset += line.len();
+        }
+    }
+    sizes.into_iter().collect()
+}
+
 /// Serialises diagnostics as a JSON array of
 /// `{"file", "line", "lint", "message"}` objects (hand-rolled: mc-lint is
 /// dependency-free).

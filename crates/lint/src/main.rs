@@ -4,8 +4,12 @@
 //!
 //! ```text
 //! mc-lint [--format text|json] [--only PASS[,PASS...]] [--skip PASS[,PASS...]]
+//! mc-lint --count
 //! ```
 //!
+//! `--count` runs no pass: it prints, per crate and in total, the source
+//! lines, the lines outside `#[cfg(test)]` items and the `pub` items of
+//! `crates/*/src` — the size figures ROADMAP.md and CHANGES.md quote.
 //! `--only` and `--skip` filter by pass name (see [`mc_lint::PASS_NAMES`]);
 //! `--format json` emits a machine-readable report (CI uploads it as an
 //! artifact).
@@ -14,6 +18,7 @@ use std::path::Path;
 use std::process::ExitCode;
 
 struct Args {
+    count: bool,
     format: Format,
     only: Option<Vec<String>>,
     skip: Vec<String>,
@@ -27,6 +32,7 @@ enum Format {
 
 fn parse_args() -> Result<Args, String> {
     let mut args = Args {
+        count: false,
         format: Format::Text,
         only: None,
         skip: Vec::new(),
@@ -42,6 +48,7 @@ fn parse_args() -> Result<Args, String> {
                     other => return Err(format!("unknown format `{other}` (text|json)")),
                 }
             }
+            "--count" => args.count = true,
             "--only" => {
                 let passes = parse_passes(&value_of("--only")?)?;
                 args.only.get_or_insert_with(Vec::new).extend(passes);
@@ -50,7 +57,7 @@ fn parse_args() -> Result<Args, String> {
             "--help" | "-h" => {
                 return Err(format!(
                     "usage: mc-lint [--format text|json] [--only PASS[,PASS...]] \
-                     [--skip PASS[,PASS...]]\npasses: {}",
+                     [--skip PASS[,PASS...]] | --count\npasses: {}",
                     mc_lint::PASS_NAMES.join(", ")
                 ))
             }
@@ -106,6 +113,17 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
+    if args.count {
+        let sizes = mc_lint::count(&ws);
+        let total = sizes
+            .iter()
+            .fold([0; 3], |t, (_, s)| [0, 1, 2].map(|i| t[i] + s[i]));
+        println!("crate       src lines  non-test lines  pub items");
+        for (name, [lines, non_test, pub_items]) in sizes.iter().chain([&("TOTAL".into(), total)]) {
+            println!("{name:<10} {lines:>10} {non_test:>15} {pub_items:>10}");
+        }
+        return ExitCode::SUCCESS;
+    }
     let enabled = |pass: &str| {
         args.only
             .as_ref()

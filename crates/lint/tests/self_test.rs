@@ -246,3 +246,30 @@ fn boundary_exempts_own_fields_and_reads() {
         "own lists and read-only access are fine: {diags:?}"
     );
 }
+
+#[test]
+fn count_is_not_fooled_by_an_early_test_gated_item() {
+    // The shape of crates/sim/src/engine.rs: a `#[cfg(test)]` item near
+    // the top, real code below it, the test module at the bottom.
+    let src = "use std::cell::Cell;\n\
+               #[cfg(test)]\n\
+               thread_local! {\n    static N: Cell<u32> = Cell::new(0);\n}\n\
+               /// Doc.\n\
+               pub fn real() {}\n\
+               pub(crate) fn inner() {}\n\
+               pub struct S {\n    pub field: u32,\n}\n\
+               #[cfg(test)]\n\
+               mod tests {\n    pub fn helper() {}\n}\n";
+    let mut ws = Workspace::default();
+    let files = ["crates/sim/src/engine.rs", "crates/sim/tests/t.rs"];
+    for rel in files {
+        ws.files.push(SourceFile::from_source(rel, src));
+    }
+    let sizes = mc_lint::count(&ws);
+    assert_eq!(sizes.len(), 1, "tests/ is not src/");
+    let (name, size) = &sizes[0];
+    assert_eq!(name, "sim");
+    // 7 non-test lines: those below the thread_local count. 2 pub items:
+    // the fn and the struct; not the field, pub(crate) or the test helper.
+    assert_eq!(*size, [15, 7, 2]);
+}

@@ -1,4 +1,4 @@
-//! Canned experiment drivers shared by the `mc-bench` figure binaries and
+//! Canned experiment drivers shared by `mc-bench`'s `repro` sections and
 //! the integration tests.
 //!
 //! The paper's absolute scale (192 GB DRAM + 512 GB PM, hundreds of
@@ -101,8 +101,8 @@ impl Scale {
         }
     }
 
-    /// Default scale for the figure binaries (a few minutes for the whole
-    /// suite in release mode).
+    /// Default scale of `repro`, where the claims are pinned (a few minutes
+    /// for the whole document in release mode).
     pub fn quick() -> Self {
         Scale {
             dram_pages: 1024,
@@ -580,37 +580,6 @@ pub(crate) fn summarize(
         dropped_accesses: sim.dropped_accesses(),
         costs: m.costs(),
     })
-}
-
-/// One experiment per system of the tiered comparison set, in its order;
-/// the first run that fails ends the comparison.
-fn comparison(
-    experiment: impl Fn() -> Experiment,
-    scale: &Scale,
-    machine: fn(usize, usize) -> MachineDesc,
-) -> Result<Vec<RunOutcome>, RunError> {
-    let run = |s: &SystemKind| experiment().system(*s).scale(scale).machine(machine).run();
-    SystemKind::TIERED_COMPARISON.iter().map(run).collect()
-}
-
-/// Runs the Fig. 5 comparison (the tiered-system set) for one YCSB
-/// workload on the given machine shape (see [`Experiment::machine`]).
-pub fn ycsb_comparison(
-    workload: YcsbWorkload,
-    scale: &Scale,
-    machine: fn(usize, usize) -> MachineDesc,
-) -> Result<Vec<RunOutcome>, RunError> {
-    comparison(|| Experiment::ycsb(workload), scale, machine)
-}
-
-/// Runs the Fig. 6 comparison for one GAPBS kernel on the given machine
-/// shape.
-pub fn gapbs_comparison(
-    kernel: Kernel,
-    scale: &Scale,
-    machine: fn(usize, usize) -> MachineDesc,
-) -> Result<Vec<RunOutcome>, RunError> {
-    comparison(|| Experiment::gapbs(kernel), scale, machine)
 }
 
 #[cfg(test)]

@@ -17,8 +17,8 @@
 //!   policy ticks at that instant and re-arms one (possibly adapted)
 //!   interval later. Memory-mode and policies that never tick arm nothing.
 //!
-//! [`experiments`] contains the canned experiment drivers the `mc-bench`
-//! figure binaries and the integration tests share.
+//! [`experiments`] contains the canned experiment drivers `mc-bench`'s
+//! `repro` sections and the integration tests share.
 //!
 //! ```
 //! use mc_sim::{SimConfig, Simulation, SystemKind};
@@ -51,7 +51,6 @@ pub mod experiments;
 pub mod latency_hist;
 pub mod metrics;
 pub mod obs;
-pub mod report;
 
 pub use config::{EngineKnobs, InstrumentKnobs, SimConfig, SystemKind};
 pub use engine::Simulation;

@@ -12,22 +12,12 @@
 //! every tier's lists are split into two shards: larger batches are
 //! deterministic, lose no page, still promote, and shave overhead.
 
+mod common;
+
+use common::Fingerprint;
 use mc_mem::{MachineDesc, Nanos, PageKind, PAGE_SIZE};
 use mc_sim::{SimConfig, Simulation, SystemKind};
 use mc_workloads::Memory;
-
-/// Fingerprint of everything a run can observably produce.
-#[derive(Debug, PartialEq)]
-struct Fingerprint {
-    now: Nanos,
-    stats: mc_mem::MemStats,
-    ticks_csv: String,
-    events_jsonl: String,
-    placement: Vec<Option<(u32, u8)>>,
-    promotions: u64,
-    demotions: u64,
-    costs: mc_sim::CostBreakdown,
-}
 
 const PAGES: u64 = 192;
 
@@ -58,24 +48,7 @@ fn run(cfg: SimConfig) -> Fingerprint {
         s.record_op();
     }
     s.finish();
-    let placement = (0..PAGES)
-        .map(|p| {
-            s.mem().translate(mc_mem::VPage::new(p)).map(|f| {
-                let fr = s.mem().frame(f);
-                (f.raw(), fr.tier().index() as u8)
-            })
-        })
-        .collect();
-    Fingerprint {
-        now: s.now(),
-        stats: s.mem().stats().clone(),
-        ticks_csv: s.obs_ticks_csv().unwrap_or_default(),
-        events_jsonl: s.obs_events_jsonl().unwrap_or_default(),
-        placement,
-        promotions: s.metrics().total_promotions(),
-        demotions: s.metrics().total_demotions(),
-        costs: s.metrics().costs(),
-    }
+    Fingerprint::of(&s, PAGES)
 }
 
 fn base_cfg() -> SimConfig {

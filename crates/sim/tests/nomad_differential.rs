@@ -11,25 +11,12 @@
 //! 20% fault injection, lose no page, and `SystemKind::Nomad` is exactly
 //! MULTI-CLOCK forced into transactional mode.
 
+mod common;
+
+use common::Fingerprint;
 use mc_mem::{Nanos, PageKind, PAGE_SIZE};
 use mc_sim::{FaultConfig, MigrationMode, RetryPolicy, SimConfig, Simulation, SystemKind};
 use mc_workloads::Memory;
-
-/// Fingerprint of everything a run can observably produce.
-#[derive(Debug, PartialEq)]
-struct Fingerprint {
-    now: Nanos,
-    stats: mc_mem::MemStats,
-    ticks_csv: String,
-    events_jsonl: String,
-    placement: Vec<Option<(u32, u8)>>,
-    promotions: u64,
-    demotions: u64,
-    stall_time: Nanos,
-    /// Transactions still in their copy window when the run ended (the
-    /// last tick's begins never get a settle tick).
-    open_txns: u64,
-}
 
 const PAGES: u64 = 192;
 
@@ -64,25 +51,7 @@ fn run(cfg: SimConfig) -> Fingerprint {
         s.record_op();
     }
     s.finish();
-    let placement = (0..PAGES)
-        .map(|p| {
-            s.mem().translate(mc_mem::VPage::new(p)).map(|f| {
-                let fr = s.mem().frame(f);
-                (f.raw(), fr.tier().index() as u8)
-            })
-        })
-        .collect();
-    Fingerprint {
-        now: s.now(),
-        stats: s.mem().stats().clone(),
-        ticks_csv: s.obs_ticks_csv().unwrap_or_default(),
-        events_jsonl: s.obs_events_jsonl().unwrap_or_default(),
-        placement,
-        promotions: s.metrics().total_promotions(),
-        demotions: s.metrics().total_demotions(),
-        stall_time: s.metrics().costs().stall_time,
-        open_txns: s.mem().migration_txns().len() as u64,
-    }
+    Fingerprint::of(&s, PAGES)
 }
 
 fn base_cfg() -> SimConfig {
@@ -204,9 +173,9 @@ fn transactional_mode_stalls_the_app_less_than_sync() {
     let txn = run(transactional_cfg());
     assert!(txn.stats.txn_commits > 0, "no commits, nothing compared");
     assert!(
-        txn.stall_time < sync.stall_time,
+        txn.costs.stall_time < sync.costs.stall_time,
         "transactional stall {:?} must beat sync stall {:?}",
-        txn.stall_time,
-        sync.stall_time
+        txn.costs.stall_time,
+        sync.costs.stall_time
     );
 }
