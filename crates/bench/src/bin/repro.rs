@@ -4,6 +4,7 @@
 //! cargo run --release -p mc-bench --bin repro > EXPERIMENTS.md
 //! repro --only fig5,fig10 --threads 2     # some sections (not gated)
 //! repro --tiny --only fig5 --systems nomad --obs /tmp/mc-nomad
+//! repro --only chaos --systems nomad --machine dram-cxl-pm
 //! ```
 //!
 //! Each distinct experiment runs once per invocation whatever sections ask
@@ -15,10 +16,8 @@
 
 use mc_bench::{repro, Args};
 
-const FLAGS: &str = "--tiny --quick --full --threads --machine --systems --obs --only";
-
 fn main() {
-    let args = Args::from_env(FLAGS);
+    let args = Args::from_env();
     let lab = repro::generate(&args).unwrap_or_else(|msg| {
         eprintln!("repro: {msg}");
         std::process::exit(2)

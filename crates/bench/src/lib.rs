@@ -1,8 +1,7 @@
-//! The benchmark harness behind `repro`, `chaos` and `mc-batch`: the one
-//! command-line parser ([`Args`]), the [`SweepRunner`], the Markdown
-//! [`report`] helpers and the [`repro`] document generator with its
-//! [`sections`]. Host-time measurement lives in the repo benchmark
-//! (`benchmark/`), not here.
+//! The evaluation harness behind the `repro` binary: its command-line
+//! parser ([`Args`]), the `SweepRunner`, the Markdown [`report`] helpers
+//! and the [`repro`] document generator with its `sections`. Host-time
+//! measurement lives in the repo benchmark (`benchmark/`), not here.
 
 pub mod report;
 pub mod repro;
@@ -60,16 +59,15 @@ fn parse_machine(s: &str) -> Option<NamedShape> {
     MACHINES.into_iter().find(|(n, _)| *n == name)
 }
 
-/// A parsed command line. Every flag of every bench binary is a field
-/// here; a binary names the subset it accepts and [`Args::parse`] rejects
-/// the rest, so a misspelt or inapplicable flag is an error, not a no-op.
+/// `repro`'s parsed command line. [`Args::parse`] rejects what is not a
+/// field here, so a misspelt flag is an error, not a no-op.
 #[derive(Debug, Clone)]
 pub struct Args {
     /// `--tiny` / `--quick` (the default) / `--full`: the scale's name...
     pub scale_name: &'static str,
     /// ...and the scale itself.
     pub scale: Scale,
-    /// `--threads N`: [`SweepRunner`] workers (default 1, sequential).
+    /// `--threads N`: worker threads (default 1, sequential).
     pub threads: usize,
     /// `--machine NAME`: the machine shape (default `dram-pm`).
     pub machine: NamedShape,
@@ -77,32 +75,18 @@ pub struct Args {
     pub systems: Option<Vec<SystemKind>>,
     /// `--obs DIR`: export obs artifacts under `DIR/<row>/`.
     pub obs: Option<PathBuf>,
-    /// `--only SECTION[,…]` (`repro`): the sections to generate.
+    /// `--only SECTION[,…]`: the sections to generate.
     pub only: Vec<String>,
-    /// `--fault-rate P` (`chaos`): one rate instead of the sweep.
-    pub fault_rate: Option<f64>,
-    /// `--seed N` (`chaos`): the fault injector's seed (default 42).
-    pub seed: u64,
-    /// `--batches LIST` (`mc-batch`): the batch sizes to sweep.
-    pub batches: Vec<usize>,
-    /// `--json PATH` (`mc-batch`): where the sweep artifact goes.
-    pub json: Option<PathBuf>,
 }
 
 impl Args {
-    /// Parses `argv` (without the program name), accepting only the flags
-    /// in the space-separated `accepted`.
+    /// Parses `argv` (without the program name).
     ///
     /// # Errors
     ///
     /// A one-line diagnostic for an unknown flag, a missing value or a
     /// value that does not parse.
-    pub fn parse(argv: &[String], accepted: &str) -> Result<Args, String> {
-        fn num<T: std::str::FromStr>(flag: &str, v: &str) -> Result<T, String> {
-            v.trim()
-                .parse()
-                .map_err(|_| format!("{flag}: `{v}` is not a valid number"))
-        }
+    pub fn parse(argv: &[String]) -> Result<Args, String> {
         let mut a = Args {
             scale_name: "quick",
             scale: Scale::quick(),
@@ -111,24 +95,17 @@ impl Args {
             systems: None,
             obs: None,
             only: Vec::new(),
-            fault_rate: None,
-            seed: 42,
-            batches: Vec::new(),
-            json: None,
         };
         let mut it = argv.iter();
         while let Some(flag) = it.next() {
             let flag = flag.as_str();
-            if !accepted.split(' ').any(|a| a == flag) {
-                return Err(format!("unknown flag `{flag}`"));
-            }
             let mut value = || it.next().ok_or(format!("{flag} requires a value"));
             match flag {
                 "--tiny" => (a.scale_name, a.scale) = ("tiny", Scale::tiny()),
                 "--quick" => (a.scale_name, a.scale) = ("quick", Scale::quick()),
                 "--full" => (a.scale_name, a.scale) = ("full", Scale::full()),
                 "--threads" => {
-                    a.threads = num(flag, value()?)?;
+                    a.threads = value()?.trim().parse().unwrap_or(0);
                     if a.threads == 0 {
                         return Err("--threads requires a positive integer".into());
                     }
@@ -148,14 +125,7 @@ impl Args {
                 }
                 "--obs" => a.obs = Some(value()?.into()),
                 "--only" => a.only = value()?.split(',').map(|s| s.trim().into()).collect(),
-                "--fault-rate" => a.fault_rate = Some(num(flag, value()?)?),
-                "--seed" => a.seed = num(flag, value()?)?,
-                "--batches" => {
-                    let sizes = value()?.split(',').map(|v| num(flag, v));
-                    a.batches = sizes.collect::<Result<_, _>>()?;
-                }
-                "--json" => a.json = Some(value()?.into()),
-                _ => return Err(format!("`{flag}` is accepted but not parsed (a bug)")),
+                _ => return Err(format!("unknown flag `{flag}`")),
             }
         }
         Ok(a)
@@ -163,10 +133,11 @@ impl Args {
 
     /// [`Args::parse`] over the process's argv; on a rejected command line
     /// prints the diagnostic and a usage line and exits with code 2.
-    pub fn from_env(accepted: &str) -> Args {
+    pub fn from_env() -> Args {
+        const FLAGS: &str = "--tiny --quick --full --threads --machine --systems --obs --only";
         let argv: Vec<String> = std::env::args().collect();
-        Args::parse(&argv[1..], accepted).unwrap_or_else(|msg| {
-            eprintln!("{}: {msg}\nusage: {0} [{accepted}]", argv[0]);
+        Args::parse(&argv[1..]).unwrap_or_else(|msg| {
+            eprintln!("{}: {msg}\nusage: {0} [{FLAGS}]", argv[0]);
             std::process::exit(2)
         })
     }
@@ -181,13 +152,13 @@ impl Args {
 /// their inputs. `threads == 1` runs everything inline on the calling
 /// thread with no pool at all.
 #[derive(Debug, Clone, Copy)]
-pub struct SweepRunner {
+pub(crate) struct SweepRunner {
     threads: usize,
 }
 
 impl SweepRunner {
     /// A runner with `threads` workers (clamped up to at least 1).
-    pub fn new(threads: usize) -> Self {
+    pub(crate) fn new(threads: usize) -> Self {
         SweepRunner {
             threads: threads.max(1),
         }
@@ -195,7 +166,7 @@ impl SweepRunner {
 
     /// Runs `f` over every job, `threads` at a time, and returns the
     /// results in the jobs' input order.
-    pub fn run<T, R, F>(&self, jobs: Vec<T>, f: F) -> Vec<R>
+    pub(crate) fn run<T, R, F>(&self, jobs: Vec<T>, f: F) -> Vec<R>
     where
         T: Send,
         R: Send,
@@ -230,52 +201,36 @@ impl SweepRunner {
     }
 }
 
-/// Prints the standard experiment banner.
-pub fn banner(figure: &str, description: &str, scale: &Scale) {
-    println!("==============================================================");
-    println!("{figure}: {description}");
-    println!(
-        "machine: DRAM {} pages ({} MiB) + PM {} pages ({} MiB); seed {}",
-        scale.dram_pages,
-        scale.dram_pages * 4 / 1024,
-        scale.pm_pages,
-        scale.pm_pages * 4 / 1024,
-        scale.seed,
-    );
-    println!("==============================================================");
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn parse(argv: &[&str], accepted: &str) -> Result<Args, String> {
+    fn parse(argv: &[&str]) -> Result<Args, String> {
         let argv: Vec<String> = argv.iter().map(|s| s.to_string()).collect();
-        Args::parse(&argv, accepted)
+        Args::parse(&argv)
     }
 
     #[test]
     fn default_scale_is_quick() {
-        let a = parse(&[], "").unwrap();
+        let a = parse(&[]).unwrap();
         assert_eq!(a.scale_name, "quick");
         assert_eq!(a.scale.dram_pages, Scale::quick().dram_pages);
-        let a = parse(&["--tiny"], "--tiny").unwrap();
+        let a = parse(&["--tiny"]).unwrap();
         assert_eq!(a.scale.dram_pages, Scale::tiny().dram_pages);
     }
 
     #[test]
     fn unknown_flags_and_missing_values_are_rejected() {
-        let known = "--systems --threads --tiny";
-        let err = parse(&["--polcy", "nomad"], known).unwrap_err();
+        let err = parse(&["--polcy", "nomad"]).unwrap_err();
         assert!(err.contains("unknown flag `--polcy`"), "{err}");
-        // A real flag this binary does not take is just as unknown.
-        assert!(parse(&["--machine", "dram-pm"], known).is_err());
-        let err = parse(&["--tiny", "--threads"], known).unwrap_err();
+        // A flag of the deleted sweep binaries is just as unknown.
+        assert!(parse(&["--fault-rate", "0.2"]).is_err());
+        let err = parse(&["--tiny", "--threads"]).unwrap_err();
         assert!(err.contains("--threads requires a value"), "{err}");
-        assert!(parse(&["--threads", "0"], known).is_err());
-        assert!(parse(&["--threads", "two"], known).is_err());
-        assert!(parse(&["--systems", "nomad,bogus"], known).is_err());
-        let a = parse(&["--systems", "nomad, ht", "--threads", "3"], known).unwrap();
+        assert!(parse(&["--threads", "0"]).is_err());
+        assert!(parse(&["--threads", "two"]).is_err());
+        assert!(parse(&["--systems", "nomad,bogus"]).is_err());
+        let a = parse(&["--systems", "nomad, ht", "--threads", "3"]).unwrap();
         assert_eq!(
             a.systems,
             Some(vec![SystemKind::Nomad, SystemKind::HybridTier])
@@ -314,10 +269,10 @@ mod tests {
 
     #[test]
     fn default_machine_is_dram_pm() {
-        let (name, shape) = parse(&[], "").unwrap().machine;
+        let (name, shape) = parse(&[]).unwrap().machine;
         assert_eq!(name, "dram-pm");
         assert_eq!(shape(64, 256), MachineDesc::dram_pm(64, 256));
-        assert!(parse(&["--machine", "numa"], "--machine").is_err());
+        assert!(parse(&["--machine", "numa"]).is_err());
     }
 
     #[test]

@@ -32,7 +32,7 @@ pub(crate) fn normalize_to_static(
 /// # Panics
 ///
 /// When a row's width differs from the header's (a bug in the caller).
-pub fn markdown_table<H: AsRef<str>>(headers: &[H], rows: &[Vec<String>]) -> String {
+pub(crate) fn markdown_table<H: AsRef<str>>(headers: &[H], rows: &[Vec<String>]) -> String {
     let mut widths: Vec<usize> = headers
         .iter()
         .map(|h| h.as_ref().chars().count().max(3))

@@ -5,91 +5,74 @@
 
 use crate::report::{markdown_table, Claim, Expectation};
 use crate::{Args, SweepRunner};
-use mc_sim::experiments::{Experiment, RunOutcome, Scale};
-use mc_sim::SystemKind;
+use mc_sim::experiments::{Experiment, RunOutcome};
+use mc_sim::{SimConfig, SystemKind};
 use mc_workloads::graph::Kernel;
 use mc_workloads::ycsb::YcsbWorkload;
 use std::collections::BTreeMap;
+use std::fmt::Display;
 
-/// What a memoised run drives.
-#[derive(Debug, Clone, Copy)]
-enum Workload {
-    Ycsb(YcsbWorkload),
-    Gapbs(Kernel),
-}
-
-/// One experiment a section asks for; two requests that resolve to the
-/// same configuration share one execution.
-#[derive(Debug, Clone, Copy)]
+/// One experiment a section asks for: the row it fills in a table (also
+/// its `--obs` sub-directory) and the run itself. The memo is keyed on the
+/// row and the system, so whatever sets a run apart from the workload's
+/// default setup goes into both at once ([`Run::with`]).
+#[derive(Debug, Clone)]
 pub(crate) struct Run {
-    workload: Workload,
-    system: SystemKind,
-    /// Footprint sized at 4x DRAM ([`Scale::memory_mode`]).
-    four_x: bool,
-    /// The scan interval in paper seconds (default 1).
-    paper_secs: f64,
+    row: String,
+    e: Experiment,
 }
 
 impl Run {
-    /// `workload` on `system` at the scale's default scan interval.
-    pub(crate) fn ycsb(workload: YcsbWorkload, system: SystemKind) -> Run {
-        Run {
-            workload: Workload::Ycsb(workload),
-            system,
-            four_x: false,
-            paper_secs: 1.0,
-        }
+    fn new(args: &Args, row: String, e: Experiment) -> Run {
+        let e = e.machine(args.machine.1);
+        Run { row, e }
     }
 
-    /// The same run with the footprint sized at 4x DRAM (Fig. 7).
-    pub(crate) fn four_x(mut self) -> Run {
-        self.four_x = true;
-        self
-    }
-
-    /// The same run scanning every `paper_secs` paper seconds (Fig. 10).
-    pub(crate) fn every(mut self, paper_secs: f64) -> Run {
-        self.paper_secs = paper_secs;
-        self
+    /// `workload` on `system` at the invocation's scale and machine.
+    pub(crate) fn ycsb(args: &Args, workload: YcsbWorkload, system: SystemKind) -> Run {
+        let e = Experiment::ycsb(workload, system, &args.scale);
+        Run::new(args, workload.to_string(), e)
     }
 
     /// The GAPBS `kernel` on `system`.
-    pub(crate) fn gapbs(kernel: Kernel, system: SystemKind) -> Run {
-        Run {
-            workload: Workload::Gapbs(kernel),
-            ..Run::ycsb(YcsbWorkload::A, system)
-        }
+    pub(crate) fn gapbs(args: &Args, kernel: Kernel, system: SystemKind) -> Run {
+        let e = Experiment::gapbs(kernel, system, &args.scale);
+        Run::new(args, kernel.label().to_string(), e)
     }
 
-    /// The run's row in a table and its `--obs` sub-directory: the
-    /// workload, plus whatever departs from the default setup.
-    fn row(&self, scale: &Scale) -> String {
-        let mut row = match self.workload {
-            Workload::Ycsb(w) => w.to_string(),
-            Workload::Gapbs(k) => k.label().to_string(),
-        };
-        if self.four_x {
-            row.push_str("-4x");
-        }
-        if self.paper_secs != 1.0 {
-            row.push_str(&format!("-{}", scale.paper_interval(self.paper_secs)));
-        }
-        row
+    /// [`Run::ycsb`] with the footprint sized at 4x DRAM (Fig. 7).
+    pub(crate) fn ycsb_4x(args: &Args, workload: YcsbWorkload, system: SystemKind) -> Run {
+        let e = Experiment::ycsb(workload, system, &args.scale.memory_mode());
+        Run::new(args, format!("{workload}-4x"), e)
     }
 
-    fn experiment(&self, scale: &Scale) -> Experiment {
-        let scale = if self.four_x {
-            scale.memory_mode()
-        } else {
-            scale.clone()
-        };
-        let e = match self.workload {
-            Workload::Ycsb(w) => Experiment::ycsb(w),
-            Workload::Gapbs(k) => Experiment::gapbs(k),
-        };
-        e.system(self.system)
-            .interval(scale.paper_interval(self.paper_secs))
-            .scale(&scale)
+    /// [`Run::gapbs`] at the same 4x-DRAM scale (Fig. 7).
+    pub(crate) fn gapbs_4x(args: &Args, kernel: Kernel, system: SystemKind) -> Run {
+        let e = Experiment::gapbs(kernel, system, &args.scale.memory_mode());
+        Run::new(args, format!("{}-4x", kernel.label()), e)
+    }
+
+    /// The same run with `edit` applied to its configuration, on the row
+    /// `<row>-<tag>`.
+    pub(crate) fn with(mut self, tag: impl Display, edit: impl FnOnce(&mut SimConfig)) -> Run {
+        self.row = format!("{}-{tag}", self.row);
+        edit(&mut self.e.cfg);
+        self
+    }
+
+    /// The same run scanning every `paper_secs` paper seconds (Fig. 10);
+    /// one paper second is the default and keeps the row.
+    pub(crate) fn every(mut self, args: &Args, paper_secs: f64) -> Run {
+        if paper_secs != 1.0 {
+            let interval = args.scale.paper_interval(paper_secs);
+            self.row = format!("{}-{interval}", self.row);
+            self.e = self.e.interval(interval);
+        }
+        self
+    }
+
+    fn key(&self) -> String {
+        format!("{} · {}", self.row, self.e.cfg.system.label())
     }
 }
 
@@ -158,18 +141,16 @@ impl<'a> Lab<'a> {
     ///
     /// The first run that fails (out of memory, unwritable obs directory).
     pub(crate) fn runs(&mut self, runs: &[Run]) -> Result<Vec<RunOutcome>, String> {
-        let scale = &self.args.scale;
-        let key = |r: &Run| format!("{} · {}", r.row(scale), r.system.label());
         let mut missing: Vec<(String, Experiment)> = Vec::new();
         for r in runs {
-            let k = key(r);
+            let k = r.key();
             if self.memo.contains_key(&k) || missing.iter().any(|(m, _)| *m == k) {
                 continue;
             }
-            let mut e = r.experiment(scale).machine(self.args.machine.1);
+            let mut e = r.e.clone();
             if let (Some(dir), Some([named])) = (&self.args.obs, self.args.systems.as_deref()) {
-                if r.system == *named {
-                    e = e.obs(dir.join(r.row(scale)));
+                if e.cfg.system == *named {
+                    e.obs_dir = Some(dir.join(&r.row));
                 }
             }
             missing.push((k, e));
@@ -179,7 +160,7 @@ impl<'a> Lab<'a> {
             let outcome = outcome.map_err(|e| format!("{k}: {e}"))?;
             self.memo.insert(k, outcome);
         }
-        Ok(runs.iter().map(|r| self.memo[&key(r)].clone()).collect())
+        Ok(runs.iter().map(|r| self.memo[&r.key()].clone()).collect())
     }
 
     /// Appends a paragraph (or any Markdown block) to the document.

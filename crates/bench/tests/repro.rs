@@ -7,13 +7,12 @@ use mc_bench::{repro, Args};
 use mc_mem::Nanos;
 use std::process::Command;
 
-const FLAGS: &str = "--tiny --quick --full --threads --machine --systems --obs --only";
 /// The sections cheap enough to run whole in a debug build.
 const CHEAP: &str = "fig1,fig2,table1,fig6,overcommit";
 
 fn args(argv: &[&str]) -> Args {
     let argv: Vec<String> = argv.iter().map(|s| s.to_string()).collect();
-    let mut args = Args::parse(&argv, FLAGS).expect("a valid command line");
+    let mut args = Args::parse(&argv).expect("a valid command line");
     // Seconds, not minutes, in a debug build.
     args.scale.graph_scale = 8;
     args.scale.warmup = Nanos::from_millis(100);
@@ -75,9 +74,25 @@ fn a_configuration_two_sections_ask_for_runs_once() {
 }
 
 #[test]
+fn the_fault_and_batch_sweeps_share_the_uninjected_runs() {
+    let lab = args(&["--tiny", "--only", "fig8,chaos,batch"]);
+    let lab = repro::generate(&lab).unwrap();
+    // Fig. 8's pair, 5 rates x 2 systems, Nomad's uninjected run and
+    // batches 2-16: MULTI-CLOCK's uninjected run and batch 1 are Fig. 8's.
+    assert_eq!(lab.executed, 2 + 10 + 1 + 4);
+    assert_eq!(lab.out.matches("| A · MULTI-CLOCK ").count(), 1);
+    assert_eq!(lab.out.matches("| A-fault0.4 · ").count(), 2);
+    assert_eq!(lab.out.matches("| A-batch").count(), 4);
+    let ids: Vec<&str> = lab.claims.iter().map(|c| c.id.as_str()).collect();
+    let count = |section: &str| ids.iter().filter(|id| id.starts_with(section)).count();
+    assert_eq!((count("chaos."), count("batch.")), (3, 3), "{ids:?}");
+}
+
+#[test]
 fn output_bytes_do_not_depend_on_the_thread_count() {
-    let sequential = args(&["--tiny", "--only", CHEAP, "--threads", "1"]);
-    let parallel = args(&["--tiny", "--only", CHEAP, "--threads", "4"]);
+    let sections = format!("{CHEAP},chaos,batch");
+    let sequential = args(&["--tiny", "--only", &sections, "--threads", "1"]);
+    let parallel = args(&["--tiny", "--only", &sections, "--threads", "4"]);
     let a = repro::generate(&sequential).unwrap();
     let b = repro::generate(&parallel).unwrap();
     assert_eq!(a.out, b.out);
@@ -132,7 +147,7 @@ fn section_ids_are_unique_and_unknown_ones_are_rejected() {
     assert!(err.contains("no section `nosuch`"), "{err}");
     let listed = err.rsplit("there are ").next().unwrap();
     let ids: Vec<&str> = listed.split(", ").collect();
-    assert_eq!(ids.len(), 12, "{err}");
+    assert_eq!(ids.len(), 14, "{err}");
     let unique: std::collections::BTreeSet<&str> = ids.iter().copied().collect();
     assert_eq!(unique.len(), ids.len(), "duplicate section id in {ids:?}");
     let obs = args(&["--only", "fig5", "--obs", "/tmp/x"]);
@@ -161,6 +176,9 @@ fn the_binary_exits_2_on_a_bad_command_line_and_0_on_a_good_one() {
     );
     assert!(stdout.is_empty());
     assert_eq!(repro(&["--threads"]).0, Some(2), "missing value");
+    // The flags of the deleted sweep binaries did not move here.
+    assert_eq!(repro(&["--fault-rate", "0.2"]).0, Some(2));
+    assert_eq!(repro(&["--batches", "1,8"]).0, Some(2));
     assert_eq!(repro(&["--only", "nosuch"]).0, Some(2));
     let (code, stderr, stdout) = repro(&["--tiny", "--only", "fig1,fig2"]);
     assert_eq!(code, Some(0), "{stderr}");

@@ -2,7 +2,6 @@
 
 use mc_fault::RetryPolicy;
 use mc_mem::{MigrationMode, Nanos};
-use mc_obs::PerfHooks;
 use serde::{Deserialize, Serialize};
 
 /// Configuration for [`crate::MultiClock`].
@@ -57,13 +56,6 @@ pub struct MultiClockConfig {
     /// zero-copy mapping flip back to it. Shadows are invalidated on the
     /// first dirty write and released under allocation pressure.
     pub migration_mode: MigrationMode,
-    /// Optional host-time profiling hooks ([`mc_obs::perf`]). `None` (the
-    /// default) makes every phase boundary a no-op; `Some` opens a
-    /// wall-clock span around each scan/promote-drain/pressure/
-    /// migrate-batch phase. Hooks only *observe* host time — no clock
-    /// value flows back into the engine — so any setting produces results
-    /// bit-identical to `None`.
-    pub perf: Option<PerfHooks>,
 }
 
 impl Default for MultiClockConfig {
@@ -79,7 +71,6 @@ impl Default for MultiClockConfig {
             migrate_batch_size: 1,
             retry: RetryPolicy::immediate(),
             migration_mode: MigrationMode::Sync,
-            perf: None,
         }
     }
 }

@@ -37,16 +37,13 @@ impl MultiClock {
         // (commit: atomic remap) or been dirtied (abort: back into the
         // retry/backoff path). Sync mode never opens one.
         out.promoted += self.settle_txns(mem);
-        // Host-time phase spans (no-ops when hooks are off). Cloning the
-        // handle up front keeps the later `&mut self` phases borrowable;
-        // spans only observe the host clock, never engine state.
-        let perf = self.cfg.perf.clone();
-
         // Scan phase, in (tier, shard, kind, list) order. A frame's
         // reference bit is consumed by the first list that visits it, so a
         // page the inactive scan activates reads as unreferenced when the
         // active scan reaches it in the same tick.
-        let mut scan_span = perf.as_ref().map(|p| p.span(mc_obs::Phase::Scan));
+        // Host-time phase spans (no-ops when hooks are off) only observe
+        // the host clock, never engine state.
+        let mut scan_span = mem.perf_span(mc_obs::Phase::Scan);
         for t in 0..tier_count {
             let tier = TierId::new(t as u8);
             // Ageing of unreferenced promote pages (transition 11) only
@@ -77,7 +74,7 @@ impl MultiClock {
 
         // Drain promote lists bottom-up relative to their target: tier 1
         // promotes into tier 0 before tier 2 promotes into tier 1.
-        let mut drain_span = perf.as_ref().map(|p| p.span(mc_obs::Phase::PromoteDrain));
+        let mut drain_span = mem.perf_span(mc_obs::Phase::PromoteDrain);
         let mut promoted = 0u64;
         for tier in 1..tier_count {
             promoted += self.promote_all(mem, TierId::new(tier as u8));
@@ -89,7 +86,7 @@ impl MultiClock {
         drop(drain_span);
 
         // kswapd-style balancing: react to watermark pressure.
-        let mut pressure_span = perf.as_ref().map(|p| p.span(mc_obs::Phase::Pressure));
+        let mut pressure_span = mem.perf_span(mc_obs::Phase::Pressure);
         for tier in 0..tier_count {
             let tier = TierId::new(tier as u8);
             if mem.tier_under_pressure(tier) {
@@ -345,11 +342,7 @@ impl MultiClock {
             // Span over the migration call itself (items = pages handed
             // over); the per-page booking below is accounted to the
             // surrounding promote-drain span.
-            let mut batch_span = self
-                .cfg
-                .perf
-                .as_ref()
-                .map(|p| p.span(mc_obs::Phase::MigrateBatch));
+            let mut batch_span = mem.perf_span(mc_obs::Phase::MigrateBatch);
             if let Some(s) = batch_span.as_mut() {
                 s.add_items(pages.len() as u64);
             }

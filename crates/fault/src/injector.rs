@@ -45,15 +45,6 @@ pub struct FaultStats {
     pub stalled_accesses: u64,
 }
 
-impl FaultStats {
-    /// Total injected failures (excluding stalls, which only slow).
-    pub fn total_failures(&self) -> u64 {
-        self.migrate_faults
-            .saturating_add(self.alloc_faults)
-            .saturating_add(self.offline_rejections)
-    }
-}
-
 /// The runtime handle: a plan, a private seeded stream, the current
 /// virtual time, and per-tier manual offline overrides.
 #[derive(Debug, Clone)]

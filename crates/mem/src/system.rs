@@ -15,7 +15,7 @@ use crate::topology::Topology;
 use crate::txn::{MigrationMode, MigrationTxn, PageMove, ShadowPages};
 use crate::watermark::Watermarks;
 use mc_fault::{FaultInjector, InjectedFault};
-use mc_obs::{saturating_bump, EventKind, Recorder};
+use mc_obs::{saturating_bump, EventKind, PerfHooks, Phase, PhaseSpan, Recorder};
 use std::collections::HashSet;
 
 /// Runtime state of one NUMA node.
@@ -64,6 +64,9 @@ pub struct MemorySystem {
     /// Optional fault injector. `None` (the default) leaves every path
     /// byte-identical to an engine without the fault layer.
     fault: Option<FaultInjector>,
+    /// Optional host-time profiling hooks. Spans only observe the host
+    /// clock, so any setting is bit-identical to `None`.
+    perf: Option<PerfHooks>,
     /// In-flight transactional migrations, in begin order. Empty under
     /// `MigrationMode::Sync`, which keeps every sync path bit-identical
     /// to an engine without the transactional layer.
@@ -110,6 +113,7 @@ impl MemorySystem {
             events: Vec::new(),
             recorder: Recorder::disabled(),
             fault: None,
+            perf: None,
             txns: Vec::new(),
             txn_slot: Vec::new(),
             shadows: ShadowPages::new(),
@@ -132,6 +136,19 @@ impl MemorySystem {
     /// toggles in tests and the chaos harness).
     pub fn fault_injector_mut(&mut self) -> Option<&mut FaultInjector> {
         self.fault.as_mut()
+    }
+
+    /// Installs host-time profiling hooks ([`mc_obs::perf`]): the layers
+    /// above open their phase spans through [`Self::perf_span`].
+    pub fn set_perf_hooks(&mut self, hooks: PerfHooks) {
+        self.perf = Some(hooks);
+    }
+
+    /// Opens a host-time span around `phase`, recorded when dropped;
+    /// `None` (a no-op) unless hooks are installed. The span owns its
+    /// profiler handle, so it does not keep the substrate borrowed.
+    pub fn perf_span(&self, phase: Phase) -> Option<PhaseSpan> {
+        self.perf.as_ref().map(|p| p.span(phase))
     }
 
     /// Advances the substrate's virtual timestamp: the trace recorder and
@@ -211,11 +228,6 @@ impl MemorySystem {
     /// The page table.
     pub fn page_table(&self) -> &PageTable {
         &self.page_table
-    }
-
-    /// Mutable page table access (poisoning, test harnesses).
-    pub fn page_table_mut(&mut self) -> &mut PageTable {
-        &mut self.page_table
     }
 
     /// Total number of frames.

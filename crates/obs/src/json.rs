@@ -2,9 +2,9 @@
 //!
 //! The vendored `serde` is a no-op stub (marker traits only), so all
 //! serialisation in this workspace is hand-written. Trace events and the
-//! report binary only need flat objects — string, number, null and flat
-//! numeric-array values, no nesting — which keeps both directions small
-//! and auditable.
+//! report binary only need flat objects — string, number, boolean and
+//! null values, no nesting — which keeps both directions small and
+//! auditable.
 
 /// Escapes a string for embedding inside a JSON string literal.
 pub fn escape(s: &str) -> String {
@@ -82,24 +82,6 @@ impl ObjectWriter {
         self.buf.push_str("null");
     }
 
-    /// Appends a flat array of numbers (non-finite values become `null`,
-    /// mirroring [`ObjectWriter::float_field`]).
-    pub fn num_arr_field(&mut self, key: &str, values: &[f64]) {
-        self.key(key);
-        self.buf.push('[');
-        for (i, v) in values.iter().enumerate() {
-            if i > 0 {
-                self.buf.push(',');
-            }
-            if v.is_finite() {
-                self.buf.push_str(&format!("{v}"));
-            } else {
-                self.buf.push_str("null");
-            }
-        }
-        self.buf.push(']');
-    }
-
     /// Closes the object and returns the JSON text.
     pub fn finish(mut self) -> String {
         self.buf.push('}');
@@ -117,14 +99,12 @@ pub enum Value {
     Num(f64),
     /// A JSON boolean.
     Bool(bool),
-    /// A flat array of numbers (no nested arrays or objects).
-    Arr(Vec<f64>),
     /// JSON `null`.
     Null,
 }
 
-/// Parses one flat JSON object (no nested objects; arrays of numbers
-/// only) into key/value pairs, preserving order. Returns a
+/// Parses one flat JSON object (no nested objects, no arrays) into
+/// key/value pairs, preserving order. Returns a
 /// human-readable error on malformed input — the report binary surfaces
 /// these verbatim.
 pub fn parse_flat_object(input: &str) -> Result<Vec<(String, Value)>, String> {
@@ -290,54 +270,11 @@ impl Parser<'_> {
             Some(b'f') => self.parse_lit("false", Value::Bool(false)),
             Some(b'n') => self.parse_lit("null", Value::Null),
             Some(b'-' | b'0'..=b'9') => self.parse_number(),
-            Some(b'[') => self.parse_num_array(),
             other => Err(format!(
                 "expected value at byte {}, found {:?}",
                 self.pos,
                 other.map(|b| b as char)
             )),
-        }
-    }
-
-    /// Parses a flat array of numbers; nested arrays/objects and
-    /// non-numeric elements are rejected.
-    fn parse_num_array(&mut self) -> Result<Value, String> {
-        self.expect(b'[')?;
-        let mut out = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Value::Arr(out));
-        }
-        loop {
-            self.skip_ws();
-            match self.parse_value()? {
-                Value::Num(n) => out.push(n),
-                other => {
-                    return Err(format!(
-                        "array element at byte {} is {other:?}; only flat numeric \
-                         arrays are supported",
-                        self.pos
-                    ))
-                }
-            }
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => {
-                    self.pos += 1;
-                }
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Value::Arr(out));
-                }
-                other => {
-                    return Err(format!(
-                        "expected ',' or ']' at byte {}, found {:?}",
-                        self.pos,
-                        other.map(|b| b as char)
-                    ))
-                }
-            }
         }
     }
 
@@ -406,19 +343,8 @@ mod tests {
     }
 
     #[test]
-    fn num_arrays_round_trip() {
-        let mut w = ObjectWriter::new();
-        w.num_arr_field("reps", &[1.5, 2.0, 3.25]);
-        w.num_arr_field("empty", &[]);
-        let text = w.finish();
-        assert_eq!(text, r#"{"reps":[1.5,2,3.25],"empty":[]}"#);
-        let obj = parse_flat_object(&text).unwrap();
-        assert_eq!(obj[0].1, Value::Arr(vec![1.5, 2.0, 3.25]));
-        assert_eq!(obj[1].1, Value::Arr(vec![]));
-    }
-
-    #[test]
     fn rejects_non_flat_arrays() {
+        assert!(parse_flat_object(r#"{"a":[1]}"#).is_err());
         assert!(parse_flat_object(r#"{"a":[[1]]}"#).is_err());
         assert!(parse_flat_object(r#"{"a":["x"]}"#).is_err());
         assert!(parse_flat_object(r#"{"a":[1,"#).is_err());

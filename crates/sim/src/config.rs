@@ -122,10 +122,11 @@ pub struct InstrumentKnobs {
     /// Deterministic fault injection (chaos testing). The default,
     /// [`FaultConfig::none`], installs no injector.
     pub fault: FaultConfig,
-    /// Optional host-time profiling hooks, forwarded to MULTI-CLOCK's
-    /// phase boundaries and the simulation tick loop. `None` (the
-    /// default) makes every boundary a no-op; hooks only observe the
-    /// host's monotonic clock, so enabling them never changes results.
+    /// Optional host-time profiling hooks, installed on the substrate,
+    /// from which MULTI-CLOCK's phase boundaries and the simulation tick
+    /// loop open their spans. `None` (the default) makes every boundary a
+    /// no-op; hooks only observe the host's monotonic clock, so enabling
+    /// them never changes results.
     pub perf: Option<PerfHooks>,
 }
 
@@ -191,11 +192,6 @@ impl SimConfig {
             engine: EngineKnobs::default(),
             instrument: InstrumentKnobs::default(),
         }
-    }
-
-    /// The host-time profiling hooks, if installed.
-    pub fn perf(&self) -> Option<&PerfHooks> {
-        self.instrument.perf.as_ref()
     }
 }
 

@@ -84,7 +84,6 @@ impl Simulation {
                         adaptive_interval: cfg.adaptive_interval,
                         retry: cfg.retry,
                         migrate_batch_size: cfg.engine.migrate_batch_size,
-                        perf: cfg.instrument.perf.clone(),
                         migration_mode: if cfg.system == SystemKind::Nomad {
                             MigrationMode::Transactional
                         } else {
@@ -183,6 +182,9 @@ impl Simulation {
         }
         if let Some(injector) = FaultInjector::from_config(&cfg.instrument.fault) {
             mem.set_fault_injector(injector);
+        }
+        if let Some(hooks) = &cfg.instrument.perf {
+            mem.set_perf_hooks(hooks.clone());
         }
         let window = cfg.window;
         let horizon = cfg.scan_interval;
@@ -371,7 +373,7 @@ impl Simulation {
         // Host-time span around the whole daemon tick. The guard only
         // observes the monotonic clock; nothing it reads flows back
         // into engine state, so hooks-on stays bit-identical.
-        let mut span = self.cfg.perf().map(|p| p.span(mc_obs::Phase::Tick));
+        let mut span = self.mem.perf_span(mc_obs::Phase::Tick);
         let out = policy.tick(&mut self.mem, due);
         if let Some(s) = span.as_mut() {
             s.add_items(1);

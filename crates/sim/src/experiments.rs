@@ -14,7 +14,7 @@ use crate::engine::Simulation;
 use crate::error::RunError;
 use crate::latency_hist::LatencyHistogram;
 use crate::metrics::WindowStats;
-use mc_mem::{MachineDesc, MigrationMode, Nanos};
+use mc_mem::{MachineDesc, Nanos};
 use mc_workloads::graph::{bc, bfs, cc, pagerank, sssp, tc, Csr, GraphConfig, Kernel};
 use mc_workloads::ycsb::{YcsbClient, YcsbConfig, YcsbWorkload};
 use mc_workloads::Memory;
@@ -238,7 +238,7 @@ pub struct RunOutcome {
 impl RunOutcome {
     /// Share of total accounted time spent on tiering overhead (stalls,
     /// daemon CPU, background copies) rather than device accesses — the
-    /// `mc-batch` sweep metric.
+    /// metric of `repro`'s `batch` section.
     pub fn overhead_share(&self) -> f64 {
         let c = &self.costs;
         let overhead = c.stall_time + c.daemon_time + c.background_time;
@@ -260,136 +260,92 @@ enum Workload {
     Gapbs(Kernel),
 }
 
-/// Builder for one experiment run — YCSB or GAPBS.
-///
-/// The single entry point for all runs (the old
-/// `run_ycsb`/`run_ycsb_observed`/`run_ycsb_chaos` trio and the
-/// deprecated `run_gapbs` wrapper are gone):
+impl Workload {
+    /// The `(dram_pages, pm_pages)` budget `scale` gives this workload.
+    fn budget(self, scale: &Scale) -> (usize, usize) {
+        match self {
+            Workload::Ycsb(_) => (scale.dram_pages, scale.pm_pages),
+            Workload::Gapbs(_) => scale.graph_machine(),
+        }
+    }
+}
+
+/// One experiment run — YCSB or GAPBS — as the single description of it:
+/// the constructors resolve everything the [`Scale`] implies (page
+/// budget, scan interval, scan batch, metrics window) into
+/// [`Experiment::cfg`] once, and whatever else a run varies — fault
+/// injection, batch size, migration mode, perf hooks, the §VII knobs — is
+/// an edit of `cfg` in place.
 ///
 /// ```no_run
 /// use mc_sim::experiments::{Experiment, Scale};
+/// use mc_sim::SystemKind;
 /// use mc_workloads::ycsb::YcsbWorkload;
 ///
-/// let outcome = Experiment::ycsb(YcsbWorkload::A)
-///     .scale(&Scale::tiny())
-///     .run()
-///     .unwrap();
+/// let mut e = Experiment::ycsb(YcsbWorkload::A, SystemKind::MultiClock, &Scale::tiny());
+/// e.cfg.engine.migrate_batch_size = 8;
+/// let outcome = e.run().unwrap();
 /// assert!(outcome.ops_per_sec > 0.0);
 /// ```
 #[derive(Debug, Clone)]
 pub struct Experiment {
     workload: Workload,
-    system: SystemKind,
     scale: Scale,
-    machine: fn(usize, usize) -> MachineDesc,
-    interval: Option<Nanos>,
-    obs_dir: Option<std::path::PathBuf>,
-    fault: mc_fault::FaultConfig,
-    retry: mc_fault::RetryPolicy,
-    migrate_batch_size: usize,
-    perf: Option<mc_obs::PerfHooks>,
-    migration_mode: MigrationMode,
+    /// The configuration [`Experiment::run`] hands to [`Simulation::new`].
+    pub cfg: SimConfig,
+    /// Where to write the events/ticks/report artifacts after the run
+    /// (the layout `mc-obs-report` consumes); `Some` turns observability
+    /// on for the run.
+    pub obs_dir: Option<std::path::PathBuf>,
 }
 
 impl Experiment {
-    fn new(workload: Workload) -> Self {
-        Experiment {
+    fn new(workload: Workload, system: SystemKind, scale: &Scale) -> Self {
+        let (dram, pm) = workload.budget(scale);
+        let mut cfg = SimConfig::new(system, dram, pm);
+        cfg.scan_batch = scale.scan_batch;
+        cfg.window = scale.window();
+        let e = Experiment {
             workload,
-            system: SystemKind::MultiClock,
-            scale: Scale::quick(),
-            machine: MachineDesc::dram_pm,
-            interval: None,
+            scale: scale.clone(),
+            cfg,
             obs_dir: None,
-            fault: mc_fault::FaultConfig::none(),
-            retry: mc_fault::RetryPolicy::immediate(),
-            migrate_batch_size: 1,
-            perf: None,
-            migration_mode: MigrationMode::Sync,
-        }
+        };
+        e.interval(scale.scan_interval())
     }
 
-    /// A MULTI-CLOCK run of `workload` at [`Scale::quick`] with the
-    /// scale's default 1-paper-second interval. Every knob has a setter.
-    pub fn ycsb(workload: YcsbWorkload) -> Self {
-        Experiment::new(Workload::Ycsb(workload))
+    /// `workload` on `system` at `scale`: the scale's DRAM + PM budget as
+    /// a [`MachineDesc::dram_pm`], scanning every paper second.
+    pub fn ycsb(workload: YcsbWorkload, system: SystemKind, scale: &Scale) -> Self {
+        Experiment::new(Workload::Ycsb(workload), system, scale)
     }
 
-    /// A MULTI-CLOCK run of the GAPBS `kernel` at [`Scale::quick`].
-    ///
-    /// Uses the scale's graph machine ([`Scale::graph_machine`]) and
-    /// shortens the scan interval by [`Scale::graph_interval_factor`], as
-    /// the old `run_gapbs` did.
-    pub fn gapbs(kernel: Kernel) -> Self {
-        Experiment::new(Workload::Gapbs(kernel))
+    /// The GAPBS `kernel` on `system` at `scale`: the scale's graph
+    /// machine ([`Scale::graph_machine`]), with the scan interval
+    /// shortened by [`Scale::graph_interval_factor`].
+    pub fn gapbs(kernel: Kernel, system: SystemKind, scale: &Scale) -> Self {
+        Experiment::new(Workload::Gapbs(kernel), system, scale)
     }
 
-    /// Selects the system under test.
-    pub fn system(mut self, system: SystemKind) -> Self {
-        self.system = system;
-        self
-    }
-
-    /// Selects the experiment scale. Unless [`Self::interval`] was also
-    /// called, the scan interval follows the scale (1 paper second).
-    pub fn scale(mut self, scale: &Scale) -> Self {
-        self.scale = scale.clone();
-        self
-    }
-
-    /// Selects the machine *shape*: a function arranging the scale's
+    /// Selects the machine *shape*: a function arranging the workload's
     /// `(dram_pages, pm_pages)` budget into a [`MachineDesc`], so the same
     /// [`Scale`] drives every machine. Default [`MachineDesc::dram_pm`];
-    /// the bench binaries' `--machine` names map to shapes in `mc_bench`.
+    /// `repro --machine` names map to shapes in `mc_bench`.
     pub fn machine(mut self, shape: fn(usize, usize) -> MachineDesc) -> Self {
-        self.machine = shape;
+        let (dram, pm) = self.workload.budget(&self.scale);
+        self.cfg.mem = shape(dram, pm);
         self
     }
 
-    /// Overrides the daemon scan interval (the Fig. 10 knob).
+    /// Overrides the daemon scan interval (the Fig. 10 knob); a GAPBS run
+    /// shortens it by [`Scale::graph_interval_factor`].
     pub fn interval(mut self, interval: Nanos) -> Self {
-        self.interval = Some(interval);
-        self
-    }
-
-    /// Enables observability and writes the events/ticks/report artifacts
-    /// into `dir` after the run (the layout `mc-obs-report` consumes).
-    pub fn obs(mut self, dir: impl Into<std::path::PathBuf>) -> Self {
-        self.obs_dir = Some(dir.into());
-        self
-    }
-
-    /// Installs a deterministic fault injector and the promotion retry
-    /// policy reacting to it (the chaos path).
-    pub fn fault(mut self, fault: mc_fault::FaultConfig, retry: mc_fault::RetryPolicy) -> Self {
-        self.fault = fault;
-        self.retry = retry;
-        self
-    }
-
-    /// Sets MULTI-CLOCK's batched-migration size for promote drains.
-    pub fn batch(mut self, migrate_batch_size: usize) -> Self {
-        self.migrate_batch_size = migrate_batch_size;
-        self
-    }
-
-    /// Selects how MULTI-CLOCK executes promotions:
-    /// [`MigrationMode::Sync`] (the default, bit-identical to the
-    /// historical engine) or [`MigrationMode::Transactional`]
-    /// (Nomad-style copy windows with shadow-page retention).
-    /// [`SystemKind::Nomad`] forces `Transactional` regardless of this
-    /// knob; systems other than MULTI-CLOCK ignore it.
-    pub fn migration(mut self, mode: MigrationMode) -> Self {
-        self.migration_mode = mode;
-        self
-    }
-
-    /// Installs host-time profiling hooks ([`mc_obs::perf`]): wall-clock
-    /// spans around the engine's tick/scan/promote-drain/pressure/
-    /// migrate-batch phases land in the hooks' shared profiler. Purely
-    /// observational — a hooked run is bit-identical to an unhooked one
-    /// (`crates/sim/tests/perf_differential.rs` enforces it).
-    pub fn perf(mut self, hooks: mc_obs::PerfHooks) -> Self {
-        self.perf = Some(hooks);
+        self.cfg.scan_interval = match self.workload {
+            Workload::Ycsb(_) => interval,
+            Workload::Gapbs(_) => Nanos::from_nanos(
+                (interval.as_nanos() as f64 * self.scale.graph_interval_factor) as u64,
+            ),
+        };
         self
     }
 
@@ -400,34 +356,13 @@ impl Experiment {
     /// The first [`RunError`] the simulation latched — the workload ran
     /// the machine out of memory or touched an address past the page
     /// table — or the filesystem error from writing the obs artifacts.
-    pub fn run(self) -> Result<RunOutcome, RunError> {
-        let interval = self.interval.unwrap_or_else(|| self.scale.scan_interval());
-        // The workloads differ in page budget and interval only.
-        let ((dram, pm), interval) = match self.workload {
-            Workload::Ycsb(_) => ((self.scale.dram_pages, self.scale.pm_pages), interval),
-            Workload::Gapbs(_) => (
-                self.scale.graph_machine(),
-                Nanos::from_nanos(
-                    (interval.as_nanos() as f64 * self.scale.graph_interval_factor) as u64,
-                ),
-            ),
-        };
-        let mut cfg = SimConfig::new(self.system, dram, pm);
-        cfg.mem = (self.machine)(dram, pm);
-        cfg.scan_interval = interval;
-        cfg.scan_batch = self.scale.scan_batch;
-        cfg.window = self.scale.window();
-        cfg.instrument.fault = self.fault;
-        cfg.retry = self.retry;
-        cfg.engine.migrate_batch_size = self.migrate_batch_size;
-        cfg.instrument.perf = self.perf.clone();
-        cfg.engine.migration_mode = self.migration_mode;
+    pub fn run(mut self) -> Result<RunOutcome, RunError> {
         if self.obs_dir.is_some() {
-            cfg.instrument.obs = mc_obs::ObsConfig::on();
+            self.cfg.instrument.obs = mc_obs::ObsConfig::on();
         }
         let (outcome, sim) = match self.workload {
-            Workload::Ycsb(w) => run_ycsb_cfg(cfg, w, &self.scale),
-            Workload::Gapbs(k) => run_gapbs_cfg(cfg, k, &self.scale),
+            Workload::Ycsb(w) => run_ycsb_cfg(self.cfg, w, &self.scale),
+            Workload::Gapbs(k) => run_gapbs_cfg(self.cfg, k, &self.scale),
         };
         if let Some(dir) = &self.obs_dir {
             sim.write_obs(dir)?;
@@ -591,9 +526,7 @@ mod tests {
         let mut scale = Scale::tiny();
         scale.warmup = Nanos::from_millis(500);
         scale.measure = Nanos::from_millis(500);
-        let o = Experiment::ycsb(YcsbWorkload::C)
-            .system(SystemKind::Static)
-            .scale(&scale)
+        let o = Experiment::ycsb(YcsbWorkload::C, SystemKind::Static, &scale)
             .run()
             .unwrap();
         assert!(o.ops_per_sec > 0.0);
@@ -623,10 +556,7 @@ mod tests {
             SystemKind::OracleLru,
             SystemKind::OracleLfu,
         ] {
-            let o = Experiment::ycsb(YcsbWorkload::A)
-                .system(system)
-                .scale(&scale)
-                .run();
+            let o = Experiment::ycsb(YcsbWorkload::A, system, &scale).run();
             match o {
                 Ok(o) => assert_eq!(o.dropped_accesses, 0, "{system:?}"),
                 Err(e) => panic!("{system:?}: {e}"),
@@ -636,8 +566,7 @@ mod tests {
 
     #[test]
     fn multi_clock_promotes_on_ycsb() {
-        let o = Experiment::ycsb(YcsbWorkload::A)
-            .scale(&Scale::tiny())
+        let o = Experiment::ycsb(YcsbWorkload::A, SystemKind::MultiClock, &Scale::tiny())
             .run()
             .unwrap();
         assert!(o.promotions > 0, "MULTI-CLOCK should promote hot pages");
@@ -648,15 +577,9 @@ mod tests {
     #[test]
     fn experiment_default_interval_follows_the_scale() {
         let scale = Scale::tiny();
-        let implicit = Experiment::ycsb(YcsbWorkload::B)
-            .scale(&scale)
-            .run()
-            .unwrap();
-        let explicit = Experiment::ycsb(YcsbWorkload::B)
-            .scale(&scale)
-            .interval(scale.scan_interval())
-            .run()
-            .unwrap();
+        let b = || Experiment::ycsb(YcsbWorkload::B, SystemKind::MultiClock, &scale);
+        let implicit = b().run().unwrap();
+        let explicit = b().interval(scale.scan_interval()).run().unwrap();
         assert_eq!(implicit.ops_per_sec, explicit.ops_per_sec);
         assert_eq!(implicit.promotions, explicit.promotions);
         assert_eq!(implicit.demotions, explicit.demotions);
@@ -668,12 +591,10 @@ mod tests {
         scale.warmup = Nanos::from_millis(400);
         scale.measure = Nanos::from_millis(400);
         // Two sockets: two list shards per tier, derived from the machine.
-        let o = Experiment::ycsb(YcsbWorkload::A)
-            .scale(&scale)
-            .machine(|dram, pm| MachineDesc::dual_socket(dram / 2, pm / 2))
-            .batch(8)
-            .run()
-            .unwrap();
+        let mut e = Experiment::ycsb(YcsbWorkload::A, SystemKind::MultiClock, &scale)
+            .machine(|dram, pm| MachineDesc::dual_socket(dram / 2, pm / 2));
+        e.cfg.engine.migrate_batch_size = 8;
+        let o = e.run().unwrap();
         assert!(o.ops_per_sec > 0.0);
     }
 
@@ -681,11 +602,12 @@ mod tests {
     fn gapbs_run_produces_trial_time() {
         let mut scale = Scale::tiny();
         scale.graph_scale = 8;
-        let r = Experiment::gapbs(Kernel::Bfs)
-            .system(SystemKind::Static)
-            .scale(&scale)
-            .run()
-            .unwrap();
+        let e = Experiment::gapbs(Kernel::Bfs, SystemKind::Static, &scale);
+        // The graph machine and the shortened interval are resolved once.
+        let graph_machine = MachineDesc::dram_pm(scale.graph_dram_pages, scale.pm_pages);
+        assert_eq!(e.cfg.mem, graph_machine);
+        assert_eq!(e.cfg.scan_interval, Nanos::from_millis(1));
+        let r = e.run().unwrap();
         assert!(r.trial_time > Nanos::ZERO);
     }
 
@@ -705,15 +627,9 @@ mod tests {
         let mut scale = Scale::tiny();
         scale.warmup = Nanos::from_millis(400);
         scale.measure = Nanos::from_millis(400);
-        let implicit = Experiment::ycsb(YcsbWorkload::B)
-            .scale(&scale)
-            .run()
-            .unwrap();
-        let explicit = Experiment::ycsb(YcsbWorkload::B)
-            .scale(&scale)
-            .machine(MachineDesc::dram_pm)
-            .run()
-            .unwrap();
+        let b = || Experiment::ycsb(YcsbWorkload::B, SystemKind::MultiClock, &scale);
+        let implicit = b().run().unwrap();
+        let explicit = b().machine(MachineDesc::dram_pm).run().unwrap();
         assert_eq!(implicit.ops_per_sec, explicit.ops_per_sec);
         assert_eq!(implicit.promotions, explicit.promotions);
         assert_eq!(implicit.demotions, explicit.demotions);
@@ -729,9 +645,7 @@ mod tests {
             |dram, pm| MachineDesc::cxl_multihead(dram / 2, dram, pm),
         ];
         for (i, shape) in shapes.into_iter().enumerate() {
-            let o = Experiment::ycsb(YcsbWorkload::A)
-                .system(SystemKind::HybridTier)
-                .scale(&scale)
+            let o = Experiment::ycsb(YcsbWorkload::A, SystemKind::HybridTier, &scale)
                 .machine(shape)
                 .run()
                 .unwrap();

@@ -57,16 +57,13 @@ fn experiment_default_machine_matches_legacy_outcome() {
     let mut scale = Scale::tiny();
     scale.warmup = Nanos::from_millis(400);
     scale.measure = Nanos::from_millis(400);
-    let outcome = Experiment::ycsb(YcsbWorkload::A)
-        .scale(&scale)
+    let a = || Experiment::ycsb(YcsbWorkload::A, SystemKind::MultiClock, &scale);
+    let outcome = a()
         .machine(MachineDesc::dram_pm)
         .run()
         .expect("the scale's footprint fits its machine");
     // The explicit shape is the default one: same machine, same run.
-    let default = Experiment::ycsb(YcsbWorkload::A)
-        .scale(&scale)
-        .run()
-        .expect("the scale's footprint fits its machine");
+    let default = a().run().expect("the scale's footprint fits its machine");
     assert_eq!(outcome.promotions, default.promotions);
     assert_eq!(outcome.demotions, default.demotions);
     assert_eq!(outcome.costs, default.costs);

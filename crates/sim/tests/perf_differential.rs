@@ -121,18 +121,12 @@ fn experiment_perf_knob_is_bit_identical_on_ycsb() {
     let mut scale = Scale::tiny();
     scale.warmup = Nanos::from_millis(400);
     scale.measure = Nanos::from_millis(400);
-    let plain = Experiment::ycsb(YcsbWorkload::A)
-        .scale(&scale)
-        .batch(8)
-        .run()
-        .expect("the scale's footprint fits its machine");
+    let mut e = Experiment::ycsb(YcsbWorkload::A, SystemKind::MultiClock, &scale);
+    e.cfg.engine.migrate_batch_size = 8;
+    let plain = e.clone().run().expect("the footprint fits the machine");
     let hooks = PerfHooks::new();
-    let hooked = Experiment::ycsb(YcsbWorkload::A)
-        .scale(&scale)
-        .batch(8)
-        .perf(hooks.clone())
-        .run()
-        .expect("the scale's footprint fits its machine");
+    e.cfg.instrument.perf = Some(hooks.clone());
+    let hooked = e.run().expect("the footprint fits the machine");
     assert!(plain.promotions > 0, "YCSB-A must promote");
     assert_eq!(plain.ops_per_sec, hooked.ops_per_sec);
     assert_eq!(plain.promotions, hooked.promotions);

@@ -83,11 +83,6 @@ impl KvStore {
         self.index.get(&key).map(|i| i.addr)
     }
 
-    /// The simulated address of the bucket slot for a key (diagnostics).
-    pub fn bucket_addr_of(&self, key: u64) -> VAddr {
-        self.bucket_addr(key)
-    }
-
     /// Whether the store is empty.
     pub fn is_empty(&self) -> bool {
         self.index.is_empty()

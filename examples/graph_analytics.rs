@@ -38,13 +38,10 @@ fn main() {
     );
 
     for kernel in [Kernel::Pr, Kernel::Bfs, Kernel::Cc] {
-        let stat = Experiment::gapbs(kernel)
-            .system(SystemKind::Static)
-            .scale(&scale)
+        let stat = Experiment::gapbs(kernel, SystemKind::Static, &scale)
             .run()
             .expect("the scale's footprint fits its machine");
-        let mc = Experiment::gapbs(kernel)
-            .scale(&scale)
+        let mc = Experiment::gapbs(kernel, SystemKind::MultiClock, &scale)
             .run()
             .expect("the scale's footprint fits its machine");
         println!(

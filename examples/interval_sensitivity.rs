@@ -12,9 +12,7 @@ use mc_workloads::ycsb::YcsbWorkload;
 
 fn main() {
     let scale = Scale::tiny();
-    let base = Experiment::ycsb(YcsbWorkload::A)
-        .system(SystemKind::Static)
-        .scale(&scale)
+    let base = Experiment::ycsb(YcsbWorkload::A, SystemKind::Static, &scale)
         .run()
         .expect("the scale's footprint fits its machine")
         .ops_per_sec;
@@ -31,8 +29,7 @@ fn main() {
         (5.0, "5s"),
         (60.0, "60s"),
     ] {
-        let r = Experiment::ycsb(YcsbWorkload::A)
-            .scale(&scale)
+        let r = Experiment::ycsb(YcsbWorkload::A, SystemKind::MultiClock, &scale)
             .interval(scale.paper_interval(factor))
             .run()
             .expect("the scale's footprint fits its machine");

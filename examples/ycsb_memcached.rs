@@ -27,9 +27,7 @@ fn main() {
         SystemKind::MultiClock,
         SystemKind::Nimble,
     ] {
-        let r = Experiment::ycsb(YcsbWorkload::A)
-            .system(system)
-            .scale(&scale)
+        let r = Experiment::ycsb(YcsbWorkload::A, system, &scale)
             .run()
             .expect("the scale's footprint fits its machine");
         let norm = match base {

@@ -12,18 +12,14 @@ fn scale() -> Scale {
 }
 
 fn run_ycsb(system: SystemKind, workload: YcsbWorkload, s: &Scale, interval: Nanos) -> RunOutcome {
-    Experiment::ycsb(workload)
-        .system(system)
-        .scale(s)
+    Experiment::ycsb(workload, system, s)
         .interval(interval)
         .run()
         .expect("the scale's footprint fits its machine")
 }
 
 fn run_gapbs(system: SystemKind, kernel: Kernel, s: &Scale, interval: Nanos) -> RunOutcome {
-    Experiment::gapbs(kernel)
-        .system(system)
-        .scale(s)
+    Experiment::gapbs(kernel, system, s)
         .interval(interval)
         .run()
         .expect("the scale's footprint fits its machine")
