@@ -20,8 +20,7 @@
 //!   *unsupervised* accesses in the paper's terms — the OS only learns of
 //!   them by scanning).
 
-use crate::{Nanos, PageKind, VAddr, PAGE_SIZE};
-use std::collections::HashMap;
+use crate::{Nanos, PageKind, VAddr, VPageMap, PAGE_SIZE};
 
 /// The workload-facing memory abstraction.
 pub trait Memory {
@@ -56,7 +55,7 @@ pub trait Memory {
 #[derive(Debug, Default)]
 pub struct SimpleMemory {
     next_page: u64,
-    data: HashMap<u64, Box<[u8; PAGE_SIZE]>>,
+    data: VPageMap<Box<[u8; PAGE_SIZE]>>,
     clock: Nanos,
     /// Accesses performed (reads + writes), for tests.
     pub accesses: u64,
@@ -104,14 +103,15 @@ impl Memory for SimpleMemory {
         let mut off = 0usize;
         while off < data.len() {
             let a = addr.add(off as u64);
-            let page = a.page().raw();
             let in_page = a.page_offset();
             let n = (PAGE_SIZE - in_page).min(data.len() - off);
-            let slot = self
+            // Pages come from `mmap`, densely from zero: inside the span.
+            if let Ok(slot) = self
                 .data
-                .entry(page)
-                .or_insert_with(|| Box::new([0u8; PAGE_SIZE]));
-            slot[in_page..in_page + n].copy_from_slice(&data[off..off + n]);
+                .get_or_insert_with(a.page(), || Box::new([0u8; PAGE_SIZE]))
+            {
+                slot[in_page..in_page + n].copy_from_slice(&data[off..off + n]);
+            }
             off += n;
         }
     }
@@ -121,10 +121,9 @@ impl Memory for SimpleMemory {
         let mut off = 0usize;
         while off < buf.len() {
             let a = addr.add(off as u64);
-            let page = a.page().raw();
             let in_page = a.page_offset();
             let n = (PAGE_SIZE - in_page).min(buf.len() - off);
-            match self.data.get(&page) {
+            match self.data.get(a.page()) {
                 Some(slot) => buf[off..off + n].copy_from_slice(&slot[in_page..in_page + n]),
                 None => buf[off..off + n].fill(0),
             }

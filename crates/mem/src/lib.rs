@@ -23,7 +23,7 @@
 //!   every tiering policy (MULTI-CLOCK and all baselines) implements.
 //!
 //! Everything here is deterministic and free of wall-clock time; simulated
-//! time is the [`time::Nanos`] counter owned by the simulation engine.
+//! time is the [`time::TimeLedger`] owned by the simulation engine.
 //!
 //! ```
 //! use mc_mem::{MemorySystem, MachineDesc, PageKind, AccessKind};
@@ -79,10 +79,10 @@ pub use latency::{AccessKind, LatencyModel, LinkDesc, MigrationCost, TierLatency
 pub use machine::{MachineBuilder, MachineDesc, MachineNode};
 pub use policy::{NullPolicy, PolicyTraits, TickOutcome, TieringPolicy};
 pub use pte::{PageTable, PteEntry};
-pub use stats::{CostLedger, MemEvent, MemStats};
+pub use stats::{MemEvent, MemStats};
 pub use system::{AccessOutcome, MemorySystem};
 pub use tier::{Tier, TierKind};
-pub use time::{Nanos, VirtualClock};
+pub use time::{Charge, Nanos, TimeLedger};
 pub use topology::{NodeDesc, Topology};
 pub use txn::{MigrationMode, MigrationTxn, PageMove, ShadowPages};
 pub use vpage_map::VPageMap;

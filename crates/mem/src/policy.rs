@@ -16,8 +16,8 @@ use crate::time::Nanos;
 use serde::{Deserialize, Serialize};
 
 /// Qualitative properties of a tiering technique — the rows of the paper's
-/// Table I. Each policy self-reports these; the `table1_comparison` bench
-/// binary regenerates the table from them.
+/// Table I. Each policy self-reports these; `repro --only table1`
+/// regenerates the table from them.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct PolicyTraits {
     /// Technique name.

@@ -1,7 +1,6 @@
-//! Counters, cost accounting and event reporting.
+//! Counters and event reporting.
 
 use crate::ids::{FrameId, TierId, VPage};
-use crate::time::Nanos;
 use crate::topology::Topology;
 use serde::{Deserialize, Serialize};
 
@@ -94,52 +93,6 @@ impl MemStats {
     }
 }
 
-/// Where time went, split by who pays for it.
-///
-/// The substrate and policies charge costs here; the simulation engine
-/// drains the ledger after every step and advances virtual time accordingly
-/// (application stalls in full, daemon CPU scaled by a contention factor,
-/// background copies only as bandwidth pressure).
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct CostLedger {
-    /// Time the application thread was stalled (TLB shootdowns, hint
-    /// faults, direct reclaim).
-    pub app_stall: Nanos,
-    /// CPU time consumed by kernel daemons (kpromoted/kswapd scans).
-    pub daemon_cpu: Nanos,
-    /// Background work (migration copies) that runs on a spare core.
-    pub background: Nanos,
-}
-
-impl CostLedger {
-    /// Charges application-visible stall time.
-    pub fn charge_app_stall(&mut self, t: Nanos) {
-        self.app_stall += t;
-    }
-
-    /// Charges daemon CPU time.
-    pub fn charge_daemon(&mut self, t: Nanos) {
-        self.daemon_cpu += t;
-    }
-
-    /// Charges background copy time.
-    pub fn charge_background(&mut self, t: Nanos) {
-        self.background += t;
-    }
-
-    /// Returns the accumulated costs and resets the ledger.
-    pub fn take(&mut self) -> CostLedger {
-        std::mem::take(self)
-    }
-
-    /// Merges another ledger into this one.
-    pub fn merge(&mut self, other: CostLedger) {
-        self.app_stall += other.app_stall;
-        self.daemon_cpu += other.daemon_cpu;
-        self.background += other.background;
-    }
-}
-
 /// Substrate events the simulation engine consumes for windowed metrics
 /// (paper Figs. 8 and 9 need per-window promotion counts and the identity
 /// of recently promoted pages).
@@ -211,31 +164,6 @@ mod tests {
             ..MemStats::default()
         };
         assert!((s.fast_tier_share(&topo).unwrap() - 0.50).abs() < 1e-9);
-    }
-
-    #[test]
-    fn ledger_take_resets() {
-        let mut l = CostLedger::default();
-        l.charge_app_stall(Nanos::from_nanos(10));
-        l.charge_daemon(Nanos::from_nanos(20));
-        l.charge_background(Nanos::from_nanos(30));
-        let taken = l.take();
-        assert_eq!(taken.app_stall.as_nanos(), 10);
-        assert_eq!(taken.daemon_cpu.as_nanos(), 20);
-        assert_eq!(taken.background.as_nanos(), 30);
-        assert_eq!(l, CostLedger::default());
-    }
-
-    #[test]
-    fn ledger_merge_accumulates() {
-        let mut a = CostLedger::default();
-        a.charge_app_stall(Nanos::from_nanos(5));
-        let mut b = CostLedger::default();
-        b.charge_app_stall(Nanos::from_nanos(7));
-        b.charge_daemon(Nanos::from_nanos(1));
-        a.merge(b);
-        assert_eq!(a.app_stall.as_nanos(), 12);
-        assert_eq!(a.daemon_cpu.as_nanos(), 1);
     }
 
     #[test]

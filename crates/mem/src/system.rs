@@ -9,14 +9,14 @@ use crate::ids::{FrameId, NodeId, TierId, VPage};
 use crate::latency::{AccessKind, LatencyModel};
 use crate::machine::MachineDesc;
 use crate::pte::PageTable;
-use crate::stats::{CostLedger, MemEvent, MemStats};
-use crate::time::Nanos;
+use crate::stats::{MemEvent, MemStats};
+use crate::time::{Charge, Nanos, TimeLedger};
 use crate::topology::Topology;
 use crate::txn::{MigrationMode, MigrationTxn, PageMove, ShadowPages};
+use crate::vpage_map::VPageMap;
 use crate::watermark::Watermarks;
 use mc_fault::{FaultInjector, InjectedFault};
 use mc_obs::{saturating_bump, EventKind, PerfHooks, Phase, PhaseSpan, Recorder};
-use std::collections::HashSet;
 
 /// Runtime state of one NUMA node.
 #[derive(Debug, Clone)]
@@ -45,8 +45,8 @@ pub struct AccessOutcome {
 }
 
 /// The memory substrate: owns frames, nodes, page table, counters and the
-/// cost ledger. Policies receive `&mut MemorySystem` and drive allocation,
-/// scanning and migration through it.
+/// pending time charges. Policies receive `&mut MemorySystem` and drive
+/// allocation, scanning and migration through it.
 #[derive(Debug)]
 pub struct MemorySystem {
     topology: Topology,
@@ -56,9 +56,10 @@ pub struct MemorySystem {
     page_table: PageTable,
     /// Virtual pages currently evicted to backing storage; touching one of
     /// these costs a major fault (swap-in).
-    swapped: HashSet<VPage>,
+    swapped: VPageMap<()>,
     stats: MemStats,
-    ledger: CostLedger,
+    /// Charged by the substrate and the policies, not yet absorbed.
+    pending: TimeLedger,
     events: Vec<MemEvent>,
     recorder: Recorder,
     /// Optional fault injector. `None` (the default) leaves every path
@@ -107,9 +108,9 @@ impl MemorySystem {
             frames,
             nodes,
             page_table: PageTable::new(),
-            swapped: HashSet::new(),
+            swapped: VPageMap::new(),
             stats: MemStats::default(),
-            ledger: CostLedger::default(),
+            pending: TimeLedger::default(),
             events: Vec::new(),
             recorder: Recorder::disabled(),
             fault: None,
@@ -190,15 +191,21 @@ impl MemorySystem {
         &self.stats
     }
 
-    /// The cost ledger (drained by the simulation engine).
-    pub fn ledger_mut(&mut self) -> &mut CostLedger {
-        &mut self.ledger
+    /// Spends `t` of virtual time on `category` — the substrate's charges and
+    /// the policies' alike; the engine absorbs it after the step in flight.
+    pub fn charge(&mut self, category: Charge, t: Nanos) {
+        self.pending.charge(category, t);
     }
 
-    /// Whether the ledger holds a charge or an event is queued — whether
-    /// the engine has anything to absorb. False after almost every access.
+    /// Everything charged since the last call, leaving nothing pending.
+    pub fn take_charges(&mut self) -> TimeLedger {
+        std::mem::take(&mut self.pending)
+    }
+
+    /// Whether a charge is pending or an event is queued — whether the
+    /// engine has anything to absorb. False after almost every access.
     pub fn has_pending_effects(&self) -> bool {
-        self.ledger != CostLedger::default() || !self.events.is_empty()
+        !self.pending.is_empty() || !self.events.is_empty()
     }
 
     /// Drains pending substrate events.
@@ -503,9 +510,9 @@ impl MemorySystem {
     }
 
     /// Migrates one page to another tier synchronously: allocates a
-    /// destination frame, charges the copy to the ledger (application stall
-    /// and background), remaps the virtual page, frees the source frame, and
-    /// emits a [`MemEvent::Migrated`]. The one-page form of
+    /// destination frame, charges the copy ([`Charge::MigrationStall`] and
+    /// [`Charge::Background`]), remaps the virtual page, frees the source
+    /// frame, and emits a [`MemEvent::Migrated`]. The one-page form of
     /// [`Self::migrate_pages`] in [`MigrationMode::Sync`].
     ///
     /// When `dst_tier` holds a retained shadow copy of the page and the page
@@ -534,15 +541,15 @@ impl MemorySystem {
                 frame: frame.index() as u64,
                 new_frame: copy.index() as u64,
             });
-            self.ledger.charge_app_stall(self.latency.txn_remap);
+            self.charge(Charge::MigrationStall, self.latency.txn_remap);
             return Ok(copy);
         }
         let new_frame = self
             .reserve(frame, src_tier, dst_tier, MigrationMode::Sync)
             .map_err(|(e, _)| e)?;
         let cost = self.latency.migration(src_tier, dst_tier);
-        self.ledger.charge_app_stall(cost.app_stall);
-        self.ledger.charge_background(cost.background);
+        self.charge(Charge::MigrationStall, cost.app_stall);
+        self.charge(Charge::Background, cost.background);
         let vpage = self.land(frame, new_frame, src_tier, dst_tier, false);
         self.recorder.emit(|| EventKind::Migrate {
             vpage: vpage.map(VPage::raw),
@@ -630,10 +637,11 @@ impl MemorySystem {
             }
         }
         if migrated > 0 {
-            self.ledger
-                .charge_app_stall(self.latency.migration_app_stall);
-            self.ledger
-                .charge_background(self.latency.migration_fixed + copy_total);
+            self.charge(Charge::MigrationStall, self.latency.migration_app_stall);
+            self.charge(
+                Charge::Background,
+                self.latency.migration_fixed + copy_total,
+            );
         }
         self.recorder.emit(|| EventKind::MigrateBatch {
             src: batch_src.index() as u8,
@@ -802,12 +810,12 @@ impl MemorySystem {
         self.invalidate_shadow_of(frame);
         self.forget_shadow_copy(frame);
         if dirty || anon {
-            let t = self.latency.swap_page;
-            self.ledger.charge_background(t);
+            self.charge(Charge::Background, self.latency.swap_page);
         }
         if let Some(v) = vpage {
             self.page_table.unmap(v);
-            self.swapped.insert(v);
+            let tracked = self.swapped.insert(v, ());
+            debug_assert!(tracked.is_ok(), "a mapped page lies inside the span");
             self.events.push(MemEvent::Evicted { vpage: v });
             self.recorder.emit(|| EventKind::Evict { vpage: v.raw() });
         }
@@ -821,15 +829,14 @@ impl MemorySystem {
 
     /// Whether a virtual page currently lives on backing storage.
     pub fn is_swapped(&self, vpage: VPage) -> bool {
-        self.swapped.contains(&vpage)
+        self.swapped.get(vpage).is_some()
     }
 
     /// Records that a previously evicted page was faulted back in; charges
     /// the swap-in latency as application stall and emits an event.
     pub fn note_swap_in(&mut self, vpage: VPage) {
-        if self.swapped.remove(&vpage) {
-            let t = self.latency.swap_page;
-            self.ledger.charge_app_stall(t);
+        if self.swapped.remove(vpage).is_some() {
+            self.charge(Charge::SwapIn, self.latency.swap_page);
             saturating_bump(&mut self.stats.swap_ins);
             self.events.push(MemEvent::SwappedIn { vpage });
             self.recorder
@@ -863,7 +870,7 @@ impl MemorySystem {
         // accessing the source: no app stall at begin time. The cheap
         // atomic remap is charged at commit.
         let cost = self.latency.migration(src_tier, dst_tier);
-        self.ledger.charge_background(cost.background);
+        self.charge(Charge::Background, cost.background);
         self.txns.push(MigrationTxn {
             frame,
             dst_frame,
@@ -938,7 +945,7 @@ impl MemorySystem {
             out.push((txn.frame, Ok(txn.dst_frame)));
         }
         if committed {
-            self.ledger.charge_app_stall(self.latency.txn_remap);
+            self.charge(Charge::MigrationStall, self.latency.txn_remap);
         }
         out
     }
@@ -1044,6 +1051,7 @@ fn injected_error(injected: InjectedFault, frame: FrameId, dst_tier: TierId) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::time::Charge::{Background, MigrationStall, SwapIn};
 
     fn small() -> MemorySystem {
         MemorySystem::new(MachineDesc::dram_pm(64, 256))
@@ -1218,9 +1226,9 @@ mod tests {
         let f = mem.alloc_page(PageKind::Anon).unwrap();
         mem.map(VPage::new(1), f).unwrap();
         mem.migrate(f, TierId::new(1)).unwrap();
-        let ledger = mem.ledger_mut().take();
-        assert!(ledger.app_stall.as_nanos() > 0);
-        assert!(ledger.background.as_nanos() > 0);
+        let ledger = mem.take_charges();
+        assert!(ledger.get(MigrationStall).as_nanos() > 0);
+        assert!(ledger.get(Background).as_nanos() > 0);
     }
 
     #[test]
@@ -1234,7 +1242,7 @@ mod tests {
                 f
             })
             .collect();
-        mem.ledger_mut().take();
+        mem.take_charges();
         mem.recorder_mut().enable(256);
         let results = mem.migrate_pages(&frames, TierId::TOP, MigrationMode::Sync);
         assert!(results.iter().all(Result::is_ok));
@@ -1248,9 +1256,9 @@ mod tests {
         }
         // Exactly one amortized setup: the ledger matches migration_batch.
         let want = mem.latency().migration_batch(pm, TierId::TOP, 8);
-        let l = mem.ledger_mut().take();
-        assert_eq!(l.app_stall, want.app_stall);
-        assert_eq!(l.background, want.background);
+        let l = mem.take_charges();
+        assert_eq!(l.get(MigrationStall), want.app_stall);
+        assert_eq!(l.get(Background), want.background);
         // One summary tracepoint, no per-page migrate events.
         let batch_evs: Vec<_> = mem
             .recorder()
@@ -1286,7 +1294,7 @@ mod tests {
                 .alloc_page_in_tier(PageKind::Anon, TierId::new(1))
                 .unwrap();
             mem.map(VPage::new(3), f).unwrap();
-            mem.ledger_mut().take();
+            mem.take_charges();
             if batched {
                 mem.migrate_pages(&[f], TierId::TOP, MigrationMode::Sync)[0]
                     .as_ref()
@@ -1294,8 +1302,7 @@ mod tests {
             } else {
                 mem.migrate(f, TierId::TOP).unwrap();
             }
-            let l = mem.ledger_mut().take();
-            (mem.stats().clone(), l.app_stall, l.background)
+            (mem.stats().clone(), mem.take_charges())
         };
         assert_eq!(run(true), run(false));
     }
@@ -1344,7 +1351,7 @@ mod tests {
                 f
             })
             .collect();
-        mem.ledger_mut().take();
+        mem.take_charges();
         mem.set_fault_injector(FaultInjector::new(plan, seed));
         let results = mem.migrate_pages(&frames, TierId::TOP, MigrationMode::Sync);
         assert!(results[0].is_ok(), "page before the fault migrated");
@@ -1361,9 +1368,9 @@ mod tests {
         assert_eq!(mem.stats().promotions, 1);
         // The partial batch still charges exactly one setup.
         let want = mem.latency().migration_batch(pm, TierId::TOP, 1);
-        let l = mem.ledger_mut().take();
-        assert_eq!(l.app_stall, want.app_stall);
-        assert_eq!(l.background, want.background);
+        let l = mem.take_charges();
+        assert_eq!(l.get(MigrationStall), want.app_stall);
+        assert_eq!(l.get(Background), want.background);
     }
 
     #[test]
@@ -1377,12 +1384,12 @@ mod tests {
         let b = mem.alloc_page_in_tier(PageKind::Anon, pm).unwrap();
         mem.frame_flags_mut(a).insert(PageFlags::LOCKED);
         mem.frame_flags_mut(b).insert(PageFlags::UNEVICTABLE);
-        mem.ledger_mut().take();
+        mem.take_charges();
         let results = mem.migrate_pages(&[a, b], TierId::TOP, MigrationMode::Sync);
         assert!(results.iter().all(Result::is_err));
-        let l = mem.ledger_mut().take();
-        assert_eq!(l.app_stall, Nanos::ZERO);
-        assert_eq!(l.background, Nanos::ZERO);
+        let l = mem.take_charges();
+        assert_eq!(l.get(MigrationStall), Nanos::ZERO);
+        assert_eq!(l.get(Background), Nanos::ZERO);
     }
 
     #[test]
@@ -1398,8 +1405,9 @@ mod tests {
         mem.note_swap_in(v);
         assert!(!mem.is_swapped(v));
         assert_eq!(mem.stats().swap_ins, 1);
-        let l = mem.ledger_mut().take();
-        assert!(l.app_stall >= mem.latency().swap_page);
+        let l = mem.take_charges();
+        assert_eq!(l.get(SwapIn), mem.latency().swap_page);
+        assert_eq!(l.now(), mem.latency().swap_page, "nothing else stalls");
     }
 
     #[test]
@@ -1456,10 +1464,14 @@ mod tests {
         let mut mem = small();
         let f = mem.alloc_page(PageKind::File).unwrap();
         mem.map(VPage::new(20), f).unwrap();
-        mem.ledger_mut().take();
+        mem.take_charges();
         mem.evict(f).unwrap();
-        let l = mem.ledger_mut().take();
-        assert_eq!(l.background, Nanos::ZERO, "clean file pages are dropped");
+        let l = mem.take_charges();
+        assert_eq!(
+            l.get(Background),
+            Nanos::ZERO,
+            "clean file pages are dropped"
+        );
     }
 
     #[test]
@@ -1574,14 +1586,14 @@ mod tests {
     #[test]
     fn txn_commit_promotes_leaves_shadow_and_never_stalls_the_copy() {
         let mut mem = small();
-        mem.ledger_mut().take();
+        mem.take_charges();
         let f = begin_promotion(&mut mem, 1);
         assert_eq!(mem.migration_txns().len(), 1);
         // The copy window charges only background time: no app stall.
-        let l = mem.ledger_mut().take();
-        assert_eq!(l.app_stall, Nanos::ZERO);
+        let l = mem.take_charges();
+        assert_eq!(l.get(MigrationStall), Nanos::ZERO);
         assert_eq!(
-            l.background,
+            l.get(Background),
             mem.latency()
                 .migration(TierId::new(1), TierId::TOP)
                 .background
@@ -1604,9 +1616,9 @@ mod tests {
         assert_eq!(mem.stats().txn_aborts, 0);
         assert_eq!(mem.stats().promotions, 1);
         // The commit is one cheap remap, far below the sync stall.
-        let l = mem.ledger_mut().take();
-        assert_eq!(l.app_stall, mem.latency().txn_remap);
-        assert_eq!(l.background, Nanos::ZERO);
+        let l = mem.take_charges();
+        assert_eq!(l.get(MigrationStall), mem.latency().txn_remap);
+        assert_eq!(l.get(Background), Nanos::ZERO);
         assert!(mem.drain_events()[0].is_promotion());
     }
 
@@ -1634,7 +1646,7 @@ mod tests {
         let mut mem = small();
         let f = begin_promotion(&mut mem, 4);
         let nf = mem.resolve_migrations()[0].1.clone().unwrap();
-        mem.ledger_mut().take();
+        mem.take_charges();
         mem.drain_events();
         let back = mem.migrate(nf, TierId::new(1)).unwrap();
         assert_eq!(back, f, "the flip reuses the retained source frame");
@@ -1644,9 +1656,9 @@ mod tests {
         assert_eq!(mem.stats().shadow_hits, 1);
         assert_eq!(mem.stats().demotions, 1);
         // Zero-copy: one remap stall, no background copy at all.
-        let l = mem.ledger_mut().take();
-        assert_eq!(l.app_stall, mem.latency().txn_remap);
-        assert_eq!(l.background, Nanos::ZERO);
+        let l = mem.take_charges();
+        assert_eq!(l.get(MigrationStall), mem.latency().txn_remap);
+        assert_eq!(l.get(Background), Nanos::ZERO);
         assert!(mem.drain_events()[0].is_demotion());
     }
 
@@ -1661,10 +1673,10 @@ mod tests {
         assert_eq!(mem.stats().shadow_invalidations, 1);
         assert_eq!(mem.tier_free(TierId::new(1)), pm_free + 1);
         // The demotion now pays for a real copy.
-        mem.ledger_mut().take();
+        mem.take_charges();
         mem.migrate(nf, TierId::new(1)).unwrap();
         assert_eq!(mem.stats().shadow_hits, 0);
-        assert!(mem.ledger_mut().take().background > Nanos::ZERO);
+        assert!(mem.take_charges().get(Background) > Nanos::ZERO);
     }
 
     #[test]

@@ -3,7 +3,9 @@
 //! The simulation never reads wall-clock time: every latency charged by the
 //! substrate advances a nanosecond counter. [`Nanos`] is both an instant and
 //! a duration (the distinction is not load-bearing at this scale and keeping
-//! one type makes arithmetic in policies terse).
+//! one type makes arithmetic in policies terse). The counter is the
+//! [`TimeLedger`]: time passes only by charging it to a [`Charge`], so the
+//! clock and the account of where it went cannot disagree.
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -64,7 +66,7 @@ impl Nanos {
         Nanos(self.0.saturating_sub(rhs.0))
     }
 
-    /// Checked multiplication by a scalar.
+    /// Saturating multiplication by a scalar.
     pub const fn saturating_mul(self, k: u64) -> Nanos {
         Nanos(self.0.saturating_mul(k))
     }
@@ -104,44 +106,109 @@ impl fmt::Display for Nanos {
     }
 }
 
-/// A monotonically advancing virtual clock.
-///
-/// The simulation engine owns one of these; the substrate and policies only
-/// ever receive `now` as a parameter, keeping them pure with respect to time.
-#[derive(Debug, Default, Clone)]
-pub struct VirtualClock {
+/// What a span of virtual time was spent on. The first seven pass on the
+/// application's clock; the last two run beside it and are only recorded.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Charge {
+    /// Device time of the accesses themselves (latency plus streaming).
+    Device,
+    /// First-touch page faults, including the ones that gave up.
+    MinorFault,
+    /// Software faults on poisoned PTEs.
+    HintFault,
+    /// Migration work the application waits for: unmap/TLB shootdown, the
+    /// transactional remap, AutoTiering's fault-path exchange copies.
+    MigrationStall,
+    /// Major faults on pages evicted to backing storage.
+    SwapIn,
+    /// The share of daemon CPU that contends with the application.
+    DaemonLeak,
+    /// CPU work between memory accesses ([`crate::Memory::compute`]).
+    Compute,
+    /// Daemon CPU in full (scans), before the contention factor.
+    DaemonCpu,
+    /// Copies and write-backs on a spare core (migration, swap-out,
+    /// Memory-mode fills).
+    Background,
+}
+
+impl Charge {
+    /// Every category, on-clock first.
+    pub const ALL: [Charge; 9] = [
+        Charge::Device,
+        Charge::MinorFault,
+        Charge::HintFault,
+        Charge::MigrationStall,
+        Charge::SwapIn,
+        Charge::DaemonLeak,
+        Charge::Compute,
+        Charge::DaemonCpu,
+        Charge::Background,
+    ];
+
+    /// Whether time charged here passes on the application's clock.
+    pub const fn on_clock(self) -> bool {
+        !matches!(self, Charge::DaemonCpu | Charge::Background)
+    }
+
+    /// The category's snake-case name, as artifacts print it.
+    pub const fn name(self) -> &'static str {
+        match self {
+            Charge::Device => "device",
+            Charge::MinorFault => "minor_fault",
+            Charge::HintFault => "hint_fault",
+            Charge::MigrationStall => "migration_stall",
+            Charge::SwapIn => "swap_in",
+            Charge::DaemonLeak => "daemon_leak",
+            Charge::Compute => "compute",
+            Charge::DaemonCpu => "daemon_cpu",
+            Charge::Background => "background",
+        }
+    }
+}
+
+/// The virtual clock and the account of where its time went, as one value:
+/// [`Self::charge`] is the only mutator, so [`Self::now`] equals the sum of
+/// the on-clock categories by construction. The engine owns the run's; the
+/// substrate holds a second for what is charged between two absorptions.
+#[derive(Debug, Default, Clone, PartialEq, Eq)]
+pub struct TimeLedger {
+    spent: [Nanos; Charge::ALL.len()],
     now: Nanos,
 }
 
-impl VirtualClock {
-    /// A clock starting at zero.
-    pub fn new() -> Self {
-        Self::default()
+impl TimeLedger {
+    /// Spends `t` on `category`, advancing the clock if it is on-clock.
+    pub fn charge(&mut self, category: Charge, t: Nanos) {
+        self.spent[category as usize] += t;
+        if category.on_clock() {
+            self.now += t;
+        }
     }
 
-    /// Current virtual time.
+    /// Current virtual time: everything charged on-clock so far.
     pub fn now(&self) -> Nanos {
         self.now
     }
 
-    /// Advances the clock by a duration.
-    pub fn advance(&mut self, by: Nanos) {
-        self.now += by;
+    /// Total charged to one category.
+    pub fn get(&self, category: Charge) -> Nanos {
+        self.spent[category as usize]
     }
 
-    /// Advances the clock to an absolute instant.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `to` is in the past — virtual time never flows backwards.
-    pub fn advance_to(&mut self, to: Nanos) {
-        assert!(
-            to >= self.now,
-            "virtual clock may not move backwards ({} -> {})",
-            self.now,
-            to
-        );
-        self.now = to;
+    /// Whether nothing has been charged (three compares: an on-clock
+    /// charge shows in `now`).
+    pub fn is_empty(&self) -> bool {
+        self.now == Nanos::ZERO
+            && self.get(Charge::DaemonCpu) == Nanos::ZERO
+            && self.get(Charge::Background) == Nanos::ZERO
+    }
+
+    /// Charges everything `other` holds, category by category.
+    pub fn merge(&mut self, other: &TimeLedger) {
+        for category in Charge::ALL {
+            self.charge(category, other.get(category));
+        }
     }
 }
 
@@ -169,20 +236,19 @@ mod tests {
 
     #[test]
     fn clock_advances() {
-        let mut c = VirtualClock::new();
-        assert_eq!(c.now(), Nanos::ZERO);
-        c.advance(Nanos::from_micros(10));
-        assert_eq!(c.now().as_micros(), 10);
-        c.advance_to(Nanos::from_millis(1));
-        assert_eq!(c.now().as_millis(), 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "backwards")]
-    fn clock_rejects_time_travel() {
-        let mut c = VirtualClock::new();
-        c.advance(Nanos::from_secs(1));
-        c.advance_to(Nanos::from_millis(1));
+        let mut all = TimeLedger::default();
+        assert!(all.is_empty());
+        for (i, c) in Charge::ALL.into_iter().enumerate() {
+            let mut one = TimeLedger::default();
+            one.charge(c, Nanos::from_nanos(1 << i));
+            assert!(!one.is_empty(), "{} alone shows", c.name());
+            assert_eq!(one.now() > Nanos::ZERO, c.on_clock());
+            all.merge(&one);
+            all.merge(&one);
+        }
+        // Seven on-clock categories, each merged twice; two beside them.
+        assert_eq!(all.now().as_nanos(), 2 * ((1 << 7) - 1));
+        assert_eq!(all.get(Charge::Background).as_nanos(), 2 << 8);
     }
 
     #[test]

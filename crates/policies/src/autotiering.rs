@@ -20,7 +20,7 @@
 
 use mc_clock::IndexedList;
 use mc_mem::{
-    AccessKind, FrameId, MemError, MemorySystem, Nanos, PolicyTraits, TickOutcome, TierId,
+    AccessKind, Charge, FrameId, MemError, MemorySystem, Nanos, PolicyTraits, TickOutcome, TierId,
     TieringPolicy, Topology,
 };
 use mc_obs::EventKind;
@@ -223,7 +223,7 @@ impl AutoTiering {
                     // CPM exchanges run on the fault path: the copy stalls
                     // the application too.
                     let extra = mem.latency().migration(tier, lower).background;
-                    mem.ledger_mut().charge_app_stall(extra);
+                    mem.charge(Charge::MigrationStall, extra);
                 }
                 self.retrack(victim, new_frame, tier, lower);
                 self.demotions += 1;
@@ -240,7 +240,7 @@ impl AutoTiering {
             Ok(new_frame) => {
                 if self.mode == AutoTieringMode::Cpm {
                     let extra = mem.latency().migration(tier, upper).background;
-                    mem.ledger_mut().charge_app_stall(extra);
+                    mem.charge(Charge::MigrationStall, extra);
                 }
                 self.retrack(frame, new_frame, tier, upper);
                 self.promotions += 1;
@@ -251,7 +251,7 @@ impl AutoTiering {
                     if self.demote_cold(mem, upper, true) {
                         if let Ok(new_frame) = mem.migrate(frame, upper) {
                             let extra = mem.latency().migration(tier, upper).background;
-                            mem.ledger_mut().charge_app_stall(extra);
+                            mem.charge(Charge::MigrationStall, extra);
                             self.retrack(frame, new_frame, tier, upper);
                             self.promotions += 1;
                             self.exchanges += 1;

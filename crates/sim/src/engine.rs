@@ -8,8 +8,8 @@ use crate::metrics::Metrics;
 use crate::obs::ObsState;
 use mc_fault::FaultInjector;
 use mc_mem::{
-    AccessKind, MemorySystem, MigrationMode, Nanos, PageKind, PageTable, TierId, TieringPolicy,
-    VAddr, VPage, VPageMap, VirtualClock, PAGE_SIZE,
+    AccessKind, Charge, MemorySystem, MigrationMode, Nanos, PageKind, PageTable, TierId,
+    TieringPolicy, TimeLedger, VAddr, VPage, VPageMap, PAGE_SIZE,
 };
 use mc_policies::{
     Amp, AutoNuma, AutoTiering, AutoTieringConfig, AutoTieringMode, HybridTier, HybridTierConfig,
@@ -49,7 +49,6 @@ pub struct Simulation {
     cfg: SimConfig,
     mem: MemorySystem,
     frontend: Frontend,
-    clock: VirtualClock,
     /// When the tiering daemon next wakes; `None` for Memory-mode and for
     /// policies that never tick.
     next_tick: Option<Nanos>,
@@ -192,7 +191,6 @@ impl Simulation {
             cfg,
             mem,
             frontend,
-            clock: VirtualClock::new(),
             next_tick,
             next_free_page: 0,
             regions: Vec::new(),
@@ -217,6 +215,12 @@ impl Simulation {
     /// The metrics collected so far.
     pub fn metrics(&self) -> &Metrics {
         &self.metrics
+    }
+
+    /// The run's clock and where its time went, category by category;
+    /// [`Metrics::costs`] is the coarser view of the same ledger.
+    pub fn time(&self) -> &TimeLedger {
+        &self.metrics.time
     }
 
     /// The first error the run hit (out of memory, a wild address), if
@@ -261,7 +265,7 @@ impl Simulation {
     pub fn obs_report(&self) -> Option<String> {
         self.obs
             .as_ref()
-            .map(|o| o.render_report(&self.cfg, &self.mem, &self.metrics, self.clock.now()))
+            .map(|o| o.render_report(&self.cfg, &self.mem, &self.metrics))
     }
 
     /// Whether observability was enabled for this run (whether
@@ -329,12 +333,12 @@ impl Simulation {
     /// Records a completed application-level operation (throughput
     /// accounting for the experiment drivers).
     pub fn record_op(&mut self) {
-        self.metrics.on_op(self.clock.now());
+        self.metrics.on_op(self.now());
     }
 
     /// Finalises metrics (settles pending re-access bookkeeping).
     pub fn finish(&mut self) {
-        self.metrics.finish(self.clock.now());
+        self.metrics.finish(self.now());
     }
 
     /// The kind of the region containing `vpage` (`Anon` outside every
@@ -356,7 +360,7 @@ impl Simulation {
     /// instant. A tick can advance the clock (absorbed substrate costs),
     /// so the due check re-reads it each round.
     fn run_due_ticks(&mut self) {
-        while let Some(due) = self.next_tick.filter(|&due| due <= self.clock.now()) {
+        while let Some(due) = self.next_tick.filter(|&due| due <= self.now()) {
             self.next_tick = self.tick_at(due);
         }
     }
@@ -379,17 +383,13 @@ impl Simulation {
             s.add_items(1);
         }
         drop(span);
-        // Scan CPU cost.
+        // The scan's CPU joins what the tick's migrations charged, so the
+        // contention leak is derived once per tick.
         let scan_cost =
             Nanos::from_nanos(out.pages_scanned * self.mem.latency().scan_per_page.as_nanos());
-        self.mem.ledger_mut().charge_daemon(scan_cost);
-        absorb_substrate(
-            &mut self.mem,
-            &mut self.clock,
-            &mut self.metrics,
-            self.cfg.daemon_contention,
-        );
-        self.metrics.settle(self.clock.now());
+        self.mem.charge(Charge::DaemonCpu, scan_cost);
+        absorb_substrate(&mut self.mem, &mut self.metrics, self.cfg.daemon_contention);
+        self.metrics.settle(self.metrics.time.now());
         if let Some(obs) = self.obs.as_mut() {
             let counters = policy.counters();
             obs.snapshot(due, self.mem.stats(), &counters);
@@ -404,7 +404,7 @@ impl Simulation {
     /// Performs one device access, faulting the page in first (allocation
     /// with direct reclaim) if it is not mapped. The heart of the engine.
     fn access_page(&mut self, vpage: VPage, kind: AccessKind, bytes: usize) {
-        self.mem.set_now(self.clock.now().as_nanos());
+        self.mem.set_now(self.now().as_nanos());
         // The tier served from and the device time: the first 64 bytes at
         // access latency, the rest streamed from wherever the page now is.
         let (tier, latency) = match &mut self.frontend {
@@ -412,7 +412,7 @@ impl Simulation {
                 // Everything lives in PM; DRAM is a transparent cache, so
                 // samples are attributed to the top tier it fronts.
                 let (mut lat, bg) = cache.access(vpage, kind, self.mem.latency());
-                self.metrics.costs_mut().background_time += bg;
+                self.metrics.time.charge(Charge::Background, bg);
                 if bytes > 64 {
                     lat += self.mem.latency().stream(TierId::TOP, kind, bytes - 64);
                 }
@@ -430,7 +430,7 @@ impl Simulation {
                     if self.error.is_some() {
                         return self.skip_access(None);
                     }
-                    let at = self.clock.now();
+                    let at = self.metrics.time.now();
                     // A wild pointer in the workload: refused before any
                     // frame is taken for a page that cannot be mapped.
                     if vpage.raw() >= PageTable::MAX_VPAGES {
@@ -455,19 +455,22 @@ impl Simulation {
                                 if attempts > budget {
                                     break None;
                                 }
+                                // The outcome is dropped: direct reclaim's scan
+                                // work goes uncharged (DESIGN.md §4 records it).
                                 let tiers = self.mem.topology().tier_count();
                                 for t in (0..tiers).rev() {
                                     policy.on_pressure(
                                         &mut self.mem,
                                         TierId::new(t as u8),
-                                        self.clock.now(),
+                                        self.metrics.time.now(),
                                     );
                                 }
                             }
                         }
                     };
-                    self.clock.advance(self.cfg.minor_fault);
-                    self.metrics.costs_mut().stall_time += self.cfg.minor_fault;
+                    self.metrics
+                        .time
+                        .charge(Charge::MinorFault, self.cfg.minor_fault);
                     let Some(frame) = frame else {
                         let oom = (!injected).then_some(RunError::OutOfMemory { at, vpage });
                         return self.skip_access(oom);
@@ -483,14 +486,13 @@ impl Simulation {
                     let Ok(out) = faulted_in else {
                         return self.skip_access(Some(RunError::AddressOutOfRange { at, vpage }));
                     };
-                    self.metrics.costs_mut().minor_faults += 1;
+                    self.metrics.minor_faults += 1;
                     out
                 };
                 if out.hint_fault {
                     let hf = self.mem.latency().hint_fault;
-                    self.clock.advance(hf);
-                    self.metrics.costs_mut().stall_time += hf;
-                    self.metrics.costs_mut().hint_faults += 1;
+                    self.metrics.time.charge(Charge::HintFault, hf);
+                    self.metrics.hint_faults += 1;
                     policy.on_hint_fault(&mut self.mem, out.frame, kind);
                 }
                 if *oracle_visibility {
@@ -504,12 +506,12 @@ impl Simulation {
                 (out.tier, lat)
             }
         };
-        self.clock.advance(latency);
-        self.metrics.costs_mut().access_time += latency;
+        self.metrics.time.charge(Charge::Device, latency);
+        let now = self.now();
         if let Some(obs) = &mut self.obs {
-            obs.on_access(vpage, kind, bytes, tier, latency, self.clock.now());
+            obs.on_access(vpage, kind, bytes, tier, latency, now);
         }
-        self.metrics.on_access(vpage, self.clock.now());
+        self.metrics.on_access(vpage, now);
         self.settle();
     }
 
@@ -528,12 +530,7 @@ impl Simulation {
     /// Absorbs what the substrate charged meanwhile and runs every
     /// daemon tick the clock has now passed.
     fn settle(&mut self) {
-        absorb_substrate(
-            &mut self.mem,
-            &mut self.clock,
-            &mut self.metrics,
-            self.cfg.daemon_contention,
-        );
+        absorb_substrate(&mut self.mem, &mut self.metrics, self.cfg.daemon_contention);
         self.run_due_ticks();
     }
 
@@ -602,38 +599,31 @@ impl Memory for Simulation {
     }
 
     fn now(&self) -> Nanos {
-        self.clock.now()
+        self.metrics.time.now()
     }
 
     fn compute(&mut self, t: Nanos) {
-        self.clock.advance(t);
+        self.metrics.time.charge(Charge::Compute, t);
         self.run_due_ticks();
     }
 }
 
-/// Absorbs substrate side effects: the cost ledger into the clock and
-/// cost breakdown, migration events into the windowed metrics. Shared by
-/// the access path and the daemon tick.
-fn absorb_substrate(
-    mem: &mut MemorySystem,
-    clock: &mut VirtualClock,
-    metrics: &mut Metrics,
-    daemon_contention: f64,
-) {
+/// Absorbs substrate side effects: the pending charges into the run's
+/// ledger, migration events into the windowed metrics. Shared by the
+/// access path and the daemon tick.
+fn absorb_substrate(mem: &mut MemorySystem, metrics: &mut Metrics, daemon_contention: f64) {
     // Nearly every access leaves the substrate clean: nothing to absorb.
     if !mem.has_pending_effects() {
         return;
     }
-    let ledger = mem.ledger_mut().take();
-    // Application stalls (TLB shootdowns, swap-ins) hit the app fully.
-    clock.advance(ledger.app_stall);
-    metrics.costs_mut().stall_time += ledger.app_stall;
-    // Daemon CPU leaks a contention fraction into the app.
-    let leak = Nanos::from_nanos((ledger.daemon_cpu.as_nanos() as f64 * daemon_contention) as u64);
-    clock.advance(leak);
-    metrics.costs_mut().daemon_time += ledger.daemon_cpu;
-    metrics.costs_mut().background_time += ledger.background;
-    let now = clock.now();
+    // Application stalls (TLB shootdowns, swap-ins) hit the app in full;
+    // daemon CPU leaks a contention fraction, truncated per absorption.
+    let pending = mem.take_charges();
+    metrics.time.merge(&pending);
+    let daemon_cpu = pending.get(Charge::DaemonCpu).as_nanos();
+    let leak = Nanos::from_nanos((daemon_cpu as f64 * daemon_contention) as u64);
+    metrics.time.charge(Charge::DaemonLeak, leak);
+    let now = metrics.time.now();
     for ev in mem.drain_events() {
         match ev {
             mc_mem::MemEvent::Migrated {

@@ -1,10 +1,11 @@
 //! Windowed metrics: promotion counts (Fig. 8), re-access percentages of
 //! recently promoted pages (Fig. 9) and the cost breakdown (§V-F).
 
-use mc_mem::{Nanos, VPage};
+use mc_mem::{Charge, Nanos, TimeLedger, VPage};
 use std::collections::BTreeMap;
 
-/// Where time went over a run.
+/// Where time went over a run: the §V-F view of the run's [`TimeLedger`],
+/// computed by [`Metrics::costs`].
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct CostBreakdown {
     /// Device access time the application spent.
@@ -69,7 +70,11 @@ pub struct Metrics {
     windows: Vec<WindowStats>,
     /// `BTreeMap` so settle/finish walk pending promotions in page order.
     pending: BTreeMap<VPage, Pending>,
-    costs: CostBreakdown,
+    /// The run's clock and where its time went; the engine charges it.
+    pub(crate) time: TimeLedger,
+    /// Faults served (one that gave up is charged, not counted).
+    pub(crate) hint_faults: u64,
+    pub(crate) minor_faults: u64,
 }
 
 impl Metrics {
@@ -92,7 +97,9 @@ impl Metrics {
             horizon,
             windows: vec![WindowStats::default()],
             pending: BTreeMap::new(),
-            costs: CostBreakdown::default(),
+            time: TimeLedger::default(),
+            hint_faults: 0,
+            minor_faults: 0,
         }
     }
 
@@ -198,14 +205,20 @@ impl Metrics {
         &self.windows
     }
 
-    /// Mutable cost accumulators (the engine charges into these).
-    pub fn costs_mut(&mut self) -> &mut CostBreakdown {
-        &mut self.costs
-    }
-
     /// The cost breakdown.
     pub fn costs(&self) -> CostBreakdown {
-        self.costs
+        let spent = |c| self.time.get(c);
+        CostBreakdown {
+            access_time: spent(Charge::Device),
+            stall_time: spent(Charge::MinorFault)
+                + spent(Charge::HintFault)
+                + spent(Charge::MigrationStall)
+                + spent(Charge::SwapIn),
+            daemon_time: spent(Charge::DaemonCpu),
+            background_time: spent(Charge::Background),
+            hint_faults: self.hint_faults,
+            minor_faults: self.minor_faults,
+        }
     }
 
     /// Total promotions across windows.

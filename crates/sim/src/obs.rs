@@ -11,7 +11,7 @@
 use crate::config::SimConfig;
 use crate::latency_hist::LatencyHistogram;
 use crate::metrics::Metrics;
-use mc_mem::{AccessKind, MemStats, MemorySystem, Nanos, TierId, VPage, PAGE_SIZE};
+use mc_mem::{AccessKind, Charge, MemStats, MemorySystem, Nanos, TierId, VPage, PAGE_SIZE};
 use mc_obs::{ObsConfig, ReportBuilder, TimeSeries};
 use mc_trace::{Heatmap, Trace, TraceEvent};
 
@@ -129,13 +129,8 @@ impl ObsState {
     }
 
     /// Renders the human-readable run report.
-    pub fn render_report(
-        &self,
-        cfg: &SimConfig,
-        mem: &MemorySystem,
-        metrics: &Metrics,
-        now: Nanos,
-    ) -> String {
+    pub fn render_report(&self, cfg: &SimConfig, mem: &MemorySystem, metrics: &Metrics) -> String {
+        let now = metrics.time.now();
         let mut r = ReportBuilder::new("MULTI-CLOCK run report");
 
         r.section("Run");
@@ -144,17 +139,14 @@ impl ObsState {
         r.kv("scan_interval_ns", cfg.scan_interval.as_nanos().to_string());
         r.kv("virtual_time_ns", now.as_nanos().to_string());
 
-        let c = metrics.costs();
+        // Where the virtual time went: the on-clock categories sum to
+        // `virtual_time_ns`, the off-clock two ran beside it.
         r.section("Cost breakdown");
-        r.kv("access_time_ns", c.access_time.as_nanos().to_string());
-        r.kv("stall_time_ns", c.stall_time.as_nanos().to_string());
-        r.kv("daemon_time_ns", c.daemon_time.as_nanos().to_string());
-        r.kv(
-            "background_time_ns",
-            c.background_time.as_nanos().to_string(),
-        );
-        r.kv("hint_faults", c.hint_faults.to_string());
-        r.kv("minor_faults", c.minor_faults.to_string());
+        for c in Charge::ALL {
+            r.kv(&format!("{}_ns", c.name()), metrics.time.get(c).as_nanos());
+        }
+        r.kv("hint_faults", metrics.hint_faults.to_string());
+        r.kv("minor_faults", metrics.minor_faults.to_string());
 
         r.section("Migration");
         let secs = (now.as_nanos() as f64 / 1e9).max(f64::MIN_POSITIVE);

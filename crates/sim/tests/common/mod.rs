@@ -2,6 +2,8 @@
 //! `*_differential.rs` drives its own workload and then digests the
 //! finished simulation with [`Fingerprint::of`].
 
+mod time;
+
 use mc_mem::Nanos;
 use mc_sim::Simulation;
 use mc_workloads::Memory;
@@ -26,8 +28,9 @@ pub struct Fingerprint {
 
 impl Fingerprint {
     /// Digests a finished run whose workload mapped virtual pages
-    /// `0..pages`.
+    /// `0..pages`, after holding it to the time-accounting identity.
     pub fn of(s: &Simulation, pages: u64) -> Self {
+        time::assert_time_balanced(s, "at the fingerprint");
         let placement = (0..pages)
             .map(|p| {
                 s.mem().translate(mc_mem::VPage::new(p)).map(|f| {

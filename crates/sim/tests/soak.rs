@@ -8,6 +8,9 @@
 //! Nothing here compares against a pinned number: the test holds the run
 //! to the accounting identities that must survive any horizon.
 
+#[path = "common/time.rs"]
+mod time;
+
 use mc_mem::{MachineDesc, MigrationMode, Nanos, PageKind, VPage, PAGE_SIZE};
 use mc_sim::{FaultConfig, ObsConfig, RetryPolicy, SimConfig, Simulation, SystemKind};
 use mc_workloads::Memory;
@@ -46,10 +49,14 @@ fn soak_config() -> SimConfig {
 
 /// Every page the page table maps sits on a distinct allocated frame that
 /// points back at it; with the policy's own validation (each tracked page
-/// on exactly one list of exactly one tier) that is conservation.
+/// on exactly one list of exactly one tier) that is conservation. Time is
+/// conserved too: the clock is the sum of what was charged on it.
 fn assert_conserved(s: &Simulation, when: &str) {
     let violations = s.invariant_violations();
     assert!(violations.is_empty(), "{when}: {violations:?}");
+    time::assert_time_balanced(s, when);
+    let costs = s.metrics().costs();
+    assert!(costs.stall_time + costs.access_time <= s.now(), "{when}");
     let mut frames = Vec::new();
     for p in 0..PAGES {
         if let Some(f) = s.mem().translate(VPage::new(p)) {
@@ -70,7 +77,7 @@ fn two_virtual_hours_of_chaos_keep_every_account_balanced() {
     let page = |p: u64| a.add((p % PAGES) * PAGE_SIZE as u64);
     let mut issued = 0u64;
     let mut step = 0u64;
-    let mut next_check = Nanos::from_secs(600);
+    let mut next_check = Nanos::from_secs(60);
     while s.now() < HORIZON {
         // A 24-page hot set that drifts through the footprint once an
         // hour, a cold sweep behind it, and stores into the hot set so
@@ -84,7 +91,7 @@ fn two_virtual_hours_of_chaos_keep_every_account_balanced() {
         step += 1;
         if s.now() >= next_check {
             assert_conserved(&s, &format!("at {}", s.now()));
-            next_check += Nanos::from_secs(600);
+            next_check += Nanos::from_secs(60);
         }
     }
     s.finish();
