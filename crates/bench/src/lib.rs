@@ -1,11 +1,13 @@
 //! The evaluation harness behind the `repro` binary: its command-line
-//! parser ([`Args`]), the `SweepRunner`, the Markdown [`report`] helpers
-//! and the [`repro`] document generator with its `sections`. Host-time
-//! measurement lives in the repo benchmark (`benchmark/`), not here.
+//! parser ([`Args`]), the `SweepRunner`, the Markdown [`report`] helpers,
+//! the [`repro`] document generator with its `sections`, and the
+//! [`source`] size count of `repro --count`. Host-time measurement lives
+//! in the repo benchmark (`benchmark/`), not here.
 
 pub mod report;
 pub mod repro;
 mod sections;
+pub mod source;
 
 use mc_mem::MachineDesc;
 use mc_sim::experiments::Scale;
@@ -77,6 +79,8 @@ pub struct Args {
     pub obs: Option<PathBuf>,
     /// `--only SECTION[,…]`: the sections to generate.
     pub only: Vec<String>,
+    /// `--count`: print the size of `crates/*/src` instead of the document.
+    pub count: bool,
 }
 
 impl Args {
@@ -95,6 +99,7 @@ impl Args {
             systems: None,
             obs: None,
             only: Vec::new(),
+            count: false,
         };
         let mut it = argv.iter();
         while let Some(flag) = it.next() {
@@ -125,6 +130,7 @@ impl Args {
                 }
                 "--obs" => a.obs = Some(value()?.into()),
                 "--only" => a.only = value()?.split(',').map(|s| s.trim().into()).collect(),
+                "--count" => a.count = true,
                 _ => return Err(format!("unknown flag `{flag}`")),
             }
         }
@@ -134,7 +140,8 @@ impl Args {
     /// [`Args::parse`] over the process's argv; on a rejected command line
     /// prints the diagnostic and a usage line and exits with code 2.
     pub fn from_env() -> Args {
-        const FLAGS: &str = "--tiny --quick --full --threads --machine --systems --obs --only";
+        const FLAGS: &str =
+            "--tiny --quick --full --threads --machine --systems --obs --only --count";
         let argv: Vec<String> = std::env::args().collect();
         Args::parse(&argv[1..]).unwrap_or_else(|msg| {
             eprintln!("{}: {msg}\nusage: {0} [{FLAGS}]", argv[0]);
@@ -236,6 +243,7 @@ mod tests {
             Some(vec![SystemKind::Nomad, SystemKind::HybridTier])
         );
         assert_eq!(a.threads, 3);
+        assert!(!a.count && parse(&["--count"]).unwrap().count);
     }
 
     #[test]

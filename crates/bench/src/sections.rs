@@ -236,8 +236,8 @@ fn table1(lab: &mut Lab) -> Result<(), String> {
          source, as in the paper.\n\n\
          Table II (the paper's patch: 673 new + 30 modified kernel lines in 16 files) has no \
          fixed analogue: this repository's size changes with every commit, so it cannot sit in \
-         a diffed file. `cargo run -p mc-lint -- --count` prints source lines, non-test lines \
-         and `pub` items per crate; the patch's logic lives in `crates/core` over `crates/mem`.",
+         a diffed file. `repro --count` prints source lines, non-test lines and `pub` items \
+         per crate; the patch's logic lives in `crates/core` over `crates/mem`.",
     );
     Ok(())
 }

@@ -48,7 +48,8 @@
 //! # }
 //! ```
 
-// Engine-reachable code: failure is a value, iteration order is fixed (DESIGN.md §9).
+// Engine-reachable code: failure is a value, iteration order is fixed, and a
+// match over an enum names every variant (DESIGN.md §9).
 #![deny(
     clippy::unwrap_used,
     clippy::expect_used,
@@ -58,7 +59,9 @@
     clippy::todo,
     clippy::iter_over_hash_type,
     clippy::let_underscore_must_use,
-    clippy::unused_result_ok
+    clippy::unused_result_ok,
+    clippy::wildcard_enum_match_arm,
+    clippy::match_wildcard_for_single_variants
 )]
 
 pub mod config;

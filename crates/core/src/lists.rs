@@ -87,7 +87,7 @@ impl ListSet {
         clippy::panic,
         reason = "documented \"# Panics\" contract; Unevictable is per tier"
     )]
-    pub fn list_mut(&mut self, which: WhichList) -> &mut IndexedList {
+    pub(crate) fn list_mut(&mut self, which: WhichList) -> &mut IndexedList {
         match which {
             WhichList::Inactive => &mut self.inactive,
             WhichList::Active => &mut self.active,
@@ -144,7 +144,7 @@ impl TierLists {
     }
 
     /// Mutable list set for a page kind.
-    pub fn set_mut(&mut self, kind: PageKind) -> &mut ListSet {
+    pub(crate) fn set_mut(&mut self, kind: PageKind) -> &mut ListSet {
         match kind {
             PageKind::Anon => &mut self.anon,
             PageKind::File => &mut self.file,
@@ -180,6 +180,15 @@ impl TierLists {
 /// independently each tick. A frame belongs to the shard of its node, so
 /// it lives on exactly one shard for as long as it stays in the tier. On
 /// a single-node tier this is exactly the unsharded structure.
+///
+/// Outside this crate the lists are read-only: `shard_mut`,
+/// `TierLists::set_mut` and `ListSet::list_mut` are crate-private
+/// (DESIGN.md §9), so this does not compile:
+///
+/// ```compile_fail
+/// let mut lists = multi_clock::TierShards::new(1);
+/// lists.shard_mut(0).anon.inactive.push_back(mc_mem::FrameId::new(0));
+/// ```
 #[derive(Debug, Clone)]
 pub struct TierShards {
     shards: Vec<TierLists>,
@@ -212,7 +221,7 @@ impl TierShards {
     ///
     /// # Panics
     /// If `i >= shard_count()`, as for [`Self::shard`].
-    pub fn shard_mut(&mut self, i: usize) -> &mut TierLists {
+    pub(crate) fn shard_mut(&mut self, i: usize) -> &mut TierLists {
         // Indexing: caller contract documented above.
         &mut self.shards[i]
     }
@@ -261,11 +270,6 @@ impl TierShards {
             .sum()
     }
 
-    /// Whether any shard's unevictable list holds the frame.
-    pub fn unevictable_contains(&self, frame: FrameId) -> bool {
-        self.shards.iter().any(|s| s.unevictable.contains(frame))
-    }
-
     /// Removes a frame from whichever shard and list holds it.
     pub fn remove(&mut self, frame: FrameId) -> bool {
         self.shards.iter_mut().any(|s| s.remove(frame))
@@ -305,7 +309,6 @@ mod tests {
         assert!(t.on_list(PageKind::Anon, WhichList::Promote, f(2)));
         assert!(!t.on_list(PageKind::File, WhichList::Promote, f(2)));
         assert!(t.on_list(PageKind::Anon, WhichList::Unevictable, f(3)));
-        assert!(t.unevictable_contains(f(3)));
         assert_eq!(t.list_len(PageKind::Anon, WhichList::Promote), 1);
         assert!(t.remove(f(2)));
         assert!(!t.remove(f(2)));

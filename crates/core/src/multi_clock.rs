@@ -23,7 +23,7 @@ use mc_obs::{saturating_bump, EventKind};
 /// the promote lists of lower tiers are drained upwards — in batches —
 /// every tick. Each frame is statically assigned to the shard of its NUMA
 /// node, mirroring the paper's one-`kpromoted`-per-node design.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct MultiClock {
     pub(crate) cfg: MultiClockConfig,
     pub(crate) tiers: Vec<TierShards>,
@@ -237,7 +237,7 @@ impl MultiClock {
     }
 
     /// Applies one observed access to a page: the ladder of Fig. 4
-    /// transitions (2), (6), (7)/(8), (10), (12), moving the page between
+    /// transitions (2), (6), (7), (10), (12), moving the page between
     /// lists as its state changes.
     ///
     /// A page that is not on any list (mid-scan, already popped) is simply

@@ -930,9 +930,11 @@ mod tests {
     fn fig4_edges_of(mem: &MemorySystem, frame: FrameId) -> Vec<u8> {
         mem.recorder()
             .events()
-            .filter_map(|e| match e.kind {
-                EventKind::Fig4 { edge, frame: f, .. } if f == frame.index() as u64 => Some(edge),
-                _ => None,
+            .filter_map(|e| {
+                let EventKind::Fig4 { edge, frame: f, .. } = e.kind else {
+                    return None;
+                };
+                (f == frame.index() as u64).then_some(edge)
             })
             .collect()
     }
@@ -1089,26 +1091,23 @@ mod tests {
         let mut groups = expected.iter();
         let mut current = groups.next();
         for e in mem.recorder().events() {
-            match e.kind {
-                EventKind::Fig4 { edge, frame, tier } => {
-                    let Some((t, shard, kind, list, _)) = current else {
-                        break; // the promote drain's events follow the scan
-                    };
-                    let f = FrameId::new(frame as u32);
-                    assert_eq!((TierId::new(tier), mc.shard_of(f)), (*t, *shard));
-                    assert_eq!(mem.frame(f).kind(), *kind);
-                    assert_eq!(edge, if *list == "inactive" { 2 } else { 7 });
-                }
-                EventKind::ScanList {
-                    tier,
-                    list,
-                    scanned,
-                } => {
-                    let (t, _, _, l, len) = current.expect("more ScanList events than lists");
-                    assert_eq!((TierId::new(tier), list, scanned), (*t, *l, *len));
-                    current = groups.next();
-                }
-                _ => {}
+            if let EventKind::Fig4 { edge, frame, tier } = e.kind {
+                let Some((t, shard, kind, list, _)) = current else {
+                    break; // the promote drain's events follow the scan
+                };
+                let f = FrameId::new(frame as u32);
+                assert_eq!((TierId::new(tier), mc.shard_of(f)), (*t, *shard));
+                assert_eq!(mem.frame(f).kind(), *kind);
+                assert_eq!(edge, if *list == "inactive" { 2 } else { 7 });
+            } else if let EventKind::ScanList {
+                tier,
+                list,
+                scanned,
+            } = e.kind
+            {
+                let (t, _, _, l, len) = current.expect("more ScanList events than lists");
+                assert_eq!((TierId::new(tier), list, scanned), (*t, *l, *len));
+                current = groups.next();
             }
         }
         assert!(current.is_none(), "every populated list reported its scan");

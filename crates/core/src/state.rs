@@ -7,13 +7,14 @@
 //!
 //! ```text
 //! InactiveUnref -> InactiveRef -> ActiveUnref -> ActiveRef -> Promote
-//!      (2)             (6)            (7/8)         (10)       (12: stays)
+//!              (2)            (6)            (7)          (10) (12: stays)
 //! ```
 //!
 //! so reaching `Promote` requires a page to have been seen referenced
 //! repeatedly — this is how MULTI-CLOCK folds *frequency* into CLOCK's
-//! recency machinery. Downward transitions (9: deactivation, 11: promote
-//! list ageing, 3: demotion, 4: free) are driven by scans and pressure.
+//! recency machinery. Downward transitions (1 and 8: a scan decays a
+//! referenced state, 9: deactivation, 11: promote list ageing, 3:
+//! demotion, 4: free) are driven by scans and pressure.
 
 use crate::lists::WhichList;
 use serde::{Deserialize, Serialize};
@@ -71,19 +72,6 @@ impl PageState {
     pub fn is_referenced(self) -> bool {
         matches!(self, PageState::InactiveRef | PageState::ActiveRef)
     }
-
-    /// Number of observed accesses needed to climb from this state into
-    /// `Promote` (used by tests and the docs).
-    pub fn steps_to_promote(self) -> Option<u32> {
-        match self {
-            PageState::InactiveUnref => Some(4),
-            PageState::InactiveRef => Some(3),
-            PageState::ActiveUnref => Some(2),
-            PageState::ActiveRef => Some(1),
-            PageState::Promote => Some(0),
-            PageState::Unevictable => None,
-        }
-    }
 }
 
 impl fmt::Display for PageState {
@@ -123,7 +111,6 @@ mod tests {
     #[test]
     fn unevictable_never_moves() {
         assert_eq!(PageState::Unevictable.on_access(), PageState::Unevictable);
-        assert_eq!(PageState::Unevictable.steps_to_promote(), None);
     }
 
     #[test]
@@ -134,23 +121,6 @@ mod tests {
         assert_eq!(PageState::ActiveRef.list(), WhichList::Active);
         assert_eq!(PageState::Promote.list(), WhichList::Promote);
         assert_eq!(PageState::Unevictable.list(), WhichList::Unevictable);
-    }
-
-    #[test]
-    fn steps_to_promote_decrease_along_ladder() {
-        let states = [
-            PageState::InactiveUnref,
-            PageState::InactiveRef,
-            PageState::ActiveUnref,
-            PageState::ActiveRef,
-            PageState::Promote,
-        ];
-        for w in states.windows(2) {
-            assert_eq!(
-                w[0].steps_to_promote().unwrap(),
-                w[1].steps_to_promote().unwrap() + 1
-            );
-        }
     }
 
     #[test]

@@ -1,18 +1,12 @@
 //! Exhaustive exercise of the paper's Fig. 4 transitions (1)-(13) through
-//! the public policy API — each numbered edge is driven end to end.
-//!
-//! The tail of the file checks the machine two more ways: the runtime
-//! `PageState::on_access` ladder is compared edge-for-edge against the
-//! canonical transition table that `mc-lint` enforces statically, and a
-//! property test drives random map/unmap/access/scan/pressure sequences
-//! asserting `check_invariants` holds after every single step.
+//! the public policy API — each numbered edge is driven end to end. The
+//! edges' *outcomes* are compared with an independent model in
+//! `reference.rs`.
 
-use mc_lint::fig4::{by_id, TRANSITIONS};
 use mc_mem::{
     AccessKind, MachineDesc, MemorySystem, Nanos, PageFlags, PageKind, TierId, TieringPolicy, VPage,
 };
 use multi_clock::{MultiClock, MultiClockConfig, PageState, WhichList};
-use proptest::prelude::*;
 
 fn setup() -> (MemorySystem, MultiClock) {
     let mem = MemorySystem::new(MachineDesc::dram_pm(64, 256));
@@ -202,163 +196,4 @@ fn full_ladder_then_demotion_round_trip_preserves_invariants() {
     // reclaim made room and the structure stayed consistent.
     assert!(mem.tier_balanced(TierId::TOP));
     assert!(mc.stats().demotions > 0);
-}
-
-// ---------------------------------------------------------------------
-// Runtime ladder vs the lint's canonical Fig. 4 table.
-// ---------------------------------------------------------------------
-
-/// The table name of a runtime state (matches `mc_lint::fig4` spelling).
-fn table_name(s: PageState) -> &'static str {
-    match s {
-        PageState::InactiveUnref => "InactiveUnref",
-        PageState::InactiveRef => "InactiveRef",
-        PageState::ActiveUnref => "ActiveUnref",
-        PageState::ActiveRef => "ActiveRef",
-        PageState::Promote => "Promote",
-        PageState::Unevictable => "Unevictable",
-    }
-}
-
-#[test]
-fn on_access_agrees_with_fig4_table() {
-    // The access ladder is exactly the table rows flagged on_access_step.
-    let ladder_ids: Vec<u8> = TRANSITIONS
-        .iter()
-        .filter(|t| t.on_access_step)
-        .map(|t| t.id)
-        .collect();
-    assert_eq!(ladder_ids, [2, 6, 7, 10, 12]);
-
-    // Each runtime edge matches the table row that starts at this state.
-    for state in [
-        PageState::InactiveUnref,
-        PageState::InactiveRef,
-        PageState::ActiveUnref,
-        PageState::ActiveRef,
-        PageState::Promote,
-    ] {
-        let row = TRANSITIONS
-            .iter()
-            .find(|t| t.on_access_step && t.from == table_name(state))
-            .unwrap_or_else(|| panic!("no access edge out of {state}"));
-        assert_eq!(
-            table_name(state.on_access()),
-            row.to,
-            "on_access({state}) disagrees with fig4 row {}",
-            row.id
-        );
-    }
-
-    // Unevictable is a fixed point and appears in no table row.
-    assert_eq!(PageState::Unevictable.on_access(), PageState::Unevictable);
-    assert!(TRANSITIONS
-        .iter()
-        .all(|t| t.from != "Unevictable" && t.to != "Unevictable"));
-
-    // The table is internally sound: ids 1..=13 present exactly once.
-    for id in 1..=13u8 {
-        assert!(by_id(id).is_some(), "missing transition id {id}");
-    }
-    assert_eq!(TRANSITIONS.len(), 13);
-}
-
-// ---------------------------------------------------------------------
-// Random-sequence invariant preservation.
-// ---------------------------------------------------------------------
-
-#[derive(Debug, Clone)]
-enum Op {
-    /// Fault in and track one new page (no-op when the machine is full).
-    Map,
-    /// Unmap and untrack the page at `index % live`.
-    Unmap(usize),
-    /// Access the page at `index % live`; `supervised` also steps the
-    /// ladder immediately via the policy hook (mark_page_accessed path).
-    Access {
-        index: usize,
-        write: bool,
-        supervised: bool,
-    },
-    /// One kpromoted scan tick.
-    Tick,
-    /// Direct memory-pressure callback on a tier.
-    Pressure(usize),
-}
-
-fn op() -> impl Strategy<Value = Op> {
-    prop_oneof![
-        Just(Op::Map),
-        (0usize..4096).prop_map(Op::Unmap),
-        (0usize..4096, any::<bool>(), any::<bool>()).prop_map(|(index, write, supervised)| {
-            Op::Access {
-                index,
-                write,
-                supervised,
-            }
-        }),
-        Just(Op::Tick),
-        (0usize..2).prop_map(Op::Pressure),
-    ]
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    #[test]
-    fn invariants_hold_after_every_step(ops in prop::collection::vec(op(), 1..120)) {
-        // Small enough that pressure, demotion and promotion all trigger.
-        let mut mem = MemorySystem::new(MachineDesc::dram_pm(24, 48));
-        let mut mc = MultiClock::new(MultiClockConfig::default(), mem.topology());
-        let mut live: Vec<VPage> = Vec::new();
-        let mut next_vp = 0u64;
-        let mut ticks = 0u64;
-
-        for op in ops {
-            match &op {
-                Op::Map => {
-                    if let Ok(frame) = mem.alloc_page(PageKind::Anon) {
-                        let vp = VPage::new(next_vp);
-                        next_vp += 1;
-                        mem.map(vp, frame).expect("fresh vpage maps");
-                        mc.on_page_mapped(&mut mem, frame);
-                        live.push(vp);
-                    }
-                }
-                Op::Unmap(index) => {
-                    if !live.is_empty() {
-                        let vp = live.swap_remove(index % live.len());
-                        let frame = mem.unmap(vp).expect("live page unmaps");
-                        mc.on_page_unmapped(&mut mem, frame);
-                        mem.free_page(frame).expect("unmapped page frees");
-                    }
-                }
-                Op::Access { index, write, supervised } => {
-                    if !live.is_empty() {
-                        let vp = live[index % live.len()];
-                        let kind = if *write { AccessKind::Write } else { AccessKind::Read };
-                        mem.access(vp, kind).expect("live page is accessible");
-                        if *supervised {
-                            let frame = mem.translate(vp).expect("live page translates");
-                            mc.on_supervised_access(&mut mem, frame, kind);
-                        }
-                    }
-                }
-                Op::Tick => {
-                    ticks += 1;
-                    mc.tick(&mut mem, Nanos::from_secs(ticks));
-                }
-                Op::Pressure(t) => {
-                    mc.on_pressure(&mut mem, TierId::new(*t as u8), Nanos::from_secs(ticks));
-                }
-            }
-            let violations = mc.check_invariants(&mem);
-            prop_assert!(
-                violations.is_empty(),
-                "invariants broken after {:?}: {:?}",
-                op,
-                violations
-            );
-        }
-    }
 }

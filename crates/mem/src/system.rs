@@ -47,7 +47,15 @@ pub struct AccessOutcome {
 /// The memory substrate: owns frames, nodes, page table, counters and the
 /// pending time charges. Policies receive `&mut MemorySystem` and drive
 /// allocation, scanning and migration through it.
-#[derive(Debug)]
+///
+/// The transaction and shadow tables are private to this module, so only
+/// the migration entry points here change them (DESIGN.md §9):
+///
+/// ```compile_fail
+/// let mut mem = mc_mem::MemorySystem::new(mc_mem::MachineDesc::dram_pm(8, 8));
+/// mem.txns.clear();
+/// ```
+#[derive(Debug, Clone)]
 pub struct MemorySystem {
     topology: Topology,
     latency: LatencyModel,
