@@ -574,13 +574,18 @@ fn ablation(lab: &mut Lab) -> Result<(), String> {
     let labels = ws.iter().map(W::to_string).collect();
     let run = |i: usize, s| Run::ycsb(args, ws[i], s);
     let g = Grid::run(lab, labels, &systems, run, ops)?;
-    lab.text(
+    let oracle_period = Nanos::from_secs(1).as_nanos() / args.scale.scan_interval().as_nanos();
+    lab.text(&format!(
         "Beyond the paper's figures. **Selection quality**: the oracles see every access \
          (strict LRU, LFU) and bound what selection alone can buy; AutoNUMA-Tiering and AMP \
          are the related-work systems the paper declined to port (§II-D: hint-fault cost, \
-         full-memory profiling \"impractical in the kernel\"). YCSB throughput normalised to \
-         static, then promotions, then re-access % of promoted pages:",
-    );
+         full-memory profiling \"impractical in the kernel\"). The oracles also keep their own \
+         clock: they tick every 1 s of virtual time, moving at most 1 024 pages a tier, \
+         whatever the scan interval, so here they tick once per {oracle_period} paper seconds \
+         while MULTI-CLOCK, AutoNUMA-Tiering and AMP tick every paper second, which is why \
+         they promote so few pages. YCSB throughput normalised to static, then promotions, \
+         then re-access % of promoted pages:",
+    ));
     g.table(lab, "workload", |n, _| f2(n));
     g.table(lab, "workload", |_, o| o.promotions.to_string());
     g.table(lab, "workload", |_, o| pct(o.reaccess_pct));

@@ -18,18 +18,22 @@
 //! `score = recency_history + frequency + jitter` — demoting the
 //! bottom-scoring upper-tier pages to make room.
 
-use mc_clock::IndexedList;
+use crate::ring::{self, Rings, RECLAIM_BATCH};
 use mc_mem::{
     AccessKind, FrameId, MemError, MemorySystem, Nanos, PolicyTraits, TickOutcome, TierId,
     TieringPolicy, Topology,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::cmp::Reverse;
+
+/// Seed of the random score component.
+const SEED: u64 = 42;
 
 /// The AMP hybrid-selection baseline.
 #[derive(Debug)]
 pub struct Amp {
-    rings: Vec<IndexedList>,
+    rings: Rings,
     /// 8-bit reference history per frame (bit 0 = last interval).
     history: Vec<u8>,
     /// Decayed access-frequency estimate per frame.
@@ -43,24 +47,22 @@ pub struct Amp {
 
 impl Amp {
     /// Creates an AMP instance.
-    pub fn new(topology: &Topology, interval: Nanos, batch: usize, seed: u64) -> Self {
+    pub fn new(topology: &Topology, interval: Nanos, batch: usize) -> Self {
         assert!(batch > 0, "batch must be positive");
         Amp {
-            rings: (0..topology.tier_count())
-                .map(|_| IndexedList::new())
-                .collect(),
+            rings: Rings::new(topology),
             history: vec![0; topology.total_pages()],
             freq: vec![0; topology.total_pages()],
             batch,
             interval,
-            rng: StdRng::seed_from_u64(seed),
+            rng: StdRng::seed_from_u64(SEED),
             promotions: 0,
         }
     }
 
     /// Defaults mirroring the other baselines.
     pub fn with_defaults(topology: &Topology) -> Self {
-        Self::new(topology, Nanos::from_secs(1), 1024, 42)
+        Self::new(topology, Nanos::from_secs(1), 1024)
     }
 
     /// Pages promoted so far.
@@ -79,27 +81,32 @@ impl Amp {
         recency + self.freq[frame.index()].min(200) + jitter
     }
 
+    /// Every page of `tier` with its score, hottest first (so `pop()`
+    /// yields the coldest). Scores are drawn in list order, once per page.
+    fn scored(&mut self, tier: TierId) -> Vec<(u32, FrameId)> {
+        let frames: Vec<FrameId> = self.rings.tier(tier).iter().collect();
+        let mut scored: Vec<(u32, FrameId)> =
+            frames.into_iter().map(|f| (self.score(f), f)).collect();
+        scored.sort_by_key(|(s, f)| (Reverse(*s), f.raw()));
+        scored
+    }
+
     fn transfer(&mut self, old: FrameId, new: FrameId) {
-        self.history[new.index()] = self.history[old.index()];
-        self.freq[new.index()] = self.freq[old.index()];
-        self.history[old.index()] = 0;
-        self.freq[old.index()] = 0;
+        self.history[new.index()] = std::mem::take(&mut self.history[old.index()]);
+        self.freq[new.index()] = std::mem::take(&mut self.freq[old.index()]);
     }
 
     /// Full-memory profiling pass: harvest every tracked page's reference
     /// bit (this is the cost that made AMP undeployable at kernel scale).
     fn profile(&mut self, mem: &mut MemorySystem) -> u64 {
         let mut scanned = 0;
-        for ring in &self.rings {
-            let frames: Vec<FrameId> = ring.iter().collect();
-            for frame in frames {
-                scanned += 1;
-                let referenced = mem.harvest_referenced(frame);
-                let h = &mut self.history[frame.index()];
-                *h = (*h << 1) | u8::from(referenced);
-                let f = &mut self.freq[frame.index()];
-                *f = *f / 2 + u32::from(referenced) * 8;
-            }
+        for frame in self.rings.iter() {
+            scanned += 1;
+            let referenced = mem.harvest_referenced(frame);
+            let h = &mut self.history[frame.index()];
+            *h = (*h << 1) | u8::from(referenced);
+            let f = &mut self.freq[frame.index()];
+            *f = *f / 2 + u32::from(referenced) * 8;
         }
         scanned
     }
@@ -124,15 +131,13 @@ impl TieringPolicy for Amp {
     }
 
     fn on_page_mapped(&mut self, mem: &mut MemorySystem, frame: FrameId) {
-        let tier = mem.frame(frame).tier();
-        self.rings[tier.index()].push_back(frame);
+        self.rings.track(mem.frame(frame).tier(), frame);
         self.history[frame.index()] = 0;
         self.freq[frame.index()] = 0;
     }
 
     fn on_page_unmapped(&mut self, mem: &mut MemorySystem, frame: FrameId) {
-        let tier = mem.frame(frame).tier();
-        self.rings[tier.index()].remove(frame);
+        self.rings.untrack(mem.frame(frame).tier(), frame);
         self.history[frame.index()] = 0;
         self.freq[frame.index()] = 0;
     }
@@ -147,36 +152,14 @@ impl TieringPolicy for Amp {
 
         // Promote the best lower-tier pages, demoting the worst upper-tier
         // pages to make room. Victim candidates are scored *once* per
-        // tick (coldest first) so the exchange loop stays O(n log n).
-        for t in (1..self.rings.len()).rev() {
+        // tick so the exchange loop stays O(n log n).
+        for t in (1..mem.topology().tier_count()).rev() {
             let tier = TierId::new(t as u8);
             let Some(upper) = tier.upper() else {
                 continue; // t >= 1: never the top tier
             };
-            // Indexing: t ranges over 1..rings.len().
-            let mut scored: Vec<(u32, FrameId)> = self.rings[t]
-                .iter()
-                .collect::<Vec<_>>()
-                .into_iter()
-                .map(|f| (0, f))
-                .collect();
-            for e in scored.iter_mut() {
-                e.0 = self.score(e.1);
-            }
-            scored.sort_by_key(|(s, f)| (std::cmp::Reverse(*s), f.raw()));
-
-            let mut victims: Vec<(u32, FrameId)> = self.rings[upper.index()]
-                .iter()
-                .collect::<Vec<_>>()
-                .into_iter()
-                .map(|f| (0, f))
-                .collect();
-            for e in victims.iter_mut() {
-                e.0 = self.score(e.1);
-            }
-            // Coldest last, so pop() yields the next victim.
-            victims.sort_by_key(|(s, f)| (std::cmp::Reverse(*s), f.raw()));
-
+            let scored = self.scored(tier);
+            let mut victims = self.scored(upper);
             for (score, frame) in scored.into_iter().take(self.batch) {
                 if score == 0 || !mem.frame(frame).migratable() {
                     continue;
@@ -195,8 +178,7 @@ impl TieringPolicy for Amp {
                                 continue;
                             }
                             if let Ok(nv) = mem.migrate(victim, tier) {
-                                self.rings[upper.index()].remove(victim);
-                                self.rings[tier.index()].push_back(nv);
+                                self.rings.moved(victim, nv, upper, tier);
                                 self.transfer(victim, nv);
                                 // A failed back-promotion leaves a one-sided exchange; the
                                 // value is consumed via `exchanged`.
@@ -209,8 +191,7 @@ impl TieringPolicy for Amp {
                     Err(_) => None,
                 };
                 if let Some(nf) = moved {
-                    self.rings[tier.index()].remove(frame);
-                    self.rings[upper.index()].push_back(nf);
+                    self.rings.moved(frame, nf, tier, upper);
                     self.transfer(frame, nf);
                     self.promotions += 1;
                     out.promoted += 1;
@@ -220,32 +201,16 @@ impl TieringPolicy for Amp {
             }
         }
 
-        for t in 0..self.rings.len() {
-            let tier = TierId::new(t as u8);
-            if mem.tier_under_pressure(tier) {
-                let p = self.on_pressure(mem, tier, now);
-                out.demoted += p.demoted;
-                out.pages_scanned += p.pages_scanned;
-            }
-        }
+        out.merge(&ring::relieve_pressure(self, mem, now));
         out
     }
 
     fn on_pressure(&mut self, mem: &mut MemorySystem, tier: TierId, _now: Nanos) -> TickOutcome {
         let mut out = TickOutcome::default();
-        let lower = tier.lower(self.rings.len());
-        let mut budget = 4096usize;
+        let lower = tier.lower(mem.topology().tier_count());
+        let mut budget = RECLAIM_BATCH;
         // Score the tier once, coldest last (pop order).
-        let mut victims: Vec<(u32, FrameId)> = self.rings[tier.index()]
-            .iter()
-            .collect::<Vec<_>>()
-            .into_iter()
-            .map(|f| (0, f))
-            .collect();
-        for e in victims.iter_mut() {
-            e.0 = self.score(e.1);
-        }
-        victims.sort_by_key(|(s, f)| (std::cmp::Reverse(*s), f.raw()));
+        let mut victims = self.scored(tier);
         while !mem.tier_balanced(tier) && budget > 0 {
             budget -= 1;
             out.pages_scanned += 1;
@@ -260,8 +225,7 @@ impl TieringPolicy for Amp {
             match lower {
                 Some(lt) => match mem.migrate(victim, lt) {
                     Ok(nv) => {
-                        self.rings[tier.index()].remove(victim);
-                        self.rings[lt.index()].push_back(nv);
+                        self.rings.moved(victim, nv, tier, lt);
                         self.transfer(victim, nv);
                         out.demoted += 1;
                     }
@@ -269,7 +233,7 @@ impl TieringPolicy for Amp {
                 },
                 None => {
                     if mem.evict(victim).is_ok() {
-                        self.rings[tier.index()].remove(victim);
+                        self.rings.untrack(tier, victim);
                         self.history[victim.index()] = 0;
                         self.freq[victim.index()] = 0;
                     } else {

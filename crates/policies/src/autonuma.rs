@@ -14,7 +14,7 @@
 //!   the reclaim path's demotion of cold pages, so promotions stall when
 //!   DRAM is full until watermark pressure demotes something.
 
-use mc_clock::IndexedList;
+use crate::ring::{self, Rings};
 use mc_mem::{
     AccessKind, FrameId, MemorySystem, Nanos, PageKind, PolicyTraits, TickOutcome, TierId,
     TieringPolicy, Topology,
@@ -25,7 +25,7 @@ use mc_obs::EventKind;
 #[derive(Debug)]
 pub struct AutoNuma {
     /// Sampling ring per tier (anonymous pages only).
-    rings: Vec<IndexedList>,
+    rings: Rings,
     /// Whether the page hint-faulted during the current interval.
     faulted: Vec<bool>,
     scan_interval: Nanos,
@@ -39,9 +39,7 @@ impl AutoNuma {
     pub fn new(topology: &Topology, scan_interval: Nanos, sample_batch: usize) -> Self {
         assert!(sample_batch > 0, "sample batch must be positive");
         AutoNuma {
-            rings: (0..topology.tier_count())
-                .map(|_| IndexedList::new())
-                .collect(),
+            rings: Rings::new(topology),
             faulted: vec![false; topology.total_pages()],
             scan_interval,
             sample_batch,
@@ -87,15 +85,13 @@ impl TieringPolicy for AutoNuma {
     fn on_page_mapped(&mut self, mem: &mut MemorySystem, frame: FrameId) {
         // Anonymous pages only: file pages are invisible to NUMA balancing.
         if mem.frame(frame).kind() == PageKind::Anon {
-            let tier = mem.frame(frame).tier();
-            self.rings[tier.index()].push_back(frame);
+            self.rings.track(mem.frame(frame).tier(), frame);
         }
         self.faulted[frame.index()] = false;
     }
 
     fn on_page_unmapped(&mut self, mem: &mut MemorySystem, frame: FrameId) {
-        let tier = mem.frame(frame).tier();
-        self.rings[tier.index()].remove(frame);
+        self.rings.untrack(mem.frame(frame).tier(), frame);
         self.faulted[frame.index()] = false;
     }
 
@@ -107,8 +103,7 @@ impl TieringPolicy for AutoNuma {
         let Some(upper) = tier.upper() else { return };
         // Promote only into free space; never force room.
         if let Ok(new_frame) = mem.migrate(frame, upper) {
-            self.rings[tier.index()].remove(frame);
-            self.rings[upper.index()].push_back(new_frame);
+            self.rings.moved(frame, new_frame, tier, upper);
             self.faulted[new_frame.index()] = true;
             self.faulted[frame.index()] = false;
             self.promotions += 1;
@@ -116,80 +111,33 @@ impl TieringPolicy for AutoNuma {
     }
 
     fn tick(&mut self, mem: &mut MemorySystem, now: Nanos) -> TickOutcome {
-        let mut out = TickOutcome::default();
         // Clear last interval's fault markers and poison the next sample.
-        let total: usize = self.rings.iter().map(|r| r.len()).sum();
-        if total > 0 {
-            let sample_batch = self.sample_batch;
-            for ring in &mut self.rings {
-                let share = (sample_batch * ring.len()).div_ceil(total);
-                let n = share.min(ring.len());
-                for _ in 0..n {
-                    let Some(frame) = ring.pop_front() else {
-                        break;
-                    };
-                    ring.push_back(frame);
-                    self.faulted[frame.index()] = false;
-                    if let Some(vpage) = mem.frame(frame).vpage() {
-                        mem.poison(vpage);
-                        out.pages_scanned += 1;
-                    }
-                }
-            }
-        }
-        let poisoned = out.pages_scanned;
+        let faulted = &mut self.faulted;
+        let (poisoned, total) = self.rings.poison(mem, self.sample_batch, |frame| {
+            faulted[frame.index()] = false;
+        });
         mem.recorder_mut().emit(|| EventKind::Custom {
             tag: "autonuma_poison_batch",
             a: poisoned,
             b: total as u64,
         });
-        for t in 0..self.rings.len() {
-            let tier = TierId::new(t as u8);
-            if mem.tier_under_pressure(tier) {
-                let p = self.on_pressure(mem, tier, now);
-                out.demoted += p.demoted;
-                out.pages_scanned += p.pages_scanned;
-            }
-        }
+        let mut out = TickOutcome {
+            pages_scanned: poisoned,
+            ..TickOutcome::default()
+        };
+        out.merge(&ring::relieve_pressure(self, mem, now));
         out
     }
 
     fn on_pressure(&mut self, mem: &mut MemorySystem, tier: TierId, _now: Nanos) -> TickOutcome {
         // Reclaim-based demotion: unfaulted (not recently accessed)
         // anonymous pages move down; on the lowest tier they are evicted.
-        let mut out = TickOutcome::default();
-        let lower = tier.lower(self.rings.len());
-        let mut budget = 4096usize;
-        while !mem.tier_balanced(tier) && budget > 0 {
-            budget -= 1;
-            out.pages_scanned += 1;
-            let Some(frame) = self.rings[tier.index()].pop_front() else {
-                break;
-            };
-            if self.faulted[frame.index()] || !mem.frame(frame).migratable() {
-                self.rings[tier.index()].push_back(frame);
-                continue;
-            }
-            match lower {
-                Some(lower_tier) => match mem.migrate(frame, lower_tier) {
-                    Ok(new_frame) => {
-                        self.rings[lower_tier.index()].push_back(new_frame);
-                        self.demotions += 1;
-                        out.demoted += 1;
-                    }
-                    Err(_) => {
-                        if mem.evict(frame).is_err() {
-                            self.rings[tier.index()].push_back(frame);
-                        }
-                    }
-                },
-                None => {
-                    if mem.evict(frame).is_err() {
-                        self.rings[tier.index()].push_back(frame);
-                    }
-                }
-            }
-        }
+        let lower = tier.lower(mem.topology().tier_count());
+        let faulted = &self.faulted;
+        let out = ring::reclaim(mem, &mut self.rings, tier, lower, |_, frame, _| {
+            faulted[frame.index()]
+        });
+        self.demotions += out.demoted;
         out
     }
 

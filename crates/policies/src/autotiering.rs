@@ -13,17 +13,22 @@
 //!   application. Promotion is recency-triggered (a single fault).
 //! * **AT-OPM** (opportunistic promotion migration): keeps an N-bit
 //!   per-page fault-history vector (the paper's "maintain N-bit history
-//!   for demotion"); a background pass demotes zero-history pages to keep
-//!   promotion headroom, so fault-path promotions are asynchronous and
-//!   cheaper — but the technique still pays for every hint fault and
-//!   carries per-page metadata (Table I "Space Overhead").
+//!   for demotion"; here N = 8, one `u8` per frame); a background pass
+//!   demotes zero-history pages to keep `HEADROOM_PAGES` free for
+//!   promotion, so fault-path promotions are asynchronous and cheaper —
+//!   but the technique still pays for every hint fault and carries
+//!   per-page metadata (Table I "Space Overhead").
 
-use mc_clock::IndexedList;
+use crate::ring::{self, Rings, RECLAIM_BATCH};
 use mc_mem::{
     AccessKind, Charge, FrameId, MemError, MemorySystem, Nanos, PolicyTraits, TickOutcome, TierId,
     TieringPolicy, Topology,
 };
 use mc_obs::EventKind;
+
+/// OPM: free pages the background demoter tries to keep available in the
+/// top tier for incoming promotions.
+const HEADROOM_PAGES: usize = 64;
 
 /// Which AutoTiering variant to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -45,41 +50,15 @@ impl AutoTieringMode {
     }
 }
 
-/// Tunables for [`AutoTiering`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct AutoTieringConfig {
-    /// Sampling daemon period.
-    pub scan_interval: Nanos,
-    /// PTEs poisoned per tick (the AutoNUMA scan-size analogue).
-    pub sample_batch: usize,
-    /// History vector width in bits (OPM).
-    pub history_bits: u32,
-    /// Maximum pages examined per pressure invocation.
-    pub reclaim_batch: usize,
-    /// OPM: free pages the background demoter tries to keep available in
-    /// the top tier for incoming promotions.
-    pub headroom_pages: usize,
-}
-
-impl Default for AutoTieringConfig {
-    fn default() -> Self {
-        AutoTieringConfig {
-            scan_interval: Nanos::from_secs(1),
-            sample_batch: 4096,
-            history_bits: 8,
-            reclaim_batch: 4096,
-            headroom_pages: 64,
-        }
-    }
-}
-
 /// The AutoTiering policy (CPM or OPM).
 #[derive(Debug)]
 pub struct AutoTiering {
     mode: AutoTieringMode,
-    cfg: AutoTieringConfig,
+    scan_interval: Nanos,
+    /// PTEs poisoned per tick (the AutoNUMA scan-size analogue).
+    sample_batch: usize,
     /// Round-robin poisoning ring per tier.
-    rings: Vec<IndexedList>,
+    rings: Rings,
     /// Per-frame fault-history bits (bit 0 = most recent interval).
     history: Vec<u8>,
     /// Frames that hint-faulted during the current interval.
@@ -90,19 +69,20 @@ pub struct AutoTiering {
 }
 
 impl AutoTiering {
-    /// Creates an AutoTiering instance.
-    pub fn new(mode: AutoTieringMode, cfg: AutoTieringConfig, topology: &Topology) -> Self {
-        assert!(cfg.sample_batch > 0, "sample batch must be positive");
-        assert!(
-            (1..=8).contains(&cfg.history_bits),
-            "history bits must be in 1..=8"
-        );
+    /// Creates an AutoTiering instance: one sampling pass every
+    /// `scan_interval`, poisoning up to `sample_batch` PTEs.
+    pub fn new(
+        mode: AutoTieringMode,
+        topology: &Topology,
+        scan_interval: Nanos,
+        sample_batch: usize,
+    ) -> Self {
+        assert!(sample_batch > 0, "sample batch must be positive");
         AutoTiering {
             mode,
-            cfg,
-            rings: (0..topology.tier_count())
-                .map(|_| IndexedList::new())
-                .collect(),
+            scan_interval,
+            sample_batch,
+            rings: Rings::new(topology),
             history: vec![0; topology.total_pages()],
             faulted: vec![false; topology.total_pages()],
             promotions: 0,
@@ -111,14 +91,14 @@ impl AutoTiering {
         }
     }
 
-    /// CPM with default tunables.
+    /// CPM with a 1 s interval and 4096-PTE samples.
     pub fn cpm(topology: &Topology) -> Self {
-        Self::new(AutoTieringMode::Cpm, AutoTieringConfig::default(), topology)
+        Self::new(AutoTieringMode::Cpm, topology, Nanos::from_secs(1), 4096)
     }
 
-    /// OPM with default tunables.
+    /// OPM with a 1 s interval and 4096-PTE samples.
     pub fn opm(topology: &Topology) -> Self {
-        Self::new(AutoTieringMode::Opm, AutoTieringConfig::default(), topology)
+        Self::new(AutoTieringMode::Opm, topology, Nanos::from_secs(1), 4096)
     }
 
     /// The variant in use.
@@ -147,18 +127,16 @@ impl AutoTiering {
     }
 
     fn untrack(&mut self, frame: FrameId, tier: TierId) {
-        self.rings[tier.index()].remove(frame);
+        self.rings.untrack(tier, frame);
         self.history[frame.index()] = 0;
         self.faulted[frame.index()] = false;
     }
 
+    /// Follows a migration, carrying the frame's history and fault mark.
     fn retrack(&mut self, old: FrameId, new: FrameId, src: TierId, dst: TierId) {
-        let h = self.history[old.index()];
-        let f = self.faulted[old.index()];
-        self.untrack(old, src);
-        self.rings[dst.index()].push_back(new);
-        self.history[new.index()] = h;
-        self.faulted[new.index()] = f;
+        self.rings.moved(old, new, src, dst);
+        self.history[new.index()] = std::mem::take(&mut self.history[old.index()]);
+        self.faulted[new.index()] = std::mem::take(&mut self.faulted[old.index()]);
     }
 
     /// Finds a cold (zero-history, unfaulted) victim in `tier`, scanning
@@ -169,51 +147,28 @@ impl AutoTiering {
         tier: TierId,
         limit: usize,
     ) -> Option<FrameId> {
-        let len = self.rings[tier.index()].len().min(limit);
-        for _ in 0..len {
-            let frame = self.rings[tier.index()].pop_front()?;
-            self.rings[tier.index()].push_back(frame);
-            if self.history[frame.index()] == 0
-                && !self.faulted[frame.index()]
-                && mem.frame(frame).migratable()
-            {
-                return Some(frame);
-            }
-        }
-        None
-    }
-
-    /// Picks any migratable round-robin victim (CPM's fault-path exchange
-    /// falls back to this when no zero-history page exists — it *must*
-    /// free a frame to complete the exchange, which is one of the ways it
-    /// hurts itself on the critical path).
-    fn find_any_victim(
-        &mut self,
-        mem: &MemorySystem,
-        tier: TierId,
-        limit: usize,
-    ) -> Option<FrameId> {
-        let len = self.rings[tier.index()].len().min(limit);
-        for _ in 0..len {
-            let frame = self.rings[tier.index()].pop_front()?;
-            self.rings[tier.index()].push_back(frame);
-            if mem.frame(frame).migratable() {
-                return Some(frame);
-            }
-        }
-        None
+        let (history, faulted) = (&self.history, &self.faulted);
+        self.rings.rotate_until(tier, limit, |f| {
+            history[f.index()] == 0 && !faulted[f.index()] && mem.frame(f).migratable()
+        })
     }
 
     /// Demotes one cold page out of `tier`; returns whether a page moved.
-    /// Synchronous (fault-path) demotions fall back to an arbitrary
-    /// victim when no cold page exists.
+    /// Synchronous (fault-path) demotions fall back to any migratable
+    /// round-robin victim when no cold page exists: CPM *must* free a
+    /// frame to complete the exchange, which is one of the ways it hurts
+    /// itself on the critical path.
     fn demote_cold(&mut self, mem: &mut MemorySystem, tier: TierId, sync: bool) -> bool {
-        let Some(lower) = tier.lower(self.rings.len()) else {
+        let Some(lower) = tier.lower(mem.topology().tier_count()) else {
             return false;
         };
-        let victim = self
-            .find_cold_victim(mem, tier, 256)
-            .or_else(|| sync.then(|| self.find_any_victim(mem, tier, 64)).flatten());
+        let victim = self.find_cold_victim(mem, tier, 256).or_else(|| {
+            sync.then(|| {
+                self.rings
+                    .rotate_until(tier, 64, |f| mem.frame(f).migratable())
+            })
+            .flatten()
+        });
         let Some(victim) = victim else {
             return false;
         };
@@ -292,8 +247,7 @@ impl TieringPolicy for AutoTiering {
     }
 
     fn on_page_mapped(&mut self, mem: &mut MemorySystem, frame: FrameId) {
-        let tier = mem.frame(frame).tier();
-        self.rings[tier.index()].push_back(frame);
+        self.rings.track(mem.frame(frame).tier(), frame);
         self.history[frame.index()] = 0;
         self.faulted[frame.index()] = false;
     }
@@ -320,50 +274,30 @@ impl TieringPolicy for AutoTiering {
         }
     }
 
-    fn tick(&mut self, mem: &mut MemorySystem, _now: Nanos) -> TickOutcome {
-        let mut out = TickOutcome::default();
-
+    fn tick(&mut self, mem: &mut MemorySystem, now: Nanos) -> TickOutcome {
         // Fold the interval's faults into the history vectors of every
-        // tracked page, then poison the next sample of PTEs.
-        let mask = ((1u16 << self.cfg.history_bits) - 1) as u8;
-        for ring in &self.rings {
-            for frame in ring.iter() {
-                let h = &mut self.history[frame.index()];
-                *h = ((*h << 1) | u8::from(self.faulted[frame.index()])) & mask;
-                self.faulted[frame.index()] = false;
-            }
+        // tracked page, then poison the next sample of PTEs, round robin
+        // across tiers in proportion to their size.
+        for frame in self.rings.iter() {
+            let h = &mut self.history[frame.index()];
+            *h = (*h << 1) | u8::from(self.faulted[frame.index()]);
+            self.faulted[frame.index()] = false;
         }
-
-        // Round-robin PTE poisoning across tiers, proportional to size.
-        let total: usize = self.rings.iter().map(|r| r.len()).sum();
-        if total > 0 {
-            let sample_batch = self.cfg.sample_batch;
-            for ring in &mut self.rings {
-                let tier_share = (sample_batch * ring.len()).div_ceil(total);
-                let n = tier_share.min(ring.len());
-                for _ in 0..n {
-                    let Some(frame) = ring.pop_front() else {
-                        break;
-                    };
-                    ring.push_back(frame);
-                    if let Some(vpage) = mem.frame(frame).vpage() {
-                        mem.poison(vpage);
-                        out.pages_scanned += 1;
-                    }
-                }
-            }
-        }
-        let poisoned = out.pages_scanned;
+        let (poisoned, total) = self.rings.poison(mem, self.sample_batch, |_| {});
         mem.recorder_mut().emit(|| EventKind::Custom {
             tag: "autotiering_poison_batch",
             a: poisoned,
             b: total as u64,
         });
+        let mut out = TickOutcome {
+            pages_scanned: poisoned,
+            ..TickOutcome::default()
+        };
 
         // OPM: keep promotion headroom in the top tier.
         if self.mode == AutoTieringMode::Opm {
-            let mut guard = self.cfg.reclaim_batch;
-            while mem.tier_free(TierId::TOP) < self.cfg.headroom_pages && guard > 0 {
+            let mut guard = RECLAIM_BATCH;
+            while mem.tier_free(TierId::TOP) < HEADROOM_PAGES && guard > 0 {
                 if !self.demote_cold(mem, TierId::TOP, false) {
                     break;
                 }
@@ -372,30 +306,24 @@ impl TieringPolicy for AutoTiering {
             }
         }
 
-        // Watermark pressure handling.
-        for t in 0..self.rings.len() {
-            let tier = TierId::new(t as u8);
-            if mem.tier_under_pressure(tier) {
-                let p = self.on_pressure(mem, tier, _now);
-                out.pages_scanned += p.pages_scanned;
-                out.demoted += p.demoted;
-            }
-        }
+        out.merge(&ring::relieve_pressure(self, mem, now));
         out
     }
 
+    /// Not `ring::reclaim`: victims are picked by history, not popped,
+    /// and a failed demotion is not followed by an eviction.
     fn on_pressure(&mut self, mem: &mut MemorySystem, tier: TierId, _now: Nanos) -> TickOutcome {
         let mut out = TickOutcome::default();
-        let mut budget = self.cfg.reclaim_batch;
-        let lower = tier.lower(self.rings.len());
+        let mut budget = RECLAIM_BATCH;
+        let lower = tier.lower(mem.topology().tier_count());
         while !mem.tier_balanced(tier) && budget > 0 {
             budget -= 1;
             out.pages_scanned += 1;
             // Coldest-first: zero-history victims, else round-robin.
             let victim = self.find_cold_victim(mem, tier, 128).or_else(|| {
-                let f = self.rings[tier.index()].pop_front()?;
-                self.rings[tier.index()].push_back(f);
-                mem.frame(f).migratable().then_some(f)
+                self.rings
+                    .rotate(tier)
+                    .filter(|&f| mem.frame(f).migratable())
             });
             let Some(victim) = victim else { break };
             match lower {
@@ -407,9 +335,8 @@ impl TieringPolicy for AutoTiering {
                     }
                 }
                 None => {
-                    let t = tier;
                     if mem.evict(victim).is_ok() {
-                        self.untrack(victim, t);
+                        self.untrack(victim, tier);
                     }
                 }
             }
@@ -418,7 +345,7 @@ impl TieringPolicy for AutoTiering {
     }
 
     fn tick_interval(&self) -> Option<Nanos> {
-        Some(self.cfg.scan_interval)
+        Some(self.scan_interval)
     }
 
     fn counters(&self) -> Vec<(&'static str, u64)> {

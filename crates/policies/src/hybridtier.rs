@@ -16,65 +16,43 @@
 //!    time*: pages already known hot are placed in (or immediately moved
 //!    to) the fast tier instead of waiting to be rediscovered by scanning.
 //!
-//! Promotion is frequency-gated (sketch estimate >= threshold), demotion
-//! picks low-estimate victims, and periodic halving of the sketch decays
-//! stale history. All randomness is the seeded [`mc_fault::SplitMix64`]
-//! hash inside the sketch, so runs are bit-deterministic per seed.
+//! Promotion is frequency-gated (sketch estimate >= `PROMOTE_THRESHOLD`),
+//! demotion picks low-estimate victims, and halving the sketch every
+//! `AGE_TICKS` ticks decays stale history. All randomness is the seeded
+//! [`mc_fault::SplitMix64`] hash inside the sketch, so runs are
+//! bit-deterministic.
 
+use crate::ring::{self, Rings};
 use crate::sketch::CmSketch;
-use mc_clock::IndexedList;
 use mc_mem::{
-    AccessKind, FrameId, MemError, MemorySystem, Nanos, PolicyTraits, TickOutcome, TierId,
-    TieringPolicy, Topology, VPage,
+    AccessKind, FrameId, MemorySystem, Nanos, PolicyTraits, TickOutcome, TierId, TieringPolicy,
+    Topology, VPage,
 };
 use mc_obs::EventKind;
 
-/// Tunables for [`HybridTier`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct HybridTierConfig {
-    /// Daemon period.
-    pub sample_interval: Nanos,
-    /// Pages sampled per lower tier per tick — the tracking budget that
-    /// replaces the full scan.
-    pub sample_batch: usize,
-    /// Sketch estimate at which a page becomes promotion-worthy.
-    pub promote_threshold: u32,
-    /// log2 of counters per sketch row.
-    pub sketch_width_log2: u32,
-    /// Sketch rows.
-    pub sketch_rows: usize,
-    /// Halve the sketch every this many ticks (frequency decay).
-    pub age_ticks: u64,
-    /// Hash seed for the sketch rows.
-    pub seed: u64,
-    /// Maximum pages examined per pressure invocation.
-    pub reclaim_batch: usize,
-}
-
-impl Default for HybridTierConfig {
-    fn default() -> Self {
-        HybridTierConfig {
-            sample_interval: Nanos::from_secs(1),
-            sample_batch: 512,
-            promote_threshold: 3,
-            sketch_width_log2: 12,
-            sketch_rows: 4,
-            age_ticks: 8,
-            seed: 42,
-            reclaim_batch: 4096,
-        }
-    }
-}
+/// Sketch estimate at which a page becomes promotion-worthy.
+const PROMOTE_THRESHOLD: u32 = 3;
+/// log2 of counters per sketch row.
+const SKETCH_WIDTH_LOG2: u32 = 12;
+/// Sketch rows.
+const SKETCH_ROWS: usize = 4;
+/// Halve the sketch every this many ticks (frequency decay).
+const AGE_TICKS: u64 = 8;
+/// Hash seed for the sketch rows.
+const SEED: u64 = 42;
 
 /// The HybridTier policy: CM-sketch frequency tracking over sampled
 /// reference bits, with direct placement of known-hot pages on mapping.
 #[derive(Debug)]
 pub struct HybridTier {
-    cfg: HybridTierConfig,
+    sample_interval: Nanos,
+    /// Pages sampled per tier per tick — the tracking budget that replaces
+    /// the full scan.
+    sample_batch: usize,
     sketch: CmSketch,
     /// One rotation list per tier; sampling pops from the front and pushes
     /// survivors to the back, so every page is visited in bounded time.
-    tiers: Vec<IndexedList>,
+    ring: Rings,
     ticks: u64,
     samples: u64,
     promotions: u64,
@@ -82,18 +60,27 @@ pub struct HybridTier {
     direct_placements: u64,
 }
 
+/// The sketch key for a frame: its virtual page, so frequency history
+/// survives migrations and unmap/remap cycles.
+fn key_of(mem: &MemorySystem, frame: FrameId) -> Option<u64> {
+    mem.frame(frame).vpage().map(VPage::raw)
+}
+
+/// Whether the sketch already rates `frame`'s page promotion-worthy.
+fn is_hot(sketch: &CmSketch, mem: &MemorySystem, frame: FrameId) -> bool {
+    key_of(mem, frame).is_some_and(|k| sketch.estimate(k) >= PROMOTE_THRESHOLD)
+}
+
 impl HybridTier {
-    /// Creates a HybridTier instance for a topology.
-    pub fn new(cfg: HybridTierConfig, topology: &Topology) -> Self {
-        assert!(cfg.sample_batch > 0, "sample batch must be positive");
-        assert!(cfg.promote_threshold > 0, "threshold must be positive");
-        let sketch = CmSketch::new(cfg.sketch_width_log2, cfg.sketch_rows, cfg.seed);
+    /// Creates a HybridTier instance for a topology: one sampling pass
+    /// every `sample_interval`, of up to `sample_batch` pages per tier.
+    pub fn new(topology: &Topology, sample_interval: Nanos, sample_batch: usize) -> Self {
+        assert!(sample_batch > 0, "sample batch must be positive");
         HybridTier {
-            cfg,
-            sketch,
-            tiers: (0..topology.tier_count())
-                .map(|_| IndexedList::default())
-                .collect(),
+            sample_interval,
+            sample_batch,
+            sketch: CmSketch::new(SKETCH_WIDTH_LOG2, SKETCH_ROWS, SEED),
+            ring: Rings::new(topology),
             ticks: 0,
             samples: 0,
             promotions: 0,
@@ -102,9 +89,9 @@ impl HybridTier {
         }
     }
 
-    /// With default tunables.
+    /// A 1 s interval and 512-page samples.
     pub fn with_defaults(topology: &Topology) -> Self {
-        Self::new(HybridTierConfig::default(), topology)
+        Self::new(topology, Nanos::from_secs(1), 512)
     }
 
     /// Total pages promoted.
@@ -123,122 +110,28 @@ impl HybridTier {
         &self.sketch
     }
 
-    fn ring_mut(&mut self, tier: TierId) -> Option<&mut IndexedList> {
-        self.tiers.get_mut(tier.index())
-    }
-
-    /// The sketch key for a frame: its virtual page, so frequency history
-    /// survives migrations and unmap/remap cycles.
-    fn key_of(mem: &MemorySystem, frame: FrameId) -> Option<u64> {
-        mem.frame(frame).vpage().map(VPage::raw)
-    }
-
-    /// Samples one lower tier: pops up to `sample_batch` pages, harvests
+    /// Samples one tier: rotates up to `sample_batch` pages, harvests
     /// their reference bits, updates the sketch for referenced ones, and
     /// returns (pages sampled, promotion candidates).
     fn sample_tier(&mut self, mem: &mut MemorySystem, tier: TierId) -> (u64, Vec<FrameId>) {
         let mut hot = Vec::new();
         let mut sampled = 0u64;
-        let budget = self
-            .tiers
-            .get(tier.index())
-            .map(|l| l.len().min(self.cfg.sample_batch))
-            .unwrap_or(0);
-        for _ in 0..budget {
-            let Some(frame) = self.ring_mut(tier).and_then(IndexedList::pop_front) else {
+        for _ in 0..self.ring.tier(tier).len().min(self.sample_batch) {
+            let Some(frame) = self.ring.rotate(tier) else {
                 break;
             };
             sampled += 1;
-            let referenced = mem.harvest_referenced(frame);
-            if let Some(list) = self.ring_mut(tier) {
-                list.push_back(frame);
-            }
-            if !referenced {
+            if !mem.harvest_referenced(frame) {
                 continue;
             }
-            let Some(key) = Self::key_of(mem, frame) else {
+            let Some(key) = key_of(mem, frame) else {
                 continue;
             };
-            let est = self.sketch.update(key);
-            if !tier.is_top() && est >= self.cfg.promote_threshold {
+            if self.sketch.update(key) >= PROMOTE_THRESHOLD && !tier.is_top() {
                 hot.push(frame);
             }
         }
         (sampled, hot)
-    }
-
-    /// Promotes frequency-qualified pages, exchanging with a cold upper
-    /// page when the destination is full.
-    fn promote_hot(&mut self, mem: &mut MemorySystem, tier: TierId, mut hot: Vec<FrameId>) -> u64 {
-        let Some(upper) = tier.upper() else { return 0 };
-        let mut promoted = 0;
-        // Deterministic fairness when room is scarcer than candidates.
-        if !hot.is_empty() {
-            let shift = self.ticks as usize % hot.len();
-            hot.rotate_left(shift);
-        }
-        for frame in hot {
-            if mem.frame(frame).tier() != tier {
-                continue;
-            }
-            match mem.migrate(frame, upper) {
-                Ok(new_frame) => {
-                    self.finish_move(frame, new_frame, tier, upper);
-                    promoted += 1;
-                }
-                Err(MemError::TierFull(_)) => {
-                    if self.demote_one_cold(mem, upper).is_some() {
-                        if let Ok(new_frame) = mem.migrate(frame, upper) {
-                            self.finish_move(frame, new_frame, tier, upper);
-                            promoted += 1;
-                        }
-                    }
-                }
-                Err(_) => {}
-            }
-        }
-        self.promotions += promoted;
-        promoted
-    }
-
-    fn finish_move(&mut self, old: FrameId, new: FrameId, src: TierId, dst: TierId) {
-        if let Some(list) = self.ring_mut(src) {
-            list.remove(old);
-        }
-        if let Some(list) = self.ring_mut(dst) {
-            list.push_back(new);
-        }
-    }
-
-    /// Demotes one low-frequency page of `tier` one tier down.
-    fn demote_one_cold(&mut self, mem: &mut MemorySystem, tier: TierId) -> Option<FrameId> {
-        let lower = tier.lower(self.tiers.len())?;
-        for _ in 0..64 {
-            let victim = self.ring_mut(tier).and_then(IndexedList::pop_front)?;
-            let hot = Self::key_of(mem, victim)
-                .is_some_and(|k| self.sketch.estimate(k) >= self.cfg.promote_threshold);
-            if hot || !mem.frame(victim).migratable() {
-                if let Some(list) = self.ring_mut(tier) {
-                    list.push_back(victim);
-                }
-                continue;
-            }
-            match mem.migrate(victim, lower) {
-                Ok(new_frame) => {
-                    if let Some(list) = self.ring_mut(lower) {
-                        list.push_back(new_frame);
-                    }
-                    self.demotions += 1;
-                    return Some(new_frame);
-                }
-                Err(_) => {
-                    if let Some(list) = self.ring_mut(tier) {
-                        list.push_back(victim);
-                    }
-                }
-            }
-        }
-        None
     }
 }
 
@@ -262,54 +155,42 @@ impl TieringPolicy for HybridTier {
 
     fn on_page_mapped(&mut self, mem: &mut MemorySystem, frame: FrameId) {
         let tier = mem.frame(frame).tier();
-        if let Some(list) = self.ring_mut(tier) {
-            list.push_back(frame);
-        }
+        self.ring.track(tier, frame);
         // Direct placement: the sketch already knows this virtual page's
         // frequency from before it was unmapped/evicted. A known-hot page
         // landing in a lower tier moves up immediately instead of waiting
         // out the sampling ladder again.
-        if tier.is_top() {
-            return;
-        }
-        let Some(key) = Self::key_of(mem, frame) else {
-            return;
-        };
-        if self.sketch.estimate(key) < self.cfg.promote_threshold {
-            return;
-        }
         let Some(upper) = tier.upper() else { return };
+        if !is_hot(&self.sketch, mem, frame) {
+            return;
+        }
         if let Ok(new_frame) = mem.migrate(frame, upper) {
-            self.finish_move(frame, new_frame, tier, upper);
+            self.ring.moved(frame, new_frame, tier, upper);
             self.direct_placements += 1;
             self.promotions += 1;
         }
     }
 
     fn on_page_unmapped(&mut self, mem: &mut MemorySystem, frame: FrameId) {
-        let tier = mem.frame(frame).tier();
-        if let Some(list) = self.ring_mut(tier) {
-            list.remove(frame);
-        }
+        self.ring.untrack(mem.frame(frame).tier(), frame);
     }
 
     fn on_supervised_access(&mut self, mem: &mut MemorySystem, frame: FrameId, _kind: AccessKind) {
         // Supervised accesses are kernel-visible for free: feed them to
         // the sketch directly, no sampling needed.
-        if let Some(key) = Self::key_of(mem, frame) {
+        if let Some(key) = key_of(mem, frame) {
             self.sketch.update(key);
         }
     }
 
     fn tick(&mut self, mem: &mut MemorySystem, now: Nanos) -> TickOutcome {
         self.ticks += 1;
-        if self.cfg.age_ticks > 0 && self.ticks.is_multiple_of(self.cfg.age_ticks) {
+        if self.ticks.is_multiple_of(AGE_TICKS) {
             self.sketch.halve();
         }
         let mut out = TickOutcome::default();
-        let tier_count = self.tiers.len();
         let mut hot_by_tier: Vec<(TierId, Vec<FrameId>)> = Vec::new();
-        for t in 0..tier_count {
+        for t in 0..mem.topology().tier_count() {
             let tier = TierId::new(t as u8);
             let (sampled, hot) = self.sample_tier(mem, tier);
             self.samples += sampled;
@@ -319,7 +200,17 @@ impl TieringPolicy for HybridTier {
             }
         }
         for (tier, hot) in hot_by_tier {
-            let promoted = self.promote_hot(mem, tier, hot);
+            let (promoted, demoted) = ring::exchange(
+                mem,
+                tier,
+                hot,
+                self.ticks,
+                &mut self.ring,
+                |mem, victim| is_hot(&self.sketch, mem, victim),
+                Rings::moved,
+            );
+            self.promotions += promoted;
+            self.demotions += demoted;
             out.promoted += promoted;
             mem.recorder_mut().emit(|| EventKind::Custom {
                 tag: "ht_promote_batch",
@@ -327,67 +218,22 @@ impl TieringPolicy for HybridTier {
                 b: tier.index() as u64,
             });
         }
-        for t in 0..tier_count {
-            let tier = TierId::new(t as u8);
-            if mem.tier_under_pressure(tier) {
-                let p = self.on_pressure(mem, tier, now);
-                out.pages_scanned += p.pages_scanned;
-                out.demoted += p.demoted;
-            }
-        }
+        out.merge(&ring::relieve_pressure(self, mem, now));
         out
     }
 
     fn on_pressure(&mut self, mem: &mut MemorySystem, tier: TierId, _now: Nanos) -> TickOutcome {
-        let mut out = TickOutcome::default();
-        let mut budget = self.cfg.reclaim_batch;
-        let lower = tier.lower(self.tiers.len());
-        while !mem.tier_balanced(tier) && budget > 0 {
-            let Some(frame) = self.ring_mut(tier).and_then(IndexedList::pop_front) else {
-                break;
-            };
-            budget -= 1;
-            out.pages_scanned += 1;
-            // Known-hot pages are spared while colder candidates remain.
-            let hot = Self::key_of(mem, frame)
-                .is_some_and(|k| self.sketch.estimate(k) >= self.cfg.promote_threshold);
-            if (hot && budget > 0) || !mem.frame(frame).migratable() {
-                if let Some(list) = self.ring_mut(tier) {
-                    list.push_back(frame);
-                }
-                continue;
-            }
-            match lower {
-                Some(lower_tier) => match mem.migrate(frame, lower_tier) {
-                    Ok(new_frame) => {
-                        if let Some(list) = self.ring_mut(lower_tier) {
-                            list.push_back(new_frame);
-                        }
-                        self.demotions += 1;
-                        out.demoted += 1;
-                    }
-                    Err(_) => {
-                        if mem.evict(frame).is_err() {
-                            if let Some(list) = self.ring_mut(tier) {
-                                list.push_back(frame);
-                            }
-                        }
-                    }
-                },
-                None => {
-                    if mem.evict(frame).is_err() {
-                        if let Some(list) = self.ring_mut(tier) {
-                            list.push_back(frame);
-                        }
-                    }
-                }
-            }
-        }
+        let lower = tier.lower(mem.topology().tier_count());
+        // Known-hot pages are spared while budget remains.
+        let out = ring::reclaim(mem, &mut self.ring, tier, lower, |mem, frame, left| {
+            left > 0 && is_hot(&self.sketch, mem, frame)
+        });
+        self.demotions += out.demoted;
         out
     }
 
     fn tick_interval(&self) -> Option<Nanos> {
-        Some(self.cfg.sample_interval)
+        Some(self.sample_interval)
     }
 
     fn counters(&self) -> Vec<(&'static str, u64)> {
@@ -476,13 +322,7 @@ mod tests {
     #[test]
     fn sampling_cost_is_bounded_by_batch() {
         let mut mem = MemorySystem::new(MachineDesc::dram_pm(512, 4096));
-        let mut h = HybridTier::new(
-            HybridTierConfig {
-                sample_batch: 64,
-                ..Default::default()
-            },
-            mem.topology(),
-        );
+        let mut h = HybridTier::new(mem.topology(), Nanos::from_secs(1), 64);
         for v in 0..2000u64 {
             map_in_tier(&mut mem, &mut h, v, TierId::new(1));
         }

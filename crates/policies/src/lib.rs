@@ -1,33 +1,43 @@
 //! # mc-policies — the paper's comparison systems
 //!
 //! Every system MULTI-CLOCK is evaluated against in the paper (§V),
-//! implemented over the same [`mc_mem`] substrate:
+//! implemented over the same [`mc_mem`] substrate. Like the paper, which
+//! extracted Nimble's hot/cold identification and ran it under the same
+//! mechanics as MULTI-CLOCK (§II-D), the baselines share their mechanics —
+//! per-tier lists, the two-sided exchange, the reclaim loop and the
+//! tick-tail pressure sweep live once, in a private `ring` module — and
+//! differ in how they *select* pages:
 //!
 //! * [`StaticTiering`] — pages stay in the tier they were born in; reclaim
-//!   evicts (never migrates). The normalisation baseline of Figs. 5-7.
+//!   evicts by CLOCK second chance (never migrates). The normalisation
+//!   baseline of Figs. 5-7.
 //! * [`Nimble`] — the paper's single-threaded re-implementation of
 //!   Nimble's *page selection*: recency-only, promotes every page seen
 //!   referenced in the last scan interval (§II-D).
-//! * [`AutoTiering`] — hint-page-fault tracking in two flavours:
-//!   [`AutoTieringMode::Cpm`] (conservative promotion with fault-time page
-//!   exchange) and [`AutoTieringMode::Opm`] (opportunistic promotion with
-//!   N-bit-history background demotion).
-//! * [`MemoryModeCache`] — Intel Memory-mode: DRAM as a direct-mapped
-//!   cache in front of PM. Not a [`mc_mem::TieringPolicy`]; the simulation
-//!   engine treats it as an alternative memory frontend.
-//! * [`Amp`] — AMP's hybrid (recency+frequency+random) selection over
-//!   full-memory profiling — deployable only in simulation, exactly the
-//!   paper's point (§II-D).
-//! * [`AutoNuma`] — AutoNUMA-Tiering (Yang's PM-as-NUMA-node design):
-//!   anonymous pages only, fault-based promotion into free space,
-//!   reclaim-based demotion.
-//! * [`OraclePolicy`] — strict-LRU and LFU ablation policies that observe
-//!   every access (impossible in a kernel, §II-D, but a useful selection-
-//!   quality upper bound in simulation).
 //! * [`HybridTier`] — sketch-based frequency tracking (arXiv 2312.04789):
 //!   sampled reference-bit harvesting into a count-min sketch instead of
 //!   full PTE scans, plus direct data placement of known-hot pages at
 //!   allocation time. The CXL-era comparison point.
+//! * [`AutoTiering`] — hint-page-fault tracking in two flavours:
+//!   [`AutoTieringMode::Cpm`] (conservative promotion with fault-time page
+//!   exchange) and [`AutoTieringMode::Opm`] (opportunistic promotion with
+//!   N-bit-history background demotion).
+//! * [`AutoNuma`] — AutoNUMA-Tiering (Yang's PM-as-NUMA-node design):
+//!   anonymous pages only, fault-based promotion into free space,
+//!   reclaim-based demotion of pages that did not fault.
+//! * [`Amp`] — AMP's hybrid (recency+frequency+random) selection over
+//!   full-memory profiling — deployable only in simulation, exactly the
+//!   paper's point (§II-D).
+//! * [`OraclePolicy`] — strict-LRU and LFU ablation policies that observe
+//!   every access (impossible in a kernel, §II-D, but a useful selection-
+//!   quality upper bound in simulation).
+//! * [`MemoryModeCache`] — Intel Memory-mode: DRAM as a direct-mapped
+//!   cache in front of PM. Not a [`mc_mem::TieringPolicy`]; the simulation
+//!   engine treats it as an alternative memory frontend.
+//!
+//! A constructor takes what the simulation varies, the tick interval and
+//! the per-tick batch (the oracles hard-code 1 s and 1 024 pages); every
+//! other tunable is a constant.
 
 // Engine-reachable code: failure is a value, iteration order is fixed (DESIGN.md §9).
 #![deny(
@@ -49,15 +59,16 @@ pub mod hybridtier;
 pub mod memory_mode;
 pub mod nimble;
 pub mod oracle;
+mod ring;
 pub mod sketch;
 pub mod static_tiering;
 
 pub use amp::Amp;
 pub use autonuma::AutoNuma;
-pub use autotiering::{AutoTiering, AutoTieringConfig, AutoTieringMode};
-pub use hybridtier::{HybridTier, HybridTierConfig};
+pub use autotiering::{AutoTiering, AutoTieringMode};
+pub use hybridtier::HybridTier;
 pub use memory_mode::{MemoryModeCache, MemoryModeStats};
-pub use nimble::{Nimble, NimbleConfig};
+pub use nimble::Nimble;
 pub use oracle::{OracleKind, OraclePolicy};
 pub use sketch::CmSketch;
 pub use static_tiering::StaticTiering;

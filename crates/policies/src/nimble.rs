@@ -15,74 +15,49 @@
 //! this promotes more pages after fewer observations — exactly the
 //! behaviour Figs. 8/9 measure (more promotions, lower re-access rate).
 
-use mc_clock::{balance::inactive_is_low, IndexedList};
+use crate::ring::{self, Rings, RECLAIM_BATCH};
+use mc_clock::balance::inactive_is_low;
 use mc_mem::{
-    AccessKind, FrameId, MemError, MemorySystem, Nanos, PolicyTraits, TickOutcome, TierId,
-    TieringPolicy, Topology,
+    AccessKind, FrameId, MemorySystem, Nanos, PolicyTraits, TickOutcome, TierId, TieringPolicy,
+    Topology,
 };
 use mc_obs::EventKind;
 
-/// Tunables for [`Nimble`]. Defaults mirror the paper's setup for the
-/// comparison: 1 s scan interval, 1024-page scan batches.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct NimbleConfig {
-    /// Scan daemon period.
-    pub scan_interval: Nanos,
-    /// Pages examined per list per tick.
-    pub scan_batch: usize,
-    /// Maximum pages examined per pressure invocation.
-    pub reclaim_batch: usize,
-}
-
-impl Default for NimbleConfig {
-    fn default() -> Self {
-        NimbleConfig {
-            scan_interval: Nanos::from_secs(1),
-            scan_batch: 1024,
-            reclaim_batch: 4096,
-        }
-    }
-}
-
-/// Per-tier two-list structure (no promote list — that is MULTI-CLOCK's
+/// The Nimble recency-only selection policy: per tier, stock CLOCK's
+/// inactive and active lists (no promote list — that is MULTI-CLOCK's
 /// addition).
-#[derive(Debug, Default)]
-struct NimbleLists {
-    inactive: IndexedList,
-    active: IndexedList,
-}
-
-/// The Nimble recency-only selection policy.
 #[derive(Debug)]
 pub struct Nimble {
-    cfg: NimbleConfig,
-    tiers: Vec<NimbleLists>,
-    /// Whether a frame is on an active list (vs inactive).
-    active_flag: Vec<bool>,
+    scan_interval: Nanos,
+    /// Pages examined per list per tick.
+    scan_batch: usize,
+    inactive: Rings,
+    active: Rings,
     ticks: u64,
     promotions: u64,
     demotions: u64,
 }
 
 impl Nimble {
-    /// Creates a Nimble instance for a topology.
-    pub fn new(cfg: NimbleConfig, topology: &Topology) -> Self {
-        assert!(cfg.scan_batch > 0, "scan batch must be positive");
+    /// Creates a Nimble instance for a topology: one scan every
+    /// `scan_interval`, examining up to `scan_batch` pages per list.
+    pub fn new(topology: &Topology, scan_interval: Nanos, scan_batch: usize) -> Self {
+        assert!(scan_batch > 0, "scan batch must be positive");
         Nimble {
-            cfg,
-            tiers: (0..topology.tier_count())
-                .map(|_| NimbleLists::default())
-                .collect(),
-            active_flag: vec![false; topology.total_pages()],
+            scan_interval,
+            scan_batch,
+            inactive: Rings::new(topology),
+            active: Rings::new(topology),
             ticks: 0,
             promotions: 0,
             demotions: 0,
         }
     }
 
-    /// With default tunables.
+    /// The paper's setup for the comparison: 1 s scan interval, 1024-page
+    /// scan batches.
     pub fn with_defaults(topology: &Topology) -> Self {
-        Self::new(NimbleConfig::default(), topology)
+        Self::new(topology, Nanos::from_secs(1), 1024)
     }
 
     /// Total pages promoted.
@@ -95,10 +70,14 @@ impl Nimble {
         self.demotions
     }
 
-    fn untrack(&mut self, frame: FrameId, tier: TierId) {
-        self.tiers[tier.index()].inactive.remove(frame);
-        self.tiers[tier.index()].active.remove(frame);
-        self.active_flag[frame.index()] = false;
+    /// Harvests `frame`'s reference bit and files it at the back of the
+    /// active list if it was referenced, else of the inactive list.
+    fn refile(&mut self, mem: &mut MemorySystem, tier: TierId, frame: FrameId) {
+        if mem.harvest_referenced(frame) {
+            self.active.track(tier, frame);
+        } else {
+            self.inactive.track(tier, frame);
+        }
     }
 
     /// Scans one tier's lists, harvesting reference bits; returns
@@ -106,127 +85,26 @@ impl Nimble {
     fn scan_tier(&mut self, mem: &mut MemorySystem, tier: TierId) -> (u64, Vec<FrameId>) {
         let mut hot = Vec::new();
         let mut scanned = 0u64;
-
         // Inactive list: referenced pages activate (one observation).
-        let budget = self.tiers[tier.index()]
-            .inactive
-            .len()
-            .min(self.cfg.scan_batch);
-        for _ in 0..budget {
-            let Some(frame) = self.tiers[tier.index()].inactive.pop_front() else {
+        for _ in 0..self.inactive.tier(tier).len().min(self.scan_batch) {
+            let Some(frame) = self.inactive.pop(tier) else {
                 break;
             };
             scanned += 1;
-            if mem.harvest_referenced(frame) {
-                self.tiers[tier.index()].active.push_back(frame);
-                self.active_flag[frame.index()] = true;
-            } else {
-                self.tiers[tier.index()].inactive.push_back(frame);
-            }
+            self.refile(mem, tier, frame);
         }
-
-        // Active list: referenced pages rotate to the MRU end and are
-        // promotion candidates on lower tiers.
-        let budget = self.tiers[tier.index()]
-            .active
-            .len()
-            .min(self.cfg.scan_batch);
-        for _ in 0..budget {
-            let Some(frame) = self.tiers[tier.index()].active.pop_front() else {
+        // Active list: every page rotates; referenced ones on lower tiers
+        // are promotion candidates.
+        for _ in 0..self.active.tier(tier).len().min(self.scan_batch) {
+            let Some(frame) = self.active.rotate(tier) else {
                 break;
             };
             scanned += 1;
-            self.tiers[tier.index()].active.push_back(frame);
-            if mem.harvest_referenced(frame) {
-                self.tiers[tier.index()].active.move_to_back(frame);
-                if !tier.is_top() {
-                    hot.push(frame);
-                }
+            if mem.harvest_referenced(frame) && !tier.is_top() {
+                hot.push(frame);
             }
         }
         (scanned, hot)
-    }
-
-    /// Promotes a batch of hot lower-tier pages, exchanging with the
-    /// coldest top-tier pages when the destination is full (Nimble's
-    /// two-sided exchange, single-threaded).
-    fn promote_hot(&mut self, mem: &mut MemorySystem, tier: TierId, mut hot: Vec<FrameId>) -> u64 {
-        let Some(upper) = tier.upper() else { return 0 };
-        let mut promoted = 0;
-        // Deterministic fairness when room is scarcer than candidates
-        // (see the same rotation in MULTI-CLOCK's promote phase).
-        if !hot.is_empty() {
-            let shift = self.ticks as usize % hot.len();
-            hot.rotate_left(shift);
-        }
-        for frame in hot {
-            // The page may have been migrated/freed since scanning.
-            if mem.frame(frame).tier() != tier {
-                continue;
-            }
-            match mem.migrate(frame, upper) {
-                Ok(new_frame) => {
-                    self.finish_promotion(mem, frame, new_frame, tier, upper);
-                    promoted += 1;
-                }
-                Err(MemError::TierFull(_)) => {
-                    // Exchange: demote the coldest upper-tier page first.
-                    if self.demote_one_cold(mem, upper).is_some() {
-                        if let Ok(new_frame) = mem.migrate(frame, upper) {
-                            self.finish_promotion(mem, frame, new_frame, tier, upper);
-                            promoted += 1;
-                        }
-                    }
-                }
-                Err(_) => {}
-            }
-        }
-        promoted
-    }
-
-    fn finish_promotion(
-        &mut self,
-        mem: &mut MemorySystem,
-        old: FrameId,
-        new: FrameId,
-        src: TierId,
-        dst: TierId,
-    ) {
-        let _ = mem;
-        self.untrack(old, src);
-        self.tiers[dst.index()].active.push_back(new);
-        self.active_flag[new.index()] = true;
-        self.promotions += 1;
-    }
-
-    /// Demotes the coldest page of `tier` one tier down; returns the new
-    /// frame on success.
-    fn demote_one_cold(&mut self, mem: &mut MemorySystem, tier: TierId) -> Option<FrameId> {
-        let lower = tier.lower(self.tiers.len())?;
-        // Victims come from the inactive list only: those pages were
-        // observed unreferenced at the last scan. Taking active (recently
-        // referenced) pages would strip the hot set to make room for
-        // single-observation candidates.
-        for _ in 0..64 {
-            let victim = self.tiers[tier.index()].inactive.pop_front()?;
-            if mem.harvest_referenced(victim) || !mem.frame(victim).migratable() {
-                self.tiers[tier.index()].inactive.push_back(victim);
-                self.active_flag[victim.index()] = false;
-                continue;
-            }
-            match mem.migrate(victim, lower) {
-                Ok(new_frame) => {
-                    self.active_flag[victim.index()] = false;
-                    self.tiers[lower.index()].inactive.push_back(new_frame);
-                    self.demotions += 1;
-                    return Some(new_frame);
-                }
-                Err(_) => {
-                    self.tiers[tier.index()].inactive.push_back(victim);
-                }
-            }
-        }
-        None
     }
 }
 
@@ -249,33 +127,29 @@ impl TieringPolicy for Nimble {
     }
 
     fn on_page_mapped(&mut self, mem: &mut MemorySystem, frame: FrameId) {
-        let tier = mem.frame(frame).tier();
-        self.tiers[tier.index()].inactive.push_back(frame);
-        self.active_flag[frame.index()] = false;
+        self.inactive.track(mem.frame(frame).tier(), frame);
     }
 
     fn on_page_unmapped(&mut self, mem: &mut MemorySystem, frame: FrameId) {
         let tier = mem.frame(frame).tier();
-        self.untrack(frame, tier);
+        self.inactive.untrack(tier, frame);
+        self.active.untrack(tier, frame);
     }
 
     fn on_supervised_access(&mut self, mem: &mut MemorySystem, frame: FrameId, _kind: AccessKind) {
-        // Stock CLOCK behaviour: one observation activates.
+        // Stock CLOCK behaviour: one observation activates; an active
+        // page moves to the back.
         let tier = mem.frame(frame).tier();
-        if !self.active_flag[frame.index()] && self.tiers[tier.index()].inactive.remove(frame) {
-            self.tiers[tier.index()].active.push_back(frame);
-            self.active_flag[frame.index()] = true;
-        } else {
-            self.tiers[tier.index()].active.move_to_back(frame);
+        if self.inactive.untrack(tier, frame) || self.active.untrack(tier, frame) {
+            self.active.track(tier, frame);
         }
     }
 
-    fn tick(&mut self, mem: &mut MemorySystem, _now: Nanos) -> TickOutcome {
+    fn tick(&mut self, mem: &mut MemorySystem, now: Nanos) -> TickOutcome {
         self.ticks += 1;
         let mut out = TickOutcome::default();
-        let tier_count = self.tiers.len();
         let mut hot_by_tier: Vec<(TierId, Vec<FrameId>)> = Vec::new();
-        for t in 0..tier_count {
+        for t in 0..mem.topology().tier_count() {
             let tier = TierId::new(t as u8);
             let (scanned, hot) = self.scan_tier(mem, tier);
             out.pages_scanned += scanned;
@@ -284,7 +158,21 @@ impl TieringPolicy for Nimble {
             }
         }
         for (tier, hot) in hot_by_tier {
-            let promoted = self.promote_hot(mem, tier, hot);
+            // Victims come from the inactive list only: those pages were
+            // observed unreferenced at the last scan. Taking active
+            // (recently referenced) pages would strip the hot set to make
+            // room for single-observation candidates.
+            let (promoted, demoted) = ring::exchange(
+                mem,
+                tier,
+                hot,
+                self.ticks,
+                &mut self.inactive,
+                |mem, victim| mem.harvest_referenced(victim),
+                |_, old, new, src, dst| self.active.moved(old, new, src, dst),
+            );
+            self.promotions += promoted;
+            self.demotions += demoted;
             out.promoted += promoted;
             mem.recorder_mut().emit(|| EventKind::Custom {
                 tag: "nimble_promote_batch",
@@ -292,80 +180,49 @@ impl TieringPolicy for Nimble {
                 b: tier.index() as u64,
             });
         }
-        for t in 0..tier_count {
-            let tier = TierId::new(t as u8);
-            if mem.tier_under_pressure(tier) {
-                let p = self.on_pressure(mem, tier, _now);
-                out.pages_scanned += p.pages_scanned;
-                out.demoted += p.demoted;
-            }
-        }
+        out.merge(&ring::relieve_pressure(self, mem, now));
         out
     }
 
+    /// `ring::reclaim` cannot run this loop: before each victim it may
+    /// refill the inactive list from the active one, and a referenced
+    /// victim is activated rather than put back.
     fn on_pressure(&mut self, mem: &mut MemorySystem, tier: TierId, _now: Nanos) -> TickOutcome {
         let mut out = TickOutcome::default();
-        let mut budget = self.cfg.reclaim_batch;
+        let mut budget = RECLAIM_BATCH;
         let tier_pages = mem.topology().tier(tier).pages();
-        let lower = tier.lower(self.tiers.len());
-
+        let lower = tier.lower(mem.topology().tier_count());
         while !mem.tier_balanced(tier) && budget > 0 {
             // Keep the inactive list fed.
-            let lists = &self.tiers[tier.index()];
-            if inactive_is_low(lists.active.len(), lists.inactive.len(), tier_pages)
-                || lists.inactive.is_empty()
-            {
-                if let Some(frame) = self.tiers[tier.index()].active.pop_front() {
+            let active = self.active.tier(tier).len();
+            let inactive = self.inactive.tier(tier).len();
+            if inactive_is_low(active, inactive, tier_pages) || inactive == 0 {
+                if let Some(frame) = self.active.pop(tier) {
                     budget -= 1;
                     out.pages_scanned += 1;
-                    if mem.harvest_referenced(frame) {
-                        self.tiers[tier.index()].active.push_back(frame);
-                    } else {
-                        self.tiers[tier.index()].inactive.push_back(frame);
-                        self.active_flag[frame.index()] = false;
-                    }
+                    self.refile(mem, tier, frame);
                     continue;
                 }
             }
-            let Some(frame) = self.tiers[tier.index()].inactive.pop_front() else {
+            let Some(frame) = self.inactive.pop(tier) else {
                 break;
             };
             budget -= 1;
             out.pages_scanned += 1;
             if mem.harvest_referenced(frame) {
-                self.tiers[tier.index()].active.push_back(frame);
-                self.active_flag[frame.index()] = true;
-                continue;
-            }
-            if !mem.frame(frame).migratable() {
-                self.tiers[tier.index()].inactive.push_back(frame);
-                continue;
-            }
-            match lower {
-                Some(lower_tier) => match mem.migrate(frame, lower_tier) {
-                    Ok(new_frame) => {
-                        self.tiers[lower_tier.index()].inactive.push_back(new_frame);
-                        self.demotions += 1;
-                        out.demoted += 1;
-                    }
-                    Err(_) => {
-                        if mem.evict(frame).is_err() {
-                            self.tiers[tier.index()].inactive.push_back(frame);
-                        }
-                    }
-                },
-                None => {
-                    if mem.evict(frame).is_err() {
-                        self.tiers[tier.index()].inactive.push_back(frame);
-                    }
-                }
+                self.active.track(tier, frame);
+            } else if !mem.frame(frame).migratable() {
+                self.inactive.track(tier, frame);
+            } else if ring::push_down(mem, &mut self.inactive, frame, tier, lower) {
+                self.demotions += 1;
+                out.demoted += 1;
             }
         }
         out
     }
 
     fn tick_interval(&self) -> Option<Nanos> {
-        Some(self.cfg.scan_interval)
+        Some(self.scan_interval)
     }
 
     fn counters(&self) -> Vec<(&'static str, u64)> {

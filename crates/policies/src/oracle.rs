@@ -10,12 +10,18 @@
 //!
 //! Recency stamps come from a single global counter so they stay
 //! comparable across tiers and across migrations.
+//!
+//! The oracles wake on their own clock: every 1 s of virtual time, moving
+//! up to 1 024 pages per tier, whatever the simulation's `scan_interval`.
+//! At a scaled-down interval they therefore tick far less often than every
+//! other system, and promote correspondingly fewer pages.
 
+use crate::ring::{self, RECLAIM_BATCH};
 use mc_mem::{
     AccessKind, FrameId, MemError, MemorySystem, Nanos, PolicyTraits, TickOutcome, TierId,
     TieringPolicy, Topology,
 };
-use std::collections::{BTreeMap, HashMap};
+use std::cmp::Reverse;
 
 /// Which oracle to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -41,13 +47,12 @@ impl OracleKind {
 #[derive(Debug)]
 pub struct OraclePolicy {
     kind: OracleKind,
-    /// Last-use stamp of every tracked frame (higher = more recent), kept
-    /// in frame order so iteration is deterministic.
-    stamps: BTreeMap<FrameId, u64>,
+    /// Last-use stamp per frame (higher = more recent); 0 = not tracked.
+    stamps: Vec<u64>,
     /// The stamp handed out last.
     last_stamp: u64,
     /// Per-frame access counts (LFU), halved every tick.
-    counts: HashMap<FrameId, u64>,
+    counts: Vec<u64>,
     /// Pages to promote per tick.
     batch: usize,
     interval: Nanos,
@@ -56,12 +61,12 @@ pub struct OraclePolicy {
 
 impl OraclePolicy {
     /// Creates an oracle policy.
-    pub fn new(kind: OracleKind, _topology: &Topology) -> Self {
+    pub fn new(kind: OracleKind, topology: &Topology) -> Self {
         OraclePolicy {
             kind,
-            stamps: BTreeMap::new(),
+            stamps: vec![0; topology.total_pages()],
             last_stamp: 0,
-            counts: HashMap::new(),
+            counts: vec![0; topology.total_pages()],
             batch: 1024,
             interval: Nanos::from_secs(1),
             promotions: 0,
@@ -81,38 +86,39 @@ impl OraclePolicy {
     /// Records a use of `frame`: most recent from now on.
     fn touch(&mut self, frame: FrameId) {
         self.last_stamp += 1;
-        self.stamps.insert(frame, self.last_stamp);
+        self.stamps[frame.index()] = self.last_stamp;
+    }
+
+    /// Stops tracking `frame`.
+    fn forget(&mut self, frame: FrameId) {
+        self.stamps[frame.index()] = 0;
+        self.counts[frame.index()] = 0;
     }
 
     /// The score of a frame under this oracle (higher = hotter).
     fn score(&self, frame: FrameId) -> u64 {
         match self.kind {
-            OracleKind::Lru => self.stamps.get(&frame).copied().unwrap_or(0),
-            OracleKind::Lfu => self.counts.get(&frame).copied().unwrap_or(0),
+            OracleKind::Lru => self.stamps[frame.index()],
+            OracleKind::Lfu => self.counts[frame.index()],
         }
     }
 
     /// All tracked frames of one tier, hottest first.
     fn by_heat(&self, mem: &MemorySystem, tier: TierId) -> Vec<FrameId> {
-        let mut v: Vec<(u64, FrameId)> = self
-            .stamps
-            .keys()
-            .copied()
-            .filter(|f| mem.frame(*f).tier() == tier)
+        let mut v: Vec<(u64, FrameId)> = (0..self.stamps.len())
+            .map(|i| FrameId::new(i as u32))
+            .filter(|f| self.stamps[f.index()] > 0 && mem.frame(*f).tier() == tier)
             .map(|f| (self.score(f), f))
             .collect();
-        v.sort_by_key(|(s, f)| (std::cmp::Reverse(*s), f.raw()));
+        v.sort_by_key(|(s, f)| (Reverse(*s), f.raw()));
         v.into_iter().map(|(_, f)| f).collect()
     }
 
     /// Carries recency/count metadata across a migration: a migrated page
     /// is exactly as recent as it was, not freshly used.
     fn transfer(&mut self, old: FrameId, new: FrameId) {
-        let stamp = self.stamps.remove(&old).unwrap_or(0);
-        self.stamps.insert(new, stamp);
-        if let Some(c) = self.counts.remove(&old) {
-            self.counts.insert(new, c);
-        }
+        self.stamps[new.index()] = std::mem::take(&mut self.stamps[old.index()]);
+        self.counts[new.index()] = std::mem::take(&mut self.counts[old.index()]);
     }
 
     /// Demotes the coldest migratable page of a tier; returns success.
@@ -167,26 +173,24 @@ impl TieringPolicy for OraclePolicy {
 
     fn on_page_mapped(&mut self, _mem: &mut MemorySystem, frame: FrameId) {
         self.touch(frame);
-        self.counts.insert(frame, 0);
+        self.counts[frame.index()] = 0;
     }
 
     fn on_page_unmapped(&mut self, _mem: &mut MemorySystem, frame: FrameId) {
-        self.stamps.remove(&frame);
-        self.counts.remove(&frame);
+        self.forget(frame);
     }
 
     fn on_supervised_access(&mut self, _mem: &mut MemorySystem, frame: FrameId, _kind: AccessKind) {
         self.touch(frame);
-        *self.counts.entry(frame).or_insert(0) += 1;
+        self.counts[frame.index()] += 1;
     }
 
-    fn tick(&mut self, mem: &mut MemorySystem, _now: Nanos) -> TickOutcome {
+    fn tick(&mut self, mem: &mut MemorySystem, now: Nanos) -> TickOutcome {
         let mut out = TickOutcome::default();
         // Promote the hottest lower-tier pages, demoting to make room —
         // but only while the candidate is hotter than the tier-up victim
         // (the oracle never makes a placement worse).
-        let tier_count = mem.topology().tier_count();
-        for t in (1..tier_count).rev() {
+        for t in (1..mem.topology().tier_count()).rev() {
             let tier = TierId::new(t as u8);
             let Some(upper) = tier.upper() else {
                 continue; // t >= 1: never the top tier
@@ -229,27 +233,17 @@ impl TieringPolicy for OraclePolicy {
         }
         // LFU decay.
         if self.kind == OracleKind::Lfu {
-            #[expect(
-                clippy::iter_over_hash_type,
-                reason = "halving every counter commutes; iteration order cannot change the result"
-            )]
-            for c in self.counts.values_mut() {
+            for c in &mut self.counts {
                 *c /= 2;
             }
         }
-        for t in 0..tier_count {
-            let tier = TierId::new(t as u8);
-            if mem.tier_under_pressure(tier) {
-                let p = self.on_pressure(mem, tier, _now);
-                out.demoted += p.demoted;
-            }
-        }
+        out.merge(&ring::relieve_pressure(self, mem, now));
         out
     }
 
     fn on_pressure(&mut self, mem: &mut MemorySystem, tier: TierId, _now: Nanos) -> TickOutcome {
         let mut out = TickOutcome::default();
-        let mut budget = 4096;
+        let mut budget = RECLAIM_BATCH;
         while !mem.tier_balanced(tier) && budget > 0 {
             budget -= 1;
             if self.demote_coldest(mem, tier) {
@@ -260,8 +254,7 @@ impl TieringPolicy for OraclePolicy {
             let victim = self.by_heat(mem, tier).pop();
             let Some(victim) = victim else { break };
             if mem.evict(victim).is_ok() {
-                self.stamps.remove(&victim);
-                self.counts.remove(&victim);
+                self.forget(victim);
             } else {
                 break;
             }
@@ -385,7 +378,7 @@ mod tests {
         // never displaces anything).
         let _ = out;
         let _ = f;
-        assert_eq!(p.counts.get(&f).copied().unwrap_or(0), 0);
+        assert_eq!(p.counts[f.index()], 0);
     }
 
     #[test]

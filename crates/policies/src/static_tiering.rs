@@ -7,7 +7,7 @@
 //! second-chance *eviction* — pages leave to backing storage, never to
 //! another tier, like a stock non-tiering kernel.
 
-use mc_clock::IndexedList;
+use crate::ring::{self, Rings};
 use mc_mem::{
     AccessKind, FrameId, MemorySystem, Nanos, PolicyTraits, TickOutcome, TierId, TieringPolicy,
     Topology,
@@ -17,30 +17,15 @@ use mc_mem::{
 #[derive(Debug)]
 pub struct StaticTiering {
     /// One reclaim list per tier (CLOCK order, front = next candidate).
-    lists: Vec<IndexedList>,
-    /// Pages evicted by this policy.
-    evictions: u64,
+    lists: Rings,
 }
 
 impl StaticTiering {
     /// Creates the policy for a topology.
     pub fn new(topology: &Topology) -> Self {
         StaticTiering {
-            lists: (0..topology.tier_count())
-                .map(|_| IndexedList::new())
-                .collect(),
-            evictions: 0,
+            lists: Rings::new(topology),
         }
-    }
-
-    /// Pages evicted so far.
-    pub fn evictions(&self) -> u64 {
-        self.evictions
-    }
-
-    /// The reclaim list of one tier (for tests).
-    pub fn list(&self, tier: TierId) -> &IndexedList {
-        &self.lists[tier.index()]
     }
 }
 
@@ -63,13 +48,11 @@ impl TieringPolicy for StaticTiering {
     }
 
     fn on_page_mapped(&mut self, mem: &mut MemorySystem, frame: FrameId) {
-        let tier = mem.frame(frame).tier();
-        self.lists[tier.index()].push_back(frame);
+        self.lists.track(mem.frame(frame).tier(), frame);
     }
 
     fn on_page_unmapped(&mut self, mem: &mut MemorySystem, frame: FrameId) {
-        let tier = mem.frame(frame).tier();
-        self.lists[tier.index()].remove(frame);
+        self.lists.untrack(mem.frame(frame).tier(), frame);
     }
 
     fn on_supervised_access(
@@ -86,27 +69,10 @@ impl TieringPolicy for StaticTiering {
     }
 
     fn on_pressure(&mut self, mem: &mut MemorySystem, tier: TierId, _now: Nanos) -> TickOutcome {
-        let mut out = TickOutcome::default();
-        let mut budget = 4096usize;
-        while !mem.tier_balanced(tier) && budget > 0 {
-            let Some(frame) = self.lists[tier.index()].pop_front() else {
-                break;
-            };
-            budget -= 1;
-            out.pages_scanned += 1;
-            if mem.harvest_referenced(frame) || !mem.frame(frame).migratable() {
-                // Second chance.
-                self.lists[tier.index()].push_back(frame);
-                continue;
-            }
-            match mem.evict(frame) {
-                Ok(()) => {
-                    self.evictions += 1;
-                }
-                Err(_) => self.lists[tier.index()].push_back(frame),
-            }
-        }
-        out
+        // CLOCK second chance, and no lower tier: victims are evicted.
+        ring::reclaim(mem, &mut self.lists, tier, None, |mem, frame, _| {
+            mem.harvest_referenced(frame)
+        })
     }
 
     fn tick_interval(&self) -> Option<Nanos> {
@@ -158,7 +124,7 @@ mod tests {
         }
         assert!(mem.tier_under_pressure(TierId::TOP));
         p.on_pressure(&mut mem, TierId::TOP, Nanos::ZERO);
-        assert!(p.evictions() > 0, "static reclaim evicts");
+        assert!(mem.stats().evictions > 0, "static reclaim evicts");
         assert_eq!(mem.stats().demotions, 0, "never demotes");
         assert!(mem.tier_balanced(TierId::TOP));
     }

@@ -12,8 +12,8 @@ use mc_mem::{
     TieringPolicy, TimeLedger, VAddr, VPage, VPageMap, PAGE_SIZE,
 };
 use mc_policies::{
-    Amp, AutoNuma, AutoTiering, AutoTieringConfig, AutoTieringMode, HybridTier, HybridTierConfig,
-    MemoryModeCache, Nimble, NimbleConfig, OracleKind, OraclePolicy, StaticTiering,
+    Amp, AutoNuma, AutoTiering, AutoTieringMode, HybridTier, MemoryModeCache, Nimble, OracleKind,
+    OraclePolicy, StaticTiering,
 };
 use mc_workloads::Memory;
 use multi_clock::{MultiClock, MultiClockConfig};
@@ -100,28 +100,17 @@ impl Simulation {
             },
             SystemKind::HybridTier => Frontend::Tiered {
                 policy: Box::new(HybridTier::new(
-                    HybridTierConfig {
-                        sample_interval: cfg.scan_interval,
-                        // Sampling is the point: HybridTier reads a
-                        // bounded fraction of what the full scanner
-                        // would walk per wake-up (per tier), trading
-                        // recall for tracking cost.
-                        sample_batch: (cfg.scan_batch / 8).max(64),
-                        ..Default::default()
-                    },
                     topo,
+                    cfg.scan_interval,
+                    // Sampling is the point: HybridTier reads a bounded
+                    // fraction of what the full scanner would walk per
+                    // wake-up (per tier), trading recall for tracking cost.
+                    (cfg.scan_batch / 8).max(64),
                 )),
                 oracle_visibility: false,
             },
             SystemKind::Nimble => Frontend::Tiered {
-                policy: Box::new(Nimble::new(
-                    NimbleConfig {
-                        scan_interval: cfg.scan_interval,
-                        scan_batch: cfg.scan_batch,
-                        ..Default::default()
-                    },
-                    topo,
-                )),
+                policy: Box::new(Nimble::new(topo, cfg.scan_interval, cfg.scan_batch)),
                 oracle_visibility: false,
             },
             SystemKind::AtCpm | SystemKind::AtOpm => {
@@ -133,12 +122,9 @@ impl Simulation {
                 Frontend::Tiered {
                     policy: Box::new(AutoTiering::new(
                         mode,
-                        AutoTieringConfig {
-                            scan_interval: cfg.scan_interval,
-                            sample_batch: cfg.scan_batch,
-                            ..Default::default()
-                        },
                         topo,
+                        cfg.scan_interval,
+                        cfg.scan_batch,
                     )),
                     oracle_visibility: false,
                 }
@@ -148,7 +134,7 @@ impl Simulation {
                 oracle_visibility: false,
             },
             SystemKind::Amp => Frontend::Tiered {
-                policy: Box::new(Amp::new(topo, cfg.scan_interval, cfg.scan_batch, 42)),
+                policy: Box::new(Amp::new(topo, cfg.scan_interval, cfg.scan_batch)),
                 oracle_visibility: false,
             },
             SystemKind::OracleLru | SystemKind::OracleLfu => {
