@@ -27,7 +27,7 @@
 //! let mut sim = Simulation::new(SimConfig::new(SystemKind::MultiClock, 256, 2048));
 //! let mut kv = KvStore::new(&mut sim, 100);
 //! kv.set(&mut sim, 1, b"hello");
-//! assert_eq!(kv.get(&mut sim, 1).as_deref(), Some(&b"hello"[..]));
+//! assert_eq!(kv.get(&mut sim, 1), Some(&b"hello"[..]));
 //! assert!(sim.now().as_nanos() > 0);
 //! ```
 

@@ -4,7 +4,9 @@ use crate::dist::fnv1a_64;
 use crate::kv::slab::SlabAllocator;
 use crate::memory::Memory;
 use mc_mem::{PageKind, VAddr};
+use std::collections::hash_map::{DefaultHasher, Entry};
 use std::collections::HashMap;
+use std::hash::BuildHasherDefault;
 
 /// Per-item header stored in front of the value, memcached-`item`-like:
 /// the key (8 bytes) plus the value length (4 bytes).
@@ -40,15 +42,20 @@ struct ItemRef {
 /// let mut mem = SimpleMemory::new();
 /// let mut kv = KvStore::new(&mut mem, 1024);
 /// kv.set(&mut mem, 42, b"hello");
-/// assert_eq!(kv.get(&mut mem, 42).as_deref(), Some(&b"hello"[..]));
+/// assert_eq!(kv.get(&mut mem, 42), Some(&b"hello"[..]));
 /// ```
 #[derive(Debug)]
 pub struct KvStore {
     slab: SlabAllocator,
     buckets_base: VAddr,
     nbuckets: u64,
-    index: HashMap<u64, ItemRef>,
+    /// Fixed-key hashing: nothing iterates the index, and its keys are the
+    /// workload's own, so a per-process random key would buy nothing.
+    index: HashMap<u64, ItemRef, BuildHasherDefault<DefaultHasher>>,
     stats: KvStats,
+    /// One item as stored (header + value): `set` assembles it here and
+    /// `get` reads it back here, so neither allocates once it has grown.
+    item: Vec<u8>,
 }
 
 impl KvStore {
@@ -62,8 +69,9 @@ impl KvStore {
             slab: SlabAllocator::new(PageKind::Anon),
             buckets_base,
             nbuckets,
-            index: HashMap::new(),
+            index: HashMap::default(),
             stats: KvStats::default(),
+            item: Vec::new(),
         }
     }
 
@@ -99,51 +107,53 @@ impl KvStore {
         // Probe the bucket chain head.
         mem.write(self.bucket_addr(key), BUCKET_BYTES);
         let needed = ITEM_HEADER + value.len();
-        let item = match self.index.get(&key).copied() {
-            Some(old)
+        let addr = match self.index.entry(key) {
+            Entry::Occupied(mut slot) => {
+                let old = slot.get_mut();
+                // A new chunk class moves the item; the same one updates
+                // it in place.
                 if SlabAllocator::chunk_size(ITEM_HEADER + old.value_len)
-                    == SlabAllocator::chunk_size(needed) =>
-            {
-                // In-place update within the same chunk class.
-                ItemRef {
-                    addr: old.addr,
-                    value_len: value.len(),
+                    != SlabAllocator::chunk_size(needed)
+                {
+                    self.slab.free(old.addr, ITEM_HEADER + old.value_len);
+                    old.addr = self.slab.alloc(mem, needed);
                 }
+                old.value_len = value.len();
+                old.addr
             }
-            Some(old) => {
-                self.slab.free(old.addr, ITEM_HEADER + old.value_len);
-                ItemRef {
-                    addr: self.slab.alloc(mem, needed),
+            Entry::Vacant(slot) => {
+                let addr = self.slab.alloc(mem, needed);
+                slot.insert(ItemRef {
+                    addr,
                     value_len: value.len(),
-                }
+                });
+                addr
             }
-            None => ItemRef {
-                addr: self.slab.alloc(mem, needed),
-                value_len: value.len(),
-            },
         };
-        let mut buf = Vec::with_capacity(needed);
-        buf.extend_from_slice(&key.to_le_bytes());
-        buf.extend_from_slice(&(value.len() as u32).to_le_bytes());
-        buf.extend_from_slice(value);
-        mem.write_bytes(item.addr, &buf);
-        self.index.insert(key, item);
+        let item = &mut self.item;
+        item.clear();
+        item.extend_from_slice(&key.to_le_bytes());
+        item.extend_from_slice(&(value.len() as u32).to_le_bytes());
+        item.extend_from_slice(value);
+        // One call for the whole item: header and value share its touches.
+        mem.write_bytes(addr, item);
     }
 
-    /// Looks up a record, returning its value.
-    pub fn get<M: Memory + ?Sized>(&mut self, mem: &mut M, key: u64) -> Option<Vec<u8>> {
+    /// Looks up a record, returning its value. The slice borrows the
+    /// store's item buffer, so it lives until the store's next call.
+    pub fn get<M: Memory + ?Sized>(&mut self, mem: &mut M, key: u64) -> Option<&[u8]> {
         self.stats.gets += 1;
         mem.read(self.bucket_addr(key), BUCKET_BYTES);
         let item = self.index.get(&key).copied()?;
         self.stats.hits += 1;
-        let mut buf = vec![0u8; ITEM_HEADER + item.value_len];
-        mem.read_bytes(item.addr, &mut buf);
-        let stored_key = u64::from_le_bytes(buf[0..8].try_into().expect("header"));
-        debug_assert_eq!(stored_key, key, "item header corruption");
-        let len = u32::from_le_bytes(buf[8..12].try_into().expect("header")) as usize;
-        debug_assert_eq!(len, item.value_len);
-        buf.drain(..ITEM_HEADER);
-        Some(buf)
+        self.item.resize(ITEM_HEADER + item.value_len, 0);
+        mem.read_bytes(item.addr, &mut self.item);
+        debug_assert_eq!(self.item[..8], key.to_le_bytes(), "item header corruption");
+        debug_assert_eq!(
+            self.item[8..ITEM_HEADER],
+            (item.value_len as u32).to_le_bytes()
+        );
+        Some(&self.item[ITEM_HEADER..])
     }
 
     /// Removes a record; returns whether it existed.
@@ -185,8 +195,8 @@ mod tests {
         let mut kv = KvStore::new(&mut mem, 100);
         kv.set(&mut mem, 7, b"value-7");
         kv.set(&mut mem, 8, b"value-8");
-        assert_eq!(kv.get(&mut mem, 7).as_deref(), Some(&b"value-7"[..]));
-        assert_eq!(kv.get(&mut mem, 8).as_deref(), Some(&b"value-8"[..]));
+        assert_eq!(kv.get(&mut mem, 7), Some(&b"value-7"[..]));
+        assert_eq!(kv.get(&mut mem, 8), Some(&b"value-8"[..]));
         assert_eq!(kv.get(&mut mem, 9), None);
         assert_eq!(kv.len(), 2);
         let s = kv.stats();
@@ -209,7 +219,22 @@ mod tests {
         let v = kv.get(&mut mem, 1).unwrap();
         assert!(v.starts_with(b"a completely different"));
         kv.set(&mut mem, 1, b"tiny");
-        assert_eq!(kv.get(&mut mem, 1).as_deref(), Some(&b"tiny"[..]));
+        assert_eq!(kv.get(&mut mem, 1), Some(&b"tiny"[..]));
+    }
+
+    #[test]
+    fn a_shorter_value_read_after_a_longer_one_has_no_stale_tail() {
+        let mut mem = SimpleMemory::new();
+        let mut kv = KvStore::new(&mut mem, 100);
+        kv.set(&mut mem, 1, &[0xaa; 1024]);
+        assert_eq!(kv.get(&mut mem, 1), Some(&[0xaa; 1024][..]));
+        kv.set(&mut mem, 1, b"short");
+        assert_eq!(kv.get(&mut mem, 1), Some(&b"short"[..]));
+        // Two keys of different sizes, read back to back both ways.
+        kv.set(&mut mem, 2, &[0xbb; 1024]);
+        assert_eq!(kv.get(&mut mem, 2), Some(&[0xbb; 1024][..]));
+        assert_eq!(kv.get(&mut mem, 1), Some(&b"short"[..]));
+        assert_eq!(kv.get(&mut mem, 2), Some(&[0xbb; 1024][..]));
     }
 
     #[test]
@@ -230,7 +255,7 @@ mod tests {
         assert!(!kv.read_modify_write(&mut mem, 3, b"new"));
         kv.set(&mut mem, 3, b"old");
         assert!(kv.read_modify_write(&mut mem, 3, b"new"));
-        assert_eq!(kv.get(&mut mem, 3).as_deref(), Some(&b"new"[..]));
+        assert_eq!(kv.get(&mut mem, 3), Some(&b"new"[..]));
     }
 
     #[test]

@@ -154,6 +154,8 @@ pub struct YcsbClient {
     record_count: u64,
     rng: StdRng,
     ops: YcsbOps,
+    /// The value being written, refilled by every update, insert and RMW.
+    value: Vec<u8>,
 }
 
 impl YcsbClient {
@@ -177,14 +179,29 @@ impl YcsbClient {
             record_count: records,
             rng: StdRng::seed_from_u64(seed),
             ops: YcsbOps::default(),
+            value,
         }
     }
 
-    /// The deterministic value for a key (verified by tests).
+    /// The deterministic value for a key (verified by tests): byte `i` is
+    /// `key.to_le_bytes()[i % 8] ^ (i as u8)`.
+    ///
+    /// It is written a word at a time. Bytes `8j..8j + 8` carry the index
+    /// bytes `8(j mod 32) + 0..8`, none above 255, so little-endian word `j`
+    /// is `key ^ (0x0706050403020100 + 8·(j mod 32)·0x0101010101010101)`
+    /// with no carry between bytes; a byte-wise tail ends a length that is
+    /// not a multiple of 8.
     pub fn fill_value(key: u64, buf: &mut [u8]) {
+        const INDEX_BYTES: u64 = 0x0706_0504_0302_0100;
+        const EVERY_BYTE: u64 = 0x0101_0101_0101_0101;
+        let (words, tail) = buf.split_at_mut(buf.len() & !7);
+        for (j, word) in words.chunks_exact_mut(8).enumerate() {
+            let index = INDEX_BYTES + 8 * (j as u64 & 31) * EVERY_BYTE;
+            word.copy_from_slice(&(key ^ index).to_le_bytes());
+        }
         let kb = key.to_le_bytes();
-        for (i, b) in buf.iter_mut().enumerate() {
-            *b = kb[i % 8] ^ (i as u8);
+        for (i, b) in tail.iter_mut().enumerate() {
+            *b = kb[i] ^ ((words.len() + i) as u8);
         }
     }
 
@@ -226,23 +243,20 @@ impl YcsbClient {
             self.ops.reads += 1;
         } else if roll < read_f + update as f64 {
             let key = self.choose_key(workload);
-            let mut value = vec![0u8; self.cfg.value_size];
-            Self::fill_value(key, &mut value);
-            self.store.set(mem, key, &value);
+            Self::fill_value(key, &mut self.value);
+            self.store.set(mem, key, &self.value);
             self.ops.updates += 1;
         } else if roll < read_f + update as f64 + insert_f {
             let key = self.record_count;
             self.record_count += 1;
-            let mut value = vec![0u8; self.cfg.value_size];
-            Self::fill_value(key, &mut value);
-            self.store.set(mem, key, &value);
+            Self::fill_value(key, &mut self.value);
+            self.store.set(mem, key, &self.value);
             self.latest.grow(self.record_count);
             self.ops.inserts += 1;
         } else {
             let key = self.choose_key(workload);
-            let mut value = vec![0u8; self.cfg.value_size];
-            Self::fill_value(key, &mut value);
-            self.store.read_modify_write(mem, key, &value);
+            Self::fill_value(key, &mut self.value);
+            self.store.read_modify_write(mem, key, &self.value);
             self.ops.rmws += 1;
         }
     }
@@ -293,6 +307,24 @@ mod tests {
         let mut expected = vec![0u8; 256];
         YcsbClient::fill_value(123, &mut expected);
         assert_eq!(v, expected);
+    }
+
+    #[test]
+    fn fill_value_equals_its_bytewise_definition() {
+        // Lengths cross the 256-byte wrap of the index byte and every
+        // length mod 8; the buffer starts as the complement of the
+        // expected bytes, so a byte left unwritten shows too.
+        let mut rng = StdRng::seed_from_u64(7);
+        let sampled: Vec<u64> = (0..16).map(|_| rng.gen()).collect();
+        for key in [0, 1, 42, u64::MAX].into_iter().chain(sampled) {
+            let kb = key.to_le_bytes();
+            let reference: Vec<u8> = (0..=2100usize).map(|i| kb[i % 8] ^ (i as u8)).collect();
+            for len in 0..=2100 {
+                let mut buf: Vec<u8> = reference[..len].iter().map(|b| !b).collect();
+                YcsbClient::fill_value(key, &mut buf);
+                assert_eq!(buf, reference[..len], "key {key:#x}, length {len}");
+            }
+        }
     }
 
     #[test]

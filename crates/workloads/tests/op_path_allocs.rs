@@ -1,0 +1,66 @@
+//! The YCSB op path performs no heap allocation once the store is loaded
+//! and warm: the client refills one value buffer and the store assembles
+//! and reads items in one reused buffer.
+//!
+//! A counting global allocator, local to this test binary, counts the
+//! allocations made on the calling thread, so tests running on other
+//! threads do not disturb the count.
+
+use mc_workloads::ycsb::{YcsbClient, YcsbConfig, YcsbWorkload};
+use mc_workloads::SimpleMemory;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+struct CountingAlloc;
+
+thread_local! {
+    // Const-initialised and without a destructor, so reading it from
+    // inside the allocator never allocates.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+// SAFETY: every method forwards its arguments to `System` unchanged; the
+// only addition is a thread-local counter bump, which does not allocate.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCS.with(|n| n.set(n.get() + 1));
+        // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System.alloc` with this `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
+
+#[test]
+fn ycsb_ops_allocate_nothing_after_load_and_warm_up() {
+    // D is left out: its inserts grow the index and carve new slabs, and
+    // a first write to a page allocates that page's bytes in SimpleMemory.
+    for w in [
+        YcsbWorkload::A,
+        YcsbWorkload::B,
+        YcsbWorkload::C,
+        YcsbWorkload::F,
+        YcsbWorkload::W,
+    ] {
+        let mut mem = SimpleMemory::new();
+        let cfg = YcsbConfig {
+            records: 2_000,
+            ..Default::default()
+        };
+        let mut client = YcsbClient::load(cfg, &mut mem);
+        client.run(w, &mut mem, 1_000);
+        let before = ALLOCS.with(Cell::get);
+        client.run(w, &mut mem, 10_000);
+        let allocs = ALLOCS.with(Cell::get) - before;
+        assert_eq!(
+            allocs, 0,
+            "workload {w}: 10 000 ops allocated {allocs} times"
+        );
+    }
+}

@@ -74,17 +74,27 @@ fn ycsb_values_survive_every_workload() {
 fn kv_store_copes_with_varied_value_sizes() {
     let mut mem = SimpleMemory::new();
     let mut kv = KvStore::new(&mut mem, 64);
-    for (k, size) in [
+    let sizes = [
         (1u64, 1usize),
         (2, 63),
         (3, 64),
         (4, 65),
         (5, 4096),
         (6, 60_000),
-    ] {
+    ];
+    for (k, size) in sizes {
         let v = vec![k as u8; size];
         kv.set(&mut mem, k, &v);
         assert_eq!(kv.get(&mut mem, k).unwrap(), v, "size {size}");
+    }
+    // Read back after every set, so a small value follows a large one
+    // through the store's reused item buffer.
+    for (k, size) in sizes.into_iter().rev().chain(sizes) {
+        assert_eq!(
+            kv.get(&mut mem, k),
+            Some(&vec![k as u8; size][..]),
+            "size {size}"
+        );
     }
 }
 
