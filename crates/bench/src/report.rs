@@ -139,18 +139,12 @@ mod tests {
             promotions: 0,
             demotions: 0,
             reaccess_pct: None,
-            hint_faults: 0,
             top_tier_share: None,
             p50: None,
             p99: None,
             windows: Vec::new(),
-            injected_faults: 0,
-            migration_failures: 0,
-            promote_retries: 0,
-            promote_gave_ups: 0,
-            txn_commits: 0,
-            txn_aborts: 0,
-            shadow_hits: 0,
+            stats: Default::default(),
+            counters: Vec::new(),
             dropped_accesses: 0,
             costs: mc_sim::CostBreakdown::default(),
         }

@@ -57,8 +57,8 @@ fn cheap_sections_emit_well_formed_markdown_tables() {
     }
     assert!(!lab.out.contains("[fig5]"), "--only filters");
     assert_eq!(
-        lab.executed, 42,
-        "fig6 alone draws on the memo: 6 kernels x 7 systems"
+        lab.executed, 50,
+        "fig6's 6 kernels x 7 systems and overcommit's 4 footprints x 2 systems"
     );
 }
 

@@ -72,7 +72,10 @@ fn at_cpm_is_far_below_static() {
         cpm.ops_per_sec,
         stat.ops_per_sec
     );
-    assert!(cpm.hint_faults > 0, "CPM must be paying for hint faults");
+    assert!(
+        cpm.costs.hint_faults > 0,
+        "CPM must be paying for hint faults"
+    );
 }
 
 #[test]
