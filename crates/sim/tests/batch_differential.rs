@@ -13,42 +13,15 @@
 //! deterministic, lose no page, still promote, and shave overhead.
 
 mod common;
+#[path = "common/house.rs"]
+mod house;
 
 use common::Fingerprint;
-use mc_mem::{MachineDesc, Nanos, PageKind, PAGE_SIZE};
-use mc_sim::{SimConfig, Simulation, SystemKind};
-use mc_workloads::Memory;
+use mc_mem::MachineDesc;
+use mc_sim::{SimConfig, SystemKind};
 
-const PAGES: u64 = 192;
-
-/// A deterministic promotion-heavy workload: a first-touch fill spills
-/// the tail of the working set into PM, then a hot set deep in that PM
-/// tail is hammered every round (so the scanner must promote it), with a
-/// background stride keeping the lists churning and compute gaps so the
-/// daemon ticks.
 fn run(cfg: SimConfig) -> Fingerprint {
-    let mut s = Simulation::new(cfg);
-    let a = s.mmap(PAGE_SIZE * PAGES as usize, PageKind::Anon);
-    for p in 0..PAGES {
-        s.write(a.add(p * PAGE_SIZE as u64), 64);
-    }
-    for round in 0..400u64 {
-        // Hot set far past the DRAM capacity: first-touched into PM.
-        for h in 0..8u64 {
-            s.read(a.add((160 + h) * PAGE_SIZE as u64), 64);
-        }
-        let page = (round * 7) % PAGES;
-        let addr = a.add(page * PAGE_SIZE as u64);
-        if round % 3 == 0 {
-            s.write(addr, 256);
-        } else {
-            s.read(addr, 64);
-        }
-        s.compute(Nanos::from_millis(25));
-        s.record_op();
-    }
-    s.finish();
-    Fingerprint::of(&s, PAGES)
+    Fingerprint::of(&house::run(cfg), house::PAGES)
 }
 
 fn base_cfg() -> SimConfig {

@@ -14,42 +14,17 @@
 //! scan is sized by the lists, not by the machine.
 
 mod common;
+#[path = "common/house.rs"]
+mod house;
 
 use common::Fingerprint;
-use mc_mem::{MachineDesc, Nanos, PageKind, PAGE_SIZE};
-use mc_sim::experiments::{Experiment, Scale};
-use mc_sim::{SimConfig, Simulation, SystemKind};
-use mc_workloads::ycsb::{YcsbClient, YcsbConfig, YcsbWorkload};
-use mc_workloads::Memory;
+use mc_mem::{MachineDesc, Nanos};
+use mc_sim::experiments::{Experiment, RunOutcome, Scale};
+use mc_sim::{SimConfig, SystemKind};
+use mc_workloads::ycsb::YcsbWorkload;
 
-const PAGES: u64 = 192;
-
-/// Deterministic promotion-heavy workload (same shape as the other
-/// differential harnesses): first-touch fill spills into the capacity
-/// tier, a hot set deep in the tail is hammered every round, a stride
-/// keeps the lists churning, compute gaps let the daemon tick.
 fn run(cfg: SimConfig) -> Fingerprint {
-    let mut s = Simulation::new(cfg);
-    let a = s.mmap(PAGE_SIZE * PAGES as usize, PageKind::Anon);
-    for p in 0..PAGES {
-        s.write(a.add(p * PAGE_SIZE as u64), 64);
-    }
-    for round in 0..400u64 {
-        for h in 0..8u64 {
-            s.read(a.add((160 + h) * PAGE_SIZE as u64), 64);
-        }
-        let page = (round * 7) % PAGES;
-        let addr = a.add(page * PAGE_SIZE as u64);
-        if round % 3 == 0 {
-            s.write(addr, 256);
-        } else {
-            s.read(addr, 64);
-        }
-        s.compute(Nanos::from_millis(25));
-        s.record_op();
-    }
-    s.finish();
-    Fingerprint::of(&s, PAGES)
+    Fingerprint::of(&house::run(cfg), house::PAGES)
 }
 
 #[test]
@@ -114,32 +89,18 @@ fn hybridtier_runs_are_reproducible() {
 }
 
 /// YCSB-A on `Scale::tiny()`'s working set (400 ms warm-up + 400 ms
-/// measured) on `machine`; the finished simulation, for its policy
-/// counters.
-fn ycsb_a(system: SystemKind, machine: MachineDesc) -> Simulation {
-    let scale = Scale::tiny();
-    let mut cfg = SimConfig::new(system, 1, 1);
-    cfg.mem = machine;
-    cfg.scan_interval = scale.scan_interval();
-    cfg.scan_batch = scale.scan_batch;
-    cfg.window = scale.window();
-    let mut sim = Simulation::new(cfg);
-    let mut client = YcsbClient::load(
-        YcsbConfig {
-            records: scale.records,
-            value_size: scale.value_size,
-            op_compute: scale.op_compute,
-            insert_scale: scale.insert_scale,
-            seed: scale.seed,
-        },
-        &mut sim,
-    );
-    let end = sim.now() + Nanos::from_millis(800);
-    while sim.now() < end {
-        client.run_op(YcsbWorkload::A, &mut sim);
-    }
-    sim.finish();
-    sim
+/// measured) with `pm_pages` of PM, on the machine `shape` arranges.
+fn ycsb_a(
+    system: SystemKind,
+    pm_pages: usize,
+    shape: fn(usize, usize) -> MachineDesc,
+) -> RunOutcome {
+    let mut scale = Scale::tiny();
+    scale.pm_pages = pm_pages;
+    scale.warmup = Nanos::from_millis(400);
+    scale.measure = Nanos::from_millis(400);
+    let e = Experiment::ycsb(YcsbWorkload::A, system, &scale).machine(shape);
+    e.run().expect("the scale's footprint fits its machine")
 }
 
 /// HybridTier's claim (arXiv 2312.04789): sampling a bounded batch per
@@ -147,9 +108,8 @@ fn ycsb_a(system: SystemKind, machine: MachineDesc) -> Simulation {
 /// reference-bit scan reads, on the same machine and workload.
 #[test]
 fn hybridtier_samples_fewer_pages_than_multi_clock_scans() {
-    let scale = Scale::tiny();
-    let (dram, pm) = (scale.dram_pages, scale.pm_pages);
-    let run = |system| ycsb_a(system, MachineDesc::dram_cxl_pm(dram, dram, pm));
+    let cxl: fn(usize, usize) -> MachineDesc = |dram, pm| MachineDesc::dram_cxl_pm(dram, dram, pm);
+    let run = |system| ycsb_a(system, Scale::tiny().pm_pages, cxl);
     let sampled = run(SystemKind::HybridTier).counter("ht_samples");
     let scanned = run(SystemKind::MultiClock).counter("mc_pages_scanned");
     assert!(sampled > 0 && scanned > 0, "both trackers must have run");
@@ -164,7 +124,8 @@ fn hybridtier_samples_fewer_pages_than_multi_clock_scans() {
 /// to where first-touch placement lands them).
 #[test]
 fn scan_work_follows_the_working_set_not_the_frame_count() {
-    let run = |pm_pages| ycsb_a(SystemKind::MultiClock, MachineDesc::dram_pm(512, pm_pages));
+    // `Scale::tiny()` has 512 DRAM pages.
+    let run = |pm_pages| ycsb_a(SystemKind::MultiClock, pm_pages, MachineDesc::dram_pm);
     let (small, large) = (run((1 << 14) - 512), run((1 << 18) - 512));
     assert_eq!(small.counter("mc_ticks"), large.counter("mc_ticks"));
     let (a, b) = (

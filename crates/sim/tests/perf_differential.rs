@@ -10,43 +10,18 @@
 //! whole layer is a silent no-op.
 
 mod common;
+#[path = "common/house.rs"]
+mod house;
 
 use common::Fingerprint;
-use mc_mem::{Nanos, PageKind, PAGE_SIZE};
+use mc_mem::Nanos;
 use mc_obs::{PerfHooks, Phase};
 use mc_sim::experiments::{Experiment, Scale};
-use mc_sim::{FaultConfig, RetryPolicy, SimConfig, Simulation, SystemKind};
+use mc_sim::{FaultConfig, RetryPolicy, SimConfig, SystemKind};
 use mc_workloads::ycsb::YcsbWorkload;
-use mc_workloads::Memory;
 
-const PAGES: u64 = 192;
-
-/// The promotion-heavy deterministic workload shared with the other
-/// differential suites: first-touch fill spills into PM, a hot set deep
-/// in the PM tail is hammered every round, a stride keeps the lists
-/// churning, compute gaps let the daemon tick.
 fn run(cfg: SimConfig) -> Fingerprint {
-    let mut s = Simulation::new(cfg);
-    let a = s.mmap(PAGE_SIZE * PAGES as usize, PageKind::Anon);
-    for p in 0..PAGES {
-        s.write(a.add(p * PAGE_SIZE as u64), 64);
-    }
-    for round in 0..400u64 {
-        for h in 0..8u64 {
-            s.read(a.add((160 + h) * PAGE_SIZE as u64), 64);
-        }
-        let page = (round * 7) % PAGES;
-        let addr = a.add(page * PAGE_SIZE as u64);
-        if round % 3 == 0 {
-            s.write(addr, 256);
-        } else {
-            s.read(addr, 64);
-        }
-        s.compute(Nanos::from_millis(25));
-        s.record_op();
-    }
-    s.finish();
-    Fingerprint::of(&s, PAGES)
+    Fingerprint::of(&house::run(cfg), house::PAGES)
 }
 
 fn base_cfg() -> SimConfig {

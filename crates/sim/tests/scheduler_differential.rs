@@ -31,8 +31,13 @@
 //! If a *deliberate* behavior change ever invalidates these constants,
 //! re-run the command above at the last-good commit and re-pin.
 
-use mc_mem::{MachineDesc, Memory, MigrationMode, Nanos, PageKind, PAGE_SIZE};
-use mc_sim::{FaultConfig, RetryPolicy, SimConfig, Simulation, SystemKind};
+mod common;
+#[path = "common/house.rs"]
+mod house;
+
+use common::Fingerprint;
+use mc_mem::{MachineDesc, MigrationMode};
+use mc_sim::{FaultConfig, RetryPolicy, SimConfig, SystemKind};
 
 /// 64-bit FNV-1a: a stable, dependency-free digest for pinning large
 /// artifacts (CSV/JSONL streams, placement maps) as u64 constants.
@@ -45,8 +50,7 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
-/// Fingerprint of everything a run can observably produce, digested to
-/// pin-able integers.
+/// A [`Fingerprint`] digested to pin-able integers.
 #[derive(Debug, PartialEq)]
 struct Golden {
     now_ns: u64,
@@ -61,63 +65,25 @@ struct Golden {
     costs_hash: u64,
 }
 
-const PAGES: u64 = 192;
+impl Golden {
+    fn of(f: &Fingerprint) -> Golden {
+        Golden {
+            now_ns: f.now.as_nanos(),
+            stats_hash: fnv1a(format!("{:?}", f.stats).as_bytes()),
+            ticks_csv_hash: fnv1a(f.ticks_csv.as_bytes()),
+            ticks_csv_len: f.ticks_csv.len(),
+            events_jsonl_hash: fnv1a(f.events_jsonl.as_bytes()),
+            events_jsonl_len: f.events_jsonl.len(),
+            placement_hash: fnv1a(format!("{:?}", f.placement).as_bytes()),
+            promotions: f.promotions,
+            demotions: f.demotions,
+            costs_hash: fnv1a(format!("{:?}", f.costs).as_bytes()),
+        }
+    }
+}
 
 fn run(cfg: SimConfig) -> Golden {
-    fingerprint(&simulate(cfg))
-}
-
-/// The house differential workload (same shape as the batching
-/// differential): first-touch fill spills into PM, a hot set deep in
-/// the PM tail is hammered every round, a stride keeps the lists
-/// churning, compute gaps let the daemon tick.
-fn simulate(cfg: SimConfig) -> Simulation {
-    let mut s = Simulation::new(cfg);
-    let a = s.mmap(PAGE_SIZE * PAGES as usize, PageKind::Anon);
-    for p in 0..PAGES {
-        s.write(a.add(p * PAGE_SIZE as u64), 64);
-    }
-    for round in 0..400u64 {
-        for h in 0..8u64 {
-            s.read(a.add((160 + h) * PAGE_SIZE as u64), 64);
-        }
-        let page = (round * 7) % PAGES;
-        let addr = a.add(page * PAGE_SIZE as u64);
-        if round % 3 == 0 {
-            s.write(addr, 256);
-        } else {
-            s.read(addr, 64);
-        }
-        s.compute(Nanos::from_millis(25));
-        s.record_op();
-    }
-    s.finish();
-    s
-}
-
-fn fingerprint(s: &Simulation) -> Golden {
-    let placement: Vec<Option<(u32, u8)>> = (0..PAGES)
-        .map(|p| {
-            s.mem().translate(mc_mem::VPage::new(p)).map(|f| {
-                let fr = s.mem().frame(f);
-                (f.raw(), fr.tier().index() as u8)
-            })
-        })
-        .collect();
-    let ticks_csv = s.obs_ticks_csv().unwrap_or_default();
-    let events_jsonl = s.obs_events_jsonl().unwrap_or_default();
-    Golden {
-        now_ns: s.now().as_nanos(),
-        stats_hash: fnv1a(format!("{:?}", s.mem().stats()).as_bytes()),
-        ticks_csv_hash: fnv1a(ticks_csv.as_bytes()),
-        ticks_csv_len: ticks_csv.len(),
-        events_jsonl_hash: fnv1a(events_jsonl.as_bytes()),
-        events_jsonl_len: events_jsonl.len(),
-        placement_hash: fnv1a(format!("{placement:?}").as_bytes()),
-        promotions: s.metrics().total_promotions(),
-        demotions: s.metrics().total_demotions(),
-        costs_hash: fnv1a(format!("{:?}", s.metrics().costs()).as_bytes()),
-    }
+    Golden::of(&Fingerprint::of(&house::run(cfg), house::PAGES))
 }
 
 fn base_cfg() -> SimConfig {
@@ -564,7 +530,7 @@ fn tick_equivalent_engine_matches_pr8_golden_under_fault_injection() {
 fn every_migration_mode_and_batch_matches_its_golden() {
     let mut moved = Vec::new();
     for (name, cfg, golden) in pinned() {
-        let s = simulate(cfg);
+        let s = house::run(cfg);
         assert!(s.error().is_none(), "{name} latched {:?}", s.error());
         let evictions = s.mem().stats().evictions;
         if name.ends_with("_SMALL") {
@@ -575,7 +541,7 @@ fn every_migration_mode_and_batch_matches_its_golden() {
         } else {
             assert!(golden.promotions > 0, "{name} must exercise promotion");
         }
-        let got = fingerprint(&s);
+        let got = Golden::of(&Fingerprint::of(&s, house::PAGES));
         if got != golden {
             eprintln!("{name}: got {got:?}\n{name}: pinned {golden:?}");
             moved.push(name);
