@@ -1,5 +1,5 @@
 //! The evaluation harness behind the `repro` binary: its command-line
-//! parser ([`Args`]), the `SweepRunner`, the Markdown [`report`] helpers,
+//! parser ([`Args`]), the run pool (`sweep`), the Markdown [`report`] helpers,
 //! the [`repro`] document generator with its `sections`, and the
 //! [`source`] size count of `repro --count`. Host-time measurement lives
 //! in the repo benchmark (`benchmark/`), not here.
@@ -150,62 +150,46 @@ impl Args {
     }
 }
 
-/// Fans independent jobs (whole [`mc_sim::Experiment`] runs, typically)
-/// across a bounded pool of worker threads.
+/// Runs `f` over every job — whole [`mc_sim::Experiment`] runs, typically
+/// — on a pool of `threads` worker threads.
 ///
 /// Results always come back in input order, so sweep tables are
 /// byte-identical whatever the pool size — each run is itself
-/// deterministic, and the runner only changes *when* runs execute, never
-/// their inputs. `threads == 1` runs everything inline on the calling
+/// deterministic, and the pool only changes *when* runs execute, never
+/// their inputs. `threads <= 1` runs everything inline on the calling
 /// thread with no pool at all.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct SweepRunner {
-    threads: usize,
-}
-
-impl SweepRunner {
-    /// A runner with `threads` workers (clamped up to at least 1).
-    pub(crate) fn new(threads: usize) -> Self {
-        SweepRunner {
-            threads: threads.max(1),
-        }
+pub(crate) fn sweep<T, R, F>(threads: usize, jobs: Vec<T>, f: F) -> Vec<R>
+where
+    T: Send,
+    R: Send,
+    F: Fn(T) -> R + Sync,
+{
+    if threads <= 1 || jobs.len() <= 1 {
+        return jobs.into_iter().map(f).collect();
     }
-
-    /// Runs `f` over every job, `threads` at a time, and returns the
-    /// results in the jobs' input order.
-    pub(crate) fn run<T, R, F>(&self, jobs: Vec<T>, f: F) -> Vec<R>
-    where
-        T: Send,
-        R: Send,
-        F: Fn(T) -> R + Sync,
-    {
-        if self.threads == 1 || jobs.len() <= 1 {
-            return jobs.into_iter().map(f).collect();
+    let n = jobs.len();
+    let queue = std::sync::Mutex::new(
+        jobs.into_iter()
+            .enumerate()
+            .collect::<std::collections::VecDeque<(usize, T)>>(),
+    );
+    let results = std::sync::Mutex::new(Vec::with_capacity(n));
+    std::thread::scope(|s| {
+        for _ in 0..threads.min(n) {
+            s.spawn(|| loop {
+                let job = queue.lock().expect("sweep queue poisoned").pop_front();
+                let Some((index, job)) = job else { break };
+                let out = f(job);
+                results
+                    .lock()
+                    .expect("sweep results poisoned")
+                    .push((index, out));
+            });
         }
-        let n = jobs.len();
-        let queue = std::sync::Mutex::new(
-            jobs.into_iter()
-                .enumerate()
-                .collect::<std::collections::VecDeque<(usize, T)>>(),
-        );
-        let results = std::sync::Mutex::new(Vec::with_capacity(n));
-        std::thread::scope(|s| {
-            for _ in 0..self.threads.min(n) {
-                s.spawn(|| loop {
-                    let job = queue.lock().expect("sweep queue poisoned").pop_front();
-                    let Some((index, job)) = job else { break };
-                    let out = f(job);
-                    results
-                        .lock()
-                        .expect("sweep results poisoned")
-                        .push((index, out));
-                });
-            }
-        });
-        let mut results = results.into_inner().expect("sweep results poisoned");
-        results.sort_by_key(|(index, _)| *index);
-        results.into_iter().map(|(_, out)| out).collect()
-    }
+    });
+    let mut results = results.into_inner().expect("sweep results poisoned");
+    results.sort_by_key(|(index, _)| *index);
+    results.into_iter().map(|(_, out)| out).collect()
 }
 
 #[cfg(test)]
@@ -293,7 +277,7 @@ mod tests {
     fn sweep_runner_preserves_input_order() {
         let jobs: Vec<usize> = (0..37).collect();
         for threads in [1, 2, 4, 8] {
-            let out = SweepRunner::new(threads).run(jobs.clone(), |j| j * j);
+            let out = sweep(threads, jobs.clone(), |j| j * j);
             let expect: Vec<usize> = jobs.iter().map(|j| j * j).collect();
             assert_eq!(out, expect, "threads={threads}");
         }
@@ -301,8 +285,6 @@ mod tests {
 
     #[test]
     fn sweep_runner_clamps_zero_threads() {
-        let r = SweepRunner::new(0);
-        assert_eq!(r.threads, 1);
-        assert_eq!(r.run(vec![1, 2, 3], |j| j + 1), vec![2, 3, 4]);
+        assert_eq!(sweep(0, vec![1, 2, 3], |j| j + 1), vec![2, 3, 4]);
     }
 }
