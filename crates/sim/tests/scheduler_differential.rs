@@ -292,6 +292,10 @@ const CHAOS_DUAL: Golden = Golden {
 // The comparison systems, captured at the parent of the commit that moved
 // their shared mechanics into `mc-policies`' private `ring` module. Each
 // runs on the default machine and, as `*_SMALL`, on `dram_pm(32, 128)`.
+// `ORACLE_LRU_SMALL`, `ORACLE_LFU` and `ORACLE_LFU_SMALL` were re-pinned
+// when the oracles took AMP's selection rules: no zero-score candidate,
+// victims ranked once per tick, and a reclaim that stops at the first
+// demotion the lower tier refuses instead of evicting from the top tier.
 const STATIC: Golden = Golden {
     now_ns: 10001164012,
     stats_hash: 0xf48d91e9431a2a4a,
@@ -473,40 +477,40 @@ const ORACLE_LRU: Golden = Golden {
     costs_hash: 0x28aceb47352bb1ce,
 };
 const ORACLE_LRU_SMALL: Golden = Golden {
-    now_ns: 10004651304,
-    stats_hash: 0x095c986e398fe0b5,
-    ticks_csv_hash: 0x07ba572c68d938f9,
-    ticks_csv_len: 705,
-    events_jsonl_hash: 0xaa7e08b85b59b69f,
-    events_jsonl_len: 157903,
-    placement_hash: 0xf04a0679c674846b,
-    promotions: 123,
-    demotions: 257,
-    costs_hash: 0xd72ad2b96f83e673,
+    now_ns: 10004705896,
+    stats_hash: 0xb7c8f34b7143d0e0,
+    ticks_csv_hash: 0xe4c005020d1ddbeb,
+    ticks_csv_len: 695,
+    events_jsonl_hash: 0x69c9cc297146e7c8,
+    events_jsonl_len: 137070,
+    placement_hash: 0x1cb51094bbfb1253,
+    promotions: 106,
+    demotions: 247,
+    costs_hash: 0xafb4bf77d5658e7c,
 };
 const ORACLE_LFU: Golden = Golden {
     now_ns: 10001551000,
-    stats_hash: 0x61bce72d8be78424,
-    ticks_csv_hash: 0x5afbceeb659abb94,
+    stats_hash: 0xeb99e1f9149cd02c,
+    ticks_csv_hash: 0xbdae497f663bf40e,
     ticks_csv_len: 667,
-    events_jsonl_hash: 0x93de756b46d4857c,
-    events_jsonl_len: 132112,
+    events_jsonl_hash: 0x48b239664b9826f1,
+    events_jsonl_len: 131375,
     placement_hash: 0xf173282cb598e1e9,
     promotions: 333,
     demotions: 338,
     costs_hash: 0x17c7e6ada5ecc8dc,
 };
 const ORACLE_LFU_SMALL: Golden = Golden {
-    now_ns: 10003250260,
-    stats_hash: 0x993343d05c6b889c,
-    ticks_csv_hash: 0x319ec0e21bbdfb84,
-    ticks_csv_len: 695,
-    events_jsonl_hash: 0xb0cc6152e9487185,
-    events_jsonl_len: 114281,
-    placement_hash: 0x27ac44a4a6429464,
-    promotions: 92,
-    demotions: 192,
-    costs_hash: 0x50ed40111593142e,
+    now_ns: 10003262452,
+    stats_hash: 0xac0b0428ca4fb9d8,
+    ticks_csv_hash: 0x2750e13583c4e888,
+    ticks_csv_len: 692,
+    events_jsonl_hash: 0x980371971b599efd,
+    events_jsonl_len: 105594,
+    placement_hash: 0xfe7a60542335ed56,
+    promotions: 101,
+    demotions: 197,
+    costs_hash: 0x477eb1029d55331b,
 };
 
 #[test]
