@@ -195,21 +195,20 @@ fn fig2(lab: &mut Lab) -> Result<(), String> {
 
 fn table1(lab: &mut Lab) -> Result<(), String> {
     use mc_mem::TieringPolicy;
-    use mc_policies::{
-        Amp, AutoNuma, AutoTiering, Nimble, OracleKind, OraclePolicy, StaticTiering,
-    };
+    use mc_policies::{AutoNuma, AutoTiering, Nimble, Scored, ScoredKind, StaticTiering};
     let mem = mc_mem::MemorySystem::new(MachineDesc::dram_pm(64, 256));
     let topo = mem.topology();
+    let scored = |kind| Scored::new(kind, topo, Nanos::from_secs(1), 1024).traits();
     let policies = [
         StaticTiering::new(topo).traits(),
         Nimble::with_defaults(topo).traits(),
         AutoNuma::with_defaults(topo).traits(),
-        Amp::with_defaults(topo).traits(),
+        scored(ScoredKind::Amp),
         AutoTiering::cpm(topo).traits(),
         AutoTiering::opm(topo).traits(),
         multi_clock::MultiClock::new(Default::default(), topo).traits(),
-        OraclePolicy::new(OracleKind::Lru, topo).traits(),
-        OraclePolicy::new(OracleKind::Lfu, topo).traits(),
+        scored(ScoredKind::Lru),
+        scored(ScoredKind::Lfu),
     ];
     let yes_no = |b: bool| if b { "Yes" } else { "No" };
     let row = |t: &mc_mem::PolicyTraits| {

@@ -213,6 +213,12 @@ pub struct LatencyModel {
     /// CPU cost for the scan daemon to examine one page (list manipulation
     /// plus rmap reference-bit check).
     pub scan_per_page: Nanos,
+    /// Fraction of daemon CPU time charged to the application: the daemon
+    /// runs on a spare core, and cache / memory-bus interference leaks a
+    /// little into the app.
+    pub daemon_contention: f64,
+    /// Application stall per first touch of a page (a minor fault).
+    pub minor_fault: Nanos,
     /// Cost to swap a page in/out from backing storage (lowest-tier
     /// eviction path; a fast NVMe device).
     pub swap_page: Nanos,
@@ -235,6 +241,8 @@ impl LatencyModel {
             migration_app_stall: Nanos::from_nanos(1_500),
             hint_fault: Nanos::from_nanos(1_500),
             scan_per_page: Nanos::from_nanos(60),
+            daemon_contention: 0.10,
+            minor_fault: Nanos::from_nanos(500),
             swap_page: Nanos::from_micros(10),
             txn_remap: Nanos::from_nanos(300),
         }

@@ -25,19 +25,19 @@
 //! * [`AutoNuma`] — AutoNUMA-Tiering (Yang's PM-as-NUMA-node design):
 //!   anonymous pages only, fault-based promotion into free space,
 //!   reclaim-based demotion of pages that did not fault.
-//! * [`Amp`] — AMP's hybrid (recency+frequency+random) selection over
-//!   full-memory profiling — deployable only in simulation, exactly the
-//!   paper's point (§II-D).
-//! * [`OraclePolicy`] — strict-LRU and LFU ablation policies that observe
-//!   every access (impossible in a kernel, §II-D, but a useful selection-
-//!   quality upper bound in simulation).
+//! * [`Scored`] — selection by a score, in three [`ScoredKind`]s: AMP's
+//!   hybrid (recency+frequency+random) over full-memory profiling, and the
+//!   strict-LRU and LFU oracles that observe every access. Both are
+//!   impossible in a kernel (§II-D) and run in simulation only, to measure
+//!   selection quality.
 //! * [`MemoryModeCache`] — Intel Memory-mode: DRAM as a direct-mapped
 //!   cache in front of PM. Not a [`mc_mem::TieringPolicy`]; the simulation
 //!   engine treats it as an alternative memory frontend.
 //!
 //! A constructor takes what the simulation varies, the tick interval and
-//! the per-tick batch (the oracles hard-code 1 s and 1 024 pages); every
-//! other tunable is a constant.
+//! the per-tick batch (the engine gives the oracles 1 s and 1 024 pages
+//! whatever the simulation's scan interval); every other tunable is a
+//! constant.
 
 // Engine-reachable code: failure is a value, iteration order is fixed (DESIGN.md §9).
 #![deny(
@@ -52,23 +52,21 @@
     clippy::unused_result_ok
 )]
 
-pub mod amp;
 pub mod autonuma;
 pub mod autotiering;
 pub mod hybridtier;
 pub mod memory_mode;
 pub mod nimble;
-pub mod oracle;
 mod ring;
+pub mod scored;
 pub mod sketch;
 pub mod static_tiering;
 
-pub use amp::Amp;
 pub use autonuma::AutoNuma;
 pub use autotiering::{AutoTiering, AutoTieringMode};
 pub use hybridtier::HybridTier;
 pub use memory_mode::{MemoryModeCache, MemoryModeStats};
 pub use nimble::Nimble;
-pub use oracle::{OracleKind, OraclePolicy};
+pub use scored::{Scored, ScoredKind};
 pub use sketch::CmSketch;
 pub use static_tiering::StaticTiering;

@@ -153,12 +153,6 @@ pub struct SimConfig {
     /// uses 1024 on a terabyte-class machine; scaled-down machines keep
     /// the same absolute batch, which covers proportionally more.
     pub scan_batch: usize,
-    /// Fraction of daemon CPU time charged to the application (the
-    /// daemon runs on a spare core; cache/membus interference leaks a
-    /// little into the app).
-    pub daemon_contention: f64,
-    /// Application stall charged per first-touch (minor fault).
-    pub minor_fault: Nanos,
     /// Metrics window length (the paper's Figs. 8-9 use 20 s).
     pub window: Nanos,
     /// MULTI-CLOCK §VII extensions (ignored by other systems).
@@ -183,8 +177,6 @@ impl SimConfig {
             system,
             scan_interval: Nanos::from_secs(1),
             scan_batch: 1024,
-            daemon_contention: 0.10,
-            minor_fault: Nanos::from_nanos(500),
             window: Nanos::from_secs(20),
             write_weight: 1.0,
             adaptive_interval: false,

@@ -12,8 +12,8 @@ use mc_mem::{
     TieringPolicy, TimeLedger, Topology, VAddr, VPage, VPageMap, PAGE_SIZE,
 };
 use mc_policies::{
-    Amp, AutoNuma, AutoTiering, AutoTieringMode, HybridTier, MemoryModeCache, Nimble, OracleKind,
-    OraclePolicy, StaticTiering,
+    AutoNuma, AutoTiering, AutoTieringMode, HybridTier, MemoryModeCache, Nimble, Scored,
+    ScoredKind, StaticTiering,
 };
 use mc_workloads::Memory;
 use multi_clock::{MultiClock, MultiClockConfig};
@@ -297,7 +297,7 @@ impl Simulation {
         let scan_cost =
             Nanos::from_nanos(out.pages_scanned * self.mem.latency().scan_per_page.as_nanos());
         self.mem.charge(Charge::DaemonCpu, scan_cost);
-        absorb_substrate(&mut self.mem, &mut self.metrics, self.cfg.daemon_contention);
+        absorb_substrate(&mut self.mem, &mut self.metrics);
         self.metrics.settle(self.metrics.time.now());
         if let Some(obs) = self.obs.as_mut() {
             let counters = policy.counters();
@@ -377,9 +377,8 @@ impl Simulation {
                             }
                         }
                     };
-                    self.metrics
-                        .time
-                        .charge(Charge::MinorFault, self.cfg.minor_fault);
+                    let minor_fault = self.mem.latency().minor_fault;
+                    self.metrics.time.charge(Charge::MinorFault, minor_fault);
                     let Some(frame) = frame else {
                         let oom = (!injected).then_some(RunError::OutOfMemory { at, vpage });
                         return self.skip_access(oom);
@@ -439,7 +438,7 @@ impl Simulation {
     /// Absorbs what the substrate charged meanwhile and runs every
     /// daemon tick the clock has now passed.
     fn settle(&mut self) {
-        absorb_substrate(&mut self.mem, &mut self.metrics, self.cfg.daemon_contention);
+        absorb_substrate(&mut self.mem, &mut self.metrics);
         self.run_due_ticks();
     }
 
@@ -455,6 +454,9 @@ impl Simulation {
 fn tiering_policy(cfg: &SimConfig, topo: &Topology) -> Option<Box<dyn TieringPolicy>> {
     use AutoTieringMode::{Cpm, Opm};
     let (interval, batch) = (cfg.scan_interval, cfg.scan_batch);
+    // The oracles keep their own clock, 1 s and 1 024 pages a tier,
+    // whatever the scan interval (DESIGN.md §2).
+    let oracle = |kind| Box::new(Scored::new(kind, topo, Nanos::from_secs(1), 1024));
     Some(match cfg.system {
         SystemKind::Static => Box::new(StaticTiering::new(topo)),
         SystemKind::MultiClock | SystemKind::Nomad => Box::new(MultiClock::new(
@@ -486,9 +488,9 @@ fn tiering_policy(cfg: &SimConfig, topo: &Topology) -> Option<Box<dyn TieringPol
         SystemKind::AtCpm => Box::new(AutoTiering::new(Cpm, topo, interval, batch)),
         SystemKind::AtOpm => Box::new(AutoTiering::new(Opm, topo, interval, batch)),
         SystemKind::AutoNuma => Box::new(AutoNuma::new(topo, interval, batch)),
-        SystemKind::Amp => Box::new(Amp::new(topo, interval, batch)),
-        SystemKind::OracleLru => Box::new(OraclePolicy::new(OracleKind::Lru, topo)),
-        SystemKind::OracleLfu => Box::new(OraclePolicy::new(OracleKind::Lfu, topo)),
+        SystemKind::Amp => Box::new(Scored::new(ScoredKind::Amp, topo, interval, batch)),
+        SystemKind::OracleLru => oracle(ScoredKind::Lru),
+        SystemKind::OracleLfu => oracle(ScoredKind::Lfu),
         SystemKind::MemoryMode => return None,
     })
 }
@@ -563,7 +565,7 @@ impl Memory for Simulation {
 /// Absorbs substrate side effects: the pending charges into the run's
 /// ledger, migration events into the windowed metrics. Shared by the
 /// access path and the daemon tick.
-fn absorb_substrate(mem: &mut MemorySystem, metrics: &mut Metrics, daemon_contention: f64) {
+fn absorb_substrate(mem: &mut MemorySystem, metrics: &mut Metrics) {
     // Nearly every access leaves the substrate clean: nothing to absorb.
     if !mem.has_pending_effects() {
         return;
@@ -573,7 +575,7 @@ fn absorb_substrate(mem: &mut MemorySystem, metrics: &mut Metrics, daemon_conten
     let pending = mem.take_charges();
     metrics.time.merge(&pending);
     let daemon_cpu = pending.get(Charge::DaemonCpu).as_nanos();
-    let leak = Nanos::from_nanos((daemon_cpu as f64 * daemon_contention) as u64);
+    let leak = Nanos::from_nanos((daemon_cpu as f64 * mem.latency().daemon_contention) as u64);
     metrics.time.charge(Charge::DaemonLeak, leak);
     let now = metrics.time.now();
     for ev in mem.drain_events() {
@@ -763,7 +765,7 @@ mod tests {
         ));
         assert_eq!(
             s.now(),
-            before + s.config().minor_fault,
+            before + s.mem().latency().minor_fault,
             "the failed fault is charged, the access is not"
         );
         // The first error wins over a later one, and a fault after the

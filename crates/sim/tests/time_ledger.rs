@@ -54,10 +54,9 @@ fn spent(s: &Simulation, category: Charge) -> u64 {
 
 #[test]
 fn device_time_is_hits_times_read_latency_and_compute_is_what_was_issued() {
-    let cfg = SimConfig::new(SystemKind::Static, 64, 256);
-    let minor_fault = cfg.minor_fault.as_nanos();
-    let mut s = Simulation::new(cfg);
+    let mut s = Simulation::new(SimConfig::new(SystemKind::Static, 64, 256));
     let computed = drive(&mut s, 200, 2_000, true);
+    let minor_fault = s.mem().latency().minor_fault.as_nanos();
 
     let (st, lat) = (s.mem().stats(), s.mem().latency());
     assert!(st.tier_accesses.iter().all(|n| *n > 0), "both tiers served");
@@ -83,10 +82,9 @@ fn device_time_is_hits_times_read_latency_and_compute_is_what_was_issued() {
 
 #[test]
 fn minor_faults_and_swap_ins_cost_their_unit_price_when_nothing_is_dropped() {
-    let cfg = SimConfig::new(SystemKind::MultiClock, 32, 64);
-    let minor_fault = cfg.minor_fault.as_nanos();
-    let mut s = Simulation::new(cfg);
+    let mut s = Simulation::new(SimConfig::new(SystemKind::MultiClock, 32, 64));
     drive(&mut s, 140, 1_200, false);
+    let minor_fault = s.mem().latency().minor_fault.as_nanos();
 
     assert!(s.error().is_none(), "{:?}", s.error());
     assert_eq!(s.dropped_accesses(), 0);
@@ -117,9 +115,7 @@ fn hint_faults_cost_their_unit_price_under_at_cpm() {
 /// scans are not charged — DESIGN.md §4) and nothing is evicted.
 #[test]
 fn migrations_and_scans_cost_their_unit_price_under_multi_clock() {
-    let cfg = SimConfig::new(SystemKind::MultiClock, 32, 512);
-    let contention = cfg.daemon_contention;
-    let mut s = Simulation::new(cfg);
+    let mut s = Simulation::new(SimConfig::new(SystemKind::MultiClock, 32, 512));
     drive(&mut s, 120, 1_200, false);
 
     let (st, lat) = (s.mem().stats(), s.mem().latency());
@@ -139,7 +135,7 @@ fn migrations_and_scans_cost_their_unit_price_under_multi_clock() {
     assert_eq!(spent(&s, Charge::DaemonCpu), cpu);
     // The leak is the contention share, truncated once per tick.
     let (leak, ticks) = (spent(&s, Charge::DaemonLeak), s.counter("mc_ticks"));
-    let share = cpu as f64 * contention;
+    let share = cpu as f64 * lat.daemon_contention;
     assert!(leak <= share.ceil() as u64 && leak + ticks >= share as u64);
     assert!(leak > 0);
 }
