@@ -1,5 +1,5 @@
 //! The `repro` document generator: every section draws its experiment
-//! runs from one memo ([`Lab::runs`]), writes Markdown and registers
+//! runs from one memo (`Lab::runs`), writes Markdown and registers
 //! [`Claim`]s; [`generate`] assembles EXPERIMENTS.md and [`Lab::verdict`]
 //! is the claim gate.
 

@@ -206,7 +206,7 @@ impl MultiClock {
             .push_back(frame);
         self.states[frame.index()] = Some(PageState::InactiveUnref);
         self.sync_flags(mem, frame, PageState::InactiveUnref);
-        mem.recorder_mut().emit(|| EventKind::Fig4 {
+        mem.instruments.emit(|| EventKind::Fig4 {
             edge: 5,
             frame: frame.index() as u64,
             tier: tier.index() as u8,
@@ -228,7 +228,7 @@ impl MultiClock {
                     | PageFlags::REFERENCED
                     | PageFlags::UNEVICTABLE,
             );
-            mem.recorder_mut().emit(|| EventKind::Fig4 {
+            mem.instruments.emit(|| EventKind::Fig4 {
                 edge: 4,
                 frame: frame.index() as u64,
                 tier: tier.index() as u8,
@@ -274,7 +274,7 @@ impl MultiClock {
         // The only self-edge of the ladder is (12), an observation absorbed
         // by the promote list; it is recorded like any other — it is the
         // signal that a candidate stayed hot while queued.
-        mem.recorder_mut().emit(|| EventKind::Fig4 {
+        mem.instruments.emit(|| EventKind::Fig4 {
             edge: Self::access_edge(st),
             frame: frame.index() as u64,
             tier: tier.index() as u8,

@@ -148,7 +148,7 @@ impl MultiClock {
         self.pressure_guard[tier.index()] = false;
         self.debug_validate(mem);
         let freed = out.demoted + (self.stats.evictions - evictions_before);
-        mem.recorder_mut().emit(|| EventKind::PressureRun {
+        mem.instruments.emit(|| EventKind::PressureRun {
             tier: tier.index() as u8,
             freed: freed.min(u64::from(u32::MAX)) as u32,
         });
@@ -214,7 +214,7 @@ impl MultiClock {
                         .push_back(frame);
                     self.states[frame.index()] = Some(PageState::ActiveRef);
                     self.sync_flags(mem, frame, PageState::ActiveRef);
-                    mem.recorder_mut().emit(|| EventKind::Fig4 {
+                    mem.instruments.emit(|| EventKind::Fig4 {
                         edge: 11,
                         frame: frame.index() as u64,
                         tier: tier.index() as u8,
@@ -299,7 +299,7 @@ impl MultiClock {
             if force {
                 // fig4: 8 — forced decay, one step per rotation.
                 self.transition(mem, frame, PageState::ActiveUnref);
-                mem.recorder_mut().emit(|| EventKind::Fig4 {
+                mem.instruments.emit(|| EventKind::Fig4 {
                     edge: 8,
                     frame: frame.index() as u64,
                     tier: tier.index() as u8,
@@ -309,7 +309,7 @@ impl MultiClock {
             // fig4: 9 — deactivation to the inactive list.
             saturating_bump(&mut self.stats.deactivations);
             self.transition(mem, frame, PageState::InactiveUnref);
-            mem.recorder_mut().emit(|| EventKind::Fig4 {
+            mem.instruments.emit(|| EventKind::Fig4 {
                 edge: 9,
                 frame: frame.index() as u64,
                 tier: tier.index() as u8,
@@ -360,7 +360,7 @@ impl MultiClock {
             if force {
                 // fig4: 1 — forced decay of the software referenced state.
                 self.transition(mem, frame, PageState::InactiveUnref);
-                mem.recorder_mut().emit(|| EventKind::Fig4 {
+                mem.instruments.emit(|| EventKind::Fig4 {
                     edge: 1,
                     frame: frame.index() as u64,
                     tier: tier.index() as u8,
@@ -394,7 +394,7 @@ impl MultiClock {
                 // fig4: 4 — eviction ends tracking like an unmap does.
                 self.states[frame.index()] = None;
                 saturating_bump(&mut self.stats.evictions);
-                mem.recorder_mut().emit(|| EventKind::Fig4 {
+                mem.instruments.emit(|| EventKind::Fig4 {
                     edge: 4,
                     frame: frame.index() as u64,
                     tier: tier.index() as u8,
@@ -418,7 +418,7 @@ impl MultiClock {
         // fig4: 3 — demotion lands cold on the lower tier.
         self.retrack_after_migration(mem, frame, new_frame, PageState::InactiveUnref);
         saturating_bump(&mut self.stats.demotions);
-        mem.recorder_mut().emit(|| EventKind::Fig4 {
+        mem.instruments.emit(|| EventKind::Fig4 {
             edge: 3,
             frame: new_frame.index() as u64,
             tier: lower.index() as u8,

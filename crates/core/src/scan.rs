@@ -26,8 +26,8 @@ impl MultiClock {
     pub(crate) fn kpromoted_run(&mut self, mem: &mut MemorySystem, now: Nanos) -> TickOutcome {
         saturating_bump(&mut self.stats.ticks);
         let tick = self.stats.ticks;
-        mem.set_now(now.as_nanos());
-        mem.recorder_mut().emit(|| EventKind::TickBegin { tick });
+        mem.instruments.set_now(now.as_nanos());
+        mem.instruments.emit(|| EventKind::TickBegin { tick });
         let mut out = TickOutcome::default();
         let tier_count = self.tiers.len();
 
@@ -43,7 +43,7 @@ impl MultiClock {
         // active scan reaches it in the same tick.
         // Host-time phase spans (no-ops when hooks are off) only observe
         // the host clock, never engine state.
-        let mut scan_span = mem.perf_span(mc_obs::Phase::Scan);
+        let mut scan_span = mem.instruments.span(mc_obs::Phase::Scan);
         for t in 0..tier_count {
             let tier = TierId::new(t as u8);
             // Ageing of unreferenced promote pages (transition 11) only
@@ -74,7 +74,7 @@ impl MultiClock {
 
         // Drain promote lists bottom-up relative to their target: tier 1
         // promotes into tier 0 before tier 2 promotes into tier 1.
-        let mut drain_span = mem.perf_span(mc_obs::Phase::PromoteDrain);
+        let mut drain_span = mem.instruments.span(mc_obs::Phase::PromoteDrain);
         let mut promoted = 0u64;
         for tier in 1..tier_count {
             promoted += self.promote_all(mem, TierId::new(tier as u8));
@@ -86,7 +86,7 @@ impl MultiClock {
         drop(drain_span);
 
         // kswapd-style balancing: react to watermark pressure.
-        let mut pressure_span = mem.perf_span(mc_obs::Phase::Pressure);
+        let mut pressure_span = mem.instruments.span(mc_obs::Phase::Pressure);
         for tier in 0..tier_count {
             let tier = TierId::new(tier as u8);
             if mem.tier_under_pressure(tier) {
@@ -112,7 +112,7 @@ impl MultiClock {
         self.stats.shadow_hits = ms.shadow_hits;
         self.stats.shadow_invalidations = ms.shadow_invalidations;
         self.debug_validate(mem);
-        mem.recorder_mut().emit(|| EventKind::TickEnd {
+        mem.instruments.emit(|| EventKind::TickEnd {
             tick,
             scanned: out.pages_scanned,
             promoted: out.promoted,
@@ -173,7 +173,7 @@ impl MultiClock {
                     saturating_bump(&mut self.stats.ladder_decays);
                 }
                 self.transition(mem, frame, lands);
-                mem.recorder_mut().emit(|| EventKind::Fig4 {
+                mem.instruments.emit(|| EventKind::Fig4 {
                     edge,
                     frame: frame.index() as u64,
                     tier: tier.index() as u8,
@@ -181,7 +181,7 @@ impl MultiClock {
             }
         }
         if scanned > 0 {
-            mem.recorder_mut().emit(|| EventKind::ScanList {
+            mem.instruments.emit(|| EventKind::ScanList {
                 tier: tier.index() as u8,
                 list: which.name(),
                 scanned: scanned as u32,
@@ -246,7 +246,7 @@ impl MultiClock {
                 self.in_flight += candidates.len();
                 let drained = candidates.len();
                 if drained > 0 {
-                    mem.recorder_mut().emit(|| EventKind::PromoteDrain {
+                    mem.instruments.emit(|| EventKind::PromoteDrain {
                         tier: tier.index() as u8,
                         drained: drained as u32,
                     });
@@ -342,7 +342,7 @@ impl MultiClock {
             // Span over the migration call itself (items = pages handed
             // over); the per-page booking below is accounted to the
             // surrounding promote-drain span.
-            let mut batch_span = mem.perf_span(mc_obs::Phase::MigrateBatch);
+            let mut batch_span = mem.instruments.span(mc_obs::Phase::MigrateBatch);
             if let Some(s) = batch_span.as_mut() {
                 s.add_items(pages.len() as u64);
             }
@@ -386,7 +386,7 @@ impl MultiClock {
         self.retrack_after_migration(mem, frame, new_frame, PageState::ActiveRef);
         saturating_bump(&mut self.stats.promotions);
         let upper = mem.frame(new_frame).tier();
-        mem.recorder_mut().emit(|| EventKind::Fig4 {
+        mem.instruments.emit(|| EventKind::Fig4 {
             edge: 13,
             frame: new_frame.index() as u64,
             tier: upper.index() as u8,
@@ -410,7 +410,7 @@ impl MultiClock {
         if self.cfg.retry.exhausted(attempts) {
             self.retry_state[frame.index()] = None;
             saturating_bump(&mut self.stats.promote_gave_ups);
-            mem.recorder_mut().emit(|| EventKind::MigrateGaveUp {
+            mem.instruments.emit(|| EventKind::MigrateGaveUp {
                 frame: frame.index() as u64,
                 attempts,
             });
@@ -432,7 +432,7 @@ impl MultiClock {
             .set_mut(kind)
             .promote
             .push_back(frame);
-        mem.recorder_mut().emit(|| EventKind::MigrateRetry {
+        mem.instruments.emit(|| EventKind::MigrateRetry {
             frame: frame.index() as u64,
             attempt: attempts,
             eligible_tick,
@@ -452,7 +452,7 @@ impl MultiClock {
             .push_back(frame);
         self.states[frame.index()] = Some(PageState::ActiveRef);
         self.sync_flags(mem, frame, PageState::ActiveRef);
-        mem.recorder_mut().emit(|| EventKind::Fig4 {
+        mem.instruments.emit(|| EventKind::Fig4 {
             edge: 11,
             frame: frame.index() as u64,
             tier: tier.index() as u8,
@@ -485,12 +485,41 @@ impl MultiClock {
 mod tests {
     use super::*;
     use crate::config::MultiClockConfig;
-    use mc_mem::{AccessKind, MachineDesc, TieringPolicy, VPage};
+    use mc_fault::{FaultConfig, FaultPlan};
+    use mc_mem::{AccessKind, Instruments, MachineDesc, TieringPolicy, VPage};
+    use mc_obs::ObsConfig;
 
     fn setup() -> (MemorySystem, MultiClock) {
         let mem = MemorySystem::new(MachineDesc::dram_pm(64, 256));
         let mc = MultiClock::new(MultiClockConfig::default(), mem.topology());
         (mem, mc)
+    }
+
+    /// Test instruments: a recorder ringing `ring` events (off at 0) and
+    /// the injector `fault` configures.
+    fn instruments(ring: usize, fault: FaultConfig) -> Instruments {
+        let obs = ObsConfig {
+            enabled: ring > 0,
+            ring_capacity: ring,
+            ..ObsConfig::off()
+        };
+        Instruments::new(&obs, &fault, None)
+    }
+
+    /// Forces tier 0 offline (`true`) or back online through the test's
+    /// injector.
+    fn set_top_offline(mem: &mut MemorySystem, offline: bool) {
+        let injector = mem.instruments.injector().unwrap();
+        injector.set_tier_offline(0, offline);
+    }
+
+    /// An injector executing `plan` from `seed`.
+    fn faults(plan: FaultPlan, seed: u64) -> FaultConfig {
+        FaultConfig {
+            enabled: true,
+            seed,
+            plan,
+        }
     }
 
     /// Fault a page into a chosen tier and track it.
@@ -629,7 +658,7 @@ mod tests {
 
     #[test]
     fn promotion_resumes_within_one_period_after_tier_recovers() {
-        use mc_fault::{FaultInjector, FaultPlan, RetryPolicy};
+        use mc_fault::RetryPolicy;
         let (mut mem, mut mc) = setup_with_retry(RetryPolicy {
             max_attempts: 10,
             backoff_base_ticks: 1,
@@ -638,8 +667,8 @@ mod tests {
         let pm = TierId::new(1);
         let f = map_in_tier(&mut mem, &mut mc, 1, pm);
         make_promotable(&mut mem, &mut mc, f);
-        mem.set_fault_injector(FaultInjector::new(FaultPlan::default(), 0));
-        mem.fault_injector_mut().unwrap().set_tier_offline(0, true);
+        mem.instruments = instruments(0, faults(FaultPlan::default(), 0));
+        set_top_offline(&mut mem, true);
 
         let out = mc.tick(&mut mem, Nanos::from_secs(1));
         assert_eq!(out.promoted, 0);
@@ -652,7 +681,7 @@ mod tests {
         mc.assert_invariants(&mem);
 
         // Tier back online: the very next kpromoted run promotes it.
-        mem.fault_injector_mut().unwrap().set_tier_offline(0, false);
+        set_top_offline(&mut mem, false);
         let out = mc.tick(&mut mem, Nanos::from_secs(2));
         assert_eq!(out.promoted, 1);
         let nf = mem.translate(VPage::new(1)).unwrap();
@@ -663,18 +692,17 @@ mod tests {
 
     #[test]
     fn retries_exhaust_into_gave_up_and_active_fallback() {
-        use mc_fault::{FaultInjector, FaultPlan, RetryPolicy};
+        use mc_fault::RetryPolicy;
         let (mut mem, mut mc) = setup_with_retry(RetryPolicy {
             max_attempts: 2,
             backoff_base_ticks: 0,
             backoff_cap_ticks: 0,
         });
-        mem.recorder_mut().enable(256);
+        mem.instruments = instruments(256, faults(FaultPlan::default(), 0));
         let pm = TierId::new(1);
         let f = map_in_tier(&mut mem, &mut mc, 1, pm);
         make_promotable(&mut mem, &mut mc, f);
-        mem.set_fault_injector(FaultInjector::new(FaultPlan::default(), 0));
-        mem.fault_injector_mut().unwrap().set_tier_offline(0, true);
+        set_top_offline(&mut mem, true);
 
         // Attempt 1 fails -> retry; the page must keep being referenced so
         // the top-tier ageing scan does not intervene (it is on PM anyway).
@@ -696,7 +724,7 @@ mod tests {
 
     #[test]
     fn backoff_defers_attempts_until_eligible_tick() {
-        use mc_fault::{FaultInjector, FaultPlan, RetryPolicy};
+        use mc_fault::RetryPolicy;
         let (mut mem, mut mc) = setup_with_retry(RetryPolicy {
             max_attempts: 10,
             backoff_base_ticks: 2,
@@ -705,27 +733,35 @@ mod tests {
         let pm = TierId::new(1);
         let f = map_in_tier(&mut mem, &mut mc, 1, pm);
         make_promotable(&mut mem, &mut mc, f);
-        mem.set_fault_injector(FaultInjector::new(FaultPlan::default(), 0));
-        mem.fault_injector_mut().unwrap().set_tier_offline(0, true);
+        mem.instruments = instruments(0, faults(FaultPlan::default(), 0));
+        set_top_offline(&mut mem, true);
+
+        let rejections = |mem: &mut MemorySystem| {
+            mem.instruments
+                .injector()
+                .unwrap()
+                .stats()
+                .offline_rejections
+        };
 
         // Tick 1: attempt 1 fails (the promote path tries the migration,
         // reclaims, and retries once, so one episode can reject more than
         // once); eligible again at tick 3.
         mc.tick(&mut mem, Nanos::from_secs(1));
-        let after_first = mem.fault_injector().unwrap().stats().offline_rejections;
+        let after_first = rejections(&mut mem);
         assert!(after_first >= 1);
         assert_eq!(mc.stats().promote_retries, 1);
         // Tick 2: still backing off — no migration attempt at all.
         mc.tick(&mut mem, Nanos::from_secs(2));
         assert_eq!(
-            mem.fault_injector().unwrap().stats().offline_rejections,
+            rejections(&mut mem),
             after_first,
             "deferred candidate must not touch the memory system"
         );
         assert!(mc.tier_lists(pm).shard(0).anon.promote.contains(f));
         // Tick 3: eligible again — attempt 2 fires (and fails).
         mc.tick(&mut mem, Nanos::from_secs(3));
-        assert!(mem.fault_injector().unwrap().stats().offline_rejections > after_first);
+        assert!(rejections(&mut mem) > after_first);
         assert_eq!(mc.stats().promote_retries, 2);
         mc.assert_invariants(&mem);
     }
@@ -845,7 +881,7 @@ mod tests {
     /// page must not take that frame's new tenant off the lists.
     #[test]
     fn room_made_mid_batch_may_reuse_a_frame_the_batch_vacated() {
-        use mc_fault::{FaultInjector, FaultPlan};
+        use mc_fault::FaultInjector;
         let plan = FaultPlan {
             alloc_fail_rate: 0.1,
             ..FaultPlan::default()
@@ -888,7 +924,7 @@ mod tests {
         for f in &hot {
             make_promotable(&mut mem, &mut mc, *f);
         }
-        mem.set_fault_injector(FaultInjector::new(plan, seed));
+        mem.instruments = instruments(0, faults(plan, seed));
         let out = mc.promote_all(&mut mem, pm);
         assert_eq!(out, n, "the failed page lands on its second attempt");
         let demoted: Vec<FrameId> = cold
@@ -946,7 +982,7 @@ mod tests {
         mc.on_supervised_access(&mut mem, f, AccessKind::Read);
         assert_eq!(mc.state_of(f), Some(PageState::InactiveRef));
         mem.access(VPage::new(1), AccessKind::Read).unwrap();
-        mem.recorder_mut().enable(64);
+        mem.instruments = instruments(64, FaultConfig::none());
         let out = mc.tick(&mut mem, Nanos::from_secs(1));
         // Examined twice (inactive, then active), stepped once: the bit
         // the inactive scan consumed is gone when the active scan looks.
@@ -965,7 +1001,7 @@ mod tests {
         make_promotable(&mut mem, &mut mc, hot);
         make_promotable(&mut mem, &mut mc, cold);
         mem.access(VPage::new(1), AccessKind::Read).unwrap();
-        mem.recorder_mut().enable(64);
+        mem.instruments = instruments(64, FaultConfig::none());
         mc.tick(&mut mem, Nanos::from_secs(1));
         assert_eq!(mc.state_of(hot), Some(PageState::Promote));
         let top = mc.tier_lists(TierId::TOP);
@@ -1085,7 +1121,7 @@ mod tests {
             }
         }
         assert_eq!(expected.len(), 20, "every list populated: {expected:?}");
-        mem.recorder_mut().enable(1024);
+        mem.instruments = instruments(1024, FaultConfig::none());
         mc.tick(&mut mem, Nanos::from_secs(1));
         // Each list's transitions precede its ScanList event.
         let mut groups = expected.iter();

@@ -4,11 +4,12 @@
 //! page, lose a mapped page, or map two virtual pages to one frame —
 //! no matter which migrations and allocations the injector fails.
 
-use mc_fault::{FaultInjector, FaultPlan, OfflineWindow, RetryPolicy};
+use mc_fault::{FaultConfig, FaultPlan, OfflineWindow, RetryPolicy};
 use mc_mem::{
-    AccessKind, FrameId, MachineDesc, MemorySystem, MigrationMode, Nanos, PageKind, TierId,
-    TieringPolicy, VPage,
+    AccessKind, FrameId, Instruments, MachineDesc, MemorySystem, MigrationMode, Nanos, PageKind,
+    TierId, TieringPolicy, VPage,
 };
+use mc_obs::ObsConfig;
 use multi_clock::{MultiClock, MultiClockConfig};
 use proptest::prelude::*;
 use std::collections::HashSet;
@@ -82,7 +83,12 @@ fn assert_conserved(mem: &MemorySystem, live: &[VPage]) {
 /// exactly the fault plans the synchronous path faces.
 fn run_chaos(seed: u64, fault_plan: FaultPlan, ops: Vec<Op>, mode: MigrationMode) {
     let mut mem = MemorySystem::new(MachineDesc::dram_pm(24, 48));
-    mem.set_fault_injector(FaultInjector::new(fault_plan, seed));
+    let fault = FaultConfig {
+        enabled: true,
+        seed,
+        plan: fault_plan,
+    };
+    mem.instruments = Instruments::new(&ObsConfig::off(), &fault, None);
     let cfg = MultiClockConfig {
         retry: RetryPolicy::backoff(),
         migration_mode: mode,

@@ -10,11 +10,12 @@
 //! or is still in its copy window) is asserted directly against
 //! `MemStats`.
 
-use mc_fault::{FaultInjector, FaultPlan, RetryPolicy};
+use mc_fault::{FaultConfig, FaultPlan, RetryPolicy};
 use mc_mem::{
-    AccessKind, FrameId, MachineDesc, MemorySystem, MigrationMode, Nanos, PageFlags, PageKind,
-    TierId, TieringPolicy, VPage,
+    AccessKind, FrameId, Instruments, MachineDesc, MemorySystem, MigrationMode, Nanos, PageFlags,
+    PageKind, TierId, TieringPolicy, VPage,
 };
+use mc_obs::ObsConfig;
 use multi_clock::{MultiClock, MultiClockConfig};
 use proptest::prelude::*;
 use std::collections::HashSet;
@@ -91,7 +92,12 @@ fn assert_shadows_clean(mem: &MemorySystem) {
 fn run_trace(ops: Vec<Op>, fault_plan: Option<(FaultPlan, u64)>, retry: RetryPolicy) {
     let mut mem = MemorySystem::new(MachineDesc::dram_pm(24, 48));
     if let Some((plan, seed)) = fault_plan {
-        mem.set_fault_injector(FaultInjector::new(plan, seed));
+        let fault = FaultConfig {
+            enabled: true,
+            seed,
+            plan,
+        };
+        mem.instruments = Instruments::new(&ObsConfig::off(), &fault, None);
     }
     let cfg = MultiClockConfig {
         retry,

@@ -25,11 +25,12 @@
 //! `vendor/proptest` does not shrink, so a failure goes through
 //! [`minimise`] and is printed as a ready-to-paste `#[test]`.
 
-use mc_fault::{FaultInjector, FaultPlan};
+use mc_fault::{FaultConfig, FaultInjector, FaultPlan};
 use mc_mem::{
-    AccessKind, FrameId, MachineDesc, MemError, MemorySystem, MigrationMode, Nanos, PageKind,
-    PolicyTraits, TickOutcome, TierId, TieringPolicy, VPage,
+    AccessKind, FrameId, Instruments, MachineDesc, MemError, MemorySystem, MigrationMode, Nanos,
+    PageKind, PolicyTraits, TickOutcome, TierId, TieringPolicy, VPage,
 };
+use mc_obs::ObsConfig;
 use multi_clock::PageState::{ActiveRef, ActiveUnref, InactiveRef, InactiveUnref, Promote};
 use multi_clock::{MultiClock, MultiClockConfig, PageState, WhichList};
 use proptest::prelude::*;
@@ -253,7 +254,7 @@ impl Model {
     /// watermark.
     fn kpromoted(&mut self, mem: &mut MemorySystem, now: Nanos) {
         self.ticks += 1;
-        mem.set_now(now.as_nanos());
+        mem.instruments.set_now(now.as_nanos());
         let tiers = mem.topology().tier_count();
         for t in 0..tiers {
             // Only the top tier's promote list ages (nothing drains it), and
@@ -614,7 +615,7 @@ enum Op {
     /// Direct reclaim of tier `t`.
     Pressure(u8),
     /// A run under an injector that fails only the `k`-th allocation, after
-    /// which a zero-rate injector is reinstalled (knob passes only).
+    /// which the zero-rate injector is back (knob passes only).
     FaultyTick(u8),
 }
 
@@ -709,9 +710,13 @@ fn apply(mem: &mut MemorySystem, policy: &mut impl TieringPolicy, op: Op, now: N
             policy.on_pressure(mem, TierId::new(t), now);
         }
         Op::FaultyTick(k) => {
-            mem.set_fault_injector(faulty(k));
+            let swap = |mem: &mut MemorySystem, to| {
+                let injector = mem.instruments.injector();
+                *injector.expect("the engine side runs an injector") = to;
+            };
+            swap(mem, faulty(k));
             policy.tick(mem, now);
-            mem.set_fault_injector(FaultInjector::new(FaultPlan::default(), 0));
+            swap(mem, FaultInjector::new(FaultPlan::default(), 0));
         }
     }
 }
@@ -826,8 +831,18 @@ impl World {
             ..MultiClockConfig::default()
         };
         let mut mem = MemorySystem::new(scope.machine.clone());
-        // Fig. 4 tallies are counted at emission, whatever the ring keeps.
-        mem.recorder_mut().enable(1);
+        // Fig. 4 tallies are counted at emission, whatever the ring keeps;
+        // the zero-rate injector is what `FaultyTick` swaps a plan into.
+        let obs = ObsConfig {
+            enabled: true,
+            ring_capacity: 1,
+            ..ObsConfig::off()
+        };
+        let fault = FaultConfig {
+            enabled: true,
+            ..FaultConfig::none()
+        };
+        mem.instruments = Instruments::new(&obs, &fault, None);
         let engine = MultiClock::new(cfg.clone(), mem.topology());
         let model = (scope.pass == Pass::Model).then(|| {
             let mem = MemorySystem::new(scope.machine.clone());

@@ -1,9 +1,10 @@
 //! The runtime fault injector consulted by the memory substrate.
 //!
-//! `mc_mem::MemorySystem` holds an `Option<FaultInjector>` and asks it at
-//! each decision point: *would this migration fail? is this tier offline?
-//! how slow is this access right now?* Every answer is a pure function of
-//! (plan, seed, call sequence, virtual time), so runs replay exactly.
+//! `mc_mem::Instruments` holds an `Option<FaultInjector>`, and the memory
+//! substrate asks it at each decision point: *would this migration fail?
+//! is this tier offline? how slow is this access right now?* Every answer
+//! is a pure function of (plan, seed, call sequence, virtual time), so runs
+//! replay exactly.
 
 use crate::plan::{FaultConfig, FaultPlan};
 use crate::rng::SplitMix64;
@@ -81,20 +82,10 @@ impl FaultInjector {
         }
     }
 
-    /// The plan being executed.
-    pub fn plan(&self) -> &FaultPlan {
-        &self.plan
-    }
-
     /// Advances the injector's view of virtual time (drives the scheduled
     /// offline and stall windows).
     pub fn set_now(&mut self, now_ns: u64) {
         self.now_ns = now_ns;
-    }
-
-    /// The injector's current virtual time in nanoseconds.
-    pub fn now(&self) -> u64 {
-        self.now_ns
     }
 
     /// Injection counters so far.
@@ -113,22 +104,15 @@ impl FaultInjector {
             .any(|w| w.tier == tier && w.contains(self.now_ns))
     }
 
-    /// Forces a tier offline (`true`) or online (`false`), masking any
-    /// scheduled windows until [`FaultInjector::clear_tier_override`].
-    /// This is the chaos harness's hot-unplug/hot-add lever.
+    /// Forces a tier offline (`true`) or online (`false`) until set again,
+    /// masking any scheduled windows: the chaos harness's
+    /// hot-unplug/hot-add lever.
     pub fn set_tier_offline(&mut self, tier: u8, offline: bool) {
         let idx = usize::from(tier);
         if self.overrides.len() <= idx {
             self.overrides.resize(idx + 1, None);
         }
         self.overrides[idx] = Some(offline);
-    }
-
-    /// Removes a manual override; the tier follows the plan again.
-    pub fn clear_tier_override(&mut self, tier: u8) {
-        if let Some(slot) = self.overrides.get_mut(usize::from(tier)) {
-            *slot = None;
-        }
     }
 
     /// Decision point: a migration is about to target `dst_tier`. Returns
@@ -245,10 +229,12 @@ mod tests {
 
     #[test]
     fn rates_are_clamped() {
-        let inj = FaultInjector::new(plan_with_rates(7.0, -3.0, 2.0), 1);
-        assert_eq!(inj.plan().migrate_fail_rate, 1.0);
-        assert_eq!(inj.plan().migrate_lock_rate, 0.0);
-        assert_eq!(inj.plan().alloc_fail_rate, 1.0);
+        // 7.0 and 2.0 act as certainty, -3.0 as never.
+        let mut inj = FaultInjector::new(plan_with_rates(7.0, -3.0, 2.0), 1);
+        for _ in 0..100 {
+            assert_eq!(inj.on_migrate(0), Some(InjectedFault::TierFull));
+            assert_eq!(inj.on_alloc(0), Some(InjectedFault::TierFull));
+        }
     }
 
     #[test]
@@ -287,8 +273,7 @@ mod tests {
         assert!(inj.tier_offline(1));
         inj.set_tier_offline(1, false);
         assert!(!inj.tier_offline(1), "forced-online masks the window");
-        inj.clear_tier_override(1);
-        assert!(inj.tier_offline(1));
+        assert!(!inj.tier_offline(0), "tier 0 follows its (empty) schedule");
         inj.set_tier_offline(0, true);
         assert!(inj.tier_offline(0), "forced-offline without any window");
     }

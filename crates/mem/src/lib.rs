@@ -20,7 +20,8 @@
 //! * a parameterised **latency model** for DRAM/PM access, migration and
 //!   software page faults, derived from the same description;
 //! * the [`policy::TieringPolicy`] trait — the substrate-facing interface
-//!   every tiering policy (MULTI-CLOCK and all baselines) implements.
+//!   every tiering policy (MULTI-CLOCK and all baselines) implements;
+//! * the run's [`Instruments`], which every layer emits and times through.
 //!
 //! Everything here is deterministic and free of wall-clock time; simulated
 //! time is the [`time::TimeLedger`] owned by the simulation engine.
@@ -57,6 +58,7 @@ pub mod error;
 pub mod flags;
 pub mod frame;
 pub mod ids;
+mod instruments;
 pub mod latency;
 pub mod machine;
 pub mod policy;
@@ -75,6 +77,7 @@ pub use error::MemError;
 pub use flags::PageFlags;
 pub use frame::{Frame, FrameState, PageKind};
 pub use ids::{FrameId, NodeId, TierId, VAddr, VPage, PAGE_SHIFT, PAGE_SIZE};
+pub use instruments::Instruments;
 pub use latency::{AccessKind, LatencyModel, LinkDesc, MigrationCost, TierLatency};
 pub use machine::{MachineBuilder, MachineDesc, MachineNode};
 pub use policy::{NullPolicy, PolicyTraits, TickOutcome, TieringPolicy};

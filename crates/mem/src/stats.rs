@@ -111,27 +111,14 @@ pub enum MemEvent {
         /// Destination tier.
         dst: TierId,
     },
-    /// A page was evicted from the lowest tier to backing storage.
-    Evicted {
-        /// The virtual page evicted.
-        vpage: VPage,
-    },
-    /// A page was faulted back in from backing storage.
-    SwappedIn {
-        /// The virtual page brought back.
-        vpage: VPage,
-    },
 }
 
 impl MemEvent {
-    /// Whether this is an upward migration (promotion).
+    /// Whether this is an upward migration (promotion); every other
+    /// migration is a demotion.
     pub fn is_promotion(&self) -> bool {
-        matches!(self, MemEvent::Migrated { src, dst, .. } if dst < src)
-    }
-
-    /// Whether this is a downward migration (demotion).
-    pub fn is_demotion(&self) -> bool {
-        matches!(self, MemEvent::Migrated { src, dst, .. } if dst > src)
+        let MemEvent::Migrated { src, dst, .. } = self;
+        dst < src
     }
 }
 
@@ -176,7 +163,6 @@ mod tests {
             dst: TierId::TOP,
         };
         assert!(promo.is_promotion());
-        assert!(!promo.is_demotion());
         let demo = MemEvent::Migrated {
             new_frame: FrameId::new(1),
             old_frame: FrameId::new(2),
@@ -184,11 +170,6 @@ mod tests {
             src: TierId::TOP,
             dst: TierId::new(1),
         };
-        assert!(demo.is_demotion());
         assert!(!demo.is_promotion());
-        assert!(!MemEvent::Evicted {
-            vpage: VPage::new(0)
-        }
-        .is_promotion());
     }
 }

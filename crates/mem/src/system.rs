@@ -6,6 +6,7 @@ use crate::error::MemError;
 use crate::flags::PageFlags;
 use crate::frame::{Frame, FrameState, PageKind};
 use crate::ids::{FrameId, NodeId, TierId, VPage};
+use crate::instruments::Instruments;
 use crate::latency::{AccessKind, LatencyModel};
 use crate::machine::MachineDesc;
 use crate::pte::PageTable;
@@ -15,8 +16,8 @@ use crate::topology::Topology;
 use crate::txn::{MigrationMode, MigrationTxn, PageMove, ShadowPages};
 use crate::vpage_map::VPageMap;
 use crate::watermark::Watermarks;
-use mc_fault::{FaultInjector, InjectedFault};
-use mc_obs::{saturating_bump, EventKind, PerfHooks, Phase, PhaseSpan, Recorder};
+use mc_fault::InjectedFault;
+use mc_obs::{saturating_bump, EventKind, Recorder};
 
 /// Runtime state of one NUMA node.
 #[derive(Debug, Clone)]
@@ -69,13 +70,8 @@ pub struct MemorySystem {
     /// Charged by the substrate and the policies, not yet absorbed.
     pending: TimeLedger,
     events: Vec<MemEvent>,
-    recorder: Recorder,
-    /// Optional fault injector. `None` (the default) leaves every path
-    /// byte-identical to an engine without the fault layer.
-    fault: Option<FaultInjector>,
-    /// Optional host-time profiling hooks. Spans only observe the host
-    /// clock, so any setting is bit-identical to `None`.
-    perf: Option<PerfHooks>,
+    /// Recorder, fault injector and perf hooks; off until a driver sets them.
+    pub instruments: Instruments,
     /// In-flight transactional migrations, in begin order. Empty under
     /// `MigrationMode::Sync`, which keeps every sync path bit-identical
     /// to an engine without the transactional layer.
@@ -120,68 +116,16 @@ impl MemorySystem {
             stats: MemStats::default(),
             pending: TimeLedger::default(),
             events: Vec::new(),
-            recorder: Recorder::disabled(),
-            fault: None,
-            perf: None,
+            instruments: Instruments::default(),
             txns: Vec::new(),
             txn_slot: Vec::new(),
             shadows: ShadowPages::new(),
         }
     }
 
-    /// Installs a fault injector; every subsequent allocation, migration
-    /// and access consults it. Used by the simulation engine and the chaos
-    /// harness.
-    pub fn set_fault_injector(&mut self, injector: FaultInjector) {
-        self.fault = Some(injector);
-    }
-
-    /// The installed fault injector, if any.
-    pub fn fault_injector(&self) -> Option<&FaultInjector> {
-        self.fault.as_ref()
-    }
-
-    /// Mutable access to the installed fault injector (manual offline
-    /// toggles in tests and the chaos harness).
-    pub fn fault_injector_mut(&mut self) -> Option<&mut FaultInjector> {
-        self.fault.as_mut()
-    }
-
-    /// Installs host-time profiling hooks ([`mc_obs::perf`]): the layers
-    /// above open their phase spans through [`Self::perf_span`].
-    pub fn set_perf_hooks(&mut self, hooks: PerfHooks) {
-        self.perf = Some(hooks);
-    }
-
-    /// Opens a host-time span around `phase`, recorded when dropped;
-    /// `None` (a no-op) unless hooks are installed. The span owns its
-    /// profiler handle, so it does not keep the substrate borrowed.
-    pub fn perf_span(&self, phase: Phase) -> Option<PhaseSpan> {
-        self.perf.as_ref().map(|p| p.span(phase))
-    }
-
-    /// Advances the substrate's virtual timestamp: the trace recorder and
-    /// the fault injector (whose offline/stall windows are keyed by
-    /// virtual time) move together.
-    pub fn set_now(&mut self, now_ns: u64) {
-        self.recorder.set_now(now_ns);
-        if let Some(fault) = self.fault.as_mut() {
-            fault.set_now(now_ns);
-        }
-    }
-
-    /// The trace recorder. Disabled by default; the simulation engine (or
-    /// any driver) enables it to capture substrate tracepoints.
+    /// The trace recorder of [`Self::instruments`] (off unless obs is on).
     pub fn recorder(&self) -> &Recorder {
-        &self.recorder
-    }
-
-    /// Mutable recorder access — used to enable tracing, advance the
-    /// virtual timestamp, and by instrumented layers above (the policy
-    /// crates emit their tracepoints into the same ring so one JSONL dump
-    /// interleaves the whole pipeline).
-    pub fn recorder_mut(&mut self) -> &mut Recorder {
-        &mut self.recorder
+        &self.instruments.recorder
     }
 
     /// The machine topology.
@@ -323,7 +267,7 @@ impl MemorySystem {
         if tier.index() >= self.topology.tier_count() {
             return Err(MemError::NoSuchTier(tier));
         }
-        if let Some(fault) = self.fault.as_mut() {
+        if let Some(fault) = self.instruments.injector() {
             if fault.on_alloc(tier.index() as u8).is_some() {
                 saturating_bump(&mut self.stats.injected_faults);
                 return Err(MemError::TierFull(tier));
@@ -344,7 +288,7 @@ impl MemorySystem {
             if let Some(frame) = node.and_then(|n| self.nodes[n.index()].free.pop()) {
                 self.frames[frame.index()].mark_allocated(kind);
                 saturating_bump(&mut self.stats.allocs);
-                self.recorder.emit(|| EventKind::Alloc {
+                self.instruments.emit(|| EventKind::Alloc {
                     frame: frame.index() as u64,
                     tier: tier.index() as u8,
                 });
@@ -470,7 +414,7 @@ impl MemorySystem {
         let node = self.frames[frame.index()].node();
         if hint_fault {
             saturating_bump(&mut self.stats.hint_faults);
-            self.recorder.emit(|| EventKind::HintFault {
+            self.instruments.emit(|| EventKind::HintFault {
                 vpage: vpage.raw(),
                 tier: tier.index() as u8,
             });
@@ -480,7 +424,7 @@ impl MemorySystem {
         }
         saturating_bump(&mut self.stats.tier_accesses[tier.index()]);
         let mut latency = self.latency.access_at(node, tier, kind);
-        if let Some(fault) = self.fault.as_mut() {
+        if let Some(fault) = self.instruments.injector() {
             let factor = fault.on_access(tier.index() as u8);
             if factor > 1 {
                 latency = latency.saturating_mul(u64::from(factor));
@@ -545,7 +489,7 @@ impl MemorySystem {
             self.shadows.remove(frame);
             self.land(frame, copy, src_tier, dst_tier, false);
             saturating_bump(&mut self.stats.shadow_hits);
-            self.recorder.emit(|| EventKind::ShadowDemote {
+            self.instruments.emit(|| EventKind::ShadowDemote {
                 frame: frame.index() as u64,
                 new_frame: copy.index() as u64,
             });
@@ -559,7 +503,7 @@ impl MemorySystem {
         self.charge(Charge::MigrationStall, cost.app_stall);
         self.charge(Charge::Background, cost.background);
         let vpage = self.land(frame, new_frame, src_tier, dst_tier, false);
-        self.recorder.emit(|| EventKind::Migrate {
+        self.instruments.emit(|| EventKind::Migrate {
             vpage: vpage.map(VPage::raw),
             src: src_tier.index() as u8,
             dst: dst_tier.index() as u8,
@@ -651,7 +595,7 @@ impl MemorySystem {
                 self.latency.migration_fixed + copy_total,
             );
         }
-        self.recorder.emit(|| EventKind::MigrateBatch {
+        self.instruments.emit(|| EventKind::MigrateBatch {
             src: batch_src.index() as u8,
             dst: dst_tier.index() as u8,
             pages: frames.len() as u32,
@@ -707,8 +651,8 @@ impl MemorySystem {
         mode: MigrationMode,
     ) -> Result<FrameId, (MemError, bool)> {
         let injected = self
-            .fault
-            .as_mut()
+            .instruments
+            .injector()
             .and_then(|f| f.on_migrate(dst_tier.index() as u8));
         if let Some(injected) = injected {
             saturating_bump(&mut self.stats.injected_faults);
@@ -785,7 +729,7 @@ impl MemorySystem {
     /// Books one failed migration attempt.
     fn migrate_fail(&mut self, frame: FrameId, src_tier: TierId, reason: &'static str) {
         saturating_bump(&mut self.stats.migration_failures);
-        self.recorder.emit(|| EventKind::MigrateFail {
+        self.instruments.emit(|| EventKind::MigrateFail {
             frame: frame.index() as u64,
             src: src_tier.index() as u8,
             reason,
@@ -824,8 +768,8 @@ impl MemorySystem {
             self.page_table.unmap(v);
             let tracked = self.swapped.insert(v, ());
             debug_assert!(tracked.is_ok(), "a mapped page lies inside the span");
-            self.events.push(MemEvent::Evicted { vpage: v });
-            self.recorder.emit(|| EventKind::Evict { vpage: v.raw() });
+            self.instruments
+                .emit(|| EventKind::Evict { vpage: v.raw() });
         }
         let node = self.frames[frame.index()].node();
         self.frames[frame.index()].mark_free();
@@ -846,8 +790,7 @@ impl MemorySystem {
         if self.swapped.remove(vpage).is_some() {
             self.charge(Charge::SwapIn, self.latency.swap_page);
             saturating_bump(&mut self.stats.swap_ins);
-            self.events.push(MemEvent::SwappedIn { vpage });
-            self.recorder
+            self.instruments
                 .emit(|| EventKind::SwapIn { vpage: vpage.raw() });
         }
     }
@@ -890,7 +833,7 @@ impl MemorySystem {
         }
         self.txn_slot[frame.index()] = self.txns.len() as u32;
         saturating_bump(&mut self.stats.txn_begins);
-        self.recorder.emit(|| EventKind::TxnBegin {
+        self.instruments.emit(|| EventKind::TxnBegin {
             frame: frame.index() as u64,
             src: src_tier.index() as u8,
             dst: dst_tier.index() as u8,
@@ -925,8 +868,8 @@ impl MemorySystem {
                 Some(("dirty-write", MemError::FrameLocked(txn.frame)))
             } else {
                 let injected = self
-                    .fault
-                    .as_mut()
+                    .instruments
+                    .injector()
                     .and_then(|f| f.on_migrate(txn.dst_tier.index() as u8));
                 injected.map(|i| {
                     saturating_bump(&mut self.stats.injected_faults);
@@ -945,7 +888,7 @@ impl MemorySystem {
             let promotion = txn.dst_tier < src_tier;
             self.land(txn.frame, txn.dst_frame, src_tier, txn.dst_tier, promotion);
             saturating_bump(&mut self.stats.txn_commits);
-            self.recorder.emit(|| EventKind::TxnCommit {
+            self.instruments.emit(|| EventKind::TxnCommit {
                 frame: txn.frame.index() as u64,
                 new_frame: txn.dst_frame.index() as u64,
             });
@@ -1008,7 +951,7 @@ impl MemorySystem {
     fn drop_txn(&mut self, txn: &MigrationTxn, reason: &'static str) {
         self.release_retained_frame(txn.dst_frame);
         saturating_bump(&mut self.stats.txn_aborts);
-        self.recorder.emit(|| EventKind::TxnAbort {
+        self.instruments.emit(|| EventKind::TxnAbort {
             frame: txn.frame.index() as u64,
             reason,
         });
@@ -1060,9 +1003,21 @@ fn injected_error(injected: InjectedFault, frame: FrameId, dst_tier: TierId) -> 
 mod tests {
     use super::*;
     use crate::time::Charge::{Background, MigrationStall, SwapIn};
+    use mc_fault::{FaultConfig, FaultInjector, FaultPlan};
+    use mc_obs::ObsConfig;
 
     fn small() -> MemorySystem {
         MemorySystem::new(MachineDesc::dram_pm(64, 256))
+    }
+
+    /// Instruments with only an injector, executing `plan` from `seed`.
+    fn injecting(plan: FaultPlan, seed: u64) -> Instruments {
+        let fault = FaultConfig {
+            enabled: true,
+            seed,
+            plan,
+        };
+        Instruments::new(&ObsConfig::off(), &fault, None)
     }
 
     /// Opens the copy window of one page.
@@ -1184,7 +1139,7 @@ mod tests {
         assert_eq!(mem.stats().demotions, 1);
         let ev = mem.drain_events();
         assert_eq!(ev.len(), 1);
-        assert!(ev[0].is_demotion());
+        assert!(!ev[0].is_promotion());
     }
 
     #[test]
@@ -1251,7 +1206,12 @@ mod tests {
             })
             .collect();
         mem.take_charges();
-        mem.recorder_mut().enable(256);
+        let obs = ObsConfig {
+            enabled: true,
+            ring_capacity: 256,
+            ..ObsConfig::off()
+        };
+        mem.instruments = Instruments::new(&obs, &FaultConfig::none(), None);
         let results = mem.migrate_pages(&frames, TierId::TOP, MigrationMode::Sync);
         assert!(results.iter().all(Result::is_ok));
         assert_eq!(mem.stats().promotions, 8);
@@ -1337,7 +1297,6 @@ mod tests {
 
     #[test]
     fn injected_fault_aborts_rest_of_batch_with_retryable_error() {
-        use mc_fault::{FaultInjector, FaultPlan};
         let plan = FaultPlan {
             migrate_fail_rate: 0.5,
             ..FaultPlan::default()
@@ -1360,7 +1319,7 @@ mod tests {
             })
             .collect();
         mem.take_charges();
-        mem.set_fault_injector(FaultInjector::new(plan, seed));
+        mem.instruments = injecting(plan, seed);
         let results = mem.migrate_pages(&frames, TierId::TOP, MigrationMode::Sync);
         assert!(results[0].is_ok(), "page before the fault migrated");
         assert!(results[1].is_err(), "faulted page failed");
@@ -1484,7 +1443,6 @@ mod tests {
 
     #[test]
     fn injected_migrate_failure_leaves_page_intact() {
-        use mc_fault::{FaultInjector, FaultPlan};
         let mut mem = small();
         let f = mem.alloc_page(PageKind::Anon).unwrap();
         let v = VPage::new(30);
@@ -1493,7 +1451,7 @@ mod tests {
             migrate_fail_rate: 1.0,
             ..FaultPlan::default()
         };
-        mem.set_fault_injector(FaultInjector::new(plan, 42));
+        mem.instruments = injecting(plan, 42);
         let err = mem.migrate(f, TierId::new(1));
         assert_eq!(err, Err(MemError::TierFull(TierId::new(1))));
         assert_eq!(mem.translate(v), Some(f), "mapping untouched");
@@ -1501,19 +1459,21 @@ mod tests {
         assert_eq!(mem.stats().migration_failures, 1);
         assert_eq!(mem.stats().injected_faults, 1);
         assert_eq!(mem.stats().demotions, 0);
-        assert_eq!(mem.fault_injector().unwrap().stats().migrate_faults, 1);
+        assert_eq!(
+            mem.instruments.injector().unwrap().stats().migrate_faults,
+            1
+        );
     }
 
     #[test]
     fn injected_lock_maps_to_frame_locked() {
-        use mc_fault::{FaultInjector, FaultPlan};
         let mut mem = small();
         let f = mem.alloc_page(PageKind::Anon).unwrap();
         let plan = FaultPlan {
             migrate_lock_rate: 1.0,
             ..FaultPlan::default()
         };
-        mem.set_fault_injector(FaultInjector::new(plan, 1));
+        mem.instruments = injecting(plan, 1);
         assert_eq!(
             mem.migrate(f, TierId::new(1)),
             Err(MemError::FrameLocked(f))
@@ -1522,10 +1482,12 @@ mod tests {
 
     #[test]
     fn offline_tier_rejects_alloc_and_spills_to_next() {
-        use mc_fault::{FaultInjector, FaultPlan};
         let mut mem = small();
-        mem.set_fault_injector(FaultInjector::new(FaultPlan::default(), 0));
-        mem.fault_injector_mut().unwrap().set_tier_offline(0, true);
+        mem.instruments = injecting(FaultPlan::default(), 0);
+        mem.instruments
+            .injector()
+            .unwrap()
+            .set_tier_offline(0, true);
         assert_eq!(
             mem.alloc_page_in_tier(PageKind::Anon, TierId::TOP),
             Err(MemError::TierFull(TierId::TOP))
@@ -1533,14 +1495,17 @@ mod tests {
         // The tier-by-tier fallback lands in PM instead.
         let f = mem.alloc_page(PageKind::Anon).unwrap();
         assert_eq!(mem.frame(f).tier(), TierId::new(1));
-        mem.fault_injector_mut().unwrap().set_tier_offline(0, false);
+        mem.instruments
+            .injector()
+            .unwrap()
+            .set_tier_offline(0, false);
         let f2 = mem.alloc_page(PageKind::Anon).unwrap();
         assert_eq!(mem.frame(f2).tier(), TierId::TOP, "back online");
     }
 
     #[test]
     fn stall_window_scales_access_latency() {
-        use mc_fault::{FaultInjector, FaultPlan, StallWindow};
+        use mc_fault::StallWindow;
         let mut mem = small();
         let f = mem.alloc_page(PageKind::Anon).unwrap();
         let v = VPage::new(40);
@@ -1555,28 +1520,28 @@ mod tests {
             }],
             ..FaultPlan::default()
         };
-        mem.set_fault_injector(FaultInjector::new(plan, 0));
+        mem.instruments = injecting(plan, 0);
         let stalled = mem.access(v, AccessKind::Read).unwrap().latency;
         assert_eq!(stalled, base.saturating_mul(4));
-        mem.set_now(1_000); // window over
+        mem.instruments.set_now(1_000); // window over
         let after = mem.access(v, AccessKind::Read).unwrap().latency;
         assert_eq!(after, base);
-        assert_eq!(mem.fault_injector().unwrap().stats().stalled_accesses, 1);
+        assert_eq!(
+            mem.instruments.injector().unwrap().stats().stalled_accesses,
+            1
+        );
     }
 
     #[test]
     fn zero_rate_injector_is_inert() {
-        use mc_fault::{FaultConfig, FaultInjector};
-        let mut cfg = FaultConfig::none();
-        cfg.enabled = true;
         let mut mem = small();
-        mem.set_fault_injector(FaultInjector::from_config(&cfg).unwrap());
+        mem.instruments = injecting(FaultPlan::default(), 0);
         let f = mem.alloc_page(PageKind::Anon).unwrap();
         mem.map(VPage::new(50), f).unwrap();
         mem.migrate(f, TierId::new(1)).unwrap();
         assert_eq!(mem.stats().injected_faults, 0);
         assert_eq!(
-            *mem.fault_injector().unwrap().stats(),
+            *mem.instruments.injector().unwrap().stats(),
             mc_fault::FaultStats::default()
         );
     }
@@ -1667,7 +1632,7 @@ mod tests {
         let l = mem.take_charges();
         assert_eq!(l.get(MigrationStall), mem.latency().txn_remap);
         assert_eq!(l.get(Background), Nanos::ZERO);
-        assert!(mem.drain_events()[0].is_demotion());
+        assert!(!mem.drain_events()[0].is_promotion());
     }
 
     #[test]
@@ -1738,7 +1703,6 @@ mod tests {
     /// both kinds of failure are scoped to exactly one page.
     #[test]
     fn transactional_faults_are_uniformly_per_page() {
-        use mc_fault::{FaultInjector, FaultPlan};
         let plan = FaultPlan {
             migrate_fail_rate: 0.5,
             ..FaultPlan::default()
@@ -1759,7 +1723,7 @@ mod tests {
         let frames: Vec<FrameId> = (0..4).map(|i| begin_promotion(&mut mem, i)).collect();
         // Install the injector after the begins so every draw happens at
         // resolve time, inside the copy window.
-        mem.set_fault_injector(FaultInjector::new(plan, seed));
+        mem.instruments = injecting(plan, seed);
         let resolved = mem.resolve_migrations();
         assert!(resolved[0].1.is_ok());
         assert_eq!(resolved[1].1, Err(MemError::TierFull(TierId::TOP)));

@@ -19,10 +19,8 @@ fn migrate_unmapped_frame_moves_metadata_only() {
     assert_eq!(mem.frame(nf).vpage(), None);
     let events = mem.drain_events();
     assert_eq!(events.len(), 1);
-    match events[0] {
-        mc_mem::MemEvent::Migrated { vpage, .. } => assert_eq!(vpage, None),
-        _ => panic!("expected a migration event"),
-    }
+    let mc_mem::MemEvent::Migrated { vpage, .. } = events[0];
+    assert_eq!(vpage, None);
 }
 
 #[test]

@@ -28,7 +28,7 @@
 //! Durations land in per-phase log2-bucketed nanosecond histograms
 //! (64 buckets cover the full `u64` range), from which [`PhaseSummary`]
 //! derives approximate p50/p95/p99 (geometric bucket midpoints) plus
-//! exact count/total/items tallies and derived throughputs.
+//! exact count/total/items tallies and the span rate.
 
 #![expect(
     clippy::disallowed_types,
@@ -179,17 +179,6 @@ impl PhaseSummary {
             0.0
         } else {
             self.count as f64 / (self.total_nanos as f64 / 1e9)
-        }
-    }
-
-    /// Items per wall-second (e.g. pages scanned/sec for [`Phase::Scan`],
-    /// migrations/sec for [`Phase::MigrateBatch`]); 0.0 when no time was
-    /// recorded.
-    pub fn items_per_sec(&self) -> f64 {
-        if self.total_nanos == 0 {
-            0.0
-        } else {
-            self.items as f64 / (self.total_nanos as f64 / 1e9)
         }
     }
 }
@@ -351,7 +340,7 @@ mod tests {
         assert_eq!(s.count, 1);
         assert_eq!(s.items, 128);
         assert!(s.total_nanos > 0);
-        assert!(s.items_per_sec() > 0.0);
+        assert!(s.per_sec() > 0.0);
         assert_eq!(hooks.profiler().summary(Phase::Tick).count, 0);
     }
 
@@ -394,7 +383,7 @@ mod tests {
         let p = PhaseProfiler::new();
         let s = p.summary(Phase::Pressure);
         assert_eq!((s.count, s.total_nanos, s.items), (0, 0, 0));
-        assert_eq!((s.p50_nanos, s.per_sec(), s.items_per_sec()), (0, 0.0, 0.0));
+        assert_eq!((s.p50_nanos, s.per_sec()), (0, 0.0));
     }
 
     #[test]

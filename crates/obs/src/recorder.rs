@@ -1,4 +1,5 @@
-//! The tracepoint recorder: the single object instrumented code holds.
+//! The tracepoint recorder: the one event ring every instrumented layer
+//! emits into.
 //!
 //! Emission is zero-cost when disabled — [`Recorder::emit`] takes a
 //! closure producing the payload, so with tracing off neither the payload
@@ -47,13 +48,6 @@ impl Recorder {
         }
     }
 
-    /// Turns tracing on (idempotent; an existing ring is kept).
-    pub fn enable(&mut self, capacity: usize) {
-        if self.ring.is_none() {
-            self.ring = Some(EventRing::new(capacity));
-        }
-    }
-
     /// Whether tracing is on.
     #[inline]
     pub fn is_enabled(&self) -> bool {
@@ -64,11 +58,6 @@ impl Recorder {
     #[inline]
     pub fn set_now(&mut self, now_ns: u64) {
         self.now_ns = now_ns;
-    }
-
-    /// The virtual timestamp currently stamped on events.
-    pub fn now_ns(&self) -> u64 {
-        self.now_ns
     }
 
     /// Records one event. The payload closure runs only when tracing is
@@ -123,13 +112,6 @@ impl Recorder {
             out.push('\n');
         }
         out
-    }
-
-    /// Moves all state out of `other` into this recorder, leaving `other`
-    /// disabled. Used when instrumented components are torn down and the
-    /// caller wants the trace to survive.
-    pub fn absorb(&mut self, other: &mut Recorder) {
-        *self = std::mem::take(other);
     }
 }
 

@@ -116,7 +116,7 @@ impl TieringPolicy for AutoNuma {
         let (poisoned, total) = self.rings.poison(mem, self.sample_batch, |frame| {
             faulted[frame.index()] = false;
         });
-        mem.recorder_mut().emit(|| EventKind::Custom {
+        mem.instruments.emit(|| EventKind::Custom {
             tag: "autonuma_poison_batch",
             a: poisoned,
             b: total as u64,

@@ -284,7 +284,7 @@ impl TieringPolicy for AutoTiering {
             self.faulted[frame.index()] = false;
         }
         let (poisoned, total) = self.rings.poison(mem, self.sample_batch, |_| {});
-        mem.recorder_mut().emit(|| EventKind::Custom {
+        mem.instruments.emit(|| EventKind::Custom {
             tag: "autotiering_poison_batch",
             a: poisoned,
             b: total as u64,

@@ -212,7 +212,7 @@ impl TieringPolicy for HybridTier {
             self.promotions += promoted;
             self.demotions += demoted;
             out.promoted += promoted;
-            mem.recorder_mut().emit(|| EventKind::Custom {
+            mem.instruments.emit(|| EventKind::Custom {
                 tag: "ht_promote_batch",
                 a: promoted,
                 b: tier.index() as u64,

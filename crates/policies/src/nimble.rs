@@ -174,7 +174,7 @@ impl TieringPolicy for Nimble {
             self.promotions += promoted;
             self.demotions += demoted;
             out.promoted += promoted;
-            mem.recorder_mut().emit(|| EventKind::Custom {
+            mem.instruments.emit(|| EventKind::Custom {
                 tag: "nimble_promote_batch",
                 a: promoted,
                 b: tier.index() as u64,

@@ -110,10 +110,11 @@ impl Default for EngineKnobs {
 }
 
 /// Instrumentation knobs: observability, fault injection and host-time
-/// profiling. All purely observational or test-harness concerns — the
-/// default (everything off) is byte-identical to an engine without the
-/// instrumentation layers, and enabling obs or perf never changes
-/// virtual-time results.
+/// profiling, from which [`crate::Simulation::new`] builds the
+/// substrate's one [`mc_mem::Instruments`]. All purely observational or
+/// test-harness concerns — the default (everything off) is byte-identical
+/// to an engine without the instrumentation layers, and enabling obs or
+/// perf never changes virtual-time results.
 #[derive(Debug, Clone)]
 pub struct InstrumentKnobs {
     /// Observability: tracepoints, per-tick time series and run reports.
@@ -122,11 +123,10 @@ pub struct InstrumentKnobs {
     /// Deterministic fault injection (chaos testing). The default,
     /// [`FaultConfig::none`], installs no injector.
     pub fault: FaultConfig,
-    /// Optional host-time profiling hooks, installed on the substrate,
-    /// from which MULTI-CLOCK's phase boundaries and the simulation tick
-    /// loop open their spans. `None` (the default) makes every boundary a
-    /// no-op; hooks only observe the host's monotonic clock, so enabling
-    /// them never changes results.
+    /// Optional host-time profiling hooks, in which MULTI-CLOCK's phase
+    /// boundaries and the simulation tick loop open their spans. `None`
+    /// (the default) makes every boundary a no-op; hooks only observe the
+    /// host's monotonic clock, so enabling them never changes results.
     pub perf: Option<PerfHooks>,
 }
 

@@ -6,10 +6,9 @@ use crate::config::{SimConfig, SystemKind};
 use crate::error::RunError;
 use crate::metrics::Metrics;
 use crate::obs::ObsState;
-use mc_fault::FaultInjector;
 use mc_mem::{
-    AccessKind, Charge, MemorySystem, MigrationMode, Nanos, PageKind, PageTable, TierId,
-    TieringPolicy, TimeLedger, Topology, VAddr, VPage, VPageMap, PAGE_SIZE,
+    AccessKind, Charge, Instruments, MemEvent, MemorySystem, MigrationMode, Nanos, PageKind,
+    PageTable, TierId, TieringPolicy, TimeLedger, Topology, VAddr, VPage, VPageMap, PAGE_SIZE,
 };
 use mc_policies::{
     AutoNuma, AutoTiering, AutoTieringMode, HybridTier, MemoryModeCache, Nimble, Scored,
@@ -85,15 +84,8 @@ impl Simulation {
             .obs
             .enabled
             .then(|| ObsState::new(cfg.instrument.obs, mem.topology().tier_count()));
-        if cfg.instrument.obs.enabled {
-            mem.recorder_mut().enable(cfg.instrument.obs.ring_capacity);
-        }
-        if let Some(injector) = FaultInjector::from_config(&cfg.instrument.fault) {
-            mem.set_fault_injector(injector);
-        }
-        if let Some(hooks) = &cfg.instrument.perf {
-            mem.set_perf_hooks(hooks.clone());
-        }
+        let knobs = &cfg.instrument;
+        mem.instruments = Instruments::new(&knobs.obs, &knobs.fault, knobs.perf.clone());
         let window = cfg.window;
         let horizon = cfg.scan_interval;
         Simulation {
@@ -154,12 +146,6 @@ impl Simulation {
         self.dropped
     }
 
-    /// Observability state (per-tick series, latency histograms, access
-    /// trace); `None` unless the run was configured with obs enabled.
-    pub fn obs(&self) -> Option<&ObsState> {
-        self.obs.as_ref()
-    }
-
     /// The retained tracepoint events as JSONL; `None` when obs is off.
     pub fn obs_events_jsonl(&self) -> Option<String> {
         self.obs.as_ref().map(|_| self.mem.recorder().to_jsonl())
@@ -170,33 +156,17 @@ impl Simulation {
         self.obs.as_ref().map(|o| o.series().to_csv())
     }
 
-    /// The human-readable run report; `None` when obs is off.
-    pub fn obs_report(&self) -> Option<String> {
-        self.obs
-            .as_ref()
-            .map(|o| o.render_report(&self.cfg, &self.mem, &self.metrics))
-    }
-
-    /// Whether observability was enabled for this run (whether
-    /// [`Self::write_obs`] will produce artifacts).
-    pub fn obs_enabled(&self) -> bool {
-        self.obs.is_some()
-    }
-
     /// Writes `events.jsonl`, `ticks.csv` and `report.txt` into `dir`
     /// (creating it), the layout `mc-obs-report` consumes. A no-op when
-    /// obs is off — check [`Self::obs_enabled`] to distinguish.
+    /// obs is off.
     pub fn write_obs(&self, dir: &std::path::Path) -> std::io::Result<()> {
-        let (Some(events), Some(csv), Some(report)) = (
-            self.obs_events_jsonl(),
-            self.obs_ticks_csv(),
-            self.obs_report(),
-        ) else {
+        let Some(obs) = &self.obs else {
             return Ok(());
         };
         std::fs::create_dir_all(dir)?;
-        std::fs::write(dir.join("events.jsonl"), events)?;
-        std::fs::write(dir.join("ticks.csv"), csv)?;
+        std::fs::write(dir.join("events.jsonl"), self.mem.recorder().to_jsonl())?;
+        std::fs::write(dir.join("ticks.csv"), obs.series().to_csv())?;
+        let report = obs.render_report(&self.cfg, &self.mem, &self.metrics);
         std::fs::write(dir.join("report.txt"), report)?;
         Ok(())
     }
@@ -242,12 +212,12 @@ impl Simulation {
     /// Records a completed application-level operation (throughput
     /// accounting for the experiment drivers).
     pub fn record_op(&mut self) {
-        self.metrics.on_op(self.now());
+        self.metrics.on_op();
     }
 
     /// Finalises metrics (settles pending re-access bookkeeping).
     pub fn finish(&mut self) {
-        self.metrics.finish(self.now());
+        self.metrics.finish();
     }
 
     /// The kind of the region containing `vpage` (`Anon` outside every
@@ -282,11 +252,11 @@ impl Simulation {
         let Frontend::Tiered { policy, .. } = &mut self.frontend else {
             return None;
         };
-        self.mem.set_now(due.as_nanos());
+        self.mem.instruments.set_now(due.as_nanos());
         // Host-time span around the whole daemon tick. The guard only
         // observes the monotonic clock; nothing it reads flows back
         // into engine state, so hooks-on stays bit-identical.
-        let mut span = self.mem.perf_span(mc_obs::Phase::Tick);
+        let mut span = self.mem.instruments.span(mc_obs::Phase::Tick);
         let out = policy.tick(&mut self.mem, due);
         if let Some(s) = span.as_mut() {
             s.add_items(1);
@@ -298,7 +268,7 @@ impl Simulation {
             Nanos::from_nanos(out.pages_scanned * self.mem.latency().scan_per_page.as_nanos());
         self.mem.charge(Charge::DaemonCpu, scan_cost);
         absorb_substrate(&mut self.mem, &mut self.metrics);
-        self.metrics.settle(self.metrics.time.now());
+        self.metrics.settle();
         if let Some(obs) = self.obs.as_mut() {
             let counters = policy.counters();
             obs.snapshot(due, self.mem.stats(), &counters);
@@ -313,7 +283,7 @@ impl Simulation {
     /// Performs one device access, faulting the page in first (allocation
     /// with direct reclaim) if it is not mapped. The heart of the engine.
     fn access_page(&mut self, vpage: VPage, kind: AccessKind, bytes: usize) {
-        self.mem.set_now(self.now().as_nanos());
+        self.mem.instruments.set_now(self.now().as_nanos());
         // The tier served from and the device time: the first 64 bytes at
         // access latency, the rest streamed from wherever the page now is.
         let (tier, latency) = match &mut self.frontend {
@@ -353,7 +323,7 @@ impl Simulation {
                     // chaos runs a far larger budget and degrade gracefully
                     // (skip the access, like a fault the kernel retries
                     // later) rather than failing the run.
-                    let injected = self.mem.fault_injector().is_some();
+                    let injected = self.mem.instruments.injector().is_some();
                     let budget = if injected { 64 } else { 3 };
                     let mut attempts = 0;
                     let frame = loop {
@@ -415,11 +385,10 @@ impl Simulation {
             }
         };
         self.metrics.time.charge(Charge::Device, latency);
-        let now = self.now();
         if let Some(obs) = &mut self.obs {
-            obs.on_access(vpage, kind, bytes, tier, latency, now);
+            obs.on_access(vpage, kind, bytes, tier, latency, self.metrics.time.now());
         }
-        self.metrics.on_access(vpage, now);
+        self.metrics.on_access(vpage);
         self.settle();
     }
 
@@ -577,21 +546,14 @@ fn absorb_substrate(mem: &mut MemorySystem, metrics: &mut Metrics) {
     let daemon_cpu = pending.get(Charge::DaemonCpu).as_nanos();
     let leak = Nanos::from_nanos((daemon_cpu as f64 * mem.latency().daemon_contention) as u64);
     metrics.time.charge(Charge::DaemonLeak, leak);
-    let now = metrics.time.now();
     for ev in mem.drain_events() {
-        match ev {
-            mc_mem::MemEvent::Migrated {
-                vpage, src, dst, ..
-            } => {
-                if dst < src {
-                    if let Some(v) = vpage {
-                        metrics.on_promotion(v, now);
-                    }
-                } else {
-                    metrics.on_demotion(now);
-                }
+        let MemEvent::Migrated { vpage, .. } = ev;
+        if ev.is_promotion() {
+            if let Some(v) = vpage {
+                metrics.on_promotion(v);
             }
-            mc_mem::MemEvent::Evicted { .. } | mc_mem::MemEvent::SwappedIn { .. } => {}
+        } else {
+            metrics.on_demotion();
         }
     }
 }
@@ -828,7 +790,7 @@ mod tests {
         // One 2.5 s step crosses two wake-ups.
         s.compute(Nanos::from_millis(2_500));
         assert_eq!(s.counter("mc_ticks"), 2);
-        let series = s.obs().unwrap().series();
+        let series = mc_obs::TimeSeries::from_csv(&s.obs_ticks_csv().unwrap()).unwrap();
         assert_eq!(series.timestamps(), [1_000_000_000, 2_000_000_000]);
         assert_eq!(s.next_tick, Some(Nanos::from_secs(3)));
         // The scan daemon has examined the one mapped page.
@@ -1032,11 +994,12 @@ mod tests {
     #[test]
     fn obs_is_off_by_default_and_exporters_stay_silent() {
         let s = sim(SystemKind::MultiClock);
-        assert!(s.obs().is_none());
         assert!(s.obs_events_jsonl().is_none());
         assert!(s.obs_ticks_csv().is_none());
-        assert!(s.obs_report().is_none());
         assert!(!s.mem().recorder().is_enabled());
+        let dir = std::env::temp_dir().join(format!("mc-obs-off-{}", std::process::id()));
+        s.write_obs(&dir).unwrap();
+        assert!(!dir.exists(), "obs off writes no artifacts");
     }
 
     /// Drives promotions end to end with obs on and checks every exported
@@ -1093,7 +1056,11 @@ mod tests {
         }
 
         // The report reproduces the windowed metrics.
-        let report = s.obs_report().unwrap();
+        let report = s
+            .obs
+            .as_ref()
+            .unwrap()
+            .render_report(&s.cfg, &s.mem, &s.metrics);
         assert!(report.contains("Windows (Figs. 8-9)"));
         assert!(report.contains(&format!("promotions: {}", s.metrics().total_promotions())));
     }

@@ -50,7 +50,7 @@ pub mod error;
 pub mod experiments;
 pub mod latency_hist;
 pub mod metrics;
-pub mod obs;
+mod obs;
 
 pub use config::{EngineKnobs, InstrumentKnobs, SimConfig, SystemKind};
 pub use engine::Simulation;
@@ -61,4 +61,3 @@ pub use mc_fault::{FaultConfig, FaultPlan, RetryPolicy};
 pub use mc_mem::MigrationMode;
 pub use mc_obs::ObsConfig;
 pub use metrics::{CostBreakdown, Metrics, WindowStats};
-pub use obs::ObsState;

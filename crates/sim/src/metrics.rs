@@ -116,8 +116,9 @@ impl Metrics {
         &mut self.windows[idx]
     }
 
-    /// Records a promotion of `vpage` at `now`.
-    pub fn on_promotion(&mut self, vpage: VPage, now: Nanos) {
+    /// Records a promotion of `vpage` now.
+    pub(crate) fn on_promotion(&mut self, vpage: VPage) {
+        let now = self.time.now();
         let w = self.window_at(now);
         self.ensure_window(w).promotions += 1;
         self.pending.insert(
@@ -130,19 +131,20 @@ impl Metrics {
         );
     }
 
-    /// Records a demotion at `now`.
-    pub fn on_demotion(&mut self, now: Nanos) {
-        let w = self.window_at(now);
+    /// Records a demotion now.
+    pub(crate) fn on_demotion(&mut self) {
+        let w = self.window_at(self.time.now());
         self.ensure_window(w).demotions += 1;
     }
 
     /// Records an application access; settles or marks pending
     /// promotions.
-    pub fn on_access(&mut self, vpage: VPage, now: Nanos) {
+    pub(crate) fn on_access(&mut self, vpage: VPage) {
         // Promotions are rare next to accesses: usually nothing is pending.
         if self.pending.is_empty() {
             return;
         }
+        let now = self.time.now();
         if let Some(p) = self.pending.get_mut(&vpage) {
             if now.saturating_sub(p.promoted_at) <= self.horizon {
                 p.reaccessed = true;
@@ -160,15 +162,15 @@ impl Metrics {
     }
 
     /// Records a completed application operation (throughput-per-window).
-    pub fn on_op(&mut self, now: Nanos) {
-        let w = self.window_at(now);
+    pub(crate) fn on_op(&mut self) {
+        let w = self.window_at(self.time.now());
         self.ensure_window(w).ops += 1;
     }
 
     /// Settles every promotion older than the horizon (called at window
     /// boundaries and at the end of a run).
-    pub fn settle(&mut self, now: Nanos) {
-        let horizon = self.horizon;
+    pub(crate) fn settle(&mut self) {
+        let (now, horizon) = (self.time.now(), self.horizon);
         let drained: Vec<(VPage, Pending)> = self
             .pending
             .iter()
@@ -187,7 +189,7 @@ impl Metrics {
 
     /// Finalises at end of run: everything unsettled is settled as
     /// not-re-accessed.
-    pub fn finish(&mut self, now: Nanos) {
+    pub(crate) fn finish(&mut self) {
         let drained = std::mem::take(&mut self.pending);
         for p in drained.into_values() {
             let w = self.ensure_window(p.window);
@@ -196,7 +198,7 @@ impl Metrics {
                 w.promoted_reaccessed += 1;
             }
         }
-        let w = self.window_at(now);
+        let w = self.window_at(self.time.now());
         self.ensure_window(w);
     }
 
@@ -251,13 +253,20 @@ mod tests {
         VPage::new(i)
     }
 
+    /// Advances `m`'s clock to `secs` seconds.
+    fn at(m: &mut Metrics, secs: u64) -> &mut Metrics {
+        let t = Nanos::from_secs(secs);
+        m.time.charge(Charge::Compute, t - m.time.now());
+        m
+    }
+
     #[test]
     fn promotions_bucket_into_windows() {
         let mut m = Metrics::new(Nanos::from_secs(20));
-        m.on_promotion(v(1), Nanos::from_secs(5));
-        m.on_promotion(v(2), Nanos::from_secs(19));
-        m.on_promotion(v(3), Nanos::from_secs(21));
-        m.finish(Nanos::from_secs(40));
+        at(&mut m, 5).on_promotion(v(1));
+        at(&mut m, 19).on_promotion(v(2));
+        at(&mut m, 21).on_promotion(v(3));
+        at(&mut m, 40).finish();
         assert_eq!(m.windows()[0].promotions, 2);
         assert_eq!(m.windows()[1].promotions, 1);
         assert_eq!(m.total_promotions(), 3);
@@ -266,11 +275,11 @@ mod tests {
     #[test]
     fn reaccess_within_horizon_counts() {
         let mut m = Metrics::new(Nanos::from_secs(20));
-        m.on_promotion(v(1), Nanos::from_secs(1));
-        m.on_promotion(v(2), Nanos::from_secs(1));
+        at(&mut m, 1).on_promotion(v(1));
+        at(&mut m, 1).on_promotion(v(2));
         // Page 1 re-accessed quickly; page 2 never.
-        m.on_access(v(1), Nanos::from_secs(2));
-        m.finish(Nanos::from_secs(60));
+        at(&mut m, 2).on_access(v(1));
+        at(&mut m, 60).finish();
         let w = m.windows()[0];
         assert_eq!(w.promoted_settled, 2);
         assert_eq!(w.promoted_reaccessed, 1);
@@ -281,9 +290,9 @@ mod tests {
     #[test]
     fn reaccess_after_horizon_does_not_count() {
         let mut m = Metrics::new(Nanos::from_secs(20));
-        m.on_promotion(v(1), Nanos::from_secs(1));
-        m.on_access(v(1), Nanos::from_secs(50));
-        m.finish(Nanos::from_secs(60));
+        at(&mut m, 1).on_promotion(v(1));
+        at(&mut m, 50).on_access(v(1));
+        at(&mut m, 60).finish();
         let w = m.windows()[0];
         assert_eq!(w.promoted_settled, 1);
         assert_eq!(w.promoted_reaccessed, 0);
@@ -293,9 +302,9 @@ mod tests {
     fn reaccess_percentage_attributed_to_promotion_window() {
         let mut m = Metrics::new(Nanos::from_secs(20));
         // Promoted in window 1, re-accessed in window 2.
-        m.on_promotion(v(7), Nanos::from_secs(25));
-        m.on_access(v(7), Nanos::from_secs(41));
-        m.finish(Nanos::from_secs(60));
+        at(&mut m, 25).on_promotion(v(7));
+        at(&mut m, 41).on_access(v(7));
+        at(&mut m, 60).finish();
         assert_eq!(m.windows()[1].promoted_reaccessed, 1);
         assert_eq!(m.windows()[2].promoted_reaccessed, 0);
     }
@@ -303,10 +312,10 @@ mod tests {
     #[test]
     fn ops_and_demotions_per_window() {
         let mut m = Metrics::new(Nanos::from_secs(10));
-        m.on_op(Nanos::from_secs(1));
-        m.on_op(Nanos::from_secs(11));
-        m.on_demotion(Nanos::from_secs(11));
-        m.finish(Nanos::from_secs(20));
+        at(&mut m, 1).on_op();
+        at(&mut m, 11).on_op();
+        at(&mut m, 11).on_demotion();
+        at(&mut m, 20).finish();
         assert_eq!(m.windows()[0].ops, 1);
         assert_eq!(m.windows()[1].ops, 1);
         assert_eq!(m.windows()[1].demotions, 1);
@@ -316,9 +325,9 @@ mod tests {
     #[test]
     fn settle_flushes_expired_only() {
         let mut m = Metrics::new(Nanos::from_secs(20));
-        m.on_promotion(v(1), Nanos::from_secs(1)); // will expire
-        m.on_promotion(v(2), Nanos::from_secs(30)); // still fresh
-        m.settle(Nanos::from_secs(35));
+        at(&mut m, 1).on_promotion(v(1)); // will expire
+        at(&mut m, 30).on_promotion(v(2)); // still fresh
+        at(&mut m, 35).settle();
         assert_eq!(m.windows()[0].promoted_settled, 1);
         assert_eq!(m.windows()[1].promoted_settled, 0);
     }
@@ -335,7 +344,7 @@ mod tests {
         // Promotions recorded but none settled yet: the denominator is
         // zero and the percentage must be absent, not NaN or 0.
         let mut m = Metrics::new(Nanos::from_secs(20));
-        m.on_promotion(v(1), Nanos::from_secs(1));
+        at(&mut m, 1).on_promotion(v(1));
         let w = m.windows()[0];
         assert_eq!(w.promotions, 1);
         assert_eq!(w.promoted_settled, 0);
@@ -353,12 +362,12 @@ mod tests {
     fn reaccess_pct_with_all_reaccessed_is_exactly_100() {
         let mut m = Metrics::new(Nanos::from_secs(20));
         for i in 0..7 {
-            m.on_promotion(v(i), Nanos::from_secs(1));
+            at(&mut m, 1).on_promotion(v(i));
         }
         for i in 0..7 {
-            m.on_access(v(i), Nanos::from_secs(2));
+            at(&mut m, 2).on_access(v(i));
         }
-        m.finish(Nanos::from_secs(60));
+        at(&mut m, 60).finish();
         let w = m.windows()[0];
         assert_eq!(w.promoted_settled, 7);
         assert_eq!(w.promoted_reaccessed, 7);

@@ -1,6 +1,6 @@
 //! Observability wiring for the simulation engine.
 //!
-//! When [`crate::SimConfig::obs`] is enabled the engine keeps an
+//! When [`crate::InstrumentKnobs::obs`] is enabled the engine keeps an
 //! [`ObsState`] alongside the substrate's event [`mc_obs::Recorder`]:
 //! a per-tick [`TimeSeries`] snapshot of the substrate and policy
 //! counters (the `/proc/vmstat`-sampling analogue), per-tier access
@@ -17,7 +17,7 @@ use mc_trace::{Heatmap, Trace, TraceEvent};
 
 /// Per-run observability state owned by the engine.
 #[derive(Debug)]
-pub struct ObsState {
+pub(crate) struct ObsState {
     cfg: ObsConfig,
     series: TimeSeries,
     tier_hists: Vec<LatencyHistogram>,
@@ -27,7 +27,7 @@ pub struct ObsState {
 
 impl ObsState {
     /// Fresh state for a machine with `tier_count` tiers.
-    pub fn new(cfg: ObsConfig, tier_count: usize) -> Self {
+    pub(crate) fn new(cfg: ObsConfig, tier_count: usize) -> Self {
         ObsState {
             cfg,
             series: TimeSeries::new(),
@@ -39,7 +39,7 @@ impl ObsState {
 
     /// Records one application access: latency into the tier's histogram
     /// and, under the trace cap, an event for heat-map reporting.
-    pub fn on_access(
+    pub(crate) fn on_access(
         &mut self,
         vpage: VPage,
         kind: AccessKind,
@@ -66,7 +66,7 @@ impl ObsState {
     /// Appends one per-tick row: the substrate counters followed by the
     /// policy's own counters. Counter structs are append-only, so every
     /// column is monotone non-decreasing by construction.
-    pub fn snapshot(
+    pub(crate) fn snapshot(
         &mut self,
         at: Nanos,
         stats: &MemStats,
@@ -109,27 +109,17 @@ impl ObsState {
     }
 
     /// The per-tick counter time series.
-    pub fn series(&self) -> &TimeSeries {
+    pub(crate) fn series(&self) -> &TimeSeries {
         &self.series
     }
 
-    /// Per-tier access-latency histograms, indexed by tier id.
-    pub fn tier_hists(&self) -> &[LatencyHistogram] {
-        &self.tier_hists
-    }
-
-    /// The retained access trace (capped at the configured length).
-    pub fn trace(&self) -> &Trace {
-        &self.trace
-    }
-
-    /// Accesses not traced because the cap was reached.
-    pub fn trace_dropped(&self) -> u64 {
-        self.trace_dropped
-    }
-
     /// Renders the human-readable run report.
-    pub fn render_report(&self, cfg: &SimConfig, mem: &MemorySystem, metrics: &Metrics) -> String {
+    pub(crate) fn render_report(
+        &self,
+        cfg: &SimConfig,
+        mem: &MemorySystem,
+        metrics: &Metrics,
+    ) -> String {
         let now = metrics.time.now();
         let mut r = ReportBuilder::new("MULTI-CLOCK run report");
 

@@ -7,7 +7,9 @@
 //! tracepoint JSONL, same final page placement. That holds under fault
 //! injection (the retry path crosses the instrumented migrate-batch
 //! boundary), and the hooks must also actually *collect* spans, or the
-//! whole layer is a silent no-op.
+//! whole layer is a silent no-op. The same holds for the whole instrument
+//! bundle on every system: obs, perf hooks and a zero-rate injector
+//! together change nothing but the obs artifacts themselves.
 
 mod common;
 #[path = "common/house.rs"]
@@ -17,7 +19,7 @@ use common::Fingerprint;
 use mc_mem::Nanos;
 use mc_obs::{PerfHooks, Phase};
 use mc_sim::experiments::{Experiment, Scale};
-use mc_sim::{FaultConfig, RetryPolicy, SimConfig, SystemKind};
+use mc_sim::{FaultConfig, InstrumentKnobs, ObsConfig, RetryPolicy, SimConfig, SystemKind};
 use mc_workloads::ycsb::YcsbWorkload;
 
 fn run(cfg: SimConfig) -> Fingerprint {
@@ -89,6 +91,42 @@ fn perf_hooks_are_bit_identical_under_fault_injection() {
     );
     assert_eq!(off, on);
     assert!(hooks.profiler().summary(Phase::MigrateBatch).count > 0);
+}
+
+#[test]
+fn instruments_never_perturb_any_system() {
+    use SystemKind::*;
+    let systems = [
+        Static, MultiClock, Nomad, Nimble, HybridTier, AtCpm, AtOpm, AutoNuma, Amp, MemoryMode,
+        OracleLru, OracleLfu,
+    ];
+    for system in systems {
+        let off = SimConfig::new(system, 64, 512);
+        let mut on = off.clone();
+        let hooks = PerfHooks::new();
+        on.instrument = InstrumentKnobs {
+            obs: ObsConfig::on(),
+            fault: FaultConfig::rate(11, 0.0),
+            perf: Some(hooks.clone()),
+        };
+        let on = run(on);
+        // The instruments were live: the recorder saw the substrate (which
+        // the Memory-mode cache bypasses) and each tick was both sampled
+        // and timed.
+        let recorded = !on.events_jsonl.is_empty();
+        assert!(recorded || system == MemoryMode, "{system:?}: no events");
+        assert_eq!(
+            on.ticks_csv.lines().count().saturating_sub(1) as u64,
+            hooks.profiler().summary(Phase::Tick).count,
+            "{system:?}: one sampled row and one span per tick"
+        );
+        let on = Fingerprint {
+            ticks_csv: String::new(),
+            events_jsonl: String::new(),
+            ..on
+        };
+        assert_eq!(run(off), on, "{system:?}");
+    }
 }
 
 #[test]
