@@ -6,7 +6,7 @@
 use crate::report::{markdown_table, Claim, Expectation};
 use crate::{sweep, Args};
 use mc_mem::MachineDesc;
-use mc_sim::experiments::{Experiment, RunOutcome};
+use mc_sim::experiments::{Experiment, RunOutcome, Scale};
 use mc_sim::{SimConfig, SystemKind};
 use mc_workloads::graph::Kernel;
 use mc_workloads::ycsb::YcsbWorkload;
@@ -285,12 +285,12 @@ pub fn generate(args: &Args) -> Result<Lab<'_>, String> {
         s.dram_pages,
         s.pm_pages,
         s.records,
-        s.value_size,
+        Scale::VALUE_SIZE,
         s.graph_scale,
         s.graph_degree,
         s.graph_dram_pages,
         s.interval_unit,
-        s.seed,
+        Scale::SEED,
     ));
     for (id, title, build) in sections {
         if args.only.is_empty() || args.only.iter().any(|o| o == id) {

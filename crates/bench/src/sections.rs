@@ -8,7 +8,7 @@ use crate::report::Expectation::{Deviates, Holds};
 use crate::report::{format_heatmap, normalize_to_static};
 use crate::repro::{Lab, Run};
 use mc_mem::{MachineBuilder, MachineDesc, Nanos, TierKind, TierLatency};
-use mc_sim::experiments::RunOutcome;
+use mc_sim::experiments::{RunOutcome, Scale};
 use mc_sim::{FaultConfig, RetryPolicy, SystemKind as S};
 use mc_workloads::graph::Kernel;
 use mc_workloads::motivation::MotivationWorkload;
@@ -138,7 +138,7 @@ fn fig1(lab: &mut Lab) -> Result<(), String> {
     const SLICES: usize = 60;
     let mut rows = Vec::new();
     let mut fewest = PAGES;
-    for mut w in MotivationWorkload::all_paper_workloads(PAGES, lab.args.scale.seed) {
+    for mut w in MotivationWorkload::all_paper_workloads(PAGES, Scale::SEED) {
         let matrix = w.heatmap(&mut SimpleMemory::new(), SLICES);
         let map = format_heatmap(&matrix);
         lab.text(&format!("{}:\n\n```text\n{map}```", w.name()));
@@ -168,7 +168,7 @@ fn fig2(lab: &mut Lab) -> Result<(), String> {
     let mean = |v: &[f64]| v.iter().sum::<f64>() / v.len().max(1) as f64;
     let mut rows = Vec::new();
     let mut ratios = Vec::new();
-    for mut w in MotivationWorkload::all_paper_workloads(PAGES, lab.args.scale.seed) {
+    for mut w in MotivationWorkload::all_paper_workloads(PAGES, Scale::SEED) {
         let matrix = w.heatmap(&mut SimpleMemory::new(), SLICES);
         let (mut once, mut multi) = (Vec::new(), Vec::new());
         for start in (0..=SLICES - 2 * WINDOW).step_by(2 * WINDOW) {
@@ -558,25 +558,27 @@ fn ablation(lab: &mut Lab) -> Result<(), String> {
     // The §VII knobs per device; each device's first run is its baseline
     // (for YCSB-A on the default Optane model, the memoised Fig. 5 run).
     let devices = |base: Run| [base.clone(), base.on("slow-pm", slow_write_pm)];
+    // The tag stays short so the appendix's widest row, the split micro's
+    // on write-hostile PM, keeps its width.
+    let dirty = |base: Run| base.with("df", |c| c.engine.dirty_first = true);
     let variants = |base: Run| {
         [
             base.clone(),
-            base.clone().with("ww2", |c| c.write_weight = 2.0),
-            base.clone().with("ww3", |c| c.write_weight = 3.0),
-            base.with("adaptive", |c| c.adaptive_interval = true),
+            dirty(base.clone()),
+            base.with("adaptive", |c| c.engine.adaptive_interval = true),
         ]
     };
     let ycsb = lab.runs(&devices(Run::ycsb(args, W::A, MC)).map(variants).concat())?;
     let ycsb: Vec<f64> = ycsb.iter().map(ops).collect();
-    let weighted = |base: Run| [base.clone(), base.with("ww2", |c| c.write_weight = 2.0)];
-    let micro = lab.runs(&devices(Run::split_micro(args, MC)).map(weighted).concat())?;
+    let pair = |base: Run| [base.clone(), dirty(base)];
+    let micro = lab.runs(&devices(Run::split_micro(args, MC)).map(pair).concat())?;
     let micro: Vec<f64> = micro.iter().map(ops).collect();
     let f3 = |v: f64| format!("{v:.3}");
     let split = [micro[1] / micro[0], micro[3] / micro[2]];
-    let mut rows = vec![("split micro, write-weight 2.0", split)];
-    let names = ["write-weight 2.0", "write-weight 3.0", "adaptive interval"];
+    let mut rows = vec![("split micro, with dirty-first", split)];
+    let names = ["with dirty-first", "adaptive interval"];
     for (v, name) in names.into_iter().enumerate() {
-        rows.push((name, [ycsb[v + 1] / ycsb[0], ycsb[v + 5] / ycsb[4]]));
+        rows.push((name, [ycsb[v + 1] / ycsb[0], ycsb[v + 4] / ycsb[3]]));
     }
     let row = |(name, [optane, hostile]): &(&str, [f64; 2])| {
         vec![name.to_string(), f3(*optane), f3(*hostile)]
@@ -602,10 +604,10 @@ fn ablation(lab: &mut Lab) -> Result<(), String> {
     let stmt = "AutoNUMA-Tiering loses to static on A and C";
     let margin = g.lead(ST, S::AutoNuma);
     lab.claim("autonuma_below_static", stmt, Holds, margin);
-    let stmt = "on YCSB-A the write weights and the adaptive interval move throughput by < 0.01";
-    let margin = 0.01 - max((1..8).map(|i| (ycsb[i] / ycsb[i / 4 * 4] - 1.0).abs()));
+    let stmt = "on YCSB-A dirty-first and the adaptive interval move throughput by < 0.01";
+    let margin = 0.01 - max((1..6).map(|i| (ycsb[i] / ycsb[i / 3 * 3] - 1.0).abs()));
     lab.claim("extensions_neutral_on_ycsb", stmt, Holds, margin);
-    let stmt = "on the split micro write-weight 2.0 pays on write-hostile PM, more than on Optane";
+    let stmt = "on the split micro dirty-first pays on write-hostile PM, more than on Optane";
     let margin = (split[1] - 1.0).min(split[1] - split[0]);
     lab.claim("write_weight_needs_asymmetric_device", stmt, Holds, margin);
     Ok(())
@@ -626,8 +628,8 @@ fn chaos(lab: &mut Lab) -> Result<(), String> {
     let systems = args.systems.clone().unwrap_or(vec![MC, S::Nomad]);
     let inject = |base: &Run, rate: f64| {
         base.clone().with(format!("fault{rate}"), |c| {
-            c.instrument.fault = FaultConfig::rate(args.scale.seed, rate);
-            c.retry = RetryPolicy::backoff();
+            c.instrument.fault = FaultConfig::rate(Scale::SEED, rate);
+            c.engine.retry = RetryPolicy::Backoff;
         })
     };
     // Per system: the uninjected run, then one run per rate.

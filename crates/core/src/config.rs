@@ -4,44 +4,45 @@ use mc_fault::RetryPolicy;
 use mc_mem::{MigrationMode, Nanos};
 use serde::{Deserialize, Serialize};
 
-/// Configuration for [`crate::MultiClock`].
+/// Most pages one pressure (reclaim) invocation examines — MULTI-CLOCK's
+/// and every ring-based baseline's.
+pub const RECLAIM_BATCH: usize = 4096;
+
+/// MULTI-CLOCK's mechanics knobs: how its daemon moves pages, as opposed
+/// to the clock it runs on. Declared once here; `mc-sim` embeds the same
+/// type as `SimConfig::engine` (re-exported there as `EngineKnobs`).
 ///
-/// Defaults follow the paper's prototype: a one-second `kpromoted` period
-/// (chosen by the §V-E sensitivity study) and a scan batch of 1024 pages
-/// ("we set the number of page scan to 1024").
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct MultiClockConfig {
-    /// `kpromoted` wake-up period.
-    pub scan_interval: Nanos,
-    /// Pages examined per list per tick.
-    pub scan_batch: usize,
-    /// Maximum pages examined by one pressure (reclaim) invocation.
-    pub reclaim_batch: usize,
+/// The defaults (no §VII extension, one attempt, one page per call,
+/// `Sync`) are bit-identical to the historical engine. Each knob changes
+/// simulated results: a sync batch pays one setup and aborts as a whole
+/// on an injected fault, and `Transactional` moves the copy off the
+/// application's critical path and keeps shadow copies (DESIGN.md §12,
+/// §16). Every combination is deterministic and pinned by the
+/// differential tests under `crates/sim/tests/`.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+pub struct Knobs {
     /// §VII extension: "include the dirtiness information for memory
-    /// pages in a weighted formula to compute the importance of a page".
-    /// `1.0` reproduces the paper (reads and writes indistinguishable);
-    /// above `1.0`, *dirty* promotion candidates get priority for scarce
-    /// promotion slots, biasing placement towards pages that would pay
-    /// the lower tier's expensive stores.
-    pub write_weight: f64,
+    /// pages in a weighted formula to compute the importance of a page",
+    /// implemented as a placement priority — when promotion slots are
+    /// scarce, *dirty* candidates are promoted first, biasing placement
+    /// towards pages that would pay the lower tier's expensive stores.
+    /// Off reproduces the paper (reads and writes indistinguishable).
+    pub dirty_first: bool,
     /// §VII extension: adapt the scan interval to workload behaviour
-    /// (halve it while promotions are plentiful, back off when idle).
+    /// (back off while no promotions happen, up to
+    /// [`MultiClockConfig::max_interval`]; snap back when work returns).
     pub adaptive_interval: bool,
-    /// Lower bound for the adaptive interval.
-    pub min_interval: Nanos,
-    /// Upper bound for the adaptive interval.
-    pub max_interval: Nanos,
+    /// How the promote path reacts to transient migration failures
+    /// (destination full, page transiently locked). The default,
+    /// [`RetryPolicy::Immediate`], allows a single attempt — exactly the
+    /// pre-fault-layer behaviour; [`RetryPolicy::Backoff`] retries with
+    /// exponential backoff before degrading to the active-list fallback.
+    pub retry: RetryPolicy,
     /// Maximum pages handed to one batched migration call when draining a
     /// promote list (Nomad-style `migrate_pages` batching). `1` (the
     /// default) migrates page-at-a-time, bit-identical to the unbatched
     /// path; larger values amortize the per-call setup cost.
     pub migrate_batch_size: usize,
-    /// How the promote path reacts to transient migration failures
-    /// (destination full, page transiently locked). The default,
-    /// [`RetryPolicy::immediate`], allows a single attempt — exactly the
-    /// pre-fault-layer behaviour; [`RetryPolicy::backoff`] retries with
-    /// exponential backoff before degrading to the active-list fallback.
-    pub retry: RetryPolicy,
     /// How promotions move pages: [`MigrationMode::Sync`] (the default)
     /// copies and remaps inside the kpromoted run, stalling the
     /// application for the whole unmap/copy/remap sequence —
@@ -58,49 +59,64 @@ pub struct MultiClockConfig {
     pub migration_mode: MigrationMode,
 }
 
-impl Default for MultiClockConfig {
+impl Default for Knobs {
     fn default() -> Self {
-        MultiClockConfig {
-            scan_interval: Nanos::from_secs(1),
-            scan_batch: 1024,
-            reclaim_batch: 4096,
-            write_weight: 1.0,
+        Knobs {
+            dirty_first: false,
             adaptive_interval: false,
-            min_interval: Nanos::from_millis(100),
-            max_interval: Nanos::from_secs(60),
+            retry: RetryPolicy::Immediate,
             migrate_batch_size: 1,
-            retry: RetryPolicy::immediate(),
             migration_mode: MigrationMode::Sync,
         }
     }
 }
 
+/// Configuration for [`crate::MultiClock`].
+///
+/// Defaults follow the paper's prototype: a one-second `kpromoted` period
+/// (chosen by the §V-E sensitivity study) and a scan batch of 1024 pages
+/// ("we set the number of page scan to 1024").
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct MultiClockConfig {
+    /// `kpromoted` wake-up period.
+    pub scan_interval: Nanos,
+    /// Pages examined per list per tick.
+    pub scan_batch: usize,
+    /// The mechanics knobs.
+    pub knobs: Knobs,
+}
+
+impl Default for MultiClockConfig {
+    fn default() -> Self {
+        MultiClockConfig {
+            scan_interval: Nanos::from_secs(1),
+            scan_batch: 1024,
+            knobs: Knobs::default(),
+        }
+    }
+}
+
 impl MultiClockConfig {
+    /// Upper bound of the adaptive interval: 60 scan intervals (the
+    /// paper-scale 1 s interval backs off to at most a minute).
+    pub fn max_interval(&self) -> Nanos {
+        self.scan_interval.saturating_mul(60)
+    }
+
     /// Validates invariants; called by [`crate::MultiClock::new`].
     ///
     /// # Panics
     ///
-    /// Panics if any bound is nonsensical (zero interval/batch, inverted
-    /// adaptive bounds, non-positive write weight).
+    /// Panics on a zero scan interval, scan batch or migrate batch size.
     pub fn validate(&self) {
         assert!(
             self.scan_interval > Nanos::ZERO,
             "scan interval must be positive"
         );
         assert!(self.scan_batch > 0, "scan batch must be positive");
-        assert!(self.reclaim_batch > 0, "reclaim batch must be positive");
-        assert!(self.write_weight >= 1.0, "write weight must be >= 1");
         assert!(
-            self.min_interval <= self.max_interval,
-            "adaptive interval bounds inverted"
-        );
-        assert!(
-            self.migrate_batch_size > 0,
+            self.knobs.migrate_batch_size > 0,
             "migrate batch size must be positive"
-        );
-        assert!(
-            self.retry.is_valid(),
-            "retry policy must allow at least one attempt with cap >= base"
         );
     }
 }
@@ -114,8 +130,8 @@ mod tests {
         let c = MultiClockConfig::default();
         assert_eq!(c.scan_interval, Nanos::from_secs(1));
         assert_eq!(c.scan_batch, 1024);
-        assert!(!c.adaptive_interval);
-        assert_eq!(c.write_weight, 1.0);
+        assert!(!c.knobs.adaptive_interval);
+        assert!(!c.knobs.dirty_first);
         c.validate();
     }
 
@@ -132,9 +148,9 @@ mod tests {
     #[test]
     fn defaults_are_unsharded_and_unbatched() {
         let c = MultiClockConfig::default();
-        assert_eq!(c.migrate_batch_size, 1);
+        assert_eq!(c.knobs.migrate_batch_size, 1);
         assert_eq!(
-            c.migration_mode,
+            c.knobs.migration_mode,
             MigrationMode::Sync,
             "synchronous migration is the baseline"
         );
@@ -144,17 +160,10 @@ mod tests {
     #[should_panic(expected = "migrate batch")]
     fn zero_migrate_batch_rejected() {
         let c = MultiClockConfig {
-            migrate_batch_size: 0,
-            ..Default::default()
-        };
-        c.validate();
-    }
-
-    #[test]
-    #[should_panic(expected = "write weight")]
-    fn sub_one_write_weight_rejected() {
-        let c = MultiClockConfig {
-            write_weight: 0.5,
+            knobs: Knobs {
+                migrate_batch_size: 0,
+                ..Knobs::default()
+            },
             ..Default::default()
         };
         c.validate();

@@ -73,7 +73,7 @@ pub mod state;
 pub mod stats;
 pub mod validate;
 
-pub use config::MultiClockConfig;
+pub use config::{Knobs, MultiClockConfig, RECLAIM_BATCH};
 pub use lists::{ListSet, TierLists, TierShards, WhichList};
 pub use multi_clock::MultiClock;
 pub use state::PageState;

@@ -519,7 +519,10 @@ mod tests {
     fn write_weight_never_changes_climb_speed() {
         let mem = MemorySystem::new(MachineDesc::dram_pm(64, 256));
         let cfg = MultiClockConfig {
-            write_weight: 3.0,
+            knobs: crate::Knobs {
+                dirty_first: true,
+                ..Default::default()
+            },
             ..Default::default()
         };
         let mut mc = MultiClock::new(cfg, mem.topology());

@@ -79,7 +79,7 @@ impl MultiClock {
             out.promoted += self.promote_all(mem, tier);
         }
 
-        let mut budget = self.cfg.reclaim_batch;
+        let mut budget = crate::RECLAIM_BATCH;
 
         // Step 2: rebalance active vs inactive.
         out.pages_scanned += self.rebalance_lists(mem, tier, &mut budget, force);

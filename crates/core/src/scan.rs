@@ -215,7 +215,7 @@ impl MultiClock {
                 .map(|k| self.tiers[tier.index()].list_len(*k, WhichList::Promote))
                 .sum(),
         );
-        let batch = self.cfg.migrate_batch_size;
+        let batch = self.cfg.knobs.migrate_batch_size;
         for shard in 0..self.tiers[tier.index()].shard_count() {
             for kind in PageKind::ALL {
                 let mut candidates = self.tiers[tier.index()]
@@ -232,11 +232,11 @@ impl MultiClock {
                     let shift = self.stats.ticks as usize % candidates.len();
                     candidates.rotate_left(shift);
                 }
-                // §VII write-weight extension: dirtiness joins the
+                // §VII dirty-first extension: dirtiness joins the
                 // importance formula at *placement* time — when slots
                 // upstairs are scarce, write-hot pages (whose lower-tier
                 // stores are the most expensive accesses) get first claim.
-                if self.cfg.write_weight > 1.0 {
+                if self.cfg.knobs.dirty_first {
                     candidates.sort_by_key(|f| {
                         std::cmp::Reverse(mem.frame(*f).flags().contains(mc_mem::PageFlags::DIRTY))
                     });
@@ -329,7 +329,7 @@ impl MultiClock {
         if pending.is_empty() {
             return 0;
         }
-        let mode = self.cfg.migration_mode;
+        let mode = self.cfg.knobs.migration_mode;
         // A sync batch is one amortized call. A copy window has nothing to
         // amortize, and opening them page by page lets the room made for
         // one page serve the next.
@@ -407,7 +407,7 @@ impl MultiClock {
         let attempts = self.retry_state[frame.index()]
             .map_or(0, |r| r.attempts)
             .saturating_add(1);
-        if self.cfg.retry.exhausted(attempts) {
+        if self.cfg.knobs.retry.exhausted(attempts) {
             self.retry_state[frame.index()] = None;
             saturating_bump(&mut self.stats.promote_gave_ups);
             mem.instruments.emit(|| EventKind::MigrateGaveUp {
@@ -419,7 +419,7 @@ impl MultiClock {
         let eligible_tick = self
             .stats
             .ticks
-            .saturating_add(self.cfg.retry.backoff_ticks(attempts));
+            .saturating_add(self.cfg.knobs.retry.backoff_ticks(attempts));
         self.retry_state[frame.index()] = Some(crate::multi_clock::RetryState {
             attempts,
             eligible_tick,
@@ -464,14 +464,14 @@ impl MultiClock {
     /// configured interval the moment tiering work reappears. The goal is
     /// to save scan CPU in steady phases without giving up reaction time.
     fn adapt_interval(&mut self, activity: u64) {
-        if !self.cfg.adaptive_interval {
+        if !self.cfg.knobs.adaptive_interval {
             return;
         }
         if activity == 0 {
             self.idle_ticks += 1;
             if self.idle_ticks >= 8 {
                 let doubled = Nanos::from_nanos(self.current_interval.as_nanos() * 2);
-                self.current_interval = doubled.min(self.cfg.max_interval);
+                self.current_interval = doubled.min(self.cfg.max_interval());
                 self.idle_ticks = 0;
             }
         } else {
@@ -484,8 +484,8 @@ impl MultiClock {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::MultiClockConfig;
-    use mc_fault::{FaultConfig, FaultPlan};
+    use crate::config::{Knobs, MultiClockConfig};
+    use mc_fault::{FaultConfig, FaultPlan, RetryPolicy};
     use mc_mem::{AccessKind, Instruments, MachineDesc, TieringPolicy, VPage};
     use mc_obs::ObsConfig;
 
@@ -501,7 +501,6 @@ mod tests {
         let obs = ObsConfig {
             enabled: ring > 0,
             ring_capacity: ring,
-            ..ObsConfig::off()
         };
         Instruments::new(&obs, &fault, None)
     }
@@ -646,10 +645,13 @@ mod tests {
         assert_eq!(mc.state_of(f), Some(PageState::Promote));
     }
 
-    fn setup_with_retry(retry: mc_fault::RetryPolicy) -> (MemorySystem, MultiClock) {
+    fn setup_with_retry(retry: RetryPolicy) -> (MemorySystem, MultiClock) {
         let mem = MemorySystem::new(MachineDesc::dram_pm(64, 256));
         let cfg = MultiClockConfig {
-            retry,
+            knobs: Knobs {
+                retry,
+                ..Knobs::default()
+            },
             ..Default::default()
         };
         let mc = MultiClock::new(cfg, mem.topology());
@@ -658,12 +660,7 @@ mod tests {
 
     #[test]
     fn promotion_resumes_within_one_period_after_tier_recovers() {
-        use mc_fault::RetryPolicy;
-        let (mut mem, mut mc) = setup_with_retry(RetryPolicy {
-            max_attempts: 10,
-            backoff_base_ticks: 1,
-            backoff_cap_ticks: 1,
-        });
+        let (mut mem, mut mc) = setup_with_retry(RetryPolicy::Backoff);
         let pm = TierId::new(1);
         let f = map_in_tier(&mut mem, &mut mc, 1, pm);
         make_promotable(&mut mem, &mut mc, f);
@@ -692,12 +689,7 @@ mod tests {
 
     #[test]
     fn retries_exhaust_into_gave_up_and_active_fallback() {
-        use mc_fault::RetryPolicy;
-        let (mut mem, mut mc) = setup_with_retry(RetryPolicy {
-            max_attempts: 2,
-            backoff_base_ticks: 0,
-            backoff_cap_ticks: 0,
-        });
+        let (mut mem, mut mc) = setup_with_retry(RetryPolicy::Backoff);
         mem.instruments = instruments(256, faults(FaultPlan::default(), 0));
         let pm = TierId::new(1);
         let f = map_in_tier(&mut mem, &mut mc, 1, pm);
@@ -708,8 +700,15 @@ mod tests {
         // the top-tier ageing scan does not intervene (it is on PM anyway).
         mc.tick(&mut mem, Nanos::from_secs(1));
         assert_eq!(mc.stats().promote_retries, 1);
-        // Attempt 2 fails -> budget exhausted -> graceful degradation.
-        mc.tick(&mut mem, Nanos::from_secs(2));
+        // Attempts 2 and 3 fail at ticks 2 and 4 (backing off 1, then 2
+        // ticks); the next falls due at tick 8.
+        for s in 2..=7 {
+            mc.tick(&mut mem, Nanos::from_secs(s));
+        }
+        assert_eq!(mc.stats().promote_retries, 3);
+        assert_eq!(mc.stats().promote_gave_ups, 0);
+        // Attempt 4 fails -> budget exhausted -> graceful degradation.
+        mc.tick(&mut mem, Nanos::from_secs(8));
         assert_eq!(mc.stats().promote_gave_ups, 1);
         assert_eq!(mc.stats().promote_fallbacks, 1);
         assert_eq!(mc.state_of(f), Some(PageState::ActiveRef));
@@ -724,12 +723,7 @@ mod tests {
 
     #[test]
     fn backoff_defers_attempts_until_eligible_tick() {
-        use mc_fault::RetryPolicy;
-        let (mut mem, mut mc) = setup_with_retry(RetryPolicy {
-            max_attempts: 10,
-            backoff_base_ticks: 2,
-            backoff_cap_ticks: 8,
-        });
+        let (mut mem, mut mc) = setup_with_retry(RetryPolicy::Backoff);
         let pm = TierId::new(1);
         let f = map_in_tier(&mut mem, &mut mc, 1, pm);
         make_promotable(&mut mem, &mut mc, f);
@@ -746,31 +740,37 @@ mod tests {
 
         // Tick 1: attempt 1 fails (the promote path tries the migration,
         // reclaims, and retries once, so one episode can reject more than
-        // once); eligible again at tick 3.
+        // once); eligible again at tick 2.
         mc.tick(&mut mem, Nanos::from_secs(1));
-        let after_first = rejections(&mut mem);
-        assert!(after_first >= 1);
+        assert!(rejections(&mut mem) >= 1);
         assert_eq!(mc.stats().promote_retries, 1);
-        // Tick 2: still backing off — no migration attempt at all.
+        // Tick 2: attempt 2 fails; eligible again at tick 4.
         mc.tick(&mut mem, Nanos::from_secs(2));
+        let after_second = rejections(&mut mem);
+        assert_eq!(mc.stats().promote_retries, 2);
+        // Tick 3: still backing off — no migration attempt at all.
+        mc.tick(&mut mem, Nanos::from_secs(3));
         assert_eq!(
             rejections(&mut mem),
-            after_first,
+            after_second,
             "deferred candidate must not touch the memory system"
         );
         assert!(mc.tier_lists(pm).shard(0).anon.promote.contains(f));
-        // Tick 3: eligible again — attempt 2 fires (and fails).
-        mc.tick(&mut mem, Nanos::from_secs(3));
-        assert!(rejections(&mut mem) > after_first);
-        assert_eq!(mc.stats().promote_retries, 2);
+        // Tick 4: eligible again — attempt 3 fires (and fails).
+        mc.tick(&mut mem, Nanos::from_secs(4));
+        assert!(rejections(&mut mem) > after_second);
+        assert_eq!(mc.stats().promote_retries, 3);
         mc.assert_invariants(&mem);
     }
 
-    fn setup_transactional(retry: mc_fault::RetryPolicy) -> (MemorySystem, MultiClock) {
+    fn setup_transactional(retry: RetryPolicy) -> (MemorySystem, MultiClock) {
         let mem = MemorySystem::new(MachineDesc::dram_pm(64, 256));
         let cfg = MultiClockConfig {
-            migration_mode: MigrationMode::Transactional,
-            retry,
+            knobs: Knobs {
+                migration_mode: MigrationMode::Transactional,
+                retry,
+                ..Knobs::default()
+            },
             ..Default::default()
         };
         let mc = MultiClock::new(cfg, mem.topology());
@@ -779,7 +779,7 @@ mod tests {
 
     #[test]
     fn transactional_promotion_commits_on_the_next_tick() {
-        let (mut mem, mut mc) = setup_transactional(mc_fault::RetryPolicy::immediate());
+        let (mut mem, mut mc) = setup_transactional(RetryPolicy::Immediate);
         let pm = TierId::new(1);
         let f = map_in_tier(&mut mem, &mut mc, 1, pm);
         make_promotable(&mut mem, &mut mc, f);
@@ -809,7 +809,7 @@ mod tests {
 
     #[test]
     fn dirty_write_during_copy_window_reenters_retry_path() {
-        let (mut mem, mut mc) = setup_transactional(mc_fault::RetryPolicy::backoff());
+        let (mut mem, mut mc) = setup_transactional(RetryPolicy::Backoff);
         let pm = TierId::new(1);
         let f = map_in_tier(&mut mem, &mut mc, 1, pm);
         make_promotable(&mut mem, &mut mc, f);
@@ -841,7 +841,7 @@ mod tests {
 
     #[test]
     fn cold_clean_page_demotes_via_its_shadow() {
-        let (mut mem, mut mc) = setup_transactional(mc_fault::RetryPolicy::immediate());
+        let (mut mem, mut mc) = setup_transactional(RetryPolicy::Immediate);
         let pm = TierId::new(1);
         let f = map_in_tier(&mut mem, &mut mc, 1, pm);
         make_promotable(&mut mem, &mut mc, f);
@@ -900,7 +900,10 @@ mod tests {
         // pages, with one slot short of what the candidates need.
         let n = mem.node_watermarks(mc_mem::NodeId::new(0)).min as u64 + 2;
         let cfg = MultiClockConfig {
-            migrate_batch_size: n as usize,
+            knobs: Knobs {
+                migrate_batch_size: n as usize,
+                ..Knobs::default()
+            },
             ..Default::default()
         };
         let mut mc = MultiClock::new(cfg, mem.topology());
@@ -1153,7 +1156,10 @@ mod tests {
     fn adaptive_interval_backs_off_when_idle() {
         let mem = MemorySystem::new(MachineDesc::dram_pm(64, 256));
         let cfg = MultiClockConfig {
-            adaptive_interval: true,
+            knobs: Knobs {
+                adaptive_interval: true,
+                ..Knobs::default()
+            },
             ..Default::default()
         };
         let mut mc = MultiClock::new(cfg, mem.topology());
@@ -1163,7 +1169,7 @@ mod tests {
             mc.tick(&mut mem, Nanos::from_secs(s));
         }
         assert!(mc.tick_interval().unwrap() > base, "interval backed off");
-        assert!(mc.tick_interval().unwrap() <= mc.config().max_interval);
+        assert!(mc.tick_interval().unwrap() <= mc.config().max_interval());
     }
 
     #[test]

@@ -90,13 +90,14 @@ impl MultiClock {
             //    its attempt count must still leave budget, or the give-up
             //    path failed to fire.
             if let Some(rs) = self.retry_state[frame.index()] {
-                if self.cfg.retry.exhausted(rs.attempts) {
+                if self.cfg.knobs.retry.exhausted(rs.attempts) {
                     violations.push(InvariantViolation {
                         frame,
                         message: format!(
                             "retry bookkeeping holds {} attempts but the policy \
                              exhausts at {}",
-                            rs.attempts, self.cfg.retry.max_attempts
+                            rs.attempts,
+                            self.cfg.knobs.retry.max_attempts()
                         ),
                     });
                 }

@@ -10,7 +10,7 @@ use mc_mem::{
     TierId, TieringPolicy, VPage,
 };
 use mc_obs::ObsConfig;
-use multi_clock::{MultiClock, MultiClockConfig};
+use multi_clock::{Knobs, MultiClock, MultiClockConfig};
 use proptest::prelude::*;
 use std::collections::HashSet;
 
@@ -90,8 +90,11 @@ fn run_chaos(seed: u64, fault_plan: FaultPlan, ops: Vec<Op>, mode: MigrationMode
     };
     mem.instruments = Instruments::new(&ObsConfig::off(), &fault, None);
     let cfg = MultiClockConfig {
-        retry: RetryPolicy::backoff(),
-        migration_mode: mode,
+        knobs: Knobs {
+            retry: RetryPolicy::Backoff,
+            migration_mode: mode,
+            ..Knobs::default()
+        },
         ..Default::default()
     };
     let mut mc = MultiClock::new(cfg, mem.topology());

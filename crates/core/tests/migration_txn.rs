@@ -16,7 +16,7 @@ use mc_mem::{
     PageKind, TierId, TieringPolicy, VPage,
 };
 use mc_obs::ObsConfig;
-use multi_clock::{MultiClock, MultiClockConfig};
+use multi_clock::{Knobs, MultiClock, MultiClockConfig};
 use proptest::prelude::*;
 use std::collections::HashSet;
 
@@ -100,8 +100,11 @@ fn run_trace(ops: Vec<Op>, fault_plan: Option<(FaultPlan, u64)>, retry: RetryPol
         mem.instruments = Instruments::new(&ObsConfig::off(), &fault, None);
     }
     let cfg = MultiClockConfig {
-        retry,
-        migration_mode: MigrationMode::Transactional,
+        knobs: Knobs {
+            retry,
+            migration_mode: MigrationMode::Transactional,
+            ..Knobs::default()
+        },
         ..Default::default()
     };
     let mut mc = MultiClock::new(cfg, mem.topology());
@@ -190,7 +193,7 @@ proptest! {
     fn clean_traces_conserve_pages_and_txns(
         ops in prop::collection::vec(op(), 1..140),
     ) {
-        run_trace(ops, None, RetryPolicy::backoff());
+        run_trace(ops, None, RetryPolicy::Backoff);
     }
 
     /// Random abort rates: injected failures land at `resolve` time —
@@ -210,7 +213,7 @@ proptest! {
             offline: Vec::new(),
             stalls: Vec::new(),
         };
-        run_trace(ops, Some((plan, seed)), RetryPolicy::backoff());
+        run_trace(ops, Some((plan, seed)), RetryPolicy::Backoff);
     }
 
     /// A single-attempt retry policy must give up cleanly (fallback to
@@ -228,6 +231,6 @@ proptest! {
             offline: Vec::new(),
             stalls: Vec::new(),
         };
-        run_trace(ops, Some((plan, seed)), RetryPolicy::immediate());
+        run_trace(ops, Some((plan, seed)), RetryPolicy::Immediate);
     }
 }

@@ -32,7 +32,7 @@ use mc_mem::{
 };
 use mc_obs::ObsConfig;
 use multi_clock::PageState::{ActiveRef, ActiveUnref, InactiveRef, InactiveUnref, Promote};
-use multi_clock::{MultiClock, MultiClockConfig, PageState, WhichList};
+use multi_clock::{Knobs, MultiClock, MultiClockConfig, PageState, WhichList, RECLAIM_BATCH};
 use proptest::prelude::*;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
@@ -163,7 +163,6 @@ fn inactive_is_low(active: usize, inactive: usize, tier_pages: usize) -> bool {
 #[derive(Debug, Clone)]
 struct Model {
     scan_batch: usize,
-    reclaim_batch: usize,
     /// `lists[node][kind][list]`, front = coldest.
     lists: Vec<[[Vec<FrameId>; 3]; 2]>,
     states: Vec<Option<PageState>>,
@@ -178,7 +177,6 @@ impl Model {
     fn new(mem: &MemorySystem, cfg: &MultiClockConfig) -> Model {
         Model {
             scan_batch: cfg.scan_batch,
-            reclaim_batch: cfg.reclaim_batch,
             lists: vec![Default::default(); mem.topology().nodes().len()],
             states: vec![None; mem.total_frames()],
             ticks: 0,
@@ -395,7 +393,7 @@ impl Model {
         } else {
             self.drain(mem, tier);
         }
-        let mut budget = self.reclaim_batch;
+        let mut budget = RECLAIM_BATCH;
         self.rebalance(mem, tier, &mut budget, force);
         let done = |mem: &MemorySystem| match want {
             Some(want) => mem.tier_free(tier) >= want,
@@ -822,11 +820,14 @@ struct World {
 impl World {
     fn new(scope: &Scope) -> World {
         let cfg = MultiClockConfig {
-            migrate_batch_size: if scope.pass == Pass::BatchTwo { 2 } else { 1 },
-            migration_mode: if scope.pass == Pass::Transactional {
-                MigrationMode::Transactional
-            } else {
-                MigrationMode::Sync
+            knobs: Knobs {
+                migrate_batch_size: if scope.pass == Pass::BatchTwo { 2 } else { 1 },
+                migration_mode: if scope.pass == Pass::Transactional {
+                    MigrationMode::Transactional
+                } else {
+                    MigrationMode::Sync
+                },
+                ..Knobs::default()
             },
             ..MultiClockConfig::default()
         };
@@ -836,7 +837,6 @@ impl World {
         let obs = ObsConfig {
             enabled: true,
             ring_capacity: 1,
-            ..ObsConfig::off()
         };
         let fault = FaultConfig {
             enabled: true,

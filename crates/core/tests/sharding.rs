@@ -9,7 +9,7 @@
 use mc_mem::{
     AccessKind, FrameId, MachineDesc, MemorySystem, Nanos, PageKind, TierId, TieringPolicy, VPage,
 };
-use multi_clock::{MultiClock, MultiClockConfig};
+use multi_clock::{Knobs, MultiClock, MultiClockConfig};
 use proptest::prelude::*;
 
 /// One step of the random trace (mirrors `state_machine.rs`).
@@ -59,7 +59,10 @@ proptest! {
     ) {
         let mut mem = MemorySystem::new(MachineDesc::dual_socket(12, 24));
         let cfg = MultiClockConfig {
-            migrate_batch_size,
+            knobs: Knobs {
+                migrate_batch_size,
+                ..Knobs::default()
+            },
             ..Default::default()
         };
         let mut mc = MultiClock::new(cfg, mem.topology());

@@ -139,14 +139,6 @@ impl LinkDesc {
         }
     }
 
-    /// Whether this link adds no latency and no meaningful bandwidth cap.
-    pub fn is_direct(&self) -> bool {
-        self.read_ns == 0
-            && self.write_ns == 0
-            && self.read_bw_gbps >= Self::UNCAPPED_BW
-            && self.write_bw_gbps >= Self::UNCAPPED_BW
-    }
-
     /// The effective timing of `device` reached through this link, with the
     /// link fanned out over `heads` ports (a multi-headed device spreads
     /// its traffic over one link per head, multiplying the usable link
@@ -190,15 +182,13 @@ impl MigrationCost {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct LatencyModel {
     /// Device timing per tier, indexed by [`TierId`]: the *effective*
-    /// timing (device composed with link) of the tier's first node; stream
-    /// and migration costs are charged at tier granularity from this table.
+    /// timing (device composed with link) of the tier's first node;
+    /// migration costs are charged at tier granularity from this table.
     pub tiers: Vec<TierLatency>,
-    /// Effective per-node timing, indexed by [`NodeId`]. Empty on machines
-    /// where every node is directly attached with a single head — then the
-    /// per-tier table is exact and [`LatencyModel::access_at`] falls back
-    /// to it. Populated only when some node sits behind a non-direct link
-    /// or has multiple heads, so per-node asymmetric link costs can be
-    /// charged.
+    /// Effective per-node timing (device composed with link and heads),
+    /// indexed by [`NodeId`]: one entry per node of the machine, from
+    /// which [`LatencyModel::access_at`] and [`LatencyModel::stream_at`]
+    /// charge an application access.
     pub node_access: Vec<TierLatency>,
     /// Fixed kernel overhead per migrated page (locking, rmap walk,
     /// allocation) added to the copy time. ~2.5 µs per 4 KiB page is in line
@@ -262,17 +252,14 @@ impl LatencyModel {
         Nanos::from_nanos(self.tiers[tier.index()].access_ns(kind))
     }
 
-    /// Latency of one page-granular access on a specific node.
+    /// Latency of one page-granular access on a specific node: the
+    /// node's effective (device + link) timing.
     ///
-    /// Charges the node's effective (device + link) timing when the model
-    /// carries per-node entries; otherwise falls back to the per-tier
-    /// timing, which is exact for machines without links or multi-headed
-    /// devices.
-    pub fn access_at(&self, node: NodeId, tier: TierId, kind: AccessKind) -> Nanos {
-        match self.node_access.get(node.index()) {
-            Some(t) => Nanos::from_nanos(t.access_ns(kind)),
-            None => self.access(tier, kind),
-        }
+    /// # Panics
+    ///
+    /// Panics if `node` is out of range for the model.
+    pub fn access_at(&self, node: NodeId, kind: AccessKind) -> Nanos {
+        Nanos::from_nanos(self.node_access[node.index()].access_ns(kind))
     }
 
     /// Time to stream `bytes` from a tier (bandwidth-bound cost), used for
@@ -282,13 +269,13 @@ impl LatencyModel {
         Self::stream_cost(t, kind, bytes)
     }
 
-    /// Time to stream `bytes` through a specific node's link, falling back
-    /// to the per-tier bandwidth when the model has no per-node entries.
-    pub fn stream_at(&self, node: NodeId, tier: TierId, kind: AccessKind, bytes: usize) -> Nanos {
-        match self.node_access.get(node.index()) {
-            Some(t) => Self::stream_cost(t, kind, bytes),
-            None => self.stream(tier, kind, bytes),
-        }
+    /// Time to stream `bytes` through a specific node's link.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `node` is out of range for the model.
+    pub fn stream_at(&self, node: NodeId, kind: AccessKind, bytes: usize) -> Nanos {
+        Self::stream_cost(&self.node_access[node.index()], kind, bytes)
     }
 
     fn stream_cost(t: &TierLatency, kind: AccessKind, bytes: usize) -> Nanos {
@@ -457,8 +444,6 @@ mod tests {
         for dev in [TierLatency::dram(), TierLatency::optane_pm()] {
             assert_eq!(LinkDesc::direct().effective(dev, 1), dev);
         }
-        assert!(LinkDesc::direct().is_direct());
-        assert!(!LinkDesc::cxl().is_direct());
     }
 
     #[test]
@@ -473,15 +458,14 @@ mod tests {
     }
 
     #[test]
-    fn access_at_falls_back_to_tier_when_no_node_entries() {
+    fn access_at_matches_the_tier_on_direct_machines() {
         let m = dram_pm();
-        assert!(m.node_access.is_empty());
         assert_eq!(
-            m.access_at(NodeId::new(0), TierId::TOP, AccessKind::Read),
+            m.access_at(NodeId::new(0), AccessKind::Read),
             m.access(TierId::TOP, AccessKind::Read)
         );
         assert_eq!(
-            m.stream_at(NodeId::new(1), TierId::new(1), AccessKind::Write, 4096),
+            m.stream_at(NodeId::new(1), AccessKind::Write, 4096),
             m.stream(TierId::new(1), AccessKind::Write, 4096)
         );
     }
@@ -493,13 +477,13 @@ mod tests {
             TierLatency::dram(),
             LinkDesc::cxl().effective(TierLatency::cxl_dram(), 1),
         ];
-        let local = m.access_at(NodeId::new(0), TierId::TOP, AccessKind::Read);
-        let linked = m.access_at(NodeId::new(1), TierId::TOP, AccessKind::Read);
+        let local = m.access_at(NodeId::new(0), AccessKind::Read);
+        let linked = m.access_at(NodeId::new(1), AccessKind::Read);
         assert_eq!(local.as_nanos(), 80);
         assert_eq!(linked.as_nanos(), 210);
         // Streaming through the link is capped by link write bandwidth.
-        let s_local = m.stream_at(NodeId::new(0), TierId::TOP, AccessKind::Write, 4096);
-        let s_linked = m.stream_at(NodeId::new(1), TierId::TOP, AccessKind::Write, 4096);
+        let s_local = m.stream_at(NodeId::new(0), AccessKind::Write, 4096);
+        let s_linked = m.stream_at(NodeId::new(1), AccessKind::Write, 4096);
         assert!(s_linked > s_local);
     }
 

@@ -17,9 +17,9 @@
 //! assert_eq!(machine.topology().tier_count(), 3);
 //! ```
 //!
-//! Machines of direct-attached single-head nodes derive a
-//! [`LatencyModel`] with an empty `node_access` table and are charged at
-//! tier granularity; only a link or a multi-headed device populates it.
+//! An application access is charged at its node's effective timing
+//! (`LatencyModel::node_access`); migrations are charged at tier
+//! granularity, from each tier's first node.
 
 use crate::latency::{LatencyModel, LinkDesc, TierLatency};
 use crate::tier::TierKind;
@@ -138,11 +138,8 @@ impl MachineDesc {
     /// Derives the cost model.
     ///
     /// The per-tier table holds the effective timing of each tier's first
-    /// node (in node order); software costs are the house defaults, which
-    /// live in `LatencyModel::new`. The per-node table is populated only
-    /// when some node sits behind a non-direct link or has multiple heads
-    /// — machines of direct-attached single-head nodes keep `node_access`
-    /// empty and are charged from the per-tier table alone.
+    /// node (in node order), the per-node table every node's; software
+    /// costs are the house defaults, which live in `LatencyModel::new`.
     pub fn latency(&self) -> LatencyModel {
         let topo = self.topology();
         let tiers: Vec<TierLatency> = topo
@@ -152,15 +149,7 @@ impl MachineDesc {
             .filter_map(|id| self.nodes.get(id.index()))
             .map(|n| n.effective())
             .collect();
-        let needs_node_table = self
-            .nodes
-            .iter()
-            .any(|n| !n.link.is_direct() || n.heads > 1);
-        let node_access = if needs_node_table {
-            self.nodes.iter().map(|n| n.effective()).collect()
-        } else {
-            Vec::new()
-        };
+        let node_access = self.nodes.iter().map(|n| n.effective()).collect();
         LatencyModel::new(tiers, node_access)
     }
 }
@@ -277,7 +266,6 @@ mod tests {
         assert_eq!(topo.node(NodeId::new(1)).first_frame().raw(), 1024);
         let lat = m.latency();
         assert_eq!(tier_table(&lat), [DRAM, PM]);
-        assert!(lat.node_access.is_empty());
         assert_eq!(lat.migration_fixed.as_nanos(), 2_500);
         assert_eq!(lat.migration_app_stall.as_nanos(), 1_500);
         assert_eq!(lat.hint_fault.as_nanos(), 1_500);
@@ -290,15 +278,26 @@ mod tests {
     fn three_tier_preset_matches_legacy_model_exactly() {
         let lat = MachineDesc::three_tier(64, 256, 1024).latency();
         assert_eq!(tier_table(&lat), [HBM, DRAM, PM]);
-        assert!(lat.node_access.is_empty());
     }
 
     #[test]
-    fn dual_socket_preset_keeps_node_table_empty() {
+    fn dual_socket_preset_costs_like_dram_pm() {
         let m = MachineDesc::dual_socket(512, 2048);
         assert_eq!(m.topology().tier_count(), 2);
-        assert!(m.latency().node_access.is_empty());
-        assert_eq!(m.latency(), MachineDesc::dram_pm(1, 1).latency());
+        let (lat, flat) = (m.latency(), MachineDesc::dram_pm(1, 1).latency());
+        // Both sockets' nodes of a tier share that tier's timing, and the
+        // rest of the model is dram_pm's.
+        assert_eq!(
+            lat.node_access,
+            [flat.tiers[0], flat.tiers[0], flat.tiers[1], flat.tiers[1]]
+        );
+        assert_eq!(
+            LatencyModel {
+                node_access: flat.node_access.clone(),
+                ..lat
+            },
+            flat
+        );
     }
 
     #[test]
@@ -318,8 +317,7 @@ mod tests {
         assert!(r[0] < r[1] && r[1] < r[2], "tier reads ordered: {r:?}");
         // The CXL node is charged device + link latency.
         assert_eq!(
-            lat.access_at(NodeId::new(1), TierId::new(1), AccessKind::Read)
-                .as_nanos(),
+            lat.access_at(NodeId::new(1), AccessKind::Read).as_nanos(),
             210
         );
     }
@@ -342,20 +340,18 @@ mod tests {
             .link(LinkDesc::cxl())
             .heads(2)
             .build();
-        assert!(m.nodes()[0].link.is_direct());
-        assert!(!m.nodes()[1].link.is_direct());
+        assert_eq!(m.nodes()[0].link, LinkDesc::direct());
+        assert_eq!(m.nodes()[1].link, LinkDesc::cxl());
         assert_eq!(m.nodes()[1].heads, 2);
         // PM behind a link -> node table populated; DRAM node unchanged.
         let lat = m.latency();
         assert_eq!(lat.node_access.len(), 2);
         assert_eq!(
-            lat.access_at(NodeId::new(0), TierId::TOP, AccessKind::Read)
-                .as_nanos(),
+            lat.access_at(NodeId::new(0), AccessKind::Read).as_nanos(),
             80
         );
         assert_eq!(
-            lat.access_at(NodeId::new(1), TierId::new(1), AccessKind::Read)
-                .as_nanos(),
+            lat.access_at(NodeId::new(1), AccessKind::Read).as_nanos(),
             300 + 130
         );
     }

@@ -423,7 +423,7 @@ impl MemorySystem {
             self.stats.tier_accesses.resize(tier.index() + 1, 0);
         }
         saturating_bump(&mut self.stats.tier_accesses[tier.index()]);
-        let mut latency = self.latency.access_at(node, tier, kind);
+        let mut latency = self.latency.access_at(node, kind);
         if let Some(fault) = self.instruments.injector() {
             let factor = fault.on_access(tier.index() as u8);
             if factor > 1 {
@@ -1209,7 +1209,6 @@ mod tests {
         let obs = ObsConfig {
             enabled: true,
             ring_capacity: 256,
-            ..ObsConfig::off()
         };
         mem.instruments = Instruments::new(&obs, &FaultConfig::none(), None);
         let results = mem.migrate_pages(&frames, TierId::TOP, MigrationMode::Sync);

@@ -106,7 +106,7 @@ proptest! {
             let bw = if is_write { timing.write_bw_gbps } else { timing.read_bw_gbps };
             let want = Nanos::from_nanos((bytes as f64 / bw) as u64);
             prop_assert_eq!(
-                mem.latency().stream_at(out.node, out.tier, kind, bytes),
+                mem.latency().stream_at(out.node, kind, bytes),
                 want,
                 "node {} bytes {}",
                 out.node.index(),

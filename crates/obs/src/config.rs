@@ -11,11 +11,6 @@ pub struct ObsConfig {
     pub enabled: bool,
     /// Event-ring capacity (oldest events are overwritten beyond this).
     pub ring_capacity: usize,
-    /// Cap on access-trace entries retained for heatmap reporting; 0
-    /// disables access tracing even when `enabled` is true.
-    pub max_trace_events: usize,
-    /// How many of the hottest pages the run report lists.
-    pub top_n: usize,
 }
 
 impl Default for ObsConfig {
@@ -23,8 +18,6 @@ impl Default for ObsConfig {
         ObsConfig {
             enabled: false,
             ring_capacity: DEFAULT_RING_CAPACITY,
-            max_trace_events: 1 << 20,
-            top_n: 10,
         }
     }
 }

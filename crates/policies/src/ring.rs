@@ -16,8 +16,8 @@ use mc_mem::{
     FrameId, MemError, MemorySystem, Nanos, TickOutcome, TierId, TieringPolicy, Topology,
 };
 
-/// Most pages one `on_pressure` call examines.
-pub(crate) const RECLAIM_BATCH: usize = 4096;
+/// Most pages one `on_pressure` call examines: MULTI-CLOCK's budget.
+pub(crate) use multi_clock::RECLAIM_BATCH;
 
 /// Most victims one exchange examines to free a single upper-tier frame.
 const DEMOTE_ATTEMPTS: usize = 64;

@@ -1,7 +1,7 @@
 //! Simulation configuration and the system-under-test selector.
 
-use mc_fault::{FaultConfig, RetryPolicy};
-use mc_mem::{MachineDesc, MigrationMode, Nanos};
+use mc_fault::FaultConfig;
+use mc_mem::{MachineDesc, Nanos};
 use mc_obs::{ObsConfig, PerfHooks};
 
 /// Which memory system to simulate — the paper's comparison set plus the
@@ -14,7 +14,7 @@ pub enum SystemKind {
     MultiClock,
     /// MULTI-CLOCK selection over Nomad-style transactional migration
     /// (shadow copies on): the async-migration baseline. Forces
-    /// [`MigrationMode::Transactional`] regardless of
+    /// [`mc_mem::MigrationMode::Transactional`] regardless of
     /// [`EngineKnobs::migration_mode`].
     Nomad,
     /// Nimble's page selection (recency only).
@@ -78,36 +78,14 @@ impl SystemKind {
     }
 }
 
-/// Engine-mechanics knobs: how MULTI-CLOCK's daemon moves pages. The
-/// defaults (one page per call, `Sync`) are bit-identical to the
-/// historical engine. Each knob changes simulated results: a sync batch
-/// pays one setup and aborts as a whole on an injected fault, and
-/// `Transactional` moves the copy off the application's critical path
-/// and keeps shadow copies (DESIGN.md §12, §16). Every combination is
-/// deterministic and pinned by the differential tests under
-/// `crates/sim/tests/`. The scan layout is not a knob: one list shard per
-/// NUMA node, derived from [`SimConfig::mem`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct EngineKnobs {
-    /// Pages per batched promotion migration call handed to MULTI-CLOCK
-    /// (`1` = historical page-at-a-time migration, bit-identical).
-    pub migrate_batch_size: usize,
-    /// How MULTI-CLOCK executes promotions: [`MigrationMode::Sync`]
-    /// (default, bit-identical to the historical engine) or
-    /// [`MigrationMode::Transactional`] (Nomad-style copy windows with
-    /// shadow-page retention). [`SystemKind::Nomad`] forces
-    /// `Transactional`; other systems ignore the knob.
-    pub migration_mode: MigrationMode,
-}
-
-impl Default for EngineKnobs {
-    fn default() -> Self {
-        EngineKnobs {
-            migrate_batch_size: 1,
-            migration_mode: MigrationMode::Sync,
-        }
-    }
-}
+/// Engine-mechanics knobs: how MULTI-CLOCK's daemon moves pages
+/// (dirty-first placement, adaptive interval, retry, batch size,
+/// migration mode). The one declaration is [`multi_clock::Knobs`]; the
+/// engine hands `SimConfig::engine` to MULTI-CLOCK as it is, forcing only
+/// [`SystemKind::Nomad`]'s transactional mode. Other systems ignore it.
+/// The scan layout is not a knob: one list shard per NUMA node, derived
+/// from [`SimConfig::mem`].
+pub use multi_clock::Knobs as EngineKnobs;
 
 /// Instrumentation knobs: observability, fault injection and host-time
 /// profiling, from which [`crate::Simulation::new`] builds the
@@ -155,14 +133,9 @@ pub struct SimConfig {
     pub scan_batch: usize,
     /// Metrics window length (the paper's Figs. 8-9 use 20 s).
     pub window: Nanos,
-    /// MULTI-CLOCK §VII extensions (ignored by other systems).
-    pub write_weight: f64,
-    /// Adaptive scan interval extension flag.
-    pub adaptive_interval: bool,
-    /// Promotion retry/backoff policy handed to MULTI-CLOCK (other
-    /// systems keep their original single-attempt behaviour).
-    pub retry: RetryPolicy,
-    /// Engine-mechanics knobs (batching, migration mode).
+    /// MULTI-CLOCK's mechanics knobs, including the §VII extensions
+    /// (ignored by other systems, which keep their original
+    /// single-attempt, page-at-a-time behaviour).
     pub engine: EngineKnobs,
     /// Instrumentation knobs (observability, fault injection, host-time
     /// profiling).
@@ -178,9 +151,6 @@ impl SimConfig {
             scan_interval: Nanos::from_secs(1),
             scan_batch: 1024,
             window: Nanos::from_secs(20),
-            write_weight: 1.0,
-            adaptive_interval: false,
-            retry: RetryPolicy::immediate(),
             engine: EngineKnobs::default(),
             instrument: InstrumentKnobs::default(),
         }

@@ -2,7 +2,7 @@
 //! substrate, interleaving application accesses with the tiering daemon's
 //! periodic tick (the paper's one `kpromoted` thread) in virtual time.
 
-use crate::config::{SimConfig, SystemKind};
+use crate::config::{EngineKnobs, SimConfig, SystemKind};
 use crate::error::RunError;
 use crate::metrics::Metrics;
 use crate::obs::ObsState;
@@ -83,7 +83,7 @@ impl Simulation {
             .instrument
             .obs
             .enabled
-            .then(|| ObsState::new(cfg.instrument.obs, mem.topology().tier_count()));
+            .then(|| ObsState::new(mem.topology().tier_count()));
         let knobs = &cfg.instrument;
         mem.instruments = Instruments::new(&knobs.obs, &knobs.fault, knobs.perf.clone());
         let window = cfg.window;
@@ -379,7 +379,7 @@ impl Simulation {
                 let mut lat = out.latency;
                 if bytes > 64 {
                     let lm = self.mem.latency();
-                    lat += lm.stream_at(out.node, out.tier, kind, bytes - 64);
+                    lat += lm.stream_at(out.node, kind, bytes - 64);
                 }
                 (out.tier, lat)
             }
@@ -432,20 +432,14 @@ fn tiering_policy(cfg: &SimConfig, topo: &Topology) -> Option<Box<dyn TieringPol
             MultiClockConfig {
                 scan_interval: interval,
                 scan_batch: batch,
-                write_weight: cfg.write_weight,
-                adaptive_interval: cfg.adaptive_interval,
-                retry: cfg.retry,
-                migrate_batch_size: cfg.engine.migrate_batch_size,
-                migration_mode: if cfg.system == SystemKind::Nomad {
-                    MigrationMode::Transactional
-                } else {
-                    cfg.engine.migration_mode
+                knobs: EngineKnobs {
+                    migration_mode: if cfg.system == SystemKind::Nomad {
+                        MigrationMode::Transactional
+                    } else {
+                        cfg.engine.migration_mode
+                    },
+                    ..cfg.engine
                 },
-                // Adaptive bounds scale with the configured interval (the
-                // defaults are paper-scale).
-                min_interval: Nanos::from_nanos(interval.as_nanos() / 10),
-                max_interval: interval.saturating_mul(60),
-                ..Default::default()
             },
             topo,
         )),
@@ -918,7 +912,7 @@ mod tests {
     fn adaptive_interval_config_reaches_the_policy() {
         let mut cfg = SimConfig::new(SystemKind::MultiClock, 64, 512);
         cfg.scan_interval = Nanos::from_millis(5);
-        cfg.adaptive_interval = true;
+        cfg.engine.adaptive_interval = true;
         let mut s = Simulation::new(cfg);
         let a = s.mmap(PAGE_SIZE, PageKind::Anon);
         s.read(a, 8);
@@ -940,21 +934,55 @@ mod tests {
         );
     }
 
-    #[test]
-    fn write_weight_config_reaches_the_policy() {
-        // Plumbing check: a >1 weight must not change behaviour for an
-        // all-clean access stream (priority only reorders dirty pages).
+    /// Pages of `set` (of `pages` pages) that sit in DRAM.
+    fn in_dram(s: &Simulation, set: VAddr, pages: u64) -> usize {
+        (0..pages)
+            .filter_map(|i| s.mem().translate(set.add(i * PAGE_SIZE as u64).page()))
+            .filter(|f| s.mem().frame(*f).tier() == TierId::TOP)
+            .count()
+    }
+
+    /// Pages in each of [`dram_share`]'s two hot sets.
+    const SET: u64 = 48;
+
+    /// A read-hot and a disjoint write-hot set of [`SET`] pages each,
+    /// together half as large again as the 64-page DRAM, start in PM
+    /// behind a filler that takes DRAM first; returns how many pages of
+    /// the read-hot and of the write-hot set DRAM holds after two seconds.
+    fn dram_share(dirty_first: bool) -> (usize, usize) {
         let mut cfg = SimConfig::new(SystemKind::MultiClock, 64, 512);
-        cfg.write_weight = 2.0;
+        cfg.scan_interval = Nanos::from_millis(5);
+        cfg.engine.dirty_first = dirty_first;
         let mut s = Simulation::new(cfg);
-        let a = s.mmap(PAGE_SIZE * 8, PageKind::Anon);
-        for i in 0..8u64 {
-            s.read(a.add(i * PAGE_SIZE as u64), 8);
+        let filler = s.mmap(PAGE_SIZE * 64, PageKind::Anon);
+        for i in 0..64u64 {
+            s.read(filler.add(i * PAGE_SIZE as u64), 8);
         }
-        s.compute(Nanos::from_secs(2));
-        // No panic and normal operation is all this asserts; the
-        // behavioural effect is covered by the ablation microbench.
-        assert!(s.now() > Nanos::from_secs(2));
+        let read_hot = s.mmap(PAGE_SIZE * SET as usize, PageKind::Anon);
+        let write_hot = s.mmap(PAGE_SIZE * SET as usize, PageKind::Anon);
+        let mut step = 0u64;
+        while s.now() < Nanos::from_secs(2) {
+            s.read(read_hot.add((step % SET) * PAGE_SIZE as u64), 64);
+            s.write(write_hot.add((step * 7 % SET) * PAGE_SIZE as u64), 64);
+            s.compute(Nanos::from_micros(20));
+            step += 1;
+        }
+        (in_dram(&s, read_hot, SET), in_dram(&s, write_hot, SET))
+    }
+
+    #[test]
+    fn dirty_first_wins_scarce_dram_slots() {
+        let (clean, dirty) = dram_share(true);
+        assert!(clean < SET as usize, "DRAM must be too small for both sets");
+        assert!(
+            dirty > clean,
+            "dirty candidates must win the scarce slots: {dirty} write-hot vs {clean} read-hot"
+        );
+        let (_, dirty_off) = dram_share(false);
+        assert!(
+            dirty > dirty_off,
+            "the switch must place more write-hot pages: {dirty} on vs {dirty_off} off"
+        );
     }
 
     #[test]

@@ -43,10 +43,6 @@ pub struct Scale {
     pub pm_pages: usize,
     /// YCSB records loaded.
     pub records: usize,
-    /// YCSB value size in bytes.
-    pub value_size: usize,
-    /// CPU time per YCSB operation (request handling).
-    pub op_compute: Nanos,
     /// Pages scanned per list per tick. At paper scale 1024 covers a
     /// small share of each list per wake-up; here it is sized so a full
     /// list sweep completes within about one interval, preserving the
@@ -66,31 +62,36 @@ pub struct Scale {
     /// as the paper configures: "memory footprints are larger than the
     /// DRAM size").
     pub graph_dram_pages: usize,
+    /// GAPBS timed trials (after one untimed warm-up trial).
+    pub trials: usize,
+}
+
+impl Scale {
+    /// YCSB value size in bytes.
+    pub const VALUE_SIZE: usize = 1024;
+    /// CPU time per YCSB operation (request handling).
+    pub const OP_COMPUTE: Nanos = Nanos::from_nanos(500);
     /// Interval scaling for GAPBS runs. A GAPBS trial is seconds long on
     /// the paper's testbed — hundreds of scan intervals — while a scaled
     /// trial lasts only a few; the factor shortens the daemon interval so
     /// a trial spans a comparable number of scans.
-    pub graph_interval_factor: f64,
-    /// GAPBS timed trials (after one untimed warm-up trial).
-    pub trials: usize,
+    pub const GRAPH_INTERVAL_FACTOR: f64 = 0.2;
     /// Insert-rate scaling for workload D (see
     /// [`mc_workloads::ycsb::YcsbConfig::insert_scale`]): keeps the
     /// latest-distribution frontier moving at the paper's relative speed
-    /// on the scaled-down keyspace.
-    pub insert_scale: f64,
+    /// on the scaled-down keyspace. One value for every scale: records
+    /// and the interval unit grow together, so the frontier crosses about
+    /// the same share of the keyspace per scan interval at each.
+    pub const INSERT_SCALE: f64 = 0.01;
     /// Seed for all stochastic components.
-    pub seed: u64,
-}
+    pub const SEED: u64 = 42;
 
-impl Scale {
     /// Integration-test scale: seconds of wall time for a full sweep.
     pub fn tiny() -> Self {
         Scale {
             dram_pages: 512,
             pm_pages: 4096,
             records: 6_000,
-            value_size: 1024,
-            op_compute: Nanos::from_nanos(500),
             scan_batch: 4096,
             interval_unit: Nanos::from_millis(5),
             warmup: Nanos::from_millis(800),
@@ -98,10 +99,7 @@ impl Scale {
             graph_scale: 11,
             graph_degree: 8,
             graph_dram_pages: 48,
-            graph_interval_factor: 0.2,
             trials: 3,
-            insert_scale: 0.01,
-            seed: 42,
         }
     }
 
@@ -112,8 +110,6 @@ impl Scale {
             dram_pages: 1024,
             pm_pages: 8192,
             records: 12_000,
-            value_size: 1024,
-            op_compute: Nanos::from_nanos(500),
             scan_batch: 8192,
             interval_unit: Nanos::from_millis(5),
             warmup: Nanos::from_secs(2),
@@ -121,10 +117,7 @@ impl Scale {
             graph_scale: 12,
             graph_degree: 16,
             graph_dram_pages: 144,
-            graph_interval_factor: 0.2,
             trials: 3,
-            insert_scale: 0.01,
-            seed: 42,
         }
     }
 
@@ -134,8 +127,6 @@ impl Scale {
             dram_pages: 2048,
             pm_pages: 16384,
             records: 24_000,
-            value_size: 1024,
-            op_compute: Nanos::from_nanos(500),
             scan_batch: 16384,
             interval_unit: Nanos::from_millis(10),
             warmup: Nanos::from_secs(4),
@@ -143,10 +134,7 @@ impl Scale {
             graph_scale: 14,
             graph_degree: 16,
             graph_dram_pages: 384,
-            graph_interval_factor: 0.2,
             trials: 4,
-            insert_scale: 0.05,
-            seed: 42,
         }
     }
 
@@ -172,7 +160,7 @@ impl Scale {
     pub fn memory_mode(&self) -> Self {
         // footprint ~= records * chunk(value+header) + table; aim for
         // records so that footprint = 4 * dram.
-        let chunk = (self.value_size + 12).next_power_of_two().max(64);
+        let chunk = (Self::VALUE_SIZE + 12).next_power_of_two().max(64);
         let target_bytes = self.dram_pages * mc_mem::PAGE_SIZE * 4;
         Scale {
             records: target_bytes / chunk,
@@ -344,7 +332,7 @@ impl Experiment {
 
     /// The GAPBS `kernel` on `system` at `scale`: the scale's graph
     /// machine ([`Scale::graph_machine`]), with the scan interval
-    /// shortened by [`Scale::graph_interval_factor`].
+    /// shortened by [`Scale::GRAPH_INTERVAL_FACTOR`].
     pub fn gapbs(kernel: Kernel, system: SystemKind, scale: &Scale) -> Self {
         Experiment::new(Workload::Gapbs(kernel), system, scale)
     }
@@ -394,12 +382,10 @@ impl Experiment {
     }
 
     /// Overrides the daemon scan interval (the Fig. 10 knob); a GAPBS run
-    /// shortens it by [`Scale::graph_interval_factor`].
+    /// shortens it by [`Scale::GRAPH_INTERVAL_FACTOR`].
     pub fn interval(mut self, interval: Nanos) -> Self {
         self.cfg.scan_interval = if let Workload::Gapbs(_) = self.workload {
-            Nanos::from_nanos(
-                (interval.as_nanos() as f64 * self.scale.graph_interval_factor) as u64,
-            )
+            Nanos::from_nanos((interval.as_nanos() as f64 * Scale::GRAPH_INTERVAL_FACTOR) as u64)
         } else {
             interval
         };
@@ -422,9 +408,9 @@ impl Experiment {
         let measured = match self.workload {
             Workload::Ycsb(w) => run_ycsb(&mut sim, w, scale),
             Workload::Gapbs(k) => run_gapbs(&mut sim, k, scale),
-            Workload::SplitMicro => run_split_micro(&mut sim, scale.seed),
+            Workload::SplitMicro => run_split_micro(&mut sim),
             Workload::Colocation => run_colocation(&mut sim, scale),
-            Workload::Overcommit { footprint } => run_overcommit(&mut sim, footprint, scale.seed),
+            Workload::Overcommit { footprint } => run_overcommit(&mut sim, footprint),
         };
         sim.finish();
         let outcome = summarize(&mut sim, measured);
@@ -460,19 +446,22 @@ impl Measured {
     }
 }
 
+/// A YCSB client over `records` records, with every other setting the
+/// [`Scale`] constants.
+fn ycsb_config(records: usize) -> YcsbConfig {
+    YcsbConfig {
+        records,
+        value_size: Scale::VALUE_SIZE,
+        op_compute: Scale::OP_COMPUTE,
+        insert_scale: Scale::INSERT_SCALE,
+        seed: Scale::SEED,
+    }
+}
+
 /// The YCSB driver: load, warm up for `scale.warmup`, measure for
 /// `scale.measure`.
 fn run_ycsb(sim: &mut Simulation, workload: YcsbWorkload, scale: &Scale) -> Measured {
-    let mut client = YcsbClient::load(
-        YcsbConfig {
-            records: scale.records,
-            value_size: scale.value_size,
-            op_compute: scale.op_compute,
-            insert_scale: scale.insert_scale,
-            seed: scale.seed,
-        },
-        sim,
-    );
+    let mut client = YcsbClient::load(ycsb_config(scale.records), sim);
     // Warm-up phase (untimed).
     let warm_end = sim.now() + scale.warmup;
     while sim.now() < warm_end {
@@ -501,7 +490,7 @@ fn run_gapbs(sim: &mut Simulation, kernel: Kernel, scale: &Scale) -> Measured {
         degree: scale.graph_degree,
         symmetric: true,
         max_weight: 255,
-        seed: scale.seed,
+        seed: Scale::SEED,
         arena_slots: 8,
     };
     let mut csr = Csr::build(&gcfg, sim);
@@ -551,7 +540,7 @@ fn run_gapbs(sim: &mut Simulation, kernel: Kernel, scale: &Scale) -> Measured {
 }
 
 /// The split micro's driver ([`Experiment::split_micro`]).
-fn run_split_micro(sim: &mut Simulation, seed: u64) -> Measured {
+fn run_split_micro(sim: &mut Simulation) -> Measured {
     const OPS: u64 = 300_000;
     let dram = SPLIT_MICRO_BUDGET.0;
     // Two hot sets, each as large as usable DRAM: they cannot both fit.
@@ -562,7 +551,7 @@ fn run_split_micro(sim: &mut Simulation, seed: u64) -> Measured {
     }
     let read_hot = sim.mmap(PAGE_SIZE * set_pages as usize, PageKind::Anon);
     let write_hot = sim.mmap(PAGE_SIZE * set_pages as usize, PageKind::Anon);
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = StdRng::seed_from_u64(Scale::SEED);
     let mut run_ops = |sim: &mut Simulation| {
         for _ in 0..OPS {
             let p = rng.gen_range(0..set_pages);
@@ -581,22 +570,15 @@ fn run_split_micro(sim: &mut Simulation, seed: u64) -> Measured {
 fn run_colocation(sim: &mut Simulation, scale: &Scale) -> Measured {
     // The lukewarm tenant loads FIRST and wins the DRAM race.
     let mut cold_store = KvStore::new(sim, scale.records);
-    let value = vec![7u8; scale.value_size];
+    let value = vec![7u8; Scale::VALUE_SIZE];
     let cold_keys = scale.records as u64 / 2;
     for k in 0..cold_keys {
         cold_store.set(sim, k, &value);
     }
     let cold_dist = Uniform::new(cold_keys);
-    let mut cold_rng = StdRng::seed_from_u64(scale.seed ^ 0xc01d);
+    let mut cold_rng = StdRng::seed_from_u64(Scale::SEED ^ 0xc01d);
     // The hot zipfian tenant loads second: its records land in PM.
-    let ycsb = YcsbConfig {
-        records: scale.records / 2,
-        value_size: scale.value_size,
-        op_compute: scale.op_compute,
-        insert_scale: scale.insert_scale,
-        seed: scale.seed,
-    };
-    let mut hot = YcsbClient::load(ycsb, sim);
+    let mut hot = YcsbClient::load(ycsb_config(scale.records / 2), sim);
     // Interleave: 4 hot ops per 1 cold op (the hot tenant dominates).
     let mut latency = LatencyHistogram::new();
     let mut phase = |sim: &mut Simulation, until: Nanos, count: bool| -> u64 {
@@ -623,11 +605,11 @@ fn run_colocation(sim: &mut Simulation, scale: &Scale) -> Measured {
 }
 
 /// The overcommit driver ([`Experiment::overcommit`]).
-fn run_overcommit(sim: &mut Simulation, footprint: usize, seed: u64) -> Measured {
+fn run_overcommit(sim: &mut Simulation, footprint: usize) -> Measured {
     const OPS: u64 = 400_000;
     let region = sim.mmap(PAGE_SIZE * footprint, PageKind::Anon);
     let zipf = ScrambledZipfian::new(footprint as u64);
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = StdRng::seed_from_u64(Scale::SEED);
     // Fault every page in address order first — like an application that
     // initialises its heap before serving. First-touch order is then
     // unrelated to hotness (the scrambled zipfian spreads hot pages

@@ -12,13 +12,18 @@ use crate::config::SimConfig;
 use crate::latency_hist::LatencyHistogram;
 use crate::metrics::Metrics;
 use mc_mem::{AccessKind, Charge, MemStats, MemorySystem, Nanos, TierId, VPage, PAGE_SIZE};
-use mc_obs::{ObsConfig, ReportBuilder, TimeSeries};
+use mc_obs::{ReportBuilder, TimeSeries};
 use mc_trace::{Heatmap, Trace, TraceEvent};
+
+/// Cap on access-trace entries retained for heat-map reporting.
+const MAX_TRACE_EVENTS: usize = 1 << 20;
+
+/// How many of the hottest pages the run report lists.
+const TOP_N: usize = 10;
 
 /// Per-run observability state owned by the engine.
 #[derive(Debug)]
 pub(crate) struct ObsState {
-    cfg: ObsConfig,
     series: TimeSeries,
     tier_hists: Vec<LatencyHistogram>,
     trace: Trace,
@@ -27,9 +32,8 @@ pub(crate) struct ObsState {
 
 impl ObsState {
     /// Fresh state for a machine with `tier_count` tiers.
-    pub(crate) fn new(cfg: ObsConfig, tier_count: usize) -> Self {
+    pub(crate) fn new(tier_count: usize) -> Self {
         ObsState {
-            cfg,
             series: TimeSeries::new(),
             tier_hists: vec![LatencyHistogram::new(); tier_count],
             trace: Trace::new(),
@@ -51,7 +55,7 @@ impl ObsState {
         if let Some(h) = self.tier_hists.get_mut(tier.index()) {
             h.record(latency);
         }
-        if self.trace.len() < self.cfg.max_trace_events {
+        if self.trace.len() < MAX_TRACE_EVENTS {
             self.trace.push(TraceEvent {
                 at: now,
                 vpage,
@@ -214,7 +218,7 @@ impl ObsState {
             r.section("Hottest pages");
             let heat = Heatmap::build(&self.trace, cfg.window);
             let rows: Vec<Vec<String>> = heat
-                .top_n(self.cfg.top_n)
+                .top_n(TOP_N)
                 .into_iter()
                 .map(|(p, n)| vec![p.raw().to_string(), n.to_string()])
                 .collect();

@@ -71,7 +71,7 @@ fn zero_rate_with_backoff_policy_is_still_identical() {
     let without = run(base_cfg());
     let mut cfg = base_cfg();
     cfg.instrument.fault = FaultConfig::rate(7, 0.0);
-    cfg.retry = RetryPolicy::backoff();
+    cfg.engine.retry = RetryPolicy::Backoff;
     let with = run(cfg);
     assert_eq!(without, with);
 }
@@ -81,7 +81,7 @@ fn chaos_run_is_seed_deterministic() {
     let mk = || {
         let mut cfg = base_cfg();
         cfg.instrument.fault = FaultConfig::rate(42, 0.2);
-        cfg.retry = RetryPolicy::backoff();
+        cfg.engine.retry = RetryPolicy::Backoff;
         cfg
     };
     let a = run(mk());
@@ -94,7 +94,7 @@ fn chaos_run_is_seed_deterministic() {
 fn chaos_run_loses_no_page_and_still_promotes() {
     let mut cfg = base_cfg();
     cfg.instrument.fault = FaultConfig::rate(42, 0.2);
-    cfg.retry = RetryPolicy::backoff();
+    cfg.engine.retry = RetryPolicy::Backoff;
     let fp = run(cfg);
     // Every page the workload touched is still mapped somewhere.
     for (p, slot) in fp.placement.iter().enumerate() {
@@ -115,7 +115,7 @@ fn different_seeds_diverge_at_nonzero_rate() {
     let mk = |seed| {
         let mut cfg = base_cfg();
         cfg.instrument.fault = FaultConfig::rate(seed, 0.3);
-        cfg.retry = RetryPolicy::backoff();
+        cfg.engine.retry = RetryPolicy::Backoff;
         cfg
     };
     let a = run(mk(1));
@@ -156,7 +156,7 @@ fn offline_window_pushes_allocations_down_tier() {
 fn chaos_give_ups_are_counted_not_silently_dropped() {
     let mut cfg = base_cfg();
     cfg.instrument.fault = FaultConfig::rate(42, 0.2);
-    cfg.retry = RetryPolicy::backoff();
+    cfg.engine.retry = RetryPolicy::Backoff;
     for tier in 0..2 {
         cfg.instrument
             .fault

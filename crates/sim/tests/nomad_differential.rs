@@ -113,7 +113,7 @@ fn transactional_chaos_is_seed_deterministic() {
     let mk = || {
         let mut cfg = transactional_cfg();
         cfg.instrument.fault = FaultConfig::rate(42, 0.2);
-        cfg.retry = RetryPolicy::backoff();
+        cfg.engine.retry = RetryPolicy::Backoff;
         cfg
     };
     let a = run(mk());
@@ -134,7 +134,7 @@ fn transactional_chaos_is_seed_deterministic() {
 fn transactional_chaos_loses_no_page_and_still_promotes() {
     let mut cfg = transactional_cfg();
     cfg.instrument.fault = FaultConfig::rate(42, 0.2);
-    cfg.retry = RetryPolicy::backoff();
+    cfg.engine.retry = RetryPolicy::Backoff;
     let fp = run(cfg);
     // Every page the workload touched is still mapped somewhere.
     for (p, slot) in fp.placement.iter().enumerate() {
@@ -154,7 +154,7 @@ fn different_seeds_diverge_under_transactional_chaos() {
     let mk = |seed| {
         let mut cfg = transactional_cfg();
         cfg.instrument.fault = FaultConfig::rate(seed, 0.3);
-        cfg.retry = RetryPolicy::backoff();
+        cfg.engine.retry = RetryPolicy::Backoff;
         cfg
     };
     assert_ne!(

@@ -77,7 +77,7 @@ fn perf_hooks_are_bit_identical_under_fault_injection() {
     let chaos_cfg = || {
         let mut cfg = base_cfg();
         cfg.instrument.fault = FaultConfig::rate(7, 0.2);
-        cfg.retry = RetryPolicy::backoff();
+        cfg.engine.retry = RetryPolicy::Backoff;
         cfg
     };
     let off = run(chaos_cfg());

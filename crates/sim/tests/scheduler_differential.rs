@@ -95,7 +95,7 @@ fn base_cfg() -> SimConfig {
 /// 20 % deterministic fault injection with exponential-backoff retry.
 fn chaos(mut cfg: SimConfig) -> SimConfig {
     cfg.instrument.fault = FaultConfig::rate(7, 0.2);
-    cfg.retry = RetryPolicy::backoff();
+    cfg.engine.retry = RetryPolicy::Backoff;
     cfg
 }
 

@@ -25,7 +25,7 @@ fn soak_config() -> SimConfig {
     cfg.engine.migration_mode = MigrationMode::Transactional;
     cfg.engine.migrate_batch_size = 8;
     cfg.instrument.fault = FaultConfig::rate(42, 0.2);
-    cfg.retry = RetryPolicy::backoff();
+    cfg.engine.retry = RetryPolicy::Backoff;
     // Ten virtual minutes in, both tiers refuse every allocation for five
     // seconds: faults inside the window exhaust their 64 attempts.
     for tier in 0..2 {
@@ -41,7 +41,6 @@ fn soak_config() -> SimConfig {
     }
     cfg.instrument.obs = ObsConfig {
         ring_capacity: 512,
-        max_trace_events: 0,
         ..ObsConfig::on()
     };
     cfg

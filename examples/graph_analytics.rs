@@ -19,7 +19,7 @@ fn main() {
         degree: scale.graph_degree,
         symmetric: true,
         max_weight: 255,
-        seed: scale.seed,
+        seed: Scale::SEED,
         arena_slots: 8,
     };
     let mut plain = SimpleMemory::new();

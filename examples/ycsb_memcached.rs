@@ -17,7 +17,7 @@ fn main() {
         scale.dram_pages * 4 / 1024,
         scale.pm_pages * 4 / 1024,
         scale.records,
-        scale.value_size
+        Scale::VALUE_SIZE
     );
     println!("running YCSB-A (50% reads / 50% updates, zipfian)...\n");
 
