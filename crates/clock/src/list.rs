@@ -145,6 +145,40 @@ impl IndexedList {
         member
     }
 
+    /// Rotates at most `limit` members from the front to the back, one at
+    /// a time, stopping after the first that `pick` accepts, and returns
+    /// that one. The result, and the order left behind, are those of
+    /// `pop_front` + `push_back` repeated, but the walk only reads `next`
+    /// links and the walked prefix moves to the back in one splice.
+    pub fn rotate_until(
+        &mut self,
+        limit: usize,
+        mut pick: impl FnMut(FrameId) -> bool,
+    ) -> Option<FrameId> {
+        let (mut walked, mut last, mut picked) = (0, END, None);
+        let mut cur = self.ends.next;
+        while walked < limit && cur != END {
+            (walked, last) = (walked + 1, cur);
+            if pick(FrameId::new(cur)) {
+                picked = Some(FrameId::new(cur));
+                break;
+            }
+            cur = self.links[cur as usize].next;
+        }
+        // Moving the whole list (or none of it) to the back changes nothing.
+        if walked > 0 && walked < self.len {
+            let (first, back) = (self.ends.next, self.ends.prev);
+            let after = self.links[last as usize].next;
+            self.ends.next = after;
+            self.links[after as usize].prev = END;
+            self.links[back as usize].next = first;
+            self.links[first as usize].prev = back;
+            self.links[last as usize].next = END;
+            self.ends.prev = last;
+        }
+        picked
+    }
+
     /// Iterates over live members from oldest to newest.
     pub fn iter(&self) -> impl Iterator<Item = FrameId> + '_ {
         successors(self.front(), |f| neighbour(self.links[f.index()].next))
@@ -224,9 +258,79 @@ impl Extend<FrameId> for IndexedList {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn f(i: u32) -> FrameId {
         FrameId::new(i)
+    }
+
+    /// Runs `rotate_until` and the `pop_front` + `push_back` loop it
+    /// replaced on two copies of `frames` and demands the same frame, the
+    /// same calls to `pick` and the same order afterwards.
+    fn rotate_matches_the_loop(frames: &[u32], limit: usize, accept: impl Fn(FrameId) -> bool) {
+        let mut spliced: IndexedList = frames.iter().map(|&i| f(i)).collect();
+        let mut looped = spliced.clone();
+        let (mut seen_spliced, mut seen_looped) = (Vec::new(), Vec::new());
+        let got = spliced.rotate_until(limit, |fr| {
+            seen_spliced.push(fr);
+            accept(fr)
+        });
+        let mut want = None;
+        for _ in 0..limit.min(looped.len()) {
+            let Some(fr) = looped.pop_front() else { break };
+            looped.push_back(fr);
+            seen_looped.push(fr);
+            if accept(fr) {
+                want = Some(fr);
+                break;
+            }
+        }
+        assert_eq!(got, want, "{frames:?} limit {limit}: picked frame");
+        assert_eq!(seen_spliced, seen_looped, "{frames:?} limit {limit}: picks");
+        assert_eq!(
+            spliced.iter().collect::<Vec<_>>(),
+            looped.iter().collect::<Vec<_>>(),
+            "{frames:?} limit {limit}: order after"
+        );
+        spliced.check_links();
+        assert_eq!(spliced.len(), looped.len());
+    }
+
+    #[test]
+    fn rotate_until_edges_match_the_loop() {
+        let all = [4, 9, 2, 7, 5];
+        rotate_matches_the_loop(&[], 3, |_| true);
+        rotate_matches_the_loop(&all, 0, |_| true);
+        rotate_matches_the_loop(&[6], 1, |_| false);
+        rotate_matches_the_loop(&[6], 4, |_| true);
+        for limit in [1, 2, 4, 5, 6, 100] {
+            rotate_matches_the_loop(&all, limit, |_| false);
+        }
+        // A pick at the back walks the whole list: the splice is the identity.
+        rotate_matches_the_loop(&all, 5, |fr| fr == f(5));
+        rotate_matches_the_loop(&all, 9, |fr| fr == f(5));
+        rotate_matches_the_loop(&all, 9, |fr| fr == f(4));
+        rotate_matches_the_loop(&all, 9, |fr| fr == f(7));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn rotate_until_is_the_pop_push_loop(
+            raw in prop::collection::vec(0u32..48, 0..24),
+            limit in prop_oneof![0usize..30, Just(usize::MAX)],
+            accept in prop::collection::vec(0u8..8, 48),
+        ) {
+            let mut frames = Vec::new();
+            for i in raw {
+                if !frames.contains(&i) {
+                    frames.push(i);
+                }
+            }
+            // About one frame in eight is picked, so many walks find none.
+            rotate_matches_the_loop(&frames, limit, |fr| accept[fr.index()] == 0);
+        }
     }
 
     #[test]

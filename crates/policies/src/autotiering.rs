@@ -322,8 +322,7 @@ impl TieringPolicy for AutoTiering {
             // Coldest-first: zero-history victims, else round-robin.
             let victim = self.find_cold_victim(mem, tier, 128).or_else(|| {
                 self.rings
-                    .rotate(tier)
-                    .filter(|&f| mem.frame(f).migratable())
+                    .rotate_until(tier, 1, |f| mem.frame(f).migratable())
             });
             let Some(victim) = victim else { break };
             match lower {

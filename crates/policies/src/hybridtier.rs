@@ -116,21 +116,19 @@ impl HybridTier {
     fn sample_tier(&mut self, mem: &mut MemorySystem, tier: TierId) -> (u64, Vec<FrameId>) {
         let mut hot = Vec::new();
         let mut sampled = 0u64;
-        for _ in 0..self.ring.tier(tier).len().min(self.sample_batch) {
-            let Some(frame) = self.ring.rotate(tier) else {
-                break;
-            };
+        self.ring.rotate_until(tier, self.sample_batch, |frame| {
             sampled += 1;
             if !mem.harvest_referenced(frame) {
-                continue;
+                return false;
             }
             let Some(key) = key_of(mem, frame) else {
-                continue;
+                return false;
             };
             if self.sketch.update(key) >= PROMOTE_THRESHOLD && !tier.is_top() {
                 hot.push(frame);
             }
-        }
+            false
+        });
         (sampled, hot)
     }
 }

@@ -95,15 +95,13 @@ impl Nimble {
         }
         // Active list: every page rotates; referenced ones on lower tiers
         // are promotion candidates.
-        for _ in 0..self.active.tier(tier).len().min(self.scan_batch) {
-            let Some(frame) = self.active.rotate(tier) else {
-                break;
-            };
+        self.active.rotate_until(tier, self.scan_batch, |frame| {
             scanned += 1;
             if mem.harvest_referenced(frame) && !tier.is_top() {
                 hot.push(frame);
             }
-        }
+            false
+        });
         (scanned, hot)
     }
 }

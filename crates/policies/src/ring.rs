@@ -67,24 +67,16 @@ impl Rings {
         self.0[tier.index()].pop_front()
     }
 
-    /// One round-robin step: the front of `tier` moves to the back and is
-    /// returned.
-    pub(crate) fn rotate(&mut self, tier: TierId) -> Option<FrameId> {
-        let frame = self.pop(tier)?;
-        self.track(tier, frame);
-        Some(frame)
-    }
-
-    /// Rotates at most `limit` frames of `tier` and returns the first that
-    /// `pick` accepts.
+    /// Rotates at most `limit` frames of `tier` front to back, stopping
+    /// after the first that `pick` accepts, and returns that one
+    /// ([`IndexedList::rotate_until`]).
     pub(crate) fn rotate_until(
         &mut self,
         tier: TierId,
         limit: usize,
-        mut pick: impl FnMut(FrameId) -> bool,
+        pick: impl FnMut(FrameId) -> bool,
     ) -> Option<FrameId> {
-        let n = self.tier(tier).len().min(limit);
-        (0..n).map_while(|_| self.rotate(tier)).find(|&f| pick(f))
+        self.0[tier.index()].rotate_until(limit, pick)
     }
 
     /// Poisons the PTEs of the next `batch` frames, round robin, each tier
@@ -102,16 +94,15 @@ impl Rings {
             return (poisoned, total);
         }
         for ring in &mut self.0 {
-            let share = (batch * ring.len()).div_ceil(total).min(ring.len());
-            for _ in 0..share {
-                let Some(frame) = ring.pop_front() else { break };
-                ring.push_back(frame);
+            let share = (batch * ring.len()).div_ceil(total);
+            ring.rotate_until(share, |frame| {
                 visit(frame);
                 if let Some(vpage) = mem.frame(frame).vpage() {
                     mem.poison(vpage);
                     poisoned += 1;
                 }
-            }
+                false
+            });
         }
         (poisoned, total)
     }

@@ -87,7 +87,7 @@ impl Simulation {
         let knobs = &cfg.instrument;
         mem.instruments = Instruments::new(&knobs.obs, &knobs.fault, knobs.perf.clone());
         let window = cfg.window;
-        let horizon = cfg.scan_interval;
+        let (horizon, frames) = (cfg.scan_interval, mem.total_frames());
         Simulation {
             cfg,
             mem,
@@ -96,7 +96,7 @@ impl Simulation {
             next_free_page: 0,
             regions: Vec::new(),
             data: VPageMap::new(),
-            metrics: Metrics::with_horizon(window, horizon),
+            metrics: Metrics::with_horizon(window, horizon, frames),
             obs,
             error: None,
             dropped: 0,

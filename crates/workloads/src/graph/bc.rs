@@ -31,8 +31,7 @@ pub fn bc<M: Memory + ?Sized>(csr: &mut Csr, mem: &mut M, num_sources: usize) ->
                 order.push(u);
                 let du = depth.get(mem, u as usize);
                 let su = sigma.get(mem, u as usize);
-                let nbrs: Vec<u32> = csr.neighbors(mem, u).to_vec();
-                for v in nbrs {
+                for &v in csr.neighbors(mem, u) {
                     let dv = depth.get(mem, v as usize);
                     if dv == -1 {
                         depth.set(mem, v as usize, du + 1);
@@ -51,9 +50,8 @@ pub fn bc<M: Memory + ?Sized>(csr: &mut Csr, mem: &mut M, num_sources: usize) ->
         for &v in order.iter().rev() {
             let dv = depth.get(mem, v as usize);
             let sv = sigma.get(mem, v as usize);
-            let nbrs: Vec<u32> = csr.neighbors(mem, v).to_vec();
             let mut acc = 0.0;
-            for w in nbrs {
+            for &w in csr.neighbors(mem, v) {
                 if depth.get(mem, w as usize) == dv + 1 {
                     let sw = sigma.get(mem, w as usize);
                     let dw = delta.get(mem, w as usize);

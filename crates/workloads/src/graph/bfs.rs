@@ -14,11 +14,7 @@ pub fn bfs<M: Memory + ?Sized>(csr: &mut Csr, mem: &mut M, source: u32) -> MemVe
     let mut next = Vec::new();
     while !frontier.is_empty() {
         for &u in &frontier {
-            let nbrs = csr.neighbors(mem, u);
-            // Copy out so `parent` (which needs `mem`) can be updated while
-            // iterating.
-            let nbrs: Vec<u32> = nbrs.to_vec();
-            for v in nbrs {
+            for &v in csr.neighbors(mem, u) {
                 if parent.get(mem, v as usize) == -1 {
                     parent.set(mem, v as usize, u as i64);
                     next.push(v);

@@ -19,9 +19,9 @@ pub fn cc<M: Memory + ?Sized>(csr: &mut Csr, mem: &mut M) -> MemVec<u32> {
         changed = false;
         for u in 0..n {
             let lu = label.get(mem, u);
-            let nbrs: Vec<u32> = csr.neighbors(mem, u as u32).to_vec();
+            let nbrs = csr.neighbors(mem, u as u32);
             let mut best = lu;
-            for v in &nbrs {
+            for v in nbrs {
                 let lv = label.get(mem, *v as usize);
                 if lv < best {
                     best = lv;
@@ -33,7 +33,7 @@ pub fn cc<M: Memory + ?Sized>(csr: &mut Csr, mem: &mut M) -> MemVec<u32> {
             }
             // Push the improved label back out (speeds convergence).
             if best < lu {
-                for v in nbrs {
+                for &v in nbrs {
                     if label.get(mem, v as usize) > best {
                         label.set(mem, v as usize, best);
                         changed = true;

@@ -23,8 +23,7 @@ pub fn pagerank<M: Memory + ?Sized>(csr: &mut Csr, mem: &mut M, iters: usize) ->
                 continue;
             }
             let share = DAMPING * r / deg as f64;
-            let nbrs: Vec<u32> = csr.neighbors(mem, u as u32).to_vec();
-            for v in nbrs {
+            for &v in csr.neighbors(mem, u as u32) {
                 let cur = next.get(mem, v as usize);
                 next.set(mem, v as usize, cur + share);
             }

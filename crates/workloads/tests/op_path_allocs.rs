@@ -1,11 +1,15 @@
 //! The YCSB op path performs no heap allocation once the store is loaded
 //! and warm: the client refills one value buffer and the store assembles
-//! and reads items in one reused buffer.
+//! and reads items in one reused buffer. A PageRank trial allocates only
+//! its vertex arrays, however large the graph: neighbour lists are read
+//! in place.
 //!
 //! A counting global allocator, local to this test binary, counts the
 //! allocations made on the calling thread, so tests running on other
 //! threads do not disturb the count.
 
+use mc_workloads::graph::pagerank::pagerank;
+use mc_workloads::graph::{Csr, GraphConfig};
 use mc_workloads::ycsb::{YcsbClient, YcsbConfig, YcsbWorkload};
 use mc_workloads::SimpleMemory;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -63,4 +67,33 @@ fn ycsb_ops_allocate_nothing_after_load_and_warm_up() {
             "workload {w}: 10 000 ops allocated {allocs} times"
         );
     }
+}
+
+/// Allocations of one PageRank trial on a warm graph of `2^scale` vertices.
+fn pagerank_trial_allocs(scale: u32) -> u64 {
+    let mut mem = SimpleMemory::new();
+    let cfg = GraphConfig {
+        scale,
+        degree: 8,
+        max_weight: 0,
+        ..Default::default()
+    };
+    let mut csr = Csr::build(&cfg, &mut mem);
+    let mut trial = |csr: &mut Csr| {
+        csr.reset_arena();
+        let before = ALLOCS.with(Cell::get);
+        let ranks = pagerank(csr, &mut mem, 3);
+        let allocs = ALLOCS.with(Cell::get) - before;
+        drop(ranks);
+        allocs
+    };
+    trial(&mut csr);
+    trial(&mut csr)
+}
+
+#[test]
+fn a_pagerank_trial_allocates_only_its_vertex_arrays() {
+    let (small, large) = (pagerank_trial_allocs(8), pagerank_trial_allocs(11));
+    assert_eq!(small, large, "allocations grow with the graph");
+    assert_eq!(small, 2, "one allocation each for `rank` and `next`");
 }
