@@ -29,7 +29,7 @@
 )]
 
 pub mod balance;
-pub mod list;
+mod list;
 
 pub use balance::inactive_ratio;
 pub use list::IndexedList;

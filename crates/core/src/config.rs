@@ -30,7 +30,7 @@ pub struct Knobs {
     pub dirty_first: bool,
     /// §VII extension: adapt the scan interval to workload behaviour
     /// (back off while no promotions happen, up to
-    /// [`MultiClockConfig::max_interval`]; snap back when work returns).
+    /// `MultiClockConfig::max_interval`; snap back when work returns).
     pub adaptive_interval: bool,
     /// How the promote path reacts to transient migration failures
     /// (destination full, page transiently locked). The default,
@@ -99,7 +99,7 @@ impl Default for MultiClockConfig {
 impl MultiClockConfig {
     /// Upper bound of the adaptive interval: 60 scan intervals (the
     /// paper-scale 1 s interval backs off to at most a minute).
-    pub fn max_interval(&self) -> Nanos {
+    pub(crate) fn max_interval(&self) -> Nanos {
         self.scan_interval.saturating_mul(60)
     }
 
@@ -108,7 +108,7 @@ impl MultiClockConfig {
     /// # Panics
     ///
     /// Panics on a zero scan interval, scan batch or migrate batch size.
-    pub fn validate(&self) {
+    pub(crate) fn validate(&self) {
         assert!(
             self.scan_interval > Nanos::ZERO,
             "scan interval must be positive"

@@ -8,7 +8,8 @@
 //! * every tier keeps the usual `inactive` and `active` LRU lists (for
 //!   anonymous and file-backed pages) **plus a new `promote` list**;
 //! * a page that is observed referenced while already *active and
-//!   referenced* moves to the promote list (`PagePromote` flag) — i.e. a
+//!   referenced* moves to the promote list (the kernel's `PagePromote`
+//!   flag; here the state [`PageState::Promote`], recorded once) — i.e. a
 //!   page becomes a promotion candidate only after being seen referenced
 //!   repeatedly in recent scans;
 //! * a per-node daemon, **`kpromoted`** (here: one list shard per NUMA
@@ -64,14 +65,14 @@
     clippy::match_wildcard_for_single_variants
 )]
 
-pub mod config;
-pub mod lists;
-pub mod multi_clock;
-pub mod reclaim;
-pub mod scan;
-pub mod state;
-pub mod stats;
-pub mod validate;
+mod config;
+mod lists;
+mod multi_clock;
+mod reclaim;
+mod scan;
+mod state;
+mod stats;
+mod validate;
 
 pub use config::{Knobs, MultiClockConfig, RECLAIM_BATCH};
 pub use lists::{ListSet, TierLists, TierShards, WhichList};

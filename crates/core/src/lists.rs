@@ -26,7 +26,7 @@ pub enum WhichList {
 
 impl WhichList {
     /// The list's name as it appears in events and reports.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             WhichList::Inactive => "inactive",
             WhichList::Active => "active",
@@ -55,7 +55,8 @@ pub struct ListSet {
 
 impl ListSet {
     /// Creates empty lists.
-    pub fn new() -> Self {
+    #[cfg(test)]
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
@@ -97,22 +98,24 @@ impl ListSet {
     }
 
     /// Total pages across the three lists.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.inactive.len() + self.active.len() + self.promote.len()
     }
 
     /// Whether all three lists are empty.
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
     /// Whether any of the three lists contains the frame.
-    pub fn contains(&self, frame: FrameId) -> bool {
+    pub(crate) fn contains(&self, frame: FrameId) -> bool {
         self.inactive.contains(frame) || self.active.contains(frame) || self.promote.contains(frame)
     }
 
     /// Removes the frame from whichever list holds it.
-    pub fn remove(&mut self, frame: FrameId) -> bool {
+    pub(crate) fn remove(&mut self, frame: FrameId) -> bool {
         self.inactive.remove(frame) || self.active.remove(frame) || self.promote.remove(frame)
     }
 }
@@ -131,7 +134,7 @@ pub struct TierLists {
 
 impl TierLists {
     /// Creates empty tier lists.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
@@ -152,17 +155,19 @@ impl TierLists {
     }
 
     /// Total tracked pages on this tier (including unevictable).
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.anon.len() + self.file.len() + self.unevictable.len()
     }
 
     /// Whether no page is tracked on this tier.
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
     /// Removes a frame from whichever list holds it.
-    pub fn remove(&mut self, frame: FrameId) -> bool {
+    pub(crate) fn remove(&mut self, frame: FrameId) -> bool {
         self.anon.remove(frame) || self.file.remove(frame) || self.unevictable.remove(frame)
     }
 
@@ -183,12 +188,8 @@ impl TierLists {
 ///
 /// Outside this crate the lists are read-only: `shard_mut`,
 /// `TierLists::set_mut` and `ListSet::list_mut` are crate-private
-/// (DESIGN.md §9), so this does not compile:
-///
-/// ```compile_fail
-/// let mut lists = multi_clock::TierShards::new(1);
-/// lists.shard_mut(0).anon.inactive.push_back(mc_mem::FrameId::new(0));
-/// ```
+/// (DESIGN.md §9). `tests/self_test.rs` compiles planted outside-crate
+/// calls to each and checks rustc's error code and span.
 #[derive(Debug, Clone)]
 pub struct TierShards {
     shards: Vec<TierLists>,
@@ -196,7 +197,7 @@ pub struct TierShards {
 
 impl TierShards {
     /// Creates `count` empty shards (`count` is clamped to at least 1).
-    pub fn new(count: usize) -> Self {
+    pub(crate) fn new(count: usize) -> Self {
         TierShards {
             shards: vec![TierLists::new(); count.max(1)],
         }
@@ -232,12 +233,14 @@ impl TierShards {
     }
 
     /// Total tracked pages across all shards (including unevictable).
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.shards.iter().map(TierLists::len).sum()
     }
 
     /// Whether no page is tracked on any shard.
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_empty(&self) -> bool {
         self.shards.iter().all(TierLists::is_empty)
     }
 
@@ -247,7 +250,8 @@ impl TierShards {
     }
 
     /// Whether any shard's set for `kind` holds the frame on list `which`.
-    pub fn on_list(&self, kind: PageKind, which: WhichList, frame: FrameId) -> bool {
+    #[cfg(test)]
+    pub(crate) fn on_list(&self, kind: PageKind, which: WhichList, frame: FrameId) -> bool {
         self.shards.iter().any(|s| match which {
             WhichList::Unevictable => s.unevictable.contains(frame),
             WhichList::Inactive | WhichList::Active | WhichList::Promote => {

@@ -71,7 +71,7 @@ impl MultiClock {
     /// # Panics
     ///
     /// Panics if the configuration is invalid (see
-    /// [`MultiClockConfig::validate`]).
+    /// `MultiClockConfig::validate`).
     pub fn new(cfg: MultiClockConfig, topology: &Topology) -> Self {
         cfg.validate();
         let current_interval = cfg.scan_interval;
@@ -103,7 +103,8 @@ impl MultiClock {
     }
 
     /// The configuration in use.
-    pub fn config(&self) -> &MultiClockConfig {
+    #[cfg(test)]
+    pub(crate) fn config(&self) -> &MultiClockConfig {
         &self.cfg
     }
 
@@ -161,7 +162,7 @@ impl MultiClock {
             .push_back(frame);
         self.states[frame.index()] = Some(PageState::Unevictable);
         self.retry_state[frame.index()] = None;
-        self.sync_flags(mem, frame, PageState::Unevictable);
+        mem.frame_flags_mut(frame).insert(PageFlags::UNEVICTABLE);
     }
 
     /// Unpins a page: it returns to the inactive list as a cold page.
@@ -175,19 +176,7 @@ impl MultiClock {
         lists.unevictable.remove(frame);
         lists.set_mut(kind).inactive.push_back(frame);
         self.states[frame.index()] = Some(PageState::InactiveUnref);
-        self.sync_flags(mem, frame, PageState::InactiveUnref);
-    }
-
-    /// Mirrors a [`PageState`] into the frame's page flags, keeping the
-    /// `struct page` view consistent with the list view (Table II's
-    /// page-flags.h changes).
-    pub(crate) fn sync_flags(&self, mem: &mut MemorySystem, frame: FrameId, state: PageState) {
-        let flags = mem.frame_flags_mut(frame);
-        flags.insert(PageFlags::LRU);
-        flags.set(PageFlags::ACTIVE, state.is_active());
-        flags.set(PageFlags::PROMOTE, state == PageState::Promote);
-        flags.set(PageFlags::REFERENCED, state.is_referenced());
-        flags.set(PageFlags::UNEVICTABLE, state == PageState::Unevictable);
+        mem.frame_flags_mut(frame).remove(PageFlags::UNEVICTABLE);
     }
 
     /// Starts tracking a freshly mapped page: Fig. 4 transition (5), the
@@ -205,7 +194,6 @@ impl MultiClock {
             .inactive
             .push_back(frame);
         self.states[frame.index()] = Some(PageState::InactiveUnref);
-        self.sync_flags(mem, frame, PageState::InactiveUnref);
         mem.instruments.emit(|| EventKind::Fig4 {
             edge: 5,
             frame: frame.index() as u64,
@@ -221,13 +209,7 @@ impl MultiClock {
             let tier = mem.frame(frame).tier();
             // fig4: 4 — tracking ends; the page leaves every list.
             self.tiers[tier.index()].remove(frame);
-            mem.frame_flags_mut(frame).remove(
-                PageFlags::LRU
-                    | PageFlags::ACTIVE
-                    | PageFlags::PROMOTE
-                    | PageFlags::REFERENCED
-                    | PageFlags::UNEVICTABLE,
-            );
+            mem.frame_flags_mut(frame).remove(PageFlags::UNEVICTABLE);
             mem.instruments.emit(|| EventKind::Fig4 {
                 edge: 4,
                 frame: frame.index() as u64,
@@ -280,7 +262,6 @@ impl MultiClock {
             tier: tier.index() as u8,
         });
         self.states[frame.index()] = Some(new);
-        self.sync_flags(mem, frame, new);
     }
 
     /// The Fig. 4 edge an observed access fires from each ladder state
@@ -298,7 +279,7 @@ impl MultiClock {
     }
 
     /// Moves a tracked page out of its current list and into the list a
-    /// new state demands, updating the state table and flags. Used by the
+    /// new state demands, updating the state table. Used by the
     /// scan and reclaim paths for downward transitions.
     pub(crate) fn transition(
         &mut self,
@@ -319,7 +300,6 @@ impl MultiClock {
             // Leaving the promote list ends the promotion episode.
             self.retry_state[frame.index()] = None;
         }
-        self.sync_flags(mem, frame, new_state);
     }
 
     /// Carries tracking across a migration: the old frame is forgotten and
@@ -350,7 +330,6 @@ impl MultiClock {
             .list_mut(landing_state.list())
             .push_back(new_frame);
         self.states[new_frame.index()] = Some(landing_state);
-        self.sync_flags(mem, new_frame, landing_state);
     }
 }
 
@@ -457,8 +436,6 @@ mod tests {
             .anon
             .inactive
             .contains(f));
-        assert!(mem.frame(f).flags().contains(PageFlags::LRU));
-        assert!(!mem.frame(f).flags().contains(PageFlags::ACTIVE));
     }
 
     #[test]
@@ -478,7 +455,6 @@ mod tests {
         }
         let lists = mc.tier_lists(TierId::TOP);
         assert!(lists.shard(0).anon.promote.contains(f));
-        assert!(mem.frame(f).flags().contains(PageFlags::PROMOTE));
         assert_eq!(mc.stats().activations, 1);
         assert_eq!(mc.stats().promote_enqueues, 1);
     }
@@ -491,7 +467,6 @@ mod tests {
         mc.on_page_unmapped(&mut mem, f);
         assert_eq!(mc.state_of(f), None);
         assert!(!mc.tier_lists(TierId::TOP).contains(f));
-        assert!(!mem.frame(f).flags().contains(PageFlags::LRU));
     }
 
     #[test]
@@ -507,6 +482,7 @@ mod tests {
         assert_eq!(mc.state_of(f), Some(PageState::Unevictable));
         mc.munlock(&mut mem, f);
         assert_eq!(mc.state_of(f), Some(PageState::InactiveUnref));
+        assert!(!mem.frame(f).flags().contains(PageFlags::UNEVICTABLE));
         assert!(mc
             .tier_lists(TierId::TOP)
             .shard(0)

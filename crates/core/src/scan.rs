@@ -451,7 +451,6 @@ impl MultiClock {
             .active
             .push_back(frame);
         self.states[frame.index()] = Some(PageState::ActiveRef);
-        self.sync_flags(mem, frame, PageState::ActiveRef);
         mem.instruments.emit(|| EventKind::Fig4 {
             edge: 11,
             frame: frame.index() as u64,

@@ -54,23 +54,13 @@ impl PageState {
     }
 
     /// The list a page in this state lives on.
-    pub fn list(self) -> WhichList {
+    pub(crate) fn list(self) -> WhichList {
         match self {
             PageState::InactiveUnref | PageState::InactiveRef => WhichList::Inactive,
             PageState::ActiveUnref | PageState::ActiveRef => WhichList::Active,
             PageState::Promote => WhichList::Promote,
             PageState::Unevictable => WhichList::Unevictable,
         }
-    }
-
-    /// Whether this state is on the active side of the ladder.
-    pub fn is_active(self) -> bool {
-        matches!(self, PageState::ActiveUnref | PageState::ActiveRef)
-    }
-
-    /// Whether the state carries the `REFERENCED` software flag.
-    pub fn is_referenced(self) -> bool {
-        matches!(self, PageState::InactiveRef | PageState::ActiveRef)
     }
 }
 
@@ -121,16 +111,6 @@ mod tests {
         assert_eq!(PageState::ActiveRef.list(), WhichList::Active);
         assert_eq!(PageState::Promote.list(), WhichList::Promote);
         assert_eq!(PageState::Unevictable.list(), WhichList::Unevictable);
-    }
-
-    #[test]
-    fn referenced_and_active_predicates() {
-        assert!(PageState::InactiveRef.is_referenced());
-        assert!(PageState::ActiveRef.is_referenced());
-        assert!(!PageState::InactiveUnref.is_referenced());
-        assert!(!PageState::Promote.is_referenced());
-        assert!(PageState::ActiveUnref.is_active());
-        assert!(!PageState::Promote.is_active());
     }
 
     #[test]

@@ -6,17 +6,16 @@
 //!
 //! 1. every tracked frame is on **exactly one** list;
 //! 2. list membership agrees with the page-state table
-//!    ([`PageState::list`]);
+//!    ([`PageState::list`]), the one record of a page's Fig. 4 state
+//!    (no page flag mirrors it);
 //! 3. a page is listed under the tier and kind its frame reports;
 //! 4. untracked frames are on no list;
-//! 5. the page flags mirror the state (`ACTIVE`/`PROMOTE`/`REFERENCED`/
-//!    `UNEVICTABLE`);
-//! 6. retry bookkeeping (a paused promotion episode) exists only for
+//! 5. retry bookkeeping (a paused promotion episode) exists only for
 //!    pages in `Promote` state;
-//! 7. a frame listed in shard `s` belongs to shard `s` under the static
+//! 6. a frame listed in shard `s` belongs to shard `s` under the static
 //!    frame→shard assignment (sharded scanning never strands a page on a
 //!    foreign shard);
-//! 8. transactional-migration bookkeeping is sound: a frame is the
+//! 7. transactional-migration bookkeeping is sound: a frame is the
 //!    source of **at most one** open transaction, every such source
 //!    is tracked in `Promote` state and on no list (by design — the copy
 //!    window spans the tick boundary), transaction destination frames
@@ -34,7 +33,7 @@
 use crate::lists::WhichList;
 use crate::multi_clock::MultiClock;
 use crate::state::PageState;
-use mc_mem::{FrameId, MemorySystem, PageFlags, PageKind, TierId};
+use mc_mem::{FrameId, MemorySystem, PageKind, TierId};
 use std::collections::HashSet;
 use std::fmt;
 
@@ -76,7 +75,7 @@ impl MultiClock {
                     message: "tracked but on no list".into(),
                 });
             }
-            // 6. retry bookkeeping only exists for paused promotion
+            // 5. retry bookkeeping only exists for paused promotion
             //    episodes, which by definition sit in Promote state.
             if self.retry_state[frame.index()].is_some()
                 && self.state_of(frame) != Some(PageState::Promote)
@@ -86,7 +85,7 @@ impl MultiClock {
                     message: "has retry bookkeeping but is not in Promote state".into(),
                 });
             }
-            // 8 (retry-boundedness). A stored episode is a *paused* one:
+            // 7 (retry-boundedness). A stored episode is a *paused* one:
             //    its attempt count must still leave budget, or the give-up
             //    path failed to fire.
             if let Some(rs) = self.retry_state[frame.index()] {
@@ -107,7 +106,7 @@ impl MultiClock {
         violations
     }
 
-    /// Invariant 8: checks the substrate's open transactions and shadow
+    /// Invariant 7: checks the substrate's open transactions and shadow
     /// table, and the tracking state of every transaction's source
     /// (`listed` holds the frames found on some list).
     fn check_txn_bookkeeping(
@@ -168,7 +167,7 @@ impl MultiClock {
         }
     }
 
-    /// Checks invariants 1–5 and 7 for one shard's lists, accumulating
+    /// Checks invariants 1–4 and 6 for one shard's lists, accumulating
     /// into `seen`/`violations`.
     fn check_shard(
         &self,
@@ -208,22 +207,7 @@ impl MultiClock {
                                 frame,
                                 message: format!("state {st} but on the {which} list"),
                             }),
-                            Some(st) => {
-                                let flags = mem.frame(frame).flags();
-                                let want_active = st.is_active();
-                                let want_promote = st == PageState::Promote;
-                                if flags.contains(PageFlags::ACTIVE) != want_active
-                                    || flags.contains(PageFlags::PROMOTE) != want_promote
-                                    || flags.contains(PageFlags::REFERENCED) != st.is_referenced()
-                                {
-                                    violations.push(InvariantViolation {
-                                        frame,
-                                        message: format!(
-                                            "flags {flags:?} disagree with state {st}"
-                                        ),
-                                    });
-                                }
-                            }
+                            Some(_) => {}
                         }
                         if mem.frame(frame).tier() != tier {
                             violations.push(InvariantViolation {
@@ -240,7 +224,7 @@ impl MultiClock {
                                 message: "listed under the wrong page kind".into(),
                             });
                         }
-                        // 7. static frame→shard assignment is respected.
+                        // 6. static frame→shard assignment is respected.
                         if self.shard_of(frame) != shard_idx {
                             violations.push(InvariantViolation {
                                 frame,
@@ -362,11 +346,18 @@ mod tests {
         let f = mem.alloc_page(mc_mem::PageKind::Anon).unwrap();
         mem.map(VPage::new(1), f).unwrap();
         mc.on_page_mapped(&mut mem, f);
-        // Corrupt the flag mirror.
-        mem.frame_flags_mut(f).insert(PageFlags::PROMOTE);
+        // Plant a second membership: the inactive page also joins the
+        // active list.
+        mc.tiers[TierId::TOP.index()]
+            .shard_mut(0)
+            .set_mut(PageKind::Anon)
+            .active
+            .push_back(f);
         let violations = mc.check_invariants(&mem);
         assert_eq!(violations.len(), 1);
-        assert!(violations[0].message.contains("disagree"));
+        assert!(violations[0]
+            .message
+            .contains("appears on more than one list"));
         assert!(!format!("{}", violations[0]).is_empty());
     }
 }

@@ -604,7 +604,8 @@ enum Op {
     Unmap(u8),
     /// An unsupervised load: sets the PTE reference bit.
     Read(u8),
-    /// An unsupervised store: sets the PTE reference and dirty bits.
+    /// An unsupervised store: sets the PTE reference bit and the frame's
+    /// `DIRTY` flag.
     Write(u8),
     /// A supervised access (`mark_page_accessed()`).
     Touch(u8),
@@ -1021,7 +1022,7 @@ impl World {
         let mem = &self.mem;
         for p in 0..self.pages {
             let pte = mem.page_table().get(vpage(p));
-            let pte = pte.map(|e| (e.frame, e.referenced, e.dirty));
+            let pte = pte.map(|e| (e.frame, e.referenced));
             let frame = pte.map(|(f, ..)| (mem.frame(f).flags(), self.engine.state_of(f)));
             (pte, frame, mem.is_swapped(vpage(p))).hash(&mut h);
         }

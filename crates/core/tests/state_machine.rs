@@ -4,7 +4,7 @@
 //! `reference.rs`.
 
 use mc_mem::{
-    AccessKind, MachineDesc, MemorySystem, Nanos, PageFlags, PageKind, TierId, TieringPolicy, VPage,
+    AccessKind, MachineDesc, MemorySystem, Nanos, PageKind, TierId, TieringPolicy, VPage,
 };
 use multi_clock::{MultiClock, MultiClockConfig, PageState, WhichList};
 
@@ -51,7 +51,6 @@ fn transition_6_second_observation_activates() {
         mc.tick(&mut mem, Nanos::from_secs(s));
     }
     assert_eq!(mc.state_of(f), Some(PageState::ActiveUnref));
-    assert!(mem.frame(f).flags().contains(PageFlags::ACTIVE));
 }
 
 #[test]
@@ -63,7 +62,6 @@ fn transitions_7_8_active_pages_become_referenced() {
         mc.tick(&mut mem, Nanos::from_secs(s));
     }
     assert_eq!(mc.state_of(f), Some(PageState::ActiveRef));
-    assert!(mem.frame(f).flags().contains(PageFlags::REFERENCED));
 }
 
 #[test]
@@ -106,7 +104,6 @@ fn transition_10_12_promote_entry_and_absorb() {
         mc.on_supervised_access(&mut mem, f, AccessKind::Read);
     }
     assert_eq!(mc.state_of(f), Some(PageState::Promote));
-    assert!(mem.frame(f).flags().contains(PageFlags::PROMOTE));
     // (12): further accesses keep it there.
     mc.on_supervised_access(&mut mem, f, AccessKind::Write);
     assert_eq!(mc.state_of(f), Some(PageState::Promote));
@@ -122,7 +119,6 @@ fn transition_11_unreferenced_promote_page_ages_to_active() {
     }
     mc.tick(&mut mem, Nanos::from_secs(1));
     assert_eq!(mc.state_of(f), Some(PageState::ActiveUnref));
-    assert!(!mem.frame(f).flags().contains(PageFlags::PROMOTE));
 }
 
 #[test]

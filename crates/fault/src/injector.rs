@@ -94,7 +94,7 @@ impl FaultInjector {
     }
 
     /// Whether `tier` currently rejects allocations and migration targets.
-    pub fn tier_offline(&self, tier: u8) -> bool {
+    pub(crate) fn tier_offline(&self, tier: u8) -> bool {
         if let Some(forced) = self.overrides.get(usize::from(tier)).copied().flatten() {
             return forced;
         }

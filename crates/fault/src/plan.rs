@@ -23,7 +23,7 @@ pub struct OfflineWindow {
 
 impl OfflineWindow {
     /// Whether `now` falls inside the window.
-    pub fn contains(&self, now_ns: u64) -> bool {
+    pub(crate) fn contains(&self, now_ns: u64) -> bool {
         (self.from_ns..self.until_ns).contains(&now_ns)
     }
 }
@@ -46,7 +46,7 @@ pub struct StallWindow {
 
 impl StallWindow {
     /// Whether `now` falls inside the window.
-    pub fn contains(&self, now_ns: u64) -> bool {
+    pub(crate) fn contains(&self, now_ns: u64) -> bool {
         (self.from_ns..self.until_ns).contains(&now_ns)
     }
 }

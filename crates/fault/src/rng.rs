@@ -29,7 +29,7 @@ impl SplitMix64 {
     }
 
     /// Returns a uniform float in `[0, 1)` built from the top 53 bits.
-    pub fn next_f64(&mut self) -> f64 {
+    pub(crate) fn next_f64(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
@@ -38,7 +38,7 @@ impl SplitMix64 {
     /// `p <= 0` returns `false` **without consuming generator state** —
     /// this is what makes a zero-rate [`crate::FaultInjector`] bit-identical
     /// to no injector at all. `p >= 1` consumes one draw and returns `true`.
-    pub fn chance(&mut self, p: f64) -> bool {
+    pub(crate) fn chance(&mut self, p: f64) -> bool {
         if p <= 0.0 {
             return false;
         }

@@ -1,12 +1,18 @@
 //! Page flags — the analogue of Linux's `struct page` flags.
 //!
-//! MULTI-CLOCK extends the kernel's page-flag set with a single new flag,
-//! `PagePromote` (paper §IV); the rest mirror the stock flags the reclaim
-//! path cares about. A hand-rolled bitset keeps the crate dependency-light.
+//! Only the bits the substrate itself reads live here: `UNEVICTABLE` and
+//! `LOCKED` refuse migration and eviction, and `DIRTY` is the one dirty
+//! record (it prices write-back on eviction, invalidates Nomad's shadow
+//! copies and orders `dirty_first` demotion). A page's Fig. 4 state —
+//! `PG_lru`/`PG_active`/`PG_referenced` and MULTI-CLOCK's new
+//! `PagePromote` (paper §IV) — is not mirrored here: the policy's
+//! `PageState` table is its one record (`PagePromote` is
+//! `PageState::Promote`). A hand-rolled bitset keeps the crate
+//! dependency-light.
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
-use std::ops::{BitAnd, BitOr, BitOrAssign, Not};
+use std::ops::BitOr;
 
 /// A set of per-page status flags.
 #[derive(Default, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -14,24 +20,16 @@ pub struct PageFlags(u16);
 
 impl PageFlags {
     /// No flags set.
-    pub const EMPTY: PageFlags = PageFlags(0);
-    /// `PG_referenced` — the page was seen referenced by the software scan.
-    pub const REFERENCED: PageFlags = PageFlags(1 << 0);
-    /// `PG_active` — the page is on an active list.
-    pub const ACTIVE: PageFlags = PageFlags(1 << 1);
-    /// `PagePromote` — MULTI-CLOCK's new flag: the page is on a promote list.
-    pub const PROMOTE: PageFlags = PageFlags(1 << 2);
+    pub(crate) const EMPTY: PageFlags = PageFlags(0);
     /// `PG_unevictable` — the page is mlocked and may not be migrated.
-    pub const UNEVICTABLE: PageFlags = PageFlags(1 << 3);
+    pub const UNEVICTABLE: PageFlags = PageFlags(1 << 0);
     /// `PG_dirty` — the page has been written since last cleaned.
-    pub const DIRTY: PageFlags = PageFlags(1 << 4);
+    pub const DIRTY: PageFlags = PageFlags(1 << 1);
     /// `PG_locked` — the page is transiently locked (e.g. under I/O); a
     /// locked page cannot be migrated, matching the paper's promotion
     /// fallback ("if that is not possible — for instance, the page is
     /// locked — then it is moved to the active list").
-    pub const LOCKED: PageFlags = PageFlags(1 << 5);
-    /// `PG_lru` — the page is on some LRU list.
-    pub const LRU: PageFlags = PageFlags(1 << 6);
+    pub const LOCKED: PageFlags = PageFlags(1 << 2);
 
     /// Returns whether every flag in `other` is set in `self`.
     pub const fn contains(self, other: PageFlags) -> bool {
@@ -39,7 +37,7 @@ impl PageFlags {
     }
 
     /// Returns whether any flag in `other` is set in `self`.
-    pub const fn intersects(self, other: PageFlags) -> bool {
+    pub(crate) const fn intersects(self, other: PageFlags) -> bool {
         self.0 & other.0 != 0
     }
 
@@ -53,17 +51,9 @@ impl PageFlags {
         self.0 &= !other.0;
     }
 
-    /// Sets or clears the given flags.
-    pub fn set(&mut self, other: PageFlags, value: bool) {
-        if value {
-            self.insert(other);
-        } else {
-            self.remove(other);
-        }
-    }
-
     /// Whether no flag is set.
-    pub const fn is_empty(self) -> bool {
+    #[cfg(test)]
+    pub(crate) const fn is_empty(self) -> bool {
         self.0 == 0
     }
 }
@@ -75,36 +65,12 @@ impl BitOr for PageFlags {
     }
 }
 
-impl BitOrAssign for PageFlags {
-    fn bitor_assign(&mut self, rhs: PageFlags) {
-        self.0 |= rhs.0;
-    }
-}
-
-impl BitAnd for PageFlags {
-    type Output = PageFlags;
-    fn bitand(self, rhs: PageFlags) -> PageFlags {
-        PageFlags(self.0 & rhs.0)
-    }
-}
-
-impl Not for PageFlags {
-    type Output = PageFlags;
-    fn not(self) -> PageFlags {
-        PageFlags(!self.0)
-    }
-}
-
 impl fmt::Debug for PageFlags {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let names = [
-            (PageFlags::REFERENCED, "REFERENCED"),
-            (PageFlags::ACTIVE, "ACTIVE"),
-            (PageFlags::PROMOTE, "PROMOTE"),
             (PageFlags::UNEVICTABLE, "UNEVICTABLE"),
             (PageFlags::DIRTY, "DIRTY"),
             (PageFlags::LOCKED, "LOCKED"),
-            (PageFlags::LRU, "LRU"),
         ];
         let mut wrote = false;
         write!(f, "PageFlags(")?;
@@ -132,36 +98,27 @@ mod tests {
     fn insert_remove_contains() {
         let mut f = PageFlags::EMPTY;
         assert!(f.is_empty());
-        f.insert(PageFlags::ACTIVE | PageFlags::REFERENCED);
-        assert!(f.contains(PageFlags::ACTIVE));
-        assert!(f.contains(PageFlags::ACTIVE | PageFlags::REFERENCED));
-        assert!(!f.contains(PageFlags::PROMOTE));
-        f.remove(PageFlags::ACTIVE);
-        assert!(!f.contains(PageFlags::ACTIVE));
-        assert!(f.contains(PageFlags::REFERENCED));
-    }
-
-    #[test]
-    fn set_by_bool() {
-        let mut f = PageFlags::EMPTY;
-        f.set(PageFlags::DIRTY, true);
+        f.insert(PageFlags::LOCKED | PageFlags::DIRTY);
+        assert!(f.contains(PageFlags::LOCKED));
+        assert!(f.contains(PageFlags::LOCKED | PageFlags::DIRTY));
+        assert!(!f.contains(PageFlags::UNEVICTABLE));
+        f.remove(PageFlags::LOCKED);
+        assert!(!f.contains(PageFlags::LOCKED));
         assert!(f.contains(PageFlags::DIRTY));
-        f.set(PageFlags::DIRTY, false);
-        assert!(!f.contains(PageFlags::DIRTY));
     }
 
     #[test]
     fn intersects_vs_contains() {
-        let f = PageFlags::ACTIVE | PageFlags::DIRTY;
-        assert!(f.intersects(PageFlags::ACTIVE | PageFlags::PROMOTE));
-        assert!(!f.contains(PageFlags::ACTIVE | PageFlags::PROMOTE));
+        let f = PageFlags::LOCKED | PageFlags::DIRTY;
+        assert!(f.intersects(PageFlags::LOCKED | PageFlags::UNEVICTABLE));
+        assert!(!f.contains(PageFlags::LOCKED | PageFlags::UNEVICTABLE));
     }
 
     #[test]
     fn debug_is_never_empty_string() {
         assert_eq!(format!("{:?}", PageFlags::EMPTY), "PageFlags(EMPTY)");
-        let f = PageFlags::ACTIVE | PageFlags::PROMOTE;
+        let f = PageFlags::LOCKED | PageFlags::DIRTY;
         let s = format!("{f:?}");
-        assert!(s.contains("ACTIVE") && s.contains("PROMOTE"));
+        assert!(s.contains("LOCKED") && s.contains("DIRTY"));
     }
 }

@@ -45,7 +45,7 @@ pub struct Frame {
 
 impl Frame {
     /// Creates a free frame belonging to the given node/tier.
-    pub fn free(node: NodeId, tier: TierId) -> Self {
+    pub(crate) fn free(node: NodeId, tier: TierId) -> Self {
         Frame {
             state: FrameState::Free,
             node,
@@ -82,7 +82,7 @@ impl Frame {
     }
 
     /// Mutable access to page flags.
-    pub fn flags_mut(&mut self) -> &mut PageFlags {
+    pub(crate) fn flags_mut(&mut self) -> &mut PageFlags {
         &mut self.flags
     }
 
@@ -154,7 +154,7 @@ mod tests {
     fn allocation_clears_stale_flags() {
         let mut f = Frame::free(NodeId::new(0), TierId::TOP);
         f.mark_allocated(PageKind::Anon);
-        f.flags_mut().insert(PageFlags::ACTIVE | PageFlags::DIRTY);
+        f.flags_mut().insert(PageFlags::LOCKED | PageFlags::DIRTY);
         f.mark_free();
         f.mark_allocated(PageKind::Anon);
         assert!(f.flags().is_empty());

@@ -11,7 +11,7 @@ use std::fmt;
 pub const PAGE_SIZE: usize = 4096;
 
 /// log2 of [`PAGE_SIZE`].
-pub const PAGE_SHIFT: u32 = 12;
+pub(crate) const PAGE_SHIFT: u32 = 12;
 
 /// Index of a physical page frame.
 ///
@@ -43,7 +43,7 @@ impl fmt::Display for FrameId {
     }
 }
 
-/// A virtual page number (a byte address shifted right by [`PAGE_SHIFT`]).
+/// A virtual page number (a byte address shifted right by `PAGE_SHIFT`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct VPage(u64);
 

@@ -42,7 +42,7 @@ pub struct TierLatency {
 
 impl TierLatency {
     /// Typical DDR4-2666 DRAM numbers.
-    pub const fn dram() -> Self {
+    pub(crate) const fn dram() -> Self {
         TierLatency {
             read_ns: 80,
             write_ns: 90,
@@ -66,7 +66,7 @@ impl TierLatency {
     }
 
     /// HBM-class numbers used by the N-tier extension machines.
-    pub const fn hbm() -> Self {
+    pub(crate) const fn hbm() -> Self {
         TierLatency {
             read_ns: 60,
             write_ns: 70,
@@ -79,12 +79,12 @@ impl TierLatency {
     /// is added. Same DDR device as [`TierLatency::dram`]; combining it
     /// with [`LinkDesc::cxl`] yields ~210 ns loads, inside the published
     /// 170-250 ns CXL-attached DRAM envelope.
-    pub const fn cxl_dram() -> Self {
+    pub(crate) const fn cxl_dram() -> Self {
         TierLatency::dram()
     }
 
     /// Access latency for one cache-line-granular access of the given kind.
-    pub const fn access_ns(&self, kind: AccessKind) -> u64 {
+    pub(crate) const fn access_ns(&self, kind: AccessKind) -> u64 {
         match kind {
             AccessKind::Read => self.read_ns,
             AccessKind::Write => self.write_ns,
@@ -118,7 +118,7 @@ impl LinkDesc {
     const UNCAPPED_BW: f64 = 1e12;
 
     /// A socket-local attachment: no added latency, no bandwidth cap.
-    pub const fn direct() -> Self {
+    pub(crate) const fn direct() -> Self {
         LinkDesc {
             read_ns: 0,
             write_ns: 0,
@@ -130,7 +130,7 @@ impl LinkDesc {
     /// A CXL 2.0 x8 link: ~130 ns added load latency, ~90 ns added store
     /// latency (stores post into the device buffer), with asymmetric
     /// bandwidth caps.
-    pub const fn cxl() -> Self {
+    pub(crate) const fn cxl() -> Self {
         LinkDesc {
             read_ns: 130,
             write_ns: 90,
@@ -143,7 +143,7 @@ impl LinkDesc {
     /// link fanned out over `heads` ports (a multi-headed device spreads
     /// its traffic over one link per head, multiplying the usable link
     /// bandwidth; latency is unchanged).
-    pub fn effective(&self, device: TierLatency, heads: u8) -> TierLatency {
+    pub(crate) fn effective(&self, device: TierLatency, heads: u8) -> TierLatency {
         let heads = heads.max(1) as f64;
         TierLatency {
             read_ns: device.read_ns + self.read_ns,
@@ -173,7 +173,8 @@ pub struct MigrationCost {
 
 impl MigrationCost {
     /// Total cost.
-    pub fn total(&self) -> Nanos {
+    #[cfg(test)]
+    pub(crate) fn total(&self) -> Nanos {
         self.app_stall + self.background
     }
 }
@@ -187,7 +188,7 @@ pub struct LatencyModel {
     pub tiers: Vec<TierLatency>,
     /// Effective per-node timing (device composed with link and heads),
     /// indexed by [`NodeId`]: one entry per node of the machine, from
-    /// which [`LatencyModel::access_at`] and [`LatencyModel::stream_at`]
+    /// which `LatencyModel::access_at` and [`LatencyModel::stream_at`]
     /// charge an application access.
     pub node_access: Vec<TierLatency>,
     /// Fixed kernel overhead per migrated page (locking, rmap walk,
@@ -258,7 +259,7 @@ impl LatencyModel {
     /// # Panics
     ///
     /// Panics if `node` is out of range for the model.
-    pub fn access_at(&self, node: NodeId, kind: AccessKind) -> Nanos {
+    pub(crate) fn access_at(&self, node: NodeId, kind: AccessKind) -> Nanos {
         Nanos::from_nanos(self.node_access[node.index()].access_ns(kind))
     }
 
@@ -309,7 +310,8 @@ impl LatencyModel {
     /// the application stall (one unmap + TLB shootdown covering the whole
     /// batch) are charged once, while the copy cost stays per-page. With
     /// `pages == 1` this is exactly [`LatencyModel::migration`].
-    pub fn migration_batch(&self, src: TierId, dst: TierId, pages: usize) -> MigrationCost {
+    #[cfg(test)]
+    pub(crate) fn migration_batch(&self, src: TierId, dst: TierId, pages: usize) -> MigrationCost {
         let read_bw = self.tiers[src.index()].read_bw_gbps;
         let write_bw = self.tiers[dst.index()].write_bw_gbps;
         let bw = read_bw.min(write_bw);

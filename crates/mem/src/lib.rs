@@ -54,29 +54,29 @@
 )]
 
 pub mod access;
-pub mod error;
-pub mod flags;
-pub mod frame;
-pub mod ids;
+mod error;
+mod flags;
+mod frame;
+mod ids;
 mod instruments;
-pub mod latency;
-pub mod machine;
-pub mod policy;
-pub mod pte;
-pub mod stats;
-pub mod system;
-pub mod tier;
-pub mod time;
-pub mod topology;
-pub mod txn;
-pub mod vpage_map;
-pub mod watermark;
+mod latency;
+mod machine;
+mod policy;
+mod pte;
+mod stats;
+mod system;
+mod tier;
+mod time;
+mod topology;
+mod txn;
+mod vpage_map;
+mod watermark;
 
 pub use access::{Memory, SimpleMemory};
 pub use error::MemError;
 pub use flags::PageFlags;
 pub use frame::{Frame, FrameState, PageKind};
-pub use ids::{FrameId, NodeId, TierId, VAddr, VPage, PAGE_SHIFT, PAGE_SIZE};
+pub use ids::{FrameId, NodeId, TierId, VAddr, VPage, PAGE_SIZE};
 pub use instruments::Instruments;
 pub use latency::{AccessKind, LatencyModel, LinkDesc, MigrationCost, TierLatency};
 pub use machine::{MachineBuilder, MachineDesc, MachineNode};

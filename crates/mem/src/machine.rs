@@ -157,9 +157,9 @@ impl MachineDesc {
 /// Fluent builder for [`MachineDesc`].
 ///
 /// `.node(kind, pages)` appends a node with kind-appropriate defaults
-/// (CXL nodes get DRAM media behind a [`LinkDesc::cxl`] link; everything
-/// else is direct-attached). `.device(..)`, `.link(..)` and `.heads(..)`
-/// modify the most recently added node.
+/// (CXL nodes get DRAM media behind a `LinkDesc::cxl` link; everything
+/// else is direct-attached). `.device(..)` and `.heads(..)` modify the
+/// most recently added node.
 #[derive(Debug, Default, Clone)]
 pub struct MachineBuilder {
     nodes: Vec<MachineNode>,
@@ -198,14 +198,8 @@ impl MachineBuilder {
         self
     }
 
-    /// Overrides the link of the last added node.
-    pub fn link(mut self, link: LinkDesc) -> Self {
-        self.last_node("link").link = link;
-        self
-    }
-
     /// Sets the head count of the last added node.
-    pub fn heads(mut self, heads: u8) -> Self {
+    pub(crate) fn heads(mut self, heads: u8) -> Self {
         assert!(heads >= 1, "a node needs at least one head");
         self.last_node("heads").heads = heads;
         self
@@ -336,14 +330,14 @@ mod tests {
     fn builder_overrides_apply_to_last_node() {
         let m = MachineBuilder::new()
             .node(TierKind::Dram, 100)
-            .node(TierKind::Pm, 400)
-            .link(LinkDesc::cxl())
+            .node(TierKind::Cxl, 400)
             .heads(2)
             .build();
         assert_eq!(m.nodes()[0].link, LinkDesc::direct());
         assert_eq!(m.nodes()[1].link, LinkDesc::cxl());
         assert_eq!(m.nodes()[1].heads, 2);
-        // PM behind a link -> node table populated; DRAM node unchanged.
+        // DRAM media behind the CXL link -> node table populated; the
+        // direct DRAM node unchanged.
         let lat = m.latency();
         assert_eq!(lat.node_access.len(), 2);
         assert_eq!(
@@ -352,7 +346,7 @@ mod tests {
         );
         assert_eq!(
             lat.access_at(NodeId::new(1), AccessKind::Read).as_nanos(),
-            300 + 130
+            80 + 130
         );
     }
 

@@ -5,7 +5,6 @@
 //! * the **reference bit** set by the CPU on every access — MULTI-CLOCK's
 //!   "unsupervised access" channel, harvested (test-and-clear) during scans
 //!   exactly like `page_referenced()`;
-//! * the **dirty bit**;
 //! * a **poison bit** used by hint-page-fault trackers (Thermostat,
 //!   AutoNUMA, AutoTiering): a poisoned PTE makes the next access take a
 //!   software fault, which both costs time and reveals the access to the
@@ -28,8 +27,6 @@ pub struct PteEntry {
     pub frame: FrameId,
     /// Hardware-set reference bit.
     pub referenced: bool,
-    /// Hardware-set dirty bit.
-    pub dirty: bool,
     /// Software poison for hint-fault tracking.
     pub poisoned: bool,
 }
@@ -40,7 +37,6 @@ impl PteEntry {
         PteEntry {
             frame,
             referenced: false,
-            dirty: false,
             poisoned: false,
         }
     }
@@ -67,9 +63,10 @@ impl VPageMap<PteEntry> {
     }
 
     /// Points an existing mapping at a different frame (migration),
-    /// preserving the dirty bit (the copied page is as dirty as the
-    /// original) and clearing the reference bit (the new PTE has not been
-    /// accessed yet).
+    /// clearing the reference bit (the new PTE has not been accessed yet)
+    /// and the poison. Dirtiness is not a PTE bit here: it is the frame's
+    /// [`PageFlags::DIRTY`](crate::PageFlags::DIRTY), which migration
+    /// carries to the new frame.
     ///
     /// Returns `false` if the page was not mapped.
     pub fn remap(&mut self, vpage: VPage, new_frame: FrameId) -> bool {
@@ -106,7 +103,7 @@ mod tests {
         assert_eq!(pt.len(), 1);
         let e = pt.get(VPage::new(1)).unwrap();
         assert_eq!(e.frame, FrameId::new(7));
-        assert!(!e.referenced && !e.dirty && !e.poisoned);
+        assert!(!e.referenced && !e.poisoned);
         let old = pt.unmap(VPage::new(1)).unwrap();
         assert_eq!(old.frame, FrameId::new(7));
         assert!(pt.is_empty());
@@ -129,13 +126,12 @@ mod tests {
     }
 
     #[test]
-    fn remap_clears_reference_and_poison_but_keeps_dirty() {
+    fn remap_clears_reference_and_poison() {
         let mut pt = PageTable::new();
         pt.map(VPage::new(4), FrameId::new(1)).unwrap();
         {
             let e = pt.get_mut(VPage::new(4)).unwrap();
             e.referenced = true;
-            e.dirty = true;
             e.poisoned = true;
         }
         assert!(pt.remap(VPage::new(4), FrameId::new(2)));
@@ -143,7 +139,6 @@ mod tests {
         assert_eq!(e.frame, FrameId::new(2));
         assert!(!e.referenced);
         assert!(!e.poisoned);
-        assert!(e.dirty, "migration copies a dirty page as dirty");
         assert!(!pt.remap(VPage::new(5), FrameId::new(3)));
     }
 

@@ -1,6 +1,6 @@
 //! Counters and event reporting.
 
-use crate::ids::{FrameId, TierId, VPage};
+use crate::ids::{TierId, VPage};
 use crate::topology::Topology;
 use serde::{Deserialize, Serialize};
 
@@ -69,7 +69,7 @@ impl MemStats {
     }
 
     /// Fraction of accesses served by fast tiers — every tier whose kind
-    /// is fast per [`crate::TierKind::is_fast`] (HBM and socket-local DRAM; CXL
+    /// is fast per `TierKind::is_fast` (HBM and socket-local DRAM; CXL
     /// expanders and PM count as capacity). `None` before any access.
     /// Equals [`MemStats::tier0_share`] on two-tier DRAM+PM machines.
     pub fn fast_tier_share(&self, topology: &Topology) -> Option<f64> {
@@ -100,10 +100,6 @@ impl MemStats {
 pub enum MemEvent {
     /// A page moved between tiers.
     Migrated {
-        /// The frame the page now occupies.
-        new_frame: FrameId,
-        /// The frame it came from.
-        old_frame: FrameId,
         /// The virtual page that moved (if mapped).
         vpage: Option<VPage>,
         /// Source tier.
@@ -156,16 +152,12 @@ mod tests {
     #[test]
     fn event_direction_classification() {
         let promo = MemEvent::Migrated {
-            new_frame: FrameId::new(1),
-            old_frame: FrameId::new(2),
             vpage: Some(VPage::new(3)),
             src: TierId::new(1),
             dst: TierId::TOP,
         };
         assert!(promo.is_promotion());
         let demo = MemEvent::Migrated {
-            new_frame: FrameId::new(1),
-            old_frame: FrameId::new(2),
             vpage: None,
             src: TierId::TOP,
             dst: TierId::new(1),

@@ -378,9 +378,9 @@ impl MemorySystem {
         self.page_table.get(vpage).map(|e| e.frame)
     }
 
-    /// Performs one access to a mapped page: sets the PTE reference bit
-    /// (and dirty bit for writes), mirrors the dirty bit into the frame
-    /// flags, detects hint faults, and returns the device latency.
+    /// Performs one access to a mapped page: sets the PTE reference bit,
+    /// marks the frame [`PageFlags::DIRTY`] on a write (the page's one
+    /// dirty record), detects hint faults, and returns the device latency.
     ///
     /// # Errors
     ///
@@ -393,9 +393,6 @@ impl MemorySystem {
             .ok_or(MemError::NotMapped(vpage))?;
         entry.referenced = true;
         let hint_fault = std::mem::take(&mut entry.poisoned);
-        if kind.is_write() {
-            entry.dirty = true;
-        }
         let frame = entry.frame;
         if kind.is_write() {
             self.frames[frame.index()]
@@ -521,8 +518,7 @@ impl MemorySystem {
     /// One page is exactly [`Self::migrate`], events and costs included.
     /// More than one page is a batch: the per-call setup
     /// (`migration_fixed` and `migration_app_stall`) is charged **once**
-    /// if anything moved and the copy per moved page (see
-    /// [`LatencyModel::migration_batch`]), one [`EventKind::MigrateBatch`]
+    /// if anything moved and the copy per moved page, one [`EventKind::MigrateBatch`]
     /// replaces the per-page `migrate` events, and an **injected** fault
     /// aborts the rest of the batch: the faulted page fails with the
     /// injected error and every later page with [`MemError::TierFull`]
@@ -717,8 +713,6 @@ impl MemorySystem {
             saturating_bump(&mut self.stats.demotions);
         }
         self.events.push(MemEvent::Migrated {
-            new_frame,
-            old_frame: frame,
             vpage,
             src: src_tier,
             dst: dst_tier,
@@ -1080,9 +1074,8 @@ mod tests {
         assert_eq!(out.tier, TierId::TOP);
         assert!(!out.hint_fault);
         assert!(mem.page_table().get(v).unwrap().referenced);
-        assert!(!mem.page_table().get(v).unwrap().dirty);
+        assert!(!mem.frame(f).flags().contains(PageFlags::DIRTY));
         mem.access(v, AccessKind::Write).unwrap();
-        assert!(mem.page_table().get(v).unwrap().dirty);
         assert!(mem.frame(f).flags().contains(PageFlags::DIRTY));
     }
 
@@ -1133,7 +1126,6 @@ mod tests {
         assert_eq!(mem.frame(f).state(), FrameState::Free);
         // Dirty travels, referenced is cleared.
         let e = mem.page_table().get(v).unwrap();
-        assert!(e.dirty);
         assert!(!e.referenced);
         assert!(mem.frame(nf).flags().contains(PageFlags::DIRTY));
         assert_eq!(mem.stats().demotions, 1);

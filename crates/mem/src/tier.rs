@@ -34,7 +34,7 @@ impl TierKind {
     /// expanders and PM are capacity — a page served from CXL still paid
     /// a link round-trip, so counting it as "served from fast memory"
     /// would overstate placement quality on DRAM+CXL+PM machines.
-    pub const fn is_fast(self) -> bool {
+    pub(crate) const fn is_fast(self) -> bool {
         matches!(self, TierKind::Hbm | TierKind::Dram)
     }
 }
@@ -61,7 +61,7 @@ pub struct Tier {
 
 impl Tier {
     /// Creates a tier descriptor.
-    pub fn new(id: TierId, kind: TierKind, nodes: Vec<NodeId>, pages: usize) -> Self {
+    pub(crate) fn new(id: TierId, kind: TierKind, nodes: Vec<NodeId>, pages: usize) -> Self {
         Tier {
             id,
             kind,

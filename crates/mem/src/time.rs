@@ -46,16 +46,6 @@ impl Nanos {
         self.0
     }
 
-    /// Value in (truncated) microseconds.
-    pub const fn as_micros(self) -> u64 {
-        self.0 / 1_000
-    }
-
-    /// Value in (truncated) milliseconds.
-    pub const fn as_millis(self) -> u64 {
-        self.0 / 1_000_000
-    }
-
     /// Value in seconds as a float.
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1e9
@@ -198,7 +188,7 @@ impl TimeLedger {
 
     /// Whether nothing has been charged (three compares: an on-clock
     /// charge shows in `now`).
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.now == Nanos::ZERO
             && self.get(Charge::DaemonCpu) == Nanos::ZERO
             && self.get(Charge::Background) == Nanos::ZERO
@@ -219,9 +209,8 @@ mod tests {
     #[test]
     fn conversions_are_consistent() {
         assert_eq!(Nanos::from_secs(2).as_nanos(), 2_000_000_000);
-        assert_eq!(Nanos::from_millis(3).as_micros(), 3_000);
+        assert_eq!(Nanos::from_millis(3).as_nanos(), 3_000_000);
         assert_eq!(Nanos::from_micros(5).as_nanos(), 5_000);
-        assert_eq!(Nanos::from_secs(1).as_millis(), 1_000);
     }
 
     #[test]

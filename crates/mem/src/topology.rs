@@ -34,22 +34,18 @@ pub struct NodeDesc {
 
 impl NodeDesc {
     /// This node's id.
-    pub fn id(&self) -> NodeId {
+    pub(crate) fn id(&self) -> NodeId {
         self.id
     }
 
-    /// The memory kind of this node.
-    pub fn kind(&self) -> TierKind {
-        self.kind
-    }
-
     /// The tier this node belongs to.
-    pub fn tier(&self) -> TierId {
+    pub(crate) fn tier(&self) -> TierId {
         self.tier
     }
 
     /// The node's frame range start.
-    pub fn first_frame(&self) -> FrameId {
+    #[cfg(test)]
+    pub(crate) fn first_frame(&self) -> FrameId {
         self.first_frame
     }
 
@@ -59,7 +55,7 @@ impl NodeDesc {
     }
 
     /// The node's free-memory watermarks.
-    pub fn watermarks(&self) -> Watermarks {
+    pub(crate) fn watermarks(&self) -> Watermarks {
         self.watermarks
     }
 

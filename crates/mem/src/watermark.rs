@@ -52,17 +52,17 @@ impl Watermarks {
     }
 
     /// Whether `free` pages means the node is under pressure (kswapd wakes).
-    pub fn under_pressure(&self, free: usize) -> bool {
+    pub(crate) fn under_pressure(&self, free: usize) -> bool {
         free < self.low
     }
 
     /// Whether reclaim has restored enough free memory to stop.
-    pub fn balanced(&self, free: usize) -> bool {
+    pub(crate) fn balanced(&self, free: usize) -> bool {
         free >= self.high
     }
 
     /// Whether an ordinary allocation is allowed with `free` pages left.
-    pub fn can_allocate(&self, free: usize) -> bool {
+    pub(crate) fn can_allocate(&self, free: usize) -> bool {
         free > self.min
     }
 }

@@ -59,7 +59,6 @@ proptest! {
                     // An access: set the bits a CPU would.
                     let touch = |e: &mut PteEntry| {
                         e.referenced = true;
-                        e.dirty |= frame.raw() % 2 == 0;
                         e.poisoned = frame.raw() % 3 == 0;
                     };
                     if let Some(e) = table.get_mut(v) {

@@ -9,7 +9,7 @@
 use crate::json;
 
 /// Number of edges in the Fig. 4 state machine (ids 1..=13).
-pub const FIG4_EDGES: usize = 13;
+pub(crate) const FIG4_EDGES: usize = 13;
 
 /// A recorded trace event: a monotone sequence number, the virtual
 /// timestamp the recorder carried when the event fired, and the payload.
@@ -229,7 +229,7 @@ impl EventKind {
 impl Event {
     /// Serialises the event as one flat JSON object (one JSONL line,
     /// without the trailing newline).
-    pub fn to_json(&self) -> String {
+    pub(crate) fn to_json(self) -> String {
         let mut w = json::ObjectWriter::new();
         w.str_field("ev", self.kind.name());
         w.num_field("seq", self.seq);

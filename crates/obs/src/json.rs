@@ -7,7 +7,7 @@
 //! auditable.
 
 /// Escapes a string for embedding inside a JSON string literal.
-pub fn escape(s: &str) -> String {
+pub(crate) fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {
@@ -27,14 +27,14 @@ pub fn escape(s: &str) -> String {
 
 /// Incremental writer for one flat JSON object.
 #[derive(Debug, Default)]
-pub struct ObjectWriter {
+pub(crate) struct ObjectWriter {
     buf: String,
     fields: usize,
 }
 
 impl ObjectWriter {
     /// Starts an empty object.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         ObjectWriter {
             buf: String::from("{"),
             fields: 0,
@@ -52,7 +52,7 @@ impl ObjectWriter {
     }
 
     /// Appends a string field.
-    pub fn str_field(&mut self, key: &str, value: &str) {
+    pub(crate) fn str_field(&mut self, key: &str, value: &str) {
         self.key(key);
         self.buf.push('"');
         self.buf.push_str(&escape(value));
@@ -60,30 +60,19 @@ impl ObjectWriter {
     }
 
     /// Appends an unsigned integer field.
-    pub fn num_field(&mut self, key: &str, value: u64) {
+    pub(crate) fn num_field(&mut self, key: &str, value: u64) {
         self.key(key);
         self.buf.push_str(&value.to_string());
     }
 
-    /// Appends a float field (finite values only; non-finite becomes
-    /// `null` since JSON has no NaN/Inf).
-    pub fn float_field(&mut self, key: &str, value: f64) {
-        self.key(key);
-        if value.is_finite() {
-            self.buf.push_str(&format!("{value}"));
-        } else {
-            self.buf.push_str("null");
-        }
-    }
-
     /// Appends a `null` field.
-    pub fn null_field(&mut self, key: &str) {
+    pub(crate) fn null_field(&mut self, key: &str) {
         self.key(key);
         self.buf.push_str("null");
     }
 
     /// Closes the object and returns the JSON text.
-    pub fn finish(mut self) -> String {
+    pub(crate) fn finish(mut self) -> String {
         self.buf.push('}');
         self.buf
     }
@@ -316,13 +305,11 @@ mod tests {
         w.str_field("ev", "migrate");
         w.num_field("seq", 12);
         w.null_field("vpage");
-        w.float_field("share", 0.5);
         let text = w.finish();
         let obj = parse_flat_object(&text).unwrap();
         assert_eq!(get_str(&obj, "ev"), Some("migrate"));
         assert_eq!(get_num(&obj, "seq"), Some(12.0));
         assert_eq!(obj[2].1, Value::Null);
-        assert_eq!(get_num(&obj, "share"), Some(0.5));
     }
 
     #[test]

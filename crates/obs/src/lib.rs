@@ -38,21 +38,20 @@
     clippy::unused_result_ok
 )]
 
-pub mod config;
-pub mod counter;
-pub mod event;
+mod config;
+mod counter;
+mod event;
 pub mod json;
 pub mod perf;
-pub mod recorder;
-pub mod report;
-pub mod ring;
-pub mod series;
+mod recorder;
+mod report;
+mod ring;
+mod series;
 
 pub use config::ObsConfig;
 pub use counter::{saturating_add, saturating_bump};
-pub use event::{Event, EventKind, FIG4_EDGES};
+pub use event::{Event, EventKind};
 pub use perf::{PerfHooks, Phase, PhaseProfiler, PhaseSpan, PhaseSummary};
 pub use recorder::Recorder;
 pub use report::ReportBuilder;
-pub use ring::EventRing;
 pub use series::TimeSeries;

@@ -40,7 +40,7 @@ use std::time::Instant;
 
 /// Number of log2 histogram buckets; bucket `i` holds durations whose
 /// `floor(log2(nanos))` is `i`, so 64 buckets cover every `u64` value.
-pub const BUCKETS: usize = 64;
+pub(crate) const BUCKETS: usize = 64;
 
 /// The instrumented engine phases, in pipeline order.
 ///
@@ -195,7 +195,8 @@ pub struct PhaseProfiler {
 
 impl PhaseProfiler {
     /// Creates an empty profiler.
-    pub fn new() -> Self {
+    #[cfg(test)]
+    pub(crate) fn new() -> Self {
         PhaseProfiler::default()
     }
 
@@ -218,7 +219,7 @@ impl PhaseProfiler {
 
     /// Records one completed span. Normally called by [`PhaseSpan::drop`],
     /// not directly.
-    pub fn record(&self, phase: Phase, nanos: u64, items: u64) {
+    pub(crate) fn record(&self, phase: Phase, nanos: u64, items: u64) {
         self.with_aggs(|aggs| {
             if let Some(agg) = aggs.get_mut(phase.index()) {
                 agg.record(nanos, items);
@@ -251,7 +252,7 @@ impl PhaseProfiler {
     }
 
     /// Total spans recorded across all phases.
-    pub fn total_spans(&self) -> u64 {
+    pub(crate) fn total_spans(&self) -> u64 {
         self.with_aggs(|aggs| aggs.iter().map(|a| a.count).sum())
     }
 

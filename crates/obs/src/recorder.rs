@@ -11,7 +11,7 @@ use crate::event::{Event, EventKind, FIG4_EDGES};
 use crate::ring::EventRing;
 
 /// Default ring capacity when enabling without an explicit size.
-pub const DEFAULT_RING_CAPACITY: usize = 65_536;
+pub(crate) const DEFAULT_RING_CAPACITY: usize = 65_536;
 
 /// A trace recorder carrying the ring buffer, the current virtual time
 /// and a monotone sequence counter.

@@ -33,12 +33,6 @@ impl ReportBuilder {
         self.out.push_str(&format!("  {key}: {value}\n"));
     }
 
-    /// Appends a free-form line.
-    pub fn line(&mut self, text: &str) {
-        self.out.push_str(text);
-        self.out.push('\n');
-    }
-
     /// Appends an aligned table. Rows shorter than the header are padded
     /// with empty cells.
     pub fn table(&mut self, headers: &[&str], rows: &[Vec<String>]) {

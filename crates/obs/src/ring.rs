@@ -7,7 +7,7 @@ use std::collections::VecDeque;
 
 /// Fixed-capacity overwrite-oldest event buffer.
 #[derive(Debug, Clone)]
-pub struct EventRing {
+pub(crate) struct EventRing {
     buf: VecDeque<Event>,
     capacity: usize,
     dropped: u64,
@@ -16,7 +16,7 @@ pub struct EventRing {
 
 impl EventRing {
     /// Creates a ring holding at most `capacity` events (minimum 1).
-    pub fn new(capacity: usize) -> Self {
+    pub(crate) fn new(capacity: usize) -> Self {
         let capacity = capacity.max(1);
         EventRing {
             buf: VecDeque::with_capacity(capacity),
@@ -27,7 +27,7 @@ impl EventRing {
     }
 
     /// Appends an event, evicting the oldest if the ring is full.
-    pub fn push(&mut self, event: Event) {
+    pub(crate) fn push(&mut self, event: Event) {
         if self.buf.len() == self.capacity {
             self.buf.pop_front();
             self.dropped = self.dropped.saturating_add(1);
@@ -37,33 +37,18 @@ impl EventRing {
     }
 
     /// Events currently retained, oldest first.
-    pub fn iter(&self) -> impl Iterator<Item = &Event> {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &Event> {
         self.buf.iter()
     }
 
-    /// Number of events currently retained.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Whether the ring holds no events.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
     /// Events overwritten because the ring was full.
-    pub fn dropped(&self) -> u64 {
+    pub(crate) fn dropped(&self) -> u64 {
         self.dropped
     }
 
     /// Total events ever pushed (retained + dropped).
-    pub fn total(&self) -> u64 {
+    pub(crate) fn total(&self) -> u64 {
         self.total
-    }
-
-    /// The configured capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
     }
 }
 
@@ -86,7 +71,7 @@ mod tests {
         for s in 0..5 {
             ring.push(ev(s));
         }
-        assert_eq!(ring.len(), 3);
+        assert_eq!(ring.iter().count(), 3);
         assert_eq!(ring.dropped(), 2);
         assert_eq!(ring.total(), 5);
         let seqs: Vec<u64> = ring.iter().map(|e| e.seq).collect();
@@ -98,7 +83,7 @@ mod tests {
         let mut ring = EventRing::new(0);
         ring.push(ev(0));
         ring.push(ev(1));
-        assert_eq!(ring.len(), 1);
+        assert_eq!(ring.iter().count(), 1);
         assert_eq!(ring.iter().next().unwrap().seq, 1);
     }
 }

@@ -54,13 +54,9 @@ impl AutoNuma {
     }
 
     /// Pages promoted so far.
-    pub fn promotions(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn promotions(&self) -> u64 {
         self.promotions
-    }
-
-    /// Pages demoted so far.
-    pub fn demotions(&self) -> u64 {
-        self.demotions
     }
 }
 

@@ -42,7 +42,8 @@ pub enum AutoTieringMode {
 
 impl AutoTieringMode {
     /// Short display name matching the paper's figures.
-    pub fn label(self) -> &'static str {
+    #[cfg(test)]
+    pub(crate) fn label(self) -> &'static str {
         match self {
             AutoTieringMode::Cpm => "AT-CPM",
             AutoTieringMode::Opm => "AT-OPM",
@@ -102,27 +103,32 @@ impl AutoTiering {
     }
 
     /// The variant in use.
-    pub fn mode(&self) -> AutoTieringMode {
+    #[cfg(test)]
+    pub(crate) fn mode(&self) -> AutoTieringMode {
         self.mode
     }
 
     /// Pages promoted so far.
-    pub fn promotions(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn promotions(&self) -> u64 {
         self.promotions
     }
 
     /// Pages demoted so far.
-    pub fn demotions(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn demotions(&self) -> u64 {
         self.demotions
     }
 
     /// Fault-path page exchanges performed (CPM).
-    pub fn exchanges(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn exchanges(&self) -> u64 {
         self.exchanges
     }
 
-    /// The fault history of a frame (for tests).
-    pub fn history_of(&self, frame: FrameId) -> u8 {
+    /// The fault history of a frame.
+    #[cfg(test)]
+    pub(crate) fn history_of(&self, frame: FrameId) -> u8 {
         self.history[frame.index()]
     }
 

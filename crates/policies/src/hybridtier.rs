@@ -90,23 +90,27 @@ impl HybridTier {
     }
 
     /// A 1 s interval and 512-page samples.
-    pub fn with_defaults(topology: &Topology) -> Self {
+    #[cfg(test)]
+    pub(crate) fn with_defaults(topology: &Topology) -> Self {
         Self::new(topology, Nanos::from_secs(1), 512)
     }
 
     /// Total pages promoted.
-    pub fn promotions(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn promotions(&self) -> u64 {
         self.promotions
     }
 
     /// Pages placed directly in the fast tier because the sketch already
     /// knew them hot at map time.
-    pub fn direct_placements(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn direct_placements(&self) -> u64 {
         self.direct_placements
     }
 
     /// Read access to the sketch (determinism tests).
-    pub fn sketch(&self) -> &CmSketch {
+    #[cfg(test)]
+    pub(crate) fn sketch(&self) -> &CmSketch {
         &self.sketch
     }
 

@@ -52,15 +52,15 @@
     clippy::unused_result_ok
 )]
 
-pub mod autonuma;
-pub mod autotiering;
-pub mod hybridtier;
-pub mod memory_mode;
-pub mod nimble;
+mod autonuma;
+mod autotiering;
+mod hybridtier;
+mod memory_mode;
+mod nimble;
 mod ring;
-pub mod scored;
-pub mod sketch;
-pub mod static_tiering;
+mod scored;
+mod sketch;
+mod static_tiering;
 
 pub use autonuma::AutoNuma;
 pub use autotiering::{AutoTiering, AutoTieringMode};
@@ -68,5 +68,4 @@ pub use hybridtier::HybridTier;
 pub use memory_mode::{MemoryModeCache, MemoryModeStats};
 pub use nimble::Nimble;
 pub use scored::{Scored, ScoredKind};
-pub use sketch::CmSketch;
 pub use static_tiering::StaticTiering;

@@ -65,18 +65,14 @@ impl MemoryModeCache {
         }
     }
 
-    /// Number of cache slots.
-    pub fn slots(&self) -> usize {
-        self.slots.len()
-    }
-
     /// Counters.
     pub fn stats(&self) -> MemoryModeStats {
         self.stats
     }
 
     /// Whether a page is currently cached.
-    pub fn contains(&self, vpage: VPage) -> bool {
+    #[cfg(test)]
+    pub(crate) fn contains(&self, vpage: VPage) -> bool {
         let slot = (vpage.raw() as usize) % self.slots.len();
         self.slots[slot].tag == Some(vpage)
     }

@@ -61,12 +61,14 @@ impl Nimble {
     }
 
     /// Total pages promoted.
-    pub fn promotions(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn promotions(&self) -> u64 {
         self.promotions
     }
 
     /// Total pages demoted.
-    pub fn demotions(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn demotions(&self) -> u64 {
         self.demotions
     }
 

@@ -16,7 +16,7 @@ use mc_fault::SplitMix64;
 
 /// A count-min sketch over `u64` keys with saturating `u32` counters.
 #[derive(Debug, Clone)]
-pub struct CmSketch {
+pub(crate) struct CmSketch {
     /// `rows * width` counters, row-major.
     counters: Vec<u32>,
     /// Power-of-two row width.
@@ -35,7 +35,7 @@ impl CmSketch {
     ///
     /// Panics if `rows` is zero or `width_log2` exceeds 24 (a 16M-counter
     /// row is past any sensible configuration).
-    pub fn new(width_log2: u32, rows: usize, seed: u64) -> Self {
+    pub(crate) fn new(width_log2: u32, rows: usize, seed: u64) -> Self {
         assert!(rows > 0, "sketch needs at least one row");
         assert!(width_log2 <= 24, "sketch row width is unreasonably large");
         let width = 1usize << width_log2;
@@ -51,18 +51,8 @@ impl CmSketch {
         }
     }
 
-    /// Row width (counters per row).
-    pub fn width(&self) -> usize {
-        self.width
-    }
-
-    /// Number of rows.
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
     /// Total observations recorded.
-    pub fn updates(&self) -> u64 {
+    pub(crate) fn updates(&self) -> u64 {
         self.updates
     }
 
@@ -80,7 +70,7 @@ impl CmSketch {
     /// Conservative update: only the rows currently at the minimum are
     /// incremented, which tightens over-counting under collisions without
     /// extra state.
-    pub fn update(&mut self, key: u64) -> u32 {
+    pub(crate) fn update(&mut self, key: u64) -> u32 {
         self.updates = self.updates.saturating_add(1);
         let mut min = u32::MAX;
         for row in 0..self.rows {
@@ -103,7 +93,7 @@ impl CmSketch {
     }
 
     /// The frequency estimate for `key`: the minimum over its row counters.
-    pub fn estimate(&self, key: u64) -> u32 {
+    pub(crate) fn estimate(&self, key: u64) -> u32 {
         let mut min = u32::MAX;
         for row in 0..self.rows {
             let v = self
@@ -121,14 +111,15 @@ impl CmSketch {
     /// Ages every counter by halving it — the periodic decay that keeps
     /// estimates tracking the *current* access frequency instead of the
     /// all-time count.
-    pub fn halve(&mut self) {
+    pub(crate) fn halve(&mut self) {
         for c in &mut self.counters {
             *c >>= 1;
         }
     }
 
     /// A fingerprint of the full counter state, for determinism tests.
-    pub fn checksum(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn checksum(&self) -> u64 {
         let mut h = SplitMix64::new(0x5ce7_c0de);
         let mut acc = 0u64;
         for &c in &self.counters {

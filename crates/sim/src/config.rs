@@ -73,7 +73,7 @@ impl SystemKind {
 
     /// Whether this system needs every access delivered to the policy
     /// (the oracles' full-visibility cheat).
-    pub fn needs_oracle_visibility(self) -> bool {
+    pub(crate) fn needs_oracle_visibility(self) -> bool {
         matches!(self, SystemKind::OracleLru | SystemKind::OracleLfu)
     }
 }

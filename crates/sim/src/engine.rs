@@ -202,7 +202,7 @@ impl Simulation {
     }
 
     /// Memory-mode cache statistics, when running Memory-mode.
-    pub fn memory_mode_stats(&self) -> Option<mc_policies::MemoryModeStats> {
+    pub(crate) fn memory_mode_stats(&self) -> Option<mc_policies::MemoryModeStats> {
         match &self.frontend {
             Frontend::MemoryMode(c) => Some(c.stats()),
             _ => None,

@@ -75,7 +75,7 @@ impl Scale {
     /// the paper's testbed — hundreds of scan intervals — while a scaled
     /// trial lasts only a few; the factor shortens the daemon interval so
     /// a trial spans a comparable number of scans.
-    pub const GRAPH_INTERVAL_FACTOR: f64 = 0.2;
+    pub(crate) const GRAPH_INTERVAL_FACTOR: f64 = 0.2;
     /// Insert-rate scaling for workload D (see
     /// [`mc_workloads::ycsb::YcsbConfig::insert_scale`]): keeps the
     /// latest-distribution frontier moving at the paper's relative speed
@@ -150,7 +150,7 @@ impl Scale {
     }
 
     /// The Figs. 8-9 metrics window (20 paper seconds).
-    pub fn window(&self) -> Nanos {
+    pub(crate) fn window(&self) -> Nanos {
         self.paper_interval(20.0)
     }
 
@@ -332,7 +332,7 @@ impl Experiment {
 
     /// The GAPBS `kernel` on `system` at `scale`: the scale's graph
     /// machine ([`Scale::graph_machine`]), with the scan interval
-    /// shortened by [`Scale::GRAPH_INTERVAL_FACTOR`].
+    /// shortened by `Scale::GRAPH_INTERVAL_FACTOR`.
     pub fn gapbs(kernel: Kernel, system: SystemKind, scale: &Scale) -> Self {
         Experiment::new(Workload::Gapbs(kernel), system, scale)
     }
@@ -382,7 +382,7 @@ impl Experiment {
     }
 
     /// Overrides the daemon scan interval (the Fig. 10 knob); a GAPBS run
-    /// shortens it by [`Scale::GRAPH_INTERVAL_FACTOR`].
+    /// shortens it by `Scale::GRAPH_INTERVAL_FACTOR`.
     pub fn interval(mut self, interval: Nanos) -> Self {
         self.cfg.scan_interval = if let Workload::Gapbs(_) = self.workload {
             Nanos::from_nanos((interval.as_nanos() as f64 * Scale::GRAPH_INTERVAL_FACTOR) as u64)

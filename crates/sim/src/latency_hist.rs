@@ -73,7 +73,7 @@ impl LatencyHistogram {
     }
 
     /// Mean sample value.
-    pub fn mean(&self) -> Option<Nanos> {
+    pub(crate) fn mean(&self) -> Option<Nanos> {
         self.sum.checked_div(self.count).map(Nanos::from_nanos)
     }
 

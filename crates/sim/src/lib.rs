@@ -44,12 +44,12 @@
     clippy::unused_result_ok
 )]
 
-pub mod config;
-pub mod engine;
-pub mod error;
+mod config;
+mod engine;
+mod error;
 pub mod experiments;
-pub mod latency_hist;
-pub mod metrics;
+mod latency_hist;
+mod metrics;
 mod obs;
 
 pub use config::{EngineKnobs, InstrumentKnobs, SimConfig, SystemKind};

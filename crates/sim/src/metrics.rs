@@ -77,7 +77,8 @@ pub struct Metrics {
 impl Metrics {
     /// Creates a collector with the given window length and a re-access
     /// horizon of one window.
-    pub fn new(window_len: Nanos) -> Self {
+    #[cfg(test)]
+    pub(crate) fn new(window_len: Nanos) -> Self {
         Self::with_horizon(window_len, window_len, 0)
     }
 
@@ -95,7 +96,7 @@ impl Metrics {
     /// further when the simulation is dropped, and the next set-up faults
     /// the memory back in. On a 2-vCPU Xeon host that alone made the repo
     /// benchmark's `setup_s` on `ycsb_b_large` read 1.25×.
-    pub fn with_horizon(window_len: Nanos, horizon: Nanos, pages: usize) -> Self {
+    pub(crate) fn with_horizon(window_len: Nanos, horizon: Nanos, pages: usize) -> Self {
         assert!(window_len > Nanos::ZERO, "window must be positive");
         assert!(horizon > Nanos::ZERO, "horizon must be positive");
         Metrics {
@@ -198,7 +199,7 @@ impl Metrics {
     }
 
     /// The per-window statistics recorded so far.
-    pub fn windows(&self) -> &[WindowStats] {
+    pub(crate) fn windows(&self) -> &[WindowStats] {
         &self.windows
     }
 

@@ -11,7 +11,6 @@ pub struct Heatmap {
     pages: Vec<VPage>,
     /// `counts[window][page_index]`.
     counts: Vec<Vec<u32>>,
-    window: Nanos,
 }
 
 impl Heatmap {
@@ -38,7 +37,6 @@ impl Heatmap {
         Heatmap {
             pages: pages.into_iter().map(VPage::new).collect(),
             counts,
-            window,
         }
     }
 
@@ -50,11 +48,6 @@ impl Heatmap {
     /// The count matrix, window-major.
     pub fn counts(&self) -> &[Vec<u32>] {
         &self.counts
-    }
-
-    /// The window length.
-    pub fn window(&self) -> Nanos {
-        self.window
     }
 
     /// Total accesses per page across all windows.

@@ -37,10 +37,10 @@
 //! assert_eq!(stats.events_replayed, 2);
 //! ```
 
-pub mod heatmap;
-pub mod record;
-pub mod replay;
-pub mod trace;
+mod heatmap;
+mod record;
+mod replay;
+mod trace;
 
 pub use heatmap::Heatmap;
 pub use record::Recorder;

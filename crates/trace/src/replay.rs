@@ -25,15 +25,9 @@ pub struct ReplayStats {
 /// mapped to cover the trace's address range.
 pub fn replay<M: Memory + ?Sized>(trace: &Trace, mem: &mut M) -> ReplayStats {
     let mut stats = ReplayStats::default();
-    if trace.is_empty() {
+    let Some(max_page) = trace.events().iter().map(|e| e.vpage.raw()).max() else {
         return stats;
-    }
-    let max_page = trace
-        .events()
-        .iter()
-        .map(|e| e.vpage.raw())
-        .max()
-        .expect("nonempty");
+    };
     let region = mem.mmap((max_page as usize + 1) * PAGE_SIZE, PageKind::Anon);
     let start = mem.now();
     let first_at = trace.events()[0].at;
@@ -41,12 +35,10 @@ pub fn replay<M: Memory + ?Sized>(trace: &Trace, mem: &mut M) -> ReplayStats {
     for e in trace.events() {
         // Honour the recorded think time between events.
         let gap = e.at - prev_at;
-        let due = mem.now() + gap;
         prev_at = e.at;
         if gap > Nanos::ZERO {
             mem.compute(gap);
         }
-        let _ = due;
         let addr = region.add(e.vpage.raw() * PAGE_SIZE as u64);
         match e.kind {
             AccessKind::Read => mem.read(addr, e.bytes as usize),

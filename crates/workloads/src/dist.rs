@@ -4,7 +4,7 @@
 use rand::Rng;
 
 /// Fowler–Noll–Vo 64-bit hash, YCSB's scrambling function.
-pub fn fnv1a_64(mut x: u64) -> u64 {
+pub(crate) fn fnv1a_64(mut x: u64) -> u64 {
     const PRIME: u64 = 0x100_0000_01b3;
     let mut hash = 0xcbf2_9ce4_8422_2325u64;
     for _ in 0..8 {
@@ -34,7 +34,7 @@ impl Zipfian {
     /// # Panics
     ///
     /// Panics if `items == 0` or `theta` is not in `(0, 1)`.
-    pub fn new(items: u64, theta: f64) -> Self {
+    pub(crate) fn new(items: u64, theta: f64) -> Self {
         assert!(items > 0, "zipfian needs at least one item");
         assert!(
             (0.0..1.0).contains(&theta) && theta > 0.0,
@@ -64,7 +64,7 @@ impl Zipfian {
     }
 
     /// Number of items.
-    pub fn items(&self) -> u64 {
+    pub(crate) fn items(&self) -> u64 {
         self.items
     }
 
@@ -85,7 +85,7 @@ impl Zipfian {
     /// Grows the item count incrementally (used by the latest
     /// distribution as records are inserted). Recomputes zeta lazily and
     /// cheaply by extending the partial sum.
-    pub fn grow(&mut self, new_items: u64) {
+    pub(crate) fn grow(&mut self, new_items: u64) {
         if new_items <= self.items {
             return;
         }

@@ -72,7 +72,8 @@ pub fn rmat_edges(scale: u32, degree: usize, seed: u64) -> Vec<(u32, u32)> {
 }
 
 /// Generates uniform random edges.
-pub fn uniform_edges(scale: u32, degree: usize, seed: u64) -> Vec<(u32, u32)> {
+#[cfg(test)]
+pub(crate) fn uniform_edges(scale: u32, degree: usize, seed: u64) -> Vec<(u32, u32)> {
     let n = 1u32 << scale;
     let m = (n as usize) * degree;
     let mut rng = StdRng::seed_from_u64(seed);
@@ -105,7 +106,7 @@ impl Csr {
     }
 
     /// Builds a CSR from an explicit edge list (tests, uniform graphs).
-    pub fn from_edges<M: Memory + ?Sized>(
+    pub(crate) fn from_edges<M: Memory + ?Sized>(
         cfg: &GraphConfig,
         mem: &mut M,
         mut raw: Vec<(u32, u32)>,
@@ -188,7 +189,7 @@ impl Csr {
     }
 
     /// Whether edge weights are attached.
-    pub fn has_weights(&self) -> bool {
+    pub(crate) fn has_weights(&self) -> bool {
         self.weights.is_some()
     }
 
@@ -201,7 +202,7 @@ impl Csr {
     }
 
     /// The out-degree of `u`.
-    pub fn degree<M: Memory + ?Sized>(&self, mem: &mut M, u: u32) -> usize {
+    pub(crate) fn degree<M: Memory + ?Sized>(&self, mem: &mut M, u: u32) -> usize {
         let s = self.offsets.get(mem, u as usize);
         let e = self.offsets.get(mem, u as usize + 1);
         (e - s) as usize
@@ -209,7 +210,7 @@ impl Csr {
 
     /// The neighbour list of `u` (one offsets touch + a sequential edge
     /// range read).
-    pub fn neighbors<M: Memory + ?Sized>(&self, mem: &mut M, u: u32) -> &[u32] {
+    pub(crate) fn neighbors<M: Memory + ?Sized>(&self, mem: &mut M, u: u32) -> &[u32] {
         let s = self.offsets.get(mem, u as usize) as usize;
         let e = self.offsets.get(mem, u as usize + 1) as usize;
         self.edges.range(mem, s, e)
@@ -220,7 +221,11 @@ impl Csr {
     /// # Panics
     ///
     /// Panics if the graph has no weights.
-    pub fn neighbors_weighted<M: Memory + ?Sized>(&self, mem: &mut M, u: u32) -> (&[u32], &[u32]) {
+    pub(crate) fn neighbors_weighted<M: Memory + ?Sized>(
+        &self,
+        mem: &mut M,
+        u: u32,
+    ) -> (&[u32], &[u32]) {
         let s = self.offsets.get(mem, u as usize) as usize;
         let e = self.offsets.get(mem, u as usize + 1) as usize;
         let w = self.weights.as_ref().expect("graph has no weights");
@@ -233,7 +238,7 @@ impl Csr {
     // caller crate's unit split left it out of line, PageRank's whole loop
     // compiled differently and ran ~5 % slower (2-vCPU Xeon host).
     #[inline]
-    pub fn vertex_array<M, T>(&mut self, mem: &mut M, init: T) -> MemVec<T>
+    pub(crate) fn vertex_array<M, T>(&mut self, mem: &mut M, init: T) -> MemVec<T>
     where
         M: Memory + ?Sized,
         T: Copy,

@@ -18,7 +18,12 @@ pub struct MemVec<T> {
 
 impl<T: Copy> MemVec<T> {
     /// Maps a new array of `len` elements, all `init`.
-    pub fn new<M: Memory + ?Sized>(mem: &mut M, kind: PageKind, len: usize, init: T) -> Self {
+    pub(crate) fn new<M: Memory + ?Sized>(
+        mem: &mut M,
+        kind: PageKind,
+        len: usize,
+        init: T,
+    ) -> Self {
         assert!(len > 0, "MemVec needs at least one element");
         let bytes = len * std::mem::size_of::<T>();
         MemVec {
@@ -29,7 +34,7 @@ impl<T: Copy> MemVec<T> {
 
     /// Maps an array initialised from an existing vector (bulk-writes the
     /// whole region once, like the initial population of the array).
-    pub fn from_vec<M: Memory + ?Sized>(mem: &mut M, kind: PageKind, data: Vec<T>) -> Self {
+    pub(crate) fn from_vec<M: Memory + ?Sized>(mem: &mut M, kind: PageKind, data: Vec<T>) -> Self {
         assert!(!data.is_empty(), "MemVec needs at least one element");
         let bytes = data.len() * std::mem::size_of::<T>();
         let base = mem.mmap(bytes, kind);
@@ -39,28 +44,25 @@ impl<T: Copy> MemVec<T> {
 
     /// Wraps a pre-reserved region at `base` (arena allocation). The
     /// caller guarantees the region is large enough and not aliased.
-    pub fn at(base: VAddr, data: Vec<T>) -> Self {
+    pub(crate) fn at(base: VAddr, data: Vec<T>) -> Self {
         assert!(!data.is_empty(), "MemVec needs at least one element");
         MemVec { base, data }
     }
 
     /// Number of elements.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.data.len()
     }
 
-    /// Whether the array is empty (never true by construction).
-    pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
-    }
-
     /// The base address.
-    pub fn base(&self) -> VAddr {
+    #[cfg(test)]
+    pub(crate) fn base(&self) -> VAddr {
         self.base
     }
 
     /// Size of the mapped region in bytes.
-    pub fn bytes(&self) -> usize {
+    pub(crate) fn bytes(&self) -> usize {
         self.data.len() * std::mem::size_of::<T>()
     }
 
@@ -69,19 +71,19 @@ impl<T: Copy> MemVec<T> {
     }
 
     /// Reads one element (one random page touch).
-    pub fn get<M: Memory + ?Sized>(&self, mem: &mut M, i: usize) -> T {
+    pub(crate) fn get<M: Memory + ?Sized>(&self, mem: &mut M, i: usize) -> T {
         mem.read(self.addr(i), std::mem::size_of::<T>());
         self.data[i]
     }
 
     /// Writes one element (one random page touch).
-    pub fn set<M: Memory + ?Sized>(&mut self, mem: &mut M, i: usize, v: T) {
+    pub(crate) fn set<M: Memory + ?Sized>(&mut self, mem: &mut M, i: usize, v: T) {
         mem.write(self.addr(i), std::mem::size_of::<T>());
         self.data[i] = v;
     }
 
     /// Reads a contiguous range (sequential, bandwidth-amortised).
-    pub fn range<M: Memory + ?Sized>(&self, mem: &mut M, start: usize, end: usize) -> &[T] {
+    pub(crate) fn range<M: Memory + ?Sized>(&self, mem: &mut M, start: usize, end: usize) -> &[T] {
         assert!(
             start <= end && end <= self.data.len(),
             "range out of bounds"
@@ -93,7 +95,7 @@ impl<T: Copy> MemVec<T> {
     }
 
     /// Overwrites every element (one sequential sweep).
-    pub fn fill<M: Memory + ?Sized>(&mut self, mem: &mut M, v: T) {
+    pub(crate) fn fill<M: Memory + ?Sized>(&mut self, mem: &mut M, v: T) {
         mem.write(self.base, self.bytes());
         self.data.fill(v);
     }

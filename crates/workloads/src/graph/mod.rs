@@ -19,14 +19,14 @@
 
 pub mod bc;
 pub mod bfs;
-pub mod builder;
+mod builder;
 pub mod cc;
-pub mod mem_vec;
+mod mem_vec;
 pub mod pagerank;
 pub mod sssp;
 pub mod tc;
 
-pub use builder::{rmat_edges, uniform_edges, Csr, GraphConfig};
+pub use builder::{rmat_edges, Csr, GraphConfig};
 pub use mem_vec::MemVec;
 
 /// The six GAPBS kernels, for experiment drivers.

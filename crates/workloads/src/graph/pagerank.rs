@@ -5,7 +5,7 @@ use crate::graph::mem_vec::MemVec;
 use crate::memory::Memory;
 
 /// Damping factor used by GAPBS.
-pub const DAMPING: f64 = 0.85;
+pub(crate) const DAMPING: f64 = 0.85;
 
 /// Runs `iters` synchronous PageRank iterations; the returned ranks sum
 /// to ~1.

@@ -12,7 +12,7 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 /// Distance assigned to unreachable vertices.
-pub const UNREACHABLE: u64 = u64::MAX;
+pub(crate) const UNREACHABLE: u64 = u64::MAX;
 
 /// Computes shortest-path distances from `source`.
 ///

@@ -8,8 +8,7 @@
 //! bucket page and writes the item; items are slab-allocated in size
 //! classes like memcached's.
 
-pub mod slab;
-pub mod store;
+mod slab;
+mod store;
 
-pub use slab::SlabAllocator;
 pub use store::{KvStats, KvStore};

@@ -8,11 +8,11 @@ use crate::memory::Memory;
 use mc_mem::{PageKind, VAddr};
 
 /// Smallest chunk class in bytes.
-pub const MIN_CHUNK: usize = 64;
+pub(crate) const MIN_CHUNK: usize = 64;
 /// Largest chunk class in bytes.
-pub const MAX_CHUNK: usize = 64 * 1024;
+pub(crate) const MAX_CHUNK: usize = 64 * 1024;
 /// Size of one slab in bytes.
-pub const SLAB_BYTES: usize = 64 * 1024;
+pub(crate) const SLAB_BYTES: usize = 64 * 1024;
 
 #[derive(Debug, Default)]
 struct SizeClass {
@@ -23,7 +23,7 @@ struct SizeClass {
 
 /// The slab allocator.
 #[derive(Debug)]
-pub struct SlabAllocator {
+pub(crate) struct SlabAllocator {
     kind: PageKind,
     classes: Vec<SizeClass>,
 }
@@ -31,7 +31,7 @@ pub struct SlabAllocator {
 impl SlabAllocator {
     /// Creates an allocator whose slabs are mapped with the given page
     /// kind (memcached's heap is anonymous memory).
-    pub fn new(kind: PageKind) -> Self {
+    pub(crate) fn new(kind: PageKind) -> Self {
         let n_classes = (MAX_CHUNK / MIN_CHUNK).trailing_zeros() as usize + 1;
         SlabAllocator {
             kind,
@@ -44,7 +44,7 @@ impl SlabAllocator {
     /// # Panics
     ///
     /// Panics if `size` is zero or exceeds [`MAX_CHUNK`].
-    pub fn chunk_size(size: usize) -> usize {
+    pub(crate) fn chunk_size(size: usize) -> usize {
         assert!(size > 0, "cannot allocate zero bytes");
         assert!(size <= MAX_CHUNK, "allocation of {size} exceeds max chunk");
         size.next_power_of_two().max(MIN_CHUNK)
@@ -55,7 +55,7 @@ impl SlabAllocator {
     }
 
     /// Allocates a chunk big enough for `size` bytes.
-    pub fn alloc<M: Memory + ?Sized>(&mut self, mem: &mut M, size: usize) -> VAddr {
+    pub(crate) fn alloc<M: Memory + ?Sized>(&mut self, mem: &mut M, size: usize) -> VAddr {
         let idx = Self::class_index(size);
         let chunk = MIN_CHUNK << idx;
         if self.classes[idx].free.is_empty() {
@@ -76,7 +76,7 @@ impl SlabAllocator {
 
     /// Returns a chunk (previously allocated with the same `size` class)
     /// to its free list.
-    pub fn free(&mut self, addr: VAddr, size: usize) {
+    pub(crate) fn free(&mut self, addr: VAddr, size: usize) {
         let idx = Self::class_index(size);
         let class = &mut self.classes[idx];
         debug_assert!(class.allocated_chunks > 0, "free without matching alloc");
@@ -85,12 +85,14 @@ impl SlabAllocator {
     }
 
     /// Total slabs mapped so far.
-    pub fn slabs(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn slabs(&self) -> u64 {
         self.classes.iter().map(|c| c.slabs).sum()
     }
 
     /// Chunks currently allocated.
-    pub fn live_chunks(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn live_chunks(&self) -> u64 {
         self.classes.iter().map(|c| c.allocated_chunks).sum()
     }
 }

@@ -23,8 +23,6 @@ pub struct KvStats {
     pub hits: u64,
     /// SET operations (insert or update).
     pub sets: u64,
-    /// DELETE operations that removed a key.
-    pub deletes: u64,
 }
 
 /// Location of a stored item.
@@ -85,15 +83,15 @@ impl KvStore {
         self.index.len()
     }
 
+    /// Whether the store is empty.
+    pub fn is_empty(&self) -> bool {
+        self.index.is_empty()
+    }
+
     /// The simulated address of a stored item (diagnostics: lets tools
     /// check which tier holds a given key's page).
     pub fn item_addr(&self, key: u64) -> Option<VAddr> {
         self.index.get(&key).map(|i| i.addr)
-    }
-
-    /// Whether the store is empty.
-    pub fn is_empty(&self) -> bool {
-        self.index.is_empty()
     }
 
     fn bucket_addr(&self, key: u64) -> VAddr {
@@ -156,21 +154,8 @@ impl KvStore {
         Some(&self.item[ITEM_HEADER..])
     }
 
-    /// Removes a record; returns whether it existed.
-    pub fn delete<M: Memory + ?Sized>(&mut self, mem: &mut M, key: u64) -> bool {
-        mem.write(self.bucket_addr(key), BUCKET_BYTES);
-        match self.index.remove(&key) {
-            Some(item) => {
-                self.slab.free(item.addr, ITEM_HEADER + item.value_len);
-                self.stats.deletes += 1;
-                true
-            }
-            None => false,
-        }
-    }
-
     /// Read-modify-write: YCSB workload F's composite operation.
-    pub fn read_modify_write<M: Memory + ?Sized>(
+    pub(crate) fn read_modify_write<M: Memory + ?Sized>(
         &mut self,
         mem: &mut M,
         key: u64,
@@ -235,17 +220,6 @@ mod tests {
         assert_eq!(kv.get(&mut mem, 2), Some(&[0xbb; 1024][..]));
         assert_eq!(kv.get(&mut mem, 1), Some(&b"short"[..]));
         assert_eq!(kv.get(&mut mem, 2), Some(&[0xbb; 1024][..]));
-    }
-
-    #[test]
-    fn delete_frees_and_misses_afterwards() {
-        let mut mem = SimpleMemory::new();
-        let mut kv = KvStore::new(&mut mem, 100);
-        kv.set(&mut mem, 5, b"x");
-        assert!(kv.delete(&mut mem, 5));
-        assert!(!kv.delete(&mut mem, 5));
-        assert_eq!(kv.get(&mut mem, 5), None);
-        assert!(kv.is_empty());
     }
 
     #[test]

@@ -21,7 +21,7 @@
 pub mod dist;
 pub mod graph;
 pub mod kv;
-pub mod memory;
+mod memory;
 pub mod motivation;
 pub mod ycsb;
 

@@ -68,7 +68,7 @@ pub struct MotivationWorkload {
 
 impl MotivationWorkload {
     /// Builds a workload from explicit classes.
-    pub fn new(name: &'static str, classes: Vec<PageClass>, seed: u64) -> Self {
+    pub(crate) fn new(name: &'static str, classes: Vec<PageClass>, seed: u64) -> Self {
         assert!(!classes.is_empty(), "workload needs at least one class");
         MotivationWorkload {
             name,
@@ -109,7 +109,7 @@ impl MotivationWorkload {
 
     /// SPECpower-like (at 80% load): mostly steady traffic with a smaller
     /// bimodal band (GC cycles) and few cold pages.
-    pub fn specpower(pages: usize, seed: u64) -> Self {
+    pub(crate) fn specpower(pages: usize, seed: u64) -> Self {
         Self::new(
             "SPECpower",
             vec![
@@ -137,7 +137,7 @@ impl MotivationWorkload {
 
     /// DaCapo xalan-like (XML transform): strongly phased — most pages are
     /// bimodal with long phases, small hot core.
-    pub fn xalan(pages: usize, seed: u64) -> Self {
+    pub(crate) fn xalan(pages: usize, seed: u64) -> Self {
         Self::new(
             "xalan",
             vec![
@@ -165,7 +165,7 @@ impl MotivationWorkload {
 
     /// DaCapo lusearch-like (Lucene search): scattered short bursts over a
     /// large cold corpus with a modest hot core (index roots).
-    pub fn lusearch(pages: usize, seed: u64) -> Self {
+    pub(crate) fn lusearch(pages: usize, seed: u64) -> Self {
         Self::new(
             "lusearch",
             vec![
@@ -207,14 +207,14 @@ impl MotivationWorkload {
     }
 
     /// Total pages across classes.
-    pub fn total_pages(&self) -> usize {
+    pub(crate) fn total_pages(&self) -> usize {
         self.classes.iter().map(|c| c.pages).sum()
     }
 
     /// Runs one time slice: touches pages according to their class
     /// behaviour and returns the per-page access counts of this slice.
     /// The region is mapped on first use.
-    pub fn step<M: Memory + ?Sized>(&mut self, mem: &mut M) -> Vec<u32> {
+    pub(crate) fn step<M: Memory + ?Sized>(&mut self, mem: &mut M) -> Vec<u32> {
         let total = self.total_pages();
         let base = *self
             .base

@@ -38,16 +38,6 @@ pub enum YcsbWorkload {
 }
 
 impl YcsbWorkload {
-    /// All workloads the paper reports (E excluded — non-operational).
-    pub const OPERATIONAL: [YcsbWorkload; 6] = [
-        YcsbWorkload::A,
-        YcsbWorkload::B,
-        YcsbWorkload::C,
-        YcsbWorkload::D,
-        YcsbWorkload::F,
-        YcsbWorkload::W,
-    ];
-
     /// The paper's prescribed execution order: D runs last because its
     /// inserts change the record count.
     pub const fn prescribed_order() -> [YcsbWorkload; 6] {
@@ -62,12 +52,12 @@ impl YcsbWorkload {
     }
 
     /// Whether this workload can run against memcached.
-    pub fn is_operational(self) -> bool {
+    pub(crate) fn is_operational(self) -> bool {
         self != YcsbWorkload::E
     }
 
     /// (read%, update%, insert%, rmw%) operation mix.
-    pub fn mix(self) -> (u32, u32, u32, u32) {
+    pub(crate) fn mix(self) -> (u32, u32, u32, u32) {
         match self {
             YcsbWorkload::A => (50, 50, 0, 0),
             YcsbWorkload::B => (95, 5, 0, 0),
@@ -329,7 +319,7 @@ mod tests {
 
     #[test]
     fn workload_mixes_sum_to_100() {
-        for w in YcsbWorkload::OPERATIONAL {
+        for w in YcsbWorkload::prescribed_order() {
             let (r, u, i, m) = w.mix();
             assert_eq!(r + u + i + m, 100, "{w}");
         }
