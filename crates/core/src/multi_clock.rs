@@ -54,6 +54,9 @@ pub struct MultiClock {
     /// attempt and is waiting (requeued at the promote-list tail) for its
     /// backoff to elapse.
     pub(crate) retry_state: Vec<Option<RetryState>>,
+    /// The pages one list scan examines, in walk order; kept so a scan
+    /// does not allocate.
+    pub(crate) scan_scratch: Vec<FrameId>,
 }
 
 /// Retry bookkeeping for one page's current promotion episode.
@@ -99,6 +102,7 @@ impl MultiClock {
             pressure_guard: vec![false; topology.tier_count()],
             in_flight: 0,
             retry_state: vec![None; topology.total_pages()],
+            scan_scratch: Vec::new(),
         }
     }
 

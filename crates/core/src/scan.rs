@@ -126,6 +126,12 @@ impl MultiClock {
     /// on a promote list, simply stays (transition 12); an unreferenced
     /// page still in the list's referenced state decays one step. Returns
     /// the pages examined.
+    ///
+    /// The rotation is one walk and one splice: the examined prefix moves
+    /// to the tail first, in order, which is where popping and re-pushing
+    /// each page would leave it, and the pages are then examined in walk
+    /// order. A page's step moves only that page, so it finds every other
+    /// page where the one-at-a-time rotation would.
     fn scan_list(
         &mut self,
         mem: &mut MemorySystem,
@@ -144,24 +150,18 @@ impl MultiClock {
             WhichList::Promote => (PageState::Promote, PageState::ActiveUnref, 11), // fig4: 11
             WhichList::Unevictable => return 0,
         };
-        let budget = self.tiers[tier.index()]
-            .shard(shard)
-            .set(kind)
-            .list(which)
-            .len()
-            .min(self.cfg.scan_batch);
-        let mut scanned = 0u64;
-        for _ in 0..budget {
-            let list = self.tiers[tier.index()]
-                .shard_mut(shard)
-                .set_mut(kind)
-                .list_mut(which);
-            let Some(frame) = list.pop_front() else {
-                break;
-            };
-            scanned += 1;
-            // Rotate first so the ladder's list moves see a member page.
-            list.push_back(frame);
+        let list = self.tiers[tier.index()]
+            .shard_mut(shard)
+            .set_mut(kind)
+            .list_mut(which);
+        let budget = list.len().min(self.cfg.scan_batch);
+        let mut walked = std::mem::take(&mut self.scan_scratch);
+        walked.clear();
+        list.rotate_until(budget, |frame| {
+            walked.push(frame);
+            false
+        });
+        for &frame in &walked {
             if mem.harvest_referenced(frame) {
                 if which != WhichList::Promote {
                     self.apply_access(mem, frame);
@@ -172,7 +172,14 @@ impl MultiClock {
                 } else {
                     saturating_bump(&mut self.stats.ladder_decays);
                 }
-                self.transition(mem, frame, lands);
+                if lands.list() == which {
+                    // Already at the tail: only the state changes, and the
+                    // promotion episode ends as in `transition`.
+                    self.states[frame.index()] = Some(lands);
+                    self.retry_state[frame.index()] = None;
+                } else {
+                    self.transition(mem, frame, lands);
+                }
                 mem.instruments.emit(|| EventKind::Fig4 {
                     edge,
                     frame: frame.index() as u64,
@@ -180,6 +187,8 @@ impl MultiClock {
                 });
             }
         }
+        let scanned = walked.len() as u64;
+        self.scan_scratch = walked;
         if scanned > 0 {
             mem.instruments.emit(|| EventKind::ScanList {
                 tier: tier.index() as u8,

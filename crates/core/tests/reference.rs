@@ -741,6 +741,8 @@ struct Scope {
     machine: MachineDesc,
     pages: u8,
     pass: Pass,
+    /// Pages a scan examines per list.
+    scan_batch: usize,
 }
 
 fn dram_pm() -> Scope {
@@ -749,6 +751,7 @@ fn dram_pm() -> Scope {
         machine: MachineDesc::dram_pm(4, 4),
         pages: 4,
         pass: Pass::Model,
+        scan_batch: MultiClockConfig::default().scan_batch,
     }
 }
 
@@ -758,6 +761,7 @@ fn three_tier() -> Scope {
         machine: MachineDesc::three_tier(4, 4, 4),
         pages: 3,
         pass: Pass::Model,
+        scan_batch: MultiClockConfig::default().scan_batch,
     }
 }
 
@@ -783,6 +787,7 @@ fn large_dram_pm() -> Scope {
         machine: MachineDesc::dram_pm(16, 32),
         pages: 40,
         pass: Pass::Model,
+        scan_batch: MultiClockConfig::default().scan_batch,
     }
 }
 
@@ -792,6 +797,7 @@ fn large_three_tier() -> Scope {
         machine: MachineDesc::three_tier(4, 8, 16),
         pages: 24,
         pass: Pass::Model,
+        scan_batch: MultiClockConfig::default().scan_batch,
     }
 }
 
@@ -801,6 +807,26 @@ fn dual_socket() -> Scope {
         machine: MachineDesc::dual_socket(8, 16),
         pages: 40,
         pass: Pass::Model,
+        scan_batch: MultiClockConfig::default().scan_batch,
+    }
+}
+
+/// `scan_batch = 2`, so a scan covers only part of a list: the engine's
+/// walk-and-splice rotation meets the model's pop/push one mid-list.
+fn partial_scan() -> Scope {
+    Scope {
+        name: "partial_scan",
+        scan_batch: 2,
+        ..dram_pm()
+    }
+}
+
+/// [`partial_scan`] on two sockets' longer lists.
+fn partial_scan_dual_socket() -> Scope {
+    Scope {
+        name: "partial_scan_dual_socket",
+        scan_batch: 2,
+        ..dual_socket()
     }
 }
 
@@ -830,6 +856,7 @@ impl World {
                 },
                 ..Knobs::default()
             },
+            scan_batch: scope.scan_batch,
             ..MultiClockConfig::default()
         };
         let mut mem = MemorySystem::new(scope.machine.clone());
@@ -1323,6 +1350,11 @@ fn engine_matches_model_exhaustively_on_three_tier() {
 }
 
 #[test]
+fn engine_matches_model_exhaustively_on_partial_scans() {
+    assert_every_edge(&exhaust(partial_scan(), &[0, 2, 4], 2));
+}
+
+#[test]
 fn batch_of_two_under_faulty_ticks_keeps_every_page_listed() {
     exhaust(batch_two(), &[0, 2, 4], 2);
 }
@@ -1370,6 +1402,13 @@ proptest! {
     #[test]
     fn engine_matches_model_on_random_dual_socket(ops in random_ops(&dual_socket())) {
         check_random(dual_socket(), ops);
+    }
+
+    #[test]
+    fn engine_matches_model_on_random_partial_scans(
+        ops in random_ops(&partial_scan_dual_socket())
+    ) {
+        check_random(partial_scan_dual_socket(), ops);
     }
 }
 

@@ -81,7 +81,9 @@ pub struct MigrationTxn {
 /// is a frame-indexed slot: `get`/`insert`/`remove` are O(1). The entries
 /// themselves stay in insertion order — the order `pop_oldest_in_tier` and
 /// `iter` promise and the bit-identity differential tests rely on — with a
-/// removed entry left as a hole until holes outnumber live entries.
+/// removed entry left as a hole until holes outnumber live entries. Pops
+/// take the oldest entries, so the holes gather at the front; a cursor
+/// past them keeps each pop from searching through them again.
 #[derive(Debug, Clone, Default)]
 pub struct ShadowPages {
     /// `(key, copy)` in insertion order; `None` is a removed entry.
@@ -90,6 +92,8 @@ pub struct ShadowPages {
     /// Grown on insert only, so it costs nothing until shadows are in use.
     slot: Vec<u32>,
     live: usize,
+    /// Every entry before this position is a hole.
+    head: usize,
 }
 
 impl ShadowPages {
@@ -133,9 +137,14 @@ impl ShadowPages {
         let (_, copy) = self.entries.get_mut(pos)?.take()?;
         self.slot[key.index()] = 0;
         self.live -= 1;
+        if pos == self.head {
+            let holes = self.entries[pos..].iter().take_while(|e| e.is_none());
+            self.head += holes.count();
+        }
         if self.entries.len() > 2 * self.live + 64 {
             // Squeeze the holes out, keeping order, and re-point the slots.
             self.entries.retain(Option::is_some);
+            self.head = 0;
             for (pos, (key, _)) in self.entries.iter().flatten().enumerate() {
                 self.slot[key.index()] = pos as u32 + 1;
             }
@@ -159,13 +168,14 @@ impl ShadowPages {
 
     /// Iterates `(key, copy)` pairs in insertion order.
     pub fn iter(&self) -> impl Iterator<Item = (FrameId, FrameId)> + '_ {
-        self.entries.iter().flatten().copied()
+        self.entries[self.head..].iter().flatten().copied()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn migration_mode_defaults_to_sync() {
@@ -206,5 +216,102 @@ mod tests {
         );
         assert_eq!(s.len(), 1);
         assert_eq!(s.pop_oldest_in_tier(TierId::TOP, tier_of), None);
+    }
+
+    /// One step against the shadow table.
+    #[derive(Debug, Clone, Copy)]
+    enum Op {
+        Insert(u32, u32),
+        /// Inserts keys `k, k + 1, ..` (`n` of them) with fresh copies.
+        InsertRun(u32, u32),
+        Remove(u32),
+        /// `n` pops of the oldest entry in a tier.
+        Pop(u8, u32),
+    }
+
+    const KEYS: u32 = 160;
+
+    /// Copies whose frame number is a multiple of 3 sit in tier 2, the rest
+    /// in tier 1.
+    fn tier_of(copy: FrameId) -> TierId {
+        TierId::new(if copy.index().is_multiple_of(3) { 2 } else { 1 })
+    }
+
+    /// The plain model: live `(key, copy)` pairs in insertion order.
+    #[derive(Default)]
+    struct Model(Vec<(FrameId, FrameId)>);
+
+    impl Model {
+        fn take(&mut self, at: Option<usize>) -> Option<(FrameId, FrameId)> {
+            at.map(|i| self.0.remove(i))
+        }
+
+        fn insert(&mut self, key: FrameId, copy: FrameId) -> Option<FrameId> {
+            let old = self.remove(key);
+            self.0.push((key, copy));
+            old
+        }
+
+        fn remove(&mut self, key: FrameId) -> Option<FrameId> {
+            let at = self.0.iter().position(|e| e.0 == key);
+            self.take(at).map(|(_, copy)| copy)
+        }
+
+        fn pop_oldest_in_tier(&mut self, tier: TierId) -> Option<(FrameId, FrameId)> {
+            let at = self.0.iter().position(|e| tier_of(e.1) == tier);
+            self.take(at)
+        }
+    }
+
+    fn ops() -> impl Strategy<Value = Vec<Op>> {
+        let op = prop_oneof![
+            (0..KEYS, 0..1000u32).prop_map(|(k, c)| Op::Insert(k, c)),
+            (0..KEYS, 1..90u32).prop_map(|(k, n)| Op::InsertRun(k, n)),
+            (0..KEYS).prop_map(Op::Remove),
+            (1..3u8, 1..60u32).prop_map(|(t, n)| Op::Pop(t, n)),
+        ];
+        prop::collection::vec(op, 1..120)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn the_table_is_an_insertion_ordered_list(ops in ops()) {
+            let (mut table, mut model) = (ShadowPages::new(), Model::default());
+            let mut fresh = 1000;
+            for (i, op) in ops.into_iter().enumerate() {
+                let f = FrameId::new;
+                match op {
+                    Op::Insert(k, c) => {
+                        let (key, copy) = (f(k), f(c));
+                        prop_assert_eq!(table.insert(key, copy), model.insert(key, copy));
+                    }
+                    Op::InsertRun(k, n) => {
+                        for key in (k..k + n).map(|k| f(k % KEYS)) {
+                            fresh += 1;
+                            let copy = f(fresh);
+                            prop_assert_eq!(table.insert(key, copy), model.insert(key, copy));
+                        }
+                    }
+                    Op::Remove(k) => prop_assert_eq!(table.remove(f(k)), model.remove(f(k))),
+                    Op::Pop(t, n) => {
+                        for _ in 0..n {
+                            let tier = TierId::new(t);
+                            let got = table.pop_oldest_in_tier(tier, tier_of);
+                            let want = model.pop_oldest_in_tier(tier);
+                            prop_assert_eq!(got, want, "op {} {:?}", i, op);
+                        }
+                    }
+                }
+                prop_assert_eq!(table.len(), model.0.len(), "op {} {:?}", i, op);
+                let entries: Vec<_> = table.iter().collect();
+                prop_assert_eq!(entries, model.0.clone(), "op {} {:?}", i, op);
+                for k in 0..KEYS {
+                    let copy = model.0.iter().find(|e| e.0 == f(k)).map(|e| e.1);
+                    prop_assert_eq!(table.get(f(k)), copy, "op {} {:?}, key {}", i, op, k);
+                }
+            }
+        }
     }
 }

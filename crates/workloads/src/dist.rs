@@ -26,6 +26,8 @@ pub struct Zipfian {
     zetan: f64,
     eta: f64,
     zeta2: f64,
+    /// `1 + 0.5^theta`: a scaled draw below this (and at least 1) is rank 1.
+    rank1_cutoff: f64,
 }
 
 impl Zipfian {
@@ -51,6 +53,7 @@ impl Zipfian {
             zetan,
             eta,
             zeta2,
+            rank1_cutoff: 1.0 + 0.5f64.powf(theta),
         }
     }
 
@@ -75,7 +78,7 @@ impl Zipfian {
         if uz < 1.0 {
             return 0;
         }
-        if uz < 1.0 + 0.5f64.powf(self.theta) {
+        if uz < self.rank1_cutoff {
             return 1;
         }
         let v = (self.items as f64 * (self.eta * u - self.eta + 1.0).powf(self.alpha)) as u64;
@@ -255,6 +258,49 @@ mod tests {
         assert!((grown.zetan - fresh.zetan).abs() < 1e-9);
         assert!((grown.eta - fresh.eta).abs() < 1e-9);
         assert_eq!(grown.items(), 500);
+    }
+
+    /// The draw `next` made before the rank-1 cutoff was computed once in
+    /// `new`: the same formula with its `pow` evaluated on every draw.
+    fn per_draw_formula<R: Rng + ?Sized>(z: &Zipfian, rng: &mut R) -> u64 {
+        let u: f64 = rng.gen();
+        let uz = u * z.zetan;
+        if uz < 1.0 {
+            return 0;
+        }
+        if uz < 1.0 + 0.5f64.powf(z.theta) {
+            return 1;
+        }
+        let v = (z.items as f64 * (z.eta * u - z.eta + 1.0).powf(z.alpha)) as u64;
+        v.min(z.items - 1)
+    }
+
+    #[test]
+    fn draws_equal_the_per_draw_formula() {
+        for seed in [1, 7, 42, 2024] {
+            for items in [1, 2, 3, 17, 1000, 50_000] {
+                let mut rng = StdRng::seed_from_u64(seed);
+                let mut old = StdRng::seed_from_u64(seed);
+                let z = Zipfian::ycsb_default(items);
+                for i in 0..20_000 {
+                    let want = per_draw_formula(&z, &mut old);
+                    assert_eq!(
+                        z.next(&mut rng),
+                        want,
+                        "seed {seed}, {items} items, draw {i}"
+                    );
+                }
+                let mut l = Latest::new(items);
+                for grown in [items, items + 1, 3 * items + 5] {
+                    l.grow(grown);
+                    for i in 0..5_000 {
+                        let want = grown - 1 - per_draw_formula(&l.zipf, &mut old);
+                        let got = l.next(&mut rng);
+                        assert_eq!(got, want, "seed {seed}, latest over {grown}, draw {i}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]
