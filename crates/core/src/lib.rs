@@ -12,7 +12,7 @@
 //!   flag; here the state [`PageState::Promote`], recorded once) — i.e. a
 //!   page becomes a promotion candidate only after being seen referenced
 //!   repeatedly in recent scans;
-//! * a per-node daemon, **`kpromoted`** (here: one list shard per NUMA
+//! * a per-node daemon, **`kpromoted`** (here: one set of lists per NUMA
 //!   node of the topology), wakes periodically (1 s default),
 //!   harvests PTE reference bits, performs the list transitions of the
 //!   paper's Fig. 4 state machine, and migrates every page on a lower
@@ -75,7 +75,7 @@ mod stats;
 mod validate;
 
 pub use config::{Knobs, MultiClockConfig, RECLAIM_BATCH};
-pub use lists::{ListSet, TierLists, TierShards, WhichList};
+pub use lists::{ListSet, TierLists, WhichList};
 pub use multi_clock::MultiClock;
 pub use state::PageState;
 pub use stats::MultiClockStats;

@@ -1,17 +1,17 @@
-//! Per-tier list sets.
+//! Per-node list sets.
 //!
 //! "Originally, each memory node maintains its own set of LRU lists:
 //! anonymous inactive, anonymous active, file inactive, file active, and
 //! unevictable. We added two lists: anonymous promote and file promote"
 //! (paper §IV). [`TierLists`] is that structure, instantiated once per
-//! tier (the paper runs its modified PFRA on each memory tier separately).
+//! NUMA node; a tier's lists are those of its nodes.
 
 use mc_clock::IndexedList;
 use mc_mem::{FrameId, PageKind};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
-/// Which of a tier's lists a page is on.
+/// Which of a node's lists a page is on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum WhichList {
     /// The inactive LRU list.
@@ -64,18 +64,18 @@ impl ListSet {
     ///
     /// # Panics
     ///
-    /// Panics for [`WhichList::Unevictable`], which lives on the tier, not
+    /// Panics for [`WhichList::Unevictable`], which lives on the node, not
     /// the per-kind set.
     #[expect(
         clippy::panic,
-        reason = "documented \"# Panics\" contract; Unevictable is per tier"
+        reason = "documented \"# Panics\" contract; Unevictable is per node"
     )]
     pub fn list(&self, which: WhichList) -> &IndexedList {
         match which {
             WhichList::Inactive => &self.inactive,
             WhichList::Active => &self.active,
             WhichList::Promote => &self.promote,
-            WhichList::Unevictable => panic!("unevictable list is per tier, not per kind"),
+            WhichList::Unevictable => panic!("unevictable list is per node, not per kind"),
         }
     }
 
@@ -86,14 +86,14 @@ impl ListSet {
     /// Panics for [`WhichList::Unevictable`].
     #[expect(
         clippy::panic,
-        reason = "documented \"# Panics\" contract; Unevictable is per tier"
+        reason = "documented \"# Panics\" contract; Unevictable is per node"
     )]
     pub(crate) fn list_mut(&mut self, which: WhichList) -> &mut IndexedList {
         match which {
             WhichList::Inactive => &mut self.inactive,
             WhichList::Active => &mut self.active,
             WhichList::Promote => &mut self.promote,
-            WhichList::Unevictable => panic!("unevictable list is per tier, not per kind"),
+            WhichList::Unevictable => panic!("unevictable list is per node, not per kind"),
         }
     }
 
@@ -120,8 +120,13 @@ impl ListSet {
     }
 }
 
-/// All lists for one tier: anon + file sets and the shared unevictable
+/// All lists for one node: anon + file sets and the shared unevictable
 /// list.
+///
+/// Outside this crate the lists are read-only: `TierLists::set_mut` and
+/// `ListSet::list_mut` are crate-private (DESIGN.md §9).
+/// `tests/self_test.rs` compiles planted outside-crate calls to each and
+/// checks rustc's error code and span.
 #[derive(Debug, Default, Clone)]
 pub struct TierLists {
     /// Lists for anonymous pages.
@@ -133,7 +138,7 @@ pub struct TierLists {
 }
 
 impl TierLists {
-    /// Creates empty tier lists.
+    /// Creates empty lists.
     pub(crate) fn new() -> Self {
         Self::default()
     }
@@ -154,13 +159,13 @@ impl TierLists {
         }
     }
 
-    /// Total tracked pages on this tier (including unevictable).
+    /// Total tracked pages on this node (including unevictable).
     #[cfg(test)]
     pub(crate) fn len(&self) -> usize {
         self.anon.len() + self.file.len() + self.unevictable.len()
     }
 
-    /// Whether no page is tracked on this tier.
+    /// Whether no page is tracked on this node.
     #[cfg(test)]
     pub(crate) fn is_empty(&self) -> bool {
         self.len() == 0
@@ -171,118 +176,9 @@ impl TierLists {
         self.anon.remove(frame) || self.file.remove(frame) || self.unevictable.remove(frame)
     }
 
-    /// Whether any list on this tier holds the frame.
+    /// Whether any list on this node holds the frame.
     pub fn contains(&self, frame: FrameId) -> bool {
         self.anon.contains(frame) || self.file.contains(frame) || self.unevictable.contains(frame)
-    }
-}
-
-/// A tier's lists, split into one independent shard per NUMA node.
-///
-/// The paper runs `kpromoted` as a *per-node* daemon; HM-Keeper makes the
-/// same point for scan scalability. Each shard owns a full [`TierLists`]
-/// (anon/file × inactive/active/promote + unevictable) and is scanned
-/// independently each tick. A frame belongs to the shard of its node, so
-/// it lives on exactly one shard for as long as it stays in the tier. On
-/// a single-node tier this is exactly the unsharded structure.
-///
-/// Outside this crate the lists are read-only: `shard_mut`,
-/// `TierLists::set_mut` and `ListSet::list_mut` are crate-private
-/// (DESIGN.md §9). `tests/self_test.rs` compiles planted outside-crate
-/// calls to each and checks rustc's error code and span.
-#[derive(Debug, Clone)]
-pub struct TierShards {
-    shards: Vec<TierLists>,
-}
-
-impl TierShards {
-    /// Creates `count` empty shards (`count` is clamped to at least 1).
-    pub(crate) fn new(count: usize) -> Self {
-        TierShards {
-            shards: vec![TierLists::new(); count.max(1)],
-        }
-    }
-
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// The lists of one shard.
-    ///
-    /// # Panics
-    /// If `i >= shard_count()` — shard indices come from `shard_of`, the
-    /// frame's node ordinal within the tier.
-    pub fn shard(&self, i: usize) -> &TierLists {
-        // Indexing: caller contract documented above.
-        &self.shards[i]
-    }
-
-    /// Mutable lists of one shard.
-    ///
-    /// # Panics
-    /// If `i >= shard_count()`, as for [`Self::shard`].
-    pub(crate) fn shard_mut(&mut self, i: usize) -> &mut TierLists {
-        // Indexing: caller contract documented above.
-        &mut self.shards[i]
-    }
-
-    /// Iterates the shards in order.
-    pub fn shards(&self) -> impl Iterator<Item = &TierLists> {
-        self.shards.iter()
-    }
-
-    /// Total tracked pages across all shards (including unevictable).
-    #[cfg(test)]
-    pub(crate) fn len(&self) -> usize {
-        self.shards.iter().map(TierLists::len).sum()
-    }
-
-    /// Whether no page is tracked on any shard.
-    #[cfg(test)]
-    pub(crate) fn is_empty(&self) -> bool {
-        self.shards.iter().all(TierLists::is_empty)
-    }
-
-    /// Whether any shard holds the frame.
-    pub fn contains(&self, frame: FrameId) -> bool {
-        self.shards.iter().any(|s| s.contains(frame))
-    }
-
-    /// Whether any shard's set for `kind` holds the frame on list `which`.
-    #[cfg(test)]
-    pub(crate) fn on_list(&self, kind: PageKind, which: WhichList, frame: FrameId) -> bool {
-        self.shards.iter().any(|s| match which {
-            WhichList::Unevictable => s.unevictable.contains(frame),
-            WhichList::Inactive | WhichList::Active | WhichList::Promote => {
-                s.set(kind).list(which).contains(frame)
-            }
-        })
-    }
-
-    /// Total length of list `which` for `kind` across shards
-    /// ([`WhichList::Unevictable`] ignores `kind`).
-    pub fn list_len(&self, kind: PageKind, which: WhichList) -> usize {
-        self.shards
-            .iter()
-            .map(|s| match which {
-                WhichList::Unevictable => s.unevictable.len(),
-                WhichList::Inactive | WhichList::Active | WhichList::Promote => {
-                    s.set(kind).list(which).len()
-                }
-            })
-            .sum()
-    }
-
-    /// Removes a frame from whichever shard and list holds it.
-    pub fn remove(&mut self, frame: FrameId) -> bool {
-        self.shards.iter_mut().any(|s| s.remove(frame))
-    }
-}
-
-impl Default for TierShards {
-    fn default() -> Self {
-        Self::new(1)
     }
 }
 
@@ -292,38 +188,6 @@ mod tests {
 
     fn f(i: u32) -> FrameId {
         FrameId::new(i)
-    }
-
-    #[test]
-    fn shards_aggregate_and_route() {
-        let mut t = TierShards::new(2);
-        t.shard_mut(0)
-            .set_mut(PageKind::Anon)
-            .inactive
-            .push_back(f(1));
-        t.shard_mut(1)
-            .set_mut(PageKind::Anon)
-            .promote
-            .push_back(f(2));
-        t.shard_mut(1).unevictable.push_back(f(3));
-        assert_eq!(t.shard_count(), 2);
-        assert_eq!(t.len(), 3);
-        assert!(t.contains(f(1)) && t.contains(f(2)) && t.contains(f(3)));
-        assert!(t.on_list(PageKind::Anon, WhichList::Inactive, f(1)));
-        assert!(t.on_list(PageKind::Anon, WhichList::Promote, f(2)));
-        assert!(!t.on_list(PageKind::File, WhichList::Promote, f(2)));
-        assert!(t.on_list(PageKind::Anon, WhichList::Unevictable, f(3)));
-        assert_eq!(t.list_len(PageKind::Anon, WhichList::Promote), 1);
-        assert!(t.remove(f(2)));
-        assert!(!t.remove(f(2)));
-        assert_eq!(t.list_len(PageKind::Anon, WhichList::Promote), 0);
-    }
-
-    #[test]
-    fn zero_shard_count_clamps_to_one() {
-        let t = TierShards::new(0);
-        assert_eq!(t.shard_count(), 1);
-        assert!(t.is_empty());
     }
 
     #[test]
@@ -360,7 +224,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "per tier")]
+    #[should_panic(expected = "per node")]
     fn unevictable_not_in_kind_set() {
         let s = ListSet::new();
         let _ = s.list(WhichList::Unevictable);

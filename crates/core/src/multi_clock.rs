@@ -4,33 +4,30 @@
 //! [`crate::reclaim`].
 
 use crate::config::MultiClockConfig;
-use crate::lists::{TierLists, TierShards};
+use crate::lists::TierLists;
 use crate::state::PageState;
 use crate::stats::MultiClockStats;
 use mc_mem::{
-    AccessKind, FrameId, MemorySystem, Nanos, PageFlags, PolicyTraits, TickOutcome, TierId,
+    AccessKind, FrameId, MemorySystem, Nanos, NodeId, PageFlags, PolicyTraits, TickOutcome, TierId,
     TieringPolicy, Topology,
 };
 use mc_obs::{saturating_bump, EventKind};
 
 /// The MULTI-CLOCK dynamic tiering policy.
 ///
-/// Keeps one [`TierShards`] per tier (per-node list shards, each a full
-/// [`TierLists`]), a per-frame [`PageState`] table, and implements the
-/// paper's page state machine: supervised accesses step the ladder
-/// immediately (`mark_page_accessed()`), unsupervised accesses are
-/// observed via harvested PTE reference bits during `kpromoted` scans, and
-/// the promote lists of lower tiers are drained upwards — in batches —
-/// every tick. Each frame is statically assigned to the shard of its NUMA
-/// node, mirroring the paper's one-`kpromoted`-per-node design.
+/// Keeps one [`TierLists`] per NUMA node, a per-frame [`PageState`]
+/// table, and implements the paper's page state machine: supervised
+/// accesses step the ladder immediately (`mark_page_accessed()`),
+/// unsupervised accesses are observed via harvested PTE reference bits
+/// during `kpromoted` scans, and the promote lists of lower tiers are
+/// drained upwards — in batches — every tick. A page sits on the lists of
+/// the node its frame reports ([`mc_mem::Frame::node`]), mirroring the
+/// paper's one-`kpromoted`-per-node design.
 #[derive(Debug, Clone)]
 pub struct MultiClock {
     pub(crate) cfg: MultiClockConfig,
-    pub(crate) tiers: Vec<TierShards>,
-    /// Shard index (within the owning tier's [`TierShards`]) of each
-    /// frame. Static for the machine's lifetime: a frame that migrates
-    /// lands on the shard its *new* frame number maps to.
-    pub(crate) shard_table: Vec<u16>,
+    /// One list structure per node, indexed by [`NodeId`].
+    pub(crate) nodes: Vec<TierLists>,
     pub(crate) states: Vec<Option<PageState>>,
     pub(crate) stats: MultiClockStats,
     /// Current scan interval (equals `cfg.scan_interval` unless the
@@ -78,23 +75,9 @@ impl MultiClock {
     pub fn new(cfg: MultiClockConfig, topology: &Topology) -> Self {
         cfg.validate();
         let current_interval = cfg.scan_interval;
-        // One shard per NUMA node (the paper's per-node kpromoted): a
-        // frame's shard is its node's ordinal within the tier, so the
-        // table is static and a lookup is one index.
-        let mut shard_table = vec![0u16; topology.total_pages()];
-        let mut tiers = Vec::with_capacity(topology.tier_count());
-        for tier in topology.tiers() {
-            for (node_ord, &node) in tier.nodes().iter().enumerate() {
-                for f in topology.node(node).frames() {
-                    shard_table[f.index()] = node_ord as u16;
-                }
-            }
-            tiers.push(TierShards::new(tier.nodes().len()));
-        }
         MultiClock {
             cfg,
-            tiers,
-            shard_table,
+            nodes: vec![TierLists::new(); topology.nodes().len()],
             states: vec![None; topology.total_pages()],
             stats: MultiClockStats::default(),
             current_interval,
@@ -129,21 +112,15 @@ impl MultiClock {
         self.in_flight
     }
 
-    /// The sharded list structure of one tier (read-only; used by tests
-    /// and the invariant checker).
-    pub fn tier_lists(&self, tier: TierId) -> &TierShards {
-        &self.tiers[tier.index()]
+    /// The lists of one node (read-only; used by tests and the invariant
+    /// checker).
+    pub fn node_lists(&self, node: NodeId) -> &TierLists {
+        &self.nodes[node.index()]
     }
 
-    /// The shard (within its tier's [`TierShards`]) a frame belongs to.
-    pub(crate) fn shard_of(&self, frame: FrameId) -> usize {
-        self.shard_table[frame.index()] as usize
-    }
-
-    /// The mutable shard lists a frame belongs to on the given tier.
-    pub(crate) fn shard_lists_mut(&mut self, tier: TierId, frame: FrameId) -> &mut TierLists {
-        let s = self.shard_table[frame.index()] as usize;
-        self.tiers[tier.index()].shard_mut(s)
+    /// The mutable lists of the node `frame` is on.
+    pub(crate) fn frame_lists_mut(&mut self, mem: &MemorySystem, frame: FrameId) -> &mut TierLists {
+        &mut self.nodes[mem.frame(frame).node().index()]
     }
 
     /// Pins a page: moves it to the unevictable list; it will never be
@@ -159,11 +136,9 @@ impl MultiClock {
         if mem.txn_open(frame) {
             return;
         }
-        let tier = mem.frame(frame).tier();
-        self.tiers[tier.index()].remove(frame);
-        self.shard_lists_mut(tier, frame)
-            .unevictable
-            .push_back(frame);
+        let lists = self.frame_lists_mut(mem, frame);
+        lists.remove(frame);
+        lists.unevictable.push_back(frame);
         self.states[frame.index()] = Some(PageState::Unevictable);
         self.retry_state[frame.index()] = None;
         mem.frame_flags_mut(frame).insert(PageFlags::UNEVICTABLE);
@@ -174,9 +149,8 @@ impl MultiClock {
         if self.states[frame.index()] != Some(PageState::Unevictable) {
             return;
         }
-        let tier = mem.frame(frame).tier();
         let kind = mem.frame(frame).kind();
-        let lists = self.shard_lists_mut(tier, frame);
+        let lists = self.frame_lists_mut(mem, frame);
         lists.unevictable.remove(frame);
         lists.set_mut(kind).inactive.push_back(frame);
         self.states[frame.index()] = Some(PageState::InactiveUnref);
@@ -193,7 +167,7 @@ impl MultiClock {
         let tier = mem.frame(frame).tier();
         let kind = mem.frame(frame).kind();
         // fig4: 5 — a new mapping enters at the bottom of the ladder.
-        self.shard_lists_mut(tier, frame)
+        self.frame_lists_mut(mem, frame)
             .set_mut(kind)
             .inactive
             .push_back(frame);
@@ -212,7 +186,7 @@ impl MultiClock {
         if self.states[frame.index()].take().is_some() {
             let tier = mem.frame(frame).tier();
             // fig4: 4 — tracking ends; the page leaves every list.
-            self.tiers[tier.index()].remove(frame);
+            self.frame_lists_mut(mem, frame).remove(frame);
             mem.frame_flags_mut(frame).remove(PageFlags::UNEVICTABLE);
             mem.instruments.emit(|| EventKind::Fig4 {
                 edge: 4,
@@ -241,7 +215,7 @@ impl MultiClock {
         // fig4: 2, 6, 7, 10, 12 — an observed access climbs one edge.
         let new = st.on_access();
         if new.list() != st.list() {
-            let set = self.shard_lists_mut(tier, frame).set_mut(kind);
+            let set = self.frame_lists_mut(mem, frame).set_mut(kind);
             set.list_mut(st.list()).remove(frame);
             set.list_mut(new.list()).push_back(frame);
             match new {
@@ -294,9 +268,8 @@ impl MultiClock {
         let Some(st) = self.states[frame.index()] else {
             return;
         };
-        let tier = mem.frame(frame).tier();
         let kind = mem.frame(frame).kind();
-        let set = self.shard_lists_mut(tier, frame).set_mut(kind);
+        let set = self.frame_lists_mut(mem, frame).set_mut(kind);
         set.list_mut(st.list()).remove(frame);
         set.list_mut(new_state.list()).push_back(frame);
         self.states[frame.index()] = Some(new_state);
@@ -320,16 +293,15 @@ impl MultiClock {
         // a demoted page on `old_frame`: that page's tracking must survive.
         if mem.frame(old_frame).vpage().is_none() {
             debug_assert!(
-                !self.tiers.iter().any(|t| t.contains(old_frame)),
+                !self.nodes.iter().any(|l| l.contains(old_frame)),
                 "{old_frame} migrated while still on a list"
             );
             self.states[old_frame.index()] = None;
             self.retry_state[old_frame.index()] = None;
         }
         self.retry_state[new_frame.index()] = None;
-        let tier = mem.frame(new_frame).tier();
         let kind = mem.frame(new_frame).kind();
-        self.shard_lists_mut(tier, new_frame)
+        self.frame_lists_mut(mem, new_frame)
             .set_mut(kind)
             .list_mut(landing_state.list())
             .push_back(new_frame);
@@ -381,7 +353,8 @@ impl TieringPolicy for MultiClock {
         Some(self.current_interval)
     }
 
-    fn counters(&self) -> Vec<(&'static str, u64)> {
+    fn counters(&self, mem: &MemorySystem) -> Vec<(&'static str, u64)> {
+        let ms = mem.stats();
         vec![
             ("mc_ticks", self.stats.ticks),
             ("mc_pages_scanned", self.stats.pages_scanned),
@@ -390,12 +363,12 @@ impl TieringPolicy for MultiClock {
             ("mc_promote_enqueues", self.stats.promote_enqueues),
             ("mc_promote_ages", self.stats.promote_ages),
             ("mc_ladder_decays", self.stats.ladder_decays),
-            ("mc_promotions", self.stats.promotions),
+            ("mc_promotions", ms.promotions),
             ("mc_promote_fallbacks", self.stats.promote_fallbacks),
             ("mc_promote_retries", self.stats.promote_retries),
             ("mc_promote_gave_ups", self.stats.promote_gave_ups),
-            ("mc_demotions", self.stats.demotions),
-            ("mc_evictions", self.stats.evictions),
+            ("mc_demotions", ms.demotions),
+            ("mc_evictions", ms.evictions),
             ("mc_pressure_runs", self.stats.pressure_runs),
             ("mc_txn_begins", self.stats.txn_begins),
             ("mc_txn_aborts", self.stats.txn_aborts),
@@ -434,12 +407,7 @@ mod tests {
         let (mut mem, mut mc) = setup();
         let f = map_one(&mut mem, &mut mc, 1);
         assert_eq!(mc.state_of(f), Some(PageState::InactiveUnref));
-        assert!(mc
-            .tier_lists(TierId::TOP)
-            .shard(0)
-            .anon
-            .inactive
-            .contains(f));
+        assert!(mc.node_lists(NodeId::new(0)).anon.inactive.contains(f));
     }
 
     #[test]
@@ -457,8 +425,7 @@ mod tests {
             mc.on_supervised_access(&mut mem, f, AccessKind::Read);
             assert_eq!(mc.state_of(f), Some(expected));
         }
-        let lists = mc.tier_lists(TierId::TOP);
-        assert!(lists.shard(0).anon.promote.contains(f));
+        assert!(mc.node_lists(NodeId::new(0)).anon.promote.contains(f));
         assert_eq!(mc.stats().activations, 1);
         assert_eq!(mc.stats().promote_enqueues, 1);
     }
@@ -470,7 +437,7 @@ mod tests {
         mc.on_supervised_access(&mut mem, f, AccessKind::Read);
         mc.on_page_unmapped(&mut mem, f);
         assert_eq!(mc.state_of(f), None);
-        assert!(!mc.tier_lists(TierId::TOP).contains(f));
+        assert!(!mc.node_lists(NodeId::new(0)).contains(f));
     }
 
     #[test]
@@ -479,7 +446,7 @@ mod tests {
         let f = map_one(&mut mem, &mut mc, 1);
         mc.mlock(&mut mem, f);
         assert_eq!(mc.state_of(f), Some(PageState::Unevictable));
-        assert!(mc.tier_lists(TierId::TOP).shard(0).unevictable.contains(f));
+        assert!(mc.node_lists(NodeId::new(0)).unevictable.contains(f));
         assert!(mem.frame(f).flags().contains(PageFlags::UNEVICTABLE));
         // Accesses do not move unevictable pages.
         mc.on_supervised_access(&mut mem, f, AccessKind::Read);
@@ -487,12 +454,7 @@ mod tests {
         mc.munlock(&mut mem, f);
         assert_eq!(mc.state_of(f), Some(PageState::InactiveUnref));
         assert!(!mem.frame(f).flags().contains(PageFlags::UNEVICTABLE));
-        assert!(mc
-            .tier_lists(TierId::TOP)
-            .shard(0)
-            .anon
-            .inactive
-            .contains(f));
+        assert!(mc.node_lists(NodeId::new(0)).anon.inactive.contains(f));
     }
 
     #[test]

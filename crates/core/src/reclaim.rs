@@ -13,7 +13,7 @@
 use crate::multi_clock::MultiClock;
 use crate::state::PageState;
 use mc_clock::balance::inactive_is_low;
-use mc_mem::{FrameId, MemError, MemorySystem, PageKind, TickOutcome, TierId};
+use mc_mem::{FrameId, MemError, MemorySystem, NodeId, PageKind, TickOutcome, TierId};
 use mc_obs::{saturating_bump, EventKind};
 
 /// What one inactive-list shrink step achieved.
@@ -69,7 +69,7 @@ impl MultiClock {
         }
         self.pressure_guard[tier.index()] = true;
         saturating_bump(&mut self.stats.pressure_runs);
-        let evictions_before = self.stats.evictions;
+        let evictions_before = mem.stats().evictions;
 
         // Step 1: the promote list goes first — up if possible, otherwise
         // those pages join the active list.
@@ -147,7 +147,7 @@ impl MultiClock {
 
         self.pressure_guard[tier.index()] = false;
         self.debug_validate(mem);
-        let freed = out.demoted + (self.stats.evictions - evictions_before);
+        let freed = out.demoted + (mem.stats().evictions - evictions_before);
         mem.instruments.emit(|| EventKind::PressureRun {
             tier: tier.index() as u8,
             freed: freed.min(u64::from(u32::MAX)) as u32,
@@ -170,15 +170,16 @@ impl MultiClock {
     ) -> u64 {
         let tier_pages = mem.topology().tier(tier).pages();
         let mut scanned = 0;
-        for shard in 0..self.tiers[tier.index()].shard_count() {
+        for i in 0..mem.topology().tier(tier).nodes().len() {
+            let node = mem.topology().tier(tier).nodes()[i];
             for kind in PageKind::ALL {
-                let mut visits = self.tiers[tier.index()].shard(shard).set(kind).active.len();
+                let mut visits = self.nodes[node.index()].set(kind).active.len();
                 while *budget > 0 && visits > 0 {
-                    let set = self.tiers[tier.index()].shard(shard).set(kind);
+                    let set = self.nodes[node.index()].set(kind);
                     if !inactive_is_low(set.active.len(), set.inactive.len(), tier_pages) {
                         break;
                     }
-                    if !self.shrink_active_one(mem, tier, shard, kind, force) {
+                    if !self.shrink_active_one(mem, tier, node, kind, force) {
                         break;
                     }
                     visits -= 1;
@@ -193,13 +194,10 @@ impl MultiClock {
     /// Moves every promote-list page of the top tier to its active list
     /// (promotion is impossible there).
     fn flush_promote_to_active(&mut self, mem: &mut MemorySystem, tier: TierId) {
-        for shard in 0..self.tiers[tier.index()].shard_count() {
+        for i in 0..mem.topology().tier(tier).nodes().len() {
+            let node = mem.topology().tier(tier).nodes()[i];
             for kind in PageKind::ALL {
-                let pages = self.tiers[tier.index()]
-                    .shard_mut(shard)
-                    .set_mut(kind)
-                    .promote
-                    .drain();
+                let pages = self.nodes[node.index()].set_mut(kind).promote.drain();
                 for frame in pages {
                     // fig4: 11 — flush: promote pages rejoin the active
                     // list. Promote pages were referenced repeatedly; parking
@@ -207,8 +205,7 @@ impl MultiClock {
                     // away from deactivation (otherwise reclaim would demote
                     // the hottest pages of the tier right after flushing
                     // them).
-                    self.tiers[tier.index()]
-                        .shard_mut(shard)
+                    self.nodes[node.index()]
                         .set_mut(kind)
                         .active
                         .push_back(frame);
@@ -223,9 +220,9 @@ impl MultiClock {
         }
     }
 
-    /// [`Self::shrink_active_one`] over shards in order: the first shard
-    /// with a non-empty active list is shrunk. Returns whether any page
-    /// was processed.
+    /// [`Self::shrink_active_one`] over the tier's nodes in order: the
+    /// first node with a non-empty active list is shrunk. Returns whether
+    /// any page was processed.
     fn shrink_active_any(
         &mut self,
         mem: &mut MemorySystem,
@@ -233,16 +230,17 @@ impl MultiClock {
         kind: PageKind,
         force: bool,
     ) -> bool {
-        for shard in 0..self.tiers[tier.index()].shard_count() {
-            if self.shrink_active_one(mem, tier, shard, kind, force) {
+        for i in 0..mem.topology().tier(tier).nodes().len() {
+            let node = mem.topology().tier(tier).nodes()[i];
+            if self.shrink_active_one(mem, tier, node, kind, force) {
                 return true;
             }
         }
         false
     }
 
-    /// [`Self::shrink_inactive_one`] over shards in order: the first shard
-    /// whose inactive list yields a page decides the result.
+    /// [`Self::shrink_inactive_one`] over the tier's nodes in order: the
+    /// first node whose inactive list yields a page decides the result.
     fn shrink_inactive_any(
         &mut self,
         mem: &mut MemorySystem,
@@ -250,8 +248,9 @@ impl MultiClock {
         kind: PageKind,
         force: bool,
     ) -> ShrinkResult {
-        for shard in 0..self.tiers[tier.index()].shard_count() {
-            let r = self.shrink_inactive_one(mem, tier, shard, kind, force);
+        for i in 0..mem.topology().tier(tier).nodes().len() {
+            let node = mem.topology().tier(tier).nodes()[i];
+            let r = self.shrink_inactive_one(mem, tier, node, kind, force);
             if r != ShrinkResult::Empty {
                 return r;
             }
@@ -266,24 +265,16 @@ impl MultiClock {
         &mut self,
         mem: &mut MemorySystem,
         tier: TierId,
-        shard: usize,
+        node: NodeId,
         kind: PageKind,
         force: bool,
     ) -> bool {
-        let Some(frame) = self.tiers[tier.index()]
-            .shard_mut(shard)
-            .set_mut(kind)
-            .active
-            .pop_front()
-        else {
+        let active = &mut self.nodes[node.index()].set_mut(kind).active;
+        let Some(frame) = active.pop_front() else {
             return false;
         };
         // Re-insert so ladder moves operate on a member page.
-        self.tiers[tier.index()]
-            .shard_mut(shard)
-            .set_mut(kind)
-            .active
-            .push_back(frame);
+        active.push_back(frame);
         if mem.harvest_referenced(frame) {
             self.apply_access(mem, frame);
         } else if self.state_of(frame) == Some(PageState::ActiveRef) {
@@ -323,22 +314,16 @@ impl MultiClock {
         &mut self,
         mem: &mut MemorySystem,
         tier: TierId,
-        shard: usize,
+        node: NodeId,
         kind: PageKind,
         force: bool,
     ) -> ShrinkResult {
-        let Some(frame) = self.tiers[tier.index()]
-            .shard_mut(shard)
-            .set_mut(kind)
-            .inactive
-            .pop_front()
-        else {
+        let Some(frame) = self.nodes[node.index()].set_mut(kind).inactive.pop_front() else {
             return ShrinkResult::Empty;
         };
         if mem.harvest_referenced(frame) {
             // Referenced: rotate and step the ladder (transitions 1/6).
-            self.tiers[tier.index()]
-                .shard_mut(shard)
+            self.nodes[node.index()]
                 .set_mut(kind)
                 .inactive
                 .push_back(frame);
@@ -351,8 +336,7 @@ impl MultiClock {
             // periodic scan's job); forced reclaim decays one step per
             // rotation so it cannot livelock when everything was just
             // touched.
-            self.tiers[tier.index()]
-                .shard_mut(shard)
+            self.nodes[node.index()]
                 .set_mut(kind)
                 .inactive
                 .push_back(frame);
@@ -368,8 +352,7 @@ impl MultiClock {
             return ShrinkResult::Rotated;
         }
         if !mem.frame(frame).migratable() {
-            self.tiers[tier.index()]
-                .shard_mut(shard)
+            self.nodes[node.index()]
                 .set_mut(kind)
                 .inactive
                 .push_back(frame);
@@ -388,11 +371,10 @@ impl MultiClock {
         tier: TierId,
         kind: PageKind,
     ) -> ShrinkResult {
-        let Some(lower) = tier.lower(self.tiers.len()) else {
+        let Some(lower) = tier.lower(mem.topology().tier_count()) else {
             if mem.evict(frame).is_ok() {
                 // fig4: 4 — eviction ends tracking like an unmap does.
                 self.states[frame.index()] = None;
-                saturating_bump(&mut self.stats.evictions);
                 mem.instruments.emit(|| EventKind::Fig4 {
                     edge: 4,
                     frame: frame.index() as u64,
@@ -400,7 +382,7 @@ impl MultiClock {
                 });
                 return ShrinkResult::Evicted;
             }
-            return self.rotate_unmoved(tier, kind, frame);
+            return self.rotate_unmoved(mem, kind, frame);
         };
         let mut moved = mem.migrate(frame, lower);
         if matches!(moved, Err(MemError::TierFull(_))) {
@@ -412,11 +394,10 @@ impl MultiClock {
             moved = mem.migrate(frame, lower);
         }
         let Ok(new_frame) = moved else {
-            return self.rotate_unmoved(tier, kind, frame);
+            return self.rotate_unmoved(mem, kind, frame);
         };
         // fig4: 3 — demotion lands cold on the lower tier.
         self.retrack_after_migration(mem, frame, new_frame, PageState::InactiveUnref);
-        saturating_bump(&mut self.stats.demotions);
         mem.instruments.emit(|| EventKind::Fig4 {
             edge: 3,
             frame: new_frame.index() as u64,
@@ -427,8 +408,13 @@ impl MultiClock {
 
     /// Puts a page that could be neither demoted nor evicted back at the
     /// tail of the inactive list it was popped from.
-    fn rotate_unmoved(&mut self, tier: TierId, kind: PageKind, frame: FrameId) -> ShrinkResult {
-        self.shard_lists_mut(tier, frame)
+    fn rotate_unmoved(
+        &mut self,
+        mem: &MemorySystem,
+        kind: PageKind,
+        frame: FrameId,
+    ) -> ShrinkResult {
+        self.frame_lists_mut(mem, frame)
             .set_mut(kind)
             .inactive
             .push_back(frame);
@@ -475,7 +461,7 @@ mod tests {
             })
             .count();
         assert_eq!(demoted as u64, out.demoted);
-        assert_eq!(mc.stats().demotions, out.demoted);
+        assert_eq!(mem.stats().demotions, out.demoted);
     }
 
     #[test]
@@ -519,7 +505,6 @@ mod tests {
         let before = mem.stats().evictions;
         mc.on_pressure(&mut mem, TierId::new(1), Nanos::ZERO);
         assert!(mem.stats().evictions > before, "lowest tier evicts");
-        assert!(mc.stats().evictions > 0);
         assert!(mem.tier_balanced(TierId::new(1)));
     }
 
@@ -590,10 +575,10 @@ mod tests {
             mc.on_supervised_access(&mut mem, *f, AccessKind::Read);
             mc.on_supervised_access(&mut mem, *f, AccessKind::Read);
         }
-        let lists = mc.tier_lists(TierId::TOP).shard(0);
+        let lists = mc.node_lists(NodeId::new(0));
         assert!(lists.anon.active.len() > lists.anon.inactive.len());
         mc.on_pressure(&mut mem, TierId::TOP, Nanos::ZERO);
-        let lists = mc.tier_lists(TierId::TOP).shard(0);
+        let lists = mc.node_lists(NodeId::new(0));
         let tier_pages = mem.topology().tier(TierId::TOP).pages();
         assert!(
             !inactive_is_low(

@@ -5,18 +5,20 @@ use crate::lists::WhichList;
 use crate::multi_clock::MultiClock;
 use crate::state::PageState;
 use mc_mem::{
-    FrameId, MemError, MemorySystem, MigrationMode, Nanos, PageKind, PageMove, TickOutcome, TierId,
+    FrameId, MemError, MemorySystem, MigrationMode, Nanos, NodeId, PageKind, PageMove, TickOutcome,
+    TierId,
 };
 use mc_obs::{saturating_add, saturating_bump, EventKind};
 
 impl MultiClock {
     /// One `kpromoted` wake-up:
     ///
-    /// 1. scan every list of every shard of every tier in place (up to
-    ///    `scan_batch` pages per list — each shard models an independent
-    ///    per-node daemon and gets its own full budget), test-and-clearing
-    ///    PTE reference bits and applying the Fig. 4 transitions on the
-    ///    spot — this is how *unsupervised* (mmap) accesses are observed;
+    /// 1. scan every list of every node of every tier in place (up to
+    ///    `scan_batch` pages per list — each node's lists model an
+    ///    independent per-node daemon and get their own full budget),
+    ///    test-and-clearing PTE reference bits and applying the Fig. 4
+    ///    transitions on the spot — this is how *unsupervised* (mmap)
+    ///    accesses are observed;
     /// 2. promote **all** pages on lower tiers' promote lists ("once a
     ///    page is selected for promotion, the page gets promoted to the
     ///    DRAM in the same kpromoted run"), in `migrate_batch_size`
@@ -29,7 +31,7 @@ impl MultiClock {
         mem.instruments.set_now(now.as_nanos());
         mem.instruments.emit(|| EventKind::TickBegin { tick });
         let mut out = TickOutcome::default();
-        let tier_count = self.tiers.len();
+        let tier_count = mem.topology().tier_count();
 
         // Settle last tick's migration transactions before anything else
         // looks at the lists. The copy window spanned the inter-tick
@@ -37,10 +39,10 @@ impl MultiClock {
         // (commit: atomic remap) or been dirtied (abort: back into the
         // retry/backoff path). Sync mode never opens one.
         out.promoted += self.settle_txns(mem);
-        // Scan phase, in (tier, shard, kind, list) order. A frame's
-        // reference bit is consumed by the first list that visits it, so a
-        // page the inactive scan activates reads as unreferenced when the
-        // active scan reaches it in the same tick.
+        // Scan phase, in (tier, node, kind, list) order, a tier's nodes in
+        // topology order. A frame's reference bit is consumed by the first
+        // list that visits it, so a page the inactive scan activates reads
+        // as unreferenced when the active scan reaches it in the same tick.
         // Host-time phase spans (no-ops when hooks are off) only observe
         // the host clock, never engine state.
         let mut scan_span = mem.instruments.span(mc_obs::Phase::Scan);
@@ -59,10 +61,11 @@ impl MultiClock {
             } else {
                 &[WhichList::Inactive, WhichList::Active]
             };
-            for shard in 0..self.tiers[tier.index()].shard_count() {
+            for i in 0..mem.topology().tier(tier).nodes().len() {
+                let node = mem.topology().tier(tier).nodes()[i];
                 for kind in PageKind::ALL {
                     for which in lists {
-                        out.pages_scanned += self.scan_list(mem, tier, shard, kind, *which);
+                        out.pages_scanned += self.scan_list(mem, tier, node, kind, *which);
                     }
                 }
             }
@@ -136,7 +139,7 @@ impl MultiClock {
         &mut self,
         mem: &mut MemorySystem,
         tier: TierId,
-        shard: usize,
+        node: NodeId,
         kind: PageKind,
         which: WhichList,
     ) -> u64 {
@@ -150,10 +153,7 @@ impl MultiClock {
             WhichList::Promote => (PageState::Promote, PageState::ActiveUnref, 11), // fig4: 11
             WhichList::Unevictable => return 0,
         };
-        let list = self.tiers[tier.index()]
-            .shard_mut(shard)
-            .set_mut(kind)
-            .list_mut(which);
+        let list = self.nodes[node.index()].set_mut(kind).list_mut(which);
         let budget = list.len().min(self.cfg.scan_batch);
         let mut walked = std::mem::take(&mut self.scan_scratch);
         walked.clear();
@@ -199,7 +199,7 @@ impl MultiClock {
         scanned
     }
 
-    /// Migrates every page on `tier`'s promote lists (all shards) to the
+    /// Migrates every page on `tier`'s promote lists (all nodes) to the
     /// next tier up (Fig. 4 transition 13), handing the memory system up
     /// to `migrate_batch_size` pages per call so the per-call setup cost
     /// is amortized. Returns the number of pages promoted.
@@ -219,19 +219,21 @@ impl MultiClock {
         // demotes scan-certified-cold pages, so asking for more than
         // exists is safe.
         let mut room: Option<usize> = Some(
-            PageKind::ALL
+            mem.topology()
+                .tier(tier)
+                .nodes()
                 .iter()
-                .map(|k| self.tiers[tier.index()].list_len(*k, WhichList::Promote))
+                .map(|n| {
+                    let lists = &self.nodes[n.index()];
+                    lists.anon.promote.len() + lists.file.promote.len()
+                })
                 .sum(),
         );
         let batch = self.cfg.knobs.migrate_batch_size;
-        for shard in 0..self.tiers[tier.index()].shard_count() {
+        for i in 0..mem.topology().tier(tier).nodes().len() {
+            let node = mem.topology().tier(tier).nodes()[i];
             for kind in PageKind::ALL {
-                let mut candidates = self.tiers[tier.index()]
-                    .shard_mut(shard)
-                    .set_mut(kind)
-                    .promote
-                    .drain();
+                let mut candidates = self.nodes[node.index()].set_mut(kind).promote.drain();
                 // Rotate the drain order each run. Candidate order is
                 // otherwise a stable cycle (scan rotation is deterministic),
                 // and when room is scarcer than candidates the same prefix
@@ -267,8 +269,7 @@ impl MultiClock {
                     // `eligible_tick`.
                     if let Some(rs) = self.retry_state[frame.index()] {
                         if rs.eligible_tick > self.stats.ticks {
-                            self.tiers[tier.index()]
-                                .shard_mut(shard)
+                            self.nodes[node.index()]
                                 .set_mut(kind)
                                 .promote
                                 .push_back(frame);
@@ -393,7 +394,6 @@ impl MultiClock {
     /// whether a synchronous copy or a transaction's commit put it there.
     fn land_promotion(&mut self, mem: &mut MemorySystem, frame: FrameId, new_frame: FrameId) {
         self.retrack_after_migration(mem, frame, new_frame, PageState::ActiveRef);
-        saturating_bump(&mut self.stats.promotions);
         let upper = mem.frame(new_frame).tier();
         mem.instruments.emit(|| EventKind::Fig4 {
             edge: 13,
@@ -436,8 +436,8 @@ impl MultiClock {
         saturating_bump(&mut self.stats.promote_retries);
         // Tail requeue: fresh candidates drain first, and the page keeps
         // its Promote state (the episode is paused, not abandoned).
-        let (tier, kind) = (mem.frame(frame).tier(), mem.frame(frame).kind());
-        self.shard_lists_mut(tier, frame)
+        let kind = mem.frame(frame).kind();
+        self.frame_lists_mut(mem, frame)
             .set_mut(kind)
             .promote
             .push_back(frame);
@@ -455,7 +455,7 @@ impl MultiClock {
         self.retry_state[frame.index()] = None;
         saturating_bump(&mut self.stats.promote_fallbacks);
         // fig4: 11 — no room upstairs; rejoin active as referenced.
-        self.shard_lists_mut(tier, frame)
+        self.frame_lists_mut(mem, frame)
             .set_mut(kind)
             .active
             .push_back(frame);
@@ -561,8 +561,8 @@ mod tests {
         let nf = mem.translate(VPage::new(1)).unwrap();
         assert_eq!(mem.frame(nf).tier(), TierId::TOP, "page now in DRAM");
         assert_eq!(mc.state_of(nf), Some(PageState::ActiveRef));
-        assert!(mc.tier_lists(TierId::TOP).shard(0).anon.active.contains(nf));
-        assert_eq!(mc.stats().promotions, 1);
+        assert!(mc.node_lists(NodeId::new(0)).anon.active.contains(nf));
+        assert_eq!(mem.stats().promotions, 1);
     }
 
     #[test]
@@ -575,7 +575,7 @@ mod tests {
         }
         assert_eq!(mem.frame(f).tier(), pm);
         assert_eq!(mc.state_of(f), Some(PageState::InactiveUnref));
-        assert_eq!(mc.stats().promotions, 0);
+        assert_eq!(mem.stats().promotions, 0);
     }
 
     #[test]
@@ -641,7 +641,7 @@ mod tests {
         assert_eq!(out.promoted, 0);
         assert_eq!(mem.frame(f).tier(), pm, "locked page stays put");
         assert_eq!(mc.state_of(f), Some(PageState::ActiveRef));
-        assert!(mc.tier_lists(pm).shard(0).anon.active.contains(f));
+        assert!(mc.node_lists(NodeId::new(1)).anon.active.contains(f));
         assert_eq!(mc.stats().promote_fallbacks, 1);
     }
 
@@ -680,7 +680,7 @@ mod tests {
         assert_eq!(mc.stats().promote_retries, 1);
         assert_eq!(mc.state_of(f), Some(PageState::Promote), "episode paused");
         assert!(
-            mc.tier_lists(pm).shard(0).anon.promote.contains(f),
+            mc.node_lists(NodeId::new(1)).anon.promote.contains(f),
             "requeued"
         );
         mc.assert_invariants(&mem);
@@ -720,7 +720,7 @@ mod tests {
         assert_eq!(mc.stats().promote_gave_ups, 1);
         assert_eq!(mc.stats().promote_fallbacks, 1);
         assert_eq!(mc.state_of(f), Some(PageState::ActiveRef));
-        assert!(mc.tier_lists(pm).shard(0).anon.active.contains(f));
+        assert!(mc.node_lists(NodeId::new(1)).anon.active.contains(f));
         assert_eq!(mem.translate(VPage::new(1)), Some(f), "page never lost");
         mc.assert_invariants(&mem);
 
@@ -738,13 +738,7 @@ mod tests {
         mem.instruments = instruments(0, faults(FaultPlan::default(), 0));
         set_top_offline(&mut mem, true);
 
-        let rejections = |mem: &mut MemorySystem| {
-            mem.instruments
-                .injector()
-                .unwrap()
-                .stats()
-                .offline_rejections
-        };
+        let rejections = |mem: &mut MemorySystem| mem.stats().injected_faults;
 
         // Tick 1: attempt 1 fails (the promote path tries the migration,
         // reclaims, and retries once, so one episode can reject more than
@@ -763,7 +757,7 @@ mod tests {
             after_second,
             "deferred candidate must not touch the memory system"
         );
-        assert!(mc.tier_lists(pm).shard(0).anon.promote.contains(f));
+        assert!(mc.node_lists(NodeId::new(1)).anon.promote.contains(f));
         // Tick 4: eligible again — attempt 3 fires (and fails).
         mc.tick(&mut mem, Nanos::from_secs(4));
         assert!(rejections(&mut mem) > after_second);
@@ -808,7 +802,7 @@ mod tests {
         // The commit landed ActiveRef at the start of the tick; the same
         // tick's scan then saw it unreferenced and decayed it one step.
         assert_eq!(mc.state_of(nf), Some(PageState::ActiveUnref));
-        assert_eq!(mc.stats().promotions, 1);
+        assert_eq!(mem.stats().promotions, 1);
         assert_eq!(mc.stats().txn_commits, 1);
         // The clean source frame stayed behind as a shadow copy.
         assert_eq!(mem.shadow_pages().get(nf), Some(f));
@@ -830,7 +824,7 @@ mod tests {
         assert_eq!(mc.stats().txn_aborts, 1);
         assert_eq!(mc.stats().promote_retries, 1, "abort re-enters retry path");
         assert_eq!(mc.state_of(f), Some(PageState::Promote), "episode paused");
-        assert!(mc.tier_lists(pm).shard(0).anon.promote.contains(f));
+        assert!(mc.node_lists(NodeId::new(1)).anon.promote.contains(f));
         mc.assert_invariants(&mem);
         // Backoff elapses; the retry opens a fresh transaction and — with
         // no further writes — commits.
@@ -949,9 +943,7 @@ mod tests {
         );
         for f in demoted {
             assert_eq!(mc.state_of(f), Some(PageState::InactiveUnref));
-            assert!(mc
-                .tier_lists(pm)
-                .on_list(PageKind::Anon, WhichList::Inactive, f));
+            assert!(mc.node_lists(NodeId::new(1)).anon.inactive.contains(f));
         }
         mc.assert_invariants(&mem);
     }
@@ -1015,11 +1007,11 @@ mod tests {
         mem.instruments = instruments(64, FaultConfig::none());
         mc.tick(&mut mem, Nanos::from_secs(1));
         assert_eq!(mc.state_of(hot), Some(PageState::Promote));
-        let top = mc.tier_lists(TierId::TOP);
-        assert!(top.on_list(PageKind::Anon, WhichList::Promote, hot));
+        let top = mc.node_lists(NodeId::new(0));
+        assert!(top.anon.promote.contains(hot));
         assert_eq!(fig4_edges_of(&mem, hot), Vec::<u8>::new());
         assert_eq!(mc.state_of(cold), Some(PageState::ActiveUnref));
-        assert!(top.on_list(PageKind::Anon, WhichList::Active, cold));
+        assert!(top.anon.active.contains(cold));
         assert_eq!(fig4_edges_of(&mem, cold), vec![11]);
         assert_eq!(mc.stats().promote_ages, 1);
     }
@@ -1061,7 +1053,7 @@ mod tests {
             mem.access(VPage::new(v), AccessKind::Read).unwrap();
         }
         let order = |mc: &MultiClock| -> Vec<FrameId> {
-            mc.tier_lists(pm).shard(0).anon.inactive.iter().collect()
+            mc.node_lists(NodeId::new(1)).anon.inactive.iter().collect()
         };
         let stepped = |mc: &MultiClock| -> Vec<bool> {
             p.iter()
@@ -1081,7 +1073,7 @@ mod tests {
     }
 
     #[test]
-    fn scan_events_come_out_in_tier_shard_kind_list_order() {
+    fn scan_events_come_out_in_tier_node_kind_list_order() {
         let mut mem = MemorySystem::new(MachineDesc::dual_socket(32, 64));
         let mut mc = MultiClock::new(MultiClockConfig::default(), mem.topology());
         // Referenced pages of both kinds on every list the scan visits,
@@ -1110,14 +1102,14 @@ mod tests {
                 }
             }
         }
-        // (tier, shard, kind, list) of every non-empty list, in scan order.
+        // (tier, node, kind, list) of every non-empty list, in scan order.
         let mut expected = Vec::new();
         for tier in [TierId::TOP, TierId::new(1)] {
-            let shards = mc.tier_lists(tier);
-            assert_eq!(shards.shard_count(), 2, "one shard per node");
-            for shard in 0..shards.shard_count() {
+            let nodes = mem.topology().tier(tier).nodes();
+            assert_eq!(nodes.len(), 2, "two nodes per tier");
+            for &node in nodes {
                 for kind in PageKind::ALL {
-                    let set = shards.shard(shard).set(kind);
+                    let set = mc.node_lists(node).set(kind);
                     let promote = tier.is_top().then_some(("promote", set.promote.len()));
                     let rest = [
                         ("inactive", set.inactive.len()),
@@ -1125,7 +1117,7 @@ mod tests {
                     ];
                     for (list, len) in promote.into_iter().chain(rest) {
                         if len > 0 {
-                            expected.push((tier, shard, kind, list, len as u32));
+                            expected.push((tier, node, kind, list, len as u32));
                         }
                     }
                 }
@@ -1139,11 +1131,11 @@ mod tests {
         let mut current = groups.next();
         for e in mem.recorder().events() {
             if let EventKind::Fig4 { edge, frame, tier } = e.kind {
-                let Some((t, shard, kind, list, _)) = current else {
+                let Some((t, node, kind, list, _)) = current else {
                     break; // the promote drain's events follow the scan
                 };
                 let f = FrameId::new(frame as u32);
-                assert_eq!((TierId::new(tier), mc.shard_of(f)), (*t, *shard));
+                assert_eq!((TierId::new(tier), mem.frame(f).node()), (*t, *node));
                 assert_eq!(mem.frame(f).kind(), *kind);
                 assert_eq!(edge, if *list == "inactive" { 2 } else { 7 });
             } else if let EventKind::ScanList {

@@ -1,5 +1,7 @@
 //! MULTI-CLOCK internal counters, the analogue of the paper's
-//! `/proc/vmstat` extensions (mm/vmstat.c rows in Table II).
+//! `/proc/vmstat` extensions (mm/vmstat.c rows in Table II). Page
+//! movements (promotions, demotions, evictions) are the substrate's to
+//! count: [`mc_mem::MemStats`] keeps them once.
 
 use serde::{Deserialize, Serialize};
 
@@ -21,8 +23,6 @@ pub struct MultiClockStats {
     /// Referenced states decayed by an unreferenced scan (the downward
     /// direction of transitions 1 and 7/8).
     pub ladder_decays: u64,
-    /// Pages migrated to a higher tier (transition 13).
-    pub promotions: u64,
     /// Promotions that could not proceed (locked page or no room even
     /// after reclaim) — the page went to the active list instead.
     pub promote_fallbacks: u64,
@@ -32,10 +32,6 @@ pub struct MultiClockStats {
     /// Promotion episodes whose retry budget ran out; the page degraded
     /// gracefully to the active list (counted in `promote_fallbacks` too).
     pub promote_gave_ups: u64,
-    /// Pages migrated to a lower tier (transition 3).
-    pub demotions: u64,
-    /// Pages evicted from the lowest tier (writeback/swap path).
-    pub evictions: u64,
     /// Pressure invocations.
     pub pressure_runs: u64,
     /// Migration transactions opened (mirrors the substrate counter;
@@ -61,6 +57,9 @@ mod tests {
     #[test]
     fn default_is_all_zero() {
         let s = MultiClockStats::default();
-        assert_eq!(s.ticks + s.pages_scanned + s.promotions + s.demotions, 0);
+        assert_eq!(
+            s.ticks + s.pages_scanned + s.activations + s.pressure_runs,
+            0
+        );
     }
 }

@@ -8,14 +8,11 @@
 //! 2. list membership agrees with the page-state table
 //!    ([`PageState::list`]), the one record of a page's Fig. 4 state
 //!    (no page flag mirrors it);
-//! 3. a page is listed under the tier and kind its frame reports;
+//! 3. a page is listed under the node and kind its frame reports;
 //! 4. untracked frames are on no list;
 //! 5. retry bookkeeping (a paused promotion episode) exists only for
 //!    pages in `Promote` state;
-//! 6. a frame listed in shard `s` belongs to shard `s` under the static
-//!    frame→shard assignment (sharded scanning never strands a page on a
-//!    foreign shard);
-//! 7. transactional-migration bookkeeping is sound: a frame is the
+//! 6. transactional-migration bookkeeping is sound: a frame is the
 //!    source of **at most one** open transaction, every such source
 //!    is tracked in `Promote` state and on no list (by design — the copy
 //!    window spans the tick boundary), transaction destination frames
@@ -33,7 +30,7 @@
 use crate::lists::WhichList;
 use crate::multi_clock::MultiClock;
 use crate::state::PageState;
-use mc_mem::{FrameId, MemorySystem, PageKind, TierId};
+use mc_mem::{FrameId, MemorySystem, NodeId, PageKind};
 use std::collections::HashSet;
 use std::fmt;
 
@@ -58,13 +55,9 @@ impl MultiClock {
     pub fn check_invariants(&self, mem: &MemorySystem) -> Vec<InvariantViolation> {
         let mut violations = Vec::new();
         let mut seen: HashSet<u32> = HashSet::new();
-        let tier_count = mem.topology().tier_count();
-
-        for t in 0..tier_count {
-            let tier = TierId::new(t as u8);
-            for (shard_idx, lists) in self.tier_lists(tier).shards().enumerate() {
-                self.check_shard(mem, tier, shard_idx, lists, &mut seen, &mut violations);
-            }
+        for (n, lists) in self.nodes.iter().enumerate() {
+            let node = NodeId::new(n as u8);
+            self.check_node(mem, node, lists, &mut seen, &mut violations);
         }
 
         for raw in 0..mem.total_frames() as u32 {
@@ -85,7 +78,7 @@ impl MultiClock {
                     message: "has retry bookkeeping but is not in Promote state".into(),
                 });
             }
-            // 7 (retry-boundedness). A stored episode is a *paused* one:
+            // 6 (retry-boundedness). A stored episode is a *paused* one:
             //    its attempt count must still leave budget, or the give-up
             //    path failed to fire.
             if let Some(rs) = self.retry_state[frame.index()] {
@@ -106,7 +99,7 @@ impl MultiClock {
         violations
     }
 
-    /// Invariant 7: checks the substrate's open transactions and shadow
+    /// Invariant 6: checks the substrate's open transactions and shadow
     /// table, and the tracking state of every transaction's source
     /// (`listed` holds the frames found on some list).
     fn check_txn_bookkeeping(
@@ -167,13 +160,12 @@ impl MultiClock {
         }
     }
 
-    /// Checks invariants 1–4 and 6 for one shard's lists, accumulating
-    /// into `seen`/`violations`.
-    fn check_shard(
+    /// Checks invariants 1–4 for one node's lists, accumulating into
+    /// `seen`/`violations`.
+    fn check_node(
         &self,
         mem: &MemorySystem,
-        tier: TierId,
-        shard_idx: usize,
+        node: NodeId,
         lists: &crate::lists::TierLists,
         seen: &mut HashSet<u32>,
         violations: &mut Vec<InvariantViolation>,
@@ -209,29 +201,11 @@ impl MultiClock {
                             }),
                             Some(_) => {}
                         }
-                        if mem.frame(frame).tier() != tier {
-                            violations.push(InvariantViolation {
-                                frame,
-                                message: format!(
-                                    "listed under {tier} but physically in {}",
-                                    mem.frame(frame).tier()
-                                ),
-                            });
-                        }
+                        Self::check_node_of(mem, node, frame, violations);
                         if mem.frame(frame).kind() != kind {
                             violations.push(InvariantViolation {
                                 frame,
                                 message: "listed under the wrong page kind".into(),
-                            });
-                        }
-                        // 6. static frame→shard assignment is respected.
-                        if self.shard_of(frame) != shard_idx {
-                            violations.push(InvariantViolation {
-                                frame,
-                                message: format!(
-                                    "listed in shard {shard_idx} but assigned to shard {}",
-                                    self.shard_of(frame)
-                                ),
                             });
                         }
                     }
@@ -252,16 +226,25 @@ impl MultiClock {
                         message: "on the unevictable list without Unevictable state".into(),
                     });
                 }
-                if self.shard_of(frame) != shard_idx {
-                    violations.push(InvariantViolation {
-                        frame,
-                        message: format!(
-                            "listed in shard {shard_idx} but assigned to shard {}",
-                            self.shard_of(frame)
-                        ),
-                    });
-                }
+                Self::check_node_of(mem, node, frame, violations);
             }
+        }
+    }
+
+    /// Invariant 3's placement half: `frame` is listed under `node`, so
+    /// its frame must report that node.
+    fn check_node_of(
+        mem: &MemorySystem,
+        node: NodeId,
+        frame: FrameId,
+        violations: &mut Vec<InvariantViolation>,
+    ) {
+        let actual = mem.frame(frame).node();
+        if actual != node {
+            violations.push(InvariantViolation {
+                frame,
+                message: format!("listed under {node} but physically on {actual}"),
+            });
         }
     }
 
@@ -348,11 +331,7 @@ mod tests {
         mc.on_page_mapped(&mut mem, f);
         // Plant a second membership: the inactive page also joins the
         // active list.
-        mc.tiers[TierId::TOP.index()]
-            .shard_mut(0)
-            .set_mut(PageKind::Anon)
-            .active
-            .push_back(f);
+        mc.nodes[0].set_mut(PageKind::Anon).active.push_back(f);
         let violations = mc.check_invariants(&mem);
         assert_eq!(violations.len(), 1);
         assert!(violations[0]

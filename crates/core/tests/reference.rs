@@ -2,9 +2,10 @@
 //!
 //! [`Model`] is a deliberately naive MULTI-CLOCK that shares no code with
 //! `crates/core/src`: a state table and one `Vec` per (node, page kind,
-//! list) — the paper's per-node LRU lists, front = coldest — and no shards,
-//! batches, transactions, retry ladder or intrusive links. It transliterates the 13 edges of Fig. 4 ([`FIG4`],
-//! which must equal DESIGN.md's table), a `kpromoted` run that scans every
+//! list) — the paper's per-node LRU lists, front = coldest — and no
+//! batches, transactions, retry ladder or intrusive links. It
+//! transliterates the 13 edges of Fig. 4 ([`FIG4`], which must equal
+//! DESIGN.md's table), a `kpromoted` run that scans every
 //! list and then drains every lower tier's promote list one tier up in the
 //! same run, watermark demotion, and the engine rules §7 states: gentle vs
 //! forced reclaim, the rotated drain order and the landing states. It runs
@@ -27,8 +28,9 @@
 
 use mc_fault::{FaultConfig, FaultInjector, FaultPlan};
 use mc_mem::{
-    AccessKind, FrameId, Instruments, MachineDesc, MemError, MemorySystem, MigrationMode, Nanos,
-    PageKind, PolicyTraits, TickOutcome, TierId, TieringPolicy, VPage,
+    AccessKind, FrameId, Instruments, MachineBuilder, MachineDesc, MemError, MemorySystem,
+    MigrationMode, Nanos, NodeId, PageKind, PolicyTraits, TickOutcome, TierId, TierKind,
+    TieringPolicy, VPage,
 };
 use mc_obs::ObsConfig;
 use multi_clock::PageState::{ActiveRef, ActiveUnref, InactiveRef, InactiveUnref, Promote};
@@ -811,6 +813,24 @@ fn dual_socket() -> Scope {
     }
 }
 
+/// DRAM, PM, DRAM, PM nodes: tier 0 is nodes 0 and 2, tier 1 is nodes 1
+/// and 3, so a tier's node ids are not contiguous and its lists are not
+/// one block of the node-indexed lists.
+fn interleaved() -> Scope {
+    Scope {
+        name: "interleaved",
+        machine: MachineBuilder::new()
+            .node(TierKind::Dram, 8)
+            .node(TierKind::Pm, 16)
+            .node(TierKind::Dram, 8)
+            .node(TierKind::Pm, 16)
+            .build(),
+        pages: 40,
+        pass: Pass::Model,
+        scan_batch: MultiClockConfig::default().scan_batch,
+    }
+}
+
 /// `scan_batch = 2`, so a scan covers only part of a list: the engine's
 /// walk-and-splice rotation meets the model's pop/push one mid-list.
 fn partial_scan() -> Scope {
@@ -827,6 +847,15 @@ fn partial_scan_dual_socket() -> Scope {
         name: "partial_scan_dual_socket",
         scan_batch: 2,
         ..dual_socket()
+    }
+}
+
+/// [`partial_scan`] on the [`interleaved`] machine.
+fn partial_scan_interleaved() -> Scope {
+    Scope {
+        name: "partial_scan_interleaved",
+        scan_batch: 2,
+        ..interleaved()
     }
 }
 
@@ -950,8 +979,8 @@ impl World {
             let Some(f) = self.mem.translate(vpage(p)) else {
                 continue;
             };
-            let tier = self.mem.frame(f).tier();
-            let listed = self.engine.tier_lists(tier).contains(f) || self.mem.txn_open(f);
+            let node = self.mem.frame(f).node();
+            let listed = self.engine.node_lists(node).contains(f) || self.mem.txn_open(f);
             if self.engine.state_of(f).is_none() || !listed {
                 return Err(format!("page {p} on {f} is mapped but not on a list"));
             }
@@ -975,13 +1004,13 @@ impl World {
                 ));
             }
         }
-        for (n, tier, shard) in layout(&self.mem) {
+        for n in 0..self.mem.topology().nodes().len() {
+            let lists = self.engine.node_lists(NodeId::new(n as u8));
             for kind in PageKind::ALL {
                 for (l, which) in [WhichList::Inactive, WhichList::Active, WhichList::Promote]
                     .into_iter()
                     .enumerate()
                 {
-                    let lists = self.engine.tier_lists(tier).shard(shard);
                     let engine: Vec<FrameId> = lists.set(kind).list(which).iter().collect();
                     let ours = &model.lists[n][kind_index(kind)][l];
                     if &engine != ours {
@@ -1053,8 +1082,8 @@ impl World {
             let frame = pte.map(|(f, ..)| (mem.frame(f).flags(), self.engine.state_of(f)));
             (pte, frame, mem.is_swapped(vpage(p))).hash(&mut h);
         }
-        for (_, tier, shard) in layout(mem) {
-            let lists = self.engine.tier_lists(tier).shard(shard);
+        for n in 0..mem.topology().nodes().len() {
+            let lists = self.engine.node_lists(NodeId::new(n as u8));
             for kind in PageKind::ALL {
                 let set = lists.set(kind);
                 for list in [&set.inactive, &set.active, &set.promote] {
@@ -1080,22 +1109,6 @@ impl World {
         }
         h.finish()
     }
-}
-
-/// `(node, tier, shard)` for every node: a node's shard is its position
-/// among its tier's nodes.
-fn layout(mem: &MemorySystem) -> Vec<(usize, TierId, usize)> {
-    let topology = mem.topology();
-    let tiers = (0..topology.tier_count()).map(|t| TierId::new(t as u8));
-    tiers
-        .flat_map(|tier| {
-            let nodes = topology.tier(tier).nodes().to_vec();
-            nodes
-                .into_iter()
-                .enumerate()
-                .map(move |(s, n)| (n.index(), tier, s))
-        })
-        .collect()
 }
 
 fn placed(mem: &MemorySystem, f: Option<FrameId>, st: Option<PageState>) -> String {
@@ -1409,6 +1422,18 @@ proptest! {
         ops in random_ops(&partial_scan_dual_socket())
     ) {
         check_random(partial_scan_dual_socket(), ops);
+    }
+
+    #[test]
+    fn engine_matches_model_on_random_interleaved(ops in random_ops(&interleaved())) {
+        check_random(interleaved(), ops);
+    }
+
+    #[test]
+    fn engine_matches_model_on_random_partial_scans_interleaved(
+        ops in random_ops(&partial_scan_interleaved())
+    ) {
+        check_random(partial_scan_interleaved(), ops);
     }
 }
 

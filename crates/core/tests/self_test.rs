@@ -10,44 +10,46 @@ use outside::{assert_rejected, compile};
 
 #[test]
 fn boundary_flags_foreign_list_mutation() {
-    // What `MultiClock::tier_lists` hands out: readable, not writable.
+    // What `MultiClock::node_lists` hands out: readable, not writable.
     compile(
         "foreign_read",
-        "pub fn peek(lists: &multi_clock::TierShards) -> bool {
-             let frame = lists.shard(0).anon.inactive.front().unwrap();
-             lists.shard(0).anon.inactive.contains(frame)
+        "pub fn peek(lists: &multi_clock::TierLists) -> bool {
+             let frame = lists.anon.inactive.front().unwrap();
+             lists.anon.inactive.contains(frame)
          }",
     )
     .unwrap();
     assert_rejected(
         "foreign_push",
-        "pub fn rogue(lists: &multi_clock::TierShards) {
-             let frame = lists.shard(0).anon.inactive.front().unwrap();
-             lists.shard(0).anon.inactive.push_back(frame);
+        "pub fn rogue(lists: &multi_clock::TierLists) {
+             let frame = lists.anon.inactive.front().unwrap();
+             lists.anon.inactive.push_back(frame);
          }",
         "E0596",
-        "lists.shard(0).anon.inactive",
+        "lists.anon.inactive",
     );
     // Even with the whole engine borrowed mutably, the lists are private.
     assert_rejected(
-        "foreign_tiers",
+        "foreign_nodes",
         "pub fn rogue(mc: &mut multi_clock::MultiClock) {
-             mc.tiers.clear();
+             mc.nodes.clear();
          }",
         "E0616",
-        "tiers",
+        "nodes",
     );
 }
 
 #[test]
 fn boundary_flags_mut_accessors_and_assignment() {
     assert_rejected(
-        "shard_mut",
-        "pub fn rogue(lists: &mut multi_clock::TierShards) {
-             lists.shard_mut(0);
+        "remove",
+        "pub fn rogue(lists: &mut multi_clock::TierLists) {
+             let _ = |frame| {
+                 lists.remove(frame);
+             };
          }",
         "E0624",
-        "shard_mut",
+        "remove",
     );
     assert_rejected(
         "set_mut",
@@ -69,10 +71,10 @@ fn boundary_flags_mut_accessors_and_assignment() {
     );
     assert_rejected(
         "assign",
-        "pub fn rogue(lists: &multi_clock::TierShards) {
-             lists.shard(0).anon.active = Default::default();
+        "pub fn rogue(lists: &multi_clock::TierLists) {
+             lists.anon.active = Default::default();
          }",
         "E0594",
-        "lists.shard(0).anon.active",
+        "lists.anon.active",
     );
 }

@@ -1,13 +1,14 @@
-//! Property tests for the per-node scanner shards: across random traces
-//! on a dual-socket machine (two DRAM nodes + two PM nodes, so two shards
-//! per tier), a tracked page must always sit on *exactly one* shard —
-//! never lost off every list, never double-listed across shards — and the
-//! full invariant suite (including the per-shard assignment invariant)
-//! must hold after every step. Batched promotion is crossed in so
-//! mid-drain requeues are exercised too.
+//! Property tests for the per-node lists: across random traces on a
+//! dual-socket machine (two DRAM nodes + two PM nodes, so two list sets
+//! per tier), a tracked page must always sit on *exactly one* node's
+//! lists — never lost off every list, never double-listed across nodes —
+//! and the full invariant suite (including "listed under the node its
+//! frame reports") must hold after every step. Batched promotion is
+//! crossed in so mid-drain requeues are exercised too.
 
 use mc_mem::{
-    AccessKind, FrameId, MachineDesc, MemorySystem, Nanos, PageKind, TierId, TieringPolicy, VPage,
+    AccessKind, FrameId, MachineDesc, MemorySystem, Nanos, NodeId, PageKind, TierId, TieringPolicy,
+    VPage,
 };
 use multi_clock::{Knobs, MultiClock, MultiClockConfig};
 use proptest::prelude::*;
@@ -37,16 +38,11 @@ fn op() -> impl Strategy<Value = Op> {
     ]
 }
 
-/// The number of shards (across every tier) holding `frame`.
-fn shards_holding(mem: &MemorySystem, mc: &MultiClock, frame: FrameId) -> usize {
-    (0..mem.topology().tier_count())
-        .map(|t| {
-            mc.tier_lists(TierId::new(t as u8))
-                .shards()
-                .filter(|lists| lists.contains(frame))
-                .count()
-        })
-        .sum()
+/// The number of nodes whose lists hold `frame`.
+fn nodes_holding(mem: &MemorySystem, mc: &MultiClock, frame: FrameId) -> usize {
+    (0..mem.topology().nodes().len())
+        .filter(|&n| mc.node_lists(NodeId::new(n as u8)).contains(frame))
+        .count()
 }
 
 proptest! {
@@ -130,14 +126,14 @@ proptest! {
                 violations
             );
             prop_assert_eq!(mc.in_flight(), 0, "in-flight page leaked after {:?}", op);
-            // Exactly-one-shard: the core sharding guarantee.
+            // Exactly one node's lists: the per-node guarantee.
             for vp in &live {
                 let frame = mem.translate(*vp).expect("live page translates");
-                let n = shards_holding(&mem, &mc, frame);
+                let n = nodes_holding(&mem, &mc, frame);
                 prop_assert_eq!(
                     n,
                     1,
-                    "page {:?} (frame {:?}) is on {} shards after {:?}",
+                    "page {:?} (frame {:?}) is on {} nodes' lists after {:?}",
                     vp,
                     frame,
                     n,
@@ -151,19 +147,32 @@ proptest! {
 #[test]
 fn one_shard_per_node_matches_node_count() {
     // dual_socket: a DRAM tier and a PM tier of two nodes each, so two
-    // shards per tier; dram_pm: one node per tier, one shard.
-    for (machine, want) in [
+    // list sets per tier; dram_pm: one node per tier, one list set. Every
+    // node has its own lists, and a page joins those of its frame's node.
+    for (machine, per_tier) in [
         (MachineDesc::dual_socket(12, 24), 2usize),
         (MachineDesc::dram_pm(24, 48), 1),
     ] {
-        let mem = MemorySystem::new(machine);
-        let mc = MultiClock::new(MultiClockConfig::default(), mem.topology());
+        let mut mem = MemorySystem::new(machine);
+        let mut mc = MultiClock::new(MultiClockConfig::default(), mem.topology());
+        let mut v = 0u64;
         for t in 0..mem.topology().tier_count() {
-            assert_eq!(
-                mc.tier_lists(TierId::new(t as u8)).shard_count(),
-                want,
-                "tier {t}"
-            );
+            let tier = TierId::new(t as u8);
+            assert_eq!(mem.topology().tier(tier).nodes().len(), per_tier);
+            for _ in 0..2 * per_tier {
+                let frame = mem.alloc_page_in_tier(PageKind::Anon, tier).expect("room");
+                mem.map(VPage::new(v), frame).expect("fresh vpage maps");
+                v += 1;
+                mc.on_page_mapped(&mut mem, frame);
+                let node = mem.frame(frame).node();
+                assert!(mc.node_lists(node).anon.inactive.contains(frame));
+                assert_eq!(nodes_holding(&mem, &mc, frame), 1, "{frame} in tier {t}");
+            }
         }
+        for n in 0..mem.topology().nodes().len() {
+            let lists = mc.node_lists(NodeId::new(n as u8));
+            assert!(!lists.anon.inactive.is_empty(), "node {n} holds pages");
+        }
+        mc.assert_invariants(&mem);
     }
 }

@@ -1,6 +1,6 @@
 //! The real tree keeps list mutation inside `multi-clock` (DESIGN.md §9).
 //! The rest of the workspace only ever holds a `MultiClock` through the
-//! `TieringPolicy` methods and `tier_lists`; this checks, as an outside
+//! `TieringPolicy` methods and `node_lists`; this checks, as an outside
 //! crate, that every list stays readable that way and that no door —
 //! field, accessor or `&mut self` method — leads to a mutable list.
 
@@ -21,29 +21,27 @@ fn list_mutation_stays_inside_core_machinery() {
                  .sum()
          }
          pub fn census(mc: &MultiClock) {
-             let _ = |tier| -> usize {
-                 mc.tier_lists(tier)
-                     .shards()
-                     .map(|s| set_len(&s.anon) + set_len(&s.file) + s.unevictable.len())
-                     .sum()
+             let _ = |node| -> usize {
+                 let s = mc.node_lists(node);
+                 set_len(&s.anon) + set_len(&s.file) + s.unevictable.len()
              };
          }",
     )
     .unwrap();
     // `&mut MultiClock` is as much as any other crate ever gets.
     for (name, body, code, item) in [
-        ("door_field", "mc.tiers.clear();", "E0616", "tiers"),
+        ("door_field", "mc.nodes.clear();", "E0616", "nodes"),
         (
             "door_remove",
-            "let _ = |tier, frame| mc.tier_lists(tier).remove(frame);",
+            "let _ = |node, frame| mc.node_lists(node).unevictable.remove(frame);",
             "E0596",
-            "mc.tier_lists(tier)",
+            "mc.node_lists(node).unevictable",
         ),
         (
-            "door_shard",
-            "let _ = |tier| { mc.tier_lists(tier).shard(0).file.promote.drain(); };",
+            "door_node",
+            "let _ = |node| { mc.node_lists(node).file.promote.drain(); };",
             "E0596",
-            "mc.tier_lists(tier).shard(0).file.promote",
+            "mc.node_lists(node).file.promote",
         ),
     ] {
         let src = format!("pub fn rogue(mc: &mut multi_clock::MultiClock) {{ {body} }}");

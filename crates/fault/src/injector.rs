@@ -33,19 +33,6 @@ impl InjectedFault {
     }
 }
 
-/// Counters describing what the injector actually did.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct FaultStats {
-    /// Migration attempts failed by probability draws.
-    pub migrate_faults: u64,
-    /// Allocation attempts failed by probability draws.
-    pub alloc_faults: u64,
-    /// Operations rejected because the target tier was offline.
-    pub offline_rejections: u64,
-    /// Accesses slowed by an active stall window.
-    pub stalled_accesses: u64,
-}
-
 /// The runtime handle: a plan, a private seeded stream, the current
 /// virtual time, and per-tier manual offline overrides.
 #[derive(Debug, Clone)]
@@ -56,7 +43,6 @@ pub struct FaultInjector {
     /// Manual per-tier override: `Some(true)` forces offline, `Some(false)`
     /// forces online (masking scheduled windows), `None` follows the plan.
     overrides: Vec<Option<bool>>,
-    stats: FaultStats,
 }
 
 impl FaultInjector {
@@ -78,7 +64,6 @@ impl FaultInjector {
             rng: SplitMix64::new(seed),
             now_ns: 0,
             overrides: Vec::new(),
-            stats: FaultStats::default(),
         }
     }
 
@@ -86,11 +71,6 @@ impl FaultInjector {
     /// offline and stall windows).
     pub fn set_now(&mut self, now_ns: u64) {
         self.now_ns = now_ns;
-    }
-
-    /// Injection counters so far.
-    pub fn stats(&self) -> &FaultStats {
-        &self.stats
     }
 
     /// Whether `tier` currently rejects allocations and migration targets.
@@ -121,15 +101,12 @@ impl FaultInjector {
     /// no generator state.
     pub fn on_migrate(&mut self, dst_tier: u8) -> Option<InjectedFault> {
         if self.tier_offline(dst_tier) {
-            self.stats.offline_rejections = self.stats.offline_rejections.saturating_add(1);
             return Some(InjectedFault::TierOffline);
         }
         if self.rng.chance(self.plan.migrate_lock_rate) {
-            self.stats.migrate_faults = self.stats.migrate_faults.saturating_add(1);
             return Some(InjectedFault::FrameLocked);
         }
         if self.rng.chance(self.plan.migrate_fail_rate) {
-            self.stats.migrate_faults = self.stats.migrate_faults.saturating_add(1);
             return Some(InjectedFault::TierFull);
         }
         None
@@ -138,32 +115,24 @@ impl FaultInjector {
     /// Decision point: an allocation is about to try `tier`.
     pub fn on_alloc(&mut self, tier: u8) -> Option<InjectedFault> {
         if self.tier_offline(tier) {
-            self.stats.offline_rejections = self.stats.offline_rejections.saturating_add(1);
             return Some(InjectedFault::TierOffline);
         }
         if self.rng.chance(self.plan.alloc_fail_rate) {
-            self.stats.alloc_faults = self.stats.alloc_faults.saturating_add(1);
             return Some(InjectedFault::TierFull);
         }
         None
     }
 
     /// Decision point: an access is being served by `tier`. Returns the
-    /// latency multiplier to apply (`1` = unperturbed) and counts stalled
-    /// accesses.
-    pub fn on_access(&mut self, tier: u8) -> u32 {
-        let factor = self
-            .plan
+    /// latency multiplier to apply (`1` = unperturbed).
+    pub fn on_access(&self, tier: u8) -> u32 {
+        self.plan
             .stalls
             .iter()
             .filter(|w| w.tier == tier && w.contains(self.now_ns))
             .map(|w| w.factor.max(1))
             .max()
-            .unwrap_or(1);
-        if factor > 1 {
-            self.stats.stalled_accesses = self.stats.stalled_accesses.saturating_add(1);
-        }
-        factor
+            .unwrap_or(1)
     }
 }
 
@@ -196,7 +165,6 @@ mod tests {
             assert_eq!(a.on_migrate(tier), b.on_migrate(tier));
             assert_eq!(a.on_alloc(tier), b.on_alloc(tier));
         }
-        assert_eq!(a.stats(), b.stats());
     }
 
     #[test]
@@ -207,7 +175,6 @@ mod tests {
             assert_eq!(inj.on_alloc(1), None);
             assert_eq!(inj.on_access(0), 1);
         }
-        assert_eq!(*inj.stats(), FaultStats::default());
     }
 
     #[test]
@@ -217,8 +184,6 @@ mod tests {
             assert_eq!(inj.on_migrate(0), Some(InjectedFault::TierFull));
             assert_eq!(inj.on_alloc(0), Some(InjectedFault::TierFull));
         }
-        assert_eq!(inj.stats().migrate_faults, 100);
-        assert_eq!(inj.stats().alloc_faults, 100);
     }
 
     #[test]
@@ -254,7 +219,6 @@ mod tests {
         assert!(!inj.tier_offline(1), "window is per-tier");
         assert_eq!(inj.on_migrate(0), Some(InjectedFault::TierOffline));
         assert_eq!(inj.on_alloc(0), Some(InjectedFault::TierOffline));
-        assert_eq!(inj.stats().offline_rejections, 2);
         inj.set_now(2_000);
         assert!(!inj.tier_offline(0));
     }
@@ -308,6 +272,5 @@ mod tests {
         assert_eq!(inj.on_access(0), 1);
         inj.set_now(100);
         assert_eq!(inj.on_access(1), 1);
-        assert_eq!(inj.stats().stalled_accesses, 1);
     }
 }

@@ -37,7 +37,7 @@ mod plan;
 mod retry;
 mod rng;
 
-pub use injector::{FaultInjector, FaultStats, InjectedFault};
+pub use injector::{FaultInjector, InjectedFault};
 pub use plan::{FaultConfig, FaultPlan, OfflineWindow, StallWindow};
 pub use retry::RetryPolicy;
 pub use rng::SplitMix64;

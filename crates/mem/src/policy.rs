@@ -106,8 +106,11 @@ pub trait TieringPolicy {
     /// The policy's internal counters as `(name, value)` pairs — its slice
     /// of the `/proc/vmstat` analogue. The observability layer snapshots
     /// these per tick into the run's time series; names must be stable and
-    /// the set identical on every call. Default: no counters.
-    fn counters(&self) -> Vec<(&'static str, u64)> {
+    /// the set identical on every call. A counter the substrate already
+    /// keeps (promotions, demotions, evictions) is read from
+    /// `mem.stats()`, not counted twice. Default: no counters.
+    fn counters(&self, mem: &MemorySystem) -> Vec<(&'static str, u64)> {
+        let _ = mem;
         Vec::new()
     }
 

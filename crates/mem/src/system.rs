@@ -1450,10 +1450,6 @@ mod tests {
         assert_eq!(mem.stats().migration_failures, 1);
         assert_eq!(mem.stats().injected_faults, 1);
         assert_eq!(mem.stats().demotions, 0);
-        assert_eq!(
-            mem.instruments.injector().unwrap().stats().migrate_faults,
-            1
-        );
     }
 
     #[test]
@@ -1518,8 +1514,9 @@ mod tests {
         let after = mem.access(v, AccessKind::Read).unwrap().latency;
         assert_eq!(after, base);
         assert_eq!(
-            mem.instruments.injector().unwrap().stats().stalled_accesses,
-            1
+            mem.stats().injected_faults,
+            0,
+            "a stall slows an access, it fails nothing"
         );
     }
 
@@ -1531,10 +1528,8 @@ mod tests {
         mem.map(VPage::new(50), f).unwrap();
         mem.migrate(f, TierId::new(1)).unwrap();
         assert_eq!(mem.stats().injected_faults, 0);
-        assert_eq!(
-            *mem.instruments.injector().unwrap().stats(),
-            mc_fault::FaultStats::default()
-        );
+        assert_eq!(mem.stats().migration_failures, 0);
+        assert_eq!(mem.stats().demotions, 1);
     }
 
     /// Allocates a clean PM page, maps it, and opens a promotion txn.

@@ -30,8 +30,6 @@ pub struct AutoNuma {
     faulted: Vec<bool>,
     scan_interval: Nanos,
     sample_batch: usize,
-    promotions: u64,
-    demotions: u64,
 }
 
 impl AutoNuma {
@@ -43,20 +41,12 @@ impl AutoNuma {
             faulted: vec![false; topology.total_pages()],
             scan_interval,
             sample_batch,
-            promotions: 0,
-            demotions: 0,
         }
     }
 
     /// With the usual defaults (1 s, 1024 pages per tick).
     pub fn with_defaults(topology: &Topology) -> Self {
         Self::new(topology, Nanos::from_secs(1), 1024)
-    }
-
-    /// Pages promoted so far.
-    #[cfg(test)]
-    pub(crate) fn promotions(&self) -> u64 {
-        self.promotions
     }
 }
 
@@ -102,7 +92,6 @@ impl TieringPolicy for AutoNuma {
             self.rings.moved(frame, new_frame, tier, upper);
             self.faulted[new_frame.index()] = true;
             self.faulted[frame.index()] = false;
-            self.promotions += 1;
         }
     }
 
@@ -130,21 +119,19 @@ impl TieringPolicy for AutoNuma {
         // anonymous pages move down; on the lowest tier they are evicted.
         let lower = tier.lower(mem.topology().tier_count());
         let faulted = &self.faulted;
-        let out = ring::reclaim(mem, &mut self.rings, tier, lower, |_, frame, _| {
+        ring::reclaim(mem, &mut self.rings, tier, lower, |_, frame, _| {
             faulted[frame.index()]
-        });
-        self.demotions += out.demoted;
-        out
+        })
     }
 
     fn tick_interval(&self) -> Option<Nanos> {
         Some(self.scan_interval)
     }
 
-    fn counters(&self) -> Vec<(&'static str, u64)> {
+    fn counters(&self, mem: &MemorySystem) -> Vec<(&'static str, u64)> {
         vec![
-            ("autonuma_promotions", self.promotions),
-            ("autonuma_demotions", self.demotions),
+            ("autonuma_promotions", mem.stats().promotions),
+            ("autonuma_demotions", mem.stats().demotions),
         ]
     }
 }
@@ -194,7 +181,7 @@ mod tests {
         an.on_hint_fault(&mut mem, out.frame, AccessKind::Read);
         let nf = mem.translate(VPage::new(1)).unwrap();
         assert_eq!(mem.frame(nf).tier(), TierId::TOP);
-        assert_eq!(an.promotions(), 1);
+        assert_eq!(mem.stats().promotions, 1);
     }
 
     #[test]
@@ -213,7 +200,7 @@ mod tests {
         an.on_page_mapped(&mut mem, f);
         an.on_hint_fault(&mut mem, f, AccessKind::Read);
         assert_eq!(
-            an.promotions(),
+            mem.stats().promotions,
             0,
             "no exchange: promotion waits for reclaim"
         );

@@ -64,9 +64,6 @@ pub struct AutoTiering {
     history: Vec<u8>,
     /// Frames that hint-faulted during the current interval.
     faulted: Vec<bool>,
-    promotions: u64,
-    demotions: u64,
-    exchanges: u64,
 }
 
 impl AutoTiering {
@@ -86,9 +83,6 @@ impl AutoTiering {
             rings: Rings::new(topology),
             history: vec![0; topology.total_pages()],
             faulted: vec![false; topology.total_pages()],
-            promotions: 0,
-            demotions: 0,
-            exchanges: 0,
         }
     }
 
@@ -106,24 +100,6 @@ impl AutoTiering {
     #[cfg(test)]
     pub(crate) fn mode(&self) -> AutoTieringMode {
         self.mode
-    }
-
-    /// Pages promoted so far.
-    #[cfg(test)]
-    pub(crate) fn promotions(&self) -> u64 {
-        self.promotions
-    }
-
-    /// Pages demoted so far.
-    #[cfg(test)]
-    pub(crate) fn demotions(&self) -> u64 {
-        self.demotions
-    }
-
-    /// Fault-path page exchanges performed (CPM).
-    #[cfg(test)]
-    pub(crate) fn exchanges(&self) -> u64 {
-        self.exchanges
     }
 
     /// The fault history of a frame.
@@ -187,7 +163,6 @@ impl AutoTiering {
                     mem.charge(Charge::MigrationStall, extra);
                 }
                 self.retrack(victim, new_frame, tier, lower);
-                self.demotions += 1;
                 true
             }
             Err(_) => false,
@@ -204,7 +179,6 @@ impl AutoTiering {
                     mem.charge(Charge::MigrationStall, extra);
                 }
                 self.retrack(frame, new_frame, tier, upper);
-                self.promotions += 1;
             }
             Err(MemError::TierFull(_)) => match self.mode {
                 AutoTieringMode::Cpm => {
@@ -214,8 +188,6 @@ impl AutoTiering {
                             let extra = mem.latency().migration(tier, upper).background;
                             mem.charge(Charge::MigrationStall, extra);
                             self.retrack(frame, new_frame, tier, upper);
-                            self.promotions += 1;
-                            self.exchanges += 1;
                         }
                     }
                 }
@@ -335,7 +307,6 @@ impl TieringPolicy for AutoTiering {
                 Some(lower_tier) => {
                     if let Ok(new_frame) = mem.migrate(victim, lower_tier) {
                         self.retrack(victim, new_frame, tier, lower_tier);
-                        self.demotions += 1;
                         out.demoted += 1;
                     }
                 }
@@ -353,10 +324,10 @@ impl TieringPolicy for AutoTiering {
         Some(self.scan_interval)
     }
 
-    fn counters(&self) -> Vec<(&'static str, u64)> {
+    fn counters(&self, mem: &MemorySystem) -> Vec<(&'static str, u64)> {
         vec![
-            ("autotiering_promotions", self.promotions),
-            ("autotiering_demotions", self.demotions),
+            ("autotiering_promotions", mem.stats().promotions),
+            ("autotiering_demotions", mem.stats().demotions),
         ]
     }
 }
@@ -399,7 +370,7 @@ mod tests {
         at.on_hint_fault(&mut mem, f, AccessKind::Read);
         let nf = mem.translate(VPage::new(1)).unwrap();
         assert_eq!(mem.frame(nf).tier(), TierId::TOP, "promoted on fault path");
-        assert_eq!(at.promotions(), 1);
+        assert_eq!(mem.stats().promotions, 1);
     }
 
     #[test]
@@ -414,9 +385,17 @@ mod tests {
         }
         let hot = map_in_tier(&mut mem, &mut at, 1000, TierId::new(1));
         at.on_hint_fault(&mut mem, hot, AccessKind::Read);
-        assert_eq!(at.promotions(), 1);
-        assert_eq!(at.exchanges(), 1, "CPM exchanged with a cold DRAM page");
-        assert_eq!(at.demotions(), 1);
+        // The exchange: one cold DRAM page down, the hot page up.
+        assert_eq!(mem.stats().promotions, 1);
+        assert_eq!(
+            mem.stats().demotions,
+            1,
+            "CPM exchanged with a cold DRAM page"
+        );
+        assert_eq!(
+            mem.frame(mem.translate(VPage::new(1000)).unwrap()).tier(),
+            TierId::TOP
+        );
     }
 
     #[test]
@@ -432,17 +411,17 @@ mod tests {
         let hot = map_in_tier(&mut mem, &mut at, 1000, TierId::new(1));
         at.on_hint_fault(&mut mem, hot, AccessKind::Read);
         assert_eq!(
-            at.promotions(),
+            mem.stats().promotions,
             0,
             "OPM does not exchange on the fault path"
         );
         // Background demotion opens headroom at the next tick.
         at.tick(&mut mem, Nanos::from_secs(1));
-        assert!(at.demotions() > 0, "background demoter ran");
+        assert!(mem.stats().demotions > 0, "background demoter ran");
         assert!(mem.tier_free(TierId::TOP) > 0);
         // Next fault succeeds.
         at.on_hint_fault(&mut mem, hot, AccessKind::Read);
-        assert_eq!(at.promotions(), 1);
+        assert_eq!(mem.stats().promotions, 1);
     }
 
     #[test]
@@ -482,7 +461,10 @@ mod tests {
                 "faulted page must not be demoted by the background pass"
             );
         }
-        assert!(at.demotions() > 0, "cold pages were demoted for headroom");
+        assert!(
+            mem.stats().demotions > 0,
+            "cold pages were demoted for headroom"
+        );
     }
 
     #[test]

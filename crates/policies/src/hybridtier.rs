@@ -55,8 +55,6 @@ pub struct HybridTier {
     ring: Rings,
     ticks: u64,
     samples: u64,
-    promotions: u64,
-    demotions: u64,
     direct_placements: u64,
 }
 
@@ -83,8 +81,6 @@ impl HybridTier {
             ring: Rings::new(topology),
             ticks: 0,
             samples: 0,
-            promotions: 0,
-            demotions: 0,
             direct_placements: 0,
         }
     }
@@ -93,12 +89,6 @@ impl HybridTier {
     #[cfg(test)]
     pub(crate) fn with_defaults(topology: &Topology) -> Self {
         Self::new(topology, Nanos::from_secs(1), 512)
-    }
-
-    /// Total pages promoted.
-    #[cfg(test)]
-    pub(crate) fn promotions(&self) -> u64 {
-        self.promotions
     }
 
     /// Pages placed directly in the fast tier because the sketch already
@@ -169,7 +159,6 @@ impl TieringPolicy for HybridTier {
         if let Ok(new_frame) = mem.migrate(frame, upper) {
             self.ring.moved(frame, new_frame, tier, upper);
             self.direct_placements += 1;
-            self.promotions += 1;
         }
     }
 
@@ -202,7 +191,7 @@ impl TieringPolicy for HybridTier {
             }
         }
         for (tier, hot) in hot_by_tier {
-            let (promoted, demoted) = ring::exchange(
+            let promoted = ring::exchange(
                 mem,
                 tier,
                 hot,
@@ -211,8 +200,6 @@ impl TieringPolicy for HybridTier {
                 |mem, victim| is_hot(&self.sketch, mem, victim),
                 Rings::moved,
             );
-            self.promotions += promoted;
-            self.demotions += demoted;
             out.promoted += promoted;
             mem.instruments.emit(|| EventKind::Custom {
                 tag: "ht_promote_batch",
@@ -227,24 +214,22 @@ impl TieringPolicy for HybridTier {
     fn on_pressure(&mut self, mem: &mut MemorySystem, tier: TierId, _now: Nanos) -> TickOutcome {
         let lower = tier.lower(mem.topology().tier_count());
         // Known-hot pages are spared while budget remains.
-        let out = ring::reclaim(mem, &mut self.ring, tier, lower, |mem, frame, left| {
+        ring::reclaim(mem, &mut self.ring, tier, lower, |mem, frame, left| {
             left > 0 && is_hot(&self.sketch, mem, frame)
-        });
-        self.demotions += out.demoted;
-        out
+        })
     }
 
     fn tick_interval(&self) -> Option<Nanos> {
         Some(self.sample_interval)
     }
 
-    fn counters(&self) -> Vec<(&'static str, u64)> {
+    fn counters(&self, mem: &MemorySystem) -> Vec<(&'static str, u64)> {
         vec![
             ("ht_ticks", self.ticks),
             ("ht_samples", self.samples),
             ("ht_sketch_updates", self.sketch.updates()),
-            ("ht_promotions", self.promotions),
-            ("ht_demotions", self.demotions),
+            ("ht_promotions", mem.stats().promotions),
+            ("ht_demotions", mem.stats().demotions),
             ("ht_direct_placements", self.direct_placements),
         ]
     }
@@ -296,7 +281,7 @@ mod tests {
             h.tick(&mut mem, Nanos::from_secs(s));
         }
         assert_eq!(mem.frame(f).tier(), pm);
-        assert_eq!(h.promotions(), 0);
+        assert_eq!(mem.stats().promotions, 0);
     }
 
     #[test]
@@ -389,7 +374,7 @@ mod tests {
                 }
                 h.tick(&mut mem, Nanos::from_secs(s));
             }
-            (h.sketch().checksum(), h.promotions(), mem.stats().clone())
+            (h.sketch().checksum(), mem.stats().clone())
         };
         assert_eq!(run(), run());
     }

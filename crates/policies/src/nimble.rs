@@ -34,8 +34,6 @@ pub struct Nimble {
     inactive: Rings,
     active: Rings,
     ticks: u64,
-    promotions: u64,
-    demotions: u64,
 }
 
 impl Nimble {
@@ -49,8 +47,6 @@ impl Nimble {
             inactive: Rings::new(topology),
             active: Rings::new(topology),
             ticks: 0,
-            promotions: 0,
-            demotions: 0,
         }
     }
 
@@ -58,18 +54,6 @@ impl Nimble {
     /// scan batches.
     pub fn with_defaults(topology: &Topology) -> Self {
         Self::new(topology, Nanos::from_secs(1), 1024)
-    }
-
-    /// Total pages promoted.
-    #[cfg(test)]
-    pub(crate) fn promotions(&self) -> u64 {
-        self.promotions
-    }
-
-    /// Total pages demoted.
-    #[cfg(test)]
-    pub(crate) fn demotions(&self) -> u64 {
-        self.demotions
     }
 
     /// Harvests `frame`'s reference bit and files it at the back of the
@@ -162,7 +146,7 @@ impl TieringPolicy for Nimble {
             // observed unreferenced at the last scan. Taking active
             // (recently referenced) pages would strip the hot set to make
             // room for single-observation candidates.
-            let (promoted, demoted) = ring::exchange(
+            let promoted = ring::exchange(
                 mem,
                 tier,
                 hot,
@@ -171,8 +155,6 @@ impl TieringPolicy for Nimble {
                 |mem, victim| mem.harvest_referenced(victim),
                 |_, old, new, src, dst| self.active.moved(old, new, src, dst),
             );
-            self.promotions += promoted;
-            self.demotions += demoted;
             out.promoted += promoted;
             mem.instruments.emit(|| EventKind::Custom {
                 tag: "nimble_promote_batch",
@@ -214,7 +196,6 @@ impl TieringPolicy for Nimble {
             } else if !mem.frame(frame).migratable() {
                 self.inactive.track(tier, frame);
             } else if ring::push_down(mem, &mut self.inactive, frame, tier, lower) {
-                self.demotions += 1;
                 out.demoted += 1;
             }
         }
@@ -225,11 +206,11 @@ impl TieringPolicy for Nimble {
         Some(self.scan_interval)
     }
 
-    fn counters(&self) -> Vec<(&'static str, u64)> {
+    fn counters(&self, mem: &MemorySystem) -> Vec<(&'static str, u64)> {
         vec![
             ("nimble_ticks", self.ticks),
-            ("nimble_promotions", self.promotions),
-            ("nimble_demotions", self.demotions),
+            ("nimble_promotions", mem.stats().promotions),
+            ("nimble_demotions", mem.stats().demotions),
         ]
     }
 }
@@ -321,7 +302,7 @@ mod tests {
         mem.access(VPage::new(hot_v), AccessKind::Read).unwrap();
         let out = n.tick(&mut mem, Nanos::from_secs(2));
         assert_eq!(out.promoted, 1, "exchange made room");
-        assert!(n.demotions() >= 1, "a cold DRAM page was demoted");
+        assert!(mem.stats().demotions >= 1, "a cold DRAM page was demoted");
         let nf = mem.translate(VPage::new(hot_v)).unwrap();
         assert_eq!(mem.frame(nf).tier(), TierId::TOP);
     }
@@ -335,7 +316,7 @@ mod tests {
             n.tick(&mut mem, Nanos::from_secs(s));
         }
         assert_eq!(mem.frame(f).tier(), pm);
-        assert_eq!(n.promotions(), 0);
+        assert_eq!(mem.stats().promotions, 0);
     }
 
     #[test]

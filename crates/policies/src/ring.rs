@@ -115,7 +115,7 @@ impl Rings {
 /// it ([`demote_one`] with `spare`) and the promotion is retried once.
 /// `land(victims, old, new, tier, upper)` records each promotion: a policy
 /// whose candidates sit on the victims' lists passes [`Rings::moved`].
-/// Returns (pages promoted, pages demoted to make room).
+/// Returns the pages promoted.
 pub(crate) fn exchange(
     mem: &mut MemorySystem,
     tier: TierId,
@@ -124,15 +124,15 @@ pub(crate) fn exchange(
     victims: &mut Rings,
     mut spare: impl FnMut(&mut MemorySystem, FrameId) -> bool,
     mut land: impl FnMut(&mut Rings, FrameId, FrameId, TierId, TierId),
-) -> (u64, u64) {
+) -> u64 {
     let Some(upper) = tier.upper() else {
-        return (0, 0);
+        return 0;
     };
     if !hot.is_empty() {
         let shift = ticks as usize % hot.len();
         hot.rotate_left(shift);
     }
-    let (mut promoted, mut demoted) = (0, 0);
+    let mut promoted = 0;
     for frame in hot {
         if mem.frame(frame).tier() != tier {
             continue;
@@ -142,7 +142,6 @@ pub(crate) fn exchange(
                 if demote_one(mem, victims, upper, &mut spare).is_none() {
                     continue;
                 }
-                demoted += 1;
                 mem.migrate(frame, upper)
             }
             moved => moved,
@@ -152,7 +151,7 @@ pub(crate) fn exchange(
             promoted += 1;
         }
     }
-    (promoted, demoted)
+    promoted
 }
 
 /// Demotes one page of `tier` one tier down: pops `victims`' list of the

@@ -175,7 +175,7 @@ impl Simulation {
     /// no tiering daemon).
     pub fn counters(&self) -> Vec<(&'static str, u64)> {
         match &self.frontend {
-            Frontend::Tiered { policy, .. } => policy.counters(),
+            Frontend::Tiered { policy, .. } => policy.counters(&self.mem),
             Frontend::MemoryMode(_) => Vec::new(),
         }
     }
@@ -270,7 +270,7 @@ impl Simulation {
         absorb_substrate(&mut self.mem, &mut self.metrics);
         self.metrics.settle();
         if let Some(obs) = self.obs.as_mut() {
-            let counters = policy.counters();
+            let counters = policy.counters(&self.mem);
             obs.snapshot(due, self.mem.stats(), &counters);
         }
         // The policy may have adapted its interval during the tick. A

@@ -118,7 +118,7 @@ fn main() -> Result<(), mc_mem::MemError> {
     println!("\nthe hot page now lives in DRAM — that is MULTI-CLOCK's job.");
     println!(
         "stats: {} promotions, {} pages scanned, {} kpromoted runs",
-        mc.stats().promotions,
+        mem.stats().promotions,
         mc.stats().pages_scanned,
         mc.stats().ticks,
     );
