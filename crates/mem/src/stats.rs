@@ -50,28 +50,9 @@ pub struct MemStats {
 }
 
 impl MemStats {
-    /// Fraction of accesses served by tier 0 specifically; `None` before
-    /// any access.
-    ///
-    /// Tier 0 is the single fastest tier, which on the paper's two-tier
-    /// DRAM+PM testbed is also "the DRAM side" — but on multi-DRAM-tier
-    /// topologies (HBM + DRAM + PM, or multiple DRAM tiers) tier 0 is
-    /// only one slice of fast memory. Use [`MemStats::fast_tier_share`]
-    /// with the machine's [`Topology`] when "served from fast memory"
-    /// is the question being asked.
-    pub fn tier0_share(&self) -> Option<f64> {
-        let total: u64 = self.tier_accesses.iter().sum();
-        if total == 0 {
-            None
-        } else {
-            Some(self.tier_accesses.first().copied().unwrap_or(0) as f64 / total as f64)
-        }
-    }
-
     /// Fraction of accesses served by fast tiers — every tier whose kind
     /// is fast per `TierKind::is_fast` (HBM and socket-local DRAM; CXL
     /// expanders and PM count as capacity). `None` before any access.
-    /// Equals [`MemStats::tier0_share`] on two-tier DRAM+PM machines.
     pub fn fast_tier_share(&self, topology: &Topology) -> Option<f64> {
         let total: u64 = self.tier_accesses.iter().sum();
         if total == 0 {
@@ -128,11 +109,8 @@ mod tests {
         let topo = MachineDesc::three_tier(8, 8, 8).topology();
         let mut s = MemStats::default();
         assert_eq!(s.fast_tier_share(&topo), None);
-        assert_eq!(s.tier0_share(), None);
         s.tier_accesses = vec![10, 30, 60];
-        // tier0_share sees only the HBM slice...
-        assert!((s.tier0_share().unwrap() - 0.10).abs() < 1e-9);
-        // ...fast_tier_share sees HBM + DRAM.
+        // Not just tier 0 (the HBM slice, 0.10): HBM + DRAM.
         assert!((s.fast_tier_share(&topo).unwrap() - 0.40).abs() < 1e-9);
     }
 

@@ -118,7 +118,7 @@ fn tier_accesses_counter_tracks_placement() {
     let s = mem.stats();
     assert_eq!(s.tier_accesses[0], 2);
     assert_eq!(s.tier_accesses[1], 1);
-    assert!((s.tier0_share().unwrap() - 2.0 / 3.0).abs() < 1e-9);
+    assert!((s.fast_tier_share(mem.topology()).unwrap() - 2.0 / 3.0).abs() < 1e-9);
 }
 
 #[test]

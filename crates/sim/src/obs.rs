@@ -4,18 +4,19 @@
 //! [`ObsState`] alongside the substrate's event [`mc_obs::Recorder`]:
 //! a per-tick [`TimeSeries`] snapshot of the substrate and policy
 //! counters (the `/proc/vmstat`-sampling analogue), per-tier access
-//! latency histograms, and a capped access [`Trace`] for heat-map
-//! reporting. Everything here is dead weight the engine never touches
-//! when observability is off.
+//! latency histograms, and a capped access [`Trace`] for the report's
+//! hottest-pages table. Everything here is dead weight the engine never
+//! touches when observability is off.
 
 use crate::config::SimConfig;
 use crate::latency_hist::LatencyHistogram;
 use crate::metrics::Metrics;
 use mc_mem::{AccessKind, Charge, MemStats, MemorySystem, Nanos, TierId, VPage, PAGE_SIZE};
 use mc_obs::{ReportBuilder, TimeSeries};
-use mc_trace::{Heatmap, Trace, TraceEvent};
+use mc_trace::{Trace, TraceEvent};
+use std::cmp::Reverse;
 
-/// Cap on access-trace entries retained for heat-map reporting.
+/// Cap on access-trace entries retained for the hottest-pages table.
 const MAX_TRACE_EVENTS: usize = 1 << 20;
 
 /// How many of the hottest pages the run report lists.
@@ -42,7 +43,7 @@ impl ObsState {
     }
 
     /// Records one application access: latency into the tier's histogram
-    /// and, under the trace cap, an event for heat-map reporting.
+    /// and, under the trace cap, an event for the hottest-pages table.
     pub(crate) fn on_access(
         &mut self,
         vpage: VPage,
@@ -216,11 +217,9 @@ impl ObsState {
 
         if !self.trace.is_empty() {
             r.section("Hottest pages");
-            let heat = Heatmap::build(&self.trace, cfg.window);
-            let rows: Vec<Vec<String>> = heat
-                .top_n(TOP_N)
+            let rows: Vec<Vec<String>> = hottest_pages(&self.trace, TOP_N)
                 .into_iter()
-                .map(|(p, n)| vec![p.raw().to_string(), n.to_string()])
+                .map(|(p, n)| vec![p.to_string(), n.to_string()])
                 .collect();
             r.table(&["vpage", "accesses"], &rows);
             if self.trace_dropped > 0 {
@@ -229,5 +228,49 @@ impl ObsState {
         }
 
         r.finish()
+    }
+}
+
+/// The `n` most-accessed pages of `trace` as `(page, accesses)`, hottest
+/// first; ties go to the lower page so the order is deterministic.
+fn hottest_pages(trace: &Trace, n: usize) -> Vec<(u64, usize)> {
+    let mut pages: Vec<u64> = trace.events().iter().map(|e| e.vpage.raw()).collect();
+    pages.sort_unstable();
+    let mut ranked: Vec<(u64, usize)> = pages
+        .chunk_by(|a, b| a == b)
+        .map(|run| (run[0], run.len()))
+        .collect();
+    ranked.sort_unstable_by_key(|&(page, count)| (Reverse(count), page));
+    ranked.truncate(n);
+    ranked
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn trace_of(pages: &[u64]) -> Trace {
+        pages
+            .iter()
+            .enumerate()
+            .map(|(i, &p)| TraceEvent {
+                at: Nanos::from_nanos(i as u64),
+                vpage: VPage::new(p),
+                kind: AccessKind::Read,
+                bytes: 8,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn hottest_pages_rank_by_count_with_ties_to_the_lower_page() {
+        let trace = trace_of(&[30, 10, 20, 30, 10, 40, 40, 40]);
+        assert_eq!(
+            hottest_pages(&trace, 10),
+            [(40, 3), (10, 2), (30, 2), (20, 1)]
+        );
+        assert_eq!(hottest_pages(&trace, 2), [(40, 3), (10, 2)]);
+        assert!(hottest_pages(&trace, 0).is_empty());
+        assert!(hottest_pages(&Trace::new(), 5).is_empty());
     }
 }

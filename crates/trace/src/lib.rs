@@ -1,22 +1,15 @@
-//! # mc-trace — page-access tracing, sampling and replay
+//! # mc-trace — page-access record and replay
 //!
-//! The paper's motivation study (§II-A) is built on page-access traces:
-//! "we randomly sampled pages from memory, assigned them unique
-//! identifiers, and traced the accesses to these sampled pages". This
-//! crate provides that methodology as reusable infrastructure:
+//! Record a workload's page touches once, then drive any memory with the
+//! same sequence:
 //!
-//! * [`Recorder`] — a [`mc_mem::Memory`] decorator that records every page touch
-//!   of the workload running above it (optionally restricted to a sampled
-//!   page set, like the paper's tracer) while passing accesses through to
-//!   the underlying memory;
-//! * [`Trace`] — the recorded event sequence, with a compact binary
-//!   serialisation for storing and sharing traces;
+//! * [`Recorder`] — a [`mc_mem::Memory`] decorator that records every page
+//!   touch of the workload running above it while passing accesses through
+//!   to the underlying memory;
+//! * [`Trace`] — the recorded event sequence, in time order;
 //! * [`replay()`](replay::replay) — drives any [`mc_mem::Memory`] (including the full tiering
 //!   simulation) from a trace, reproducing the original page-touch
-//!   sequence without the original application;
-//! * [`Heatmap`] — per-page × per-window access counts computed from a
-//!   trace (the data behind Fig. 1), plus the Fig. 2
-//!   observation/performance-window statistic.
+//!   sequence without the original application.
 //!
 //! ```
 //! use mc_trace::{Recorder, replay};
@@ -37,12 +30,10 @@
 //! assert_eq!(stats.events_replayed, 2);
 //! ```
 
-mod heatmap;
 mod record;
 mod replay;
 mod trace;
 
-pub use heatmap::Heatmap;
 pub use record::Recorder;
 pub use replay::{replay, ReplayStats};
 pub use trace::{Trace, TraceEvent};

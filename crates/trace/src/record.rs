@@ -2,35 +2,14 @@
 
 use crate::trace::{Trace, TraceEvent};
 use mc_mem::Memory;
-use mc_mem::{AccessKind, Nanos, PageKind, VAddr, VPage, PAGE_SIZE};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use std::collections::HashSet;
+use mc_mem::{AccessKind, Nanos, PageKind, VAddr, PAGE_SIZE};
 
 /// Wraps a [`Memory`], recording every page touch the workload performs
 /// while forwarding all operations unchanged.
-///
-/// With [`Recorder::with_sampling`], only a random subset of pages is
-/// recorded — the paper's §II-A technique for keeping tracing overhead
-/// tractable ("we randomly sampled pages from memory ... and traced the
-/// accesses to these sampled pages").
 #[derive(Debug)]
 pub struct Recorder<M> {
     inner: M,
     trace: Trace,
-    /// When set, only pages in the set are recorded.
-    sample: Option<SampleFilter>,
-    mapped_pages: u64,
-}
-
-#[derive(Debug)]
-struct SampleFilter {
-    /// Probability of admitting a newly seen page into the sample.
-    rate: f64,
-    rng: StdRng,
-    admitted: HashSet<u64>,
-    rejected: HashSet<u64>,
-    limit: usize,
 }
 
 impl<M: Memory> Recorder<M> {
@@ -39,75 +18,17 @@ impl<M: Memory> Recorder<M> {
         Recorder {
             inner,
             trace: Trace::new(),
-            sample: None,
-            mapped_pages: 0,
-        }
-    }
-
-    /// Records only a random sample of pages: each page is admitted with
-    /// probability `rate` on first touch, up to `limit` pages (the
-    /// paper's 50-page samples use a small limit).
-    pub fn with_sampling(inner: M, rate: f64, limit: usize, seed: u64) -> Self {
-        assert!((0.0..=1.0).contains(&rate), "rate must be a probability");
-        assert!(limit > 0, "sample limit must be positive");
-        Recorder {
-            inner,
-            trace: Trace::new(),
-            sample: Some(SampleFilter {
-                rate,
-                rng: StdRng::seed_from_u64(seed),
-                admitted: HashSet::new(),
-                rejected: HashSet::new(),
-                limit,
-            }),
-            mapped_pages: 0,
-        }
-    }
-
-    /// The pages currently admitted to the sample (empty when recording
-    /// everything).
-    pub fn sampled_pages(&self) -> Vec<VPage> {
-        match &self.sample {
-            Some(s) => {
-                let mut v: Vec<u64> = s.admitted.iter().copied().collect();
-                v.sort_unstable();
-                v.into_iter().map(VPage::new).collect()
-            }
-            None => Vec::new(),
         }
     }
 
     /// Stops recording and returns the trace.
-    pub fn finish(mut self) -> Trace {
-        self.trace.mapped_pages = self.trace.mapped_pages.max(self.mapped_pages);
+    pub fn finish(self) -> Trace {
         self.trace
     }
 
     /// Access to the wrapped memory.
     pub fn inner(&self) -> &M {
         &self.inner
-    }
-
-    fn admit(&mut self, vpage: VPage) -> bool {
-        match &mut self.sample {
-            None => true,
-            Some(s) => {
-                let raw = vpage.raw();
-                if s.admitted.contains(&raw) {
-                    return true;
-                }
-                if s.rejected.contains(&raw) {
-                    return false;
-                }
-                if s.admitted.len() < s.limit && s.rng.gen_bool(s.rate) {
-                    s.admitted.insert(raw);
-                    true
-                } else {
-                    s.rejected.insert(raw);
-                    false
-                }
-            }
-        }
     }
 
     fn record(&mut self, addr: VAddr, len: usize, kind: AccessKind) {
@@ -119,14 +40,12 @@ impl<M: Memory> Recorder<M> {
         let mut remaining = len;
         loop {
             let in_page = (PAGE_SIZE - offset).min(remaining);
-            if self.admit(page) {
-                self.trace.push(TraceEvent {
-                    at,
-                    vpage: page,
-                    kind,
-                    bytes: in_page as u16,
-                });
-            }
+            self.trace.push(TraceEvent {
+                at,
+                vpage: page,
+                kind,
+                bytes: in_page as u16,
+            });
             remaining -= in_page;
             if page == last {
                 break;
@@ -139,7 +58,6 @@ impl<M: Memory> Recorder<M> {
 
 impl<M: Memory> Memory for Recorder<M> {
     fn mmap(&mut self, bytes: usize, kind: PageKind) -> VAddr {
-        self.mapped_pages += bytes.div_ceil(PAGE_SIZE) as u64;
         self.inner.mmap(bytes, kind)
     }
 
@@ -175,7 +93,7 @@ impl<M: Memory> Memory for Recorder<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mc_mem::SimpleMemory;
+    use mc_mem::{SimpleMemory, VPage};
 
     #[test]
     fn records_all_touches_with_time_and_kind() {
@@ -186,7 +104,6 @@ mod tests {
         rec.write_bytes(a.add(2 * PAGE_SIZE as u64), b"xyz");
         let t = rec.finish();
         assert_eq!(t.len(), 3);
-        assert_eq!(t.mapped_pages, 4);
         let e = t.events();
         assert_eq!(e[0].vpage, VPage::new(0));
         assert_eq!(e[0].kind, AccessKind::Read);
@@ -202,8 +119,8 @@ mod tests {
         let a = rec.mmap(PAGE_SIZE * 3, PageKind::Anon);
         rec.read(a, 3 * PAGE_SIZE);
         let t = rec.finish();
-        assert_eq!(t.len(), 3);
-        assert_eq!(t.unique_pages(), 3);
+        let pages: Vec<u64> = t.events().iter().map(|e| e.vpage.raw()).collect();
+        assert_eq!(pages, [0, 1, 2]);
         assert_eq!(t.events()[0].bytes as usize, PAGE_SIZE);
     }
 
@@ -215,41 +132,5 @@ mod tests {
         let mut buf = [0u8; 5];
         rec.read_bytes(a, &mut buf);
         assert_eq!(&buf, b"hello");
-    }
-
-    #[test]
-    fn sampling_restricts_recorded_pages() {
-        let mut rec = Recorder::with_sampling(SimpleMemory::new(), 0.3, 8, 7);
-        let a = rec.mmap(PAGE_SIZE * 64, PageKind::Anon);
-        for round in 0..3 {
-            for i in 0..64u64 {
-                rec.read(a.add(i * PAGE_SIZE as u64), 8);
-            }
-            let _ = round;
-        }
-        let sampled = rec.sampled_pages();
-        assert!(
-            !sampled.is_empty() && sampled.len() <= 8,
-            "{}",
-            sampled.len()
-        );
-        let t = rec.finish();
-        // Every event belongs to a sampled page, and each sampled page
-        // appears once per round.
-        let sset: HashSet<u64> = sampled.iter().map(|p| p.raw()).collect();
-        assert!(t.events().iter().all(|e| sset.contains(&e.vpage.raw())));
-        assert_eq!(t.len(), 3 * sampled.len());
-    }
-
-    #[test]
-    fn sampling_is_stable_per_page() {
-        let mut rec = Recorder::with_sampling(SimpleMemory::new(), 0.5, 4, 3);
-        let a = rec.mmap(PAGE_SIZE * 16, PageKind::Anon);
-        for _ in 0..5 {
-            rec.read(a, 8);
-        }
-        let t = rec.finish();
-        // Page 0 was either always recorded or never.
-        assert!(t.len() == 5 || t.is_empty());
     }
 }

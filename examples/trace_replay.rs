@@ -1,7 +1,6 @@
-//! Record a YCSB run as a page-access trace (the paper's §II-A
-//! methodology), then replay the *same* trace against static tiering and
-//! MULTI-CLOCK — an apples-to-apples comparison with identical access
-//! sequences.
+//! Record a YCSB run as a page-access trace, then replay the *same* trace
+//! against static tiering and MULTI-CLOCK — an apples-to-apples comparison
+//! with identical access sequences.
 //!
 //! ```sh
 //! cargo run --release --example trace_replay
@@ -9,7 +8,7 @@
 
 use mc_mem::Nanos;
 use mc_sim::{SimConfig, Simulation, SystemKind};
-use mc_trace::{replay, Heatmap, Recorder};
+use mc_trace::{replay, Recorder};
 use mc_workloads::ycsb::{YcsbClient, YcsbConfig, YcsbWorkload};
 use mc_workloads::SimpleMemory;
 
@@ -27,30 +26,9 @@ fn main() {
     );
     client.run(YcsbWorkload::A, &mut rec, 200_000);
     let trace = rec.finish();
-    println!(
-        "recorded {} events over {} unique pages ({:.1}s of virtual time)",
-        trace.len(),
-        trace.unique_pages(),
-        trace.duration().as_secs_f64()
-    );
+    println!("recorded {} page touches", trace.len());
 
-    // 2. What does the access pattern look like? (Fig. 1 on a real trace.)
-    let h = Heatmap::build(&trace, Nanos::from_millis(20));
-    let totals = h.totals();
-    let hot = totals.iter().filter(|t| **t > 200).count();
-    println!(
-        "heatmap: {} windows x {} pages; {} pages are hot (>200 touches)",
-        h.counts().len(),
-        h.pages().len(),
-        hot
-    );
-    let (once, multi) = h.once_vs_multi();
-    println!(
-        "Fig. 2 statistic on this trace: once-accessed pages -> {once:.2} next-window \
-         accesses, multi-accessed -> {multi:.2}"
-    );
-
-    // 3. Replay the identical trace against both systems.
+    // 2. Replay the identical trace against both systems.
     for system in [SystemKind::Static, SystemKind::MultiClock] {
         let mut cfg = SimConfig::new(system, 512, 4096);
         cfg.scan_interval = Nanos::from_millis(5);

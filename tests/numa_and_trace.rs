@@ -3,7 +3,7 @@
 
 use mc_mem::{MachineDesc, Nanos, PageKind, TierId, PAGE_SIZE};
 use mc_sim::{SimConfig, Simulation, SystemKind};
-use mc_trace::{replay, Heatmap, Recorder, Trace};
+use mc_trace::{replay, Recorder};
 use mc_workloads::ycsb::{YcsbClient, YcsbConfig, YcsbWorkload};
 use mc_workloads::{Memory, SimpleMemory};
 
@@ -107,37 +107,4 @@ fn recorded_kv_trace_replays_faithfully_into_the_engine() {
     let stats = replay(&trace, &mut sim);
     assert_eq!(stats.events_replayed as usize, trace.len());
     assert!(sim.mem().stats().reads > 0 && sim.mem().stats().writes > 0);
-}
-
-#[test]
-fn trace_binary_roundtrip_through_a_real_workload() {
-    let mut rec = Recorder::with_sampling(SimpleMemory::new(), 0.2, 50, 42);
-    let mut client = YcsbClient::load(
-        YcsbConfig {
-            records: 500,
-            value_size: 256,
-            ..Default::default()
-        },
-        &mut rec,
-    );
-    client.run(YcsbWorkload::B, &mut rec, 20_000);
-    let sampled = rec.sampled_pages().len();
-    assert!(sampled > 0 && sampled <= 50);
-    let trace = rec.finish();
-    let mut buf = Vec::new();
-    trace.write_to(&mut buf).unwrap();
-    let back = Trace::read_from(&mut buf.as_slice()).unwrap();
-    assert_eq!(back, trace);
-
-    // The heat map of a sampled YCSB trace shows skew: some sampled page
-    // is much hotter than the median.
-    let h = Heatmap::build(&back, Nanos::from_millis(5));
-    let mut totals = h.totals();
-    totals.sort_unstable();
-    let hottest = *totals.last().unwrap();
-    let median = totals[totals.len() / 2];
-    assert!(
-        hottest >= 4 * median.max(1),
-        "zipfian skew visible in the sample: hottest={hottest} median={median}"
-    );
 }
