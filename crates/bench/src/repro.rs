@@ -1,7 +1,8 @@
 //! The `repro` document generator: every section draws its experiment
 //! runs from one memo (`Lab::runs`), writes Markdown and registers
-//! [`Claim`]s; [`generate`] assembles EXPERIMENTS.md and [`Lab::verdict`]
-//! is the claim gate.
+//! [`Claim`]s; [`generate`] assembles EXPERIMENTS.md, [`Lab::verdict`]
+//! is the claim gate and [`Lab::delta`] compares a gated run with the
+//! committed document.
 
 use crate::report::{markdown_table, Claim, Expectation};
 use crate::{sweep, Args};
@@ -10,8 +11,9 @@ use mc_sim::experiments::{Experiment, RunOutcome, Scale};
 use mc_sim::{SimConfig, SystemKind};
 use mc_workloads::graph::Kernel;
 use mc_workloads::ycsb::YcsbWorkload;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Display;
+use std::path::Path;
 
 /// One experiment a section asks for: the row it fills in a table (also
 /// its `--obs` sub-directory) and the run itself. The memo is keyed on the
@@ -112,6 +114,8 @@ pub struct Lab<'a> {
     memo: BTreeMap<String, RunOutcome>,
     /// The id of the section being built.
     section: &'static str,
+    /// Per section, in document order, the memo keys of the runs it asked for.
+    requested: Vec<(&'static str, BTreeSet<String>)>,
     /// How many experiments actually executed (memo misses).
     pub executed: usize,
     /// The Markdown written so far.
@@ -130,6 +134,7 @@ impl<'a> Lab<'a> {
             args,
             memo: BTreeMap::new(),
             section: "",
+            requested: Vec::new(),
             executed: 0,
             out: String::new(),
             claims: Vec::new(),
@@ -162,6 +167,9 @@ impl<'a> Lab<'a> {
         let mut missing: Vec<(String, Experiment)> = Vec::new();
         for r in runs {
             let k = r.key();
+            if let Some((_, keys)) = self.requested.last_mut() {
+                keys.insert(k.clone());
+            }
             if self.memo.contains_key(&k) || missing.iter().any(|(m, _)| *m == k) {
                 continue;
             }
@@ -234,6 +242,130 @@ impl<'a> Lab<'a> {
             bad.join(", ")
         ))
     }
+
+    /// On a gated run, what this run changes against the EXPERIMENTS.md
+    /// committed in the workspace around `start` (found as `repro --count`
+    /// finds it): the claims that moved, the `Deviates` pin count and the
+    /// changed, added and removed fingerprints per section. One line when
+    /// nothing changed or the file cannot be read; `None` on other runs.
+    pub fn delta(&self, start: &Path) -> Option<String> {
+        if !self.gated {
+            return None;
+        }
+        let path = crate::source::workspace_root(start).map(|root| root.join("EXPERIMENTS.md"));
+        let read = path
+            .and_then(|p| std::fs::read_to_string(&p).map_err(|e| format!("{}: {e}", p.display())));
+        Some(match read.as_deref() {
+            Err(msg) => format!("repro: no committed EXPERIMENTS.md to compare with ({msg})\n"),
+            Ok("") => {
+                "repro: the committed EXPERIMENTS.md is empty (is stdout redirected onto it?)\n"
+                    .into()
+            }
+            Ok(old) => delta(old, &self.out, &self.requested),
+        })
+    }
+}
+
+/// The `|`-delimited rows with `cols` cells of the table in `doc`'s
+/// section headed `heading`, trimmed, without the header and rule rows.
+fn table_rows<'d>(doc: &'d str, heading: &str, cols: usize) -> Vec<Vec<&'d str>> {
+    let lines = doc.lines().skip_while(|l| !l.starts_with(heading)).skip(1);
+    let section = lines.take_while(|l| !l.starts_with("## "));
+    let rows = section.filter_map(|l| {
+        let cells = l.strip_prefix('|')?.strip_suffix('|')?.split('|');
+        let cells: Vec<&str> = cells.map(str::trim).collect();
+        (cells.len() == cols).then_some(cells)
+    });
+    rows.skip(2).collect()
+}
+
+/// Each claim of `doc`: its id, and its measured cell with its pin's
+/// first word (`holds (+0.31) · holds`).
+fn claims(doc: &str) -> Vec<(&str, String)> {
+    let rows = table_rows(doc, "## Claims", 4).into_iter();
+    let pin = |cell: &str| cell.split(':').next().unwrap_or_default().to_string();
+    rows.map(|c| (c[0], format!("{} · {}", c[2], pin(c[3]))))
+        .collect()
+}
+
+/// What the document `new` changes against `old`, as Markdown: a row per
+/// claim whose measured cell or pinned outcome moved (flipped when it went from
+/// holds to fails or back), the `Deviates` pin count before and after,
+/// and per section of `requested` (the memo keys each asked for) its
+/// changed and added fingerprints, removed ones in a last row.
+fn delta(old: &str, new: &str, requested: &[(&str, BTreeSet<String>)]) -> String {
+    if old == new {
+        return "repro: no change against the committed EXPERIMENTS.md\n".into();
+    }
+    let (old_claims, new_claims) = (claims(old), claims(new));
+    let was: BTreeMap<&str, &String> = old_claims.iter().map(|(id, o)| (*id, o)).collect();
+    let now: BTreeMap<&str, &String> = new_claims.iter().map(|(id, o)| (*id, o)).collect();
+    let mut ids: Vec<&str> = new_claims.iter().map(|c| c.0).collect();
+    ids.extend(
+        old_claims
+            .iter()
+            .map(|c| c.0)
+            .filter(|id| !now.contains_key(id)),
+    );
+    let mut moved = Vec::new();
+    for id in ids {
+        let (w, n) = (was.get(id).copied(), now.get(id).copied());
+        if w == n {
+            continue;
+        }
+        let verb = |o: &String| o.split(' ').next().map(str::to_string);
+        let flipped = w.zip(n).is_some_and(|(w, n)| verb(w) != verb(n));
+        let flipped = if flipped { "yes" } else { "no" };
+        let cell = |o: Option<&String>| o.map_or("—".to_string(), String::clone);
+        moved.push(vec![id.to_string(), cell(w), cell(n), flipped.into()]);
+    }
+    let pins = |c: &[(&str, String)]| c.iter().filter(|c| c.1.ends_with("deviates")).count();
+    let prints = |doc| -> BTreeMap<&str, &str> {
+        let rows = table_rows(doc, "## Appendix", 2).into_iter();
+        rows.map(|c| (c[0], c[1])).collect()
+    };
+    let (old_prints, new_prints) = (prints(old), prints(new));
+    let row = |section: &str, counts: [usize; 3]| {
+        let counts = counts.map(|n| n.to_string());
+        [vec![section.to_string()], counts.to_vec()].concat()
+    };
+    let mut runs = Vec::new();
+    for (section, keys) in requested {
+        let [mut changed, mut added] = [0, 0];
+        for k in keys {
+            match (old_prints.get(k.as_str()), new_prints.get(k.as_str())) {
+                (None, _) => added += 1,
+                (o, n) if o != n => changed += 1,
+                _ => {}
+            }
+        }
+        if changed + added > 0 {
+            runs.push(row(section, [changed, added, 0]));
+        }
+    }
+    let removed = old_prints.keys().filter(|k| !new_prints.contains_key(*k));
+    match removed.count() {
+        0 => {}
+        removed => runs.push(row("—", [0, 0, removed])),
+    }
+    let mut out = String::from("### Delta against the committed EXPERIMENTS.md\n\n");
+    if !moved.is_empty() {
+        out.push_str(&markdown_table(
+            &["claim", "before", "after", "flipped"],
+            &moved,
+        ));
+        out.push('\n');
+    }
+    let (before, after) = (pins(&old_claims), pins(&new_claims));
+    out.push_str(&format!("`Deviates` pins: {before} → {after}\n\n"));
+    if !runs.is_empty() {
+        let headers = ["section", "changed runs", "added runs", "removed runs"];
+        out.push_str(&markdown_table(&headers, &runs));
+    }
+    if moved.is_empty() && runs.is_empty() {
+        out.push_str("Claims and fingerprints are unchanged; other text differs.\n");
+    }
+    out
 }
 
 /// 64-bit FNV-1a.
@@ -296,6 +428,7 @@ pub fn generate(args: &Args) -> Result<Lab<'_>, String> {
         if args.only.is_empty() || args.only.iter().any(|o| o == id) {
             eprintln!("repro: section {id} ...");
             lab.section = id;
+            lab.requested.push((id, BTreeSet::new()));
             lab.text(&format!("## {title} [{id}]"));
             build(&mut lab).map_err(|e| format!("section {id}: {e}"))?;
         }
@@ -330,4 +463,80 @@ pub fn generate(args: &Args) -> Result<Lab<'_>, String> {
     lab.out.truncate(lab.out.trim_end().len());
     lab.out.push('\n');
     Ok(lab)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A document with the claims `(id, measured, pinned)` and the
+    /// fingerprints `(run, print)`, laid out as `generate` lays them out.
+    fn doc(claims: &[(&str, &str, &str)], prints: &[(&str, &str)]) -> String {
+        let claims: Vec<Vec<String>> = claims
+            .iter()
+            .map(|(id, m, p)| vec![format!("`{id}`"), "s".into(), m.to_string(), p.to_string()])
+            .collect();
+        let prints: Vec<Vec<String>> = prints
+            .iter()
+            .map(|(run, p)| vec![run.to_string(), format!("`{p}`")])
+            .collect();
+        format!(
+            "# E\n\n## Fig [fig5]\n\n| a | b |\n| - | - |\n| x | y |\n\n## Claims\n\nText.\n\n{}\n\
+             ## Appendix — run fingerprints\n\nText.\n\n{}",
+            markdown_table(&["claim", "statement", "measured", "pinned"], &claims),
+            markdown_table(&["run", "fingerprint"], &prints),
+        )
+    }
+
+    #[test]
+    fn the_delta_names_moved_claims_pins_and_fingerprints_per_section() {
+        let old = doc(
+            &[
+                ("c.flips", "fails (-0.06)", "deviates: why"),
+                ("c.moves", "holds (+0.33)", "holds"),
+                ("c.same", "holds (+1.00)", "holds"),
+            ],
+            &[("A · MC", "01"), ("A · Static", "02"), ("B · Static", "03")],
+        );
+        let new = doc(
+            &[
+                ("c.flips", "holds (+0.00)", "holds"),
+                ("c.moves", "holds (+0.31)", "holds"),
+                ("c.same", "holds (+1.00)", "holds"),
+            ],
+            &[("A · MC", "09"), ("A · Static", "02"), ("C · MC", "04")],
+        );
+        let keys = |ks: &[&str]| ks.iter().map(|k| k.to_string()).collect();
+        let requested = [
+            ("fig5", keys(&["A · MC", "A · Static"])),
+            ("fig6", keys(&["A · Static"])),
+            ("colocation", keys(&["A · Static", "C · MC"])),
+        ];
+        let out = delta(&old, &new, &requested);
+        let lines: Vec<&str> = out.lines().collect();
+        assert_eq!(
+            lines,
+            [
+                "### Delta against the committed EXPERIMENTS.md",
+                "",
+                "| claim     | before                   | after                 | flipped |",
+                "| --------- | ------------------------ | --------------------- | ------- |",
+                "| `c.flips` | fails (-0.06) · deviates | holds (+0.00) · holds | yes     |",
+                "| `c.moves` | holds (+0.33) · holds    | holds (+0.31) · holds | no      |",
+                "",
+                "`Deviates` pins: 1 → 0",
+                "",
+                "| section    | changed runs | added runs | removed runs |",
+                "| ---------- | ------------ | ---------- | ------------ |",
+                "| fig5       | 1            | 0          | 0            |",
+                "| colocation | 0            | 1          | 0            |",
+                "| —          | 0            | 0          | 1            |",
+            ],
+            "{out}"
+        );
+        assert_eq!(
+            delta(&new, &new, &requested),
+            "repro: no change against the committed EXPERIMENTS.md\n"
+        );
+    }
 }

@@ -19,12 +19,7 @@ use std::path::{Path, PathBuf};
 /// When no ancestor of `start` holds a workspace `Cargo.toml`, or a
 /// source file cannot be read.
 pub fn count_table(start: &Path) -> Result<String, String> {
-    let root = start
-        .ancestors()
-        .find(|d| {
-            std::fs::read_to_string(d.join("Cargo.toml")).is_ok_and(|t| t.contains("[workspace]"))
-        })
-        .ok_or_else(|| format!("no workspace root above {}", start.display()))?;
+    let root = workspace_root(start)?;
     let mut paths = Vec::new();
     collect_rs(&root.join("crates"), &mut paths).map_err(|e| e.to_string())?;
     let mut files = Vec::new();
@@ -53,6 +48,21 @@ pub fn count_table(start: &Path) -> Result<String, String> {
         ));
     }
     Ok(out)
+}
+
+/// The nearest ancestor of `start` (itself included) whose `Cargo.toml`
+/// declares a `[workspace]`.
+///
+/// # Errors
+///
+/// When there is none.
+pub(crate) fn workspace_root(start: &Path) -> Result<&Path, String> {
+    start
+        .ancestors()
+        .find(|d| {
+            std::fs::read_to_string(d.join("Cargo.toml")).is_ok_and(|t| t.contains("[workspace]"))
+        })
+        .ok_or_else(|| format!("no workspace root above {}", start.display()))
 }
 
 /// Every `.rs` file under `dir`; build output (`target`), `vendor` and
