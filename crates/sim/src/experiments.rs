@@ -197,11 +197,12 @@ pub struct RunOutcome {
     pub reaccess_pct: Option<f64>,
     /// Fraction of accesses served from the top (DRAM) tier.
     pub top_tier_share: Option<f64>,
-    /// Median per-operation latency during measurement: a YCSB
-    /// operation's, or under co-location the lukewarm tenant's get; `None`
-    /// for every other workload.
+    /// Median per-operation latency during measurement, exact (the
+    /// nearest-rank sample): a YCSB operation's, or under co-location the
+    /// lukewarm tenant's get; `None` for every other workload.
     pub p50: Option<mc_mem::Nanos>,
-    /// 99th-percentile per-operation latency, timed like [`Self::p50`].
+    /// 99th-percentile per-operation latency, exact and timed like
+    /// [`Self::p50`].
     pub p99: Option<mc_mem::Nanos>,
     /// Per-window statistics (Figs. 8-9 series).
     pub windows: Vec<WindowStats>,

@@ -26,6 +26,8 @@ const TOP_N: usize = 10;
 #[derive(Debug)]
 pub(crate) struct ObsState {
     series: TimeSeries,
+    /// Per tier, the latency of every application access it served: the
+    /// report's per-tier table, with exact p50 / p99.
     tier_hists: Vec<LatencyHistogram>,
     trace: Trace,
     trace_dropped: u64,
