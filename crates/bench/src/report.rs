@@ -87,12 +87,16 @@ pub enum Expectation {
     Deviates(&'static str),
 }
 
-/// One statement of the paper's evaluation, checked against this run.
+/// One sourced statement, checked against this run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Claim {
     /// `section.name`, unique across the document.
     pub id: String,
-    /// What the paper (or, for the extensions, the design) states.
+    /// Who states it: a part of the paper (`Fig. 5`, `§V-F`), a PAPERS.md
+    /// arXiv id (`arXiv 2401.13154`) or, for an extension the paper does
+    /// not state, its DESIGN.md section (`DESIGN.md §11`).
+    pub source: &'static str,
+    /// What the source states, as this run checks it.
     pub statement: &'static str,
     /// By how much the statement holds, in the unit the statement names
     /// (negative: by how much it fails).
@@ -119,7 +123,7 @@ impl Claim {
         };
         vec![
             format!("`{}`", self.id),
-            self.statement.to_string(),
+            format!("{}: {}", self.source, self.statement),
             outcome,
             pinned,
         ]

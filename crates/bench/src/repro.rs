@@ -207,17 +207,19 @@ impl<'a> Lab<'a> {
         self.args.systems.is_some()
     }
 
-    /// Registers the current section's claim `name`: `statement` holds by
-    /// `margin`.
+    /// Registers the current section's claim `name`: `statement`, as
+    /// `source` states it, holds by `margin`.
     pub(crate) fn claim(
         &mut self,
         name: &str,
+        source: &'static str,
         statement: &'static str,
         expectation: Expectation,
         margin: f64,
     ) {
         self.claims.push(Claim {
             id: format!("{}.{name}", self.section),
+            source,
             statement,
             margin,
             expectation,

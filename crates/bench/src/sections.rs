@@ -1,8 +1,8 @@
 //! The sections of EXPERIMENTS.md, one function each: the paper's
-//! statement as prose, tables generated from this run, and the claims
-//! with their expectation pinned at the `--quick` scale. In claim
-//! statements "MC" is MULTI-CLOCK; a margin is by how much the statement
-//! holds (negative: fails).
+//! statement as prose, tables generated from this run, and the claims,
+//! each with its source and its expectation pinned at the `--quick`
+//! scale. In claim statements "MC" is MULTI-CLOCK; a margin is by how
+//! much the statement holds (negative: fails).
 
 use crate::report::Expectation::{Deviates, Holds};
 use crate::report::{format_heatmap, normalize_to_static};
@@ -152,7 +152,8 @@ fn fig1(lab: &mut Lab) -> Result<(), String> {
     }
     lab.table(&["workload", "DRAM-friendly", "bimodal", "cold"], &rows);
     let stmt = "every workload has pages of all three classes (margin: smallest class − 1)";
-    lab.claim("three_populations", stmt, Holds, fewest as f64 - 1.0);
+    let margin = fewest as f64 - 1.0;
+    lab.claim("three_populations", "Fig. 1", stmt, Holds, margin);
     Ok(())
 }
 
@@ -189,7 +190,8 @@ fn fig2(lab: &mut Lab) -> Result<(), String> {
     }
     lab.table(&["workload", "accessed once", "repeatedly", "ratio"], &rows);
     let stmt = "multi-accessed pages get at least 2x the next-window accesses, every workload";
-    lab.claim("multi_accessed_stay_hot", stmt, Holds, min(ratios) - 2.0);
+    let margin = min(ratios) - 2.0;
+    lab.claim("multi_accessed_stay_hot", "Fig. 2", stmt, Holds, margin);
     Ok(())
 }
 
@@ -295,38 +297,39 @@ fn fig5(lab: &mut Lab) -> Result<(), String> {
     let stall = |s: S| share(of(s), of(s).costs.stall_time);
     let (mc, nomad) = (g.col(MC), g.col(S::Nomad));
     let stmt = "MC beats static on every workload";
-    lab.claim("mc_beats_static", stmt, Holds, g.lead(MC, ST));
+    lab.claim("mc_beats_static", "Fig. 5", stmt, Holds, g.lead(MC, ST));
     let stmt = "MC's gain over static is inside the paper's 20–132 % on every workload";
     let why = "compressed magnitudes: fixed per-op CPU work, warm zipfian tail (DESIGN.md §7)";
     let margin = min(mc.iter().map(|v| (v - 1.20).min(2.32 - v)));
-    lab.claim("mc_gain_in_paper_band", stmt, Deviates(why), margin);
+    let id = "mc_gain_in_paper_band";
+    lab.claim(id, "Fig. 5", stmt, Deviates(why), margin);
     let stmt = "MC ≥ every system the paper compares (static, Nimble, AT-CPM, AT-OPM), all six";
     let margin = min([ST, NIM, CPM, OPM].map(|s| g.lead(MC, s)));
-    lab.claim("mc_highest_of_paper_systems", stmt, Holds, margin);
-    let stmt = "transactional migration (arXiv 2401.13154) beats sync MC on read-only C and \
-                read-latest D, and loses where stores abort copy windows: A, B, F, W";
+    lab.claim("mc_highest_of_paper_systems", "Fig. 5", stmt, Holds, margin);
+    let stmt = "transactional migration beats sync MC on read-only C and read-latest D, and \
+                loses where stores abort copy windows: A, B, F, W";
     let by = |w: usize| nomad[w] - mc[w];
     let margin = min([by(2), by(5), -by(0), -by(1), -by(3), -by(4)]);
-    lab.claim("nomad_wins_reads_loses_stores", stmt, Holds, margin);
+    let id = "nomad_wins_reads_loses_stores";
+    lab.claim(id, "arXiv 2401.13154", stmt, Holds, margin);
     let stmt = "MC's largest gain over static is on D";
-    lab.claim("max_gain_on_d", stmt, Holds, mc[5] - max(mc[..5].to_vec()));
+    let margin = mc[5] - max(mc[..5].to_vec());
+    lab.claim("max_gain_on_d", "Fig. 5", stmt, Holds, margin);
     let stmt = "AT-CPM stays below 0.6x static on every workload";
     let margin = 0.6 - max(g.col(CPM));
-    lab.claim("at_cpm_far_below_static", stmt, Holds, margin);
+    lab.claim("at_cpm_far_below_static", "Fig. 5", stmt, Holds, margin);
     let stmt = "AT-OPM sits between AT-CPM and Nimble on every workload";
     let margin = g.lead(OPM, CPM).min(g.lead(NIM, OPM));
-    lab.claim("at_opm_between_cpm_and_nimble", stmt, Holds, margin);
+    let id = "at_opm_between_cpm_and_nimble";
+    lab.claim(id, "Fig. 5", stmt, Holds, margin);
     let stmt = "MC cuts YCSB-A's median latency below static's (margin: fraction cut)";
     let margin = 1.0 - p50(MC) / p50(ST);
-    lab.claim("mc_cuts_median_latency", stmt, Holds, margin);
-    let stmt = "on YCSB-A MC's app stalls are under 1 % of accounted time (margin: points)";
-    let why = "every promotion stalls the app for an unmap and a TLB shootdown, several \
-               percent at this promotion rate; the hand-written \"<1 %\" was never measured";
-    lab.claim("mc_stalls_under_1pct", stmt, Deviates(why), 1.0 - stall(MC));
+    let id = "mc_cuts_median_latency";
+    lab.claim(id, "DESIGN.md §5", stmt, Holds, margin);
     let stmt = "on YCSB-A app stalls are over half of AT-CPM's and AT-OPM's accounted time \
                 and under a tenth of MC's (margin: points)";
     let margin = min([stall(CPM) - 50.0, stall(OPM) - 50.0, 10.0 - stall(MC)]);
-    lab.claim("stalls_are_autotierings_cost", stmt, Holds, margin);
+    lab.claim("stalls_are_autotierings_cost", "§V-F", stmt, Holds, margin);
     Ok(())
 }
 
@@ -352,22 +355,23 @@ fn fig6(lab: &mut Lab) -> Result<(), String> {
     let mc = g.col(MC);
     let sssp = |s: S| g.col(s)[1];
     let stmt = "MC is faster than static on every kernel";
-    lab.claim("mc_beats_static", stmt, Holds, g.lead(ST, MC));
+    lab.claim("mc_beats_static", "Fig. 6", stmt, Holds, g.lead(ST, MC));
     let stmt = "MC is within 10 % of static on at least 4 of 6 kernels (margin: kernels)";
     let margin = mc.iter().filter(|v| (**v - 1.0).abs() <= 0.10).count() as f64 - 4.0;
-    lab.claim("close_to_static", stmt, Holds, margin);
+    lab.claim("close_to_static", "Fig. 6", stmt, Holds, margin);
     let stmt = "MC's largest gain over static is on SSSP";
     let why = "TC gains more: its adjacency re-reads speed every dynamic system up alike";
     let margin = min([0, 2, 3, 4, 5].map(|k| mc[k])) - sssp(MC);
-    lab.claim("most_on_sssp", stmt, Deviates(why), margin);
+    lab.claim("most_on_sssp", "Fig. 6", stmt, Deviates(why), margin);
     let stmt = "on SSSP MC wins while recency-only Nimble and fault-based AT lose to static";
     let margin = min([NIM, CPM, OPM].map(|s| sssp(s) - 1.0)).min(1.0 - sssp(MC));
-    lab.claim("sssp_separates_the_systems", stmt, Holds, margin);
+    lab.claim("sssp_separates_the_systems", "Fig. 6", stmt, Holds, margin);
     let stmt = "MC is at least as fast as Nimble on every kernel";
     let why = "Nimble edges ahead on BFS and CC: over tens of scans recency converges as fast";
-    lab.claim("mc_beats_nimble", stmt, Deviates(why), g.lead(NIM, MC));
+    let margin = g.lead(NIM, MC);
+    lab.claim("mc_beats_nimble", "Fig. 6", stmt, Deviates(why), margin);
     let stmt = "MC is faster than AT-OPM on every kernel";
-    lab.claim("mc_beats_at_opm", stmt, Holds, g.lead(OPM, MC));
+    lab.claim("mc_beats_at_opm", "Fig. 6", stmt, Holds, g.lead(OPM, MC));
     Ok(())
 }
 
@@ -396,16 +400,17 @@ fn fig7(lab: &mut Lab) -> Result<(), String> {
     let why = "Memory-mode leads further on store-heavy F and W: a direct-mapped cache absorbs \
                stores at once, MC must first observe them for an interval";
     let margin = min(rel.iter().map(|r| (r + 0.02).min(0.09 - r)));
-    lab.claim("ycsb_within_paper_band", stmt, Deviates(why), margin);
+    let id = "ycsb_within_paper_band";
+    lab.claim(id, "Fig. 7", stmt, Deviates(why), margin);
     let stmt = "MC is within 15 % of Memory-mode on every YCSB workload";
     let margin = 0.15 - max(rel.iter().map(|r| r.abs()));
-    lab.claim("ycsb_competitive", stmt, Holds, margin);
+    lab.claim("ycsb_competitive", "Fig. 7", stmt, Holds, margin);
     let stmt = "MC is faster than Memory-mode on PageRank";
-    lab.claim("pr_mc_ahead", stmt, Holds, pr.lead(MM, MC));
+    lab.claim("pr_mc_ahead", "Fig. 7", stmt, Holds, pr.lead(MM, MC));
     let stmt = "MC leads Memory-mode on PageRank by ≥ 0.10 of static's time (paper: ~21 %)";
     let why = "a trial spans few scan intervals; both stay within a few percent of static";
     let margin = pr.lead(MM, MC) - 0.10;
-    lab.claim("pr_gap_like_paper", stmt, Deviates(why), margin);
+    lab.claim("pr_gap_like_paper", "Fig. 7", stmt, Deviates(why), margin);
     Ok(())
 }
 
@@ -445,13 +450,14 @@ fn fig8(lab: &mut Lab) -> Result<(), String> {
     let more = |nim: u64, mc: u64| nim as f64 - mc as f64;
     let stmt = "Nimble promotes more pages than MC over the run (margin: pages)";
     let margin = more(runs[1].promotions, runs[0].promotions);
-    lab.claim("nimble_more_in_total", stmt, Holds, margin);
+    lab.claim("nimble_more_in_total", "Fig. 8", stmt, Holds, margin);
     let stmt = "Nimble promotes more pages than MC in every full window (margin: pages)";
     let why = "MC's series oscillates as the hot set drifts and crosses Nimble's declining one";
     let (mc, nim) = (&runs[0].windows, &runs[1].windows);
     let full = mc.len().min(nim.len()).saturating_sub(1);
     let margin = min((0..full).map(|i| more(nim[i].promotions, mc[i].promotions)));
-    lab.claim("nimble_more_every_window", stmt, Deviates(why), margin);
+    let id = "nimble_more_every_window";
+    lab.claim(id, "Fig. 8", stmt, Deviates(why), margin);
     Ok(())
 }
 
@@ -469,11 +475,12 @@ fn fig9(lab: &mut Lab) -> Result<(), String> {
     }
     let gap = runs[0].reaccess_pct.unwrap_or(0.0) - runs[1].reaccess_pct.unwrap_or(0.0);
     let stmt = "MC's overall re-access % exceeds Nimble's (margin: points)";
-    lab.claim("mc_reaccess_higher", stmt, Holds, gap);
+    lab.claim("mc_reaccess_higher", "Fig. 9", stmt, Holds, gap);
     let stmt = "the re-access gap is at least 10 points (paper: ~15)";
     let why = "time compression: on the scaled keyspace most pages are re-referenced within \
                an interval whoever picked them";
-    lab.claim("gap_near_15_points", stmt, Deviates(why), gap - 10.0);
+    let margin = gap - 10.0;
+    lab.claim("gap_near_15_points", "Fig. 9", stmt, Deviates(why), margin);
     Ok(())
 }
 
@@ -500,13 +507,14 @@ fn fig10(lab: &mut Lab) -> Result<(), String> {
     let stmt = "MC's throughput exceeds Nimble's at every interval";
     let why = "60 s: both within 0.01 of static; reaction lag dominates";
     let id = "mc_above_nimble_every_interval";
-    lab.claim(id, stmt, Deviates(why), g.lead(MC, NIM));
+    lab.claim(id, "Fig. 10", stmt, Deviates(why), g.lead(MC, NIM));
     let margin = mc[3] - max([0, 1, 2, 4, 5].map(|i| mc[i]));
-    lab.claim("peak_at_1s", "MC's best interval is 1 s", Holds, margin);
+    let stmt = "MC's best interval is 1 s";
+    lab.claim("peak_at_1s", "Fig. 10", stmt, Holds, margin);
     let stmt = "at 5 s and 60 s both systems are within 0.05 of static";
     let tail = [mc[4], mc[5], nim[4], nim[5]];
     let margin = 0.05 - max(tail.map(|v| (v - 1.0).abs()));
-    lab.claim("flat_beyond_5s", stmt, Holds, margin);
+    lab.claim("flat_beyond_5s", "Fig. 10", stmt, Holds, margin);
     Ok(())
 }
 
@@ -590,26 +598,31 @@ fn ablation(lab: &mut Lab) -> Result<(), String> {
         return Ok(());
     }
     let a = |s: S| g.col(s)[0];
-    let stmt = "the frequency oracle beats the recency oracle on A and C (the RQ1 premise)";
+    let stmt = "the frequency oracle beats the recency oracle on A and C";
     let (lru, lfu) = (S::OracleLru, S::OracleLfu);
-    lab.claim("lfu_beats_lru", stmt, Holds, g.lead(lfu, lru));
+    let margin = g.lead(lfu, lru);
+    lab.claim("lfu_beats_lru", "DESIGN.md §6", stmt, Holds, margin);
     let stmt = "MC captures at least half of Oracle-LFU's gain over static on A";
     let margin = (a(MC) - 1.0) / (a(lfu) - 1.0) - 0.5;
-    lab.claim("mc_captures_half_of_lfu", stmt, Holds, margin);
+    let id = "mc_captures_half_of_lfu";
+    lab.claim(id, "DESIGN.md §6", stmt, Holds, margin);
     let stmt = "on A AMP is within 0.05 of MC but migrates more pages";
     let promotions = |i: usize| g.raw[0][i].promotions as f64;
     let more = promotions(3) / promotions(1) - 1.0;
     let margin = more.min(0.05 - (a(S::Amp) - a(MC)).abs());
-    lab.claim("amp_matches_mc_with_more_migrations", stmt, Holds, margin);
+    let id = "amp_matches_mc_with_more_migrations";
+    lab.claim(id, "DESIGN.md §6", stmt, Holds, margin);
     let stmt = "AutoNUMA-Tiering loses to static on A and C";
     let margin = g.lead(ST, S::AutoNuma);
-    lab.claim("autonuma_below_static", stmt, Holds, margin);
+    lab.claim("autonuma_below_static", "§II-D", stmt, Holds, margin);
     let stmt = "on YCSB-A dirty-first and the adaptive interval move throughput by < 0.01";
     let margin = 0.01 - max((1..6).map(|i| (ycsb[i] / ycsb[i / 3 * 3] - 1.0).abs()));
-    lab.claim("extensions_neutral_on_ycsb", stmt, Holds, margin);
+    let id = "extensions_neutral_on_ycsb";
+    lab.claim(id, "DESIGN.md §6", stmt, Holds, margin);
     let stmt = "on the split micro dirty-first pays on write-hostile PM, more than on Optane";
     let margin = (split[1] - 1.0).min(split[1] - split[0]);
-    lab.claim("write_weight_needs_asymmetric_device", stmt, Holds, margin);
+    let id = "dirty_first_needs_asymmetric_device";
+    lab.claim(id, "§VII", stmt, Holds, margin);
     Ok(())
 }
 
@@ -674,10 +687,11 @@ fn chaos(lab: &mut Lab) -> Result<(), String> {
     };
     let stmt = "no fault rate drops an access, under MC or Nomad (margin: −dropped accesses)";
     let dropped: u64 = injected().map(|(_, o)| o.dropped_accesses).sum();
-    lab.claim("no_access_dropped", stmt, Holds, 0.0 - dropped as f64);
+    let margin = 0.0 - dropped as f64;
+    lab.claim("no_access_dropped", "DESIGN.md §11", stmt, Holds, margin);
     let stmt = "up to a fault rate of 0.4 MC and Nomad keep 0.85 of their uninjected throughput";
     let margin = min(injected().map(|(runs, o)| norm(runs, o))) - 0.85;
-    lab.claim("throughput_floor", stmt, Holds, margin);
+    lab.claim("throughput_floor", "DESIGN.md §11", stmt, Holds, margin);
     let stmt = "retries rescue promotions: at every rate under a quarter of the failed attempts \
                 end in a give-up (a quarter: every episode running out its 4 attempts)";
     let gave_up = |o: &RunOutcome| {
@@ -685,7 +699,8 @@ fn chaos(lab: &mut Lab) -> Result<(), String> {
         gave_up as f64 / (o.counter("mc_promote_retries") + gave_up).max(1) as f64
     };
     let margin = 0.25 - max(injected().map(|(_, o)| gave_up(o)));
-    lab.claim("retries_rescue_promotions", stmt, Holds, margin);
+    let id = "retries_rescue_promotions";
+    lab.claim(id, "DESIGN.md §11", stmt, Holds, margin);
     Ok(())
 }
 
@@ -724,15 +739,17 @@ fn batch(lab: &mut Lab) -> Result<(), String> {
     let steps = || runs.windows(2).map(|w| (&w[0], &w[1]));
     let stmt = "the overhead share never rises by more than 0.01 from one batch size to the next";
     let margin = 0.01 - max(steps().map(|(a, b)| b.overhead_share() - a.overhead_share()));
-    lab.claim("overhead_share_non_increasing", stmt, Holds, margin);
+    let id = "overhead_share_non_increasing";
+    lab.claim(id, "DESIGN.md §16", stmt, Holds, margin);
     let stmt =
         "throughput never falls from one batch size to the next (margin: least relative gain)";
     let margin = min(steps().map(|(a, b)| b.ops_per_sec / a.ops_per_sec - 1.0));
-    lab.claim("throughput_non_decreasing", stmt, Holds, margin);
+    let id = "throughput_non_decreasing";
+    lab.claim(id, "DESIGN.md §16", stmt, Holds, margin);
     let stmt = "a batch of 16 amortises the setup: its overhead share is 0.05 below batch 1's";
     let last = &runs[BATCHES.len() - 1];
     let margin = runs[0].overhead_share() - last.overhead_share() - 0.05;
-    lab.claim("setup_amortised", stmt, Holds, margin);
+    lab.claim("setup_amortised", "DESIGN.md §16", stmt, Holds, margin);
     Ok(())
 }
 
@@ -765,12 +782,12 @@ fn colocation(lab: &mut Lab) -> Result<(), String> {
     let hot = |i: usize| out[i].ops_per_sec;
     let stmt = "MC speeds the hot tenant up over static, and by more than Nimble does";
     let margin = (hot(1) / hot(0) - 1.0).min((hot(1) - hot(2)) / hot(0));
-    lab.claim("hot_tenant_gains", stmt, Holds, margin);
+    lab.claim("hot_tenant_gains", "§II", stmt, Holds, margin);
     let stmt = "under MC the lukewarm tenant's median get is no slower than under static \
                 (margin: fraction cut)";
     let lukewarm = |i: usize| out[i].p50.map_or(0.0, |v| v.as_nanos() as f64);
     let margin = 1.0 - lukewarm(1) / lukewarm(0);
-    lab.claim("cold_tenant_not_hurt", stmt, Holds, margin);
+    lab.claim("cold_tenant_not_hurt", "§II", stmt, Holds, margin);
     Ok(())
 }
 
@@ -798,8 +815,9 @@ fn overcommit(lab: &mut Lab) -> Result<(), String> {
     let evictions = |o: &RunOutcome| o.stats.evictions as f64;
     let stmt = "at 0.8x neither system evicts (margin: −evictions)";
     let margin = 0.0 - evictions(&g.raw[0][0]) - evictions(&g.raw[0][1]);
-    lab.claim("no_evictions_when_it_fits", stmt, Holds, margin);
+    lab.claim("no_evictions_when_it_fits", "§III-C", stmt, Holds, margin);
     let stmt = "MC stays ahead of static at every footprint, through eviction pressure";
-    lab.claim("mc_advantage_persists", stmt, Holds, min(g.col(MC)) - 1.0);
+    let margin = min(g.col(MC)) - 1.0;
+    lab.claim("mc_advantage_persists", "§III-C", stmt, Holds, margin);
     Ok(())
 }

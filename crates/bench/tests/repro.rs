@@ -1,6 +1,6 @@
 //! `repro` end to end at `--tiny`: well-formed tables, one execution per
-//! distinct experiment, thread-independent bytes, the claim gate and the
-//! rejection of bad command lines.
+//! distinct experiment, thread-independent bytes, the claim gate, the
+//! rejection of bad command lines and a source for every committed claim.
 
 use mc_bench::report::{Claim, Expectation};
 use mc_bench::{repro, Args};
@@ -103,6 +103,7 @@ fn output_bytes_do_not_depend_on_the_thread_count() {
 fn the_gate_fires_in_both_directions_and_only_on_the_pinned_run() {
     let claim = |id: &str, margin: f64, expectation| Claim {
         id: id.to_string(),
+        source: "DESIGN.md §5",
         statement: "a test claim",
         margin,
         expectation,
@@ -184,4 +185,84 @@ fn the_binary_exits_2_on_a_bad_command_line_and_0_on_a_good_one() {
     assert_eq!(code, Some(0), "{stderr}");
     assert!(stderr.contains("0 experiments executed"), "{stderr}");
     assert!(String::from_utf8_lossy(&stdout).starts_with("# EXPERIMENTS"));
+}
+
+/// Checks that a statement cell of the claims table opens with a source
+/// in one of `Claim::source`'s three forms: a part of the paper (`Fig. 5`,
+/// `Table I`, `§V-F`), an arXiv id that `papers` (PAPERS.md) lists, or
+/// `DESIGN.md §N` where `design` (DESIGN.md) has a `## N.` heading.
+fn check_source(cell: &str, papers: &str, design: &str) -> Result<(), String> {
+    let (source, _) = cell
+        .split_once(": ")
+        .ok_or_else(|| format!("no `source: ` prefix in {cell:?}"))?;
+    let numeral = |s: &str| !s.is_empty() && s.chars().all(|c| "IVX".contains(c));
+    let number = |s: &str| !s.is_empty() && s.chars().all(|c| c.is_ascii_digit());
+    let ok = if let Some(n) = source.strip_prefix("Fig. ") {
+        number(n)
+    } else if let Some(n) = source.strip_prefix("Table ") {
+        numeral(n)
+    } else if let Some(id) = source.strip_prefix("arXiv ") {
+        let form = id
+            .split_once('.')
+            .is_some_and(|(a, b)| number(a) && number(b));
+        form && papers.contains(id)
+    } else if let Some(n) = source.strip_prefix("DESIGN.md §") {
+        number(n) && design.lines().any(|l| l.starts_with(&format!("## {n}. ")))
+    } else if let Some(part) = source.strip_prefix('§') {
+        let (section, sub) = part.split_once('-').unwrap_or((part, "A"));
+        let letter = sub.len() == 1 && sub.chars().all(|c| c.is_ascii_uppercase());
+        numeral(section) && letter
+    } else {
+        false
+    };
+    ok.then_some(()).ok_or_else(|| {
+        format!("`{source}` is no part of the paper, PAPERS.md entry or DESIGN.md section")
+    })
+}
+
+#[test]
+fn every_committed_claim_names_its_source() {
+    let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../../");
+    let read = |file: &str| std::fs::read_to_string(format!("{root}{file}")).expect(file);
+    let (doc, papers, design) = (read("EXPERIMENTS.md"), read("PAPERS.md"), read("DESIGN.md"));
+    let table = doc.lines().skip_while(|l| !l.starts_with("## Claims"));
+    let rows = table.take_while(|l| !l.starts_with("## Appendix"));
+    let cells = rows.filter(|l| l.starts_with("| `")).map(|l| {
+        let cells: Vec<&str> = l.split('|').map(str::trim).collect();
+        (cells[1], cells[2])
+    });
+    let cells: Vec<(&str, &str)> = cells.collect();
+    assert!(
+        cells.len() > 40,
+        "the claims table is missing: {}",
+        cells.len()
+    );
+    for (id, statement) in cells {
+        if let Err(e) = check_source(statement, &papers, &design) {
+            panic!("{id}: {e}");
+        }
+    }
+
+    let check = |cell| check_source(cell, &papers, &design);
+    for good in [
+        "Fig. 10: s",
+        "Table I: s",
+        "§II: s",
+        "§V-F: s",
+        "arXiv 2401.13154: s",
+    ] {
+        assert_eq!(check(good), Ok(()), "{good}");
+    }
+    assert_eq!(check("DESIGN.md §11: s"), Ok(()));
+    for bad in [
+        "MC beats static",
+        ": MC beats static",
+        "arXiv 2401.99999: s",
+        "DESIGN.md §99: s",
+        "Fig. 5a: s",
+        "§5: s",
+        "the paper: s",
+    ] {
+        assert!(check(bad).is_err(), "{bad} is accepted");
+    }
 }

@@ -2,7 +2,6 @@
 
 use mc_fault::RetryPolicy;
 use mc_mem::{MigrationMode, Nanos};
-use serde::{Deserialize, Serialize};
 
 /// Most pages one pressure (reclaim) invocation examines — MULTI-CLOCK's
 /// and every ring-based baseline's.
@@ -19,7 +18,7 @@ pub const RECLAIM_BATCH: usize = 4096;
 /// application's critical path and keeps shadow copies (DESIGN.md §12,
 /// §16). Every combination is deterministic and pinned by the
 /// differential tests under `crates/sim/tests/`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Knobs {
     /// §VII extension: "include the dirtiness information for memory
     /// pages in a weighted formula to compute the importance of a page",
@@ -76,7 +75,7 @@ impl Default for Knobs {
 /// Defaults follow the paper's prototype: a one-second `kpromoted` period
 /// (chosen by the §V-E sensitivity study) and a scan batch of 1024 pages
 /// ("we set the number of page scan to 1024").
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MultiClockConfig {
     /// `kpromoted` wake-up period.
     pub scan_interval: Nanos,

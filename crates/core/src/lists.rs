@@ -8,11 +8,10 @@
 
 use mc_clock::IndexedList;
 use mc_mem::{FrameId, PageKind};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Which of a node's lists a page is on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum WhichList {
     /// The inactive LRU list.
     Inactive,

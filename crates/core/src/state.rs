@@ -17,12 +17,11 @@
 //! demotion, 4: free) are driven by scans and pressure.
 
 use crate::lists::WhichList;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The LRU-related state of a tracked page (Fig. 4 vertices, plus
 /// `Unevictable` for mlocked pages which sit outside the ladder).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PageState {
     /// On the inactive list, not seen referenced since the last scan.
     InactiveUnref,

@@ -3,10 +3,8 @@
 //! movements (promotions, demotions, evictions) are the substrate's to
 //! count: [`mc_mem::MemStats`] keeps them once.
 
-use serde::{Deserialize, Serialize};
-
 /// Counters maintained by [`crate::MultiClock`].
-#[derive(Debug, Default, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct MultiClockStats {
     /// `kpromoted` wake-ups.
     pub ticks: u64,

@@ -6,12 +6,10 @@
 //! or stalled during fixed virtual-time windows). [`FaultConfig`] wraps a
 //! plan with a seed and an enable flag and is what `SimConfig` carries.
 
-use serde::{Deserialize, Serialize};
-
 /// A virtual-time window during which one tier rejects all allocations and
 /// migration targets — the analogue of a node being hot-removed or its
 /// zone sitting below the min watermark for a sustained period.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OfflineWindow {
     /// Tier index the window applies to.
     pub tier: u8,
@@ -31,7 +29,7 @@ impl OfflineWindow {
 /// A virtual-time window during which accesses to one tier are slowed by
 /// an integer factor — contention, thermal throttling, or a PM device in a
 /// degraded media state.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StallWindow {
     /// Tier index the window applies to.
     pub tier: u8,
@@ -57,7 +55,7 @@ impl StallWindow {
 /// Rates are probabilities in `[0, 1]`; the injector clamps values outside
 /// that range. A rate of exactly `0` never fires *and never consumes
 /// randomness*, so an all-zero plan is behaviourally inert.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct FaultPlan {
     /// Probability that a migration attempt fails with a transient
     /// destination-full error (kernel analogue: `migrate_pages` returning
@@ -80,7 +78,7 @@ pub struct FaultPlan {
 ///
 /// The default (and [`FaultConfig::none`]) is disabled: no injector is
 /// built and the engine is byte-identical to one without a fault layer.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct FaultConfig {
     /// Master switch; when `false` the plan and seed are ignored.
     pub enabled: bool,

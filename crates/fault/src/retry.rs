@@ -10,8 +10,6 @@
 //! `multi-clock` (which executes it) and `mc-sim` (which configures it)
 //! share one definition without a sideways dependency.
 
-use serde::{Deserialize, Serialize};
-
 /// Bounded-retry policy with exponential backoff, measured in kpromoted
 /// ticks.
 ///
@@ -21,7 +19,7 @@ use serde::{Deserialize, Serialize};
 /// later; once [`RetryPolicy::max_attempts`] attempts fail, the daemon
 /// gives up on the episode and degrades gracefully (the page returns to
 /// the active list and must earn promotion again — it is never dropped).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum RetryPolicy {
     /// One attempt, no backoff: identical to the engine before the fault
     /// layer existed. This is the default.

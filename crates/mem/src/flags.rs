@@ -10,12 +10,11 @@
 //! `PageState::Promote`). A hand-rolled bitset keeps the crate
 //! dependency-light.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::BitOr;
 
 /// A set of per-page status flags.
-#[derive(Default, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Default, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PageFlags(u16);
 
 impl PageFlags {

@@ -2,14 +2,13 @@
 
 use crate::flags::PageFlags;
 use crate::ids::{NodeId, TierId, VPage};
-use serde::{Deserialize, Serialize};
 
 /// Whether a page holds anonymous or file-backed memory.
 ///
 /// The kernel (and MULTI-CLOCK) keeps separate LRU list sets for the two
 /// kinds; the paper stresses that MULTI-CLOCK manages *both* (unlike the
 /// NUMA-balancing approach of Yang, which handles anonymous pages only).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PageKind {
     /// Anonymous memory (heap, stacks, `MAP_ANONYMOUS`).
     Anon,
@@ -23,7 +22,7 @@ impl PageKind {
 }
 
 /// Allocation state of a frame.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FrameState {
     /// On a free list.
     Free,
@@ -32,7 +31,7 @@ pub enum FrameState {
 }
 
 /// Metadata for one physical page frame.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Frame {
     state: FrameState,
     node: NodeId,

@@ -4,7 +4,6 @@
 //! confused with one another (a frame number is not a virtual page number is
 //! not a tier index).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Size of a memory page in bytes. The whole substrate is page-granular.
@@ -17,7 +16,7 @@ pub(crate) const PAGE_SHIFT: u32 = 12;
 ///
 /// Frames are numbered densely from zero across all nodes of the topology,
 /// which lets policies keep side metadata in flat vectors indexed by frame.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct FrameId(u32);
 
 impl FrameId {
@@ -44,7 +43,7 @@ impl fmt::Display for FrameId {
 }
 
 /// A virtual page number (a byte address shifted right by `PAGE_SHIFT`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct VPage(u64);
 
 impl VPage {
@@ -76,7 +75,7 @@ impl fmt::Display for VPage {
 }
 
 /// A virtual byte address.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct VAddr(u64);
 
 impl VAddr {
@@ -115,7 +114,7 @@ impl fmt::Display for VAddr {
 /// Index of a memory tier. Tier 0 is the highest-performing tier (DRAM);
 /// larger indices are lower tiers, mirroring the paper's ordering from
 /// "high performance - low capacity" downwards.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TierId(u8);
 
 impl TierId {
@@ -163,7 +162,7 @@ impl fmt::Display for TierId {
 }
 
 /// Index of a NUMA node.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId(u8);
 
 impl NodeId {

@@ -9,10 +9,9 @@
 
 use crate::ids::{NodeId, TierId, PAGE_SIZE};
 use crate::time::Nanos;
-use serde::{Deserialize, Serialize};
 
 /// The kind of a memory access.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AccessKind {
     /// A load.
     Read,
@@ -28,7 +27,7 @@ impl AccessKind {
 }
 
 /// Per-tier device timing.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TierLatency {
     /// Latency of a load that misses the CPU caches, in nanoseconds.
     pub read_ns: u64,
@@ -99,7 +98,7 @@ impl TierLatency {
 ///
 /// A node's effective timing is its device timing composed with its link:
 /// latencies add, and the link's bandwidth caps the device's.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkDesc {
     /// Added load round-trip latency in nanoseconds.
     pub read_ns: u64,
@@ -113,8 +112,8 @@ pub struct LinkDesc {
 
 impl LinkDesc {
     /// Bandwidth cap used by [`LinkDesc::direct`]: high enough never to be
-    /// the minimum against any real device, finite so the arithmetic stays
-    /// serde-safe (no infinities in JSON).
+    /// the minimum against any real device, and finite, so every bandwidth
+    /// the model derives from it is a finite number.
     const UNCAPPED_BW: f64 = 1e12;
 
     /// A socket-local attachment: no added latency, no bandwidth cap.
@@ -163,7 +162,7 @@ impl Default for LinkDesc {
 /// The cost of migrating one page between tiers, split into the part that
 /// stalls the application and the part absorbed by a background kernel
 /// thread.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MigrationCost {
     /// Time the application is stalled (unmap, TLB shootdown, remap).
     pub app_stall: Nanos,
@@ -180,7 +179,7 @@ impl MigrationCost {
 }
 
 /// The full machine cost model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LatencyModel {
     /// Device timing per tier, indexed by [`TierId`]: the *effective*
     /// timing (device composed with link) of the tier's first node;

@@ -12,9 +12,10 @@
 //! * **watermarks** (`min`/`low`/`high`) per node computed with the same
 //!   square-root rule Linux uses, which drive reclaim/demotion pressure;
 //! * a **soft page table** mapping virtual pages to frames and carrying the
-//!   hardware-maintained *reference* and *dirty* PTE bits (the paper's
-//!   "unsupervised access" channel) plus a *poisoned* bit used by
-//!   hint-page-fault trackers such as AutoTiering;
+//!   hardware-maintained *reference* PTE bit (the paper's "unsupervised
+//!   access" channel) plus a *poisoned* bit used by hint-page-fault
+//!   trackers such as AutoTiering; dirtiness is the frame's
+//!   [`PageFlags::DIRTY`], which migration carries to the new frame;
 //! * a **migration engine** equivalent to `migrate_pages()`: allocate on the
 //!   destination tier, account the copy, remap, free the source frame;
 //! * a parameterised **latency model** for DRAM/PM access, migration and

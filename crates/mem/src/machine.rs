@@ -24,10 +24,9 @@
 use crate::latency::{LatencyModel, LinkDesc, TierLatency};
 use crate::tier::TierKind;
 use crate::topology::Topology;
-use serde::{Deserialize, Serialize};
 
 /// One memory node in a machine description: layout plus timing.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MachineNode {
     /// The memory technology backing the node.
     pub kind: TierKind,
@@ -68,7 +67,7 @@ impl MachineNode {
 /// A complete machine description from which both the [`Topology`] and the
 /// [`LatencyModel`] are derived. Built with [`MachineBuilder`] or one of
 /// the named presets.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MachineDesc {
     nodes: Vec<MachineNode>,
 }

@@ -13,12 +13,11 @@ use crate::ids::{FrameId, TierId};
 use crate::latency::AccessKind;
 use crate::system::MemorySystem;
 use crate::time::Nanos;
-use serde::{Deserialize, Serialize};
 
 /// Qualitative properties of a tiering technique — the rows of the paper's
 /// Table I. Each policy self-reports these; `repro --only table1`
 /// regenerates the table from them.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PolicyTraits {
     /// Technique name.
     pub name: &'static str,

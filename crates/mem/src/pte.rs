@@ -18,10 +18,9 @@
 use crate::error::MemError;
 use crate::ids::{FrameId, VPage};
 use crate::vpage_map::VPageMap;
-use serde::{Deserialize, Serialize};
 
 /// One page-table entry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PteEntry {
     /// The frame this virtual page maps to.
     pub frame: FrameId,

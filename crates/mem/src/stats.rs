@@ -2,11 +2,10 @@
 
 use crate::ids::{TierId, VPage};
 use crate::topology::Topology;
-use serde::{Deserialize, Serialize};
 
 /// Monotonic operation counters maintained by the substrate — the analogue
 /// of `/proc/vmstat`.
-#[derive(Debug, Default, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct MemStats {
     /// Pages allocated.
     pub allocs: u64,
@@ -77,7 +76,7 @@ impl MemStats {
 /// Substrate events the simulation engine consumes for windowed metrics
 /// (paper Figs. 8 and 9 need per-window promotion counts and the identity
 /// of recently promoted pages).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MemEvent {
     /// A page moved between tiers.
     Migrated {

@@ -8,12 +8,11 @@
 //! form one tier, ordered from high-performance/low-capacity down.
 
 use crate::ids::{NodeId, TierId};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The technology backing a tier. Ordered fastest-first; the derived `Ord`
 /// is the tier ordering.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum TierKind {
     /// High-bandwidth memory (used by the N-tier extension tests).
     Hbm,
@@ -51,7 +50,7 @@ impl fmt::Display for TierKind {
 }
 
 /// A tier: an ordered group of NUMA nodes sharing one memory kind.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Tier {
     id: TierId,
     kind: TierKind,

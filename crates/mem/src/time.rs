@@ -7,14 +7,11 @@
 //! [`TimeLedger`]: time passes only by charging it to a [`Charge`], so the
 //! clock and the account of where it went cannot disagree.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
 
 /// A virtual-time instant or duration, in nanoseconds.
-#[derive(
-    Debug, Default, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Nanos(u64);
 
 impl Nanos {

@@ -17,10 +17,9 @@
 use crate::ids::{FrameId, NodeId, TierId};
 use crate::tier::{Tier, TierKind};
 use crate::watermark::Watermarks;
-use serde::{Deserialize, Serialize};
 
 /// Description of one NUMA node.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NodeDesc {
     id: NodeId,
     kind: TierKind,
@@ -67,7 +66,7 @@ impl NodeDesc {
 }
 
 /// The machine's layout: nodes, tiers, frame numbering.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Topology {
     nodes: Vec<NodeDesc>,
     tiers: Vec<Tier>,

@@ -18,10 +18,9 @@
 //! flip whenever a clean shadow sits in its destination tier.
 
 use crate::ids::{FrameId, TierId};
-use serde::{Deserialize, Serialize};
 
 /// How the substrate executes migrations requested by a policy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum MigrationMode {
     /// The historical synchronous path: unmap, copy, remap, all charged
     /// against the application in one step. Bit-identical to the engine

@@ -8,10 +8,8 @@
 //! distributed to nodes proportionally to their size, with
 //! `low = min + min/4` and `high = min + min/2`.
 
-use serde::{Deserialize, Serialize};
-
 /// Free-page thresholds for one node.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Watermarks {
     /// Below `min`, only atomic/kernel allocations may dip in; ordinary
     /// allocations fail and direct reclaim runs.

@@ -1,8 +1,7 @@
 //! A dependency-free JSON subset: a flat-object writer and parser.
 //!
-//! The vendored `serde` is a no-op stub (marker traits only), so all
-//! serialisation in this workspace is hand-written. Trace events and the
-//! report binary only need flat objects — string, number, boolean and
+//! All serialisation in this workspace is hand-written. Trace events and
+//! the report binary only need flat objects — string, number, boolean and
 //! null values, no nesting — which keeps both directions small and
 //! auditable.
 

@@ -12,10 +12,9 @@
 //! of a dirty victim).
 
 use mc_mem::{AccessKind, LatencyModel, Nanos, TierId, VPage};
-use serde::{Deserialize, Serialize};
 
 /// Hit/miss counters for the memory-side cache.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct MemoryModeStats {
     /// Accesses served from the DRAM cache.
     pub hits: u64,
