@@ -258,7 +258,7 @@ fn fig5(lab: &mut Lab) -> Result<(), String> {
          operation includes fixed CPU work and the scaled keyspace has a warmer zipfian tail \
          than 100 M+ real records (DESIGN.md §7). Nomad (MULTI-CLOCK's selection over \
          transactional migration, arXiv 2401.13154) and HybridTier (arXiv 2312.04789) are not \
-         in the paper. \"Most on D\" is a `--quick` result: at `--tiny` F overtakes D.\n\n\
+         in the paper.\n\n\
          Throughput normalised to static (higher is better):",
     );
     g.table(lab, "workload", |n, _| f2(n));

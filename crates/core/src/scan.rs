@@ -151,7 +151,6 @@ impl MultiClock {
             WhichList::Inactive => (PageState::InactiveRef, PageState::InactiveUnref, 1), // fig4: 1
             WhichList::Active => (PageState::ActiveRef, PageState::ActiveUnref, 8),       // fig4: 8
             WhichList::Promote => (PageState::Promote, PageState::ActiveUnref, 11), // fig4: 11
-            WhichList::Unevictable => return 0,
         };
         let list = self.nodes[node.index()].set_mut(kind).list_mut(which);
         let budget = list.len().min(self.cfg.scan_batch);
@@ -628,6 +627,9 @@ mod tests {
         assert_eq!(mem.frame(nf).tier(), TierId::TOP);
     }
 
+    /// "If that is not possible — for instance, the page is locked — then
+    /// it is moved to the active list" (the paper's promotion fallback).
+    /// An injected lock is the simulator's locked page.
     #[test]
     fn locked_page_falls_back_to_active() {
         let (mut mem, mut mc) = setup();
@@ -636,7 +638,11 @@ mod tests {
         for _ in 0..4 {
             mc.on_supervised_access(&mut mem, f, AccessKind::Read);
         }
-        mem.frame_flags_mut(f).insert(mc_mem::PageFlags::LOCKED);
+        let plan = FaultPlan {
+            migrate_lock_rate: 1.0,
+            ..FaultPlan::default()
+        };
+        mem.instruments = instruments(0, faults(plan, 1));
         let out = mc.tick(&mut mem, Nanos::from_secs(1));
         assert_eq!(out.promoted, 0);
         assert_eq!(mem.frame(f).tier(), pm, "locked page stays put");
@@ -914,18 +920,15 @@ mod tests {
         let hot: Vec<FrameId> = (0..n)
             .map(|v| map_in_tier(&mut mem, &mut mc, v, pm))
             .collect();
-        let mut cold = Vec::new();
-        while let Ok(f) = mem.alloc_page_in_tier(PageKind::Anon, TierId::TOP) {
-            let v = 100 + cold.len() as u64;
-            mem.map(VPage::new(v), f).unwrap();
-            mc.on_page_mapped(&mut mem, f);
-            cold.push(v);
-        }
-        for v in cold.drain(..n as usize - 1) {
-            let f = mem.unmap(VPage::new(v)).unwrap();
-            mc.on_page_unmapped(&mut mem, f);
-            mem.free_page(f).unwrap();
-        }
+        let top = mc_mem::NodeId::new(0);
+        let room = mem.node_free(top) - mem.node_watermarks(top).min;
+        let cold: Vec<u64> = (0..room as u64 - (n - 1))
+            .map(|i| {
+                let v = 100 + i;
+                map_in_tier(&mut mem, &mut mc, v, TierId::TOP);
+                v
+            })
+            .collect();
         for f in &hot {
             make_promotable(&mut mem, &mut mc, *f);
         }

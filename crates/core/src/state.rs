@@ -14,13 +14,12 @@
 //! repeatedly — this is how MULTI-CLOCK folds *frequency* into CLOCK's
 //! recency machinery. Downward transitions (1 and 8: a scan decays a
 //! referenced state, 9: deactivation, 11: promote list ageing, 3:
-//! demotion, 4: free) are driven by scans and pressure.
+//! demotion, 4: eviction) are driven by scans and pressure.
 
 use crate::lists::WhichList;
 use std::fmt;
 
-/// The LRU-related state of a tracked page (Fig. 4 vertices, plus
-/// `Unevictable` for mlocked pages which sit outside the ladder).
+/// The LRU-related state of a tracked page: the five vertices of Fig. 4.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PageState {
     /// On the inactive list, not seen referenced since the last scan.
@@ -34,13 +33,11 @@ pub enum PageState {
     /// On the promote list: referenced while active+referenced — the page
     /// is a promotion candidate ("recently accessed more than once").
     Promote,
-    /// Mlocked; never scanned, never migrated.
-    Unevictable,
 }
 
 impl PageState {
     /// Applies one observed access (one ladder step). `Promote` absorbs
-    /// (transition 12); `Unevictable` never moves.
+    /// (transition 12).
     pub fn on_access(self) -> PageState {
         match self {
             PageState::InactiveUnref => PageState::InactiveRef, // fig4: 2
@@ -48,7 +45,6 @@ impl PageState {
             PageState::ActiveUnref => PageState::ActiveRef,     // fig4: 7
             PageState::ActiveRef => PageState::Promote,         // fig4: 10
             PageState::Promote => PageState::Promote,           // fig4: 12
-            PageState::Unevictable => PageState::Unevictable,
         }
     }
 
@@ -58,7 +54,6 @@ impl PageState {
             PageState::InactiveUnref | PageState::InactiveRef => WhichList::Inactive,
             PageState::ActiveUnref | PageState::ActiveRef => WhichList::Active,
             PageState::Promote => WhichList::Promote,
-            PageState::Unevictable => WhichList::Unevictable,
         }
     }
 }
@@ -71,7 +66,6 @@ impl fmt::Display for PageState {
             PageState::ActiveUnref => "active-unreferenced",
             PageState::ActiveRef => "active-referenced",
             PageState::Promote => "promote",
-            PageState::Unevictable => "unevictable",
         };
         f.write_str(s)
     }
@@ -98,18 +92,12 @@ mod tests {
     }
 
     #[test]
-    fn unevictable_never_moves() {
-        assert_eq!(PageState::Unevictable.on_access(), PageState::Unevictable);
-    }
-
-    #[test]
     fn list_assignment_matches_state() {
         assert_eq!(PageState::InactiveUnref.list(), WhichList::Inactive);
         assert_eq!(PageState::InactiveRef.list(), WhichList::Inactive);
         assert_eq!(PageState::ActiveUnref.list(), WhichList::Active);
         assert_eq!(PageState::ActiveRef.list(), WhichList::Active);
         assert_eq!(PageState::Promote.list(), WhichList::Promote);
-        assert_eq!(PageState::Unevictable.list(), WhichList::Unevictable);
     }
 
     #[test]

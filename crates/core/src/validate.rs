@@ -170,63 +170,44 @@ impl MultiClock {
         seen: &mut HashSet<u32>,
         violations: &mut Vec<InvariantViolation>,
     ) {
-        {
-            for kind in PageKind::ALL {
-                let set = lists.set(kind);
-                for (which, list) in [
-                    (WhichList::Inactive, &set.inactive),
-                    (WhichList::Active, &set.active),
-                    (WhichList::Promote, &set.promote),
-                ] {
-                    // Asserted, not reported: on a broken chain the walk
-                    // below would be meaningless or endless.
-                    #[cfg(debug_assertions)]
-                    list.check_links();
-                    for frame in list.iter() {
-                        if !seen.insert(frame.raw()) {
-                            violations.push(InvariantViolation {
-                                frame,
-                                message: "appears on more than one list".into(),
-                            });
-                            continue;
-                        }
-                        match self.state_of(frame) {
-                            None => violations.push(InvariantViolation {
-                                frame,
-                                message: format!("on the {which} list but untracked"),
-                            }),
-                            Some(st) if st.list() != which => violations.push(InvariantViolation {
-                                frame,
-                                message: format!("state {st} but on the {which} list"),
-                            }),
-                            Some(_) => {}
-                        }
-                        Self::check_node_of(mem, node, frame, violations);
-                        if mem.frame(frame).kind() != kind {
-                            violations.push(InvariantViolation {
-                                frame,
-                                message: "listed under the wrong page kind".into(),
-                            });
-                        }
+        for kind in PageKind::ALL {
+            let set = lists.set(kind);
+            for (which, list) in [
+                (WhichList::Inactive, &set.inactive),
+                (WhichList::Active, &set.active),
+                (WhichList::Promote, &set.promote),
+            ] {
+                // Asserted, not reported: on a broken chain the walk
+                // below would be meaningless or endless.
+                #[cfg(debug_assertions)]
+                list.check_links();
+                for frame in list.iter() {
+                    if !seen.insert(frame.raw()) {
+                        violations.push(InvariantViolation {
+                            frame,
+                            message: "appears on more than one list".into(),
+                        });
+                        continue;
+                    }
+                    match self.state_of(frame) {
+                        None => violations.push(InvariantViolation {
+                            frame,
+                            message: format!("on the {which} list but untracked"),
+                        }),
+                        Some(st) if st.list() != which => violations.push(InvariantViolation {
+                            frame,
+                            message: format!("state {st} but on the {which} list"),
+                        }),
+                        Some(_) => {}
+                    }
+                    Self::check_node_of(mem, node, frame, violations);
+                    if mem.frame(frame).kind() != kind {
+                        violations.push(InvariantViolation {
+                            frame,
+                            message: "listed under the wrong page kind".into(),
+                        });
                     }
                 }
-            }
-            #[cfg(debug_assertions)]
-            lists.unevictable.check_links();
-            for frame in lists.unevictable.iter() {
-                if !seen.insert(frame.raw()) {
-                    violations.push(InvariantViolation {
-                        frame,
-                        message: "appears on more than one list".into(),
-                    });
-                }
-                if self.state_of(frame) != Some(PageState::Unevictable) {
-                    violations.push(InvariantViolation {
-                        frame,
-                        message: "on the unevictable list without Unevictable state".into(),
-                    });
-                }
-                Self::check_node_of(mem, node, frame, violations);
             }
         }
     }

@@ -4,21 +4,22 @@
 //! page, lose a mapped page, or map two virtual pages to one frame —
 //! no matter which migrations and allocations the injector fails.
 
+mod trace;
+
 use mc_fault::{FaultConfig, FaultPlan, OfflineWindow, RetryPolicy};
 use mc_mem::{
-    AccessKind, FrameId, Instruments, MachineDesc, MemorySystem, MigrationMode, Nanos, PageKind,
-    TierId, TieringPolicy, VPage,
+    AccessKind, Instruments, MachineDesc, MemorySystem, MigrationMode, Nanos, PageKind, TierId,
+    TieringPolicy, VPage,
 };
 use mc_obs::ObsConfig;
 use multi_clock::{Knobs, MultiClock, MultiClockConfig};
 use proptest::prelude::*;
-use std::collections::HashSet;
+use trace::{assert_conserved, resident};
 
 /// One step of the random trace (mirrors `state_machine.rs`).
 #[derive(Debug, Clone)]
 enum Op {
     Map,
-    Unmap(usize),
     Access { index: usize, write: bool },
     Tick,
     Pressure(usize),
@@ -28,7 +29,6 @@ fn op() -> impl Strategy<Value = Op> {
     prop_oneof![
         Just(Op::Map),
         Just(Op::Map),
-        (0usize..4096).prop_map(Op::Unmap),
         (0usize..4096, any::<bool>()).prop_map(|(index, write)| Op::Access { index, write }),
         Just(Op::Tick),
         (0usize..2).prop_map(Op::Pressure),
@@ -58,20 +58,6 @@ fn plan() -> impl Strategy<Value = FaultPlan> {
                 .collect(),
             stalls: Vec::new(),
         })
-}
-
-/// Every live virtual page still translates, to a distinct frame.
-fn assert_conserved(mem: &MemorySystem, live: &[VPage]) {
-    let mut frames: HashSet<FrameId> = HashSet::new();
-    for vp in live {
-        let frame = mem.translate(*vp);
-        assert!(frame.is_some(), "live page {vp:?} lost its mapping");
-        assert!(
-            frames.insert(frame.unwrap()),
-            "two virtual pages share frame {:?}",
-            frame.unwrap()
-        );
-    }
 }
 
 /// The shared trace interpreter: drives one random trace against one
@@ -115,17 +101,9 @@ fn run_chaos(seed: u64, fault_plan: FaultPlan, ops: Vec<Op>, mode: MigrationMode
                     live.push(vp);
                 }
             }
-            Op::Unmap(index) => {
-                if !live.is_empty() {
-                    let vp = live.swap_remove(index % live.len());
-                    let frame = mem.unmap(vp).expect("live page unmaps");
-                    mc.on_page_unmapped(&mut mem, frame);
-                    mem.free_page(frame).expect("unmapped page frees");
-                }
-            }
             Op::Access { index, write } => {
-                if !live.is_empty() {
-                    let vp = live[index % live.len()];
+                let vp = live.get(index % live.len().max(1)).copied();
+                if let Some(vp) = vp.filter(|&vp| resident(&mut mem, &mut mc, vp)) {
                     let kind = if *write {
                         AccessKind::Write
                     } else {

@@ -10,21 +10,22 @@
 //! or is still in its copy window) is asserted directly against
 //! `MemStats`.
 
+mod trace;
+
 use mc_fault::{FaultConfig, FaultPlan, RetryPolicy};
 use mc_mem::{
-    AccessKind, FrameId, Instruments, MachineDesc, MemorySystem, MigrationMode, Nanos, PageFlags,
-    PageKind, TierId, TieringPolicy, VPage,
+    AccessKind, Instruments, MachineDesc, MemorySystem, MigrationMode, Nanos, PageFlags, PageKind,
+    TierId, TieringPolicy, VPage,
 };
 use mc_obs::ObsConfig;
 use multi_clock::{Knobs, MultiClock, MultiClockConfig};
 use proptest::prelude::*;
-use std::collections::HashSet;
+use trace::{assert_conserved, resident};
 
 /// One step of the random trace (mirrors `chaos.rs`).
 #[derive(Debug, Clone)]
 enum Op {
     Map,
-    Unmap(usize),
     Access { index: usize, write: bool },
     Tick,
     Pressure(usize),
@@ -34,7 +35,6 @@ fn op() -> impl Strategy<Value = Op> {
     prop_oneof![
         Just(Op::Map),
         Just(Op::Map),
-        (0usize..4096).prop_map(Op::Unmap),
         (0usize..4096, any::<bool>()).prop_map(|(index, write)| Op::Access { index, write }),
         // Ticks are weighted up versus chaos.rs: transactions only settle
         // at the next tick, so traces need plenty of tick boundaries for
@@ -43,20 +43,6 @@ fn op() -> impl Strategy<Value = Op> {
         Just(Op::Tick),
         (0usize..2).prop_map(Op::Pressure),
     ]
-}
-
-/// Every live virtual page still translates, to a distinct frame.
-fn assert_conserved(mem: &MemorySystem, live: &[VPage]) {
-    let mut frames: HashSet<FrameId> = HashSet::new();
-    for vp in live {
-        let frame = mem.translate(*vp);
-        assert!(frame.is_some(), "live page {vp:?} lost its mapping");
-        assert!(
-            frames.insert(frame.unwrap()),
-            "two virtual pages share frame {:?}",
-            frame.unwrap()
-        );
-    }
 }
 
 /// Begun transactions are conserved: committed, aborted, or still open.
@@ -123,17 +109,9 @@ fn run_trace(ops: Vec<Op>, fault_plan: Option<(FaultPlan, u64)>, retry: RetryPol
                     live.push(vp);
                 }
             }
-            Op::Unmap(index) => {
-                if !live.is_empty() {
-                    let vp = live.swap_remove(index % live.len());
-                    let frame = mem.unmap(vp).expect("live page unmaps");
-                    mc.on_page_unmapped(&mut mem, frame);
-                    mem.free_page(frame).expect("unmapped page frees");
-                }
-            }
             Op::Access { index, write } => {
-                if !live.is_empty() {
-                    let vp = live[index % live.len()];
+                let vp = live.get(index % live.len().max(1)).copied();
+                if let Some(vp) = vp.filter(|&vp| resident(&mut mem, &mut mc, vp)) {
                     let kind = if *write {
                         AccessKind::Write
                     } else {

@@ -75,8 +75,7 @@ const LADDER: [PageState; 5] = [InactiveUnref, InactiveRef, ActiveUnref, ActiveR
 
 /// The state a table name stands for.
 fn named(name: &str) -> Option<PageState> {
-    let mut states = LADDER.into_iter().chain([PageState::Unevictable]);
-    states.find(|s| format!("{s:?}") == name)
+    LADDER.into_iter().find(|s| format!("{s:?}") == name)
 }
 
 /// The access-ladder edge out of `from`, and where it lands.
@@ -135,7 +134,6 @@ fn list_of(st: PageState) -> usize {
         InactiveUnref | InactiveRef => INACTIVE,
         ActiveUnref | ActiveRef => ACTIVE,
         Promote => PROMOTE,
-        PageState::Unevictable => panic!("the model never pins a page"),
     }
 }
 
@@ -239,14 +237,6 @@ impl Model {
         self.states[f.index()] = Some(InactiveUnref);
         self.list(mem, f, INACTIVE).push(f);
         self.fire(5, None, Some(InactiveUnref));
-    }
-
-    /// 4: tracking ends.
-    fn untrack(&mut self, mem: &MemorySystem, f: FrameId) {
-        if let Some(st) = self.states[f.index()].take() {
-            self.list(mem, f, list_of(st)).retain(|&g| g != f);
-            self.fire(4, Some(st), None);
-        }
     }
 
     /// One `kpromoted` run: scan every list, drain every lower tier's
@@ -489,8 +479,8 @@ impl Model {
     /// `shrink_inactive_list()` on the first node of `tier` with an
     /// inactive page: a referenced page rotates and climbs, an
     /// inactive-referenced one rotates (decaying, 1, only under forced
-    /// reclaim), a pinned one rotates, and a cold one is demoted (3) or, on
-    /// the lowest tier, evicted (4). Whether there was a page.
+    /// reclaim), and a cold one is demoted (3) or, on the lowest tier,
+    /// evicted (4). Whether there was a page.
     fn shrink_inactive(
         &mut self,
         mem: &mut MemorySystem,
@@ -514,8 +504,6 @@ impl Model {
                 self.set(mem, f, InactiveUnref);
                 self.fire(1, Some(InactiveRef), Some(InactiveUnref));
             }
-        } else if !mem.frame(f).migratable() {
-            self.lists[n][kind][INACTIVE].push(f);
         } else if tier.index() + 1 == mem.topology().tier_count() {
             if mem.evict(f).is_ok() {
                 let st = self.states[f.index()].take();
@@ -566,10 +554,6 @@ impl TieringPolicy for Model {
         self.track(mem, frame);
     }
 
-    fn on_page_unmapped(&mut self, mem: &mut MemorySystem, frame: FrameId) {
-        self.untrack(mem, frame);
-    }
-
     fn on_supervised_access(&mut self, mem: &mut MemorySystem, frame: FrameId, _: AccessKind) {
         self.climb(mem, frame);
     }
@@ -602,8 +586,6 @@ enum Op {
     /// Fault page `p` in the way the engine does: fastest tier first, with
     /// up to three rounds of direct reclaim over every tier.
     Map(u8),
-    /// Unmap and free page `p`.
-    Unmap(u8),
     /// An unsupervised load: sets the PTE reference bit.
     Read(u8),
     /// An unsupervised store: sets the PTE reference bit and the frame's
@@ -680,13 +662,6 @@ fn apply(mem: &mut MemorySystem, policy: &mut impl TieringPolicy, op: Op, now: N
                         }
                     }
                 }
-            }
-        }
-        Op::Unmap(p) => {
-            if mapped(mem, p).is_some() {
-                let f = mem.unmap(vpage(p)).expect("mapped");
-                policy.on_page_unmapped(mem, f);
-                mem.free_page(f).expect("unmapped page frees");
             }
         }
         Op::Read(p) | Op::Write(p) => {
@@ -1199,7 +1174,7 @@ fn replay(scope: Scope, ops: &[Op]) {
 /// Every op of `scope`'s alphabet.
 fn alphabet(scope: &Scope) -> Vec<Op> {
     let tiers = scope.machine.topology().tier_count() as u8;
-    let per_page = [Op::Map, Op::Unmap, Op::Read, Op::Write, Op::Touch];
+    let per_page = [Op::Map, Op::Read, Op::Write, Op::Touch];
     let mut ops: Vec<Op> = (0..scope.pages)
         .flat_map(|p| per_page.map(|op| op(p)))
         .collect();
@@ -1383,7 +1358,6 @@ fn random_ops(scope: &Scope) -> impl Strategy<Value = Vec<Op>> {
     let op = prop_oneof![
         (0..pages, 0..tiers, 0..5u8).prop_map(|(p, t, k)| Op::Place(p, t, k)),
         (0..pages).prop_map(Op::Map),
-        (0..pages).prop_map(Op::Unmap),
         (0..pages).prop_map(Op::Read),
         (0..pages).prop_map(Op::Write),
         (0..pages).prop_map(Op::Touch),
@@ -1472,11 +1446,6 @@ fn on_access_agrees_with_fig4_table() {
             "on_access({st}) disagrees with edge {id}"
         );
     }
-    // Unevictable is a fixed point and on no edge.
-    assert_eq!(PageState::Unevictable.on_access(), PageState::Unevictable);
-    assert!(FIG4
-        .iter()
-        .all(|e| !e.1.contains("Unevictable") && !e.2.contains("Unevictable")));
 }
 
 #[test]

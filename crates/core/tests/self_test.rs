@@ -42,16 +42,6 @@ fn boundary_flags_foreign_list_mutation() {
 #[test]
 fn boundary_flags_mut_accessors_and_assignment() {
     assert_rejected(
-        "remove",
-        "pub fn rogue(lists: &mut multi_clock::TierLists) {
-             let _ = |frame| {
-                 lists.remove(frame);
-             };
-         }",
-        "E0624",
-        "remove",
-    );
-    assert_rejected(
         "set_mut",
         "pub fn rogue(lists: &mut multi_clock::TierLists) {
              let _ = |kind| {

@@ -6,35 +6,32 @@
 //! frame reports") must hold after every step. Batched promotion is
 //! crossed in so mid-drain requeues are exercised too.
 
+mod trace;
+
 use mc_mem::{
     AccessKind, FrameId, MachineDesc, MemorySystem, Nanos, NodeId, PageKind, TierId, TieringPolicy,
     VPage,
 };
 use multi_clock::{Knobs, MultiClock, MultiClockConfig};
 use proptest::prelude::*;
+use trace::{assert_conserved, resident};
 
 /// One step of the random trace (mirrors `state_machine.rs`).
 #[derive(Debug, Clone)]
 enum Op {
     Map,
-    Unmap(usize),
     Access { index: usize, write: bool },
     Tick,
     Pressure(usize),
-    Mlock(usize),
-    Munlock(usize),
 }
 
 fn op() -> impl Strategy<Value = Op> {
     prop_oneof![
         Just(Op::Map),
         Just(Op::Map),
-        (0usize..4096).prop_map(Op::Unmap),
         (0usize..4096, any::<bool>()).prop_map(|(index, write)| Op::Access { index, write }),
         Just(Op::Tick),
         (0usize..2).prop_map(Op::Pressure),
-        (0usize..4096).prop_map(Op::Mlock),
-        (0usize..4096).prop_map(Op::Munlock),
     ]
 }
 
@@ -77,17 +74,9 @@ proptest! {
                         live.push(vp);
                     }
                 }
-                Op::Unmap(index) => {
-                    if !live.is_empty() {
-                        let vp = live.swap_remove(index % live.len());
-                        let frame = mem.unmap(vp).expect("live page unmaps");
-                        mc.on_page_unmapped(&mut mem, frame);
-                        mem.free_page(frame).expect("unmapped page frees");
-                    }
-                }
                 Op::Access { index, write } => {
-                    if !live.is_empty() {
-                        let vp = live[index % live.len()];
+                    let vp = live.get(index % live.len().max(1)).copied();
+                    if let Some(vp) = vp.filter(|&vp| resident(&mut mem, &mut mc, vp)) {
                         let kind = if *write { AccessKind::Write } else { AccessKind::Read };
                         mem.access(vp, kind).expect("live page is accessible");
                         let frame = mem.translate(vp).expect("live page translates");
@@ -101,20 +90,6 @@ proptest! {
                 Op::Pressure(t) => {
                     mc.on_pressure(&mut mem, TierId::new(*t as u8), Nanos::from_secs(ticks));
                 }
-                Op::Mlock(index) => {
-                    if !live.is_empty() {
-                        let vp = live[index % live.len()];
-                        let frame = mem.translate(vp).expect("live page translates");
-                        mc.mlock(&mut mem, frame);
-                    }
-                }
-                Op::Munlock(index) => {
-                    if !live.is_empty() {
-                        let vp = live[index % live.len()];
-                        let frame = mem.translate(vp).expect("live page translates");
-                        mc.munlock(&mut mem, frame);
-                    }
-                }
             }
 
             let violations = mc.check_invariants(&mem);
@@ -126,9 +101,12 @@ proptest! {
                 violations
             );
             prop_assert_eq!(mc.in_flight(), 0, "in-flight page leaked after {:?}", op);
+            assert_conserved(&mem, &live);
             // Exactly one node's lists: the per-node guarantee.
             for vp in &live {
-                let frame = mem.translate(*vp).expect("live page translates");
+                let Some(frame) = mem.translate(*vp) else {
+                    continue; // evicted: on swap, on no list
+                };
                 let n = nodes_holding(&mem, &mc, frame);
                 prop_assert_eq!(
                     n,

@@ -155,11 +155,21 @@ fn transition_3_cold_inactive_pages_demote_under_pressure() {
 
 #[test]
 fn transition_4_freed_pages_leave_the_machine() {
+    // Pressure on the lowest tier evicts its coldest pages to storage.
     let (mut mem, mut mc) = setup();
-    let f = map_page(&mut mem, &mut mc, 1, TierId::TOP);
-    mc.on_page_unmapped(&mut mem, f);
-    mem.free_page(f).unwrap();
-    assert_eq!(mc.state_of(f), None);
+    let pm = TierId::new(1);
+    let oldest = map_page(&mut mem, &mut mc, 0, pm);
+    let mut v = 1u64;
+    while let Ok(f) = mem.alloc_page_in_tier(PageKind::Anon, pm) {
+        mem.map(VPage::new(v), f).unwrap();
+        mc.on_page_mapped(&mut mem, f);
+        v += 1;
+    }
+    mc.on_pressure(&mut mem, pm, Nanos::ZERO);
+    assert!(mem.is_swapped(VPage::new(0)), "the oldest page left first");
+    assert_eq!(mem.translate(VPage::new(0)), None);
+    assert_eq!(mc.state_of(oldest), None);
+    assert!(!mc.node_lists(NodeId::new(1)).contains(oldest));
     mc.assert_invariants(&mem);
 }
 

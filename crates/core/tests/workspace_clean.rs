@@ -23,7 +23,7 @@ fn list_mutation_stays_inside_core_machinery() {
          pub fn census(mc: &MultiClock) {
              let _ = |node| -> usize {
                  let s = mc.node_lists(node);
-                 set_len(&s.anon) + set_len(&s.file) + s.unevictable.len()
+                 set_len(&s.anon) + set_len(&s.file)
              };
          }",
     )
@@ -33,9 +33,9 @@ fn list_mutation_stays_inside_core_machinery() {
         ("door_field", "mc.nodes.clear();", "E0616", "nodes"),
         (
             "door_remove",
-            "let _ = |node, frame| mc.node_lists(node).unevictable.remove(frame);",
+            "let _ = |node, frame| mc.node_lists(node).anon.active.remove(frame);",
             "E0596",
-            "mc.node_lists(node).unevictable",
+            "mc.node_lists(node).anon.active",
         ),
         (
             "door_node",

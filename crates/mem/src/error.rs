@@ -17,10 +17,9 @@ pub enum MemError {
     AlreadyMapped(VPage),
     /// The frame is not currently allocated.
     FrameNotAllocated(FrameId),
-    /// The frame is locked and cannot be migrated.
+    /// The frame cannot be migrated right now: its copy window is already
+    /// open, a write doomed the copy, or an injected fault locked it.
     FrameLocked(FrameId),
-    /// The frame is unevictable (mlocked) and cannot be migrated.
-    FrameUnevictable(FrameId),
     /// Attempted to migrate a frame to the tier it is already in.
     SameTier(FrameId, TierId),
     /// The tier id is out of range for this topology.
@@ -38,7 +37,6 @@ impl fmt::Display for MemError {
             MemError::AlreadyMapped(v) => write!(f, "{v} is already mapped"),
             MemError::FrameNotAllocated(fr) => write!(f, "{fr} is not allocated"),
             MemError::FrameLocked(fr) => write!(f, "{fr} is locked"),
-            MemError::FrameUnevictable(fr) => write!(f, "{fr} is unevictable"),
             MemError::SameTier(fr, t) => write!(f, "{fr} is already in {t}"),
             MemError::NoSuchTier(t) => write!(f, "topology has no {t}"),
             MemError::VPageOutOfRange(v) => write!(f, "{v} is beyond the address space"),
@@ -61,7 +59,6 @@ mod tests {
             MemError::AlreadyMapped(VPage::new(1)),
             MemError::FrameNotAllocated(FrameId::new(1)),
             MemError::FrameLocked(FrameId::new(1)),
-            MemError::FrameUnevictable(FrameId::new(1)),
             MemError::SameTier(FrameId::new(1), TierId::TOP),
             MemError::NoSuchTier(TierId::new(9)),
             MemError::VPageOutOfRange(VPage::new(u64::MAX)),

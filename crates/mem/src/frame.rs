@@ -90,14 +90,6 @@ impl Frame {
         self.vpage
     }
 
-    /// Whether the frame may be migrated right now.
-    pub fn migratable(&self) -> bool {
-        self.state == FrameState::Allocated
-            && !self
-                .flags
-                .intersects(PageFlags::LOCKED | PageFlags::UNEVICTABLE)
-    }
-
     pub(crate) fn mark_allocated(&mut self, kind: PageKind) {
         debug_assert_eq!(self.state, FrameState::Free);
         self.state = FrameState::Allocated;
@@ -137,23 +129,10 @@ mod tests {
     }
 
     #[test]
-    fn migratable_rules() {
-        let mut f = Frame::free(NodeId::new(0), TierId::TOP);
-        assert!(!f.migratable(), "free frames are not migratable");
-        f.mark_allocated(PageKind::Anon);
-        assert!(f.migratable());
-        f.flags_mut().insert(PageFlags::LOCKED);
-        assert!(!f.migratable());
-        f.flags_mut().remove(PageFlags::LOCKED);
-        f.flags_mut().insert(PageFlags::UNEVICTABLE);
-        assert!(!f.migratable());
-    }
-
-    #[test]
     fn allocation_clears_stale_flags() {
         let mut f = Frame::free(NodeId::new(0), TierId::TOP);
         f.mark_allocated(PageKind::Anon);
-        f.flags_mut().insert(PageFlags::LOCKED | PageFlags::DIRTY);
+        f.flags_mut().insert(PageFlags::DIRTY);
         f.mark_free();
         f.mark_allocated(PageKind::Anon);
         assert!(f.flags().is_empty());

@@ -74,10 +74,6 @@ pub trait TieringPolicy {
     /// A page was allocated and mapped; the policy should start tracking it.
     fn on_page_mapped(&mut self, mem: &mut MemorySystem, frame: FrameId);
 
-    /// A page is about to be unmapped/freed; the policy must stop tracking
-    /// it.
-    fn on_page_unmapped(&mut self, mem: &mut MemorySystem, frame: FrameId);
-
     /// A *supervised* access (syscall-mediated, e.g. page-cache read/write):
     /// the kernel sees it synchronously, as in `mark_page_accessed()`.
     /// Unsupervised (mmap) accesses are *not* reported here — policies only
@@ -147,7 +143,6 @@ impl TieringPolicy for NullPolicy {
     }
 
     fn on_page_mapped(&mut self, _mem: &mut MemorySystem, _frame: FrameId) {}
-    fn on_page_unmapped(&mut self, _mem: &mut MemorySystem, _frame: FrameId) {}
     fn on_supervised_access(
         &mut self,
         _mem: &mut MemorySystem,

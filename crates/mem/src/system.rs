@@ -174,16 +174,6 @@ impl MemorySystem {
         &self.frames[frame.index()]
     }
 
-    /// Mutable access to one frame's flags (the only piece of frame state
-    /// policies may edit directly).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the frame id is out of range.
-    pub fn frame_flags_mut(&mut self, frame: FrameId) -> &mut PageFlags {
-        self.frames[frame.index()].flags_mut()
-    }
-
     /// The page table.
     pub fn page_table(&self) -> &PageTable {
         &self.page_table
@@ -313,28 +303,6 @@ impl MemorySystem {
         }
     }
 
-    /// Frees a frame, unmapping it first if needed.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MemError::FrameNotAllocated`] if the frame is free.
-    pub fn free_page(&mut self, frame: FrameId) -> Result<(), MemError> {
-        if self.frames[frame.index()].state() != FrameState::Allocated {
-            return Err(MemError::FrameNotAllocated(frame));
-        }
-        self.abort_txn_of(frame, "unmapped");
-        self.invalidate_shadow_of(frame);
-        self.forget_shadow_copy(frame);
-        if let Some(vpage) = self.frames[frame.index()].vpage() {
-            self.page_table.unmap(vpage);
-        }
-        let node = self.frames[frame.index()].node();
-        self.frames[frame.index()].mark_free();
-        self.nodes[node.index()].free.push(frame);
-        saturating_bump(&mut self.stats.frees);
-        Ok(())
-    }
-
     /// Maps a virtual page to an allocated frame.
     ///
     /// # Errors
@@ -351,26 +319,6 @@ impl MemorySystem {
         self.page_table.map(vpage, frame)?;
         self.frames[frame.index()].set_vpage(Some(vpage));
         Ok(())
-    }
-
-    /// Removes a mapping, returning the frame it pointed to. The frame
-    /// stays allocated.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MemError::NotMapped`] if the page was not mapped.
-    pub fn unmap(&mut self, vpage: VPage) -> Result<FrameId, MemError> {
-        let e = self
-            .page_table
-            .unmap(vpage)
-            .ok_or(MemError::NotMapped(vpage))?;
-        self.frames[e.frame.index()].set_vpage(None);
-        // Losing the mapping cancels any in-flight copy of this frame and
-        // strands a retained shadow of it; both are cleaned up eagerly so
-        // `resolve_migrations` only ever sees live sources.
-        self.abort_txn_of(e.frame, "unmapped");
-        self.invalidate_shadow_of(e.frame);
-        Ok(e.frame)
     }
 
     /// Translates a virtual page to its frame.
@@ -475,8 +423,8 @@ impl MemorySystem {
     /// # Errors
     ///
     /// * [`MemError::FrameNotAllocated`] — source frame is free.
-    /// * [`MemError::FrameLocked`] / [`MemError::FrameUnevictable`] — the
-    ///   page may not be moved (the paper's "page is locked" fallback).
+    /// * [`MemError::FrameLocked`] — an injected fault refused the move
+    ///   (the paper's "page is locked" fallback).
     /// * [`MemError::SameTier`] — destination equals current tier.
     /// * [`MemError::TierFull`] — no destination frame available; callers
     ///   react by demoting from the destination first.
@@ -510,9 +458,8 @@ impl MemorySystem {
 
     /// Moves `frames` towards `dst_tier` — the substrate's `migrate_pages()`
     /// — and returns one result per input page, in order. Every page is
-    /// validated on its own: a locked, unevictable, unallocated or
-    /// same-tier page, or a destination with no room, fails *only that
-    /// page*.
+    /// validated on its own: an unallocated or same-tier page, or a
+    /// destination with no room, fails *only that page*.
     ///
     /// [`MigrationMode::Sync`] copies and remaps now ([`PageMove::Landed`]).
     /// One page is exactly [`Self::migrate`], events and costs included.
@@ -613,15 +560,7 @@ impl MemorySystem {
         if src.state() != FrameState::Allocated {
             return Err(MemError::FrameNotAllocated(frame));
         }
-        let (src_tier, flags) = (src.tier(), src.flags());
-        if flags.contains(PageFlags::LOCKED) {
-            self.migrate_fail(frame, src_tier, "locked");
-            return Err(MemError::FrameLocked(frame));
-        }
-        if flags.contains(PageFlags::UNEVICTABLE) {
-            self.migrate_fail(frame, src_tier, "unevictable");
-            return Err(MemError::FrameUnevictable(frame));
-        }
+        let src_tier = src.tier();
         if src_tier == dst_tier {
             return Err(MemError::SameTier(frame, dst_tier));
         }
@@ -737,17 +676,11 @@ impl MemorySystem {
     ///
     /// # Errors
     ///
-    /// Propagates the same preconditions as [`Self::migrate`].
+    /// Returns [`MemError::FrameNotAllocated`] if the frame is free.
     pub fn evict(&mut self, frame: FrameId) -> Result<(), MemError> {
         let f = &self.frames[frame.index()];
         if f.state() != FrameState::Allocated {
             return Err(MemError::FrameNotAllocated(frame));
-        }
-        if f.flags().contains(PageFlags::LOCKED) {
-            return Err(MemError::FrameLocked(frame));
-        }
-        if f.flags().contains(PageFlags::UNEVICTABLE) {
-            return Err(MemError::FrameUnevictable(frame));
         }
         let dirty = f.flags().contains(PageFlags::DIRTY);
         let anon = f.kind() == PageKind::Anon;
@@ -876,8 +809,8 @@ impl MemorySystem {
                 out.push((txn.frame, Err(e)));
                 continue;
             }
-            // Commit: atomic remap. Eager aborts on unmap/free/evict
-            // guarantee the source is still a live mapped frame here.
+            // Commit: atomic remap. Eager aborts on eviction and on a
+            // superseding synchronous move guarantee the source is still a live mapped frame here.
             let src_tier = self.frames[txn.frame.index()].tier();
             let promotion = txn.dst_tier < src_tier;
             self.land(txn.frame, txn.dst_frame, src_tier, txn.dst_tier, promotion);
@@ -905,8 +838,8 @@ impl MemorySystem {
             return None;
         }
         if f.flags().contains(PageFlags::DIRTY) {
-            // Writes invalidate eagerly, but flags can also be set
-            // directly; treat a dirty page's shadow as stale either way.
+            // Writes invalidate eagerly; a dirty page's shadow is stale
+            // however the page got dirty.
             self.invalidate_shadow_of(frame);
             return None;
         }
@@ -1148,24 +1081,6 @@ mod tests {
     }
 
     #[test]
-    fn migrate_rejects_locked_and_unevictable() {
-        let mut mem = small();
-        let f = mem.alloc_page(PageKind::Anon).unwrap();
-        mem.frame_flags_mut(f).insert(PageFlags::LOCKED);
-        assert_eq!(
-            mem.migrate(f, TierId::new(1)),
-            Err(MemError::FrameLocked(f))
-        );
-        mem.frame_flags_mut(f).remove(PageFlags::LOCKED);
-        mem.frame_flags_mut(f).insert(PageFlags::UNEVICTABLE);
-        assert_eq!(
-            mem.migrate(f, TierId::new(1)),
-            Err(MemError::FrameUnevictable(f))
-        );
-        assert_eq!(mem.stats().migration_failures, 2);
-    }
-
-    #[test]
     fn migrate_same_tier_rejected() {
         let mut mem = small();
         let f = mem.alloc_page(PageKind::Anon).unwrap();
@@ -1271,19 +1186,32 @@ mod tests {
         let mut mem = small();
         let pm = TierId::new(1);
         let a = mem.alloc_page_in_tier(PageKind::Anon, pm).unwrap();
-        let locked = mem.alloc_page_in_tier(PageKind::Anon, pm).unwrap();
+        let already_up = mem.alloc_page(PageKind::Anon).unwrap();
         let b = mem.alloc_page_in_tier(PageKind::Anon, pm).unwrap();
-        mem.frame_flags_mut(locked).insert(PageFlags::LOCKED);
-        let results = mem.migrate_pages(&[a, locked, b], TierId::TOP, MigrationMode::Sync);
+        let gone = mem.alloc_page_in_tier(PageKind::Anon, pm).unwrap();
+        let c = mem.alloc_page_in_tier(PageKind::Anon, pm).unwrap();
+        mem.evict(gone).unwrap();
+        let results = mem.migrate_pages(
+            &[a, already_up, b, gone, c],
+            TierId::TOP,
+            MigrationMode::Sync,
+        );
         assert!(results[0].is_ok());
-        assert_eq!(results[1], Err(MemError::FrameLocked(locked)));
+        assert_eq!(results[1], Err(MemError::SameTier(already_up, TierId::TOP)));
         assert!(
             results[2].is_ok(),
-            "organic failure must not abort the batch"
+            "a same-tier page must not abort the batch"
         );
-        assert_eq!(mem.frame(locked).tier(), pm);
-        assert_eq!(mem.stats().migration_failures, 1);
-        assert_eq!(mem.stats().promotions, 2);
+        assert_eq!(results[3], Err(MemError::FrameNotAllocated(gone)));
+        assert!(results[4].is_ok(), "a free frame must not abort the batch");
+        assert_eq!(mem.frame(already_up).tier(), TierId::TOP);
+        assert_eq!(mem.frame(gone).state(), FrameState::Free);
+        assert_eq!(
+            mem.stats().migration_failures,
+            0,
+            "refused before any attempt"
+        );
+        assert_eq!(mem.stats().promotions, 3);
     }
 
     #[test]
@@ -1337,14 +1265,19 @@ mod tests {
         assert!(mem
             .migrate_pages(&[], TierId::TOP, MigrationMode::Sync)
             .is_empty());
-        let pm = TierId::new(1);
-        let a = mem.alloc_page_in_tier(PageKind::Anon, pm).unwrap();
-        let b = mem.alloc_page_in_tier(PageKind::Anon, pm).unwrap();
-        mem.frame_flags_mut(a).insert(PageFlags::LOCKED);
-        mem.frame_flags_mut(b).insert(PageFlags::UNEVICTABLE);
+        let a = mem.alloc_page(PageKind::Anon).unwrap();
+        let b = mem
+            .alloc_page_in_tier(PageKind::Anon, TierId::new(1))
+            .unwrap();
+        let plan = FaultPlan {
+            migrate_lock_rate: 1.0,
+            ..FaultPlan::default()
+        };
+        mem.instruments = injecting(plan, 1);
         mem.take_charges();
         let results = mem.migrate_pages(&[a, b], TierId::TOP, MigrationMode::Sync);
-        assert!(results.iter().all(Result::is_err));
+        assert_eq!(results[0], Err(MemError::SameTier(a, TierId::TOP)));
+        assert_eq!(results[1], Err(MemError::FrameLocked(b)));
         let l = mem.take_charges();
         assert_eq!(l.get(MigrationStall), Nanos::ZERO);
         assert_eq!(l.get(Background), Nanos::ZERO);
@@ -1369,19 +1302,6 @@ mod tests {
     }
 
     #[test]
-    fn free_page_unmaps() {
-        let mut mem = small();
-        let f = mem.alloc_page(PageKind::File).unwrap();
-        let v = VPage::new(9);
-        mem.map(v, f).unwrap();
-        let free_before = mem.tier_free(TierId::TOP);
-        mem.free_page(f).unwrap();
-        assert_eq!(mem.translate(v), None);
-        assert_eq!(mem.tier_free(TierId::TOP), free_before + 1);
-        assert_eq!(mem.free_page(f), Err(MemError::FrameNotAllocated(f)));
-    }
-
-    #[test]
     fn tier_accounting_consistent() {
         let mut mem = small();
         let top = TierId::TOP;
@@ -1390,7 +1310,7 @@ mod tests {
         let f = mem.alloc_page(PageKind::Anon).unwrap();
         assert_eq!(mem.tier_free(top), 63);
         assert_eq!(mem.tier_used(top), 1);
-        mem.free_page(f).unwrap();
+        mem.evict(f).unwrap();
         assert_eq!(mem.tier_free(top), 64);
     }
 
@@ -1655,12 +1575,13 @@ mod tests {
         let mut mem = small();
         let f = begin_promotion(&mut mem, 7);
         let top_free = mem.tier_free(TierId::TOP);
-        mem.unmap(VPage::new(7)).unwrap();
+        // Eviction unmaps the page.
+        mem.evict(f).unwrap();
         assert!(mem.migration_txns().is_empty());
         assert_eq!(mem.stats().txn_aborts, 1);
         assert_eq!(mem.tier_free(TierId::TOP), top_free + 1);
         assert!(mem.resolve_migrations().is_empty());
-        mem.free_page(f).unwrap();
+        assert!(mem.is_swapped(VPage::new(7)));
     }
 
     #[test]

@@ -131,10 +131,10 @@ proptest! {
     }
 
     /// Transaction and shadow membership as the substrate's callers see it:
-    /// begin-on-pending is refused, a store dooms, an unmap aborts in place,
-    /// `resolve_migrations` answers in begin order, a committed promotion's
-    /// shadow is found by key (store, re-migration, zero-copy demotion) and
-    /// by copy (`free_page` of the retained frame).
+    /// begin-on-pending is refused, a store dooms, an eviction aborts in
+    /// place, `resolve_migrations` answers in begin order, a committed
+    /// promotion's shadow is found by key (store, re-migration, zero-copy
+    /// demotion) and by copy (`evict` of the retained frame).
     #[test]
     fn txn_and_shadow_membership_matches_linear_model(
         ops in prop::collection::vec((0u8..8, 0u64..24), 1..300),
@@ -184,9 +184,12 @@ proptest! {
                     mem.access(v, AccessKind::Read).unwrap();
                 }
                 4 => {
+                    // Evict the page and fault it straight back in.
                     let aborts = mem.stats().txn_aborts;
-                    prop_assert_eq!(mem.unmap(v), Ok(frame));
-                    mem.map(v, frame).unwrap();
+                    prop_assert_eq!(mem.evict(frame), Ok(()));
+                    let back = mem.alloc_page_in_tier(PageKind::Anon, lower).unwrap();
+                    mem.note_swap_in(v);
+                    mem.map(v, back).unwrap();
                     let open = txns.len();
                     txns.retain(|(f, _)| *f != frame);
                     prop_assert_eq!(mem.stats().txn_aborts - aborts, (open - txns.len()) as u64);
@@ -235,7 +238,7 @@ proptest! {
                     if !shadows.is_empty() {
                         let (_, copy) = shadows.remove(page as usize % shadows.len());
                         let before = mem.stats().shadow_invalidations;
-                        prop_assert_eq!(mem.free_page(copy), Ok(()));
+                        prop_assert_eq!(mem.evict(copy), Ok(()));
                         prop_assert_eq!(mem.stats().shadow_invalidations, before + 1);
                     }
                 }

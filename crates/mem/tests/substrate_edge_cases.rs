@@ -1,8 +1,6 @@
 //! Edge-case tests for the memory substrate beyond the per-module units.
 
-use mc_mem::{
-    AccessKind, MachineDesc, MemError, MemorySystem, NodeId, PageFlags, PageKind, TierId, VPage,
-};
+use mc_mem::{AccessKind, MachineDesc, MemError, MemorySystem, NodeId, PageKind, TierId, VPage};
 
 fn small() -> MemorySystem {
     MemorySystem::new(MachineDesc::dram_pm(32, 128))
@@ -40,12 +38,13 @@ fn poison_then_unmap_then_remap_is_clean() {
     let v = VPage::new(5);
     mem.map(v, f).unwrap();
     assert!(mem.poison(v));
-    mem.unmap(v).unwrap();
+    mem.evict(f).unwrap();
     assert!(
         !mem.poison(VPage::new(5)),
         "unmapped page cannot be poisoned"
     );
     let f2 = mem.alloc_page(PageKind::Anon).unwrap();
+    mem.note_swap_in(v);
     mem.map(v, f2).unwrap();
     let out = mem.access(v, AccessKind::Read).unwrap();
     assert!(!out.hint_fault, "fresh mapping has no stale poison");
@@ -59,15 +58,18 @@ fn double_map_rejected_and_unmap_returns_frame() {
     let v = VPage::new(9);
     mem.map(v, f1).unwrap();
     assert_eq!(mem.map(v, f2), Err(MemError::AlreadyMapped(v)));
-    assert_eq!(mem.unmap(v), Ok(f1));
-    assert_eq!(mem.unmap(v), Err(MemError::NotMapped(v)));
+    assert_eq!(mem.frame(f2).vpage(), None, "the refused map left no trace");
+    // Eviction unmaps the page and returns its frame to the free list.
+    mem.evict(f1).unwrap();
+    assert_eq!(mem.access(v, AccessKind::Read), Err(MemError::NotMapped(v)));
+    assert_eq!(mem.alloc_page(PageKind::Anon), Ok(f1));
 }
 
 #[test]
 fn mapping_a_free_frame_rejected() {
     let mut mem = small();
     let f = mem.alloc_page(PageKind::Anon).unwrap();
-    mem.free_page(f).unwrap();
+    mem.evict(f).unwrap();
     assert_eq!(
         mem.map(VPage::new(1), f),
         Err(MemError::FrameNotAllocated(f))
@@ -119,17 +121,6 @@ fn tier_accesses_counter_tracks_placement() {
     assert_eq!(s.tier_accesses[0], 2);
     assert_eq!(s.tier_accesses[1], 1);
     assert!((s.fast_tier_share(mem.topology()).unwrap() - 2.0 / 3.0).abs() < 1e-9);
-}
-
-#[test]
-fn locked_page_survives_both_migration_and_eviction() {
-    let mut mem = small();
-    let f = mem.alloc_page(PageKind::Anon).unwrap();
-    mem.map(VPage::new(4), f).unwrap();
-    mem.frame_flags_mut(f).insert(PageFlags::LOCKED);
-    assert!(mem.migrate(f, TierId::new(1)).is_err());
-    assert!(mem.evict(f).is_err());
-    assert_eq!(mem.translate(VPage::new(4)), Some(f));
 }
 
 #[test]

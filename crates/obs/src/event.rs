@@ -112,9 +112,8 @@ pub enum EventKind {
         frame: u64,
         /// Tier holding the frame.
         src: u8,
-        /// Static failure reason, one of eight: `"locked"` (the page is
-        /// locked), `"unevictable"` (the page is mlocked), `"txn-pending"`
-        /// (the page already has an open migration transaction),
+        /// Static failure reason, one of six: `"txn-pending"` (the page
+        /// already has an open migration transaction),
         /// `"tier-full"` (the destination has no free frame),
         /// `"batch-aborted"` (an injected fault earlier in the same sync
         /// batch aborted the rest), and the injected faults

@@ -76,11 +76,6 @@ impl TieringPolicy for AutoNuma {
         self.faulted[frame.index()] = false;
     }
 
-    fn on_page_unmapped(&mut self, mem: &mut MemorySystem, frame: FrameId) {
-        self.rings.untrack(mem.frame(frame).tier(), frame);
-        self.faulted[frame.index()] = false;
-    }
-
     fn on_supervised_access(&mut self, _: &mut MemorySystem, _: FrameId, _: AccessKind) {}
 
     fn on_hint_fault(&mut self, mem: &mut MemorySystem, frame: FrameId, _kind: AccessKind) {

@@ -123,20 +123,15 @@ impl AutoTiering {
 
     /// Finds a cold (zero-history, unfaulted) victim in `tier`, scanning
     /// up to `limit` ring entries.
-    fn find_cold_victim(
-        &mut self,
-        mem: &MemorySystem,
-        tier: TierId,
-        limit: usize,
-    ) -> Option<FrameId> {
+    fn find_cold_victim(&mut self, tier: TierId, limit: usize) -> Option<FrameId> {
         let (history, faulted) = (&self.history, &self.faulted);
         self.rings.rotate_until(tier, limit, |f| {
-            history[f.index()] == 0 && !faulted[f.index()] && mem.frame(f).migratable()
+            history[f.index()] == 0 && !faulted[f.index()]
         })
     }
 
     /// Demotes one cold page out of `tier`; returns whether a page moved.
-    /// Synchronous (fault-path) demotions fall back to any migratable
+    /// Synchronous (fault-path) demotions fall back to the next
     /// round-robin victim when no cold page exists: CPM *must* free a
     /// frame to complete the exchange, which is one of the ways it hurts
     /// itself on the critical path.
@@ -144,13 +139,9 @@ impl AutoTiering {
         let Some(lower) = tier.lower(mem.topology().tier_count()) else {
             return false;
         };
-        let victim = self.find_cold_victim(mem, tier, 256).or_else(|| {
-            sync.then(|| {
-                self.rings
-                    .rotate_until(tier, 64, |f| mem.frame(f).migratable())
-            })
-            .flatten()
-        });
+        let victim = self
+            .find_cold_victim(tier, 256)
+            .or_else(|| sync.then(|| self.rings.rotate(tier)).flatten());
         let Some(victim) = victim else {
             return false;
         };
@@ -230,11 +221,6 @@ impl TieringPolicy for AutoTiering {
         self.faulted[frame.index()] = false;
     }
 
-    fn on_page_unmapped(&mut self, mem: &mut MemorySystem, frame: FrameId) {
-        let tier = mem.frame(frame).tier();
-        self.untrack(frame, tier);
-    }
-
     fn on_supervised_access(
         &mut self,
         _mem: &mut MemorySystem,
@@ -298,10 +284,9 @@ impl TieringPolicy for AutoTiering {
             budget -= 1;
             out.pages_scanned += 1;
             // Coldest-first: zero-history victims, else round-robin.
-            let victim = self.find_cold_victim(mem, tier, 128).or_else(|| {
-                self.rings
-                    .rotate_until(tier, 1, |f| mem.frame(f).migratable())
-            });
+            let victim = self
+                .find_cold_victim(tier, 128)
+                .or_else(|| self.rings.rotate(tier));
             let Some(victim) = victim else { break };
             match lower {
                 Some(lower_tier) => {

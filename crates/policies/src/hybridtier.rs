@@ -149,7 +149,7 @@ impl TieringPolicy for HybridTier {
         let tier = mem.frame(frame).tier();
         self.ring.track(tier, frame);
         // Direct placement: the sketch already knows this virtual page's
-        // frequency from before it was unmapped/evicted. A known-hot page
+        // frequency from before it was evicted. A known-hot page
         // landing in a lower tier moves up immediately instead of waiting
         // out the sampling ladder again.
         let Some(upper) = tier.upper() else { return };
@@ -160,10 +160,6 @@ impl TieringPolicy for HybridTier {
             self.ring.moved(frame, new_frame, tier, upper);
             self.direct_placements += 1;
         }
-    }
-
-    fn on_page_unmapped(&mut self, mem: &mut MemorySystem, frame: FrameId) {
-        self.ring.untrack(mem.frame(frame).tier(), frame);
     }
 
     fn on_supervised_access(&mut self, mem: &mut MemorySystem, frame: FrameId, _kind: AccessKind) {
@@ -289,18 +285,18 @@ mod tests {
         let (mut mem, mut h) = setup();
         let pm = TierId::new(1);
         let f = map_in_tier(&mut mem, &mut h, 7, pm);
-        // Build frequency history, then unmap (sketch keeps the history).
+        // Build frequency history, then evict the page as reclaim does:
+        // off the ring, out to storage (the sketch keeps the history).
         for s in 1..=3u64 {
             mem.access(VPage::new(7), AccessKind::Read).unwrap();
             h.tick(&mut mem, Nanos::from_secs(s));
         }
         let f = mem.translate(VPage::new(7)).unwrap_or(f);
-        h.on_page_unmapped(&mut mem, f);
-        mem.unmap(VPage::new(7)).unwrap();
-        mem.free_page(f).unwrap();
-        // Remap in PM: the policy should move it straight up.
-        let nf = map_in_tier(&mut mem, &mut h, 7, pm);
-        let _ = nf;
+        assert!(h.ring.untrack(mem.frame(f).tier(), f));
+        mem.evict(f).unwrap();
+        // Swap it back in to PM: the policy should move it straight up.
+        mem.note_swap_in(VPage::new(7));
+        map_in_tier(&mut mem, &mut h, 7, pm);
         assert!(h.direct_placements() >= 1, "placement used sketch history");
         let cur = mem.translate(VPage::new(7)).unwrap();
         assert_eq!(mem.frame(cur).tier(), TierId::TOP);

@@ -114,12 +114,6 @@ impl TieringPolicy for Nimble {
         self.inactive.track(mem.frame(frame).tier(), frame);
     }
 
-    fn on_page_unmapped(&mut self, mem: &mut MemorySystem, frame: FrameId) {
-        let tier = mem.frame(frame).tier();
-        self.inactive.untrack(tier, frame);
-        self.active.untrack(tier, frame);
-    }
-
     fn on_supervised_access(&mut self, mem: &mut MemorySystem, frame: FrameId, _kind: AccessKind) {
         // Stock CLOCK behaviour: one observation activates; an active
         // page moves to the back.
@@ -193,8 +187,6 @@ impl TieringPolicy for Nimble {
             out.pages_scanned += 1;
             if mem.harvest_referenced(frame) {
                 self.active.track(tier, frame);
-            } else if !mem.frame(frame).migratable() {
-                self.inactive.track(tier, frame);
             } else if ring::push_down(mem, &mut self.inactive, frame, tier, lower) {
                 out.demoted += 1;
             }

@@ -67,6 +67,14 @@ impl Rings {
         self.0[tier.index()].pop_front()
     }
 
+    /// Moves the front of one tier's list to the back and returns it: the
+    /// round-robin step.
+    pub(crate) fn rotate(&mut self, tier: TierId) -> Option<FrameId> {
+        let frame = self.pop(tier)?;
+        self.track(tier, frame);
+        Some(frame)
+    }
+
     /// Rotates at most `limit` frames of `tier` front to back, stopping
     /// after the first that `pick` accepts, and returns that one
     /// ([`IndexedList::rotate_until`]).
@@ -167,7 +175,7 @@ fn demote_one(
     let lower = tier.lower(mem.topology().tier_count())?;
     for _ in 0..DEMOTE_ATTEMPTS {
         let victim = victims.pop(tier)?;
-        if spare(mem, victim) || !mem.frame(victim).migratable() {
+        if spare(mem, victim) {
             victims.track(tier, victim);
             continue;
         }
@@ -202,7 +210,7 @@ pub(crate) fn reclaim(
         let Some(frame) = victims.pop(tier) else {
             break;
         };
-        if spare(mem, frame, budget) || !mem.frame(frame).migratable() {
+        if spare(mem, frame, budget) {
             victims.track(tier, frame);
             continue;
         }

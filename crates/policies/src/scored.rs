@@ -125,9 +125,9 @@ impl Scored {
         scanned
     }
 
-    /// With `upper` full, demotes the coldest migratable victim into
-    /// `tier` if it scores below the candidate's `score`, then retries
-    /// promoting `frame`. Returns the candidate's new frame.
+    /// With `upper` full, demotes the coldest victim into `tier` if it
+    /// scores below the candidate's `score`, then retries promoting
+    /// `frame`. Returns the candidate's new frame.
     fn exchange(
         &mut self,
         mem: &mut MemorySystem,
@@ -136,20 +136,15 @@ impl Scored {
         tier: TierId,
         upper: TierId,
     ) -> Option<FrameId> {
-        while let Some((ws, victim)) = victims.pop() {
-            if ws >= score {
-                return None;
-            }
-            if !mem.frame(victim).migratable() {
-                continue;
-            }
-            let nv = mem.migrate(victim, tier).ok()?;
-            self.rings.moved(victim, nv, upper, tier);
-            self.transfer(victim, nv);
-            // A failed retry leaves a one-sided exchange.
-            return mem.migrate(frame, upper).ok();
+        let (ws, victim) = victims.pop()?;
+        if ws >= score {
+            return None;
         }
-        None
+        let nv = mem.migrate(victim, tier).ok()?;
+        self.rings.moved(victim, nv, upper, tier);
+        self.transfer(victim, nv);
+        // A failed retry leaves a one-sided exchange.
+        mem.migrate(frame, upper).ok()
     }
 
     /// Carries a page's score inputs across a migration: a migrated page
@@ -216,11 +211,6 @@ impl TieringPolicy for Scored {
         }
     }
 
-    fn on_page_unmapped(&mut self, mem: &mut MemorySystem, frame: FrameId) {
-        self.rings.untrack(mem.frame(frame).tier(), frame);
-        self.forget(frame);
-    }
-
     fn on_supervised_access(&mut self, _: &mut MemorySystem, frame: FrameId, _: AccessKind) {
         if self.kind != ScoredKind::Amp {
             self.touch(frame);
@@ -243,7 +233,7 @@ impl TieringPolicy for Scored {
             let candidates = self.ranked(tier);
             let mut victims = self.ranked(upper);
             for (score, frame) in candidates.into_iter().take(self.batch) {
-                if score == 0 || !mem.frame(frame).migratable() {
+                if score == 0 {
                     continue;
                 }
                 let moved = match mem.migrate(frame, upper) {
@@ -279,9 +269,9 @@ impl TieringPolicy for Scored {
             if self.kind == ScoredKind::Amp {
                 out.pages_scanned += 1;
             }
-            let next =
-                std::iter::from_fn(|| victims.pop()).find(|(_, v)| mem.frame(*v).migratable());
-            let Some((_, victim)) = next else { break };
+            let Some((_, victim)) = victims.pop() else {
+                break;
+            };
             match lower {
                 Some(lower) => {
                     let Ok(nv) = mem.migrate(victim, lower) else {

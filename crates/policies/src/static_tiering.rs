@@ -51,10 +51,6 @@ impl TieringPolicy for StaticTiering {
         self.lists.track(mem.frame(frame).tier(), frame);
     }
 
-    fn on_page_unmapped(&mut self, mem: &mut MemorySystem, frame: FrameId) {
-        self.lists.untrack(mem.frame(frame).tier(), frame);
-    }
-
     fn on_supervised_access(
         &mut self,
         _mem: &mut MemorySystem,

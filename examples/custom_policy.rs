@@ -57,11 +57,6 @@ impl TieringPolicy for EagerPolicy {
         self.rings[tier.index()].push_back(frame);
     }
 
-    fn on_page_unmapped(&mut self, mem: &mut MemorySystem, frame: FrameId) {
-        let tier = mem.frame(frame).tier();
-        self.rings[tier.index()].remove(frame);
-    }
-
     fn on_supervised_access(&mut self, _: &mut MemorySystem, _: FrameId, _: AccessKind) {}
 
     fn tick(&mut self, mem: &mut MemorySystem, _now: Nanos) -> TickOutcome {
@@ -75,7 +70,7 @@ impl TieringPolicy for EagerPolicy {
             };
             self.rings[pm.index()].push_back(frame);
             out.pages_scanned += 1;
-            if mem.harvest_referenced(frame) && mem.frame(frame).migratable() {
+            if mem.harvest_referenced(frame) {
                 // Make room by demoting round-robin, then migrate.
                 if mem.tier_free(TierId::TOP) == 0 {
                     if let Some(victim) = self.rings[TierId::TOP.index()].pop_front() {

@@ -197,11 +197,8 @@ enum DriveOp {
     MapTouch(u16),
     Touch(u16),
     Write(u16),
-    Unmap(u16),
     Tick,
     Pressure(u8),
-    Mlock(u16),
-    Munlock(u16),
 }
 
 fn drive_op() -> impl Strategy<Value = DriveOp> {
@@ -209,11 +206,8 @@ fn drive_op() -> impl Strategy<Value = DriveOp> {
         (0u16..600).prop_map(DriveOp::MapTouch),
         (0u16..600).prop_map(DriveOp::Touch),
         (0u16..600).prop_map(DriveOp::Write),
-        (0u16..600).prop_map(DriveOp::Unmap),
         Just(DriveOp::Tick),
         (0u8..2).prop_map(DriveOp::Pressure),
-        (0u16..600).prop_map(DriveOp::Mlock),
-        (0u16..600).prop_map(DriveOp::Munlock),
     ]
 }
 
@@ -250,29 +244,12 @@ proptest! {
                         mem.access(vp, AccessKind::Write).unwrap();
                     }
                 }
-                DriveOp::Unmap(v) => {
-                    let vp = VPage::new(v as u64);
-                    if let Some(f) = mem.translate(vp) {
-                        mc.on_page_unmapped(&mut mem, f);
-                        mem.free_page(f).unwrap();
-                    }
-                }
                 DriveOp::Tick => {
                     now += Nanos::from_secs(1);
                     mc.tick(&mut mem, now);
                 }
                 DriveOp::Pressure(t) => {
                     mc.on_pressure(&mut mem, TierId::new(t), now);
-                }
-                DriveOp::Mlock(v) => {
-                    if let Some(f) = mem.translate(VPage::new(v as u64)) {
-                        mc.mlock(&mut mem, f);
-                    }
-                }
-                DriveOp::Munlock(v) => {
-                    if let Some(f) = mem.translate(VPage::new(v as u64)) {
-                        mc.munlock(&mut mem, f);
-                    }
                 }
             }
             check_multi_clock_invariants(&mem, &mc);
