@@ -1042,8 +1042,9 @@ impl World {
         Ok(())
     }
 
-    /// Everything the next step reads: per page its frame, PTE bits, frame
-    /// flags, swap state and `PageState`; every list in order; the free
+    /// Everything the next step reads: per page its frame, frame flags
+    /// (the reference bit is `PageFlags::ACCESSED`), swap state and
+    /// `PageState`; every list in order; the free
     /// lists (as the order allocation would hand frames out); the tick
     /// count modulo the drain rotation's period; and in the transactional
     /// pass the open transactions, the shadows and the stores the checker
@@ -1052,9 +1053,8 @@ impl World {
         let mut h = DefaultHasher::new();
         let mem = &self.mem;
         for p in 0..self.pages {
-            let pte = mem.page_table().get(vpage(p));
-            let pte = pte.map(|e| (e.frame, e.referenced));
-            let frame = pte.map(|(f, ..)| (mem.frame(f).flags(), self.engine.state_of(f)));
+            let pte = mem.translate(vpage(p));
+            let frame = pte.map(|f| (mem.frame(f).flags(), self.engine.state_of(f)));
             (pte, frame, mem.is_swapped(vpage(p))).hash(&mut h);
         }
         for n in 0..mem.topology().nodes().len() {

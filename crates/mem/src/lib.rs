@@ -11,10 +11,11 @@
 //!   from;
 //! * **watermarks** (`min`/`low`/`high`) per node computed with the same
 //!   square-root rule Linux uses, which drive reclaim/demotion pressure;
-//! * a **soft page table** mapping virtual pages to frames and carrying the
-//!   hardware-maintained *reference* PTE bit (the paper's "unsupervised
-//!   access" channel) plus a *poisoned* bit used by hint-page-fault
-//!   trackers such as AutoTiering; dirtiness is the frame's
+//! * a **soft page table** mapping virtual pages to frames and carrying a
+//!   *poisoned* bit used by hint-page-fault trackers such as AutoTiering;
+//!   the hardware-maintained *reference* PTE bit (the paper's
+//!   "unsupervised access" channel) is the mapped frame's
+//!   [`PageFlags::ACCESSED`], and dirtiness is the frame's
 //!   [`PageFlags::DIRTY`], which migration carries to the new frame;
 //! * a **migration engine** equivalent to `migrate_pages()`: allocate on the
 //!   destination tier, account the copy, remap, free the source frame;

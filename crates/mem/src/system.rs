@@ -326,9 +326,10 @@ impl MemorySystem {
         self.page_table.get(vpage).map(|e| e.frame)
     }
 
-    /// Performs one access to a mapped page: sets the PTE reference bit,
-    /// marks the frame [`PageFlags::DIRTY`] on a write (the page's one
-    /// dirty record), detects hint faults, and returns the device latency.
+    /// Performs one access to a mapped page: sets the frame's
+    /// [`PageFlags::ACCESSED`] (the reference bit) and, on a write,
+    /// [`PageFlags::DIRTY`] (the page's one dirty record), detects hint
+    /// faults, and returns the device latency.
     ///
     /// # Errors
     ///
@@ -339,19 +340,24 @@ impl MemorySystem {
             .page_table
             .get_mut(vpage)
             .ok_or(MemError::NotMapped(vpage))?;
-        entry.referenced = true;
         let hint_fault = std::mem::take(&mut entry.poisoned);
         let frame = entry.frame;
+        let flags = self.frames[frame.index()].flags_mut();
+        flags.insert(PageFlags::ACCESSED);
         if kind.is_write() {
-            self.frames[frame.index()]
-                .flags_mut()
-                .insert(PageFlags::DIRTY);
+            flags.insert(PageFlags::DIRTY);
             saturating_bump(&mut self.stats.writes);
             // A write during a copy window makes the in-flight copy stale
             // (the txn aborts at resolve time), and a write after a clean
-            // promotion invalidates the retained shadow copy.
-            self.doom_txn_of(frame);
-            self.invalidate_shadow_of(frame);
+            // promotion invalidates the retained shadow copy. Both tables
+            // stay empty under `MigrationMode::Sync`, so a sync run's
+            // stores skip the probes.
+            if !self.txns.is_empty() {
+                self.doom_txn_of(frame);
+            }
+            if !self.shadows.is_empty() {
+                self.invalidate_shadow_of(frame);
+            }
         } else {
             saturating_bump(&mut self.stats.reads);
         }
@@ -385,13 +391,15 @@ impl MemorySystem {
     }
 
     /// Test-and-clears the reference bit of the page mapped to `frame` —
-    /// the scan daemon's `page_referenced()` harvesting step. Unmapped
-    /// frames report unreferenced.
+    /// the scan daemon's `page_referenced()` harvesting step. The bit is
+    /// the frame's [`PageFlags::ACCESSED`], so no reverse map or page-table
+    /// lookup is paid. Unmapped frames report unreferenced: only an access
+    /// sets the bit, and a frame loses it when it loses its mapping.
     pub fn harvest_referenced(&mut self, frame: FrameId) -> bool {
-        match self.frames[frame.index()].vpage() {
-            Some(vpage) => self.page_table.harvest_referenced(vpage),
-            None => false,
-        }
+        let flags = self.frames[frame.index()].flags_mut();
+        let referenced = flags.contains(PageFlags::ACCESSED);
+        flags.remove(PageFlags::ACCESSED);
+        referenced
     }
 
     /// Poisons the PTE of a mapped page for hint-fault tracking. Returns
@@ -417,8 +425,9 @@ impl MemorySystem {
     /// that frame instead: one [`LatencyModel::txn_remap`] stall, no copy,
     /// no allocation and no fault-injector draw.
     ///
-    /// Page flags travel with the page; the PTE reference bit is cleared by
-    /// the remap (a fresh PTE has not been accessed).
+    /// Page flags travel with the page, except the reference bit
+    /// ([`PageFlags::ACCESSED`]), which the new frame starts without (a
+    /// fresh PTE has not been accessed).
     ///
     /// # Errors
     ///
@@ -605,11 +614,12 @@ impl MemorySystem {
     }
 
     /// Lands a page on `new_frame`, an allocated and unmapped frame of
-    /// `dst_tier`: flags and the mapping move over, the move is counted and
-    /// a [`MemEvent::Migrated`] queued. Any open copy window of the old
-    /// frame is superseded and any shadow keyed by it is stale. The source
-    /// frame is freed — or, with `retain_source`, kept as the page's
-    /// shadow copy. Returns the virtual page that moved.
+    /// `dst_tier`: the mapping and every flag but the reference bit move
+    /// over, the move is counted and a [`MemEvent::Migrated`] queued. Any
+    /// open copy window of the old frame is superseded and any shadow
+    /// keyed by it is stale. The source frame is freed — or, with
+    /// `retain_source`, kept as the page's shadow copy. Returns the virtual
+    /// page that moved.
     fn land(
         &mut self,
         frame: FrameId,
@@ -620,7 +630,8 @@ impl MemorySystem {
     ) -> Option<VPage> {
         self.abort_txn_of(frame, "unmapped");
         self.invalidate_shadow_of(frame);
-        let flags = self.frames[frame.index()].flags();
+        let mut flags = self.frames[frame.index()].flags();
+        flags.remove(PageFlags::ACCESSED);
         let vpage = self.frames[frame.index()].vpage();
         *self.frames[new_frame.index()].flags_mut() = flags;
         if let Some(v) = vpage {
@@ -687,7 +698,11 @@ impl MemorySystem {
         let vpage = f.vpage();
         self.abort_txn_of(frame, "unmapped");
         self.invalidate_shadow_of(frame);
-        self.forget_shadow_copy(frame);
+        // A retained copy is never mapped, so only an unmapped frame can
+        // be one.
+        if vpage.is_none() {
+            self.forget_shadow_copy(frame);
+        }
         if dirty || anon {
             self.charge(Charge::Background, self.latency.swap_page);
         }
@@ -829,20 +844,19 @@ impl MemorySystem {
     }
 
     /// The retained copy a zero-copy move of `frame` into `dst_tier` can
-    /// flip to: a shadow in exactly that tier, of a page that is mapped
-    /// and still clean.
-    fn clean_shadow_in(&mut self, frame: FrameId, dst_tier: TierId) -> Option<FrameId> {
+    /// flip to: a shadow in exactly that tier, of a page that is mapped.
+    /// A shadowed page is clean: a write is the only way to set
+    /// [`PageFlags::DIRTY`], and every write drops the page's shadow first.
+    fn clean_shadow_in(&self, frame: FrameId, dst_tier: TierId) -> Option<FrameId> {
         let copy = self.shadows.get(frame)?;
         let f = &self.frames[frame.index()];
         if self.frames[copy.index()].tier() != dst_tier || f.vpage().is_none() {
             return None;
         }
-        if f.flags().contains(PageFlags::DIRTY) {
-            // Writes invalidate eagerly; a dirty page's shadow is stale
-            // however the page got dirty.
-            self.invalidate_shadow_of(frame);
-            return None;
-        }
+        debug_assert!(
+            !f.flags().contains(PageFlags::DIRTY),
+            "a shadowed page is clean"
+        );
         Some(copy)
     }
 
@@ -1006,7 +1020,7 @@ mod tests {
         assert_eq!(out.frame, f);
         assert_eq!(out.tier, TierId::TOP);
         assert!(!out.hint_fault);
-        assert!(mem.page_table().get(v).unwrap().referenced);
+        assert!(mem.frame(f).flags().contains(PageFlags::ACCESSED));
         assert!(!mem.frame(f).flags().contains(PageFlags::DIRTY));
         mem.access(v, AccessKind::Write).unwrap();
         assert!(mem.frame(f).flags().contains(PageFlags::DIRTY));
@@ -1058,8 +1072,7 @@ mod tests {
         assert_eq!(mem.translate(v), Some(nf));
         assert_eq!(mem.frame(f).state(), FrameState::Free);
         // Dirty travels, referenced is cleared.
-        let e = mem.page_table().get(v).unwrap();
-        assert!(!e.referenced);
+        assert!(!mem.frame(nf).flags().contains(PageFlags::ACCESSED));
         assert!(mem.frame(nf).flags().contains(PageFlags::DIRTY));
         assert_eq!(mem.stats().demotions, 1);
         let ev = mem.drain_events();

@@ -50,29 +50,29 @@ proptest! {
                 3 => {
                     let hit = model.get_mut(&raw).map(|e| {
                         e.frame = frame;
-                        e.referenced = false;
                         e.poisoned = false;
                     });
                     prop_assert_eq!(table.remap(v, frame), hit.is_some());
                 }
                 4 => {
-                    // An access: set the bits a CPU would.
-                    let touch = |e: &mut PteEntry| {
-                        e.referenced = true;
-                        e.poisoned = frame.raw() % 3 == 0;
-                    };
+                    // A hint-fault tracker poisons the entry.
+                    let poison = |e: &mut PteEntry| e.poisoned = frame.raw() % 3 == 0;
                     if let Some(e) = table.get_mut(v) {
-                        touch(e);
+                        poison(e);
                     }
                     if let Some(e) = model.get_mut(&raw) {
-                        touch(e);
+                        poison(e);
                     }
                 }
                 5 => {
+                    // An access consumes the poison.
                     let expected = model
                         .get_mut(&raw)
-                        .is_some_and(|e| std::mem::take(&mut e.referenced));
-                    prop_assert_eq!(table.harvest_referenced(v), expected);
+                        .is_some_and(|e| std::mem::take(&mut e.poisoned));
+                    let got = table
+                        .get_mut(v)
+                        .is_some_and(|e| std::mem::take(&mut e.poisoned));
+                    prop_assert_eq!(got, expected);
                 }
                 _ => {}
             }

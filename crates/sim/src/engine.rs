@@ -527,12 +527,19 @@ impl Memory for Simulation {
 
 /// Absorbs substrate side effects: the pending charges into the run's
 /// ledger, migration events into the windowed metrics. Shared by the
-/// access path and the daemon tick.
+/// access path and the daemon tick. Nearly every access leaves the
+/// substrate clean, so the emptiness test is inlined into the hit path
+/// and the absorption itself stays out of line.
+#[inline]
 fn absorb_substrate(mem: &mut MemorySystem, metrics: &mut Metrics) {
-    // Nearly every access leaves the substrate clean: nothing to absorb.
-    if !mem.has_pending_effects() {
-        return;
+    if mem.has_pending_effects() {
+        absorb_pending(mem, metrics);
     }
+}
+
+/// The out-of-line half of [`absorb_substrate`]: something is pending.
+#[inline(never)]
+fn absorb_pending(mem: &mut MemorySystem, metrics: &mut Metrics) {
     // Application stalls (TLB shootdowns, swap-ins) hit the app in full;
     // daemon CPU leaks a contention fraction, truncated per absorption.
     let pending = mem.take_charges();

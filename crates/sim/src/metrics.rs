@@ -150,12 +150,20 @@ impl Metrics {
     }
 
     /// Records an application access; the first one after a promotion
-    /// settles it, re-accessed if it came within the horizon.
+    /// settles it, re-accessed if it came within the horizon. Promotions
+    /// are rare next to accesses, so usually nothing is pending: the
+    /// emptiness test is inlined into the hit path and the lookup stays
+    /// out of line.
+    #[inline]
     pub(crate) fn on_access(&mut self, vpage: VPage) {
-        // Promotions are rare next to accesses: usually nothing is pending.
-        if self.pending.is_empty() {
-            return;
+        if !self.pending.is_empty() {
+            self.settle_access(vpage);
         }
+    }
+
+    /// The out-of-line half of [`Self::on_access`]: a promotion is pending.
+    #[inline(never)]
+    fn settle_access(&mut self, vpage: VPage) {
         if let Some(promoted_at) = self.pending.remove(vpage) {
             let fresh = self.time.now().saturating_sub(promoted_at) <= self.horizon;
             self.settle_one(promoted_at, fresh);

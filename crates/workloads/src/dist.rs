@@ -113,14 +113,20 @@ impl ScrambledZipfian {
     /// Creates a scrambled zipfian over `items` keys with YCSB's default
     /// skew.
     pub fn new(items: u64) -> Self {
-        ScrambledZipfian {
-            inner: Zipfian::ycsb_default(items),
-        }
+        Zipfian::ycsb_default(items).into()
     }
 
     /// Draws the next key in `0..items`.
     pub fn next<R: Rng + ?Sized>(&self, rng: &mut R) -> u64 {
         fnv1a_64(self.inner.next(rng)) % self.inner.items()
+    }
+}
+
+/// Scrambles the draws of an already built zipfian (its zeta is summed
+/// once, however many choosers share it).
+impl From<Zipfian> for ScrambledZipfian {
+    fn from(inner: Zipfian) -> Self {
+        ScrambledZipfian { inner }
     }
 }
 
@@ -134,9 +140,7 @@ pub struct Latest {
 impl Latest {
     /// Creates a latest distribution over the first `items` records.
     pub fn new(items: u64) -> Self {
-        Latest {
-            zipf: Zipfian::ycsb_default(items),
-        }
+        Zipfian::ycsb_default(items).into()
     }
 
     /// Records that the key space has grown to `items` records.
@@ -148,6 +152,13 @@ impl Latest {
     pub fn next<R: Rng + ?Sized>(&self, rng: &mut R) -> u64 {
         let max = self.zipf.items() - 1;
         max - self.zipf.next(rng)
+    }
+}
+
+/// Counts back from the newest of the zipfian's items.
+impl From<Zipfian> for Latest {
+    fn from(zipf: Zipfian) -> Self {
+        Latest { zipf }
     }
 }
 

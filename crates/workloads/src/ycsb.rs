@@ -10,7 +10,7 @@
 //! sequence, with D last because it grows the record count) is
 //! `Load, A, B, C, F, W, D` — see [`YcsbWorkload::prescribed_order`].
 
-use crate::dist::{Latest, ScrambledZipfian};
+use crate::dist::{Latest, ScrambledZipfian, Zipfian};
 use crate::kv::KvStore;
 use crate::memory::Memory;
 use mc_mem::Nanos;
@@ -157,11 +157,13 @@ impl YcsbClient {
         }
         let records = cfg.records as u64;
         let seed = cfg.seed;
+        // One zeta sum over every record serves both choosers.
+        let zipf = Zipfian::ycsb_default(records);
         YcsbClient {
             cfg,
             store,
-            zipf: ScrambledZipfian::new(records),
-            latest: Latest::new(records),
+            zipf: zipf.clone().into(),
+            latest: zipf.into(),
             record_count: records,
             rng: StdRng::seed_from_u64(seed),
             ops: YcsbOps::default(),
