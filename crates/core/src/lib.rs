@@ -5,8 +5,9 @@
 //! captures **both recency and frequency** at CLOCK-level overhead by
 //! adding one list and one flag to the kernel's page-reclaim machinery:
 //!
-//! * every tier keeps the usual `inactive` and `active` LRU lists (for
-//!   anonymous and file-backed pages) **plus a new `promote` list**;
+//! * every tier keeps the usual `inactive` and `active` LRU lists **plus a
+//!   new `promote` list** (the kernel keeps one such set for anonymous and
+//!   one for file-backed pages; every page simulated here is anonymous);
 //! * a page that is observed referenced while already *active and
 //!   referenced* moves to the promote list (the kernel's `PagePromote`
 //!   flag; here the state [`PageState::Promote`], recorded once) — i.e. a
@@ -75,7 +76,7 @@ mod stats;
 mod validate;
 
 pub use config::{Knobs, MultiClockConfig, RECLAIM_BATCH};
-pub use lists::{ListSet, TierLists, WhichList};
+pub use lists::{ListSet, WhichList};
 pub use multi_clock::MultiClock;
 pub use state::PageState;
 pub use stats::MultiClockStats;

@@ -3,13 +3,13 @@
 //! "Originally, each memory node maintains its own set of LRU lists:
 //! anonymous inactive, anonymous active, file inactive, file active, and
 //! unevictable. We added two lists: anonymous promote and file promote"
-//! (paper §IV). [`TierLists`] is that structure, instantiated once per
-//! NUMA node; a tier's lists are those of its nodes. This simulator never
-//! pins a page, so it keeps no unevictable list: a node holds the anon and
-//! file sets of three lists each.
+//! (paper §IV). [`ListSet`] is that structure, instantiated once per
+//! NUMA node; a tier's lists are those of its nodes. Every page this
+//! simulator maps is anonymous and none is pinned (DESIGN.md §2), so a node
+//! holds the three anonymous lists only: inactive, active and promote.
 
 use mc_clock::IndexedList;
-use mc_mem::{FrameId, PageKind};
+use mc_mem::FrameId;
 use std::fmt;
 
 /// Which of a node's lists a page is on.
@@ -40,7 +40,11 @@ impl fmt::Display for WhichList {
     }
 }
 
-/// The three evictable lists for one page kind (anon or file).
+/// The three lists of one node.
+///
+/// Outside this crate the lists are read-only: `ListSet::list_mut` is
+/// crate-private (DESIGN.md §9). `tests/self_test.rs` compiles a planted
+/// outside-crate call to it and checks rustc's error code and span.
 #[derive(Debug, Default, Clone)]
 pub struct ListSet {
     /// The inactive LRU list (front = oldest).
@@ -52,12 +56,6 @@ pub struct ListSet {
 }
 
 impl ListSet {
-    /// Creates empty lists.
-    #[cfg(test)]
-    pub(crate) fn new() -> Self {
-        Self::default()
-    }
-
     /// The list named by `which`.
     pub fn list(&self, which: WhichList) -> &IndexedList {
         match which {
@@ -89,56 +87,8 @@ impl ListSet {
     }
 
     /// Whether any of the three lists contains the frame.
-    pub(crate) fn contains(&self, frame: FrameId) -> bool {
-        self.inactive.contains(frame) || self.active.contains(frame) || self.promote.contains(frame)
-    }
-}
-
-/// All lists for one node: the anon and file sets.
-///
-/// Outside this crate the lists are read-only: `TierLists::set_mut` and
-/// `ListSet::list_mut` are crate-private (DESIGN.md §9).
-/// `tests/self_test.rs` compiles planted outside-crate calls to each and
-/// checks rustc's error code and span.
-#[derive(Debug, Default, Clone)]
-pub struct TierLists {
-    /// Lists for anonymous pages.
-    pub anon: ListSet,
-    /// Lists for file-backed pages.
-    pub file: ListSet,
-}
-
-impl TierLists {
-    /// Creates empty lists.
-    pub(crate) fn new() -> Self {
-        Self::default()
-    }
-
-    /// The list set for a page kind.
-    pub fn set(&self, kind: PageKind) -> &ListSet {
-        match kind {
-            PageKind::Anon => &self.anon,
-            PageKind::File => &self.file,
-        }
-    }
-
-    /// Mutable list set for a page kind.
-    pub(crate) fn set_mut(&mut self, kind: PageKind) -> &mut ListSet {
-        match kind {
-            PageKind::Anon => &mut self.anon,
-            PageKind::File => &mut self.file,
-        }
-    }
-
-    /// Total tracked pages on this node.
-    #[cfg(test)]
-    pub(crate) fn len(&self) -> usize {
-        self.anon.len() + self.file.len()
-    }
-
-    /// Whether any list on this node holds the frame.
     pub fn contains(&self, frame: FrameId) -> bool {
-        self.anon.contains(frame) || self.file.contains(frame)
+        self.inactive.contains(frame) || self.active.contains(frame) || self.promote.contains(frame)
     }
 }
 
@@ -151,18 +101,8 @@ mod tests {
     }
 
     #[test]
-    fn set_routing_by_kind() {
-        let mut t = TierLists::new();
-        t.set_mut(PageKind::Anon).inactive.push_back(f(1));
-        t.set_mut(PageKind::File).active.push_back(f(2));
-        assert!(t.set(PageKind::Anon).inactive.contains(f(1)));
-        assert!(t.set(PageKind::File).active.contains(f(2)));
-        assert_eq!(t.len(), 2);
-    }
-
-    #[test]
     fn which_list_lookup() {
-        let mut s = ListSet::new();
+        let mut s = ListSet::default();
         s.list_mut(WhichList::Promote).push_back(f(9));
         assert_eq!(s.list(WhichList::Promote).len(), 1);
         assert!(s.contains(f(9)));

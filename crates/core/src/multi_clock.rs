@@ -4,7 +4,7 @@
 //! [`crate::reclaim`].
 
 use crate::config::MultiClockConfig;
-use crate::lists::TierLists;
+use crate::lists::ListSet;
 use crate::state::PageState;
 use crate::stats::MultiClockStats;
 use mc_mem::{
@@ -15,7 +15,7 @@ use mc_obs::{saturating_bump, EventKind};
 
 /// The MULTI-CLOCK dynamic tiering policy.
 ///
-/// Keeps one [`TierLists`] per NUMA node, a per-frame [`PageState`]
+/// Keeps one [`ListSet`] per NUMA node, a per-frame [`PageState`]
 /// table, and implements the paper's page state machine: supervised
 /// accesses step the ladder immediately (`mark_page_accessed()`),
 /// unsupervised accesses are observed via harvested PTE reference bits
@@ -27,7 +27,7 @@ use mc_obs::{saturating_bump, EventKind};
 pub struct MultiClock {
     pub(crate) cfg: MultiClockConfig,
     /// One list structure per node, indexed by [`NodeId`].
-    pub(crate) nodes: Vec<TierLists>,
+    pub(crate) nodes: Vec<ListSet>,
     pub(crate) states: Vec<Option<PageState>>,
     pub(crate) stats: MultiClockStats,
     /// Current scan interval (equals `cfg.scan_interval` unless the
@@ -77,7 +77,7 @@ impl MultiClock {
         let current_interval = cfg.scan_interval;
         MultiClock {
             cfg,
-            nodes: vec![TierLists::new(); topology.nodes().len()],
+            nodes: vec![ListSet::default(); topology.nodes().len()],
             states: vec![None; topology.total_pages()],
             stats: MultiClockStats::default(),
             current_interval,
@@ -114,12 +114,12 @@ impl MultiClock {
 
     /// The lists of one node (read-only; used by tests and the invariant
     /// checker).
-    pub fn node_lists(&self, node: NodeId) -> &TierLists {
+    pub fn node_lists(&self, node: NodeId) -> &ListSet {
         &self.nodes[node.index()]
     }
 
     /// The mutable lists of the node `frame` is on.
-    pub(crate) fn frame_lists_mut(&mut self, mem: &MemorySystem, frame: FrameId) -> &mut TierLists {
+    pub(crate) fn frame_lists_mut(&mut self, mem: &MemorySystem, frame: FrameId) -> &mut ListSet {
         &mut self.nodes[mem.frame(frame).node().index()]
     }
 
@@ -131,12 +131,8 @@ impl MultiClock {
             "{frame} is already tracked"
         );
         let tier = mem.frame(frame).tier();
-        let kind = mem.frame(frame).kind();
         // fig4: 5 — a new mapping enters at the bottom of the ladder.
-        self.frame_lists_mut(mem, frame)
-            .set_mut(kind)
-            .inactive
-            .push_back(frame);
+        self.frame_lists_mut(mem, frame).inactive.push_back(frame);
         self.states[frame.index()] = Some(PageState::InactiveUnref);
         mem.instruments.emit(|| EventKind::Fig4 {
             edge: 5,
@@ -157,11 +153,10 @@ impl MultiClock {
             return;
         };
         let tier = mem.frame(frame).tier();
-        let kind = mem.frame(frame).kind();
         // fig4: 2, 6, 7, 10, 12 — an observed access climbs one edge.
         let new = st.on_access();
         if new.list() != st.list() {
-            let set = self.frame_lists_mut(mem, frame).set_mut(kind);
+            let set = self.frame_lists_mut(mem, frame);
             set.list_mut(st.list()).remove(frame);
             set.list_mut(new.list()).push_back(frame);
             match new {
@@ -208,8 +203,7 @@ impl MultiClock {
         let Some(st) = self.states[frame.index()] else {
             return;
         };
-        let kind = mem.frame(frame).kind();
-        let set = self.frame_lists_mut(mem, frame).set_mut(kind);
+        let set = self.frame_lists_mut(mem, frame);
         set.list_mut(st.list()).remove(frame);
         set.list_mut(new_state.list()).push_back(frame);
         self.states[frame.index()] = Some(new_state);
@@ -240,9 +234,7 @@ impl MultiClock {
             self.retry_state[old_frame.index()] = None;
         }
         self.retry_state[new_frame.index()] = None;
-        let kind = mem.frame(new_frame).kind();
         self.frame_lists_mut(mem, new_frame)
-            .set_mut(kind)
             .list_mut(landing_state.list())
             .push_back(new_frame);
         self.states[new_frame.index()] = Some(landing_state);
@@ -343,7 +335,7 @@ mod tests {
         let (mut mem, mut mc) = setup();
         let f = map_one(&mut mem, &mut mc, 1);
         assert_eq!(mc.state_of(f), Some(PageState::InactiveUnref));
-        assert!(mc.node_lists(NodeId::new(0)).anon.inactive.contains(f));
+        assert!(mc.node_lists(NodeId::new(0)).inactive.contains(f));
     }
 
     #[test]
@@ -361,7 +353,7 @@ mod tests {
             mc.on_supervised_access(&mut mem, f, AccessKind::Read);
             assert_eq!(mc.state_of(f), Some(expected));
         }
-        assert!(mc.node_lists(NodeId::new(0)).anon.promote.contains(f));
+        assert!(mc.node_lists(NodeId::new(0)).promote.contains(f));
         assert_eq!(mc.stats().activations, 1);
         assert_eq!(mc.stats().promote_enqueues, 1);
     }

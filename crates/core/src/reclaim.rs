@@ -13,7 +13,7 @@
 use crate::multi_clock::MultiClock;
 use crate::state::PageState;
 use mc_clock::balance::inactive_is_low;
-use mc_mem::{FrameId, MemError, MemorySystem, NodeId, PageKind, TickOutcome, TierId};
+use mc_mem::{FrameId, MemError, MemorySystem, NodeId, TickOutcome, TierId};
 use mc_obs::{saturating_bump, EventKind};
 
 /// What one inactive-list shrink step achieved.
@@ -91,54 +91,21 @@ impl MultiClock {
             None => mem.tier_balanced(tier),
         };
         while !goal_met(mem) && budget > 0 {
-            let mut progressed = false;
-            for kind in PageKind::ALL {
-                if budget == 0 {
-                    break;
-                }
-                match self.shrink_inactive_any(mem, tier, kind, force) {
-                    ShrinkResult::Demoted => {
-                        out.demoted += 1;
-                        out.pages_scanned += 1;
-                        budget -= 1;
-                        progressed = true;
-                    }
-                    ShrinkResult::Evicted => {
-                        out.pages_scanned += 1;
-                        budget -= 1;
-                        progressed = true;
-                    }
-                    ShrinkResult::Rotated => {
-                        out.pages_scanned += 1;
-                        budget -= 1;
-                        progressed = true;
-                    }
-                    ShrinkResult::Empty => {}
-                }
-            }
-            if !progressed {
-                if !force {
+            match self.shrink_inactive_any(mem, tier, force) {
+                ShrinkResult::Demoted => out.demoted += 1,
+                ShrinkResult::Evicted | ShrinkResult::Rotated => {}
+                ShrinkResult::Empty => {
                     // Gentle mode: out of genuinely cold pages - stop.
-                    break;
-                }
-                // Inactive lists are empty: deactivate regardless of the
-                // ratio so reclaim can continue, or give up if even the
-                // active lists are empty.
-                let mut refilled = false;
-                for kind in PageKind::ALL {
-                    if budget == 0 {
+                    // Forced: the inactive lists are empty, so deactivate
+                    // regardless of the ratio to let reclaim continue, or
+                    // give up if even the active lists are empty.
+                    if !force || !self.shrink_active_any(mem, tier, force) {
                         break;
                     }
-                    if self.shrink_active_any(mem, tier, kind, force) {
-                        budget -= 1;
-                        out.pages_scanned += 1;
-                        refilled = true;
-                    }
-                }
-                if !refilled {
-                    break;
                 }
             }
+            out.pages_scanned += 1;
+            budget -= 1;
         }
 
         // Demotions drained the inactive list; restore the ratio so the
@@ -172,20 +139,18 @@ impl MultiClock {
         let mut scanned = 0;
         for i in 0..mem.topology().tier(tier).nodes().len() {
             let node = mem.topology().tier(tier).nodes()[i];
-            for kind in PageKind::ALL {
-                let mut visits = self.nodes[node.index()].set(kind).active.len();
-                while *budget > 0 && visits > 0 {
-                    let set = self.nodes[node.index()].set(kind);
-                    if !inactive_is_low(set.active.len(), set.inactive.len(), tier_pages) {
-                        break;
-                    }
-                    if !self.shrink_active_one(mem, tier, node, kind, force) {
-                        break;
-                    }
-                    visits -= 1;
-                    *budget -= 1;
-                    scanned += 1;
+            let mut visits = self.nodes[node.index()].active.len();
+            while *budget > 0 && visits > 0 {
+                let set = &self.nodes[node.index()];
+                if !inactive_is_low(set.active.len(), set.inactive.len(), tier_pages) {
+                    break;
                 }
+                if !self.shrink_active_one(mem, tier, node, force) {
+                    break;
+                }
+                visits -= 1;
+                *budget -= 1;
+                scanned += 1;
             }
         }
         scanned
@@ -196,26 +161,20 @@ impl MultiClock {
     fn flush_promote_to_active(&mut self, mem: &mut MemorySystem, tier: TierId) {
         for i in 0..mem.topology().tier(tier).nodes().len() {
             let node = mem.topology().tier(tier).nodes()[i];
-            for kind in PageKind::ALL {
-                let pages = self.nodes[node.index()].set_mut(kind).promote.drain();
-                for frame in pages {
-                    // fig4: 11 — flush: promote pages rejoin the active
-                    // list. Promote pages were referenced repeatedly; parking
-                    // them as ActiveRef keeps the hot core two decay steps
-                    // away from deactivation (otherwise reclaim would demote
-                    // the hottest pages of the tier right after flushing
-                    // them).
-                    self.nodes[node.index()]
-                        .set_mut(kind)
-                        .active
-                        .push_back(frame);
-                    self.states[frame.index()] = Some(PageState::ActiveRef);
-                    mem.instruments.emit(|| EventKind::Fig4 {
-                        edge: 11,
-                        frame: frame.index() as u64,
-                        tier: tier.index() as u8,
-                    });
-                }
+            let pages = self.nodes[node.index()].promote.drain();
+            for frame in pages {
+                // fig4: 11 — flush: promote pages rejoin the active list.
+                // Promote pages were referenced repeatedly; parking them
+                // as ActiveRef keeps the hot core two decay steps away
+                // from deactivation (otherwise reclaim would demote the
+                // hottest pages of the tier right after flushing them).
+                self.nodes[node.index()].active.push_back(frame);
+                self.states[frame.index()] = Some(PageState::ActiveRef);
+                mem.instruments.emit(|| EventKind::Fig4 {
+                    edge: 11,
+                    frame: frame.index() as u64,
+                    tier: tier.index() as u8,
+                });
             }
         }
     }
@@ -223,16 +182,10 @@ impl MultiClock {
     /// [`Self::shrink_active_one`] over the tier's nodes in order: the
     /// first node with a non-empty active list is shrunk. Returns whether
     /// any page was processed.
-    fn shrink_active_any(
-        &mut self,
-        mem: &mut MemorySystem,
-        tier: TierId,
-        kind: PageKind,
-        force: bool,
-    ) -> bool {
+    fn shrink_active_any(&mut self, mem: &mut MemorySystem, tier: TierId, force: bool) -> bool {
         for i in 0..mem.topology().tier(tier).nodes().len() {
             let node = mem.topology().tier(tier).nodes()[i];
-            if self.shrink_active_one(mem, tier, node, kind, force) {
+            if self.shrink_active_one(mem, tier, node, force) {
                 return true;
             }
         }
@@ -245,12 +198,11 @@ impl MultiClock {
         &mut self,
         mem: &mut MemorySystem,
         tier: TierId,
-        kind: PageKind,
         force: bool,
     ) -> ShrinkResult {
         for i in 0..mem.topology().tier(tier).nodes().len() {
             let node = mem.topology().tier(tier).nodes()[i];
-            let r = self.shrink_inactive_one(mem, tier, node, kind, force);
+            let r = self.shrink_inactive_one(mem, tier, node, force);
             if r != ShrinkResult::Empty {
                 return r;
             }
@@ -266,10 +218,9 @@ impl MultiClock {
         mem: &mut MemorySystem,
         tier: TierId,
         node: NodeId,
-        kind: PageKind,
         force: bool,
     ) -> bool {
-        let active = &mut self.nodes[node.index()].set_mut(kind).active;
+        let active = &mut self.nodes[node.index()].active;
         let Some(frame) = active.pop_front() else {
             return false;
         };
@@ -315,18 +266,14 @@ impl MultiClock {
         mem: &mut MemorySystem,
         tier: TierId,
         node: NodeId,
-        kind: PageKind,
         force: bool,
     ) -> ShrinkResult {
-        let Some(frame) = self.nodes[node.index()].set_mut(kind).inactive.pop_front() else {
+        let Some(frame) = self.nodes[node.index()].inactive.pop_front() else {
             return ShrinkResult::Empty;
         };
         if mem.harvest_referenced(frame) {
             // Referenced: rotate and step the ladder (transitions 1/6).
-            self.nodes[node.index()]
-                .set_mut(kind)
-                .inactive
-                .push_back(frame);
+            self.nodes[node.index()].inactive.push_back(frame);
             self.apply_access(mem, frame);
             return ShrinkResult::Rotated;
         }
@@ -336,10 +283,7 @@ impl MultiClock {
             // periodic scan's job); forced reclaim decays one step per
             // rotation so it cannot livelock when everything was just
             // touched.
-            self.nodes[node.index()]
-                .set_mut(kind)
-                .inactive
-                .push_back(frame);
+            self.nodes[node.index()].inactive.push_back(frame);
             if force {
                 // fig4: 1 — forced decay of the software referenced state.
                 self.transition(mem, frame, PageState::InactiveUnref);
@@ -351,7 +295,7 @@ impl MultiClock {
             }
             return ShrinkResult::Rotated;
         }
-        self.demote_or_evict(mem, frame, tier, kind)
+        self.demote_or_evict(mem, frame, tier)
     }
 
     /// Migrates a cold page down one tier (a zero-copy flip when the
@@ -362,7 +306,6 @@ impl MultiClock {
         mem: &mut MemorySystem,
         frame: FrameId,
         tier: TierId,
-        kind: PageKind,
     ) -> ShrinkResult {
         let Some(lower) = tier.lower(mem.topology().tier_count()) else {
             if mem.evict(frame).is_ok() {
@@ -375,7 +318,7 @@ impl MultiClock {
                 });
                 return ShrinkResult::Evicted;
             }
-            return self.rotate_unmoved(mem, kind, frame);
+            return self.rotate_unmoved(mem, frame);
         };
         let mut moved = mem.migrate(frame, lower);
         if matches!(moved, Err(MemError::TierFull(_))) {
@@ -387,7 +330,7 @@ impl MultiClock {
             moved = mem.migrate(frame, lower);
         }
         let Ok(new_frame) = moved else {
-            return self.rotate_unmoved(mem, kind, frame);
+            return self.rotate_unmoved(mem, frame);
         };
         // fig4: 3 — demotion lands cold on the lower tier.
         self.retrack_after_migration(mem, frame, new_frame, PageState::InactiveUnref);
@@ -401,16 +344,8 @@ impl MultiClock {
 
     /// Puts a page that could be neither demoted nor evicted back at the
     /// tail of the inactive list it was popped from.
-    fn rotate_unmoved(
-        &mut self,
-        mem: &MemorySystem,
-        kind: PageKind,
-        frame: FrameId,
-    ) -> ShrinkResult {
-        self.frame_lists_mut(mem, frame)
-            .set_mut(kind)
-            .inactive
-            .push_back(frame);
+    fn rotate_unmoved(&mut self, mem: &MemorySystem, frame: FrameId) -> ShrinkResult {
+        self.frame_lists_mut(mem, frame).inactive.push_back(frame);
         ShrinkResult::Rotated
     }
 }
@@ -419,12 +354,12 @@ impl MultiClock {
 mod tests {
     use super::*;
     use crate::config::MultiClockConfig;
-    use mc_mem::{AccessKind, MachineDesc, Nanos, TieringPolicy, VPage};
+    use mc_mem::{AccessKind, MachineDesc, Nanos, PageKind, TieringPolicy, VPage};
 
     fn fill_dram(mem: &mut MemorySystem, mc: &mut MultiClock, start_v: u64) -> Vec<(u64, FrameId)> {
         let mut mapped = Vec::new();
         let mut v = start_v;
-        while let Ok(f) = mem.alloc_page_in_tier(PageKind::Anon, TierId::TOP) {
+        while let Ok(f) = mem.alloc_page_in_tier(TierId::TOP) {
             mem.map(VPage::new(v), f).unwrap();
             mc.on_page_mapped(mem, f);
             mapped.push((v, f));
@@ -548,19 +483,15 @@ mod tests {
             mc.on_supervised_access(&mut mem, *f, AccessKind::Read);
         }
         let lists = mc.node_lists(NodeId::new(0));
-        assert!(lists.anon.active.len() > lists.anon.inactive.len());
+        assert!(lists.active.len() > lists.inactive.len());
         mc.on_pressure(&mut mem, TierId::TOP, Nanos::ZERO);
         let lists = mc.node_lists(NodeId::new(0));
         let tier_pages = mem.topology().tier(TierId::TOP).pages();
         assert!(
-            !inactive_is_low(
-                lists.anon.active.len(),
-                lists.anon.inactive.len(),
-                tier_pages
-            ),
+            !inactive_is_low(lists.active.len(), lists.inactive.len(), tier_pages),
             "ratio restored: active={} inactive={}",
-            lists.anon.active.len(),
-            lists.anon.inactive.len()
+            lists.active.len(),
+            lists.inactive.len()
         );
         assert!(mc.stats().deactivations > 0);
     }
@@ -572,7 +503,7 @@ mod tests {
         // Fill HBM.
         let mut v = 0u64;
         let mut hbm_pages = Vec::new();
-        while let Ok(f) = mem.alloc_page_in_tier(PageKind::Anon, TierId::TOP) {
+        while let Ok(f) = mem.alloc_page_in_tier(TierId::TOP) {
             mem.map(VPage::new(v), f).unwrap();
             mc.on_page_mapped(&mut mem, f);
             hbm_pages.push(v);

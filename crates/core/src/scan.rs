@@ -5,8 +5,7 @@ use crate::lists::WhichList;
 use crate::multi_clock::MultiClock;
 use crate::state::PageState;
 use mc_mem::{
-    FrameId, MemError, MemorySystem, MigrationMode, Nanos, NodeId, PageKind, PageMove, TickOutcome,
-    TierId,
+    FrameId, MemError, MemorySystem, MigrationMode, Nanos, NodeId, PageMove, TickOutcome, TierId,
 };
 use mc_obs::{saturating_add, saturating_bump, EventKind};
 
@@ -39,7 +38,7 @@ impl MultiClock {
         // (commit: atomic remap) or been dirtied (abort: back into the
         // retry/backoff path). Sync mode never opens one.
         out.promoted += self.settle_txns(mem);
-        // Scan phase, in (tier, node, kind, list) order, a tier's nodes in
+        // Scan phase, in (tier, node, list) order, a tier's nodes in
         // topology order. A frame's reference bit is consumed by the first
         // list that visits it, so a page the inactive scan activates reads
         // as unreferenced when the active scan reaches it in the same tick.
@@ -63,10 +62,8 @@ impl MultiClock {
             };
             for i in 0..mem.topology().tier(tier).nodes().len() {
                 let node = mem.topology().tier(tier).nodes()[i];
-                for kind in PageKind::ALL {
-                    for which in lists {
-                        out.pages_scanned += self.scan_list(mem, tier, node, kind, *which);
-                    }
+                for which in lists {
+                    out.pages_scanned += self.scan_list(mem, tier, node, *which);
                 }
             }
         }
@@ -140,7 +137,6 @@ impl MultiClock {
         mem: &mut MemorySystem,
         tier: TierId,
         node: NodeId,
-        kind: PageKind,
         which: WhichList,
     ) -> u64 {
         // CLOCK decay: the state a page not referenced since the last
@@ -152,7 +148,7 @@ impl MultiClock {
             WhichList::Active => (PageState::ActiveRef, PageState::ActiveUnref, 8),       // fig4: 8
             WhichList::Promote => (PageState::Promote, PageState::ActiveUnref, 11), // fig4: 11
         };
-        let list = self.nodes[node.index()].set_mut(kind).list_mut(which);
+        let list = self.nodes[node.index()].list_mut(which);
         let budget = list.len().min(self.cfg.scan_batch);
         let mut walked = std::mem::take(&mut self.scan_scratch);
         walked.clear();
@@ -222,69 +218,61 @@ impl MultiClock {
                 .tier(tier)
                 .nodes()
                 .iter()
-                .map(|n| {
-                    let lists = &self.nodes[n.index()];
-                    lists.anon.promote.len() + lists.file.promote.len()
-                })
+                .map(|n| self.nodes[n.index()].promote.len())
                 .sum(),
         );
         let batch = self.cfg.knobs.migrate_batch_size;
         for i in 0..mem.topology().tier(tier).nodes().len() {
             let node = mem.topology().tier(tier).nodes()[i];
-            for kind in PageKind::ALL {
-                let mut candidates = self.nodes[node.index()].set_mut(kind).promote.drain();
-                // Rotate the drain order each run. Candidate order is
-                // otherwise a stable cycle (scan rotation is deterministic),
-                // and when room is scarcer than candidates the same prefix
-                // would win every run, starving equally-worthy pages; in a
-                // real kernel timing jitter provides this fairness.
-                if !candidates.is_empty() {
-                    let shift = self.stats.ticks as usize % candidates.len();
-                    candidates.rotate_left(shift);
-                }
-                // §VII dirty-first extension: dirtiness joins the
-                // importance formula at *placement* time — when slots
-                // upstairs are scarce, write-hot pages (whose lower-tier
-                // stores are the most expensive accesses) get first claim.
-                if self.cfg.knobs.dirty_first {
-                    candidates.sort_by_key(|f| {
-                        std::cmp::Reverse(mem.frame(*f).flags().contains(mc_mem::PageFlags::DIRTY))
-                    });
-                }
-                // The drained candidates are tracked but on no list until
-                // each is retracked below; suspend invariant validation.
-                self.in_flight += candidates.len();
-                let drained = candidates.len();
-                if drained > 0 {
-                    mem.instruments.emit(|| EventKind::PromoteDrain {
-                        tier: tier.index() as u8,
-                        drained: drained as u32,
-                    });
-                }
-                let mut pending: Vec<FrameId> = Vec::with_capacity(batch.min(drained.max(1)));
-                for frame in candidates {
-                    // A candidate still serving a retry backoff is requeued
-                    // at the tail untouched; its next attempt waits for
-                    // `eligible_tick`.
-                    if let Some(rs) = self.retry_state[frame.index()] {
-                        if rs.eligible_tick > self.stats.ticks {
-                            self.nodes[node.index()]
-                                .set_mut(kind)
-                                .promote
-                                .push_back(frame);
-                            self.in_flight -= 1;
-                            continue;
-                        }
-                    }
-                    // drain() detached the page; the state table still says
-                    // Promote. Batch it up; a full batch flushes at once.
-                    pending.push(frame);
-                    if pending.len() >= batch {
-                        promoted += self.promote_flush(mem, &mut pending, upper, &mut room);
-                    }
-                }
-                promoted += self.promote_flush(mem, &mut pending, upper, &mut room);
+            let mut candidates = self.nodes[node.index()].promote.drain();
+            // Rotate the drain order each run. Candidate order is
+            // otherwise a stable cycle (scan rotation is deterministic),
+            // and when room is scarcer than candidates the same prefix
+            // would win every run, starving equally-worthy pages; in a
+            // real kernel timing jitter provides this fairness.
+            if !candidates.is_empty() {
+                let shift = self.stats.ticks as usize % candidates.len();
+                candidates.rotate_left(shift);
             }
+            // §VII dirty-first extension: dirtiness joins the
+            // importance formula at *placement* time — when slots
+            // upstairs are scarce, write-hot pages (whose lower-tier
+            // stores are the most expensive accesses) get first claim.
+            if self.cfg.knobs.dirty_first {
+                candidates.sort_by_key(|f| {
+                    std::cmp::Reverse(mem.frame(*f).flags().contains(mc_mem::PageFlags::DIRTY))
+                });
+            }
+            // The drained candidates are tracked but on no list until
+            // each is retracked below; suspend invariant validation.
+            self.in_flight += candidates.len();
+            let drained = candidates.len();
+            if drained > 0 {
+                mem.instruments.emit(|| EventKind::PromoteDrain {
+                    tier: tier.index() as u8,
+                    drained: drained as u32,
+                });
+            }
+            let mut pending: Vec<FrameId> = Vec::with_capacity(batch.min(drained.max(1)));
+            for frame in candidates {
+                // A candidate still serving a retry backoff is requeued
+                // at the tail untouched; its next attempt waits for
+                // `eligible_tick`.
+                if let Some(rs) = self.retry_state[frame.index()] {
+                    if rs.eligible_tick > self.stats.ticks {
+                        self.nodes[node.index()].promote.push_back(frame);
+                        self.in_flight -= 1;
+                        continue;
+                    }
+                }
+                // drain() detached the page; the state table still says
+                // Promote. Batch it up; a full batch flushes at once.
+                pending.push(frame);
+                if pending.len() >= batch {
+                    promoted += self.promote_flush(mem, &mut pending, upper, &mut room);
+                }
+            }
+            promoted += self.promote_flush(mem, &mut pending, upper, &mut room);
         }
         self.debug_validate(mem);
         promoted
@@ -435,11 +423,7 @@ impl MultiClock {
         saturating_bump(&mut self.stats.promote_retries);
         // Tail requeue: fresh candidates drain first, and the page keeps
         // its Promote state (the episode is paused, not abandoned).
-        let kind = mem.frame(frame).kind();
-        self.frame_lists_mut(mem, frame)
-            .set_mut(kind)
-            .promote
-            .push_back(frame);
+        self.frame_lists_mut(mem, frame).promote.push_back(frame);
         mem.instruments.emit(|| EventKind::MigrateRetry {
             frame: frame.index() as u64,
             attempt: attempts,
@@ -450,14 +434,11 @@ impl MultiClock {
     /// The failed-promotion fallback: the page moves to its tier's active
     /// list.
     fn promote_fallback(&mut self, mem: &mut MemorySystem, frame: FrameId) {
-        let (tier, kind) = (mem.frame(frame).tier(), mem.frame(frame).kind());
+        let tier = mem.frame(frame).tier();
         self.retry_state[frame.index()] = None;
         saturating_bump(&mut self.stats.promote_fallbacks);
         // fig4: 11 — no room upstairs; rejoin active as referenced.
-        self.frame_lists_mut(mem, frame)
-            .set_mut(kind)
-            .active
-            .push_back(frame);
+        self.frame_lists_mut(mem, frame).active.push_back(frame);
         self.states[frame.index()] = Some(PageState::ActiveRef);
         mem.instruments.emit(|| EventKind::Fig4 {
             edge: 11,
@@ -535,9 +516,7 @@ mod tests {
         v: u64,
         tier: TierId,
     ) -> mc_mem::FrameId {
-        let f = mem
-            .alloc_page_in_tier(mc_mem::PageKind::Anon, tier)
-            .unwrap();
+        let f = mem.alloc_page_in_tier(tier).unwrap();
         mem.map(VPage::new(v), f).unwrap();
         mc.on_page_mapped(mem, f);
         f
@@ -560,7 +539,7 @@ mod tests {
         let nf = mem.translate(VPage::new(1)).unwrap();
         assert_eq!(mem.frame(nf).tier(), TierId::TOP, "page now in DRAM");
         assert_eq!(mc.state_of(nf), Some(PageState::ActiveRef));
-        assert!(mc.node_lists(NodeId::new(0)).anon.active.contains(nf));
+        assert!(mc.node_lists(NodeId::new(0)).active.contains(nf));
         assert_eq!(mem.stats().promotions, 1);
     }
 
@@ -647,7 +626,7 @@ mod tests {
         assert_eq!(out.promoted, 0);
         assert_eq!(mem.frame(f).tier(), pm, "locked page stays put");
         assert_eq!(mc.state_of(f), Some(PageState::ActiveRef));
-        assert!(mc.node_lists(NodeId::new(1)).anon.active.contains(f));
+        assert!(mc.node_lists(NodeId::new(1)).active.contains(f));
         assert_eq!(mc.stats().promote_fallbacks, 1);
     }
 
@@ -686,7 +665,7 @@ mod tests {
         assert_eq!(mc.stats().promote_retries, 1);
         assert_eq!(mc.state_of(f), Some(PageState::Promote), "episode paused");
         assert!(
-            mc.node_lists(NodeId::new(1)).anon.promote.contains(f),
+            mc.node_lists(NodeId::new(1)).promote.contains(f),
             "requeued"
         );
         mc.assert_invariants(&mem);
@@ -726,7 +705,7 @@ mod tests {
         assert_eq!(mc.stats().promote_gave_ups, 1);
         assert_eq!(mc.stats().promote_fallbacks, 1);
         assert_eq!(mc.state_of(f), Some(PageState::ActiveRef));
-        assert!(mc.node_lists(NodeId::new(1)).anon.active.contains(f));
+        assert!(mc.node_lists(NodeId::new(1)).active.contains(f));
         assert_eq!(mem.translate(VPage::new(1)), Some(f), "page never lost");
         mc.assert_invariants(&mem);
 
@@ -763,7 +742,7 @@ mod tests {
             after_second,
             "deferred candidate must not touch the memory system"
         );
-        assert!(mc.node_lists(NodeId::new(1)).anon.promote.contains(f));
+        assert!(mc.node_lists(NodeId::new(1)).promote.contains(f));
         // Tick 4: eligible again — attempt 3 fires (and fails).
         mc.tick(&mut mem, Nanos::from_secs(4));
         assert!(rejections(&mut mem) > after_second);
@@ -830,7 +809,7 @@ mod tests {
         assert_eq!(mc.stats().txn_aborts, 1);
         assert_eq!(mc.stats().promote_retries, 1, "abort re-enters retry path");
         assert_eq!(mc.state_of(f), Some(PageState::Promote), "episode paused");
-        assert!(mc.node_lists(NodeId::new(1)).anon.promote.contains(f));
+        assert!(mc.node_lists(NodeId::new(1)).promote.contains(f));
         mc.assert_invariants(&mem);
         // Backoff elapses; the retry opens a fresh transaction and — with
         // no further writes — commits.
@@ -865,7 +844,7 @@ mod tests {
         // retained frame.
         mc.transition(&mut mem, nf, PageState::InactiveUnref);
         let mut v = 100u64;
-        while let Ok(extra) = mem.alloc_page_in_tier(mc_mem::PageKind::Anon, TierId::TOP) {
+        while let Ok(extra) = mem.alloc_page_in_tier(TierId::TOP) {
             mem.map(VPage::new(v), extra).unwrap();
             mc.on_page_mapped(&mut mem, extra);
             v += 1;
@@ -946,7 +925,7 @@ mod tests {
         );
         for f in demoted {
             assert_eq!(mc.state_of(f), Some(PageState::InactiveUnref));
-            assert!(mc.node_lists(NodeId::new(1)).anon.inactive.contains(f));
+            assert!(mc.node_lists(NodeId::new(1)).inactive.contains(f));
         }
         mc.assert_invariants(&mem);
     }
@@ -1011,10 +990,10 @@ mod tests {
         mc.tick(&mut mem, Nanos::from_secs(1));
         assert_eq!(mc.state_of(hot), Some(PageState::Promote));
         let top = mc.node_lists(NodeId::new(0));
-        assert!(top.anon.promote.contains(hot));
+        assert!(top.promote.contains(hot));
         assert_eq!(fig4_edges_of(&mem, hot), Vec::<u8>::new());
         assert_eq!(mc.state_of(cold), Some(PageState::ActiveUnref));
-        assert!(top.anon.active.contains(cold));
+        assert!(top.active.contains(cold));
         assert_eq!(fig4_edges_of(&mem, cold), vec![11]);
         assert_eq!(mc.stats().promote_ages, 1);
     }
@@ -1056,7 +1035,7 @@ mod tests {
             mem.access(VPage::new(v), AccessKind::Read).unwrap();
         }
         let order = |mc: &MultiClock| -> Vec<FrameId> {
-            mc.node_lists(NodeId::new(1)).anon.inactive.iter().collect()
+            mc.node_lists(NodeId::new(1)).inactive.iter().collect()
         };
         let stepped = |mc: &MultiClock| -> Vec<bool> {
             p.iter()
@@ -1076,57 +1055,53 @@ mod tests {
     }
 
     #[test]
-    fn scan_events_come_out_in_tier_node_kind_list_order() {
+    fn scan_events_come_out_in_tier_node_list_order() {
         let mut mem = MemorySystem::new(MachineDesc::dual_socket(32, 64));
         let mut mc = MultiClock::new(MultiClockConfig::default(), mem.topology());
-        // Referenced pages of both kinds on every list the scan visits,
-        // in states whose step stays inside the list (edges 2 and 7; a
-        // referenced promote page emits nothing), so each list's length
-        // at its turn is its length now.
+        // Referenced pages on every list the scan visits, in states whose
+        // step stays inside the list (edges 2 and 7; a referenced promote
+        // page emits nothing), so each list's length at its turn is its
+        // length now.
         let mut v = 0u64;
         for tier in [TierId::TOP, TierId::new(1)] {
-            for kind in PageKind::ALL {
-                for i in 0..12 {
-                    let f = mem.alloc_page_in_tier(kind, tier).unwrap();
-                    mem.map(VPage::new(v), f).unwrap();
-                    mc.on_page_mapped(&mut mem, f);
-                    // Allocation alternates between the tier's two nodes,
-                    // so the lower tier varies per pair to reach both.
-                    let climbs = if tier.is_top() {
-                        i % 3 * 2
-                    } else {
-                        i / 2 % 2 * 2
-                    };
-                    for _ in 0..climbs {
-                        mc.on_supervised_access(&mut mem, f, AccessKind::Read);
-                    }
-                    mem.access(VPage::new(v), AccessKind::Read).unwrap();
-                    v += 1;
+            for i in 0..12 {
+                let f = mem.alloc_page_in_tier(tier).unwrap();
+                mem.map(VPage::new(v), f).unwrap();
+                mc.on_page_mapped(&mut mem, f);
+                // Allocation alternates between the tier's two nodes, so
+                // the lower tier varies per pair to reach both.
+                let climbs = if tier.is_top() {
+                    i % 3 * 2
+                } else {
+                    i / 2 % 2 * 2
+                };
+                for _ in 0..climbs {
+                    mc.on_supervised_access(&mut mem, f, AccessKind::Read);
                 }
+                mem.access(VPage::new(v), AccessKind::Read).unwrap();
+                v += 1;
             }
         }
-        // (tier, node, kind, list) of every non-empty list, in scan order.
+        // (tier, node, list) of every non-empty list, in scan order.
         let mut expected = Vec::new();
         for tier in [TierId::TOP, TierId::new(1)] {
             let nodes = mem.topology().tier(tier).nodes();
             assert_eq!(nodes.len(), 2, "two nodes per tier");
             for &node in nodes {
-                for kind in PageKind::ALL {
-                    let set = mc.node_lists(node).set(kind);
-                    let promote = tier.is_top().then_some(("promote", set.promote.len()));
-                    let rest = [
-                        ("inactive", set.inactive.len()),
-                        ("active", set.active.len()),
-                    ];
-                    for (list, len) in promote.into_iter().chain(rest) {
-                        if len > 0 {
-                            expected.push((tier, node, kind, list, len as u32));
-                        }
+                let set = mc.node_lists(node);
+                let promote = tier.is_top().then_some(("promote", set.promote.len()));
+                let rest = [
+                    ("inactive", set.inactive.len()),
+                    ("active", set.active.len()),
+                ];
+                for (list, len) in promote.into_iter().chain(rest) {
+                    if len > 0 {
+                        expected.push((tier, node, list, len as u32));
                     }
                 }
             }
         }
-        assert_eq!(expected.len(), 20, "every list populated: {expected:?}");
+        assert_eq!(expected.len(), 10, "every list populated: {expected:?}");
         mem.instruments = instruments(1024, FaultConfig::none());
         mc.tick(&mut mem, Nanos::from_secs(1));
         // Each list's transitions precede its ScanList event.
@@ -1134,12 +1109,11 @@ mod tests {
         let mut current = groups.next();
         for e in mem.recorder().events() {
             if let EventKind::Fig4 { edge, frame, tier } = e.kind {
-                let Some((t, node, kind, list, _)) = current else {
+                let Some((t, node, list, _)) = current else {
                     break; // the promote drain's events follow the scan
                 };
                 let f = FrameId::new(frame as u32);
                 assert_eq!((TierId::new(tier), mem.frame(f).node()), (*t, *node));
-                assert_eq!(mem.frame(f).kind(), *kind);
                 assert_eq!(edge, if *list == "inactive" { 2 } else { 7 });
             } else if let EventKind::ScanList {
                 tier,
@@ -1147,7 +1121,7 @@ mod tests {
                 scanned,
             } = e.kind
             {
-                let (t, _, _, l, len) = current.expect("more ScanList events than lists");
+                let (t, _, l, len) = current.expect("more ScanList events than lists");
                 assert_eq!((TierId::new(tier), list, scanned), (*t, *l, *len));
                 current = groups.next();
             }

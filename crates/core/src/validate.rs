@@ -8,7 +8,7 @@
 //! 2. list membership agrees with the page-state table
 //!    ([`PageState::list`]), the one record of a page's Fig. 4 state
 //!    (no page flag mirrors it);
-//! 3. a page is listed under the node and kind its frame reports;
+//! 3. a page is listed under the node its frame reports;
 //! 4. untracked frames are on no list;
 //! 5. retry bookkeeping (a paused promotion episode) exists only for
 //!    pages in `Promote` state;
@@ -30,7 +30,7 @@
 use crate::lists::WhichList;
 use crate::multi_clock::MultiClock;
 use crate::state::PageState;
-use mc_mem::{FrameId, MemorySystem, NodeId, PageKind};
+use mc_mem::{FrameId, MemorySystem, NodeId};
 use std::collections::HashSet;
 use std::fmt;
 
@@ -166,48 +166,39 @@ impl MultiClock {
         &self,
         mem: &MemorySystem,
         node: NodeId,
-        lists: &crate::lists::TierLists,
+        lists: &crate::lists::ListSet,
         seen: &mut HashSet<u32>,
         violations: &mut Vec<InvariantViolation>,
     ) {
-        for kind in PageKind::ALL {
-            let set = lists.set(kind);
-            for (which, list) in [
-                (WhichList::Inactive, &set.inactive),
-                (WhichList::Active, &set.active),
-                (WhichList::Promote, &set.promote),
-            ] {
-                // Asserted, not reported: on a broken chain the walk
-                // below would be meaningless or endless.
-                #[cfg(debug_assertions)]
-                list.check_links();
-                for frame in list.iter() {
-                    if !seen.insert(frame.raw()) {
-                        violations.push(InvariantViolation {
-                            frame,
-                            message: "appears on more than one list".into(),
-                        });
-                        continue;
-                    }
-                    match self.state_of(frame) {
-                        None => violations.push(InvariantViolation {
-                            frame,
-                            message: format!("on the {which} list but untracked"),
-                        }),
-                        Some(st) if st.list() != which => violations.push(InvariantViolation {
-                            frame,
-                            message: format!("state {st} but on the {which} list"),
-                        }),
-                        Some(_) => {}
-                    }
-                    Self::check_node_of(mem, node, frame, violations);
-                    if mem.frame(frame).kind() != kind {
-                        violations.push(InvariantViolation {
-                            frame,
-                            message: "listed under the wrong page kind".into(),
-                        });
-                    }
+        for (which, list) in [
+            (WhichList::Inactive, &lists.inactive),
+            (WhichList::Active, &lists.active),
+            (WhichList::Promote, &lists.promote),
+        ] {
+            // Asserted, not reported: on a broken chain the walk below
+            // would be meaningless or endless.
+            #[cfg(debug_assertions)]
+            list.check_links();
+            for frame in list.iter() {
+                if !seen.insert(frame.raw()) {
+                    violations.push(InvariantViolation {
+                        frame,
+                        message: "appears on more than one list".into(),
+                    });
+                    continue;
                 }
+                match self.state_of(frame) {
+                    None => violations.push(InvariantViolation {
+                        frame,
+                        message: format!("on the {which} list but untracked"),
+                    }),
+                    Some(st) if st.list() != which => violations.push(InvariantViolation {
+                        frame,
+                        message: format!("state {st} but on the {which} list"),
+                    }),
+                    Some(_) => {}
+                }
+                Self::check_node_of(mem, node, frame, violations);
             }
         }
     }
@@ -312,7 +303,7 @@ mod tests {
         mc.on_page_mapped(&mut mem, f);
         // Plant a second membership: the inactive page also joins the
         // active list.
-        mc.nodes[0].set_mut(PageKind::Anon).active.push_back(f);
+        mc.nodes[0].active.push_back(f);
         let violations = mc.check_invariants(&mem);
         assert_eq!(violations.len(), 1);
         assert!(violations[0]

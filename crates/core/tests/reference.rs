@@ -1,8 +1,8 @@
 //! The engine against an independent reference model.
 //!
 //! [`Model`] is a deliberately naive MULTI-CLOCK that shares no code with
-//! `crates/core/src`: a state table and one `Vec` per (node, page kind,
-//! list) — the paper's per-node LRU lists, front = coldest — and no
+//! `crates/core/src`: a state table and one `Vec` per (node, list) — the
+//! paper's per-node LRU lists for anonymous pages, front = coldest — and no
 //! batches, transactions, retry ladder or intrusive links. It
 //! transliterates the 13 edges of Fig. 4 ([`FIG4`], which must equal
 //! DESIGN.md's table), a `kpromoted` run that scans every
@@ -137,13 +137,6 @@ fn list_of(st: PageState) -> usize {
     }
 }
 
-fn kind_index(kind: PageKind) -> usize {
-    match kind {
-        PageKind::Anon => 0,
-        PageKind::File => 1,
-    }
-}
-
 /// The node indices of `tier`, in the topology's order.
 fn nodes_of(mem: &MemorySystem, tier: TierId) -> Vec<usize> {
     let nodes = mem.topology().tier(tier).nodes();
@@ -163,8 +156,8 @@ fn inactive_is_low(active: usize, inactive: usize, tier_pages: usize) -> bool {
 #[derive(Debug, Clone)]
 struct Model {
     scan_batch: usize,
-    /// `lists[node][kind][list]`, front = coldest.
-    lists: Vec<[[Vec<FrameId>; 3]; 2]>,
+    /// `lists[node][list]`, front = coldest.
+    lists: Vec<[Vec<FrameId>; 3]>,
     states: Vec<Option<PageState>>,
     ticks: u64,
     /// Tiers whose reclaim is running (reclaim never re-enters a tier).
@@ -189,10 +182,9 @@ impl Model {
         self.states[f.index()]
     }
 
-    /// List `l` of the node and kind of frame `f`.
+    /// List `l` of the node of frame `f`.
     fn list(&mut self, mem: &MemorySystem, f: FrameId, l: usize) -> &mut Vec<FrameId> {
-        let frame = mem.frame(f);
-        &mut self.lists[frame.node().index()][kind_index(frame.kind())][l]
+        &mut self.lists[mem.frame(f).node().index()][l]
     }
 
     /// Counts edge `id`, which must match its row of [`FIG4`].
@@ -256,10 +248,8 @@ impl Model {
                 &[INACTIVE, ACTIVE]
             };
             for n in nodes_of(mem, TierId::new(t as u8)) {
-                for kind in 0..2 {
-                    for &l in order {
-                        self.scan(mem, n, kind, l);
-                    }
+                for &l in order {
+                    self.scan(mem, n, l);
                 }
             }
         }
@@ -278,15 +268,15 @@ impl Model {
     /// the tail; a referenced one climbs (a promote page just stays); an
     /// unreferenced one in the list's referenced state decays — 1, 8, and
     /// 11 for the promote list, which ages to the active list.
-    fn scan(&mut self, mem: &mut MemorySystem, n: usize, kind: usize, l: usize) {
+    fn scan(&mut self, mem: &mut MemorySystem, n: usize, l: usize) {
         let (decays, lands, id) = match l {
             INACTIVE => (InactiveRef, InactiveUnref, 1),
             ACTIVE => (ActiveRef, ActiveUnref, 8),
             _ => (Promote, ActiveUnref, 11),
         };
-        let budget = self.lists[n][kind][l].len().min(self.scan_batch);
+        let budget = self.lists[n][l].len().min(self.scan_batch);
         for _ in 0..budget {
-            let list = &mut self.lists[n][kind][l];
+            let list = &mut self.lists[n][l];
             if list.is_empty() {
                 break;
             }
@@ -310,19 +300,16 @@ impl Model {
     fn drain(&mut self, mem: &mut MemorySystem, tier: TierId) {
         let upper = TierId::new(tier.index() as u8 - 1);
         let nodes = nodes_of(mem, tier);
-        let waiting = nodes.iter().flat_map(|&n| &self.lists[n]);
-        let waiting = waiting.map(|kind| kind[PROMOTE].len()).sum();
+        let waiting = nodes.iter().map(|&n| self.lists[n][PROMOTE].len()).sum();
         let mut room = Some(waiting);
         for &n in &nodes {
-            for kind in 0..2 {
-                let mut candidates = std::mem::take(&mut self.lists[n][kind][PROMOTE]);
-                if !candidates.is_empty() {
-                    let shift = self.ticks % candidates.len() as u64;
-                    candidates.rotate_left(shift as usize);
-                }
-                for f in candidates {
-                    self.promote(mem, f, upper, &mut room);
-                }
+            let mut candidates = std::mem::take(&mut self.lists[n][PROMOTE]);
+            if !candidates.is_empty() {
+                let shift = self.ticks % candidates.len() as u64;
+                candidates.rotate_left(shift as usize);
+            }
+            for f in candidates {
+                self.promote(mem, f, upper, &mut room);
             }
         }
     }
@@ -374,12 +361,10 @@ impl Model {
         self.busy[t] = true;
         if t == 0 {
             for n in nodes_of(mem, tier) {
-                for kind in 0..2 {
-                    for f in std::mem::take(&mut self.lists[n][kind][PROMOTE]) {
-                        self.states[f.index()] = Some(ActiveRef);
-                        self.lists[n][kind][ACTIVE].push(f);
-                        self.fire(11, Some(Promote), Some(ActiveRef));
-                    }
+                for f in std::mem::take(&mut self.lists[n][PROMOTE]) {
+                    self.states[f.index()] = Some(ActiveRef);
+                    self.lists[n][ACTIVE].push(f);
+                    self.fire(11, Some(Promote), Some(ActiveRef));
                 }
             }
         } else {
@@ -392,33 +377,15 @@ impl Model {
             None => mem.tier_balanced(tier),
         };
         while !done(mem) && budget > 0 {
-            let mut progressed = false;
-            for kind in 0..2 {
-                if budget > 0 && self.shrink_inactive(mem, tier, kind, force) {
-                    budget -= 1;
-                    progressed = true;
-                }
-            }
-            if progressed {
-                continue;
-            }
-            if !force {
-                break;
-            }
-            let mut refilled = false;
-            for kind in 0..2 {
-                if budget > 0
+            let progressed = self.shrink_inactive(mem, tier, force)
+                || force
                     && nodes_of(mem, tier)
                         .into_iter()
-                        .any(|n| self.shrink_active(mem, n, kind, force))
-                {
-                    budget -= 1;
-                    refilled = true;
-                }
-            }
-            if !refilled {
+                        .any(|n| self.shrink_active(mem, n, force));
+            if !progressed {
                 break;
             }
+            budget -= 1;
         }
         self.rebalance(mem, tier, &mut budget, force);
         self.busy[t] = false;
@@ -429,19 +396,17 @@ impl Model {
     fn rebalance(&mut self, mem: &mut MemorySystem, tier: TierId, budget: &mut usize, force: bool) {
         let tier_pages = mem.topology().tier(tier).pages();
         for n in nodes_of(mem, tier) {
-            for kind in 0..2 {
-                let mut visits = self.lists[n][kind][ACTIVE].len();
-                while *budget > 0 && visits > 0 {
-                    let lists = &self.lists[n][kind];
-                    if !inactive_is_low(lists[ACTIVE].len(), lists[INACTIVE].len(), tier_pages) {
-                        break;
-                    }
-                    if !self.shrink_active(mem, n, kind, force) {
-                        break;
-                    }
-                    visits -= 1;
-                    *budget -= 1;
+            let mut visits = self.lists[n][ACTIVE].len();
+            while *budget > 0 && visits > 0 {
+                let lists = &self.lists[n];
+                if !inactive_is_low(lists[ACTIVE].len(), lists[INACTIVE].len(), tier_pages) {
+                    break;
                 }
+                if !self.shrink_active(mem, n, force) {
+                    break;
+                }
+                visits -= 1;
+                *budget -= 1;
             }
         }
     }
@@ -449,14 +414,8 @@ impl Model {
     /// `shrink_active_list()` on one page: a referenced page climbs, an
     /// active-referenced one decays (8) only under forced reclaim, an
     /// unreferenced one deactivates (9). Whether there was a page.
-    fn shrink_active(
-        &mut self,
-        mem: &mut MemorySystem,
-        n: usize,
-        kind: usize,
-        force: bool,
-    ) -> bool {
-        let list = &mut self.lists[n][kind][ACTIVE];
+    fn shrink_active(&mut self, mem: &mut MemorySystem, n: usize, force: bool) -> bool {
+        let list = &mut self.lists[n][ACTIVE];
         if list.is_empty() {
             return false;
         }
@@ -481,25 +440,19 @@ impl Model {
     /// inactive-referenced one rotates (decaying, 1, only under forced
     /// reclaim), and a cold one is demoted (3) or, on the lowest tier,
     /// evicted (4). Whether there was a page.
-    fn shrink_inactive(
-        &mut self,
-        mem: &mut MemorySystem,
-        tier: TierId,
-        kind: usize,
-        force: bool,
-    ) -> bool {
+    fn shrink_inactive(&mut self, mem: &mut MemorySystem, tier: TierId, force: bool) -> bool {
         let Some(n) = nodes_of(mem, tier)
             .into_iter()
-            .find(|&n| !self.lists[n][kind][INACTIVE].is_empty())
+            .find(|&n| !self.lists[n][INACTIVE].is_empty())
         else {
             return false;
         };
-        let f = self.lists[n][kind][INACTIVE].remove(0);
+        let f = self.lists[n][INACTIVE].remove(0);
         if mem.harvest_referenced(f) {
-            self.lists[n][kind][INACTIVE].push(f);
+            self.lists[n][INACTIVE].push(f);
             self.climb(mem, f);
         } else if self.state(f) == Some(InactiveRef) {
-            self.lists[n][kind][INACTIVE].push(f);
+            self.lists[n][INACTIVE].push(f);
             if force {
                 self.set(mem, f, InactiveUnref);
                 self.fire(1, Some(InactiveRef), Some(InactiveUnref));
@@ -509,7 +462,7 @@ impl Model {
                 let st = self.states[f.index()].take();
                 self.fire(4, st, None);
             } else {
-                self.lists[n][kind][INACTIVE].push(f);
+                self.lists[n][INACTIVE].push(f);
             }
         } else {
             let lower = TierId::new(tier.index() as u8 + 1);
@@ -525,7 +478,7 @@ impl Model {
                     self.list(mem, new, INACTIVE).push(new);
                     self.fire(3, st, Some(InactiveUnref));
                 }
-                Err(_) => self.lists[n][kind][INACTIVE].push(f),
+                Err(_) => self.lists[n][INACTIVE].push(f),
             }
         }
         true
@@ -606,15 +559,6 @@ fn vpage(p: u8) -> VPage {
     VPage::new(u64::from(p))
 }
 
-/// Every fourth page is file-backed.
-fn kind(p: u8) -> PageKind {
-    if p % 4 == 3 {
-        PageKind::File
-    } else {
-        PageKind::Anon
-    }
-}
-
 /// An allocation-failure injector whose `k`-th draw fails and whose next
 /// sixteen pass.
 fn faulty(k: u8) -> FaultInjector {
@@ -641,7 +585,7 @@ fn apply(mem: &mut MemorySystem, policy: &mut impl TieringPolicy, op: Op, now: N
         Op::Place(p, t, k) => {
             if mapped(mem, p).is_none() {
                 mem.note_swap_in(vpage(p));
-                if let Ok(f) = mem.alloc_page_in_tier(kind(p), TierId::new(t)) {
+                if let Ok(f) = mem.alloc_page_in_tier(TierId::new(t)) {
                     map(mem, policy, p, f);
                     for _ in 0..k {
                         policy.on_supervised_access(mem, f, AccessKind::Read);
@@ -653,7 +597,7 @@ fn apply(mem: &mut MemorySystem, policy: &mut impl TieringPolicy, op: Op, now: N
             if mapped(mem, p).is_none() {
                 mem.note_swap_in(vpage(p));
                 for round in 0..=3 {
-                    if let Ok(f) = mem.alloc_page(kind(p)) {
+                    if let Ok(f) = mem.alloc_page(PageKind::Anon) {
                         return map(mem, policy, p, f);
                     }
                     if round < 3 {
@@ -981,18 +925,16 @@ impl World {
         }
         for n in 0..self.mem.topology().nodes().len() {
             let lists = self.engine.node_lists(NodeId::new(n as u8));
-            for kind in PageKind::ALL {
-                for (l, which) in [WhichList::Inactive, WhichList::Active, WhichList::Promote]
-                    .into_iter()
-                    .enumerate()
-                {
-                    let engine: Vec<FrameId> = lists.set(kind).list(which).iter().collect();
-                    let ours = &model.lists[n][kind_index(kind)][l];
-                    if &engine != ours {
-                        return Err(format!(
-                            "node {n} {kind:?} {which} list: engine {engine:?}, model {ours:?}"
-                        ));
-                    }
+            for (l, which) in [WhichList::Inactive, WhichList::Active, WhichList::Promote]
+                .into_iter()
+                .enumerate()
+            {
+                let engine: Vec<FrameId> = lists.list(which).iter().collect();
+                let ours = &model.lists[n][l];
+                if &engine != ours {
+                    return Err(format!(
+                        "node {n} {which} list: engine {engine:?}, model {ours:?}"
+                    ));
                 }
             }
         }
@@ -1059,16 +1001,13 @@ impl World {
         }
         for n in 0..mem.topology().nodes().len() {
             let lists = self.engine.node_lists(NodeId::new(n as u8));
-            for kind in PageKind::ALL {
-                let set = lists.set(kind);
-                for list in [&set.inactive, &set.active, &set.promote] {
-                    list.iter().collect::<Vec<_>>().hash(&mut h);
-                }
+            for list in [&lists.inactive, &lists.active, &lists.promote] {
+                list.iter().collect::<Vec<_>>().hash(&mut h);
             }
         }
         let mut free = mem.clone();
         for t in 0..mem.topology().tier_count() {
-            while let Ok(f) = free.alloc_page_in_tier(PageKind::Anon, TierId::new(t as u8)) {
+            while let Ok(f) = free.alloc_page_in_tier(TierId::new(t as u8)) {
                 f.hash(&mut h);
             }
         }
@@ -1193,7 +1132,7 @@ fn roots(scope: &Scope, rungs: &[u8]) -> Vec<Vec<Op>> {
     let room: Vec<usize> = (0..probe.topology().tier_count())
         .map(|t| {
             let tier = TierId::new(t as u8);
-            std::iter::from_fn(|| probe.alloc_page_in_tier(PageKind::Anon, tier).ok()).count()
+            std::iter::from_fn(|| probe.alloc_page_in_tier(tier).ok()).count()
         })
         .collect();
     let mut roots = vec![(Vec::new(), vec![0; room.len()])];

@@ -13,20 +13,20 @@ fn boundary_flags_foreign_list_mutation() {
     // What `MultiClock::node_lists` hands out: readable, not writable.
     compile(
         "foreign_read",
-        "pub fn peek(lists: &multi_clock::TierLists) -> bool {
-             let frame = lists.anon.inactive.front().unwrap();
-             lists.anon.inactive.contains(frame)
+        "pub fn peek(lists: &multi_clock::ListSet) -> bool {
+             let frame = lists.inactive.front().unwrap();
+             lists.inactive.contains(frame)
          }",
     )
     .unwrap();
     assert_rejected(
         "foreign_push",
-        "pub fn rogue(lists: &multi_clock::TierLists) {
-             let frame = lists.anon.inactive.front().unwrap();
-             lists.anon.inactive.push_back(frame);
+        "pub fn rogue(lists: &multi_clock::ListSet) {
+             let frame = lists.inactive.front().unwrap();
+             lists.inactive.push_back(frame);
          }",
         "E0596",
-        "lists.anon.inactive",
+        "lists.inactive",
     );
     // Even with the whole engine borrowed mutably, the lists are private.
     assert_rejected(
@@ -42,16 +42,6 @@ fn boundary_flags_foreign_list_mutation() {
 #[test]
 fn boundary_flags_mut_accessors_and_assignment() {
     assert_rejected(
-        "set_mut",
-        "pub fn rogue(lists: &mut multi_clock::TierLists) {
-             let _ = |kind| {
-                 lists.set_mut(kind);
-             };
-         }",
-        "E0624",
-        "set_mut",
-    );
-    assert_rejected(
         "list_mut",
         "pub fn rogue(lists: &mut multi_clock::ListSet) {
              lists.list_mut(multi_clock::WhichList::Active);
@@ -61,10 +51,10 @@ fn boundary_flags_mut_accessors_and_assignment() {
     );
     assert_rejected(
         "assign",
-        "pub fn rogue(lists: &multi_clock::TierLists) {
-             lists.anon.active = Default::default();
+        "pub fn rogue(lists: &multi_clock::ListSet) {
+             lists.active = Default::default();
          }",
         "E0594",
-        "lists.anon.active",
+        "lists.active",
     );
 }

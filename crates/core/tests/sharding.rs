@@ -138,18 +138,18 @@ fn one_shard_per_node_matches_node_count() {
             let tier = TierId::new(t as u8);
             assert_eq!(mem.topology().tier(tier).nodes().len(), per_tier);
             for _ in 0..2 * per_tier {
-                let frame = mem.alloc_page_in_tier(PageKind::Anon, tier).expect("room");
+                let frame = mem.alloc_page_in_tier(tier).expect("room");
                 mem.map(VPage::new(v), frame).expect("fresh vpage maps");
                 v += 1;
                 mc.on_page_mapped(&mut mem, frame);
                 let node = mem.frame(frame).node();
-                assert!(mc.node_lists(node).anon.inactive.contains(frame));
+                assert!(mc.node_lists(node).inactive.contains(frame));
                 assert_eq!(nodes_holding(&mem, &mc, frame), 1, "{frame} in tier {t}");
             }
         }
         for n in 0..mem.topology().nodes().len() {
             let lists = mc.node_lists(NodeId::new(n as u8));
-            assert!(!lists.anon.inactive.is_empty(), "node {n} holds pages");
+            assert!(!lists.inactive.is_empty(), "node {n} holds pages");
         }
         mc.assert_invariants(&mem);
     }

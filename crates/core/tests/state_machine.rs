@@ -3,9 +3,7 @@
 //! edges' *outcomes* are compared with an independent model in
 //! `reference.rs`.
 
-use mc_mem::{
-    AccessKind, MachineDesc, MemorySystem, Nanos, NodeId, PageKind, TierId, TieringPolicy, VPage,
-};
+use mc_mem::{AccessKind, MachineDesc, MemorySystem, Nanos, NodeId, TierId, TieringPolicy, VPage};
 use multi_clock::{MultiClock, MultiClockConfig, PageState, WhichList};
 
 fn setup() -> (MemorySystem, MultiClock) {
@@ -15,7 +13,7 @@ fn setup() -> (MemorySystem, MultiClock) {
 }
 
 fn map_page(mem: &mut MemorySystem, mc: &mut MultiClock, v: u64, tier: TierId) -> mc_mem::FrameId {
-    let f = mem.alloc_page_in_tier(PageKind::Anon, tier).unwrap();
+    let f = mem.alloc_page_in_tier(tier).unwrap();
     mem.map(VPage::new(v), f).unwrap();
     mc.on_page_mapped(mem, f);
     f
@@ -70,7 +68,7 @@ fn transition_9_long_idle_active_page_deactivates_under_pressure() {
     // Fill DRAM so pressure has something to do.
     let mut v = 0u64;
     let mut frames = Vec::new();
-    while let Ok(f) = mem.alloc_page_in_tier(PageKind::Anon, TierId::TOP) {
+    while let Ok(f) = mem.alloc_page_in_tier(TierId::TOP) {
         mem.map(VPage::new(v), f).unwrap();
         mc.on_page_mapped(&mut mem, f);
         frames.push(f);
@@ -88,7 +86,6 @@ fn transition_9_long_idle_active_page_deactivates_under_pressure() {
     assert!(mc.stats().deactivations > 0, "ratio rule deactivated pages");
     let inactive_now = mc
         .node_lists(NodeId::new(0))
-        .set(PageKind::Anon)
         .list(WhichList::Inactive)
         .len();
     assert!(
@@ -142,7 +139,7 @@ fn transition_13_lower_tier_promote_pages_migrate_up() {
 fn transition_3_cold_inactive_pages_demote_under_pressure() {
     let (mut mem, mut mc) = setup();
     let mut v = 0u64;
-    while let Ok(f) = mem.alloc_page_in_tier(PageKind::Anon, TierId::TOP) {
+    while let Ok(f) = mem.alloc_page_in_tier(TierId::TOP) {
         mem.map(VPage::new(v), f).unwrap();
         mc.on_page_mapped(&mut mem, f);
         v += 1;
@@ -160,7 +157,7 @@ fn transition_4_freed_pages_leave_the_machine() {
     let pm = TierId::new(1);
     let oldest = map_page(&mut mem, &mut mc, 0, pm);
     let mut v = 1u64;
-    while let Ok(f) = mem.alloc_page_in_tier(PageKind::Anon, pm) {
+    while let Ok(f) = mem.alloc_page_in_tier(pm) {
         mem.map(VPage::new(v), f).unwrap();
         mc.on_page_mapped(&mut mem, f);
         v += 1;
@@ -191,7 +188,7 @@ fn full_ladder_then_demotion_round_trip_preserves_invariants() {
         mc.assert_invariants(&mem);
     }
     let mut v = 100u64;
-    while let Ok(f2) = mem.alloc_page_in_tier(PageKind::Anon, TierId::TOP) {
+    while let Ok(f2) = mem.alloc_page_in_tier(TierId::TOP) {
         mem.map(VPage::new(v), f2).unwrap();
         mc.on_page_mapped(&mut mem, f2);
         v += 1;

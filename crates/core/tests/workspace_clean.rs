@@ -22,8 +22,7 @@ fn list_mutation_stays_inside_core_machinery() {
          }
          pub fn census(mc: &MultiClock) {
              let _ = |node| -> usize {
-                 let s = mc.node_lists(node);
-                 set_len(&s.anon) + set_len(&s.file)
+                 set_len(mc.node_lists(node))
              };
          }",
     )
@@ -33,15 +32,15 @@ fn list_mutation_stays_inside_core_machinery() {
         ("door_field", "mc.nodes.clear();", "E0616", "nodes"),
         (
             "door_remove",
-            "let _ = |node, frame| mc.node_lists(node).anon.active.remove(frame);",
+            "let _ = |node, frame| mc.node_lists(node).active.remove(frame);",
             "E0596",
-            "mc.node_lists(node).anon.active",
+            "mc.node_lists(node).active",
         ),
         (
             "door_node",
-            "let _ = |node| { mc.node_lists(node).file.promote.drain(); };",
+            "let _ = |node| { mc.node_lists(node).promote.drain(); };",
             "E0596",
-            "mc.node_lists(node).file.promote",
+            "mc.node_lists(node).promote",
         ),
     ] {
         let src = format!("pub fn rogue(mc: &mut multi_clock::MultiClock) {{ {body} }}");

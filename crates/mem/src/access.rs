@@ -26,7 +26,7 @@ use crate::{Nanos, PageKind, VAddr, VPageMap, PAGE_SIZE};
 pub trait Memory {
     /// Reserves a zero-initialised region of at least `bytes` bytes and
     /// returns its base address. Regions are page-aligned and never
-    /// overlap.
+    /// overlap. Every page is anonymous, so `kind` carries nothing.
     fn mmap(&mut self, bytes: usize, kind: PageKind) -> VAddr;
 
     /// Loads `len` bytes at `addr` (access accounting only; no data).
@@ -149,7 +149,7 @@ mod tests {
         let mut m = SimpleMemory::new();
         let a = m.mmap(10, PageKind::Anon);
         let b = m.mmap(PAGE_SIZE + 1, PageKind::Anon);
-        let c = m.mmap(1, PageKind::File);
+        let c = m.mmap(1, PageKind::Anon);
         assert_eq!(a.raw(), 0);
         assert_eq!(b.raw(), PAGE_SIZE as u64, "10 bytes round up to one page");
         assert_eq!(c.raw(), 3 * PAGE_SIZE as u64, "PAGE_SIZE+1 takes two pages");

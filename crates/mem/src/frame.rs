@@ -3,22 +3,18 @@
 use crate::flags::PageFlags;
 use crate::ids::{NodeId, TierId, VPage};
 
-/// Whether a page holds anonymous or file-backed memory.
+/// The kind of memory a page holds: anonymous only.
 ///
-/// The kernel (and MULTI-CLOCK) keeps separate LRU list sets for the two
-/// kinds; the paper stresses that MULTI-CLOCK manages *both* (unlike the
-/// NUMA-balancing approach of Yang, which handles anonymous pages only).
+/// The kernel keeps separate LRU list sets for anonymous and file-backed
+/// pages, and the paper's MULTI-CLOCK manages both. Every workload the paper
+/// evaluates (memcached's heap, GAPBS's arrays) is anonymous, so the
+/// simulator models that one kind (DESIGN.md §2). The enum survives only in
+/// `Memory::mmap` and `MemorySystem::alloc_page`, whose signatures the
+/// benchmark harness pins.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PageKind {
     /// Anonymous memory (heap, stacks, `MAP_ANONYMOUS`).
     Anon,
-    /// File-backed memory (page cache, `mmap`ed files).
-    File,
-}
-
-impl PageKind {
-    /// All page kinds, in a stable order.
-    pub const ALL: [PageKind; 2] = [PageKind::Anon, PageKind::File];
 }
 
 /// Allocation state of a frame.
@@ -36,7 +32,6 @@ pub struct Frame {
     state: FrameState,
     node: NodeId,
     tier: TierId,
-    kind: PageKind,
     flags: PageFlags,
     /// Reverse mapping: the virtual page currently mapped to this frame.
     vpage: Option<VPage>,
@@ -49,7 +44,6 @@ impl Frame {
             state: FrameState::Free,
             node,
             tier,
-            kind: PageKind::Anon,
             flags: PageFlags::EMPTY,
             vpage: None,
         }
@@ -70,11 +64,6 @@ impl Frame {
         self.tier
     }
 
-    /// Anonymous or file-backed (meaningful only while allocated).
-    pub fn kind(&self) -> PageKind {
-        self.kind
-    }
-
     /// Page flags.
     pub fn flags(&self) -> PageFlags {
         self.flags
@@ -90,10 +79,9 @@ impl Frame {
         self.vpage
     }
 
-    pub(crate) fn mark_allocated(&mut self, kind: PageKind) {
+    pub(crate) fn mark_allocated(&mut self) {
         debug_assert_eq!(self.state, FrameState::Free);
         self.state = FrameState::Allocated;
-        self.kind = kind;
         self.flags = PageFlags::EMPTY;
         self.vpage = None;
     }
@@ -117,9 +105,8 @@ mod tests {
     fn lifecycle() {
         let mut f = Frame::free(NodeId::new(0), TierId::TOP);
         assert_eq!(f.state(), FrameState::Free);
-        f.mark_allocated(PageKind::File);
+        f.mark_allocated();
         assert_eq!(f.state(), FrameState::Allocated);
-        assert_eq!(f.kind(), PageKind::File);
         assert!(f.flags().is_empty());
         f.set_vpage(Some(VPage::new(9)));
         assert_eq!(f.vpage(), Some(VPage::new(9)));
@@ -131,10 +118,10 @@ mod tests {
     #[test]
     fn allocation_clears_stale_flags() {
         let mut f = Frame::free(NodeId::new(0), TierId::TOP);
-        f.mark_allocated(PageKind::Anon);
+        f.mark_allocated();
         f.flags_mut().insert(PageFlags::DIRTY);
         f.mark_free();
-        f.mark_allocated(PageKind::Anon);
+        f.mark_allocated();
         assert!(f.flags().is_empty());
     }
 }

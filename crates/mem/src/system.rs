@@ -227,15 +227,15 @@ impl MemorySystem {
 
     /// Allocates a page, preferring the fastest tier ("pages are born in
     /// DRAM"), falling back tier by tier. Within a tier, the node with the
-    /// most free pages wins.
+    /// most free pages wins. Every page is anonymous, so `_kind` is ignored.
     ///
     /// # Errors
     ///
     /// Returns [`MemError::OutOfMemory`] when no node has a free page above
     /// its `min` watermark.
-    pub fn alloc_page(&mut self, kind: PageKind) -> Result<FrameId, MemError> {
+    pub fn alloc_page(&mut self, _kind: PageKind) -> Result<FrameId, MemError> {
         for tier in 0..self.topology.tier_count() {
-            if let Ok(f) = self.alloc_page_in_tier(kind, TierId::new(tier as u8)) {
+            if let Ok(f) = self.alloc_page_in_tier(TierId::new(tier as u8)) {
                 return Ok(f);
             }
         }
@@ -249,11 +249,7 @@ impl MemorySystem {
     ///
     /// Returns [`MemError::TierFull`] when no member node can allocate, or
     /// [`MemError::NoSuchTier`] for an out-of-range tier.
-    pub fn alloc_page_in_tier(
-        &mut self,
-        kind: PageKind,
-        tier: TierId,
-    ) -> Result<FrameId, MemError> {
+    pub fn alloc_page_in_tier(&mut self, tier: TierId) -> Result<FrameId, MemError> {
         if tier.index() >= self.topology.tier_count() {
             return Err(MemError::NoSuchTier(tier));
         }
@@ -276,7 +272,7 @@ impl MemorySystem {
                 })
                 .max_by_key(|n| self.nodes[n.index()].free.len());
             if let Some(frame) = node.and_then(|n| self.nodes[n.index()].free.pop()) {
-                self.frames[frame.index()].mark_allocated(kind);
+                self.frames[frame.index()].mark_allocated();
                 saturating_bump(&mut self.stats.allocs);
                 self.instruments.emit(|| EventKind::Alloc {
                     frame: frame.index() as u64,
@@ -606,8 +602,7 @@ impl MemorySystem {
         if mode == MigrationMode::Transactional {
             self.invalidate_shadow_of(frame);
         }
-        let kind = self.frames[frame.index()].kind();
-        self.alloc_page_in_tier(kind, dst_tier).map_err(|e| {
+        self.alloc_page_in_tier(dst_tier).map_err(|e| {
             self.migrate_fail(frame, src_tier, "tier-full");
             (e, false)
         })
@@ -681,9 +676,9 @@ impl MemorySystem {
     }
 
     /// Evicts a page from the lowest tier to backing storage: unmaps it,
-    /// charges the swap write for dirty/anonymous pages (clean file pages
-    /// are simply dropped), frees the frame, and remembers the virtual page
-    /// so the next touch pays a swap-in.
+    /// charges the swap write (every page is anonymous, so every eviction
+    /// writes to swap), frees the frame, and remembers the virtual page so
+    /// the next touch pays a swap-in.
     ///
     /// # Errors
     ///
@@ -693,8 +688,6 @@ impl MemorySystem {
         if f.state() != FrameState::Allocated {
             return Err(MemError::FrameNotAllocated(frame));
         }
-        let dirty = f.flags().contains(PageFlags::DIRTY);
-        let anon = f.kind() == PageKind::Anon;
         let vpage = f.vpage();
         self.abort_txn_of(frame, "unmapped");
         self.invalidate_shadow_of(frame);
@@ -703,9 +696,7 @@ impl MemorySystem {
         if vpage.is_none() {
             self.forget_shadow_copy(frame);
         }
-        if dirty || anon {
-            self.charge(Charge::Background, self.latency.swap_page);
-        }
+        self.charge(Charge::Background, self.latency.swap_page);
         if let Some(v) = vpage {
             self.page_table.unmap(v);
             let tracked = self.swapped.insert(v, ());
@@ -1083,9 +1074,7 @@ mod tests {
     #[test]
     fn migrate_up_counts_promotion() {
         let mut mem = small();
-        let f = mem
-            .alloc_page_in_tier(PageKind::Anon, TierId::new(1))
-            .unwrap();
+        let f = mem.alloc_page_in_tier(TierId::new(1)).unwrap();
         mem.map(VPage::new(2), f).unwrap();
         let nf = mem.migrate(f, TierId::TOP).unwrap();
         assert_eq!(mem.frame(nf).tier(), TierId::TOP);
@@ -1120,7 +1109,7 @@ mod tests {
         let pm = TierId::new(1);
         let frames: Vec<FrameId> = (0..8)
             .map(|i| {
-                let f = mem.alloc_page_in_tier(PageKind::Anon, pm).unwrap();
+                let f = mem.alloc_page_in_tier(pm).unwrap();
                 mem.map(VPage::new(i), f).unwrap();
                 f
             })
@@ -1177,9 +1166,7 @@ mod tests {
     fn migrate_batch_of_one_is_identical_to_single_migrate() {
         let run = |batched: bool| {
             let mut mem = small();
-            let f = mem
-                .alloc_page_in_tier(PageKind::Anon, TierId::new(1))
-                .unwrap();
+            let f = mem.alloc_page_in_tier(TierId::new(1)).unwrap();
             mem.map(VPage::new(3), f).unwrap();
             mem.take_charges();
             if batched {
@@ -1198,11 +1185,11 @@ mod tests {
     fn migrate_batch_skips_bad_pages_and_continues() {
         let mut mem = small();
         let pm = TierId::new(1);
-        let a = mem.alloc_page_in_tier(PageKind::Anon, pm).unwrap();
+        let a = mem.alloc_page_in_tier(pm).unwrap();
         let already_up = mem.alloc_page(PageKind::Anon).unwrap();
-        let b = mem.alloc_page_in_tier(PageKind::Anon, pm).unwrap();
-        let gone = mem.alloc_page_in_tier(PageKind::Anon, pm).unwrap();
-        let c = mem.alloc_page_in_tier(PageKind::Anon, pm).unwrap();
+        let b = mem.alloc_page_in_tier(pm).unwrap();
+        let gone = mem.alloc_page_in_tier(pm).unwrap();
+        let c = mem.alloc_page_in_tier(pm).unwrap();
         mem.evict(gone).unwrap();
         let results = mem.migrate_pages(
             &[a, already_up, b, gone, c],
@@ -1245,7 +1232,7 @@ mod tests {
         let pm = TierId::new(1);
         let frames: Vec<FrameId> = (0..4)
             .map(|i| {
-                let f = mem.alloc_page_in_tier(PageKind::Anon, pm).unwrap();
+                let f = mem.alloc_page_in_tier(pm).unwrap();
                 mem.map(VPage::new(i), f).unwrap();
                 f
             })
@@ -1279,9 +1266,7 @@ mod tests {
             .migrate_pages(&[], TierId::TOP, MigrationMode::Sync)
             .is_empty());
         let a = mem.alloc_page(PageKind::Anon).unwrap();
-        let b = mem
-            .alloc_page_in_tier(PageKind::Anon, TierId::new(1))
-            .unwrap();
+        let b = mem.alloc_page_in_tier(TierId::new(1)).unwrap();
         let plan = FaultPlan {
             migrate_lock_rate: 1.0,
             ..FaultPlan::default()
@@ -1311,6 +1296,11 @@ mod tests {
         assert_eq!(mem.stats().swap_ins, 1);
         let l = mem.take_charges();
         assert_eq!(l.get(SwapIn), mem.latency().swap_page);
+        assert_eq!(
+            l.get(Background),
+            mem.latency().swap_page,
+            "a clean page still pays its swap write"
+        );
         assert_eq!(l.now(), mem.latency().swap_page, "nothing else stalls");
     }
 
@@ -1334,7 +1324,7 @@ mod tests {
         let wm = mem.node_watermarks(NodeId::new(0));
         // Allocate DRAM down to just below the low watermark.
         for _ in 0..(64 - wm.low + 1) {
-            mem.alloc_page_in_tier(PageKind::Anon, TierId::TOP).unwrap();
+            mem.alloc_page_in_tier(TierId::TOP).unwrap();
         }
         assert!(mem.tier_under_pressure(TierId::TOP));
         assert!(!mem.tier_balanced(TierId::TOP));
@@ -1348,21 +1338,6 @@ mod tests {
         let b = mem.alloc_page(PageKind::Anon).unwrap();
         assert_ne!(mem.frame(a).node(), mem.frame(b).node());
         assert_eq!(mem.frame(a).tier(), mem.frame(b).tier());
-    }
-
-    #[test]
-    fn evict_clean_file_page_skips_swap_cost() {
-        let mut mem = small();
-        let f = mem.alloc_page(PageKind::File).unwrap();
-        mem.map(VPage::new(20), f).unwrap();
-        mem.take_charges();
-        mem.evict(f).unwrap();
-        let l = mem.take_charges();
-        assert_eq!(
-            l.get(Background),
-            Nanos::ZERO,
-            "clean file pages are dropped"
-        );
     }
 
     #[test]
@@ -1409,7 +1384,7 @@ mod tests {
             .unwrap()
             .set_tier_offline(0, true);
         assert_eq!(
-            mem.alloc_page_in_tier(PageKind::Anon, TierId::TOP),
+            mem.alloc_page_in_tier(TierId::TOP),
             Err(MemError::TierFull(TierId::TOP))
         );
         // The tier-by-tier fallback lands in PM instead.
@@ -1467,9 +1442,7 @@ mod tests {
 
     /// Allocates a clean PM page, maps it, and opens a promotion txn.
     fn begin_promotion(mem: &mut MemorySystem, vp: u64) -> FrameId {
-        let f = mem
-            .alloc_page_in_tier(PageKind::Anon, TierId::new(1))
-            .unwrap();
+        let f = mem.alloc_page_in_tier(TierId::new(1)).unwrap();
         mem.map(VPage::new(vp), f).unwrap();
         begin_migration(mem, f, TierId::TOP).unwrap();
         f
@@ -1608,7 +1581,7 @@ mod tests {
         // Fill PM: the shadow frame must be surrendered before the tier
         // reports full, so shadows never cost real capacity.
         let mut got = 0;
-        while mem.alloc_page_in_tier(PageKind::Anon, pm).is_ok() {
+        while mem.alloc_page_in_tier(pm).is_ok() {
             got += 1;
         }
         let wm = mem.node_watermarks(NodeId::new(1));

@@ -6,8 +6,8 @@
 //! the mapping, and no frame without a mapping ever has it set.
 
 use mc_mem::{
-    AccessKind, FrameId, MachineDesc, MemorySystem, MigrationMode, PageFlags, PageKind, PageMove,
-    TierId, VPage,
+    AccessKind, FrameId, MachineDesc, MemorySystem, MigrationMode, PageFlags, PageMove, TierId,
+    VPage,
 };
 use proptest::prelude::*;
 
@@ -32,7 +32,7 @@ proptest! {
         let lower = TierId::new(1);
         let mut mem = MemorySystem::new(MachineDesc::dram_pm(40, 128));
         for p in 0..PAGES {
-            let f = mem.alloc_page_in_tier(PageKind::Anon, lower).unwrap();
+            let f = mem.alloc_page_in_tier(lower).unwrap();
             mem.map(VPage::new(p), f).unwrap();
         }
         // The model: the reference bit of each virtual page.
@@ -87,7 +87,7 @@ proptest! {
                 7 => {
                     // Evict and fault straight back in: a fresh mapping.
                     mem.evict(frame).unwrap();
-                    let back = mem.alloc_page_in_tier(PageKind::Anon, lower).unwrap();
+                    let back = mem.alloc_page_in_tier(lower).unwrap();
                     mem.note_swap_in(v);
                     mem.map(v, back).unwrap();
                     referenced[page as usize] = false;

@@ -143,7 +143,7 @@ proptest! {
         let lower = TierId::new(1);
         let mut mem = MemorySystem::new(MachineDesc::dram_pm(40, 128));
         for p in 0..PAGES {
-            let f = mem.alloc_page_in_tier(PageKind::Anon, lower).unwrap();
+            let f = mem.alloc_page_in_tier(lower).unwrap();
             mem.map(VPage::new(p), f).unwrap();
         }
         // The old tables: open transactions `(source, doomed)` in begin
@@ -187,7 +187,7 @@ proptest! {
                     // Evict the page and fault it straight back in.
                     let aborts = mem.stats().txn_aborts;
                     prop_assert_eq!(mem.evict(frame), Ok(()));
-                    let back = mem.alloc_page_in_tier(PageKind::Anon, lower).unwrap();
+                    let back = mem.alloc_page_in_tier(lower).unwrap();
                     mem.note_swap_in(v);
                     mem.map(v, back).unwrap();
                     let open = txns.len();

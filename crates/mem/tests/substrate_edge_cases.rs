@@ -11,7 +11,7 @@ fn migrate_unmapped_frame_moves_metadata_only() {
     // A frame can be allocated but not (yet) mapped; migration must still
     // work and simply carry no vpage.
     let mut mem = small();
-    let f = mem.alloc_page(PageKind::File).unwrap();
+    let f = mem.alloc_page(PageKind::Anon).unwrap();
     let nf = mem.migrate(f, TierId::new(1)).unwrap();
     assert_eq!(mem.frame(nf).tier(), TierId::new(1));
     assert_eq!(mem.frame(nf).vpage(), None);
@@ -80,7 +80,7 @@ fn mapping_a_free_frame_rejected() {
 fn alloc_in_bogus_tier_rejected() {
     let mut mem = small();
     assert_eq!(
-        mem.alloc_page_in_tier(PageKind::Anon, TierId::new(7)),
+        mem.alloc_page_in_tier(TierId::new(7)),
         Err(MemError::NoSuchTier(TierId::new(7)))
     );
 }
@@ -108,10 +108,8 @@ fn swap_cycle_preserves_swapped_set_across_frames() {
 #[test]
 fn tier_accesses_counter_tracks_placement() {
     let mut mem = small();
-    let d = mem.alloc_page_in_tier(PageKind::Anon, TierId::TOP).unwrap();
-    let p = mem
-        .alloc_page_in_tier(PageKind::Anon, TierId::new(1))
-        .unwrap();
+    let d = mem.alloc_page_in_tier(TierId::TOP).unwrap();
+    let p = mem.alloc_page_in_tier(TierId::new(1)).unwrap();
     mem.map(VPage::new(1), d).unwrap();
     mem.map(VPage::new(2), p).unwrap();
     mem.access(VPage::new(1), AccessKind::Read).unwrap();
@@ -131,7 +129,7 @@ fn dual_socket_tier_free_spans_nodes() {
     // Drain one DRAM node fully: allocations keep succeeding from the
     // other node until both hit their reserves.
     let mut count = 0;
-    while mem.alloc_page_in_tier(PageKind::Anon, TierId::TOP).is_ok() {
+    while mem.alloc_page_in_tier(TierId::TOP).is_ok() {
         count += 1;
     }
     let reserved =

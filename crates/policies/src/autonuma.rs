@@ -5,9 +5,10 @@
 //! balancing extended to tiers. Its distinguishing limitations, which
 //! this implementation reproduces:
 //!
-//! * **anonymous pages only** — file-backed memory is never tracked or
-//!   migrated ("handles promotion/demotion for anonymous pages only ...
-//!   MULTI-CLOCK is capable of managing all types of pages");
+//! * **anonymous pages only** ("handles promotion/demotion for anonymous
+//!   pages only ... MULTI-CLOCK is capable of managing all types of
+//!   pages"). Every page this simulator maps is anonymous (DESIGN.md §2),
+//!   so the limitation shows only in the Table I row;
 //! * hint-page-fault access tracking (AutoNUMA's sampled PTE poisoning),
 //!   paying the software-fault cost on every sampled access;
 //! * promotion on fault **only into free space** — room is made solely by
@@ -16,15 +17,15 @@
 
 use crate::ring::{self, Rings};
 use mc_mem::{
-    AccessKind, FrameId, MemorySystem, Nanos, PageKind, PolicyTraits, TickOutcome, TierId,
-    TieringPolicy, Topology,
+    AccessKind, FrameId, MemorySystem, Nanos, PolicyTraits, TickOutcome, TierId, TieringPolicy,
+    Topology,
 };
 use mc_obs::EventKind;
 
 /// The AutoNUMA-Tiering baseline.
 #[derive(Debug)]
 pub struct AutoNuma {
-    /// Sampling ring per tier (anonymous pages only).
+    /// Sampling ring per tier.
     rings: Rings,
     /// Whether the page hint-faulted during the current interval.
     faulted: Vec<bool>,
@@ -69,10 +70,7 @@ impl TieringPolicy for AutoNuma {
     }
 
     fn on_page_mapped(&mut self, mem: &mut MemorySystem, frame: FrameId) {
-        // Anonymous pages only: file pages are invisible to NUMA balancing.
-        if mem.frame(frame).kind() == PageKind::Anon {
-            self.rings.track(mem.frame(frame).tier(), frame);
-        }
+        self.rings.track(mem.frame(frame).tier(), frame);
         self.faulted[frame.index()] = false;
     }
 
@@ -143,31 +141,9 @@ mod tests {
     }
 
     #[test]
-    fn file_pages_are_never_tracked_or_migrated() {
-        let (mut mem, mut an) = setup();
-        let f = mem
-            .alloc_page_in_tier(PageKind::File, TierId::new(1))
-            .unwrap();
-        mem.map(VPage::new(1), f).unwrap();
-        an.on_page_mapped(&mut mem, f);
-        // Ticks never poison the file page's PTE.
-        for s in 1..=3 {
-            an.tick(&mut mem, Nanos::from_secs(s));
-        }
-        let out = mem.access(VPage::new(1), AccessKind::Read).unwrap();
-        assert!(
-            !out.hint_fault,
-            "file pages are invisible to NUMA balancing"
-        );
-        assert_eq!(mem.frame(out.frame).tier(), TierId::new(1));
-    }
-
-    #[test]
     fn anon_page_promotes_on_fault_when_dram_has_room() {
         let (mut mem, mut an) = setup();
-        let f = mem
-            .alloc_page_in_tier(PageKind::Anon, TierId::new(1))
-            .unwrap();
+        let f = mem.alloc_page_in_tier(TierId::new(1)).unwrap();
         mem.map(VPage::new(1), f).unwrap();
         an.on_page_mapped(&mut mem, f);
         an.tick(&mut mem, Nanos::from_secs(1));
@@ -183,14 +159,12 @@ mod tests {
     fn promotion_stalls_when_dram_is_full() {
         let (mut mem, mut an) = setup();
         let mut v = 0u64;
-        while let Ok(f) = mem.alloc_page_in_tier(PageKind::Anon, TierId::TOP) {
+        while let Ok(f) = mem.alloc_page_in_tier(TierId::TOP) {
             mem.map(VPage::new(v), f).unwrap();
             an.on_page_mapped(&mut mem, f);
             v += 1;
         }
-        let f = mem
-            .alloc_page_in_tier(PageKind::Anon, TierId::new(1))
-            .unwrap();
+        let f = mem.alloc_page_in_tier(TierId::new(1)).unwrap();
         mem.map(VPage::new(999), f).unwrap();
         an.on_page_mapped(&mut mem, f);
         an.on_hint_fault(&mut mem, f, AccessKind::Read);
@@ -207,7 +181,7 @@ mod tests {
         let (mut mem, mut an) = setup();
         let mut frames = Vec::new();
         let mut v = 0u64;
-        while let Ok(f) = mem.alloc_page_in_tier(PageKind::Anon, TierId::TOP) {
+        while let Ok(f) = mem.alloc_page_in_tier(TierId::TOP) {
             mem.map(VPage::new(v), f).unwrap();
             an.on_page_mapped(&mut mem, f);
             frames.push(f);

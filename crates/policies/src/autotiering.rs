@@ -323,7 +323,7 @@ mod tests {
     use mc_mem::{MachineDesc, PageKind, VPage};
 
     fn map_in_tier(mem: &mut MemorySystem, at: &mut AutoTiering, v: u64, tier: TierId) -> FrameId {
-        let f = mem.alloc_page_in_tier(PageKind::Anon, tier).unwrap();
+        let f = mem.alloc_page_in_tier(tier).unwrap();
         mem.map(VPage::new(v), f).unwrap();
         at.on_page_mapped(mem, f);
         f
@@ -363,7 +363,7 @@ mod tests {
         let mut mem = MemorySystem::new(MachineDesc::dram_pm(16, 64));
         let mut at = AutoTiering::cpm(mem.topology());
         let mut v = 0u64;
-        while let Ok(f) = mem.alloc_page_in_tier(PageKind::Anon, TierId::TOP) {
+        while let Ok(f) = mem.alloc_page_in_tier(TierId::TOP) {
             mem.map(VPage::new(v), f).unwrap();
             at.on_page_mapped(&mut mem, f);
             v += 1;
@@ -388,7 +388,7 @@ mod tests {
         let mut mem = MemorySystem::new(MachineDesc::dram_pm(128, 512));
         let mut at = AutoTiering::opm(mem.topology());
         let mut v = 0u64;
-        while let Ok(f) = mem.alloc_page_in_tier(PageKind::Anon, TierId::TOP) {
+        while let Ok(f) = mem.alloc_page_in_tier(TierId::TOP) {
             mem.map(VPage::new(v), f).unwrap();
             at.on_page_mapped(&mut mem, f);
             v += 1;
@@ -428,7 +428,7 @@ mod tests {
         let mut at = AutoTiering::opm(mem.topology());
         let mut frames = Vec::new();
         let mut v = 0u64;
-        while let Ok(f) = mem.alloc_page_in_tier(PageKind::Anon, TierId::TOP) {
+        while let Ok(f) = mem.alloc_page_in_tier(TierId::TOP) {
             mem.map(VPage::new(v), f).unwrap();
             at.on_page_mapped(&mut mem, f);
             frames.push(f);

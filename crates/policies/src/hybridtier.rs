@@ -234,7 +234,7 @@ impl TieringPolicy for HybridTier {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mc_mem::{MachineDesc, PageKind};
+    use mc_mem::MachineDesc;
 
     fn setup() -> (MemorySystem, HybridTier) {
         let mem = MemorySystem::new(MachineDesc::dram_pm(64, 256));
@@ -243,7 +243,7 @@ mod tests {
     }
 
     fn map_in_tier(mem: &mut MemorySystem, h: &mut HybridTier, v: u64, tier: TierId) -> FrameId {
-        let f = mem.alloc_page_in_tier(PageKind::Anon, tier).unwrap();
+        let f = mem.alloc_page_in_tier(tier).unwrap();
         mem.map(VPage::new(v), f).unwrap();
         h.on_page_mapped(mem, f);
         f
@@ -322,7 +322,7 @@ mod tests {
         let mut mem = MemorySystem::new(MachineDesc::dram_pm(16, 64));
         let mut h = HybridTier::with_defaults(mem.topology());
         let mut v = 0u64;
-        while let Ok(f) = mem.alloc_page_in_tier(PageKind::Anon, TierId::TOP) {
+        while let Ok(f) = mem.alloc_page_in_tier(TierId::TOP) {
             mem.map(VPage::new(v), f).unwrap();
             h.on_page_mapped(&mut mem, f);
             v += 1;

@@ -219,7 +219,7 @@ mod tests {
     }
 
     fn map_in_tier(mem: &mut MemorySystem, n: &mut Nimble, v: u64, tier: TierId) -> FrameId {
-        let f = mem.alloc_page_in_tier(PageKind::Anon, tier).unwrap();
+        let f = mem.alloc_page_in_tier(tier).unwrap();
         mem.map(VPage::new(v), f).unwrap();
         n.on_page_mapped(mem, f);
         f
@@ -259,7 +259,7 @@ mod tests {
         let mut mem_mc = mk_mem();
         let mut mc = multi_clock::MultiClock::new(Default::default(), mem_mc.topology());
         for v in 0..50u64 {
-            let f = mem_mc.alloc_page_in_tier(PageKind::Anon, pm).unwrap();
+            let f = mem_mc.alloc_page_in_tier(pm).unwrap();
             mem_mc.map(VPage::new(v), f).unwrap();
             mc.on_page_mapped(&mut mem_mc, f);
         }
@@ -281,7 +281,7 @@ mod tests {
         let mut n = Nimble::with_defaults(mem.topology());
         // Fill DRAM with cold pages.
         let mut v = 0u64;
-        while let Ok(f) = mem.alloc_page_in_tier(PageKind::Anon, TierId::TOP) {
+        while let Ok(f) = mem.alloc_page_in_tier(TierId::TOP) {
             mem.map(VPage::new(v), f).unwrap();
             n.on_page_mapped(&mut mem, f);
             v += 1;

@@ -264,7 +264,7 @@ pub(crate) fn relieve_pressure<P: TieringPolicy + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mc_mem::{MachineDesc, PageKind, VPage};
+    use mc_mem::{MachineDesc, VPage};
 
     /// A machine whose top tier is full; `track` says whether the rings
     /// know its pages.
@@ -272,7 +272,7 @@ mod tests {
         let mut mem = MemorySystem::new(MachineDesc::dram_pm(16, 64));
         let mut rings = Rings::new(mem.topology());
         let mut v = 0;
-        while let Ok(f) = mem.alloc_page_in_tier(PageKind::Anon, TierId::TOP) {
+        while let Ok(f) = mem.alloc_page_in_tier(TierId::TOP) {
             mem.map(VPage::new(v), f).unwrap();
             if track {
                 rings.track(TierId::TOP, f);

@@ -310,7 +310,7 @@ mod tests {
     }
 
     fn map_in_tier(mem: &mut MemorySystem, p: &mut Scored, v: u64, tier: TierId) -> FrameId {
-        let f = mem.alloc_page_in_tier(PageKind::Anon, tier).unwrap();
+        let f = mem.alloc_page_in_tier(tier).unwrap();
         mem.map(VPage::new(v), f).unwrap();
         p.on_page_mapped(mem, f);
         f
@@ -319,7 +319,7 @@ mod tests {
     /// Fills `tier` with fresh pages from `v` on; returns their pages.
     fn fill(mem: &mut MemorySystem, p: &mut Scored, v: &mut u64, tier: TierId) -> Vec<u64> {
         let mut pages = Vec::new();
-        while let Ok(f) = mem.alloc_page_in_tier(PageKind::Anon, tier) {
+        while let Ok(f) = mem.alloc_page_in_tier(tier) {
             mem.map(VPage::new(*v), f).unwrap();
             p.on_page_mapped(mem, f);
             pages.push(*v);

@@ -113,7 +113,7 @@ mod tests {
         let mut mem = MemorySystem::new(MachineDesc::dram_pm(16, 64));
         let mut p = StaticTiering::new(mem.topology());
         let mut v = 0u64;
-        while let Ok(f) = mem.alloc_page_in_tier(PageKind::Anon, TierId::TOP) {
+        while let Ok(f) = mem.alloc_page_in_tier(TierId::TOP) {
             mem.map(VPage::new(v), f).unwrap();
             p.on_page_mapped(&mut mem, f);
             v += 1;
@@ -131,7 +131,7 @@ mod tests {
         let mut p = StaticTiering::new(mem.topology());
         let mut pages = Vec::new();
         let mut v = 0u64;
-        while let Ok(f) = mem.alloc_page_in_tier(PageKind::Anon, TierId::TOP) {
+        while let Ok(f) = mem.alloc_page_in_tier(TierId::TOP) {
             mem.map(VPage::new(v), f).unwrap();
             p.on_page_mapped(&mut mem, f);
             pages.push(v);

@@ -17,12 +17,6 @@ use mc_policies::{
 use mc_workloads::Memory;
 use multi_clock::{MultiClock, MultiClockConfig};
 
-#[cfg(test)]
-thread_local! {
-    /// Region lookups made on this thread (each test runs on its own).
-    static REGION_LOOKUPS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
-}
-
 /// The system frontend: an OS tiering policy, or the Memory-mode cache.
 enum Frontend {
     Tiered {
@@ -52,8 +46,6 @@ pub struct Simulation {
     /// policies that never tick.
     next_tick: Option<Nanos>,
     next_free_page: u64,
-    /// Mapped regions `(start page, pages, kind)`, ascending by start.
-    regions: Vec<(u64, u64, PageKind)>,
     data: VPageMap<Box<[u8; PAGE_SIZE]>>,
     metrics: Metrics,
     obs: Option<ObsState>,
@@ -94,7 +86,6 @@ impl Simulation {
             frontend,
             next_tick,
             next_free_page: 0,
-            regions: Vec::new(),
             data: VPageMap::new(),
             metrics: Metrics::with_horizon(window, horizon, frames),
             obs,
@@ -220,21 +211,6 @@ impl Simulation {
         self.metrics.finish();
     }
 
-    /// The kind of the region containing `vpage` (`Anon` outside every
-    /// region). `mmap` appends regions in ascending start order, so the
-    /// last one starting at or before the page is the only candidate.
-    /// Needed by the fault path only — a hit never asks.
-    fn region_kind(regions: &[(u64, u64, PageKind)], vpage: VPage) -> PageKind {
-        #[cfg(test)]
-        REGION_LOOKUPS.with(|n| n.replace(n.get() + 1));
-        let p = vpage.raw();
-        let after = regions.partition_point(|(start, ..)| *start <= p);
-        match after.checked_sub(1).and_then(|i| regions.get(i)) {
-            Some((start, pages, kind)) if p - start < *pages => *kind,
-            _ => PageKind::Anon,
-        }
-    }
-
     /// Runs every daemon tick the clock has passed, each at its own due
     /// instant. A tick can advance the clock (absorbed substrate costs),
     /// so the due check re-reads it each round.
@@ -315,7 +291,6 @@ impl Simulation {
                     if vpage.raw() >= PageTable::MAX_VPAGES {
                         return self.skip_access(Some(RunError::AddressOutOfRange { at, vpage }));
                     }
-                    let region_kind = Self::region_kind(&self.regions, vpage);
                     self.mem.note_swap_in(vpage);
                     // Without an injector three reclaim rounds always free a
                     // frame or the machine is genuinely out of memory; with
@@ -327,7 +302,7 @@ impl Simulation {
                     let budget = if injected { 64 } else { 3 };
                     let mut attempts = 0;
                     let frame = loop {
-                        match self.mem.alloc_page(region_kind) {
+                        match self.mem.alloc_page(PageKind::Anon) {
                             Ok(f) => break Some(f),
                             Err(_) => {
                                 attempts += 1;
@@ -471,12 +446,11 @@ fn page_chunks(addr: VAddr, len: usize) -> impl Iterator<Item = (VPage, usize, u
 }
 
 impl Memory for Simulation {
-    fn mmap(&mut self, bytes: usize, kind: PageKind) -> VAddr {
+    fn mmap(&mut self, bytes: usize, _kind: PageKind) -> VAddr {
         assert!(bytes > 0, "cannot map an empty region");
         let pages = bytes.div_ceil(PAGE_SIZE) as u64;
         let start = self.next_free_page;
         self.next_free_page += pages;
-        self.regions.push((start, pages, kind));
         VAddr::new(start * PAGE_SIZE as u64)
     }
 
@@ -578,93 +552,6 @@ mod tests {
         // Second access: no new fault.
         s.read(a, 8);
         assert_eq!(s.metrics().costs().minor_faults, 1);
-    }
-
-    /// The KV slab allocator maps thousands of small regions; the fault
-    /// path must find the right one by bisection, boundaries included.
-    #[test]
-    fn region_lookup_is_exact_across_a_thousand_mixed_regions() {
-        let mut s = sim(SystemKind::MultiClock);
-        let mut regions = Vec::new();
-        for i in 0..1_200u64 {
-            let pages = 1 + i % 5;
-            let kind = if i % 3 == 0 {
-                PageKind::File
-            } else {
-                PageKind::Anon
-            };
-            let base = s.mmap(pages as usize * PAGE_SIZE, kind);
-            regions.push((base.page().raw(), pages, kind));
-        }
-        assert_eq!(s.regions, regions);
-        let end = regions
-            .last()
-            .map(|(start, pages, _)| start + pages)
-            .unwrap();
-        // Every page of every region, against the obvious linear search.
-        for p in 0..end + 3 {
-            let expected = regions
-                .iter()
-                .find(|(start, pages, _)| (*start..start + pages).contains(&p))
-                .map_or(PageKind::Anon, |(.., kind)| *kind);
-            assert_eq!(
-                Simulation::region_kind(&s.regions, VPage::new(p)),
-                expected,
-                "page {p}"
-            );
-        }
-        // First touches allocate with the kind found: first page, last
-        // page, one past the end (the next region's first page, whose kind
-        // differs two times in three) and the unmapped gap past them all.
-        let mut touch = |p: u64| {
-            s.read(VPage::new(p).base_addr(), 8);
-            let frame = s.mem().translate(VPage::new(p)).unwrap();
-            s.mem().frame(frame).kind()
-        };
-        for (i, (start, pages, kind)) in regions.iter().enumerate().step_by(7) {
-            assert_eq!(touch(*start), *kind, "first page of region {i}");
-            assert_eq!(touch(start + pages - 1), *kind, "last page of region {i}");
-            if let Some((.., next)) = regions.get(i + 1) {
-                assert_eq!(touch(start + pages), *next, "one past region {i}");
-            }
-        }
-        assert_eq!(touch(end), PageKind::Anon, "one past the last region");
-        assert_eq!(
-            touch(end + 10_000),
-            PageKind::Anon,
-            "far outside every region"
-        );
-    }
-
-    /// A hit is one `MemorySystem::access` — by construction, `translate`
-    /// is gone from the access path — and asks nothing about regions.
-    #[test]
-    fn a_hit_looks_up_no_region() {
-        let lookups = || REGION_LOOKUPS.with(|n| n.get());
-        for system in [
-            SystemKind::MultiClock,
-            SystemKind::Static,
-            SystemKind::AtOpm,
-        ] {
-            let mut s = sim(system);
-            for _ in 0..50 {
-                s.mmap(PAGE_SIZE, PageKind::File);
-            }
-            let a = s.mmap(PAGE_SIZE * 8, PageKind::Anon);
-            let before = lookups();
-            for i in 0..8u64 {
-                s.write(a.add(i * PAGE_SIZE as u64), 8);
-            }
-            assert_eq!(lookups() - before, 8, "{system:?}: one lookup per fault");
-            assert_eq!(s.metrics().costs().minor_faults, 8);
-            for round in 0..100u64 {
-                s.read(a.add((round % 8) * PAGE_SIZE as u64), 64);
-                s.write(a.add((round % 8) * PAGE_SIZE as u64), 64);
-            }
-            assert_eq!(lookups() - before, 8, "{system:?}: hits look up nothing");
-            assert_eq!(s.metrics().costs().minor_faults, 8);
-            assert_eq!(s.mem().stats().reads + s.mem().stats().writes, 208);
-        }
     }
 
     /// Frames allocated and not freed again, against pages mapped: a
@@ -1005,24 +892,6 @@ mod tests {
         assert!(
             st.misses >= 768,
             "direct-mapped cache cannot hold 4x its size"
-        );
-    }
-
-    #[test]
-    fn autonuma_never_touches_file_pages_through_the_engine() {
-        let mut s = sim(SystemKind::AutoNuma);
-        let file = s.mmap(PAGE_SIZE * 64, PageKind::File);
-        for i in 0..64u64 {
-            s.read(file.add(i * PAGE_SIZE as u64), 8);
-        }
-        s.compute(Nanos::from_secs(3));
-        for i in 0..64u64 {
-            s.read(file.add(i * PAGE_SIZE as u64), 8);
-        }
-        assert_eq!(
-            s.metrics().costs().hint_faults,
-            0,
-            "file pages are invisible to NUMA balancing"
         );
     }
 

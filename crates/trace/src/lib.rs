@@ -13,8 +13,7 @@
 //!
 //! ```
 //! use mc_trace::{Recorder, replay};
-//! use mc_mem::{Memory, SimpleMemory};
-//! use mc_mem::PageKind;
+//! use mc_mem::{Memory, PageKind, SimpleMemory};
 //!
 //! // Record a workload.
 //! let mut rec = Recorder::new(SimpleMemory::new());

@@ -151,16 +151,16 @@ impl Csr {
         // what makes the paper's observation hold ("GAPBS workloads first
         // allocate memory that would be accessed the most"): under static
         // tiering the hot vertex data starts in DRAM.
-        let offsets = MemVec::from_vec(mem, PageKind::Anon, offsets);
+        let offsets = MemVec::from_vec(mem, offsets);
         let arena_slot_bytes = (n * 8).next_multiple_of(mc_mem::PAGE_SIZE);
         let arena_bytes = arena_slot_bytes * cfg.arena_slots.max(1);
         let arena_base = mem.mmap(arena_bytes, PageKind::Anon);
         mem.write(arena_base, arena_bytes);
-        let edges = MemVec::from_vec(mem, PageKind::Anon, edges_native);
+        let edges = MemVec::from_vec(mem, edges_native);
         let weights = if cfg.max_weight > 0 {
             let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0x5eed_ca11);
             let w: Vec<u32> = (0..m).map(|_| rng.gen_range(1..=cfg.max_weight)).collect();
-            Some(MemVec::from_vec(mem, PageKind::Anon, w))
+            Some(MemVec::from_vec(mem, w))
         } else {
             None
         };
@@ -251,7 +251,7 @@ impl Csr {
             self.arena_used += 1;
             MemVec::at(base, vec![init; self.n])
         } else {
-            MemVec::new(mem, PageKind::Anon, self.n, init)
+            MemVec::new(mem, self.n, init)
         }
     }
 

@@ -18,26 +18,21 @@ pub struct MemVec<T> {
 
 impl<T: Copy> MemVec<T> {
     /// Maps a new array of `len` elements, all `init`.
-    pub(crate) fn new<M: Memory + ?Sized>(
-        mem: &mut M,
-        kind: PageKind,
-        len: usize,
-        init: T,
-    ) -> Self {
+    pub(crate) fn new<M: Memory + ?Sized>(mem: &mut M, len: usize, init: T) -> Self {
         assert!(len > 0, "MemVec needs at least one element");
         let bytes = len * std::mem::size_of::<T>();
         MemVec {
-            base: mem.mmap(bytes, kind),
+            base: mem.mmap(bytes, PageKind::Anon),
             data: vec![init; len],
         }
     }
 
     /// Maps an array initialised from an existing vector (bulk-writes the
     /// whole region once, like the initial population of the array).
-    pub(crate) fn from_vec<M: Memory + ?Sized>(mem: &mut M, kind: PageKind, data: Vec<T>) -> Self {
+    pub(crate) fn from_vec<M: Memory + ?Sized>(mem: &mut M, data: Vec<T>) -> Self {
         assert!(!data.is_empty(), "MemVec needs at least one element");
         let bytes = data.len() * std::mem::size_of::<T>();
-        let base = mem.mmap(bytes, kind);
+        let base = mem.mmap(bytes, PageKind::Anon);
         mem.write(base, bytes);
         MemVec { base, data }
     }
@@ -116,7 +111,7 @@ mod tests {
     #[test]
     fn element_roundtrip() {
         let mut mem = SimpleMemory::new();
-        let mut v: MemVec<u64> = MemVec::new(&mut mem, PageKind::Anon, 100, 0);
+        let mut v: MemVec<u64> = MemVec::new(&mut mem, 100, 0);
         v.set(&mut mem, 7, 1234);
         assert_eq!(v.get(&mut mem, 7), 1234);
         assert_eq!(v.get(&mut mem, 8), 0);
@@ -126,7 +121,7 @@ mod tests {
     #[test]
     fn accesses_are_accounted() {
         let mut mem = SimpleMemory::new();
-        let mut v: MemVec<u32> = MemVec::new(&mut mem, PageKind::Anon, 4096, 0);
+        let mut v: MemVec<u32> = MemVec::new(&mut mem, 4096, 0);
         let before = mem.accesses;
         v.set(&mut mem, 0, 1);
         v.get(&mut mem, 0);
@@ -140,7 +135,7 @@ mod tests {
     #[test]
     fn from_vec_preserves_content() {
         let mut mem = SimpleMemory::new();
-        let v = MemVec::from_vec(&mut mem, PageKind::Anon, vec![5u32, 6, 7]);
+        let v = MemVec::from_vec(&mut mem, vec![5u32, 6, 7]);
         assert_eq!(v.as_slice_unaccounted(), &[5, 6, 7]);
     }
 
@@ -156,7 +151,7 @@ mod tests {
     #[test]
     fn fill_sweeps_whole_region() {
         let mut mem = SimpleMemory::new();
-        let mut v: MemVec<u64> = MemVec::new(&mut mem, PageKind::Anon, 1024, 1);
+        let mut v: MemVec<u64> = MemVec::new(&mut mem, 1024, 1);
         let before = mem.accesses;
         v.fill(&mut mem, 9);
         assert_eq!(mem.accesses - before, 2, "8 KiB = 2 pages");
@@ -167,7 +162,7 @@ mod tests {
     #[should_panic(expected = "out of bounds")]
     fn range_bounds_checked() {
         let mut mem = SimpleMemory::new();
-        let v: MemVec<u8> = MemVec::new(&mut mem, PageKind::Anon, 10, 0);
+        let v: MemVec<u8> = MemVec::new(&mut mem, 10, 0);
         let _ = v.range(&mut mem, 5, 20);
     }
 }

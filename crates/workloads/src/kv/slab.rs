@@ -24,17 +24,15 @@ struct SizeClass {
 /// The slab allocator.
 #[derive(Debug)]
 pub(crate) struct SlabAllocator {
-    kind: PageKind,
     classes: Vec<SizeClass>,
 }
 
 impl SlabAllocator {
-    /// Creates an allocator whose slabs are mapped with the given page
-    /// kind (memcached's heap is anonymous memory).
-    pub(crate) fn new(kind: PageKind) -> Self {
+    /// Creates an allocator whose slabs are mapped as anonymous memory,
+    /// as memcached's heap is.
+    pub(crate) fn new() -> Self {
         let n_classes = (MAX_CHUNK / MIN_CHUNK).trailing_zeros() as usize + 1;
         SlabAllocator {
-            kind,
             classes: (0..n_classes).map(|_| SizeClass::default()).collect(),
         }
     }
@@ -60,7 +58,7 @@ impl SlabAllocator {
         let chunk = MIN_CHUNK << idx;
         if self.classes[idx].free.is_empty() {
             // Carve a new slab.
-            let base = mem.mmap(SLAB_BYTES, self.kind);
+            let base = mem.mmap(SLAB_BYTES, PageKind::Anon);
             let class = &mut self.classes[idx];
             class.slabs += 1;
             let chunks = SLAB_BYTES / chunk;
@@ -114,7 +112,7 @@ mod tests {
     #[test]
     fn allocations_within_a_class_are_distinct() {
         let mut mem = SimpleMemory::new();
-        let mut slab = SlabAllocator::new(PageKind::Anon);
+        let mut slab = SlabAllocator::new();
         let mut addrs = Vec::new();
         for _ in 0..100 {
             addrs.push(slab.alloc(&mut mem, 1000).raw());
@@ -128,7 +126,7 @@ mod tests {
     #[test]
     fn free_list_reuse() {
         let mut mem = SimpleMemory::new();
-        let mut slab = SlabAllocator::new(PageKind::Anon);
+        let mut slab = SlabAllocator::new();
         let a = slab.alloc(&mut mem, 500);
         slab.free(a, 500);
         let b = slab.alloc(&mut mem, 500);
@@ -139,7 +137,7 @@ mod tests {
     #[test]
     fn one_slab_serves_many_small_chunks() {
         let mut mem = SimpleMemory::new();
-        let mut slab = SlabAllocator::new(PageKind::Anon);
+        let mut slab = SlabAllocator::new();
         for _ in 0..(SLAB_BYTES / 64) {
             slab.alloc(&mut mem, 10);
         }
@@ -151,7 +149,7 @@ mod tests {
     #[test]
     fn different_classes_use_different_slabs() {
         let mut mem = SimpleMemory::new();
-        let mut slab = SlabAllocator::new(PageKind::Anon);
+        let mut slab = SlabAllocator::new();
         slab.alloc(&mut mem, 100);
         slab.alloc(&mut mem, 10_000);
         assert_eq!(slab.slabs(), 2);

@@ -90,7 +90,7 @@ impl KvStore {
         let nbuckets = ((expected_records * 3 / 2).max(16) as u64).next_power_of_two();
         let buckets_base = mem.mmap(nbuckets as usize * BUCKET_BYTES, PageKind::Anon);
         KvStore {
-            slab: SlabAllocator::new(PageKind::Anon),
+            slab: SlabAllocator::new(),
             buckets_base,
             nbuckets,
             index: HashMap::default(),

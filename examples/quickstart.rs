@@ -88,7 +88,7 @@ fn main() -> Result<(), mc_mem::MemError> {
     }
 
     // Fault one page directly into the PM tier and track it.
-    let frame = mem.alloc_page_in_tier(PageKind::Anon, TierId::new(1))?;
+    let frame = mem.alloc_page_in_tier(TierId::new(1))?;
     let page = VPage::new(42);
     mem.map(page, frame)?;
     mc.on_page_mapped(&mut mem, frame);

@@ -29,7 +29,8 @@ fn drive(system: SystemKind, seed: u64, heavy: bool) {
     let mut sim = Simulation::new(cfg);
     let pages = if heavy { 700 } else { 300 }; // heavy overcommits DRAM+PM reserves
     let region = sim.mmap(PAGE_SIZE * pages, PageKind::Anon);
-    let file = sim.mmap(PAGE_SIZE * 32, PageKind::File);
+    // A second, small region read 10 % of the time.
+    let side = sim.mmap(PAGE_SIZE * 32, PageKind::Anon);
     let mut rng = StdRng::seed_from_u64(seed);
     // A golden record for data-plane verification.
     let golden_addr = region.add((pages as u64 / 2) * PAGE_SIZE as u64);
@@ -50,7 +51,7 @@ fn drive(system: SystemKind, seed: u64, heavy: bool) {
                 }
             }
             85..=94 => {
-                sim.read(file.add(rng.gen_range(0..32) * PAGE_SIZE as u64), 8);
+                sim.read(side.add(rng.gen_range(0..32) * PAGE_SIZE as u64), 8);
             }
             _ => sim.compute(Nanos::from_micros(rng.gen_range(1..500))),
         }
