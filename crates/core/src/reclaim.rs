@@ -21,10 +21,9 @@ use mc_obs::{saturating_bump, EventKind};
 enum ShrinkResult {
     /// The page was migrated down a tier.
     Demoted,
-    /// The page was evicted to backing storage.
-    Evicted,
-    /// The page was referenced/unmovable and rotated back.
-    Rotated,
+    /// The page was not demoted: it was evicted to backing storage, or it
+    /// was referenced/unmovable and rotated back.
+    Stepped,
     /// The list was empty.
     Empty,
 }
@@ -93,7 +92,7 @@ impl MultiClock {
         while !goal_met(mem) && budget > 0 {
             match self.shrink_inactive_any(mem, tier, force) {
                 ShrinkResult::Demoted => out.demoted += 1,
-                ShrinkResult::Evicted | ShrinkResult::Rotated => {}
+                ShrinkResult::Stepped => {}
                 ShrinkResult::Empty => {
                     // Gentle mode: out of genuinely cold pages - stop.
                     // Forced: the inactive lists are empty, so deactivate
@@ -275,7 +274,7 @@ impl MultiClock {
             // Referenced: rotate and step the ladder (transitions 1/6).
             self.nodes[node.index()].inactive.push_back(frame);
             self.apply_access(mem, frame);
-            return ShrinkResult::Rotated;
+            return ShrinkResult::Stepped;
         }
         if self.state_of(frame) == Some(PageState::InactiveRef) {
             // A scan saw this page referenced recently: rotate, do not
@@ -293,7 +292,7 @@ impl MultiClock {
                     tier: tier.index() as u8,
                 });
             }
-            return ShrinkResult::Rotated;
+            return ShrinkResult::Stepped;
         }
         self.demote_or_evict(mem, frame, tier)
     }
@@ -316,7 +315,7 @@ impl MultiClock {
                     frame: frame.index() as u64,
                     tier: tier.index() as u8,
                 });
-                return ShrinkResult::Evicted;
+                return ShrinkResult::Stepped;
             }
             return self.rotate_unmoved(mem, frame);
         };
@@ -346,7 +345,7 @@ impl MultiClock {
     /// tail of the inactive list it was popped from.
     fn rotate_unmoved(&mut self, mem: &MemorySystem, frame: FrameId) -> ShrinkResult {
         self.frame_lists_mut(mem, frame).inactive.push_back(frame);
-        ShrinkResult::Rotated
+        ShrinkResult::Stepped
     }
 }
 

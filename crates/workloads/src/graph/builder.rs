@@ -4,12 +4,27 @@
 //! 16, partition probabilities A=0.57, B=0.19, C=0.19); we implement that
 //! generator plus a uniform (Erdős–Rényi-style) one, both deterministic
 //! under a seed.
+//!
+//! [`Csr::from_edges`] builds the CSR the way GAPBS's `MakeCSR` →
+//! `SquishCSR` does, without sorting the pair list: *count* each vertex's
+//! degree (self-loops dropped, both directions when symmetric), prefix-sum
+//! the counts into offsets and *scatter* every neighbour into its slot,
+//! then *squish*: sort and dedup each neighbour slice in place and compact
+//! the array, rewriting the offsets as it goes. The result equals a sort
+//! and dedup of the pairs; the tests keep that as the oracle.
+//!
+//! Edge weights are lazy on the host. Their simulated region is mapped and
+//! written at build time, so placement and every simulated result are as
+//! if they were eager, but the host array is generated from its seeded
+//! stream on the first [`Csr::neighbors_weighted`] call. Only SSSP reads
+//! weights, so a graph built for any other kernel never holds them.
 
 use crate::graph::mem_vec::MemVec;
 use crate::memory::Memory;
 use mc_mem::{PageKind, VAddr};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::cell::OnceCell;
 
 /// Configuration for graph construction.
 #[derive(Debug, Clone)]
@@ -54,17 +69,14 @@ pub fn rmat_edges(scale: u32, degree: usize, seed: u64) -> Vec<(u32, u32)> {
     for _ in 0..m {
         let (mut src, mut dst) = (0u32, 0u32);
         for bit in (0..scale).rev() {
+            // One draw picks a quadrant: below A neither bit, then dst
+            // only, then src only, then both. Comparisons, not branches:
+            // the quadrant is random, so a branch on it mispredicts often.
             let r: f64 = rng.gen();
-            if r < A {
-                // top-left: no bits set
-            } else if r < A + B {
-                dst |= 1 << bit;
-            } else if r < A + B + C {
-                src |= 1 << bit;
-            } else {
-                src |= 1 << bit;
-                dst |= 1 << bit;
-            }
+            let lower = r >= A + B;
+            let right = ((r >= A) & !lower) | (r >= A + B + C);
+            src |= u32::from(lower) << bit;
+            dst |= u32::from(right) << bit;
         }
         edges.push((src, dst));
     }
@@ -89,11 +101,36 @@ pub struct Csr {
     m: usize,
     offsets: MemVec<u64>,
     edges: MemVec<u32>,
-    weights: Option<MemVec<u32>>,
+    weights: Option<Weights>,
     arena_base: VAddr,
     arena_slot_bytes: usize,
     arena_slots: usize,
     arena_used: usize,
+}
+
+/// Edge weights: a simulated region mapped and written at build time, and
+/// a host array generated on the first read.
+#[derive(Debug)]
+struct Weights {
+    base: VAddr,
+    len: usize,
+    max_weight: u32,
+    seed: u64,
+    host: OnceCell<MemVec<u32>>,
+}
+
+impl Weights {
+    /// The weights, generated on first use: `len` draws from
+    /// `1..=max_weight`, one per edge in CSR order.
+    fn host(&self) -> &MemVec<u32> {
+        self.host.get_or_init(|| {
+            let mut rng = StdRng::seed_from_u64(self.seed);
+            let w = (0..self.len)
+                .map(|_| rng.gen_range(1..=self.max_weight))
+                .collect();
+            MemVec::at(self.base, w)
+        })
+    }
 }
 
 impl Csr {
@@ -109,39 +146,12 @@ impl Csr {
     pub(crate) fn from_edges<M: Memory + ?Sized>(
         cfg: &GraphConfig,
         mem: &mut M,
-        mut raw: Vec<(u32, u32)>,
+        raw: Vec<(u32, u32)>,
     ) -> Self {
         let n = 1usize << cfg.scale;
-        // Drop self loops; symmetrise if requested.
-        raw.retain(|(u, v)| u != v);
-        if cfg.symmetric {
-            // Appended in place: a separate reversed list would be a third
-            // full-size buffer alive next to the old and the grown `raw`.
-            let forward = raw.len();
-            raw.reserve_exact(forward);
-            for i in 0..forward {
-                let (u, v) = raw[i];
-                raw.push((v, u));
-            }
-        }
-        // Sort and dedupe so neighbour lists are ordered (TC needs this).
-        raw.sort_unstable();
-        raw.dedup();
-        let m = raw.len();
-
-        // Native CSR construction.
-        let mut offsets = vec![0u64; n + 1];
-        for (u, _) in &raw {
-            offsets[*u as usize + 1] += 1;
-        }
-        for i in 0..n {
-            offsets[i + 1] += offsets[i];
-        }
-        let edges_native: Vec<u32> = raw.iter().map(|(_, v)| *v).collect();
-        // The pair list is the builder's largest buffer and nothing below
-        // reads it: free it before the simulated-memory placement and the
-        // weights, so the host peak is `raw` + edges, not `raw` + all three.
-        drop(raw);
+        // `raw` is freed inside, before anything below maps or allocates.
+        let (offsets, edges_native) = count_scatter_squish(n, cfg.symmetric, raw);
+        let m = edges_native.len();
 
         // Simulated-memory placement: offsets, arena, edges, weights.
         // The arena is *written* (faulted) before the edge array so its
@@ -157,13 +167,18 @@ impl Csr {
         let arena_base = mem.mmap(arena_bytes, PageKind::Anon);
         mem.write(arena_base, arena_bytes);
         let edges = MemVec::from_vec(mem, edges_native);
-        let weights = if cfg.max_weight > 0 {
-            let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0x5eed_ca11);
-            let w: Vec<u32> = (0..m).map(|_| rng.gen_range(1..=cfg.max_weight)).collect();
-            Some(MemVec::from_vec(mem, w))
-        } else {
-            None
-        };
+        let weights = (cfg.max_weight > 0).then(|| {
+            let bytes = m * std::mem::size_of::<u32>();
+            let base = mem.mmap(bytes, PageKind::Anon);
+            mem.write(base, bytes);
+            Weights {
+                base,
+                len: m,
+                max_weight: cfg.max_weight,
+                seed: cfg.seed ^ 0x5eed_ca11,
+                host: OnceCell::new(),
+            }
+        });
 
         Csr {
             n,
@@ -197,7 +212,10 @@ impl Csr {
     pub fn footprint_bytes(&self) -> usize {
         self.offsets.bytes()
             + self.edges.bytes()
-            + self.weights.as_ref().map_or(0, |w| w.bytes())
+            + self
+                .weights
+                .as_ref()
+                .map_or(0, |w| w.len * std::mem::size_of::<u32>())
             + self.arena_slot_bytes * self.arena_slots
     }
 
@@ -216,7 +234,8 @@ impl Csr {
         self.edges.range(mem, s, e)
     }
 
-    /// The neighbour list of `u` with edge weights.
+    /// The neighbour list of `u` with edge weights. The first call
+    /// generates the weights on the host (no simulated access).
     ///
     /// # Panics
     ///
@@ -228,7 +247,7 @@ impl Csr {
     ) -> (&[u32], &[u32]) {
         let s = self.offsets.get(mem, u as usize) as usize;
         let e = self.offsets.get(mem, u as usize + 1) as usize;
-        let w = self.weights.as_ref().expect("graph has no weights");
+        let w = self.weights.as_ref().expect("graph has no weights").host();
         (self.edges.range(mem, s, e), w.range(mem, s, e))
     }
 
@@ -270,15 +289,295 @@ impl Csr {
         let mut degs: Vec<(usize, u32)> = (0..self.n)
             .map(|u| ((off[u + 1] - off[u]) as usize, u as u32))
             .collect();
-        degs.sort_unstable_by_key(|(d, u)| (std::cmp::Reverse(*d), *u));
-        degs[k % degs.len()].1
+        let k = k % degs.len();
+        let (_, &mut (_, u), _) =
+            degs.select_nth_unstable_by_key(k, |&(d, u)| (std::cmp::Reverse(d), u));
+        u
     }
+}
+
+/// GAPBS's `MakeCSR` + `SquishCSR`: the offsets (`n + 1`) and the
+/// concatenated neighbour lists of `raw`, self-loops dropped, each list
+/// sorted (TC's intersections need this) and deduplicated, the reverse of
+/// every edge added if `symmetric`.
+///
+/// The host peak is the pair list plus the scatter buffer: `raw` is freed
+/// as soon as the neighbours are scattered, before the offsets are
+/// allocated, and the scatter buffer becomes the edge array, shrunk in
+/// place to its exact size.
+fn count_scatter_squish(n: usize, symmetric: bool, raw: Vec<(u32, u32)>) -> (Vec<u64>, Vec<u32>) {
+    // Count: `ends[u]` is `u`'s degree before dedup, then (prefix sum)
+    // where `u`'s list starts in the scatter buffer.
+    let mut ends = vec![0usize; n];
+    for &(u, v) in &raw {
+        if u != v {
+            ends[u as usize] += 1;
+            if symmetric {
+                ends[v as usize] += 1;
+            }
+        }
+    }
+    let mut total = 0;
+    for e in &mut ends {
+        total += std::mem::replace(e, total);
+    }
+
+    // Scatter each neighbour into the next free slot of its list; after
+    // this `ends[u]` is where `u`'s list ends.
+    let mut scattered = vec![0u32; total];
+    let mut place = |u: u32, v: u32| {
+        let slot = &mut ends[u as usize];
+        scattered[*slot] = v;
+        *slot += 1;
+    };
+    for &(u, v) in &raw {
+        if u != v {
+            place(u, v);
+            if symmetric {
+                place(v, u);
+            }
+        }
+    }
+    drop(raw);
+
+    // Squish: sort each list and copy its distinct neighbours down to
+    // `write`, which never passes the list being read, writing the
+    // offsets as it goes.
+    let mut offsets = Vec::with_capacity(n + 1);
+    offsets.push(0u64);
+    let (mut start, mut write) = (0usize, 0usize);
+    for &end in &ends {
+        scattered[start..end].sort_unstable();
+        let first = write;
+        for i in start..end {
+            let v = scattered[i];
+            if write == first || scattered[write - 1] != v {
+                scattered[write] = v;
+                write += 1;
+            }
+        }
+        offsets.push(write as u64);
+        start = end;
+    }
+    scattered.truncate(write);
+    scattered.shrink_to_fit();
+    (offsets, scattered)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::graph::pagerank::pagerank;
     use crate::memory::SimpleMemory;
+    use mc_mem::Nanos;
+    use proptest::prelude::*;
+
+    /// Whether the host weights have been generated yet.
+    fn weights_made(csr: &Csr) -> bool {
+        csr.weights.as_ref().is_some_and(|w| w.host.get().is_some())
+    }
+
+    /// The per-bit branch R-MAT generator that [`rmat_edges`] replaced.
+    fn rmat_edges_branchy(scale: u32, degree: usize, seed: u64) -> Vec<(u32, u32)> {
+        const A: f64 = 0.57;
+        const B: f64 = 0.19;
+        const C: f64 = 0.19;
+        let n = 1u32 << scale;
+        let mut rng = StdRng::seed_from_u64(seed);
+        (0..(n as usize) * degree)
+            .map(|_| {
+                let (mut src, mut dst) = (0u32, 0u32);
+                for bit in (0..scale).rev() {
+                    let r: f64 = rng.gen();
+                    if r < A {
+                    } else if r < A + B {
+                        dst |= 1 << bit;
+                    } else if r < A + B + C {
+                        src |= 1 << bit;
+                    } else {
+                        src |= 1 << bit;
+                        dst |= 1 << bit;
+                    }
+                }
+                (src, dst)
+            })
+            .collect()
+    }
+
+    /// A [`Memory`] that logs every call, so two builds can be compared
+    /// call for call.
+    #[derive(Default)]
+    struct Recorder {
+        inner: SimpleMemory,
+        log: Vec<(char, u64, usize)>,
+    }
+
+    impl Memory for Recorder {
+        fn mmap(&mut self, bytes: usize, kind: PageKind) -> VAddr {
+            let base = self.inner.mmap(bytes, kind);
+            self.log.push(('m', base.raw(), bytes));
+            base
+        }
+        fn read(&mut self, addr: VAddr, len: usize) {
+            self.log.push(('r', addr.raw(), len));
+            self.inner.read(addr, len);
+        }
+        fn write(&mut self, addr: VAddr, len: usize) {
+            self.log.push(('w', addr.raw(), len));
+            self.inner.write(addr, len);
+        }
+        fn write_bytes(&mut self, addr: VAddr, data: &[u8]) {
+            self.log.push(('W', addr.raw(), data.len()));
+            self.inner.write_bytes(addr, data);
+        }
+        fn read_bytes(&mut self, addr: VAddr, buf: &mut [u8]) {
+            self.log.push(('R', addr.raw(), buf.len()));
+            self.inner.read_bytes(addr, buf);
+        }
+        fn now(&self) -> Nanos {
+            self.inner.now()
+        }
+        fn compute(&mut self, t: Nanos) {
+            self.inner.compute(t);
+        }
+    }
+
+    /// The pair sort + dedup builder that [`Csr::from_edges`] replaced:
+    /// the host offsets, edges and eager weights, with the same simulated
+    /// calls made on `mem`.
+    fn pair_sort_oracle<M: Memory + ?Sized>(
+        cfg: &GraphConfig,
+        mem: &mut M,
+        mut raw: Vec<(u32, u32)>,
+    ) -> (Vec<u64>, Vec<u32>, Option<Vec<u32>>) {
+        let n = 1usize << cfg.scale;
+        raw.retain(|(u, v)| u != v);
+        if cfg.symmetric {
+            let reversed: Vec<_> = raw.iter().map(|&(u, v)| (v, u)).collect();
+            raw.extend(reversed);
+        }
+        raw.sort_unstable();
+        raw.dedup();
+        let mut offsets = vec![0u64; n + 1];
+        for (u, _) in &raw {
+            offsets[*u as usize + 1] += 1;
+        }
+        for i in 0..n {
+            offsets[i + 1] += offsets[i];
+        }
+        let edges: Vec<u32> = raw.iter().map(|(_, v)| *v).collect();
+        let _ = MemVec::from_vec(mem, offsets.clone());
+        let arena_bytes = (n * 8).next_multiple_of(mc_mem::PAGE_SIZE) * cfg.arena_slots.max(1);
+        let arena = mem.mmap(arena_bytes, PageKind::Anon);
+        mem.write(arena, arena_bytes);
+        let _ = MemVec::from_vec(mem, edges.clone());
+        let weights = (cfg.max_weight > 0).then(|| {
+            let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0x5eed_ca11);
+            let w: Vec<u32> = (0..edges.len())
+                .map(|_| rng.gen_range(1..=cfg.max_weight))
+                .collect();
+            let _ = MemVec::from_vec(mem, w.clone());
+            w
+        });
+        (offsets, edges, weights)
+    }
+
+    /// Random edge lists over `2^scale` vertices, small enough that
+    /// self-loops, duplicates and isolated vertices are all common, with
+    /// at least one edge that is not a self-loop.
+    fn edge_lists() -> impl Strategy<Value = (GraphConfig, Vec<(u32, u32)>)> {
+        (1u32..=6)
+            .prop_flat_map(|scale| {
+                let n = 1u32 << scale;
+                (
+                    Just(scale),
+                    prop::collection::vec((0..n, 0..n), 1..160),
+                    any::<bool>(),
+                    prop_oneof![Just(0u32), 1u32..300],
+                    any::<u64>(),
+                )
+            })
+            .prop_map(|(scale, mut raw, symmetric, max_weight, seed)| {
+                // An empty CSR cannot be mapped: keep one real edge.
+                if raw.iter().all(|(u, v)| u == v) {
+                    raw.push((0, 1));
+                }
+                let cfg = GraphConfig {
+                    scale,
+                    degree: 4,
+                    symmetric,
+                    max_weight,
+                    seed,
+                    arena_slots: 2,
+                };
+                (cfg, raw)
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn from_edges_equals_the_pair_sort_oracle((cfg, raw) in edge_lists()) {
+            let mut want_mem = Recorder::default();
+            let (offsets, edges, weights) = pair_sort_oracle(&cfg, &mut want_mem, raw.clone());
+            let mut mem = Recorder::default();
+            let csr = Csr::from_edges(&cfg, &mut mem, raw);
+            prop_assert_eq!(&mem.log, &want_mem.log, "simulated calls differ");
+            prop_assert_eq!(csr.offsets.as_slice_unaccounted(), &offsets[..]);
+            prop_assert_eq!(csr.edges.as_slice_unaccounted(), &edges[..]);
+            prop_assert_eq!(csr.edges.as_slice_unaccounted().len(), csr.num_edges());
+            let got = csr.weights.as_ref().map(|w| w.host().as_slice_unaccounted().to_vec());
+            prop_assert_eq!(got, weights);
+        }
+    }
+
+    #[test]
+    fn rmat_equals_the_branchy_reference() {
+        for (scale, degree, seed) in [(1, 16, 0), (5, 3, 9), (10, 16, 27491095), (16, 16, 42)] {
+            assert_eq!(
+                rmat_edges(scale, degree, seed),
+                rmat_edges_branchy(scale, degree, seed),
+                "scale {scale}, degree {degree}, seed {seed}"
+            );
+        }
+    }
+
+    #[test]
+    fn weights_are_made_on_the_first_weighted_read_only() {
+        let mut mem = SimpleMemory::new();
+        let cfg = tiny_cfg(8);
+        let mut csr = Csr::build(&cfg, &mut mem);
+        assert!(csr.has_weights());
+        assert!(!weights_made(&csr), "built without host weights");
+        let _ = pagerank(&mut csr, &mut mem, 2);
+        assert!(!weights_made(&csr), "PageRank reads no weights");
+
+        let accesses = mem.accesses;
+        let u = csr.source_vertex(0);
+        let (nbrs, _) = csr.neighbors_weighted(&mut mem, u);
+        let touched = mem.accesses - accesses;
+        let mut unweighted = SimpleMemory::new();
+        let _ = Csr::build(&cfg, &mut unweighted);
+        let before = unweighted.accesses;
+        let _ = csr.neighbors(&mut unweighted, u);
+        assert!(
+            touched > unweighted.accesses - before,
+            "the weight range is read too"
+        );
+        assert!(!nbrs.is_empty());
+        assert!(weights_made(&csr));
+
+        let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0x5eed_ca11);
+        let eager: Vec<u32> = (0..csr.num_edges())
+            .map(|_| rng.gen_range(1..=cfg.max_weight))
+            .collect();
+        let made = csr
+            .weights
+            .as_ref()
+            .map(|w| w.host().as_slice_unaccounted());
+        assert_eq!(made, Some(&eager[..]), "the eager stream, in CSR order");
+    }
 
     fn tiny_cfg(scale: u32) -> GraphConfig {
         GraphConfig {

@@ -30,8 +30,7 @@ pub fn sssp<M: Memory + ?Sized>(csr: &mut Csr, mem: &mut M, source: u32) -> MemV
             continue; // stale entry
         }
         let (nbrs, ws) = csr.neighbors_weighted(mem, u);
-        let work: Vec<(u32, u32)> = nbrs.iter().copied().zip(ws.iter().copied()).collect();
-        for (v, w) in work {
+        for (&v, &w) in nbrs.iter().zip(ws) {
             let nd = d + w as u64;
             if nd < dist.get(mem, v as usize) {
                 dist.set(mem, v as usize, nd);

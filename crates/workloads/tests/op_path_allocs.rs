@@ -2,13 +2,15 @@
 //! and warm: the store builds each item, its value written in place, in
 //! one reused buffer, and a read copies no item out. A PageRank trial
 //! allocates only its vertex arrays, however large the graph: neighbour
-//! lists are read in place.
+//! lists are read in place. A warm SSSP trial allocates only its distance
+//! array and its heap's growth, not a buffer per settled vertex.
 //!
 //! A counting global allocator, local to this test binary, counts the
 //! allocations made on the calling thread, so tests running on other
 //! threads do not disturb the count.
 
 use mc_workloads::graph::pagerank::pagerank;
+use mc_workloads::graph::sssp::sssp;
 use mc_workloads::graph::{Csr, GraphConfig};
 use mc_workloads::ycsb::{YcsbClient, YcsbConfig, YcsbWorkload};
 use mc_workloads::SimpleMemory;
@@ -96,4 +98,31 @@ fn a_pagerank_trial_allocates_only_its_vertex_arrays() {
     let (small, large) = (pagerank_trial_allocs(8), pagerank_trial_allocs(11));
     assert_eq!(small, large, "allocations grow with the graph");
     assert_eq!(small, 2, "one allocation each for `rank` and `next`");
+}
+
+#[test]
+fn a_warm_sssp_trial_allocates_nothing_per_vertex() {
+    let mut mem = SimpleMemory::new();
+    let cfg = GraphConfig {
+        scale: 11,
+        degree: 8,
+        ..Default::default()
+    };
+    let mut csr = Csr::build(&cfg, &mut mem);
+    let source = csr.source_vertex(0);
+    let mut trial = |csr: &mut Csr| {
+        csr.reset_arena();
+        let before = ALLOCS.with(Cell::get);
+        let dist = sssp(csr, &mut mem, source);
+        let allocs = ALLOCS.with(Cell::get) - before;
+        drop(dist);
+        allocs
+    };
+    // The first trial also generates the host edge weights.
+    trial(&mut csr);
+    let allocs = trial(&mut csr);
+    assert!(
+        allocs < 64,
+        "a warm SSSP trial over 2048 vertices allocated {allocs} times"
+    );
 }
