@@ -7,7 +7,7 @@
 use crate::report::{markdown_table, Claim, Expectation};
 use crate::{sweep, Args};
 use mc_mem::MachineDesc;
-use mc_sim::experiments::{Experiment, RunOutcome, Scale};
+use mc_sim::experiments::{Experiment, Observables, RunOutcome, Scale};
 use mc_sim::{SimConfig, SystemKind};
 use mc_workloads::graph::Kernel;
 use mc_workloads::ycsb::YcsbWorkload;
@@ -67,6 +67,11 @@ impl Run {
         Run::new(args, "colocation".into(), e)
     }
 
+    /// The house workload (DESIGN.md §17) on `system`, whatever the scale.
+    pub(crate) fn house(args: &Args, system: SystemKind) -> Run {
+        Run::new(args, "house".into(), Experiment::house(system))
+    }
+
     /// The overcommit stream (§III-C) over `ratio` × total memory.
     pub(crate) fn overcommit(args: &Args, system: SystemKind, ratio: f64) -> Run {
         let e = Experiment::overcommit(system, ratio, &args.scale);
@@ -100,6 +105,11 @@ impl Run {
         self
     }
 
+    /// The row: the run's table label and `--obs` sub-directory.
+    pub(crate) fn row(&self) -> &str {
+        &self.row
+    }
+
     fn key(&self) -> String {
         format!("{} · {}", self.row, self.e.cfg.system.label())
     }
@@ -111,7 +121,8 @@ impl Run {
 pub struct Lab<'a> {
     /// The command line (scale, machine, filters).
     pub args: &'a Args,
-    memo: BTreeMap<String, RunOutcome>,
+    /// Per memo key, the outcome and, for a house run, its observables.
+    memo: BTreeMap<String, (RunOutcome, Option<Observables>)>,
     /// The id of the section being built.
     section: &'static str,
     /// Per section, in document order, the memo keys of the runs it asked for.
@@ -182,11 +193,19 @@ impl<'a> Lab<'a> {
             missing.push((k, e));
         }
         self.executed += missing.len();
-        for (outcome, k) in sweep(self.args.threads, missing, |(k, e)| (e.run(), k)) {
-            let outcome = outcome.map_err(|e| format!("{k}: {e}"))?;
-            self.memo.insert(k, outcome);
+        for (ran, k) in sweep(self.args.threads, missing, |(k, e)| (e.run_observed(), k)) {
+            let ran = ran.map_err(|e| format!("{k}: {e}"))?;
+            self.memo.insert(k, ran);
         }
-        Ok(runs.iter().map(|r| self.memo[&r.key()].clone()).collect())
+        Ok(runs.iter().map(|r| self.memo[&r.key()].0.clone()).collect())
+    }
+
+    /// Every run executed so far, by memo key (`row · system`, the
+    /// appendix's first column): its outcome and, for a house run, its
+    /// observables.
+    pub fn finished(&self) -> impl Iterator<Item = (&str, &RunOutcome, Option<&Observables>)> {
+        let ran = self.memo.iter();
+        ran.map(|(k, (outcome, observed))| (k.as_str(), outcome, observed.as_ref()))
     }
 
     /// Appends a paragraph (or any Markdown block) to the document.
@@ -455,11 +474,17 @@ pub fn generate(args: &Args) -> Result<Lab<'_>, String> {
          64-bit FNV-1a of its whole `RunOutcome` (counts, windows, costs, percentiles), so a \
          change that moves any simulated result moves this file even where no table cell does.",
     );
-    let print = |o: &RunOutcome| format!("`{:016x}`", fnv1a(format!("{o:?}").as_bytes()));
+    // A house run's row digests its observables instead (its section says so).
+    let print = |(o, observed): &(RunOutcome, Option<Observables>)| {
+        let debug = observed
+            .as_ref()
+            .map_or_else(|| format!("{o:?}"), |v| format!("{v:?}"));
+        format!("`{:016x}`", fnv1a(debug.as_bytes()))
+    };
     let rows: Vec<Vec<String>> = lab
         .memo
         .iter()
-        .map(|(k, o)| vec![k.clone(), print(o)])
+        .map(|(k, ran)| vec![k.clone(), print(ran)])
         .collect();
     lab.table(&["run", "fingerprint"], &rows);
     lab.out.truncate(lab.out.trim_end().len());
@@ -498,7 +523,12 @@ mod tests {
                 ("c.moves", "holds (+0.33)", "holds"),
                 ("c.same", "holds (+1.00)", "holds"),
             ],
-            &[("A · MC", "01"), ("A · Static", "02"), ("B · Static", "03")],
+            &[
+                ("A · MC", "01"),
+                ("A · Static", "02"),
+                ("B · Static", "03"),
+                ("house · Nimble", "05"),
+            ],
         );
         let new = doc(
             &[
@@ -506,13 +536,19 @@ mod tests {
                 ("c.moves", "holds (+0.31)", "holds"),
                 ("c.same", "holds (+1.00)", "holds"),
             ],
-            &[("A · MC", "09"), ("A · Static", "02"), ("C · MC", "04")],
+            &[
+                ("A · MC", "09"),
+                ("A · Static", "02"),
+                ("C · MC", "04"),
+                ("house · Nimble", "06"),
+            ],
         );
         let keys = |ks: &[&str]| ks.iter().map(|k| k.to_string()).collect();
         let requested = [
             ("fig5", keys(&["A · MC", "A · Static"])),
             ("fig6", keys(&["A · Static"])),
             ("colocation", keys(&["A · Static", "C · MC"])),
+            ("house", keys(&["house · Nimble"])),
         ];
         let out = delta(&old, &new, &requested);
         let lines: Vec<&str> = out.lines().collect();
@@ -532,6 +568,7 @@ mod tests {
                 "| ---------- | ------------ | ---------- | ------------ |",
                 "| fig5       | 1            | 0          | 0            |",
                 "| colocation | 0            | 1          | 0            |",
+                "| house      | 1            | 0          | 0            |",
                 "| —          | 0            | 0          | 1            |",
             ],
             "{out}"

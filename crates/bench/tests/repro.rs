@@ -1,10 +1,14 @@
 //! `repro` end to end at `--tiny`: well-formed tables, one execution per
 //! distinct experiment, thread-independent bytes, the claim gate, the
-//! rejection of bad command lines and a source for every committed claim.
+//! rejection of bad command lines, a source for every committed claim, and
+//! the checks on the `house` runs that their pins alone cannot make (the
+//! pins themselves: `scheduler_differential.rs`).
 
 use mc_bench::report::{Claim, Expectation};
 use mc_bench::{repro, Args};
-use mc_mem::Nanos;
+use mc_mem::{Charge, Nanos};
+use mc_sim::SystemKind;
+use std::collections::BTreeMap;
 use std::process::Command;
 
 /// The sections cheap enough to run whole in a debug build.
@@ -148,7 +152,7 @@ fn section_ids_are_unique_and_unknown_ones_are_rejected() {
     assert!(err.contains("no section `nosuch`"), "{err}");
     let listed = err.rsplit("there are ").next().unwrap();
     let ids: Vec<&str> = listed.split(", ").collect();
-    assert_eq!(ids.len(), 14, "{err}");
+    assert_eq!(ids.len(), 15, "{err}");
     let unique: std::collections::BTreeSet<&str> = ids.iter().copied().collect();
     assert_eq!(unique.len(), ids.len(), "duplicate section id in {ids:?}");
     let obs = args(&["--only", "fig5", "--obs", "/tmp/x"]);
@@ -187,6 +191,58 @@ fn the_binary_exits_2_on_a_bad_command_line_and_0_on_a_good_one() {
     assert!(String::from_utf8_lossy(&stdout).starts_with("# EXPERIMENTS"));
 }
 
+/// The committed EXPERIMENTS.md, PAPERS.md or DESIGN.md.
+fn committed(file: &str) -> String {
+    let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../../");
+    std::fs::read_to_string(format!("{root}{file}")).expect(file)
+}
+
+/// What the pins alone cannot say, on each run's own values (DESIGN.md
+/// §17): no run latches a `RunError` (`generate` would fail), every clock
+/// is the sum of its ledger, every system but Static promotes, every
+/// `house-small` run evicts, and the injector fires.
+#[test]
+fn every_house_run_balances_its_clock_and_reaches_its_path() {
+    let house = args(&["--only", "house"]);
+    let lab = repro::generate(&house).unwrap();
+    let mut demotions = BTreeMap::new();
+    for (run, o, observed) in lab.finished() {
+        let v = observed.expect("a house run carries its observables");
+        let on_clock = Charge::ALL.into_iter().filter(|c| c.on_clock());
+        let on_clock = on_clock.fold(Nanos::ZERO, |sum, c| sum + v.time.get(c));
+        assert_eq!(v.now, on_clock, "{run}: the clock left its ledger");
+        let t = |c| v.time.get(c);
+        let stalls = t(Charge::MinorFault)
+            + t(Charge::HintFault)
+            + t(Charge::MigrationStall)
+            + t(Charge::SwapIn);
+        let c = &v.costs;
+        assert_eq!(c.access_time, t(Charge::Device), "{run}");
+        assert_eq!(c.stall_time, stalls, "{run}");
+        assert_eq!(c.daemon_time, t(Charge::DaemonCpu), "{run}");
+        assert_eq!(c.background_time, t(Charge::Background), "{run}");
+        assert_eq!((o.promotions, o.demotions), (v.promotions, v.demotions));
+        if o.system == SystemKind::Static {
+            assert_eq!(o.promotions, 0, "{run} never migrates");
+        } else {
+            assert!(o.promotions > 0, "{run} must exercise promotion");
+        }
+        if run.starts_with("house-small ") {
+            assert!(
+                o.stats.evictions > 0,
+                "{run} must evict from the lowest tier"
+            );
+        }
+        demotions.insert(run, o.demotions);
+    }
+    assert_eq!(demotions.len(), 26);
+    let mc = |row: &str| demotions[format!("{row} · MULTI-CLOCK").as_str()];
+    assert!(
+        mc("house-chaos") > mc("house"),
+        "the injector must fire for the chaos rows to mean anything"
+    );
+}
+
 /// Checks that a statement cell of the claims table opens with a source
 /// in one of `Claim::source`'s three forms: a part of the paper (`Fig. 5`,
 /// `Table I`, `§V-F`), an arXiv id that `papers` (PAPERS.md) lists, or
@@ -222,9 +278,7 @@ fn check_source(cell: &str, papers: &str, design: &str) -> Result<(), String> {
 
 #[test]
 fn every_committed_claim_names_its_source() {
-    let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../../");
-    let read = |file: &str| std::fs::read_to_string(format!("{root}{file}")).expect(file);
-    let (doc, papers, design) = (read("EXPERIMENTS.md"), read("PAPERS.md"), read("DESIGN.md"));
+    let [doc, papers, design] = ["EXPERIMENTS.md", "PAPERS.md", "DESIGN.md"].map(committed);
     let table = doc.lines().skip_while(|l| !l.starts_with("## Claims"));
     let rows = table.take_while(|l| !l.starts_with("## Appendix"));
     let cells = rows.filter(|l| l.starts_with("| `")).map(|l| {

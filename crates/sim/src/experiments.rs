@@ -7,14 +7,15 @@
 //! tier by a similar factor, the scan batch covers a comparable share of
 //! memory per wake-up, and the DRAM:PM latency gap is the measured one.
 //! A [`Scale`] is a page budget, not a machine: [`Experiment::machine`]
-//! takes the *shape* that arranges it into a [`MachineDesc`].
+//! takes the *shape* that arranges it into a [`MachineDesc`]. The [`house`]
+//! workload is the exception: a fixed budget that no scale changes.
 
 use crate::config::{SimConfig, SystemKind};
 use crate::engine::Simulation;
 use crate::error::RunError;
 use crate::latency_hist::LatencyHistogram;
-use crate::metrics::WindowStats;
-use mc_mem::{MachineDesc, MemStats, Nanos, PageKind, PAGE_SIZE};
+use crate::metrics::{CostBreakdown, WindowStats};
+use mc_mem::{MachineDesc, MemStats, Nanos, PageKind, TimeLedger, VPage, PAGE_SIZE};
 use mc_workloads::dist::{ScrambledZipfian, Uniform};
 use mc_workloads::graph::{bc, bfs, cc, pagerank, sssp, tc, Csr, GraphConfig, Kernel};
 use mc_workloads::kv::KvStore;
@@ -185,7 +186,7 @@ pub struct RunOutcome {
     /// Throughput of the measured phase, in operations per virtual second:
     /// YCSB operations, the split micro's read + write pairs, the hot
     /// tenant's operations under co-location, overcommit's reads; zero
-    /// for GAPBS.
+    /// for GAPBS and the house workload.
     pub ops_per_sec: f64,
     /// GAPBS mean time per trial (virtual); zero for every other workload.
     pub trial_time: Nanos,
@@ -217,7 +218,7 @@ pub struct RunOutcome {
     /// first such access fails the run instead).
     pub dropped_accesses: u64,
     /// Where time went (access/stall/daemon/background split).
-    pub costs: crate::metrics::CostBreakdown,
+    pub costs: CostBreakdown,
 }
 
 impl RunOutcome {
@@ -259,6 +260,8 @@ enum Workload {
     /// §III-C's demotion cascade: a zipfian read stream over `footprint`
     /// pages.
     Overcommit { footprint: usize },
+    /// The [`house`] workload.
+    House,
 }
 
 /// The split micro's `(dram_pages, pm_pages)` budget: DRAM for one of its
@@ -277,6 +280,7 @@ impl Workload {
                 let total = scale.dram_pages + scale.pm_pages;
                 (total / 5, total - total / 5)
             }
+            Workload::House => house::BUDGET,
         }
     }
 }
@@ -372,6 +376,23 @@ impl Experiment {
         e
     }
 
+    /// The [`house`] workload on `system`: its fixed 64 + 512-page budget
+    /// as a [`MachineDesc::dram_pm`], observability on, and
+    /// [`SimConfig::new`]'s scan interval, scan batch and metrics window —
+    /// no scale applies, so its runs are the same at every one.
+    pub fn house(system: SystemKind) -> Self {
+        let (dram, pm) = house::BUDGET;
+        let mut cfg = SimConfig::new(system, dram, pm);
+        cfg.instrument.obs = mc_obs::ObsConfig::on();
+        Experiment {
+            workload: Workload::House,
+            // Never read: the house workload has no scale.
+            scale: Scale::quick(),
+            cfg,
+            obs_dir: None,
+        }
+    }
+
     /// Selects the machine *shape*: a function arranging the workload's
     /// `(dram_pages, pm_pages)` budget into a [`MachineDesc`], so the same
     /// [`Scale`] drives every machine. Default [`MachineDesc::dram_pm`];
@@ -400,7 +421,30 @@ impl Experiment {
     /// The first [`RunError`] the simulation latched — the workload ran
     /// the machine out of memory or touched an address past the page
     /// table — or the filesystem error from writing the obs artifacts.
-    pub fn run(mut self) -> Result<RunOutcome, RunError> {
+    pub fn run(self) -> Result<RunOutcome, RunError> {
+        self.run_observed().map(|(outcome, _)| outcome)
+    }
+
+    /// [`Experiment::run`], and for a house run its [`Observables`], taken
+    /// from the finished simulation.
+    ///
+    /// # Errors
+    ///
+    /// As [`Experiment::run`].
+    pub fn run_observed(self) -> Result<(RunOutcome, Option<Observables>), RunError> {
+        let dir = self.obs_dir.clone();
+        let house = matches!(self.workload, Workload::House);
+        let (mut sim, measured) = self.drive();
+        let observed = house.then(|| Observables::of(&sim, house::PAGES));
+        let outcome = summarize(&mut sim, measured);
+        if let Some(dir) = &dir {
+            sim.write_obs(dir)?;
+        }
+        Ok((outcome?, observed))
+    }
+
+    /// Drives the workload on a new simulation of `cfg` to its end.
+    fn drive(mut self) -> (Simulation, Measured) {
         if self.obs_dir.is_some() {
             self.cfg.instrument.obs = mc_obs::ObsConfig::on();
         }
@@ -412,13 +456,123 @@ impl Experiment {
             Workload::SplitMicro => run_split_micro(&mut sim),
             Workload::Colocation => run_colocation(&mut sim, scale),
             Workload::Overcommit { footprint } => run_overcommit(&mut sim, footprint),
+            Workload::House => house::drive(&mut sim),
         };
         sim.finish();
-        let outcome = summarize(&mut sim, measured);
-        if let Some(dir) = &self.obs_dir {
-            sim.write_obs(dir)?;
+        (sim, measured)
+    }
+}
+
+/// What a finished run observably produced: the terms of the house
+/// invariant (DESIGN.md §17), under which a change that keeps every one
+/// is bit-identical. A house run carries them beside its [`RunOutcome`]
+/// ([`Experiment::run_observed`]), and `repro` digests their `Debug` into
+/// the run's appendix fingerprint.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Observables {
+    /// Virtual time at the end of the run.
+    pub now: Nanos,
+    /// The substrate's counters.
+    pub stats: MemStats,
+    /// The per-tick counter series; empty with obs off.
+    pub ticks_csv: String,
+    /// The retained tracepoint events; empty with obs off.
+    pub events_jsonl: String,
+    /// `(frame, tier)` of each of the workload's pages, `None` if unmapped.
+    pub placement: Vec<Option<(u32, u8)>>,
+    /// Pages promoted over the run.
+    pub promotions: u64,
+    /// Pages demoted over the run.
+    pub demotions: u64,
+    /// Where time went (access/stall/daemon/background split).
+    pub costs: CostBreakdown,
+    /// Transactions still in their copy window when the run ended (the
+    /// last tick's begins never get a settle tick); zero in `Sync` mode.
+    pub open_txns: u64,
+    /// The run's time ledger: [`Self::now`] is the sum of its on-clock
+    /// categories, and [`Self::costs`] groups them.
+    pub time: TimeLedger,
+}
+
+impl Observables {
+    /// Reads a finished run whose workload mapped virtual pages
+    /// `0..pages`.
+    fn of(s: &Simulation, pages: u64) -> Self {
+        let placement = (0..pages)
+            .map(|p| {
+                s.mem().translate(VPage::new(p)).map(|f| {
+                    let frame = s.mem().frame(f);
+                    (f.raw(), frame.tier().index() as u8)
+                })
+            })
+            .collect();
+        Observables {
+            now: s.now(),
+            stats: s.mem().stats().clone(),
+            ticks_csv: s.obs_ticks_csv().unwrap_or_default(),
+            events_jsonl: s.obs_events_jsonl().unwrap_or_default(),
+            placement,
+            promotions: s.metrics().total_promotions(),
+            demotions: s.metrics().total_demotions(),
+            costs: s.metrics().costs(),
+            open_txns: s.mem().migration_txns().len() as u64,
+            time: s.time().clone(),
         }
-        outcome
+    }
+}
+
+/// The house workload: the run `repro`'s `house` section pins under every
+/// system and engine mode, and the one the batch, machine and perf
+/// harnesses compare. A first-touch fill spills the tail of the working
+/// set into the capacity tier, a hot set deep in that tail is hammered
+/// every round (so the scanner must promote it), a stride keeps the lists
+/// churning, and compute gaps let the daemon tick.
+pub mod house {
+    use super::{Experiment, Measured};
+    use crate::config::SimConfig;
+    use crate::engine::Simulation;
+    use mc_mem::{Nanos, PageKind, PAGE_SIZE};
+    use mc_workloads::Memory;
+
+    /// Virtual pages the workload maps, `0..PAGES`.
+    pub const PAGES: u64 = 192;
+
+    /// The `(dram_pages, pm_pages)` budget of [`Experiment::house`].
+    pub(super) const BUDGET: (usize, usize) = (64, 512);
+
+    /// Runs the workload on `cfg` as given and hands back the finished
+    /// simulation, for harnesses that compare two of them field by field.
+    pub fn run(cfg: SimConfig) -> Simulation {
+        let system = cfg.system;
+        Experiment {
+            cfg,
+            ..Experiment::house(system)
+        }
+        .drive()
+        .0
+    }
+
+    /// The driver: it measures nothing beyond what the simulation holds.
+    pub(super) fn drive(s: &mut Simulation) -> Measured {
+        let a = s.mmap(PAGE_SIZE * PAGES as usize, PageKind::Anon);
+        for p in 0..PAGES {
+            s.write(a.add(p * PAGE_SIZE as u64), 64);
+        }
+        for round in 0..400u64 {
+            for h in 0..8u64 {
+                s.read(a.add((160 + h) * PAGE_SIZE as u64), 64);
+            }
+            let page = (round * 7) % PAGES;
+            let addr = a.add(page * PAGE_SIZE as u64);
+            if round % 3 == 0 {
+                s.write(addr, 256);
+            } else {
+                s.read(addr, 64);
+            }
+            s.compute(Nanos::from_millis(25));
+            s.record_op();
+        }
+        Measured::default()
     }
 }
 

@@ -13,11 +13,10 @@
 //! deterministic, lose no page, still promote, and shave overhead.
 
 mod common;
-#[path = "common/house.rs"]
-mod house;
 
 use common::Fingerprint;
 use mc_mem::MachineDesc;
+use mc_sim::experiments::house;
 use mc_sim::{SimConfig, SystemKind};
 
 fn run(cfg: SimConfig) -> Fingerprint {

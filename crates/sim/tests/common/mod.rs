@@ -1,7 +1,7 @@
 //! The one run fingerprint the differential harnesses compare: each
-//! `*_differential.rs` drives a workload — the house one in `house.rs`,
-//! or its own — and then digests the finished simulation with
-//! [`Fingerprint::of`].
+//! `*_differential.rs` drives a workload — the house one
+//! (`mc_sim::experiments::house`), or its own — and then digests the
+//! finished simulation with [`Fingerprint::of`].
 
 mod time;
 

@@ -3,7 +3,7 @@
 //! `MachineDesc` is the only way to build a machine, so there is no second
 //! construction to compare the `dram-pm` shape against any more; its
 //! numbers are pinned literally in `mc_mem::machine`'s unit tests and its
-//! behaviour by the goldens in `scheduler_differential.rs`. What stays
+//! behaviour by the `house` rows of EXPERIMENTS.md. What stays
 //! here: an explicit default shape is result-neutral, and the HybridTier
 //! determinism contract on a CXL machine — enabling observability never
 //! changes virtual-time results, and the same seed reproduces the same
@@ -14,11 +14,10 @@
 //! scan is sized by the lists, not by the machine.
 
 mod common;
-#[path = "common/house.rs"]
-mod house;
 
 use common::Fingerprint;
 use mc_mem::{MachineDesc, Nanos};
+use mc_sim::experiments::house;
 use mc_sim::experiments::{Experiment, RunOutcome, Scale};
 use mc_sim::{SimConfig, SystemKind};
 use mc_workloads::ycsb::YcsbWorkload;

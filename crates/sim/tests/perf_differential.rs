@@ -12,12 +12,11 @@
 //! together change nothing but the obs artifacts themselves.
 
 mod common;
-#[path = "common/house.rs"]
-mod house;
 
 use common::Fingerprint;
 use mc_mem::Nanos;
 use mc_obs::{PerfHooks, Phase};
+use mc_sim::experiments::house;
 use mc_sim::experiments::{Experiment, Scale};
 use mc_sim::{FaultConfig, InstrumentKnobs, ObsConfig, RetryPolicy, SimConfig, SystemKind};
 use mc_workloads::ycsb::YcsbWorkload;
