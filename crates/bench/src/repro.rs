@@ -471,10 +471,12 @@ pub fn generate(args: &Args) -> Result<Lab<'_>, String> {
     }
     lab.text(
         "## Appendix — run fingerprints\n\nOne row per distinct memoised experiment: the \
-         64-bit FNV-1a of its whole `RunOutcome` (counts, windows, costs, percentiles), so a \
-         change that moves any simulated result moves this file even where no table cell does.",
+         64-bit FNV-1a of its whole `RunOutcome` (counts, windows, costs, percentiles) or, for \
+         a `house` row, of the run's `Observables` (stats, ticks CSV, events JSONL, placement, \
+         costs, ledger), so a change that moves any simulated result moves this file even \
+         where no table cell does.",
     );
-    // A house run's row digests its observables instead (its section says so).
+    // A house run's row digests its observables instead.
     let print = |(o, observed): &(RunOutcome, Option<Observables>)| {
         let debug = observed
             .as_ref()

@@ -6,9 +6,9 @@
 //!
 //! * [`IndexedList`] — an ordered list of frames threaded through a
 //!   frame-indexed table of `prev`/`next` links, the way the kernel threads
-//!   `struct page` onto a `list_head`: membership, push, pop and removal
-//!   from the middle are a few array stores each. The building block for
-//!   inactive/active/promote lists;
+//!   `struct page` onto a `list_head`: the building block for
+//!   inactive/active/promote lists, re-exported from `mc-mem`, whose
+//!   transaction and shadow orders are lists too;
 //! * [`balance`] — the active:inactive balancing rule the paper inherits
 //!   from PFRA (`sqrt(10 * n) : 1` with `n` the tier size in GB).
 
@@ -29,7 +29,6 @@
 )]
 
 pub mod balance;
-mod list;
 
 pub use balance::inactive_ratio;
-pub use list::IndexedList;
+pub use mc_mem::IndexedList;

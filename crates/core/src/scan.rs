@@ -790,7 +790,7 @@ mod tests {
         assert_eq!(mem.stats().promotions, 1);
         assert_eq!(mc.stats().txn_commits, 1);
         // The clean source frame stayed behind as a shadow copy.
-        assert_eq!(mem.shadow_pages().get(nf), Some(f));
+        assert_eq!(mem.shadow_of(nf), Some(f));
         mc.assert_invariants(&mem);
     }
 
@@ -821,7 +821,7 @@ mod tests {
         // The dirty write predates the retry's copy window, so the fresh
         // copy captured it: the source stays behind as a shadow and the
         // page's dirty bit resets against it.
-        assert_eq!(mem.shadow_pages().get(nf), Some(f));
+        assert_eq!(mem.shadow_of(nf), Some(f));
         assert!(!mem.frame(nf).flags().contains(mc_mem::PageFlags::DIRTY));
         mc.assert_invariants(&mem);
     }
@@ -835,7 +835,7 @@ mod tests {
         mc.tick(&mut mem, Nanos::from_secs(1));
         mc.tick(&mut mem, Nanos::from_secs(2));
         let nf = mem.translate(VPage::new(1)).unwrap();
-        assert_eq!(mem.shadow_pages().get(nf), Some(f));
+        assert_eq!(mem.shadow_of(nf), Some(f));
         // Park the page cold on the inactive list (the slow route there
         // is several decay scans plus a rebalance; the landing state is
         // what matters to the demotion path), then fill DRAM so reclaim
@@ -857,7 +857,7 @@ mod tests {
             "the page is back in its original frame without a copy"
         );
         assert_eq!(mc.state_of(f), Some(PageState::InactiveUnref));
-        assert!(mem.shadow_pages().is_empty());
+        assert!(mem.shadows().next().is_none());
         mc.assert_invariants(&mem);
     }
 

@@ -12,13 +12,15 @@
 //! 4. untracked frames are on no list;
 //! 5. retry bookkeeping (a paused promotion episode) exists only for
 //!    pages in `Promote` state;
-//! 6. transactional-migration bookkeeping is sound: a frame is the
-//!    source of **at most one** open transaction, every such source
-//!    is tracked in `Promote` state and on no list (by design — the copy
-//!    window spans the tick boundary), transaction destination frames
-//!    are allocated but unmapped reservations, shadow copies exist only
-//!    for clean mapped pages with the retained frame one or more tiers
-//!    below, and stored retry bookkeeping never exceeds the
+//! 6. transactional-migration bookkeeping is sound: the substrate's
+//!    partner links are symmetric, every retained frame (a reserved
+//!    destination or a shadow copy) is unmapped and has exactly one
+//!    partner — a partnerless one is a leaked frame — and every copy is on
+//!    its own tier's list ([`MemorySystem::partner_faults`]); every
+//!    transaction source is tracked in `Promote` state and on no list (by
+//!    design — the copy window spans the tick boundary); shadow copies
+//!    exist only for clean mapped pages with the retained frame one or
+//!    more tiers below; and stored retry bookkeeping never exceeds the
 //!    [`mc_fault::RetryPolicy`] budget.
 //!
 //! Debug builds first assert each list's own link consistency
@@ -99,23 +101,22 @@ impl MultiClock {
         violations
     }
 
-    /// Invariant 6: checks the substrate's open transactions and shadow
-    /// table, and the tracking state of every transaction's source
-    /// (`listed` holds the frames found on some list).
+    /// Invariant 6: checks the substrate's partner links, open
+    /// transactions and shadows, and the tracking state of every
+    /// transaction's source (`listed` holds the frames found on some list).
     fn check_txn_bookkeeping(
         &self,
         mem: &MemorySystem,
         listed: &HashSet<u32>,
         violations: &mut Vec<InvariantViolation>,
     ) {
-        let mut src_seen: HashSet<u32> = HashSet::new();
+        for (frame, fault) in mem.partner_faults() {
+            violations.push(InvariantViolation {
+                frame,
+                message: fault.into(),
+            });
+        }
         for txn in mem.migration_txns() {
-            if !src_seen.insert(txn.frame.raw()) {
-                violations.push(InvariantViolation {
-                    frame: txn.frame,
-                    message: "frame is the source of more than one open transaction".into(),
-                });
-            }
             if self.state_of(txn.frame) != Some(PageState::Promote) {
                 violations.push(InvariantViolation {
                     frame: txn.frame,
@@ -128,33 +129,19 @@ impl MultiClock {
                     message: "open transaction source is on a list".into(),
                 });
             }
-            let dst = mem.frame(txn.dst_frame);
-            if dst.state() != mc_mem::FrameState::Allocated || dst.vpage().is_some() {
-                violations.push(InvariantViolation {
-                    frame: txn.dst_frame,
-                    message: "transaction destination is not an unmapped reservation".into(),
-                });
-            }
         }
-        for (key, copy) in mem.shadow_pages().iter() {
+        for (key, copy) in mem.shadows() {
             let live = mem.frame(key);
-            if live.state() != mc_mem::FrameState::Allocated
-                || live.vpage().is_none()
-                || live.flags().contains(mc_mem::PageFlags::DIRTY)
-            {
+            if live.vpage().is_none() || live.flags().contains(mc_mem::PageFlags::DIRTY) {
                 violations.push(InvariantViolation {
                     frame: key,
                     message: "shadowed page is not a clean mapped page".into(),
                 });
             }
-            let retained = mem.frame(copy);
-            if retained.state() != mc_mem::FrameState::Allocated
-                || retained.vpage().is_some()
-                || retained.tier() <= live.tier()
-            {
+            if mem.frame(copy).tier() <= live.tier() {
                 violations.push(InvariantViolation {
                     frame: copy,
-                    message: "shadow copy is not an unmapped lower-tier retention".into(),
+                    message: "shadow copy is not below its page".into(),
                 });
             }
         }

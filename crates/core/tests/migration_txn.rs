@@ -58,7 +58,7 @@ fn assert_txn_accounted(mem: &MemorySystem) {
 /// Shadow copies exist only for clean, still-mapped upper-tier pages.
 /// (Also invariant 8; asserted directly so a violation names the frame.)
 fn assert_shadows_clean(mem: &MemorySystem) {
-    for (live, copy) in mem.shadow_pages().iter() {
+    for (live, copy) in mem.shadows() {
         let fr = mem.frame(live);
         assert!(
             fr.vpage().is_some(),

@@ -977,7 +977,7 @@ impl World {
         }
         if let Op::Write(p) = op {
             let f = self.mem.translate(vpage(p));
-            if f.is_some_and(|f| self.mem.shadow_pages().get(f).is_some()) {
+            if f.is_some_and(|f| self.mem.shadow_of(f).is_some()) {
                 return Err(format!("page {p} kept its shadow after a store"));
             }
         }
@@ -1018,7 +1018,7 @@ impl World {
             for t in mem.migration_txns() {
                 (t.frame, t.dst_frame, t.doomed).hash(&mut h);
             }
-            mem.shadow_pages().iter().collect::<Vec<_>>().hash(&mut h);
+            mem.shadows().collect::<Vec<_>>().hash(&mut h);
             self.doomed.hash(&mut h);
         }
         h.finish()

@@ -15,7 +15,8 @@ pub enum MemError {
     NotMapped(VPage),
     /// The virtual page is already mapped.
     AlreadyMapped(VPage),
-    /// The frame is not currently allocated.
+    /// The frame is free, or [`crate::FrameState::Retained`] (a reserved
+    /// copy destination or a shadow copy), not an allocated page frame.
     FrameNotAllocated(FrameId),
     /// The frame cannot be migrated right now: its copy window is already
     /// open, a write doomed the copy, or an injected fault locked it.

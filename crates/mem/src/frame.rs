@@ -24,6 +24,10 @@ pub enum FrameState {
     Free,
     /// Allocated and (usually) mapped.
     Allocated,
+    /// Allocated, unmapped and held for one page by the transactional
+    /// layer: a copy window's reserved destination or a clean promotion's
+    /// retained lower-tier copy. `map`, `evict` and `migrate` refuse it.
+    Retained,
 }
 
 /// Metadata for one physical page frame.
@@ -86,6 +90,18 @@ impl Frame {
         self.vpage = None;
     }
 
+    /// Hands an allocated, unmapped frame to the transactional layer, or
+    /// takes a retained one back as an ordinary allocated frame.
+    pub(crate) fn set_retained(&mut self, retained: bool) {
+        debug_assert!(self.state != FrameState::Free && self.vpage.is_none());
+        self.state = if retained {
+            FrameState::Retained
+        } else {
+            FrameState::Allocated
+        };
+        self.flags = PageFlags::EMPTY;
+    }
+
     pub(crate) fn mark_free(&mut self) {
         self.state = FrameState::Free;
         self.flags = PageFlags::EMPTY;
@@ -113,6 +129,18 @@ mod tests {
         f.mark_free();
         assert_eq!(f.state(), FrameState::Free);
         assert_eq!(f.vpage(), None);
+    }
+
+    #[test]
+    fn retention_clears_flags_and_returns_to_allocated() {
+        let mut f = Frame::free(NodeId::new(0), TierId::TOP);
+        f.mark_allocated();
+        f.flags_mut().insert(PageFlags::DIRTY);
+        f.set_retained(true);
+        assert_eq!(f.state(), FrameState::Retained);
+        assert!(f.flags().is_empty());
+        f.set_retained(false);
+        assert_eq!(f.state(), FrameState::Allocated);
     }
 
     #[test]

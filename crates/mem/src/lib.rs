@@ -18,7 +18,9 @@
 //!   [`PageFlags::ACCESSED`], and dirtiness is the frame's
 //!   [`PageFlags::DIRTY`], which migration carries to the new frame;
 //! * a **migration engine** equivalent to `migrate_pages()`: allocate on the
-//!   destination tier, account the copy, remap, free the source frame;
+//!   destination tier, account the copy, remap, free the source frame (or,
+//!   under Nomad, keep it as a [`FrameState::Retained`] shadow copy);
+//! * [`IndexedList`], the frame-indexed list behind every page list;
 //! * a parameterised **latency model** for DRAM/PM access, migration and
 //!   software page faults, derived from the same description;
 //! * the [`policy::TieringPolicy`] trait — the substrate-facing interface
@@ -62,6 +64,7 @@ mod frame;
 mod ids;
 mod instruments;
 mod latency;
+mod list;
 mod machine;
 mod policy;
 mod pte;
@@ -81,14 +84,15 @@ pub use frame::{Frame, FrameState, PageKind};
 pub use ids::{FrameId, NodeId, TierId, VAddr, VPage, PAGE_SIZE};
 pub use instruments::Instruments;
 pub use latency::{AccessKind, LatencyModel, LinkDesc, MigrationCost, TierLatency};
+pub use list::IndexedList;
 pub use machine::{MachineBuilder, MachineDesc, MachineNode};
 pub use policy::{NullPolicy, PolicyTraits, TickOutcome, TieringPolicy};
 pub use pte::{PageTable, PteEntry};
 pub use stats::{MemEvent, MemStats};
-pub use system::{AccessOutcome, MemorySystem};
+pub use system::{AccessOutcome, MemorySystem, MigrationTxns};
 pub use tier::{Tier, TierKind};
 pub use time::{Charge, Nanos, TimeLedger};
 pub use topology::{NodeDesc, Topology};
-pub use txn::{MigrationMode, MigrationTxn, PageMove, ShadowPages};
+pub use txn::{MigrationMode, MigrationTxn, PageMove};
 pub use vpage_map::VPageMap;
 pub use watermark::Watermarks;

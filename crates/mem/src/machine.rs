@@ -206,7 +206,7 @@ impl MachineBuilder {
 
     /// Finalises the description. The one place a machine is validated:
     /// everything derived from it narrows node ids to `u8` and frame
-    /// numbers to `u32`, and `mc_clock::IndexedList` reserves the top two
+    /// numbers to `u32`, and [`crate::IndexedList`] reserves the top two
     /// `u32` values as sentinels.
     ///
     /// # Panics

@@ -8,12 +8,13 @@ use crate::frame::{Frame, FrameState, PageKind};
 use crate::ids::{FrameId, NodeId, TierId, VPage};
 use crate::instruments::Instruments;
 use crate::latency::{AccessKind, LatencyModel};
+use crate::list::IndexedList;
 use crate::machine::MachineDesc;
 use crate::pte::PageTable;
 use crate::stats::{MemEvent, MemStats};
 use crate::time::{Charge, Nanos, TimeLedger};
 use crate::topology::Topology;
-use crate::txn::{MigrationMode, MigrationTxn, PageMove, ShadowPages};
+use crate::txn::{MigrationMode, MigrationTxn, PageMove, Partner};
 use crate::vpage_map::VPageMap;
 use crate::watermark::Watermarks;
 use mc_fault::InjectedFault;
@@ -49,12 +50,13 @@ pub struct AccessOutcome {
 /// pending time charges. Policies receive `&mut MemorySystem` and drive
 /// allocation, scanning and migration through it.
 ///
-/// The transaction and shadow tables are private to this module, so only
-/// the migration entry points here change them (DESIGN.md §9):
+/// The transaction order, the shadow orders and the partner links are
+/// private to this module, so only the migration entry points here change
+/// them (DESIGN.md §9):
 ///
 /// ```compile_fail
 /// let mut mem = mc_mem::MemorySystem::new(mc_mem::MachineDesc::dram_pm(8, 8));
-/// mem.txns.clear();
+/// mem.txns.push_back(mc_mem::FrameId::new(0));
 /// ```
 #[derive(Debug, Clone)]
 pub struct MemorySystem {
@@ -72,18 +74,17 @@ pub struct MemorySystem {
     events: Vec<MemEvent>,
     /// Recorder, fault injector and perf hooks; off until a driver sets them.
     pub instruments: Instruments,
-    /// In-flight transactional migrations, in begin order. Empty under
-    /// `MigrationMode::Sync`, which keeps every sync path bit-identical
-    /// to an engine without the transactional layer.
-    txns: Vec<MigrationTxn>,
-    /// Indexed by source frame: 1 + the position in `txns` of the frame's
-    /// open transaction, or 0. Every store asks, so membership must not
-    /// search; grown when a transaction opens, so `Sync` runs never
-    /// allocate it.
-    txn_slot: Vec<u32>,
-    /// Retained lower-tier copies left behind by clean transactional
-    /// promotions (Nomad-style non-exclusive placement).
-    shadows: ShadowPages,
+    /// Source frames of the in-flight transactional migrations, in begin
+    /// order. Empty under `MigrationMode::Sync`, which keeps every sync
+    /// path bit-identical to an engine without the transactional layer.
+    txns: IndexedList,
+    /// Per tier, the retained copies left behind by clean transactional
+    /// promotions (Nomad-style non-exclusive placement), oldest first.
+    shadows: Vec<IndexedList>,
+    /// Indexed by frame: each frame's partner in the transactional layer.
+    /// Sized to every frame when the first transaction opens, so `Sync`
+    /// runs never allocate it.
+    partners: Vec<Partner>,
 }
 
 impl MemorySystem {
@@ -106,6 +107,7 @@ impl MemorySystem {
                 watermarks: node.watermarks(),
             });
         }
+        let tiers = topology.tier_count();
         MemorySystem {
             topology,
             latency: machine.latency(),
@@ -117,9 +119,9 @@ impl MemorySystem {
             pending: TimeLedger::default(),
             events: Vec::new(),
             instruments: Instruments::default(),
-            txns: Vec::new(),
-            txn_slot: Vec::new(),
-            shadows: ShadowPages::new(),
+            txns: IndexedList::new(),
+            shadows: vec![IndexedList::new(); tiers],
+            partners: Vec::new(),
         }
     }
 
@@ -282,18 +284,11 @@ impl MemorySystem {
             }
             // Out of headroom: shadow copies are opportunistic capacity, so
             // release the oldest one held in this tier and retry rather than
-            // let non-exclusive placement cause an allocation failure. The
-            // table is empty under `MigrationMode::Sync`, so the sync path
+            // let non-exclusive placement cause an allocation failure. No
+            // shadow exists under `MigrationMode::Sync`, so the sync path
             // fails exactly as before.
-            let frames = &self.frames;
-            match self
-                .shadows
-                .pop_oldest_in_tier(tier, |f| frames[f.index()].tier())
-            {
-                Some((_, copy)) => {
-                    self.release_retained_frame(copy);
-                    saturating_bump(&mut self.stats.shadow_invalidations);
-                }
+            match self.shadows[tier.index()].front() {
+                Some(copy) => self.drop_shadow(copy),
                 None => return Err(MemError::TierFull(tier)),
             }
         }
@@ -303,8 +298,9 @@ impl MemorySystem {
     ///
     /// # Errors
     ///
-    /// Returns [`MemError::AlreadyMapped`], [`MemError::FrameNotAllocated`],
-    /// or [`MemError::VPageOutOfRange`] for a page the table cannot hold.
+    /// Returns [`MemError::AlreadyMapped`], [`MemError::FrameNotAllocated`]
+    /// (a free or retained frame), or [`MemError::VPageOutOfRange`] for a
+    /// page the table cannot hold.
     pub fn map(&mut self, vpage: VPage, frame: FrameId) -> Result<(), MemError> {
         if self.page_table.get(vpage).is_some() {
             return Err(MemError::AlreadyMapped(vpage));
@@ -343,16 +339,13 @@ impl MemorySystem {
         if kind.is_write() {
             flags.insert(PageFlags::DIRTY);
             saturating_bump(&mut self.stats.writes);
-            // A write during a copy window makes the in-flight copy stale
-            // (the txn aborts at resolve time), and a write after a clean
-            // promotion invalidates the retained shadow copy. Both tables
-            // stay empty under `MigrationMode::Sync`, so a sync run's
-            // stores skip the probes.
-            if !self.txns.is_empty() {
-                self.doom_txn_of(frame);
-            }
-            if !self.shadows.is_empty() {
-                self.invalidate_shadow_of(frame);
+            // A write dooms an open copy window (the txn aborts at resolve
+            // time) or drops the shadow of a clean promotion. The link
+            // table is empty under `MigrationMode::Sync`.
+            match self.partners.get_mut(frame.index()) {
+                Some(Partner::Txn { doomed, .. }) => *doomed = true,
+                Some(&mut Partner::Shadowed(copy)) => self.drop_shadow(copy),
+                Some(Partner::None | Partner::Of(_)) | None => {}
             }
         } else {
             saturating_bump(&mut self.stats.reads);
@@ -416,10 +409,10 @@ impl MemorySystem {
     /// frame, and emits a [`MemEvent::Migrated`]. The one-page form of
     /// [`Self::migrate_pages`] in [`MigrationMode::Sync`].
     ///
-    /// When `dst_tier` holds a retained shadow copy of the page and the page
-    /// is still clean and mapped, the move is a zero-copy mapping flip onto
-    /// that frame instead: one [`LatencyModel::txn_remap`] stall, no copy,
-    /// no allocation and no fault-injector draw.
+    /// When `dst_tier` holds the page's shadow copy, the move is a
+    /// zero-copy mapping flip onto that frame instead: one
+    /// [`LatencyModel::txn_remap`] stall, no copy, no allocation and no
+    /// fault-injector draw.
     ///
     /// Page flags travel with the page, except the reference bit
     /// ([`PageFlags::ACCESSED`]), which the new frame starts without (a
@@ -427,7 +420,7 @@ impl MemorySystem {
     ///
     /// # Errors
     ///
-    /// * [`MemError::FrameNotAllocated`] — source frame is free.
+    /// * [`MemError::FrameNotAllocated`] — source frame is free or retained.
     /// * [`MemError::FrameLocked`] — an injected fault refused the move
     ///   (the paper's "page is locked" fallback).
     /// * [`MemError::SameTier`] — destination equals current tier.
@@ -435,8 +428,11 @@ impl MemorySystem {
     ///   react by demoting from the destination first.
     pub fn migrate(&mut self, frame: FrameId, dst_tier: TierId) -> Result<FrameId, MemError> {
         let src_tier = self.check_movable(frame, dst_tier, MigrationMode::Sync)?;
-        if let Some(copy) = self.clean_shadow_in(frame, dst_tier) {
-            self.shadows.remove(frame);
+        // A shadow is a clean copy: a write, the only way to dirty a page,
+        // drops it. The flip needs the copy to sit in exactly `dst_tier`.
+        let tier_of = |f: FrameId| self.frames[f.index()].tier();
+        if let Some(copy) = self.shadow_of(frame).filter(|&c| tier_of(c) == dst_tier) {
+            self.take_shadow(copy);
             self.land(frame, copy, src_tier, dst_tier, false);
             saturating_bump(&mut self.stats.shadow_hits);
             self.instruments.emit(|| EventKind::ShadowDemote {
@@ -600,7 +596,7 @@ impl MemorySystem {
             return Err((injected_error(injected, frame, dst_tier), true));
         }
         if mode == MigrationMode::Transactional {
-            self.invalidate_shadow_of(frame);
+            self.drop_partner(frame);
         }
         self.alloc_page_in_tier(dst_tier).map_err(|e| {
             self.migrate_fail(frame, src_tier, "tier-full");
@@ -611,10 +607,10 @@ impl MemorySystem {
     /// Lands a page on `new_frame`, an allocated and unmapped frame of
     /// `dst_tier`: the mapping and every flag but the reference bit move
     /// over, the move is counted and a [`MemEvent::Migrated`] queued. Any
-    /// open copy window of the old frame is superseded and any shadow
-    /// keyed by it is stale. The source frame is freed — or, with
-    /// `retain_source`, kept as the page's shadow copy. Returns the virtual
-    /// page that moved.
+    /// open copy window of the old frame is superseded and any shadow of
+    /// it is stale. The source frame is freed — or, with `retain_source`,
+    /// retained as the page's shadow copy. Returns the virtual page that
+    /// moved.
     fn land(
         &mut self,
         frame: FrameId,
@@ -623,8 +619,7 @@ impl MemorySystem {
         dst_tier: TierId,
         retain_source: bool,
     ) -> Option<VPage> {
-        self.abort_txn_of(frame, "unmapped");
-        self.invalidate_shadow_of(frame);
+        self.drop_partner(frame);
         let mut flags = self.frames[frame.index()].flags();
         flags.remove(PageFlags::ACCESSED);
         let vpage = self.frames[frame.index()].vpage();
@@ -635,22 +630,17 @@ impl MemorySystem {
             self.frames[frame.index()].set_vpage(None);
         }
         if retain_source {
-            // Non-exclusive placement: the copy window closed clean (a
-            // dirty write would have doomed the txn), so the source is
-            // byte-identical to the moved page whatever its historical
-            // dirty bit says — it becomes the page's backing copy, and the
-            // new frame starts clean *relative to it*. The next write
-            // re-dirties the page and invalidates the shadow.
+            // Non-exclusive placement: the copy window closed clean, so the
+            // source is byte-identical to the page whatever its dirty bit
+            // said. It becomes the page's shadow, and the new frame starts
+            // clean relative to it until the next write drops the shadow.
             self.frames[new_frame.index()]
                 .flags_mut()
                 .remove(PageFlags::DIRTY);
-            *self.frames[frame.index()].flags_mut() = PageFlags::EMPTY;
-            if let Some(old) = self.shadows.insert(new_frame, frame) {
-                self.release_retained_frame(old);
-                saturating_bump(&mut self.stats.shadow_invalidations);
-            }
+            self.retain(frame, new_frame, Partner::Shadowed(frame));
+            self.shadows[src_tier.index()].push_back(frame);
         } else {
-            self.release_retained_frame(frame);
+            self.release_frame(frame);
         }
         if dst_tier < src_tier {
             saturating_bump(&mut self.stats.promotions);
@@ -682,20 +672,15 @@ impl MemorySystem {
     ///
     /// # Errors
     ///
-    /// Returns [`MemError::FrameNotAllocated`] if the frame is free.
+    /// Returns [`MemError::FrameNotAllocated`] if the frame is free or
+    /// retained.
     pub fn evict(&mut self, frame: FrameId) -> Result<(), MemError> {
         let f = &self.frames[frame.index()];
         if f.state() != FrameState::Allocated {
             return Err(MemError::FrameNotAllocated(frame));
         }
         let vpage = f.vpage();
-        self.abort_txn_of(frame, "unmapped");
-        self.invalidate_shadow_of(frame);
-        // A retained copy is never mapped, so only an unmapped frame can
-        // be one.
-        if vpage.is_none() {
-            self.forget_shadow_copy(frame);
-        }
+        self.drop_partner(frame);
         self.charge(Charge::Background, self.latency.swap_page);
         if let Some(v) = vpage {
             self.page_table.unmap(v);
@@ -704,10 +689,7 @@ impl MemorySystem {
             self.instruments
                 .emit(|| EventKind::Evict { vpage: v.raw() });
         }
-        let node = self.frames[frame.index()].node();
-        self.frames[frame.index()].mark_free();
-        self.nodes[node.index()].free.push(frame);
-        saturating_bump(&mut self.stats.frees);
+        self.release_frame(frame);
         saturating_bump(&mut self.stats.evictions);
         Ok(())
     }
@@ -729,18 +711,68 @@ impl MemorySystem {
     }
 
     /// In-flight migration transactions, in begin order.
-    pub fn migration_txns(&self) -> &[MigrationTxn] {
-        &self.txns
+    pub fn migration_txns(&self) -> MigrationTxns<'_> {
+        MigrationTxns(self)
     }
 
-    /// The shadow-page table (retained lower-tier copies).
-    pub fn shadow_pages(&self) -> &ShadowPages {
-        &self.shadows
+    /// The retained copy a clean promotion left for the page on `frame`,
+    /// if it has one.
+    pub fn shadow_of(&self, frame: FrameId) -> Option<FrameId> {
+        match self.link(frame) {
+            Partner::Shadowed(copy) => Some(copy),
+            Partner::None | Partner::Txn { .. } | Partner::Of(_) => None,
+        }
+    }
+
+    /// Every shadow as `(page's frame, retained copy)`: tier by tier, each
+    /// tier's copies oldest first — the order allocation pressure releases
+    /// them in.
+    pub fn shadows(&self) -> impl Iterator<Item = (FrameId, FrameId)> + '_ {
+        let copies = self.shadows.iter().flat_map(IndexedList::iter);
+        copies.filter_map(|copy| match self.link(copy) {
+            Partner::Of(page) => Some((page, copy)),
+            Partner::None | Partner::Txn { .. } | Partner::Shadowed(_) => None,
+        })
     }
 
     /// Whether `frame` is the source of an open migration transaction.
     pub fn txn_open(&self, frame: FrameId) -> bool {
-        self.txn_pos(frame).is_some()
+        matches!(self.link(frame), Partner::Txn { .. })
+    }
+
+    /// What is wrong with the transactional layer, as `(frame, fault)`:
+    /// empty when every link is returned by its partner, every retained
+    /// frame is unmapped and has a partner (one without is a leaked frame),
+    /// and every open transaction and shadow copy is on its order.
+    pub fn partner_faults(&self) -> Vec<(FrameId, &'static str)> {
+        let mut faults = Vec::new();
+        for (i, f) in self.frames.iter().enumerate() {
+            let frame = FrameId::new(i as u32);
+            let retained = f.state() == FrameState::Retained;
+            let fault = match self.link(frame) {
+                Partner::None => retained.then_some("retained frame has no partner (leaked)"),
+                Partner::Of(page) => {
+                    let back = matches!(self.link(page),
+                        Partner::Txn { dst: p, .. } | Partner::Shadowed(p) if p == frame);
+                    let ok = back && retained && f.vpage().is_none();
+                    (!ok).then_some("page link not returned, or on a mapped or unretained frame")
+                }
+                Partner::Txn { dst: p, .. } | Partner::Shadowed(p)
+                    if retained || self.link(p) != Partner::Of(frame) =>
+                {
+                    Some("retained frame link not returned, or on a retained frame")
+                }
+                Partner::Txn { .. } => (!self.txns.contains(frame))
+                    .then_some("open transaction is not in the begin order"),
+                Partner::Shadowed(copy) => {
+                    let tier = self.frames[copy.index()].tier();
+                    (!self.shadows[tier.index()].contains(copy))
+                        .then_some("shadow copy is not on its tier's list")
+                }
+            };
+            faults.extend(fault.map(|fault| (frame, fault)));
+        }
+        faults
     }
 
     /// Opens the copy window of one page (see [`Self::migrate_pages`]).
@@ -755,16 +787,12 @@ impl MemorySystem {
         // atomic remap is charged at commit.
         let cost = self.latency.migration(src_tier, dst_tier);
         self.charge(Charge::Background, cost.background);
-        self.txns.push(MigrationTxn {
-            frame,
-            dst_frame,
-            dst_tier,
+        let txn = Partner::Txn {
+            dst: dst_frame,
             doomed: false,
-        });
-        if self.txn_slot.len() <= frame.index() {
-            self.txn_slot.resize(frame.index() + 1, 0);
-        }
-        self.txn_slot[frame.index()] = self.txns.len() as u32;
+        };
+        self.retain(dst_frame, frame, txn);
+        self.txns.push_back(frame);
         saturating_bump(&mut self.stats.txn_begins);
         self.instruments.emit(|| EventKind::TxnBegin {
             frame: frame.index() as u64,
@@ -788,45 +816,48 @@ impl MemorySystem {
     /// Returns `(source_frame, result)` per transaction, in begin order;
     /// the `Ok` value is the frame the page now occupies.
     pub fn resolve_migrations(&mut self) -> Vec<(FrameId, Result<FrameId, MemError>)> {
-        let txns = std::mem::take(&mut self.txns);
-        for txn in &txns {
-            self.txn_slot[txn.frame.index()] = 0;
-        }
-        let mut out = Vec::with_capacity(txns.len());
+        let sources = self.txns.drain();
+        let mut out = Vec::with_capacity(sources.len());
         let mut committed = false;
-        for txn in txns {
+        for frame in sources {
+            let Partner::Txn { dst, doomed } = self.link(frame) else {
+                continue;
+            };
+            self.unlink(frame, dst);
+            let dst_tier = self.frames[dst.index()].tier();
             // The copy window is where real migrations fail: injected
             // faults fire at resolve time too.
-            let failure = if txn.doomed {
-                Some(("dirty-write", MemError::FrameLocked(txn.frame)))
+            let failure = if doomed {
+                Some(("dirty-write", MemError::FrameLocked(frame)))
             } else {
                 let injected = self
                     .instruments
                     .injector()
-                    .and_then(|f| f.on_migrate(txn.dst_tier.index() as u8));
+                    .and_then(|f| f.on_migrate(dst_tier.index() as u8));
                 injected.map(|i| {
                     saturating_bump(&mut self.stats.injected_faults);
-                    (i.reason(), injected_error(i, txn.frame, txn.dst_tier))
+                    (i.reason(), injected_error(i, frame, dst_tier))
                 })
             };
             if let Some((reason, e)) = failure {
-                self.drop_txn(&txn, reason);
+                self.drop_txn(frame, dst, reason);
                 saturating_bump(&mut self.stats.migration_failures);
-                out.push((txn.frame, Err(e)));
+                out.push((frame, Err(e)));
                 continue;
             }
             // Commit: atomic remap. Eager aborts on eviction and on a
             // superseding synchronous move guarantee the source is still a live mapped frame here.
-            let src_tier = self.frames[txn.frame.index()].tier();
-            let promotion = txn.dst_tier < src_tier;
-            self.land(txn.frame, txn.dst_frame, src_tier, txn.dst_tier, promotion);
+            let src_tier = self.frames[frame.index()].tier();
+            let promotion = dst_tier < src_tier;
+            self.frames[dst.index()].set_retained(false);
+            self.land(frame, dst, src_tier, dst_tier, promotion);
             saturating_bump(&mut self.stats.txn_commits);
             self.instruments.emit(|| EventKind::TxnCommit {
-                frame: txn.frame.index() as u64,
-                new_frame: txn.dst_frame.index() as u64,
+                frame: frame.index() as u64,
+                new_frame: dst.index() as u64,
             });
             committed = true;
-            out.push((txn.frame, Ok(txn.dst_frame)));
+            out.push((frame, Ok(dst)));
         }
         if committed {
             self.charge(Charge::MigrationStall, self.latency.txn_remap);
@@ -834,92 +865,119 @@ impl MemorySystem {
         out
     }
 
-    /// The retained copy a zero-copy move of `frame` into `dst_tier` can
-    /// flip to: a shadow in exactly that tier, of a page that is mapped.
-    /// A shadowed page is clean: a write is the only way to set
-    /// [`PageFlags::DIRTY`], and every write drops the page's shadow first.
-    fn clean_shadow_in(&self, frame: FrameId, dst_tier: TierId) -> Option<FrameId> {
-        let copy = self.shadows.get(frame)?;
-        let f = &self.frames[frame.index()];
-        if self.frames[copy.index()].tier() != dst_tier || f.vpage().is_none() {
-            return None;
+    /// `frame`'s partner link; `None` before the first transaction opens.
+    fn link(&self, frame: FrameId) -> Partner {
+        *self.partners.get(frame.index()).unwrap_or(&Partner::None)
+    }
+
+    /// Hands `retained`, an allocated and unmapped frame, to the
+    /// transactional layer for `page`, whose link becomes `page_link`.
+    fn retain(&mut self, retained: FrameId, page: FrameId, page_link: Partner) {
+        if self.partners.is_empty() {
+            self.partners.resize(self.frames.len(), Partner::None);
         }
-        debug_assert!(
-            !f.flags().contains(PageFlags::DIRTY),
-            "a shadowed page is clean"
-        );
-        Some(copy)
+        self.frames[retained.index()].set_retained(true);
+        self.partners[retained.index()] = Partner::Of(page);
+        self.partners[page.index()] = page_link;
     }
 
-    /// Marks the in-flight transaction of `frame` (if any) as doomed: the
-    /// background copy no longer matches the source.
-    fn doom_txn_of(&mut self, frame: FrameId) {
-        if let Some(t) = self.txn_pos(frame).and_then(|pos| self.txns.get_mut(pos)) {
-            t.doomed = true;
-        }
+    /// Clears the links between a page and its retained frame.
+    fn unlink(&mut self, page: FrameId, retained: FrameId) {
+        self.partners[page.index()] = Partner::None;
+        self.partners[retained.index()] = Partner::None;
     }
 
-    /// Position in `txns` of the open transaction whose source is `frame`.
-    fn txn_pos(&self, frame: FrameId) -> Option<usize> {
-        (*self.txn_slot.get(frame.index())? as usize).checked_sub(1)
-    }
-
-    /// Aborts the in-flight transaction of `frame` (if any) immediately.
-    /// Used when the source stops being a live mapped page mid-window.
-    fn abort_txn_of(&mut self, frame: FrameId, reason: &'static str) {
-        if let Some(pos) = self.txn_pos(frame) {
-            let txn = self.txns.remove(pos);
-            self.txn_slot[frame.index()] = 0;
-            // Later transactions moved up one place; begin order is kept.
-            for later in self.txns.iter().skip(pos) {
-                self.txn_slot[later.frame.index()] -= 1;
+    /// Ends the partnership of the page on `frame`, if any: aborts its open
+    /// transaction now, or drops its shadow and frees the copy.
+    fn drop_partner(&mut self, frame: FrameId) {
+        match self.link(frame) {
+            Partner::Txn { dst, .. } => {
+                self.txns.remove(frame);
+                self.unlink(frame, dst);
+                self.drop_txn(frame, dst, "unmapped");
             }
-            self.drop_txn(&txn, reason);
+            Partner::Shadowed(copy) => self.drop_shadow(copy),
+            Partner::None | Partner::Of(_) => {}
         }
     }
 
-    /// Books the abort of a transaction already out of the table: its
-    /// reserved destination frame goes back to the free list.
-    fn drop_txn(&mut self, txn: &MigrationTxn, reason: &'static str) {
-        self.release_retained_frame(txn.dst_frame);
+    /// Books the abort of a transaction already unlinked: its reserved
+    /// destination frame goes back to the free list.
+    fn drop_txn(&mut self, frame: FrameId, dst: FrameId, reason: &'static str) {
+        self.release_frame(dst);
         saturating_bump(&mut self.stats.txn_aborts);
         self.instruments.emit(|| EventKind::TxnAbort {
-            frame: txn.frame.index() as u64,
+            frame: frame.index() as u64,
             reason,
         });
     }
 
-    /// Drops the shadow entry keyed by `frame` (if any) and frees the
-    /// retained copy.
-    fn invalidate_shadow_of(&mut self, frame: FrameId) {
-        if let Some(copy) = self.shadows.remove(frame) {
-            self.release_retained_frame(copy);
-            saturating_bump(&mut self.stats.shadow_invalidations);
-        }
+    /// Drops the shadow whose retained copy is `copy` and frees the copy.
+    fn drop_shadow(&mut self, copy: FrameId) {
+        self.take_shadow(copy);
+        self.release_frame(copy);
+        saturating_bump(&mut self.stats.shadow_invalidations);
     }
 
-    /// Drops any shadow entry whose retained *copy* is `frame`, without
-    /// freeing it — the caller is already disposing of the frame itself.
-    fn forget_shadow_copy(&mut self, frame: FrameId) {
-        let keys: Vec<FrameId> = self
-            .shadows
-            .iter()
-            .filter(|&(_, copy)| copy == frame)
-            .map(|(k, _)| k)
-            .collect();
-        for k in keys {
-            self.shadows.remove(k);
-            saturating_bump(&mut self.stats.shadow_invalidations);
+    /// Ends the shadow whose retained copy is `copy`, which becomes an
+    /// ordinary allocated frame again, off its tier's list.
+    fn take_shadow(&mut self, copy: FrameId) {
+        if let Partner::Of(page) = self.link(copy) {
+            self.unlink(page, copy);
         }
+        let tier = self.frames[copy.index()].tier();
+        self.shadows[tier.index()].remove(copy);
+        self.frames[copy.index()].set_retained(false);
     }
 
-    /// Returns an allocated-but-unmapped bookkeeping frame (a reserved txn
-    /// destination or a shadow copy) to its node's free list.
-    fn release_retained_frame(&mut self, frame: FrameId) {
+    /// Returns an unmapped frame to its node's free list.
+    fn release_frame(&mut self, frame: FrameId) {
         let node = self.frames[frame.index()].node();
         self.frames[frame.index()].mark_free();
         self.nodes[node.index()].free.push(frame);
         saturating_bump(&mut self.stats.frees);
+    }
+}
+
+/// The open migration transactions, in begin order: a view of the
+/// substrate's transaction order and partner links.
+#[derive(Debug, Clone, Copy)]
+pub struct MigrationTxns<'a>(&'a MemorySystem);
+
+impl<'a> MigrationTxns<'a> {
+    /// Number of open transactions.
+    pub fn len(self) -> usize {
+        self.0.txns.len()
+    }
+
+    /// Whether no transaction is open.
+    pub fn is_empty(self) -> bool {
+        self.0.txns.is_empty()
+    }
+
+    /// The open transactions, oldest first.
+    pub fn iter(self) -> impl Iterator<Item = MigrationTxn> + 'a {
+        let mem = self.0;
+        mem.txns
+            .iter()
+            .filter_map(move |frame| match mem.link(frame) {
+                Partner::Txn { dst, doomed } => Some(MigrationTxn {
+                    frame,
+                    dst_frame: dst,
+                    dst_tier: mem.frames[dst.index()].tier(),
+                    doomed,
+                }),
+                Partner::None | Partner::Shadowed(_) | Partner::Of(_) => None,
+            })
+    }
+}
+
+impl<'a> IntoIterator for MigrationTxns<'a> {
+    type Item = MigrationTxn;
+    type IntoIter = Box<dyn Iterator<Item = MigrationTxn> + 'a>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        Box::new(self.iter())
     }
 }
 
@@ -1472,9 +1530,9 @@ mod tests {
         let nf = result.unwrap();
         assert_eq!(mem.frame(nf).tier(), TierId::TOP);
         assert_eq!(mem.translate(VPage::new(1)), Some(nf));
-        // The clean source survives as a shadow copy: allocated, unmapped.
-        assert_eq!(mem.shadow_pages().get(nf), Some(f));
-        assert_eq!(mem.frame(f).state(), FrameState::Allocated);
+        // The clean source survives as a shadow copy: retained, unmapped.
+        assert_eq!(mem.shadow_of(nf), Some(f));
+        assert_eq!(mem.frame(f).state(), FrameState::Retained);
         assert_eq!(mem.frame(f).vpage(), None);
         assert_eq!(mem.stats().txn_begins, 1);
         assert_eq!(mem.stats().txn_commits, 1);
@@ -1493,7 +1551,7 @@ mod tests {
         let f = begin_promotion(&mut mem, 2);
         let top_free = mem.tier_free(TierId::TOP);
         mem.access(VPage::new(2), AccessKind::Write).unwrap();
-        assert!(mem.migration_txns()[0].doomed);
+        assert!(mem.migration_txns().iter().next().unwrap().doomed);
         let resolved = mem.resolve_migrations();
         assert_eq!(resolved[0], (f, Err(MemError::FrameLocked(f))));
         // The page stayed put, still mapped; the reserved frame came back.
@@ -1503,7 +1561,7 @@ mod tests {
         assert_eq!(mem.stats().txn_aborts, 1);
         assert_eq!(mem.stats().txn_commits, 0);
         assert_eq!(mem.stats().promotions, 0);
-        assert!(mem.shadow_pages().is_empty());
+        assert!(mem.shadows().next().is_none());
     }
 
     #[test]
@@ -1517,7 +1575,7 @@ mod tests {
         assert_eq!(back, f, "the flip reuses the retained source frame");
         assert_eq!(mem.translate(VPage::new(4)), Some(f));
         assert_eq!(mem.frame(nf).state(), FrameState::Free);
-        assert!(mem.shadow_pages().is_empty());
+        assert!(mem.shadows().next().is_none());
         assert_eq!(mem.stats().shadow_hits, 1);
         assert_eq!(mem.stats().demotions, 1);
         // Zero-copy: one remap stall, no background copy at all.
@@ -1534,7 +1592,7 @@ mod tests {
         let nf = mem.resolve_migrations()[0].1.clone().unwrap();
         let pm_free = mem.tier_free(TierId::new(1));
         mem.access(VPage::new(5), AccessKind::Write).unwrap();
-        assert!(mem.shadow_pages().is_empty());
+        assert!(mem.shadows().next().is_none());
         assert_eq!(mem.stats().shadow_invalidations, 1);
         assert_eq!(mem.tier_free(TierId::new(1)), pm_free + 1);
         // The demotion now pays for a real copy.
@@ -1577,7 +1635,7 @@ mod tests {
         // One clean promotion retains a PM shadow frame.
         begin_promotion(&mut mem, 8);
         mem.resolve_migrations()[0].1.clone().unwrap();
-        assert_eq!(mem.shadow_pages().len(), 1);
+        assert_eq!(mem.shadows().count(), 1);
         // Fill PM: the shadow frame must be surrendered before the tier
         // reports full, so shadows never cost real capacity.
         let mut got = 0;
@@ -1586,8 +1644,81 @@ mod tests {
         }
         let wm = mem.node_watermarks(NodeId::new(1));
         assert_eq!(got, 64 - wm.min, "every non-reserve PM page allocatable");
-        assert!(mem.shadow_pages().is_empty());
+        assert!(mem.shadows().next().is_none());
         assert_eq!(mem.stats().shadow_invalidations, 1);
+    }
+
+    #[test]
+    fn a_reserved_destination_refuses_evict_and_map_and_the_commit_lands_on_it() {
+        let mut mem = small();
+        let f = begin_promotion(&mut mem, 9);
+        let dst = mem.migration_txns().iter().next().unwrap().dst_frame;
+        assert_eq!(mem.frame(dst).state(), FrameState::Retained);
+        assert_eq!(mem.evict(dst), Err(MemError::FrameNotAllocated(dst)));
+        assert_eq!(
+            mem.map(VPage::new(99), dst),
+            Err(MemError::FrameNotAllocated(dst))
+        );
+        assert_eq!(mem.translate(VPage::new(99)), None);
+        assert_eq!(mem.stats().evictions, 0);
+        assert!(mem.partner_faults().is_empty());
+        assert_eq!(mem.resolve_migrations(), vec![(f, Ok(dst))]);
+        assert_eq!(mem.translate(VPage::new(9)), Some(dst));
+        assert_eq!(mem.frame(dst).state(), FrameState::Allocated);
+        // The next allocation does not hand the committed frame out again.
+        let next = mem.alloc_page_in_tier(TierId::TOP).unwrap();
+        assert_ne!(next, dst);
+    }
+
+    #[test]
+    fn a_shadow_copy_refuses_map_evict_and_migrate_and_the_shadow_survives() {
+        let mut mem = small();
+        let f = begin_promotion(&mut mem, 10);
+        let nf = mem.resolve_migrations()[0].1.clone().unwrap();
+        let (invalidations, frees) = (mem.stats().shadow_invalidations, mem.stats().frees);
+        assert_eq!(mem.evict(f), Err(MemError::FrameNotAllocated(f)));
+        assert_eq!(
+            mem.map(VPage::new(98), f),
+            Err(MemError::FrameNotAllocated(f))
+        );
+        assert_eq!(
+            mem.migrate(f, TierId::TOP),
+            Err(MemError::FrameNotAllocated(f))
+        );
+        assert_eq!(mem.shadow_of(nf), Some(f));
+        assert_eq!(mem.shadows().collect::<Vec<_>>(), vec![(nf, f)]);
+        assert_eq!(mem.stats().shadow_invalidations, invalidations);
+        assert_eq!(mem.stats().frees, frees);
+        assert!(mem.partner_faults().is_empty());
+        // The copy still serves the zero-copy demotion.
+        assert_eq!(mem.migrate(nf, TierId::new(1)), Ok(f));
+        assert_eq!(mem.frame(f).state(), FrameState::Allocated);
+    }
+
+    #[test]
+    fn partner_faults_name_a_leaked_frame_and_a_one_way_link() {
+        let mut mem = small();
+        let pm = TierId::new(1);
+        begin_promotion(&mut mem, 11);
+        let nf = mem.resolve_migrations()[0].1.clone().unwrap();
+        begin_promotion(&mut mem, 12);
+        assert!(mem.partner_faults().is_empty());
+        // A retained frame nobody links to is a leak.
+        let leaked = mem.alloc_page_in_tier(pm).unwrap();
+        mem.frames[leaked.index()].set_retained(true);
+        assert_eq!(
+            mem.partner_faults(),
+            vec![(leaked, "retained frame has no partner (leaked)")]
+        );
+        // A page that names a copy which names another page.
+        mem.partners[leaked.index()] = Partner::Of(nf);
+        assert_eq!(
+            mem.partner_faults(),
+            vec![(
+                leaked,
+                "page link not returned, or on a mapped or unretained frame"
+            )]
+        );
     }
 
     /// The PR 4 batch-abort asymmetry does not exist transactionally: in

@@ -1,14 +1,15 @@
 //! Property tests for the index-addressed tables on the access path.
 //!
 //! The page table used to be a `BTreeMap` and the transaction / shadow
-//! tables linear `Vec`s; they are now a radix index and per-frame slots.
-//! Each test drives the new structure and a deliberately naive model of
-//! the old one through the same random operations and demands the same
-//! answers, orders included.
+//! tables linear `Vec`s; they are now a radix index and, for the
+//! transactional layer, per-frame partner links with the begin order and
+//! each tier's shadow copies on indexed lists. Each test drives the new
+//! structure and a deliberately naive model of the old one through the
+//! same random operations and demands the same answers, orders included.
 
 use mc_mem::{
     AccessKind, FrameId, MachineDesc, MemError, MemorySystem, MigrationMode, PageKind, PageMove,
-    PageTable, PteEntry, ShadowPages, TierId, VPage,
+    PageTable, PteEntry, TierId, VPage,
 };
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -86,79 +87,44 @@ proptest! {
         }
     }
 
-    /// The old `ShadowPages`: a `Vec` in insertion order, searched.
-    #[test]
-    fn shadow_pages_match_linear_model(
-        ops in prop::collection::vec((0u8..8, 0u32..40, 100u32..140), 1..600),
-    ) {
-        // Copies in 100..120 sit in tier 1, the rest in tier 2.
-        let tier_of = |f: FrameId| TierId::new(if f.raw() < 120 { 1 } else { 2 });
-        let mut table = ShadowPages::new();
-        let mut model: Vec<(FrameId, FrameId)> = Vec::new();
-        let take = |model: &mut Vec<(FrameId, FrameId)>, pos: Option<usize>| {
-            pos.map(|p| model.remove(p))
-        };
-        for (op, key, copy) in ops {
-            let (key, copy) = (FrameId::new(key), FrameId::new(copy));
-            match op {
-                // Inserts dominate so the table fills, empties and refills
-                // past the point where it squeezes its holes out.
-                0..=3 => {
-                    let pos = model.iter().position(|(k, _)| *k == key);
-                    let displaced = take(&mut model, pos).map(|(_, c)| c);
-                    model.push((key, copy));
-                    prop_assert_eq!(table.insert(key, copy), displaced);
-                }
-                4 | 5 => {
-                    let pos = model.iter().position(|(k, _)| *k == key);
-                    prop_assert_eq!(table.remove(key), take(&mut model, pos).map(|(_, c)| c));
-                }
-                _ => {
-                    let tier = tier_of(copy);
-                    let pos = model.iter().position(|(_, c)| tier_of(*c) == tier);
-                    prop_assert_eq!(
-                        table.pop_oldest_in_tier(tier, tier_of),
-                        take(&mut model, pos)
-                    );
-                }
-            }
-            prop_assert_eq!(table.len(), model.len());
-            prop_assert_eq!(table.is_empty(), model.is_empty());
-            prop_assert_eq!(table.iter().collect::<Vec<_>>(), model.clone());
-            let expected = model.iter().find(|(k, _)| *k == key).map(|(_, c)| *c);
-            prop_assert_eq!(table.get(key), expected);
-        }
-    }
-
-    /// Transaction and shadow membership as the substrate's callers see it:
-    /// begin-on-pending is refused, a store dooms, an eviction aborts in
-    /// place, `resolve_migrations` answers in begin order, a committed
-    /// promotion's shadow is found by key (store, re-migration, zero-copy
-    /// demotion) and by copy (`evict` of the retained frame).
+    /// Transaction and shadow membership as the substrate's callers see it,
+    /// on three tiers so shadow copies sit in two of them: begin-on-pending
+    /// is refused, a store dooms, an eviction aborts in place,
+    /// `resolve_migrations` answers in begin order, a committed promotion's
+    /// shadow is found by its page (store, re-migration, zero-copy
+    /// demotion), a retained frame refuses `evict`, and allocation pressure
+    /// in a tier releases that tier's oldest copy first.
     #[test]
     fn txn_and_shadow_membership_matches_linear_model(
-        ops in prop::collection::vec((0u8..8, 0u64..24), 1..300),
+        ops in prop::collection::vec((0u8..10, 0u64..24), 1..300),
     ) {
         const PAGES: u64 = 24;
-        let lower = TierId::new(1);
-        let mut mem = MemorySystem::new(MachineDesc::dram_pm(40, 128));
+        let mut mem = MemorySystem::new(MachineDesc::three_tier(64, 96, 160));
+        let tier = |mem: &MemorySystem, f: FrameId| mem.frame(f).tier().index();
+        let home = |page: u64| TierId::new(1 + (page % 2) as u8);
         for p in 0..PAGES {
-            let f = mem.alloc_page_in_tier(lower).unwrap();
+            let f = mem.alloc_page_in_tier(home(p)).unwrap();
             mem.map(VPage::new(p), f).unwrap();
         }
         // The old tables: open transactions `(source, doomed)` in begin
-        // order, shadows `(live frame, copy)` in insertion order.
+        // order, shadows `(page's frame, copy)` in insertion order, searched.
         let mut txns: Vec<(FrameId, bool)> = Vec::new();
         let mut shadows: Vec<(FrameId, FrameId)> = Vec::new();
         for (op, page) in ops {
             let v = VPage::new(page);
             let frame = mem.translate(v).unwrap();
+            let at = tier(&mem, frame);
             match op {
                 0 | 1 => {
-                    let dst = if mem.frame(frame).tier() == lower { TierId::TOP } else { lower };
+                    // One tier up (op 0) or down (op 1), turning at the ends.
+                    let dst = match (op, at) {
+                        (0, 0) | (1, 2) => 1,
+                        (0, t) => t - 1,
+                        (_, t) => t + 1,
+                    };
                     let before = mem.stats().migration_failures;
                     let res = mem
-                        .migrate_pages(&[frame], dst, MigrationMode::Transactional)
+                        .migrate_pages(&[frame], TierId::new(dst as u8), MigrationMode::Transactional)
                         .remove(0);
                     if txns.iter().any(|(f, _)| *f == frame) {
                         prop_assert_eq!(res, Err(MemError::FrameLocked(frame)));
@@ -187,7 +153,7 @@ proptest! {
                     // Evict the page and fault it straight back in.
                     let aborts = mem.stats().txn_aborts;
                     prop_assert_eq!(mem.evict(frame), Ok(()));
-                    let back = mem.alloc_page_in_tier(lower).unwrap();
+                    let back = mem.alloc_page_in_tier(home(page)).unwrap();
                     mem.note_swap_in(v);
                     mem.map(v, back).unwrap();
                     let open = txns.len();
@@ -208,50 +174,92 @@ proptest! {
                             prop_assert_eq!(res, Err(MemError::FrameLocked(frame)));
                         } else {
                             prop_assert_eq!(res, Ok(dst));
-                            if mem.frame(dst).tier() == TierId::TOP {
+                            if tier(&mem, dst) < tier(&mem, frame) {
                                 shadows.retain(|(k, _)| *k != dst);
                                 shadows.push((dst, frame));
                             }
                         }
                     }
                 }
-                6 => {
-                    // A shadowed page demotes by flipping to its copy; any
-                    // other upper-tier page is copied down, which supersedes
-                    // its open transaction.
+                6 | 7 => {
+                    // A synchronous move one tier down (op 6) or up (op 7).
+                    // A shadowed page moving to its copy's tier flips to the
+                    // copy; any other move copies, which supersedes the
+                    // page's open transaction and drops its shadow.
+                    let dst = if op == 6 { (at + 1).min(2) } else { at.saturating_sub(1) };
+                    let dst_tier = TierId::new(dst as u8);
                     let expected = shadows.iter().position(|(k, _)| *k == frame);
-                    let copy = expected.map(|p| shadows.remove(p).1);
+                    let flip = expected.filter(|&p| tier(&mem, shadows[p].1) == dst);
                     let hits = mem.stats().shadow_hits;
-                    let res = mem.migrate(frame, lower);
-                    if let Some(copy) = copy {
-                        prop_assert_eq!(res, Ok(copy));
-                    } else if mem.frame(frame).tier() == lower {
-                        prop_assert_eq!(res, Err(MemError::SameTier(frame, lower)));
+                    let res = mem.migrate(frame, dst_tier);
+                    if dst == at {
+                        prop_assert_eq!(res, Err(MemError::SameTier(frame, dst_tier)));
+                    } else if let Some(p) = flip {
+                        prop_assert_eq!(res, Ok(shadows.remove(p).1));
                     } else {
                         prop_assert!(res.is_ok());
                         txns.retain(|(f, _)| *f != frame);
+                        shadows.retain(|(k, _)| *k != frame);
                     }
-                    prop_assert_eq!(mem.stats().shadow_hits - hits, u64::from(copy.is_some()));
+                    prop_assert_eq!(mem.stats().shadow_hits - hits, u64::from(flip.is_some()));
+                }
+                8 => {
+                    // Try to dispose of a retained frame — a shadow copy or
+                    // a reserved destination — from under its page: refused,
+                    // and nothing changes.
+                    let retained: Vec<FrameId> = shadows
+                        .iter()
+                        .map(|s| s.1)
+                        .chain(mem.migration_txns().iter().map(|t| t.dst_frame))
+                        .collect();
+                    if !retained.is_empty() {
+                        let f = retained[page as usize % retained.len()];
+                        let before = mem.stats().clone();
+                        prop_assert_eq!(mem.evict(f), Err(MemError::FrameNotAllocated(f)));
+                        prop_assert_eq!(mem.map(VPage::new(PAGES), f), Err(MemError::FrameNotAllocated(f)));
+                        prop_assert_eq!(mem.stats(), &before);
+                    }
                 }
                 _ => {
-                    // Dispose of a retained copy from under its entry.
-                    if !shadows.is_empty() {
-                        let (_, copy) = shadows.remove(page as usize % shadows.len());
-                        let before = mem.stats().shadow_invalidations;
-                        prop_assert_eq!(mem.evict(copy), Ok(()));
-                        prop_assert_eq!(mem.stats().shadow_invalidations, before + 1);
+                    // Allocation pressure: fill the page's home tier until
+                    // it releases a shadow or runs out, then give the
+                    // filler back. The released copy is the tier's oldest,
+                    // and the allocator hands it straight out again.
+                    let t = home(page);
+                    let invalidations = mem.stats().shadow_invalidations;
+                    let mut filler = Vec::new();
+                    while mem.stats().shadow_invalidations == invalidations {
+                        match mem.alloc_page_in_tier(t) {
+                            Ok(f) => filler.push(f),
+                            Err(e) => {
+                                prop_assert_eq!(e, MemError::TierFull(t));
+                                break;
+                            }
+                        }
+                    }
+                    let oldest = shadows.iter().position(|s| tier(&mem, s.1) == t.index());
+                    match oldest.map(|p| shadows.remove(p)) {
+                        Some((_, copy)) => prop_assert_eq!(filler.last(), Some(&copy)),
+                        None => prop_assert_eq!(mem.stats().shadow_invalidations, invalidations),
+                    }
+                    for f in filler {
+                        prop_assert_eq!(mem.evict(f), Ok(()));
                     }
                 }
             }
             let open: Vec<(FrameId, bool)> =
                 mem.migration_txns().iter().map(|t| (t.frame, t.doomed)).collect();
             prop_assert_eq!(open, txns.clone());
-            prop_assert_eq!(mem.shadow_pages().iter().collect::<Vec<_>>(), shadows.clone());
-            prop_assert_eq!(mem.shadow_pages().len(), shadows.len());
+            prop_assert_eq!(mem.migration_txns().len(), txns.len());
+            // The substrate lists shadows tier by tier, each oldest first.
+            let mut by_tier = shadows.clone();
+            by_tier.sort_by_key(|s| tier(&mem, s.1));
+            prop_assert_eq!(mem.shadows().collect::<Vec<_>>(), by_tier);
             for f in 0..mem.total_frames() as u32 {
                 let expected = shadows.iter().find(|(k, _)| k.raw() == f).map(|(_, c)| *c);
-                prop_assert_eq!(mem.shadow_pages().get(FrameId::new(f)), expected);
+                prop_assert_eq!(mem.shadow_of(FrameId::new(f)), expected);
             }
+            prop_assert_eq!(mem.partner_faults(), vec![]);
         }
     }
 }
