@@ -5,7 +5,7 @@
 //!
 //! The structural side (shadow entries only for clean mapped pages, dst
 //! reservations unmapped, retry attempts below the policy's cap) is
-//! invariant 8 of `MultiClock::check_invariants`, re-checked after every
+//! invariant 6 of `MultiClock::check_invariants`, re-checked after every
 //! step; the accounting side (every begun transaction commits, aborts,
 //! or is still in its copy window) is asserted directly against
 //! `MemStats`.
@@ -56,7 +56,7 @@ fn assert_txn_accounted(mem: &MemorySystem) {
 }
 
 /// Shadow copies exist only for clean, still-mapped upper-tier pages.
-/// (Also invariant 8; asserted directly so a violation names the frame.)
+/// (Also invariant 6; asserted directly so a violation names the frame.)
 fn assert_shadows_clean(mem: &MemorySystem) {
     for (live, copy) in mem.shadows() {
         let fr = mem.frame(live);

@@ -20,7 +20,7 @@
 //!   *unsupervised* accesses in the paper's terms — the OS only learns of
 //!   them by scanning).
 
-use crate::{Nanos, PageKind, VAddr, VPageMap, PAGE_SIZE};
+use crate::{Nanos, PageBytes, PageKind, VAddr, PAGE_SIZE};
 
 /// The workload-facing memory abstraction.
 pub trait Memory {
@@ -55,7 +55,9 @@ pub trait Memory {
 #[derive(Debug, Default)]
 pub struct SimpleMemory {
     next_page: u64,
-    data: VPageMap<Box<[u8; PAGE_SIZE]>>,
+    /// The bytes stored with [`Memory::write_bytes`]: the written lines of
+    /// each page.
+    data: PageBytes,
     clock: Nanos,
     /// Accesses performed (reads + writes), for tests.
     pub accesses: u64,
@@ -100,35 +102,12 @@ impl Memory for SimpleMemory {
 
     fn write_bytes(&mut self, addr: VAddr, data: &[u8]) {
         self.touch(addr, data.len());
-        let mut off = 0usize;
-        while off < data.len() {
-            let a = addr.add(off as u64);
-            let in_page = a.page_offset();
-            let n = (PAGE_SIZE - in_page).min(data.len() - off);
-            // Pages come from `mmap`, densely from zero: inside the span.
-            if let Ok(slot) = self
-                .data
-                .get_or_insert_with(a.page(), || Box::new([0u8; PAGE_SIZE]))
-            {
-                slot[in_page..in_page + n].copy_from_slice(&data[off..off + n]);
-            }
-            off += n;
-        }
+        self.data.write(addr, data);
     }
 
     fn read_bytes(&mut self, addr: VAddr, buf: &mut [u8]) {
         self.touch(addr, buf.len());
-        let mut off = 0usize;
-        while off < buf.len() {
-            let a = addr.add(off as u64);
-            let in_page = a.page_offset();
-            let n = (PAGE_SIZE - in_page).min(buf.len() - off);
-            match self.data.get(a.page()) {
-                Some(slot) => buf[off..off + n].copy_from_slice(&slot[in_page..in_page + n]),
-                None => buf[off..off + n].fill(0),
-            }
-            off += n;
-        }
+        self.data.read(addr, buf);
     }
 
     fn now(&self) -> Nanos {

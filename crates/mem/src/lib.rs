@@ -21,6 +21,8 @@
 //!   destination tier, account the copy, remap, free the source frame (or,
 //!   under Nomad, keep it as a [`FrameState::Retained`] shadow copy);
 //! * [`IndexedList`], the frame-indexed list behind every page list;
+//! * [`PageBytes`], the data plane: the 64-byte lines of each virtual page
+//!   that a workload stored real bytes to;
 //! * a parameterised **latency model** for DRAM/PM access, migration and
 //!   software page faults, derived from the same description;
 //! * the [`policy::TieringPolicy`] trait — the substrate-facing interface
@@ -66,6 +68,7 @@ mod instruments;
 mod latency;
 mod list;
 mod machine;
+mod page_bytes;
 mod policy;
 mod pte;
 mod stats;
@@ -86,6 +89,7 @@ pub use instruments::Instruments;
 pub use latency::{AccessKind, LatencyModel, LinkDesc, MigrationCost, TierLatency};
 pub use list::IndexedList;
 pub use machine::{MachineBuilder, MachineDesc, MachineNode};
+pub use page_bytes::{page_chunks, PageBytes};
 pub use policy::{NullPolicy, PolicyTraits, TickOutcome, TieringPolicy};
 pub use pte::{PageTable, PteEntry};
 pub use stats::{MemEvent, MemStats};

@@ -1,5 +1,6 @@
 //! A radix-indexed map keyed by virtual page: the storage under the page
-//! table ([`crate::PageTable`]) and the engine's data plane.
+//! table ([`crate::PageTable`]) and under the data plane's written lines
+//! ([`crate::PageBytes`]).
 
 use crate::error::MemError;
 use crate::ids::VPage;

@@ -7,8 +7,9 @@ use crate::error::RunError;
 use crate::metrics::Metrics;
 use crate::obs::ObsState;
 use mc_mem::{
-    AccessKind, Charge, Instruments, MemEvent, MemorySystem, MigrationMode, Nanos, PageKind,
-    PageTable, TierId, TieringPolicy, TimeLedger, Topology, VAddr, VPage, VPageMap, PAGE_SIZE,
+    page_chunks, AccessKind, Charge, Instruments, MemEvent, MemorySystem, MigrationMode, Nanos,
+    PageBytes, PageKind, PageTable, TierId, TieringPolicy, TimeLedger, Topology, VAddr, VPage,
+    PAGE_SIZE,
 };
 use mc_policies::{
     AutoNuma, AutoTiering, AutoTieringMode, HybridTier, MemoryModeCache, Nimble, Scored,
@@ -46,7 +47,9 @@ pub struct Simulation {
     /// policies that never tick.
     next_tick: Option<Nanos>,
     next_free_page: u64,
-    data: VPageMap<Box<[u8; PAGE_SIZE]>>,
+    /// The bytes workloads stored with `write_bytes`, by virtual page:
+    /// only the lines they wrote. They cost no virtual time.
+    data: PageBytes,
     metrics: Metrics,
     obs: Option<ObsState>,
     /// The first error of the run; once set, every later fault is skipped.
@@ -86,7 +89,7 @@ impl Simulation {
             frontend,
             next_tick,
             next_free_page: 0,
-            data: VPageMap::new(),
+            data: PageBytes::default(),
             metrics: Metrics::with_horizon(window, horizon, frames),
             obs,
             error: None,
@@ -433,18 +436,6 @@ fn tiering_policy(cfg: &SimConfig, topo: &Topology) -> Option<Box<dyn TieringPol
     })
 }
 
-/// Splits `len` bytes at `addr` at page boundaries: one `(page, offset in
-/// the page, bytes)` per page touched, in address order.
-fn page_chunks(addr: VAddr, len: usize) -> impl Iterator<Item = (VPage, usize, usize)> {
-    let mut done = 0;
-    std::iter::from_fn(move || {
-        let at = addr.add(done as u64);
-        let n = (PAGE_SIZE - at.page_offset()).min(len - done);
-        done += n;
-        (n > 0).then(|| (at.page(), at.page_offset(), n))
-    })
-}
-
 impl Memory for Simulation {
     fn mmap(&mut self, bytes: usize, _kind: PageKind) -> VAddr {
         assert!(bytes > 0, "cannot map an empty region");
@@ -462,31 +453,14 @@ impl Memory for Simulation {
         self.touch(addr, len, AccessKind::Write);
     }
 
-    fn write_bytes(&mut self, addr: VAddr, mut data: &[u8]) {
+    fn write_bytes(&mut self, addr: VAddr, data: &[u8]) {
         self.touch(addr, data.len(), AccessKind::Write);
-        for (page, offset, n) in page_chunks(addr, data.len()) {
-            let (chunk, rest) = data.split_at(n);
-            // The touch above mapped `page`, so it is within the map's span.
-            if let Ok(slot) = self
-                .data
-                .get_or_insert_with(page, || Box::new([0u8; PAGE_SIZE]))
-            {
-                slot[offset..offset + n].copy_from_slice(chunk);
-            }
-            data = rest;
-        }
+        self.data.write(addr, data);
     }
 
-    fn read_bytes(&mut self, addr: VAddr, mut buf: &mut [u8]) {
+    fn read_bytes(&mut self, addr: VAddr, buf: &mut [u8]) {
         self.touch(addr, buf.len(), AccessKind::Read);
-        for (page, offset, n) in page_chunks(addr, buf.len()) {
-            let (chunk, rest) = buf.split_at_mut(n);
-            match self.data.get(page) {
-                Some(slot) => chunk.copy_from_slice(&slot[offset..offset + n]),
-                None => chunk.fill(0),
-            }
-            buf = rest;
-        }
+        self.data.read(addr, buf);
     }
 
     fn now(&self) -> Nanos {

@@ -85,3 +85,40 @@ fn hits_on_mapped_pages_allocate_nothing() {
         );
     }
 }
+
+#[test]
+fn stores_over_written_lines_allocate_nothing() {
+    // Every page holds two key-value items (a 12-byte header and a 1 KiB
+    // value in each 2 KiB chunk) before the count starts, so every later
+    // store finds its lines present: the touch hits and the bytes land in
+    // place.
+    let mut cfg = SimConfig::new(SystemKind::MultiClock, 256, 2048);
+    cfg.scan_interval = Nanos::from_secs(3_600);
+    let mut sim = Simulation::new(cfg);
+    let base = sim.mmap(PAGE_SIZE * PAGES as usize, PageKind::Anon);
+    let item = |i: u64| base.add((i % (2 * PAGES)) * PAGE_SIZE as u64 / 2);
+    let mut value = vec![0u8; 1036];
+    for i in 0..2 * PAGES {
+        sim.write_bytes(item(i), &value);
+    }
+    let faults = sim.metrics().costs().minor_faults;
+    let before = ALLOCS.with(Cell::get);
+    for i in 0..HITS / 10 {
+        value[..8].copy_from_slice(&i.to_le_bytes());
+        sim.write_bytes(item(i * 7), &value);
+    }
+    let allocs = ALLOCS.with(Cell::get) - before;
+    assert_eq!(
+        sim.metrics().costs().minor_faults,
+        faults,
+        "every store hit"
+    );
+    assert!(
+        sim.time().now() < sim.config().scan_interval,
+        "no tick came due"
+    );
+    assert_eq!(allocs, 0, "{} stores allocated {allocs} times", HITS / 10);
+    let mut back = vec![0u8; 1036];
+    sim.read_bytes(item((HITS / 10 - 1) * 7), &mut back);
+    assert_eq!(back, value, "the last store reads back");
+}
