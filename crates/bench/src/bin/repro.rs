@@ -4,7 +4,6 @@
 //! cargo run --release -p mc-bench --bin repro > /tmp/E.md && mv /tmp/E.md EXPERIMENTS.md
 //! repro --only fig5,fig10 --threads 2     # some sections (not gated)
 //! repro --tiny --only fig5 --systems nomad --obs /tmp/mc-nomad
-//! repro --only chaos --systems nomad --machine dram-cxl-pm
 //! repro --count                           # crates/*/src size, per crate
 //! ```
 //!

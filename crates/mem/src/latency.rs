@@ -7,7 +7,7 @@
 //! experiment reads its numbers from here, so sensitivity to the model is a
 //! one-line change.
 
-use crate::ids::{NodeId, TierId, PAGE_SIZE};
+use crate::ids::{TierId, PAGE_SIZE};
 use crate::time::Nanos;
 
 /// The kind of a memory access.
@@ -74,88 +74,12 @@ impl TierLatency {
         }
     }
 
-    /// DRAM media as seen behind a CXL.mem expander, before the link cost
-    /// is added. Same DDR device as [`TierLatency::dram`]; combining it
-    /// with [`LinkDesc::cxl`] yields ~210 ns loads, inside the published
-    /// 170-250 ns CXL-attached DRAM envelope.
-    pub(crate) const fn cxl_dram() -> Self {
-        TierLatency::dram()
-    }
-
     /// Access latency for one cache-line-granular access of the given kind.
     pub(crate) const fn access_ns(&self, kind: AccessKind) -> u64 {
         match kind {
             AccessKind::Read => self.read_ns,
             AccessKind::Write => self.write_ns,
         }
-    }
-}
-
-/// The interconnect between a CPU socket and one memory node: added
-/// round-trip latency plus a bandwidth cap, asymmetric between reads and
-/// writes (CXL.mem request/response flits are not symmetric, and published
-/// characterisations show write bandwidth well below read).
-///
-/// A node's effective timing is its device timing composed with its link:
-/// latencies add, and the link's bandwidth caps the device's.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LinkDesc {
-    /// Added load round-trip latency in nanoseconds.
-    pub read_ns: u64,
-    /// Added store latency in nanoseconds.
-    pub write_ns: u64,
-    /// Link read bandwidth cap in bytes per nanosecond (== GB/s).
-    pub read_bw_gbps: f64,
-    /// Link write bandwidth cap in bytes per nanosecond (== GB/s).
-    pub write_bw_gbps: f64,
-}
-
-impl LinkDesc {
-    /// Bandwidth cap used by [`LinkDesc::direct`]: high enough never to be
-    /// the minimum against any real device, and finite, so every bandwidth
-    /// the model derives from it is a finite number.
-    const UNCAPPED_BW: f64 = 1e12;
-
-    /// A socket-local attachment: no added latency, no bandwidth cap.
-    pub(crate) const fn direct() -> Self {
-        LinkDesc {
-            read_ns: 0,
-            write_ns: 0,
-            read_bw_gbps: Self::UNCAPPED_BW,
-            write_bw_gbps: Self::UNCAPPED_BW,
-        }
-    }
-
-    /// A CXL 2.0 x8 link: ~130 ns added load latency, ~90 ns added store
-    /// latency (stores post into the device buffer), with asymmetric
-    /// bandwidth caps.
-    pub(crate) const fn cxl() -> Self {
-        LinkDesc {
-            read_ns: 130,
-            write_ns: 90,
-            read_bw_gbps: 22.0,
-            write_bw_gbps: 12.0,
-        }
-    }
-
-    /// The effective timing of `device` reached through this link, with the
-    /// link fanned out over `heads` ports (a multi-headed device spreads
-    /// its traffic over one link per head, multiplying the usable link
-    /// bandwidth; latency is unchanged).
-    pub(crate) fn effective(&self, device: TierLatency, heads: u8) -> TierLatency {
-        let heads = heads.max(1) as f64;
-        TierLatency {
-            read_ns: device.read_ns + self.read_ns,
-            write_ns: device.write_ns + self.write_ns,
-            read_bw_gbps: device.read_bw_gbps.min(self.read_bw_gbps * heads),
-            write_bw_gbps: device.write_bw_gbps.min(self.write_bw_gbps * heads),
-        }
-    }
-}
-
-impl Default for LinkDesc {
-    fn default() -> Self {
-        Self::direct()
     }
 }
 
@@ -181,15 +105,10 @@ impl MigrationCost {
 /// The full machine cost model.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LatencyModel {
-    /// Device timing per tier, indexed by [`TierId`]: the *effective*
-    /// timing (device composed with link) of the tier's first node;
-    /// migration costs are charged at tier granularity from this table.
+    /// Device timing per tier, indexed by [`TierId`]: every node of a
+    /// tier has this one timing ([`crate::MachineBuilder::build`] checks
+    /// it), so accesses, streams and migrations are all charged from here.
     pub tiers: Vec<TierLatency>,
-    /// Effective per-node timing (device composed with link and heads),
-    /// indexed by [`NodeId`]: one entry per node of the machine, from
-    /// which `LatencyModel::access_at` and [`LatencyModel::stream_at`]
-    /// charge an application access.
-    pub node_access: Vec<TierLatency>,
     /// Fixed kernel overhead per migrated page (locking, rmap walk,
     /// allocation) added to the copy time. ~2.5 µs per 4 KiB page is in line
     /// with measured `migrate_pages()` costs.
@@ -221,12 +140,11 @@ pub struct LatencyModel {
 }
 
 impl LatencyModel {
-    /// The given device tables with the software costs every experiment
+    /// The given tier table with the software costs every experiment
     /// uses — their one home. Called by [`crate::MachineDesc::latency`].
-    pub(crate) fn new(tiers: Vec<TierLatency>, node_access: Vec<TierLatency>) -> Self {
+    pub(crate) fn new(tiers: Vec<TierLatency>) -> Self {
         LatencyModel {
             tiers,
-            node_access,
             migration_fixed: Nanos::from_nanos(2_500),
             migration_app_stall: Nanos::from_nanos(1_500),
             hint_fault: Nanos::from_nanos(1_500),
@@ -252,33 +170,10 @@ impl LatencyModel {
         Nanos::from_nanos(self.tiers[tier.index()].access_ns(kind))
     }
 
-    /// Latency of one page-granular access on a specific node: the
-    /// node's effective (device + link) timing.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` is out of range for the model.
-    pub(crate) fn access_at(&self, node: NodeId, kind: AccessKind) -> Nanos {
-        Nanos::from_nanos(self.node_access[node.index()].access_ns(kind))
-    }
-
     /// Time to stream `bytes` from a tier (bandwidth-bound cost), used for
     /// accesses that touch large spans within a page.
     pub fn stream(&self, tier: TierId, kind: AccessKind, bytes: usize) -> Nanos {
         let t = &self.tiers[tier.index()];
-        Self::stream_cost(t, kind, bytes)
-    }
-
-    /// Time to stream `bytes` through a specific node's link.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` is out of range for the model.
-    pub fn stream_at(&self, node: NodeId, kind: AccessKind, bytes: usize) -> Nanos {
-        Self::stream_cost(&self.node_access[node.index()], kind, bytes)
-    }
-
-    fn stream_cost(t: &TierLatency, kind: AccessKind, bytes: usize) -> Nanos {
         let bw = match kind {
             AccessKind::Read => t.read_bw_gbps,
             AccessKind::Write => t.write_bw_gbps,
@@ -421,71 +316,6 @@ mod tests {
         let m = dram_pm();
         assert!(m.txn_remap.as_nanos() * 4 <= m.migration_app_stall.as_nanos());
         assert!(m.txn_remap.as_nanos() > 0);
-    }
-
-    #[test]
-    fn cxl_effective_latency_is_in_published_envelope() {
-        let eff = LinkDesc::cxl().effective(TierLatency::cxl_dram(), 1);
-        assert!(
-            (170..=250).contains(&eff.read_ns),
-            "CXL load {}ns outside 170-250ns",
-            eff.read_ns
-        );
-        // Sits strictly between local DRAM and PM.
-        assert!(eff.read_ns > TierLatency::dram().read_ns);
-        assert!(eff.read_ns < TierLatency::optane_pm().read_ns);
-        // Link caps bind: device DRAM bandwidth exceeds the link's.
-        assert_eq!(eff.read_bw_gbps, LinkDesc::cxl().read_bw_gbps);
-        assert_eq!(eff.write_bw_gbps, LinkDesc::cxl().write_bw_gbps);
-        assert!(eff.read_bw_gbps > eff.write_bw_gbps, "CXL bw is asymmetric");
-    }
-
-    #[test]
-    fn direct_link_is_identity_on_device_timing() {
-        for dev in [TierLatency::dram(), TierLatency::optane_pm()] {
-            assert_eq!(LinkDesc::direct().effective(dev, 1), dev);
-        }
-    }
-
-    #[test]
-    fn multi_head_scales_link_bandwidth_not_latency() {
-        let one = LinkDesc::cxl().effective(TierLatency::cxl_dram(), 1);
-        let two = LinkDesc::cxl().effective(TierLatency::cxl_dram(), 2);
-        assert_eq!(one.read_ns, two.read_ns);
-        assert_eq!(one.write_ns, two.write_ns);
-        assert!(two.write_bw_gbps > one.write_bw_gbps);
-        // With two heads the device itself can become the bottleneck.
-        assert!(two.read_bw_gbps <= TierLatency::cxl_dram().read_bw_gbps);
-    }
-
-    #[test]
-    fn access_at_matches_the_tier_on_direct_machines() {
-        let m = dram_pm();
-        assert_eq!(
-            m.access_at(NodeId::new(0), AccessKind::Read),
-            m.access(TierId::TOP, AccessKind::Read)
-        );
-        assert_eq!(
-            m.stream_at(NodeId::new(1), AccessKind::Write, 4096),
-            m.stream(TierId::new(1), AccessKind::Write, 4096)
-        );
-    }
-
-    #[test]
-    fn access_at_charges_node_entry_when_present() {
-        let mut m = dram_pm();
-        m.node_access = vec![
-            TierLatency::dram(),
-            LinkDesc::cxl().effective(TierLatency::cxl_dram(), 1),
-        ];
-        let local = m.access_at(NodeId::new(0), AccessKind::Read);
-        let linked = m.access_at(NodeId::new(1), AccessKind::Read);
-        assert_eq!(local.as_nanos(), 80);
-        assert_eq!(linked.as_nanos(), 210);
-        // Streaming through the link is capped by link write bandwidth.
-        let s_local = m.stream_at(NodeId::new(0), AccessKind::Write, 4096);
-        let s_linked = m.stream_at(NodeId::new(1), AccessKind::Write, 4096);
-        assert!(s_linked > s_local);
     }
 
     #[test]

@@ -86,7 +86,7 @@ pub use flags::PageFlags;
 pub use frame::{Frame, FrameState, PageKind};
 pub use ids::{FrameId, NodeId, TierId, VAddr, VPage, PAGE_SIZE};
 pub use instruments::Instruments;
-pub use latency::{AccessKind, LatencyModel, LinkDesc, MigrationCost, TierLatency};
+pub use latency::{AccessKind, LatencyModel, MigrationCost, TierLatency};
 pub use list::IndexedList;
 pub use machine::{MachineBuilder, MachineDesc, MachineNode};
 pub use page_bytes::{page_chunks, PageBytes};

@@ -1,27 +1,27 @@
 //! Machine description: the one way to build a machine.
 //!
-//! Each node of a [`MachineDesc`] carries its memory kind, page count,
-//! device timing, link descriptor and head count; the [`Topology`] and the
-//! [`LatencyModel`] are both derived from that one list, so a layout can
-//! never be paired with a cost table that describes a different machine.
+//! Each node of a [`MachineDesc`] carries its memory kind, page count and
+//! device timing; the [`Topology`] and the [`LatencyModel`] are both
+//! derived from that one list, so a layout can never be paired with a
+//! cost table that describes a different machine.
 //! [`crate::MemorySystem::new`] takes nothing else.
 //!
 //! ```
 //! use mc_mem::{MachineBuilder, TierKind};
 //!
 //! let machine = MachineBuilder::new()
+//!     .node(TierKind::Hbm, 256)
 //!     .node(TierKind::Dram, 1024)
-//!     .node(TierKind::Cxl, 4096) // CXL defaults: DRAM media behind a CXL link
 //!     .node(TierKind::Pm, 8192)
 //!     .build();
 //! assert_eq!(machine.topology().tier_count(), 3);
 //! ```
 //!
-//! An application access is charged at its node's effective timing
-//! (`LatencyModel::node_access`); migrations are charged at tier
-//! granularity, from each tier's first node.
+//! A tier has exactly one timing: [`MachineBuilder::build`] rejects two
+//! nodes of one kind whose devices differ, so an access, a stream and a
+//! migration are all charged from the tier's entry.
 
-use crate::latency::{LatencyModel, LinkDesc, TierLatency};
+use crate::latency::{LatencyModel, TierLatency};
 use crate::tier::TierKind;
 use crate::topology::Topology;
 
@@ -32,36 +32,8 @@ pub struct MachineNode {
     pub kind: TierKind,
     /// Page capacity of the node.
     pub pages: usize,
-    /// Raw device timing, before the link cost is applied.
+    /// Device timing: what an access to this node is charged.
     pub device: TierLatency,
-    /// The interconnect between CPU and device.
-    pub link: LinkDesc,
-    /// Number of link heads (a multi-headed device is shared across
-    /// sockets and fans its traffic over one link per head).
-    pub heads: u8,
-}
-
-impl MachineNode {
-    /// The node's effective timing: device composed with link and heads.
-    pub fn effective(&self) -> TierLatency {
-        self.link.effective(self.device, self.heads)
-    }
-
-    fn with_kind_defaults(kind: TierKind, pages: usize) -> Self {
-        let (device, link) = match kind {
-            TierKind::Hbm => (TierLatency::hbm(), LinkDesc::direct()),
-            TierKind::Dram => (TierLatency::dram(), LinkDesc::direct()),
-            TierKind::Cxl => (TierLatency::cxl_dram(), LinkDesc::cxl()),
-            TierKind::Pm => (TierLatency::optane_pm(), LinkDesc::direct()),
-        };
-        MachineNode {
-            kind,
-            pages,
-            device,
-            link,
-            heads: 1,
-        }
-    }
 }
 
 /// A complete machine description from which both the [`Topology`] and the
@@ -96,34 +68,11 @@ impl MachineDesc {
             .build()
     }
 
-    /// The N-tier extension machine: HBM + DRAM + PM, all direct-attached.
+    /// The N-tier extension machine: HBM + DRAM + PM.
     pub fn three_tier(hbm_pages: usize, dram_pages: usize, pm_pages: usize) -> Self {
         MachineBuilder::new()
             .node(TierKind::Hbm, hbm_pages)
             .node(TierKind::Dram, dram_pages)
-            .node(TierKind::Pm, pm_pages)
-            .build()
-    }
-
-    /// A realistic CXL expansion machine: local DRAM, a CXL-attached DRAM
-    /// expander (~210 ns loads through the link), and PM.
-    pub fn dram_cxl_pm(dram_pages: usize, cxl_pages: usize, pm_pages: usize) -> Self {
-        MachineBuilder::new()
-            .node(TierKind::Dram, dram_pages)
-            .node(TierKind::Cxl, cxl_pages)
-            .node(TierKind::Pm, pm_pages)
-            .build()
-    }
-
-    /// A dual-socket machine sharing one multi-headed CXL device: each
-    /// socket has local DRAM; the CXL expander exposes two heads (one per
-    /// socket), doubling its usable link bandwidth; PM backs the bottom.
-    pub fn cxl_multihead(dram_per_socket: usize, cxl_pages: usize, pm_pages: usize) -> Self {
-        MachineBuilder::new()
-            .node(TierKind::Dram, dram_per_socket)
-            .node(TierKind::Dram, dram_per_socket)
-            .node(TierKind::Cxl, cxl_pages)
-            .heads(2)
             .node(TierKind::Pm, pm_pages)
             .build()
     }
@@ -136,9 +85,9 @@ impl MachineDesc {
 
     /// Derives the cost model.
     ///
-    /// The per-tier table holds the effective timing of each tier's first
-    /// node (in node order), the per-node table every node's; software
-    /// costs are the house defaults, which live in `LatencyModel::new`.
+    /// The tier table holds each tier's device timing, which every node
+    /// of the tier shares; software costs are the house defaults, which
+    /// live in `LatencyModel::new`.
     pub fn latency(&self) -> LatencyModel {
         let topo = self.topology();
         let tiers: Vec<TierLatency> = topo
@@ -146,19 +95,16 @@ impl MachineDesc {
             .iter()
             .filter_map(|t| t.nodes().first())
             .filter_map(|id| self.nodes.get(id.index()))
-            .map(|n| n.effective())
+            .map(|n| n.device)
             .collect();
-        let node_access = self.nodes.iter().map(|n| n.effective()).collect();
-        LatencyModel::new(tiers, node_access)
+        LatencyModel::new(tiers)
     }
 }
 
 /// Fluent builder for [`MachineDesc`].
 ///
-/// `.node(kind, pages)` appends a node with kind-appropriate defaults
-/// (CXL nodes get DRAM media behind a `LinkDesc::cxl` link; everything
-/// else is direct-attached). `.device(..)` and `.heads(..)` modify the
-/// most recently added node.
+/// `.node(kind, pages)` appends a node with its kind's default device
+/// timing; `.device(..)` overrides the most recently added node's.
 #[derive(Debug, Default, Clone)]
 pub struct MachineBuilder {
     nodes: Vec<MachineNode>,
@@ -171,48 +117,50 @@ impl MachineBuilder {
     }
 
     /// Adds a node of the given memory kind and page count with the kind's
-    /// default device timing and link.
+    /// default device timing.
     pub fn node(mut self, kind: TierKind, pages: usize) -> Self {
         assert!(pages > 0, "a node must have at least one page");
-        self.nodes
-            .push(MachineNode::with_kind_defaults(kind, pages));
+        let device = match kind {
+            TierKind::Hbm => TierLatency::hbm(),
+            TierKind::Dram => TierLatency::dram(),
+            TierKind::Pm => TierLatency::optane_pm(),
+        };
+        self.nodes.push(MachineNode {
+            kind,
+            pages,
+            device,
+        });
         self
     }
 
-    /// The node the next modifier applies to.
+    /// Overrides the device timing of the last added node.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no node was added yet.
     #[expect(
         clippy::panic,
         reason = "builder misuse (a modifier before any node()) is a programming error, not a runtime state"
     )]
-    fn last_node(&mut self, modifier: &str) -> &mut MachineNode {
-        match self.nodes.last_mut() {
-            Some(node) => node,
-            None => panic!("{modifier}() requires a preceding node()"),
-        }
-    }
-
-    /// Overrides the device timing of the last added node.
     pub fn device(mut self, device: TierLatency) -> Self {
-        self.last_node("device").device = device;
-        self
-    }
-
-    /// Sets the head count of the last added node.
-    pub(crate) fn heads(mut self, heads: u8) -> Self {
-        assert!(heads >= 1, "a node needs at least one head");
-        self.last_node("heads").heads = heads;
+        match self.nodes.last_mut() {
+            Some(node) => node.device = device,
+            None => panic!("device() requires a preceding node()"),
+        }
         self
     }
 
     /// Finalises the description. The one place a machine is validated:
     /// everything derived from it narrows node ids to `u8` and frame
-    /// numbers to `u32`, and [`crate::IndexedList`] reserves the top two
-    /// `u32` values as sentinels.
+    /// numbers to `u32`, [`crate::IndexedList`] reserves the top two
+    /// `u32` values as sentinels, and the [`LatencyModel`] keeps one
+    /// timing per tier.
     ///
     /// # Panics
     ///
-    /// Panics if no node was added, if there are more than 256 nodes, or
-    /// if the page total reaches `u32::MAX - 1`.
+    /// Panics if no node was added, if there are more than 256 nodes, if
+    /// the page total reaches `u32::MAX - 1`, or if two nodes of one kind
+    /// have different device timings.
     pub fn build(self) -> MachineDesc {
         assert!(!self.nodes.is_empty(), "machine needs at least one node");
         assert!(
@@ -226,6 +174,15 @@ impl MachineBuilder {
         assert!(
             total.is_some_and(|t| t < (u32::MAX - 1) as usize),
             "machine needs fewer than u32::MAX - 1 pages (frame numbers are u32)"
+        );
+        let one_timing = self.nodes.iter().all(|n| {
+            self.nodes
+                .iter()
+                .all(|m| m.kind != n.kind || m.device == n.device)
+        });
+        assert!(
+            one_timing,
+            "nodes of one kind need one device timing (a tier has one timing)"
         );
         MachineDesc { nodes: self.nodes }
     }
@@ -277,76 +234,46 @@ mod tests {
     fn dual_socket_preset_costs_like_dram_pm() {
         let m = MachineDesc::dual_socket(512, 2048);
         assert_eq!(m.topology().tier_count(), 2);
-        let (lat, flat) = (m.latency(), MachineDesc::dram_pm(1, 1).latency());
-        // Both sockets' nodes of a tier share that tier's timing, and the
-        // rest of the model is dram_pm's.
-        assert_eq!(
-            lat.node_access,
-            [flat.tiers[0], flat.tiers[0], flat.tiers[1], flat.tiers[1]]
-        );
-        assert_eq!(
-            LatencyModel {
-                node_access: flat.node_access.clone(),
-                ..lat
-            },
-            flat
-        );
-    }
-
-    #[test]
-    fn dram_cxl_pm_orders_cxl_between_dram_and_pm() {
-        let m = MachineDesc::dram_cxl_pm(512, 2048, 8192);
-        let topo = m.topology();
-        assert_eq!(topo.tier_count(), 3);
-        assert_eq!(topo.tier(TierId::new(0)).kind(), TierKind::Dram);
-        assert_eq!(topo.tier(TierId::new(1)).kind(), TierKind::Cxl);
-        assert_eq!(topo.tier(TierId::new(2)).kind(), TierKind::Pm);
-        let lat = m.latency();
-        // Non-direct link present -> per-node table is populated.
-        assert_eq!(lat.node_access.len(), 3);
-        let r: Vec<u64> = (0..3)
-            .map(|i| lat.access(TierId::new(i), AccessKind::Read).as_nanos())
-            .collect();
-        assert!(r[0] < r[1] && r[1] < r[2], "tier reads ordered: {r:?}");
-        // The CXL node is charged device + link latency.
-        assert_eq!(
-            lat.access_at(NodeId::new(1), AccessKind::Read).as_nanos(),
-            210
-        );
-    }
-
-    #[test]
-    fn multihead_doubles_cxl_link_bandwidth() {
-        let one = MachineDesc::dram_cxl_pm(512, 2048, 8192);
-        let two = MachineDesc::cxl_multihead(256, 2048, 8192);
-        let cxl_one = one.nodes()[1].effective();
-        let cxl_two = two.nodes()[2].effective();
-        assert_eq!(cxl_one.read_ns, cxl_two.read_ns);
-        assert!(cxl_two.write_bw_gbps > cxl_one.write_bw_gbps);
+        assert_eq!(m.latency(), MachineDesc::dram_pm(1, 1).latency());
     }
 
     #[test]
     fn builder_overrides_apply_to_last_node() {
+        let slow = TierLatency {
+            write_ns: 1_000,
+            ..TierLatency::optane_pm()
+        };
         let m = MachineBuilder::new()
             .node(TierKind::Dram, 100)
-            .node(TierKind::Cxl, 400)
-            .heads(2)
+            .node(TierKind::Pm, 400)
+            .device(slow)
             .build();
-        assert_eq!(m.nodes()[0].link, LinkDesc::direct());
-        assert_eq!(m.nodes()[1].link, LinkDesc::cxl());
-        assert_eq!(m.nodes()[1].heads, 2);
-        // DRAM media behind the CXL link -> node table populated; the
-        // direct DRAM node unchanged.
+        assert_eq!(m.nodes()[0].device, TierLatency::dram());
+        assert_eq!(m.nodes()[1].device, slow);
         let lat = m.latency();
-        assert_eq!(lat.node_access.len(), 2);
+        assert_eq!(lat.access(TierId::TOP, AccessKind::Write).as_nanos(), 90);
         assert_eq!(
-            lat.access_at(NodeId::new(0), AccessKind::Read).as_nanos(),
-            80
+            lat.access(TierId::new(1), AccessKind::Write).as_nanos(),
+            1_000
         );
-        assert_eq!(
-            lat.access_at(NodeId::new(1), AccessKind::Read).as_nanos(),
-            80 + 130
-        );
+    }
+
+    #[test]
+    #[should_panic(expected = "one device timing")]
+    fn two_timings_in_one_tier_rejected() {
+        // `dual_socket`'s shape with a write-hostile device on the second
+        // PM node: charging it at its tier's first node would re-price it.
+        let _ = MachineBuilder::new()
+            .node(TierKind::Dram, 64)
+            .node(TierKind::Dram, 64)
+            .node(TierKind::Pm, 256)
+            .node(TierKind::Pm, 256)
+            .device(TierLatency {
+                write_ns: 1_000,
+                write_bw_gbps: 1.0,
+                ..TierLatency::optane_pm()
+            })
+            .build();
     }
 
     #[test]
@@ -366,6 +293,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "preceding node")]
     fn override_without_node_rejected() {
-        let _ = MachineBuilder::new().heads(2);
+        let _ = MachineBuilder::new().device(TierLatency::dram());
     }
 }

@@ -50,8 +50,8 @@ pub struct MemStats {
 
 impl MemStats {
     /// Fraction of accesses served by fast tiers — every tier whose kind
-    /// is fast per `TierKind::is_fast` (HBM and socket-local DRAM; CXL
-    /// expanders and PM count as capacity). `None` before any access.
+    /// is fast per `TierKind::is_fast` (HBM and DRAM; PM counts as
+    /// capacity). `None` before any access.
     pub fn fast_tier_share(&self, topology: &Topology) -> Option<f64> {
         let total: u64 = self.tier_accesses.iter().sum();
         if total == 0 {
@@ -111,19 +111,6 @@ mod tests {
         s.tier_accesses = vec![10, 30, 60];
         // Not just tier 0 (the HBM slice, 0.10): HBM + DRAM.
         assert!((s.fast_tier_share(&topo).unwrap() - 0.40).abs() < 1e-9);
-    }
-
-    #[test]
-    fn fast_tier_share_excludes_cxl_on_three_tier_machine() {
-        // A page served from a CXL expander paid a link round-trip; it must
-        // not count as "served from fast memory". The old non-Pm filter
-        // would report 0.70 here.
-        let topo = MachineDesc::dram_cxl_pm(8, 8, 8).topology();
-        let s = MemStats {
-            tier_accesses: vec![50, 20, 30],
-            ..MemStats::default()
-        };
-        assert!((s.fast_tier_share(&topo).unwrap() - 0.50).abs() < 1e-9);
     }
 
     #[test]

@@ -32,12 +32,9 @@ struct NodeState {
 pub struct AccessOutcome {
     /// The frame that was accessed.
     pub frame: FrameId,
-    /// The tier the frame lives in.
+    /// The tier the frame lives in; bandwidth-bound costs are charged
+    /// from it with [`LatencyModel::stream`].
     pub tier: TierId,
-    /// The NUMA node the frame lives in — callers charging bandwidth-bound
-    /// costs should use it with [`LatencyModel::stream_at`] so link-attached
-    /// nodes pay their own bandwidth cap.
-    pub node: NodeId,
     /// Device latency of the access (excludes any hint-fault cost).
     pub latency: Nanos,
     /// Whether the PTE was poisoned: the access took a software hint fault.
@@ -351,7 +348,6 @@ impl MemorySystem {
             saturating_bump(&mut self.stats.reads);
         }
         let tier = self.frames[frame.index()].tier();
-        let node = self.frames[frame.index()].node();
         if hint_fault {
             saturating_bump(&mut self.stats.hint_faults);
             self.instruments.emit(|| EventKind::HintFault {
@@ -363,7 +359,7 @@ impl MemorySystem {
             self.stats.tier_accesses.resize(tier.index() + 1, 0);
         }
         saturating_bump(&mut self.stats.tier_accesses[tier.index()]);
-        let mut latency = self.latency.access_at(node, kind);
+        let mut latency = self.latency.access(tier, kind);
         if let Some(fault) = self.instruments.injector() {
             let factor = fault.on_access(tier.index() as u8);
             if factor > 1 {
@@ -373,7 +369,6 @@ impl MemorySystem {
         Ok(AccessOutcome {
             frame,
             tier,
-            node,
             latency,
             hint_fault,
         })

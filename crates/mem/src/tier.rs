@@ -18,21 +18,13 @@ pub enum TierKind {
     Hbm,
     /// Ordinary DRAM.
     Dram,
-    /// CXL-attached DRAM: DRAM media behind a CXL.mem link, so device
-    /// latency plus a link round-trip (~170-250 ns loads). Slower than
-    /// socket-local DRAM, faster than PM — the derived ordering places it
-    /// between the two.
-    Cxl,
     /// Byte-addressable persistent memory (Optane DCPMM class).
     Pm,
 }
 
 impl TierKind {
     /// The fast/capacity split: whether this kind counts as *fast* memory
-    /// for placement metrics. HBM and socket-local DRAM are fast; CXL
-    /// expanders and PM are capacity — a page served from CXL still paid
-    /// a link round-trip, so counting it as "served from fast memory"
-    /// would overstate placement quality on DRAM+CXL+PM machines.
+    /// for placement metrics. HBM and DRAM are fast; PM is capacity.
     pub(crate) const fn is_fast(self) -> bool {
         matches!(self, TierKind::Hbm | TierKind::Dram)
     }
@@ -43,7 +35,6 @@ impl fmt::Display for TierKind {
         match self {
             TierKind::Hbm => write!(f, "HBM"),
             TierKind::Dram => write!(f, "DRAM"),
-            TierKind::Cxl => write!(f, "CXL"),
             TierKind::Pm => write!(f, "PM"),
         }
     }
@@ -97,8 +88,7 @@ mod tests {
     #[test]
     fn kind_ordering_is_fastest_first() {
         assert!(TierKind::Hbm < TierKind::Dram);
-        assert!(TierKind::Dram < TierKind::Cxl);
-        assert!(TierKind::Cxl < TierKind::Pm);
+        assert!(TierKind::Dram < TierKind::Pm);
     }
 
     #[test]
@@ -106,14 +96,12 @@ mod tests {
         assert_eq!(TierKind::Dram.to_string(), "DRAM");
         assert_eq!(TierKind::Pm.to_string(), "PM");
         assert_eq!(TierKind::Hbm.to_string(), "HBM");
-        assert_eq!(TierKind::Cxl.to_string(), "CXL");
     }
 
     #[test]
     fn fast_capacity_split() {
         assert!(TierKind::Hbm.is_fast());
         assert!(TierKind::Dram.is_fast());
-        assert!(!TierKind::Cxl.is_fast());
         assert!(!TierKind::Pm.is_fast());
     }
 

@@ -340,8 +340,8 @@ mod tests {
     }
 
     #[test]
-    fn runs_on_three_tier_cxl_machine() {
-        let mut mem = MemorySystem::new(MachineDesc::dram_cxl_pm(32, 64, 256));
+    fn runs_on_three_tier_machine() {
+        let mut mem = MemorySystem::new(MachineDesc::three_tier(32, 64, 256));
         let mut h = HybridTier::with_defaults(mem.topology());
         let bottom = TierId::new(2);
         map_in_tier(&mut mem, &mut h, 1, bottom);
@@ -349,7 +349,7 @@ mod tests {
             mem.access(VPage::new(1), AccessKind::Read).unwrap();
             h.tick(&mut mem, Nanos::from_secs(s));
         }
-        // Promoted one tier per qualifying tick: PM -> CXL at least.
+        // Promoted one tier per qualifying tick: PM -> DRAM at least.
         let nf = mem.translate(VPage::new(1)).unwrap();
         assert!(mem.frame(nf).tier() < bottom, "page moved up");
     }

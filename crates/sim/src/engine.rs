@@ -356,8 +356,7 @@ impl Simulation {
                 }
                 let mut lat = out.latency;
                 if bytes > 64 {
-                    let lm = self.mem.latency();
-                    lat += lm.stream_at(out.node, kind, bytes - 64);
+                    lat += self.mem.latency().stream(out.tier, kind, bytes - 64);
                 }
                 (out.tier, lat)
             }

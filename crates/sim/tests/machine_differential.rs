@@ -5,7 +5,7 @@
 //! numbers are pinned literally in `mc_mem::machine`'s unit tests and its
 //! behaviour by the `house` rows of EXPERIMENTS.md. What stays
 //! here: an explicit default shape is result-neutral, and the HybridTier
-//! determinism contract on a CXL machine — enabling observability never
+//! determinism contract on a three-tier machine — enabling observability never
 //! changes virtual-time results, and the same seed reproduces the same
 //! run bit-for-bit.
 //!
@@ -44,21 +44,21 @@ fn experiment_default_machine_matches_legacy_outcome() {
     assert!(outcome.promotions > 0, "YCSB-A must promote");
 }
 
-/// HybridTier on a three-tier CXL machine: observability is purely a
+/// HybridTier on the three-tier machine: observability is purely a
 /// tap — enabling it never changes virtual-time results (the house
 /// determinism contract every system honours).
 #[test]
-fn hybridtier_obs_run_is_bit_identical_on_cxl_machine() {
-    let cxl_cfg = |obs: bool| {
+fn hybridtier_obs_run_is_bit_identical_on_three_tier_machine() {
+    let three_tier_cfg = |obs: bool| {
         let mut cfg = SimConfig::new(SystemKind::HybridTier, 1, 1);
-        cfg.mem = MachineDesc::dram_cxl_pm(48, 64, 512);
+        cfg.mem = MachineDesc::three_tier(48, 64, 512);
         if obs {
             cfg.instrument.obs = mc_sim::ObsConfig::on();
         }
         cfg
     };
-    let plain = run(cxl_cfg(false));
-    let observed = run(cxl_cfg(true));
+    let plain = run(three_tier_cfg(false));
+    let observed = run(three_tier_cfg(true));
     assert!(
         plain.promotions > 0,
         "HybridTier must promote on the hot set"
@@ -80,7 +80,7 @@ fn hybridtier_obs_run_is_bit_identical_on_cxl_machine() {
 fn hybridtier_runs_are_reproducible() {
     let cfg = || {
         let mut cfg = SimConfig::new(SystemKind::HybridTier, 1, 1);
-        cfg.mem = MachineDesc::dram_cxl_pm(48, 64, 512);
+        cfg.mem = MachineDesc::three_tier(48, 64, 512);
         cfg.instrument.obs = mc_sim::ObsConfig::on();
         cfg
     };
@@ -107,8 +107,9 @@ fn ycsb_a(
 /// reference-bit scan reads, on the same machine and workload.
 #[test]
 fn hybridtier_samples_fewer_pages_than_multi_clock_scans() {
-    let cxl: fn(usize, usize) -> MachineDesc = |dram, pm| MachineDesc::dram_cxl_pm(dram, dram, pm);
-    let run = |system| ycsb_a(system, Scale::tiny().pm_pages, cxl);
+    let three_tier: fn(usize, usize) -> MachineDesc =
+        |dram, pm| MachineDesc::three_tier(dram, dram, pm);
+    let run = |system| ycsb_a(system, Scale::tiny().pm_pages, three_tier);
     let sampled = run(SystemKind::HybridTier).counter("ht_samples");
     let scanned = run(SystemKind::MultiClock).counter("mc_pages_scanned");
     assert!(sampled > 0 && scanned > 0, "both trackers must have run");

@@ -160,8 +160,6 @@ fn the_clock_balances_for_every_system_on_every_machine_with_and_without_chaos()
         MachineDesc::dram_pm(32, 128),
         MachineDesc::dual_socket(16, 64),
         MachineDesc::three_tier(16, 32, 128),
-        MachineDesc::dram_cxl_pm(32, 32, 128),
-        MachineDesc::cxl_multihead(16, 32, 128),
     ];
     for system in systems {
         for machine in &machines {
