@@ -75,7 +75,7 @@ impl fmt::Display for VPage {
 }
 
 /// A virtual byte address.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct VAddr(u64);
 
 impl VAddr {

@@ -6,7 +6,8 @@
 //! both living in simulated memory, with real bytes stored and verified.
 //! A GET touches the bucket page and the item's page(s); a SET touches the
 //! bucket page and writes the item; items are slab-allocated in size
-//! classes like memcached's.
+//! classes like memcached's. Keys are record numbers, and the host keeps
+//! one row per record: where its item and its bucket sit.
 
 mod slab;
 mod store;

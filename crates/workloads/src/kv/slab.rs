@@ -48,6 +48,11 @@ impl SlabAllocator {
         size.next_power_of_two().max(MIN_CHUNK)
     }
 
+    /// Whether non-zero sizes `a` and `b` share a chunk class (no bounds check).
+    pub(crate) fn same_class(a: usize, b: usize) -> bool {
+        ((a - 1) | (MIN_CHUNK - 1)).leading_zeros() == ((b - 1) | (MIN_CHUNK - 1)).leading_zeros()
+    }
+
     fn class_index(size: usize) -> usize {
         (Self::chunk_size(size) / MIN_CHUNK).trailing_zeros() as usize
     }
@@ -107,6 +112,23 @@ mod tests {
         assert_eq!(SlabAllocator::chunk_size(65), 128);
         assert_eq!(SlabAllocator::chunk_size(1100), 2048);
         assert_eq!(SlabAllocator::chunk_size(MAX_CHUNK), MAX_CHUNK);
+    }
+
+    #[test]
+    fn same_class_compares_chunk_sizes() {
+        for a in (1..=3 * MIN_CHUNK).chain([1023, 1024, 1025, MAX_CHUNK - 1, MAX_CHUNK]) {
+            for b in (1..4 * MAX_CHUNK)
+                .step_by(61)
+                .chain([a - 1, a + 1, MAX_CHUNK])
+            {
+                if b == 0 {
+                    continue;
+                }
+                let want =
+                    b <= MAX_CHUNK && SlabAllocator::chunk_size(a) == SlabAllocator::chunk_size(b);
+                assert_eq!(SlabAllocator::same_class(a, b), want, "{a} and {b}");
+            }
+        }
     }
 
     #[test]

@@ -4,9 +4,6 @@ use crate::dist::fnv1a_64;
 use crate::kv::slab::SlabAllocator;
 use crate::memory::Memory;
 use mc_mem::{PageKind, VAddr};
-use std::collections::hash_map::Entry;
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
 
 /// Per-item header stored in front of the value, memcached-`item`-like:
 /// the key (8 bytes) plus the value length (4 bytes).
@@ -25,39 +22,20 @@ pub struct KvStats {
     pub sets: u64,
 }
 
-/// The index's hasher: a key is one multiply by the 64-bit golden ratio,
-/// whose high bits (the table's tag) and low bits (its bucket) both differ
-/// for consecutive keys. Keys arrive through `write_u64`; `write` folds any
-/// other input in a byte at a time.
+/// A record's host row: its item's address and length (header + value)
+/// and its bucket's index. The default row, of length 0, holds no record.
 #[derive(Debug, Default, Clone, Copy)]
-struct KeyHasher(u64);
-
-const GOLDEN: u64 = 0x9e37_79b9_7f4a_7c15;
-
-impl Hasher for KeyHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = (self.0.rotate_left(8) ^ u64::from(b)).wrapping_mul(GOLDEN);
-        }
-    }
-
-    fn write_u64(&mut self, key: u64) {
-        self.0 = key.wrapping_mul(GOLDEN);
-    }
+struct Row {
+    item: VAddr,
+    item_len: u32,
+    bucket: u32,
 }
-
-/// Location of a stored item.
-#[derive(Debug, Clone, Copy)]
-struct ItemRef {
-    addr: VAddr,
-    value_len: usize,
-}
+const _: () = assert!(size_of::<Row>() == 16);
 
 /// A memcached-like hash-table KV store over simulated memory.
+///
+/// Keys are record numbers below 2^32. The host keeps row `k` for key `k`,
+/// so only a key with no row is hashed to probe the simulated buckets.
 ///
 /// ```
 /// use mc_workloads::{kv::KvStore, SimpleMemory, Memory};
@@ -72,9 +50,9 @@ pub struct KvStore {
     slab: SlabAllocator,
     buckets_base: VAddr,
     nbuckets: u64,
-    /// Fixed-key hashing: nothing iterates the index, and its keys are the
-    /// workload's own, so a per-process random key would buy nothing.
-    index: HashMap<u64, ItemRef, BuildHasherDefault<KeyHasher>>,
+    rows: Vec<Row>,
+    /// Rows that hold a record.
+    live: usize,
     stats: KvStats,
     /// One item as stored (header + value): `set_with` assembles it here
     /// and `get` reads it back here, so neither allocates once it has
@@ -85,15 +63,17 @@ pub struct KvStore {
 impl KvStore {
     /// Creates a store sized for roughly `expected_records` records: the
     /// bucket array is the next power of two above 1.5x that (memcached
-    /// grows its table to keep load factor below 1.5).
+    /// grows its table to keep load factor below 1.5), at most 2^32 buckets.
     pub fn new<M: Memory + ?Sized>(mem: &mut M, expected_records: usize) -> Self {
-        let nbuckets = ((expected_records * 3 / 2).max(16) as u64).next_power_of_two();
+        let nbuckets = (expected_records as u64 * 3 / 2).clamp(16, 1 << 32);
+        let nbuckets = nbuckets.next_power_of_two();
         let buckets_base = mem.mmap(nbuckets as usize * BUCKET_BYTES, PageKind::Anon);
         KvStore {
             slab: SlabAllocator::new(),
             buckets_base,
             nbuckets,
-            index: HashMap::default(),
+            rows: Vec::with_capacity(expected_records),
+            live: 0,
             stats: KvStats::default(),
             item: Vec::new(),
         }
@@ -106,23 +86,35 @@ impl KvStore {
 
     /// Records currently stored.
     pub fn len(&self) -> usize {
-        self.index.len()
+        self.live
     }
 
     /// Whether the store is empty.
     pub fn is_empty(&self) -> bool {
-        self.index.is_empty()
+        self.live == 0
     }
 
     /// The simulated address of a stored item (diagnostics: lets tools
     /// check which tier holds a given key's page).
     pub fn item_addr(&self, key: u64) -> Option<VAddr> {
-        self.index.get(&key).map(|i| i.addr)
+        self.row(key).map(|r| r.item)
     }
 
-    fn bucket_addr(&self, key: u64) -> VAddr {
-        let b = fnv1a_64(key) & (self.nbuckets - 1);
-        self.buckets_base.add(b * BUCKET_BYTES as u64)
+    /// Key `key`'s row, if it holds a record.
+    fn row(&self, key: u64) -> Option<Row> {
+        let row = *self.rows.get(usize::try_from(key).ok()?)?;
+        (row.item_len != 0).then_some(row)
+    }
+
+    /// `key`'s bucket: its row's, or, for a key with no row, its hash's.
+    fn bucket(&self, key: u64, row: Option<Row>) -> u32 {
+        let hashed = || (fnv1a_64(key) & (self.nbuckets - 1)) as u32;
+        row.map_or_else(hashed, |r| r.bucket)
+    }
+
+    fn bucket_addr(&self, bucket: u32) -> VAddr {
+        self.buckets_base
+            .add(u64::from(bucket) * BUCKET_BYTES as u64)
     }
 
     /// Inserts or updates a record.
@@ -141,32 +133,33 @@ impl KvStore {
         len: usize,
         fill: impl FnOnce(&mut [u8]),
     ) {
+        assert!(key < 1 << 32, "key {key} is not a record number below 2^32");
         self.stats.sets += 1;
-        // Probe the bucket chain head.
-        mem.write(self.bucket_addr(key), BUCKET_BYTES);
         let needed = ITEM_HEADER + len;
-        let addr = match self.index.entry(key) {
-            Entry::Occupied(mut slot) => {
-                let old = slot.get_mut();
-                // A new chunk class moves the item; the same one updates
-                // it in place.
-                if SlabAllocator::chunk_size(ITEM_HEADER + old.value_len)
-                    != SlabAllocator::chunk_size(needed)
-                {
-                    self.slab.free(old.addr, ITEM_HEADER + old.value_len);
-                    old.addr = self.slab.alloc(mem, needed);
-                }
-                old.value_len = len;
-                old.addr
+        let old = self.row(key);
+        let bucket = self.bucket(key, old);
+        // Probe the bucket chain head.
+        mem.write(self.bucket_addr(bucket), BUCKET_BYTES);
+        // A new chunk class moves the item; the same one updates it in place.
+        let addr = match old {
+            Some(r) if SlabAllocator::same_class(r.item_len as usize, needed) => r.item,
+            Some(r) => {
+                self.slab.free(r.item, r.item_len as usize);
+                self.slab.alloc(mem, needed)
             }
-            Entry::Vacant(slot) => {
-                let addr = self.slab.alloc(mem, needed);
-                slot.insert(ItemRef {
-                    addr,
-                    value_len: len,
-                });
-                addr
+            None => {
+                self.live += 1;
+                self.slab.alloc(mem, needed)
             }
+        };
+        let slot = key as usize;
+        if slot >= self.rows.len() {
+            self.rows.resize(slot + 1, Row::default());
+        }
+        self.rows[slot] = Row {
+            item: addr,
+            item_len: needed as u32,
+            bucket,
         };
         let item = &mut self.item;
         item.resize(needed, 0);
@@ -180,13 +173,13 @@ impl KvStore {
     /// Looks up a record, returning its value. The slice borrows the
     /// store's item buffer, so it lives until the store's next call.
     pub fn get<M: Memory + ?Sized>(&mut self, mem: &mut M, key: u64) -> Option<&[u8]> {
-        let item = self.find(mem, key)?;
-        self.item.resize(ITEM_HEADER + item.value_len, 0);
-        mem.read_bytes(item.addr, &mut self.item);
+        let row = self.find(mem, key)?;
+        self.item.resize(row.item_len as usize, 0);
+        mem.read_bytes(row.item, &mut self.item);
         debug_assert_eq!(self.item[..8], key.to_le_bytes(), "item header corruption");
         debug_assert_eq!(
             self.item[8..ITEM_HEADER],
-            (item.value_len as u32).to_le_bytes()
+            (row.item_len - ITEM_HEADER as u32).to_le_bytes()
         );
         Some(&self.item[ITEM_HEADER..])
     }
@@ -195,21 +188,21 @@ impl KvStore {
     /// [`KvStore::get`] without copying the item out of simulated memory.
     /// Returns whether the key is stored.
     pub(crate) fn read<M: Memory + ?Sized>(&mut self, mem: &mut M, key: u64) -> bool {
-        let Some(item) = self.find(mem, key) else {
+        let Some(row) = self.find(mem, key) else {
             return false;
         };
-        mem.read(item.addr, ITEM_HEADER + item.value_len);
+        mem.read(row.item, row.item_len as usize);
         true
     }
 
     /// A GET's index half: counts it, probes `key`'s bucket and returns
-    /// where its item is stored, if it is.
-    fn find<M: Memory + ?Sized>(&mut self, mem: &mut M, key: u64) -> Option<ItemRef> {
+    /// its row, if it holds a record.
+    fn find<M: Memory + ?Sized>(&mut self, mem: &mut M, key: u64) -> Option<Row> {
         self.stats.gets += 1;
-        mem.read(self.bucket_addr(key), BUCKET_BYTES);
-        let item = self.index.get(&key).copied()?;
-        self.stats.hits += 1;
-        Some(item)
+        let row = self.row(key);
+        mem.read(self.bucket_addr(self.bucket(key, row)), BUCKET_BYTES);
+        self.stats.hits += u64::from(row.is_some());
+        row
     }
 
     /// Read-modify-write: YCSB workload F's composite operation. The old
@@ -234,7 +227,11 @@ impl KvStore {
 mod tests {
     use super::*;
     use crate::memory::SimpleMemory;
-    use mc_trace::Recorder;
+    use mc_mem::Nanos;
+    use mc_trace::{Recorder, Trace};
+    use proptest::prelude::*;
+    use std::collections::hash_map::Entry;
+    use std::collections::HashMap;
 
     #[test]
     fn set_get_roundtrip() {
@@ -317,35 +314,89 @@ mod tests {
         assert_eq!(by_read, by_get);
     }
 
-    /// `set` as it was before `set_with`: the value copied in from a
-    /// caller's buffer, then the item assembled in a fresh one.
-    fn set_by_copy(kv: &mut KvStore, mem: &mut SimpleMemory, key: u64, value: &[u8]) {
-        kv.stats.sets += 1;
-        mem.write(kv.bucket_addr(key), BUCKET_BYTES);
-        let needed = ITEM_HEADER + value.len();
-        let addr = match kv.index.entry(key) {
-            Entry::Occupied(mut slot) => {
-                let old = slot.get_mut();
-                if SlabAllocator::chunk_size(ITEM_HEADER + old.value_len)
-                    != SlabAllocator::chunk_size(needed)
-                {
-                    kv.slab.free(old.addr, ITEM_HEADER + old.value_len);
-                    old.addr = kv.slab.alloc(mem, needed);
+    /// The store as it was with a `HashMap` index: the same bucket array
+    /// and slab, every op hashing its key to find its bucket and probing
+    /// the map for its item. The oracle the row table is checked against.
+    struct Model {
+        slab: SlabAllocator,
+        buckets_base: VAddr,
+        nbuckets: u64,
+        /// Each stored key's item address and value length.
+        index: HashMap<u64, (VAddr, usize)>,
+        stats: KvStats,
+    }
+
+    impl Model {
+        fn new(mem: &mut impl Memory, expected_records: usize) -> Self {
+            let nbuckets = ((expected_records * 3 / 2).max(16) as u64).next_power_of_two();
+            let buckets_base = mem.mmap(nbuckets as usize * BUCKET_BYTES, PageKind::Anon);
+            Model {
+                slab: SlabAllocator::new(),
+                buckets_base,
+                nbuckets,
+                index: HashMap::new(),
+                stats: KvStats::default(),
+            }
+        }
+
+        fn bucket_addr(&self, key: u64) -> VAddr {
+            let b = fnv1a_64(key) & (self.nbuckets - 1);
+            self.buckets_base.add(b * BUCKET_BYTES as u64)
+        }
+
+        /// `set` as it was before `set_with`: the value copied in from a
+        /// caller's buffer, then the item assembled in a fresh one.
+        fn set(&mut self, mem: &mut impl Memory, key: u64, value: &[u8]) {
+            self.stats.sets += 1;
+            mem.write(self.bucket_addr(key), BUCKET_BYTES);
+            let needed = ITEM_HEADER + value.len();
+            let addr = match self.index.entry(key) {
+                Entry::Occupied(mut slot) => {
+                    let (addr, len) = slot.get_mut();
+                    if SlabAllocator::chunk_size(ITEM_HEADER + *len)
+                        != SlabAllocator::chunk_size(needed)
+                    {
+                        self.slab.free(*addr, ITEM_HEADER + *len);
+                        *addr = self.slab.alloc(mem, needed);
+                    }
+                    *len = value.len();
+                    *addr
                 }
-                old.value_len = value.len();
-                old.addr
-            }
-            Entry::Vacant(slot) => {
-                let addr = kv.slab.alloc(mem, needed);
-                let value_len = value.len();
-                slot.insert(ItemRef { addr, value_len });
-                addr
-            }
-        };
-        let mut item = key.to_le_bytes().to_vec();
-        item.extend_from_slice(&(value.len() as u32).to_le_bytes());
-        item.extend_from_slice(value);
-        mem.write_bytes(addr, &item);
+                Entry::Vacant(slot) => {
+                    let addr = self.slab.alloc(mem, needed);
+                    slot.insert((addr, value.len()));
+                    addr
+                }
+            };
+            let mut item = key.to_le_bytes().to_vec();
+            item.extend_from_slice(&(value.len() as u32).to_le_bytes());
+            item.extend_from_slice(value);
+            mem.write_bytes(addr, &item);
+        }
+
+        /// A GET's index half: the bucket probe, then the map's item.
+        fn find(&mut self, mem: &mut impl Memory, key: u64) -> Option<(VAddr, usize)> {
+            self.stats.gets += 1;
+            mem.read(self.bucket_addr(key), BUCKET_BYTES);
+            let found = self.index.get(&key).copied()?;
+            self.stats.hits += 1;
+            Some(found)
+        }
+
+        fn get(&mut self, mem: &mut impl Memory, key: u64) -> Option<Vec<u8>> {
+            let (addr, len) = self.find(mem, key)?;
+            let mut item = vec![0; ITEM_HEADER + len];
+            mem.read_bytes(addr, &mut item);
+            Some(item.split_off(ITEM_HEADER))
+        }
+
+        fn read(&mut self, mem: &mut impl Memory, key: u64) -> bool {
+            let Some((addr, len)) = self.find(mem, key) else {
+                return false;
+            };
+            mem.read(addr, ITEM_HEADER + len);
+            true
+        }
     }
 
     #[test]
@@ -353,7 +404,12 @@ mod tests {
         let value = |key: u64, len: usize| -> Vec<u8> {
             (0..len).map(|i| (key as u8) ^ (i as u8) ^ 0x5a).collect()
         };
-        let mut sides: [(SimpleMemory, KvStore); 3] = std::array::from_fn(|_| {
+        let mut by_copy = {
+            let mut mem = SimpleMemory::new();
+            let kv = Model::new(&mut mem, 64);
+            (mem, kv)
+        };
+        let mut sides: [(SimpleMemory, KvStore); 2] = std::array::from_fn(|_| {
             let mut mem = SimpleMemory::new();
             let kv = KvStore::new(&mut mem, 64);
             (mem, kv)
@@ -372,30 +428,228 @@ mod tests {
         let mut lens = HashMap::new();
         for (key, len) in ops {
             let v = value(key, len);
-            let [(m0, by_copy), (m1, by_set), (m2, by_fill)] = &mut sides;
-            set_by_copy(by_copy, m0, key, &v);
+            let [(m1, by_set), (m2, by_fill)] = &mut sides;
+            by_copy.1.set(&mut by_copy.0, key, &v);
             by_set.set(m1, key, &v);
             by_fill.set_with(m2, key, len, |buf| buf.copy_from_slice(&v));
             lens.insert(key, len);
-            for (mem, _) in &sides[1..] {
-                assert_eq!(mem.accesses, sides[0].0.accesses, "touches after key {key}");
-                assert_eq!(mem.now(), sides[0].0.now());
+            for (mem, _) in &sides {
+                assert_eq!(mem.accesses, by_copy.0.accesses, "touches after key {key}");
+                assert_eq!(mem.now(), by_copy.0.now());
             }
         }
         for (&key, &len) in &lens {
-            let addr = sides[0].1.item_addr(key).expect("stored");
+            let (addr, _) = by_copy.1.index[&key];
+            let copied = stored_item(&mut by_copy.0, addr, len);
             for (mem, kv) in &mut sides {
                 assert_eq!(kv.item_addr(key), Some(addr), "key {key} sits elsewhere");
-                let mut item = vec![0xee; ITEM_HEADER + len];
-                mem.read_bytes(addr, &mut item);
+                let item = stored_item(mem, addr, len);
+                assert_eq!(item, copied, "item of key {key}");
                 assert_eq!(item[..8], key.to_le_bytes());
                 assert_eq!(item[8..ITEM_HEADER], (len as u32).to_le_bytes());
                 assert_eq!(item[ITEM_HEADER..], value(key, len), "value of key {key}");
             }
         }
-        for (_, kv) in &sides[1..] {
-            assert_eq!(kv.stats(), sides[0].1.stats());
+        for (_, kv) in &sides {
+            assert_eq!(kv.stats(), by_copy.1.stats);
         }
+    }
+
+    /// One store op of the differential test.
+    #[derive(Debug, Clone)]
+    enum Op {
+        Set(u64, usize),
+        SetWith(u64, usize),
+        Get(u64),
+        Read(u64),
+        Rmw(u64, usize),
+        /// D's insert: the key one past the highest inserted so far.
+        Append(usize),
+    }
+
+    /// Keys that can be stored: the table's first rows, past its initial
+    /// capacity, with gaps wherever a sequence skips one.
+    fn stored_key() -> impl Strategy<Value = u64> {
+        0..48u64
+    }
+
+    /// Lookup keys: mostly storable ones, else keys no row can hold.
+    fn any_key() -> impl Strategy<Value = u64> {
+        (0..52u64).prop_map(|k| match k {
+            48 | 49 => 1 << 32,
+            50 | 51 => u64::MAX,
+            k => k,
+        })
+    }
+
+    /// Value lengths, half of them at the edges of the 64-, 128- and
+    /// 1024-byte chunk classes (the item adds its 12-byte header).
+    fn value_len() -> impl Strategy<Value = usize> {
+        const EDGES: [usize; 7] = [52, 53, 116, 117, 1012, 1013, 1024];
+        (0..2 * EDGES.len(), 0..3000usize)
+            .prop_map(|(pick, len)| EDGES.get(pick).copied().unwrap_or(len))
+    }
+
+    fn op() -> impl Strategy<Value = Op> {
+        prop_oneof![
+            (stored_key(), value_len()).prop_map(|(k, l)| Op::Set(k, l)),
+            (stored_key(), value_len()).prop_map(|(k, l)| Op::SetWith(k, l)),
+            any_key().prop_map(Op::Get),
+            any_key().prop_map(Op::Read),
+            (any_key(), value_len()).prop_map(|(k, l)| Op::Rmw(k, l)),
+            value_len().prop_map(Op::Append),
+        ]
+    }
+
+    /// Lends a memory to a [`Recorder`] for one step, so that each step's
+    /// touches are compared on their own.
+    struct Lent<'a>(&'a mut SimpleMemory);
+
+    impl Memory for Lent<'_> {
+        fn mmap(&mut self, bytes: usize, kind: PageKind) -> VAddr {
+            self.0.mmap(bytes, kind)
+        }
+        fn read(&mut self, addr: VAddr, len: usize) {
+            self.0.read(addr, len);
+        }
+        fn write(&mut self, addr: VAddr, len: usize) {
+            self.0.write(addr, len);
+        }
+        fn write_bytes(&mut self, addr: VAddr, data: &[u8]) {
+            self.0.write_bytes(addr, data);
+        }
+        fn read_bytes(&mut self, addr: VAddr, buf: &mut [u8]) {
+            self.0.read_bytes(addr, buf);
+        }
+        fn now(&self) -> Nanos {
+            self.0.now()
+        }
+        fn compute(&mut self, t: Nanos) {
+            self.0.compute(t);
+        }
+    }
+
+    /// Runs `step` against `mem` and returns its touches.
+    fn recorded<'a, T>(
+        mem: &'a mut SimpleMemory,
+        step: impl FnOnce(&mut Recorder<Lent<'a>>) -> T,
+    ) -> (T, Trace) {
+        let mut rec = Recorder::new(Lent(mem));
+        let out = step(&mut rec);
+        (out, rec.finish())
+    }
+
+    /// The item stored at `addr`, read from `mem` without a store.
+    fn stored_item(mem: &mut SimpleMemory, addr: VAddr, len: usize) -> Vec<u8> {
+        let mut item = vec![0xee; ITEM_HEADER + len];
+        mem.read_bytes(addr, &mut item);
+        item
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn the_row_table_matches_the_hash_map_index(
+            // Below the key range, so the table grows; or so large that the
+            // bucket array spans pages, so a trace shows which bucket is read.
+            expected in prop_oneof![0..48usize, 256..4096usize],
+            ops in prop::collection::vec(op(), 1..80),
+        ) {
+            let (mut want_mem, mut got_mem) = (SimpleMemory::new(), SimpleMemory::new());
+            let mut want = Model::new(&mut want_mem, expected);
+            let mut got = KvStore::new(&mut got_mem, expected);
+            // One past the highest key inserted: D's next insert.
+            let mut next = 0u64;
+            for (i, op) in ops.into_iter().enumerate() {
+                let (key, len) = match op {
+                    Op::Set(k, l) | Op::SetWith(k, l) | Op::Rmw(k, l) => (k, l),
+                    Op::Get(k) | Op::Read(k) => (k, 0),
+                    Op::Append(l) => (next, l),
+                };
+                let v: Vec<u8> = (0..len).map(|b| (key as u8) ^ (b as u8) ^ (i as u8)).collect();
+                let fill = |buf: &mut [u8]| buf.copy_from_slice(&v);
+                // A lookup's outcome: `None` if it missed, else the value a
+                // GET read (empty for a READ or RMW, which drop it).
+                let (want_out, want_touches) = recorded(&mut want_mem, |m| match op {
+                    Op::Set(..) | Op::SetWith(..) | Op::Append(_) => {
+                        want.set(m, key, &v);
+                        None
+                    }
+                    Op::Get(_) => Some(want.get(m, key)),
+                    Op::Read(_) => Some(want.read(m, key).then(Vec::new)),
+                    Op::Rmw(..) => {
+                        let found = want.read(m, key);
+                        if found {
+                            want.set(m, key, &v);
+                        }
+                        Some(found.then(Vec::new))
+                    }
+                });
+                let (got_out, got_touches) = recorded(&mut got_mem, |m| match op {
+                    Op::Set(..) => {
+                        got.set(m, key, &v);
+                        None
+                    }
+                    Op::SetWith(..) | Op::Append(_) => {
+                        got.set_with(m, key, len, fill);
+                        None
+                    }
+                    Op::Get(_) => Some(got.get(m, key).map(<[u8]>::to_vec)),
+                    Op::Read(_) => Some(got.read(m, key).then(Vec::new)),
+                    Op::Rmw(..) => Some(got.read_modify_write(m, key, len, fill).then(Vec::new)),
+                });
+                prop_assert_eq!(got_out, want_out, "step {} ({:?}) returned otherwise", i, op);
+                prop_assert_eq!(got_touches, want_touches, "step {} ({:?}) touched otherwise", i, op);
+                prop_assert_eq!(got.stats(), want.stats, "step {} ({:?})", i, op);
+                prop_assert_eq!(got.len(), want.index.len(), "step {} ({:?})", i, op);
+                let at = want.index.get(&key).copied();
+                prop_assert_eq!(got.item_addr(key), at.map(|(addr, _)| addr), "step {} ({:?})", i, op);
+                if let Some((addr, len)) = at {
+                    prop_assert_eq!(
+                        stored_item(&mut got_mem, addr, len),
+                        stored_item(&mut want_mem, addr, len),
+                        "step {} ({:?}) stored otherwise", i, op
+                    );
+                }
+                if matches!(op, Op::Set(..) | Op::SetWith(..) | Op::Append(_)) {
+                    next = next.max(key + 1);
+                }
+            }
+            // Every row, gaps and the first row past the end included.
+            for key in 0..=next {
+                let at = want.index.get(&key).copied();
+                prop_assert_eq!(got.item_addr(key), at.map(|(addr, _)| addr), "key {}", key);
+                if let Some((addr, len)) = at {
+                    prop_assert_eq!(
+                        stored_item(&mut got_mem, addr, len),
+                        stored_item(&mut want_mem, addr, len),
+                        "key {}", key
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "key 4294967296 is not a record number below 2^32")]
+    fn a_key_no_row_can_hold_panics_naming_it() {
+        let mut mem = SimpleMemory::new();
+        let mut kv = KvStore::new(&mut mem, 16);
+        kv.set(&mut mem, 1 << 32, b"x");
+    }
+
+    #[test]
+    fn loading_the_expected_records_never_regrows_the_table() {
+        let mut mem = SimpleMemory::new();
+        let n = 1000;
+        let mut kv = KvStore::new(&mut mem, n);
+        let (rows, capacity) = (kv.rows.as_ptr(), kv.rows.capacity());
+        for key in 0..n as u64 {
+            kv.set(&mut mem, key, &[key as u8; 100]);
+        }
+        assert_eq!(kv.len(), n);
+        assert_eq!((kv.rows.as_ptr(), kv.rows.capacity()), (rows, capacity));
     }
 
     #[test]

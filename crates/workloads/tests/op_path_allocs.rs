@@ -45,8 +45,9 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 
 #[test]
 fn ycsb_ops_allocate_nothing_after_load_and_warm_up() {
-    // D is left out: its inserts grow the index and carve new slabs, and
-    // a first write to a page allocates that page's bytes in SimpleMemory.
+    // D is left out: its inserts append rows, which regrow the table once
+    // they pass the rows the load reserved, and carve new slabs, and a
+    // first write to a page allocates that page's bytes in SimpleMemory.
     for w in [
         YcsbWorkload::A,
         YcsbWorkload::B,
