@@ -162,12 +162,13 @@ impl TieringPolicy for HybridTier {
         }
     }
 
-    fn on_supervised_access(&mut self, mem: &mut MemorySystem, frame: FrameId, _kind: AccessKind) {
-        // Supervised accesses are kernel-visible for free: feed them to
-        // the sketch directly, no sampling needed.
-        if let Some(key) = key_of(mem, frame) {
-            self.sketch.update(key);
-        }
+    fn on_supervised_access(
+        &mut self,
+        _mem: &mut MemorySystem,
+        _frame: FrameId,
+        _kind: AccessKind,
+    ) {
+        // HybridTier only observes accesses through its sampling.
     }
 
     fn tick(&mut self, mem: &mut MemorySystem, now: Nanos) -> TickOutcome {
@@ -329,8 +330,9 @@ mod tests {
         }
         // Make page 0 hot in the sketch.
         let f0 = mem.translate(VPage::new(0)).unwrap();
+        let key = key_of(&mem, f0).unwrap();
         for _ in 0..5 {
-            h.on_supervised_access(&mut mem, f0, AccessKind::Read);
+            h.sketch.update(key);
         }
         let out = h.on_pressure(&mut mem, TierId::TOP, Nanos::ZERO);
         assert!(out.demoted > 0);

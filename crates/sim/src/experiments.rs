@@ -764,7 +764,7 @@ fn run_colocation(sim: &mut Simulation, scale: &Scale) -> Measured {
 fn run_overcommit(sim: &mut Simulation, footprint: usize) -> Measured {
     const OPS: u64 = 400_000;
     let region = sim.mmap(PAGE_SIZE * footprint, PageKind::Anon);
-    let zipf = ScrambledZipfian::new(footprint as u64);
+    let mut zipf = ScrambledZipfian::new(footprint as u64);
     let mut rng = StdRng::seed_from_u64(Scale::SEED);
     // Fault every page in address order first — like an application that
     // initialises its heap before serving. First-touch order is then

@@ -74,14 +74,34 @@ impl Zipfian {
     /// Draws the next rank (0 = most popular).
     pub fn next<R: Rng + ?Sized>(&self, rng: &mut R) -> u64 {
         let u: f64 = rng.gen();
+        self.early_rank(u)
+            .unwrap_or_else(|| self.rank_at(self.scaled(u)))
+    }
+
+    /// Ranks 0 and 1, read off `u · zetan` before any `pow`.
+    #[inline]
+    fn early_rank(&self, u: f64) -> Option<u64> {
         let uz = u * self.zetan;
         if uz < 1.0 {
-            return 0;
+            Some(0)
+        } else if uz < self.rank1_cutoff {
+            Some(1)
+        } else {
+            None
         }
-        if uz < self.rank1_cutoff {
-            return 1;
-        }
-        let v = (self.items as f64 * (self.eta * u - self.eta + 1.0).powf(self.alpha)) as u64;
+    }
+
+    /// `eta·u − eta + 1`: the scaled draw the formula raises to `alpha`.
+    #[inline]
+    fn scaled(&self, u: f64) -> f64 {
+        self.eta * u - self.eta + 1.0
+    }
+
+    /// The formula's rank for the scaled draw `x`: `n · x^alpha`,
+    /// truncated and clamped to the last item.
+    #[inline]
+    fn rank_at(&self, x: f64) -> u64 {
+        let v = (self.items as f64 * x.powf(self.alpha)) as u64;
         v.min(self.items - 1)
     }
 
@@ -104,10 +124,27 @@ impl Zipfian {
 /// Scrambled zipfian: zipfian popularity spread uniformly over the key
 /// space by hashing, as in YCSB's `ScrambledZipfianGenerator`. This is the
 /// chooser for workloads A, B, C, F and W.
+///
+/// A draw returns exactly the key `fnv1a_64(rank) % items` of the rank
+/// [`Zipfian::next`] draws from the same `u`, but takes both costs from
+/// tables built with it: a draw of one of the top `min(items / 16,
+/// 8192)` ranks finds its rank among thresholds certified against the
+/// formula's own `powf` (none below 64 items), and each rank's key is
+/// hashed once, on its first draw, into a rank → key memo.
 #[derive(Debug, Clone)]
 pub struct ScrambledZipfian {
     inner: Zipfian,
+    head: HeadRanks,
+    /// `keys[rank]` is `fnv1a_64(rank) % items + 1`, or 0 until the rank
+    /// is first drawn (so the memo starts as untouched zeroed pages). It
+    /// covers the first [`MEMO_RANKS`] ranks, and is empty when a key
+    /// plus one might not fit a `u32`.
+    keys: Vec<u32>,
 }
+
+/// The most ranks the rank → key memo covers (4 MiB of keys); rarer
+/// ranks hash on every draw.
+const MEMO_RANKS: u64 = 1 << 20;
 
 impl ScrambledZipfian {
     /// Creates a scrambled zipfian over `items` keys with YCSB's default
@@ -117,21 +154,186 @@ impl ScrambledZipfian {
     }
 
     /// Draws the next key in `0..items`.
-    pub fn next<R: Rng + ?Sized>(&self, rng: &mut R) -> u64 {
-        fnv1a_64(self.inner.next(rng)) % self.inner.items()
+    pub fn next<R: Rng + ?Sized>(&mut self, rng: &mut R) -> u64 {
+        let u: f64 = rng.gen();
+        let z = &self.inner;
+        let rank = z.early_rank(u).unwrap_or_else(|| {
+            let x = z.scaled(u);
+            match self.head.rank(x) {
+                Some(r) => {
+                    debug_assert_eq!(r, z.rank_at(x), "head-rank table at x = {x:e}");
+                    r
+                }
+                None => z.rank_at(x),
+            }
+        });
+        self.key(rank)
+    }
+
+    /// The key of `rank`, from the memo when it has been drawn before.
+    #[inline]
+    fn key(&mut self, rank: u64) -> u64 {
+        let items = self.inner.items;
+        let Some(slot) = self.keys.get_mut(rank as usize) else {
+            return fnv1a_64(rank) % items;
+        };
+        if *slot == 0 {
+            // At most `u32::MAX`: the memo exists only when `items` fits a `u32`.
+            *slot = (fnv1a_64(rank) % items + 1) as u32;
+        }
+        let key = u64::from(*slot) - 1;
+        debug_assert_eq!(key, fnv1a_64(rank) % items, "memo of rank {rank}");
+        key
     }
 }
 
 /// Scrambles the draws of an already built zipfian (its zeta is summed
-/// once, however many choosers share it).
+/// once, however many choosers share it) and builds the two tables.
 impl From<Zipfian> for ScrambledZipfian {
     fn from(inner: Zipfian) -> Self {
-        ScrambledZipfian { inner }
+        let memo = if inner.items <= u64::from(u32::MAX) {
+            inner.items.min(MEMO_RANKS)
+        } else {
+            0
+        };
+        ScrambledZipfian {
+            head: HeadRanks::new(&inner),
+            keys: vec![0; memo as usize],
+            inner,
+        }
+    }
+}
+
+/// The head ranks of a [`Zipfian`] as thresholds in the scaled draw `x`
+/// ([`Zipfian::scaled`]), so that a draw of one of them needs no `pow`.
+///
+/// `thresholds[r - 1]` is `X_r`, the least `x` the formula
+/// ([`Zipfian::rank_at`]) maps to rank `r` or above, for `r` in `1..=K`:
+/// a draw with `x < X_K` is rank `r` exactly when `X_r ≤ x < X_{r+1}`,
+/// the number of thresholds at or below it. Each `X_r` starts at the
+/// analytic inverse `(r/n)^(1−θ)` and moves one ULP at a time until the
+/// formula reaches `r` at `X_r` and not at the next `f64` below it — a
+/// certificate from the very `powf` the formula calls, which reproduces
+/// the formula exactly as long as `powf` is monotone (the unit tests
+/// check it over ±64 ULPs of every threshold; debug builds check every
+/// draw). Draws at or above `X_K` keep the formula.
+///
+/// `K` is `n / 16`, at most [`HeadRanks::MAX_RANKS`], and there is no
+/// table below [`HeadRanks::MIN_ITEMS`] items.
+#[derive(Debug, Clone)]
+struct HeadRanks {
+    /// `X_1..X_K`, then [`HeadRanks::COMPARES`] of `+∞`, so that a draw
+    /// may read that many past any guide entry.
+    thresholds: Vec<f64>,
+    /// `X_K`; `−∞` without a table.
+    top: f64,
+    /// `guide[g]` is the number of thresholds at or below the lower edge
+    /// of bucket `g`, equal buckets of `x` from `X_1` to `X_K`, each no
+    /// wider than `COMPARES − 1` of the smallest gaps between two
+    /// thresholds: a bucket holds at most that many thresholds, so a
+    /// draw's rank is its entry plus `COMPARES` branch-free compares (one
+    /// spare for the rounding of the bucket index). The scan after them
+    /// corrects a bad entry in either direction, so the guide costs
+    /// speed, never exactness.
+    guide: Vec<u16>,
+    /// Buckets per unit of `x`.
+    scale: f64,
+}
+
+impl HeadRanks {
+    /// Fewest items with a table.
+    const MIN_ITEMS: u64 = 64;
+    /// Most head ranks in a table (64 KiB of thresholds).
+    const MAX_RANKS: u64 = 8192;
+    /// Thresholds a draw compares against after its guide entry.
+    const COMPARES: usize = 4;
+
+    fn new(z: &Zipfian) -> Self {
+        let n = z.items;
+        if n < Self::MIN_ITEMS {
+            return HeadRanks {
+                thresholds: Vec::new(),
+                top: f64::NEG_INFINITY,
+                guide: Vec::new(),
+                scale: 0.0,
+            };
+        }
+        let k = (n / 16).min(Self::MAX_RANKS) as usize;
+        let reaches = |x: f64, r: u64| z.rank_at(x) >= r;
+        let mut thresholds = Vec::with_capacity(k + Self::COMPARES);
+        thresholds.extend((1..=k as u64).map(|r| {
+            let mut x = (r as f64 / n as f64).powf(1.0 - z.theta);
+            if reaches(x, r) {
+                while reaches(x.next_down(), r) {
+                    x = x.next_down();
+                }
+            } else {
+                x = x.next_up();
+                while !reaches(x, r) {
+                    x = x.next_up();
+                }
+            }
+            x
+        }));
+        let (lo, top) = (thresholds[0], thresholds[k - 1]);
+        let min_gap = thresholds
+            .windows(2)
+            .map(|w| w[1] - w[0])
+            .fold(f64::INFINITY, f64::min);
+        let widest = min_gap * (Self::COMPARES - 1) as f64;
+        // At most 16 buckets a rank, should the gaps ever shrink to
+        // nothing (θ = 0.99 needs about three).
+        let buckets = (((top - lo) / widest).ceil() as usize).clamp(1, 16 * k);
+        let width = (top - lo) / buckets as f64;
+        let mut below = 0;
+        let guide = (0..buckets)
+            .map(|g| {
+                let edge = lo + g as f64 * width;
+                while below < k && thresholds[below] <= edge {
+                    below += 1;
+                }
+                below as u16
+            })
+            .collect();
+        thresholds.extend([f64::INFINITY; Self::COMPARES]);
+        HeadRanks {
+            thresholds,
+            top,
+            guide,
+            scale: buckets as f64 / (top - lo),
+        }
+    }
+
+    /// The formula's rank for the scaled draw `x`, or `None` at or above
+    /// `X_K` (and always without a table).
+    #[inline]
+    fn rank(&self, x: f64) -> Option<u64> {
+        if x >= self.top {
+            return None;
+        }
+        let t = &self.thresholds;
+        let g = (((x - t[0]) * self.scale) as usize).min(self.guide.len() - 1);
+        let base = usize::from(self.guide[g]);
+        let window = &t[base..base + Self::COMPARES];
+        let mut r = base + window.iter().map(|&y| usize::from(y <= x)).sum::<usize>();
+        // `X_K > x` stops the climb inside the table.
+        while t[r] <= x {
+            r += 1;
+        }
+        while r > 0 && t[r - 1] > x {
+            r -= 1;
+        }
+        Some(r as u64)
     }
 }
 
 /// Skewed-latest: recency-weighted choice over a growing key space —
 /// recently inserted records are most popular (YCSB workload D).
+///
+/// Unlike [`ScrambledZipfian`] it keeps a `pow` per draw past ranks 0
+/// and 1 and builds no tables: every insert grows the item count, which
+/// moves every threshold, and a rank is counted back from the newest
+/// record, so no rank keeps its key.
 #[derive(Debug, Clone)]
 pub struct Latest {
     zipf: Zipfian,
@@ -224,7 +426,7 @@ mod tests {
     #[test]
     fn scrambled_zipfian_spreads_hot_keys() {
         let mut rng = StdRng::seed_from_u64(3);
-        let s = ScrambledZipfian::new(1000);
+        let mut s = ScrambledZipfian::new(1000);
         let h = histogram((0..200_000).map(|_| s.next(&mut rng)), 1000);
         // Still skewed: some key is much hotter than the median...
         let mut sorted = h.clone();
@@ -288,6 +490,25 @@ mod tests {
 
     #[test]
     fn draws_equal_the_per_draw_formula() {
+        // The scrambled chooser's tables against the formula and the hash,
+        // at the benchmark's and `repro`'s key counts and around the
+        // table's cut-in at 64 items.
+        for seed in [3, 11, 42, 2024] {
+            for items in [1, 2, 63, 64, 65, 6_000, 24_000, 96_000] {
+                let mut rng = StdRng::seed_from_u64(seed);
+                let mut old = StdRng::seed_from_u64(seed);
+                let z = Zipfian::ycsb_default(items);
+                let mut s = ScrambledZipfian::from(z.clone());
+                for i in 0..400_000 {
+                    let want = fnv1a_64(per_draw_formula(&z, &mut old)) % items;
+                    assert_eq!(
+                        s.next(&mut rng),
+                        want,
+                        "seed {seed}, scrambled over {items}, draw {i}"
+                    );
+                }
+            }
+        }
         for seed in [1, 7, 42, 2024] {
             for items in [1, 2, 3, 17, 1000, 50_000] {
                 let mut rng = StdRng::seed_from_u64(seed);
@@ -312,6 +533,40 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn head_thresholds_are_certified_by_the_formula() {
+        for items in [64, 65, 1000, 6_000, 24_000, 96_000] {
+            let s = ScrambledZipfian::new(items);
+            let (z, t) = (&s.inner, &s.head.thresholds);
+            let (t, padding) = t.split_at(t.len() - HeadRanks::COMPARES);
+            assert_eq!(t.len() as u64, (items / 16).min(HeadRanks::MAX_RANKS));
+            assert_eq!((t[t.len() - 1], padding[0]), (s.head.top, f64::INFINITY));
+            for (i, &x) in t.iter().enumerate() {
+                let r = i as u64 + 1;
+                assert!(
+                    z.rank_at(x) >= r,
+                    "{items} items: X_{r} = {x:e} misses rank {r}"
+                );
+                // Monotone around the threshold: below it the formula
+                // stays under rank `r`, from it on it reaches `r`.
+                let (mut below, mut above) = (x, x);
+                for ulps in 1..=64 {
+                    below = below.next_down();
+                    assert!(
+                        z.rank_at(below) < r,
+                        "{items} items: {ulps} ULPs below X_{r} reaches rank {r}"
+                    );
+                    above = above.next_up();
+                    assert!(
+                        z.rank_at(above) >= r,
+                        "{items} items: {ulps} ULPs above X_{r} misses rank {r}"
+                    );
+                }
+            }
+        }
+        assert!(ScrambledZipfian::new(63).head.thresholds.is_empty());
     }
 
     #[test]

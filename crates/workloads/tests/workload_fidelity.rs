@@ -16,7 +16,7 @@ fn zipfian_hot_set_concentration_supports_tiering() {
     // carry well over half the accesses.
     let mut rng = StdRng::seed_from_u64(3);
     let n = 6_000u64;
-    let s = ScrambledZipfian::new(n);
+    let mut s = ScrambledZipfian::new(n);
     let mut counts = vec![0u64; n as usize];
     let draws = 400_000;
     for _ in 0..draws {

@@ -146,7 +146,7 @@ proptest! {
 
     #[test]
     fn scrambled_zipfian_stays_in_range(items in 1u64..5_000, seed in 0u64..1000) {
-        let s = ScrambledZipfian::new(items);
+        let mut s = ScrambledZipfian::new(items);
         let mut rng = StdRng::seed_from_u64(seed);
         for _ in 0..200 {
             prop_assert!(s.next(&mut rng) < items);
